@@ -285,7 +285,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// 10% of the labels. Each kernel covers the full compaction-shaped
 	// path — scheme build plus label extraction — because extraction is
 	// where nearly all compaction time goes; the incremental side
-	// extracts only the dirty labels (exactly what SaveSpliced does),
+	// extracts only the dirty labels (exactly what labelstore.Spliced does),
 	// the full side extracts every label. The ratio of the two is the
 	// incremental speedup. Single worker on both sides: deterministic
 	// allocs (this kernel is gated exactly) and an apples-to-apples
@@ -400,11 +400,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		if err != nil {
 			return "", 0, err
 		}
-		if format3 {
-			err = labelstore.SaveFormat3(f, s, nil, compress)
-		} else {
-			err = labelstore.Save(f, s, nil)
-		}
+		err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3, compress)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

@@ -1,13 +1,14 @@
 // Command fsdl-serve is the long-lived query service over an FSDL label
-// store: distance / batch-distance / connected queries and dynamic
-// fail/recover over HTTP/JSON, with a result cache, admission control,
-// and Prometheus metrics. See docs/SERVER.md for the API.
+// store: distance / batch-distance / connected queries and a
+// fail/recover fault overlay over HTTP/JSON, with a result cache,
+// admission control, and Prometheus metrics. See docs/SERVER.md for the
+// API.
 //
 // Usage:
 //
-//	fsdl-serve -store labels.fsdl [-addr :8080] [-salvage] [-graph graph.txt]
+//	fsdl-serve -store labels.fsdl [-addr :8080] [-salvage] [-mmap]
 //	           [-workers N] [-queue N] [-deadline 5s] [-budget 0]
-//	           [-cache 4096] [-cache-shards 8] [-eps 2] [-mmap]
+//	           [-cache 4096] [-cache-shards 8]
 //
 // With -mmap an FSDL3 store (see docs/STORAGE.md) is served straight
 // from the OS page cache, so stores larger than RAM stay servable;
@@ -23,9 +24,11 @@
 // to a WAL, and bakes them into versioned label generations on
 // /v1/compact (see docs/LIVE.md). A restart resumes from the newest
 // generation under -live-root plus the WAL tail; with no generation
-// yet, -graph (or -store + -graph) provides the base:
+// yet, -store and -graph provide the first labels and the graph they
+// were built on. -graph and -eps are compaction inputs only — queries
+// are always answered from labels:
 //
-//	fsdl-serve -live-root gens/ [-wal gens/mutations.wal]
+//	fsdl-serve -live-root gens/ [-wal gens/mutations.wal] [-eps 2]
 //	           [-compact-workers N] [-store labels.fsdl -graph graph.txt]
 package main
 
@@ -66,8 +69,8 @@ func run(args []string) error {
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records, answer conservatively")
 	mmap := fs.Bool("mmap", false, "serve an FSDL3 store from the OS page cache (mmap) instead of loading it into heap")
 	compress := fs.Bool("compress", false, "live: compactions write compressed FSDL3 generations")
-	graphPath := fs.String("graph", "", "graph file; enables the dynamic-oracle query path")
-	eps := fs.Float64("eps", 2, "dynamic oracle precision epsilon")
+	graphPath := fs.String("graph", "", "live: base graph the labels were built on, until a first generation exists")
+	eps := fs.Float64("eps", 2, "live: precision epsilon compactions build label generations at")
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth beyond the worker pool (0 = 4×workers)")
@@ -152,19 +155,6 @@ func run(args []string) error {
 		cfg.CompactFormat, cfg.CompactCompress = 3, true
 	}
 
-	if *graphPath != "" {
-		gf, err := os.Open(*graphPath)
-		if err != nil {
-			return err
-		}
-		g, err := fsdl.ReadGraph(gf)
-		gf.Close()
-		if err != nil {
-			return err
-		}
-		cfg.Graph = g
-	}
-
 	if *liveRoot != "" {
 		if err := os.MkdirAll(*liveRoot, 0o755); err != nil {
 			return err
@@ -176,7 +166,7 @@ func run(args []string) error {
 		// is the WAL replay base, its store the serving labels. With no
 		// generation yet, -graph provides the base the given store (or
 		// cluster) was built on.
-		base := cfg.Graph
+		var base *fsdl.Graph
 		generation := uint64(0)
 		if m, dir, ok, err := labelstore.LatestGeneration(*liveRoot); err != nil {
 			return err
@@ -200,9 +190,18 @@ func run(args []string) error {
 				cfg.Store, cfg.Report = st, nil
 			}
 			fmt.Fprintf(os.Stderr, "fsdl-serve: live: resuming from generation %d (%s)\n", m.Generation, dir)
-		}
-		if base == nil {
+		} else if *graphPath == "" {
 			return fmt.Errorf("live: no generation under %s yet — provide the base graph with -graph", *liveRoot)
+		} else {
+			gf, err := os.Open(*graphPath)
+			if err != nil {
+				return err
+			}
+			base, err = fsdl.ReadGraph(gf)
+			gf.Close()
+			if err != nil {
+				return err
+			}
 		}
 		if cfg.Store == nil && cfg.Source == nil {
 			return fmt.Errorf("live: no generation under %s yet — provide labels with -store or -cluster", *liveRoot)

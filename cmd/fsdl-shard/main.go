@@ -118,7 +118,7 @@ func run(args []string) error {
 		var err error
 		if *salvage {
 			// OpenPartial keeps an FSDL3 store mmap-backed through salvage;
-			// FSDL1/2 files go through the stream salvager exactly as before.
+			// FSDL2 files go through the stream salvager exactly as before.
 			st, rep, err = labelstore.OpenPartial(*storePath)
 			if err == nil && rep.Lost() > 0 {
 				fmt.Fprintf(os.Stderr, "fsdl-shard: salvage: kept %d/%d records — lost ones answer as unknown so the frontend fails over to replicas\n",

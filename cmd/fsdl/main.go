@@ -153,9 +153,6 @@ func cmdLabels(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if format3 && *region >= 0 {
-		return fmt.Errorf("-region bundles are FSDL2-only")
-	}
 	g, err := loadGraph(*in)
 	if err != nil {
 		return err
@@ -169,15 +166,11 @@ func cmdLabels(args []string, out io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	switch {
-	case *region >= 0:
-		err = labelstore.SaveRegion(f, s, *region, int32(*radius))
-	case format3:
-		err = labelstore.SaveFormat3(f, s, nil, *compress)
-	default:
-		err = labelstore.Save(f, s, nil)
+	var ids []int // nil: every label
+	if *region >= 0 {
+		ids = labelstore.Region(s, *region, int32(*radius))
 	}
-	if err != nil {
+	if err := labelstore.Write(f, labelstore.FromScheme(s), ids, format3, *compress); err != nil {
 		return err
 	}
 	info, err := f.Stat()
@@ -750,7 +743,7 @@ func cmdWQuery(args []string, out io.Writer) error {
 // consistent-hash ring ownership. With replication R every label lands
 // in exactly R partition files; the union of the partitions re-serves
 // every record byte-identically (the partition writer is just
-// SaveVertices over the ring's ownership lists).
+// Write from the store over the ring's ownership lists).
 func cmdPartition(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
 	db := fs.String("db", "labels.fsdl", "label store file to split")
@@ -795,12 +788,7 @@ func cmdPartition(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if format3 {
-			err = st.SaveVerticesFormat3(pf, ids, *compress)
-		} else {
-			err = st.SaveVertices(pf, ids)
-		}
-		if err != nil {
+		if err := labelstore.Write(pf, st, ids, format3, *compress); err != nil {
 			pf.Close()
 			return fmt.Errorf("write %s: %w", path, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -470,11 +471,34 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		}
 	}
 
-	// Guard rails: -compress without fsdl3, and -region with fsdl3.
+	// Guard rail: -compress without fsdl3.
 	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-compress"); err == nil {
 		t.Fatal("labels -compress without -format fsdl3 must error")
 	}
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-format", "fsdl3", "-region", "0"); err == nil {
-		t.Fatal("labels -region with -format fsdl3 must error")
+
+	// A region bundle goes into any container: the compressed FSDL3
+	// bundle holds the same records as the FSDL2 one.
+	bundle2, bundle3 := filepath.Join(dir, "region2.fsdl"), filepath.Join(dir, "region3.fsdl")
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle2, "-region", "0", "-radius", "2"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle3, "-region", "0", "-radius", "2", "-format", "fsdl3", "-compress"); err != nil {
+		t.Fatal(err)
+	}
+	b2 := loadStoreFile(t, bundle2)
+	b3, err := labelstore.Open(bundle3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b3.Close()
+	if !b3.Compressed() || b3.NumLabels() == 0 || !slices.Equal(b2.Vertices(), b3.Vertices()) {
+		t.Fatalf("FSDL3 region bundle holds %v (compressed=%v), FSDL2 bundle holds %v", b3.Vertices(), b3.Compressed(), b2.Vertices())
+	}
+	for _, v := range b2.Vertices() {
+		wantBits, wantData, _ := b2.Raw(v)
+		gotBits, gotData, _ := b3.Raw(v)
+		if gotBits != wantBits || !bytes.Equal(gotData, wantData) {
+			t.Fatalf("region bundle record %d differs between containers", v)
+		}
 	}
 }

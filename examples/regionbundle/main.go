@@ -40,7 +40,7 @@ func run() error {
 	home := 8*side + 7
 	const radius = 5
 	var bundle bytes.Buffer
-	if err := labelstore.SaveRegion(&bundle, scheme, home, radius); err != nil {
+	if err := labelstore.Save(&bundle, scheme, labelstore.Region(scheme, home, radius)); err != nil {
 		return err
 	}
 	bundleBytes := bundle.Len()

@@ -66,8 +66,8 @@ func startCluster(t testing.TB, st *labelstore.Store, shards, r int, hooks map[i
 				ids = append(ids, v)
 			}
 		}
-		if err := st.SaveVertices(&buf, ids); err != nil {
-			t.Fatalf("SaveVertices shard %d: %v", i, err)
+		if err := labelstore.Write(&buf, st, ids, false, false); err != nil {
+			t.Fatalf("Write shard %d: %v", i, err)
 		}
 		ps, err := labelstore.Load(&buf)
 		if err != nil {
@@ -528,7 +528,7 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 	// shard1's copy is damaged: truncate the serialized store so the
 	// tail records are lost in salvage.
 	var buf bytes.Buffer
-	if err := st.SaveVertices(&buf, st.Vertices()); err != nil {
+	if err := labelstore.Write(&buf, st, st.Vertices(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

@@ -196,7 +196,7 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 	membership := &Membership{Replication: 2}
 	for i := range shards {
 		var buf bytes.Buffer
-		if err := st.SaveVertices(&buf, parts[i]); err != nil {
+		if err := labelstore.Write(&buf, st, parts[i], false, false); err != nil {
 			t.Fatal(err)
 		}
 		ps, err := labelstore.Load(&buf)

@@ -52,7 +52,7 @@ type ShardConfig struct {
 	// Mmap makes generation activation open FSDL3 partition files via
 	// labelstore.Open — served from the OS page cache instead of heap,
 	// so the shard's servable store is bounded by disk, not RAM.
-	// FSDL1/2 files still load to heap (they have no other mode).
+	// FSDL2 files still load to heap (they have no other mode).
 	Mmap bool
 	// PersistFormat3 switches PersistPath rewrites (and repair
 	// persists) to the FSDL3 container; PersistCompress additionally
@@ -744,12 +744,7 @@ func (s *ShardServer) persist() error {
 	}
 	defer os.Remove(tmp.Name())
 	store, _ := s.currentStore()
-	if s.cfg.PersistFormat3 {
-		err = store.SaveVerticesFormat3(tmp, store.Vertices(), s.cfg.PersistCompress)
-	} else {
-		err = store.Save(tmp)
-	}
-	if err != nil {
+	if err := labelstore.Write(tmp, store, store.Vertices(), s.cfg.PersistFormat3, s.cfg.PersistCompress); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cluster: persist repair: %w", err)
 	}

@@ -29,10 +29,9 @@ func writeGenerationDir(t *testing.T, root string, gen uint64, st *labelstore.St
 			t.Fatal(err)
 		}
 		if ids == nil {
-			err = st.Save(f)
-		} else {
-			err = st.SaveVertices(f, ids)
+			ids = st.Vertices()
 		}
+		err = labelstore.Write(f, st, ids, false, false)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -153,7 +152,7 @@ func partitionStore(t testing.TB, st *labelstore.Store, ids []int) *labelstore.S
 		}
 	}
 	var buf bytes.Buffer
-	if err := st.SaveVertices(&buf, held); err != nil {
+	if err := labelstore.Write(&buf, st, held, false, false); err != nil {
 		t.Fatal(err)
 	}
 	ps, err := labelstore.Load(&buf)

@@ -54,6 +54,69 @@ type Query struct {
 	DegradedEdgeFaults [][2]int32
 }
 
+// LabelLookup fetches the label of one vertex for ResolveQuery — from a
+// scheme, a label table, a store, or a cluster of them.
+type LabelLookup func(v int) (*Label, error)
+
+// ResolveQuery assembles the query (src, dst, F) from looked-up labels.
+// A nil query with a nil error means an endpoint is itself forbidden: no
+// distance exists, exactly. A missing endpoint label is always an error;
+// see ResolveFaults for a missing fault label.
+func ResolveQuery(src, dst int, faults *graph.FaultSet, lookup LabelLookup, demote bool) (*Query, error) {
+	if faults.HasVertex(src) || faults.HasVertex(dst) {
+		return nil, nil
+	}
+	ls, err := lookup(src)
+	if err != nil {
+		return nil, err
+	}
+	lt, err := lookup(dst)
+	if err != nil {
+		return nil, err
+	}
+	q := &Query{S: ls, T: lt}
+	if err := q.ResolveFaults(faults, lookup, demote); err != nil {
+		return nil, err
+	}
+	return q, nil
+}
+
+// ResolveFaults appends the labels of F to q's fault tiers in the fault
+// set's canonical (Sorted) order, which keeps traces deterministic. A
+// fault whose label cannot be looked up is an error, unless demote is
+// set: then it joins the degraded tier by id, and decoding yields a
+// conservative upper bound (Result.Degraded) instead of failing.
+func (q *Query) ResolveFaults(faults *graph.FaultSet, lookup LabelLookup, demote bool) error {
+	fv, edges := faults.Sorted()
+	for _, f := range fv {
+		lf, err := lookup(f)
+		switch {
+		case err == nil:
+			q.VertexFaults = append(q.VertexFaults, lf)
+		case demote:
+			q.DegradedVertexFaults = append(q.DegradedVertexFaults, int32(f))
+		default:
+			return err
+		}
+	}
+	for _, e := range edges {
+		la, err := lookup(e[0])
+		lb, errB := lookup(e[1])
+		if err == nil {
+			err = errB
+		}
+		switch {
+		case err == nil:
+			q.EdgeFaults = append(q.EdgeFaults, [2]*Label{la, lb})
+		case demote:
+			q.DegradedEdgeFaults = append(q.DegradedEdgeFaults, [2]int32{int32(e[0]), int32(e[1])})
+		default:
+			return err
+		}
+	}
+	return nil
+}
+
 // Result is the outcome of a robust (degradation-tolerant) query.
 type Result struct {
 	// Dist is an upper bound on d_{G\F}(s,t); exact to within the scheme's

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -216,19 +215,12 @@ func (s *Scheme) NewQuery(src, dst int, faults *graph.FaultSet) (*Query, error) 
 	if faults.HasVertex(src) || faults.HasVertex(dst) {
 		return nil, fmt.Errorf("core: query endpoint is itself forbidden")
 	}
-	q := &Query{S: s.Label(src), T: s.Label(dst)}
-	fv := faults.Vertices()
-	slices.Sort(fv) // deterministic label order → deterministic traces
-	for _, f := range fv {
-		q.VertexFaults = append(q.VertexFaults, s.Label(f))
-	}
 	for _, e := range faults.Edges() {
 		if !s.g.HasEdge(e[0], e[1]) {
 			return nil, fmt.Errorf("core: forbidden edge (%d,%d) is not a graph edge", e[0], e[1])
 		}
-		q.EdgeFaults = append(q.EdgeFaults, [2]*Label{s.Label(e[0]), s.Label(e[1])})
 	}
-	return q, nil
+	return ResolveQuery(src, dst, faults, func(v int) (*Label, error) { return s.Label(v), nil }, false)
 }
 
 // StoreStats describes the shared level store — the preprocessed state

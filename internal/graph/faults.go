@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // FaultSet is a set of forbidden vertices and/or edges, the F of a
 // forbidden-set query. The zero value, and a nil *FaultSet, are both valid
 // empty sets, so callers can pass nil for failure-free queries.
@@ -111,6 +113,21 @@ func (f *FaultSet) Edges() [][2]int {
 		out = append(out, [2]int{int(k >> 32), int(k & 0xffffffff)})
 	}
 	return out
+}
+
+// Sorted returns the forbidden vertices ascending and the forbidden
+// edges in ascending (u,v) order — the canonical order of a fault set,
+// shared by the result-cache hash, traces and label resolution.
+func (f *FaultSet) Sorted() ([]int, [][2]int) {
+	vs, es := f.Vertices(), f.Edges()
+	slices.Sort(vs)
+	slices.SortFunc(es, func(a, b [2]int) int {
+		if a[0] != b[0] {
+			return a[0] - b[0]
+		}
+		return a[1] - b[1]
+	})
+	return vs, es
 }
 
 // Clone returns an independent deep copy of the fault set.

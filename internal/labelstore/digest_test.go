@@ -10,7 +10,7 @@ import (
 )
 
 // recordOffsets returns the byte offset where each of the store's
-// records begins inside its SaveVertices output, in ascending vertex
+// records begins inside its FSDL2 Write output, in ascending vertex
 // order, plus the ordered vertex list. Offsets are recomputed from the
 // container format, so a test can cut or corrupt a *specific* record
 // and then assert the salvage report names exactly that vertex.
@@ -36,7 +36,7 @@ func recordOffsets(t *testing.T, st *Store, raw []byte) (ids []int, offsets []in
 	return ids, offsets
 }
 
-// TestSalvageTruncatedMidRecord cuts a SaveVertices file in the middle
+// TestSalvageTruncatedMidRecord cuts an FSDL2 partition file in the middle
 // of a known record and asserts the salvage keeps exactly the records
 // before the cut — the lost suffix is identified precisely, which is
 // what lets a salvaged shard answer "unknown" for the right vertices.

@@ -50,7 +50,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"fsdl/internal/bitio"
 	"fsdl/internal/core"
@@ -402,12 +401,12 @@ type fileLike interface {
 	io.Seeker
 }
 
-// Format3Writer streams records into an FSDL3 file. Records must be
+// format3Writer streams records into an FSDL3 file. Records must be
 // added in strictly ascending vertex order (the index is binary-searched
-// at read time); Finish seals the file by writing the header page and
+// at read time); finish seals the file by writing the header page and
 // index. The writer buffers only the index in memory — payloads stream
 // to the data section as they are added.
-type Format3Writer struct {
+type format3Writer struct {
 	f        fileLike
 	n        int
 	count    int
@@ -421,13 +420,13 @@ type Format3Writer struct {
 	enc      bitio.Writer
 }
 
-// NewFormat3Writer positions f for an n-vertex store that will hold
+// newFormat3Writer positions f for an n-vertex store that will hold
 // exactly count records.
-func NewFormat3Writer(f fileLike, n, count int, compress bool) (*Format3Writer, error) {
+func newFormat3Writer(f fileLike, n, count int, compress bool) (*format3Writer, error) {
 	if n <= 0 || count < 0 || count > n {
 		return nil, fmt.Errorf("labelstore: bad FSDL3 shape n=%d count=%d", n, count)
 	}
-	w := &Format3Writer{
+	w := &format3Writer{
 		f:        f,
 		n:        n,
 		count:    count,
@@ -442,55 +441,50 @@ func NewFormat3Writer(f fileLike, n, count int, compress bool) (*Format3Writer, 
 	return w, nil
 }
 
-// AddLabel appends the record of a live label — the scheme-save path.
-func (w *Format3Writer) AddLabel(v int, l *core.Label) error {
-	bits := canonicalBitLen(l)
+// add appends one record, converting whichever form the source supplied
+// into this writer's payload encoding.
+func (w *format3Writer) add(v int, r rec) error {
+	switch {
+	case r.prm.set:
+		// Already a compressed payload, copied verbatim — the
+		// incremental-compaction fast path. The source vouches that it
+		// came from a store with these parameters.
+		if err := w.captureParams(r.prm, v); err != nil {
+			return err
+		}
+		return w.append(v, r.bits, r.data)
+	case r.label != nil:
+		// A live label: encoded below.
+	case !w.compress:
+		return w.append(v, r.bits, r.data)
+	default:
+		// Canonical bytes into a compressing writer: decoded (and thereby
+		// validated independently of any CRC), then re-encoded below.
+		l, err := core.DecodeLabel(r.data, r.bits)
+		if err != nil {
+			return fmt.Errorf("labelstore: record for vertex %d does not decode: %w", v, err)
+		}
+		r.label = l
+	}
+	bits := canonicalBitLen(r.label)
 	if !w.compress {
-		buf, nbits := l.Encode()
+		buf, nbits := r.label.Encode()
 		if nbits != bits {
 			return fmt.Errorf("labelstore: canonical length mismatch for vertex %d (%d vs %d bits)", v, nbits, bits)
 		}
-		return w.add(v, bits, buf[:(nbits+7)/8])
+		return w.append(v, bits, buf[:(nbits+7)/8])
 	}
-	if err := w.captureParams(paramsOf(l), v); err != nil {
+	if err := w.captureParams(paramsOf(r.label), v); err != nil {
 		return err
 	}
 	w.enc = bitio.Writer{}
-	if err := encodeRecord3(l, &w.enc); err != nil {
+	if err := encodeRecord3(r.label, &w.enc); err != nil {
 		return err
 	}
-	return w.add(v, bits, w.enc.Bytes())
+	return w.append(v, bits, w.enc.Bytes())
 }
 
-// AddCanonical appends a record given its canonical serialized form —
-// the splice/repartition path when the source record is FSDL2-encoded.
-// When the writer compresses, the payload is decoded (and thereby
-// CRC-independently validated) and re-encoded.
-func (w *Format3Writer) AddCanonical(v, bits int, data []byte) error {
-	if !w.compress {
-		return w.add(v, bits, data)
-	}
-	l, err := core.DecodeLabel(data, bits)
-	if err != nil {
-		return fmt.Errorf("labelstore: record for vertex %d does not decode: %w", v, err)
-	}
-	return w.AddLabel(v, l)
-}
-
-// AddStored appends a payload already in this writer's target encoding —
-// the incremental-compaction fast path, copying a clean compressed
-// record from the previous generation without transcoding. The caller
-// vouches that the payload came from a store with identical parameters.
-func (w *Format3Writer) AddStored(v, bits int, payload []byte, prm rec3Params) error {
-	if w.compress {
-		if err := w.captureParams(prm, v); err != nil {
-			return err
-		}
-	}
-	return w.add(v, bits, payload)
-}
-
-func (w *Format3Writer) captureParams(p rec3Params, v int) error {
+func (w *format3Writer) captureParams(p rec3Params, v int) error {
 	if !p.set {
 		return fmt.Errorf("labelstore: vertex %d record carries no parameters", v)
 	}
@@ -504,7 +498,7 @@ func (w *Format3Writer) captureParams(p rec3Params, v int) error {
 	return nil
 }
 
-func (w *Format3Writer) add(v, bits int, payload []byte) error {
+func (w *format3Writer) append(v, bits int, payload []byte) error {
 	if v < 0 || v >= w.n {
 		return fmt.Errorf("labelstore: vertex %d out of range [0,%d)", v, w.n)
 	}
@@ -534,8 +528,8 @@ func (w *Format3Writer) add(v, bits int, payload []byte) error {
 	return nil
 }
 
-// Finish writes the index and header page, sealing the file.
-func (w *Format3Writer) Finish() error {
+// finish writes the index and header page, sealing the file.
+func (w *format3Writer) finish() error {
 	if w.added != w.count {
 		return fmt.Errorf("labelstore: %d records added, header promised %d", w.added, w.count)
 	}
@@ -568,152 +562,4 @@ func (w *Format3Writer) Finish() error {
 		return fmt.Errorf("labelstore: write header: %w", err)
 	}
 	return nil
-}
-
-// SaveFormat3 writes the labels of the given vertices (all when nil) of
-// scheme s as an FSDL3 file — the mmap-era sibling of Save. Vertices are
-// deduplicated and written in ascending order.
-func SaveFormat3(f fileLike, s *core.Scheme, vertices []int, compress bool) error {
-	n := s.Graph().NumVertices()
-	ids, err := normalizeVertices(vertices, n)
-	if err != nil {
-		return err
-	}
-	w, err := NewFormat3Writer(f, n, len(ids), compress)
-	if err != nil {
-		return err
-	}
-	const chunk = 256
-	for off := 0; off < len(ids); off += chunk {
-		part := ids[off:min(off+chunk, len(ids))]
-		labels := s.Labels(part)
-		for i, v := range part {
-			if err := w.AddLabel(v, labels[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return w.Finish()
-}
-
-// SaveSplicedFormat3 is SaveSpliced for FSDL3 output: dirty vertices are
-// re-extracted from s, clean ones are copied from prev — payload bytes
-// verbatim when prev is a compressed FSDL3 store of the same shape, via
-// canonical bytes (transcoding as needed) otherwise. The output is
-// byte-identical to SaveFormat3(f, s, vertices, compress).
-func SaveSplicedFormat3(f fileLike, s *core.Scheme, prev *Store, dirty []int32, vertices []int, compress bool) error {
-	n := s.Graph().NumVertices()
-	if prev.NumVertices() != n {
-		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", prev.NumVertices(), n)
-	}
-	ids, err := normalizeVertices(vertices, n)
-	if err != nil {
-		return err
-	}
-	isDirty := make(map[int32]struct{}, len(dirty))
-	for _, v := range dirty {
-		isDirty[v] = struct{}{}
-	}
-	w, err := NewFormat3Writer(f, n, len(ids), compress)
-	if err != nil {
-		return err
-	}
-	// Stored-payload copies are only valid when the previous generation
-	// uses the exact target encoding.
-	fastCopy := compress && prev.f3 != nil && prev.f3.hdr.compressed()
-	const chunk = 256
-	part := make([]int, 0, chunk)
-	for off := 0; off < len(ids); off += chunk {
-		span := ids[off:min(off+chunk, len(ids))]
-		part = part[:0]
-		for _, v := range span {
-			if _, ok := isDirty[int32(v)]; ok {
-				part = append(part, v)
-			}
-		}
-		labels := s.Labels(part)
-		li := 0
-		for _, v := range span {
-			if li < len(part) && part[li] == v {
-				err = w.AddLabel(v, labels[li])
-				li++
-			} else if fastCopy && !prev.inOverlay(int32(v)) {
-				// The overlay guard matches SaveVerticesFormat3: a clean
-				// vertex healed via Put must be copied from its repaired
-				// heap record (the Raw path below), not the damaged disk
-				// payload.
-				bits, payload, ok := prev.f3.storedPayload(int32(v))
-				if !ok {
-					return fmt.Errorf("labelstore: splice base is missing clean vertex %d", v)
-				}
-				err = w.AddStored(v, bits, payload, prev.f3.hdr.prm)
-			} else {
-				bits, data, ok := prev.Raw(v)
-				if !ok {
-					return fmt.Errorf("labelstore: splice base is missing clean vertex %d", v)
-				}
-				err = w.AddCanonical(v, bits, data)
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return w.Finish()
-}
-
-// SaveVerticesFormat3 writes a store holding only the given vertices as
-// FSDL3 — the partition path. Output is deterministic: ascending vertex
-// order, duplicates collapsed, byte-identical to SaveFormat3 over the
-// same records.
-func (st *Store) SaveVerticesFormat3(f fileLike, vertices []int, compress bool) error {
-	ids, err := normalizeVertices(vertices, st.n)
-	if err != nil {
-		return err
-	}
-	w, err := NewFormat3Writer(f, st.n, len(ids), compress)
-	if err != nil {
-		return err
-	}
-	fastCopy := compress && st.f3 != nil && st.f3.hdr.compressed()
-	for _, v := range ids {
-		if fastCopy && !st.inOverlay(int32(v)) {
-			bits, payload, ok := st.f3.storedPayload(int32(v))
-			if !ok {
-				return fmt.Errorf("labelstore: no label for vertex %d", v)
-			}
-			if err := w.AddStored(v, bits, payload, st.f3.hdr.prm); err != nil {
-				return err
-			}
-			continue
-		}
-		bits, data, ok := st.Raw(v)
-		if !ok {
-			return fmt.Errorf("labelstore: no label for vertex %d", v)
-		}
-		if err := w.AddCanonical(v, bits, data); err != nil {
-			return err
-		}
-	}
-	return w.Finish()
-}
-
-// normalizeVertices sorts and deduplicates ids (0..n-1 when nil),
-// rejecting out-of-range vertices.
-func normalizeVertices(vertices []int, n int) ([]int, error) {
-	if vertices == nil {
-		ids := make([]int, n)
-		for i := range ids {
-			ids[i] = i
-		}
-		return ids, nil
-	}
-	for _, v := range vertices {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("labelstore: vertex %d out of range [0,%d)", v, n)
-		}
-	}
-	ids := slices.Clone(vertices)
-	slices.Sort(ids)
-	return slices.Compact(ids), nil
 }

@@ -186,7 +186,7 @@ func TestFormat3SpliceByteIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := SaveSplicedFormat3(f, s, prev, dirty, nil, compress); err != nil {
+				if err := Write(f, Spliced(s, prev, dirty), nil, true, compress); err != nil {
 					t.Fatal(err)
 				}
 				f.Close()
@@ -382,7 +382,7 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := NewFormat3Writer(f, n, n, compress)
+		w, err := newFormat3Writer(f, n, n, compress)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,13 +390,13 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		for v := 0; v < n; v++ {
 			l := s.Label(v)
 			if v != victim {
-				if err := w.AddLabel(v, l); err != nil {
+				if err := w.add(v, rec{label: l}); err != nil {
 					t.Fatal(err)
 				}
 				continue
 			}
 			// The writer checksums whatever payload it is handed, so a
-			// garbage AddStored body yields a valid-CRC, undecodable
+			// garbage serialized body yields a valid-CRC, undecodable
 			// record — for the uncompressed store the payload length must
 			// still match the claimed canonical bit length.
 			bits := canonicalBitLen(l)
@@ -408,11 +408,15 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 			} else if _, err := decodeRecord3(junk, victim, prm); err == nil {
 				t.Fatal("junk payload unexpectedly decodes")
 			}
-			if err := w.AddStored(v, bits, junk, prm); err != nil {
+			r := rec{bits: bits, data: junk}
+			if compress {
+				r.prm = prm
+			}
+			if err := w.add(v, r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := w.Finish(); err != nil {
+		if err := w.finish(); err != nil {
 			t.Fatal(err)
 		}
 		f.Close()
@@ -510,7 +514,7 @@ func TestFormat3SpliceHealedOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveSplicedFormat3(f, s, prev, []int32{3, 17}, nil, true); err != nil {
+	if err := Write(f, Spliced(s, prev, []int32{3, 17}), nil, true, true); err != nil {
 		t.Fatalf("splice from healed base: %v", err)
 	}
 	f.Close()

@@ -3,7 +3,9 @@
 // router) downloads only the labels it needs and answers every distance
 // query locally, offline, from those labels alone.
 //
-// A store file is a simple container (current version "FSDL2"):
+// A store file is one of two containers, both nothing but carriers of
+// canonical record bytes (Label.Encode output), so digests, the cluster
+// wire format and Put interoperate across them. "FSDL2" is a stream:
 //
 //	magic "FSDL2"
 //	uvarint n            (vertex-id space of the graph)
@@ -12,24 +14,27 @@
 //	                     crc32 (IEEE, little-endian, over the record's
 //	                     vertex+bitLen varints and payload bytes)
 //
-// Version "FSDL1" is the same container without the per-record checksums;
-// Load and LoadPartial read both, Save always writes FSDL2. The checksums
-// turn silent bit rot into detected corruption: Load fails loudly, while
-// LoadPartial salvages every intact record and reports what was lost.
+// "FSDL3" (format3.go, mmapstore.go) is the out-of-core sibling: a
+// page-aligned random-access layout with the record index up front,
+// served from an mmap of the file, optionally with compressed record
+// payloads.
 //
-// Version "FSDL3" (format3.go, mmapstore.go) is the out-of-core sibling:
-// a page-aligned random-access layout with the record index up front,
-// opened via Open/OpenHeap/OpenPartial and served from an mmap of the
-// file, optionally with compressed record payloads. All versions carry
-// the same canonical record bytes (Label.Encode output), so digests,
-// the cluster wire format and Put interoperate across them.
+// There is one way in and one way out. Write (write.go) fills either
+// container from a record source — a scheme, a scheme spliced over a
+// previous generation's store, or a store. Open/OpenHeap/OpenPartial
+// sniff the container of a file and Load/LoadPartial read an FSDL2
+// stream, each strict or salvaging: the checksums turn silent bit rot
+// into detected corruption, which a strict read refuses loudly and a
+// salvaging one routes around, keeping every intact record and
+// reporting what was lost.
 //
 // Stores can hold all n labels (the full oracle) or any subset — e.g. a
-// region bundle produced by SaveRegion.
+// region bundle (the ids Region lists).
 package labelstore
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -43,10 +48,7 @@ import (
 	"fsdl/internal/lru"
 )
 
-var (
-	magicV1 = []byte("FSDL1")
-	magicV2 = []byte("FSDL2")
-)
+var magicV2 = []byte("FSDL2")
 
 // maxLabelBits rejects absurd bit-length fields before allocating.
 const maxLabelBits = 1 << 40
@@ -74,39 +76,32 @@ func writeRecord(bw *bufio.Writer, v int, bits int, data []byte) error {
 	return err
 }
 
-// readHeader consumes the magic and the n/count varints, returning the
-// container version (1 or 2).
-func readHeader(br *bufio.Reader) (version int, n, count uint64, err error) {
-	head := make([]byte, len(magicV1))
+// readHeader consumes the FSDL2 magic and the n/count varints.
+func readHeader(br *bufio.Reader) (n, count uint64, err error) {
+	head := make([]byte, len(magicV2))
 	if _, err = io.ReadFull(br, head); err != nil {
-		return 0, 0, 0, fmt.Errorf("labelstore: read magic: %w", err)
+		return 0, 0, fmt.Errorf("labelstore: read magic: %w", err)
 	}
-	switch string(head) {
-	case string(magicV1):
-		version = 1
-	case string(magicV2):
-		version = 2
-	default:
-		return 0, 0, 0, fmt.Errorf("labelstore: bad magic %q", head)
+	if string(head) != string(magicV2) {
+		return 0, 0, fmt.Errorf("labelstore: bad magic %q", head)
 	}
 	if n, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, fmt.Errorf("labelstore: read n: %w", err)
+		return 0, 0, fmt.Errorf("labelstore: read n: %w", err)
 	}
 	if count, err = binary.ReadUvarint(br); err != nil {
-		return 0, 0, 0, fmt.Errorf("labelstore: read count: %w", err)
+		return 0, 0, fmt.Errorf("labelstore: read count: %w", err)
 	}
 	if count > n {
-		return 0, 0, 0, fmt.Errorf("labelstore: count %d exceeds n %d", count, n)
+		return 0, 0, fmt.Errorf("labelstore: count %d exceeds n %d", count, n)
 	}
-	return version, n, count, nil
+	return n, count, nil
 }
 
 // readRecord reads one record. A non-nil error means the stream framing
 // itself is broken (truncation, or a corrupted length field that makes
 // every later byte unreliable); crcOK=false means the framing held but
-// the v2 checksum did not match. v1 records have no checksum and always
-// report crcOK=true.
-func readRecord(br *bufio.Reader, n uint64, withCRC bool) (v uint64, rec record, crcOK bool, err error) {
+// the checksum did not match.
+func readRecord(br *bufio.Reader, n uint64) (v uint64, rec record, crcOK bool, err error) {
 	v, err = binary.ReadUvarint(br)
 	if err != nil {
 		return 0, record{}, false, fmt.Errorf("labelstore: read vertex: %w", err)
@@ -125,14 +120,11 @@ func readRecord(br *bufio.Reader, n uint64, withCRC bool) (v uint64, rec record,
 	if _, err := io.ReadFull(br, data); err != nil {
 		return 0, record{}, false, fmt.Errorf("labelstore: read label bytes: %w", err)
 	}
-	crcOK = true
-	if withCRC {
-		var sum [4]byte
-		if _, err := io.ReadFull(br, sum[:]); err != nil {
-			return 0, record{}, false, fmt.Errorf("labelstore: read checksum: %w", err)
-		}
-		crcOK = recordChecksum(int(v), int(bits), data) == binary.LittleEndian.Uint32(sum[:])
+	var sum [4]byte
+	if _, err := io.ReadFull(br, sum[:]); err != nil {
+		return 0, record{}, false, fmt.Errorf("labelstore: read checksum: %w", err)
 	}
+	crcOK = recordChecksum(int(v), int(bits), data) == binary.LittleEndian.Uint32(sum[:])
 	return v, record{bits: int(bits), data: data}, crcOK, nil
 }
 
@@ -152,143 +144,6 @@ func recordChecksum(v int, bits int, data []byte) uint32 {
 	return h.Sum32()
 }
 
-// Save writes the labels of the given vertices (all vertices when nil) to
-// w. Labels are extracted from the scheme on the fly, so memory stays
-// bounded by one label.
-func Save(w io.Writer, s *core.Scheme, vertices []int) error {
-	n := s.Graph().NumVertices()
-	if vertices == nil {
-		vertices = make([]int, n)
-		for i := range vertices {
-			vertices[i] = i
-		}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV2); err != nil {
-		return fmt.Errorf("labelstore: write magic: %w", err)
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		k := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:k])
-		return err
-	}
-	if err := writeUvarint(uint64(n)); err != nil {
-		return fmt.Errorf("labelstore: write n: %w", err)
-	}
-	if err := writeUvarint(uint64(len(vertices))); err != nil {
-		return fmt.Errorf("labelstore: write count: %w", err)
-	}
-	for _, v := range vertices {
-		if v < 0 || v >= n {
-			return fmt.Errorf("labelstore: vertex %d out of range [0,%d)", v, n)
-		}
-	}
-	// Extract in parallel chunks via the scheme's bulk API: memory stays
-	// bounded by one chunk of labels while extraction uses every core.
-	const chunk = 256
-	for off := 0; off < len(vertices); off += chunk {
-		part := vertices[off:min(off+chunk, len(vertices))]
-		labels := s.Labels(part)
-		for i, v := range part {
-			buf, nbits := labels[i].Encode()
-			if err := writeRecord(bw, v, nbits, buf[:(nbits+7)/8]); err != nil {
-				return fmt.Errorf("labelstore: write record for vertex %d: %w", v, err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveSpliced writes the labels of the given vertices (all when nil) for
-// scheme s, extracting only the vertices listed in dirty and copying every
-// other record's serialized bytes verbatim from prev — the incremental
-// compaction path, where core.BuildSchemeIncremental has proven the labels
-// of non-dirty vertices byte-identical to the previous generation's. The
-// output is byte-identical to Save(w, s, vertices) at a fraction of the
-// extraction cost. A non-dirty vertex absent from prev is an error.
-func SaveSpliced(w io.Writer, s *core.Scheme, prev *Store, dirty []int32, vertices []int) error {
-	n := s.Graph().NumVertices()
-	if prev.NumVertices() != n {
-		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", prev.NumVertices(), n)
-	}
-	if vertices == nil {
-		vertices = make([]int, n)
-		for i := range vertices {
-			vertices[i] = i
-		}
-	}
-	isDirty := make(map[int32]struct{}, len(dirty))
-	for _, v := range dirty {
-		isDirty[v] = struct{}{}
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV2); err != nil {
-		return fmt.Errorf("labelstore: write magic: %w", err)
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		k := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:k])
-		return err
-	}
-	if err := writeUvarint(uint64(n)); err != nil {
-		return fmt.Errorf("labelstore: write n: %w", err)
-	}
-	if err := writeUvarint(uint64(len(vertices))); err != nil {
-		return fmt.Errorf("labelstore: write count: %w", err)
-	}
-	for _, v := range vertices {
-		if v < 0 || v >= n {
-			return fmt.Errorf("labelstore: vertex %d out of range [0,%d)", v, n)
-		}
-	}
-	// Same chunked shape as Save, but each chunk bulk-extracts only its
-	// dirty members; clean records are copied bytes.
-	const chunk = 256
-	part := make([]int, 0, chunk)
-	for off := 0; off < len(vertices); off += chunk {
-		span := vertices[off:min(off+chunk, len(vertices))]
-		part = part[:0]
-		for _, v := range span {
-			if _, ok := isDirty[int32(v)]; ok {
-				part = append(part, v)
-			}
-		}
-		labels := s.Labels(part)
-		li := 0
-		for _, v := range span {
-			if li < len(part) && part[li] == v {
-				buf, nbits := labels[li].Encode()
-				li++
-				if err := writeRecord(bw, v, nbits, buf[:(nbits+7)/8]); err != nil {
-					return fmt.Errorf("labelstore: write record for vertex %d: %w", v, err)
-				}
-				continue
-			}
-			bits, data, ok := prev.Raw(v)
-			if !ok {
-				return fmt.Errorf("labelstore: splice base is missing clean vertex %d", v)
-			}
-			if err := writeRecord(bw, v, bits, data); err != nil {
-				return fmt.Errorf("labelstore: write record for vertex %d: %w", v, err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// SaveRegion writes the labels of every vertex within the given radius of
-// center — the "download the data structure for your region" bundle.
-func SaveRegion(w io.Writer, s *core.Scheme, center int, radius int32) error {
-	var region []int
-	sc := graph.NewBFSScratch(s.Graph().NumVertices())
-	sc.TruncatedBFS(s.Graph(), center, radius, func(v, _ int32) {
-		region = append(region, int(v))
-	})
-	return Save(w, s, region)
-}
-
 // Store is a loaded label container. Labels are kept serialized and
 // decoded on demand, so a Store costs what the file costs; a small
 // sharded LRU keeps the hottest decoded labels (query endpoints, popular
@@ -299,9 +154,9 @@ func SaveRegion(w io.Writer, s *core.Scheme, center int, radius int32) error {
 // while queries read it.
 type Store struct {
 	n      int
-	format int // container version: 1/2 heap streams, 3 mmap-first files
+	format int // container version: 2 heap stream, 3 mmap-first file
 
-	// labels is the heap overlay: everything an FSDL1/2 load parsed, plus
+	// labels is the heap overlay: everything an FSDL2 load parsed, plus
 	// records Put installed (repair ingest). For an FSDL3-backed store it
 	// shadows the on-disk copy — a healed record wins over a corrupt one.
 	mu     sync.RWMutex
@@ -329,6 +184,7 @@ const DefaultDecodedCacheSize = 1024
 func newStore(n int, count uint64) *Store {
 	return &Store{
 		n:      n,
+		format: 2,
 		labels: make(map[int32]record, count),
 		cache:  lru.New[int32, *core.Label](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) }),
 	}
@@ -340,34 +196,18 @@ func (st *Store) LabelCacheStats() (hits, misses int64) {
 	return st.cacheHits.Load(), st.cacheMisses.Load()
 }
 
-// Load reads a store produced by Save (either container version). It is
-// strict: any framing error or checksum mismatch fails the whole load.
-// Use LoadPartial to salvage what survives from a damaged file.
+// Load reads an FSDL2 stream. It is strict: any framing error or
+// checksum mismatch fails the whole load. Use LoadPartial to salvage
+// what survives from a damaged file.
 func Load(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	version, n, count, err := readHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	st := newStore(int(n), count)
-	st.format = version
-	for i := uint64(0); i < count; i++ {
-		v, rec, crcOK, err := readRecord(br, n, version == 2)
-		if err != nil {
-			return nil, fmt.Errorf("%w (record %d)", err, i)
-		}
-		if !crcOK {
-			return nil, fmt.Errorf("labelstore: checksum mismatch on record %d (vertex %d)", i, v)
-		}
-		st.labels[int32(v)] = rec
-	}
-	return st, nil
+	st, _, err := load(r, false)
+	return st, err
 }
 
 // SalvageReport describes what LoadPartial recovered from a damaged
 // store file.
 type SalvageReport struct {
-	// Version is the container version that was read (1, 2 or 3).
+	// Version is the container version that was read (2 or 3).
 	Version int
 	// Total is the record count the header declared; Kept is how many
 	// records survived intact.
@@ -394,25 +234,38 @@ func (sr *SalvageReport) Lost() int { return sr.Total - sr.Kept }
 // needing a lost label can still be answered conservatively via
 // DistanceRobust.
 func LoadPartial(r io.Reader) (*Store, *SalvageReport, error) {
+	return load(r, true)
+}
+
+// load is the one FSDL2 record loop. Strict, the first damaged record
+// is an error; partial, it is skipped (checksum or decode failure) or
+// ends the read (broken framing), and the report says which.
+func load(r io.Reader, partial bool) (*Store, *SalvageReport, error) {
 	br := bufio.NewReader(r)
-	version, n, count, err := readHeader(br)
+	n, count, err := readHeader(br)
 	if err != nil {
 		return nil, nil, err
 	}
 	st := newStore(int(n), count)
-	st.format = version
-	rep := &SalvageReport{Version: version, Total: int(count)}
+	rep := &SalvageReport{Version: 2, Total: int(count)}
 	for i := uint64(0); i < count; i++ {
-		v, rec, crcOK, err := readRecord(br, n, version == 2)
+		v, rec, crcOK, err := readRecord(br, n)
 		if err != nil {
+			if !partial {
+				return nil, nil, fmt.Errorf("%w (record %d)", err, i)
+			}
 			rep.Truncated = true
 			break
 		}
-		if !crcOK {
-			rep.Corrupt = append(rep.Corrupt, int32(v))
-			continue
+		bad := !crcOK
+		if partial && !bad {
+			_, err := core.DecodeLabel(rec.data, rec.bits)
+			bad = err != nil
 		}
-		if _, err := core.DecodeLabel(rec.data, rec.bits); err != nil {
+		if bad {
+			if !partial {
+				return nil, nil, fmt.Errorf("labelstore: checksum mismatch on record %d (vertex %d)", i, v)
+			}
 			rep.Corrupt = append(rep.Corrupt, int32(v))
 			continue
 		}
@@ -556,35 +409,9 @@ func (st *Store) Label(v int) (*core.Label, error) {
 // labels only. It fails with an error when a needed label is missing from
 // the store (e.g. a query leaving the downloaded region).
 func (st *Store) Distance(src, dst int, faults *graph.FaultSet) (int64, bool, error) {
-	if faults.HasVertex(src) || faults.HasVertex(dst) {
-		return 0, false, nil
-	}
-	ls, err := st.Label(src)
-	if err != nil {
+	q, err := core.ResolveQuery(src, dst, faults, st.Label, false)
+	if err != nil || q == nil {
 		return 0, false, err
-	}
-	lt, err := st.Label(dst)
-	if err != nil {
-		return 0, false, err
-	}
-	q := &core.Query{S: ls, T: lt}
-	for _, f := range faults.Vertices() {
-		lf, err := st.Label(f)
-		if err != nil {
-			return 0, false, err
-		}
-		q.VertexFaults = append(q.VertexFaults, lf)
-	}
-	for _, e := range faults.Edges() {
-		la, err := st.Label(e[0])
-		if err != nil {
-			return 0, false, err
-		}
-		lb, err := st.Label(e[1])
-		if err != nil {
-			return 0, false, err
-		}
-		q.EdgeFaults = append(q.EdgeFaults, [2]*core.Label{la, lb})
 	}
 	d, ok := q.Distance()
 	return d, ok, nil
@@ -627,45 +454,11 @@ func (st *Store) DistanceRobustPath(src, dst int, faults *graph.FaultSet, budget
 // by vertex id. A nil query (with nil error) means a forbidden
 // endpoint — no distance exists, exactly.
 func (st *Store) robustQuery(src, dst int, faults *graph.FaultSet, budget int) (*core.Query, error) {
-	if faults.HasVertex(src) || faults.HasVertex(dst) {
-		return nil, nil // forbidden endpoint: no distance exists
+	q, err := core.ResolveQuery(src, dst, faults, st.Label, true)
+	if q != nil {
+		q.Budget = budget
 	}
-	ls, err := st.Label(src)
-	if err != nil {
-		return nil, err
-	}
-	lt, err := st.Label(dst)
-	if err != nil {
-		return nil, err
-	}
-	q := &core.Query{S: ls, T: lt, Budget: budget}
-	fv := faults.Vertices()
-	slices.Sort(fv)
-	for _, f := range fv {
-		lf, err := st.Label(f)
-		if err != nil {
-			q.DegradedVertexFaults = append(q.DegradedVertexFaults, int32(f))
-			continue
-		}
-		q.VertexFaults = append(q.VertexFaults, lf)
-	}
-	edges := faults.Edges()
-	slices.SortFunc(edges, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
-	for _, e := range edges {
-		la, errA := st.Label(e[0])
-		lb, errB := st.Label(e[1])
-		if errA != nil || errB != nil {
-			q.DegradedEdgeFaults = append(q.DegradedEdgeFaults, [2]int32{int32(e[0]), int32(e[1])})
-			continue
-		}
-		q.EdgeFaults = append(q.EdgeFaults, [2]*core.Label{la, lb})
-	}
-	return q, nil
+	return q, err
 }
 
 // Merge combines label stores over the same graph (e.g. two adjacent
@@ -695,7 +488,7 @@ func Merge(stores ...*Store) (*Store, error) {
 				data = slices.Clone(data)
 			}
 			if prev, ok := out.labels[int32(v)]; ok {
-				if prev.bits != bits || !bytesEqual(prev.data, data) {
+				if prev.bits != bits || !bytes.Equal(prev.data, data) {
 					return nil, fmt.Errorf("labelstore: conflicting labels for vertex %d", v)
 				}
 				continue
@@ -704,62 +497,6 @@ func Merge(stores ...*Store) (*Store, error) {
 		}
 	}
 	return out, nil
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Save writes the store back out in the container format, so merged
-// bundles can be redistributed.
-func (st *Store) Save(w io.Writer) error {
-	return st.SaveVertices(w, st.Vertices())
-}
-
-// SaveVertices writes a store holding only the given vertices — the
-// partition path: `fsdl partition` calls this once per shard with that
-// shard's ring slice. Records are written in ascending vertex order
-// (duplicates collapsed), so the output is deterministic and the union
-// of a full partitioning re-serves every record byte-identically. A
-// vertex without a label in this store is an error.
-func (st *Store) SaveVertices(w io.Writer, vertices []int) error {
-	ids := slices.Clone(vertices)
-	slices.Sort(ids)
-	ids = slices.Compact(ids)
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(magicV2); err != nil {
-		return fmt.Errorf("labelstore: write magic: %w", err)
-	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		k := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:k])
-		return err
-	}
-	if err := writeUvarint(uint64(st.n)); err != nil {
-		return err
-	}
-	if err := writeUvarint(uint64(len(ids))); err != nil {
-		return err
-	}
-	for _, v := range ids {
-		bits, data, ok := st.Raw(v)
-		if !ok {
-			return fmt.Errorf("labelstore: no label for vertex %d", v)
-		}
-		if err := writeRecord(bw, v, bits, data); err != nil {
-			return fmt.Errorf("labelstore: write record for vertex %d: %w", v, err)
-		}
-	}
-	return bw.Flush()
 }
 
 // NewEmpty returns a store over an n-vertex space holding no labels —
@@ -798,7 +535,7 @@ func (st *Store) Put(v int, bits int, data []byte) error {
 	// shadows the damaged record from then on.
 	if st.f3 != nil && !st.inOverlay(int32(v)) {
 		if pbits, pdata, ok := st.rawFrom3(int32(v)); ok {
-			if pbits == bits && bytesEqual(pdata, data) {
+			if pbits == bits && bytes.Equal(pdata, data) {
 				return nil
 			}
 			return fmt.Errorf("labelstore: conflicting record for vertex %d", v)
@@ -807,7 +544,7 @@ func (st *Store) Put(v int, bits int, data []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.labels[int32(v)]; ok {
-		if prev.bits == bits && bytesEqual(prev.data, data) {
+		if prev.bits == bits && bytes.Equal(prev.data, data) {
 			return nil
 		}
 		return fmt.Errorf("labelstore: conflicting record for vertex %d", v)

@@ -80,7 +80,7 @@ func TestRegionBundle(t *testing.T) {
 	s := buildScheme(t, g)
 	var buf bytes.Buffer
 	center, radius := 55, int32(3)
-	if err := SaveRegion(&buf, s, center, radius); err != nil {
+	if err := Save(&buf, s, Region(s, center, radius)); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Load(&buf)
@@ -180,7 +180,7 @@ func TestMergeRegionBundles(t *testing.T) {
 	s := buildScheme(t, g)
 	load := func(center int, radius int32) *Store {
 		var buf bytes.Buffer
-		if err := SaveRegion(&buf, s, center, radius); err != nil {
+		if err := Save(&buf, s, Region(s, center, radius)); err != nil {
 			t.Fatal(err)
 		}
 		st, err := Load(&buf)
@@ -205,7 +205,7 @@ func TestMergeRegionBundles(t *testing.T) {
 	}
 	// Merged bundle re-saves and reloads.
 	var buf bytes.Buffer
-	if err := merged.Save(&buf); err != nil {
+	if err := Write(&buf, merged, merged.Vertices(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	again, err := Load(&buf)
@@ -263,8 +263,8 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := st.SaveVertices(&buf, ids); err != nil {
-			t.Fatalf("SaveVertices part %d: %v", p, err)
+		if err := Write(&buf, st, ids, false, false); err != nil {
+			t.Fatalf("Write part %d: %v", p, err)
 		}
 		ps, err := Load(&buf)
 		if err != nil {
@@ -287,7 +287,7 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 		t.Fatalf("Merge: %v", err)
 	}
 	var rejoined bytes.Buffer
-	if err := merged.Save(&rejoined); err != nil {
+	if err := Write(&rejoined, merged, merged.Vertices(), false, false); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rejoined.Bytes(), fullBytes) {
@@ -296,8 +296,8 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 
 	// A vertex the store does not hold is an error, not a silent skip.
 	var buf bytes.Buffer
-	if err := st.SaveVertices(&buf, []int{0, 64}); err == nil {
-		t.Fatal("SaveVertices accepted an out-of-store vertex")
+	if err := Write(&buf, st, []int{0, 64}, false, false); err == nil {
+		t.Fatal("Write accepted an out-of-store vertex")
 	}
 }
 

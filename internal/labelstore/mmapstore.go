@@ -63,7 +63,7 @@ type file3 struct {
 	idxCount int    // readable index entries
 
 	verified []atomic.Uint32 // per-slot CRC-checked-ok bitset
-	ncorrupt atomic.Int64   // len(corrupt); gates the corrupt-set check in verify
+	ncorrupt atomic.Int64    // len(corrupt); gates the corrupt-set check in verify
 
 	mu      sync.RWMutex
 	corrupt map[int32]struct{}
@@ -190,13 +190,14 @@ func (f *file3) corruptCount() int {
 }
 
 // Open opens a store file, auto-detecting the container version: FSDL3
-// files are mmap'd and served out-of-core, FSDL1/2 files are read into
+// files are mmap'd and served out-of-core, FSDL2 files are read into
 // heap exactly as Load would. It is strict about structure — a damaged
 // header or index fails the open (use OpenPartial to salvage) — while
 // FSDL3 record payloads are CRC-verified lazily on first access, with
 // failures surfacing as corrupt-record lookups rather than errors.
 func Open(path string) (*Store, error) {
-	return openAuto(path, true, false)
+	st, _, err := open(path, true, false)
+	return st, err
 }
 
 // OpenHeap is Open without the mapping: an FSDL3 file is read into one
@@ -204,54 +205,8 @@ func Open(path string) (*Store, error) {
 // portable fallback and the right choice for short-lived CLI reads of
 // small stores.
 func OpenHeap(path string) (*Store, error) {
-	return openAuto(path, false, false)
-}
-
-func openAuto(path string, useMmap, partial bool) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var magic [5]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, fmt.Errorf("labelstore: read magic: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	if string(magic[:]) != string(magicV3) {
-		return Load(f)
-	}
-	st, _, err := open3(f, useMmap, partial)
+	st, _, err := open(path, false, false)
 	return st, err
-}
-
-// SniffFormat reports the container version (1, 2, or 3) of a store
-// file and, for FSDL3, whether its record payloads are compressed —
-// from the first six bytes alone. Compaction uses it to decide whether
-// a previous generation's partition file may be hard-linked forward:
-// linking an FSDL2 file into a generation built with -format fsdl3
-// would silently break the byte-identity of incremental builds.
-func SniffFormat(path string) (version int, compressed bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, false, err
-	}
-	defer f.Close()
-	var head [6]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, false, fmt.Errorf("labelstore: sniff %s: %w", path, err)
-	}
-	switch string(head[:5]) {
-	case string(magicV1):
-		return 1, false, nil
-	case string(magicV2):
-		return 2, false, nil
-	case string(magicV3):
-		return 3, head[5]&format3FlagCompressed != 0, nil
-	}
-	return 0, false, fmt.Errorf("labelstore: %s: unrecognized container magic", path)
 }
 
 // OpenPartial is Open with salvage semantics, the file-level analogue of
@@ -261,23 +216,59 @@ func SniffFormat(path string) (version int, compressed bool, err error) {
 // set (lookups report them via Corrupt, and the store stays mmap-backed
 // so salvage does not force the file into heap).
 func OpenPartial(path string) (*Store, *SalvageReport, error) {
+	return open(path, true, true)
+}
+
+// open is the one sniff-and-dispatch every opener goes through; the
+// report matters only to a partial open.
+func open(path string, useMmap, partial bool) (*Store, *SalvageReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	var magic [5]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil {
-		return nil, nil, fmt.Errorf("labelstore: read magic: %w", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	version, _, err := sniff(f)
+	if err != nil {
 		return nil, nil, err
 	}
-	if string(magic[:]) != string(magicV3) {
-		st, rep, err := LoadPartial(f)
-		return st, rep, err
+	if version == 3 {
+		return open3(f, useMmap, partial)
 	}
-	return open3(f, true, true)
+	return load(f, partial)
+}
+
+// sniff reads the container magic (and, for FSDL3, the flag byte after
+// it) at the head of f, then rewinds f for the reader proper.
+func sniff(f *os.File) (version int, compressed bool, err error) {
+	var head [6]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return 0, false, fmt.Errorf("labelstore: read magic: %w", err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, false, err
+	}
+	switch string(head[:5]) {
+	case string(magicV2):
+		return 2, false, nil
+	case string(magicV3):
+		return 3, head[5]&format3FlagCompressed != 0, nil
+	}
+	return 0, false, fmt.Errorf("labelstore: bad magic %q", head[:5])
+}
+
+// SniffFormat reports the container version (2 or 3) of a store file
+// and, for FSDL3, whether its record payloads are compressed — from the
+// first six bytes alone. Compaction uses it to decide whether a previous
+// generation's partition file may be hard-linked forward: linking an
+// FSDL2 file into a generation built with -format fsdl3 would silently
+// break the byte-identity of incremental builds.
+func SniffFormat(path string) (version int, compressed bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, false, err
+	}
+	defer f.Close()
+	return sniff(f)
 }
 
 func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
@@ -380,9 +371,6 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		// corrupt list (their ids are unreadable); they are lost too.
 		rep.Kept = f3.idxCount - len(rep.Corrupt)
 	}
-	if !partial {
-		return st, nil, nil
-	}
 	return st, rep, nil
 }
 
@@ -396,14 +384,9 @@ func (st *Store) Close() error {
 	return nil
 }
 
-// Format returns the container version backing this store: 1 or 2 for
-// heap-loaded streams, 3 for an FSDL3 file.
-func (st *Store) Format() int {
-	if st.format == 0 {
-		return 2
-	}
-	return st.format
-}
+// Format returns the container version backing this store: 2 for a
+// heap-loaded stream (or a store built up by Put), 3 for an FSDL3 file.
+func (st *Store) Format() int { return st.format }
 
 // Mapped reports whether the store serves records from an mmap'd file.
 func (st *Store) Mapped() bool {

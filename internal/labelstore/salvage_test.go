@@ -3,6 +3,9 @@ package labelstore
 import (
 	"bytes"
 	"encoding/binary"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsdl/internal/core"
@@ -10,8 +13,8 @@ import (
 	"fsdl/internal/graph"
 )
 
-// saveV1 hand-rolls the legacy FSDL1 container (no per-record checksums)
-// so backward-compatible reads stay covered now that Save writes FSDL2.
+// saveV1 hand-rolls the retired FSDL1 container (FSDL2 without the
+// per-record checksums), which no writer has produced since PR 1.
 func saveV1(t *testing.T, s *core.Scheme) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -33,38 +36,27 @@ func saveV1(t *testing.T, s *core.Scheme) []byte {
 	return buf.Bytes()
 }
 
-func TestLoadReadsLegacyV1(t *testing.T) {
-	g := gen.Grid2D(5, 5)
-	s := buildScheme(t, g)
-	raw := saveV1(t, s)
-
-	st, err := Load(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("strict load of v1: %v", err)
-	}
-	if st.NumLabels() != 25 {
-		t.Fatalf("v1 load kept %d labels, want 25", st.NumLabels())
-	}
-	st2, rep, err := LoadPartial(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("salvage load of v1: %v", err)
-	}
-	if rep.Version != 1 || rep.Kept != 25 || rep.Lost() != 0 || rep.Truncated {
-		t.Fatalf("v1 salvage report %+v, want version 1, 25/25 kept", rep)
-	}
-	if st2.NumLabels() != 25 {
-		t.Fatalf("v1 salvage kept %d labels, want 25", st2.NumLabels())
-	}
-	// A v1 bundle re-saved upgrades to v2 and still round-trips.
-	var up bytes.Buffer
-	if err := st.Save(&up); err != nil {
+// TestLoadRejectsLegacyV1: a well-formed FSDL1 file is refused up
+// front as a bad magic by every reader — strict, salvaging, stream or
+// file — and never half-read as FSDL2.
+func TestLoadRejectsLegacyV1(t *testing.T) {
+	raw := saveV1(t, buildScheme(t, gen.Grid2D(5, 5)))
+	path := filepath.Join(t.TempDir(), "v1.fsdl")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasPrefix(up.Bytes(), []byte("FSDL2")) {
-		t.Error("re-save did not upgrade to FSDL2")
-	}
-	if _, err := Load(bytes.NewReader(up.Bytes())); err != nil {
-		t.Fatalf("upgraded bundle unreadable: %v", err)
+	_, errLoad := Load(bytes.NewReader(raw))
+	_, _, errPartial := LoadPartial(bytes.NewReader(raw))
+	_, errOpen := Open(path)
+	_, _, errOpenPartial := OpenPartial(path)
+	_, _, errSniff := SniffFormat(path)
+	for name, err := range map[string]error{
+		"Load": errLoad, "LoadPartial": errPartial, "Open": errOpen,
+		"OpenPartial": errOpenPartial, "SniffFormat": errSniff,
+	} {
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Errorf("%s of an FSDL1 file: err = %v, want a bad-magic error", name, err)
+		}
 	}
 }
 

@@ -212,17 +212,12 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		return nil
 	}
 
+	labels := labelstore.FromScheme(scheme)
+	if incremental {
+		labels = labelstore.Spliced(scheme, opts.Prev.Store, dirty)
+	}
 	if err := addFile(LabelsFileName, m.N, func(f *os.File) error {
-		switch {
-		case format3 && incremental:
-			return labelstore.SaveSplicedFormat3(f, scheme, opts.Prev.Store, dirty, nil, opts.Compress)
-		case format3:
-			return labelstore.SaveFormat3(f, scheme, nil, opts.Compress)
-		case incremental:
-			return labelstore.SaveSpliced(f, scheme, opts.Prev.Store, dirty, nil)
-		default:
-			return labelstore.Save(f, scheme, nil)
-		}
+		return labelstore.Write(f, labels, nil, format3, opts.Compress)
 	}); err != nil {
 		return nil, err
 	}
@@ -231,8 +226,10 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	}
 	// Load the just-written store back: partition files are carved from
 	// these exact bytes (no re-extraction), and the serving path swaps
-	// to exactly what is on disk.
-	store, err := loadStoreFile(filepath.Join(tmp, LabelsFileName))
+	// to exactly what is on disk. An FSDL3 generation comes back
+	// mmap-backed, so the store handed to the swap (and kept as the next
+	// incremental build's splice base) reads from the page cache.
+	store, err := labelstore.Open(filepath.Join(tmp, LabelsFileName))
 	if err != nil {
 		return nil, fmt.Errorf("liveupdate: reload generation %d store: %w", snap.Generation, err)
 	}
@@ -289,10 +286,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		}
 		ids := ids
 		if err := addFile(name+".fsdl", len(ids), func(f *os.File) error {
-			if format3 {
-				return store.SaveVerticesFormat3(f, ids, opts.Compress)
-			}
-			return store.SaveVertices(f, ids)
+			return labelstore.Write(f, store, ids, format3, opts.Compress)
 		}); err != nil {
 			return nil, err
 		}
@@ -340,14 +334,6 @@ func formatMatches(version int, compressed bool, opts CompactOptions) bool {
 		return version == 3 && compressed == opts.Compress
 	}
 	return version == 2
-}
-
-// loadStoreFile loads a label store file, auto-detecting the container:
-// FSDL3 generations come back mmap-backed, so the store handed to the
-// serving swap (and retained as the next incremental build's splice
-// source) reads record bytes from the page cache, not the heap.
-func loadStoreFile(path string) (*labelstore.Store, error) {
-	return labelstore.Open(path)
 }
 
 // linkFile hard-links name from the previous generation directory into

@@ -101,35 +101,9 @@ func (o *Static) label(v int) (*core.Label, error) {
 // out-of-range endpoint or fault id — and carries no verdict about
 // connectivity.
 func (o *Static) Distance(u, v int, faults *graph.FaultSet) (int64, bool, error) {
-	if faults.HasVertex(u) || faults.HasVertex(v) {
-		return 0, false, nil
-	}
-	lu, err := o.label(u)
-	if err != nil {
+	q, err := core.ResolveQuery(u, v, faults, o.label, false)
+	if err != nil || q == nil {
 		return 0, false, err
-	}
-	lv, err := o.label(v)
-	if err != nil {
-		return 0, false, err
-	}
-	q := &core.Query{S: lu, T: lv}
-	for _, f := range faults.Vertices() {
-		lf, err := o.label(f)
-		if err != nil {
-			return 0, false, err
-		}
-		q.VertexFaults = append(q.VertexFaults, lf)
-	}
-	for _, e := range faults.Edges() {
-		la, err := o.label(e[0])
-		if err != nil {
-			return 0, false, err
-		}
-		lb, err := o.label(e[1])
-		if err != nil {
-			return 0, false, err
-		}
-		q.EdgeFaults = append(q.EdgeFaults, [2]*core.Label{la, lb})
 	}
 	// Decode through the pooled decoder: steady-state queries reuse one
 	// warmed-up scratch instead of allocating per call.

@@ -17,7 +17,7 @@ import (
 
 // HTTP/JSON API:
 //
-//	POST /v1/distance        {"s","t","fail","failedge","budget","deadline_ms","dynamic","path"} → Answer
+//	POST /v1/distance        {"s","t","fail","failedge","budget","deadline_ms","path"} → Answer
 //	POST /v1/connected       same request → Answer (read the "connected" bit)
 //	POST /v1/batch-distance  {"pairs":[[s,t],...], "fail",...}                 → {"answers":[Answer,...]}
 //	POST /v1/fail            {"vertices":[...], "edges":[[u,v],...]}           → State
@@ -61,10 +61,7 @@ type queryRequest struct {
 	Budget int `json:"budget"`
 	// DeadlineMS overrides the server's default request deadline.
 	DeadlineMS int `json:"deadline_ms"`
-	// Dynamic answers from the dynamic oracle (overlay faults only).
-	Dynamic bool `json:"dynamic"`
-	// Path asks for the witness walk in every connected answer
-	// (incompatible with Dynamic).
+	// Path asks for the witness walk in every connected answer.
 	Path bool `json:"path"`
 }
 
@@ -86,7 +83,7 @@ func (r *queryRequest) options() *QueryOptions {
 	for _, e := range r.FailEdge {
 		f.AddEdge(e[0], e[1])
 	}
-	return &QueryOptions{Faults: f, Budget: r.Budget, Dynamic: r.Dynamic, Path: r.Path}
+	return &QueryOptions{Faults: f, Budget: r.Budget, Path: r.Path}
 }
 
 // updateRequest is the wire form of fail/recover.

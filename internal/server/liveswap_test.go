@@ -47,8 +47,8 @@ func startLiveCluster(t *testing.T, st *labelstore.Store, shards, r int, root st
 				ids = append(ids, v)
 			}
 		}
-		if err := st.SaveVertices(&buf, ids); err != nil {
-			t.Fatalf("SaveVertices shard %d: %v", i, err)
+		if err := labelstore.Write(&buf, st, ids, false, false); err != nil {
+			t.Fatalf("Write shard %d: %v", i, err)
 		}
 		ps, err := labelstore.Load(&buf)
 		if err != nil {

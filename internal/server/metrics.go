@@ -39,7 +39,6 @@ type metrics struct {
 
 	failsApplied    atomic.Int64
 	recoversApplied atomic.Int64
-	rebuilds        atomic.Int64
 
 	// salvage state is written once at startup.
 	salvageTotal     atomic.Int64
@@ -132,7 +131,6 @@ func (m *metrics) render(sb *strings.Builder, cacheLen int, labelHits, labelMiss
 
 	counter("fsdl_fail_events_total", "Vertices/edges failed via /v1/fail.", m.failsApplied.Load())
 	counter("fsdl_recover_events_total", "Vertices/edges recovered via /v1/recover.", m.recoversApplied.Load())
-	counter("fsdl_dynamic_rebuilds_total", "Rebuilds of the dynamic oracle.", m.rebuilds.Load())
 
 	gauge("fsdl_salvage_records_total", "Records declared by the store header.", m.salvageTotal.Load())
 	gauge("fsdl_salvage_records_kept", "Records salvaged intact.", m.salvageKept.Load())

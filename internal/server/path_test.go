@@ -131,11 +131,13 @@ func TestPathCacheSeparation(t *testing.T) {
 }
 
 // TestHTTPDistancePath drives path reporting over the wire: "path":true
-// returns the walk, its absence omits the field, and path+dynamic is
-// rejected.
+// returns the walk and its absence omits the field. The retired
+// "dynamic" field is rejected like any unknown field: a client still
+// sending it learns the dynamic-oracle path is gone instead of silently
+// getting a label-decoded answer.
 func TestHTTPDistancePath(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
-	s := newTestServer(t, Config{Store: st, Graph: g})
+	s := newTestServer(t, Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -163,8 +165,8 @@ func TestHTTPDistancePath(t *testing.T) {
 		t.Fatalf("pathless answer leaked a path field: %s", body)
 	}
 
-	if resp, body = postJSON(t, ts.URL+"/v1/distance", map[string]any{"s": 0, "t": 35, "dynamic": true, "path": true}); resp.StatusCode == http.StatusOK {
-		t.Fatalf("dynamic+path accepted: %s", body)
+	if resp, body = postJSON(t, ts.URL+"/v1/distance", map[string]any{"s": 0, "t": 35, "dynamic": true}); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`"dynamic":true answered %d, want 400: %s`, resp.StatusCode, body)
 	}
 }
 

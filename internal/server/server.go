@@ -4,8 +4,7 @@
 // one resident structure. It wraps labelstore with a sharded LRU result
 // cache, admission control (bounded worker pool, deadlines, per-query
 // work budgets that degrade to safe upper bounds instead of failing),
-// a global fault overlay kept in sync with an optional oracle.Dynamic,
-// and Prometheus-style metrics. cmd/fsdl-serve exposes it over
+// a global label-only fault overlay, and Prometheus-style metrics. cmd/fsdl-serve exposes it over
 // HTTP/JSON.
 package server
 
@@ -16,7 +15,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -26,7 +24,6 @@ import (
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
-	"fsdl/internal/oracle"
 )
 
 // Config configures a Server. Exactly one of Store and Source is
@@ -43,16 +40,9 @@ type Config struct {
 	// LabelSource. Mutually exclusive with Store.
 	Source LabelSource
 
-	// Graph, when non-nil, enables the dynamic-oracle query path: the
-	// fail/recover endpoints keep an oracle.Dynamic over this graph in
-	// sync with the fault overlay, and queries asking for it are
-	// answered there (amortized √n rebuilds instead of per-query fault
-	// decoding). Must have the same vertex count as Store.
-	Graph *graph.Graph
-	// Epsilon is the dynamic oracle's precision (default 2).
+	// Epsilon is the precision live compactions build label generations
+	// at (default 2).
 	Epsilon float64
-	// DynThreshold is the dynamic oracle's rebuild threshold (0 = ⌈√n⌉).
-	DynThreshold int
 
 	// Workers bounds concurrently executing queries (default
 	// GOMAXPROCS). QueueDepth bounds queries waiting for a worker slot
@@ -140,9 +130,6 @@ type State struct {
 	OverlayVertices []int    `json:"overlay_vertices"`
 	OverlayEdges    [][2]int `json:"overlay_edges"`
 	CacheEntries    int      `json:"cache_entries"`
-	Dynamic         bool     `json:"dynamic"`
-	Rebuilds        int      `json:"rebuilds,omitempty"`
-	DeltaSize       int      `json:"delta_size,omitempty"`
 	SalvageKept     int      `json:"salvage_kept,omitempty"`
 	SalvageTotal    int      `json:"salvage_total,omitempty"`
 	// Live-pipeline state: the served label generation, delta edges not
@@ -159,7 +146,6 @@ type State struct {
 type Server struct {
 	cfg  Config
 	src  LabelSource
-	dyn  *oracle.Dynamic
 	live *liveupdate.Pipeline
 
 	// overlayMu guards overlay, the fault set applied to every query.
@@ -221,17 +207,6 @@ func New(cfg Config) (*Server, error) {
 		met:     newMetrics(),
 		slots:   make(chan struct{}, cfg.Workers),
 		queued:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
-	}
-	if cfg.Graph != nil {
-		if cfg.Graph.NumVertices() != src.NumVertices() {
-			return nil, fmt.Errorf("server: graph has %d vertices, store covers %d",
-				cfg.Graph.NumVertices(), src.NumVertices())
-		}
-		dyn, err := oracle.NewDynamic(cfg.Graph, cfg.Epsilon, cfg.DynThreshold)
-		if err != nil {
-			return nil, fmt.Errorf("server: build dynamic oracle: %w", err)
-		}
-		s.dyn = dyn
 	}
 	if cfg.Live != nil {
 		if bn := cfg.Live.Base().NumVertices(); bn != src.NumVertices() {
@@ -307,39 +282,17 @@ func faultHash(f *graph.FaultSet, budget int) uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	vs := f.Vertices()
-	slices.Sort(vs)
+	vs, es := f.Sorted()
 	put(uint64(len(vs)))
 	for _, v := range vs {
 		put(uint64(v))
 	}
-	es := f.Edges()
-	slices.SortFunc(es, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
 	put(uint64(len(es)))
 	for _, e := range es {
 		put(uint64(e[0])<<32 | uint64(uint32(e[1])))
 	}
 	put(uint64(budget))
 	return h.Sum64()
-}
-
-// faultTemplate is the per-batch decode of the effective fault set:
-// each fault label decoded exactly once, missing/corrupt ones demoted
-// to the degraded tier. The slices are shared read-only by every
-// query in the batch.
-type faultTemplate struct {
-	vertexFaults  []*core.Label
-	edgeFaults    [][2]*core.Label
-	degradedVerts []int32
-	degradedEdges [][2]int32
-	// patches are the live delta's inserted edges, endpoint labels
-	// resolved, decoded once per batch like the faults above.
-	patches []core.PatchEdge
 }
 
 // maxLivePatches caps how many pending insertions a single query will
@@ -388,40 +341,6 @@ func (s *Server) decodePatches(ctx context.Context, label labelFunc, edges [][2]
 	return out
 }
 
-func (s *Server) decodeFaults(ctx context.Context, label labelFunc, f *graph.FaultSet) *faultTemplate {
-	t := &faultTemplate{}
-	fv := f.Vertices()
-	slices.Sort(fv)
-	for _, v := range fv {
-		lf, err := label(ctx, v)
-		if err != nil {
-			// Missing or unreachable fault label: demote to the degraded
-			// tier — the decoder protects a maximal ball around it and
-			// the answer stays an upper bound on d_{G\F}.
-			t.degradedVerts = append(t.degradedVerts, int32(v))
-			continue
-		}
-		t.vertexFaults = append(t.vertexFaults, lf)
-	}
-	es := f.Edges()
-	slices.SortFunc(es, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
-	for _, e := range es {
-		la, errA := label(ctx, e[0])
-		lb, errB := label(ctx, e[1])
-		if errA != nil || errB != nil {
-			t.degradedEdges = append(t.degradedEdges, [2]int32{int32(e[0]), int32(e[1])})
-			continue
-		}
-		t.edgeFaults = append(t.edgeFaults, [2]*core.Label{la, lb})
-	}
-	return t
-}
-
 // QueryOptions carries the per-request knobs shared by a whole batch.
 type QueryOptions struct {
 	// Faults is the request's own fault set, unioned with the server's
@@ -430,14 +349,9 @@ type QueryOptions struct {
 	// Budget caps decode work per pair; 0 uses the server default,
 	// negative means unlimited.
 	Budget int
-	// Dynamic answers from the dynamic oracle instead of the store
-	// (requires Config.Graph and an empty Faults: the dynamic oracle
-	// reflects the overlay only).
-	Dynamic bool
 	// Path asks for the witness walk in every connected Answer. Path
 	// answers are cached separately from distance-only answers (the
-	// cache key carries the flag). Incompatible with Dynamic — the
-	// oracle answers distances only.
+	// cache key carries the flag).
 	Path bool
 }
 
@@ -467,13 +381,6 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 		return nil, err
 	}
 	defer s.done()
-
-	if opts != nil && opts.Dynamic {
-		if opts.Path {
-			return nil, fmt.Errorf("server: path reporting requires label decoding (incompatible with dynamic)")
-		}
-		return s.answerDynamic(pairs, opts)
-	}
 
 	wantPath := opts != nil && opts.Path
 	budget := s.budget(opts)
@@ -518,7 +425,13 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	n := s.src.NumVertices()
 	answers := make([]Answer, len(pairs))
 	s.prefetch(ctx, pinnedPrefetch, pairs, faults, livePatches, n)
-	var tmpl *faultTemplate // decoded lazily: an all-hit batch decodes nothing
+	// The batch's query template — the effective fault set and live
+	// patches, every label decoded exactly once and shared read-only by
+	// all pairs. Built lazily: an all-hit batch decodes nothing.
+	var (
+		tmpl    *core.Query
+		patches []core.PatchEdge
+	)
 	// One pooled decoder serves the whole batch: every miss reuses the
 	// same warmed-up scratch. Endpoint labels come straight from the
 	// store, whose decoded-label LRU replaces the per-batch memo maps
@@ -569,28 +482,27 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 			var lt *core.Label
 			if lt, err = label(ctx, dst); err == nil {
 				if tmpl == nil {
-					tmpl = s.decodeFaults(ctx, label, faults)
-					tmpl.patches = s.decodePatches(ctx, label, livePatches)
+					// A missing or unreachable fault label is demoted to
+					// the degraded tier — the decoder protects a maximal
+					// ball around it and the answer stays an upper bound
+					// on d_{G\F} — so resolution cannot fail.
+					tmpl = &core.Query{Budget: budget}
+					_ = tmpl.ResolveFaults(faults, func(v int) (*core.Label, error) { return label(ctx, v) }, true)
+					patches = s.decodePatches(ctx, label, livePatches)
 				}
-				q := &core.Query{
-					S: ls, T: lt,
-					VertexFaults:         tmpl.vertexFaults,
-					EdgeFaults:           tmpl.edgeFaults,
-					DegradedVertexFaults: tmpl.degradedVerts,
-					DegradedEdgeFaults:   tmpl.degradedEdges,
-					Budget:               budget,
-				}
+				q := *tmpl
+				q.S, q.T = ls, lt
 				var res core.Result
 				var path []int32
 				switch {
-				case wantPath && len(tmpl.patches) > 0:
-					res, path = dec.DistanceRobustPatchedPath(q, tmpl.patches, nil)
+				case wantPath && len(patches) > 0:
+					res, path = dec.DistanceRobustPatchedPath(&q, patches, nil)
 				case wantPath:
-					res, path = dec.DistanceRobustPath(q, nil)
-				case len(tmpl.patches) > 0:
-					res = dec.DistanceRobustPatched(q, tmpl.patches)
+					res, path = dec.DistanceRobustPath(&q, nil)
+				case len(patches) > 0:
+					res = dec.DistanceRobustPatched(&q, patches)
 				default:
-					res = dec.DistanceRobust(q)
+					res = dec.DistanceRobust(&q)
 				}
 				if res.OK {
 					a.Path = path
@@ -677,33 +589,6 @@ func (s *Server) prefetch(ctx context.Context, pf func(context.Context, []int) i
 	}
 }
 
-// answerDynamic serves a batch from the dynamic oracle. The caller
-// holds a worker slot.
-func (s *Server) answerDynamic(pairs [][2]int, opts *QueryOptions) ([]Answer, error) {
-	if s.dyn == nil {
-		return nil, fmt.Errorf("server: no dynamic oracle (start with a graph to enable it)")
-	}
-	if opts.Faults.Size() > 0 {
-		return nil, fmt.Errorf("server: dynamic queries cannot carry per-request faults (the oracle reflects the overlay only)")
-	}
-	answers := make([]Answer, len(pairs))
-	for i, p := range pairs {
-		a := Answer{S: p[0], T: p[1], Exact: true}
-		s.met.queries.Add(1)
-		d, ok, err := s.dyn.Distance(p[0], p[1])
-		if err != nil {
-			a.Error = err.Error()
-			a.Exact = false
-			s.met.errors.Add(1)
-		} else {
-			a.Connected = ok
-			a.Dist = d
-		}
-		answers[i] = a
-	}
-	return answers, nil
-}
-
 // Distance answers one pair.
 func (s *Server) Distance(ctx context.Context, src, dst int, opts *QueryOptions) (Answer, error) {
 	as, err := s.AnswerPairs(ctx, [][2]int{{src, dst}}, opts)
@@ -719,9 +604,9 @@ func (s *Server) Connected(ctx context.Context, src, dst int, opts *QueryOptions
 	return s.Distance(ctx, src, dst, opts)
 }
 
-// Fail adds vertices/edges to the global fault overlay (and the
-// dynamic oracle, when present), then invalidates the result cache.
-// Ids are validated up front; nothing is applied on error.
+// Fail adds vertices/edges to the global fault overlay, then
+// invalidates the result cache. Ids are validated up front; nothing is
+// applied on error.
 func (s *Server) Fail(vertices []int, edges [][2]int) error {
 	return s.applyOverlay(vertices, edges, true)
 }
@@ -742,9 +627,6 @@ func (s *Server) applyOverlay(vertices []int, edges [][2]int, fail bool) error {
 		if e[0] < 0 || e[0] >= n || e[1] < 0 || e[1] >= n {
 			return fmt.Errorf("server: edge (%d,%d) endpoint out of range [0,%d)", e[0], e[1], n)
 		}
-		if s.cfg.Graph != nil && !s.cfg.Graph.HasEdge(e[0], e[1]) {
-			return fmt.Errorf("server: (%d,%d) is not an edge", e[0], e[1])
-		}
 	}
 	s.overlayMu.Lock()
 	for _, v := range vertices {
@@ -763,33 +645,6 @@ func (s *Server) applyOverlay(vertices []int, edges [][2]int, fail bool) error {
 	}
 	s.overlayMu.Unlock()
 
-	// Keep the dynamic oracle in step. Overlay membership was already
-	// validated, so errors here are real (and rare: a rebuild failing).
-	if s.dyn != nil {
-		var err error
-		for _, v := range vertices {
-			if fail {
-				err = s.dyn.FailVertex(v)
-			} else {
-				err = s.dyn.RecoverVertex(v)
-			}
-			if err != nil {
-				return fmt.Errorf("server: dynamic oracle: %w", err)
-			}
-		}
-		for _, e := range edges {
-			if fail {
-				err = s.dyn.FailEdge(e[0], e[1])
-			} else {
-				err = s.dyn.RecoverEdge(e[0], e[1])
-			}
-			if err != nil {
-				return fmt.Errorf("server: dynamic oracle: %w", err)
-			}
-		}
-		s.met.rebuilds.Store(int64(s.dyn.Rebuilds()))
-	}
-
 	applied := int64(len(vertices) + len(edges))
 	if fail {
 		s.met.failsApplied.Add(applied)
@@ -804,27 +659,14 @@ func (s *Server) applyOverlay(vertices []int, edges [][2]int, fail bool) error {
 // Snapshot returns the current State.
 func (s *Server) Snapshot() State {
 	s.overlayMu.RLock()
-	ov := s.overlay.Vertices()
-	oe := s.overlay.Edges()
+	ov, oe := s.overlay.Sorted()
 	s.overlayMu.RUnlock()
-	slices.Sort(ov)
-	slices.SortFunc(oe, func(a, b [2]int) int {
-		if a[0] != b[0] {
-			return a[0] - b[0]
-		}
-		return a[1] - b[1]
-	})
 	st := State{
 		N:               s.src.NumVertices(),
 		Labels:          s.src.NumLabels(),
 		OverlayVertices: ov,
 		OverlayEdges:    oe,
 		CacheEntries:    s.cache.Len(),
-		Dynamic:         s.dyn != nil,
-	}
-	if s.dyn != nil {
-		st.Rebuilds = s.dyn.Rebuilds()
-		st.DeltaSize = s.dyn.DeltaSize()
 	}
 	if s.live != nil {
 		st.LiveGeneration = s.live.Generation()

@@ -314,73 +314,6 @@ func TestAdmissionOverloadAndDeadline(t *testing.T) {
 	}
 }
 
-func TestDynamicPath(t *testing.T) {
-	g, st := testStore(t, 8, 8, 2)
-	s := newTestServer(t, Config{Store: st, Graph: g})
-	n := g.NumVertices()
-
-	a, err := s.Distance(context.Background(), 0, n-1, &QueryOptions{Dynamic: true})
-	if err != nil || a.Error != "" {
-		t.Fatalf("dynamic query: %v / %q", err, a.Error)
-	}
-	exact := g.Dist(0, n-1)
-	if !a.Connected || a.Dist < int64(exact) {
-		t.Errorf("dynamic dist %d (connected %v), want ≥ %d", a.Dist, a.Connected, exact)
-	}
-
-	// Fail two interior vertices: paths get longer but survive.
-	if err := s.Fail([]int{9, 18}, nil); err != nil {
-		t.Fatalf("Fail: %v", err)
-	}
-	after, err := s.Distance(context.Background(), 0, n-1, &QueryOptions{Dynamic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := g.DistAvoiding(0, n-1, graph.FaultVertices(9, 18))
-	if !graph.Reachable(want) {
-		t.Fatal("test instance disconnected; pick different faults")
-	}
-	if !after.Connected || after.Dist < int64(want) {
-		t.Errorf("dynamic post-fail dist %d (connected %v), want ≥ %d", after.Dist, after.Connected, want)
-	}
-	// A failed vertex answers disconnected on the dynamic path.
-	failedEP, err := s.Distance(context.Background(), 9, 5, &QueryOptions{Dynamic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failedEP.Connected {
-		t.Error("failed endpoint should be disconnected on the dynamic path")
-	}
-
-	// Per-request faults are rejected on the dynamic path.
-	if _, err := s.AnswerPairs(context.Background(), [][2]int{{2, 3}},
-		&QueryOptions{Dynamic: true, Faults: graph.FaultVertices(5)}); err == nil {
-		t.Error("dynamic + per-request faults should error")
-	}
-
-	// The store path sees the same overlay.
-	viaStore, err := s.Distance(context.Background(), 1, n-1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantStore := g.DistAvoiding(1, n-1, graph.FaultVertices(9, 18))
-	if !viaStore.Connected || viaStore.Dist < int64(wantStore) {
-		t.Errorf("store path post-fail dist %d, want ≥ %d", viaStore.Dist, wantStore)
-	}
-}
-
-func TestDynamicRequiresGraph(t *testing.T) {
-	_, st := testStore(t, 4, 4, 2)
-	s := newTestServer(t, Config{Store: st})
-	if _, err := s.AnswerPairs(context.Background(), [][2]int{{0, 1}}, &QueryOptions{Dynamic: true}); err == nil {
-		t.Error("dynamic query without a graph should error")
-	}
-	// Mismatched graph is rejected at construction.
-	if _, err := New(Config{Store: st, Graph: gen.Grid2D(3, 3)}); err == nil {
-		t.Error("graph/store size mismatch should fail New")
-	}
-}
-
 func TestHTTPEndpoints(t *testing.T) {
 	g, st := testStore(t, 8, 8, 2)
 	rep := &labelstore.SalvageReport{Version: 2, Total: st.NumLabels(), Kept: st.NumLabels()}
@@ -521,7 +454,7 @@ func TestHTTPEndpoints(t *testing.T) {
 // concurrency-safety proof for the whole serving path.
 func TestConcurrentChurn(t *testing.T) {
 	g, st := testStore(t, 8, 8, 2)
-	s := newTestServer(t, Config{Store: st, Graph: g, Workers: 4, QueueDepth: 64})
+	s := newTestServer(t, Config{Store: st, Workers: 4, QueueDepth: 64})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	n := g.NumVertices()
