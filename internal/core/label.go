@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync/atomic"
 
 	"fsdl/internal/bitio"
 	"fsdl/internal/graph"
@@ -18,6 +19,13 @@ import (
 // N_{ℓ-c-1} within r_ℓ of v with their exact distances from v, and the
 // short edges between them. At the lowest level the edges are the original
 // unit-weight graph edges inside the ball.
+//
+// A label is immutable once Validate has accepted it: the verdict is
+// recorded on the label (labels are shared and cached, and every query
+// re-validates the ones it touches), so modifying a validated label in
+// place — or a struct copy of one, which carries the verdict along —
+// leaves that verdict standing over contents it no longer describes.
+// Build a changed label as a new Label value instead.
 type Label struct {
 	// V is the labeled vertex.
 	V int32
@@ -33,6 +41,11 @@ type Label struct {
 	RShrink  int
 	// Levels[k] is the level-(c+1+k) content.
 	Levels []LevelLabel
+
+	// validated is nonzero once Validate has accepted the label; it is
+	// read and written atomically. A plain word rather than an atomic
+	// type so that a Label value stays copyable.
+	validated uint32
 }
 
 // LevelLabel is the per-level slice of a label.
@@ -118,7 +131,22 @@ func (l *Label) NumEdges() int {
 // semantically wrong if the producer lied — the decoder's guarantees are
 // only as good as the marker that produced the labels, exactly as in the
 // paper's model).
+//
+// The first successful Validate records its verdict and later calls
+// return it without walking the label again; see the immutability note
+// on Label.
 func (l *Label) Validate() error {
+	if atomic.LoadUint32(&l.validated) != 0 {
+		return nil
+	}
+	if err := l.validate(); err != nil {
+		return err
+	}
+	atomic.StoreUint32(&l.validated, 1)
+	return nil
+}
+
+func (l *Label) validate() error {
 	if l.C < 2 {
 		return fmt.Errorf("core: label c = %d < 2", l.C)
 	}

@@ -3,6 +3,9 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"fsdl/internal/graph"
@@ -311,13 +314,25 @@ func TestLabelValidateAcceptsRealLabels(t *testing.T) {
 func TestLabelValidateRejectsCorruption(t *testing.T) {
 	g := gridGraph(t, 6, 6)
 	s, _ := BuildScheme(g, 2)
+	buf, n := s.Label(14).Encode()
+	parsed, err := DecodeLabel(buf, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// DecodeLabel has validated the parsed label, and a validated label
+	// keeps its verdict: each corruption goes into a deep copy built
+	// field by field, which carries none.
 	fresh := func() *Label {
-		buf, n := s.Label(14).Encode()
-		l, err := DecodeLabel(buf, n)
-		if err != nil {
-			t.Fatal(err)
+		l := &Label{V: parsed.V, Epsilon: parsed.Epsilon, C: parsed.C,
+			MaxLevel: parsed.MaxLevel, RShrink: parsed.RShrink}
+		for _, lv := range parsed.Levels {
+			l.Levels = append(l.Levels, LevelLabel{
+				Points: slices.Clone(lv.Points), Edges: slices.Clone(lv.Edges)})
 		}
 		return l
+	}
+	if err := fresh().Validate(); err != nil {
+		t.Fatalf("uncorrupted copy rejected: %v", err)
 	}
 	cases := []struct {
 		name    string
@@ -353,5 +368,39 @@ func TestLabelValidateRejectsCorruption(t *testing.T) {
 		if err := l.Validate(); err == nil {
 			t.Errorf("%s: corruption not detected", c.name)
 		}
+	}
+}
+
+// TestLabelValidateRecordsVerdict: only a successful Validate is
+// recorded, and recording it is safe on a label shared by concurrent
+// queries (run under -race).
+func TestLabelValidateRecordsVerdict(t *testing.T) {
+	g := gridGraph(t, 6, 6)
+	s, _ := BuildScheme(g, 2)
+	src := s.Label(14)
+	l := &Label{V: src.V, Epsilon: src.Epsilon, C: 0, MaxLevel: src.MaxLevel,
+		RShrink: src.RShrink, Levels: src.Levels}
+	for i := 0; i < 2; i++ {
+		if l.Validate() == nil {
+			t.Fatalf("call %d accepted c = 0", i)
+		}
+	}
+	if atomic.LoadUint32(&l.validated) != 0 {
+		t.Fatal("a failed Validate was recorded")
+	}
+	l.C = src.C
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := l.Validate(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if atomic.LoadUint32(&l.validated) == 0 {
+		t.Fatal("a successful Validate was not recorded")
 	}
 }

@@ -270,11 +270,8 @@ func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
 	if r.Remaining() >= 8 {
 		return nil, fmt.Errorf("labelstore: %d trailing bits after record", r.Remaining())
 	}
-	for r.Remaining() > 0 {
-		b, _ := r.ReadBit()
-		if b != 0 {
-			return nil, fmt.Errorf("labelstore: nonzero padding after record")
-		}
+	if pad, _ := r.ReadBits(r.Remaining()); pad != 0 {
+		return nil, fmt.Errorf("labelstore: nonzero padding after record")
 	}
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -477,7 +474,7 @@ func (w *format3Writer) add(v int, r rec) error {
 	if err := w.captureParams(paramsOf(r.label), v); err != nil {
 		return err
 	}
-	w.enc = bitio.Writer{}
+	w.enc.Reset()
 	if err := encodeRecord3(r.label, &w.enc); err != nil {
 		return err
 	}
