@@ -169,6 +169,31 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		}
 	}
 
+	// 3b. Patched decode: two faults and four pending inserts answered
+	// from one sketch — the live pipeline's query (docs/LIVE.md).
+	{
+		rng := rand.New(rand.NewSource(4))
+		q, err := s.NewQuery(0, n-1, graph.FaultVertices(n/3, n/2))
+		if err != nil {
+			return err
+		}
+		var patches []core.PatchEdge
+		for len(patches) < 4 {
+			u, v := 1+rng.Intn(n-2), 1+rng.Intn(n-2)
+			if u != v && !g.HasEdge(u, v) && u != n/3 && u != n/2 && v != n/3 && v != n/2 {
+				patches = append(patches, core.PatchEdge{U: s.Label(u), V: s.Label(v)})
+			}
+		}
+		var dec core.Decoder
+		add(measure("decode_patched_F2_P4", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec.DistanceRobustPatched(q, patches)
+			}
+		}))
+		dec.Release()
+	}
+
 	// 4. Server batch throughput: distinct pairs per op, result cache
 	// disabled, so every answer runs the full label-fetch + decode path.
 	var buf sliceBuffer

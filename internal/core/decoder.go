@@ -415,7 +415,7 @@ func (d *Decoder) scratch() *decodeScratch {
 
 // Distance is Query.Distance on this decoder's scratch.
 func (d *Decoder) Distance(q *Query) (int64, bool) {
-	dist, _, err := d.scratch().decode(q, nil)
+	dist, _, err := d.scratch().decode(q, nil, nil)
 	if err != nil || dist < 0 {
 		return 0, false
 	}
@@ -424,7 +424,7 @@ func (d *Decoder) Distance(q *Query) (int64, bool) {
 
 // DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
 func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
-	dist, _, err := d.scratch().decode(q, tr)
+	dist, _, err := d.scratch().decode(q, nil, tr)
 	if err != nil || dist < 0 {
 		return 0, false
 	}
@@ -441,7 +441,7 @@ func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
 // exact shortest path of G\F.
 func (d *Decoder) DecodePath(q *Query, buf []int32) (int64, []int32, bool) {
 	sc := d.scratch()
-	dist, _, err := sc.decode(q, nil)
+	dist, _, err := sc.decode(q, nil, nil)
 	if err != nil || dist < 0 {
 		return 0, buf, false
 	}
@@ -450,7 +450,7 @@ func (d *Decoder) DecodePath(q *Query, buf []int32) (int64, []int32, bool) {
 
 // DistanceRobust is Query.DistanceRobust on this decoder's scratch.
 func (d *Decoder) DistanceRobust(q *Query) Result {
-	res, _ := d.scratch().distanceRobust(q, nil, false)
+	res, _ := d.scratch().distanceRobust(q, nil, nil, false)
 	return res
 }
 
@@ -459,5 +459,5 @@ func (d *Decoder) DistanceRobust(q *Query) Result {
 // decodes report the degraded sketch's walk — still a real walk of the
 // surviving graph whose length equals Result.Dist.
 func (d *Decoder) DistanceRobustPath(q *Query, buf []int32) (Result, []int32) {
-	return d.scratch().distanceRobust(q, buf, true)
+	return d.scratch().distanceRobust(q, nil, buf, true)
 }

@@ -4,19 +4,32 @@ package core
 // insertion tier. An edge inserted into the graph after the labels
 // were built cannot be expressed as a forbidden-set member (faults
 // only remove), so until a compaction bakes it into a new label
-// generation, the decoder routes through it explicitly: a unit-weight
-// shortcut whose detour costs d(s,u) + 1 + d(v,t), each leg answered
-// from the served labels under the same fault set.
+// generation it joins the query's one sketch H(s,t,F) directly: the
+// labels L(u), L(v) of its endpoints become extra owners — their stored
+// edges pass the same protected-ball tests as those of s, t and F, but
+// u and v are never protected-ball centers — and {u,v} itself becomes
+// one unit-weight sketch edge at the lowest level. One decode, one
+// Dijkstra, and the witness walk comes out of that same search.
 //
-// Soundness: each leg's robust answer is the length of a real path in
-// G\F (an upper bound on the leg's surviving distance), the inserted
-// edge exists in the mutated graph, and the query's fault set is
-// checked against the patch endpoints — so the spliced walk exists in
-// the mutated graph minus F, and the patched answer remains an upper
-// bound on d_{G'\F}(s,t). The (1+ε) stretch bound is NOT preserved
-// across patches (a true shortest path may thread several inserted
-// edges); the serving layer reports exact:false while any delta is
-// pending, which is precisely when patches are in play.
+// Soundness is the paper's own safety lemma: an edge of any owner's
+// H_ℓ that lies outside every protected ball PB_ℓ(f), f ∈ F, is a real
+// path of G\F at its stored weight, whoever's label it came from; a
+// patch edge exists in the mutated graph G′ and is admitted only when
+// neither it nor its endpoints are in F. So every sketch path is a walk
+// of G′\F and the answer stays an upper bound on d_{G′\F}(s,t). Routes
+// through any number of inserted edges are found, but the (1+ε)
+// stretch bound is NOT guaranteed across patches (the labels around a
+// patch still describe the old graph's nets); the serving layer reports
+// exact:false while any delta is pending, which is precisely when
+// patches are in play.
+//
+// Budget and trace: Query.Budget caps the stored edges examined for
+// this single sketch, every owner's. Patch owners are scanned after s,
+// t and F, so a tight budget gives up the shortcuts' surroundings before
+// the base answer; the patch edges themselves (the serving layer applies
+// at most 256) are not charged, so the budget buys the base sketch what
+// it buys an unpatched query. Trace.AdmittedPerLevel[0] counts the
+// patch edges.
 
 // PatchEdge is one not-yet-compacted inserted edge (U.V, V.V),
 // described — like everything else at decode time — by the labels of
@@ -26,128 +39,51 @@ type PatchEdge struct {
 	U, V *Label
 }
 
-// DistanceRobustPatched is DistanceRobust, additionally considering
-// the given patch edges as unit-weight shortcuts. Patches whose
-// endpoints or edge are themselves forbidden by q's fault set are
-// ignored, as are patches with unusable labels. The result carries
-// the flags of whichever route won.
+// DistanceRobustPatched is DistanceRobust over the sketch extended by
+// the given patch edges. Patches whose endpoints or edge are themselves
+// forbidden by q's fault set are ignored, as are patches with unusable
+// labels.
 func (d *Decoder) DistanceRobustPatched(q *Query, patches []PatchEdge) Result {
-	res, _ := d.distanceRobustPatched(q, patches, nil, false)
+	res, _ := d.scratch().distanceRobust(q, patches, nil, false)
 	return res
 }
 
 // DistanceRobustPatchedPath is DistanceRobustPatched, additionally
 // reporting the witness walk (appended to buf) when the query connects.
-// When a patch route wins, the walk is the spliced chain s..u, v..t —
-// the inserted edge (u,v) is the implicit hop between the two legs, so
-// the chain's weights (legs at their reported lengths, patch hops at 1)
-// sum exactly to Result.Dist.
+// Patch hops are ordinary weight-1 sketch edges of the walk, so its
+// weights sum exactly to Result.Dist.
 func (d *Decoder) DistanceRobustPatchedPath(q *Query, patches []PatchEdge, buf []int32) (Result, []int32) {
-	return d.distanceRobustPatched(q, patches, buf, true)
+	return d.scratch().distanceRobust(q, patches, buf, true)
 }
 
-func (d *Decoder) distanceRobustPatched(q *Query, patches []PatchEdge, buf []int32, wantPath bool) (Result, []int32) {
-	best := d.DistanceRobust(q)
-	// winFirst/winSecond identify the winning route for path reporting:
-	// nil means the unpatched decode won, otherwise the route is
-	// s..winFirst, patch edge, winSecond..t. Decoding is deterministic,
-	// so the winner's legs can be re-decoded for their paths after the
-	// tournament without disturbing the accumulated result flags.
-	var winFirst, winSecond *Label
-	if len(patches) == 0 {
-		if wantPath && best.OK {
-			_, buf = d.DistanceRobustPath(q, buf)
-		}
-		return best, buf
+// addOwner makes l's stored edges candidates of the sketch, once.
+func (sc *decodeScratch) addOwner(l *Label) {
+	if sc.seenOwner.add(l.V) {
+		sc.owners = append(sc.owners, l)
 	}
-	forbiddenV := func(v int32) bool {
-		for _, l := range q.VertexFaults {
-			if l != nil && l.V == v {
-				return true
-			}
-		}
-		for _, fv := range q.DegradedVertexFaults {
-			if fv == v {
-				return true
-			}
-		}
-		return false
-	}
-	forbiddenE := func(u, v int32) bool {
-		for _, e := range q.EdgeFaults {
-			if e[0] == nil || e[1] == nil {
-				continue
-			}
-			if (e[0].V == u && e[1].V == v) || (e[0].V == v && e[1].V == u) {
-				return true
-			}
-		}
-		for _, e := range q.DegradedEdgeFaults {
-			if (e[0] == u && e[1] == v) || (e[0] == v && e[1] == u) {
-				return true
-			}
-		}
-		return false
-	}
-	// leg answers d(a,b) under q's fault set, caching nothing: patch
-	// counts are capped by the serving layer, and sub-queries reuse
-	// this decoder's scratch.
-	leg := func(a, b *Label) Result {
-		if a.V == b.V {
-			return Result{OK: true}
-		}
-		sub := *q
-		sub.S, sub.T = a, b
-		return d.DistanceRobust(&sub)
-	}
-	usable := func(l *Label) bool { return l != nil && l.Validate() == nil }
+}
+
+// admitPatches adds every admissible patch to the sketch under
+// construction: its edge as a unit-weight candidate at the lowest level
+// (counted in tr's level-0 tally, free of budget) and its endpoint
+// labels as owners. It runs after fvList/feList are sorted and before
+// the owner scans. A patch is admissible when both labels are usable,
+// it is not a self-loop, and neither endpoint nor the edge is forbidden
+// (labeled and degraded faults alike).
+func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge, tr *Trace) {
 	for _, p := range patches {
-		if !usable(p.U) || !usable(p.V) {
+		if !usableWith(p.U, q.S) || !usableWith(p.V, q.S) || p.U.V == p.V.V {
 			continue
 		}
-		u, v := p.U.V, p.V.V
-		if forbiddenV(u) || forbiddenV(v) || forbiddenE(u, v) {
+		key := unorderedKey(p.U.V, p.V.V)
+		if containsI32(sc.fvList, p.U.V) || containsI32(sc.fvList, p.V.V) || containsU64(sc.feList, key) {
 			continue
 		}
-		sU, sV := leg(q.S, p.U), leg(q.S, p.V)
-		uT, vT := leg(p.U, q.T), leg(p.V, q.T)
-		consider := func(a, b *Label, first, second Result) {
-			if !first.OK || !second.OK {
-				return
-			}
-			via := first.Dist + 1 + second.Dist
-			if best.OK && via >= best.Dist {
-				return
-			}
-			best.Dist = via
-			best.OK = true
-			best.Degraded = best.Degraded || first.Degraded || second.Degraded
-			best.BudgetExhausted = best.BudgetExhausted || first.BudgetExhausted || second.BudgetExhausted
-			winFirst, winSecond = a, b
+		sc.cand = append(sc.cand, sketchCand{key: key, w: 1, lv: int32(q.S.C + 1)})
+		if tr != nil {
+			tr.AdmittedPerLevel[0]++
 		}
-		consider(p.U, p.V, sU, vT) // s → u, edge, v → t
-		consider(p.V, p.U, sV, uT) // s → v, edge, u → t
+		sc.addOwner(p.U)
+		sc.addOwner(p.V)
 	}
-	if !wantPath || !best.OK {
-		return best, buf
-	}
-	if winFirst == nil {
-		_, buf = d.DistanceRobustPath(q, buf)
-		return best, buf
-	}
-	buf = d.legPath(q, q.S, winFirst, buf)
-	buf = d.legPath(q, winSecond, q.T, buf)
-	return best, buf
-}
-
-// legPath re-decodes the leg a..b of the winning patch route under q's
-// fault set and appends its witness walk to buf.
-func (d *Decoder) legPath(q *Query, a, b *Label, buf []int32) []int32 {
-	if a.V == b.V {
-		return append(buf, a.V)
-	}
-	sub := *q
-	sub.S, sub.T = a, b
-	_, buf = d.DistanceRobustPath(&sub, buf)
-	return buf
 }

@@ -36,7 +36,11 @@ type Query struct {
 	// only lengthen paths), but it may exceed (1+ε)·d or report
 	// disconnection spuriously. DistanceRobust surfaces the truncation via
 	// Result.BudgetExhausted; Distance simply reports ok=false when the
-	// truncated sketch disconnects s from t.
+	// truncated sketch disconnects s from t. A patched query (patched.go)
+	// builds one sketch and spends one budget on it: the stored edges of
+	// s, t and F first, those of the patch endpoints last — so a tight
+	// budget gives up the shortcuts' surroundings before the base answer
+	// — and nothing for the patch edges themselves.
 	Budget int
 	// DegradedVertexFaults are forbidden vertices for which no usable
 	// label is available (missing from the store, failed Validate, or
@@ -171,7 +175,7 @@ type Trace struct {
 // many queries should use a Decoder instead.
 func (q *Query) Distance() (int64, bool) {
 	sc := getScratch()
-	d, _, err := sc.decode(q, nil)
+	d, _, err := sc.decode(q, nil, nil)
 	putScratch(sc)
 	if err != nil || d < 0 {
 		return 0, false
@@ -183,7 +187,7 @@ func (q *Query) Distance() (int64, bool) {
 // construction details and the winning path.
 func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
 	sc := getScratch()
-	d, _, err := sc.decode(q, tr)
+	d, _, err := sc.decode(q, nil, tr)
 	putScratch(sc)
 	if err != nil || d < 0 {
 		return 0, false
@@ -201,7 +205,7 @@ func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
 func (q *Query) DistancePath() (int64, []int32, bool) {
 	sc := getScratch()
 	defer putScratch(sc)
-	d, _, err := sc.decode(q, nil)
+	d, _, err := sc.decode(q, nil, nil)
 	if err != nil || d < 0 {
 		return 0, nil, false
 	}
@@ -219,7 +223,7 @@ func (q *Query) DistancePath() (int64, []int32, bool) {
 // how much trust the number deserves.
 func (q *Query) DistanceRobust() Result {
 	sc := getScratch()
-	res, _ := sc.distanceRobust(q, nil, false)
+	res, _ := sc.distanceRobust(q, nil, nil, false)
 	putScratch(sc)
 	return res
 }
@@ -230,15 +234,12 @@ func (q *Query) DistanceRobust() Result {
 // decodes q directly without copying the query; only the degraded slow
 // path allocates (it is rare by construction: it means labels went
 // missing).
-func (sc *decodeScratch) distanceRobust(q *Query, buf []int32, wantPath bool) (Result, []int32) {
+func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int32, wantPath bool) (Result, []int32) {
 	var res Result
 	if q.S == nil || q.T == nil || q.S.Validate() != nil || q.T.Validate() != nil {
 		return res, buf // no endpoint labels, no bound of any kind
 	}
-	usable := func(l *Label) bool {
-		return l != nil && l.Validate() == nil &&
-			l.C == q.S.C && l.MaxLevel == q.S.MaxLevel && l.RShrink == q.S.RShrink
-	}
+	usable := func(l *Label) bool { return usableWith(l, q.S) }
 	clean := len(q.DegradedVertexFaults) == 0 && len(q.DegradedEdgeFaults) == 0
 	if clean {
 		for _, f := range q.VertexFaults {
@@ -257,7 +258,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, buf []int32, wantPath bool) (R
 		}
 	}
 	if clean {
-		d, exhausted, err := sc.decode(q, nil)
+		d, exhausted, err := sc.decode(q, patches, nil)
 		res.BudgetExhausted = exhausted
 		res.Degraded = exhausted
 		if err != nil || d < 0 {
@@ -307,7 +308,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, buf []int32, wantPath bool) (R
 	sc.ef = rq.EdgeFaults[:0]
 	slices.Sort(res.MissingFaultLabels)
 	res.Degraded = len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
-	d, exhausted, err := sc.decode(&rq, nil)
+	d, exhausted, err := sc.decode(&rq, patches, nil)
 	res.BudgetExhausted = exhausted
 	res.Degraded = res.Degraded || exhausted
 	if err != nil || d < 0 {
@@ -321,6 +322,13 @@ func (sc *decodeScratch) distanceRobust(q *Query, buf []int32, wantPath bool) (R
 	return res, buf
 }
 
+// usableWith reports whether l can join a decode anchored at ref: it is
+// present, passes Validate and was cut with ref's scheme parameters.
+func usableWith(l, ref *Label) bool {
+	return l != nil && l.Validate() == nil &&
+		l.C == ref.C && l.MaxLevel == ref.MaxLevel && l.RShrink == ref.RShrink
+}
+
 // Sketch returns every admitted sketch edge (deduplicated to the lightest
 // parallel edge, annotated with the lowest contributing level). Exposed so
 // tests can verify the safety invariant: every sketch edge is realizable
@@ -328,7 +336,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, buf []int32, wantPath bool) (R
 func (q *Query) Sketch() ([]SketchEdge, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	if _, _, err := sc.decode(q, nil); err != nil {
+	if _, _, err := sc.decode(q, nil, nil); err != nil {
 		return nil, err
 	}
 	if q.S.V == q.T.V {
@@ -400,7 +408,7 @@ func (q *Query) Validate() error {
 // solver's CSR arrays directly. Every step is observably identical to
 // the historical hash-probe decoder: same candidate order, same budget
 // accounting, same tie-breaks, same emitted sketch.
-func (sc *decodeScratch) decode(q *Query, tr *Trace) (int64, bool, error) {
+func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64, bool, error) {
 	sc.edges = sc.edges[:0]
 	sc.ids = sc.ids[:0]
 	if err := q.Validate(); err != nil {
@@ -419,18 +427,13 @@ func (sc *decodeScratch) decode(q *Query, tr *Trace) (int64, bool, error) {
 	sc.seenCenter.reset()
 	sc.fvList = sc.fvList[:0]
 	sc.feList = sc.feList[:0]
-	addOwner := func(l *Label) {
-		if sc.seenOwner.add(l.V) {
-			sc.owners = append(sc.owners, l)
-		}
-	}
-	addOwner(q.S)
-	addOwner(q.T)
+	sc.addOwner(q.S)
+	sc.addOwner(q.T)
 	// Protected-ball centers: the faulty vertices and the endpoints of
 	// faulty edges. An edge of H survives level ℓ only if at least one of
 	// its endpoints is outside PB_ℓ(f) for every center f.
 	for _, f := range q.VertexFaults {
-		addOwner(f)
+		sc.addOwner(f)
 		sc.fvList = append(sc.fvList, f.V)
 		if sc.seenCenter.add(f.V) {
 			sc.centers = append(sc.centers, f)
@@ -439,7 +442,7 @@ func (sc *decodeScratch) decode(q *Query, tr *Trace) (int64, bool, error) {
 	for _, ef := range q.EdgeFaults {
 		sc.feList = append(sc.feList, unorderedKey(ef[0].V, ef[1].V))
 		for _, l := range ef {
-			addOwner(l)
+			sc.addOwner(l)
 			if sc.seenCenter.add(l.V) {
 				sc.centers = append(sc.centers, l)
 			}
@@ -470,6 +473,9 @@ func (sc *decodeScratch) decode(q *Query, tr *Trace) (int64, bool, error) {
 		tr.AdmittedPerLevel = make([]int, numLevels)
 		tr.RejectedPerLevel = make([]int, numLevels)
 	}
+	// Pending inserts: one unit edge each, free of budget, their endpoint
+	// labels owners after s, t and F — never centers (see patched.go).
+	sc.admitPatches(q, patches, tr)
 
 	// accept short-circuits every protected-ball test to "safe": either
 	// the ablation knob is on, or there are no centers at all (pure

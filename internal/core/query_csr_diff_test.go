@@ -134,8 +134,8 @@ func TestDecodeCSRMatchesReference(t *testing.T) {
 }
 
 // TestDecodePathUnderPatches validates witness walks through live-patch
-// batches: the patched answer must match DistanceRobustPatched exactly,
-// never exceed the unpatched answer, and the spliced walk must check out
+// batches: the path entry must match DistanceRobustPatched exactly,
+// never exceed the unpatched answer, and the sketch walk must check out
 // with the inserted edges as unit hops.
 func TestDecodePathUnderPatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))

@@ -370,7 +370,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 			gotTr := &Trace{}
 			sc := getScratch()
-			gotDist, gotExh, gotErr := sc.decode(tc.q, gotTr)
+			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr)
 			gotEdges := append([]SketchEdge{}, sc.edges...)
 			putScratch(sc)
 

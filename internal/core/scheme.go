@@ -153,32 +153,30 @@ func (s *Scheme) Label(v int) *Label {
 	return l
 }
 
-// Labels extracts the labels of vs in bulk, fanning the cache misses out
+// Labels extracts the labels of vs in bulk, fanning the extractions out
 // over the available CPUs. The result is index-aligned with vs. It is the
 // batch counterpart of Label — persistence and batch serving extract
 // thousands of labels, and each extraction is an independent truncated-BFS
-// bundle, so the work parallelizes perfectly.
+// bundle, so the work parallelizes perfectly. Bulk callers sweep the
+// vertex set once, so the label cache is neither consulted nor filled:
+// it would score no hits and pin its last entries on the scheme.
 func (s *Scheme) Labels(vs []int) []*Label {
 	out := make([]*Label, len(vs))
 	workers := min(runtime.GOMAXPROCS(0), len(vs))
-	if workers <= 1 {
-		for i, v := range vs {
-			out[i] = s.Label(v)
-		}
-		return out
-	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			sc := s.scratch.Get().(*extractScratch)
+			defer s.scratch.Put(sc)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(vs) {
 					return
 				}
-				out[i] = s.Label(vs[i])
+				out[i] = s.store.extractLabel(vs[i], sc)
 			}
 		}()
 	}

@@ -2,11 +2,24 @@ package labelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"fsdl/internal/core"
 	"fsdl/internal/graph"
 )
+
+// hostileHeaders are FSDL2 headers that declare a vertex space no file
+// could back — 2^36, 2^62, 2^64−1 (negative once an int) — and no
+// records: anything a loader sizes from n alone is gigabytes or a
+// makeslice panic here.
+var hostileHeaders = func() [][]byte {
+	var out [][]byte
+	for _, n := range []uint64{1 << 36, 1 << 62, 1<<64 - 1} {
+		out = append(out, append(binary.AppendUvarint([]byte("FSDL2"), n), 0))
+	}
+	return out
+}()
 
 // FuzzLoad asserts Load never panics or over-allocates on arbitrary input.
 func FuzzLoad(f *testing.F) {
@@ -25,6 +38,9 @@ func FuzzLoad(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("FSDL1"))
 	f.Add([]byte{})
+	for _, h := range hostileHeaders {
+		f.Add(h)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Load(bytes.NewReader(data))
 		if err != nil {
@@ -66,6 +82,9 @@ func FuzzLoadPartial(f *testing.F) {
 	f.Add([]byte("FSDL1"))
 	f.Add([]byte("FSDL2\x09\x09"))
 	f.Add([]byte{})
+	for _, h := range hostileHeaders {
+		f.Add(h)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, rep, err := LoadPartial(bytes.NewReader(data))
 		if err != nil {

@@ -116,8 +116,8 @@ func readRecord(br *bufio.Reader, n uint64) (v uint64, rec record, crcOK bool, e
 	if bits > maxLabelBits {
 		return 0, record{}, false, fmt.Errorf("labelstore: implausible label size %d bits", bits)
 	}
-	data := make([]byte, (bits+7)/8)
-	if _, err := io.ReadFull(br, data); err != nil {
+	data, err := readPayload(br, int((bits+7)/8))
+	if err != nil {
 		return 0, record{}, false, fmt.Errorf("labelstore: read label bytes: %w", err)
 	}
 	var sum [4]byte
@@ -126,6 +126,23 @@ func readRecord(br *bufio.Reader, n uint64) (v uint64, rec record, crcOK bool, e
 	}
 	crcOK = recordChecksum(int(v), int(bits), data) == binary.LittleEndian.Uint32(sum[:])
 	return v, record{bits: int(bits), data: data}, crcOK, nil
+}
+
+// readPayload reads size payload bytes. Up to a mebibyte — any real
+// label — it is one exact allocation; past that the buffer grows a
+// mebibyte ahead of the bytes that actually arrive, so a damaged length
+// field costs what the stream holds, not what the field claims.
+func readPayload(br *bufio.Reader, size int) ([]byte, error) {
+	const step = 1 << 20
+	data := make([]byte, 0, min(size, step))
+	for len(data) < size {
+		k := min(size-len(data), step)
+		data = slices.Grow(data, k)[:len(data)+k]
+		if _, err := io.ReadFull(br, data[len(data)-k:]); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
 // recordChecksum is the per-record CRC32-IEEE the container format
@@ -171,6 +188,13 @@ type Store struct {
 	cache       *lru.Cache[int32, *core.Label]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	// touched has one bit per vertex, set by the first Label decode of
+	// that vertex. The decoded LRU admits a label only from its second
+	// decode on: a vertex looked up once (a random query endpoint) costs
+	// the cache nothing, one looked up again (a hot endpoint, a standing
+	// fault, a pending patch) is resident from then on. nil — admit at
+	// first touch — unless admit switched it on.
+	touched []atomic.Uint64
 }
 
 type record struct {
@@ -181,12 +205,49 @@ type record struct {
 // DefaultDecodedCacheSize bounds the decoded-label LRU of a Store.
 const DefaultDecodedCacheSize = 1024
 
+// newStore returns an empty heap store over n vertices. count is a
+// header's record count, as unchecked as n: it pre-sizes the overlay
+// only as far as a small file could back it.
 func newStore(n int, count uint64) *Store {
 	return &Store{
 		n:      n,
 		format: 2,
-		labels: make(map[int32]record, count),
+		labels: make(map[int32]record, min(count, 1<<16)),
 		cache:  lru.New[int32, *core.Label](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) }),
+	}
+}
+
+// admit sets the decoded LRU's admission rule from what the store holds
+// once its records are known (end of a load, open or merge; a resize of
+// the LRU): second-touch when it holds more labels than the LRU has
+// slots, first-touch when the LRU keeps every label anyway — nothing is
+// ever evicted then, and the filter would only cost each label a decode.
+// The filter is never larger than one word per held record: n comes
+// from a file header nobody has checked, so a store sparser than that
+// (a region bundle of a huge graph, a hostile header) admits at first
+// touch too, and so does a store that Put fills after it was opened.
+func (st *Store) admit(capacity int) {
+	st.touched = nil
+	words, held := (st.n+63)/64, st.NumLabels()
+	if held > capacity && 0 < words && words <= held {
+		st.touched = make([]atomic.Uint64, words)
+	}
+}
+
+// touch marks v as decoded once, reporting whether it already was.
+func (st *Store) touch(v int) bool {
+	if st.touched == nil {
+		return true
+	}
+	w, bit := &st.touched[v>>6], uint64(1)<<(v&63)
+	for {
+		old := w.Load()
+		if old&bit != 0 {
+			return true
+		}
+		if w.CompareAndSwap(old, old|bit) {
+			return false
+		}
 	}
 }
 
@@ -273,6 +334,7 @@ func load(r io.Reader, partial bool) (*Store, *SalvageReport, error) {
 		rep.Kept++
 	}
 	slices.Sort(rep.Corrupt)
+	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }
 
@@ -401,7 +463,9 @@ func (st *Store) Label(v int) (*core.Label, error) {
 		return nil, fmt.Errorf("labelstore: no label for vertex %d", v)
 	}
 	st.cacheMisses.Add(1)
-	st.cache.Put(int32(v), l)
+	if st.touch(v) {
+		st.cache.Put(int32(v), l)
+	}
 	return l, nil
 }
 
@@ -496,6 +560,7 @@ func Merge(stores ...*Store) (*Store, error) {
 			out.labels[int32(v)] = record{bits: bits, data: data}
 		}
 	}
+	out.admit(DefaultDecodedCacheSize)
 	return out, nil
 }
 

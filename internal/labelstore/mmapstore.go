@@ -371,6 +371,7 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		// corrupt list (their ids are unreadable); they are lost too.
 		rep.Kept = f3.idxCount - len(rep.Corrupt)
 	}
+	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }
 
@@ -465,9 +466,19 @@ func (st *Store) SetDecodedCacheCapacity(capacity int) {
 		capacity = 1
 	}
 	st.cache = lru.New[int32, *core.Label](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
+	st.admit(capacity)
 	if st.rawCache != nil {
 		st.rawCache = lru.New[int32, record](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
 	}
+}
+
+// DropCaches empties the decoded-label LRU and the transcoded-record
+// LRU, for a store that has been swapped out of service. Safe beside
+// concurrent lookups: labels already handed out stay valid, later
+// lookups decode from the records again.
+func (st *Store) DropCaches() {
+	st.cache.Flush()
+	st.rawCache.Flush()
 }
 
 // inOverlay reports whether v has a heap-overlay record (a Put-repaired

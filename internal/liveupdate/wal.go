@@ -11,7 +11,7 @@
 // moment the mutation is journaled (the lazy-failure-set trick
 // oracle.Dynamic already uses). Insertions cannot be expressed as
 // faults; they are served as query-time patches — a bounded set of
-// shortcut edges the decoder routes through (d(s,u) + 1 + d(v,t)),
+// unit edges added to each query's sketch graph (core/patched.go),
 // still a sound upper bound — and accumulate toward compaction, which
 // rebuilds labels on the mutated graph and swaps the new generation in
 // with zero downtime.

@@ -41,10 +41,9 @@ func BuildStatic(g *graph.Graph, epsilon float64) (*Static, error) {
 		labels:  make([][]byte, n),
 		bits:    make([]int, n),
 	}
-	s.SetCacheLimit(0)
 	// Extract through the scheme's bulk API (parallel, pooled BFS
-	// scratch), one chunk at a time so only a chunk's worth of decoded
-	// labels is ever live alongside the encoded table.
+	// scratch, no label cache), one chunk at a time so only a chunk's
+	// worth of decoded labels is ever live alongside the encoded table.
 	const chunk = 512
 	vs := make([]int, 0, chunk)
 	for base := 0; base < n; base += chunk {

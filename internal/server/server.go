@@ -296,10 +296,10 @@ func faultHash(f *graph.FaultSet, budget int) uint64 {
 }
 
 // maxLivePatches caps how many pending insertions a single query will
-// consider as shortcuts. Each patch costs four extra leg decodes, so
-// past the cap the remainder is dropped for that query — answers stay
-// sound upper bounds, they just stop reflecting the excess insertions
-// until compaction bakes them in.
+// consider as shortcuts. Each patch adds two owner labels to the
+// query's sketch, so past the cap the remainder is dropped for that
+// query — answers stay sound upper bounds, they just stop reflecting
+// the excess insertions until compaction bakes them in.
 const maxLivePatches = 256
 
 // labelFunc resolves one vertex's label — either the raw source or a
@@ -494,15 +494,10 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				q.S, q.T = ls, lt
 				var res core.Result
 				var path []int32
-				switch {
-				case wantPath && len(patches) > 0:
+				if wantPath {
 					res, path = dec.DistanceRobustPatchedPath(&q, patches, nil)
-				case wantPath:
-					res, path = dec.DistanceRobustPath(&q, nil)
-				case len(patches) > 0:
+				} else {
 					res = dec.DistanceRobustPatched(&q, patches)
-				default:
-					res = dec.DistanceRobust(&q)
 				}
 				if res.OK {
 					a.Path = path

@@ -26,6 +26,12 @@ import (
 func testStore(t *testing.T, w, h int, eps float64) (*graph.Graph, *labelstore.Store) {
 	t.Helper()
 	g := gen.Grid2D(w, h)
+	return g, storeOf(t, g, eps)
+}
+
+// storeOf round-trips g's scheme through the label container.
+func storeOf(t *testing.T, g *graph.Graph, eps float64) *labelstore.Store {
+	t.Helper()
 	s, err := core.BuildScheme(g, eps)
 	if err != nil {
 		t.Fatalf("BuildScheme: %v", err)
@@ -38,7 +44,7 @@ func testStore(t *testing.T, w, h int, eps float64) (*graph.Graph, *labelstore.S
 	if err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	return g, st
+	return st
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {

@@ -125,5 +125,13 @@ func (s *storeSource) PinLabels() (func(context.Context, int) (*core.Label, erro
 
 // Swap installs a new label generation. The vertex space must match;
 // compaction guarantees it (generations are rebuilds of the same
-// vertex set).
-func (s *storeSource) Swap(st *labelstore.Store) { s.st.Store(st) }
+// vertex set). The outgoing store gives its caches back at once: it
+// can stay reachable for the life of the process (Config.Store, the
+// caller that opened it), and nothing will look a label up in it again
+// except a batch pinned before the swap — which keeps the labels it
+// already holds and decodes any late lookup cold.
+func (s *storeSource) Swap(st *labelstore.Store) {
+	if old := s.st.Swap(st); old != st {
+		old.DropCaches()
+	}
+}
