@@ -148,7 +148,7 @@ func BenchmarkQueryTimeVsF(b *testing.B) {
 	s := mustScheme(b, g, 2)
 	s.SetCacheLimit(4096)
 	n := g.NumVertices()
-	for _, nf := range []int{1, 4, 16} {
+	for _, nf := range []int{1, 4, 16, 64, 70} {
 		nf := nf
 		b.Run(fmt.Sprintf("F-%d", nf), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(2))

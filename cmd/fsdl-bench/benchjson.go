@@ -131,10 +131,16 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		}
 	}))
 
-	// 3. Decode vs |F|: the pooled fast path, labels prefetched. F64
-	// pushes past one bitmask word (>62 ball centers disable the fused
-	// admission masks), so it guards the generic multi-word path too.
+	// 3. Decode vs |F| on one held Decoder, labels prefetched — a pool
+	// checkout per op would let a GC between iterations hand back a cold
+	// scratch and flip allocs/op between 0 and 2. Vertex faults are
+	// protected-ball centers one for one: F1–F16 run the fused one-word
+	// masks (≤ 62 centers) and F64, exactly 64 centers and so still one
+	// mask word, the plain one-word loop. The multi-word loop (> 64
+	// centers) has no kernel here; BenchmarkQueryTimeVsF/F-70 times it and
+	// TestDecodeMatchesReference checks it.
 	s.SetCacheLimit(4096)
+	var dec core.Decoder
 	for _, nf := range []int{1, 4, 16, 64} {
 		rng := rand.New(rand.NewSource(2))
 		f := graph.NewFaultSet()
@@ -151,13 +157,12 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		add(measure(fmt.Sprintf("decode_F%d", nf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				q.Distance()
+				dec.Distance(q)
 			}
 		}))
 		if nf == 16 {
 			// Path reporting on the same query: decode + parent-tree
 			// walk into a reused buffer, still allocation-free.
-			var dec core.Decoder
 			var pbuf []int32
 			add(measure("decode_path_F16", func(b *testing.B) {
 				b.ReportAllocs()
@@ -165,9 +170,9 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 					_, pbuf, _ = dec.DecodePath(q, pbuf[:0])
 				}
 			}))
-			dec.Release()
 		}
 	}
+	dec.Release()
 
 	// 3b. Patched decode: two faults and four pending inserts answered
 	// from one sketch — the live pipeline's query (docs/LIVE.md).
@@ -545,21 +550,26 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 // the slack (25% + 8) absorbs Go-runtime variation between toolchains.
 //
 // Decode kernels get two extra, stricter gates: allocs/op must not
-// exceed the baseline at all (the decode hot path is pooled and
-// allocation-free by design — one stray byte is a leak, not noise),
-// and ns/op must stay within 30% of the baseline. Wall-clock gating is
-// normally hopeless across heterogeneous runners, but the decode
-// kernels are single-threaded, cache-resident and run no I/O, so 30%
-// headroom comfortably covers runner jitter while still catching the
-// order-of-magnitude class of regression (an accidental map in the
-// hot loop blows past it instantly).
+// exceed the baseline by more than a thousandth — that is, at all for
+// the decode hot path, which is pooled and allocation-free by design
+// (one stray byte is a leak, not noise), and by the handful of allocs
+// a GC costs a kernel in the thousands when it empties a scratch pool
+// mid-run (compact_incremental_small_delta reads 5568 or 5570 on the
+// same binary) — and ns/op must stay within 30% of the baseline.
+// Wall-clock gating is normally hopeless across heterogeneous runners,
+// but the decode kernels are single-threaded, cache-resident and run no
+// I/O, so 30% headroom comfortably covers runner jitter while still
+// catching the order-of-magnitude class of regression (an accidental
+// map in the hot loop blows past it instantly).
 //
-// strictKernels get the same decode-grade gate (exact allocs, ns/op
-// within 30%): single-threaded kernels whose cost the PR's perf claims
-// rest on, so drift is a regression rather than noise.
+// strictKernels get the decode-grade allocs gate: single-threaded
+// kernels whose cost the PR's perf claims rest on, so drift is a
+// regression rather than noise. The value says whether ns/op is gated
+// within 30% as well — not for wal_append_group, which does a real fsync
+// per op and so measures the runner's disk, not the code.
 var strictKernels = map[string]bool{
 	"compact_incremental_small_delta": true,
-	"wal_append_group":                true,
+	"wal_append_group":                false,
 }
 
 func checkBaseline(doc benchDoc, path string, log io.Writer) error {
@@ -583,16 +593,19 @@ func checkBaseline(doc benchDoc, path string, log io.Writer) error {
 			continue
 		}
 		compared++
-		strict := strings.HasPrefix(r.Name, "decode_") || strictKernels[r.Name]
+		gateNs, strict := strictKernels[r.Name]
+		if strings.HasPrefix(r.Name, "decode_") {
+			gateNs, strict = true, true
+		}
 		limit := int64(float64(b.AllocsPerOp)*1.25) + 8
 		if strict {
-			limit = b.AllocsPerOp
+			limit = b.AllocsPerOp + b.AllocsPerOp/1000
 		}
 		if r.AllocsPerOp > limit {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %d allocs/op (baseline %d, limit %d)", r.Name, r.AllocsPerOp, b.AllocsPerOp, limit))
 		}
-		if strict {
+		if gateNs {
 			if nsLimit := b.NsPerOp * 1.30; r.NsPerOp > nsLimit {
 				regressions = append(regressions,
 					fmt.Sprintf("%s: %.0f ns/op (baseline %.0f, limit %.0f)", r.Name, r.NsPerOp, b.NsPerOp, nsLimit))

@@ -151,7 +151,7 @@ func printClusterStatus(out io.Writer, st *cluster.ClusterStatus) error {
 	if st.Live != nil {
 		fmt.Fprintf(out, "live: %d pending delta edges, %d sealed WAL segments", st.Live.PendingEdges, st.Live.WALSegments)
 		if st.Live.WALOldestAgeSec > 0 {
-			fmt.Fprintf(out, " (oldest %s)", (time.Duration(st.Live.WALOldestAgeSec*float64(time.Second))).Round(time.Second))
+			fmt.Fprintf(out, " (oldest %s)", (time.Duration(st.Live.WALOldestAgeSec * float64(time.Second))).Round(time.Second))
 		}
 		fmt.Fprintln(out)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"fsdl/internal/core"
+	"fsdl/internal/frame"
 	"fsdl/internal/gen"
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
@@ -227,7 +229,7 @@ func TestClusterUnavailableWhenAllReplicasDown(t *testing.T) {
 			if err == nil {
 				t.Fatalf("Label(%d) succeeded though its only owner is down", v)
 			}
-			if strings.Contains(err.Error(), "no label for vertex") {
+			if errors.Is(err, core.ErrNoLabel) {
 				t.Fatalf("Label(%d): down shard misreported as absent label: %v", v, err)
 			}
 			sawUnavailable = true
@@ -272,7 +274,7 @@ func TestClusterAbsentLabelIsAuthoritative(t *testing.T) {
 		t.Fatalf("present label: %v", err)
 	}
 	_, err = f.Label(ctx, g.NumVertices()-1)
-	if err == nil || !strings.Contains(err.Error(), "no label for vertex") {
+	if err == nil || !errors.Is(err, core.ErrNoLabel) {
 		t.Fatalf("absent label: got %v, want authoritative no-label error", err)
 	}
 	// The absence is negative-cached: a repeat lookup is served locally.
@@ -341,26 +343,26 @@ func TestShardServerProtocolErrors(t *testing.T) {
 	defer conn.Close()
 
 	// Unknown op → OpError, connection stays usable.
-	if err := WriteFrame(conn, 0x7f, nil); err != nil {
+	if err := frame.Write(conn, 0x7f, nil); err != nil {
 		t.Fatal(err)
 	}
-	op, _, err := ReadFrame(conn)
+	op, _, err := frame.Read(conn)
 	if err != nil || op != OpError {
 		t.Fatalf("unknown op: got op=%d err=%v, want OpError", op, err)
 	}
 	// Out-of-range vertex → OpError.
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{99})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{99})); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := ReadFrame(conn)
+	op, payload, err := frame.Read(conn)
 	if err != nil || op != OpError || !strings.Contains(string(payload), "out of range") {
 		t.Fatalf("out-of-range id: op=%d payload=%q err=%v", op, payload, err)
 	}
 	// A well-formed request still works on the same connection.
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err = ReadFrame(conn)
+	op, payload, err = frame.Read(conn)
 	if err != nil || op != OpLabels {
 		t.Fatalf("valid request after errors: op=%d err=%v", op, err)
 	}
@@ -368,13 +370,13 @@ func TestShardServerProtocolErrors(t *testing.T) {
 		t.Fatalf("bad label response: %v", err)
 	}
 	// A corrupt frame poisons the connection: the server hangs up.
-	bad := AppendFrame(nil, OpPing, nil)
+	bad := frame.Append(nil, OpPing, nil)
 	bad[len(bad)-1] ^= 0xff
 	if _, err := conn.Write(bad); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if _, _, err := ReadFrame(conn); err == nil {
+	if _, _, err := frame.Read(conn); err == nil {
 		t.Fatal("server answered a corrupt frame instead of hanging up")
 	}
 }
@@ -446,12 +448,12 @@ func TestShardResponseChunkingMatchesStore(t *testing.T) {
 	for v := range all {
 		all[v] = int32(v)
 	}
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, all)); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, all)); err != nil {
 		t.Fatal(err)
 	}
 	frames := 0
 	for {
-		op, payload, err := ReadFrame(conn)
+		op, payload, err := frame.Read(conn)
 		if err != nil {
 			t.Fatalf("frame %d: %v", frames, err)
 		}
@@ -476,7 +478,7 @@ func TestShardResponseChunkingMatchesStore(t *testing.T) {
 
 // TestShardOversizedRecordAnswersError pins the no-panic contract: when
 // even a single record cannot fit a frame, the shard answers OpError on
-// a live connection instead of dying in AppendFrame.
+// a live connection instead of dying in frame.Append.
 func TestShardOversizedRecordAnswersError(t *testing.T) {
 	_, st := buildFullStore(t, 4)
 	defer func(a int) { maxLabelChunkPayload = a }(maxLabelChunkPayload)
@@ -498,11 +500,11 @@ func TestShardOversizedRecordAnswersError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-	op, payload, err := ReadFrame(conn)
+	op, payload, err := frame.Read(conn)
 	if err != nil {
 		t.Fatalf("shard dropped the connection instead of answering: %v", err)
 	}
@@ -510,10 +512,10 @@ func TestShardOversizedRecordAnswersError(t *testing.T) {
 		t.Fatalf("got op=%d payload=%q, want OpError about an oversized label", op, payload)
 	}
 	// The connection survives for well-formed traffic.
-	if err := WriteFrame(conn, OpPing, nil); err != nil {
+	if err := frame.Write(conn, OpPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	if op, _, err = ReadFrame(conn); err != nil || op != OpPong {
+	if op, _, err = frame.Read(conn); err != nil || op != OpPong {
 		t.Fatalf("connection unusable after oversize error: op=%d err=%v", op, err)
 	}
 }
@@ -602,10 +604,10 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(lost)})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(lost)})); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := ReadFrame(conn)
+	op, payload, err := frame.Read(conn)
 	if err != nil || op != OpLabels {
 		t.Fatalf("salvaged shard: op=%d err=%v", op, err)
 	}

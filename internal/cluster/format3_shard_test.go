@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fsdl/internal/frame"
 	"fsdl/internal/labelstore"
 )
 
@@ -90,10 +91,10 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 			break
 		}
 	}
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim), int32(intact)})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim), int32(intact)})); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err := ReadFrame(conn)
+	op, payload, err := frame.Read(conn)
 	if err != nil || op != OpLabels {
 		t.Fatalf("op=%d err=%v", op, err)
 	}
@@ -111,10 +112,10 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 
 	// The health probe flags the shard non-authoritative while the
 	// corrupt record is unhealed.
-	if err := WriteFrame(conn, OpPing, nil); err != nil {
+	if err := frame.Write(conn, OpPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	op, payload, err = ReadFrame(conn)
+	op, payload, err = frame.Read(conn)
 	if err != nil || op != OpPong {
 		t.Fatalf("ping: op=%d err=%v", op, err)
 	}
@@ -135,10 +136,10 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 	if err := cst.Put(victim, bits, data); err != nil {
 		t.Fatalf("heal: %v", err)
 	}
-	if err := WriteFrame(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim)})); err != nil {
+	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim)})); err != nil {
 		t.Fatal(err)
 	}
-	if op, payload, err = ReadFrame(conn); err != nil || op != OpLabels {
+	if op, payload, err = frame.Read(conn); err != nil || op != OpLabels {
 		t.Fatalf("post-heal: op=%d err=%v", op, err)
 	}
 	if _, recs, err = ParseLabelResponse(payload); err != nil || len(recs) != 1 {
@@ -147,10 +148,10 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 	if !recs[0].Present || !bytes.Equal(recs[0].Data, data) {
 		t.Fatal("healed record not served")
 	}
-	if err := WriteFrame(conn, OpPing, nil); err != nil {
+	if err := frame.Write(conn, OpPing, nil); err != nil {
 		t.Fatal(err)
 	}
-	if op, payload, err = ReadFrame(conn); err != nil || op != OpPong {
+	if op, payload, err = frame.Read(conn); err != nil || op != OpPong {
 		t.Fatalf("post-heal ping: op=%d err=%v", op, err)
 	}
 	if _, _, flags, _, err = ParsePong(payload); err != nil {

@@ -11,6 +11,8 @@ import (
 
 	"fsdl/internal/backoff"
 	"fsdl/internal/core"
+	"fsdl/internal/frame"
+	"fsdl/internal/labelstore"
 	"fsdl/internal/lru"
 	"fsdl/internal/stats"
 )
@@ -474,41 +476,26 @@ func (f *Frontend) Generation() uint64 { return f.state.Load().gen }
 const genLoadTimeout = 15 * time.Second
 
 // SwapGeneration activates label generation gen cluster-wide: every
-// routable shard is told to load it (verifying its generation
-// directory's manifest), and only when all of them hold it does the
-// frontend flip routing — epoch bump, generation tag, cache flush — in
-// one atomic state swap. In-flight scatters pinned to the old state
-// keep completing against the old generation, which every shard
-// retains as its previous store; new scatters route against the new
-// one. If any shard fails to load, nothing flips: the shards that did
-// load serve the old generation from their previous-store slot, so the
-// cluster stays consistent on the old generation and the swap can be
-// retried. Shards that are down during the swap are caught up by the
-// health sweep when they return (or fenced off until they are).
-func (f *Frontend) SwapGeneration(gen uint64) (uint64, error) {
-	return f.swapGeneration(gen, nil)
-}
-
-// SwapGenerationScoped is SwapGeneration driven by an incremental
-// compaction's per-partition dirty summary: shards named in changed
-// load the new generation from disk, every other routable shard merely
-// re-tags (aliases) the store it already serves — its partition file is
-// byte-identical across the two generations, typically a hard link to
-// the very same inode. The flip itself is unchanged: one atomic state
-// swap after every shard holds the new generation, so the
-// zero-downtime and generation-pinning guarantees are exactly those of
-// a full swap, minus the redundant disk loads.
-func (f *Frontend) SwapGenerationScoped(gen uint64, changed []string) (uint64, error) {
-	set := make(map[string]bool, len(changed))
-	for _, name := range changed {
-		set[name] = true
-	}
-	return f.swapGeneration(gen, set)
-}
-
-// swapGeneration implements both swap flavors: changed == nil loads
-// everywhere; otherwise only the named shards load and the rest alias.
-func (f *Frontend) swapGeneration(gen uint64, changed map[string]bool) (uint64, error) {
+// routable shard is told to take it on, and only when all of them hold
+// it does the frontend flip routing — epoch bump, generation tag, cache
+// flush — in one atomic state swap. In-flight scatters pinned to the
+// old state keep completing against the old generation, which every
+// shard retains as its previous store; new scatters route against the
+// new one. If any shard fails, nothing flips: the shards that did take
+// the generation on serve the old one from their previous-store slot,
+// so the cluster stays consistent on the old generation and the swap
+// can be retried. Shards that are down during the swap are caught up by
+// the health sweep when they return (or fenced off until they are).
+//
+// changed is an incremental compaction's per-partition dirty summary:
+// the shards it names load the new generation from disk (verifying
+// their generation directory's manifest), every other routable shard
+// merely re-tags (aliases) the store it already serves — its partition
+// file is byte-identical across the two generations, typically a hard
+// link to the very same inode. A nil changed loads everywhere. The
+// generation's opened store is of no use here (shards read their own
+// generation roots); the parameter is the server.LabelSource contract.
+func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store, changed []string) (uint64, error) {
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
 	cur := f.state.Load()
@@ -526,7 +513,7 @@ func (f *Frontend) swapGeneration(gen uint64, changed map[string]bool) (uint64, 
 			if !c.healthy.Load() {
 				continue
 			}
-			load := changed == nil || changed[c.node.Name]
+			load := changed == nil || slices.Contains(changed, c.node.Name)
 			if load != loadPhase {
 				continue
 			}
@@ -629,15 +616,14 @@ func (f *Frontend) healthAt(st *ringState) []ShardHealth {
 	return out
 }
 
-// HealthJSON implements the server's optional health-reporting
-// interface without the server importing this package.
+// HealthJSON is Health as the server's LabelSource wants it: a
+// JSON-marshalable fragment for /healthz.
 func (f *Frontend) HealthJSON() any { return f.Health() }
 
 // Label fetches and decodes the label of v, serving repeats from the
-// decoded-label cache. The "no label for vertex" error text matches
-// labelstore's so upstream error mapping is uniform; unreachable
-// replicas surface as a distinct error the server demotes to degraded
-// mode for fault labels.
+// decoded-label cache. Authoritative absence wraps core.ErrNoLabel, as
+// labelstore's does; unreachable replicas surface as a distinct error
+// the server demotes to degraded mode for fault labels.
 func (f *Frontend) Label(ctx context.Context, v int) (*core.Label, error) {
 	return f.labelAt(ctx, f.state.Load(), v)
 }
@@ -648,7 +634,7 @@ func (f *Frontend) Label(ctx context.Context, v int) (*core.Label, error) {
 // frontend mid-call.
 func (f *Frontend) labelAt(ctx context.Context, st *ringState, v int) (*core.Label, error) {
 	if v < 0 || v >= f.n {
-		return nil, fmt.Errorf("cluster: no label for vertex %d: out of range [0,%d)", v, f.n)
+		return nil, fmt.Errorf("cluster: %w %d: out of range [0,%d)", core.ErrNoLabel, v, f.n)
 	}
 	if l, ok := f.labelCache.Get(labelKey{st.gen, int32(v)}); ok {
 		f.met.labelHits.Add(1)
@@ -656,7 +642,7 @@ func (f *Frontend) labelAt(ctx context.Context, st *ringState, v int) (*core.Lab
 	}
 	if _, ok := f.negCache.Get(labelKey{st.gen, int32(v)}); ok {
 		f.met.negHits.Add(1)
-		return nil, fmt.Errorf("cluster: no label for vertex %d", v)
+		return nil, fmt.Errorf("cluster: %w %d", core.ErrNoLabel, v)
 	}
 	f.met.labelMisses.Add(1)
 	res := f.scatterFetch(ctx, st, []int32{int32(v)})
@@ -665,7 +651,7 @@ func (f *Frontend) labelAt(ctx context.Context, st *ringState, v int) (*core.Lab
 	case r.label != nil:
 		return r.label, nil
 	case r.absent:
-		return nil, fmt.Errorf("cluster: no label for vertex %d", v)
+		return nil, fmt.Errorf("cluster: %w %d", core.ErrNoLabel, v)
 	case r.err != nil:
 		return nil, fmt.Errorf("cluster: label for vertex %d unavailable: %w", v, r.err)
 	default:
@@ -1078,15 +1064,16 @@ func newShardClient(nd Node, cfg FrontendConfig) *shardClient {
 }
 
 // maxRequestIDs bounds the ids carried by one OpGetLabels frame, so a
-// request payload stays far below MaxFramePayload no matter how large a
+// request payload stays far below frame.MaxPayload no matter how large a
 // prefetch gets (≤5 bytes per id ≈ 320 KiB at this cap). A var so tests
 // can shrink it to force chunking.
 var maxRequestIDs = 1 << 16
 
 // getLabels fetches a batch of label records, validating that the shard
-// serves the expected vertex space. gen > 0 tags the request with the
+// serves the expected vertex space. The request is tagged with the
 // caller's label generation so a shard mid-swap answers from the
-// matching store (or refuses) instead of silently mixing generations.
+// matching store (or refuses) instead of silently mixing generations;
+// generation 0 asks for whatever is current.
 // Batches past maxRequestIDs split into sequential RPCs; responses may
 // arrive chunked (OpLabelsPart… OpLabels) and are merged here.
 func (c *shardClient) getLabels(ctx context.Context, ids []int32, wantN int, gen uint64) (map[int32]LabelRecord, error) {
@@ -1107,13 +1094,9 @@ func (c *shardClient) getLabels(ctx context.Context, ids []int32, wantN int, gen
 func (c *shardClient) getLabelsChunk(ctx context.Context, ids []int32, wantN int, gen uint64, out map[int32]LabelRecord) error {
 	c.fetches.Add(1)
 	start := time.Now()
-	op, payload := OpGetLabels, AppendLabelRequest(nil, ids)
-	if gen > 0 {
-		op, payload = OpGetLabelsGen, AppendGenLabelRequest(nil, gen, ids)
-	}
 	// Every response chunk carries at least one record, so a well-behaved
 	// shard sends at most len(ids) continuation frames plus the final one.
-	frames, err := c.call(ctx, op, payload, len(ids)+1)
+	frames, err := c.call(ctx, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, ids), len(ids)+1)
 	c.latency.Observe(time.Since(start).Seconds())
 	if err != nil {
 		c.fetchErrors.Add(1)
@@ -1254,12 +1237,12 @@ func (c *shardClient) callTimeout(ctx context.Context, op byte, payload []byte, 
 }
 
 func roundTrip(conn net.Conn, op byte, payload []byte, maxFrames int) ([]wireFrame, error) {
-	if err := WriteFrame(conn, op, payload); err != nil {
+	if err := frame.Write(conn, op, payload); err != nil {
 		return nil, err
 	}
 	var frames []wireFrame
 	for {
-		rop, p, err := ReadFrame(conn)
+		rop, p, err := frame.Read(conn)
 		if err != nil {
 			return nil, err
 		}

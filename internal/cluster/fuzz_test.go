@@ -3,63 +3,52 @@ package cluster
 import (
 	"bytes"
 	"testing"
+
+	"fsdl/internal/frame"
 )
 
-// FuzzDecodeFrame throws arbitrary bytes at the wire-frame decoder and
-// the payload codecs behind it — the shard/frontend boundary parses
-// these straight off a TCP socket, so, like DecodeRouteHeader, they must
-// never panic, never allocate from an attacker-chosen length field, and
-// must round-trip everything they accept.
+// FuzzDecodeFrame throws arbitrary bytes at the payload codecs behind
+// the wire frame — the shard/frontend boundary parses these straight off
+// a TCP socket, so, like DecodeRouteHeader, they must never panic, never
+// allocate from an attacker-chosen length field, and must round-trip
+// everything they accept. (The frame codec itself is fuzzed where it
+// lives: FuzzDecode in internal/frame.)
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed seeds for every op.
-	f.Add(AppendFrame(nil, OpGetLabels, AppendLabelRequest(nil, []int32{0, 5, 99})))
-	f.Add(AppendFrame(nil, OpLabels, AppendLabelResponse(nil, 100, []LabelRecord{
+	f.Add(frame.Append(nil, OpGetLabels, AppendLabelRequest(nil, []int32{0, 5, 99})))
+	f.Add(frame.Append(nil, OpLabels, AppendLabelResponse(nil, 100, []LabelRecord{
 		{Vertex: 5, Present: true, Bits: 19, Data: []byte{1, 2, 3}},
 		{Vertex: 7},
 		{Vertex: 9, Unknown: true},
 	})))
-	f.Add(AppendFrame(nil, OpLabelsPart, AppendLabelResponse(nil, 100, []LabelRecord{
+	f.Add(frame.Append(nil, OpLabelsPart, AppendLabelResponse(nil, 100, []LabelRecord{
 		{Vertex: 1, Present: true, Bits: 8, Data: []byte{0xaa}},
 	})))
-	f.Add(AppendFrame(nil, OpPing, nil))
-	f.Add(AppendFrame(nil, OpPong, AppendPong(nil, 256, 86, 0, 1)))
-	f.Add(AppendFrame(nil, OpPong, AppendPong(nil, 256, 0, PongNonAuthoritative, 7)))
-	f.Add(AppendFrame(nil, OpGetLabelsGen, AppendGenLabelRequest(nil, 3, []int32{0, 5, 99})))
-	f.Add(AppendFrame(nil, OpLoadGeneration, AppendGeneration(nil, 4)))
-	f.Add(AppendFrame(nil, OpGenLoaded, AppendGeneration(nil, 4)))
-	f.Add(AppendFrame(nil, OpError, []byte("shard: boom")))
-	f.Add(AppendFrame(nil, OpDigest, AppendLabelRequest(nil, []int32{3, 4, 5})))
-	f.Add(AppendFrame(nil, OpDigestResp, AppendDigestResponse(nil, 100, 0xdeadbeef, 2, []int32{4})))
-	f.Add(AppendFrame(nil, OpRepairPull, AppendRepairRequest(nil, "127.0.0.1:9001", []int32{4, 7})))
-	f.Add(AppendFrame(nil, OpRepairPulled, AppendRepairResponse(nil, 2, 0)))
-	f.Add(AppendFrame(nil, OpSeal, nil))
-	f.Add(AppendFrame(nil, OpSealed, nil))
-	// Two frames back to back (rest must parse too).
-	two := AppendFrame(nil, OpPing, nil)
-	f.Add(AppendFrame(two, OpPong, AppendPong(nil, 9, 9, 0, 2)))
+	f.Add(frame.Append(nil, OpPing, nil))
+	f.Add(frame.Append(nil, OpPong, AppendPong(nil, 256, 86, 0, 1)))
+	f.Add(frame.Append(nil, OpPong, AppendPong(nil, 256, 0, PongNonAuthoritative, 7)))
+	f.Add(frame.Append(nil, OpGetLabelsGen, AppendGenLabelRequest(nil, 3, []int32{0, 5, 99})))
+	f.Add(frame.Append(nil, OpLoadGeneration, AppendGeneration(nil, 4)))
+	f.Add(frame.Append(nil, OpGenLoaded, AppendGeneration(nil, 4)))
+	f.Add(frame.Append(nil, OpError, []byte("shard: boom")))
+	f.Add(frame.Append(nil, OpDigest, AppendLabelRequest(nil, []int32{3, 4, 5})))
+	f.Add(frame.Append(nil, OpDigestResp, AppendDigestResponse(nil, 100, 0xdeadbeef, 2, []int32{4})))
+	f.Add(frame.Append(nil, OpRepairPull, AppendRepairRequest(nil, "127.0.0.1:9001", []int32{4, 7})))
+	f.Add(frame.Append(nil, OpRepairPulled, AppendRepairResponse(nil, 2, 0)))
+	f.Add(frame.Append(nil, OpSeal, nil))
+	f.Add(frame.Append(nil, OpSealed, nil))
+	// Two frames back to back.
+	two := frame.Append(nil, OpPing, nil)
+	f.Add(frame.Append(two, OpPong, AppendPong(nil, 9, 9, 0, 2)))
 	// Degenerate and adversarial seeds.
 	f.Add([]byte{})
-	f.Add([]byte{frameMagic0, frameMagic1, frameVer, OpLabels, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{'F', 'C', 1, OpLabels, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		op, payload, rest, err := DecodeFrame(data)
+		op, payload, _, err := frame.Decode(data)
 		if err != nil {
 			return
-		}
-		if len(payload) > len(data) || len(rest) > len(data) {
-			t.Fatalf("decoded slices exceed input: payload=%d rest=%d from %d bytes",
-				len(payload), len(rest), len(data))
-		}
-		// An accepted frame re-encodes byte-identically.
-		enc := AppendFrame(nil, op, payload)
-		if !bytes.Equal(enc, data[:len(data)-len(rest)]) {
-			t.Fatalf("frame does not round-trip: %d vs %d bytes", len(enc), len(data)-len(rest))
-		}
-		// ReadFrame agrees with DecodeFrame on the same bytes.
-		rop, rpayload, rerr := ReadFrame(bytes.NewReader(data))
-		if rerr != nil || rop != op || !bytes.Equal(rpayload, payload) {
-			t.Fatalf("ReadFrame disagrees with DecodeFrame: op %d vs %d, err %v", rop, op, rerr)
 		}
 		// Accepted payloads reach a fixed point through their op's codec:
 		// parse → encode → parse must reproduce the encoding exactly.

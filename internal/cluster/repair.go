@@ -334,8 +334,8 @@ func (f *Frontend) Status() ClusterStatus {
 	return out
 }
 
-// StatusJSON implements the server's optional cluster-admin interface
-// without the server importing this package.
+// StatusJSON is Status as the server's LabelSource wants it: a
+// JSON-marshalable snapshot for /v1/cluster/status.
 func (f *Frontend) StatusJSON() any { return f.Status() }
 
 // digest asks the shard for a presence digest over ids, validating the

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"fsdl/internal/core"
 	"fsdl/internal/faultinject"
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
@@ -167,7 +168,7 @@ func TestRetryBudgetFailsFastWhenExhausted(t *testing.T) {
 	// as absent labels: nothing may leak into the negative cache.
 	for _, v := range ids {
 		if _, err := f.Label(ctx, v); err != nil &&
-			strings.Contains(err.Error(), "no label for vertex") {
+			errors.Is(err, core.ErrNoLabel) {
 			t.Fatalf("Label(%d): budget denial misreported as absence: %v", v, err)
 		}
 	}

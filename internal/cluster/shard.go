@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"fsdl/internal/frame"
 	"fsdl/internal/labelstore"
 )
 
@@ -240,7 +241,7 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 	// scratch buffers reused across requests on this connection.
 	bufs := &connBufs{}
 	for {
-		op, req, err := ReadFrame(br)
+		op, req, err := frame.Read(br)
 		if err != nil {
 			// EOF, peer reset, or untrustworthy framing: either way the
 			// conversation is over.
@@ -332,22 +333,22 @@ type connBufs struct {
 // writeFrame frames payload and writes it to bw. An oversized payload
 // — impossible by construction, but the process must not die on a
 // construction bug — degrades to an OpError the frontend treats as a
-// failed attempt, instead of reaching AppendFrame's panic.
+// failed attempt, instead of reaching frame.Append's panic.
 func (s *ShardServer) writeFrame(bw *bufio.Writer, bufs *connBufs, op byte, payload []byte) error {
-	if len(payload) > MaxFramePayload {
+	if len(payload) > frame.MaxPayload {
 		return s.writeFrame(bw, bufs, OpError,
 			[]byte(s.errText(fmt.Errorf("cluster: response payload %d bytes exceeds frame limit", len(payload)))))
 	}
-	bufs.frame = AppendFrame(bufs.frame[:0], op, payload)
+	bufs.frame = frame.Append(bufs.frame[:0], op, payload)
 	_, err := bw.Write(bufs.frame)
 	return err
 }
 
 // maxLabelChunkPayload bounds one OpLabels/OpLabelsPart payload. It
-// sits under MaxFramePayload with headroom for the chunk header, so a
+// sits under frame.MaxPayload with headroom for the chunk header, so a
 // label response of any total size frames cleanly. A var so tests can
 // shrink it to force chunking with small labels.
-var maxLabelChunkPayload = MaxFramePayload - 4096
+var maxLabelChunkPayload = frame.MaxPayload - 4096
 
 // genStore pairs a label store with the generation it serves.
 type genStore struct {
@@ -652,7 +653,7 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 		}
 		ids = ids[len(chunk):]
 		conn.SetDeadline(time.Now().Add(s.cfg.RepairChunkTimeout))
-		if werr := WriteFrame(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, chunk)); werr != nil {
+		if werr := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, chunk)); werr != nil {
 			return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, werr)
 		}
 		frames, rerr := readLabelFrames(conn, len(chunk)+1)
@@ -713,7 +714,7 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 func readLabelFrames(conn net.Conn, maxFrames int) ([]wireFrame, error) {
 	var frames []wireFrame
 	for {
-		op, p, err := ReadFrame(conn)
+		op, p, err := frame.Read(conn)
 		if err != nil {
 			return nil, err
 		}

@@ -103,9 +103,9 @@ func TestScopedGenerationSwap(t *testing.T) {
 
 	f := newTestFrontend(t, tc, nil)
 	epoch0 := f.Epoch()
-	epoch, err := f.SwapGenerationScoped(2, []string{"shard0"})
+	epoch, err := f.SwapGeneration(2, nil, []string{"shard0"})
 	if err != nil {
-		t.Fatalf("SwapGenerationScoped: %v", err)
+		t.Fatalf("scoped SwapGeneration: %v", err)
 	}
 	if epoch != epoch0+1 {
 		t.Fatalf("epoch = %d, want %d", epoch, epoch0+1)

@@ -3,38 +3,24 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
-
-	"fsdl/internal/frame"
 )
 
 // The wire protocol is a stream of self-delimiting frames in the
 // shared codec of internal/frame (magic "FC", version, op, length,
-// payload, CRC32-IEEE trailer — see that package for the layout). A
-// frame that passes the CRC was neither truncated nor bit-flipped in
-// flight; a frame that fails it poisons the connection (framing can no
-// longer be trusted) and the caller must redial. The codec lives in
-// its own leaf package because the live-update mutation WAL journals
-// the same frames; this file keeps thin aliases so cluster callers and
-// the shard protocol read naturally.
-const (
-	frameMagic0 = 'F'
-	frameMagic1 = 'C'
-	frameVer    = 1
-
-	// frameHeaderLen is magic+version+op+length; frameTrailerLen the CRC.
-	frameHeaderLen  = frame.HeaderLen
-	frameTrailerLen = frame.TrailerLen
-
-	// MaxFramePayload bounds a frame's payload so a corrupted or hostile
-	// length field cannot make the reader allocate unbounded memory.
-	MaxFramePayload = frame.MaxPayload
-)
+// payload, CRC32-IEEE trailer — see that package for the layout; the
+// live-update mutation WAL journals the same frames). A frame that
+// passes the CRC was neither truncated nor bit-flipped in flight; a
+// frame that fails it poisons the connection (framing can no longer be
+// trusted) and the caller must redial. This file holds what is the
+// cluster's own: the op codes and the payload codecs.
 
 // Frame ops. Requests flow frontend→shard, responses shard→frontend.
 const (
-	// OpGetLabels asks for a batch of label records by vertex id.
+	// OpGetLabels asks for a batch of label records by vertex id, from
+	// whatever generation is current. The frontend and the repair pull
+	// always send OpGetLabelsGen; shards answer this one for any other
+	// client.
 	OpGetLabels byte = 1
 	// OpLabels answers OpGetLabels with one record per requested vertex.
 	OpLabels byte = 2
@@ -47,7 +33,7 @@ const (
 	// the payload encoding is identical, but more frames follow for the
 	// same request. The final chunk arrives as a plain OpLabels frame,
 	// so a response — however many labels it carries — never needs a
-	// payload past MaxFramePayload.
+	// payload past frame.MaxPayload.
 	OpLabelsPart byte = 6
 	// OpDigest asks for the anti-entropy digest of a batch of vertex
 	// ids (request payload identical to OpGetLabels); OpDigestResp
@@ -95,42 +81,6 @@ const (
 	// racing the swap answerable. OpGenLoaded acknowledges.
 	OpAliasGeneration byte = 16
 )
-
-// Wire protocol errors, aliased so callers can errors.Is against
-// either package's name.
-var (
-	ErrBadMagic      = frame.ErrBadMagic
-	ErrBadVersion    = frame.ErrBadVersion
-	ErrFrameTooLarge = frame.ErrTooLarge
-	ErrCRC           = frame.ErrCRC
-)
-
-// AppendFrame appends one encoded frame to dst and returns the extended
-// slice.
-func AppendFrame(dst []byte, op byte, payload []byte) []byte {
-	return frame.Append(dst, op, payload)
-}
-
-// WriteFrame writes one frame to w.
-func WriteFrame(w io.Writer, op byte, payload []byte) error {
-	return frame.Write(w, op, payload)
-}
-
-// ReadFrame reads one frame from r, verifying magic, version, length
-// bound and checksum. The returned payload is freshly allocated and
-// safe to retain. Any error other than a clean io.EOF at a frame
-// boundary means the stream can no longer be trusted.
-func ReadFrame(r io.Reader) (op byte, payload []byte, err error) {
-	return frame.Read(r)
-}
-
-// DecodeFrame parses one frame from the front of buf, returning the
-// remainder. It applies the same validation as ReadFrame and never
-// allocates from attacker-chosen lengths: the payload is a sub-slice of
-// buf.
-func DecodeFrame(buf []byte) (op byte, payload, rest []byte, err error) {
-	return frame.Decode(buf)
-}
 
 // maxWireLabelBits rejects absurd per-record bit lengths before any
 // record is acted on (matches the labelstore container's guard).

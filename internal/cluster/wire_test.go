@@ -2,90 +2,8 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"testing"
 )
-
-func TestFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {}, {0x42}, bytes.Repeat([]byte{0xab}, 4096)}
-	for _, p := range payloads {
-		var buf bytes.Buffer
-		if err := WriteFrame(&buf, OpGetLabels, p); err != nil {
-			t.Fatalf("WriteFrame: %v", err)
-		}
-		op, got, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("ReadFrame: %v", err)
-		}
-		if op != OpGetLabels || !bytes.Equal(got, p) {
-			t.Fatalf("round trip mismatch: op=%d len=%d want len=%d", op, len(got), len(p))
-		}
-		// DecodeFrame agrees with ReadFrame on the same bytes.
-		enc := AppendFrame(nil, OpPong, p)
-		op2, got2, rest, err := DecodeFrame(enc)
-		if err != nil || op2 != OpPong || !bytes.Equal(got2, p) || len(rest) != 0 {
-			t.Fatalf("DecodeFrame mismatch: op=%d err=%v rest=%d", op2, err, len(rest))
-		}
-	}
-}
-
-func TestFrameStream(t *testing.T) {
-	// Several frames back to back decode in order from one stream.
-	var buf bytes.Buffer
-	for i := 0; i < 5; i++ {
-		if err := WriteFrame(&buf, byte(i+1), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		op, p, err := ReadFrame(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if op != byte(i+1) || len(p) != 1 || p[0] != byte(i) {
-			t.Fatalf("frame %d: op=%d payload=%v", i, op, p)
-		}
-	}
-	if _, _, err := ReadFrame(&buf); !errors.Is(err, io.EOF) {
-		t.Fatalf("want clean EOF at stream end, got %v", err)
-	}
-}
-
-func TestFrameCorruption(t *testing.T) {
-	base := AppendFrame(nil, OpLabels, []byte("hello label bytes"))
-	// Flip every single byte in turn: every corruption must be detected
-	// (bad magic, bad version, bad length, or CRC mismatch) — none may
-	// decode successfully, and none may panic.
-	for i := range base {
-		mut := append([]byte(nil), base...)
-		mut[i] ^= 0x40
-		if _, _, _, err := DecodeFrame(mut); err == nil {
-			t.Fatalf("flipping byte %d went undetected", i)
-		}
-		if _, _, err := ReadFrame(bytes.NewReader(mut)); err == nil {
-			t.Fatalf("ReadFrame: flipping byte %d went undetected", i)
-		}
-	}
-	// Truncation at every boundary is detected too.
-	for i := 0; i < len(base); i++ {
-		if _, _, _, err := DecodeFrame(base[:i]); err == nil {
-			t.Fatalf("truncation to %d bytes went undetected", i)
-		}
-	}
-}
-
-func TestFrameLengthBound(t *testing.T) {
-	// A frame whose length field claims more than MaxFramePayload is
-	// rejected from the header alone — no allocation, no read attempt.
-	head := []byte{frameMagic0, frameMagic1, frameVer, OpLabels, 0xff, 0xff, 0xff, 0xff}
-	if _, _, err := ReadFrame(bytes.NewReader(head)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("want ErrFrameTooLarge, got %v", err)
-	}
-	if _, _, _, err := DecodeFrame(append(head, make([]byte, 64)...)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("DecodeFrame: want ErrFrameTooLarge, got %v", err)
-	}
-}
 
 func TestLabelRequestRoundTrip(t *testing.T) {
 	ids := []int32{0, 1, 7, 1 << 20, 1<<31 - 1}

@@ -42,6 +42,11 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	if allocs > 2 {
 		t.Errorf("Query.Distance steady-state allocs/op = %g, want <= 2", allocs)
 	}
+	// A budgeted decode runs the same loops on truncated edge lists.
+	q.Budget = 300
+	if allocs := testing.AllocsPerRun(200, func() { q.DistanceRobust() }); allocs > 2 {
+		t.Errorf("budgeted Query.DistanceRobust steady-state allocs/op = %g, want <= 2", allocs)
+	}
 }
 
 // TestDecoderDistanceAllocs pins the batch decoder (one scratch held
@@ -64,11 +69,18 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	dec := NewDecoder()
 	defer dec.Release()
 	dec.Distance(q) // size the scratch
-	allocs := testing.AllocsPerRun(200, func() {
-		dec.Distance(q)
-	})
-	if allocs > 0 {
-		t.Errorf("Decoder.Distance steady-state allocs/op = %g, want 0", allocs)
+
+	for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
+		q.Budget = budget
+		allocs := testing.AllocsPerRun(200, func() {
+			dec.Distance(q)
+		})
+		if allocs > 0 {
+			t.Errorf("Decoder.Distance (budget %d) steady-state allocs/op = %g, want 0", budget, allocs)
+		}
+	}
+	if res := dec.DistanceRobust(q); !res.BudgetExhausted {
+		t.Errorf("budget %d did not cut the decode short: %+v", q.Budget, res)
 	}
 }
 

@@ -414,13 +414,7 @@ func (d *Decoder) scratch() *decodeScratch {
 }
 
 // Distance is Query.Distance on this decoder's scratch.
-func (d *Decoder) Distance(q *Query) (int64, bool) {
-	dist, _, err := d.scratch().decode(q, nil, nil)
-	if err != nil || dist < 0 {
-		return 0, false
-	}
-	return dist, true
-}
+func (d *Decoder) Distance(q *Query) (int64, bool) { return d.DistanceWithTrace(q, nil) }
 
 // DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
 func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {

@@ -65,24 +65,21 @@ func (sc *decodeScratch) addOwner(l *Label) {
 
 // admitPatches adds every admissible patch to the sketch under
 // construction: its edge as a unit-weight candidate at the lowest level
-// (counted in tr's level-0 tally, free of budget) and its endpoint
-// labels as owners. It runs after fvList/feList are sorted and before
-// the owner scans. A patch is admissible when both labels are usable,
-// it is not a self-loop, and neither endpoint nor the edge is forbidden
-// (labeled and degraded faults alike).
-func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge, tr *Trace) {
+// (free of budget; decode counts them in the trace's level-0 tally) and
+// its endpoint labels as owners. It runs after fvList/feList are sorted
+// and before the owner scans. A patch is admissible when both labels
+// are usable, it is not a self-loop, and neither endpoint nor the edge
+// is forbidden (labeled and degraded faults alike).
+func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge) {
 	for _, p := range patches {
 		if !usableWith(p.U, q.S) || !usableWith(p.V, q.S) || p.U.V == p.V.V {
 			continue
 		}
 		key := unorderedKey(p.U.V, p.V.V)
-		if containsI32(sc.fvList, p.U.V) || containsI32(sc.fvList, p.V.V) || containsU64(sc.feList, key) {
+		if containsSorted(sc.fvList, p.U.V) || containsSorted(sc.fvList, p.V.V) || containsSorted(sc.feList, key) {
 			continue
 		}
 		sc.cand = append(sc.cand, sketchCand{key: key, w: 1, lv: int32(q.S.C + 1)})
-		if tr != nil {
-			tr.AdmittedPerLevel[0]++
-		}
 		sc.addOwner(p.U)
 		sc.addOwner(p.V)
 	}

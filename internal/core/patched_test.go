@@ -680,6 +680,15 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, run); allocs != 0 {
 			t.Errorf("k=%d: patched decode steady-state allocs/op = %g, want 0", k, allocs)
 		}
+		// Budgeted: the same loops on truncated edge lists.
+		bq := *q
+		bq.Budget = 3000
+		if res := dec.DistanceRobustPatched(&bq, patches); !res.BudgetExhausted {
+			t.Fatalf("k=%d: budget %d did not cut the decode short: %+v", k, bq.Budget, res)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { dec.DistanceRobustPatched(&bq, patches) }); allocs != 0 {
+			t.Errorf("k=%d: budgeted patched decode steady-state allocs/op = %g, want 0", k, allocs)
+		}
 	}
 }
 

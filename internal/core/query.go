@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"fsdl/internal/graph"
@@ -30,7 +33,10 @@ type Query struct {
 	UnsafeIgnoreProtectedBalls bool
 
 	// Budget caps the number of candidate sketch edges decode examines
-	// (≤ 0 means unlimited). When the budget runs out the remaining
+	// (≤ 0 means unlimited): every stored edge and every owner-ball point
+	// of every owner level costs one unit, admitted or not, in scan order
+	// — so an owner level's edge list is simply cut to what the budget
+	// still has room for. When the budget runs out the remaining
 	// candidates are simply not admitted, so H shrinks: the estimate stays
 	// an upper bound on d_{G\F} (safety is one-sided — omitting edges can
 	// only lengthen paths), but it may exceed (1+ε)·d or report
@@ -61,6 +67,12 @@ type Query struct {
 // LabelLookup fetches the label of one vertex for ResolveQuery — from a
 // scheme, a label table, a store, or a cluster of them.
 type LabelLookup func(v int) (*Label, error)
+
+// ErrNoLabel is authoritative absence: whoever returns an error wrapping
+// it vouches that the vertex has no label, as opposed to one that could
+// not be reached or read just now. Stores and cluster frontends wrap it;
+// callers test with errors.Is, never by message.
+var ErrNoLabel = errors.New("no label for vertex")
 
 // ResolveQuery assembles the query (src, dst, F) from looked-up labels.
 // A nil query with a nil error means an endpoint is itself forbidden: no
@@ -158,7 +170,10 @@ type Trace struct {
 	// deduplication).
 	NumHVertices, NumHEdges int
 	// AdmittedPerLevel and RejectedPerLevel count candidate edges per
-	// scheme level (index 0 ↔ level c+1).
+	// scheme level (index 0 ↔ level c+1): admitted is what a level added
+	// to the sketch before deduplication (patch edges count at index 0),
+	// rejected the rest of what was examined there. Candidates a Budget
+	// kept from being examined are in neither.
 	AdmittedPerLevel, RejectedPerLevel []int
 	// Path is the winning sketch path as global vertex ids (s..t), with
 	// PathWeights the corresponding edge weights. Empty when disconnected.
@@ -170,29 +185,22 @@ type Trace struct {
 // labels, keeping only safe edges, and returns the s-t distance in H.
 // ok is false when no path exists, which (by the scheme's safety and
 // stretch guarantees) happens exactly when s and t are disconnected in
-// G\F. Decoding borrows a pooled scratch, so steady-state calls are
+// G\F. Like every decode method on Query it runs on a zero Decoder —
+// one pooled scratch borrowed for the call — so steady-state calls are
 // allocation-free; batch callers that want to pin one scratch across
-// many queries should use a Decoder instead.
+// many queries should hold a Decoder instead.
 func (q *Query) Distance() (int64, bool) {
-	sc := getScratch()
-	d, _, err := sc.decode(q, nil, nil)
-	putScratch(sc)
-	if err != nil || d < 0 {
-		return 0, false
-	}
-	return d, true
+	var d Decoder
+	defer d.Release()
+	return d.Distance(q)
 }
 
 // DistanceWithTrace is Distance, additionally filling tr with the sketch
 // construction details and the winning path.
 func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
-	sc := getScratch()
-	d, _, err := sc.decode(q, nil, tr)
-	putScratch(sc)
-	if err != nil || d < 0 {
-		return 0, false
-	}
-	return d, true
+	var d Decoder
+	defer d.Release()
+	return d.DistanceWithTrace(q, tr)
 }
 
 // DistancePath is Distance, additionally returning the witness path: the
@@ -203,13 +211,9 @@ func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
 // returned slice is freshly allocated; batch callers should use
 // Decoder.DecodePath with a reused buffer instead.
 func (q *Query) DistancePath() (int64, []int32, bool) {
-	sc := getScratch()
-	defer putScratch(sc)
-	d, _, err := sc.decode(q, nil, nil)
-	if err != nil || d < 0 {
-		return 0, nil, false
-	}
-	return d, sc.appendHPath(q, nil), true
+	var d Decoder
+	defer d.Release()
+	return d.DecodePath(q, nil)
 }
 
 // DistanceRobust decodes the query tolerating unusable fault labels: any
@@ -222,62 +226,29 @@ func (q *Query) DistancePath() (int64, []int32, bool) {
 // δ ≥ d_{G\F} at the cost of the stretch bound; the Result says exactly
 // how much trust the number deserves.
 func (q *Query) DistanceRobust() Result {
-	sc := getScratch()
-	res, _ := sc.distanceRobust(q, nil, nil, false)
-	putScratch(sc)
-	return res
+	var d Decoder
+	defer d.Release()
+	return d.DistanceRobust(q)
 }
 
 // distanceRobust implements DistanceRobust on the scratch, optionally
-// (wantPath) appending the witness path of the answering decode to buf.
-// The common case — every fault label usable, nothing pre-degraded —
-// decodes q directly without copying the query; only the degraded slow
-// path allocates (it is rare by construction: it means labels went
-// missing).
+// (wantPath) appending the witness path of the answering decode to buf:
+// partition the fault labels into usable and demoted, then decode what
+// the partition left. Only a demotion allocates (it is rare by
+// construction: it means labels went missing).
 func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int32, wantPath bool) (Result, []int32) {
 	var res Result
 	if q.S == nil || q.T == nil || q.S.Validate() != nil || q.T.Validate() != nil {
 		return res, buf // no endpoint labels, no bound of any kind
 	}
-	usable := func(l *Label) bool { return usableWith(l, q.S) }
-	clean := len(q.DegradedVertexFaults) == 0 && len(q.DegradedEdgeFaults) == 0
-	if clean {
-		for _, f := range q.VertexFaults {
-			if !usable(f) {
-				clean = false
-				break
-			}
-		}
-	}
-	if clean {
-		for _, ef := range q.EdgeFaults {
-			if !usable(ef[0]) || !usable(ef[1]) {
-				clean = false
-				break
-			}
-		}
-	}
-	if clean {
-		d, exhausted, err := sc.decode(q, patches, nil)
-		res.BudgetExhausted = exhausted
-		res.Degraded = exhausted
-		if err != nil || d < 0 {
-			return res, buf
-		}
-		res.Dist = d
-		res.OK = true
-		if wantPath {
-			buf = sc.appendHPath(q, buf)
-		}
-		return res, buf
-	}
-
+	// rq shares q's degraded tiers until a demotion appends to them; the
+	// clip makes that append copy instead of writing into q's arrays.
 	rq := *q
-	rq.VertexFaults = sc.vf[:0]
-	rq.EdgeFaults = sc.ef[:0]
-	rq.DegradedVertexFaults = append([]int32(nil), q.DegradedVertexFaults...)
-	rq.DegradedEdgeFaults = append([][2]int32(nil), q.DegradedEdgeFaults...)
+	rq.VertexFaults, rq.EdgeFaults = sc.vf[:0], sc.ef[:0]
+	rq.DegradedVertexFaults = slices.Clip(q.DegradedVertexFaults)
+	rq.DegradedEdgeFaults = slices.Clip(q.DegradedEdgeFaults)
 	res.MissingFaultLabels = append([]int32(nil), q.DegradedVertexFaults...)
+	usable := func(l *Label) bool { return usableWith(l, q.S) }
 	for _, f := range q.VertexFaults {
 		switch {
 		case usable(f):
@@ -304,13 +275,12 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 			}
 		}
 	}
-	sc.vf = rq.VertexFaults[:0]
-	sc.ef = rq.EdgeFaults[:0]
+	sc.vf, sc.ef = rq.VertexFaults[:0], rq.EdgeFaults[:0]
 	slices.Sort(res.MissingFaultLabels)
-	res.Degraded = len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
+
 	d, exhausted, err := sc.decode(&rq, patches, nil)
 	res.BudgetExhausted = exhausted
-	res.Degraded = res.Degraded || exhausted
+	res.Degraded = exhausted || len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
 	if err != nil || d < 0 {
 		return res, buf
 	}
@@ -334,8 +304,9 @@ func usableWith(l, ref *Label) bool {
 // tests can verify the safety invariant: every sketch edge is realizable
 // in G\F at exactly its weight.
 func (q *Query) Sketch() ([]SketchEdge, error) {
-	sc := getScratch()
-	defer putScratch(sc)
+	var d Decoder
+	defer d.Release()
+	sc := d.scratch()
 	if _, _, err := sc.decode(q, nil, nil); err != nil {
 		return nil, err
 	}
@@ -396,31 +367,56 @@ func (q *Query) Validate() error {
 // decode. Steady-state decodes allocate nothing: every transient
 // structure lives on the scratch and is reset, not reallocated.
 //
-// The admission scan relies on the ordering invariants Label.Validate
-// enforces (Points strictly ascending by X, Edges ascending by (XI,YI)
-// with XI < YI): forbidden vertices and edges are joined against the
-// label lists with sorted-merge cursors, and per-center protected-ball
-// membership is precomputed into per-point bitmasks — 64 centers per
-// uint64 word — so each candidate edge is cleared against every
-// protected ball with one AND per word instead of a hash probe per
-// center (Lemma 2.6's membership test, batched). The surviving edges
-// accumulate flat, are deduplicated by a stable radix sort, and feed the
-// solver's CSR arrays directly. Every step is observably identical to
-// the historical hash-probe decoder: same candidate order, same budget
-// accounting, same tie-breaks, same emitted sketch.
+// The stages, in order: collect owners, centers and the sorted fault
+// lists; build the protected-ball masks; scan every owner level for
+// admissible edges; deduplicate the candidates; solve. The admission
+// scan relies on the ordering invariants Label.Validate enforces (Points
+// strictly ascending by X, Edges ascending by (XI,YI) with XI < YI):
+// forbidden vertices and edges are joined against the label lists with
+// sorted-merge cursors, and per-center protected-ball membership is
+// precomputed into per-point bitmasks — 64 centers per uint64 word — so
+// each candidate edge is cleared against every protected ball with one
+// AND per word instead of a hash probe per center (Lemma 2.6's
+// membership test, batched). Every step is observably identical to the
+// historical hash-probe decoder (referenceDecode in the tests): same
+// candidate order, same budget accounting, same tie-breaks, same
+// emitted sketch.
 func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64, bool, error) {
 	sc.edges = sc.edges[:0]
 	sc.ids = sc.ids[:0]
+	sc.cand = sc.cand[:0]
 	if err := q.Validate(); err != nil {
 		return 0, false, err
 	}
 	if q.S.V == q.T.V {
 		return 0, false, nil
 	}
-	lowest := q.S.C + 1
-	numLevels := len(q.S.Levels)
+	sc.collect(q)
+	// Pending inserts: one unit edge each, free of budget, their endpoint
+	// labels owners after s, t and F — never centers (see patched.go).
+	sc.admitPatches(q, patches)
+	if tr != nil {
+		tr.AdmittedPerLevel = make([]int, len(q.S.Levels))
+		tr.RejectedPerLevel = make([]int, len(q.S.Levels))
+		tr.AdmittedPerLevel[0] = len(sc.cand)
+	}
+	rule := sc.admissionRule(q)
+	W := (len(sc.centers) + 63) >> 6
+	if rule >= admitFused {
+		sc.buildBallMasks(q, W)
+	}
+	exhausted := sc.scanOwners(q, rule, W, tr)
+	sc.dedupCands(q)
+	return sc.solve(q, tr), exhausted, nil
+}
 
-	// Owners: F̄ = {s,t} ∪ F (for edge faults, both endpoint labels).
+// collect gathers the owners F̄ = {s,t} ∪ F (for edge faults, both
+// endpoint labels), the protected-ball centers — the faulty vertices and
+// the endpoints of faulty edges: an edge of H survives level ℓ only if at
+// least one of its endpoints is outside PB_ℓ(f) for every center f — and
+// the sorted forbidden vertex and edge lists, labeled and degraded faults
+// together.
+func (sc *decodeScratch) collect(q *Query) {
 	sc.owners = sc.owners[:0]
 	sc.centers = sc.centers[:0]
 	sc.seenOwner.reset()
@@ -429,9 +425,6 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 	sc.feList = sc.feList[:0]
 	sc.addOwner(q.S)
 	sc.addOwner(q.T)
-	// Protected-ball centers: the faulty vertices and the endpoints of
-	// faulty edges. An edge of H survives level ℓ only if at least one of
-	// its endpoints is outside PB_ℓ(f) for every center f.
 	for _, f := range q.VertexFaults {
 		sc.addOwner(f)
 		sc.fvList = append(sc.fvList, f.V)
@@ -448,12 +441,6 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 			}
 		}
 	}
-	// Degraded faults have no labels, so their protected balls cannot be
-	// tested — treat them as maximal: reject every net-level and
-	// owner-ball edge, keeping only lowest-level unit edges that avoid all
-	// forbidden vertices and edges (see the field docs for the safety
-	// argument).
-	degraded := len(q.DegradedVertexFaults) > 0 || len(q.DegradedEdgeFaults) > 0
 	sc.fvList = append(sc.fvList, q.DegradedVertexFaults...)
 	for _, ef := range q.DegradedEdgeFaults {
 		sc.feList = append(sc.feList, unorderedKey(ef[0], ef[1]))
@@ -462,81 +449,123 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 	sc.fvList = slices.Compact(sc.fvList)
 	slices.Sort(sc.feList)
 	sc.feList = slices.Compact(sc.feList)
+}
 
-	// Budget accounting: each candidate edge examined costs one unit; once
-	// the budget is spent the remaining candidates are skipped (H shrinks,
-	// the estimate stays an upper bound).
-	budget := q.Budget
-	examined, exhausted := 0, false
+// admission names the rule deciding which net-level edges of an owner's
+// H_ℓ join the sketch. One rule serves a whole decode, and each has
+// exactly one edge loop in scanOwners. Lowest-level unit edges have a
+// rule of their own (no ball test: they exist verbatim in G).
+type admission uint8
 
-	if tr != nil {
-		tr.AdmittedPerLevel = make([]int, numLevels)
-		tr.RejectedPerLevel = make([]int, numLevels)
+const (
+	// admitNone: a degraded fault has no label, so its protected balls
+	// cannot be tested — treat them as maximal. No net-level edge
+	// survives, and an owner-ball edge only as an unforbidden graph edge
+	// (see Query.DegradedVertexFaults for the safety argument).
+	admitNone admission = iota
+	// admitUnforbidden: the ablation knob is on, or there are no centers
+	// at all; only a forbidden endpoint rejects an edge.
+	admitUnforbidden
+	// admitFused: at most 62 centers — the ball bits and two sentinel
+	// bits for the forbidden flags share one word, so a single load + AND
+	// per edge decides the whole rejection predicate (see fillLR).
+	admitFused
+	// admitWord: 63 or 64 centers. Still one mask word per point, but no
+	// room for the sentinels. 64 vertex faults are 64 centers, so this is
+	// what |F| = 64 runs; folding it into admitWords costs that query a
+	// third (7.6 → 10.1 ms on grid24), hence a rule of its own.
+	admitWord
+	// admitWords: more than 64 centers, W ≥ 2 words per point.
+	admitWords
+)
+
+func (sc *decodeScratch) admissionRule(q *Query) admission {
+	switch n := len(sc.centers); {
+	case len(q.DegradedVertexFaults) > 0 || len(q.DegradedEdgeFaults) > 0:
+		return admitNone
+	case q.UnsafeIgnoreProtectedBalls || n == 0:
+		return admitUnforbidden
+	case n <= 62:
+		return admitFused
+	case n <= 64:
+		return admitWord
 	}
-	// Pending inserts: one unit edge each, free of budget, their endpoint
-	// labels owners after s, t and F — never centers (see patched.go).
-	sc.admitPatches(q, patches, tr)
+	return admitWords
+}
 
-	// accept short-circuits every protected-ball test to "safe": either
-	// the ablation knob is on, or there are no centers at all (pure
-	// degraded fault sets). Masks are built only when a ball test can
-	// actually fire.
-	accept := q.UnsafeIgnoreProtectedBalls || len(sc.centers) == 0
-	useMasks := !degraded && !accept
-	W := (len(sc.centers) + 63) >> 6
-
-	// ompbW: for every (owner, level), the bitmask over centers of
-	// mayBeInPB certificates — the triangle-inequality test deciding
-	// whether the owner vertex itself could sit inside a protected ball
-	// (see mayBeInPB). An owner-ball edge to point i then dies iff
-	// mask(i) AND ompbW(owner,level) has any bit set.
-	if useMasks {
-		nOW := len(sc.owners) * numLevels * W
-		if cap(sc.ompbW) < nOW {
-			sc.ompbW = make([]uint64, nOW)
-		}
-		sc.ompbW = sc.ompbW[:nOW]
-		clear(sc.ompbW)
-		for oi, o := range sc.owners {
-			base := oi * numLevels * W
-			for fi, f := range sc.centers {
-				word, bit := fi>>6, uint64(1)<<(fi&63)
-				for k := 0; k < numLevels; k++ {
-					if mayBeInPB(o, f, lowest+k) {
-						sc.ompbW[base+k*W+word] |= bit
-					}
+// buildBallMasks fills ompbW — for every (owner, level), the bitmask over
+// centers of mayBeInPB certificates: the triangle-inequality test
+// deciding whether the owner vertex itself could sit inside a protected
+// ball. An owner-ball edge to point i then dies iff mask(i) AND
+// ompbW(owner,level) has any bit set — and the per-level combined ball
+// lists the point masks are filled from.
+func (sc *decodeScratch) buildBallMasks(q *Query, W int) {
+	lowest, numLevels := q.S.C+1, len(q.S.Levels)
+	nOW := len(sc.owners) * numLevels * W
+	if cap(sc.ompbW) < nOW {
+		sc.ompbW = make([]uint64, nOW)
+	}
+	sc.ompbW = sc.ompbW[:nOW]
+	clear(sc.ompbW)
+	for oi, o := range sc.owners {
+		base := oi * numLevels * W
+		for fi, f := range sc.centers {
+			word, bit := fi>>6, uint64(1)<<(fi&63)
+			for k := 0; k < numLevels; k++ {
+				if mayBeInPB(o, f, lowest+k) {
+					sc.ompbW[base+k*W+word] |= bit
 				}
 			}
 		}
-		sc.buildCombinedBalls(numLevels, lowest, W)
 	}
+	sc.buildCombinedBalls(numLevels, lowest, W)
+}
 
+// scanOwners walks every owner's levels in order, appending each
+// admissible stored edge to sc.cand, and reports whether Query.Budget cut
+// the walk short.
+//
+// Budget and trace are accounted around the edge loops, not inside them:
+// an owner level may scan as many candidates as the budget has room
+// left, so its edge list is truncated to that bound up front (exhausted
+// iff something was cut off), and the trace tallies are differences —
+// admitted is the growth of sc.cand across the level, rejected the rest
+// of what was scanned. A budgeted or traced decode therefore runs the
+// same loops as the serving path.
+func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) (exhausted bool) {
+	lowest, numLevels := q.S.C+1, len(q.S.Levels)
+	room := math.MaxInt
+	if q.Budget > 0 {
+		room = q.Budget
+	}
 	for oi, o := range sc.owners {
-		oForbidden := containsI32(sc.fvList, o.V)
+		oForbidden := containsSorted(sc.fvList, o.V)
 		for k := 0; k < numLevels; k++ {
-			level := lowest + k
 			lv := &o.Levels[k]
-			lambda := lambdaOf(level)
 			pts := lv.Points
-			lvl32 := int32(level)
-
+			lvl32 := int32(lowest + k)
 			forb := sc.fillForb(pts)
 			var msk []uint64
-			if useMasks {
+			if rule >= admitFused {
 				msk = sc.fillMasks(pts, k, W)
 			}
+			before := len(sc.cand)
+			edges := lv.Edges
+			if len(edges) > room {
+				edges, exhausted = edges[:room], true
+			}
+			scanned := len(edges)
 
-			// The budget counter and the trace tallies are the only
-			// observable difference between the accounting loops below and
-			// their tight fast-path twins, so an unbudgeted untraced decode
-			// (the serving-path common case) runs the twins.
-			fast := budget <= 0 && tr == nil
-
-			if level == lowest && fast {
+			switch {
+			case k == 0:
+				// Unit-weight original graph edges: admitted when neither
+				// endpoint nor the edge itself is forbidden. Forbidden-edge
+				// keys ascend along the (XI,YI)-sorted edge list, so one
+				// merge cursor joins them against the sorted feList.
 				fe := sc.feList
 				fj := 0
 				var prevKey uint64
-				for _, e := range lv.Edges {
+				for _, e := range edges {
 					if forb[e.XI] || forb[e.YI] {
 						continue
 					}
@@ -550,7 +579,7 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 							hit = fj < len(fe) && fe[fj] == key
 							prevKey = key
 						} else {
-							hit = containsU64(fe, key)
+							hit = containsSorted(fe, key)
 						}
 						if hit {
 							continue
@@ -558,94 +587,20 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 					}
 					sc.cand = append(sc.cand, sketchCand{key: key, w: e.D, lv: lvl32})
 				}
-			} else if level == lowest {
-				// Unit-weight original graph edges: admitted when neither
-				// endpoint nor the edge itself is forbidden. Forbidden-edge
-				// keys ascend along the (XI,YI)-sorted edge list, so one
-				// merge cursor joins them against the sorted feList.
-				fe := sc.feList
-				fj := 0
-				var prevKey uint64
-				for _, e := range lv.Edges {
-					if budget > 0 && examined >= budget {
-						exhausted = true
-						break
-					}
-					examined++
+			case rule == admitNone:
+				// Nothing survives; the edges were only counted.
+			case rule == admitUnforbidden:
+				for _, e := range edges {
 					if forb[e.XI] || forb[e.YI] {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
-						continue
-					}
-					x, y := pts[e.XI].X, pts[e.YI].X
-					if len(fe) > 0 {
-						key := uint64(uint32(x))<<32 | uint64(uint32(y))
-						hit := false
-						if key >= prevKey {
-							for fj < len(fe) && fe[fj] < key {
-								fj++
-							}
-							hit = fj < len(fe) && fe[fj] == key
-							prevKey = key
-						} else {
-							hit = containsU64(fe, key)
-						}
-						if hit {
-							if tr != nil {
-								tr.RejectedPerLevel[k]++
-							}
-							continue
-						}
-					}
-					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(x))<<32 | uint64(uint32(y)), w: e.D, lv: lvl32})
-					if tr != nil {
-						tr.AdmittedPerLevel[k]++
-					}
-				}
-			} else if degraded {
-				// Maximal protected balls reject every net-level edge; the
-				// scan only charges the budget and the trace. With neither
-				// in play the rejections are unobservable — skip the loop.
-				if budget > 0 || tr != nil {
-					for range lv.Edges {
-						if budget > 0 && examined >= budget {
-							exhausted = true
-							break
-						}
-						examined++
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
-					}
-				}
-			} else if accept {
-				// Ablation (or no centers): forbidden-endpoint test only.
-				for _, e := range lv.Edges {
-					if budget > 0 && examined >= budget {
-						exhausted = true
-						break
-					}
-					examined++
-					if forb[e.XI] || forb[e.YI] {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
 						continue
 					}
 					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
-					if tr != nil {
-						tr.AdmittedPerLevel[k]++
-					}
 				}
-			} else if W == 1 && fast && len(sc.centers) <= 62 {
-				// Fused-mask fast path: one load + AND per edge decides the
-				// whole rejection predicate (shared ball, forbidden x,
-				// forbidden y — see fillLR). The edge list is sorted by
-				// (XI,YI), so consecutive edges share XI in long runs and
-				// the left word is hoisted out of the run.
+			case rule == admitFused:
+				// The edge list is sorted by (XI,YI), so consecutive edges
+				// share XI in long runs and the left word is hoisted out of
+				// the run.
 				sc.fillLR(msk, forb)
-				edges := lv.Edges
 				mR := sc.maskR
 				for a := 0; a < len(edges); {
 					xi := edges[a].XI
@@ -659,58 +614,21 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 						sc.cand = append(sc.cand, sketchCand{key: hi | uint64(uint32(pts[yi].X)), w: edges[a].D, lv: lvl32})
 					}
 				}
-			} else if W == 1 {
-				// Net-point pair edges, protected-ball checked: the edge
-				// dies iff some center's ball covers both endpoints — one
-				// AND of the two per-point masks. (The explicit
-				// forbidden-endpoint test is subsumed by the protected
-				// balls — a fault sits at the center of its own ball — but
-				// must stand on its own for ablation runs.)
-				for _, e := range lv.Edges {
-					if budget > 0 && examined >= budget {
-						exhausted = true
-						break
-					}
-					examined++
+			case rule == admitWord:
+				// The edge dies iff some center's ball covers both
+				// endpoints — one AND of the two per-point masks.
+				for _, e := range edges {
 					if forb[e.XI] || forb[e.YI] || msk[e.XI]&msk[e.YI] != 0 {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
 						continue
 					}
 					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
-					if tr != nil {
-						tr.AdmittedPerLevel[k]++
-					}
 				}
-			} else {
-				for _, e := range lv.Edges {
-					if budget > 0 && examined >= budget {
-						exhausted = true
-						break
-					}
-					examined++
-					bad := forb[e.XI] || forb[e.YI]
-					if !bad {
-						xw := msk[int(e.XI)*W : int(e.XI)*W+W]
-						yw := msk[int(e.YI)*W : int(e.YI)*W+W]
-						for w := 0; w < W; w++ {
-							if xw[w]&yw[w] != 0 {
-								bad = true
-								break
-							}
-						}
-					}
-					if bad {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
+			default:
+				for _, e := range edges {
+					if forb[e.XI] || forb[e.YI] || wordsMeet(msk[int(e.XI)*W:][:W], msk[int(e.YI)*W:][:W]) {
 						continue
 					}
 					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
-					if tr != nil {
-						tr.AdmittedPerLevel[k]++
-					}
 				}
 			}
 
@@ -718,80 +636,78 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 			// ("between v and the net-points"), protected-ball checked at
 			// every level. A forbidden owner's self edges always fail the
 			// check (the owner sits at the center of its own protected
-			// ball), so skip them outright.
-			if oForbidden {
-				continue
-			}
-			var ompbRow []uint64
-			if useMasks {
-				ompbRow = sc.ompbW[(oi*numLevels+k)*W : (oi*numLevels+k)*W+W]
-			}
-			for i, pe := range pts {
-				if pe.D > lambda || pe.X == o.V {
-					continue
+			// ball), so skip them outright. Which points qualify is only
+			// known point by point, so this loop counts what it scans.
+			if !oForbidden {
+				var ompb []uint64
+				if rule >= admitFused {
+					ompb = sc.ompbW[(oi*numLevels+k)*W:][:W]
 				}
-				if budget > 0 && examined >= budget {
-					exhausted = true
-					break
-				}
-				examined++
-				if forb[i] {
-					if tr != nil {
-						tr.RejectedPerLevel[k]++
-					}
-					continue
-				}
-				if degraded {
-					// Maximal protected balls veto every owner-ball edge
-					// except an actual graph edge (weight 1) that is not
-					// itself forbidden — it survives verbatim in G\F.
-					if pe.D != 1 || containsU64(sc.feList, unorderedKey(o.V, pe.X)) {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
+				lambda := lambdaOf(lowest + k)
+				left, n := room-scanned, 0
+				for i, pe := range pts {
+					if pe.D > lambda || pe.X == o.V {
 						continue
 					}
-				} else if !accept {
-					bad := false
-					if W == 1 {
-						bad = msk[i]&ompbRow[0] != 0
-					} else {
-						for w := 0; w < W; w++ {
-							if msk[i*W+w]&ompbRow[w] != 0 {
-								bad = true
-								break
-							}
-						}
+					if n == left {
+						exhausted = true
+						break
 					}
-					if bad {
-						if tr != nil {
-							tr.RejectedPerLevel[k]++
-						}
+					n++
+					switch {
+					case forb[i]:
 						continue
+					case rule == admitNone:
+						// Only an actual graph edge (weight 1) that is not
+						// itself forbidden survives verbatim in G\F.
+						if pe.D != 1 || containsSorted(sc.feList, unorderedKey(o.V, pe.X)) {
+							continue
+						}
+					case rule >= admitFused:
+						if wordsMeet(msk[i*W:][:W], ompb) {
+							continue
+						}
 					}
+					sc.cand = append(sc.cand, sketchCand{key: unorderedKey(o.V, pe.X), w: pe.D, lv: lvl32})
 				}
-				sc.cand = append(sc.cand, sketchCand{key: unorderedKey(o.V, pe.X), w: pe.D, lv: lvl32})
-				if tr != nil {
-					tr.AdmittedPerLevel[k]++
-				}
+				scanned += n
+			}
+
+			room -= scanned
+			if tr != nil {
+				admitted := len(sc.cand) - before
+				tr.AdmittedPerLevel[k] += admitted
+				tr.RejectedPerLevel[k] += scanned - admitted
 			}
 		}
 	}
+	return exhausted
+}
 
-	// Deduplicate the flat candidate list to the lightest parallel edge
-	// per unordered pair. The radix sort is stable, so within one key the
-	// candidates keep admission order and the strict-min scan reproduces
-	// the historical first-insertion-wins tie-break; emission is in
-	// ascending key order, exactly as before (deterministic Dijkstra
-	// tie-breaking and routes).
+// wordsMeet reports whether two equally long center bitmasks share a set
+// bit: some center's protected ball covers both things they describe.
+func wordsMeet(a, b []uint64) bool {
+	for w := range a {
+		if a[w]&b[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// dedupCands reduces the flat candidate list to the lightest parallel
+// edge per unordered pair, filling sc.edges and the dense id remap. The
+// radix sort is stable, so within one key the candidates keep admission
+// order and the strict-min scan reproduces the historical
+// first-insertion-wins tie-break; emission is in ascending key order
+// (deterministic Dijkstra tie-breaking and routes).
+func (sc *decodeScratch) dedupCands(q *Query) {
 	sc.sortCandsByKey()
 	sc.idOf.reset()
-	ensure := func(v int32) int32 {
-		id, ok := sc.idOf.getOrPut(v, int32(len(sc.ids)))
-		if !ok {
+	ensure := func(v int32) {
+		if _, ok := sc.idOf.getOrPut(v, int32(len(sc.ids))); !ok {
 			sc.ids = append(sc.ids, v)
 		}
-		return id
 	}
 	ensure(q.S.V)
 	ensure(q.T.V)
@@ -811,9 +727,11 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 		ensure(x)
 		ensure(y)
 	}
-	sc.cand = sc.cand[:0]
+}
 
-	// Load the sketch into the CSR solver and run Dijkstra.
+// solve loads the sketch into the CSR solver, runs Dijkstra and, when
+// asked, completes the trace. It returns -1 when t is unreachable.
+func (sc *decodeScratch) solve(q *Query, tr *Trace) int64 {
 	sc.solver.Reset(len(sc.ids))
 	for _, e := range sc.edges {
 		sc.solver.AddEdge(int(sc.idOf.get(e.X)), int(sc.idOf.get(e.Y)), e.W)
@@ -839,9 +757,9 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 		}
 	}
 	if dist == graph.WeightedInfinity {
-		return -1, exhausted, nil
+		return -1
 	}
-	return dist, exhausted, nil
+	return dist
 }
 
 // fillForb marks which points of pts are forbidden vertices, by merging
@@ -1012,50 +930,10 @@ func (sc *decodeScratch) sketchEdgeWeight(key uint64) int64 {
 	return sc.edges[lo].W
 }
 
-// findPointIdx returns the index of x in the strictly ascending point
-// list, or -1 when absent.
-func findPointIdx(pts []PointEntry, x int32) int {
-	lo, hi := 0, len(pts)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if pts[mid].X < x {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(pts) && pts[lo].X == x {
-		return lo
-	}
-	return -1
-}
-
-// containsI32 reports whether the sorted slice s contains v.
-func containsI32(s []int32, v int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
-}
-
-// containsU64 reports whether the sorted slice s contains v.
-func containsU64(s []uint64, v uint64) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == v
+// containsSorted reports whether the ascending slice s contains v.
+func containsSorted[T cmp.Ordered](s []T, v T) bool {
+	_, ok := slices.BinarySearch(s, v)
+	return ok
 }
 
 // mayBeInPB conservatively decides whether the owner vertex of label o

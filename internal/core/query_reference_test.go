@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -13,7 +14,10 @@ import (
 // per-call allocations, container/heap Dijkstra via graph.Weighted). It
 // is the ground truth the scratch-based decode must match bit for bit:
 // same distances, same deterministic edge list, same traced paths.
-func referenceDecode(q *Query, tr *Trace) (int64, []SketchEdge, int, bool, error) {
+// Patches (none in the pre-pooling decoder, so the body below is verbatim
+// for every caller that passes none) join the way patched.go says: a free
+// unit edge each, their endpoint labels owners after s, t and F.
+func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []SketchEdge, int, bool, error) {
 	if err := q.Validate(); err != nil {
 		return 0, nil, 0, false, err
 	}
@@ -99,6 +103,15 @@ func referenceDecode(q *Query, tr *Trace) (int64, []SketchEdge, int, bool, error
 		if tr != nil {
 			tr.RejectedPerLevel[level-lowest]++
 		}
+	}
+	for _, p := range patches {
+		if !usableWith(p.U, q.S) || !usableWith(p.V, q.S) || p.U.V == p.V.V ||
+			forbiddenV[p.U.V] || forbiddenV[p.V.V] || forbiddenE[unorderedKey(p.U.V, p.V.V)] {
+			continue
+		}
+		admit(p.U.V, p.V.V, 1, lowest)
+		addOwner(p.U)
+		addOwner(p.V)
 	}
 	pbIndex := make([][]map[int32]bool, len(centers))
 	for fi, f := range centers {
@@ -345,6 +358,66 @@ func referenceCorpus(t *testing.T, s *Scheme, g *graph.Graph, rng *rand.Rand) []
 	// Same-vertex and forbidden-owner shapes.
 	v := pick()
 	cases = append(cases, referenceCase{"same", mustQuery(v, v, nil)})
+
+	// Center counts on both sides of every mask-width boundary: 62 is the
+	// last fused one-word set, 63 and 64 the plain one-word sets, 70 needs
+	// two words. Five edge faults bring two centers each, so |F| < centers.
+	// The vertex faults are the head of a BFS order and the edge faults are
+	// spread evenly over the rest of it: numbered after the vertex faults
+	// they hold the highest mask bits — the ones a wrong width loses — and
+	// on a graph much wider than the lowest net levels' λ (32, 64) their
+	// protected balls are covered by no other center's, so a lost bit shows.
+	// (Scattered over a small graph, this many balls cover every net-level
+	// edge and all rules agree on rejecting everything.)
+	for _, centers := range []int{62, 63, 64, 70} {
+		if n < 10*centers {
+			continue
+		}
+		order := []int{0}
+		seen := map[int]bool{0: true}
+		for i := 0; i < len(order); i++ {
+			for _, w := range g.Neighbors(order[i]) {
+				if !seen[int(w)] {
+					seen[int(w)] = true
+					order = append(order, int(w))
+				}
+			}
+		}
+		f := graph.NewFaultSet()
+		used := map[int]bool{}
+		for _, u := range order[:centers-10] {
+			f.AddVertex(u)
+			used[u] = true
+		}
+		for j := 1; j <= 5; j++ {
+			u := order[centers-10+j*(n-centers+10)/6]
+			f.AddEdge(u, int(g.Neighbors(u)[0]))
+			used[u], used[int(g.Neighbors(u)[0])] = true, true
+		}
+		src := pick()
+		for used[src] {
+			src = pick()
+		}
+		dst := pick(src)
+		for used[dst] {
+			dst = pick(src)
+		}
+		name := fmt.Sprintf("centers%d", centers)
+		cases = append(cases, referenceCase{name, mustQuery(src, dst, f)})
+		// A budget that runs out among the fault owners' scans, past s and t.
+		var full Trace
+		referenceDecode(mustQuery(src, dst, f), &full)
+		work := 0
+		for k := range full.AdmittedPerLevel {
+			work += full.AdmittedPerLevel[k] + full.RejectedPerLevel[k]
+		}
+		qb := mustQuery(src, dst, f)
+		qb.Budget = work/3 + rng.Intn(work/3)
+		cases = append(cases, referenceCase{name + "+budget", qb})
+		qa := mustQuery(src, dst, f)
+		qa.UnsafeIgnoreProtectedBalls = true
+		cases = append(cases, referenceCase{name + "+ablated", qa})
+	}
 	return cases
 }
 
@@ -358,6 +431,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		"grid6x5": gridGraph(t, 6, 5),
 		"path24":  pathGraph(t, 24),
 		"rand40":  randomConnected(t, 40, 20, rng),
+		"path800": pathGraph(t, 800), // wide enough for the 62- to 70-center cases
 	}
 	for gname, g := range graphs {
 		s, err := BuildScheme(g, 2)
@@ -372,7 +446,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 			sc := getScratch()
 			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr)
 			gotEdges := append([]SketchEdge{}, sc.edges...)
+			gotCenters := len(sc.centers)
 			putScratch(sc)
+			// A "centers<N>" case must reach the scan loop it was built for.
+			var wantCenters int
+			if _, err := fmt.Sscanf(tc.name, "centers%d", &wantCenters); err == nil && gotCenters != wantCenters {
+				t.Fatalf("%s/%s: decoded with %d centers", gname, tc.name, gotCenters)
+			}
 
 			if (wantErr == nil) != (gotErr == nil) {
 				t.Fatalf("%s/%s: err mismatch: ref %v, got %v", gname, tc.name, wantErr, gotErr)

@@ -460,7 +460,7 @@ func (st *Store) Label(v int) (*core.Label, error) {
 			return nil, err
 		}
 	} else {
-		return nil, fmt.Errorf("labelstore: no label for vertex %d", v)
+		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 	}
 	st.cacheMisses.Add(1)
 	if st.touch(v) {

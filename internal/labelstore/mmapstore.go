@@ -529,7 +529,7 @@ func (st *Store) label3(v int32) (*core.Label, error) {
 		if st.f3.corruptAt(v) {
 			return nil, fmt.Errorf("labelstore: record for vertex %d is corrupt", v)
 		}
-		return nil, fmt.Errorf("labelstore: no label for vertex %d", v)
+		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 	}
 	if st.f3.hdr.compressed() {
 		l, err := decodeRecord3(payload, v, st.f3.hdr.prm)

@@ -206,7 +206,7 @@ func (st *Store) records(ids []int, stored bool, emit func(int, rec) error) erro
 	for _, v := range ids {
 		r, ok := st.record(v, stored)
 		if !ok {
-			return fmt.Errorf("labelstore: no label for vertex %d", v)
+			return fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 		}
 		if err := emit(v, r); err != nil {
 			return err

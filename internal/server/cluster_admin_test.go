@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// adminSpy is a LabelSource that also implements ClusterAdmin,
-// recording the membership calls the HTTP layer forwards.
+// adminSpy is a store source that answers the membership methods like
+// a cluster, recording the calls the HTTP layer forwards.
 type adminSpy struct {
-	gatedSource
+	*storeSource
 	epoch uint64
 	calls []string
 	fail  bool
@@ -61,7 +61,7 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 // and input validation.
 func TestClusterAdminEndpoints(t *testing.T) {
 	_, st := testStore(t, 6, 6, 2)
-	src := &adminSpy{gatedSource: gatedSource{st: st}, epoch: 1}
+	src := &adminSpy{storeSource: newStoreSource(st), epoch: 1}
 	s := newTestServer(t, Config{Source: src})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

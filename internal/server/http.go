@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"time"
 
+	"fsdl/internal/core"
 	"fsdl/internal/graph"
 	"fsdl/internal/liveupdate"
 )
@@ -120,29 +120,17 @@ type membershipRequest struct {
 	Drain *bool  `json:"drain,omitempty"`
 }
 
-// clusterAdmin returns the source's admin capability, or nil when the
-// server fronts a local store.
-func (s *Server) clusterAdmin() ClusterAdmin {
-	ca, _ := s.src.(ClusterAdmin)
-	return ca
-}
-
 func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	ca := s.clusterAdmin()
-	if ca == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "not a cluster deployment"})
+	st := s.src.StatusJSON()
+	if st == nil {
+		s.writeError(w, errNotCluster)
 		return
 	}
-	writeJSON(w, http.StatusOK, ca.StatusJSON())
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleClusterMembership(op string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		ca := s.clusterAdmin()
-		if ca == nil {
-			writeJSON(w, http.StatusNotFound, map[string]string{"error": "not a cluster deployment"})
-			return
-		}
 		var req membershipRequest
 		if err := decodeBody(r, &req); err != nil {
 			s.writeError(w, err)
@@ -160,15 +148,15 @@ func (s *Server) handleClusterMembership(op string) http.HandlerFunc {
 				s.writeError(w, fmt.Errorf("cluster join: shard addr is required"))
 				return
 			}
-			epoch, err = ca.Join(req.Name, req.Addr)
+			epoch, err = s.src.Join(req.Name, req.Addr)
 		case "leave":
-			epoch, err = ca.Leave(req.Name)
+			epoch, err = s.src.Leave(req.Name)
 		default: // drain
 			drain := true
 			if req.Drain != nil {
 				drain = *req.Drain
 			}
-			epoch, err = ca.Drain(req.Name, drain)
+			epoch, err = s.src.Drain(req.Name, drain)
 		}
 		if err != nil {
 			s.writeError(w, err)
@@ -206,7 +194,7 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	case errors.Is(err, context.Canceled):
 		// The client already hung up; the status is a formality.
 		status = http.StatusServiceUnavailable
-	case strings.Contains(err.Error(), "no label for vertex"):
+	case errors.Is(err, core.ErrNoLabel), errors.Is(err, errNotCluster):
 		status = http.StatusNotFound
 	}
 	s.met.errors.Add(1)
@@ -246,8 +234,8 @@ func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	if ans.Error != "" {
-		s.writeError(w, errors.New(ans.Error))
+	if ans.err != nil {
+		s.writeError(w, ans.err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ans)
@@ -396,8 +384,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"n":      s.src.NumVertices(),
 		"labels": s.src.NumLabels(),
 	}
-	if hr, ok := s.src.(HealthReporter); ok {
-		body["cluster"] = hr.HealthJSON()
+	if h := s.src.HealthJSON(); h != nil {
+		body["cluster"] = h
 	}
 	writeJSON(w, http.StatusOK, body)
 }

@@ -166,26 +166,16 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 	// answers stay sound upper bounds). Committing first would briefly
 	// pair the old labels with an empty delta and claim an exactness
 	// the old generation cannot provide.
-	switch src := s.src.(type) {
-	case GenerationSwapper:
-		var epoch uint64
-		var err error
-		// After an incremental build only ChangedShards differ on disk;
-		// a scope-aware frontend reloads those and re-tags the rest in
-		// place, so an ε-sized delta flips in ε-sized work.
-		if sc, ok := src.(ScopedGenerationSwapper); ok && res.Incremental {
-			epoch, err = sc.SwapGenerationScoped(res.Snapshot.Generation, res.ChangedPartitions)
-		} else {
-			epoch, err = src.SwapGeneration(res.Snapshot.Generation)
-		}
-		if err != nil {
-			return CompactResult{}, fmt.Errorf("server: swap to generation %d: %w", res.Snapshot.Generation, err)
-		}
-		out.Epoch = epoch
-	case *storeSource:
-		src.Swap(res.Store)
-	default:
-		return CompactResult{}, fmt.Errorf("server: label source cannot swap generations")
+	//
+	// After an incremental build only ChangedShards differ on disk, so a
+	// cluster reloads those and re-tags the rest in place: an ε-sized
+	// delta flips in ε-sized work. A full build reloads everything.
+	var changed []string
+	if res.Incremental {
+		changed = res.ChangedPartitions
+	}
+	if out.Epoch, err = s.src.SwapGeneration(res.Snapshot.Generation, res.Store, changed); err != nil {
+		return CompactResult{}, fmt.Errorf("server: swap to generation %d: %w", res.Snapshot.Generation, err)
 	}
 	if err := s.live.Commit(res.Snapshot); err != nil {
 		return CompactResult{}, err

@@ -181,43 +181,33 @@ func TestCompactModeSelection(t *testing.T) {
 	}
 }
 
-// scopedSwapSource is a GenerationSwapper that also implements the
-// scoped flip, recording which path each compaction took. Labels are
-// served from the store of whatever generation was swapped in last
-// (loaded from the generation root like a real frontend would).
+// scopedSwapSource records the changed list of every swap a compaction
+// dispatched (nil: reload everything). Labels are served from the store
+// of whatever generation was swapped in last, loaded from the generation
+// root like a real frontend's shards would.
 type scopedSwapSource struct {
 	*storeSource
 	root      string
-	gen       uint64
 	fullSwaps int
 	scoped    [][]string
 }
 
-func (s *scopedSwapSource) Generation() uint64 { return s.gen }
-
-func (s *scopedSwapSource) load(gen uint64) error {
+func (s *scopedSwapSource) SwapGeneration(gen uint64, _ *labelstore.Store, changed []string) (uint64, error) {
+	if changed == nil {
+		s.fullSwaps++
+	} else {
+		s.scoped = append(s.scoped, changed)
+	}
 	st, err := liveupdate.LoadGenerationStore(filepath.Join(s.root, labelstore.GenerationDirName(gen)))
 	if err != nil {
-		return err
+		return 0, err
 	}
-	s.storeSource.Swap(st)
-	s.gen = gen
-	return nil
+	return s.storeSource.SwapGeneration(gen, st, changed)
 }
 
-func (s *scopedSwapSource) SwapGeneration(gen uint64) (uint64, error) {
-	s.fullSwaps++
-	return gen, s.load(gen)
-}
-
-func (s *scopedSwapSource) SwapGenerationScoped(gen uint64, changed []string) (uint64, error) {
-	s.scoped = append(s.scoped, changed)
-	return gen, s.load(gen)
-}
-
-// TestCompactScopedSwapDispatch: a full build swaps through
-// SwapGeneration; an incremental build routes through the scoped swap
-// with exactly the changed-partition list the compaction reported.
+// TestCompactScopedSwapDispatch: a full build swaps with a nil changed
+// list (reload everything); an incremental build with exactly the
+// changed-partition list the compaction reported.
 func TestCompactScopedSwapDispatch(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
@@ -230,7 +220,7 @@ func TestCompactScopedSwapDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &scopedSwapSource{storeSource: newStoreSource(st), root: root, gen: 1}
+	src := &scopedSwapSource{storeSource: newStoreSource(st), root: root}
 	s := newTestServer(t, Config{Source: src, Live: p, LiveRoot: root, CacheCapacity: -1, Partitions: parts})
 
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: int32(n - 1)}}); err != nil {

@@ -121,7 +121,12 @@ type Answer struct {
 	Path   []int32 `json:"path,omitempty"`
 	Cached bool    `json:"cached,omitempty"`
 	Error  string  `json:"error,omitempty"`
+	// err is the error Error was rendered from, kept so the HTTP layer
+	// can map it to a status with errors.Is.
+	err error
 }
+
+func (a *Answer) fail(err error) { a.Error, a.err = err.Error(), err }
 
 // State is a point-in-time snapshot for /v1/state.
 type State struct {
@@ -302,25 +307,9 @@ func faultHash(f *graph.FaultSet, budget int) uint64 {
 // the excess insertions until compaction bakes them in.
 const maxLivePatches = 256
 
-// labelFunc resolves one vertex's label — either the raw source or a
-// batch's generation-pinned view of it.
+// labelFunc resolves one vertex's label in a batch's generation-pinned
+// view of the source (see LabelSource.PinLabels).
 type labelFunc = func(context.Context, int) (*core.Label, error)
-
-// pinLabels returns the label resolver one batch should use
-// throughout: the source's generation-pinned view when it offers one,
-// the plain source otherwise (a source that cannot swap generations
-// has nothing to pin). The second return mirrors Prefetch and may be
-// nil.
-func (s *Server) pinLabels() (labelFunc, func(context.Context, []int) int) {
-	if p, ok := s.src.(LabelPinner); ok {
-		return p.PinLabels()
-	}
-	label := func(ctx context.Context, v int) (*core.Label, error) { return s.src.Label(ctx, v) }
-	if pf, ok := s.src.(Prefetcher); ok {
-		return label, pf.Prefetch
-	}
-	return label, nil
-}
 
 // decodePatches resolves patch-edge endpoint labels. A patch whose
 // endpoints cannot be fetched is skipped: the shortcut is missed but
@@ -420,7 +409,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	// routes through — but labels of two different generations inside
 	// one decode are not, so the pin, not the per-call source state,
 	// serves the whole batch.
-	label, pinnedPrefetch := s.pinLabels()
+	label, pinnedPrefetch := s.src.PinLabels()
 
 	n := s.src.NumVertices()
 	answers := make([]Answer, len(pairs))
@@ -453,7 +442,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 		a := Answer{S: src, T: dst}
 		s.met.queries.Add(1)
 		if src < 0 || src >= n || dst < 0 || dst >= n {
-			a.Error = fmt.Sprintf("vertex out of range [0,%d)", n)
+			a.fail(fmt.Errorf("vertex out of range [0,%d)", n))
 			s.met.errors.Add(1)
 			answers[i] = a
 			continue
@@ -526,7 +515,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 			}
 		}
 		if err != nil {
-			a.Error = err.Error()
+			a.fail(err)
 			s.met.errors.Add(1)
 		}
 		answers[i] = a
@@ -685,8 +674,6 @@ func (s *Server) Metrics() string {
 	if s.live != nil {
 		renderLive(&sb, s.live.MetricsSnapshot())
 	}
-	if mw, ok := s.src.(MetricsWriter); ok {
-		mw.WriteMetrics(&sb)
-	}
+	s.src.WriteMetrics(&sb)
 	return sb.String()
 }

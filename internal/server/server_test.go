@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -532,23 +534,34 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-// gatedSource is a LabelSource whose Label blocks on designated
-// vertices until the caller's context dies — a stand-in for a hung
-// remote shard fetch.
+// gatedSource is a store source whose label lookups block on
+// designated vertices until the caller's context dies — a stand-in for
+// a hung remote shard fetch.
 type gatedSource struct {
-	st      *labelstore.Store
+	*storeSource
 	blockOn map[int]bool
 }
 
-func (g gatedSource) NumVertices() int                { return g.st.NumVertices() }
-func (g gatedSource) NumLabels() int                  { return g.st.NumLabels() }
-func (g gatedSource) LabelCacheStats() (int64, int64) { return g.st.LabelCacheStats() }
-func (g gatedSource) Label(ctx context.Context, v int) (*core.Label, error) {
-	if g.blockOn[v] {
+func (g gatedSource) PinLabels() (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
+	return pinFailing(g.storeSource, func(ctx context.Context, v int) error {
+		if !g.blockOn[v] {
+			return nil
+		}
 		<-ctx.Done()
-		return nil, ctx.Err()
-	}
-	return g.st.Label(v)
+		return ctx.Err()
+	})
+}
+
+// pinFailing is s.PinLabels with every label lookup first put to fail:
+// a non-nil error is that lookup's answer.
+func pinFailing(s *storeSource, fail func(ctx context.Context, v int) error) (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
+	label, prefetch := s.PinLabels()
+	return func(ctx context.Context, v int) (*core.Label, error) {
+		if err := fail(ctx, v); err != nil {
+			return nil, err
+		}
+		return label(ctx, v)
+	}, prefetch
 }
 
 // TestClientDisconnectReturnsSlot: when the requester's context is
@@ -557,7 +570,7 @@ func (g gatedSource) Label(ctx context.Context, v int) (*core.Label, error) {
 // the remaining pairs first.
 func TestClientDisconnectReturnsSlot(t *testing.T) {
 	_, st := testStore(t, 8, 8, 2)
-	src := gatedSource{st: st, blockOn: map[int]bool{0: true}}
+	src := gatedSource{storeSource: newStoreSource(st), blockOn: map[int]bool{0: true}}
 	s := newTestServer(t, Config{Source: src, Workers: 1, CacheCapacity: -1})
 
 	// A big batch whose very first pair hangs in Label until the client
@@ -599,12 +612,12 @@ func TestClientDisconnectReturnsSlot(t *testing.T) {
 	}
 }
 
-// TestPrefetchSourceSeesBatch: a Prefetcher source receives every
+// TestPrefetchSourceSeesBatch: a source with a prefetch receives every
 // distinct in-range vertex of the batch (endpoints and faults) before
 // per-pair answering starts.
 func TestPrefetchSourceSeesBatch(t *testing.T) {
 	_, st := testStore(t, 6, 6, 2)
-	src := &prefetchSpy{gatedSource: gatedSource{st: st}}
+	src := &prefetchSpy{storeSource: newStoreSource(st)}
 	s := newTestServer(t, Config{Source: src})
 
 	f := graph.NewFaultSet()
@@ -623,21 +636,24 @@ func TestPrefetchSourceSeesBatch(t *testing.T) {
 }
 
 type prefetchSpy struct {
-	gatedSource
+	*storeSource
 	got []int
 }
 
-func (p *prefetchSpy) Prefetch(_ context.Context, ids []int) int {
-	p.got = append(p.got, ids...)
-	return 0
+func (p *prefetchSpy) PinLabels() (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
+	label, _ := p.storeSource.PinLabels()
+	return label, func(_ context.Context, ids []int) int {
+		p.got = append(p.got, ids...)
+		return 0
+	}
 }
 
-// flakySource is a LabelSource whose designated vertices are
+// flakySource is a store source whose designated vertices are
 // transiently unreachable — the label is there, but fetching it fails
 // while down is set, the way a cluster frontend surfaces a replica-set
 // outage.
 type flakySource struct {
-	st   *labelstore.Store
+	*storeSource
 	mu   sync.Mutex
 	down map[int]bool
 }
@@ -651,17 +667,15 @@ func (f *flakySource) setDown(v int, down bool) {
 	f.down[v] = down
 }
 
-func (f *flakySource) NumVertices() int                { return f.st.NumVertices() }
-func (f *flakySource) NumLabels() int                  { return f.st.NumLabels() }
-func (f *flakySource) LabelCacheStats() (int64, int64) { return f.st.LabelCacheStats() }
-func (f *flakySource) Label(ctx context.Context, v int) (*core.Label, error) {
-	f.mu.Lock()
-	down := f.down[v]
-	f.mu.Unlock()
-	if down {
-		return nil, fmt.Errorf("label for vertex %d unavailable: all replicas unreachable", v)
-	}
-	return f.st.Label(v)
+func (f *flakySource) PinLabels() (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
+	return pinFailing(f.storeSource, func(_ context.Context, v int) error {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		if f.down[v] {
+			return fmt.Errorf("label for vertex %d unavailable: all replicas unreachable", v)
+		}
+		return nil
+	})
 }
 
 // TestDegradedAnswersNotCached: with the default result cache ENABLED,
@@ -670,7 +684,7 @@ func (f *flakySource) Label(ctx context.Context, v int) (*core.Label, error) {
 // query returns to exact.
 func TestDegradedAnswersNotCached(t *testing.T) {
 	_, st := testStore(t, 8, 8, 2)
-	src := &flakySource{st: st}
+	src := &flakySource{storeSource: newStoreSource(st)}
 	s := newTestServer(t, Config{Source: src}) // default caches on
 	ctx := context.Background()
 
@@ -752,5 +766,58 @@ func TestHTTPBatchAndFaultCaps(t *testing.T) {
 	}
 	if code := post("/v1/batch-distance", map[string]any{"pairs": ok}); code != http.StatusOK {
 		t.Fatalf("small batch: status %d, want 200", code)
+	}
+}
+
+// wordedSource is a store source that reports designated vertices
+// missing in words of its own.
+type wordedSource struct {
+	*storeSource
+	errs map[int]error
+}
+
+func (w wordedSource) PinLabels() (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
+	return pinFailing(w.storeSource, func(_ context.Context, v int) error { return w.errs[v] })
+}
+
+// TestAbsenceIsASentinel: what makes a missing endpoint label a 404 is
+// that its error wraps core.ErrNoLabel, whatever the message says — and
+// an error that merely says "no label for vertex" is not one. A missing
+// fault label is demoted to the degraded tier either way.
+func TestAbsenceIsASentinel(t *testing.T) {
+	_, st := testStore(t, 6, 6, 2)
+	s := newTestServer(t, Config{Source: wordedSource{newStoreSource(st), map[int]error{
+		7: fmt.Errorf("shelf 7 is empty: %w", core.ErrNoLabel),
+		8: errors.New("no label for vertex 8"),
+	}}})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for v, want := range map[int]int{7: http.StatusNotFound, 8: http.StatusBadRequest} {
+		resp, body := postJSON(t, ts.URL+"/v1/distance", map[string]any{"s": v, "t": 30})
+		if resp.StatusCode != want {
+			t.Errorf("endpoint %d: status %d, want %d (%s)", v, resp.StatusCode, want, body)
+		}
+	}
+	as, err := s.AnswerPairs(context.Background(), [][2]int{{7, 30}}, nil)
+	if err != nil || !errors.Is(as[0].err, core.ErrNoLabel) || as[0].Error != as[0].err.Error() {
+		t.Errorf("AnswerPairs carries %+v (err %v), want the source's error", as[0], err)
+	}
+
+	a, err := s.Distance(context.Background(), 0, 35, &QueryOptions{Faults: graph.FaultVertices(7, 8)})
+	if err != nil || a.Error != "" {
+		t.Fatalf("absent fault labels: %+v, %v", a, err)
+	}
+	if !a.Degraded || a.Exact || !slices.Equal(a.MissingFaultLabels, []int32{7, 8}) {
+		t.Errorf("absent fault labels: %+v, want a degraded bound missing 7 and 8", a)
+	}
+
+	// The local store's own absence is the sentinel too.
+	part, err := labelstore.NewEmpty(st.NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := part.Label(3); !errors.Is(err, core.ErrNoLabel) {
+		t.Errorf("empty store's Label error %v does not wrap core.ErrNoLabel", err)
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"sync/atomic"
 
@@ -16,88 +17,72 @@ import (
 // space shard: a query needs only the labels of s, t and F, never the
 // graph.
 //
-// Label must honor ctx: a remote source returns promptly with ctx.Err()
-// when the caller is gone. Errors containing "no label for vertex" are
-// authoritative absence (mapped to 404 and degraded-fault handling);
-// anything else is treated as transient unavailability.
+// It is one interface, implemented in full by storeSource here and by
+// cluster.Frontend (this package never imports that one; cmd/fsdl-serve
+// is where the compiler checks the two against each other). What a
+// source has nothing to say about it answers with nothing: a nil
+// prefetch, no metrics, a nil health or status fragment. Test fakes
+// embed storeSource and override the method under test.
 type LabelSource interface {
 	NumVertices() int
 	NumLabels() int
-	Label(ctx context.Context, v int) (*core.Label, error)
 	LabelCacheStats() (hits, misses int64)
+
+	// PinLabels pins label resolution to the source's current label
+	// generation: label resolves every vertex against the one
+	// generation that was current at pin time, and prefetch warms a
+	// batch of them in one round trip, returning how many it failed to
+	// resolve (nil when lookups are already single-hop). The server
+	// pins once per batch — after reading the live delta, so an empty
+	// delta implies the pinned generation already has it baked in —
+	// which keeps a generation swap landing mid-batch from mixing
+	// labels of two generations inside one decode. Mixed generations
+	// are unsound: a fault label's protected balls describe one graph's
+	// distances and cannot guard sketch edges taken from another's.
+	//
+	// label must honor its context: a remote source returns promptly
+	// with ctx.Err() when the caller is gone. An error that wraps
+	// core.ErrNoLabel is authoritative absence (404 for an endpoint);
+	// anything else is transient unavailability. Either way a fault
+	// whose label cannot be had is demoted to the degraded tier.
+	PinLabels() (label func(context.Context, int) (*core.Label, error), prefetch func(context.Context, []int) int)
+
+	// SwapGeneration makes label generation gen the one PinLabels pins
+	// from now on, without dropping in-flight batches, and returns the
+	// new ring epoch (0 for a local store). st is the generation's
+	// opened store, which a local source serves from; a cluster
+	// frontend instead has its shards load gen from their generation
+	// roots. changed names the partitions whose bytes differ from the
+	// previous generation's — what an incremental compaction reports —
+	// so every other shard can re-tag the partition it already serves;
+	// nil means reload everything.
+	SwapGeneration(gen uint64, st *labelstore.Store, changed []string) (epoch uint64, err error)
+
+	// WriteMetrics appends source-specific Prometheus exposition to
+	// /metrics, and HealthJSON contributes a JSON-marshalable fragment
+	// to /healthz (per-shard health); nil for none.
+	WriteMetrics(sb *strings.Builder)
+	HealthJSON() any
+
+	// Membership control and the status snapshot behind the
+	// /v1/cluster/* admin endpoints. Join/Leave/Drain return the new
+	// ring epoch; StatusJSON returns a JSON-marshalable snapshot served
+	// as-is. A local store answers errNotCluster and nil.
+	Join(name, addr string) (uint64, error)
+	Leave(name string) (uint64, error)
+	Drain(name string, drain bool) (uint64, error)
+	StatusJSON() any
 }
 
-// Optional LabelSource capabilities, discovered structurally so this
-// package never imports the cluster package.
-type (
-	// Prefetcher warms a batch of labels in one round trip, returning
-	// how many requested vertices it failed to resolve. The server calls
-	// it with every distinct vertex a batch will touch before answering
-	// pair by pair, retrying a couple of times with jittered backoff
-	// while vertices remain unresolved; persistent failures simply
-	// resurface on the per-label path.
-	Prefetcher interface {
-		Prefetch(ctx context.Context, ids []int) int
-	}
-	// MetricsWriter appends source-specific Prometheus exposition to the
-	// server's /metrics output.
-	MetricsWriter interface {
-		WriteMetrics(sb *strings.Builder)
-	}
-	// HealthReporter contributes a JSON-marshalable fragment to
-	// /healthz (e.g. per-shard health).
-	HealthReporter interface {
-		HealthJSON() any
-	}
-	// ClusterAdmin exposes membership control and the cluster status
-	// snapshot. A source that implements it gets the /v1/cluster/*
-	// admin endpoints. Join/Leave/Drain return the new ring epoch;
-	// StatusJSON returns a JSON-marshalable snapshot served as-is.
-	ClusterAdmin interface {
-		Join(name, addr string) (uint64, error)
-		Leave(name string) (uint64, error)
-		Drain(name string, drain bool) (uint64, error)
-		StatusJSON() any
-	}
-	// LabelPinner pins label resolution to the source's current label
-	// generation: the returned closures mirror Label and Prefetch (the
-	// prefetch closure may be nil) but resolve every vertex against the
-	// one generation that was current at pin time. The server pins once
-	// per batch — after reading the live delta, so an empty delta
-	// implies the pinned generation already has it baked in — which
-	// keeps a generation swap landing mid-batch from mixing labels of
-	// two generations inside one decode. Mixed generations are unsound:
-	// a fault label's protected balls describe one graph's distances
-	// and cannot guard sketch edges taken from another's.
-	LabelPinner interface {
-		PinLabels() (label func(context.Context, int) (*core.Label, error), prefetch func(context.Context, []int) int)
-	}
-	// GenerationSwapper coordinates versioned label-generation swaps: a
-	// cluster frontend has every shard load the named generation from
-	// its generation root, then atomically re-routes (returning the new
-	// ring epoch). Compaction uses it to swap the freshly baked
-	// generation in without dropping in-flight queries.
-	GenerationSwapper interface {
-		Generation() uint64
-		SwapGeneration(gen uint64) (uint64, error)
-	}
-	// ScopedGenerationSwapper is a GenerationSwapper that can flip a
-	// generation while reloading from disk only the shards the
-	// compaction reported changed; every other shard re-tags the
-	// byte-identical partition it already serves. Incremental
-	// compaction routes its swap here so an ε-sized delta costs an
-	// ε-sized flip. cluster.Frontend implements it.
-	ScopedGenerationSwapper interface {
-		GenerationSwapper
-		SwapGenerationScoped(gen uint64, changed []string) (uint64, error)
-	}
-)
+// errNotCluster is what a local store answers membership changes with;
+// the HTTP layer maps it to 404.
+var errNotCluster = errors.New("not a cluster deployment")
 
 // storeSource adapts the in-process labelstore.Store to LabelSource.
-// Lookups never block, so ctx is ignored. The store pointer is atomic
-// so a compaction can swap the next label generation in under live
-// queries — each lookup is served whole from whichever generation it
-// loads, no lock, no torn reads.
+// Lookups never block, so contexts are ignored. The store pointer is
+// atomic so a compaction can swap the next label generation in under
+// live queries — each lookup is served whole from whichever generation
+// it loads, no lock, no torn reads.
 type storeSource struct {
 	st atomic.Pointer[labelstore.Store]
 }
@@ -108,30 +93,36 @@ func newStoreSource(st *labelstore.Store) *storeSource {
 	return s
 }
 
-func (s *storeSource) NumVertices() int { return s.st.Load().NumVertices() }
-func (s *storeSource) NumLabels() int   { return s.st.Load().NumLabels() }
-func (s *storeSource) Label(_ context.Context, v int) (*core.Label, error) {
-	return s.st.Load().Label(v)
-}
+func (s *storeSource) NumVertices() int                { return s.st.Load().NumVertices() }
+func (s *storeSource) NumLabels() int                  { return s.st.Load().NumLabels() }
 func (s *storeSource) LabelCacheStats() (int64, int64) { return s.st.Load().LabelCacheStats() }
 
 // PinLabels pins lookups to the store generation loaded at pin time,
-// so a batch straddling a Swap answers every query from one
+// so a batch straddling a swap answers every query from one
 // generation. No prefetch: local lookups are already single-hop.
 func (s *storeSource) PinLabels() (func(context.Context, int) (*core.Label, error), func(context.Context, []int) int) {
 	st := s.st.Load()
 	return func(_ context.Context, v int) (*core.Label, error) { return st.Label(v) }, nil
 }
 
-// Swap installs a new label generation. The vertex space must match;
-// compaction guarantees it (generations are rebuilds of the same
-// vertex set). The outgoing store gives its caches back at once: it
-// can stay reachable for the life of the process (Config.Store, the
-// caller that opened it), and nothing will look a label up in it again
-// except a batch pinned before the swap — which keeps the labels it
-// already holds and decodes any late lookup cold.
-func (s *storeSource) Swap(st *labelstore.Store) {
+// SwapGeneration installs st as the serving generation. The vertex
+// space must match; compaction guarantees it (generations are rebuilds
+// of the same vertex set). The outgoing store gives its caches back at
+// once: it can stay reachable for the life of the process
+// (Config.Store, the caller that opened it), and nothing will look a
+// label up in it again except a batch pinned before the swap — which
+// keeps the labels it already holds and decodes any late lookup cold.
+func (s *storeSource) SwapGeneration(_ uint64, st *labelstore.Store, _ []string) (uint64, error) {
 	if old := s.st.Swap(st); old != st {
 		old.DropCaches()
 	}
+	return 0, nil
 }
+
+func (s *storeSource) WriteMetrics(*strings.Builder) {}
+func (s *storeSource) HealthJSON() any               { return nil }
+func (s *storeSource) StatusJSON() any               { return nil }
+
+func (s *storeSource) Join(string, string) (uint64, error) { return 0, errNotCluster }
+func (s *storeSource) Leave(string) (uint64, error)        { return 0, errNotCluster }
+func (s *storeSource) Drain(string, bool) (uint64, error)  { return 0, errNotCluster }

@@ -23,14 +23,14 @@ func (s *swapMidBatch) PinLabels() (func(context.Context, int) (*core.Label, err
 	return func(ctx context.Context, v int) (*core.Label, error) {
 		l, err := label(ctx, v)
 		if s.next != nil {
-			s.Swap(s.next)
+			s.SwapGeneration(0, s.next, nil)
 			s.next = nil
 		}
 		return l, err
 	}, prefetch
 }
 
-// TestSwapReleasesOldStoreCaches: Swap empties the outgoing store's
+// TestSwapReleasesOldStoreCaches: a swap empties the outgoing store's
 // decoded-label cache — the store can stay reachable through
 // Config.Store for the life of the process — while a batch pinned
 // before the swap still answers every pair from the old generation,
@@ -65,7 +65,7 @@ func TestSwapReleasesOldStoreCaches(t *testing.T) {
 	src := &swapMidBatch{storeSource: newStoreSource(old), next: next}
 	for i := 0; i < 2; i++ {
 		for v := 0; v < 36; v++ {
-			if _, err := src.Label(ctx, v); err != nil {
+			if _, err := old.Label(v); err != nil {
 				t.Fatal(err)
 			}
 		}
