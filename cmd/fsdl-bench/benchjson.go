@@ -141,7 +141,9 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// TestDecodeMatchesReference checks it.
 	s.SetCacheLimit(4096)
 	var dec core.Decoder
-	for _, nf := range []int{1, 4, 16, 64} {
+	// randomFaults draws nf vertex faults clear of the corners every
+	// decode kernel queries between; the same nf gives the same set.
+	randomFaults := func(nf int) *graph.FaultSet {
 		rng := rand.New(rand.NewSource(2))
 		f := graph.NewFaultSet()
 		for f.Size() < nf {
@@ -150,7 +152,10 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 				f.AddVertex(v)
 			}
 		}
-		q, err := s.NewQuery(0, n-1, f)
+		return f
+	}
+	for _, nf := range []int{1, 4, 16, 64} {
+		q, err := s.NewQuery(0, n-1, randomFaults(nf))
 		if err != nil {
 			return err
 		}
@@ -209,6 +214,33 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	if err != nil {
 		return err
 	}
+	// 3c. Decode over the serving path's labels: parsed from records by
+	// labelstore.Load's store, which shares equal level lists between
+	// them (core.LevelTable) — the decode_F* kernels above see scheme
+	// labels, whose saturated levels are shared at extraction. The store
+	// is read through once first, vertex 1 leading: a list is shared from
+	// its second sighting on, so the first label parsed keeps private
+	// copies, and a warm server's query rarely touches that one label.
+	for v := 1; v <= n; v++ {
+		if _, err := st.Label(v % n); err != nil {
+			return err
+		}
+	}
+	for _, nf := range []int{0, 16} {
+		q, err := core.ResolveQuery(0, n-1, randomFaults(nf), st.Label, false)
+		if err != nil {
+			return err
+		}
+		var dec core.Decoder
+		add(measure(fmt.Sprintf("decode_store_F%d", nf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dec.Distance(q)
+			}
+		}))
+		dec.Release()
+	}
+
 	srv, err := server.New(server.Config{Store: st, CacheCapacity: -1})
 	if err != nil {
 		return err
@@ -499,14 +531,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		return err
 	}
 	defer st3.Close()
-	rng16 := rand.New(rand.NewSource(2))
-	f16 := graph.NewFaultSet()
-	for f16.Size() < 16 {
-		v := rng16.Intn(n)
-		if v != 0 && v != n-1 {
-			f16.AddVertex(v)
-		}
-	}
+	f16 := randomFaults(16)
 	if _, err := st3.DistanceRobust(0, n-1, f16, 0); err != nil {
 		return err
 	}

@@ -1,0 +1,77 @@
+package main
+
+import (
+	"os"
+	"path/filepath"
+	"testing"
+
+	"fsdl"
+)
+
+// TestCLIStatsLevels pins `fsdl stats -levels` on two graphs whose
+// sharing differs: an 8×8 grid, saturated at every level (one list per
+// level, stored/distinct = n), and a 256-vertex ring lattice, whose
+// lowest-level balls are each vertex's own. A scheme and the containers
+// written from it print the same table.
+func TestCLIStatsLevels(t *testing.T) {
+	dir := t.TempDir()
+	grid := filepath.Join(dir, "grid.txt")
+	if _, err := runCLI(t, "gen", "-kind", "grid", "-size", "8", "-out", grid); err != nil {
+		t.Fatal(err)
+	}
+	const n = 256
+	b := fsdl.NewGraphBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+2)%n)
+	}
+	ring := filepath.Join(dir, "ring.txt")
+	f, err := os.Create(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.MustBuild().WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct{ name, graph, want string }{
+		{"grid8x8", grid, `level lists over 64 labels:
+  level       points        edges    lists      union  stored/distinct
+      3         4096         7168        1        112            64.0x
+      4         1792        24192        1        378            64.0x
+      5          448         1344        1         21            64.0x
+      6          128           64        1          1            64.0x
+    all         6464        32768        4        512            64.0x
+`},
+		{"ring256", ring, `level lists over 256 labels:
+  level       points        edges    lists      union  stored/distinct
+      3        49408        98048      256        512           191.5x
+      4        19456       362496        1       1416           256.0x
+      5         7680       111360        1        435           256.0x
+      6         3840        26880        1        105           256.0x
+      7         2048         7168        1         28           256.0x
+      8         1024         1536        1          6           256.0x
+    all        83456       607488      261       2502           242.8x
+`},
+	} {
+		got, err := runCLI(t, "stats", "-levels", "-in", tc.graph)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if got != tc.want {
+			t.Errorf("%s: stats -levels printed\n%s\nwant\n%s", tc.name, got, tc.want)
+		}
+		for _, format := range [][]string{{"-format", "fsdl2"}, {"-format", "fsdl3", "-compress"}} {
+			db := filepath.Join(dir, tc.name+".fsdl")
+			if _, err := runCLI(t, append([]string{"labels", "-in", tc.graph, "-out", db}, format...)...); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := runCLI(t, "stats", "-levels", "-db", db); err != nil || got != tc.want {
+				t.Errorf("%s %v: stats -levels -db printed (err %v)\n%s\nwant\n%s", tc.name, format, err, got, tc.want)
+			}
+		}
+	}
+}

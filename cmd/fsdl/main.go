@@ -7,6 +7,7 @@
 //	fsdl gen   -kind grid -size 16 [-out graph.txt]
 //	fsdl stats -in graph.txt [-eps 2]
 //	fsdl stats labels.fsdl            (label store statistics; see docs/STORAGE.md)
+//	fsdl stats -levels [-in graph.txt | -db labels.fsdl]   (shared level lists; see docs/PERFORMANCE.md)
 //	fsdl label -in graph.txt -v 12 [-eps 2]
 //	fsdl query -in graph.txt -s 0 -t 99 [-eps 2] [-fail 5,17] [-failedge 3-4]
 //	fsdl route -in graph.txt -s 0 -t 99 [-eps 2] [-fail 5,17]
@@ -364,6 +365,8 @@ func cmdStats(args []string, out io.Writer) error {
 	in := fs.String("in", "", "graph file (text format; default stdin)")
 	eps := fs.Float64("eps", 2, "precision parameter epsilon")
 	seed := fs.Int64("seed", 1, "random seed for sampling")
+	levels := fs.Bool("levels", false, "print the per-level table of stored vs distinct edge lists instead")
+	db := fs.String("db", "", "with -levels: read the labels of this store file instead of building a scheme")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -372,9 +375,23 @@ func cmdStats(args []string, out io.Writer) error {
 	if fs.NArg() > 0 {
 		return storeStats(fs.Arg(0), out)
 	}
+	if *levels && *db != "" {
+		return storeLevelStats(*db, out)
+	}
 	g, err := loadGraph(*in)
 	if err != nil {
 		return err
+	}
+	if *levels {
+		s, err := fsdl.Build(g, *eps)
+		if err != nil {
+			return err
+		}
+		ids := make([]int, g.NumVertices())
+		for v := range ids {
+			ids[v] = v
+		}
+		return levelStats(out, ids, func(v int) (*fsdl.Label, error) { return s.Label(v), nil })
 	}
 	rng := rand.New(rand.NewSource(*seed))
 	est := fsdl.EstimateDoublingDimension(g, 8, rng)

@@ -210,6 +210,10 @@ type Frontend struct {
 	budget     *retryBudget // nil when disabled
 	rep        *repairer    // nil when repair is disabled
 
+	// levels interns the level edge lists of fetched labels as they are
+	// parsed (core.LevelTable); sized by labelCache, flushed with it.
+	levels *core.LevelTable
+
 	// liveStats, when set, supplies the co-located live-update
 	// pipeline's state for status rendering (pending delta, WAL
 	// segments); nil on frontends without a pipeline.
@@ -297,6 +301,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 		f.budget = newRetryBudget(c.RetryBudgetRatio, c.RetryBudgetBurst)
 	}
 	f.labelCache = lru.New[labelKey, *core.Label](c.LabelCacheSize, 8, labelKeyHash)
+	f.levels = core.NewLevelTable(c.LabelCacheSize)
 	f.negCache = lru.New[labelKey, struct{}](c.NegativeCacheSize, 8, labelKeyHash)
 
 	deadline := time.Now().Add(c.StartupTimeout)
@@ -550,6 +555,7 @@ func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store, changed []str
 	// already (cache keys carry the generation); flushing just returns
 	// their memory ahead of LRU churn.
 	f.labelCache.Flush()
+	f.levels.Reset()
 	f.negCache.Flush()
 	f.kickRepair()
 	return next.epoch, nil
@@ -900,7 +906,7 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 					delete(pending, v)
 					continue
 				}
-				l, derr := core.DecodeLabel(rec.Data, rec.Bits)
+				l, derr := f.levels.DecodeLabel(rec.Data, rec.Bits)
 				if derr != nil {
 					continue // corrupt copy; another replica may be intact
 				}

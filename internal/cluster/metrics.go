@@ -60,6 +60,9 @@ func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 		rate = float64(hits) / float64(hits+misses)
 	}
 	gauge("fsdl_cluster_label_cache_hit_rate", "Frontend label-cache hit fraction.", rate)
+	interned, lists := f.levels.Stats()
+	counter("fsdl_label_levels_interned_total", "Level edge lists of fetched labels replaced by a shared copy.", interned)
+	gauge("fsdl_label_level_lists", "Shared level edge lists currently held.", float64(lists))
 	counter("fsdl_cluster_negative_cache_hits_total", "Lookups short-circuited by the confirmed-absence cache.", m.negHits.Load())
 
 	counter("fsdl_cluster_fetch_calls_total", "Label-fetch RPCs issued to shards (hedges included).", m.fetchCalls.Load())

@@ -7,9 +7,11 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
 )
 
@@ -102,10 +104,46 @@ func TestScopedGenerationSwap(t *testing.T) {
 	writeGenerationDir(t, root, 2, st, map[string][]int{"shard0": parts[0]})
 
 	f := newTestFrontend(t, tc, nil)
+	// Fetch every label first: the frontend shares their level lists
+	// (a 6×6 grid is one list per level), and two of them outlive the swap.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	held := make([]*core.Label, st.NumVertices())
+	for v := range held {
+		l, err := f.Label(ctx, v)
+		if err != nil {
+			t.Fatalf("Label(%d): %v", v, err)
+		}
+		held[v] = l
+	}
+	interned, lists := f.levels.Stats()
+	if interned == 0 || lists == 0 {
+		t.Fatalf("after fetching every label: %d lists interned, %d held", interned, lists)
+	}
+	var sb strings.Builder
+	f.WriteMetrics(&sb)
+	for _, want := range []string{
+		fmt.Sprintf("fsdl_label_levels_interned_total %d\n", interned),
+		fmt.Sprintf("fsdl_label_level_lists %d\n", lists),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("metrics exposition missing %q", want)
+		}
+	}
+	wantD, wantOK := (&core.Query{S: held[0], T: held[35], VertexFaults: held[14:16]}).Distance()
+
 	epoch0 := f.Epoch()
 	epoch, err := f.SwapGeneration(2, nil, []string{"shard0"})
 	if err != nil {
 		t.Fatalf("scoped SwapGeneration: %v", err)
+	}
+	// The swap flushed the label cache and, with it, the table; labels
+	// fetched before keep the lists they share and decode as they did.
+	if _, lists := f.levels.Stats(); lists != 0 {
+		t.Fatalf("%d shared level lists survived the generation swap", lists)
+	}
+	if d, ok := (&core.Query{S: held[0], T: held[35], VertexFaults: held[14:16]}).Distance(); d != wantD || ok != wantOK {
+		t.Fatalf("labels held across the swap decode (%d,%v), before (%d,%v)", d, ok, wantD, wantOK)
 	}
 	if epoch != epoch0+1 {
 		t.Fatalf("epoch = %d, want %d", epoch, epoch0+1)
@@ -131,8 +169,6 @@ func TestScopedGenerationSwap(t *testing.T) {
 		}
 	}
 	// Queries still resolve after the swap.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
 	if _, err := f.Label(ctx, 0); err != nil {
 		t.Fatalf("Label after scoped swap: %v", err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -33,14 +34,17 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q.Distance() // warm the pool and size the scratch
-	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok := q.Distance(); !ok {
-			t.Fatal("query became disconnected")
+	// The scheme's labels share their level lists, the copies nothing.
+	for _, q := range []*Query{q, unsharedQuery(q)} {
+		q.Distance() // warm the pool and size the scratch
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, ok := q.Distance(); !ok {
+				t.Fatal("query became disconnected")
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("Query.Distance steady-state allocs/op = %g, want <= 2", allocs)
 		}
-	})
-	if allocs > 2 {
-		t.Errorf("Query.Distance steady-state allocs/op = %g, want <= 2", allocs)
 	}
 	// A budgeted decode runs the same loops on truncated edge lists.
 	q.Budget = 300
@@ -68,15 +72,22 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	}
 	dec := NewDecoder()
 	defer dec.Release()
-	dec.Distance(q) // size the scratch
 
-	for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
-		q.Budget = budget
-		allocs := testing.AllocsPerRun(200, func() {
-			dec.Distance(q)
-		})
-		if allocs > 0 {
-			t.Errorf("Decoder.Distance (budget %d) steady-state allocs/op = %g, want 0", budget, allocs)
+	// The scheme's labels share one edge list per level (an 8×8 grid is
+	// saturated throughout), so t's and the fault's are skipped; the deep
+	// copies share nothing and are all scanned.
+	for _, q := range []*Query{q, unsharedQuery(q)} {
+		var tr Trace
+		dec.DistanceWithTrace(q, &tr)          // size the scratch
+		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
+			q.Budget = budget
+			allocs := testing.AllocsPerRun(200, func() {
+				dec.Distance(q)
+			})
+			if allocs > 0 {
+				t.Errorf("Decoder.Distance (budget %d, %d levels skipped) steady-state allocs/op = %g, want 0",
+					budget, tr.SharedLevelsSkipped, allocs)
+			}
 		}
 	}
 	if res := dec.DistanceRobust(q); !res.BudgetExhausted {
@@ -168,6 +179,25 @@ func TestConcurrentLabelDistanceStress(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
+	// Bulk extraction beside the single lookups: both hand out the store's
+	// one edge list per saturated level (wholeEdges), built by whoever
+	// comes first.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		all := make([]int, n)
+		for v := range all {
+			all[v] = v
+		}
+		for i := 0; i < 3; i++ {
+			for v, l := range s.Labels(all) {
+				if buf, nbits := l.Encode(); string(buf[:(nbits+7)/8]) != string(wantBytes[v]) {
+					t.Errorf("bulk label %d not bit-identical under concurrency", v)
+					return
+				}
+			}
+		}
+	}()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
@@ -202,5 +232,46 @@ func TestConcurrentLabelDistanceStress(t *testing.T) {
 
 	if hits, misses := s.LabelCacheStats(); hits == 0 || misses == 0 {
 		t.Errorf("cache stats (hits=%d, misses=%d) show no churn — stress ineffective", hits, misses)
+	}
+}
+
+var benchSharedSink int64
+
+// BenchmarkDecodeSharedLevels is one query — grid 24×24, corner to
+// corner, |F| vertex faults — over labels that share their level lists
+// (the scheme's: a 24×24 grid is saturated at every level) and over deep
+// copies that share nothing. The gap is what scanOwners' skip buys: the
+// unshared decode walks the same 26.8 k-edge lists once per owner.
+func BenchmarkDecodeSharedLevels(b *testing.B) {
+	g := gridGraph(b, 24, 24)
+	s, err := BuildScheme(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s.SetCacheLimit(4096)
+	for _, nf := range []int{0, 4, 16} {
+		f := graph.NewFaultSet()
+		for i := 0; i < nf; i++ {
+			f.AddVertex(25 + 33*i)
+		}
+		q, err := s.NewQuery(0, 575, f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, v := range []struct {
+			name string
+			q    *Query
+		}{{"shared", q}, {"unshared", unsharedQuery(q)}} {
+			b.Run(fmt.Sprintf("F=%d/%s", nf, v.name), func(b *testing.B) {
+				dec := NewDecoder()
+				defer dec.Release()
+				dec.Distance(v.q)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSharedSink, _ = dec.Distance(v.q)
+				}
+			})
+		}
 	}
 }

@@ -99,18 +99,25 @@ func TestBudgetBoundaries(t *testing.T) {
 	degraded.DegradedEdgeFaults = [][2]int32{{9, 10}}
 	ring := newPatchedRing(t, 256)
 
-	for _, tc := range []struct {
+	type budgetCase struct {
 		name    string
 		q       *Query
 		patches []PatchEdge
-	}{
-		{"faultfree", gridQuery(nil), nil},
+		shared  bool // scheme labels: every owner after s carries lists s already had scanned
+	}
+	cases := []budgetCase{
+		{"faultfree", gridQuery(nil), nil, true},
 		// The last owner is forbidden, so the scan ends on an edge list.
-		{"vfaults", gridQuery(graph.FaultVertices(27, 36)), nil},
-		{"mixed", gridQuery(mixed), nil},
-		{"degraded", degraded, nil},
-		{"patched", ring.query(t, 3, 120, graph.FaultVertices(60, 61)), ring.patches([2]int{5, 118}, [2]int{9, 40})},
-	} {
+		{"vfaults", gridQuery(graph.FaultVertices(27, 36)), nil, true},
+		{"mixed", gridQuery(mixed), nil, true},
+		{"degraded", degraded, nil, true},
+		{"patched", ring.query(t, 3, 120, graph.FaultVertices(60, 61)), ring.patches([2]int{5, 118}, [2]int{9, 40}), true},
+	}
+	// The same walks with nothing shared between the labels.
+	for _, c := range cases {
+		cases = append(cases, budgetCase{c.name + "+unshared", unsharedQuery(c.q), unsharedPatches(c.patches), false})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dec := NewDecoder()
 			defer dec.Release()
@@ -140,6 +147,11 @@ func TestBudgetBoundaries(t *testing.T) {
 					mids[kind] = true
 					budgets = append(budgets, end+s.n/2)
 				}
+				if !s.ball && s.n >= 2 {
+					// The middle of every edge list: past the first owner
+					// these are the lists a shared decode would skip.
+					budgets = append(budgets, end+s.n/2)
+				}
 				end += s.n
 				budgets = append(budgets, end)
 			}
@@ -167,10 +179,25 @@ func TestBudgetBoundaries(t *testing.T) {
 					t.Fatal(err)
 				}
 				edges := slices.Clone(sc.edges)
+				// What is on record as scanned (and so skippable) was
+				// scanned: a list the budget cut is recorded as cut.
+				recorded := 0
+				for _, lists := range sc.scanned {
+					for _, l := range lists {
+						recorded += len(l.edges)
+					}
+				}
+				if recorded > budget {
+					t.Errorf("budget %d: edge lists of %d entries recorded as scanned", budget, recorded)
+				}
 				if dist != wantDist || exh != wantExh || !reflect.DeepEqual(edges, wantEdges) {
 					t.Errorf("budget %d: (δ=%d, exhausted=%v, %d edges), reference (%d, %v, %d edges)",
 						budget, dist, exh, len(edges), wantDist, wantExh, len(wantEdges))
 				}
+				if !tc.shared && got.SharedLevelsSkipped != 0 || tc.shared && budget >= work && got.SharedLevelsSkipped == 0 {
+					t.Errorf("budget %d: %d levels skipped (labels shared: %v)", budget, got.SharedLevelsSkipped, tc.shared)
+				}
+				got.SharedLevelsSkipped = 0 // the reference has no such field
 				if !reflect.DeepEqual(&got, &want) {
 					t.Errorf("budget %d: trace diverges:\n got %+v\nwant %+v", budget, got, want)
 				}

@@ -305,6 +305,12 @@ type decodeScratch struct {
 	// load + AND per edge.
 	maskL []uint64
 	maskR []uint64
+	// nearest[fi*numLevels+k] is center fi's nearest net point of level
+	// index k (nearestNetPoint), the pivot of mayBeInPB's certificate.
+	nearest []PointEntry
+	// scanned[k] lists the distinct edge lists walked so far at level
+	// index k in this decode (see seenBefore).
+	scanned [][]scannedList
 	// cmbX/cmbM/cmbOff hold the per-level combined protected-ball lists:
 	// for level index k, cmbX[cmbOff[k]:cmbOff[k+1]] is the sorted set of
 	// vertices inside any center's PB, with cmbM[j*W:…] the W-word center
@@ -369,6 +375,10 @@ func (sc *decodeScratch) dropRefs() {
 	sc.vf = sc.vf[:0]
 	clear(sc.ef[:cap(sc.ef)])
 	sc.ef = sc.ef[:0]
+	for k := range sc.scanned {
+		clear(sc.scanned[k][:cap(sc.scanned[k])])
+		sc.scanned[k] = sc.scanned[k][:0]
+	}
 }
 
 // DecoderPoolStats reports the global decode-scratch pool counters. Gets

@@ -107,8 +107,24 @@ func FuzzQueryDistance(f *testing.F) {
 			return
 		}
 		q := &Query{S: ls, T: lt, VertexFaults: []*Label{lf}}
-		q.Distance() // must not panic; the answer is unspecified for corrupt labels
+		d, ok := q.Distance() // must not panic; the answer is unspecified for corrupt labels
+		// The seed's 5×5 grid is saturated at every level, so interning
+		// makes the three labels share whatever lists the mutation left
+		// equal — and sharing must not change the answer, whatever it is.
+		internAll(ls, lt, lf)
+		if sd, sok := q.Distance(); sd != d || sok != ok {
+			t.Fatalf("interned labels answer (%d,%v), private ones (%d,%v)", sd, sok, d, ok)
+		}
 	})
+}
+
+// internAll runs the labels through one table that admits at first
+// sight, so equal level lists among them end up shared.
+func internAll(labels ...*Label) {
+	table := NewLevelCensus()
+	for _, l := range labels {
+		table.Intern(l)
+	}
 }
 
 // FuzzDecodePath feeds the path-reporting decoder the same corrupt-label
@@ -145,6 +161,7 @@ func FuzzDecodePath(f *testing.F) {
 		if err != nil {
 			return
 		}
+		internAll(ls, lt, lf) // shared level lists, as served labels have
 		q := &Query{S: ls, T: lt, VertexFaults: []*Label{lf}}
 		var dec Decoder
 		defer dec.Release()

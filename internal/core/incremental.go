@@ -143,10 +143,7 @@ func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers 
 	st := &levelStore{params: p, g: g, h: h, netLevel: h.NetLevels()}
 	n := g.NumVertices()
 	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
-		st.levels = append(st.levels, storeLevel{
-			level:  level,
-			netLvl: int32(clampNetLevel(h, p.NetLevel(level))),
-		})
+		st.levels = append(st.levels, newStoreLevel(h, p, level))
 	}
 	netOld := prevStore.netLevel
 

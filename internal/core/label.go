@@ -25,7 +25,10 @@ import (
 // re-validates the ones it touches), so modifying a validated label in
 // place — or a struct copy of one, which carries the verdict along —
 // leaves that verdict standing over contents it no longer describes.
-// Build a changed label as a new Label value instead.
+// Build a changed label as a new Label value instead. The rule covers the
+// backing arrays too: Levels[k].Edges may be one array that many labels
+// hold (a scheme's saturated levels, a store's or frontend's interned
+// lists — see LevelTable), so writing through it rewrites all of them.
 type Label struct {
 	// V is the labeled vertex.
 	V int32
@@ -212,7 +215,10 @@ func newExtractScratch(n int) *extractScratch {
 // extractLabel materializes the label of v from the shared store: one
 // truncated BFS of radius r_ℓ per level discovers the ball (points and
 // their distances); edges are then read off the store's CSR net graph
-// (or, at the lowest level, off the original graph).
+// (or, at the lowest level, off the original graph). A saturated ball —
+// every net point of the level is inside it — induces the whole level
+// graph, which is the same edge list for every such vertex: the label
+// takes the store's one copy (wholeEdges) instead of deriving its own.
 func (st *levelStore) extractLabel(v int, sc *extractScratch) *Label {
 	p := st.params
 	l := &Label{
@@ -234,35 +240,65 @@ func (st *levelStore) extractLabel(v int, sc *extractScratch) *Label {
 			}
 		})
 		slices.SortFunc(pts, func(a, b PointEntry) int { return cmp.Compare(a.X, b.X) })
-		sc.inBall.reset()
-		for i, pe := range pts {
-			sc.inBall.getOrPut(pe.X, int32(i))
-		}
-		edges := sc.edges[:0]
-		if level == p.LowestLevel() {
-			// Original graph edges with both endpoints inside the ball.
-			for i, pe := range pts {
-				for _, w := range st.g.Neighbors(int(pe.X)) {
-					j, ok := sc.inBall.lookup(w)
-					if ok && int32(i) < j {
-						edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: 1})
-					}
-				}
-			}
+		var edges []EdgeEntry
+		if len(pts) == len(st.h.Level(int(sl.netLvl))) {
+			edges = st.wholeEdges(k)
 		} else {
-			for i, pe := range pts {
-				for _, nb := range sl.row(pe.X) {
-					j, ok := sc.inBall.lookup(nb.x)
-					if ok && int32(i) < j {
-						edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: nb.d})
-					}
-				}
-			}
+			sc.edges = st.inducedEdges(k, pts, &sc.inBall, sc.edges[:0])
+			edges = exactCopy(sc.edges)
 		}
-		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: exactCopy(edges)}
-		sc.pts, sc.edges = pts[:0], edges[:0]
+		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: edges}
+		sc.pts = pts[:0]
 	}
 	return l
+}
+
+// inducedEdges appends to edges the level-k edges between the points of
+// pts (ascending by X), as indices into pts: the store's net-graph rows
+// or, at the lowest level, the original graph's adjacency, restricted to
+// the ball. inBall is scratch for the vertex → index map.
+func (st *levelStore) inducedEdges(k int, pts []PointEntry, inBall *i32map, edges []EdgeEntry) []EdgeEntry {
+	inBall.reset()
+	for i, pe := range pts {
+		inBall.getOrPut(pe.X, int32(i))
+	}
+	if k == 0 {
+		for i, pe := range pts {
+			for _, w := range st.g.Neighbors(int(pe.X)) {
+				j, ok := inBall.lookup(w)
+				if ok && int32(i) < j {
+					edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: 1})
+				}
+			}
+		}
+		return edges
+	}
+	sl := &st.levels[k]
+	for i, pe := range pts {
+		for _, nb := range sl.row(pe.X) {
+			j, ok := inBall.lookup(nb.x)
+			if ok && int32(i) < j {
+				edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: nb.d})
+			}
+		}
+	}
+	return edges
+}
+
+// wholeEdges returns the edge list of level index k induced on all of the
+// level's net points, built on first use.
+func (st *levelStore) wholeEdges(k int) []EdgeEntry {
+	w := st.levels[k].whole
+	w.once.Do(func() {
+		members := st.h.Level(int(st.levels[k].netLvl))
+		pts := make([]PointEntry, len(members))
+		for i, x := range members {
+			pts[i].X = x
+		}
+		var inBall i32map
+		w.edges = exactCopy(st.inducedEdges(k, pts, &inBall, nil))
+	})
+	return w.edges
 }
 
 // exactCopy returns a copy of s sized exactly to its length (nil for
@@ -318,6 +354,12 @@ func (l *Label) Encode() ([]byte, int) {
 // DecodeLabel parses a label serialized by Encode. nbits is the exact bit
 // length returned by Encode.
 func DecodeLabel(buf []byte, nbits int) (*Label, error) {
+	return decodeLabel(buf, nbits, nil)
+}
+
+// decodeLabel is DecodeLabel taking each level's edge slice from alloc
+// (nil: a fresh allocation) — see LevelTable.Parse.
+func decodeLabel(buf []byte, nbits int, alloc func(n int) []EdgeEntry) (*Label, error) {
 	r := bitio.NewReader(buf, nbits)
 	l := &Label{}
 	v, err := r.ReadUvarint()
@@ -387,7 +429,12 @@ func DecodeLabel(buf []byte, nbits int) (*Label, error) {
 		if ne > uint64(r.Remaining()) {
 			return nil, fmt.Errorf("core: decode level %d: edge count %d exceeds payload", k, ne)
 		}
-		edges := make([]EdgeEntry, ne)
+		var edges []EdgeEntry
+		if alloc != nil {
+			edges = alloc(int(ne))
+		} else {
+			edges = make([]EdgeEntry, ne)
+		}
 		var prevXI, prevYI int64
 		for i := range edges {
 			dx, err := r.ReadGamma()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -253,6 +254,13 @@ func (c *patchCase) checkPatched(t *testing.T, g *graph.Graph, dec *Decoder, wha
 	got, path := dec.DistanceRobustPatchedPath(c.q, c.patches, nil)
 	if plain := dec.DistanceRobustPatched(c.q, c.patches); !reflect.DeepEqual(got, plain) {
 		t.Fatalf("%s: path variant %+v != plain %+v", what, got, plain)
+	}
+	// Sharing level lists between the labels changes nothing: the same
+	// query over private copies gives the same answer, walk and sketch.
+	sketch := slices.Clone(dec.scratch().edges)
+	ugot, upath := dec.DistanceRobustPatchedPath(unsharedQuery(c.q), unsharedPatches(c.patches), nil)
+	if !reflect.DeepEqual(ugot, got) || !slices.Equal(upath, path) || !slices.Equal(dec.scratch().edges, sketch) {
+		t.Fatalf("%s: over unshared labels %+v %v, over the scheme's %+v %v", what, ugot, upath, got, path)
 	}
 	if !got.OK {
 		return got
@@ -666,6 +674,11 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 			chords = append(chords, [2]int{5 + 7*i, 118 + 5*i})
 		}
 		patches := r.patches(chords...)
+		if k == 4 {
+			// Once over private copies: the scheme's labels share their
+			// saturated upper levels, these share nothing.
+			q, patches = unsharedQuery(q), unsharedPatches(patches)
+		}
 		run := func() {
 			res, path := dec.DistanceRobustPatchedPath(q, patches, buf[:0])
 			buf = path

@@ -193,7 +193,7 @@ func LoadScheme(r io.Reader) (*Scheme, error) {
 
 	st := &levelStore{params: params, g: g, h: h, netLevel: h.NetLevels()}
 	for level := params.LowestLevel(); level <= params.MaxLevel; level++ {
-		sl := storeLevel{level: level, netLvl: int32(clampNetLevel(h, params.NetLevel(level)))}
+		sl := newStoreLevel(h, params, level)
 		if level > params.LowestLevel() {
 			// The stream lists net points in increasing vertex order, so
 			// the CSR arrays assemble in one pass.

@@ -179,6 +179,12 @@ type Trace struct {
 	// PathWeights the corresponding edge weights. Empty when disconnected.
 	Path        []int32
 	PathWeights []int64
+	// SharedLevelsSkipped counts the owner levels whose edge list the
+	// decoder did not walk because an identical list — the same interned
+	// array over the same net points (LevelTable) — had been scanned for
+	// an earlier owner. Their candidates are tallied above as if scanned:
+	// this is the only field that tells shared labels from private ones.
+	SharedLevelsSkipped int
 }
 
 // Distance decodes the query: it assembles the sketch graph H from the
@@ -507,12 +513,20 @@ func (sc *decodeScratch) buildBallMasks(q *Query, W int) {
 	}
 	sc.ompbW = sc.ompbW[:nOW]
 	clear(sc.ompbW)
+	// A center's nearest net point depends on (center, level) only: found
+	// once here, not once per owner inside mayBeInPB.
+	sc.nearest = sc.nearest[:0]
+	for _, f := range sc.centers {
+		for k := 0; k < numLevels; k++ {
+			sc.nearest = append(sc.nearest, nearestNetPoint(f, lowest+k))
+		}
+	}
 	for oi, o := range sc.owners {
 		base := oi * numLevels * W
 		for fi, f := range sc.centers {
 			word, bit := fi>>6, uint64(1)<<(fi&63)
 			for k := 0; k < numLevels; k++ {
-				if mayBeInPB(o, f, lowest+k) {
+				if mayBeInPBVia(o, f, lowest+k, sc.nearest[fi*numLevels+k]) {
 					sc.ompbW[base+k*W+word] |= bit
 				}
 			}
@@ -532,11 +546,25 @@ func (sc *decodeScratch) buildBallMasks(q *Query, W int) {
 // admitted is the growth of sc.cand across the level, rejected the rest
 // of what was scanned. A budgeted or traced decode therefore runs the
 // same loops as the serving path.
+//
+// Admission of a stored edge {x,y} at level ℓ reads (ℓ, x, y, F) and
+// nothing of the owner, so an edge list that was already walked — the
+// same array, cut to the same length, over the same net points — can
+// only re-emit (key, w, lv)-identical candidates that the stable sort
+// and strict minimum of dedupCands drop again. Such a list is charged
+// and tallied as if scanned (seenBefore) and not walked; the sketch, the
+// path, exhausted and the trace come out bit for bit the same.
 func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) (exhausted bool) {
 	lowest, numLevels := q.S.C+1, len(q.S.Levels)
 	room := math.MaxInt
 	if q.Budget > 0 {
 		room = q.Budget
+	}
+	for len(sc.scanned) < numLevels {
+		sc.scanned = append(sc.scanned, nil)
+	}
+	for k := range sc.scanned {
+		sc.scanned[k] = sc.scanned[k][:0]
 	}
 	for oi, o := range sc.owners {
 		oForbidden := containsSorted(sc.fvList, o.V)
@@ -555,8 +583,16 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 				edges, exhausted = edges[:room], true
 			}
 			scanned := len(edges)
+			// reused counts the candidates an earlier scan of this very
+			// list left in sc.cand.
+			first, reused := sc.seenBefore(k, pts, edges), 0
 
 			switch {
+			case first != nil:
+				reused = first.admitted
+				if tr != nil {
+					tr.SharedLevelsSkipped++
+				}
 			case k == 0:
 				// Unit-weight original graph edges: admitted when neither
 				// endpoint nor the edge itself is forbidden. Forbidden-edge
@@ -631,6 +667,9 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
 				}
 			}
+			if first == nil && len(edges) > 0 {
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, admitted: len(sc.cand) - before})
+			}
 
 			// Edges from the labeled vertex itself to nearby points
 			// ("between v and the net-points"), protected-ball checked at
@@ -675,13 +714,49 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 
 			room -= scanned
 			if tr != nil {
-				admitted := len(sc.cand) - before
+				admitted := len(sc.cand) - before + reused
 				tr.AdmittedPerLevel[k] += admitted
 				tr.RejectedPerLevel[k] += scanned - admitted
 			}
 		}
 	}
 	return exhausted
+}
+
+// scannedList is an owner level's edge list as scanOwners walked it —
+// after the budget cut, so a truncated walk only ever matches the same
+// truncation — with the points its indices refer to and the number of
+// candidates the walk admitted.
+type scannedList struct {
+	pts      []PointEntry
+	edges    []EdgeEntry
+	admitted int
+}
+
+// seenBefore returns the earlier scan at level index k of this same edge
+// list: the same backing array and length, over points with the same
+// ids. Identity, not equality — comparing contents would touch the very
+// memory the skip exists to leave alone — but the ids are compared one
+// by one, because two hand-built labels may alias one Edges array over
+// different points.
+func (sc *decodeScratch) seenBefore(k int, pts []PointEntry, edges []EdgeEntry) *scannedList {
+	if len(edges) == 0 {
+		return nil
+	}
+next:
+	for i := range sc.scanned[k] {
+		s := &sc.scanned[k][i]
+		if &s.edges[0] != &edges[0] || len(s.edges) != len(edges) || len(s.pts) != len(pts) {
+			continue
+		}
+		for j := range pts {
+			if pts[j].X != s.pts[j].X {
+				continue next
+			}
+		}
+		return s
+	}
+	return nil
 }
 
 // wordsMeet reports whether two equally long center bitmasks share a set
@@ -951,23 +1026,35 @@ func containsSorted[T cmp.Ordered](s []T, v T) bool {
 // which is precisely when the stretch analysis requires owner edges to be
 // admitted (μ_ℓ − 2·(2^{ℓ-c-1}−1) = λ_ℓ + 2 > λ_ℓ).
 func mayBeInPB(o, f *Label, level int) bool {
-	lambda := lambdaOf(level)
-	if d, ok := o.DistTo(level, o.V); ok && d == 0 {
-		return f.InProtectedBall(level, o.V)
-	}
+	return mayBeInPBVia(o, f, level, nearestNetPoint(f, level))
+}
+
+// nearestNetPoint returns the entry of f's level-ℓ ball nearest to f (the
+// first such in id order), or X = -1 when f has no such level or an
+// empty ball there.
+func nearestNetPoint(f *Label, level int) PointEntry {
 	k := level - f.C - 1
-	if k < 0 || k >= len(f.Levels) {
-		return true
+	if k < 0 || k >= len(f.Levels) || len(f.Levels[k].Points) == 0 {
+		return PointEntry{X: -1}
 	}
 	pts := f.Levels[k].Points
-	if len(pts) == 0 {
-		return true
-	}
 	m := pts[0]
 	for _, pe := range pts[1:] {
 		if pe.D < m.D {
 			m = pe
 		}
+	}
+	return m
+}
+
+// mayBeInPBVia is mayBeInPB given m = nearestNetPoint(f, level).
+func mayBeInPBVia(o, f *Label, level int, m PointEntry) bool {
+	lambda := lambdaOf(level)
+	if d, ok := o.DistTo(level, o.V); ok && d == 0 {
+		return f.InProtectedBall(level, o.V)
+	}
+	if m.X < 0 {
+		return true
 	}
 	do, ok := o.DistTo(level, m.X)
 	if !ok {

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"fsdl/internal/graph"
@@ -418,7 +420,83 @@ func referenceCorpus(t *testing.T, s *Scheme, g *graph.Graph, rng *rand.Rand) []
 		qa.UnsafeIgnoreProtectedBalls = true
 		cases = append(cases, referenceCase{name + "+ablated", qa})
 	}
+	if qa := aliasedEdgesQuery(s, n); qa != nil {
+		cases = append(cases, referenceCase{"aliased", qa})
+	} else if n >= 800 {
+		t.Fatalf("no two labels of a %d-vertex graph have equally large, different balls", n)
+	}
+	// Every case once more with nothing shared: scheme labels hold one
+	// edge list per saturated level between them, these hold a private
+	// copy each, and the decoder must not be able to tell.
+	for _, c := range cases {
+		cases = append(cases, referenceCase{c.name + "+unshared", unsharedQuery(c.q)})
+	}
 	return cases
+}
+
+// unsharedLabel returns a deep copy of l: equal content, no backing
+// array in common with l or with any other label.
+func unsharedLabel(l *Label) *Label {
+	if l == nil {
+		return nil
+	}
+	c := *l
+	c.Levels = make([]LevelLabel, len(l.Levels))
+	for k, lv := range l.Levels {
+		c.Levels[k] = LevelLabel{Points: slices.Clone(lv.Points), Edges: slices.Clone(lv.Edges)}
+	}
+	return &c
+}
+
+// unsharedQuery returns q over deep copies of its labels.
+func unsharedQuery(q *Query) *Query {
+	u := *q
+	u.S, u.T = unsharedLabel(q.S), unsharedLabel(q.T)
+	u.VertexFaults = nil
+	for _, f := range q.VertexFaults {
+		u.VertexFaults = append(u.VertexFaults, unsharedLabel(f))
+	}
+	u.EdgeFaults = nil
+	for _, ef := range q.EdgeFaults {
+		u.EdgeFaults = append(u.EdgeFaults, [2]*Label{unsharedLabel(ef[0]), unsharedLabel(ef[1])})
+	}
+	return &u
+}
+
+// unsharedPatches returns the patches over deep copies of their labels.
+func unsharedPatches(patches []PatchEdge) []PatchEdge {
+	var out []PatchEdge
+	for _, p := range patches {
+		out = append(out, PatchEdge{U: unsharedLabel(p.U), V: unsharedLabel(p.V)})
+	}
+	return out
+}
+
+// aliasedEdgesQuery builds what no table or scheme produces but a caller
+// may: two labels whose level k shares one Edges array over different
+// point sets (equally many points, so the indices stay in range and both
+// labels validate). The second owner's scan of that array yields other
+// candidates than the first's, so a decoder that skipped it on the
+// array's address alone would lose sketch edges. nil when every pair of
+// balls in the scheme is either equal or differently sized.
+func aliasedEdgesQuery(s *Scheme, n int) *Query {
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < min(n, u+40); v++ {
+			lu, lv := s.Label(u), s.Label(v)
+			for k := range lu.Levels {
+				a, b := lu.Levels[k], lv.Levels[k]
+				if len(a.Edges) == 0 || len(a.Points) != len(b.Points) ||
+					slices.EqualFunc(a.Points, b.Points, func(p, q PointEntry) bool { return p.X == q.X }) {
+					continue
+				}
+				la, lb := unsharedLabel(lu), unsharedLabel(lv)
+				lb.Levels[k].Edges = la.Levels[k].Edges
+				lb.validated = 0
+				return &Query{S: la, T: lb}
+			}
+		}
+	}
+	return nil
 }
 
 // TestDecodeMatchesReference verifies the scratch-based decode is
@@ -438,6 +516,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		skipped := 0
 		for _, tc := range referenceCorpus(t, s, g, rng) {
 			wantTr := &Trace{}
 			wantDist, wantEdges, _, wantExh, wantErr := referenceDecode(tc.q, wantTr)
@@ -448,6 +527,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 			gotEdges := append([]SketchEdge{}, sc.edges...)
 			gotCenters := len(sc.centers)
 			putScratch(sc)
+			// The one trace field the reference does not have: nothing to
+			// skip where nothing is shared, and nothing else may differ.
+			if strings.HasSuffix(tc.name, "+unshared") && gotTr.SharedLevelsSkipped != 0 {
+				t.Errorf("%s/%s: %d levels skipped with no list shared", gname, tc.name, gotTr.SharedLevelsSkipped)
+			}
+			skipped += gotTr.SharedLevelsSkipped
+			gotTr.SharedLevelsSkipped = 0
 			// A "centers<N>" case must reach the scan loop it was built for.
 			var wantCenters int
 			if _, err := fmt.Sscanf(tc.name, "centers%d", &wantCenters); err == nil && gotCenters != wantCenters {
@@ -480,6 +566,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 			if wantDist >= 0 && (!ok || d != wantDist) {
 				t.Errorf("%s/%s: Distance = (%d,%v), want (%d,true)", gname, tc.name, d, ok, wantDist)
 			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: no owner level was ever skipped — the shared half of the corpus shares nothing", gname)
 		}
 	}
 }

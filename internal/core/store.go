@@ -41,6 +41,23 @@ type storeLevel struct {
 	netLvl  int32 // clamped hierarchy level whose net points this level uses
 	off     []int64
 	entries []pointDist
+	// whole is the edge list of a saturated ball — one holding every net
+	// point of the level — which is the same list for every vertex: built
+	// once, on first use, and shared by every label extracted after.
+	whole *wholeLevel
+}
+
+type wholeLevel struct {
+	once  sync.Once
+	edges []EdgeEntry
+}
+
+func newStoreLevel(h *nets.Hierarchy, p Params, level int) storeLevel {
+	return storeLevel{
+		level:  level,
+		netLvl: int32(clampNetLevel(h, p.NetLevel(level))),
+		whole:  new(wholeLevel),
+	}
 }
 
 // row returns the net-graph adjacency of net point v, sorted by vertex id.
@@ -82,10 +99,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *level
 	st := &levelStore{params: p, g: g, h: h, netLevel: h.NetLevels()}
 	n := g.NumVertices()
 	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
-		st.levels = append(st.levels, storeLevel{
-			level:  level,
-			netLvl: int32(clampNetLevel(h, p.NetLevel(level))),
-		})
+		st.levels = append(st.levels, newStoreLevel(h, p, level))
 	}
 
 	// Global task queue over every net-graph BFS, highest level first.

@@ -115,17 +115,30 @@ func TestDecodedCacheConcurrentTouch(t *testing.T) {
 	}
 	defer st.Close()
 	st.SetDecodedCacheCapacity(16)
+	// Every label comes back with its level lists interned — or not, when
+	// the table was just dropped under it — and is the stored record
+	// either way.
+	want := make([][]byte, 36)
+	for v := range want {
+		want[v], _ = s.Label(v).Encode()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if _, err := st.Label((i*7 + w) % 36); err != nil {
+				v := (i*7 + w) % 36
+				l, err := st.Label(v)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if i == 100 && w == 0 {
+				if got, _ := l.Encode(); !bytes.Equal(got, want[v]) {
+					t.Errorf("label %d read beside DropCaches is not the stored record", v)
+					return
+				}
+				if i%50 == 0 && w == 0 {
 					st.DropCaches()
 				}
 			}

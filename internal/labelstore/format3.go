@@ -171,6 +171,12 @@ func encodeRecord3(l *core.Label, w *bitio.Writer) error {
 // label. The payload is byte-padded (records sit at byte offsets), so
 // after the structure is consumed only sub-byte zero padding may remain.
 func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
+	return parseRecord3(payload, v, p, nil)
+}
+
+// parseRecord3 is decodeRecord3 taking each level's edge slice from alloc
+// (nil: a fresh allocation) — see core.LevelTable.Parse.
+func parseRecord3(payload []byte, v int32, p rec3Params, alloc func(n int) []core.EdgeEntry) (*core.Label, error) {
 	if !p.set {
 		return nil, fmt.Errorf("labelstore: compressed record without store parameters")
 	}
@@ -233,7 +239,12 @@ func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
 		if k > 0 && ne > 0 && dBits > 31 {
 			return nil, fmt.Errorf("labelstore: level %d edge width %d bits implausible", k, dBits)
 		}
-		edges := make([]core.EdgeEntry, ne)
+		var edges []core.EdgeEntry
+		if alloc != nil {
+			edges = alloc(int(ne))
+		} else {
+			edges = make([]core.EdgeEntry, ne)
+		}
 		var prevXI, prevYI int64
 		for i := range edges {
 			dx, err := r.ReadGamma()

@@ -188,6 +188,11 @@ type Store struct {
 	cache       *lru.Cache[int32, *core.Label]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
+	// levels interns the level edge lists of every label Label parses, as
+	// part of the parse: labels whose balls hold the same net points
+	// share one list instead of each holding a copy. It is sized by the
+	// decoded LRU and emptied with it (DropCaches).
+	levels *core.LevelTable
 	// touched has one bit per vertex, set by the first Label decode of
 	// that vertex. The decoded LRU admits a label only from its second
 	// decode on: a vertex looked up once (a random query endpoint) costs
@@ -214,6 +219,7 @@ func newStore(n int, count uint64) *Store {
 		format: 2,
 		labels: make(map[int32]record, min(count, 1<<16)),
 		cache:  lru.New[int32, *core.Label](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) }),
+		levels: core.NewLevelTable(DefaultDecodedCacheSize),
 	}
 }
 
@@ -255,6 +261,12 @@ func (st *Store) touch(v int) bool {
 // counts.
 func (st *Store) LabelCacheStats() (hits, misses int64) {
 	return st.cacheHits.Load(), st.cacheMisses.Load()
+}
+
+// LevelTableStats reports how many level edge lists of parsed labels were
+// replaced by a shared copy, and how many shared lists the store holds.
+func (st *Store) LevelTableStats() (interned int64, lists int) {
+	return st.levels.Stats()
 }
 
 // Load reads an FSDL2 stream. It is strict: any framing error or
@@ -439,7 +451,8 @@ func (st *Store) SizeBits() int64 {
 
 // Label decodes the label of v, serving repeated lookups from the
 // decoded-label cache. The returned label is shared and must not be
-// mutated.
+// mutated — and neither may its level edge lists, which other labels of
+// this store may share (core.LevelTable).
 func (st *Store) Label(v int) (*core.Label, error) {
 	if l, ok := st.cache.Get(int32(v)); ok {
 		st.cacheHits.Add(1)
@@ -451,7 +464,7 @@ func (st *Store) Label(v int) (*core.Label, error) {
 	st.mu.RUnlock()
 	if ok {
 		var err error
-		if l, err = core.DecodeLabel(rec.data, rec.bits); err != nil {
+		if l, err = st.levels.DecodeLabel(rec.data, rec.bits); err != nil {
 			return nil, err
 		}
 	} else if st.f3 != nil {

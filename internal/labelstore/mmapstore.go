@@ -466,18 +466,21 @@ func (st *Store) SetDecodedCacheCapacity(capacity int) {
 		capacity = 1
 	}
 	st.cache = lru.New[int32, *core.Label](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
+	st.levels = core.NewLevelTable(capacity)
 	st.admit(capacity)
 	if st.rawCache != nil {
 		st.rawCache = lru.New[int32, record](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
 	}
 }
 
-// DropCaches empties the decoded-label LRU and the transcoded-record
-// LRU, for a store that has been swapped out of service. Safe beside
-// concurrent lookups: labels already handed out stay valid, later
-// lookups decode from the records again.
+// DropCaches empties the decoded-label LRU, its table of shared level
+// lists and the transcoded-record LRU, for a store that has been swapped
+// out of service. Safe beside concurrent lookups: labels already handed
+// out stay valid (they keep the lists they share), later lookups decode
+// from the records again.
 func (st *Store) DropCaches() {
 	st.cache.Flush()
+	st.levels.Reset()
 	st.rawCache.Flush()
 }
 
@@ -522,7 +525,8 @@ func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	return rec.bits, rec.data, true
 }
 
-// label3 decodes the label of v from the FSDL3 backing.
+// label3 decodes the label of v from the FSDL3 backing, its level lists
+// interned in the store's table.
 func (st *Store) label3(v int32) (*core.Label, error) {
 	bits, payload, ok := st.f3.storedPayload(v)
 	if !ok {
@@ -531,15 +535,15 @@ func (st *Store) label3(v int32) (*core.Label, error) {
 		}
 		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 	}
-	if st.f3.hdr.compressed() {
-		l, err := decodeRecord3(payload, v, st.f3.hdr.prm)
-		if err != nil {
-			st.f3.markCorrupt(v)
-			return nil, err
-		}
-		return l, nil
+	var l *core.Label
+	var err error
+	if prm := st.f3.hdr.prm; st.f3.hdr.compressed() {
+		l, err = st.levels.Parse(func(alloc func(int) []core.EdgeEntry) (*core.Label, error) {
+			return parseRecord3(payload, v, prm, alloc)
+		})
+	} else {
+		l, err = st.levels.DecodeLabel(payload, bits)
 	}
-	l, err := core.DecodeLabel(payload, bits)
 	if err != nil {
 		st.f3.markCorrupt(v)
 		return nil, err

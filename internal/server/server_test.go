@@ -445,6 +445,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		"fsdl_label_cache_hits_total",
 		"fsdl_label_cache_misses_total",
 		"fsdl_label_cache_hit_rate",
+		"fsdl_label_levels_interned_total",
+		"fsdl_label_level_lists",
 		"fsdl_decoder_pool_gets_total",
 		"fsdl_decoder_pool_news_total",
 		fmt.Sprintf("fsdl_salvage_records_kept %d", st.NumLabels()),

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 
@@ -21,8 +22,8 @@ import (
 // cluster.Frontend (this package never imports that one; cmd/fsdl-serve
 // is where the compiler checks the two against each other). What a
 // source has nothing to say about it answers with nothing: a nil
-// prefetch, no metrics, a nil health or status fragment. Test fakes
-// embed storeSource and override the method under test.
+// prefetch, a nil health or status fragment. Test fakes embed
+// storeSource and override the method under test.
 type LabelSource interface {
 	NumVertices() int
 	NumLabels() int
@@ -119,9 +120,16 @@ func (s *storeSource) SwapGeneration(_ uint64, st *labelstore.Store, _ []string)
 	return 0, nil
 }
 
-func (s *storeSource) WriteMetrics(*strings.Builder) {}
-func (s *storeSource) HealthJSON() any               { return nil }
-func (s *storeSource) StatusJSON() any               { return nil }
+// WriteMetrics reports the serving store's shared level lists (a
+// frontend reports its own table under the same names).
+func (s *storeSource) WriteMetrics(sb *strings.Builder) {
+	interned, lists := s.st.Load().LevelTableStats()
+	fmt.Fprintf(sb, "# HELP fsdl_label_levels_interned_total Level edge lists of parsed labels replaced by a shared copy.\n# TYPE fsdl_label_levels_interned_total counter\nfsdl_label_levels_interned_total %d\n", interned)
+	fmt.Fprintf(sb, "# HELP fsdl_label_level_lists Shared level edge lists currently held.\n# TYPE fsdl_label_level_lists gauge\nfsdl_label_level_lists %d\n", lists)
+}
+
+func (s *storeSource) HealthJSON() any { return nil }
+func (s *storeSource) StatusJSON() any { return nil }
 
 func (s *storeSource) Join(string, string) (uint64, error) { return 0, errNotCluster }
 func (s *storeSource) Leave(string) (uint64, error)        { return 0, errNotCluster }
