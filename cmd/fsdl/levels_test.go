@@ -12,7 +12,9 @@ import (
 // sharing differs: an 8×8 grid, saturated at every level (one list per
 // level, stored/distinct = n), and a 256-vertex ring lattice, whose
 // lowest-level balls are each vertex's own. A scheme and the containers
-// written from it print the same table.
+// written from it print the same table — the factored one (-format fsdl3
+// -compress) included, whose labels are induced from its level graphs on
+// the way out and whose file holds each of those edges once.
 func TestCLIStatsLevels(t *testing.T) {
 	dir := t.TempDir()
 	grid := filepath.Join(dir, "grid.txt")

@@ -449,9 +449,14 @@ func storeStats(path string, out io.Writer) error {
 	if st.Compressed() {
 		desc += " compressed"
 	}
+	factored := st.Encoding().Factored
+	if factored {
+		desc += ", factored"
+	}
 	if st.Mapped() {
 		desc += ", mmap"
 	}
+	n := st.NumVertices()
 	var (
 		records, corrupt    int
 		stored, canonical   int64
@@ -474,7 +479,6 @@ func storeStats(path string, out io.Writer) error {
 			maxCount = hist[b]
 		}
 	})
-	n := st.NumVertices()
 	fmt.Fprintf(out, "store %s: %s, n=%d vertices, %d records, %d bytes on disk\n",
 		path, desc, n, records, fi.Size())
 	saved := ""
@@ -482,6 +486,12 @@ func storeStats(path string, out io.Writer) error {
 		saved = fmt.Sprintf(" (%.1f%% smaller than canonical)", 100*(1-float64(stored)/float64(canonical)))
 	}
 	fmt.Fprintf(out, "payload: %d stored bytes, %d canonical bytes%s\n", stored, canonical, saved)
+	if lgBytes := st.LevelGraphsBytes(); factored && n > 0 {
+		// A factored file: the level graphs once, then per record only
+		// the balls (the payload above).
+		fmt.Fprintf(out, "level graphs: %d bytes, once per file; balls: %d bytes (%.1f + %.1f bytes/vertex)\n",
+			lgBytes, stored, float64(lgBytes)/float64(n), float64(stored)/float64(n))
+	}
 	fmt.Fprintf(out, "index/framing overhead: %d bytes (%.1f%% of file)\n",
 		st.IndexOverheadBytes(), 100*float64(st.IndexOverheadBytes())/float64(fi.Size()))
 	if n > 0 {

@@ -420,12 +420,16 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"FSDL3 compressed", "bytes/vertex", "index/framing overhead", "record size histogram"} {
+	// A scheme's compressed store is factored: the level graphs once
+	// (20 759 bytes for grid16 at ε = 2), the balls per record, and the
+	// two split per vertex next to the totals.
+	for _, want := range []string{"FSDL3 compressed, factored", "bytes/vertex", "index/framing overhead", "record size histogram",
+		"level graphs: 20759 bytes, once per file; balls: 51089 bytes (81.1 + 199.6 bytes/vertex)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}
 	}
-	if out2, err := runCLI(t, "stats", dbPath); err != nil || !strings.Contains(out2, "FSDL2") {
+	if out2, err := runCLI(t, "stats", dbPath); err != nil || !strings.Contains(out2, "FSDL2") || strings.Contains(out2, "level graphs") {
 		t.Fatalf("stats on FSDL2 store: %v\n%s", err, out2)
 	}
 
@@ -459,8 +463,8 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("open partition %s: %v", path, err)
 		}
-		if ps.Format() != 3 || !ps.Compressed() {
-			t.Fatalf("partition %s: format=%d compressed=%v, want compressed FSDL3", path, ps.Format(), ps.Compressed())
+		if ps.Format() != 3 || !ps.Compressed() || !ps.Encoding().Factored {
+			t.Fatalf("partition %s: format=%d encoding %+v, want a factored compressed FSDL3 like the store it was cut from", path, ps.Format(), ps.Encoding())
 		}
 		for _, v := range ps.Vertices() {
 			wantBits, wantData, ok := orig.Raw(v)

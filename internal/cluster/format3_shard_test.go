@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"testing"
 
+	"fsdl/internal/core"
 	"fsdl/internal/frame"
+	"fsdl/internal/gen"
 	"fsdl/internal/labelstore"
 )
 
@@ -255,4 +257,122 @@ func TestLoadGenerationMmap(t *testing.T) {
 			t.Fatalf("vertex %d differs through the mmap'd generation", v)
 		}
 	}
+}
+
+// TestClusterMixedFactoredShard: three shards at replication 2, shard0
+// serving a factored FSDL3 partition from an mmap (its level graphs
+// carried verbatim out of the full factored store), shard1 and shard2
+// heap FSDL2 partitions of the same scheme. Canonical records are the
+// wire's currency, so the mix must be invisible: every label the
+// frontend fetches is the scheme's, the digests of every replica pair
+// agree, and with the two FSDL2 shards down the factored one alone still
+// serves its whole slice.
+func TestClusterMixedFactoredShard(t *testing.T) {
+	g := gen.Grid2D(8, 8)
+	s, err := core.BuildScheme(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	dir := t.TempDir()
+	fullPath := filepath.Join(dir, "labels.fsdl")
+	f, err := os.Create(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.SaveFormat3(f, s, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	full, err := labelstore.Open(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+
+	nodes := []Node{{Name: "shard0"}, {Name: "shard1"}, {Name: "shard2"}}
+	parts := NewRing(nodes, 2).Partition(n)
+	m := &Membership{Replication: 2}
+	var shards []*ShardServer
+	var stores []*labelstore.Store
+	for i, node := range nodes {
+		var st *labelstore.Store
+		if i == 0 {
+			path := filepath.Join(dir, "shard0.fsdl")
+			pf, err := os.Create(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := full.SaveVerticesFormat3(pf, parts[i], true); err != nil {
+				t.Fatal(err)
+			}
+			pf.Close()
+			if st, err = labelstore.Open(path); err != nil {
+				t.Fatal(err)
+			}
+			if enc := st.Encoding(); !enc.Factored || enc != full.Encoding() {
+				t.Fatalf("shard0's partition is %+v, the full store %+v", enc, full.Encoding())
+			}
+		} else {
+			var buf bytes.Buffer
+			if err := labelstore.Save(&buf, s, parts[i]); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = labelstore.Load(&buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := NewShardServer(ShardConfig{Store: st, Name: node.Name, Mmap: i == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(ln)
+		t.Cleanup(func() { srv.Close() })
+		m.Nodes = append(m.Nodes, Node{Name: node.Name, Addr: ln.Addr().String()})
+		shards, stores = append(shards, srv), append(stores, st)
+	}
+
+	// Replicas of a slice are digest-equal whatever container holds them.
+	for i := range stores {
+		for j := i + 1; j < len(stores); j++ {
+			var both []int32
+			for _, v := range parts[i] {
+				if stores[j].Has(v) {
+					both = append(both, int32(v))
+				}
+			}
+			di, pi, _ := stores[i].DigestVertices(both)
+			dj, pj, _ := stores[j].DigestVertices(both)
+			if di != dj || pi != pj || pi != len(both) {
+				t.Fatalf("shard%d and shard%d disagree on their %d shared records: %08x/%d vs %08x/%d", i, j, len(both), di, pi, dj, pj)
+			}
+		}
+	}
+
+	// A one-label cache: what the second pass reads comes off the wire.
+	fe := newTestFrontend(t, &testCluster{membership: m}, func(cfg *FrontendConfig) { cfg.LabelCacheSize = 1 })
+	check := func(ids []int, when string) {
+		t.Helper()
+		for _, v := range ids {
+			got, err := fe.Label(context.Background(), v)
+			if err != nil {
+				t.Fatalf("%s: Label(%d): %v", when, v, err)
+			}
+			if !bytes.Equal(labelBytes(t, got), labelBytes(t, s.Label(v))) {
+				t.Fatalf("%s: label %d is not the scheme's", when, v)
+			}
+		}
+	}
+	all := make([]int, n)
+	for v := range all {
+		all[v] = v
+	}
+	check(all, "all shards up")
+	shards[1].Close()
+	shards[2].Close()
+	check(parts[0], "factored shard alone")
 }

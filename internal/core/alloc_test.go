@@ -35,7 +35,7 @@ func TestQueryDistanceAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The scheme's labels share their level lists, the copies nothing.
-	for _, q := range []*Query{q, unsharedQuery(q)} {
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel)} {
 		q.Distance() // warm the pool and size the scratch
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, ok := q.Distance(); !ok {
@@ -76,7 +76,7 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	// The scheme's labels share one edge list per level (an 8×8 grid is
 	// saturated throughout), so t's and the fault's are skipped; the deep
 	// copies share nothing and are all scanned.
-	for _, q := range []*Query{q, unsharedQuery(q)} {
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel)} {
 		var tr Trace
 		dec.DistanceWithTrace(q, &tr)          // size the scratch
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
@@ -189,8 +189,8 @@ func TestConcurrentLabelDistanceStress(t *testing.T) {
 		for v := range all {
 			all[v] = v
 		}
-		for i := 0; i < 3; i++ {
-			for v, l := range s.Labels(all) {
+		for workers := 0; workers < 3; workers++ { // 0: every core, as Labels
+			for v, l := range s.LabelsWorkers(all, workers) {
 				if buf, nbits := l.Encode(); string(buf[:(nbits+7)/8]) != string(wantBytes[v]) {
 					t.Errorf("bulk label %d not bit-identical under concurrency", v)
 					return
@@ -261,7 +261,7 @@ func BenchmarkDecodeSharedLevels(b *testing.B) {
 		for _, v := range []struct {
 			name string
 			q    *Query
-		}{{"shared", q}, {"unshared", unsharedQuery(q)}} {
+		}{{"shared", q}, {"unshared", mapQuery(q, unsharedLabel)}} {
 			b.Run(fmt.Sprintf("F=%d/%s", nf, v.name), func(b *testing.B) {
 				dec := NewDecoder()
 				defer dec.Release()

@@ -115,7 +115,7 @@ func TestBudgetBoundaries(t *testing.T) {
 	}
 	// The same walks with nothing shared between the labels.
 	for _, c := range cases {
-		cases = append(cases, budgetCase{c.name + "+unshared", unsharedQuery(c.q), unsharedPatches(c.patches), false})
+		cases = append(cases, budgetCase{c.name + "+unshared", mapQuery(c.q, unsharedLabel), mapPatches(c.patches, unsharedLabel), false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

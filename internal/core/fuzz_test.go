@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"fsdl/internal/graph"
@@ -194,4 +195,82 @@ func gridGraphF(w, h int) *graph.Graph {
 		}
 	}
 	return b.MustBuild()
+}
+
+// FuzzLoadScheme feeds arbitrary bytes to the one codec of the level
+// graphs — LoadLevelGraphs, which a factored container runs on its
+// level-graphs section at open, and LoadScheme on top of it. Neither may
+// fault or size an allocation from an unchecked field; what loads must
+// encode to a fixed point, and every label induced from it — here from
+// the fullest balls there are, every net point of every level — must pass
+// the full Validate walk that LevelGraphs.Label skips.
+func FuzzLoadScheme(f *testing.F) {
+	for _, g := range []*graph.Graph{gridGraphF(6, 5), gridGraphF(1, 40), gridGraphF(1, 1)} {
+		s, err := BuildScheme(g, 2)
+		if err != nil {
+			f.Fatal(err)
+		}
+		good := s.LevelGraphs().Encode()
+		f.Add(good)
+		f.Add(good[:len(good)/2])
+		// Every byte of a small encoding bent once: ids, distances, counts
+		// and header fields all get their turn as seeds.
+		if len(good) < 400 {
+			for i := len(schemeMagic); i < len(good); i++ {
+				bent := append([]byte(nil), good...)
+				bent[i] ^= 0x21
+				f.Add(bent)
+			}
+		}
+	}
+	f.Add([]byte("FSDLS1"))
+	f.Add(append([]byte("FSDLS1"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
+	f.Add([]byte("FSDLS1\x00\x02\x03\x00\xff\xff\xff\x07\x00"))         // n = 2²⁴−1 in nine bytes
+	f.Add([]byte("FSDLS1\x00\x02\xff\xff\xff\xff\xff\xff\xff\x7f\x00")) // a level count that never ends
+	f.Fuzz(func(t *testing.T, data []byte) {
+		lg, err := LoadLevelGraphs(data)
+		if err != nil {
+			if _, err := LoadScheme(bytes.NewReader(data)); err == nil {
+				t.Fatal("LoadScheme accepted what LoadLevelGraphs refused")
+			}
+			return
+		}
+		enc := lg.Encode()
+		again, err := LoadLevelGraphs(enc)
+		if err != nil {
+			t.Fatalf("re-load of the re-encoded level graphs: %v", err)
+		}
+		if !bytes.Equal(again.Encode(), enc) {
+			t.Fatal("encoding is not a fixed point")
+		}
+		if lg.NumVertices() > 256 {
+			return
+		}
+		balls := make([][]PointEntry, len(lg.levels))
+		for k := range balls {
+			for _, x := range lg.NetPoints(k) {
+				balls[k] = append(balls[k], PointEntry{X: x})
+			}
+		}
+		for v := 0; v < lg.NumVertices(); v++ {
+			l, err := lg.Label(int32(v), balls, nil)
+			if err != nil {
+				t.Fatalf("saturated balls of vertex %d refused: %v", v, err)
+			}
+			if err := l.validate(); err != nil {
+				t.Fatalf("induced label of vertex %d fails Validate: %v", v, err)
+			}
+		}
+		s, err := LoadScheme(bytes.NewReader(data))
+		if err != nil {
+			t.Fatalf("LoadScheme refused what LoadLevelGraphs accepted: %v", err)
+		}
+		for _, v := range []int{0, lg.NumVertices() / 2, lg.NumVertices() - 1} {
+			if v >= 0 && v < lg.NumVertices() {
+				if err := s.Label(v).validate(); err != nil {
+					t.Fatalf("extracted label of vertex %d fails Validate: %v", v, err)
+				}
+			}
+		}
+	})
 }

@@ -138,13 +138,10 @@ func BuildSchemeIncremental(prev *Scheme, gNew *graph.Graph, mutated [][2]int32,
 // lists, per level index, the net points whose row content differs (or
 // that had no row before).
 func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers int,
-	prevStore *levelStore, seedOld, seedNew []int32, stats *IncrementalStats) (*levelStore, [][]int32) {
+	prevStore *LevelGraphs, seedOld, seedNew []int32, stats *IncrementalStats) (*LevelGraphs, [][]int32) {
 
-	st := &levelStore{params: p, g: g, h: h, netLevel: h.NetLevels()}
+	st := newLevelGraphs(g, p, h.NetLevels(), h.Level)
 	n := g.NumVertices()
-	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
-		st.levels = append(st.levels, newStoreLevel(h, p, level))
-	}
 	netOld := prevStore.netLevel
 
 	type bfsTask struct {
@@ -155,7 +152,7 @@ func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers 
 	base := make([]int, len(st.levels))
 	for li := len(st.levels) - 1; li >= 1; li-- {
 		base[li] = len(tasks)
-		for _, src := range h.Level(int(st.levels[li].netLvl)) {
+		for _, src := range st.levels[li].members {
 			tasks = append(tasks, bfsTask{li: int32(li), src: src})
 		}
 	}
@@ -206,7 +203,7 @@ func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers 
 	changedRows := make([][]int32, len(st.levels))
 	for li := 1; li < len(st.levels); li++ {
 		sl := &st.levels[li]
-		members := h.Level(int(sl.netLvl))
+		members := sl.members
 		total := 0
 		for k := range members {
 			total += len(rows[base[li]+k])
@@ -255,7 +252,7 @@ func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers 
 // (w,x) appears only in labels whose ball holds BOTH endpoints, so each
 // changed row entry marks the intersection of the two endpoint balls
 // rather than all of w's (see markChangedPairEntries).
-func markDirtyLabels(prev *Scheme, gNew *graph.Graph, hNew *nets.Hierarchy, st *levelStore,
+func markDirtyLabels(prev *Scheme, gNew *graph.Graph, hNew *nets.Hierarchy, st *LevelGraphs,
 	changedRows [][]int32, seedOld, seedNew []int32, workers int, stats *IncrementalStats) []int32 {
 
 	n := gNew.NumVertices()

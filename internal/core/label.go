@@ -212,23 +212,12 @@ func newExtractScratch(n int) *extractScratch {
 	return &extractScratch{bfs: graph.NewBFSScratch(n)}
 }
 
-// extractLabel materializes the label of v from the shared store: one
+// extractLabel materializes the label of v from the level graphs: one
 // truncated BFS of radius r_ℓ per level discovers the ball (points and
-// their distances); edges are then read off the store's CSR net graph
-// (or, at the lowest level, off the original graph). A saturated ball —
-// every net point of the level is inside it — induces the whole level
-// graph, which is the same edge list for every such vertex: the label
-// takes the store's one copy (wholeEdges) instead of deriving its own.
-func (st *levelStore) extractLabel(v int, sc *extractScratch) *Label {
+// their distances); the edges are induced on it (induce).
+func (st *LevelGraphs) extractLabel(v int, sc *extractScratch) *Label {
 	p := st.params
-	l := &Label{
-		V:        int32(v),
-		Epsilon:  p.Epsilon,
-		C:        p.C,
-		MaxLevel: p.MaxLevel,
-		RShrink:  p.RShrink,
-		Levels:   make([]LevelLabel, p.NumLevelRange()),
-	}
+	l := st.newLabel(int32(v))
 	netLevel := st.netLevel
 	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
 		k := st.levelIndex(level)
@@ -240,24 +229,96 @@ func (st *levelStore) extractLabel(v int, sc *extractScratch) *Label {
 			}
 		})
 		slices.SortFunc(pts, func(a, b PointEntry) int { return cmp.Compare(a.X, b.X) })
-		var edges []EdgeEntry
-		if len(pts) == len(st.h.Level(int(sl.netLvl))) {
-			edges = st.wholeEdges(k)
-		} else {
-			sc.edges = st.inducedEdges(k, pts, &sc.inBall, sc.edges[:0])
-			edges = exactCopy(sc.edges)
-		}
-		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: edges}
+		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: st.induce(k, pts, sc, nil)}
 		sc.pts = pts[:0]
 	}
 	return l
+}
+
+func (st *LevelGraphs) newLabel(v int32) *Label {
+	p := st.params
+	return &Label{
+		V:        v,
+		Epsilon:  p.Epsilon,
+		C:        p.C,
+		MaxLevel: p.MaxLevel,
+		RShrink:  p.RShrink,
+		Levels:   make([]LevelLabel, p.NumLevelRange()),
+	}
+}
+
+// Label materialises the label of v from its balls: balls[k] lists the
+// net points of level index k within r_ℓ of v, ascending by id, with
+// their distances from v. It is extractLabel minus the searches — the
+// same induce builds every level — so for the balls a scheme's
+// extraction finds it returns the label that extraction returns; the
+// level edge lists that are not the level's whole list go through t
+// (nil: private copies). The balls come from outside (a container's
+// records) and are checked here for everything Validate checks in
+// points plus what induce relies on: every id in range, strictly
+// ascending and a net point of its level. The label takes ownership of
+// the ball slices.
+//
+// The edges need no such walk: they are read off rows that
+// LoadLevelGraphs checked once (or a scheme built), between points
+// checked here, so the label is returned validated.
+func (st *LevelGraphs) Label(v int32, balls [][]PointEntry, t *LevelTable) (*Label, error) {
+	if v < 0 || int(v) >= len(st.netLevel) {
+		return nil, fmt.Errorf("core: vertex %d outside the level graphs' [0,%d)", v, len(st.netLevel))
+	}
+	if len(balls) != len(st.levels) {
+		return nil, fmt.Errorf("core: %d balls for %d levels", len(balls), len(st.levels))
+	}
+	for k, pts := range balls {
+		sl := &st.levels[k]
+		r := st.params.R(sl.level)
+		prev := int32(-1)
+		for i, pe := range pts {
+			if pe.X <= prev || int(pe.X) >= len(st.netLevel) || st.netLevel[pe.X] < sl.netLvl {
+				return nil, fmt.Errorf("core: level %d ball point %d (vertex %d) out of order, out of range or not a net point", sl.level, i, pe.X)
+			}
+			prev = pe.X
+			if pe.D < 0 || pe.D > r {
+				return nil, fmt.Errorf("core: level %d ball point %d distance %d outside [0,%d]", sl.level, i, pe.D, r)
+			}
+		}
+	}
+	sc, _ := st.scratch.Get().(*extractScratch)
+	if sc == nil {
+		sc = new(extractScratch)
+	}
+	l := st.newLabel(v)
+	for k, pts := range balls {
+		l.Levels[k] = LevelLabel{Points: pts, Edges: st.induce(k, pts, sc, t)}
+	}
+	st.scratch.Put(sc)
+	l.validated = 1
+	return l, nil
+}
+
+// induce returns the level-k edge list of a label whose ball holds pts
+// (net points of the level, ascending by id). A saturated ball — every
+// net point of the level is in it — induces the whole level graph, which
+// is the same list for every such vertex: the label takes the one copy
+// (wholeEdges), pointer-identical across every label induced from these
+// level graphs. Any other ball gets inducedEdges, as a private copy or,
+// with a table, the table's.
+func (st *LevelGraphs) induce(k int, pts []PointEntry, sc *extractScratch, t *LevelTable) []EdgeEntry {
+	if len(pts) == len(st.levels[k].members) {
+		return st.wholeEdges(k)
+	}
+	sc.edges = st.inducedEdges(k, pts, &sc.inBall, sc.edges[:0])
+	if t == nil || len(sc.edges) == 0 {
+		return exactCopy(sc.edges)
+	}
+	return t.intern(hashLevel(k, pts, sc.edges), k, len(st.levels), pts, sc.edges, true)
 }
 
 // inducedEdges appends to edges the level-k edges between the points of
 // pts (ascending by X), as indices into pts: the store's net-graph rows
 // or, at the lowest level, the original graph's adjacency, restricted to
 // the ball. inBall is scratch for the vertex → index map.
-func (st *levelStore) inducedEdges(k int, pts []PointEntry, inBall *i32map, edges []EdgeEntry) []EdgeEntry {
+func (st *LevelGraphs) inducedEdges(k int, pts []PointEntry, inBall *i32map, edges []EdgeEntry) []EdgeEntry {
 	inBall.reset()
 	for i, pe := range pts {
 		inBall.getOrPut(pe.X, int32(i))
@@ -287,16 +348,24 @@ func (st *levelStore) inducedEdges(k int, pts []PointEntry, inBall *i32map, edge
 
 // wholeEdges returns the edge list of level index k induced on all of the
 // level's net points, built on first use.
-func (st *levelStore) wholeEdges(k int) []EdgeEntry {
+func (st *LevelGraphs) wholeEdges(k int) []EdgeEntry {
 	w := st.levels[k].whole
 	w.once.Do(func() {
-		members := st.h.Level(int(st.levels[k].netLvl))
+		members := st.levels[k].members
 		pts := make([]PointEntry, len(members))
 		for i, x := range members {
 			pts[i].X = x
 		}
+		// Each edge sits in two rows (at the lowest level: two adjacency
+		// lists), so the list's size is known up front.
+		size := st.g.NumEdges()
+		if k > 0 {
+			size = len(st.levels[k].entries) / 2
+		}
 		var inBall i32map
-		w.edges = exactCopy(st.inducedEdges(k, pts, &inBall, nil))
+		if edges := st.inducedEdges(k, pts, &inBall, make([]EdgeEntry, 0, size)); len(edges) > 0 {
+			w.edges = edges
+		}
 	})
 	return w.edges
 }

@@ -258,7 +258,7 @@ func (c *patchCase) checkPatched(t *testing.T, g *graph.Graph, dec *Decoder, wha
 	// Sharing level lists between the labels changes nothing: the same
 	// query over private copies gives the same answer, walk and sketch.
 	sketch := slices.Clone(dec.scratch().edges)
-	ugot, upath := dec.DistanceRobustPatchedPath(unsharedQuery(c.q), unsharedPatches(c.patches), nil)
+	ugot, upath := dec.DistanceRobustPatchedPath(mapQuery(c.q, unsharedLabel), mapPatches(c.patches, unsharedLabel), nil)
 	if !reflect.DeepEqual(ugot, got) || !slices.Equal(upath, path) || !slices.Equal(dec.scratch().edges, sketch) {
 		t.Fatalf("%s: over unshared labels %+v %v, over the scheme's %+v %v", what, ugot, upath, got, path)
 	}
@@ -330,11 +330,17 @@ func patchedSweep(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		factored := factoredLabels(t, s)
 		for _, k := range []int{0, 1, 2, 4, 16} {
 			for _, nf := range []int{0, 2, 4} {
 				for _, mode := range []string{"clean", "degraded", "budgeted"} {
 					for rep := 0; rep < 3; rep++ {
 						c := newPatchCase(t, rng, fam.g, s, k, nf)
+						if rep == 2 {
+							// Every third case over the labels a factored
+							// container hands out.
+							c.q, c.patches = mapQuery(c.q, factored), mapPatches(c.patches, factored)
+						}
 						switch mode {
 						case "degraded":
 							// One fault label goes bad: the robust entry
@@ -677,7 +683,7 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 		if k == 4 {
 			// Once over private copies: the scheme's labels share their
 			// saturated upper levels, these share nothing.
-			q, patches = unsharedQuery(q), unsharedPatches(patches)
+			q, patches = mapQuery(q, unsharedLabel), mapPatches(patches, unsharedLabel)
 		}
 		run := func() {
 			res, path := dec.DistanceRobustPatchedPath(q, patches, buf[:0])

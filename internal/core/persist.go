@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -10,138 +9,152 @@ import (
 	"fsdl/internal/nets"
 )
 
-// Scheme persistence: the preprocessed state (graph, net hierarchy
-// membership, and the per-level net-graph adjacency) serializes to a
-// stream, so the expensive preprocessing runs once on the server and the
-// scheme reopens instantly. The nearest-net-point maps are recomputed on
-// load (a handful of multi-source BFS passes — cheap relative to the net
-// graphs).
+// Scheme persistence: the preprocessed state — the level graphs: graph,
+// net membership and the per-level net-graph adjacency — serializes to a
+// byte string, so the expensive preprocessing runs once on the server and
+// the scheme reopens instantly. It is one encoding with two readers:
+// LoadLevelGraphs decodes exactly what inducing a label reads (a factored
+// label container carries the encoding as its level-graphs section), and
+// LoadScheme recomputes the nearest-net-point maps on top (a handful of
+// multi-source BFS passes — cheap relative to the net graphs).
 
 var schemeMagic = []byte("FSDLS1")
 
+// maxPersistLevel bounds the level indices a persisted scheme may name:
+// past it λ_ℓ and r_ℓ no longer fit the int32 distances labels carry.
+const maxPersistLevel = 28
+
 // SaveScheme writes the preprocessed scheme to w.
 func SaveScheme(w io.Writer, s *Scheme) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(schemeMagic); err != nil {
-		return fmt.Errorf("core: write scheme magic: %w", err)
+	if _, err := w.Write(s.store.Encode()); err != nil {
+		return fmt.Errorf("core: write scheme: %w", err)
 	}
-	var scratch [binary.MaxVarintLen64]byte
-	writeU := func(v uint64) error {
-		k := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:k])
-		return err
-	}
-	p := s.params
-	n := s.g.NumVertices()
-	header := []uint64{
+	return nil
+}
+
+// Encode returns the persisted form of the level graphs — what SaveScheme
+// writes and LoadLevelGraphs reads. Equal level graphs encode to equal
+// bytes.
+func (st *LevelGraphs) Encode() []byte {
+	p := st.params
+	b := append([]byte(nil), schemeMagic...)
+	for _, v := range []uint64{
 		uint64(p.Epsilon * 65536),
 		uint64(p.C),
 		uint64(p.MaxLevel),
 		uint64(p.RShrink),
-		uint64(n),
-		uint64(s.g.NumEdges()),
-	}
-	for _, v := range header {
-		if err := writeU(v); err != nil {
-			return fmt.Errorf("core: write scheme header: %w", err)
-		}
+		uint64(st.g.NumVertices()),
+		uint64(st.g.NumEdges()),
+	} {
+		b = binary.AppendUvarint(b, v)
 	}
 	// Edges, gap-coded in (u, v) lexicographic order.
 	prevU := 0
-	var writeErr error
-	s.g.ForEachEdge(func(u, v int) {
-		if writeErr != nil {
-			return
-		}
-		if err := writeU(uint64(u - prevU)); err != nil {
-			writeErr = err
-			return
-		}
+	st.g.ForEachEdge(func(u, v int) {
+		b = binary.AppendUvarint(b, uint64(u-prevU))
 		prevU = u
-		writeErr = writeU(uint64(v))
+		b = binary.AppendUvarint(b, uint64(v))
 	})
-	if writeErr != nil {
-		return fmt.Errorf("core: write scheme edges: %w", writeErr)
-	}
 	// Net membership.
-	for v := 0; v < n; v++ {
-		if err := writeU(uint64(s.h.NetLevelOf(v))); err != nil {
-			return fmt.Errorf("core: write net levels: %w", err)
-		}
+	for _, lvl := range st.netLevel {
+		b = binary.AppendUvarint(b, uint64(lvl))
 	}
-	// Per-level net graphs.
-	netLevel := s.store.netLevel
-	for li := range s.store.levels {
-		sl := &s.store.levels[li]
-		if sl.off == nil {
-			continue // lowest level has no net graph
-		}
-		for v := 0; v < n; v++ {
-			if netLevel[v] < sl.netLvl {
-				continue
-			}
-			nbrs := sl.row(int32(v))
-			if err := writeU(uint64(len(nbrs))); err != nil {
-				return fmt.Errorf("core: write adjacency count: %w", err)
-			}
+	// Per-level net graphs (the lowest level has none): one row per net
+	// point, in vertex order.
+	for li := 1; li < len(st.levels); li++ {
+		sl := &st.levels[li]
+		for _, v := range sl.members {
+			nbrs := sl.row(v)
+			b = binary.AppendUvarint(b, uint64(len(nbrs)))
 			prev := int64(-1)
 			for _, nb := range nbrs {
-				if err := writeU(uint64(int64(nb.x) - prev - 1)); err != nil {
-					return fmt.Errorf("core: write adjacency id: %w", err)
-				}
+				b = binary.AppendUvarint(b, uint64(int64(nb.x)-prev-1))
 				prev = int64(nb.x)
-				if err := writeU(uint64(nb.d)); err != nil {
-					return fmt.Errorf("core: write adjacency dist: %w", err)
-				}
+				b = binary.AppendUvarint(b, uint64(nb.d))
 			}
 		}
 	}
-	return bw.Flush()
+	return b
 }
 
 // LoadScheme reads a scheme persisted by SaveScheme.
 func LoadScheme(r io.Reader) (*Scheme, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, len(schemeMagic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("core: read scheme magic: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read scheme: %w", err)
 	}
-	if string(head) != string(schemeMagic) {
-		return nil, fmt.Errorf("core: bad scheme magic %q", head)
-	}
-	readU := func(what string) (uint64, error) {
-		v, err := binary.ReadUvarint(br)
-		if err != nil {
-			return 0, fmt.Errorf("core: read scheme %s: %w", what, err)
-		}
-		return v, nil
-	}
-	epsQ, err := readU("epsilon")
+	st, err := LoadLevelGraphs(data)
 	if err != nil {
 		return nil, err
 	}
-	c, err := readU("c")
+	netLevel := make([]int, len(st.netLevel))
+	for v, lvl := range st.netLevel {
+		netLevel[v] = int(lvl)
+	}
+	h, err := nets.FromNetLevels(st.g, netLevel)
 	if err != nil {
 		return nil, err
 	}
-	maxLevel, err := readU("max level")
-	if err != nil {
-		return nil, err
+	return newScheme(st.g, h, st.params, st), nil
+}
+
+// uvarints reads the unsigned varints of a persisted scheme; the first
+// failure sticks (and empties the input), so a run of reads is checked
+// once.
+type uvarints struct {
+	b   []byte
+	pos int
+	err error
+}
+
+func (r *uvarints) rest() int { return len(r.b) - r.pos }
+
+func (r *uvarints) next(what string) uint64 {
+	if r.pos < len(r.b) && r.b[r.pos] < 0x80 { // one byte: nearly every gap and distance
+		r.pos++
+		return uint64(r.b[r.pos-1])
 	}
-	rShrink, err := readU("r-shrink")
-	if err != nil {
-		return nil, err
+	if r.err != nil {
+		return 0
 	}
-	nU, err := readU("n")
-	if err != nil {
-		return nil, err
+	v, k := binary.Uvarint(r.b[r.pos:])
+	if k <= 0 {
+		r.err = fmt.Errorf("core: read scheme %s: truncated or overlong varint", what)
+		r.pos = len(r.b)
+		return 0
 	}
-	mU, err := readU("m")
-	if err != nil {
-		return nil, err
+	r.pos += k
+	return v
+}
+
+// LoadLevelGraphs decodes level graphs from their Encode form: only what
+// inducing a label reads, no net hierarchy beyond the membership array.
+// The input is not trusted — a container section arrives here — so every
+// size is bounded by what the remaining bytes could hold before anything
+// is allocated from it, and every entry labels are later induced from is
+// checked: edges in range, simple and unrepeated; net levels inside the
+// hierarchy; rows strictly ascending, between distinct net points of the
+// level, with 0 < d ≤ λ_ℓ. LevelGraphs.Label leans on exactly that to
+// hand out labels without walking their edges again.
+func LoadLevelGraphs(data []byte) (*LevelGraphs, error) {
+	if len(data) < len(schemeMagic) || string(data[:len(schemeMagic)]) != string(schemeMagic) {
+		return nil, fmt.Errorf("core: bad scheme magic %q", data[:min(len(data), len(schemeMagic))])
 	}
-	if nU > graph.MaxReadVertices || mU > 64*nU {
-		return nil, fmt.Errorf("core: implausible scheme size n=%d m=%d", nU, mU)
+	r := &uvarints{b: data[len(schemeMagic):]}
+	epsQ, c, maxLevel, rShrink := r.next("epsilon"), r.next("c"), r.next("max level"), r.next("r-shrink")
+	nU, mU := r.next("n"), r.next("m")
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A vertex costs at least its net-level byte and an edge two, so
+	// neither count can exceed what is left to read; a simple graph has
+	// at most n(n−1)/2 edges.
+	rest := uint64(r.rest())
+	if nU > graph.MaxReadVertices || nU > rest || mU > rest/2 || mU > nU*(nU-1)/2 {
+		return nil, fmt.Errorf("core: implausible scheme size n=%d m=%d in %d bytes", nU, mU, rest)
+	}
+	if epsQ >= 1<<40 || c > maxPersistLevel || maxLevel > maxPersistLevel || rShrink > 32 {
+		return nil, fmt.Errorf("core: implausible scheme parameters eps=%d/65536 c=%d max level=%d r-shrink=%d", epsQ, c, maxLevel, rShrink)
 	}
 	n, m := int(nU), int(mU)
 	params := Params{
@@ -156,80 +169,98 @@ func LoadScheme(r io.Reader) (*Scheme, error) {
 	}
 
 	b := graph.NewBuilder(n)
-	prevU := 0
+	prevU := uint64(0)
 	for i := 0; i < m; i++ {
-		du, err := readU("edge u")
-		if err != nil {
-			return nil, err
+		du, v := r.next("edge u"), r.next("edge v")
+		if r.err != nil {
+			return nil, r.err
 		}
-		vv, err := readU("edge v")
-		if err != nil {
-			return nil, err
+		if du >= nU || prevU+du >= nU || v >= nU {
+			return nil, fmt.Errorf("core: scheme edge (%d+%d,%d) out of range", prevU, du, v)
 		}
-		u := prevU + int(du)
-		prevU = u
-		if u >= n || int(vv) >= n {
-			return nil, fmt.Errorf("core: scheme edge (%d,%d) out of range", u, vv)
-		}
-		b.AddEdge(u, int(vv))
+		prevU += du
+		b.AddEdge(int(prevU), int(v))
 	}
 	g, err := b.Build()
 	if err != nil {
 		return nil, fmt.Errorf("core: rebuild scheme graph: %w", err)
 	}
 
-	netLevel := make([]int, n)
+	netLevel := make([]int32, n)
+	numNetLevels := uint64(nets.NumLevels(n))
 	for v := range netLevel {
-		lvl, err := readU("net level")
-		if err != nil {
-			return nil, err
+		lvl := r.next("net level")
+		if r.err != nil {
+			return nil, r.err
 		}
-		netLevel[v] = int(lvl)
+		if lvl >= numNetLevels {
+			return nil, fmt.Errorf("core: net level %d of vertex %d outside [0,%d)", lvl, v, numNetLevels)
+		}
+		netLevel[v] = int32(lvl)
 	}
-	h, err := nets.FromNetLevels(g, netLevel)
-	if err != nil {
-		return nil, err
-	}
-
-	st := &levelStore{params: params, g: g, h: h, netLevel: h.NetLevels()}
-	for level := params.LowestLevel(); level <= params.MaxLevel; level++ {
-		sl := newStoreLevel(h, params, level)
-		if level > params.LowestLevel() {
-			// The stream lists net points in increasing vertex order, so
-			// the CSR arrays assemble in one pass.
-			off := make([]int64, n+1)
-			var entries []pointDist
-			for v := 0; v < n; v++ {
-				if st.netLevel[v] >= sl.netLvl {
-					count, err := readU("adjacency count")
-					if err != nil {
-						return nil, err
-					}
-					if count > uint64(n) {
-						return nil, fmt.Errorf("core: adjacency count %d exceeds n", count)
-					}
-					prev := int64(-1)
-					for i := uint64(0); i < count; i++ {
-						gap, err := readU("adjacency id")
-						if err != nil {
-							return nil, err
-						}
-						prev += int64(gap) + 1
-						d, err := readU("adjacency dist")
-						if err != nil {
-							return nil, err
-						}
-						if prev >= int64(n) {
-							return nil, fmt.Errorf("core: adjacency id %d out of range", prev)
-						}
-						entries = append(entries, pointDist{x: int32(prev), d: int32(d)})
-					}
+	// Several scheme levels may use one hierarchy level (clamping): each
+	// distinct one is one scan of the membership array.
+	byLevel := make(map[int][]int32)
+	st := newLevelGraphs(g, params, netLevel, func(i int) []int32 {
+		members, ok := byLevel[i]
+		if !ok {
+			for v, lvl := range netLevel {
+				if int(lvl) >= i {
+					members = append(members, int32(v))
 				}
-				off[v+1] = int64(len(entries))
 			}
-			sl.off, sl.entries = off, entries
+			byLevel[i] = members
 		}
-		st.levels = append(st.levels, sl)
+		return members
+	})
+	// One slab for the rows of every level: an entry costs at least two
+	// bytes, so what is left to read bounds them all.
+	slab := make([]pointDist, 0, r.rest()/2)
+	for li := 1; li < len(st.levels); li++ {
+		sl := &st.levels[li]
+		lambda := uint64(params.Lambda(sl.level))
+		// Rows arrive in vertex order, so the CSR arrays assemble in one
+		// pass.
+		off := make([]int64, n+1)
+		entries := slab[len(slab):]
+		mi := 0
+		for v := 0; v < n; v++ {
+			if mi < len(sl.members) && sl.members[mi] == int32(v) {
+				mi++
+				count := r.next("adjacency count")
+				if count > uint64(len(sl.members)) {
+					return nil, fmt.Errorf("core: level %d row of %d has %d entries for %d net points", sl.level, v, count, len(sl.members))
+				}
+				next := uint64(0) // smallest id the next entry may carry
+				for i := uint64(0); i < count; i++ {
+					gap, d := r.next("adjacency id"), r.next("adjacency dist")
+					if r.err != nil {
+						return nil, r.err
+					}
+					if gap >= nU || next+gap >= nU {
+						return nil, fmt.Errorf("core: level %d row of %d: adjacency id out of range", sl.level, v)
+					}
+					x := int32(next + gap)
+					next += gap + 1
+					if x == int32(v) || netLevel[x] < sl.netLvl {
+						return nil, fmt.Errorf("core: level %d row of %d names %d, not another net point of the level", sl.level, v, x)
+					}
+					if d == 0 || d > lambda {
+						return nil, fmt.Errorf("core: level %d row of %d: distance %d outside (0,%d]", sl.level, v, d, lambda)
+					}
+					entries = append(entries, pointDist{x: x, d: int32(d)})
+				}
+				if r.err != nil {
+					return nil, r.err
+				}
+			}
+			off[v+1] = int64(len(entries))
+		}
+		sl.off, sl.entries = off, entries[:len(entries):len(entries)]
+		slab = slab[:len(slab)+len(entries)]
 	}
-	return newScheme(g, h, params, st), nil
+	if r.rest() != 0 {
+		return nil, fmt.Errorf("core: %d trailing bytes after scheme", r.rest())
+	}
+	return st, nil
 }

@@ -82,6 +82,7 @@ func TestDecodeCSRMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		n := g.NumVertices()
+		factored := factoredLabels(t, s)
 		dec := NewDecoder()
 		var buf []int32
 		// 64 centers still fit one mask word; 70 forces the multi-word
@@ -100,6 +101,11 @@ func TestDecodeCSRMatchesReference(t *testing.T) {
 				q, err := s.NewQuery(src, dst, f)
 				if err != nil {
 					t.Fatal(err)
+				}
+				if rep%2 == 1 {
+					// Every other query over the labels a factored
+					// container hands out.
+					q = mapQuery(q, factored)
 				}
 				wantDist, _, _, _, wantErr := referenceDecode(q, nil)
 				if wantErr != nil {

@@ -427,11 +427,47 @@ func referenceCorpus(t *testing.T, s *Scheme, g *graph.Graph, rng *rand.Rand) []
 	}
 	// Every case once more with nothing shared: scheme labels hold one
 	// edge list per saturated level between them, these hold a private
-	// copy each, and the decoder must not be able to tell.
+	// copy each, and the decoder must not be able to tell. And once more
+	// over the labels a factored container hands out: the level graphs
+	// through their encoding, each label induced from its balls alone.
+	factored := factoredLabels(t, s)
 	for _, c := range cases {
-		cases = append(cases, referenceCase{c.name + "+unshared", unsharedQuery(c.q)})
+		cases = append(cases,
+			referenceCase{c.name + "+unshared", mapQuery(c.q, unsharedLabel)},
+			referenceCase{c.name + "+factored", mapQuery(c.q, factored)})
 	}
 	return cases
+}
+
+// factoredLabels returns the read path of a factored container minus its
+// bit codec: the scheme's level graphs decoded from their encoding, and
+// a label rebuilt from nothing but its balls (LevelGraphs.Label, no
+// table). For a label the scheme extracted the result must be that label.
+func factoredLabels(t testing.TB, s *Scheme) func(*Label) *Label {
+	t.Helper()
+	lg, err := LoadLevelGraphs(s.LevelGraphs().Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(l *Label) *Label {
+		if l == nil {
+			return nil
+		}
+		m, err := lg.Label(l.V, ballsOf(l), nil)
+		if err != nil {
+			t.Fatalf("label of %d from its balls: %v", l.V, err)
+		}
+		if err := m.validate(); err != nil {
+			t.Fatalf("label of %d from its balls fails the full Validate walk: %v", l.V, err)
+		}
+		want := s.Label(int(l.V))
+		for k := range want.Levels {
+			if !slices.Equal(m.Levels[k].Points, want.Levels[k].Points) || !slices.Equal(m.Levels[k].Edges, want.Levels[k].Edges) {
+				t.Fatalf("label of %d from its balls differs from the extracted label at level index %d", l.V, k)
+			}
+		}
+		return m
+	}
 }
 
 // unsharedLabel returns a deep copy of l: equal content, no backing
@@ -448,26 +484,27 @@ func unsharedLabel(l *Label) *Label {
 	return &c
 }
 
-// unsharedQuery returns q over deep copies of its labels.
-func unsharedQuery(q *Query) *Query {
+// mapQuery returns q with every label replaced by its image under fn.
+func mapQuery(q *Query, fn func(*Label) *Label) *Query {
 	u := *q
-	u.S, u.T = unsharedLabel(q.S), unsharedLabel(q.T)
+	u.S, u.T = fn(q.S), fn(q.T)
 	u.VertexFaults = nil
 	for _, f := range q.VertexFaults {
-		u.VertexFaults = append(u.VertexFaults, unsharedLabel(f))
+		u.VertexFaults = append(u.VertexFaults, fn(f))
 	}
 	u.EdgeFaults = nil
 	for _, ef := range q.EdgeFaults {
-		u.EdgeFaults = append(u.EdgeFaults, [2]*Label{unsharedLabel(ef[0]), unsharedLabel(ef[1])})
+		u.EdgeFaults = append(u.EdgeFaults, [2]*Label{fn(ef[0]), fn(ef[1])})
 	}
 	return &u
 }
 
-// unsharedPatches returns the patches over deep copies of their labels.
-func unsharedPatches(patches []PatchEdge) []PatchEdge {
+// mapPatches returns the patches with every label replaced by its image
+// under fn.
+func mapPatches(patches []PatchEdge, fn func(*Label) *Label) []PatchEdge {
 	var out []PatchEdge
 	for _, p := range patches {
-		out = append(out, PatchEdge{U: unsharedLabel(p.U), V: unsharedLabel(p.V)})
+		out = append(out, PatchEdge{U: fn(p.U), V: fn(p.V)})
 	}
 	return out
 }
@@ -516,7 +553,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		skipped := 0
+		skipped, skippedFactored := 0, 0
 		for _, tc := range referenceCorpus(t, s, g, rng) {
 			wantTr := &Trace{}
 			wantDist, wantEdges, _, wantExh, wantErr := referenceDecode(tc.q, wantTr)
@@ -533,6 +570,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 				t.Errorf("%s/%s: %d levels skipped with no list shared", gname, tc.name, gotTr.SharedLevelsSkipped)
 			}
 			skipped += gotTr.SharedLevelsSkipped
+			if strings.HasSuffix(tc.name, "+factored") {
+				skippedFactored += gotTr.SharedLevelsSkipped
+			}
 			gotTr.SharedLevelsSkipped = 0
 			// A "centers<N>" case must reach the scan loop it was built for.
 			var wantCenters int
@@ -569,6 +609,11 @@ func TestDecodeMatchesReference(t *testing.T) {
 		}
 		if skipped == 0 {
 			t.Errorf("%s: no owner level was ever skipped — the shared half of the corpus shares nothing", gname)
+		}
+		// Labels induced from one set of level graphs share their
+		// saturated levels by construction — no table was involved.
+		if skippedFactored == 0 {
+			t.Errorf("%s: no owner level of a factored label was ever skipped", gname)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -21,7 +20,7 @@ type Scheme struct {
 	g      *graph.Graph
 	h      *nets.Hierarchy
 	params Params
-	store  *levelStore
+	store  *LevelGraphs
 
 	// cache holds recently extracted labels, sharded so concurrent
 	// extractors on different shards never contend. SetCacheLimit swaps
@@ -54,7 +53,7 @@ func newLabelCache(limit int) *lru.Cache[int32, *Label] {
 // newScheme wires the shared constructor state: the cache and the
 // BFS-scratch pool. Every Scheme construction site (BuildScheme,
 // BuildSchemeAblated, LoadScheme) must go through it.
-func newScheme(g *graph.Graph, h *nets.Hierarchy, params Params, store *levelStore) *Scheme {
+func newScheme(g *graph.Graph, h *nets.Hierarchy, params Params, store *LevelGraphs) *Scheme {
 	s := &Scheme{g: g, h: h, params: params, store: store}
 	s.cache.Store(newLabelCache(DefaultLabelCacheSize))
 	n := g.NumVertices()
@@ -126,6 +125,10 @@ func (s *Scheme) Graph() *graph.Graph { return s.g }
 // for tests that verify the analysis' net-point arguments).
 func (s *Scheme) Hierarchy() *nets.Hierarchy { return s.h }
 
+// LevelGraphs returns the level graphs every label of the scheme is
+// induced from — what a factored label container stores once per file.
+func (s *Scheme) LevelGraphs() *LevelGraphs { return s.store }
+
 // SetCacheLimit bounds the internal label cache (0 disables caching). The
 // previous cache's entries are dropped.
 func (s *Scheme) SetCacheLimit(limit int) {
@@ -160,9 +163,17 @@ func (s *Scheme) Label(v int) *Label {
 // bundle, so the work parallelizes perfectly. Bulk callers sweep the
 // vertex set once, so the label cache is neither consulted nor filled:
 // it would score no hits and pin its last entries on the scheme.
-func (s *Scheme) Labels(vs []int) []*Label {
+func (s *Scheme) Labels(vs []int) []*Label { return s.LabelsWorkers(vs, 0) }
+
+// LabelsWorkers is Labels on at most the given number of workers (≤ 0
+// means GOMAXPROCS) — for a caller that shares the machine with someone
+// who must not wait, as a compaction does with the queries beside it.
+func (s *Scheme) LabelsWorkers(vs []int, workers int) []*Label {
 	out := make([]*Label, len(vs))
-	workers := min(runtime.GOMAXPROCS(0), len(vs))
+	if len(vs) == 0 {
+		return out
+	}
+	workers = clampWorkers(workers, len(vs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)

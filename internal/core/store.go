@@ -11,22 +11,29 @@ import (
 	"fsdl/internal/nets"
 )
 
-// levelStore holds the shared per-level structures from which per-vertex
-// labels are extracted. Every label's content is derivable from it, and a
-// Label, once extracted, is fully self-contained — the decoder never touches
-// the store. Sharing exists purely because materializing all n labels
-// eagerly would cost Θ(n) times the (large-constant) per-label size.
-type levelStore struct {
+// LevelGraphs is the part of a scheme every label is induced from: the
+// graph, the net membership of every vertex and, per scheme level, the
+// level's net graph. H_ℓ(v) is that net graph induced on the net points
+// of B(v, r_ℓ), so a label is its balls — which net points, at what
+// distance — and everything else in it is read off here (induce). A
+// Scheme extracts labels from it by searching for the balls
+// (extractLabel); a factored container stores it once (SaveScheme's
+// encoding, LoadLevelGraphs) next to the balls of every vertex and
+// materialises labels from the two (Label). A Label, once built, is
+// fully self-contained — the decoder never touches the level graphs.
+//
+// Safe for concurrent use.
+type LevelGraphs struct {
 	params Params
 	g      *graph.Graph
-	h      *nets.Hierarchy
-	// netLevel aliases h.NetLevels(): v is a net point of levels[k] iff
-	// netLevel[v] >= levels[k].netLvl. One shared n-entry array replaces
-	// the per-level isNet boolean arrays (n·|levels| bytes) the store
-	// used to carry.
+	// netLevel[v] = max{i : v ∈ N_i} (nets.Hierarchy.NetLevels): v is a net
+	// point of levels[k] iff netLevel[v] >= levels[k].netLvl.
 	netLevel []int32
 	// levels[k] describes scheme level ℓ = c+1+k.
 	levels []storeLevel
+	// scratch pools the transients of Label (an extractScratch without
+	// the BFS state, which materialising from balls never needs).
+	scratch sync.Pool
 }
 
 // storeLevel is the shared structure of one scheme level ℓ > c+1: the net
@@ -38,12 +45,13 @@ type levelStore struct {
 // original graph edges there instead) and off is nil.
 type storeLevel struct {
 	level   int
-	netLvl  int32 // clamped hierarchy level whose net points this level uses
+	netLvl  int32   // clamped hierarchy level whose net points this level uses
+	members []int32 // those net points, ascending
 	off     []int64
 	entries []pointDist
 	// whole is the edge list of a saturated ball — one holding every net
 	// point of the level — which is the same list for every vertex: built
-	// once, on first use, and shared by every label extracted after.
+	// once, on first use, and shared by every label induced after.
 	whole *wholeLevel
 }
 
@@ -52,12 +60,49 @@ type wholeLevel struct {
 	edges []EdgeEntry
 }
 
-func newStoreLevel(h *nets.Hierarchy, p Params, level int) storeLevel {
-	return storeLevel{
-		level:  level,
-		netLvl: int32(clampNetLevel(h, p.NetLevel(level))),
-		whole:  new(wholeLevel),
+// newLevelGraphs returns the level graphs of g under p with every net
+// graph still empty. members(i) lists the net points of hierarchy level
+// i, ascending; a scheme level above the hierarchy's top behaves like
+// the top (clampNetLevel).
+func newLevelGraphs(g *graph.Graph, p Params, netLevel []int32, members func(i int) []int32) *LevelGraphs {
+	st := &LevelGraphs{params: p, g: g, netLevel: netLevel}
+	top := nets.NumLevels(g.NumVertices()) - 1
+	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
+		netLvl := min(p.NetLevel(level), top)
+		st.levels = append(st.levels, storeLevel{
+			level:   level,
+			netLvl:  int32(netLvl),
+			members: members(netLvl),
+			whole:   new(wholeLevel),
+		})
 	}
+	return st
+}
+
+// Params returns the scheme parameters the level graphs were built with.
+func (st *LevelGraphs) Params() Params { return st.params }
+
+// NumVertices returns the vertex-id space of the underlying graph.
+func (st *LevelGraphs) NumVertices() int { return len(st.netLevel) }
+
+// NetPoints returns the net points of level index k (scheme level
+// c+1+k), ascending: the points of a saturated ball. The slice is shared
+// and must not be modified.
+func (st *LevelGraphs) NetPoints(k int) []int32 { return st.levels[k].members }
+
+// SameNetPoints reports whether o has the same levels over the same net
+// points — whether "this ball holds every net point of its level" means
+// the same thing under both.
+func (st *LevelGraphs) SameNetPoints(o *LevelGraphs) bool {
+	if len(st.levels) != len(o.levels) {
+		return false
+	}
+	for k := range st.levels {
+		if !slices.Equal(st.levels[k].members, o.levels[k].members) {
+			return false
+		}
+	}
+	return true
 }
 
 // row returns the net-graph adjacency of net point v, sorted by vertex id.
@@ -95,12 +140,9 @@ func clampWorkers(workers, tasks int) int {
 // and are the longest poles, so they must start earliest. The result is
 // deterministic regardless of parallelism (each task writes only its own
 // point's sorted adjacency, and CSR assembly runs in vertex order).
-func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *levelStore {
-	st := &levelStore{params: p, g: g, h: h, netLevel: h.NetLevels()}
+func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *LevelGraphs {
+	st := newLevelGraphs(g, p, h.NetLevels(), h.Level)
 	n := g.NumVertices()
-	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
-		st.levels = append(st.levels, newStoreLevel(h, p, level))
-	}
 
 	// Global task queue over every net-graph BFS, highest level first.
 	type bfsTask struct {
@@ -111,7 +153,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *level
 	base := make([]int, len(st.levels)) // first task index of each level
 	for li := len(st.levels) - 1; li >= 1; li-- {
 		base[li] = len(tasks)
-		for _, src := range h.Level(int(st.levels[li].netLvl)) {
+		for _, src := range st.levels[li].members {
 			tasks = append(tasks, bfsTask{li: int32(li), src: src})
 		}
 	}
@@ -151,7 +193,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *level
 	// in increasing vertex order, so one pass packs entries and offsets.
 	for li := 1; li < len(st.levels); li++ {
 		sl := &st.levels[li]
-		members := h.Level(int(sl.netLvl))
+		members := sl.members
 		total := 0
 		for k := range members {
 			total += len(rows[base[li]+k])
@@ -172,7 +214,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *level
 }
 
 // levelIndex maps a scheme level ℓ to its index in st.levels.
-func (st *levelStore) levelIndex(level int) int { return level - st.params.LowestLevel() }
+func (st *LevelGraphs) levelIndex(level int) int { return level - st.params.LowestLevel() }
 
 // clampNetLevel clamps a requested net level to the hierarchy's range: for
 // tiny graphs the scheme's level range extends above ⌈log₂ n⌉ (because

@@ -1,0 +1,666 @@
+package labelstore
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+
+	"fsdl/internal/bitio"
+	"fsdl/internal/core"
+	"fsdl/internal/gen"
+	"fsdl/internal/graph"
+)
+
+// factoredGraphs are the shapes the factored form is held against the
+// scheme on: saturated at every level (grid, rgg, star, K₂₀₀), saturated
+// at the upper levels only (ring), and wide enough that low-level balls
+// are genuinely local (path).
+func factoredGraphs(t testing.TB) map[string]*graph.Graph {
+	t.Helper()
+	rgg, _, err := gen.RandomGeometric(60, 0.25, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	star := graph.NewBuilder(33)
+	for v := 1; v < 33; v++ {
+		star.AddEdge(0, v)
+	}
+	k200 := graph.NewBuilder(200)
+	for u := 0; u < 200; u++ {
+		for v := u + 1; v < 200; v++ {
+			k200.AddEdge(u, v)
+		}
+	}
+	return map[string]*graph.Graph{
+		"grid8x8": gen.Grid2D(8, 8),
+		"ring256": ringLattice(256),
+		"path800": gen.Path(800),
+		"rgg60":   rgg,
+		"star33":  star.MustBuild(),
+		"K200":    k200.MustBuild(),
+	}
+}
+
+// TestFactoredMatchesScheme is materialised ≡ extracted, container by
+// container: for every graph, the full store and a 7-id subset, mapped
+// and heap-read, every Label from the factored file deep-equals the
+// scheme's, every Raw is the canonical encoding bit for bit, and the
+// digests agree with an FSDL2 store of the same scheme.
+func TestFactoredMatchesScheme(t *testing.T) {
+	for name, g := range factoredGraphs(t) {
+		s := buildScheme(t, g)
+		n := g.NumVertices()
+		subset := []int{0, 1, n / 5, n / 3, n / 2, n - 2, n - 1}
+		for _, ids := range [][]int{nil, subset} {
+			path := writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, ids, true)
+			for oname, open := range map[string]func(string) (*Store, error){"Open": Open, "OpenHeap": OpenHeap} {
+				st, err := open(path)
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, oname, err)
+				}
+				if enc := st.Encoding(); !enc.Factored || !enc.Compressed || enc.Version != 3 {
+					t.Fatalf("%s: a scheme's compressed store is %+v", name, enc)
+				}
+				if sniffed, err := SniffEncoding(path); err != nil || sniffed != st.Encoding() {
+					t.Fatalf("%s: sniffed %+v (%v), opened %+v", name, sniffed, err, st.Encoding())
+				}
+				sameAsScheme(t, name+" via "+oname, st, s, ids)
+				if interned, _ := st.LevelTableStats(); name == "grid8x8" && interned != 0 {
+					t.Errorf("%s: a saturated store sent %d lists through the level table", name, interned)
+				}
+				st.Close()
+			}
+			sp, rep, err := OpenPartial(path)
+			if err != nil || rep.Lost() != 0 || rep.Truncated {
+				t.Fatalf("%s: salvage open of an intact file: %+v, %v", name, rep, err)
+			}
+			sp.Close()
+		}
+	}
+}
+
+// TestCanonicalBitLenMemo: the index's canonical bit length is checked
+// against the re-encode on every Raw, so the memoised sum must stay
+// exact — over labels that share a level's whole list, labels that do
+// not (a ring's low levels), and a list that aliases the remembered one
+// at another length.
+func TestCanonicalBitLenMemo(t *testing.T) {
+	for name, g := range factoredGraphs(t) {
+		s := buildScheme(t, g)
+		var memo edgeBitsMemo
+		for v := 0; v < g.NumVertices(); v++ {
+			l := s.Label(v)
+			if _, want := l.Encode(); canonicalBitLen(l, &memo) != want {
+				t.Fatalf("%s: vertex %d: memoised canonical length %d, Encode says %d", name, v, canonicalBitLen(l, &memo), want)
+			}
+		}
+	}
+	l := buildScheme(t, gen.Grid2D(6, 6)).Label(0)
+	var memo edgeBitsMemo
+	whole := memo.edgeBits(1, l.Levels[1].Edges)
+	if again := memo.edgeBits(1, l.Levels[1].Edges); again != whole {
+		t.Fatalf("the same list twice: %d then %d bits", whole, again)
+	}
+	prefix := l.Levels[1].Edges[:len(l.Levels[1].Edges)/2]
+	if got, want := memo.edgeBits(1, prefix), (&edgeBitsMemo{}).edgeBits(1, prefix); got != want || got == whole {
+		t.Fatalf("a prefix of the remembered list: %d bits, want %d (whole list %d)", got, want, whole)
+	}
+}
+
+// TestSplicedAcrossChangedNets: a clean label — byte-identical in both
+// generations — may still change its factored record, because "this
+// ball is every net point of the level" is a statement about the level
+// as well as the ball. Cutting the first edge of a path isolates vertex
+// 0, which thereby joins every net; the far vertices' labels never held
+// it and do not change, yet their upper-level balls stop being
+// saturated. The splice must notice (SameNetPoints) and not copy those
+// payloads verbatim.
+func TestSplicedAcrossChangedNets(t *testing.T) {
+	const n = 80
+	build := func(cut bool) *core.Scheme {
+		b := graph.NewBuilder(n)
+		for i := 0; i+1 < n; i++ {
+			if !cut || i > 0 {
+				b.AddEdge(i, i+1)
+			}
+		}
+		return buildScheme(t, b.MustBuild())
+	}
+	sA, sB := build(false), build(true)
+	if sA.LevelGraphs().SameNetPoints(sB.LevelGraphs()) {
+		t.Fatal("fixture: isolating a vertex left every net as it was")
+	}
+	dir := t.TempDir()
+	prev, err := Open(writeFormat3File(t, dir, "genA", sA, nil, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prev.Close()
+	full, err := Open(writeFormat3File(t, dir, "genB", sB, nil, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full.Close()
+	var dirty []int32
+	clean, moved := 0, 0
+	for v := 0; v < n; v++ {
+		a, abits := sA.Label(v).Encode()
+		b, bbits := sB.Label(v).Encode()
+		if abits != bbits || !bytes.Equal(a, b) {
+			dirty = append(dirty, int32(v))
+			continue
+		}
+		clean++
+		_, pa, _ := prev.f3.storedPayload(int32(v))
+		_, pb, _ := full.f3.storedPayload(int32(v))
+		if !bytes.Equal(pa, pb) {
+			moved++
+		}
+	}
+	if clean == 0 || moved == 0 {
+		t.Fatalf("fixture: %d clean labels, %d of them with a changed record — need both", clean, moved)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "genB"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := writeBytes(t, Spliced(sB, prev, dirty), nil, true, true); !bytes.Equal(got, want) {
+		t.Fatal("splice over a generation with other net points differs from a full write")
+	}
+	// With the nets unchanged the clean payloads travel verbatim.
+	same, err := Open(writeFormat3File(t, dir, "genB.prev", sB, nil, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer same.Close()
+	if got := writeBytes(t, Spliced(sB, same, dirty), nil, true, true); !bytes.Equal(got, want) {
+		t.Fatal("splice over the same generation differs from a full write")
+	}
+}
+
+// setFormat3Header rewrites page-0 fields of an FSDL3 file image and
+// reseals both header checksums, so a test can state one thing wrong
+// under checksums that are right.
+func setFormat3Header(data []byte, set func(page []byte)) []byte {
+	out := bytes.Clone(data)
+	set(out)
+	le := binary.LittleEndian
+	le.PutUint32(out[60:], crc32.ChecksumIEEE(out[:60]))
+	if out[5]&format3FlagFactored != 0 {
+		le.PutUint32(out[format3SectionAt+20:], crc32.ChecksumIEEE(out[:format3SectionAt+20]))
+	}
+	return out
+}
+
+func writeTemp(t testing.TB, data []byte) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "store.fsdl")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFormat3RejectsUnknownFlags: a flag bit this reader does not know
+// changes what the bytes mean, so the file is refused by every opener —
+// with an error that says why — instead of being misread. (A reader
+// from before PR 17 ignored byte 5 beyond bit 0 and cannot be fixed
+// retroactively; see docs/STORAGE.md.)
+func TestFormat3RejectsUnknownFlags(t *testing.T) {
+	s := buildScheme(t, gen.Grid2D(4, 4))
+	for _, compress := range []bool{false, true} {
+		good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, compress))
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] |= 1 << 2 }))
+		_, errOpen := Open(path)
+		_, errHeap := OpenHeap(path)
+		_, _, errPartial := OpenPartial(path)
+		_, errSniff := SniffEncoding(path)
+		for name, err := range map[string]error{"Open": errOpen, "OpenHeap": errHeap, "OpenPartial": errPartial, "SniffEncoding": errSniff} {
+			if err == nil || !strings.Contains(err.Error(), "format flags 0x04") {
+				t.Errorf("compress=%v: %s of a file with flag bit 2 set: %v, want an unknown-flag error", compress, name, err)
+			}
+		}
+	}
+	// The factored flag makes no sense without the compressed one.
+	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] = format3FlagFactored }))); err == nil {
+		t.Error("factored flag without the compressed flag accepted")
+	}
+}
+
+// TestFactoredDamagedLevelGraphs: no record of a factored file means
+// anything without its level graphs. Damage there — a flipped byte, a
+// window that leaves the file, a length of 2⁶³, rows that are wrong
+// under a checksum that is right — is an error from a strict open, and
+// from a salvaging one a store that reports every record lost: corrupt,
+// not absent, never a fault, and healable record by record through Put.
+func TestFactoredDamagedLevelGraphs(t *testing.T) {
+	g := gen.Grid2D(5, 5)
+	s := buildScheme(t, g)
+	n := g.NumVertices()
+	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := parseFormat3Header(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	at := format3SectionAt
+	// A section that lies under a checksum that is right: some row
+	// entry's distance (found from the back, where the rows are) set to
+	// 0, the section checksum recomputed over it.
+	lies := bytes.Clone(good)
+	sec := lies[hdr.secOff : hdr.secOff+hdr.secLen]
+	if !bytes.Equal(sec, s.LevelGraphs().Encode()) {
+		t.Fatal("the section is not the level graphs' encoding")
+	}
+	bent := false
+	for i := len(sec) - 1; i > len(sec)/2 && !bent; i-- {
+		old := sec[i]
+		sec[i] = 0
+		if _, err := core.LoadLevelGraphs(sec); err != nil && strings.Contains(err.Error(), "distance 0") {
+			bent = true
+		} else {
+			sec[i] = old
+		}
+	}
+	if !bent {
+		t.Fatal("fixture: no row distance found to zero")
+	}
+	lies = setFormat3Header(lies, func(page []byte) { le.PutUint32(page[at+16:], crc32.ChecksumIEEE(sec)) })
+
+	flipped := bytes.Clone(good)
+	flipped[hdr.secOff+hdr.secLen/2] ^= 0x40
+
+	salvageable := map[string][]byte{
+		"flipped section byte":        flipped,
+		"wrong rows, right checksums": lies,
+	}
+	for name, data := range salvageable {
+		path := writeTemp(t, data)
+		if _, err := Open(path); err == nil {
+			t.Errorf("%s: strict open accepted the file", name)
+		}
+		if _, err := OpenHeap(path); err == nil {
+			t.Errorf("%s: strict heap open accepted the file", name)
+		}
+		st, rep, err := OpenPartial(path)
+		if err != nil {
+			t.Fatalf("%s: salvage open: %v", name, err)
+		}
+		if rep.Total != n || rep.Kept != 0 || len(rep.Corrupt) != n {
+			t.Errorf("%s: salvage report %+v, want all %d records lost", name, rep, n)
+		}
+		if st.NumLabels() != 0 || len(st.Vertices()) != 0 {
+			t.Errorf("%s: %d labels servable", name, st.NumLabels())
+		}
+		for v := 0; v < n; v++ {
+			if _, err := st.Label(v); err == nil || !st.Corrupt(v) || st.Has(v) {
+				t.Fatalf("%s: vertex %d: Label err=%v Corrupt=%v Has=%v, want a corrupt record", name, v, err, st.Corrupt(v), st.Has(v))
+			}
+			if _, _, ok := st.Raw(v); ok {
+				t.Fatalf("%s: vertex %d: Raw served a record", name, v)
+			}
+		}
+		// Such a store cannot supply level graphs any more, and it heals
+		// like any other.
+		if lg, _ := st.levelGraphs(); lg != nil {
+			t.Errorf("%s: a store without level graphs offers some", name)
+		}
+		data, bits := s.Label(3).Encode()
+		if err := st.Put(3, bits, data); err != nil {
+			t.Fatalf("%s: heal: %v", name, err)
+		}
+		sameAsScheme(t, name+", healed vertex", st, s, []int{3})
+		st.Close()
+	}
+
+	for name, data := range map[string][]byte{
+		"section offset off by one": setFormat3Header(good, func(page []byte) { le.PutUint64(page[at:], hdr.secOff+1) }),
+		"section offset far away":   setFormat3Header(good, func(page []byte) { le.PutUint64(page[at:], 1<<40) }),
+		"section length 2^63":       setFormat3Header(good, func(page []byte) { le.PutUint64(page[at+8:], 1<<63) }),
+		"section length 2^64-1":     setFormat3Header(good, func(page []byte) { le.PutUint64(page[at+8:], 1<<64-1) }),
+		"section longer than file":  setFormat3Header(good, func(page []byte) { le.PutUint64(page[at+8:], hdr.secLen+4096) }),
+		"data length 2^63":          setFormat3Header(good, func(page []byte) { le.PutUint64(page[32:], 1<<63) }),
+		"second header checksum": func() []byte {
+			out := bytes.Clone(good)
+			out[at+20] ^= 1
+			return out
+		}(),
+	} {
+		path := writeTemp(t, data)
+		_, errOpen := Open(path)
+		_, errHeap := OpenHeap(path)
+		_, _, errPartial := OpenPartial(path)
+		if errOpen == nil || errHeap == nil || errPartial == nil {
+			t.Errorf("%s: accepted (Open %v, OpenHeap %v, OpenPartial %v)", name, errOpen, errHeap, errPartial)
+		}
+	}
+}
+
+// hostileBalls are factored record payloads for a vertex of lg that a
+// writer never produces: each parses as bits, and each must be refused
+// before it becomes a label.
+func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) map[string][]byte {
+	t.Helper()
+	n := lg.NumVertices()
+	levels := lg.Params().NumLevelRange()
+	// encode writes good's balls with level index 1 replaced by what
+	// level1 writes.
+	encode := func(level1 func(w *bitio.Writer)) []byte {
+		var w bitio.Writer
+		for k := 0; k < levels; k++ {
+			if k == 1 {
+				level1(&w)
+				continue
+			}
+			pts := good.Levels[k].Points
+			sat := len(pts) == len(lg.NetPoints(k))
+			if sat {
+				w.WriteBits(1, 1)
+			} else {
+				w.WriteBits(0, 1)
+			}
+			encodePoints(&w, pts, !sat)
+		}
+		return bytes.Clone(w.Bytes())
+	}
+	net := lg.NetPoints(1)
+	outsider := 0
+	for i, x := range net { // first vertex that is not a net point of level index 1
+		if int(x) != i {
+			break
+		}
+		outsider = i + 1
+	}
+	if outsider >= n || len(net) < 3 {
+		t.Fatalf("fixture: level index 1 has %d net points over %d vertices", len(net), n)
+	}
+	return map[string][]byte{
+		"all ones": bytes.Repeat([]byte{0xff}, 40),
+		"saturated bit, one distance short": encode(func(w *bitio.Writer) {
+			w.WriteBits(1, 1)
+			encodePoints(w, make([]core.PointEntry, len(net)-1), false)
+		}),
+		"saturated bit, one distance over": encode(func(w *bitio.Writer) {
+			w.WriteBits(1, 1)
+			encodePoints(w, make([]core.PointEntry, len(net)+1), false)
+		}),
+		"ball naming a vertex past n": encode(func(w *bitio.Writer) {
+			w.WriteBits(0, 1)
+			encodePoints(w, []core.PointEntry{{X: net[0]}, {X: int32(n + 3)}}, true)
+		}),
+		"ball naming a point outside the level": encode(func(w *bitio.Writer) {
+			w.WriteBits(0, 1)
+			encodePoints(w, []core.PointEntry{{X: int32(outsider)}}, true)
+		}),
+		"every net point but one, counted full": encode(func(w *bitio.Writer) {
+			pts := make([]core.PointEntry, 0, len(net))
+			pts = append(pts, core.PointEntry{X: int32(outsider)})
+			for _, x := range net[1:] {
+				if x > int32(outsider) {
+					pts = append(pts, core.PointEntry{X: x})
+				}
+			}
+			for x := int32(0); len(pts) < len(net); x++ { // pad back up to the count with non-net points
+				pts = append(pts, core.PointEntry{X: int32(n) + x})
+			}
+			w.WriteBits(0, 1)
+			encodePoints(w, pts, true)
+		}),
+		"distance past the ball radius": encode(func(w *bitio.Writer) {
+			w.WriteBits(0, 1)
+			encodePoints(w, []core.PointEntry{{X: net[0], D: 1 << 20}}, true)
+		}),
+		"a level missing": func() []byte {
+			var w bitio.Writer
+			for k := 0; k < levels-1; k++ {
+				w.WriteBits(0, 1)
+				encodePoints(&w, nil, true)
+			}
+			return bytes.Clone(w.Bytes())
+		}(),
+		"empty": {},
+	}
+}
+
+// writeFactoredWithPayload writes the full factored store of s with the
+// victim's record replaced by a raw payload under a valid record CRC.
+func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload []byte) string {
+	t.Helper()
+	n := s.Graph().NumVertices()
+	path := filepath.Join(t.TempDir(), "store.fsdl3c")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lg := s.LevelGraphs()
+	w, err := newFormat3Writer(f, n, n, true, lg, lg.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		r := rec{label: s.Label(v)}
+		if v == victim {
+			_, bits := r.label.Encode()
+			r = rec{bits: bits, data: payload, prm: paramsOfScheme(lg.Params()), balls: true}
+		}
+		if err := w.add(v, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.finish(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFactoredHostileRecords: a ball payload that passes its CRC and is
+// wrong — the saturated bit over the wrong count, an id past n, a point
+// that is no net point of its level — is a corrupt record from every
+// reader, like a CRC failure, and never a label: not from Label, Raw or
+// the digest, not as a splice source, and a salvaging open lists it.
+func TestFactoredHostileRecords(t *testing.T) {
+	g := gen.Path(60)
+	s := buildScheme(t, g)
+	const victim = 20
+	for name, payload := range hostileBalls(t, s.LevelGraphs(), s.Label(victim)) {
+		path := writeFactoredWithPayload(t, s, victim, payload)
+		st, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if l, err := st.Label(victim); err == nil {
+			t.Fatalf("%s: decoded into a label (Validate: %v)", name, l.Validate())
+		}
+		if !st.Corrupt(victim) || st.Has(victim) {
+			t.Errorf("%s: Corrupt=%v Has=%v after the failed decode", name, st.Corrupt(victim), st.Has(victim))
+		}
+		if _, _, ok := st.Raw(victim); ok {
+			t.Errorf("%s: Raw served the record", name)
+		}
+		if _, _, missing := st.DigestVertices([]int32{victim}); len(missing) != 1 {
+			t.Errorf("%s: digest counts the record present", name)
+		}
+		if err := Write(&seekBuffer{}, st, nil, true, true); err == nil {
+			t.Errorf("%s: the store copied the record into a new container", name)
+		}
+		sameAsScheme(t, name+", the other records", st, s, []int{0, victim - 1, victim + 1, 59})
+		st.Close()
+
+		raw, err := Open(path) // Raw first this time: the transcode path condemns it too
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := raw.Raw(victim); ok || !raw.Corrupt(victim) {
+			t.Errorf("%s: Raw on a fresh store: ok=%v Corrupt=%v", name, ok, raw.Corrupt(victim))
+		}
+		raw.Close()
+
+		sp, rep, err := OpenPartial(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim || rep.Kept != 59 {
+			t.Errorf("%s: salvage report %+v, want exactly vertex %d lost", name, rep, victim)
+		}
+		sp.Close()
+	}
+}
+
+// seekBuffer is an in-memory fileLike for writes whose bytes do not
+// matter.
+type seekBuffer struct {
+	data []byte
+	pos  int64
+}
+
+func (b *seekBuffer) Write(p []byte) (int, error) {
+	n, err := b.WriteAt(p, b.pos)
+	b.pos += int64(n)
+	return n, err
+}
+
+func (b *seekBuffer) WriteAt(p []byte, off int64) (int, error) {
+	if need := int(off) + len(p); need > len(b.data) {
+		b.data = append(b.data, make([]byte, need-len(b.data))...)
+	}
+	return copy(b.data[off:], p), nil
+}
+
+func (b *seekBuffer) Seek(off int64, whence int) (int64, error) {
+	b.pos = off // the writer only ever seeks from the start
+	return off, nil
+}
+
+// TestFactoredPutOverDamagedRecord: repair ingest over a factored
+// backing. The canonical record Put installs shadows the damaged balls
+// on disk; lookups, digests and the next container written from the
+// store (a shard's -persist) see the repaired label, and that container
+// is again the scheme's factored file byte for byte.
+func TestFactoredPutOverDamagedRecord(t *testing.T) {
+	g := ringLattice(128)
+	s := buildScheme(t, g)
+	const victim = 77
+	path := writeFormat3File(t, t.TempDir(), "store", s, nil, true)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clean, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, ok := clean.f3.find(victim)
+	if !ok {
+		t.Fatal("victim record missing")
+	}
+	// An intact record refuses a different one and shrugs at its own.
+	data, bits := s.Label(victim).Encode()
+	if err := clean.Put(victim, bits, data); err != nil {
+		t.Fatalf("re-putting the record a factored store holds: %v", err)
+	}
+	other, obits := s.Label(victim + 1).Encode()
+	if err := clean.Put(victim, obits, other); err == nil {
+		t.Fatal("a conflicting record was accepted over an intact one")
+	}
+	off := int64(clean.f3.hdr.dataOff) + int64(e.off) + int64(e.length)/2
+	clean.Close()
+	corruptFileByte(t, path, off)
+
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Label(victim); err == nil || !st.Corrupt(victim) {
+		t.Fatal("damaged record served")
+	}
+	if err := st.Put(victim, bits, data); err != nil {
+		t.Fatalf("heal: %v", err)
+	}
+	if st.Corrupt(victim) || !st.Has(victim) {
+		t.Fatal("healed record still reported corrupt")
+	}
+	sameAsScheme(t, "healed factored store", st, s, nil)
+	if got := writeBytes(t, st, nil, true, true); !bytes.Equal(got, want) {
+		t.Fatal("the healed store persists to other bytes than the scheme's factored file")
+	}
+}
+
+// TestFactoredConcurrentReaders: eight readers on one mapped factored
+// store — cold labels, Raw transcodes, digests — beside DropCaches.
+// Every label induced shares the file's level lists and the lazily built
+// whole lists are built under the readers' feet; run under -race.
+func TestFactoredConcurrentReaders(t *testing.T) {
+	const n = 192
+	s := buildScheme(t, ringLattice(n))
+	st, err := Open(writeFormat3File(t, t.TempDir(), "store", s, nil, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	st.SetDecodedCacheCapacity(16)
+	want := make([][]byte, n)
+	for v := range want {
+		want[v], _ = s.Label(v).Encode()
+	}
+	var readers sync.WaitGroup
+	for r := 0; r < 8; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			for i := 0; i < 300; i++ {
+				v := (i*13 + r*29) % n
+				l, err := st.Label(v)
+				if err != nil {
+					t.Errorf("reader %d: Label(%d): %v", r, v, err)
+					return
+				}
+				if got, _ := l.Encode(); !bytes.Equal(got, want[v]) {
+					t.Errorf("reader %d: Label(%d) encodes to other bytes", r, v)
+					return
+				}
+				if i%7 == 0 {
+					if _, data, ok := st.Raw((v + 5) % n); !ok || !bytes.Equal(data, want[(v+5)%n]) {
+						t.Errorf("reader %d: Raw(%d) differs", r, (v+5)%n)
+						return
+					}
+				}
+				if i%50 == 0 {
+					st.DigestVertices([]int32{int32(v), int32((v + 1) % n)})
+				}
+			}
+		}(r)
+	}
+	stop, dropped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(dropped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				st.DropCaches()
+			}
+		}
+	}()
+	readers.Wait()
+	close(stop)
+	<-dropped
+}

@@ -37,6 +37,26 @@
 //     was the single largest cost in the canonical form (~60% of all
 //     label bits on grids)
 //
+// A compressed store is *factored* (flag bit 1, only together with bit 0)
+// whenever its writer could supply the scheme's level graphs. H_ℓ(v) is
+// the one level-ℓ net graph induced on B(v, r_ℓ), so the edges of a label
+// are a function of its balls and of graphs every label shares:
+//
+//	level graphs:     one section per file, straight after the index (the
+//	                  data section starts at the next page boundary
+//	                  after it, so a file cut short loses tail records,
+//	                  not the section) — core.LevelGraphs.Encode, the
+//	                  encoding SaveScheme writes — with its offset,
+//	                  length and CRC32 in page 0 (bytes 64..84) under a
+//	                  second header CRC32 (bytes 84..88, over bytes 0..84)
+//	records:          per level one bit "this ball is every net point of
+//	                  the level", then the points as above — count and
+//	                  id gaps left out when the bit is set — and no edges
+//
+// Reading a record parses the balls and has core induce the edges
+// (core.LevelGraphs.Label); a saturated level gets the file's one list,
+// pointer-identical across every label of the store. See docs/STORAGE.md.
+//
 // The index always records the *canonical* bit length, whatever the
 // payload encoding: canonical bytes are the universal currency of the
 // wire protocol, the digests and Put, so a compressed store transcodes
@@ -62,8 +82,16 @@ const (
 	format3HeaderLen = 64 // used bytes of page 0; the rest is zero padding
 	format3EntryLen  = 24
 
-	// flag bits (header byte 5)
+	// flag bits (header byte 5); a reader refuses bits it does not know
 	format3FlagCompressed = 1 << 0
+	format3FlagFactored   = 1 << 1 // level-graphs section + ball records; needs bit 0
+	format3KnownFlags     = format3FlagCompressed | format3FlagFactored
+
+	// format3SectionAt is where page 0 describes the level-graphs section
+	// of a factored file: u64 offset, u64 length, u32 CRC32 of the
+	// section, u32 CRC32 of header bytes [0, format3SectionAt+20).
+	format3SectionAt      = format3HeaderLen
+	format3FactoredHdrLen = format3SectionAt + 24
 )
 
 // rec3Params are the scheme parameters hoisted out of every record into
@@ -77,26 +105,71 @@ type rec3Params struct {
 	set      bool
 }
 
+func params3(epsilon float64, c, maxLevel, rShrink int) rec3Params {
+	return rec3Params{epsQ: uint64(epsilon * 65536), c: c, maxLevel: maxLevel, rShrink: rShrink, set: true}
+}
+
+func paramsOfScheme(p core.Params) rec3Params {
+	return params3(p.Epsilon, p.C, p.MaxLevel, p.RShrink)
+}
+
 func paramsOf(l *core.Label) rec3Params {
-	return rec3Params{
-		epsQ:     uint64(l.Epsilon * 65536),
-		c:        l.C,
-		maxLevel: l.MaxLevel,
-		rShrink:  l.RShrink,
-		set:      true,
+	return params3(l.Epsilon, l.C, l.MaxLevel, l.RShrink)
+}
+
+// edgeBitsMemo remembers, per level index, the canonical bit length of
+// the edge section of the longest edge list one Write has seen there. The
+// length depends on the (XI, YI, D) list alone, and the list many labels
+// share — a saturated ball's, the whole level graph, one array handed to
+// every such label (core.LevelGraphs) — is the longest its level has: it
+// settles in its slot at first sight and every later label that carries
+// it costs a pointer compare instead of a walk over its edges. A list is
+// recognised by identity (same backing array, same length), the way the
+// decoder's seenBefore does; the slot pins that one array, so the address
+// cannot come to mean another list while the Write runs.
+type edgeBitsMemo []edgeBitsSlot
+
+type edgeBitsSlot struct {
+	edges []core.EdgeEntry
+	bits  int
+}
+
+func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
+	for len(*m) <= k {
+		*m = append(*m, edgeBitsSlot{})
 	}
+	slot := &(*m)[k]
+	if len(edges) > 0 && len(slot.edges) == len(edges) && &slot.edges[0] == &edges[0] {
+		return slot.bits
+	}
+	n := bitio.DeltaLen(uint64(len(edges)))
+	var prevXI, prevYI int64
+	for _, e := range edges {
+		dx := int64(e.XI) - prevXI
+		n += bitio.GammaLen(uint64(dx))
+		if dx != 0 {
+			prevYI = 0
+		}
+		n += bitio.GammaLen(uint64(int64(e.YI) - prevYI))
+		prevXI, prevYI = int64(e.XI), int64(e.YI)
+		n += bitio.GammaLen(uint64(e.D))
+	}
+	if len(edges) > len(slot.edges) {
+		slot.edges, slot.bits = edges, n
+	}
+	return n
 }
 
 // canonicalBitLen returns the exact bit length Label.Encode would emit,
 // without materializing the encoding — the index stores canonical bit
 // lengths even for compressed payloads.
-func canonicalBitLen(l *core.Label) int {
+func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
 	n := bitio.UvarintLen(uint64(l.V)) +
 		bitio.UvarintLen(uint64(l.Epsilon*65536)) +
 		bitio.UvarintLen(uint64(l.C)) +
 		bitio.UvarintLen(uint64(l.MaxLevel)) +
 		bitio.UvarintLen(uint64(l.RShrink))
-	for _, lv := range l.Levels {
+	for k, lv := range l.Levels {
 		n += bitio.DeltaLen(uint64(len(lv.Points)))
 		prev := int64(-1)
 		for _, pe := range lv.Points {
@@ -104,20 +177,146 @@ func canonicalBitLen(l *core.Label) int {
 			prev = int64(pe.X)
 			n += bitio.GammaLen(uint64(pe.D))
 		}
-		n += bitio.DeltaLen(uint64(len(lv.Edges)))
-		var prevXI, prevYI int64
-		for _, e := range lv.Edges {
-			dx := int64(e.XI) - prevXI
-			n += bitio.GammaLen(uint64(dx))
-			if dx != 0 {
-				prevYI = 0
-			}
-			n += bitio.GammaLen(uint64(int64(e.YI) - prevYI))
-			prevXI, prevYI = int64(e.XI), int64(e.YI)
-			n += bitio.GammaLen(uint64(e.D))
-		}
+		n += memo.edgeBits(k, lv.Edges)
 	}
 	return n
+}
+
+// encodePoints appends one level's ball: with ids the point count and the
+// gap-coded ids, then in either case the distances — the first in gamma,
+// the rest as zigzag(ΔD) in gamma.
+func encodePoints(w *bitio.Writer, pts []core.PointEntry, ids bool) {
+	if ids {
+		w.WriteDelta(uint64(len(pts)))
+	}
+	prev := int64(-1)
+	prevD := int64(0)
+	for i, pe := range pts {
+		if ids {
+			w.WriteDelta(uint64(int64(pe.X) - prev - 1))
+			prev = int64(pe.X)
+		}
+		if i == 0 {
+			w.WriteGamma(uint64(pe.D))
+		} else {
+			d := int64(pe.D) - prevD
+			w.WriteGamma(uint64(d<<1) ^ uint64(d>>63)) // zigzag
+		}
+		prevD = int64(pe.D)
+	}
+}
+
+// parsePoints reads one level's ball as encodePoints wrote it: with its
+// count and ids, or — saturated — without, the ids being all of net.
+func parsePoints(r *bitio.Reader, k int, saturated bool, net []int32) ([]core.PointEntry, error) {
+	np := uint64(len(net))
+	if !saturated {
+		var err error
+		if np, err = r.ReadDelta(); err != nil {
+			return nil, fmt.Errorf("labelstore: decode level %d points: %w", k, err)
+		}
+	}
+	// Each point costs at least 1 bit (2 with its id); reject counts
+	// beyond the payload before allocating (same guard as
+	// core.DecodeLabel).
+	if np > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("labelstore: level %d point count %d exceeds payload", k, np)
+	}
+	pts := make([]core.PointEntry, np)
+	prev := int64(-1)
+	prevD := int64(0)
+	for i := range pts {
+		if saturated {
+			prev = int64(net[i])
+		} else {
+			gap, err := r.ReadDelta()
+			if err != nil {
+				return nil, fmt.Errorf("labelstore: decode point gap: %w", err)
+			}
+			if gap > math.MaxInt32 {
+				return nil, fmt.Errorf("labelstore: decode point out of range")
+			}
+			prev += int64(gap) + 1
+		}
+		zz, err := r.ReadGamma()
+		if err != nil {
+			return nil, fmt.Errorf("labelstore: decode point dist: %w", err)
+		}
+		var d int64
+		if i == 0 {
+			d = int64(zz)
+		} else {
+			d = prevD + (int64(zz>>1) ^ -int64(zz&1))
+		}
+		if prev > math.MaxInt32 || d < 0 || d > math.MaxInt32 {
+			return nil, fmt.Errorf("labelstore: decode point out of range")
+		}
+		pts[i] = core.PointEntry{X: int32(prev), D: int32(d)}
+		prevD = d
+	}
+	return pts, nil
+}
+
+// checkPadding accepts the end of a record payload: records sit at byte
+// offsets, so after the structure is consumed only sub-byte zero padding
+// may remain.
+func checkPadding(r *bitio.Reader) error {
+	if r.Remaining() >= 8 {
+		return fmt.Errorf("labelstore: %d trailing bits after record", r.Remaining())
+	}
+	if pad, _ := r.ReadBits(r.Remaining()); pad != 0 {
+		return fmt.Errorf("labelstore: nonzero padding after record")
+	}
+	return nil
+}
+
+// encodeBalls appends the factored record encoding of l: its balls, under
+// the level graphs the reader will induce the edges from. Every point must
+// be a net point of its level there — "saturated" is decided by count, and
+// a reader fills a saturated ball's ids in from the level graphs.
+func encodeBalls(l *core.Label, lg *core.LevelGraphs, w *bitio.Writer) error {
+	if paramsOf(l) != paramsOfScheme(lg.Params()) || int(l.V) >= lg.NumVertices() {
+		return fmt.Errorf("labelstore: label of vertex %d does not belong to the store's level graphs", l.V)
+	}
+	for k := range l.Levels {
+		pts := l.Levels[k].Points
+		net := lg.NetPoints(k)
+		j := 0
+		for _, pe := range pts {
+			for j < len(net) && net[j] < pe.X {
+				j++
+			}
+			if j == len(net) || net[j] != pe.X {
+				return fmt.Errorf("labelstore: vertex %d level %d: point %d is not a net point of the store's level graphs", l.V, l.Level(k), pe.X)
+			}
+		}
+		saturated := len(pts) == len(net)
+		if saturated {
+			w.WriteBits(1, 1)
+		} else {
+			w.WriteBits(0, 1)
+		}
+		encodePoints(w, pts, !saturated)
+	}
+	return nil
+}
+
+// parseBalls reads a factored record payload back into its balls, one
+// point list per level of lg. The ids are checked where they are used
+// (core.LevelGraphs.Label).
+func parseBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, error) {
+	r := bitio.NewReader(payload, 8*len(payload))
+	balls := make([][]core.PointEntry, lg.Params().NumLevelRange())
+	for k := range balls {
+		saturated, err := r.ReadBits(1)
+		if err != nil {
+			return nil, fmt.Errorf("labelstore: decode level %d: %w", k, err)
+		}
+		if balls[k], err = parsePoints(r, k, saturated != 0, lg.NetPoints(k)); err != nil {
+			return nil, err
+		}
+	}
+	return balls, checkPadding(r)
 }
 
 // encodeRecord3 appends the compressed record encoding of l to w. The
@@ -126,20 +325,7 @@ func canonicalBitLen(l *core.Label) int {
 func encodeRecord3(l *core.Label, w *bitio.Writer) error {
 	for k := range l.Levels {
 		lv := &l.Levels[k]
-		w.WriteDelta(uint64(len(lv.Points)))
-		prev := int64(-1)
-		prevD := int64(0)
-		for i, pe := range lv.Points {
-			w.WriteDelta(uint64(int64(pe.X) - prev - 1))
-			prev = int64(pe.X)
-			if i == 0 {
-				w.WriteGamma(uint64(pe.D))
-			} else {
-				d := int64(pe.D) - prevD
-				w.WriteGamma(uint64(d<<1) ^ uint64(d>>63)) // zigzag
-			}
-			prevD = int64(pe.D)
-		}
+		encodePoints(w, lv.Points, true)
 		w.WriteDelta(uint64(len(lv.Edges)))
 		dBits := l.Level(k) + 1 // D−1 fits exactly: 0 < D ≤ λ_ℓ = 2^(ℓ+1)
 		if k > 0 && len(lv.Edges) > 0 && dBits > 31 {
@@ -167,9 +353,8 @@ func encodeRecord3(l *core.Label, w *bitio.Writer) error {
 	return nil
 }
 
-// decodeRecord3 parses a compressed record payload into a validated
-// label. The payload is byte-padded (records sit at byte offsets), so
-// after the structure is consumed only sub-byte zero padding may remain.
+// decodeRecord3 parses a compressed (unfactored) record payload into a
+// validated label.
 func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
 	return parseRecord3(payload, v, p, nil)
 }
@@ -194,39 +379,9 @@ func parseRecord3(payload []byte, v int32, p rec3Params, alloc func(n int) []cor
 		Levels:   make([]core.LevelLabel, numLevels),
 	}
 	for k := range l.Levels {
-		np, err := r.ReadDelta()
+		pts, err := parsePoints(r, k, false, nil)
 		if err != nil {
-			return nil, fmt.Errorf("labelstore: decode level %d points: %w", k, err)
-		}
-		// Each point costs at least 2 bits; reject counts beyond the
-		// payload before allocating (same guard as core.DecodeLabel).
-		if np > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("labelstore: level %d point count %d exceeds payload", k, np)
-		}
-		pts := make([]core.PointEntry, np)
-		prev := int64(-1)
-		prevD := int64(0)
-		for i := range pts {
-			gap, err := r.ReadDelta()
-			if err != nil {
-				return nil, fmt.Errorf("labelstore: decode point gap: %w", err)
-			}
-			prev += int64(gap) + 1
-			zz, err := r.ReadGamma()
-			if err != nil {
-				return nil, fmt.Errorf("labelstore: decode point dist: %w", err)
-			}
-			var d int64
-			if i == 0 {
-				d = int64(zz)
-			} else {
-				d = prevD + (int64(zz>>1) ^ -int64(zz&1))
-			}
-			if prev > math.MaxInt32 || d < 0 || d > math.MaxInt32 {
-				return nil, fmt.Errorf("labelstore: decode point out of range")
-			}
-			pts[i] = core.PointEntry{X: int32(prev), D: int32(d)}
-			prevD = d
+			return nil, err
 		}
 		ne, err := r.ReadDelta()
 		if err != nil {
@@ -278,11 +433,8 @@ func parseRecord3(payload []byte, v int32, p rec3Params, alloc func(n int) []cor
 		}
 		l.Levels[k] = core.LevelLabel{Points: pts, Edges: edges}
 	}
-	if r.Remaining() >= 8 {
-		return nil, fmt.Errorf("labelstore: %d trailing bits after record", r.Remaining())
-	}
-	if pad, _ := r.ReadBits(r.Remaining()); pad != 0 {
-		return nil, fmt.Errorf("labelstore: nonzero padding after record")
+	if err := checkPadding(r); err != nil {
+		return nil, err
 	}
 	if err := l.Validate(); err != nil {
 		return nil, err
@@ -298,9 +450,13 @@ type format3Header struct {
 	dataOff uint64
 	dataLen uint64
 	prm     rec3Params
+	// The level-graphs section of a factored file.
+	secOff, secLen uint64
+	secCRC         uint32
 }
 
 func (h *format3Header) compressed() bool { return h.flags&format3FlagCompressed != 0 }
+func (h *format3Header) factored() bool   { return h.flags&format3FlagFactored != 0 }
 
 func encodeFormat3Header(h *format3Header) []byte {
 	buf := make([]byte, format3Page)
@@ -316,6 +472,13 @@ func encodeFormat3Header(h *format3Header) []byte {
 	le.PutUint32(buf[52:], uint32(h.prm.maxLevel))
 	le.PutUint32(buf[56:], uint32(h.prm.rShrink))
 	le.PutUint32(buf[60:], crc32.ChecksumIEEE(buf[:60]))
+	if h.factored() {
+		at := format3SectionAt
+		le.PutUint64(buf[at:], h.secOff)
+		le.PutUint64(buf[at+8:], h.secLen)
+		le.PutUint32(buf[at+16:], h.secCRC)
+		le.PutUint32(buf[at+20:], crc32.ChecksumIEEE(buf[:at+20]))
+	}
 	return buf
 }
 
@@ -343,6 +506,14 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 			rShrink:  int(le.Uint32(buf[56:])),
 		},
 	}
+	// A flag this reader does not know changes what the bytes mean: refuse
+	// the file instead of misreading it.
+	if unknown := h.flags &^ format3KnownFlags; unknown != 0 {
+		return nil, fmt.Errorf("labelstore: FSDL3 file uses format flags %#02x this reader does not know (written by a newer version?)", unknown)
+	}
+	if h.factored() && !h.compressed() {
+		return nil, fmt.Errorf("labelstore: FSDL3 factored flag without the compressed flag")
+	}
 	h.prm.set = h.count > 0 && h.compressed()
 	if h.count > h.n {
 		return nil, fmt.Errorf("labelstore: count %d exceeds n %d", h.count, h.n)
@@ -350,9 +521,30 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 	if h.n > math.MaxInt32 {
 		return nil, fmt.Errorf("labelstore: implausible n %d", h.n)
 	}
-	wantData := pageAlign(format3Page + int64(h.count)*format3EntryLen)
-	if int64(h.dataOff) != wantData {
+	// The data section starts at the first page boundary after the index
+	// and, in a factored file, the level-graphs section that follows it
+	// directly. Lengths come from the file: sums are checked for
+	// wrap-around before anything is sliced by them.
+	indexEnd := format3Page + int64(h.count)*format3EntryLen
+	if h.factored() {
+		at := format3SectionAt
+		if len(buf) < format3FactoredHdrLen {
+			return nil, fmt.Errorf("labelstore: FSDL3 header truncated (%d bytes)", len(buf))
+		}
+		if got, want := le.Uint32(buf[at+20:]), crc32.ChecksumIEEE(buf[:at+20]); got != want {
+			return nil, fmt.Errorf("labelstore: FSDL3 level-graphs header checksum mismatch")
+		}
+		h.secOff, h.secLen, h.secCRC = le.Uint64(buf[at:]), le.Uint64(buf[at+8:]), le.Uint32(buf[at+16:])
+		if int64(h.secOff) != indexEnd || h.secLen > math.MaxInt64-format3Page-h.secOff {
+			return nil, fmt.Errorf("labelstore: level-graphs section [%d,+%d) does not follow the index (ends at %d)", h.secOff, h.secLen, indexEnd)
+		}
+		indexEnd += int64(h.secLen)
+	}
+	if wantData := pageAlign(indexEnd); int64(h.dataOff) != wantData {
 		return nil, fmt.Errorf("labelstore: data offset %d, want %d", h.dataOff, wantData)
+	}
+	if h.dataLen > math.MaxInt64-h.dataOff {
+		return nil, fmt.Errorf("labelstore: implausible data section [%d,+%d)", h.dataOff, h.dataLen)
 	}
 	return h, nil
 }
@@ -411,37 +603,55 @@ type fileLike interface {
 
 // format3Writer streams records into an FSDL3 file. Records must be
 // added in strictly ascending vertex order (the index is binary-searched
-// at read time); finish seals the file by writing the header page and
-// index. The writer buffers only the index in memory — payloads stream
-// to the data section as they are added.
+// at read time); finish seals the file by writing the header page, the
+// index and, in a factored file, the level-graphs section behind it. The
+// writer buffers only those in memory — payloads stream to the data
+// section as they are added.
 type format3Writer struct {
 	f        fileLike
 	n        int
 	count    int
 	added    int
 	compress bool
+	// lg and section, when set, make the file factored: records are
+	// written as balls under lg, and section (lg's encoding) follows the
+	// index.
+	lg       *core.LevelGraphs
+	section  []byte
 	prm      rec3Params
 	entries  []byte
 	dataOff  int64
 	pos      int64 // next payload offset, relative to dataOff
 	lastV    int64
 	enc      bitio.Writer
+	edgeBits edgeBitsMemo
 }
 
 // newFormat3Writer positions f for an n-vertex store that will hold
-// exactly count records.
-func newFormat3Writer(f fileLike, n, count int, compress bool) (*format3Writer, error) {
+// exactly count records; with level graphs (and compress) the store is
+// factored.
+func newFormat3Writer(f fileLike, n, count int, compress bool, lg *core.LevelGraphs, section []byte) (*format3Writer, error) {
 	if n <= 0 || count < 0 || count > n {
 		return nil, fmt.Errorf("labelstore: bad FSDL3 shape n=%d count=%d", n, count)
+	}
+	if lg != nil && (!compress || lg.NumVertices() != n) {
+		return nil, fmt.Errorf("labelstore: level graphs over %d vertices cannot factor this store (n=%d, compress=%v)", lg.NumVertices(), n, compress)
 	}
 	w := &format3Writer{
 		f:        f,
 		n:        n,
 		count:    count,
 		compress: compress,
+		lg:       lg,
+		section:  section,
 		entries:  make([]byte, 0, count*format3EntryLen),
-		dataOff:  pageAlign(format3Page + int64(count)*format3EntryLen),
+		dataOff:  pageAlign(format3Page + int64(count)*format3EntryLen + int64(len(section))),
 		lastV:    -1,
+	}
+	if lg != nil {
+		// A factored file states its parameters even when it holds no
+		// record: they are the level graphs'.
+		w.prm = paramsOfScheme(lg.Params())
 	}
 	if _, err := f.Seek(w.dataOff, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("labelstore: seek to data section: %w", err)
@@ -454,9 +664,13 @@ func newFormat3Writer(f fileLike, n, count int, compress bool) (*format3Writer, 
 func (w *format3Writer) add(v int, r rec) error {
 	switch {
 	case r.prm.set:
-		// Already a compressed payload, copied verbatim — the
-		// incremental-compaction fast path. The source vouches that it
-		// came from a store with these parameters.
+		// Already a stored payload, copied verbatim — the
+		// incremental-compaction and partition fast path. The source
+		// vouches that it came from a store with these parameters and, for
+		// balls, these net points; the encoding must be this writer's.
+		if r.balls != (w.lg != nil) {
+			return fmt.Errorf("labelstore: vertex %d payload encoding (balls=%v) is not this store's", v, r.balls)
+		}
 		if err := w.captureParams(r.prm, v); err != nil {
 			return err
 		}
@@ -474,7 +688,7 @@ func (w *format3Writer) add(v int, r rec) error {
 		}
 		r.label = l
 	}
-	bits := canonicalBitLen(r.label)
+	bits := canonicalBitLen(r.label, &w.edgeBits)
 	if !w.compress {
 		buf, nbits := r.label.Encode()
 		if nbits != bits {
@@ -486,7 +700,11 @@ func (w *format3Writer) add(v int, r rec) error {
 		return err
 	}
 	w.enc.Reset()
-	if err := encodeRecord3(r.label, &w.enc); err != nil {
+	if w.lg != nil {
+		if err := encodeBalls(r.label, w.lg, &w.enc); err != nil {
+			return err
+		}
+	} else if err := encodeRecord3(r.label, &w.enc); err != nil {
 		return err
 	}
 	return w.append(v, bits, w.enc.Bytes())
@@ -541,25 +759,31 @@ func (w *format3Writer) finish() error {
 	if w.added != w.count {
 		return fmt.Errorf("labelstore: %d records added, header promised %d", w.added, w.count)
 	}
-	flags := byte(0)
-	if w.compress {
-		flags |= format3FlagCompressed
-	}
 	h := &format3Header{
-		flags:   flags,
 		n:       uint64(w.n),
 		count:   uint64(w.count),
 		dataOff: uint64(w.dataOff),
 		dataLen: uint64(w.pos),
 		prm:     w.prm,
 	}
-	if len(w.entries) > 0 {
-		if _, err := w.f.WriteAt(w.entries, format3Page); err != nil {
+	if w.compress {
+		h.flags |= format3FlagCompressed
+	}
+	// What sits between page 0 and the data section: the index, then the
+	// level graphs of a factored file.
+	front := w.entries
+	if w.lg != nil {
+		h.flags |= format3FlagFactored
+		h.secOff, h.secLen, h.secCRC = uint64(format3Page+len(w.entries)), uint64(len(w.section)), crc32.ChecksumIEEE(w.section)
+		front = append(front, w.section...)
+	}
+	if len(front) > 0 {
+		if _, err := w.f.WriteAt(front, format3Page); err != nil {
 			return fmt.Errorf("labelstore: write index: %w", err)
 		}
 		// Zero-fill the alignment gap between index end and data start so
 		// the file has no undefined bytes.
-		gapStart := format3Page + int64(len(w.entries))
+		gapStart := format3Page + int64(len(front))
 		if gap := w.dataOff - gapStart; gap > 0 {
 			if _, err := w.f.WriteAt(make([]byte, gap), gapStart); err != nil {
 				return fmt.Errorf("labelstore: write index padding: %w", err)

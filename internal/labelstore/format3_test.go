@@ -206,20 +206,20 @@ func TestFormat3SpliceByteIdentical(t *testing.T) {
 
 // TestFormat3PartitionByteIdentical proves SaveVerticesFormat3 matches
 // SaveFormat3 over the same records — the partition determinism gate.
+// The store partitioned is the one a deployment partitions: the full
+// store in the container being written (compressed: the factored file,
+// whose level graphs the partition then carries verbatim). What an FSDL2
+// store yields under compress is TestWriteMatrix's second rule.
 func TestFormat3PartitionByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Grid2D(8, 8)
 	s := buildScheme(t, g)
-	var buf bytes.Buffer
-	if err := Save(&buf, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
 	part := []int{5, 9, 11, 12, 40, 63}
 	for _, compress := range []bool{false, true} {
+		st, err := Open(writeFormat3File(t, dir, "full"+suffix(compress), s, nil, compress))
+		if err != nil {
+			t.Fatal(err)
+		}
 		want, err := os.ReadFile(writeFormat3File(t, dir, "direct"+suffix(compress), s, part, compress))
 		if err != nil {
 			t.Fatal(err)
@@ -240,6 +240,7 @@ func TestFormat3PartitionByteIdentical(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Fatalf("store partition differs from scheme partition (compress=%v)", compress)
 		}
+		st.Close()
 	}
 }
 
@@ -382,7 +383,7 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := newFormat3Writer(f, n, n, compress)
+		w, err := newFormat3Writer(f, n, n, compress, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -399,7 +400,7 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 			// garbage serialized body yields a valid-CRC, undecodable
 			// record — for the uncompressed store the payload length must
 			// still match the claimed canonical bit length.
-			bits := canonicalBitLen(l)
+			bits := canonicalBitLen(l, &edgeBitsMemo{})
 			junk := bytes.Repeat([]byte{0xff}, (bits+7)/8)
 			if !compress {
 				if _, err := core.DecodeLabel(junk, bits); err == nil {
@@ -576,11 +577,15 @@ func TestFormat3TruncatedFile(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	s := buildScheme(t, g)
 	path := writeFormat3File(t, dir, "store.fsdl3", s, nil, true)
-	fi, err := os.Stat(path)
+	whole, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Truncate(path, fi.Size()*2/3); err != nil {
+	// Cut the file in the middle of its data section (in a factored file
+	// the records are a small share of the whole).
+	cut := int64(whole.f3.hdr.dataOff + whole.f3.hdr.dataLen/2)
+	whole.Close()
+	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(path); err == nil {

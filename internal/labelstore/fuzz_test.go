@@ -3,9 +3,12 @@ package labelstore
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
+	"os"
 	"testing"
 
 	"fsdl/internal/core"
+	"fsdl/internal/gen"
 	"fsdl/internal/graph"
 )
 
@@ -110,6 +113,135 @@ func FuzzLoadPartial(f *testing.F) {
 			if _, err := st.Label(v); err != nil {
 				t.Fatalf("salvaged label %d does not decode: %v", v, err)
 			}
+		}
+	})
+}
+
+// resealFormat3 recomputes every checksum of an FSDL3 file image over
+// whatever the image now holds — record CRCs in the index, the
+// level-graphs section's CRC, both header CRCs — reading the fields it
+// needs straight from page 0 and skipping any window that leaves the
+// image. It lets a fuzzer (or a test) state one thing wrong under
+// checksums that are right, so the bytes reach the parsers the
+// checksums guard.
+func resealFormat3(data []byte) []byte {
+	if len(data) < format3Page || string(data[:5]) != string(magicV3) {
+		return data
+	}
+	out := bytes.Clone(data)
+	le := binary.LittleEndian
+	count, dataOff, dataLen := le.Uint64(out[16:]), le.Uint64(out[24:]), le.Uint64(out[32:])
+	size := uint64(len(out))
+	for i := uint64(0); i < count && format3Page+(i+1)*format3EntryLen <= size; i++ {
+		ent := out[format3Page+i*format3EntryLen:]
+		e := parseIndex3Entry(ent)
+		if dataOff <= size && e.off <= dataLen && e.off <= size-dataOff && uint64(e.length) <= size-dataOff-e.off {
+			start := dataOff + e.off
+			le.PutUint32(ent[20:], recordChecksum(int(e.vertex), int(e.bits), out[start:start+uint64(e.length)]))
+		}
+	}
+	if out[5]&format3FlagFactored != 0 {
+		at := format3SectionAt
+		if off, length := le.Uint64(out[at:]), le.Uint64(out[at+8:]); off <= size && length <= size-off {
+			le.PutUint32(out[at+16:], crc32.ChecksumIEEE(out[off:off+length]))
+		}
+	}
+	return setFormat3Header(out, func([]byte) {})
+}
+
+// FuzzOpenFormat3 is the container-level fuzz target: whole-file bytes
+// through Open, OpenHeap and OpenPartial, then Label and Raw on every
+// vertex the index names. With reseal set the image's checksums are
+// recomputed first, so a mutated offset, length, row, saturated bit or
+// ball id arrives under a right CRC. Whatever happens must be an open
+// error or a record reported unknown/corrupt — never a fault, never an
+// allocation sized from an unchecked field, and never a label that fails
+// Validate (checked here by decoding its canonical encoding afresh,
+// which walks every edge).
+func FuzzOpenFormat3(f *testing.F) {
+	s, err := core.BuildScheme(gen.Path(60), 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir := f.TempDir()
+	read := func(path string) []byte {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	factored := read(writeFormat3File(f, dir, "factored", s, nil, true))
+	f.Add(factored, false)
+	f.Add(read(writeFormat3File(f, dir, "subset", s, []int{3, 9, 20, 41, 59}, true)), false)
+	f.Add(read(writeFormat3File(f, dir, "canonical", s, []int{0, 30, 59}, false)), false)
+	f.Add(read(pre17FSDL3c), false)
+	// Damage under right checksums: the level-graphs window, its rows,
+	// and records that lie about their balls.
+	le := binary.LittleEndian
+	at := format3SectionAt
+	secOff, secLen := le.Uint64(factored[at:]), le.Uint64(factored[at+8:])
+	for _, set := range []func(page []byte){
+		func(page []byte) { le.PutUint64(page[at:], secOff+1) },
+		func(page []byte) { le.PutUint64(page[at:], 1<<40) },
+		func(page []byte) { le.PutUint64(page[at+8:], 1<<63) },
+		func(page []byte) { le.PutUint64(page[at+8:], secLen+1<<20) },
+		func(page []byte) { le.PutUint64(page[32:], 1<<63) },
+		func(page []byte) { le.PutUint64(page[16:], 1<<31) },
+		func(page []byte) { page[5] |= 1 << 2 },
+		func(page []byte) { page[5] &^= format3FlagCompressed },
+	} {
+		f.Add(setFormat3Header(factored, set), false)
+	}
+	for i := secOff + secLen - 40; i < secOff+secLen; i++ { // the last rows: ids and distances
+		bent := bytes.Clone(factored)
+		bent[i] = 0
+		f.Add(bent, true)
+	}
+	for _, payload := range hostileBalls(f, s.LevelGraphs(), s.Label(20)) {
+		f.Add(read(writeFactoredWithPayload(f, s, 20, payload)), false)
+	}
+	f.Add(factored[:len(factored)*2/3], false)
+	f.Add([]byte("FSDL3"), true)
+
+	f.Fuzz(func(t *testing.T, data []byte, reseal bool) {
+		if reseal {
+			data = resealFormat3(data)
+		}
+		path := writeTemp(t, data)
+		exercise := func(st *Store) {
+			defer st.Close()
+			st.SizeBits()
+			if st.f3 == nil {
+				return
+			}
+			for i := 0; i < st.f3.idxCount && i < 64; i++ {
+				v := int(st.f3.entry(i).vertex)
+				if l, err := st.Label(v); err == nil {
+					buf, nbits := l.Encode()
+					if _, err := core.DecodeLabel(buf, nbits); err != nil {
+						t.Fatalf("Label(%d) returned a label that fails Validate: %v", v, err)
+					}
+				}
+				if bits, raw, ok := st.Raw(v); ok {
+					if _, err := core.DecodeLabel(raw, bits); err != nil {
+						t.Fatalf("Raw(%d) served a record that does not decode: %v", v, err)
+					}
+				}
+				st.Corrupt(v)
+			}
+		}
+		if st, err := Open(path); err == nil {
+			exercise(st)
+		}
+		if st, err := OpenHeap(path); err == nil {
+			exercise(st)
+		}
+		if st, rep, err := OpenPartial(path); err == nil {
+			if rep.Kept < 0 || rep.Kept > rep.Total {
+				t.Fatalf("salvage report keeps %d of %d", rep.Kept, rep.Total)
+			}
+			exercise(st)
 		}
 	})
 }

@@ -73,32 +73,41 @@ func distances(t *testing.T, st *Store, n int) []int64 {
 
 // TestLevelTableDropCaches: DropCaches empties the table with the LRU,
 // and a label handed out before keeps decoding — it holds its lists, the
-// table only pointed at them.
+// table only pointed at them. A factored file never brings a saturated
+// level to the table at all: every label gets the file's one list per
+// level, which outlives DropCaches with the file.
 func TestLevelTableDropCaches(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	st, err := Open(writeFormat3File(t, t.TempDir(), "c.fsdl3", s, nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	want := distances(t, st, 36)
-	ls, _ := st.Label(0)
-	lt, _ := st.Label(35)
-	wantD, wantOK := (&core.Query{S: ls, T: lt}).Distance()
-	interned, lists := st.LevelTableStats()
-	if interned == 0 || lists == 0 {
-		t.Fatalf("a saturated grid read through: %d lists interned, %d held", interned, lists)
-	}
+	for _, factored := range []bool{false, true} {
+		st, err := Open(writeFormat3File(t, t.TempDir(), "store"+suffix(factored), s, nil, factored))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := distances(t, st, 36)
+		ls, _ := st.Label(0)
+		lt, _ := st.Label(35)
+		wantD, wantOK := (&core.Query{S: ls, T: lt}).Distance()
+		interned, lists := st.LevelTableStats()
+		// (The one level that differs has no edges to share: a single
+		// net point.)
+		if shared, differ := sharedLevels(ls, lt); factored && (shared == 0 || differ > 1) {
+			t.Fatalf("factored labels of a saturated grid share %d levels, differ on %d", shared, differ)
+		}
+		if factored != (interned == 0 && lists == 0) {
+			t.Fatalf("factored=%v: a saturated grid read through: %d lists interned, %d held", factored, interned, lists)
+		}
 
-	st.DropCaches()
-	if again, lists := st.LevelTableStats(); lists != 0 || again != interned {
-		t.Fatalf("after DropCaches: %d lists held, counter %d → %d", lists, interned, again)
-	}
-	if d, ok := (&core.Query{S: ls, T: lt}).Distance(); d != wantD || ok != wantOK {
-		t.Fatalf("labels held across DropCaches decode (%d,%v), before (%d,%v)", d, ok, wantD, wantOK)
-	}
-	if got := distances(t, st, 36); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("answers after DropCaches %v, before %v", got, want)
+		st.DropCaches()
+		if again, lists := st.LevelTableStats(); lists != 0 || again != interned {
+			t.Fatalf("after DropCaches: %d lists held, counter %d → %d", lists, interned, again)
+		}
+		if d, ok := (&core.Query{S: ls, T: lt}).Distance(); d != wantD || ok != wantOK {
+			t.Fatalf("labels held across DropCaches decode (%d,%v), before (%d,%v)", d, ok, wantD, wantOK)
+		}
+		if got := distances(t, st, 36); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("answers after DropCaches %v, before %v", got, want)
+		}
+		st.Close()
 	}
 }
 
@@ -236,14 +245,14 @@ func TestLevelTableRepairIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := newFormat3Writer(f, n, n, false)
+	w, err := newFormat3Writer(f, n, n, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {
 		r := rec{label: s.Label(v)}
 		if v == victim { // a valid checksum over a payload that does not parse
-			bits := canonicalBitLen(r.label)
+			bits := canonicalBitLen(r.label, &edgeBitsMemo{})
 			r = rec{bits: bits, data: bytes.Repeat([]byte{0xff}, (bits+7)/8)}
 		}
 		if err := w.add(v, r); err != nil {

@@ -18,6 +18,7 @@ package labelstore
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"slices"
@@ -62,6 +63,13 @@ type file3 struct {
 	payloads []byte // the data section (may be clamped by salvage)
 	idxCount int    // readable index entries
 
+	// lg and section are the level graphs of a factored file and the
+	// bytes they were decoded from; nil otherwise (and for a factored file
+	// whose section a salvaging open found damaged — every record of it
+	// is then corrupt).
+	lg      *core.LevelGraphs
+	section []byte
+
 	verified []atomic.Uint32 // per-slot CRC-checked-ok bitset
 	ncorrupt atomic.Int64    // len(corrupt); gates the corrupt-set check in verify
 
@@ -91,6 +99,53 @@ func newFile3(data []byte, region *mmapRegion, hdr *format3Header) *file3 {
 	}
 	f.verified = make([]atomic.Uint32, (f.idxCount+31)/32)
 	return f
+}
+
+// loadLevelGraphs decodes the level-graphs section of a factored file:
+// inside the file, CRC intact, decodable (core.LoadLevelGraphs checks
+// every row labels are induced from) and describing the store the header
+// describes.
+func (f *file3) loadLevelGraphs() error {
+	h := f.hdr
+	end := h.secOff + h.secLen
+	if end > uint64(len(f.data)) {
+		return fmt.Errorf("labelstore: level-graphs section [%d,+%d) outside the file (%d bytes)", h.secOff, h.secLen, len(f.data))
+	}
+	section := f.data[h.secOff:end:end]
+	if crc32.ChecksumIEEE(section) != h.secCRC {
+		return fmt.Errorf("labelstore: level-graphs section checksum mismatch")
+	}
+	lg, err := core.LoadLevelGraphs(section)
+	if err != nil {
+		return fmt.Errorf("labelstore: level-graphs section: %w", err)
+	}
+	if uint64(lg.NumVertices()) != h.n || (h.count > 0 && paramsOfScheme(lg.Params()) != h.prm) {
+		return fmt.Errorf("labelstore: level-graphs section describes another store (n=%d, header n=%d)", lg.NumVertices(), h.n)
+	}
+	f.lg, f.section = lg, section
+	return nil
+}
+
+// parse decodes a stored compressed payload of v into a label: a factored
+// file's balls, the edges induced from its level graphs, or a
+// self-contained compressed record. The level edge lists that are not a
+// level's one whole list are shared through t (nil: private copies).
+func (f *file3) parse(payload []byte, v int32, t *core.LevelTable) (*core.Label, error) {
+	switch {
+	case f.lg != nil:
+		balls, err := parseBalls(payload, f.lg)
+		if err != nil {
+			return nil, err
+		}
+		return f.lg.Label(v, balls, t)
+	case f.hdr.factored():
+		return nil, fmt.Errorf("labelstore: record for vertex %d needs the file's level graphs, which are damaged", v)
+	case t == nil:
+		return decodeRecord3(payload, v, f.hdr.prm)
+	}
+	return t.Parse(func(alloc func(int) []core.EdgeEntry) (*core.Label, error) {
+		return parseRecord3(payload, v, f.hdr.prm, alloc)
+	})
 }
 
 // entry returns the parsed index slot i.
@@ -227,7 +282,7 @@ func open(path string, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		return nil, nil, err
 	}
 	defer f.Close()
-	version, _, err := sniff(f)
+	version, err := sniff(f)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,38 +292,74 @@ func open(path string, useMmap, partial bool) (*Store, *SalvageReport, error) {
 	return load(f, partial)
 }
 
-// sniff reads the container magic (and, for FSDL3, the flag byte after
-// it) at the head of f, then rewinds f for the reader proper.
-func sniff(f *os.File) (version int, compressed bool, err error) {
-	var head [6]byte
+// sniff reads the container magic at the head of f, then rewinds f for
+// the reader proper.
+func sniff(f *os.File) (version int, err error) {
+	var head [5]byte
 	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return 0, false, fmt.Errorf("labelstore: read magic: %w", err)
+		return 0, fmt.Errorf("labelstore: read magic: %w", err)
 	}
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, false, err
+		return 0, err
 	}
-	switch string(head[:5]) {
+	switch string(head[:]) {
 	case string(magicV2):
-		return 2, false, nil
+		return 2, nil
 	case string(magicV3):
-		return 3, head[5]&format3FlagCompressed != 0, nil
+		return 3, nil
 	}
-	return 0, false, fmt.Errorf("labelstore: bad magic %q", head[:5])
+	return 0, fmt.Errorf("labelstore: bad magic %q", head[:])
 }
 
-// SniffFormat reports the container version (2 or 3) of a store file
-// and, for FSDL3, whether its record payloads are compressed — from the
-// first six bytes alone. Compaction uses it to decide whether a previous
-// generation's partition file may be hard-linked forward: linking an
-// FSDL2 file into a generation built with -format fsdl3 would silently
-// break the byte-identity of incremental builds.
-func SniffFormat(path string) (version int, compressed bool, err error) {
+// Encoding says how a container stores its records — everything that
+// decides which bytes Write produces for a given set of labels: the
+// container version (2 or 3), for FSDL3 whether the payloads are
+// compressed, and for a factored file the CRC of the level graphs its
+// records are induced from.
+type Encoding struct {
+	Version    int
+	Compressed bool
+	Factored   bool
+	LevelsCRC  uint32
+}
+
+// SniffEncoding reports the Encoding of a store file from its header
+// alone. Compaction uses it to decide whether a previous generation's
+// partition file may be hard-linked forward: only a file in exactly the
+// encoding the build writes — the same level graphs included, which a
+// factored file carries whole — is the file the build would write.
+func SniffEncoding(path string) (Encoding, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, false, err
+		return Encoding{}, err
 	}
 	defer f.Close()
-	return sniff(f)
+	version, err := sniff(f)
+	if err != nil || version != 3 {
+		return Encoding{Version: version}, err
+	}
+	var head [format3FactoredHdrLen]byte
+	if _, err := io.ReadFull(f, head[:]); err != nil {
+		return Encoding{}, fmt.Errorf("labelstore: read FSDL3 header: %w", err)
+	}
+	hdr, err := parseFormat3Header(head[:])
+	if err != nil {
+		return Encoding{}, err
+	}
+	return hdr.encoding(), nil
+}
+
+func (h *format3Header) encoding() Encoding {
+	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC}
+}
+
+// Encoding returns the Encoding of the container backing this store; a
+// heap store (an FSDL2 load, a store filled by Put) reports version 2.
+func (st *Store) Encoding() Encoding {
+	if st.f3 == nil {
+		return Encoding{Version: 2}
+	}
+	return st.f3.hdr.encoding()
 }
 
 func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
@@ -309,6 +400,18 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		return nil, nil, fmt.Errorf("labelstore: FSDL3 file truncated (%d bytes, need %d)", size, need)
 	}
 	rep.Truncated = truncated
+	if hdr.factored() {
+		// No record of a factored file means anything without its level
+		// graphs: a strict open refuses the file, a salvaging one reports
+		// every record lost (the structural pass below condemns each).
+		if err := f3.loadLevelGraphs(); err != nil && !partial {
+			if region != nil {
+				region.Close()
+			}
+			return nil, nil, err
+		}
+	}
+	lost := hdr.factored() && f3.lg == nil
 	// Structural pass over the index: strictly ascending vertices with
 	// sane windows. Strict opens reject any violation; salvage marks the
 	// offending entries corrupt (binary search may then miss records
@@ -321,7 +424,7 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		if !bad {
 			lastV = int64(e.vertex)
 		}
-		if bad {
+		if bad || lost {
 			if !partial {
 				if region != nil {
 					region.Close()
@@ -344,7 +447,7 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 			p := f3.payload(e)
 			var derr error
 			if hdr.compressed() {
-				_, derr = decodeRecord3(p, int32(e.vertex), hdr.prm)
+				_, derr = f3.parse(p, int32(e.vertex), nil)
 			} else {
 				_, derr = core.DecodeLabel(p, int(e.bits))
 			}
@@ -508,7 +611,7 @@ func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	if rec, ok := st.rawCache.Get(v); ok {
 		return rec.bits, rec.data, true
 	}
-	l, err := decodeRecord3(payload, v, st.f3.hdr.prm)
+	l, err := st.f3.parse(payload, v, nil)
 	if err != nil {
 		st.f3.markCorrupt(v)
 		return 0, nil, false
@@ -537,10 +640,8 @@ func (st *Store) label3(v int32) (*core.Label, error) {
 	}
 	var l *core.Label
 	var err error
-	if prm := st.f3.hdr.prm; st.f3.hdr.compressed() {
-		l, err = st.levels.Parse(func(alloc func(int) []core.EdgeEntry) (*core.Label, error) {
-			return parseRecord3(payload, v, prm, alloc)
-		})
+	if st.f3.hdr.compressed() {
+		l, err = st.f3.parse(payload, v, st.levels)
 	} else {
 		l, err = st.levels.DecodeLabel(payload, bits)
 	}
@@ -612,13 +713,23 @@ func (st *Store) Records(fn func(RecordInfo)) {
 	}
 }
 
-// IndexOverheadBytes returns the container bytes that are not record
-// payload: for FSDL3 the header page, index and alignment padding; for
-// heap-loaded FSDL2 the per-record varint framing and checksums plus
-// the stream header.
+// LevelGraphsBytes returns the size of the level-graphs section of a
+// factored store — what every record of the file shares — and 0 for any
+// other store.
+func (st *Store) LevelGraphsBytes() int64 {
+	if st.f3 == nil {
+		return 0
+	}
+	return int64(st.f3.hdr.secLen)
+}
+
+// IndexOverheadBytes returns the container bytes that are neither record
+// payload nor level graphs: for FSDL3 the header page, index and
+// alignment padding; for heap-loaded FSDL2 the per-record varint framing
+// and checksums plus the stream header.
 func (st *Store) IndexOverheadBytes() int64 {
 	if st.f3 != nil {
-		return int64(st.f3.hdr.dataOff)
+		return int64(st.f3.hdr.dataOff) - st.LevelGraphsBytes()
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()

@@ -8,9 +8,14 @@
 //	sinks     FSDL2 stream · FSDL3 file (canonical or compressed payloads)
 //
 // Id normalisation, the FSDL2 header/record loop, the FSDL3 sink
-// drive loop and the compressed→compressed verbatim copy each live
-// here once; every source × sink pair yields, for the same ids, the
-// bytes the scheme source would.
+// drive loop and the stored→stored verbatim copy each live here once;
+// every source × sink pair yields, for the same ids, the bytes the
+// scheme source would — with one exception, decided by what the source
+// is and by nothing else: a compressed FSDL3 file is factored (one
+// level-graphs section, records reduced to their balls) whenever the
+// source can supply the level graphs, which a scheme and a factored
+// store can and an FSDL2, uncompressed or pre-factoring store cannot;
+// those last keep the self-contained compressed record encoding.
 package labelstore
 
 import (
@@ -26,13 +31,15 @@ import (
 
 // rec is one record on its way from a source to a sink, in the cheapest
 // form the source holds: a live label, or serialized bytes — canonical
-// Label.Encode output, or (prm.set) a compressed FSDL3 payload together
-// with the parameters of the store it came from.
+// Label.Encode output, or (prm.set) a stored FSDL3 payload together
+// with the parameters of the store it came from: a self-contained
+// compressed record, or (balls) the balls of a factored one.
 type rec struct {
 	label *core.Label
 	bits  int // canonical bit length of data
 	data  []byte
 	prm   rec3Params
+	balls bool
 }
 
 // Source yields the records Write puts into a container: FromScheme,
@@ -41,9 +48,13 @@ type Source interface {
 	// NumVertices is the vertex-id space the records live in.
 	NumVertices() int
 	// records emits the record of every id (ascending, distinct, in
-	// range), in order. stored asks for compressed FSDL3 payloads
-	// verbatim where the source holds them in that encoding.
+	// range), in order. stored asks for stored FSDL3 payloads verbatim
+	// where the source holds them in the encoding a compressed sink fed
+	// by this source writes (levelGraphs decides which that is).
 	records(ids []int, stored bool, emit func(v int, r rec) error) error
+	// levelGraphs returns the level graphs the records are induced from
+	// and their encoding, or nil when the source cannot supply them.
+	levelGraphs() (*core.LevelGraphs, []byte)
 }
 
 // sink is the container side of Write; records arrive in ascending
@@ -56,11 +67,12 @@ type sink interface {
 // Write writes the records of the given vertices (nil: every vertex of
 // the id space) from src to w as one container: an FSDL2 stream, or
 // with format3 an FSDL3 file, which needs a seekable w (an *os.File).
-// compress selects FSDL3's compressed payload encoding and means
-// nothing for FSDL2. The ids are sorted and de-duplicated first, so
-// output is deterministic, and a given id list yields the same bytes
-// whichever source the records come from. A vertex src has no record
-// for is an error.
+// compress selects FSDL3's compressed payload encoding — factored when
+// src can supply the level graphs — and means nothing for FSDL2. The ids
+// are sorted and de-duplicated first, so output is deterministic, and a
+// given id list yields the same bytes whichever source the records come
+// from, among the sources that can supply the level graphs and among
+// those that cannot. A vertex src has no record for is an error.
 func Write(w io.Writer, src Source, vertices []int, format3, compress bool) error {
 	n := src.NumVertices()
 	ids, err := normalizeVertices(vertices, n)
@@ -73,7 +85,12 @@ func Write(w io.Writer, src Source, vertices []int, format3, compress bool) erro
 		if !ok {
 			return fmt.Errorf("labelstore: FSDL3 output needs a seekable file, not %T", w)
 		}
-		out, err = newFormat3Writer(f, n, len(ids), compress)
+		var lg *core.LevelGraphs
+		var section []byte
+		if compress {
+			lg, section = src.levelGraphs()
+		}
+		out, err = newFormat3Writer(f, n, len(ids), compress, lg, section)
 	} else {
 		out, err = newStreamWriter(w, n, len(ids))
 	}
@@ -133,16 +150,20 @@ func normalizeVertices(vertices []int, n int) ([]int, error) {
 	return slices.Compact(ids), nil
 }
 
-// schemeSource extracts labels from a scheme; with a splice base, only
+// SchemeSource extracts labels from a scheme; with a splice base, only
 // the dirty ones.
-type schemeSource struct {
+type SchemeSource struct {
+	// Workers bounds the extraction's parallelism (≤ 0 means GOMAXPROCS):
+	// how many cores a Write may hold while it runs.
+	Workers int
+
 	s     *core.Scheme
 	prev  *Store // nil: extract everything
 	dirty map[int32]struct{}
 }
 
 // FromScheme is the source extracting every label from s on the fly.
-func FromScheme(s *core.Scheme) Source { return &schemeSource{s: s} }
+func FromScheme(s *core.Scheme) *SchemeSource { return &SchemeSource{s: s} }
 
 // Spliced is the incremental-compaction source: only the vertices listed
 // in dirty are extracted from s, every other record is copied from prev
@@ -150,19 +171,33 @@ func FromScheme(s *core.Scheme) Source { return &schemeSource{s: s} }
 // vertices byte-identical to the previous generation's. The output is
 // byte-identical to FromScheme(s)'s at a fraction of the extraction
 // cost. A non-dirty vertex absent from prev is an error.
-func Spliced(s *core.Scheme, prev *Store, dirty []int32) Source {
-	src := &schemeSource{s: s, prev: prev, dirty: make(map[int32]struct{}, len(dirty))}
+func Spliced(s *core.Scheme, prev *Store, dirty []int32) *SchemeSource {
+	src := &SchemeSource{s: s, prev: prev, dirty: make(map[int32]struct{}, len(dirty))}
 	for _, v := range dirty {
 		src.dirty[v] = struct{}{}
 	}
 	return src
 }
 
-func (src *schemeSource) NumVertices() int { return src.s.Graph().NumVertices() }
+func (src *SchemeSource) NumVertices() int { return src.s.Graph().NumVertices() }
 
-func (src *schemeSource) records(ids []int, stored bool, emit func(int, rec) error) error {
+func (src *SchemeSource) levelGraphs() (*core.LevelGraphs, []byte) {
+	lg := src.s.LevelGraphs()
+	return lg, lg.Encode()
+}
+
+func (src *SchemeSource) records(ids []int, stored bool, emit func(int, rec) error) error {
 	if src.prev != nil && src.prev.NumVertices() != src.NumVertices() {
 		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", src.prev.NumVertices(), src.NumVertices())
+	}
+	// A scheme's compressed sink is factored, so a clean record travels
+	// verbatim only as balls, and only while "every net point of the
+	// level" still names the same points: a net point that joined a level
+	// outside a clean ball leaves the label as it was and its saturated
+	// bit wrong. Anything else goes the canonical way round.
+	if stored && src.prev != nil {
+		prevLG, _ := src.prev.levelGraphs()
+		stored = prevLG != nil && prevLG.SameNetPoints(src.s.LevelGraphs())
 	}
 	// Extract in parallel chunks via the scheme's bulk API: memory stays
 	// bounded by one chunk of labels while extraction uses every core.
@@ -180,7 +215,7 @@ func (src *schemeSource) records(ids []int, stored bool, emit func(int, rec) err
 			}
 			extract = dirtyPart
 		}
-		labels := src.s.Labels(extract)
+		labels := src.s.LabelsWorkers(extract, src.Workers)
 		li := 0
 		for _, v := range span {
 			var r rec
@@ -215,6 +250,15 @@ func (st *Store) records(ids []int, stored bool, emit func(int, rec) error) erro
 	return nil
 }
 
+// levelGraphs makes a factored store a source of factored files: its own
+// level graphs, their section copied verbatim.
+func (st *Store) levelGraphs() (*core.LevelGraphs, []byte) {
+	if st.f3 == nil || st.f3.lg == nil {
+		return nil, nil
+	}
+	return st.f3.lg, st.f3.section
+}
+
 // record returns the record of v as canonical bytes, or — when stored
 // is set and the backing is a compressed FSDL3 file — as that file's
 // payload verbatim, sparing a transcode. A vertex healed via Put is
@@ -223,7 +267,7 @@ func (st *Store) records(ids []int, stored bool, emit func(int, rec) error) erro
 func (st *Store) record(v int, stored bool) (rec, bool) {
 	if stored && st.Compressed() && !st.inOverlay(int32(v)) {
 		bits, payload, ok := st.f3.storedPayload(int32(v))
-		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm}, ok
+		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm, balls: st.f3.lg != nil}, ok
 	}
 	bits, data, ok := st.Raw(v)
 	return rec{bits: bits, data: data}, ok

@@ -5,8 +5,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"fsdl/internal/core"
 	"fsdl/internal/gen"
 )
 
@@ -39,14 +41,27 @@ func writeBytes(t *testing.T, src Source, ids []int, format3, compress bool) []b
 	return out
 }
 
+// pre17FSDL3c is a compressed FSDL3 file of grid 6×6 (ε = 2) written by
+// the commit before the factored form existed (PR 16, 0b18dd4: `fsdl gen
+// -kind grid -size 6`, `fsdl labels -format fsdl3 -compress`): every
+// record self-contained, no level-graphs section. Its bytes are the
+// FSDL3c golden TestGoldenContainers pinned until then.
+const pre17FSDL3c = "testdata/grid6_pre17.fsdl3c"
+
 // TestGoldenContainers pins the exact bytes of each container for one
-// fixed scheme to CRCs computed at the commit before the writers were
-// collapsed into Write (PR 11, 2537cc1). A round trip only proves a
-// writer agrees with its own reader; this catches a byte that changes
-// across commits — a re-encoded record, a reordered header field —
-// which every deployed store and every incremental splice depends on
-// not happening by accident. A deliberate format change updates the
-// constants and says so.
+// fixed scheme. FSDL2 and FSDL3 are pinned to CRCs computed at the commit
+// before the writers were collapsed into Write (PR 11, 2537cc1). A round
+// trip only proves a writer agrees with its own reader; this catches a
+// byte that changes across commits — a re-encoded record, a reordered
+// header field — which every deployed store and every incremental splice
+// depends on not happening by accident. A deliberate format change
+// updates the constants and says so: PR 17 re-cut the FSDL3c row, and
+// that row only, for the factored form a scheme source now writes. The
+// encoding it replaced is still what a source without level graphs
+// writes and what every reader reads, so its golden (0xc3e35ed6 over
+// 15 238 bytes) moved to the committed file it described: the file must
+// still be those bytes, answer like the scheme, and come out of Write
+// unchanged when it is the source.
 func TestGoldenContainers(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6)) // ε = 2
 	golden := []struct {
@@ -55,7 +70,7 @@ func TestGoldenContainers(t *testing.T) {
 	}{
 		{0x07b1f828, 10812},
 		{0x1593b28b, 18745},
-		{0xc3e35ed6, 15238},
+		{0x5ad3aa1d, 9206},
 	}
 	for i, sk := range sinks {
 		got := writeBytes(t, FromScheme(s), nil, sk.format3, sk.compress)
@@ -64,12 +79,102 @@ func TestGoldenContainers(t *testing.T) {
 				sk.name, crc, len(got), golden[i].crc, golden[i].size)
 		}
 	}
+
+	old, err := os.ReadFile(pre17FSDL3c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crc := crc32.ChecksumIEEE(old); crc != 0xc3e35ed6 || len(old) != 15238 {
+		t.Fatalf("%s: crc %#08x over %d bytes, want the pre-PR-17 golden 0xc3e35ed6 over 15238", pre17FSDL3c, crc, len(old))
+	}
+	for name, open := range map[string]func(string) (*Store, error){"Open": Open, "OpenHeap": OpenHeap} {
+		st, err := open(pre17FSDL3c)
+		if err != nil {
+			t.Fatalf("%s of the pre-PR-17 file: %v", name, err)
+		}
+		if enc := st.Encoding(); enc != (Encoding{Version: 3, Compressed: true}) {
+			t.Errorf("pre-PR-17 file sniffed as %+v", enc)
+		}
+		sameAsScheme(t, name+" of the pre-PR-17 file", st, s, nil)
+		if got := writeBytes(t, st, nil, true, true); !bytes.Equal(got, old) {
+			t.Errorf("%s: a store without level graphs, written compressed, is no longer the bytes it was read from", name)
+		}
+		st.Close()
+	}
+}
+
+// sameAsScheme checks the contract every container is held to, for the
+// given vertices (nil: all): Label(v) deep-equals the scheme's label,
+// Raw(v) is that label's canonical encoding bit for bit, and the digest
+// over the ids agrees with an FSDL2 store of the same scheme.
+func sameAsScheme(t *testing.T, what string, st *Store, s *core.Scheme, ids []int) {
+	t.Helper()
+	if ids == nil {
+		for v := 0; v < s.Graph().NumVertices(); v++ {
+			ids = append(ids, v)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Save(&buf, s, ids); err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids32 := make([]int32, len(ids))
+	for i, v := range ids {
+		ids32[i] = int32(v)
+		want := s.Label(v)
+		got, err := st.Label(v)
+		if err != nil {
+			t.Fatalf("%s: Label(%d): %v", what, v, err)
+		}
+		if !labelsEqual(got, want) {
+			t.Fatalf("%s: Label(%d) differs from the scheme's", what, v)
+		}
+		if err := got.Validate(); err != nil {
+			t.Fatalf("%s: Label(%d) fails Validate: %v", what, v, err)
+		}
+		wantData, wantBits := want.Encode()
+		bits, data, ok := st.Raw(v)
+		if !ok || bits != wantBits || !bytes.Equal(data, wantData) {
+			t.Fatalf("%s: Raw(%d) is not the scheme label's encoding (ok=%v, %d vs %d bits)", what, v, ok, bits, wantBits)
+		}
+	}
+	gd, gp, gm := st.DigestVertices(ids32)
+	wd, wp, wm := ref.DigestVertices(ids32)
+	if gd != wd || gp != wp || len(gm) != len(wm) {
+		t.Fatalf("%s: digest %08x over %d present (%d missing), FSDL2 reference %08x over %d (%d missing)", what, gd, gp, len(gm), wd, wp, len(wm))
+	}
+}
+
+// labelsEqual compares two labels field by field and entry by entry (a
+// nil and an empty list are the same list).
+func labelsEqual(a, b *core.Label) bool {
+	if a.V != b.V || a.Epsilon != b.Epsilon || a.C != b.C || a.MaxLevel != b.MaxLevel ||
+		a.RShrink != b.RShrink || len(a.Levels) != len(b.Levels) {
+		return false
+	}
+	for k := range a.Levels {
+		if !slices.Equal(a.Levels[k].Points, b.Levels[k].Points) || !slices.Equal(a.Levels[k].Edges, b.Levels[k].Edges) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestWriteMatrix is the byte-identity gate of the whole pipeline: for
 // every sink, every source — spliced over or copied out of every kind
 // of store — must produce exactly the bytes the scheme source does for
-// the same ids.
+// the same ids. One rule qualifies that, and it is decided by what the
+// source is: the compressed FSDL3 sink writes the factored form when the
+// source can supply the level graphs (a scheme, spliced over anything; a
+// factored store, healed records included) and the self-contained
+// compressed records it always wrote when it cannot (an FSDL2, an
+// uncompressed FSDL3 or a pre-PR-17 compressed store on its own) — the
+// same bytes from each of those, answering like the scheme, and pinned
+// byte for byte by TestGoldenContainers' committed file.
 func TestWriteMatrix(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	s := buildScheme(t, g)
@@ -77,8 +182,9 @@ func TestWriteMatrix(t *testing.T) {
 	const victim = 27
 
 	// The previous-generation stores: heap FSDL2, mapped FSDL3 in both
-	// payload encodings, and a compressed FSDL3 whose victim record is
-	// damaged on disk and healed through the Put overlay.
+	// payload encodings plus the compressed one of before PR 17, and a
+	// factored FSDL3 whose victim record is damaged on disk and healed
+	// through the Put overlay.
 	var buf bytes.Buffer
 	if err := Save(&buf, s, nil); err != nil {
 		t.Fatal(err)
@@ -96,6 +202,23 @@ func TestWriteMatrix(t *testing.T) {
 		defer st.Close()
 		stores[sk.name] = st
 	}
+	if enc := stores["FSDL3c"].Encoding(); !enc.Factored {
+		t.Fatalf("a scheme's compressed FSDL3 file is not factored: %+v", enc)
+	}
+	unfactoredPath := filepath.Join(dir, "prev.unfactored")
+	if err := os.WriteFile(unfactoredPath, writeBytes(t, prev2, nil, true, true), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	unfactored, err := Open(unfactoredPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer unfactored.Close()
+	if enc := unfactored.Encoding(); enc != (Encoding{Version: 3, Compressed: true}) {
+		t.Fatalf("an FSDL2 store written compressed came out as %+v", enc)
+	}
+	sameAsScheme(t, "unfactored FSDL3c", unfactored, s, nil)
+	stores["unfactored FSDL3c"] = unfactored
 	healedPath := writeFormat3File(t, dir, "healed.FSDL3c", s, nil, true)
 	e, _, ok := stores["FSDL3c"].f3.find(victim)
 	if !ok {
@@ -115,11 +238,19 @@ func TestWriteMatrix(t *testing.T) {
 		t.Fatalf("heal: %v", err)
 	}
 	stores["healed"] = healed
+	hasLevelGraphs := map[string]bool{"FSDL3c": true, "healed": true}
 
 	subset := []int{5, 9, 11, 12, victim, 40, 63}
 	for _, sk := range sinks {
 		for _, ids := range [][]int{nil, subset} {
 			want := writeBytes(t, FromScheme(s), ids, sk.format3, sk.compress)
+			wantAlone := want // from a store that cannot supply the level graphs
+			if sk.compress {
+				wantAlone = writeBytes(t, prev2, ids, true, true)
+				if bytes.Equal(wantAlone, want) {
+					t.Fatalf("%s sink: an FSDL2 store wrote the factored form", sk.name)
+				}
+			}
 			for name, st := range stores {
 				// victim stays clean in both splices, so it is always
 				// copied, never re-extracted.
@@ -128,9 +259,13 @@ func TestWriteMatrix(t *testing.T) {
 					"spliced, none dirty": Spliced(s, st, nil),
 					"spliced, 3 dirty":    Spliced(s, st, []int32{3, 12, 63}),
 				} {
+					want, rule := want, "the scheme source"
+					if kind == "store" && !hasLevelGraphs[name] {
+						want, rule = wantAlone, "an FSDL2 store"
+					}
 					if got := writeBytes(t, src, ids, sk.format3, sk.compress); !bytes.Equal(got, want) {
-						t.Errorf("%s sink, %s over a %s store (%d ids): differs from the scheme source",
-							sk.name, kind, name, len(ids))
+						t.Errorf("%s sink, %s over a %s store (%d ids): differs from %s",
+							sk.name, kind, name, len(ids), rule)
 					}
 				}
 			}

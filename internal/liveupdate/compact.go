@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 
 	"fsdl/internal/core"
@@ -35,7 +36,9 @@ const GraphFileName = labelstore.GenerationGraphFile
 type CompactOptions struct {
 	// Epsilon is the scheme's approximation parameter.
 	Epsilon float64
-	// Workers bounds build parallelism (≤ 0 means GOMAXPROCS).
+	// Workers bounds build parallelism — the scheme build and the label
+	// extraction (≤ 0 means GOMAXPROCS; beside a serving pipeline, see
+	// Compact, one less).
 	Workers int
 	// Partitions optionally maps shard names to the vertex ids each
 	// shard serves; one <name>.fsdl partition file is written per
@@ -116,11 +119,24 @@ type CompactionResult struct {
 // Mutations keep streaming into p while the build runs; the caller
 // swaps the result in and then calls p.Commit(result.Snapshot).
 //
+// p is serving while the build runs, so unless the caller bounded the
+// build itself it leaves one core to the readers: label extraction is
+// the whole of a compaction's CPU time and parallelises perfectly, and
+// holding every core with it costs the queries beside it more than it
+// saves the compaction (measured on two cores against a build that
+// paused to encode edges: query p95 +16 % and throughput −10 % with
+// both cores held, p95 −49 % and throughput +36 % with one left free;
+// docs/PERFORMANCE.md, "Readers under compaction"). An offline
+// CompactSnapshot has no readers and keeps every core.
+//
 // Callers serialize compactions via p.BeginCompaction/EndCompaction.
 func Compact(p *Pipeline, root string, opts CompactOptions) (*CompactionResult, error) {
 	snap, err := p.Snapshot()
 	if err != nil {
 		return nil, err
+	}
+	if opts.Workers <= 0 {
+		opts.Workers = max(runtime.GOMAXPROCS(0)-1, 1)
 	}
 	return CompactSnapshot(snap, root, opts)
 }
@@ -216,6 +232,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	if incremental {
 		labels = labelstore.Spliced(scheme, opts.Prev.Store, dirty)
 	}
+	labels.Workers = opts.Workers
 	if err := addFile(LabelsFileName, m.N, func(f *os.File) error {
 		return labelstore.Write(f, labels, nil, format3, opts.Compress)
 	}); err != nil {
@@ -267,18 +284,22 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		if nDirty > 0 {
 			changed = append(changed, name)
 		}
-		// A partition with no dirty vertex and an unchanged id list is
-		// byte-identical to the previous generation's file: hard-link
-		// it instead of rewriting (fall back to writing when linking
-		// is unsupported or the precondition fails). The previous file
-		// must also be in the requested container format — linking an
-		// FSDL2 partition into an FSDL3 build would break the
-		// byte-identity of incremental builds (readers would still
-		// auto-detect it, but identical inputs must yield identical
-		// generations).
+		// A partition with no dirty vertex and an unchanged id list
+		// holds the records the previous generation's file holds:
+		// hard-link that file instead of rewriting it (fall back to
+		// writing when linking is unsupported or the precondition
+		// fails) — provided it is in the very encoding this build
+		// writes, which is the encoding of the store the partitions
+		// are carved from. Linking an FSDL2 partition into an FSDL3
+		// build would break the byte-identity of incremental builds
+		// (readers would still auto-detect it, but identical inputs
+		// must yield identical generations), and so would linking a
+		// factored partition whose records are all unchanged: it
+		// embeds the previous generation's level graphs, and any
+		// mutation changes those. Encoding carries their CRC.
 		if nDirty == 0 && incremental && opts.Prev.Dir != "" && slices.Equal(opts.Prev.Partitions[name], ids) {
-			ver, comp, err := labelstore.SniffFormat(filepath.Join(opts.Prev.Dir, name+".fsdl"))
-			if err == nil && formatMatches(ver, comp, opts) {
+			enc, err := labelstore.SniffEncoding(filepath.Join(opts.Prev.Dir, name+".fsdl"))
+			if err == nil && enc == store.Encoding() {
 				if err := linkFile(m, tmp, opts.Prev.Dir, name+".fsdl", len(ids), ids); err == nil {
 					continue
 				}
@@ -325,15 +346,6 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		PartitionDirty:    partitionDirty,
 		ChangedPartitions: changed,
 	}, nil
-}
-
-// formatMatches reports whether an existing file's sniffed container
-// (version, compressed) is the one a build with opts would write.
-func formatMatches(version int, compressed bool, opts CompactOptions) bool {
-	if opts.Format == 3 {
-		return version == 3 && compressed == opts.Compress
-	}
-	return version == 2
 }
 
 // linkFile hard-links name from the previous generation directory into

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsdl/internal/gen"
+	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 )
 
@@ -334,12 +335,12 @@ func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name := range parts {
-		ver, comp, err := labelstore.SniffFormat(filepath.Join(res2.Dir, name+".fsdl"))
+		enc, err := labelstore.SniffEncoding(filepath.Join(res2.Dir, name+".fsdl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ver != 3 || !comp {
-			t.Fatalf("partition %s carried forward as version %d (compressed=%v), want fresh FSDL3", name, ver, comp)
+		if enc.Version != 3 || !enc.Compressed {
+			t.Fatalf("partition %s carried forward as %+v, want fresh compressed FSDL3", name, enc)
 		}
 	}
 	// And the reverse precondition: compression without FSDL3 is a
@@ -349,5 +350,110 @@ func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 	}
 	if _, err := CompactSnapshot(snap, t.TempDir(), CompactOptions{Epsilon: 2.0, Format: 7}); err == nil {
 		t.Fatal("unknown format accepted")
+	}
+}
+
+// TestIncrementalCompactLinkedPartition: a partition with no dirty
+// vertex is hard-linked from the previous generation — when that file is
+// the file this build would write. The graph is two components, a grid
+// that takes a mutation and a path that cannot be reached from it, each
+// its own partition: the path's labels are clean under every mutation of
+// the grid. An FSDL2 or uncompressed FSDL3 partition of clean records is
+// then the same bytes and is linked. A factored partition is not: it
+// embeds the level graphs, which hold the graph, which changed — linking
+// it would carry the previous generation's level graphs into this one
+// and break incremental ≡ full. So whatever is done per format, every
+// file of the incremental generation equals the full build's, at every
+// worker count; linking without comparing the level graphs fails that.
+func TestIncrementalCompactLinkedPartition(t *testing.T) {
+	const grid, tail = 20, 12
+	b := graph.NewBuilder(grid + tail)
+	gen.Grid2D(5, 4).ForEachEdge(b.AddEdge)
+	for v := grid; v+1 < grid+tail; v++ {
+		b.AddEdge(v, v+1)
+	}
+	base := b.MustBuild()
+	parts := map[string][]int{}
+	for v := 0; v < grid+tail; v++ {
+		name := "grid"
+		if v >= grid {
+			name = "path"
+		}
+		parts[name] = append(parts[name], v)
+	}
+	for _, f := range []struct {
+		name     string
+		format   int
+		compress bool
+		linked   bool
+	}{
+		{"FSDL2", 2, false, true},
+		{"FSDL3", 3, false, true},
+		{"FSDL3c", 3, true, false},
+	} {
+		for _, workers := range []int{1, 4} {
+			full := CompactOptions{Epsilon: 2, Workers: workers, Partitions: parts, Format: f.format, Compress: f.compress}
+			p, err := Open(Config{Base: base})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res1, err := Compact(p, t.TempDir(), full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Commit(res1.Snapshot); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.Apply([]Mutation{{Op: MutDelete, U: 6, V: 7}}); err != nil {
+				t.Fatal(err)
+			}
+			snap, err := p.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := CompactSnapshot(snap, t.TempDir(), full)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inc := full
+			inc.Prev = &PrevGeneration{
+				Generation: res1.Snapshot.Generation,
+				Dir:        res1.Dir,
+				Scheme:     res1.Scheme,
+				Store:      res1.Store,
+				Partitions: parts,
+			}
+			res2, err := CompactSnapshot(snap, t.TempDir(), inc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res2.Incremental || res2.PartitionDirty["path"] != 0 || res2.PartitionDirty["grid"] == 0 {
+				t.Fatalf("%s: fixture: incremental=%v, dirty per partition %v — want a clean path and a dirty grid", f.name, res2.Incremental, res2.PartitionDirty)
+			}
+			for _, name := range []string{LabelsFileName, "grid.fsdl", "path.fsdl"} {
+				if !bytes.Equal(readGenFile(t, want.Dir, name), readGenFile(t, res2.Dir, name)) {
+					t.Errorf("%s, %d workers: %s differs from the full build", f.name, workers, name)
+				}
+			}
+			oldFi, err := os.Stat(filepath.Join(res1.Dir, "path.fsdl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			newFi, err := os.Stat(filepath.Join(res2.Dir, "path.fsdl"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if os.SameFile(oldFi, newFi) != f.linked {
+				t.Errorf("%s: clean partition linked=%v, want %v", f.name, !f.linked, f.linked)
+			}
+			if f.compress {
+				if a, b := res1.Store.Encoding(), res2.Store.Encoding(); !a.Factored || !b.Factored || a.LevelsCRC == b.LevelsCRC {
+					t.Errorf("%s: generations' encodings %+v → %+v: want factored stores over different level graphs", f.name, a, b)
+				}
+			}
+			if _, err := labelstore.ReadManifestDir(res2.Dir); err != nil {
+				t.Errorf("%s: incremental generation fails manifest verification: %v", f.name, err)
+			}
+		}
 	}
 }
