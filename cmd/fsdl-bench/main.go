@@ -1,4 +1,4 @@
-// Command fsdl-bench runs the reproduction experiments E1–E16 (see
+// Command fsdl-bench runs the reproduction experiments E1–E15 (see
 // DESIGN.md and EXPERIMENTS.md) and prints their reports.
 //
 // Usage:
@@ -27,7 +27,7 @@ func main() {
 
 func run(args []string, out *os.File) error {
 	fs := flag.NewFlagSet("fsdl-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run (E1..E16, or 'all')")
+	exp := fs.String("exp", "all", "experiment to run (E1..E15, or 'all')")
 	quick := fs.Bool("quick", false, "shrink instance sizes for a fast smoke run")
 	seed := fs.Int64("seed", 1, "random seed")
 	list := fs.Bool("list", false, "list experiments and exit")

@@ -8,7 +8,7 @@
 //
 //	fsdl-serve -store labels.fsdl [-addr :8080] [-salvage] [-mmap]
 //	           [-workers N] [-queue N] [-deadline 5s] [-budget 0]
-//	           [-cache 4096] [-cache-shards 8]
+//	           [-cache 4096]
 //
 // With -mmap an FSDL3 store (see docs/STORAGE.md) is served straight
 // from the OS page cache, so stores larger than RAM stay servable;
@@ -77,7 +77,6 @@ func run(args []string) error {
 	deadline := fs.Duration("deadline", 5*time.Second, "default per-request deadline")
 	budget := fs.Int("budget", 0, "default per-query decode work budget (0 = unlimited)")
 	cacheCap := fs.Int("cache", 4096, "result cache capacity in entries (negative disables)")
-	cacheShards := fs.Int("cache-shards", 8, "result cache shard count")
 	liveRoot := fs.String("live-root", "", "enable live updates: versioned generation root directory (see docs/LIVE.md)")
 	walPath := fs.String("wal", "", "live: mutation WAL path (default <live-root>/mutations.wal)")
 	compactWorkers := fs.Int("compact-workers", 0, "live: compaction build parallelism (0 = GOMAXPROCS)")
@@ -98,7 +97,6 @@ func run(args []string) error {
 		DefaultDeadline: *deadline,
 		DefaultBudget:   *budget,
 		CacheCapacity:   *cacheCap,
-		CacheShards:     *cacheShards,
 	}
 	var (
 		member *cluster.Membership

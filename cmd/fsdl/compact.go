@@ -173,15 +173,10 @@ func partitionsMatchingManifest(parts map[string][]int, m *labelstore.Manifest) 
 	}
 	out := make(map[string][]int, len(parts))
 	for name, ids := range parts {
+		// The entry these ids would have been listed under: same record
+		// count, same id range.
 		f, ok := byName[name+".fsdl"]
-		if !ok || f.Records != len(ids) || len(ids) == 0 {
-			continue
-		}
-		lo, hi := ids[0], ids[0]
-		for _, v := range ids {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		if f.First == lo && f.Last == hi {
+		if ok && len(ids) > 0 && f == labelstore.NewManifestFile(f.Name, f.CRC, ids) {
 			out[name] = ids
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -43,29 +44,21 @@ type FrontendConfig struct {
 	StartupTimeout time.Duration
 
 	// LabelCacheSize bounds the decoded-label LRU (default 8192 entries;
-	// negative disables). NegativeCacheSize bounds the confirmed-absence
-	// LRU (default 1024; negative disables).
-	LabelCacheSize    int
-	NegativeCacheSize int
-	// MaxIdleConns bounds the idle connection pool per shard (default 4).
-	MaxIdleConns int
+	// negative disables).
+	LabelCacheSize int
 
 	// BreakerDisabled turns off the per-shard circuit breakers (on by
 	// default). The remaining Breaker* fields tune them: outcomes are
-	// counted over a rolling BreakerWindow (default 10s) sliced into
-	// BreakerBuckets (default 10); once at least BreakerMinRequests
-	// (default 8) outcomes are in the window and the failure fraction
-	// reaches BreakerFailureRatio (default 0.5) the breaker opens,
-	// shedding traffic for BreakerCooldown (default 2s, doubling per
-	// consecutive re-open up to BreakerMaxCooldown, default 30s) before
-	// admitting a half-open probe.
-	BreakerDisabled     bool
-	BreakerWindow       time.Duration
-	BreakerBuckets      int
-	BreakerMinRequests  int
-	BreakerFailureRatio float64
-	BreakerCooldown     time.Duration
-	BreakerMaxCooldown  time.Duration
+	// counted over a rolling BreakerWindow (default 10s) sliced into 10
+	// buckets; once at least BreakerMinRequests (default 8) outcomes are
+	// in the window and the failure fraction reaches 0.5 the breaker
+	// opens, shedding traffic for BreakerCooldown (default 2s, doubling
+	// per consecutive re-open up to 30s) before admitting a half-open
+	// probe.
+	BreakerDisabled    bool
+	BreakerWindow      time.Duration
+	BreakerMinRequests int
+	BreakerCooldown    time.Duration
 
 	// RetryBudgetRatio caps retries and hedges to this fraction of
 	// first-attempt traffic (default 0.1; negative disables the budget).
@@ -75,12 +68,21 @@ type FrontendConfig struct {
 	RetryBudgetBurst float64
 
 	// RepairInterval is the anti-entropy sweep period (default 0:
-	// disabled). Each sweep digests every shard's expected vertex range
-	// and pulls missing records from intact replicas. RepairBatch bounds
-	// the ids per digest RPC (default 2048).
+	// disabled). Each sweep digests every shard's expected vertex range,
+	// 2048 ids per digest RPC, and pulls missing records from intact
+	// replicas.
 	RepairInterval time.Duration
-	RepairBatch    int
 }
+
+// What no deployment has needed to tune.
+const (
+	negativeCacheSize   = 1024 // confirmed-absence LRU entries
+	maxIdleConns        = 4    // idle connections pooled per shard
+	breakerBuckets      = 10   // slices of BreakerWindow
+	breakerFailureRatio = 0.5  // failure fraction that opens a breaker
+	breakerMaxCooldown  = 30 * time.Second
+	repairBatch         = 2048 // ids per digest RPC
+)
 
 func (cfg *FrontendConfig) withDefaults() FrontendConfig {
 	c := *cfg
@@ -105,38 +107,20 @@ func (cfg *FrontendConfig) withDefaults() FrontendConfig {
 	if c.LabelCacheSize == 0 {
 		c.LabelCacheSize = 8192
 	}
-	if c.NegativeCacheSize == 0 {
-		c.NegativeCacheSize = 1024
-	}
-	if c.MaxIdleConns <= 0 {
-		c.MaxIdleConns = 4
-	}
 	if c.BreakerWindow <= 0 {
 		c.BreakerWindow = 10 * time.Second
-	}
-	if c.BreakerBuckets <= 0 {
-		c.BreakerBuckets = 10
 	}
 	if c.BreakerMinRequests <= 0 {
 		c.BreakerMinRequests = 8
 	}
-	if c.BreakerFailureRatio <= 0 {
-		c.BreakerFailureRatio = 0.5
-	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = 2 * time.Second
-	}
-	if c.BreakerMaxCooldown <= 0 {
-		c.BreakerMaxCooldown = 30 * time.Second
 	}
 	if c.RetryBudgetRatio == 0 {
 		c.RetryBudgetRatio = 0.1
 	}
 	if c.RetryBudgetBurst <= 0 {
 		c.RetryBudgetBurst = 50
-	}
-	if c.RepairBatch <= 0 {
-		c.RepairBatch = 2048
 	}
 	return c
 }
@@ -162,12 +146,10 @@ type ringState struct {
 // them on swap and hoping no in-flight scatter repopulates them — makes
 // stale entries unreachable by construction: a scatter pinned to the
 // old generation caches its answers under the old generation's keys,
-// which no post-swap lookup ever consults. (The flush on swap survives
-// purely as memory hygiene.) Before this, a fetch could pass its
-// "still the active generation?" check, lose the race to the swap's
-// flip-and-flush, and then seed the freshly flushed cache with an
-// old-generation label — poisoning every later query for that vertex
-// with a label whose graph no longer exists.
+// which no post-swap lookup ever consults — a check-then-put against
+// "the active generation" could lose the race to the swap's
+// flip-and-flush and seed the fresh cache with a label whose graph no
+// longer exists. (The flush on swap is memory hygiene only.)
 type labelKey struct {
 	gen uint64
 	v   int32
@@ -302,7 +284,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f.labelCache = lru.New[labelKey, *core.Label](c.LabelCacheSize, 8, labelKeyHash)
 	f.levels = core.NewLevelTable(c.LabelCacheSize)
-	f.negCache = lru.New[labelKey, struct{}](c.NegativeCacheSize, 8, labelKeyHash)
+	f.negCache = lru.New[labelKey, struct{}](negativeCacheSize, 8, labelKeyHash)
 
 	deadline := time.Now().Add(c.StartupTimeout)
 	pol := backoff.Policy{Base: 50 * time.Millisecond, Cap: 400 * time.Millisecond, Jitter: 0.2}
@@ -342,7 +324,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	f.done.Add(1)
 	go f.healthLoop()
 	if c.RepairInterval > 0 {
-		f.rep = newRepairer(f, c.RepairInterval, c.RepairBatch)
+		f.rep = newRepairer(f, c.RepairInterval)
 		f.done.Add(1)
 		go f.rep.loop()
 	}
@@ -892,14 +874,11 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 					f.noteUnknown(v)
 					continue
 				}
-				// Cache under the generation this scatter is pinned to.
-				// A fetch racing a generation swap used to guard its Put
-				// with a "still the active generation?" check, but that
-				// check-then-put could lose the race to the swap's
-				// flip-and-flush and poison the fresh cache with an
-				// old-generation label. With generation-keyed entries the
-				// put is always safe: a stale scatter's answer lands under
-				// the old generation's key, which nothing reads anymore.
+				// Cache under the generation this scatter is pinned to: with
+				// generation-keyed entries the put is safe even when a swap
+				// has flipped and flushed meanwhile — a stale scatter's
+				// answer lands under the old generation's key, which nothing
+				// reads anymore.
 				if !rec.Present {
 					f.negCache.Put(labelKey{st.gen, v}, struct{}{})
 					out[v] = fetchResult{absent: true}
@@ -1059,11 +1038,11 @@ func newShardClient(nd Node, cfg FrontendConfig) *shardClient {
 	if !cfg.BreakerDisabled {
 		c.breaker = newBreaker(breakerConfig{
 			window:       cfg.BreakerWindow,
-			buckets:      cfg.BreakerBuckets,
+			buckets:      breakerBuckets,
 			minRequests:  cfg.BreakerMinRequests,
-			failureRatio: cfg.BreakerFailureRatio,
+			failureRatio: breakerFailureRatio,
 			cooldown:     cfg.BreakerCooldown,
-			maxCooldown:  cfg.BreakerMaxCooldown,
+			maxCooldown:  breakerMaxCooldown,
 		})
 	}
 	return c
@@ -1079,71 +1058,83 @@ var maxRequestIDs = 1 << 16
 // serves the expected vertex space. The request is tagged with the
 // caller's label generation so a shard mid-swap answers from the
 // matching store (or refuses) instead of silently mixing generations;
-// generation 0 asks for whatever is current.
-// Batches past maxRequestIDs split into sequential RPCs; responses may
-// arrive chunked (OpLabelsPart… OpLabels) and are merged here.
+// generation 0 asks for whatever is current. Batches past maxRequestIDs
+// split into sequential fetchLabels exchanges merged into one result.
 func (c *shardClient) getLabels(ctx context.Context, ids []int32, wantN int, gen uint64) (map[int32]LabelRecord, error) {
 	out := make(map[int32]LabelRecord, len(ids))
 	for len(ids) > 0 {
-		chunk := ids
-		if len(chunk) > maxRequestIDs {
-			chunk = chunk[:maxRequestIDs]
-		}
+		chunk := ids[:min(len(ids), maxRequestIDs)]
 		ids = ids[len(chunk):]
-		if err := c.getLabelsChunk(ctx, chunk, wantN, gen, out); err != nil {
+		c.fetches.Add(1)
+		start := time.Now()
+		err := c.exchange(ctx, c.cfg.FetchTimeout, func(conn net.Conn) error {
+			return fetchLabels(conn, "shard "+c.node.Name, gen, chunk, wantN, out)
+		})
+		c.latency.Observe(time.Since(start).Seconds())
+		if err != nil {
+			c.fetchErrors.Add(1)
 			return nil, err
 		}
 	}
 	return out, nil
 }
 
-func (c *shardClient) getLabelsChunk(ctx context.Context, ids []int32, wantN int, gen uint64, out map[int32]LabelRecord) error {
-	c.fetches.Add(1)
-	start := time.Now()
-	// Every response chunk carries at least one record, so a well-behaved
-	// shard sends at most len(ids) continuation frames plus the final one.
-	frames, err := c.call(ctx, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, ids), len(ids)+1)
-	c.latency.Observe(time.Since(start).Seconds())
-	if err != nil {
-		c.fetchErrors.Add(1)
+// fetchLabels runs one OpGetLabelsGen exchange on conn — the one
+// label-fetch client, under the frontend's pooled connections and under
+// a shard's repair pull alike: the request for ids at generation gen,
+// then the response reassembled from OpLabelsPart continuations closed
+// by an OpLabels frame, each chunk checked against the expected vertex
+// space and merged into out. Every chunk carries at least one record,
+// so a well-behaved shard sends at most len(ids) continuations before
+// the final frame; one more is an error. An OpError reply wraps
+// errShardError and leaves the conversation in step; after any other
+// error the connection is out of step and must be dropped. peer names
+// the far end in the vertex-space error. The caller owns the deadline.
+func fetchLabels(conn net.Conn, peer string, gen uint64, ids []int32, wantN int, out map[int32]LabelRecord) error {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, ids)); err != nil {
 		return err
 	}
-	for _, fr := range frames {
-		switch fr.op {
+	for parts := 0; ; parts++ {
+		op, p, err := frame.Read(conn)
+		if err != nil {
+			return err
+		}
+		switch op {
 		case OpLabels, OpLabelsPart:
-			n, recs, err := ParseLabelResponse(fr.payload)
+			if op == OpLabelsPart && parts >= len(ids) {
+				return fmt.Errorf("cluster: response exceeded %d frames", len(ids)+1)
+			}
+			n, recs, err := ParseLabelResponse(p)
 			if err != nil {
-				c.fetchErrors.Add(1)
 				return err
 			}
 			if n != wantN {
-				c.fetchErrors.Add(1)
-				return fmt.Errorf("cluster: shard %s serves vertex space %d, want %d", c.node.Name, n, wantN)
+				return fmt.Errorf("cluster: %s serves vertex space %d, want %d", peer, n, wantN)
 			}
 			for _, r := range recs {
 				out[r.Vertex] = r
 			}
+			if op == OpLabels {
+				return nil
+			}
 		case OpError:
-			c.fetchErrors.Add(1)
-			return fmt.Errorf("%w: %s", errShardError, fr.payload)
+			return fmt.Errorf("%w: %s", errShardError, p)
 		default:
-			c.fetchErrors.Add(1)
-			return fmt.Errorf("cluster: unexpected response op %d", fr.op)
+			return fmt.Errorf("cluster: unexpected response op %d", op)
 		}
 	}
-	return nil
 }
 
 // ping probes the shard and returns its vitals.
 func (c *shardClient) ping(ctx context.Context) (n, labels int, flags, generation uint64, err error) {
-	frames, err := c.call(ctx, OpPing, nil, 1)
+	op, resp, err := c.call(ctx, OpPing, nil)
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	if frames[0].op != OpPong {
-		return 0, 0, 0, 0, fmt.Errorf("cluster: unexpected ping response op %d", frames[0].op)
+	if op != OpPong {
+		return 0, 0, 0, 0, fmt.Errorf("cluster: unexpected ping response op %d", op)
 	}
-	return parsePongChecked(frames[0].payload)
+	return parsePongChecked(resp)
 }
 
 func parsePongChecked(resp []byte) (n, labels int, flags, generation uint64, err error) {
@@ -1174,13 +1165,13 @@ func (c *shardClient) aliasGeneration(gen uint64) error {
 func (c *shardClient) generationOp(op byte, gen uint64, timeout time.Duration) error {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	frames, err := c.callTimeout(ctx, op, AppendGeneration(nil, gen), 1, timeout)
+	rop, resp, err := c.callTimeout(ctx, op, AppendGeneration(nil, gen), timeout)
 	if err != nil {
 		return err
 	}
-	switch frames[0].op {
+	switch rop {
 	case OpGenLoaded:
-		got, err := ParseGeneration(frames[0].payload)
+		got, err := ParseGeneration(resp)
 		if err != nil {
 			return err
 		}
@@ -1189,33 +1180,40 @@ func (c *shardClient) generationOp(op byte, gen uint64, timeout time.Duration) e
 		}
 		return nil
 	case OpError:
-		return fmt.Errorf("%w: %s", errShardError, frames[0].payload)
+		return fmt.Errorf("%w: %s", errShardError, resp)
 	default:
-		return fmt.Errorf("cluster: unexpected load-generation response op %d", frames[0].op)
+		return fmt.Errorf("cluster: unexpected load-generation response op %d", rop)
 	}
 }
 
-// wireFrame is one response frame as received off the wire.
-type wireFrame struct {
-	op      byte
-	payload []byte
-}
-
-// call performs one request/response exchange, reusing a pooled
-// connection when one is idle. A response may span several frames
-// (OpLabelsPart continuations closed by a non-continuation frame);
-// maxFrames bounds how many the peer may send. A stale pooled
-// connection (closed by the peer between calls) is retried once on a
-// fresh dial; any other transport failure marks the shard unhealthy
-// until the next successful probe.
-func (c *shardClient) call(ctx context.Context, op byte, payload []byte, maxFrames int) ([]wireFrame, error) {
-	return c.callTimeout(ctx, op, payload, maxFrames, c.cfg.FetchTimeout)
+// call performs one single-frame request/response exchange under the
+// fetch timeout.
+func (c *shardClient) call(ctx context.Context, op byte, payload []byte) (byte, []byte, error) {
+	return c.callTimeout(ctx, op, payload, c.cfg.FetchTimeout)
 }
 
 // callTimeout is call with an explicit per-RPC timeout, for exchanges
 // whose budget differs from a label fetch (repair pulls stream data and
 // pace themselves, so they get a far longer leash).
-func (c *shardClient) callTimeout(ctx context.Context, op byte, payload []byte, maxFrames int, timeout time.Duration) ([]wireFrame, error) {
+func (c *shardClient) callTimeout(ctx context.Context, op byte, payload []byte, timeout time.Duration) (rop byte, resp []byte, err error) {
+	err = c.exchange(ctx, timeout, func(conn net.Conn) error {
+		xerr := frame.Write(conn, op, payload)
+		if xerr == nil {
+			rop, resp, xerr = frame.Read(conn)
+		}
+		return xerr
+	})
+	return rop, resp, err
+}
+
+// exchange runs one request/response conversation on a connection of
+// the shard's pool, reusing an idle one when there is one. The
+// connection goes back to the pool when fn succeeds or fails with an
+// errShardError (the shard answered, in step); any other failure closes
+// it. A stale pooled connection (closed by the peer between calls) is
+// retried once on a fresh dial; any other transport failure marks the
+// shard unhealthy until the next successful probe.
+func (c *shardClient) exchange(ctx context.Context, timeout time.Duration, fn func(net.Conn) error) error {
 	deadline := time.Now().Add(timeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -1224,41 +1222,21 @@ func (c *shardClient) callTimeout(ctx context.Context, op byte, payload []byte, 
 		conn, pooled, err := c.getConn(deadline)
 		if err != nil {
 			c.healthy.Store(false)
-			return nil, err
+			return err
 		}
 		conn.SetDeadline(deadline)
-		frames, err := roundTrip(conn, op, payload, maxFrames)
-		if err != nil {
-			conn.Close()
-			if pooled && attempt == 0 {
-				continue // stale pooled conn; one retry on a fresh dial
-			}
-			c.healthy.Store(false)
-			return nil, err
+		err = fn(conn)
+		if err == nil || errors.Is(err, errShardError) {
+			conn.SetDeadline(time.Time{})
+			c.putConn(conn)
+			return err
 		}
-		conn.SetDeadline(time.Time{})
-		c.putConn(conn)
-		return frames, nil
-	}
-}
-
-func roundTrip(conn net.Conn, op byte, payload []byte, maxFrames int) ([]wireFrame, error) {
-	if err := frame.Write(conn, op, payload); err != nil {
-		return nil, err
-	}
-	var frames []wireFrame
-	for {
-		rop, p, err := frame.Read(conn)
-		if err != nil {
-			return nil, err
+		conn.Close()
+		if pooled && attempt == 0 {
+			continue // stale pooled conn; one retry on a fresh dial
 		}
-		frames = append(frames, wireFrame{op: rop, payload: p})
-		if rop != OpLabelsPart {
-			return frames, nil
-		}
-		if len(frames) >= maxFrames {
-			return nil, fmt.Errorf("cluster: response exceeded %d frames", maxFrames)
-		}
+		c.healthy.Store(false)
+		return err
 	}
 }
 
@@ -1285,7 +1263,7 @@ func (c *shardClient) getConn(deadline time.Time) (conn net.Conn, pooled bool, e
 func (c *shardClient) putConn(conn net.Conn) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.idle) >= c.cfg.MaxIdleConns {
+	if len(c.idle) >= maxIdleConns {
 		conn.Close()
 		return
 	}

@@ -1,10 +1,10 @@
 package cluster
 
 import (
-	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
+
+	"fsdl/internal/stats"
 )
 
 // frontendMetrics is the cluster-wide observability state of a
@@ -44,128 +44,87 @@ type frontendMetrics struct {
 func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 	st := f.state.Load()
 	m := &f.met
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v float64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gauge("fsdl_cluster_ring_epoch", "Current membership epoch (bumped by join/leave/drain/swap).", float64(st.epoch))
-	gauge("fsdl_cluster_generation", "Label generation the frontend routes against.", float64(st.gen))
-	counter("fsdl_cluster_label_cache_hits_total", "Frontend decoded-label cache hits.", m.labelHits.Load())
-	counter("fsdl_cluster_label_cache_misses_total", "Frontend decoded-label cache misses (scatter-gather issued).", m.labelMisses.Load())
+	x := stats.NewExposition(sb)
+	x.GaugeFloat("fsdl_cluster_ring_epoch", "Current membership epoch (bumped by join/leave/drain/swap).", float64(st.epoch))
+	x.GaugeFloat("fsdl_cluster_generation", "Label generation the frontend routes against.", float64(st.gen))
+	x.Counter("fsdl_cluster_label_cache_hits_total", "Frontend decoded-label cache hits.", m.labelHits.Load())
+	x.Counter("fsdl_cluster_label_cache_misses_total", "Frontend decoded-label cache misses (scatter-gather issued).", m.labelMisses.Load())
 	hits, misses := m.labelHits.Load(), m.labelMisses.Load()
 	rate := 0.0
 	if hits+misses > 0 {
 		rate = float64(hits) / float64(hits+misses)
 	}
-	gauge("fsdl_cluster_label_cache_hit_rate", "Frontend label-cache hit fraction.", rate)
+	x.GaugeFloat("fsdl_cluster_label_cache_hit_rate", "Frontend label-cache hit fraction.", rate)
 	interned, lists := f.levels.Stats()
-	counter("fsdl_label_levels_interned_total", "Level edge lists of fetched labels replaced by a shared copy.", interned)
-	gauge("fsdl_label_level_lists", "Shared level edge lists currently held.", float64(lists))
-	counter("fsdl_cluster_negative_cache_hits_total", "Lookups short-circuited by the confirmed-absence cache.", m.negHits.Load())
+	x.Counter("fsdl_label_levels_interned_total", "Level edge lists of fetched labels replaced by a shared copy.", interned)
+	x.GaugeFloat("fsdl_label_level_lists", "Shared level edge lists currently held.", float64(lists))
+	x.Counter("fsdl_cluster_negative_cache_hits_total", "Lookups short-circuited by the confirmed-absence cache.", m.negHits.Load())
 
-	counter("fsdl_cluster_fetch_calls_total", "Label-fetch RPCs issued to shards (hedges included).", m.fetchCalls.Load())
-	counter("fsdl_cluster_hedges_total", "Duplicate fetches launched at replicas by the hedge timer.", m.hedges.Load())
+	x.Counter("fsdl_cluster_fetch_calls_total", "Label-fetch RPCs issued to shards (hedges included).", m.fetchCalls.Load())
+	x.Counter("fsdl_cluster_hedges_total", "Duplicate fetches launched at replicas by the hedge timer.", m.hedges.Load())
 	hedgeRate := 0.0
 	if calls := m.fetchCalls.Load(); calls > 0 {
 		hedgeRate = float64(m.hedges.Load()) / float64(calls)
 	}
-	gauge("fsdl_cluster_hedge_rate", "Fraction of fetch RPCs that were hedges.", hedgeRate)
-	counter("fsdl_cluster_failovers_total", "Fetches routed away from an unhealthy primary.", m.failovers.Load())
-	counter("fsdl_cluster_retries_total", "Per-vertex fetch relaunches after a failed attempt.", m.retries.Load())
-	counter("fsdl_cluster_unavailable_labels_total", "Label requests that exhausted every replica (degraded-mode trigger).", m.unavailable.Load())
+	x.GaugeFloat("fsdl_cluster_hedge_rate", "Fraction of fetch RPCs that were hedges.", hedgeRate)
+	x.Counter("fsdl_cluster_failovers_total", "Fetches routed away from an unhealthy primary.", m.failovers.Load())
+	x.Counter("fsdl_cluster_retries_total", "Per-vertex fetch relaunches after a failed attempt.", m.retries.Load())
+	x.Counter("fsdl_cluster_unavailable_labels_total", "Label requests that exhausted every replica (degraded-mode trigger).", m.unavailable.Load())
 
 	if f.budget != nil {
-		gauge("fsdl_cluster_retry_budget_tokens", "Retry-budget tokens currently available.", f.budget.level())
-		counter("fsdl_cluster_retry_budget_spent_total", "Retry-budget tokens spent on retries and hedges.", m.budgetSpent.Load())
-		counter("fsdl_cluster_retry_budget_denied_total", "Retries/hedges refused because the budget was exhausted.", m.budgetDenied.Load())
+		x.GaugeFloat("fsdl_cluster_retry_budget_tokens", "Retry-budget tokens currently available.", f.budget.level())
+		x.Counter("fsdl_cluster_retry_budget_spent_total", "Retry-budget tokens spent on retries and hedges.", m.budgetSpent.Load())
+		x.Counter("fsdl_cluster_retry_budget_denied_total", "Retries/hedges refused because the budget was exhausted.", m.budgetDenied.Load())
 	}
 
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_healthy Shard health as seen by the frontend (1 up, 0 down).\n# TYPE fsdl_cluster_shard_healthy gauge\n")
-	for _, c := range st.nodes {
-		up := 0
-		if c.healthy.Load() {
-			up = 1
-		}
-		fmt.Fprintf(sb, "fsdl_cluster_shard_healthy{shard=%q} %d\n", c.node.Name, up)
-	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_mismatched Reachable shards excluded from routing because their vertex space disagrees with the cluster (partition from a different store).\n# TYPE fsdl_cluster_shard_mismatched gauge\n")
-	for _, c := range st.nodes {
-		bad := 0
-		if c.mismatched.Load() {
-			bad = 1
-		}
-		fmt.Fprintf(sb, "fsdl_cluster_shard_mismatched{shard=%q} %d\n", c.node.Name, bad)
-	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_generation Label generation each shard last reported serving.\n# TYPE fsdl_cluster_shard_generation gauge\n")
-	for _, c := range st.nodes {
-		fmt.Fprintf(sb, "fsdl_cluster_shard_generation{shard=%q} %d\n", c.node.Name, c.lastGen.Load())
-	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_draining Shards administratively excluded from routing (1 draining).\n# TYPE fsdl_cluster_shard_draining gauge\n")
-	for _, c := range st.nodes {
-		d := 0
-		if c.draining.Load() {
-			d = 1
-		}
-		fmt.Fprintf(sb, "fsdl_cluster_shard_draining{shard=%q} %d\n", c.node.Name, d)
-	}
-	hasBreakers := false
-	for _, c := range st.nodes {
-		if c.breaker != nil {
-			hasBreakers = true
-			break
-		}
-	}
-	if hasBreakers {
-		fmt.Fprintf(sb, "# HELP fsdl_cluster_breaker_state Circuit-breaker position per shard (0 closed, 1 open, 2 half-open).\n# TYPE fsdl_cluster_breaker_state gauge\n")
+	// perShard writes one family with a sample per shard of the epoch.
+	perShard := func(name, help, typ string, value func(*shardClient) int64) {
+		x.Family(name, help, typ)
 		for _, c := range st.nodes {
-			if c.breaker == nil {
-				continue
-			}
-			state, _ := c.breaker.snapshot()
-			fmt.Fprintf(sb, "fsdl_cluster_breaker_state{shard=%q} %d\n", c.node.Name, int(state))
-		}
-		fmt.Fprintf(sb, "# HELP fsdl_cluster_breaker_opens_total Times each shard's circuit breaker opened.\n# TYPE fsdl_cluster_breaker_opens_total counter\n")
-		for _, c := range st.nodes {
-			if c.breaker == nil {
-				continue
-			}
-			_, opens := c.breaker.snapshot()
-			fmt.Fprintf(sb, "fsdl_cluster_breaker_opens_total{shard=%q} %d\n", c.node.Name, opens)
+			x.Labelled(name, "shard", c.node.Name, value(c))
 		}
 	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_fetches_total Fetch RPCs sent per shard.\n# TYPE fsdl_cluster_shard_fetches_total counter\n")
-	for _, c := range st.nodes {
-		fmt.Fprintf(sb, "fsdl_cluster_shard_fetches_total{shard=%q} %d\n", c.node.Name, c.fetches.Load())
-	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_shard_fetch_errors_total Fetch RPCs that failed per shard.\n# TYPE fsdl_cluster_shard_fetch_errors_total counter\n")
-	for _, c := range st.nodes {
-		fmt.Fprintf(sb, "fsdl_cluster_shard_fetch_errors_total{shard=%q} %d\n", c.node.Name, c.fetchErrors.Load())
-	}
-	fmt.Fprintf(sb, "# HELP fsdl_cluster_fetch_seconds Per-shard label-fetch latency.\n# TYPE fsdl_cluster_fetch_seconds histogram\n")
-	for _, c := range st.nodes {
-		for _, b := range c.latency.Buckets() {
-			le := "+Inf"
-			if !math.IsInf(b.UpperBound, 1) {
-				le = fmt.Sprintf("%g", b.UpperBound)
-			}
-			fmt.Fprintf(sb, "fsdl_cluster_fetch_seconds_bucket{shard=%q,le=%q} %d\n", c.node.Name, le, b.CumulativeCount)
+	flag := func(b *atomic.Bool) int64 {
+		if b.Load() {
+			return 1
 		}
-		fmt.Fprintf(sb, "fsdl_cluster_fetch_seconds_sum{shard=%q} %g\n", c.node.Name, c.latency.Sum())
-		fmt.Fprintf(sb, "fsdl_cluster_fetch_seconds_count{shard=%q} %d\n", c.node.Name, c.latency.Count())
+		return 0
+	}
+	perShard("fsdl_cluster_shard_healthy", "Shard health as seen by the frontend (1 up, 0 down).", "gauge",
+		func(c *shardClient) int64 { return flag(&c.healthy) })
+	perShard("fsdl_cluster_shard_mismatched", "Reachable shards excluded from routing because their vertex space disagrees with the cluster (partition from a different store).", "gauge",
+		func(c *shardClient) int64 { return flag(&c.mismatched) })
+	perShard("fsdl_cluster_shard_generation", "Label generation each shard last reported serving.", "gauge",
+		func(c *shardClient) int64 { return int64(c.lastGen.Load()) })
+	perShard("fsdl_cluster_shard_draining", "Shards administratively excluded from routing (1 draining).", "gauge",
+		func(c *shardClient) int64 { return flag(&c.draining) })
+	// Every client of a frontend is built from its one config, so
+	// breakers are on for all shards or for none.
+	if !f.cfg.BreakerDisabled {
+		perShard("fsdl_cluster_breaker_state", "Circuit-breaker position per shard (0 closed, 1 open, 2 half-open).", "gauge",
+			func(c *shardClient) int64 { state, _ := c.breaker.snapshot(); return int64(state) })
+		perShard("fsdl_cluster_breaker_opens_total", "Times each shard's circuit breaker opened.", "counter",
+			func(c *shardClient) int64 { _, opens := c.breaker.snapshot(); return opens })
+	}
+	perShard("fsdl_cluster_shard_fetches_total", "Fetch RPCs sent per shard.", "counter",
+		func(c *shardClient) int64 { return c.fetches.Load() })
+	perShard("fsdl_cluster_shard_fetch_errors_total", "Fetch RPCs that failed per shard.", "counter",
+		func(c *shardClient) int64 { return c.fetchErrors.Load() })
+	x.Family("fsdl_cluster_fetch_seconds", "Per-shard label-fetch latency.", "histogram")
+	for _, c := range st.nodes {
+		x.Histogram("fsdl_cluster_fetch_seconds", "shard", c.node.Name, c.latency)
 	}
 
 	if f.rep != nil {
 		rs := f.rep.status()
-		counter("fsdl_cluster_repair_sweeps_total", "Completed anti-entropy sweeps.", rs.Sweeps)
-		counter("fsdl_cluster_repair_records_total", "Records installed by repair pulls.", rs.Repaired)
-		counter("fsdl_cluster_repair_sealed_shards_total", "Shards restored to authority after a clean audit.", rs.Sealed)
-		gauge("fsdl_cluster_repair_backlog", "Records known missing after the last sweep.", float64(rs.Backlog))
+		x.Counter("fsdl_cluster_repair_sweeps_total", "Completed anti-entropy sweeps.", rs.Sweeps)
+		x.Counter("fsdl_cluster_repair_records_total", "Records installed by repair pulls.", rs.Repaired)
+		x.Counter("fsdl_cluster_repair_sealed_shards_total", "Shards restored to authority after a clean audit.", rs.Sealed)
+		x.GaugeFloat("fsdl_cluster_repair_backlog", "Records known missing after the last sweep.", float64(rs.Backlog))
 		converged := 0.0
 		if rs.Converged {
 			converged = 1
 		}
-		gauge("fsdl_cluster_repair_converged", "1 when the last sweep found every shard complete.", converged)
+		x.GaugeFloat("fsdl_cluster_repair_converged", "1 when the last sweep found every shard complete.", converged)
 	}
 }

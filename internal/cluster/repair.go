@@ -32,7 +32,6 @@ const repairPullTimeout = 30 * time.Second
 type repairer struct {
 	f        *Frontend
 	interval time.Duration
-	batch    int
 
 	kick chan struct{}
 
@@ -47,11 +46,10 @@ type repairer struct {
 	converged atomic.Bool
 }
 
-func newRepairer(f *Frontend, interval time.Duration, batch int) *repairer {
+func newRepairer(f *Frontend, interval time.Duration) *repairer {
 	return &repairer{
 		f:        f,
 		interval: interval,
-		batch:    batch,
 		kick:     make(chan struct{}, 1),
 		hints:    make(map[int32]struct{}),
 	}
@@ -152,8 +150,8 @@ func (r *repairer) auditShard(st *ringState, c *shardClient, expect []int32) (cl
 	}
 	clean = true
 	ownerBuf := make([]int, 0, 8)
-	for base := 0; base < len(expect); base += r.batch {
-		chunk := expect[base:min(base+r.batch, len(expect))]
+	for base := 0; base < len(expect); base += repairBatch {
+		chunk := expect[base:min(base+repairBatch, len(expect))]
 		_, _, missing, err := c.digest(chunk, r.f.n)
 		if err != nil {
 			r.setErr(err)
@@ -343,13 +341,13 @@ func (f *Frontend) StatusJSON() any { return f.Status() }
 func (c *shardClient) digest(ids []int32, wantN int) (uint32, int, []int32, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
 	defer cancel()
-	frames, err := c.call(ctx, OpDigest, AppendLabelRequest(nil, ids), 1)
+	op, resp, err := c.call(ctx, OpDigest, AppendLabelRequest(nil, ids))
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	switch frames[0].op {
+	switch op {
 	case OpDigestResp:
-		n, d, present, missing, err := ParseDigestResponse(frames[0].payload)
+		n, d, present, missing, err := ParseDigestResponse(resp)
 		if err != nil {
 			return 0, 0, nil, err
 		}
@@ -358,26 +356,26 @@ func (c *shardClient) digest(ids []int32, wantN int) (uint32, int, []int32, erro
 		}
 		return d, present, missing, nil
 	case OpError:
-		return 0, 0, nil, fmt.Errorf("%w: %s", errShardError, frames[0].payload)
+		return 0, 0, nil, fmt.Errorf("%w: %s", errShardError, resp)
 	default:
-		return 0, 0, nil, fmt.Errorf("cluster: unexpected digest response op %d", frames[0].op)
+		return 0, 0, nil, fmt.Errorf("cluster: unexpected digest response op %d", op)
 	}
 }
 
 // repairPull tells the shard to pull ids from the replica at source.
 func (c *shardClient) repairPull(source string, ids []int32) (installed, failed int, err error) {
-	frames, err := c.callTimeout(context.Background(), OpRepairPull,
-		AppendRepairRequest(nil, source, ids), 1, repairPullTimeout)
+	op, resp, err := c.callTimeout(context.Background(), OpRepairPull,
+		AppendRepairRequest(nil, source, ids), repairPullTimeout)
 	if err != nil {
 		return 0, 0, err
 	}
-	switch frames[0].op {
+	switch op {
 	case OpRepairPulled:
-		return ParseRepairResponse(frames[0].payload)
+		return ParseRepairResponse(resp)
 	case OpError:
-		return 0, 0, fmt.Errorf("%w: %s", errShardError, frames[0].payload)
+		return 0, 0, fmt.Errorf("%w: %s", errShardError, resp)
 	default:
-		return 0, 0, fmt.Errorf("cluster: unexpected repair response op %d", frames[0].op)
+		return 0, 0, fmt.Errorf("cluster: unexpected repair response op %d", op)
 	}
 }
 
@@ -385,16 +383,16 @@ func (c *shardClient) repairPull(source string, ids []int32) (installed, failed 
 func (c *shardClient) sealShard() error {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
 	defer cancel()
-	frames, err := c.call(ctx, OpSeal, nil, 1)
+	op, resp, err := c.call(ctx, OpSeal, nil)
 	if err != nil {
 		return err
 	}
-	switch frames[0].op {
+	switch op {
 	case OpSealed:
 		return nil
 	case OpError:
-		return fmt.Errorf("%w: %s", errShardError, frames[0].payload)
+		return fmt.Errorf("%w: %s", errShardError, resp)
 	default:
-		return fmt.Errorf("cluster: unexpected seal response op %d", frames[0].op)
+		return fmt.Errorf("cluster: unexpected seal response op %d", op)
 	}
 }

@@ -67,10 +67,6 @@ type ShardConfig struct {
 	// rebuilding a shard from starving the query traffic it is already
 	// serving.
 	RepairRate int
-	// RepairDialTimeout bounds dialing the pull source (default 1s);
-	// RepairChunkTimeout bounds each pull round trip (default 5s).
-	RepairDialTimeout  time.Duration
-	RepairChunkTimeout time.Duration
 	// FaultHook, when non-nil, is consulted once per received request
 	// frame; a non-nil return makes the server drop the connection
 	// without replying — the chaos tests' injection point for
@@ -137,12 +133,6 @@ func NewShardServer(cfg ShardConfig) (*ShardServer, error) {
 	}
 	if cfg.RepairRate == 0 {
 		cfg.RepairRate = 50000
-	}
-	if cfg.RepairDialTimeout <= 0 {
-		cfg.RepairDialTimeout = time.Second
-	}
-	if cfg.RepairChunkTimeout <= 0 {
-		cfg.RepairChunkTimeout = 5 * time.Second
 	}
 	if cfg.Generation == 0 {
 		cfg.Generation = 1
@@ -623,8 +613,14 @@ func (s *ShardServer) handleRepairPull(bw *bufio.Writer, bufs *connBufs, req []b
 	return s.writeFrame(bw, bufs, OpRepairPulled, bufs.payload)
 }
 
-// maxPullChunkIDs is how many records one pull round trip requests.
-const maxPullChunkIDs = 4096
+// maxPullChunkIDs is how many records one pull round trip requests;
+// repairDialTimeout bounds dialing the pull source and
+// repairChunkTimeout each of those round trips.
+const (
+	maxPullChunkIDs    = 4096
+	repairDialTimeout  = time.Second
+	repairChunkTimeout = 5 * time.Second
+)
 
 // repairPull dials the source shard, fetches the records in chunks and
 // installs every present, validated one into the live store. Records
@@ -640,7 +636,7 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 	// store or refuses — records from another generation must never be
 	// installed here.
 	store, gen := s.currentStore()
-	conn, err := net.DialTimeout("tcp", source, s.cfg.RepairDialTimeout)
+	conn, err := net.DialTimeout("tcp", source, repairDialTimeout)
 	if err != nil {
 		return 0, 0, fmt.Errorf("cluster: dial repair source %s: %w", source, err)
 	}
@@ -652,27 +648,10 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 			chunk = chunk[:maxPullChunkIDs]
 		}
 		ids = ids[len(chunk):]
-		conn.SetDeadline(time.Now().Add(s.cfg.RepairChunkTimeout))
-		if werr := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, chunk)); werr != nil {
-			return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, werr)
-		}
-		frames, rerr := readLabelFrames(conn, len(chunk)+1)
-		if rerr != nil {
-			return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, rerr)
-		}
+		conn.SetDeadline(time.Now().Add(repairChunkTimeout))
 		got := make(map[int32]LabelRecord, len(chunk))
-		for _, fr := range frames {
-			n, recs, perr := ParseLabelResponse(fr.payload)
-			if perr != nil {
-				return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, perr)
-			}
-			if n != store.NumVertices() {
-				return installed, failed, fmt.Errorf("cluster: repair source %s serves vertex space %d, want %d",
-					source, n, store.NumVertices())
-			}
-			for _, r := range recs {
-				got[r.Vertex] = r
-			}
+		if err := fetchLabels(conn, "repair source "+source, gen, chunk, store.NumVertices(), got); err != nil {
+			return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, err)
 		}
 		for _, v := range chunk {
 			rec, ok := got[v]
@@ -708,58 +687,15 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 	return installed, failed, nil
 }
 
-// readLabelFrames reads one label response off conn: OpLabelsPart
-// continuations closed by a final OpLabels, mirroring the frontend's
-// round trip. An OpError frame becomes an error.
-func readLabelFrames(conn net.Conn, maxFrames int) ([]wireFrame, error) {
-	var frames []wireFrame
-	for {
-		op, p, err := frame.Read(conn)
-		if err != nil {
-			return nil, err
-		}
-		switch op {
-		case OpLabels:
-			return append(frames, wireFrame{op: op, payload: p}), nil
-		case OpLabelsPart:
-			frames = append(frames, wireFrame{op: op, payload: p})
-			if len(frames) >= maxFrames {
-				return nil, fmt.Errorf("cluster: repair response exceeded %d frames", maxFrames)
-			}
-		case OpError:
-			return nil, fmt.Errorf("%w: %s", errShardError, p)
-		default:
-			return nil, fmt.Errorf("cluster: unexpected repair response op %d", op)
-		}
-	}
-}
-
-// persist rewrites the partition container atomically (temp file in
-// the same directory, fsync, rename) so a repaired shard that restarts
-// reloads what repair gave it instead of starting the loss over.
+// persist rewrites the partition container atomically and durably
+// (labelstore.ReplaceFile) so a repaired shard that restarts reloads
+// what repair gave it instead of starting the loss over.
 func (s *ShardServer) persist() error {
-	dir := filepath.Dir(s.cfg.PersistPath)
-	tmp, err := os.CreateTemp(dir, ".fsdl-shard-*")
-	if err != nil {
-		return fmt.Errorf("cluster: persist repair: %w", err)
-	}
-	defer os.Remove(tmp.Name())
 	store, _ := s.currentStore()
-	if err := labelstore.Write(tmp, store, store.Vertices(), s.cfg.PersistFormat3, s.cfg.PersistCompress); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: persist repair: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cluster: persist repair: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cluster: persist repair: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.cfg.PersistPath); err != nil {
-		return fmt.Errorf("cluster: persist repair: %w", err)
-	}
-	if err := labelstore.FsyncParentDir(s.cfg.PersistPath); err != nil {
+	err := labelstore.ReplaceFile(s.cfg.PersistPath, func(f *os.File) error {
+		return labelstore.Write(f, store, store.Vertices(), s.cfg.PersistFormat3, s.cfg.PersistCompress)
+	})
+	if err != nil {
 		return fmt.Errorf("cluster: persist repair: %w", err)
 	}
 	return nil

@@ -31,8 +31,7 @@ type Scheme struct {
 	cacheMisses atomic.Int64
 
 	// scratch pools the O(n) BFS state label extraction needs, so a cache
-	// miss costs one checkout instead of an O(n) allocation (the previous
-	// design allocated a fresh BFSScratch per miss, under a global lock).
+	// miss costs one checkout instead of an O(n) allocation.
 	scratch sync.Pool
 }
 
@@ -75,10 +74,26 @@ func BuildScheme(g *graph.Graph, epsilon float64) (*Scheme, error) {
 // — fan out over the pool; the resulting scheme is bit-identical for any
 // worker count (see TestParallelBuildDeterminism).
 func BuildSchemeWorkers(g *graph.Graph, epsilon float64, workers int) (*Scheme, error) {
+	return buildScheme(g, epsilon, 0, workers)
+}
+
+// BuildSchemeAblated is BuildScheme with the RShrink ablation knob: the
+// label ball radii r_i are halved rShrink times below the paper's values.
+// Safety still holds, but the (1+ε) stretch guarantee may not — the
+// ablation experiment measures the damage. rShrink = 0 is BuildScheme.
+func BuildSchemeAblated(g *graph.Graph, epsilon float64, rShrink int) (*Scheme, error) {
+	if rShrink < 0 {
+		return nil, fmt.Errorf("core: negative rShrink %d", rShrink)
+	}
+	return buildScheme(g, epsilon, rShrink, 0)
+}
+
+func buildScheme(g *graph.Graph, epsilon float64, rShrink, workers int) (*Scheme, error) {
 	params, err := NewParams(epsilon, g.NumVertices())
 	if err != nil {
 		return nil, err
 	}
+	params.RShrink = rShrink
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -90,29 +105,6 @@ func BuildSchemeWorkers(g *graph.Graph, epsilon float64, workers int) (*Scheme, 
 		return nil, fmt.Errorf("core: build net hierarchy: %w", err)
 	}
 	return newScheme(g, h, params, buildStore(g, h, params, workers)), nil
-}
-
-// BuildSchemeAblated is BuildScheme with the RShrink ablation knob: the
-// label ball radii r_i are halved rShrink times below the paper's values.
-// Safety still holds, but the (1+ε) stretch guarantee may not — the
-// ablation experiment measures the damage. rShrink = 0 is BuildScheme.
-func BuildSchemeAblated(g *graph.Graph, epsilon float64, rShrink int) (*Scheme, error) {
-	if rShrink < 0 {
-		return nil, fmt.Errorf("core: negative rShrink %d", rShrink)
-	}
-	params, err := NewParams(epsilon, g.NumVertices())
-	if err != nil {
-		return nil, err
-	}
-	params.RShrink = rShrink
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
-	h, err := nets.BuildWithOrder(g, nets.ScatteredOrder(g.NumVertices()))
-	if err != nil {
-		return nil, fmt.Errorf("core: build net hierarchy: %w", err)
-	}
-	return newScheme(g, h, params, buildStore(g, h, params, 0)), nil
 }
 
 // Params returns the derived scheme parameters.

@@ -134,9 +134,9 @@ func clampWorkers(workers, tasks int) int {
 // buildStore constructs the shared level structures. Cost: for each level,
 // one truncated BFS of radius λ_ℓ from every net point of that level. All
 // (level, net-point) searches across all levels are independent, so they
-// form one global work queue drained by the pool — the few-point upper
-// levels no longer leave the pool idle behind a per-level barrier. Tasks
-// are queued top level first: upper-level searches have the largest radii
+// form one global work queue drained by the pool — there is no
+// per-level barrier for the few-point upper levels to idle it behind.
+// Tasks are queued top level first: upper-level searches have the largest radii
 // and are the longest poles, so they must start earliest. The result is
 // deterministic regardless of parallelism (each task writes only its own
 // point's sorted adjacency, and CSR assembly runs in vertex order).

@@ -22,8 +22,8 @@ func TestAllExperimentsHaveDistinctIDs(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
-	if len(seen) != 16 {
-		t.Fatalf("expected 16 experiments, got %d", len(seen))
+	if len(seen) != 15 {
+		t.Fatalf("expected 15 experiments, got %d", len(seen))
 	}
 }
 

@@ -154,96 +154,6 @@ func TestFormat3CompressedRecordRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFormat3SpliceByteIdentical proves the incremental writer: splicing
-// from a previous store (FSDL2-loaded or compressed FSDL3, with and
-// without dirty vertices) emits byte-identical files to a full save.
-func TestFormat3SpliceByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Grid2D(10, 10)
-	s := buildScheme(t, g)
-
-	var buf bytes.Buffer
-	if err := Save(&buf, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	prev2, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, compress := range []bool{false, true} {
-		want, err := os.ReadFile(writeFormat3File(t, dir, "full"+suffix(compress), s, nil, compress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		prev3, err := Open(writeFormat3File(t, dir, "prev"+suffix(compress), s, nil, compress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, prev := range []*Store{prev2, prev3} {
-			for _, dirty := range [][]int32{nil, {3, 17, 64}} {
-				path := filepath.Join(dir, "spliced")
-				f, err := os.Create(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := Write(f, Spliced(s, prev, dirty), nil, true, compress); err != nil {
-					t.Fatal(err)
-				}
-				f.Close()
-				got, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("spliced output differs from full save (compress=%v, prev format %d, %d dirty)",
-						compress, prev.Format(), len(dirty))
-				}
-			}
-		}
-		prev3.Close()
-	}
-}
-
-// TestFormat3PartitionByteIdentical proves SaveVerticesFormat3 matches
-// SaveFormat3 over the same records — the partition determinism gate.
-// The store partitioned is the one a deployment partitions: the full
-// store in the container being written (compressed: the factored file,
-// whose level graphs the partition then carries verbatim). What an FSDL2
-// store yields under compress is TestWriteMatrix's second rule.
-func TestFormat3PartitionByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Grid2D(8, 8)
-	s := buildScheme(t, g)
-	part := []int{5, 9, 11, 12, 40, 63}
-	for _, compress := range []bool{false, true} {
-		st, err := Open(writeFormat3File(t, dir, "full"+suffix(compress), s, nil, compress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := os.ReadFile(writeFormat3File(t, dir, "direct"+suffix(compress), s, part, compress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "fromstore")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.SaveVerticesFormat3(f, part, compress); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("store partition differs from scheme partition (compress=%v)", compress)
-		}
-		st.Close()
-	}
-}
-
 // corruptFileByte flips one byte of a file in place.
 func corruptFileByte(t *testing.T, path string, off int64) {
 	t.Helper()
@@ -526,47 +436,6 @@ func TestFormat3SpliceHealedOverlay(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("splice from healed base differs from full save")
-	}
-}
-
-// TestMergeOwnsFormat3Records: a merged store must own its record bytes
-// — records merged out of an mmap-backed source must stay readable after
-// the source store (and its mapping) is gone.
-func TestMergeOwnsFormat3Records(t *testing.T) {
-	dir := t.TempDir()
-	g := gen.Grid2D(8, 8)
-	s := buildScheme(t, g)
-	n := g.NumVertices()
-
-	var buf bytes.Buffer
-	if err := Save(&buf, s, nil); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Load(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src, err := Open(writeFormat3File(t, dir, "store.fsdl3", s, nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !src.Mapped() {
-		t.Skip("mmap unavailable on this platform")
-	}
-	merged, err := Merge(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unmap the source: reading the merged records now faults unless
-	// Merge copied them out of the mapping.
-	src.Close()
-	for v := 0; v < n; v++ {
-		wb, wd, wok := ref.Raw(v)
-		gb, gd, gok := merged.Raw(v)
-		if wok != gok || wb != gb || !bytes.Equal(wd, gd) {
-			t.Fatalf("merged record %d differs after source unmap", v)
-		}
 	}
 }
 

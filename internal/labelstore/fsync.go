@@ -34,3 +34,33 @@ func FsyncDir(dir string) error {
 func FsyncParentDir(path string) error {
 	return FsyncDir(filepath.Dir(path))
 }
+
+// ReplaceFile puts a new file at path atomically and durably: write
+// fills a temp file in path's directory, which is fsynced, closed,
+// renamed over path, and made to stick by an fsync of the directory — a
+// crash leaves the old file or the new one, never a torn one. Every
+// single-file commit point (a generation's MANIFEST, a shard's repair
+// persist) goes through here, which is also where a crash-point
+// injector hooks in.
+func ReplaceFile(path string, write func(*os.File) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return FsyncParentDir(path)
+}

@@ -538,45 +538,6 @@ func (st *Store) robustQuery(src, dst int, faults *graph.FaultSet, budget int) (
 	return q, err
 }
 
-// Merge combines label stores over the same graph (e.g. two adjacent
-// region bundles downloaded separately) into one. Overlapping labels must
-// be identical; conflicting stores (different graphs or schemes) are
-// rejected.
-func Merge(stores ...*Store) (*Store, error) {
-	if len(stores) == 0 {
-		return nil, fmt.Errorf("labelstore: nothing to merge")
-	}
-	out := newStore(stores[0].n, 0)
-	for si, st := range stores {
-		if st.n != out.n {
-			return nil, fmt.Errorf("labelstore: store %d has n=%d, want %d", si, st.n, out.n)
-		}
-		// Iterate via Vertices/Raw so FSDL3-backed stores merge too (the
-		// merged result is a heap store of canonical records).
-		for _, v := range st.Vertices() {
-			bits, data, ok := st.Raw(v)
-			if !ok {
-				continue // discovered corrupt mid-merge: salvage semantics, skip
-			}
-			if st.f3 != nil {
-				// Raw bytes from an FSDL3 backing may alias the mmap (or
-				// the shared transcode cache); the merged store must own
-				// its records — it can outlive the source's mapping.
-				data = slices.Clone(data)
-			}
-			if prev, ok := out.labels[int32(v)]; ok {
-				if prev.bits != bits || !bytes.Equal(prev.data, data) {
-					return nil, fmt.Errorf("labelstore: conflicting labels for vertex %d", v)
-				}
-				continue
-			}
-			out.labels[int32(v)] = record{bits: bits, data: data}
-		}
-	}
-	out.admit(DefaultDecodedCacheSize)
-	return out, nil
-}
-
 // NewEmpty returns a store over an n-vertex space holding no labels —
 // the boot state of a replacement shard, which joins the ring empty and
 // is filled by anti-entropy repair.

@@ -175,69 +175,6 @@ func TestStoreOnDisconnectedGraph(t *testing.T) {
 	}
 }
 
-func TestMergeRegionBundles(t *testing.T) {
-	g := gen.Grid2D(10, 10)
-	s := buildScheme(t, g)
-	load := func(center int, radius int32) *Store {
-		var buf bytes.Buffer
-		if err := Save(&buf, s, Region(s, center, radius)); err != nil {
-			t.Fatal(err)
-		}
-		st, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	west := load(33, 3)
-	east := load(66, 3) // overlapping middle
-	merged, err := Merge(west, east)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.NumLabels() >= west.NumLabels()+east.NumLabels() {
-		t.Errorf("merge did not dedupe the overlap: %d vs %d+%d",
-			merged.NumLabels(), west.NumLabels(), east.NumLabels())
-	}
-	// A query spanning the two regions now works.
-	if _, _, err := merged.Distance(33, 66, nil); err != nil {
-		t.Errorf("cross-region query after merge failed: %v", err)
-	}
-	// Merged bundle re-saves and reloads.
-	var buf bytes.Buffer
-	if err := Write(&buf, merged, merged.Vertices(), false, false); err != nil {
-		t.Fatal(err)
-	}
-	again, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.NumLabels() != merged.NumLabels() || again.SizeBits() != merged.SizeBits() {
-		t.Error("re-saved merged bundle differs")
-	}
-}
-
-func TestMergeRejectsMismatch(t *testing.T) {
-	gA := gen.Grid2D(5, 5)
-	gB := gen.Grid2D(6, 6)
-	sA, sB := buildScheme(t, gA), buildScheme(t, gB)
-	var a, b bytes.Buffer
-	if err := Save(&a, sA, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := Save(&b, sB, nil); err != nil {
-		t.Fatal(err)
-	}
-	stA, _ := Load(&a)
-	stB, _ := Load(&b)
-	if _, err := Merge(stA, stB); err == nil {
-		t.Error("different graphs must not merge")
-	}
-	if _, err := Merge(); err == nil {
-		t.Error("empty merge must error")
-	}
-}
-
 func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 	g := gen.Grid2D(8, 8)
 	s := buildScheme(t, g)
@@ -253,7 +190,8 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 
 	// Split the store into three interleaved partitions (duplicated and
 	// unsorted input exercises the canonicalization), reload each, and
-	// merge: the union must re-serve every record byte-identically.
+	// Put them together: the union must re-serve every record
+	// byte-identically.
 	var parts []*Store
 	for p := 0; p < 3; p++ {
 		var ids []int
@@ -282,9 +220,17 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 		}
 		parts = append(parts, ps)
 	}
-	merged, err := Merge(parts...)
+	merged, err := NewEmpty(64)
 	if err != nil {
-		t.Fatalf("Merge: %v", err)
+		t.Fatal(err)
+	}
+	for _, ps := range parts {
+		for _, v := range ps.Vertices() {
+			bits, data, _ := ps.Raw(v)
+			if err := merged.Put(v, bits, data); err != nil {
+				t.Fatalf("Put %d: %v", v, err)
+			}
+		}
 	}
 	var rejoined bytes.Buffer
 	if err := Write(&rejoined, merged, merged.Vertices(), false, false); err != nil {

@@ -68,6 +68,17 @@ type ManifestFile struct {
 	CRC uint32
 }
 
+// NewManifestFile describes a generation file with content checksum crc
+// that holds one record for each of ids (none for a file that is not a
+// label container).
+func NewManifestFile(name string, crc uint32, ids []int) ManifestFile {
+	f := ManifestFile{Name: name, Records: len(ids), First: -1, Last: -1, CRC: crc}
+	if len(ids) > 0 {
+		f.First, f.Last = slices.Min(ids), slices.Max(ids)
+	}
+	return f
+}
+
 // Manifest describes a label generation: which files make it up, the
 // vertex space they serve, and the WAL sequence whose mutations the
 // build has baked in.
@@ -303,32 +314,11 @@ func ParseGenerationDir(name string) (gen uint64, ok bool) {
 	return gen, true
 }
 
-// WriteManifestFile writes m to dir/MANIFEST atomically (temp file +
-// rename), fsyncing before the rename so a crash never leaves a torn
-// manifest as the newest generation's descriptor.
+// WriteManifestFile writes m to dir/MANIFEST through ReplaceFile, so a
+// crash never leaves a torn manifest as the newest generation's
+// descriptor, nor loses a "committed" one.
 func WriteManifestFile(dir string, m *Manifest) error {
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := WriteManifest(tmp, m); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	// The rename is atomic but not durable until the directory metadata
-	// reaches disk; without this a crash can lose a "committed" manifest.
-	return FsyncDir(dir)
+	return ReplaceFile(filepath.Join(dir, ManifestName), func(f *os.File) error { return WriteManifest(f, m) })
 }
 
 // ReadManifestDir reads and verifies dir/MANIFEST, then checks that

@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -25,13 +26,19 @@ var sinks = []struct {
 // writeBytes runs one Write into a fresh file and returns what landed.
 func writeBytes(t *testing.T, src Source, ids []int, format3, compress bool) []byte {
 	t.Helper()
+	return writtenBy(t, func(f *os.File) error { return Write(f, src, ids, format3, compress) })
+}
+
+// writtenBy hands write a fresh file and returns what it left there.
+func writtenBy(t *testing.T, write func(f *os.File) error) []byte {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "out.fsdl")
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if err := Write(f, src, ids, format3, compress); err != nil {
+	if err := write(f); err != nil {
 		t.Fatal(err)
 	}
 	out, err := os.ReadFile(path)
@@ -175,11 +182,35 @@ func labelsEqual(a, b *core.Label) bool {
 // uncompressed FSDL3 or a pre-PR-17 compressed store on its own) — the
 // same bytes from each of those, answering like the scheme, and pinned
 // byte for byte by TestGoldenContainers' committed file.
+//
+// The rows are the graphs and dirty sets the gate has been run on: the
+// second is the splice gate's (TestFormat3SpliceByteIdentical, folded in
+// here), and the first row's id list without the victim is the partition
+// gate's (TestFormat3PartitionByteIdentical, likewise). Both gates went
+// through the public entry points, so the FSDL3 sinks still do:
+// SaveFormat3 for the scheme's bytes, SaveVerticesFormat3 for a store's.
 func TestWriteMatrix(t *testing.T) {
-	g := gen.Grid2D(8, 8)
+	for _, row := range []struct {
+		side   int
+		dirty  []int32 // never the victim: it is always copied, never re-extracted
+		idSets [][]int // besides nil (every vertex)
+	}{
+		{8, []int32{3, 12, 63}, [][]int{{5, 9, 11, 12, victim, 40, 63}, {5, 9, 11, 12, 40, 63}}},
+		{10, []int32{3, 17, 64}, [][]int{{5, 9, 11, 12, victim, 40, 63}}},
+	} {
+		t.Run(fmt.Sprintf("grid%dx%d", row.side, row.side), func(t *testing.T) {
+			writeMatrix(t, row.side, row.dirty, append([][]int{nil}, row.idSets...))
+		})
+	}
+}
+
+// victim is the record TestWriteMatrix damages on disk and heals.
+const victim = 27
+
+func writeMatrix(t *testing.T, side int, dirty []int32, idSets [][]int) {
+	g := gen.Grid2D(side, side)
 	s := buildScheme(t, g)
 	dir := t.TempDir()
-	const victim = 27
 
 	// The previous-generation stores: heap FSDL2, mapped FSDL3 in both
 	// payload encodings plus the compressed one of before PR 17, and a
@@ -240,10 +271,14 @@ func TestWriteMatrix(t *testing.T) {
 	stores["healed"] = healed
 	hasLevelGraphs := map[string]bool{"FSDL3c": true, "healed": true}
 
-	subset := []int{5, 9, 11, 12, victim, 40, 63}
 	for _, sk := range sinks {
-		for _, ids := range [][]int{nil, subset} {
-			want := writeBytes(t, FromScheme(s), ids, sk.format3, sk.compress)
+		for _, ids := range idSets {
+			want := writtenBy(t, func(f *os.File) error {
+				if sk.format3 {
+					return SaveFormat3(f, s, ids, sk.compress)
+				}
+				return Save(f, s, ids)
+			})
 			wantAlone := want // from a store that cannot supply the level graphs
 			if sk.compress {
 				wantAlone = writeBytes(t, prev2, ids, true, true)
@@ -252,18 +287,22 @@ func TestWriteMatrix(t *testing.T) {
 				}
 			}
 			for name, st := range stores {
-				// victim stays clean in both splices, so it is always
-				// copied, never re-extracted.
 				for kind, src := range map[string]Source{
 					"store":               st,
 					"spliced, none dirty": Spliced(s, st, nil),
-					"spliced, 3 dirty":    Spliced(s, st, []int32{3, 12, 63}),
+					"spliced, 3 dirty":    Spliced(s, st, dirty),
 				} {
 					want, rule := want, "the scheme source"
 					if kind == "store" && !hasLevelGraphs[name] {
 						want, rule = wantAlone, "an FSDL2 store"
 					}
-					if got := writeBytes(t, src, ids, sk.format3, sk.compress); !bytes.Equal(got, want) {
+					got := writtenBy(t, func(f *os.File) error {
+						if kind == "store" && sk.format3 {
+							return st.SaveVerticesFormat3(f, ids, sk.compress)
+						}
+						return Write(f, src, ids, sk.format3, sk.compress)
+					})
+					if !bytes.Equal(got, want) {
 						t.Errorf("%s sink, %s over a %s store (%d ids): differs from %s",
 							sk.name, kind, name, len(ids), rule)
 					}

@@ -202,7 +202,9 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		N:          snap.Graph.NumVertices(),
 		Seq:        snap.Seq,
 	}
-	addFile := func(name string, records int, write func(f *os.File) error) error {
+	// addFile writes one generation file and lists it in the manifest
+	// as holding one record for each of ids.
+	addFile := func(name string, ids []int, write func(f *os.File) error) error {
 		path := filepath.Join(tmp, name)
 		f, err := os.Create(path)
 		if err != nil {
@@ -223,8 +225,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		if err != nil {
 			return err
 		}
-		entry := labelstore.ManifestFile{Name: name, Records: records, First: -1, Last: -1, CRC: crc}
-		m.Files = append(m.Files, entry)
+		m.Files = append(m.Files, labelstore.NewManifestFile(name, crc, ids))
 		return nil
 	}
 
@@ -233,13 +234,14 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		labels = labelstore.Spliced(scheme, opts.Prev.Store, dirty)
 	}
 	labels.Workers = opts.Workers
-	if err := addFile(LabelsFileName, m.N, func(f *os.File) error {
+	all := make([]int, m.N)
+	for v := range all {
+		all[v] = v
+	}
+	if err := addFile(LabelsFileName, all, func(f *os.File) error {
 		return labelstore.Write(f, labels, nil, format3, opts.Compress)
 	}); err != nil {
 		return nil, err
-	}
-	if m.N > 0 {
-		m.Files[len(m.Files)-1].First, m.Files[len(m.Files)-1].Last = 0, m.N-1
 	}
 	// Load the just-written store back: partition files are carved from
 	// these exact bytes (no re-extraction), and the serving path swaps
@@ -250,7 +252,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	if err != nil {
 		return nil, fmt.Errorf("liveupdate: reload generation %d store: %w", snap.Generation, err)
 	}
-	if err := addFile(GraphFileName, 0, func(f *os.File) error {
+	if err := addFile(GraphFileName, nil, func(f *os.File) error {
 		_, err := snap.Graph.WriteTo(f)
 		return err
 	}); err != nil {
@@ -300,23 +302,16 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		if nDirty == 0 && incremental && opts.Prev.Dir != "" && slices.Equal(opts.Prev.Partitions[name], ids) {
 			enc, err := labelstore.SniffEncoding(filepath.Join(opts.Prev.Dir, name+".fsdl"))
 			if err == nil && enc == store.Encoding() {
-				if err := linkFile(m, tmp, opts.Prev.Dir, name+".fsdl", len(ids), ids); err == nil {
+				if err := linkFile(m, tmp, opts.Prev.Dir, name+".fsdl", ids); err == nil {
 					continue
 				}
 			}
 		}
 		ids := ids
-		if err := addFile(name+".fsdl", len(ids), func(f *os.File) error {
+		if err := addFile(name+".fsdl", ids, func(f *os.File) error {
 			return labelstore.Write(f, store, ids, format3, opts.Compress)
 		}); err != nil {
 			return nil, err
-		}
-		if len(ids) > 0 {
-			lo, hi := ids[0], ids[0]
-			for _, v := range ids {
-				lo, hi = min(lo, v), max(hi, v)
-			}
-			m.Files[len(m.Files)-1].First, m.Files[len(m.Files)-1].Last = lo, hi
 		}
 	}
 	slices.Sort(changed)
@@ -351,7 +346,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 // linkFile hard-links name from the previous generation directory into
 // tmp and records its manifest entry (CRC recomputed from the linked
 // bytes, so the manifest never vouches for content it did not hash).
-func linkFile(m *labelstore.Manifest, tmp, prevDir, name string, records int, ids []int) error {
+func linkFile(m *labelstore.Manifest, tmp, prevDir, name string, ids []int) error {
 	dst := filepath.Join(tmp, name)
 	if err := os.Link(filepath.Join(prevDir, name), dst); err != nil {
 		return err
@@ -361,15 +356,7 @@ func linkFile(m *labelstore.Manifest, tmp, prevDir, name string, records int, id
 		os.Remove(dst)
 		return err
 	}
-	entry := labelstore.ManifestFile{Name: name, Records: records, First: -1, Last: -1, CRC: crc}
-	if len(ids) > 0 {
-		lo, hi := ids[0], ids[0]
-		for _, v := range ids {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		entry.First, entry.Last = lo, hi
-	}
-	m.Files = append(m.Files, entry)
+	m.Files = append(m.Files, labelstore.NewManifestFile(name, crc, ids))
 	return nil
 }
 

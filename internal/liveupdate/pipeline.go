@@ -122,8 +122,13 @@ func Open(cfg Config) (*Pipeline, error) {
 	return p, nil
 }
 
-// validate checks a mutation against the current effective graph.
-func (p *Pipeline) validate(m Mutation) error {
+// validate checks a mutation against the current effective graph: the
+// base under the delta and, when a batch is being checked, under the
+// batch's overlay on top — +1 marks an edge the batch has made live, -1
+// one it has removed, and on success the mutation's own effect is
+// recorded there. A nil overlay is the delta alone, for callers that
+// fold each mutation before validating the next.
+func (p *Pipeline) validate(m Mutation, overlay map[edge]int8) error {
 	n := int32(p.base.NumVertices())
 	if m.U < 0 || m.U >= n || m.V < 0 || m.V >= n {
 		return fmt.Errorf("vertex out of range [0,%d)", n)
@@ -132,21 +137,32 @@ func (p *Pipeline) validate(m Mutation) error {
 		return fmt.Errorf("self-loop")
 	}
 	e := edgeOf(m.U, m.V)
-	_, ins := p.inserted[e]
-	_, del := p.deleted[e]
-	inBase := p.base.HasEdge(int(e[0]), int(e[1]))
-	live := ins || (inBase && !del)
+	var live bool
+	if s, ok := overlay[e]; ok {
+		live = s > 0
+	} else if _, ins := p.inserted[e]; ins {
+		live = true
+	} else {
+		_, del := p.deleted[e]
+		live = !del && p.base.HasEdge(int(e[0]), int(e[1]))
+	}
+	var effect int8
 	switch m.Op {
 	case MutInsert:
 		if live {
 			return fmt.Errorf("edge already exists")
 		}
+		effect = 1
 	case MutDelete:
 		if !live {
 			return fmt.Errorf("edge does not exist")
 		}
+		effect = -1
 	default:
 		return fmt.Errorf("unknown mutation op %d", m.Op)
+	}
+	if overlay != nil {
+		overlay[e] = effect
 	}
 	return nil
 }
@@ -154,7 +170,7 @@ func (p *Pipeline) validate(m Mutation) error {
 // applyLocked validates m and folds it into the delta maps. Callers
 // hold the write lock (or own the pipeline exclusively, during Open).
 func (p *Pipeline) applyLocked(m Mutation) error {
-	if err := p.validate(m); err != nil {
+	if err := p.validate(m, nil); err != nil {
 		return err
 	}
 	foldMutation(p.inserted, p.deleted, m)
@@ -208,10 +224,10 @@ func (p *Pipeline) Apply(muts []Mutation) (seq uint64, err error) {
 	// touching the delta: a batch may legitimately delete an edge it
 	// just inserted, so validation must see earlier batch entries,
 	// yet a mid-batch failure must leave no trace. The overlay is
-	// O(batch) — the delta maps are no longer cloned per batch.
+	// O(batch), never a clone of the delta maps.
 	overlay := make(map[edge]int8, len(muts))
 	for i, m := range muts {
-		if err := p.validateOverlay(m, overlay); err != nil {
+		if err := p.validate(m, overlay); err != nil {
 			p.rejected.Add(int64(len(muts)))
 			p.mu.Unlock()
 			return p.seq, fmt.Errorf("liveupdate: mutation %d %s(%d,%d): %w", i, m.Op, m.U, m.V, err)
@@ -249,45 +265,6 @@ func (p *Pipeline) Apply(muts []Mutation) (seq uint64, err error) {
 		}
 	}
 	return seq, nil
-}
-
-// validateOverlay is validate with a batch-local overlay on top of the
-// delta: +1 marks an edge the batch has made live, -1 one it has
-// removed. On success the mutation's effect is recorded in the
-// overlay.
-func (p *Pipeline) validateOverlay(m Mutation, overlay map[edge]int8) error {
-	n := int32(p.base.NumVertices())
-	if m.U < 0 || m.U >= n || m.V < 0 || m.V >= n {
-		return fmt.Errorf("vertex out of range [0,%d)", n)
-	}
-	if m.U == m.V {
-		return fmt.Errorf("self-loop")
-	}
-	e := edgeOf(m.U, m.V)
-	var live bool
-	if s, ok := overlay[e]; ok {
-		live = s > 0
-	} else if _, ins := p.inserted[e]; ins {
-		live = true
-	} else {
-		_, del := p.deleted[e]
-		live = !del && p.base.HasEdge(int(e[0]), int(e[1]))
-	}
-	switch m.Op {
-	case MutInsert:
-		if live {
-			return fmt.Errorf("edge already exists")
-		}
-		overlay[e] = 1
-	case MutDelete:
-		if !live {
-			return fmt.Errorf("edge does not exist")
-		}
-		overlay[e] = -1
-	default:
-		return fmt.Errorf("unknown mutation op %d", m.Op)
-	}
-	return nil
 }
 
 // Pending reports how many delta edges are not yet baked into the

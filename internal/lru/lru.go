@@ -180,6 +180,3 @@ func (sh *shard[K, V]) moveToFront(nd *node[K, V]) {
 // HashU32 is a ready-made shard hash for 32-bit integer keys
 // (Fibonacci multiplicative hashing).
 func HashU32(k uint32) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 >> 32 }
-
-// HashU64 is a ready-made shard hash for 64-bit integer keys.
-func HashU64(k uint64) uint64 { return (k ^ k>>32) * 0x9E3779B97F4A7C15 >> 32 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"fmt"
-	"math"
 	"sort"
-	"strings"
 	"sync/atomic"
 
 	"fsdl/internal/core"
@@ -82,91 +79,69 @@ func (m *metrics) hitRate() float64 {
 	return float64(h) / float64(h+mi)
 }
 
-// render writes the Prometheus text exposition. cacheLen, the
-// label-cache counters and the decoder-pool stats are sampled by the
-// caller (those live with the store and the core pool, not here).
-func (m *metrics) render(sb *strings.Builder, cacheLen int, labelHits, labelMisses int64, pool core.DecoderPoolStats) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	fmt.Fprintf(sb, "# HELP fsdl_requests_total HTTP requests by endpoint.\n# TYPE fsdl_requests_total counter\n")
+// render writes the server's own exposition. cacheLen, the label-cache
+// counters and the decoder-pool stats are sampled by the caller (those
+// live with the store and the core pool, not here).
+func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisses int64, pool core.DecoderPoolStats) {
+	x.Family("fsdl_requests_total", "HTTP requests by endpoint.", "counter")
 	names := make([]string, 0, len(m.requests))
 	for e := range m.requests {
 		names = append(names, e)
 	}
 	sort.Strings(names)
 	for _, e := range names {
-		fmt.Fprintf(sb, "fsdl_requests_total{endpoint=%q} %d\n", e, m.requests[e].Load())
+		x.Labelled("fsdl_requests_total", "endpoint", e, m.requests[e].Load())
 	}
 
-	counter("fsdl_queries_total", "Individual (s,t) answers produced (batches count per pair).", m.queries.Load())
-	counter("fsdl_cache_hits_total", "Result-cache hits.", m.cacheHits.Load())
-	counter("fsdl_cache_misses_total", "Result-cache misses.", m.cacheMisses.Load())
-	counter("fsdl_cache_flushes_total", "Cache invalidations caused by fail/recover.", m.cacheFlushes.Load())
-	gauge("fsdl_cache_entries", "Entries currently cached.", int64(cacheLen))
-	fmt.Fprintf(sb, "# HELP fsdl_cache_hit_rate Hit fraction over all lookups.\n# TYPE fsdl_cache_hit_rate gauge\nfsdl_cache_hit_rate %g\n", m.hitRate())
+	x.Counter("fsdl_queries_total", "Individual (s,t) answers produced (batches count per pair).", m.queries.Load())
+	x.Counter("fsdl_cache_hits_total", "Result-cache hits.", m.cacheHits.Load())
+	x.Counter("fsdl_cache_misses_total", "Result-cache misses.", m.cacheMisses.Load())
+	x.Counter("fsdl_cache_flushes_total", "Cache invalidations caused by fail/recover.", m.cacheFlushes.Load())
+	x.Gauge("fsdl_cache_entries", "Entries currently cached.", int64(cacheLen))
+	x.GaugeFloat("fsdl_cache_hit_rate", "Hit fraction over all lookups.", m.hitRate())
 
-	counter("fsdl_label_cache_hits_total", "Decoded-label cache hits in the store.", labelHits)
-	counter("fsdl_label_cache_misses_total", "Decoded-label cache misses (label decoded from bytes).", labelMisses)
+	x.Counter("fsdl_label_cache_hits_total", "Decoded-label cache hits in the store.", labelHits)
+	x.Counter("fsdl_label_cache_misses_total", "Decoded-label cache misses (label decoded from bytes).", labelMisses)
 	labelRate := 0.0
 	if labelHits+labelMisses > 0 {
 		labelRate = float64(labelHits) / float64(labelHits+labelMisses)
 	}
-	fmt.Fprintf(sb, "# HELP fsdl_label_cache_hit_rate Label-cache hit fraction over all lookups.\n# TYPE fsdl_label_cache_hit_rate gauge\nfsdl_label_cache_hit_rate %g\n", labelRate)
+	x.GaugeFloat("fsdl_label_cache_hit_rate", "Label-cache hit fraction over all lookups.", labelRate)
 
-	counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
-	counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)
+	x.Counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
+	x.Counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)
 
-	counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds.", m.degraded.Load())
-	counter("fsdl_budget_exhausted_total", "Answers whose work budget truncated the sketch.", m.budgetExhausted.Load())
-	counter("fsdl_rejected_total_overload", "Requests rejected because the queue was full.", m.rejectedOverload.Load())
-	counter("fsdl_rejected_total_deadline", "Requests abandoned because their deadline expired while queued.", m.rejectedDeadline.Load())
-	counter("fsdl_canceled_mid_batch_total", "Batches abandoned mid-decode because the client disconnected (worker slot returned early).", m.canceledMidBatch.Load())
-	counter("fsdl_errors_total", "Requests that failed with a client or server error.", m.errors.Load())
-	gauge("fsdl_inflight", "Queries currently executing or queued.", m.inflight.Load())
+	x.Counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds.", m.degraded.Load())
+	x.Counter("fsdl_budget_exhausted_total", "Answers whose work budget truncated the sketch.", m.budgetExhausted.Load())
+	x.Counter("fsdl_rejected_total_overload", "Requests rejected because the queue was full.", m.rejectedOverload.Load())
+	x.Counter("fsdl_rejected_total_deadline", "Requests abandoned because their deadline expired while queued.", m.rejectedDeadline.Load())
+	x.Counter("fsdl_canceled_mid_batch_total", "Batches abandoned mid-decode because the client disconnected (worker slot returned early).", m.canceledMidBatch.Load())
+	x.Counter("fsdl_errors_total", "Requests that failed with a client or server error.", m.errors.Load())
+	x.Gauge("fsdl_inflight", "Queries currently executing or queued.", m.inflight.Load())
 
-	counter("fsdl_fail_events_total", "Vertices/edges failed via /v1/fail.", m.failsApplied.Load())
-	counter("fsdl_recover_events_total", "Vertices/edges recovered via /v1/recover.", m.recoversApplied.Load())
+	x.Counter("fsdl_fail_events_total", "Vertices/edges failed via /v1/fail.", m.failsApplied.Load())
+	x.Counter("fsdl_recover_events_total", "Vertices/edges recovered via /v1/recover.", m.recoversApplied.Load())
 
-	gauge("fsdl_salvage_records_total", "Records declared by the store header.", m.salvageTotal.Load())
-	gauge("fsdl_salvage_records_kept", "Records salvaged intact.", m.salvageKept.Load())
-	gauge("fsdl_salvage_records_corrupt", "Records dropped for checksum/decode failures.", m.salvageCorrupt.Load())
-	gauge("fsdl_salvage_truncated", "1 when the store file was truncated mid-record.", m.salvageTruncated.Load())
+	x.Gauge("fsdl_salvage_records_total", "Records declared by the store header.", m.salvageTotal.Load())
+	x.Gauge("fsdl_salvage_records_kept", "Records salvaged intact.", m.salvageKept.Load())
+	x.Gauge("fsdl_salvage_records_corrupt", "Records dropped for checksum/decode failures.", m.salvageCorrupt.Load())
+	x.Gauge("fsdl_salvage_truncated", "1 when the store file was truncated mid-record.", m.salvageTruncated.Load())
 
-	// Latency histogram, cumulative buckets Prometheus-style.
-	fmt.Fprintf(sb, "# HELP fsdl_request_seconds Request latency.\n# TYPE fsdl_request_seconds histogram\n")
-	for _, b := range m.latency.Buckets() {
-		le := "+Inf"
-		if !math.IsInf(b.UpperBound, 1) {
-			le = fmt.Sprintf("%g", b.UpperBound)
-		}
-		fmt.Fprintf(sb, "fsdl_request_seconds_bucket{le=%q} %d\n", le, b.CumulativeCount)
-	}
-	fmt.Fprintf(sb, "fsdl_request_seconds_sum %g\n", m.latency.Sum())
-	fmt.Fprintf(sb, "fsdl_request_seconds_count %d\n", m.latency.Count())
+	x.Family("fsdl_request_seconds", "Request latency.", "histogram")
+	x.Histogram("fsdl_request_seconds", "", "", m.latency)
 }
 
 // renderLive appends the live-update pipeline's exposition; sampled
 // from the pipeline at scrape time like the label-cache stats.
-func renderLive(sb *strings.Builder, m liveupdate.Metrics) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gauge := func(name, help string, v int64) {
-		fmt.Fprintf(sb, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	counter("fsdl_live_inserts_total", "Edge insertions accepted by the live pipeline.", m.Inserts)
-	counter("fsdl_live_deletes_total", "Edge deletions accepted by the live pipeline.", m.Deletes)
-	counter("fsdl_live_rejected_total", "Mutations refused by validation.", m.Rejected)
-	counter("fsdl_live_compactions_total", "Label generations baked and swapped in.", m.Compactions)
-	counter("fsdl_wal_flushed_total", "Mutation-WAL fsyncs completed (0 without a WAL).", m.WALFlushes)
-	gauge("fsdl_live_pending", "Delta edges not yet baked into the served generation (0 = exact answers).", int64(m.Pending))
-	gauge("fsdl_live_generation", "Label generation currently served.", int64(m.Generation))
-	gauge("fsdl_live_seq", "Last applied mutation sequence.", int64(m.Seq))
-	gauge("fsdl_live_compacted_seq", "Last mutation sequence baked into a generation.", int64(m.CompactedSeq))
-	gauge("fsdl_wal_segments", "Sealed mutation-WAL segments retained on disk (0 without a WAL).", int64(m.WALSegments))
+func renderLive(x stats.Exposition, m liveupdate.Metrics) {
+	x.Counter("fsdl_live_inserts_total", "Edge insertions accepted by the live pipeline.", m.Inserts)
+	x.Counter("fsdl_live_deletes_total", "Edge deletions accepted by the live pipeline.", m.Deletes)
+	x.Counter("fsdl_live_rejected_total", "Mutations refused by validation.", m.Rejected)
+	x.Counter("fsdl_live_compactions_total", "Label generations baked and swapped in.", m.Compactions)
+	x.Counter("fsdl_wal_flushed_total", "Mutation-WAL fsyncs completed (0 without a WAL).", m.WALFlushes)
+	x.Gauge("fsdl_live_pending", "Delta edges not yet baked into the served generation (0 = exact answers).", int64(m.Pending))
+	x.Gauge("fsdl_live_generation", "Label generation currently served.", int64(m.Generation))
+	x.Gauge("fsdl_live_seq", "Last applied mutation sequence.", int64(m.Seq))
+	x.Gauge("fsdl_live_compacted_seq", "Last mutation sequence baked into a generation.", int64(m.CompactedSeq))
+	x.Gauge("fsdl_wal_segments", "Sealed mutation-WAL segments retained on disk (0 without a WAL).", int64(m.WALSegments))
 }

@@ -24,6 +24,7 @@ import (
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
+	"fsdl/internal/stats"
 )
 
 // Config configures a Server. Exactly one of Store and Source is
@@ -59,10 +60,9 @@ type Config struct {
 	DefaultBudget int
 
 	// CacheCapacity is the total result-cache capacity in entries
-	// (default 4096; negative disables). CacheShards spreads it over
-	// independently locked shards (default 8).
+	// (default 4096; negative disables), spread over 8 independently
+	// locked shards.
 	CacheCapacity int
-	CacheShards   int
 
 	// Live, when non-nil, enables the streaming-mutation query path:
 	// the pipeline's pending deletions merge into every query's fault
@@ -90,6 +90,10 @@ type Config struct {
 	// those.
 	Partitions map[string][]int
 }
+
+// cacheShards is how many independently locked shards the result cache
+// is spread over.
+const cacheShards = 8
 
 // Sentinel errors the HTTP layer maps to status codes.
 var (
@@ -200,15 +204,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.CacheCapacity == 0 {
 		cfg.CacheCapacity = 4096
 	}
-	if cfg.CacheShards <= 0 {
-		cfg.CacheShards = 8
-	}
 	s := &Server{
 		cfg:     cfg,
 		src:     src,
 		live:    cfg.Live,
 		overlay: graph.NewFaultSet(),
-		cache:   newResultCache(cfg.CacheCapacity, cfg.CacheShards),
+		cache:   newResultCache(cfg.CacheCapacity, cacheShards),
 		met:     newMetrics(),
 		slots:   make(chan struct{}, cfg.Workers),
 		queued:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
@@ -423,8 +424,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	)
 	// One pooled decoder serves the whole batch: every miss reuses the
 	// same warmed-up scratch. Endpoint labels come straight from the
-	// store, whose decoded-label LRU replaces the per-batch memo maps
-	// this loop used to allocate.
+	// source, whose decoded-label LRU is the batch's memo.
 	var dec core.Decoder
 	defer dec.Release()
 
@@ -670,9 +670,10 @@ func (s *Server) Snapshot() State {
 func (s *Server) Metrics() string {
 	var sb strings.Builder
 	labelHits, labelMisses := s.src.LabelCacheStats()
-	s.met.render(&sb, s.cache.Len(), labelHits, labelMisses, core.DecoderPool())
+	x := stats.NewExposition(&sb)
+	s.met.render(x, s.cache.Len(), labelHits, labelMisses, core.DecoderPool())
 	if s.live != nil {
-		renderLive(&sb, s.live.MetricsSnapshot())
+		renderLive(x, s.live.MetricsSnapshot())
 	}
 	s.src.WriteMetrics(&sb)
 	return sb.String()

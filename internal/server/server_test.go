@@ -59,7 +59,8 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // TestBatchMatchesStaticOracle is the acceptance-criterion check at
-// unit scale (e16 repeats it against a 10k-vertex store): a batch of
+// unit scale (`go run ./bench` repeats it, against BFS, on every answer
+// of four served workloads): a batch of
 // ≥100 pairs with a shared fault set must answer every pair exactly as
 // oracle.Static.Distance does.
 func TestBatchMatchesStaticOracle(t *testing.T) {

@@ -3,12 +3,12 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"sync/atomic"
 
 	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
+	"fsdl/internal/stats"
 )
 
 // LabelSource is where the server gets labels from: a local
@@ -124,8 +124,9 @@ func (s *storeSource) SwapGeneration(_ uint64, st *labelstore.Store, _ []string)
 // frontend reports its own table under the same names).
 func (s *storeSource) WriteMetrics(sb *strings.Builder) {
 	interned, lists := s.st.Load().LevelTableStats()
-	fmt.Fprintf(sb, "# HELP fsdl_label_levels_interned_total Level edge lists of parsed labels replaced by a shared copy.\n# TYPE fsdl_label_levels_interned_total counter\nfsdl_label_levels_interned_total %d\n", interned)
-	fmt.Fprintf(sb, "# HELP fsdl_label_level_lists Shared level edge lists currently held.\n# TYPE fsdl_label_level_lists gauge\nfsdl_label_level_lists %d\n", lists)
+	x := stats.NewExposition(sb)
+	x.Counter("fsdl_label_levels_interned_total", "Level edge lists of parsed labels replaced by a shared copy.", interned)
+	x.Gauge("fsdl_label_level_lists", "Shared level edge lists currently held.", int64(lists))
 }
 
 func (s *storeSource) HealthJSON() any { return nil }
