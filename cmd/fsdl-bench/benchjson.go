@@ -139,7 +139,19 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// mask word, the plain one-word loop. The multi-word loop (> 64
 	// centers) has no kernel here; BenchmarkQueryTimeVsF/F-70 times it and
 	// TestDecodeMatchesReference checks it.
+	//
+	// Every op is a lone query's decode: a held Decoder keeps the fault
+	// frame of the query before (core.faultFrame) and would answer a
+	// repeat of it as a batch's third pair, so each kernel takes turns
+	// between the query and its twin over the labels of a second, equal
+	// scheme — other pointers, the same work. The decode_batch8_* rows
+	// below are where a frame is meant to be found.
 	s.SetCacheLimit(4096)
+	twin, err := core.BuildScheme(g, 2)
+	if err != nil {
+		return err
+	}
+	twin.SetCacheLimit(4096)
 	var dec core.Decoder
 	// randomFaults draws nf vertex faults clear of the corners every
 	// decode kernel queries between; the same nf gives the same set.
@@ -155,14 +167,16 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		return f
 	}
 	for _, nf := range []int{1, 4, 16, 64} {
-		q, err := s.NewQuery(0, n-1, randomFaults(nf))
-		if err != nil {
-			return err
+		var qs [2]*core.Query
+		for i, sch := range []*core.Scheme{s, twin} {
+			if qs[i], err = sch.NewQuery(0, n-1, randomFaults(nf)); err != nil {
+				return err
+			}
 		}
 		add(measure(fmt.Sprintf("decode_F%d", nf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.Distance(q)
+				dec.Distance(qs[i&1])
 			}
 		}))
 		if nf == 16 {
@@ -172,7 +186,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 			add(measure("decode_path_F16", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_, pbuf, _ = dec.DecodePath(q, pbuf[:0])
+					_, pbuf, _ = dec.DecodePath(qs[i&1], pbuf[:0])
 				}
 			}))
 		}
@@ -183,22 +197,25 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// from one sketch — the live pipeline's query (docs/LIVE.md).
 	{
 		rng := rand.New(rand.NewSource(4))
-		q, err := s.NewQuery(0, n-1, graph.FaultVertices(n/3, n/2))
-		if err != nil {
-			return err
+		var qs [2]*core.Query
+		var patches [2][]core.PatchEdge
+		for i, sch := range []*core.Scheme{s, twin} {
+			if qs[i], err = sch.NewQuery(0, n-1, graph.FaultVertices(n/3, n/2)); err != nil {
+				return err
+			}
 		}
-		var patches []core.PatchEdge
-		for len(patches) < 4 {
+		for len(patches[0]) < 4 {
 			u, v := 1+rng.Intn(n-2), 1+rng.Intn(n-2)
 			if u != v && !g.HasEdge(u, v) && u != n/3 && u != n/2 && v != n/3 && v != n/2 {
-				patches = append(patches, core.PatchEdge{U: s.Label(u), V: s.Label(v)})
+				patches[0] = append(patches[0], core.PatchEdge{U: s.Label(u), V: s.Label(v)})
+				patches[1] = append(patches[1], core.PatchEdge{U: twin.Label(u), V: twin.Label(v)})
 			}
 		}
 		var dec core.Decoder
 		add(measure("decode_patched_F2_P4", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.DistanceRobustPatched(q, patches)
+				dec.DistanceRobustPatched(qs[i&1], patches[i&1])
 			}
 		}))
 		dec.Release()
@@ -221,24 +238,49 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// is read through once first, vertex 1 leading: a list is shared from
 	// its second sighting on, so the first label parsed keeps private
 	// copies, and a warm server's query rarely touches that one label.
-	for v := 1; v <= n; v++ {
-		if _, err := st.Label(v % n); err != nil {
-			return err
+	// The twin is the same bytes loaded again: equal labels, other
+	// pointers.
+	stTwin, err := labelstore.Load(&sliceBuffer{data: buf.data})
+	if err != nil {
+		return err
+	}
+	for _, st := range []*labelstore.Store{st, stTwin} {
+		for v := 1; v <= n; v++ {
+			if _, err := st.Label(v % n); err != nil {
+				return err
+			}
 		}
 	}
 	for _, nf := range []int{0, 16} {
-		q, err := core.ResolveQuery(0, n-1, randomFaults(nf), st.Label, false)
-		if err != nil {
-			return err
+		var qs [2]*core.Query
+		for i, st := range []*labelstore.Store{st, stTwin} {
+			if qs[i], err = core.ResolveQuery(0, n-1, randomFaults(nf), st.Label, false); err != nil {
+				return err
+			}
 		}
 		var dec core.Decoder
 		add(measure(fmt.Sprintf("decode_store_F%d", nf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.Distance(q)
+				dec.Distance(qs[i&1])
 			}
 		}))
 		dec.Release()
+	}
+
+	// 3d. A batch as /v1/batch-distance decodes it: 8 pairs under one
+	// fault set on one Decoder (ns/op is per batch). The ring lattice of
+	// the bench's cluster3_ring_batch — local low levels, shared top ones
+	// — with that workload's fault shape, ⌈|F|/2⌉ vertices and ⌊|F|/2⌋
+	// edges. Two equal schemes' labels take turns here too, batch by
+	// batch, so every batch starts without a frame as a request does; in
+	// the _fresh twin they take turns pair by pair, so no pair finds the
+	// frame of the one before and each is decoded as a lone query: the
+	// gap between the two rows is what the fault frame saves. (Releasing
+	// the Decoder instead would put the scratch pool in the loop, and a
+	// GC that empties it shows as 1–2 allocs/op on an exact-allocs row.)
+	if err := benchBatches(quick, add); err != nil {
+		return err
 	}
 
 	srv, err := server.New(server.Config{Store: st, CacheCapacity: -1})
@@ -356,12 +398,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	if quick {
 		ringN = 512
 	}
-	rb := graph.NewBuilder(ringN)
-	for i := 0; i < ringN; i++ {
-		rb.AddEdge(i, (i+1)%ringN)
-		rb.AddEdge(i, (i+2)%ringN)
-	}
-	ringG, err := rb.Build()
+	ringG, err := ringLattice(ringN)
 	if err != nil {
 		return err
 	}
@@ -592,6 +629,87 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	}
 	if baseline != "" {
 		return checkBaseline(doc, baseline, log)
+	}
+	return nil
+}
+
+// ringLattice is the cycle on n vertices with the ±2 chords.
+func ringLattice(n int) (*graph.Graph, error) {
+	b := graph.NewBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+2)%n)
+	}
+	return b.Build()
+}
+
+// benchBatches measures the decode_batch8_* rows (see runJSON, 3d).
+func benchBatches(quick bool, add func(benchResult)) error {
+	ringN := 4096
+	if quick {
+		ringN = 1024
+	}
+	ring, err := ringLattice(ringN)
+	if err != nil {
+		return err
+	}
+	var schemes [2]*core.Scheme
+	for i := range schemes {
+		if schemes[i], err = core.BuildScheme(ring, 2); err != nil {
+			return err
+		}
+	}
+	for _, nf := range []int{0, 2, 4} {
+		rng := rand.New(rand.NewSource(int64(5 + nf)))
+		f := graph.NewFaultSet()
+		for f.NumVertices() < (nf+1)/2 {
+			f.AddVertex(rng.Intn(ringN))
+		}
+		for f.NumEdges() < nf/2 {
+			if u := rng.Intn(ringN); !f.HasVertex(u) && !f.HasVertex((u+1)%ringN) {
+				f.AddEdge(u, (u+1)%ringN)
+			}
+		}
+		var pairs [][2]int
+		for len(pairs) < 8 {
+			if a, b := rng.Intn(ringN), rng.Intn(ringN); a != b && !f.HasVertex(a) && !f.HasVertex(b) {
+				pairs = append(pairs, [2]int{a, b})
+			}
+		}
+		// batches[i] is the batch over the labels of schemes[i].
+		var batches [2][]*core.Query
+		for i, rs := range schemes {
+			label := func(v int) (*core.Label, error) { return rs.Label(v), nil }
+			var tmpl core.Query
+			if err := tmpl.ResolveFaults(f, label, false); err != nil {
+				return err
+			}
+			for _, p := range pairs {
+				q := tmpl
+				q.S, q.T = rs.Label(p[0]), rs.Label(p[1])
+				batches[i] = append(batches[i], &q)
+			}
+		}
+		var dec core.Decoder
+		add(measure(fmt.Sprintf("decode_batch8_F%d", nf), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, q := range batches[i&1] {
+					dec.DistanceRobust(q)
+				}
+			}
+		}))
+		if nf > 0 { // with nothing to share the row above is its own twin
+			add(measure(fmt.Sprintf("decode_batch8_F%d_fresh", nf), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for k := range pairs {
+						dec.DistanceRobust(batches[k&1][k])
+					}
+				}
+			}))
+		}
+		dec.Release()
 	}
 	return nil
 }

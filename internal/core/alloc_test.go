@@ -241,7 +241,9 @@ var benchSharedSink int64
 // corner, |F| vertex faults — over labels that share their level lists
 // (the scheme's: a 24×24 grid is saturated at every level) and over deep
 // copies that share nothing. The gap is what scanOwners' skip buys: the
-// unshared decode walks the same 26.8 k-edge lists once per owner.
+// unshared decode walks the same 26.8 k-edge lists once per owner. The
+// Decoder's fault frame is dropped before every op, so each is a lone
+// query's decode and not a batch's third pair.
 func BenchmarkDecodeSharedLevels(b *testing.B) {
 	g := gridGraph(b, 24, 24)
 	s, err := BuildScheme(g, 2)
@@ -269,6 +271,7 @@ func BenchmarkDecodeSharedLevels(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
+					dec.scratch().keyed = false
 					benchSharedSink, _ = dec.Distance(v.q)
 				}
 			})

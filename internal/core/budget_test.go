@@ -197,7 +197,7 @@ func TestBudgetBoundaries(t *testing.T) {
 				if !tc.shared && got.SharedLevelsSkipped != 0 || tc.shared && budget >= work && got.SharedLevelsSkipped == 0 {
 					t.Errorf("budget %d: %d levels skipped (labels shared: %v)", budget, got.SharedLevelsSkipped, tc.shared)
 				}
-				got.SharedLevelsSkipped = 0 // the reference has no such field
+				got.SharedLevelsSkipped, got.FrameReused = 0, false // the reference has no such fields
 				if !reflect.DeepEqual(&got, &want) {
 					t.Errorf("budget %d: trace diverges:\n got %+v\nwant %+v", budget, got, want)
 				}

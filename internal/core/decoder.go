@@ -140,18 +140,6 @@ func (m *i32map) lookup(k int32) (int32, bool) {
 	}
 }
 
-// get returns the value of k; k must be present.
-func (m *i32map) get(k int32) int32 {
-	mask := uint32(len(m.keys) - 1)
-	i := i32hash(k) & mask
-	for {
-		if m.keys[i] == k+1 {
-			return m.vals[i]
-		}
-		i = (i + 1) & mask
-	}
-}
-
 func (m *i32map) grow() {
 	oldK, oldV := m.keys, m.vals
 	size := max(16, 2*len(oldK))
@@ -268,20 +256,143 @@ func (sc *decodeScratch) sortPairs() {
 
 // --- the pooled scratch ----------------------------------------------------
 
-// decodeScratch owns every reusable structure of one decode. It is
-// checked out of decodePool for the duration of a query (or held across
-// a batch by a Decoder) and reset piecemeal as decode runs.
-type decodeScratch struct {
-	owners     []*Label
-	centers    []*Label
-	seenOwner  i32set
-	seenCenter i32set
+// faultFrame is the half of a decode that is a function of the fault set
+// alone: of the fault labels, the degraded ids, the patch labels, the
+// ablation flag and the scheme parameters — and of nothing of s or t.
+// Admission of a stored edge reads (ℓ, x, y, F), never the owner
+// (scanOwners), so what the fault and patch owners contribute to the
+// sketch is the same for every pair asked under one F, and a Decoder
+// that is handed the same fault labels pair after pair — a batch —
+// builds it once. The frame is rebuilt whenever a decode's labels differ
+// from the key's pointer for pointer (labels are immutable once
+// validated, so equal pointers mean an equal frame), never patched, and
+// dropped with the labels it points to when the scratch goes back to the
+// pool.
+type faultFrame struct {
+	// The key: what the frame was built from.
+	keyed     bool
+	ablate    bool
+	keyParams [3]int // C, MaxLevel, RShrink of the endpoint labels
+	vfKey     []*Label
+	efKey     [][2]*Label
+	dvKey     []int32
+	deKey     [][2]int32
+	patchKey  []PatchEdge
+	// lowest is the lowest level, c+1, and numLevels how many levels a
+	// label of the key's parameters has.
+	lowest, numLevels int
+
+	// frameOwners are the fault owners, then the patch owners, each
+	// vertex once (seenOwner holds their ids); centers the protected-ball
+	// centers.
+	frameOwners []*Label
+	centers     []*Label
+	seenOwner   i32set
+	seenCenter  i32set
 	// fvList / feList are the sorted forbidden vertex ids and forbidden
 	// edge keys (labeled and degraded faults together). The admission
 	// scan joins them against the sorted label point/edge lists with
 	// monotone merge cursors instead of per-candidate hash probes.
 	fvList []int32
 	feList []uint64
+	// rule is the admission rule F selects and maskWords the words per
+	// center bitmask, W = ⌈centers/64⌉.
+	rule      admission
+	maskWords int
+	// nearest[fi*numLevels+k] is center fi's nearest net point of level
+	// index k (nearestNetPoint), the pivot of mayBeInPB's certificate.
+	nearest []PointEntry
+	// cmbX/cmbM/cmbOff hold the per-level combined protected-ball lists:
+	// for level index k, cmbX[cmbOff[k]:cmbOff[k+1]] is the sorted set of
+	// vertices inside any center's PB, with cmbM[j*W:…] the W-word center
+	// bitmask of vertex cmbX[j]. Built once per frame from the sorted
+	// pair list (pairs/pairsTmp are the radix buffers), so filling an
+	// owner level's masks is a single sorted merge against the combined
+	// list instead of one merge per center.
+	cmbX     []int32
+	cmbM     []uint64
+	cmbOff   []int32
+	pairs    []uint64
+	pairsTmp []uint64
+	// patchCand are the admitted patch edges. They precede s and t in
+	// candidate order, so every decode starts its own candidates with
+	// them.
+	patchCand []sketchCand
+	// frameCost is what scanning the frame owners charges a Budget
+	// (-1 until a budgeted decode asks).
+	frameCost int
+
+	// The run: the frame owners' admitted candidates, scanned, sorted and
+	// de-duplicated once — a sketch of their own, which every decode
+	// under this key merges its pair's candidates into — next to the
+	// owners' ompbW rows and what the scan tallied. Built (runBuilt) by
+	// the second decode to bring the key, see decode.
+	runBuilt   bool
+	run        sketch
+	frameOmpbW []uint64
+	frameTally scanTally
+}
+
+// sketch is a de-duplicated sketch edge list with its dense vertex
+// numbering: edges in deterministic (ascending unordered-key) order, one
+// per pair of vertices; eids the dense ids of each edge's endpoints;
+// ids[id] the vertex of a dense id and idOf the inverse — of all of ids
+// in the frame's run, of the ids past the run's in a decode that merges
+// with one.
+type sketch struct {
+	edges []SketchEdge
+	eids  [][2]int32
+	ids   []int32
+	idOf  i32map
+}
+
+func (sk *sketch) reset() {
+	sk.edges, sk.eids, sk.ids = sk.edges[:0], sk.eids[:0], sk.ids[:0]
+	sk.idOf.reset()
+}
+
+// scanTally is what scanOwners counted: candidates admitted and rejected
+// per level index, and owner levels not walked because their edge list
+// had been (seenBefore).
+type scanTally struct {
+	admitted, rejected []int
+	skipped            int
+}
+
+func (t *scanTally) reset(numLevels int) {
+	if cap(t.admitted) < numLevels {
+		t.admitted = make([]int, numLevels)
+		t.rejected = make([]int, numLevels)
+	}
+	t.admitted, t.rejected = t.admitted[:numLevels], t.rejected[:numLevels]
+	clear(t.admitted)
+	clear(t.rejected)
+	t.skipped = 0
+}
+
+// addTo adds the tally to a trace whose per-level slices are sized.
+func (t *scanTally) addTo(tr *Trace) {
+	for k := range t.admitted {
+		tr.AdmittedPerLevel[k] += t.admitted[k]
+		tr.RejectedPerLevel[k] += t.rejected[k]
+	}
+	tr.SharedLevelsSkipped += t.skipped
+}
+
+// decodeScratch owns every reusable structure of one decode. It is
+// checked out of decodePool for the duration of a query (or held across
+// a batch by a Decoder) and reset piecemeal as decode runs — all but the
+// fault frame, which stands until a decode brings other fault labels.
+type decodeScratch struct {
+	faultFrame
+
+	// owners are the labels this decode scans itself: s and t, and in an
+	// unframed decode the frame owners after them.
+	owners []*Label
+	// ompbW[(oi*numLevels+k)*W+w] is the center-bitmask of
+	// mayBeInPB(owners[oi], center, level lowest+k) certificates: an owner
+	// edge to point i dies iff mask[i]&ompbW[row] has a set bit.
+	ompbW []uint64
 	// forb[i] flags the i-th point of the owner level currently being
 	// scanned as a forbidden vertex (filled by merging the level's sorted
 	// point list against fvList, cleared after each level).
@@ -292,10 +403,6 @@ type decodeScratch struct {
 	// dies iff some center covers both endpoints — one AND per word pair
 	// replaces a per-center hash-probe loop.
 	mask []uint64
-	// ompbW[(oi*numLevels+k)*W+w] is the matching center-bitmask of
-	// mayBeInPB(owner oi, center, level lowest+k) certificates: an owner
-	// edge to point i dies iff mask[i]&ompbW[row] has a set bit.
-	ompbW []uint64
 	// maskL/maskR are the single-word fused admission masks of the
 	// current owner level (built only when the centers plus two sentinel
 	// bits fit one word): maskL[x]&maskR[y] != 0 iff the edge (x,y) must
@@ -305,34 +412,19 @@ type decodeScratch struct {
 	// load + AND per edge.
 	maskL []uint64
 	maskR []uint64
-	// nearest[fi*numLevels+k] is center fi's nearest net point of level
-	// index k (nearestNetPoint), the pivot of mayBeInPB's certificate.
-	nearest []PointEntry
-	// scanned[k] lists the distinct edge lists walked so far at level
-	// index k in this decode (see seenBefore).
+	// scanned[k] lists the distinct edge lists the last scanOwners pass
+	// walked at level index k (see seenBefore); tally is what the decode's
+	// own pass counted.
 	scanned [][]scannedList
-	// cmbX/cmbM/cmbOff hold the per-level combined protected-ball lists:
-	// for level index k, cmbX[cmbOff[k]:cmbOff[k+1]] is the sorted set of
-	// vertices inside any center's PB, with cmbM[j*W:…] the W-word center
-	// bitmask of vertex cmbX[j]. Built once per decode from the sorted
-	// pair list (pairs/pairsTmp are the radix buffers), so filling an
-	// owner level's masks is a single sorted merge against the combined
-	// list instead of one merge per center.
-	cmbX     []int32
-	cmbM     []uint64
-	cmbOff   []int32
-	pairs    []uint64
-	pairsTmp []uint64
+	tally   scanTally
 	// cand/candTmp are the flat candidate accumulator and its radix
 	// ping-pong buffer.
 	cand    []sketchCand
 	candTmp []sketchCand
-	// idOf/ids densely remap the touched global vertex ids.
-	idOf i32map
-	ids  []int32
-	// edges is the deduplicated sketch edge list in deterministic
-	// (ascending unordered-key) order.
-	edges []SketchEdge
+	// sketch is the decode's H: the frame's vertices keep the ids the
+	// run gave them. src and dst are the dense ids of s and t.
+	sketch
+	src, dst int
 	// hpath is path-reconstruction scratch for traced/path queries.
 	hpath  []int32
 	solver graph.SketchSolver
@@ -345,6 +437,8 @@ type decodeScratch struct {
 var (
 	decodePoolGets atomic.Int64
 	decodePoolNews atomic.Int64
+	framesBuilt    atomic.Int64
+	framesReused   atomic.Int64
 
 	decodePool = sync.Pool{New: func() any {
 		decodePoolNews.Add(1)
@@ -362,36 +456,50 @@ func putScratch(sc *decodeScratch) {
 	decodePool.Put(sc)
 }
 
-// dropRefs clears the label pointers a decode left behind so a pooled
-// scratch never pins the previous query's labels in memory. Slices are
-// cleared to capacity: some are stored truncated, with stale pointers
-// still live in the backing array.
+// dropRefs clears the label pointers a decode left behind — the fault
+// frame with them — so a pooled scratch never pins the previous query's
+// labels in memory. Slices are cleared to capacity: some are stored
+// truncated, with stale pointers still live in the backing array.
 func (sc *decodeScratch) dropRefs() {
-	clear(sc.owners[:cap(sc.owners)])
-	sc.owners = sc.owners[:0]
-	clear(sc.centers[:cap(sc.centers)])
-	sc.centers = sc.centers[:0]
-	clear(sc.vf[:cap(sc.vf)])
-	sc.vf = sc.vf[:0]
-	clear(sc.ef[:cap(sc.ef)])
-	sc.ef = sc.ef[:0]
+	dropAll(&sc.owners)
+	dropAll(&sc.frameOwners)
+	dropAll(&sc.centers)
+	dropAll(&sc.vf)
+	dropAll(&sc.ef)
+	dropAll(&sc.vfKey)
+	dropAll(&sc.efKey)
+	dropAll(&sc.patchKey)
 	for k := range sc.scanned {
-		clear(sc.scanned[k][:cap(sc.scanned[k])])
-		sc.scanned[k] = sc.scanned[k][:0]
+		dropAll(&sc.scanned[k])
 	}
+	sc.keyed, sc.runBuilt = false, false
 }
 
-// DecoderPoolStats reports the global decode-scratch pool counters. Gets
+// dropAll empties *s and zeroes its backing array.
+func dropAll[T any](s *[]T) {
+	clear((*s)[:cap(*s)])
+	*s = (*s)[:0]
+}
+
+// DecoderPoolStats reports the global decode-scratch counters. Gets
 // counts scratch checkouts, News counts checkouts that had to allocate a
-// fresh scratch; Gets − News is the number of reuses. Exposed so serving
-// layers can report pool effectiveness on their metrics endpoints.
+// fresh scratch; Gets − News is the number of reuses. FramesBuilt counts
+// the decodes that scanned a fault set's owners into a frame,
+// FramesReused those that took them from the frame an earlier decode on
+// the same Decoder had built: reused/built is the number of further
+// pairs a batch answered per fault frame. Exposed so serving layers can
+// report both on their metrics endpoints.
 type DecoderPoolStats struct {
-	Gets, News int64
+	Gets, News                int64
+	FramesBuilt, FramesReused int64
 }
 
-// DecoderPool returns the current pool counters.
+// DecoderPool returns the current counters.
 func DecoderPool() DecoderPoolStats {
-	return DecoderPoolStats{Gets: decodePoolGets.Load(), News: decodePoolNews.Load()}
+	return DecoderPoolStats{
+		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
+		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(),
+	}
 }
 
 // Decoder is a reusable query decoder. It checks one scratch out of the

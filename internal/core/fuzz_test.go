@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"fsdl/internal/graph"
@@ -176,6 +177,70 @@ func FuzzDecodePath(f *testing.F) {
 		}
 		if ok && (int64(len(path)) > d+1 || len(path) < 1) {
 			t.Fatalf("path length %d inconsistent with distance %d", len(path), d)
+		}
+	})
+}
+
+// FuzzFramedDecode is FuzzDecodePath with a Decoder that is kept: two
+// fault sets over the same corrupt-label space take turns on it, so its
+// fault frame is keyed, built, reused, dropped for the other set and
+// built again — and at every step the answer and the path must be those
+// of a Decoder that has seen nothing, whatever they are.
+func FuzzFramedDecode(f *testing.F) {
+	g := gridGraphF(5, 5)
+	s, err := BuildScheme(g, 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	bufS, nS := s.Label(0).Encode()
+	bufT, nT := s.Label(24).Encode()
+	bufF, nF := s.Label(12).Encode()
+	bufG, nG := s.Label(7).Encode()
+	f.Add(bufS, nS, bufT, nT, bufF, nF, bufG, nG)
+	f.Add(bufS, nS, bufT, nT, bufF, nF, bufF, nF) // equal content, another pointer
+	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int, dg []byte, ng int) {
+		var labels [4]*Label
+		for i, in := range []struct {
+			data []byte
+			n    int
+		}{{ds, ns}, {dt, nt}, {df, nf}, {dg, ng}} {
+			if in.n < 0 || in.n > 8*len(in.data) {
+				in.n = 8 * len(in.data)
+			}
+			l, err := DecodeLabel(in.data, in.n)
+			if err != nil {
+				return
+			}
+			labels[i] = l
+		}
+		internAll(labels[:]...) // shared level lists, as served labels have
+		ls, lt, lf, lg := labels[0], labels[1], labels[2], labels[3]
+		underF, underG := []*Label{lf}, []*Label{lf, lg}
+		var dec Decoder
+		defer dec.Release()
+		var buf []int32
+		for step, q := range []*Query{
+			{S: ls, T: lt, VertexFaults: underF},
+			{S: lt, T: ls, VertexFaults: underF},
+			{S: ls, T: lt, VertexFaults: underF},
+			{S: ls, T: lt, VertexFaults: underG},
+			{S: lt, T: lf, VertexFaults: underG[1:]},
+			{S: ls, T: lt, VertexFaults: underF},
+			{S: ls, T: lt, VertexFaults: underG},
+			{S: lt, T: ls, VertexFaults: underG},
+			{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+			{S: ls, T: lt, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+			{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+		} {
+			var d int64
+			var ok bool
+			d, buf, ok = dec.DecodePath(q, buf[:0])
+			var fresh Decoder
+			wd, wpath, wok := fresh.DecodePath(q, nil)
+			fresh.Release()
+			if ok != wok || ok && (d != wd || !slices.Equal(buf, wpath)) {
+				t.Fatalf("step %d: kept Decoder answers (%d,%v) %v, a fresh one (%d,%v) %v", step, d, ok, buf, wd, wok, wpath)
+			}
 		}
 	})
 }

@@ -56,21 +56,26 @@ func (d *Decoder) DistanceRobustPatchedPath(q *Query, patches []PatchEdge, buf [
 	return d.scratch().distanceRobust(q, patches, buf, true)
 }
 
-// addOwner makes l's stored edges candidates of the sketch, once.
+// addOwner makes l's stored edges candidates of the sketch, once: l
+// joins the fault frame's owners, which every decode under this fault set
+// and these patches scans after s and t.
 func (sc *decodeScratch) addOwner(l *Label) {
 	if sc.seenOwner.add(l.V) {
-		sc.owners = append(sc.owners, l)
+		sc.frameOwners = append(sc.frameOwners, l)
 	}
 }
 
-// admitPatches adds every admissible patch to the sketch under
+// admitPatches adds every admissible patch to the fault frame under
 // construction: its edge as a unit-weight candidate at the lowest level
 // (free of budget; decode counts them in the trace's level-0 tally) and
 // its endpoint labels as owners. It runs after fvList/feList are sorted
 // and before the owner scans. A patch is admissible when both labels
 // are usable, it is not a self-loop, and neither endpoint nor the edge
-// is forbidden (labeled and degraded faults alike).
+// is forbidden (labeled and degraded faults alike) — all of it read off
+// the frame's key, none of it off s or t beyond the scheme parameters
+// every label of a query shares.
 func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge) {
+	sc.patchCand = sc.patchCand[:0]
 	for _, p := range patches {
 		if !usableWith(p.U, q.S) || !usableWith(p.V, q.S) || p.U.V == p.V.V {
 			continue
@@ -79,7 +84,7 @@ func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge) {
 		if containsSorted(sc.fvList, p.U.V) || containsSorted(sc.fvList, p.V.V) || containsSorted(sc.feList, key) {
 			continue
 		}
-		sc.cand = append(sc.cand, sketchCand{key: key, w: 1, lv: int32(q.S.C + 1)})
+		sc.patchCand = append(sc.patchCand, sketchCand{key: key, w: 1, lv: int32(q.S.C + 1)})
 		sc.addOwner(p.U)
 		sc.addOwner(p.V)
 	}

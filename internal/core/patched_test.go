@@ -772,6 +772,7 @@ func BenchmarkDecodePatched(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				dec.scratch().keyed = false // a lone query: no frame from the op before
 				benchPatchedSink = dec.DistanceRobustPatched(q, patches)
 			}
 		})

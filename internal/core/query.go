@@ -185,6 +185,13 @@ type Trace struct {
 	// an earlier owner. Their candidates are tallied above as if scanned:
 	// this is the only field that tells shared labels from private ones.
 	SharedLevelsSkipped int
+	// FrameReused reports that the fault and patch owners were not scanned
+	// for this decode: their candidates came from the fault frame an
+	// earlier decode on the same Decoder had built from the same fault
+	// labels (see faultFrame). The tallies above include the frame's, as
+	// if scanned now: this is the only field that tells a batch's later
+	// pairs from its first.
+	FrameReused bool
 }
 
 // Distance decodes the query: it assembles the sketch graph H from the
@@ -207,19 +214,6 @@ func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
 	var d Decoder
 	defer d.Release()
 	return d.DistanceWithTrace(q, tr)
-}
-
-// DistancePath is Distance, additionally returning the witness path: the
-// winning chain of sketch vertices s..t (net points, plus original-graph
-// vertices at the lowest level) whose edge weights sum exactly to the
-// returned distance. Each hop is realizable in G\F at its weight, so the
-// chain is a (1+ε)-approximate corridor of the surviving graph. The
-// returned slice is freshly allocated; batch callers should use
-// Decoder.DecodePath with a reused buffer instead.
-func (q *Query) DistancePath() (int64, []int32, bool) {
-	var d Decoder
-	defer d.Release()
-	return d.DecodePath(q, nil)
 }
 
 // DistanceRobust decodes the query tolerating unusable fault labels: any
@@ -373,23 +367,39 @@ func (q *Query) Validate() error {
 // decode. Steady-state decodes allocate nothing: every transient
 // structure lives on the scratch and is reset, not reallocated.
 //
-// The stages, in order: collect owners, centers and the sorted fault
-// lists; build the protected-ball masks; scan every owner level for
-// admissible edges; deduplicate the candidates; solve. The admission
-// scan relies on the ordering invariants Label.Validate enforces (Points
-// strictly ascending by X, Edges ascending by (XI,YI) with XI < YI):
-// forbidden vertices and edges are joined against the label lists with
-// sorted-merge cursors, and per-center protected-ball membership is
-// precomputed into per-point bitmasks — 64 centers per uint64 word — so
-// each candidate edge is cleared against every protected ball with one
-// AND per word instead of a hash probe per center (Lemma 2.6's
-// membership test, batched). Every step is observably identical to the
-// historical hash-probe decoder (referenceDecode in the tests): same
-// candidate order, same budget accounting, same tie-breaks, same
-// emitted sketch.
+// The stages, in order. Frame: what depends on F alone (faultFrame) —
+// centers, sorted fault lists, admission rule, protected-ball masks, and
+// the fault and patch owners' admitted candidates as one sorted,
+// de-duplicated run; kept from the previous decode when this one brings
+// the same fault labels. Pair: scan the levels of s and t against the
+// frame's masks and sort their candidates. Merge: the two sorted runs
+// into the sketch, lightest parallel edge first inserted winning. Solve.
+//
+// The run is not always there to merge with, and then the frame owners
+// are scanned after s and t in the pair's own pass — the historical
+// single pass, in which they skip every level list s or t had walked
+// (the run cannot: it has to stand for the next pair's s and t). That is
+// how a fault set is decoded the first time it is seen, so that a lone
+// query does a lone query's work and the run is built by the second
+// decode to bring the same labels, the first sign of a batch; and how a
+// decode runs whose s or t is itself a frame owner — its candidates
+// belong ahead of t's — or whose Budget ends before the last frame owner
+// does.
+//
+// The admission scan relies on the ordering invariants Label.Validate
+// enforces (Points strictly ascending by X, Edges ascending by (XI,YI)
+// with XI < YI): forbidden vertices and edges are joined against the
+// label lists with sorted-merge cursors, and per-center protected-ball
+// membership is precomputed into per-point bitmasks — 64 centers per
+// uint64 word — so each candidate edge is cleared against every
+// protected ball with one AND per word instead of a hash probe per
+// center (Lemma 2.6's membership test, batched). Every step is
+// observably identical to the historical hash-probe decoder
+// (referenceDecode in the tests), which scans s, t, F and the patch
+// owners in that order into one map: same budget accounting, same
+// tie-breaks, same emitted sketch.
 func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64, bool, error) {
-	sc.edges = sc.edges[:0]
-	sc.ids = sc.ids[:0]
+	sc.sketch.reset()
 	sc.cand = sc.cand[:0]
 	if err := q.Validate(); err != nil {
 		return 0, false, err
@@ -397,40 +407,115 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 	if q.S.V == q.T.V {
 		return 0, false, nil
 	}
-	sc.collect(q)
-	// Pending inserts: one unit edge each, free of budget, their endpoint
-	// labels owners after s, t and F — never centers (see patched.go).
-	sc.admitPatches(q, patches)
+	framed := sc.frameMatches(q, patches)
+	if !framed {
+		sc.buildFrame(q, patches)
+	}
+	framed = framed && !sc.seenOwner.has(q.S.V) && !sc.seenOwner.has(q.T.V)
+	room := math.MaxInt
+	if q.Budget > 0 {
+		// The pair is charged first, so the frame's run stands iff the
+		// budget covers s, t and every frame owner in full.
+		room = q.Budget
+		framed = framed && sc.scanCost(q.S)+sc.scanCost(q.T)+sc.frameScanCost() <= room
+	}
+	reused := framed && sc.runBuilt
+	switch {
+	case reused:
+		framesReused.Add(1)
+	case framed:
+		sc.buildFrameRun()
+	}
+
+	// Pending inserts come first in candidate order: one unit edge each,
+	// free of budget (see patched.go).
+	sc.cand = append(sc.cand, sc.patchCand...)
+	sc.owners = append(sc.owners[:0], q.S, q.T)
+	var run *sketch
+	if framed {
+		run = &sc.run
+		sc.ids = append(sc.ids, run.ids...)
+	} else {
+		for _, o := range sc.frameOwners {
+			if o.V != q.S.V && o.V != q.T.V {
+				sc.owners = append(sc.owners, o)
+			}
+		}
+	}
+	if sc.rule >= admitFused {
+		sc.ompbW = sc.ompbRows(sc.ompbW, sc.owners)
+	}
+	exhausted := sc.scanOwners(sc.owners, sc.ompbW, room, &sc.tally)
+	sc.sortCandsByKey()
+	sc.src, sc.dst = int(sc.denseID(run, q.S.V)), int(sc.denseID(run, q.T.V))
+	sc.mergeCands(run)
 	if tr != nil {
-		tr.AdmittedPerLevel = make([]int, len(q.S.Levels))
-		tr.RejectedPerLevel = make([]int, len(q.S.Levels))
-		tr.AdmittedPerLevel[0] = len(sc.cand)
+		tr.FrameReused = reused
+		tr.AdmittedPerLevel = make([]int, sc.numLevels)
+		tr.RejectedPerLevel = make([]int, sc.numLevels)
+		tr.AdmittedPerLevel[0] = len(sc.patchCand)
+		tr.SharedLevelsSkipped = 0
+		sc.tally.addTo(tr)
+		if framed {
+			sc.frameTally.addTo(tr)
+		}
 	}
-	rule := sc.admissionRule(q)
-	W := (len(sc.centers) + 63) >> 6
-	if rule >= admitFused {
-		sc.buildBallMasks(q, W)
-	}
-	exhausted := sc.scanOwners(q, rule, W, tr)
-	sc.dedupCands(q)
-	return sc.solve(q, tr), exhausted, nil
+	return sc.solve(tr), exhausted, nil
 }
 
-// collect gathers the owners F̄ = {s,t} ∪ F (for edge faults, both
-// endpoint labels), the protected-ball centers — the faulty vertices and
-// the endpoints of faulty edges: an edge of H survives level ℓ only if at
+// frameMatches reports whether the frame on the scratch was built from
+// exactly the fault side of q and these patches: the same labels pointer
+// for pointer in the same order, the same degraded ids, the same flag
+// and scheme parameters.
+func (sc *decodeScratch) frameMatches(q *Query, patches []PatchEdge) bool {
+	return sc.keyed &&
+		sc.ablate == q.UnsafeIgnoreProtectedBalls &&
+		sc.keyParams == [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink} &&
+		sc.numLevels == len(q.S.Levels) &&
+		slices.Equal(sc.vfKey, q.VertexFaults) &&
+		slices.Equal(sc.efKey, q.EdgeFaults) &&
+		slices.Equal(sc.dvKey, q.DegradedVertexFaults) &&
+		slices.Equal(sc.deKey, q.DegradedEdgeFaults) &&
+		slices.Equal(sc.patchKey, patches)
+}
+
+// buildFrame rebuilds the frame for the fault side of q: key, owners,
+// centers, sorted fault lists, patch edges, admission rule and — when the
+// rule tests protected balls — the masks. The run waits for the first
+// decode that merges with it (buildFrameRun).
+func (sc *decodeScratch) buildFrame(q *Query, patches []PatchEdge) {
+	sc.keyed, sc.runBuilt, sc.frameCost = true, false, -1
+	sc.ablate = q.UnsafeIgnoreProtectedBalls
+	sc.keyParams = [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink}
+	sc.lowest, sc.numLevels = q.S.C+1, len(q.S.Levels)
+	sc.vfKey = append(sc.vfKey[:0], q.VertexFaults...)
+	sc.efKey = append(sc.efKey[:0], q.EdgeFaults...)
+	sc.dvKey = append(sc.dvKey[:0], q.DegradedVertexFaults...)
+	sc.deKey = append(sc.deKey[:0], q.DegradedEdgeFaults...)
+	sc.patchKey = append(sc.patchKey[:0], patches...)
+
+	sc.collectFaults(q)
+	sc.admitPatches(q, patches)
+	sc.rule = sc.admissionRule(q)
+	sc.maskWords = (len(sc.centers) + 63) >> 6
+	if sc.rule >= admitFused {
+		sc.buildBallMasks()
+	}
+}
+
+// collectFaults gathers the fault owners (for edge faults, both endpoint
+// labels), the protected-ball centers — the faulty vertices and the
+// endpoints of faulty edges: an edge of H survives level ℓ only if at
 // least one of its endpoints is outside PB_ℓ(f) for every center f — and
 // the sorted forbidden vertex and edge lists, labeled and degraded faults
 // together.
-func (sc *decodeScratch) collect(q *Query) {
-	sc.owners = sc.owners[:0]
+func (sc *decodeScratch) collectFaults(q *Query) {
+	sc.frameOwners = sc.frameOwners[:0]
 	sc.centers = sc.centers[:0]
 	sc.seenOwner.reset()
 	sc.seenCenter.reset()
 	sc.fvList = sc.fvList[:0]
 	sc.feList = sc.feList[:0]
-	sc.addOwner(q.S)
-	sc.addOwner(q.T)
 	for _, f := range q.VertexFaults {
 		sc.addOwner(f)
 		sc.fvList = append(sc.fvList, f.V)
@@ -455,6 +540,63 @@ func (sc *decodeScratch) collect(q *Query) {
 	sc.fvList = slices.Compact(sc.fvList)
 	slices.Sort(sc.feList)
 	sc.feList = slices.Compact(sc.feList)
+}
+
+// buildFrameRun scans the frame owners under no budget and leaves their
+// candidates — sorted, the lightest parallel edge per pair, dense ids
+// assigned in emission order — as the frame's run, with what the scan
+// tallied. The decode's own candidate and sketch buffers must be empty;
+// they are again on return.
+func (sc *decodeScratch) buildFrameRun() {
+	framesBuilt.Add(1)
+	if sc.rule >= admitFused {
+		sc.frameOmpbW = sc.ompbRows(sc.frameOmpbW, sc.frameOwners)
+	}
+	sc.scanOwners(sc.frameOwners, sc.frameOmpbW, math.MaxInt, &sc.frameTally)
+	sc.sortCandsByKey()
+	sc.mergeCands(nil)
+	sc.run, sc.sketch = sc.sketch, sc.run
+	sc.sketch.reset()
+	sc.cand = sc.cand[:0]
+	sc.runBuilt = true
+}
+
+// scanCost is what scanOwners charges a Budget for owner o when nothing
+// is cut: every stored edge, and — unless o is itself forbidden — every
+// point its self edges are drawn from.
+func (sc *decodeScratch) scanCost(o *Label) (n int) {
+	oForbidden := containsSorted(sc.fvList, o.V)
+	for k := 0; k < sc.numLevels; k++ {
+		lv := &o.Levels[k]
+		n += len(lv.Edges)
+		if oForbidden {
+			continue
+		}
+		lambda := lambdaOf(sc.lowest + k)
+		for _, pe := range lv.Points {
+			if selfEdgePoint(pe, lambda, o.V) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// frameScanCost is scanCost over the frame owners, found once per frame.
+func (sc *decodeScratch) frameScanCost() int {
+	if sc.frameCost < 0 {
+		sc.frameCost = 0
+		for _, o := range sc.frameOwners {
+			sc.frameCost += sc.scanCost(o)
+		}
+	}
+	return sc.frameCost
+}
+
+// selfEdgePoint reports whether owner v's label draws a self edge to the
+// ball point pe at a level of protected radius lambda.
+func selfEdgePoint(pe PointEntry, lambda int32, v int32) bool {
+	return pe.D <= lambda && pe.X != v
 }
 
 // admission names the rule deciding which net-level edges of an owner's
@@ -499,74 +641,81 @@ func (sc *decodeScratch) admissionRule(q *Query) admission {
 	return admitWords
 }
 
-// buildBallMasks fills ompbW — for every (owner, level), the bitmask over
-// centers of mayBeInPB certificates: the triangle-inequality test
-// deciding whether the owner vertex itself could sit inside a protected
-// ball. An owner-ball edge to point i then dies iff mask(i) AND
-// ompbW(owner,level) has any bit set — and the per-level combined ball
+// buildBallMasks fills what the bit-parallel tests read of F: each
+// center's nearest net point per level, and the per-level combined ball
 // lists the point masks are filled from.
-func (sc *decodeScratch) buildBallMasks(q *Query, W int) {
-	lowest, numLevels := q.S.C+1, len(q.S.Levels)
-	nOW := len(sc.owners) * numLevels * W
-	if cap(sc.ompbW) < nOW {
-		sc.ompbW = make([]uint64, nOW)
-	}
-	sc.ompbW = sc.ompbW[:nOW]
-	clear(sc.ompbW)
+func (sc *decodeScratch) buildBallMasks() {
 	// A center's nearest net point depends on (center, level) only: found
 	// once here, not once per owner inside mayBeInPB.
 	sc.nearest = sc.nearest[:0]
 	for _, f := range sc.centers {
-		for k := 0; k < numLevels; k++ {
-			sc.nearest = append(sc.nearest, nearestNetPoint(f, lowest+k))
+		for k := 0; k < sc.numLevels; k++ {
+			sc.nearest = append(sc.nearest, nearestNetPoint(f, sc.lowest+k))
 		}
 	}
-	for oi, o := range sc.owners {
+	sc.buildCombinedBalls(sc.numLevels, sc.lowest, sc.maskWords)
+}
+
+// ompbRows fills rows — for every (owner, level), the bitmask over
+// centers of mayBeInPB certificates: the triangle-inequality test
+// deciding whether the owner vertex itself could sit inside a protected
+// ball. An owner-ball edge to point i then dies iff mask(i) AND
+// row(owner,level) has any bit set.
+func (sc *decodeScratch) ompbRows(rows []uint64, owners []*Label) []uint64 {
+	numLevels, W := sc.numLevels, sc.maskWords
+	n := len(owners) * numLevels * W
+	if cap(rows) < n {
+		rows = make([]uint64, n)
+	}
+	rows = rows[:n]
+	clear(rows)
+	for oi, o := range owners {
 		base := oi * numLevels * W
 		for fi, f := range sc.centers {
 			word, bit := fi>>6, uint64(1)<<(fi&63)
 			for k := 0; k < numLevels; k++ {
-				if mayBeInPBVia(o, f, lowest+k, sc.nearest[fi*numLevels+k]) {
-					sc.ompbW[base+k*W+word] |= bit
+				if mayBeInPBVia(o, f, sc.lowest+k, sc.nearest[fi*numLevels+k]) {
+					rows[base+k*W+word] |= bit
 				}
 			}
 		}
 	}
-	sc.buildCombinedBalls(numLevels, lowest, W)
+	return rows
 }
 
-// scanOwners walks every owner's levels in order, appending each
-// admissible stored edge to sc.cand, and reports whether Query.Budget cut
-// the walk short.
+// scanOwners walks the given owners' levels in order, appending each
+// admissible stored edge to sc.cand, and reports whether the budget —
+// room candidates — cut the walk short. ompb holds the owners' ompbW
+// rows; tally is reset and takes the counts.
 //
 // Budget and trace are accounted around the edge loops, not inside them:
 // an owner level may scan as many candidates as the budget has room
 // left, so its edge list is truncated to that bound up front (exhausted
-// iff something was cut off), and the trace tallies are differences —
-// admitted is the growth of sc.cand across the level, rejected the rest
-// of what was scanned. A budgeted or traced decode therefore runs the
-// same loops as the serving path.
+// iff something was cut off), and the tallies are differences — admitted
+// is the growth of sc.cand across the level, rejected the rest of what
+// was scanned. A budgeted or traced decode therefore runs the same loops
+// as the serving path.
 //
 // Admission of a stored edge {x,y} at level ℓ reads (ℓ, x, y, F) and
-// nothing of the owner, so an edge list that was already walked — the
-// same array, cut to the same length, over the same net points — can
-// only re-emit (key, w, lv)-identical candidates that the stable sort
-// and strict minimum of dedupCands drop again. Such a list is charged
-// and tallied as if scanned (seenBefore) and not walked; the sketch, the
-// path, exhausted and the trace come out bit for bit the same.
-func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) (exhausted bool) {
-	lowest, numLevels := q.S.C+1, len(q.S.Levels)
-	room := math.MaxInt
-	if q.Budget > 0 {
-		room = q.Budget
-	}
+// nothing of the owner, so an edge list that was already walked in this
+// pass — the same array, cut to the same length, over the same net
+// points — can only re-emit (key, w, lv)-identical candidates that the
+// stable sort and strict minimum of mergeCands drop again. Such a list
+// is charged and tallied as if scanned (seenBefore) and not walked; the
+// sketch, the path, exhausted and the trace come out bit for bit the
+// same. (Not so across passes: a list the frame's run has walked still
+// has to be walked for s, whose candidates precede t's in the tie-break
+// and the run's do not.)
+func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, tally *scanTally) (exhausted bool) {
+	lowest, numLevels, rule, W := sc.lowest, sc.numLevels, sc.rule, sc.maskWords
+	tally.reset(numLevels)
 	for len(sc.scanned) < numLevels {
 		sc.scanned = append(sc.scanned, nil)
 	}
 	for k := range sc.scanned {
 		sc.scanned[k] = sc.scanned[k][:0]
 	}
-	for oi, o := range sc.owners {
+	for oi, o := range owners {
 		oForbidden := containsSorted(sc.fvList, o.V)
 		for k := 0; k < numLevels; k++ {
 			lv := &o.Levels[k]
@@ -584,15 +733,13 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 			}
 			scanned := len(edges)
 			// reused counts the candidates an earlier scan of this very
-			// list left in sc.cand.
+			// list admitted.
 			first, reused := sc.seenBefore(k, pts, edges), 0
 
 			switch {
 			case first != nil:
 				reused = first.admitted
-				if tr != nil {
-					tr.SharedLevelsSkipped++
-				}
+				tally.skipped++
 			case k == 0:
 				// Unit-weight original graph edges: admitted when neither
 				// endpoint nor the edge itself is forbidden. Forbidden-edge
@@ -678,14 +825,14 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 			// ball), so skip them outright. Which points qualify is only
 			// known point by point, so this loop counts what it scans.
 			if !oForbidden {
-				var ompb []uint64
+				var row []uint64
 				if rule >= admitFused {
-					ompb = sc.ompbW[(oi*numLevels+k)*W:][:W]
+					row = ompb[(oi*numLevels+k)*W:][:W]
 				}
 				lambda := lambdaOf(lowest + k)
 				left, n := room-scanned, 0
 				for i, pe := range pts {
-					if pe.D > lambda || pe.X == o.V {
+					if !selfEdgePoint(pe, lambda, o.V) {
 						continue
 					}
 					if n == left {
@@ -703,7 +850,7 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 							continue
 						}
 					case rule >= admitFused:
-						if wordsMeet(msk[i*W:][:W], ompb) {
+						if wordsMeet(msk[i*W:][:W], row) {
 							continue
 						}
 					}
@@ -713,11 +860,9 @@ func (sc *decodeScratch) scanOwners(q *Query, rule admission, W int, tr *Trace) 
 			}
 
 			room -= scanned
-			if tr != nil {
-				admitted := len(sc.cand) - before + reused
-				tr.AdmittedPerLevel[k] += admitted
-				tr.RejectedPerLevel[k] += scanned - admitted
-			}
+			admitted := len(sc.cand) - before + reused
+			tally.admitted[k] += admitted
+			tally.rejected[k] += scanned - admitted
 		}
 	}
 	return exhausted
@@ -770,56 +915,97 @@ func wordsMeet(a, b []uint64) bool {
 	return false
 }
 
-// dedupCands reduces the flat candidate list to the lightest parallel
-// edge per unordered pair, filling sc.edges and the dense id remap. The
-// radix sort is stable, so within one key the candidates keep admission
-// order and the strict-min scan reproduces the historical
-// first-insertion-wins tie-break; emission is in ascending key order
-// (deterministic Dijkstra tie-breaking and routes).
-func (sc *decodeScratch) dedupCands(q *Query) {
-	sc.sortCandsByKey()
-	sc.idOf.reset()
-	ensure := func(v int32) {
-		if _, ok := sc.idOf.getOrPut(v, int32(len(sc.ids))); !ok {
-			sc.ids = append(sc.ids, v)
-		}
+// mergeCands reduces the key-sorted candidate list and the frame's run —
+// nil in an unframed decode and while the run itself is being built — to
+// the lightest parallel edge per unordered pair, filling the decode's
+// sketch. The radix sort is stable, so within one key the candidates keep
+// admission order and the strict-min scan reproduces the historical
+// first-insertion-wins tie-break; the run's owners come after s and t in
+// that order, so its edge replaces a candidate of the same pair only when
+// strictly lighter. Emission is in ascending key order (deterministic
+// Dijkstra tie-breaking and routes). Vertices the run names keep its
+// ids; the others get the next free one, looked up once per run of
+// candidates sharing their lower endpoint.
+func (sc *decodeScratch) mergeCands(run *sketch) {
+	var runEdges []SketchEdge
+	var runIDs [][2]int32
+	if run != nil {
+		runEdges, runIDs = run.edges, run.eids
 	}
-	ensure(q.S.V)
-	ensure(q.T.V)
 	cand := sc.cand
+	lastX, lastXID := int32(-1), int32(0)
+	j := 0
 	for i := 0; i < len(cand); {
 		key := cand[i].key
+		// The run's edges below this key pass through.
+		if j < len(runEdges) && edgeKey(&runEdges[j]) < key {
+			j0 := j
+			for j++; j < len(runEdges) && edgeKey(&runEdges[j]) < key; j++ {
+			}
+			sc.edges = append(sc.edges, runEdges[j0:j]...)
+			sc.eids = append(sc.eids, runIDs[j0:j]...)
+		}
 		bw, blv := cand[i].w, cand[i].lv
-		j := i + 1
-		for ; j < len(cand) && cand[j].key == key; j++ {
-			if cand[j].w < bw {
-				bw, blv = cand[j].w, cand[j].lv
+		for i++; i < len(cand) && cand[i].key == key; i++ {
+			if cand[i].w < bw {
+				bw, blv = cand[i].w, cand[i].lv
 			}
 		}
-		i = j
+		if j < len(runEdges) && edgeKey(&runEdges[j]) == key {
+			e := runEdges[j]
+			if int64(bw) <= e.W {
+				e.W, e.Level = int64(bw), int(blv)
+			}
+			sc.edges = append(sc.edges, e)
+			sc.eids = append(sc.eids, runIDs[j])
+			j++
+			continue
+		}
 		x, y := int32(key>>32), int32(key&0xffffffff)
+		if x != lastX {
+			lastX, lastXID = x, sc.denseID(run, x)
+		}
+		yid := sc.denseID(run, y)
 		sc.edges = append(sc.edges, SketchEdge{X: x, Y: y, W: int64(bw), Level: int(blv)})
-		ensure(x)
-		ensure(y)
+		sc.eids = append(sc.eids, [2]int32{lastXID, yid})
 	}
+	sc.edges = append(sc.edges, runEdges[j:]...)
+	sc.eids = append(sc.eids, runIDs[j:]...)
+}
+
+func edgeKey(e *SketchEdge) uint64 { return uint64(uint32(e.X))<<32 | uint64(uint32(e.Y)) }
+
+// denseID returns the dense id of vertex v in the decode's sketch: the
+// one the run gave it (nil: there is no run), else the one this decode
+// did or now does.
+func (sc *decodeScratch) denseID(run *sketch, v int32) int32 {
+	if run != nil {
+		if id, ok := run.idOf.lookup(v); ok {
+			return id
+		}
+	}
+	id, ok := sc.idOf.getOrPut(v, int32(len(sc.ids)))
+	if !ok {
+		sc.ids = append(sc.ids, v)
+	}
+	return id
 }
 
 // solve loads the sketch into the CSR solver, runs Dijkstra and, when
 // asked, completes the trace. It returns -1 when t is unreachable.
-func (sc *decodeScratch) solve(q *Query, tr *Trace) int64 {
+func (sc *decodeScratch) solve(tr *Trace) int64 {
 	sc.solver.Reset(len(sc.ids))
-	for _, e := range sc.edges {
-		sc.solver.AddEdge(int(sc.idOf.get(e.X)), int(sc.idOf.get(e.Y)), e.W)
+	for i := range sc.edges {
+		sc.solver.AddEdge(int(sc.eids[i][0]), int(sc.eids[i][1]), sc.edges[i].W)
 	}
-	src, dst := int(sc.idOf.get(q.S.V)), int(sc.idOf.get(q.T.V))
-	dist := sc.solver.ShortestPath(src, dst)
+	dist := sc.solver.ShortestPath(sc.src, sc.dst)
 	if tr != nil {
 		tr.NumHVertices = len(sc.ids)
 		tr.NumHEdges = len(sc.edges)
 		tr.Path = nil
 		tr.PathWeights = nil
 		if dist != graph.WeightedInfinity {
-			sc.hpath = sc.solver.PathTo(src, dst, sc.hpath[:0])
+			sc.hpath = sc.solver.PathTo(sc.src, sc.dst, sc.hpath[:0])
 			var prev int32 = -1
 			for _, hv := range sc.hpath {
 				gv := sc.ids[hv]
@@ -980,8 +1166,7 @@ func (sc *decodeScratch) appendHPath(q *Query, out []int32) []int32 {
 	if q.S.V == q.T.V {
 		return append(out, q.S.V)
 	}
-	src, dst := int(sc.idOf.get(q.S.V)), int(sc.idOf.get(q.T.V))
-	sc.hpath = sc.solver.PathTo(src, dst, sc.hpath[:0])
+	sc.hpath = sc.solver.PathTo(sc.src, sc.dst, sc.hpath[:0])
 	for _, hv := range sc.hpath {
 		out = append(out, sc.ids[hv])
 	}
