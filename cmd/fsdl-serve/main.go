@@ -10,8 +10,11 @@
 //	           [-workers N] [-queue N] [-deadline 5s] [-budget 0]
 //	           [-cache 4096]
 //
-// With -mmap an FSDL3 store (see docs/STORAGE.md) is served straight
-// from the OS page cache, so stores larger than RAM stay servable;
+// With -mmap an FSDL3 -store (see docs/STORAGE.md) is served straight
+// from the OS page cache, so stores larger than RAM stay servable. The
+// flag covers -store only: a generation's store — the one resumed from
+// -live-root and the one each compaction reopens — is always mapped
+// when it is FSDL3.
 // -compress makes live compactions emit compressed FSDL3 generations.
 //
 // Cluster mode replaces the local store with a scatter-gather frontend
@@ -67,7 +70,7 @@ func run(args []string) error {
 	repairEvery := fs.Duration("repair", 2*time.Second, "cluster: anti-entropy repair sweep interval (0 disables)")
 	retryBudget := fs.Float64("retry-budget", 0, "cluster: retries+hedges per first attempt (0 = 0.1, negative disables)")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records, answer conservatively")
-	mmap := fs.Bool("mmap", false, "serve an FSDL3 store from the OS page cache (mmap) instead of loading it into heap")
+	mmap := fs.Bool("mmap", false, "serve an FSDL3 -store from the OS page cache (mmap) instead of loading it into heap; FSDL3 generation stores under -live-root are always mapped")
 	compress := fs.Bool("compress", false, "live: compactions write compressed FSDL3 generations")
 	graphPath := fs.String("graph", "", "live: base graph the labels were built on, until a first generation exists")
 	eps := fs.Float64("eps", 2, "live: precision epsilon compactions build label generations at")
@@ -214,9 +217,8 @@ func run(args []string) error {
 		}
 		if fe != nil {
 			// Cluster + live: compaction writes one partition file per
-			// boot-membership shard into each generation, so a swap —
-			// scoped to the changed shards after an incremental build —
-			// loads straight from the generation directory.
+			// boot-membership shard into each generation, so a swap has
+			// every shard load straight from the generation directory.
 			parts := member.Ring().Partition(base.NumVertices())
 			cfg.Partitions = make(map[string][]int, len(member.Nodes))
 			for i, node := range member.Nodes {
@@ -225,9 +227,7 @@ func run(args []string) error {
 			// Surface the pipeline's pending delta and WAL retention in
 			// `fsdl cluster status`.
 			fe.SetLiveStats(func() cluster.LiveStats {
-				ls := cluster.LiveStats{
-					PendingEdges: append(p.Patches(), p.FaultEdges()...),
-				}
+				ls := cluster.LiveStats{Pending: p.Pending()}
 				if ws, ok := p.WALStats(); ok {
 					ls.WALSegments = ws.Segments
 					if !ws.OldestSealed.IsZero() {

@@ -114,11 +114,7 @@ func printClusterStatus(out io.Writer, st *cluster.ClusterStatus) error {
 	fmt.Fprintf(out, "ring epoch %d, label generation %d, n=%d vertices, replication %d\n",
 		st.Epoch, st.Generation, st.NumVertices, st.Replication)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
-	header := "SHARD\tADDR\tHEALTHY\tBREAKER\tGEN\tLABELS\tFLAGS"
-	if st.Live != nil {
-		header = "SHARD\tADDR\tHEALTHY\tBREAKER\tGEN\tLABELS\tPENDING\tFLAGS"
-	}
-	fmt.Fprintln(tw, header)
+	fmt.Fprintln(tw, "SHARD\tADDR\tHEALTHY\tBREAKER\tGEN\tLABELS\tFLAGS")
 	for _, sh := range st.Shards {
 		up := "up"
 		if !sh.Healthy {
@@ -137,13 +133,8 @@ func printClusterStatus(out io.Writer, st *cluster.ClusterStatus) error {
 		if sh.GenLagged {
 			flags = append(flags, "gen-lagged")
 		}
-		if st.Live != nil {
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\t%d\t%s\n",
-				sh.Name, sh.Addr, up, sh.Breaker, sh.Generation, sh.Labels, sh.PendingDelta, strings.Join(flags, ","))
-		} else {
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\t%s\n",
-				sh.Name, sh.Addr, up, sh.Breaker, sh.Generation, sh.Labels, strings.Join(flags, ","))
-		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%d\t%d\t%s\n",
+			sh.Name, sh.Addr, up, sh.Breaker, sh.Generation, sh.Labels, strings.Join(flags, ","))
 	}
 	if err := tw.Flush(); err != nil {
 		return err

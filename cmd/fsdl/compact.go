@@ -123,17 +123,7 @@ func cmdCompact(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("rebuild generation %d scheme: %w", generation, err)
 		}
-		prev := &liveupdate.PrevGeneration{Generation: generation, Dir: prevDir, Scheme: prevScheme, Store: prevStore}
-		// Hard-linking a clean partition forward requires the previous
-		// file to hold the same id list; trust the current layout only
-		// where the previous manifest agrees, so a membership change
-		// can't alias a stale partition file into the new generation.
-		if opts.Partitions != nil {
-			if pm, err := labelstore.ReadManifestDir(prevDir); err == nil {
-				prev.Partitions = partitionsMatchingManifest(opts.Partitions, pm)
-			}
-		}
-		opts.Prev = prev
+		opts.Prev = &liveupdate.PrevGeneration{Generation: generation, Scheme: prevScheme, Store: prevStore}
 		fmt.Fprintf(out, "incremental: delta-scoped rebuild off generation %d\n", generation)
 	}
 
@@ -154,31 +144,9 @@ func cmdCompact(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %s: %d records, crc %08x\n", f.Name, f.Records, f.CRC)
 	}
 	if res.Incremental {
-		fmt.Fprintf(out, "incremental: %d/%d labels re-extracted, changed shards %v\n",
-			res.DirtyLabels, res.Snapshot.Graph.NumVertices(), res.ChangedPartitions)
+		fmt.Fprintf(out, "incremental: %d/%d labels re-extracted\n", res.DirtyLabels, res.Snapshot.Graph.NumVertices())
 	}
 	fmt.Fprintf(out, "generation %d written to %s (seq %d, n=%d)\n",
 		res.Snapshot.Generation, res.Dir, res.Snapshot.Seq, res.Snapshot.Graph.NumVertices())
 	return nil
-}
-
-// partitionsMatchingManifest keeps the entries of parts whose file in
-// the previous generation plausibly held the same id list (record
-// count and id range agree) — the guard that keeps a membership change
-// from hard-linking a stale partition file forward.
-func partitionsMatchingManifest(parts map[string][]int, m *labelstore.Manifest) map[string][]int {
-	byName := make(map[string]labelstore.ManifestFile, len(m.Files))
-	for _, f := range m.Files {
-		byName[f.Name] = f
-	}
-	out := make(map[string][]int, len(parts))
-	for name, ids := range parts {
-		// The entry these ids would have been listed under: same record
-		// count, same id range.
-		f, ok := byName[name+".fsdl"]
-		if ok && len(ids) > 0 && f == labelstore.NewManifestFile(f.Name, f.CRC, ids) {
-			out[name] = ids
-		}
-	}
-	return out
 }

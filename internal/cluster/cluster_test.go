@@ -342,13 +342,17 @@ func TestShardServerProtocolErrors(t *testing.T) {
 	}
 	defer conn.Close()
 
-	// Unknown op → OpError, connection stays usable.
-	if err := frame.Write(conn, 0x7f, nil); err != nil {
-		t.Fatal(err)
-	}
-	op, _, err := frame.Read(conn)
-	if err != nil || op != OpError {
-		t.Fatalf("unknown op: got op=%d err=%v, want OpError", op, err)
+	// Unknown op → OpError, connection stays usable. 16 is the retired
+	// alias-generation op: unassigned, so refused like any other, and a
+	// shard's generation does not move.
+	for _, unknown := range []byte{0x7f, 16} {
+		if err := frame.Write(conn, unknown, AppendGeneration(nil, 2)); err != nil {
+			t.Fatal(err)
+		}
+		op, _, err := frame.Read(conn)
+		if err != nil || op != OpError || srv.Generation() != 1 {
+			t.Fatalf("unknown op %d: got op=%d err=%v, generation %d; want OpError and generation 1", unknown, op, err, srv.Generation())
+		}
 	}
 	// Out-of-range vertex → OpError.
 	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{99})); err != nil {

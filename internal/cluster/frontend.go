@@ -47,38 +47,36 @@ type FrontendConfig struct {
 	// negative disables).
 	LabelCacheSize int
 
-	// BreakerDisabled turns off the per-shard circuit breakers (on by
-	// default). The remaining Breaker* fields tune them: outcomes are
-	// counted over a rolling BreakerWindow (default 10s) sliced into 10
-	// buckets; once at least BreakerMinRequests (default 8) outcomes are
-	// in the window and the failure fraction reaches 0.5 the breaker
-	// opens, shedding traffic for BreakerCooldown (default 2s, doubling
-	// per consecutive re-open up to 30s) before admitting a half-open
-	// probe.
-	BreakerDisabled    bool
-	BreakerWindow      time.Duration
-	BreakerMinRequests int
-	BreakerCooldown    time.Duration
-
 	// RetryBudgetRatio caps retries and hedges to this fraction of
 	// first-attempt traffic (default 0.1; negative disables the budget).
-	// RetryBudgetBurst is the bucket depth — how many retries may burst
-	// after a quiet period (default 50).
 	RetryBudgetRatio float64
-	RetryBudgetBurst float64
 
 	// RepairInterval is the anti-entropy sweep period (default 0:
 	// disabled). Each sweep digests every shard's expected vertex range,
 	// 2048 ids per digest RPC, and pulls missing records from intact
 	// replicas.
 	RepairInterval time.Duration
+
+	// What only this package's tests set: the per-shard circuit breakers
+	// (on unless breakerDisabled) count outcomes over a rolling
+	// breakerWindow (10s) sliced into 10 buckets; once breakerMinRequests
+	// (8) outcomes are in the window and the failure fraction reaches 0.5
+	// the breaker opens, shedding traffic for breakerCooldown (2s,
+	// doubling per consecutive re-open up to 30s) before admitting a
+	// half-open probe. retryBudgetBurst (50) is the budget's bucket depth
+	// — how many retries may burst after a quiet period.
+	breakerDisabled    bool
+	breakerWindow      time.Duration
+	breakerMinRequests int
+	breakerCooldown    time.Duration
+	retryBudgetBurst   float64
 }
 
 // What no deployment has needed to tune.
 const (
 	negativeCacheSize   = 1024 // confirmed-absence LRU entries
 	maxIdleConns        = 4    // idle connections pooled per shard
-	breakerBuckets      = 10   // slices of BreakerWindow
+	breakerBuckets      = 10   // slices of breakerWindow
 	breakerFailureRatio = 0.5  // failure fraction that opens a breaker
 	breakerMaxCooldown  = 30 * time.Second
 	repairBatch         = 2048 // ids per digest RPC
@@ -107,20 +105,20 @@ func (cfg *FrontendConfig) withDefaults() FrontendConfig {
 	if c.LabelCacheSize == 0 {
 		c.LabelCacheSize = 8192
 	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = 10 * time.Second
+	if c.breakerWindow <= 0 {
+		c.breakerWindow = 10 * time.Second
 	}
-	if c.BreakerMinRequests <= 0 {
-		c.BreakerMinRequests = 8
+	if c.breakerMinRequests <= 0 {
+		c.breakerMinRequests = 8
 	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 2 * time.Second
+	if c.breakerCooldown <= 0 {
+		c.breakerCooldown = 2 * time.Second
 	}
 	if c.RetryBudgetRatio == 0 {
 		c.RetryBudgetRatio = 0.1
 	}
-	if c.RetryBudgetBurst <= 0 {
-		c.RetryBudgetBurst = 50
+	if c.retryBudgetBurst <= 0 {
+		c.retryBudgetBurst = 50
 	}
 	return c
 }
@@ -230,19 +228,13 @@ type ShardHealth struct {
 	// because it serves an older generation and could not be caught up.
 	Generation uint64 `json:"generation,omitempty"`
 	GenLagged  bool   `json:"gen_lagged,omitempty"`
-	// PendingDelta counts live mutation edges with an endpoint this
-	// shard owns — the labels it serves that the pending delta already
-	// contradicts, and the size of the refresh the next incremental
-	// compaction will hand it. Only populated on frontends co-located
-	// with a live-update pipeline.
-	PendingDelta int `json:"pending_delta,omitempty"`
 }
 
 // LiveStats is the live-update pipeline state the serving tier shares
-// with the frontend for status surfaces: the pending (unbaked) delta
-// edges and the mutation WAL's segment retention.
+// with the frontend for status surfaces: the number of pending
+// (unbaked) delta edges and the mutation WAL's segment retention.
 type LiveStats struct {
-	PendingEdges [][2]int32
+	Pending      int
 	WALSegments  int
 	WALOldestAge time.Duration
 }
@@ -280,7 +272,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f.state.Store(st)
 	if c.RetryBudgetRatio > 0 {
-		f.budget = newRetryBudget(c.RetryBudgetRatio, c.RetryBudgetBurst)
+		f.budget = newRetryBudget(c.RetryBudgetRatio, c.retryBudgetBurst)
 	}
 	f.labelCache = lru.New[labelKey, *core.Label](c.LabelCacheSize, 8, labelKeyHash)
 	f.levels = core.NewLevelTable(c.LabelCacheSize)
@@ -463,26 +455,20 @@ func (f *Frontend) Generation() uint64 { return f.state.Load().gen }
 const genLoadTimeout = 15 * time.Second
 
 // SwapGeneration activates label generation gen cluster-wide: every
-// routable shard is told to take it on, and only when all of them hold
-// it does the frontend flip routing — epoch bump, generation tag, cache
-// flush — in one atomic state swap. In-flight scatters pinned to the
-// old state keep completing against the old generation, which every
-// shard retains as its previous store; new scatters route against the
-// new one. If any shard fails, nothing flips: the shards that did take
-// the generation on serve the old one from their previous-store slot,
-// so the cluster stays consistent on the old generation and the swap
-// can be retried. Shards that are down during the swap are caught up by
-// the health sweep when they return (or fenced off until they are).
-//
-// changed is an incremental compaction's per-partition dirty summary:
-// the shards it names load the new generation from disk (verifying
-// their generation directory's manifest), every other routable shard
-// merely re-tags (aliases) the store it already serves — its partition
-// file is byte-identical across the two generations, typically a hard
-// link to the very same inode. A nil changed loads everywhere. The
-// generation's opened store is of no use here (shards read their own
-// generation roots); the parameter is the server.LabelSource contract.
-func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store, changed []string) (uint64, error) {
+// routable shard is told to load it from its generation root, and only
+// when all of them hold it does the frontend flip routing — epoch bump,
+// generation tag, cache flush — in one atomic state swap. In-flight
+// scatters pinned to the old state keep completing against the old
+// generation, which every shard retains as its previous store; new
+// scatters route against the new one. If any shard fails, nothing
+// flips: the shards that did take the generation on serve the old one
+// from their previous-store slot, so the cluster stays consistent on
+// the old generation and the swap can be retried. Shards that are down
+// during the swap are caught up by the health sweep when they return
+// (or fenced off until they are). The generation's opened store is of
+// no use here (shards read their own generation roots); the parameter
+// is the server.LabelSource contract.
+func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store) (uint64, error) {
 	f.adminMu.Lock()
 	defer f.adminMu.Unlock()
 	cur := f.state.Load()
@@ -491,38 +477,19 @@ func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store, changed []str
 	}
 	var firstErr error
 	loaded, failed := 0, 0
-	// Disk loads run first — they are the fallible half. An abort after
-	// phase one leaves only loaded shards holding the new generation
-	// (still serving the old from their previous-store slot); no shard
-	// is ever aliased ahead of a failed load.
-	for _, loadPhase := range []bool{true, false} {
-		for _, c := range cur.nodes {
-			if !c.healthy.Load() {
-				continue
-			}
-			load := changed == nil || slices.Contains(changed, c.node.Name)
-			if load != loadPhase {
-				continue
-			}
-			var err error
-			if load {
-				err = c.loadGeneration(gen)
-			} else {
-				err = c.aliasGeneration(gen)
-			}
-			if err != nil {
-				failed++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("shard %s: %w", c.node.Name, err)
-				}
-				continue
-			}
-			c.lastGen.Store(gen)
-			loaded++
+	for _, c := range cur.nodes {
+		if !c.healthy.Load() {
+			continue
 		}
-		if failed > 0 {
-			break
+		if err := c.loadGeneration(gen); err != nil {
+			failed++
+			if firstErr == nil {
+				firstErr = fmt.Errorf("shard %s: %w", c.node.Name, err)
+			}
+			continue
 		}
+		c.lastGen.Store(gen)
+		loaded++
 	}
 	if failed > 0 {
 		return 0, fmt.Errorf("cluster: generation %d swap aborted (%d of %d shards failed, all still serving %d): %w",
@@ -1035,13 +1002,13 @@ func newShardClient(nd Node, cfg FrontendConfig) *shardClient {
 			0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
 			0.025, 0.05, 0.1, 0.25, 0.5, 1),
 	}
-	if !cfg.BreakerDisabled {
+	if !cfg.breakerDisabled {
 		c.breaker = newBreaker(breakerConfig{
-			window:       cfg.BreakerWindow,
+			window:       cfg.breakerWindow,
 			buckets:      breakerBuckets,
-			minRequests:  cfg.BreakerMinRequests,
+			minRequests:  cfg.breakerMinRequests,
 			failureRatio: breakerFailureRatio,
-			cooldown:     cfg.BreakerCooldown,
+			cooldown:     cfg.breakerCooldown,
 			maxCooldown:  breakerMaxCooldown,
 		})
 	}
@@ -1151,21 +1118,9 @@ func parsePongChecked(resp []byte) (n, labels int, flags, generation uint64, err
 // loadGeneration tells the shard to activate a label generation from
 // its generation root, confirming the activated id.
 func (c *shardClient) loadGeneration(gen uint64) error {
-	return c.generationOp(OpLoadGeneration, gen, genLoadTimeout)
-}
-
-// aliasGeneration tells the shard to re-tag its current store as gen —
-// the no-disk half of a scoped swap, used for shards whose partition an
-// incremental compaction left byte-identical. In-memory on the shard,
-// so it gets a fetch-sized leash rather than a load-sized one.
-func (c *shardClient) aliasGeneration(gen uint64) error {
-	return c.generationOp(OpAliasGeneration, gen, c.cfg.FetchTimeout)
-}
-
-func (c *shardClient) generationOp(op byte, gen uint64, timeout time.Duration) error {
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), genLoadTimeout)
 	defer cancel()
-	rop, resp, err := c.callTimeout(ctx, op, AppendGeneration(nil, gen), timeout)
+	rop, resp, err := c.callTimeout(ctx, OpLoadGeneration, AppendGeneration(nil, gen), genLoadTimeout)
 	if err != nil {
 		return err
 	}

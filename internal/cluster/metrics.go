@@ -49,12 +49,6 @@ func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 	x.GaugeFloat("fsdl_cluster_generation", "Label generation the frontend routes against.", float64(st.gen))
 	x.Counter("fsdl_cluster_label_cache_hits_total", "Frontend decoded-label cache hits.", m.labelHits.Load())
 	x.Counter("fsdl_cluster_label_cache_misses_total", "Frontend decoded-label cache misses (scatter-gather issued).", m.labelMisses.Load())
-	hits, misses := m.labelHits.Load(), m.labelMisses.Load()
-	rate := 0.0
-	if hits+misses > 0 {
-		rate = float64(hits) / float64(hits+misses)
-	}
-	x.GaugeFloat("fsdl_cluster_label_cache_hit_rate", "Frontend label-cache hit fraction.", rate)
 	interned, lists := f.levels.Stats()
 	x.Counter("fsdl_label_levels_interned_total", "Level edge lists of fetched labels replaced by a shared copy.", interned)
 	x.GaugeFloat("fsdl_label_level_lists", "Shared level edge lists currently held.", float64(lists))
@@ -62,11 +56,6 @@ func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 
 	x.Counter("fsdl_cluster_fetch_calls_total", "Label-fetch RPCs issued to shards (hedges included).", m.fetchCalls.Load())
 	x.Counter("fsdl_cluster_hedges_total", "Duplicate fetches launched at replicas by the hedge timer.", m.hedges.Load())
-	hedgeRate := 0.0
-	if calls := m.fetchCalls.Load(); calls > 0 {
-		hedgeRate = float64(m.hedges.Load()) / float64(calls)
-	}
-	x.GaugeFloat("fsdl_cluster_hedge_rate", "Fraction of fetch RPCs that were hedges.", hedgeRate)
 	x.Counter("fsdl_cluster_failovers_total", "Fetches routed away from an unhealthy primary.", m.failovers.Load())
 	x.Counter("fsdl_cluster_retries_total", "Per-vertex fetch relaunches after a failed attempt.", m.retries.Load())
 	x.Counter("fsdl_cluster_unavailable_labels_total", "Label requests that exhausted every replica (degraded-mode trigger).", m.unavailable.Load())
@@ -100,7 +89,7 @@ func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 		func(c *shardClient) int64 { return flag(&c.draining) })
 	// Every client of a frontend is built from its one config, so
 	// breakers are on for all shards or for none.
-	if !f.cfg.BreakerDisabled {
+	if !f.cfg.breakerDisabled {
 		perShard("fsdl_cluster_breaker_state", "Circuit-breaker position per shard (0 closed, 1 open, 2 half-open).", "gauge",
 			func(c *shardClient) int64 { state, _ := c.breaker.snapshot(); return int64(state) })
 		perShard("fsdl_cluster_breaker_opens_total", "Times each shard's circuit breaker opened.", "counter",

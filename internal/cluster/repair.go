@@ -267,8 +267,7 @@ type ClusterStatus struct {
 	RetryBudget RetryBudgetStatus `json:"retry_budget"`
 	// Live summarizes the co-located live-update pipeline (nil on
 	// frontends without one): the unbaked delta size and the mutation
-	// WAL's segment retention. Per-shard delta attribution lands in
-	// each ShardHealth.PendingDelta.
+	// WAL's segment retention.
 	Live *LiveStatus `json:"live,omitempty"`
 }
 
@@ -291,31 +290,9 @@ func (f *Frontend) Status() ClusterStatus {
 	}
 	if fn := f.liveStats.Load(); fn != nil {
 		ls := (*fn)()
-		out.Live = &LiveStatus{PendingEdges: len(ls.PendingEdges), WALSegments: ls.WALSegments}
+		out.Live = &LiveStatus{PendingEdges: ls.Pending, WALSegments: ls.WALSegments}
 		if ls.WALOldestAge > 0 {
 			out.Live.WALOldestAgeSec = ls.WALOldestAge.Seconds()
-		}
-		// Attribute each pending edge to the shards owning either
-		// endpoint: those are the labels the delta contradicts and the
-		// partitions the next incremental compaction will refresh. One
-		// edge counts once per shard even when it owns both ends.
-		counts := make([]int, len(st.nodes))
-		owners := make([]int, 0, 8)
-		touched := make(map[int]struct{}, 8)
-		for _, e := range ls.PendingEdges {
-			clear(touched)
-			for _, v := range e {
-				owners = st.ring.Owners(v, owners[:0])
-				for _, idx := range owners {
-					touched[idx] = struct{}{}
-				}
-			}
-			for idx := range touched {
-				counts[idx]++
-			}
-		}
-		for i := range out.Shards {
-			out.Shards[i].PendingDelta = counts[i]
 		}
 	}
 	if f.rep != nil {

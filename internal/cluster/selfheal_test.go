@@ -54,9 +54,9 @@ func TestBreakerOpensOnSickShard(t *testing.T) {
 		cfg.LabelCacheSize = -1 // every Label goes to the wire
 		cfg.HedgeDelay = -1     // isolate the retry path from hedging noise
 		cfg.FetchTimeout = 300 * time.Millisecond
-		cfg.BreakerWindow = 2 * time.Second
-		cfg.BreakerMinRequests = 4
-		cfg.BreakerCooldown = time.Minute // stays open for the whole test
+		cfg.breakerWindow = 2 * time.Second
+		cfg.breakerMinRequests = 4
+		cfg.breakerCooldown = time.Minute // stays open for the whole test
 	})
 	ctx := context.Background()
 
@@ -140,9 +140,9 @@ func TestRetryBudgetFailsFastWhenExhausted(t *testing.T) {
 		cfg.LabelCacheSize = -1
 		cfg.HedgeDelay = -1
 		cfg.FetchTimeout = 300 * time.Millisecond
-		cfg.BreakerDisabled = true // nothing routes around the sick shard
+		cfg.breakerDisabled = true // nothing routes around the sick shard
 		cfg.RetryBudgetRatio = 0.01
-		cfg.RetryBudgetBurst = 1
+		cfg.retryBudgetBurst = 1
 	})
 	ctx := context.Background()
 
@@ -220,7 +220,7 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 		cfg.LabelCacheSize = -1
 		cfg.HealthInterval = 25 * time.Millisecond
 		cfg.RepairInterval = 100 * time.Millisecond
-		cfg.RetryBudgetBurst = 500 // the drill itself must not starve retries
+		cfg.retryBudgetBurst = 500 // the drill itself must not starve retries
 	})
 	srv, err := server.New(server.Config{Source: fe, CacheCapacity: -1})
 	if err != nil {

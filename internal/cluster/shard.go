@@ -285,17 +285,6 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 				bufs.payload = AppendGeneration(bufs.payload[:0], s.Generation())
 				werr = s.writeFrame(bw, bufs, OpGenLoaded, bufs.payload)
 			}
-		case OpAliasGeneration:
-			gen, err := ParseGeneration(req)
-			if err == nil {
-				err = s.AliasGeneration(gen)
-			}
-			if err != nil {
-				werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
-			} else {
-				bufs.payload = AppendGeneration(bufs.payload[:0], s.Generation())
-				werr = s.writeFrame(bw, bufs, OpGenLoaded, bufs.payload)
-			}
 		case OpDigest:
 			werr = s.handleDigest(bw, bufs, req)
 		case OpRepairPull:
@@ -406,30 +395,6 @@ func (s *ShardServer) InstallGeneration(gen uint64, st *labelstore.Store) error 
 	s.bootstrap = false
 	s.salvageLost = nil
 	s.salvMu.Unlock()
-	return nil
-}
-
-// AliasGeneration re-tags the store the shard currently serves as
-// generation gen, without loading anything from disk. Only sound when
-// the shard's partition is byte-identical in both generations — the
-// frontend's scoped swap asserts exactly that (the incremental
-// compaction reported the partition untouched, and the new generation
-// hard-links the same container file). The current tag is displaced
-// into the previous-generation slot like a real load, so gen-pinned
-// fetches that raced the swap still resolve. Salvage and bootstrap
-// state are deliberately kept: the bytes did not change, so whatever
-// uncertainty the store carried, it still carries.
-func (s *ShardServer) AliasGeneration(gen uint64) error {
-	s.genMu.Lock()
-	defer s.genMu.Unlock()
-	if gen == s.cur.gen {
-		return nil
-	}
-	if gen < s.cur.gen {
-		return fmt.Errorf("cluster: alias to generation %d behind current %d", gen, s.cur.gen)
-	}
-	s.prev = s.cur
-	s.cur = genStore{gen: gen, store: s.cur.store}
 	return nil
 }
 

@@ -71,15 +71,8 @@ const (
 	// gen-tagged fetches racing the swap still complete.
 	OpLoadGeneration byte = 14
 	OpGenLoaded      byte = 15
-	// OpAliasGeneration tells a shard its partition is byte-identical
-	// across a generation boundary: re-tag the store it already serves
-	// as the named generation (uvarint generation) without touching
-	// disk. The scoped swap sends this to every shard whose partition
-	// an incremental compaction left untouched, so only changed shards
-	// pay a load. The displaced tag is retained as the previous
-	// generation exactly like a real load, keeping gen-pinned fetches
-	// racing the swap answerable. OpGenLoaded acknowledges.
-	OpAliasGeneration byte = 16
+	// 16 is retired and stays unassigned: it told a shard to re-tag the
+	// store it served as the next generation without a load.
 )
 
 // maxWireLabelBits rejects absurd per-record bit lengths before any

@@ -67,9 +67,6 @@ func TestFactoredMatchesScheme(t *testing.T) {
 				if enc := st.Encoding(); !enc.Factored || !enc.Compressed || enc.Version != 3 {
 					t.Fatalf("%s: a scheme's compressed store is %+v", name, enc)
 				}
-				if sniffed, err := SniffEncoding(path); err != nil || sniffed != st.Encoding() {
-					t.Fatalf("%s: sniffed %+v (%v), opened %+v", name, sniffed, err, st.Encoding())
-				}
 				sameAsScheme(t, name+" via "+oname, st, s, ids)
 				if interned, _ := st.LevelTableStats(); name == "grid8x8" && interned != 0 {
 					t.Errorf("%s: a saturated store sent %d lists through the level table", name, interned)
@@ -223,8 +220,7 @@ func TestFormat3RejectsUnknownFlags(t *testing.T) {
 		_, errOpen := Open(path)
 		_, errHeap := OpenHeap(path)
 		_, _, errPartial := OpenPartial(path)
-		_, errSniff := SniffEncoding(path)
-		for name, err := range map[string]error{"Open": errOpen, "OpenHeap": errHeap, "OpenPartial": errPartial, "SniffEncoding": errSniff} {
+		for name, err := range map[string]error{"Open": errOpen, "OpenHeap": errHeap, "OpenPartial": errPartial} {
 			if err == nil || !strings.Contains(err.Error(), "format flags 0x04") {
 				t.Errorf("compress=%v: %s of a file with flag bit 2 set: %v, want an unknown-flag error", compress, name, err)
 			}

@@ -323,43 +323,14 @@ type Encoding struct {
 	LevelsCRC  uint32
 }
 
-// SniffEncoding reports the Encoding of a store file from its header
-// alone. Compaction uses it to decide whether a previous generation's
-// partition file may be hard-linked forward: only a file in exactly the
-// encoding the build writes — the same level graphs included, which a
-// factored file carries whole — is the file the build would write.
-func SniffEncoding(path string) (Encoding, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return Encoding{}, err
-	}
-	defer f.Close()
-	version, err := sniff(f)
-	if err != nil || version != 3 {
-		return Encoding{Version: version}, err
-	}
-	var head [format3FactoredHdrLen]byte
-	if _, err := io.ReadFull(f, head[:]); err != nil {
-		return Encoding{}, fmt.Errorf("labelstore: read FSDL3 header: %w", err)
-	}
-	hdr, err := parseFormat3Header(head[:])
-	if err != nil {
-		return Encoding{}, err
-	}
-	return hdr.encoding(), nil
-}
-
-func (h *format3Header) encoding() Encoding {
-	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC}
-}
-
 // Encoding returns the Encoding of the container backing this store; a
 // heap store (an FSDL2 load, a store filled by Put) reports version 2.
 func (st *Store) Encoding() Encoding {
 	if st.f3 == nil {
 		return Encoding{Version: 2}
 	}
-	return st.f3.hdr.encoding()
+	h := st.f3.hdr
+	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC}
 }
 
 func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {

@@ -49,10 +49,9 @@ func TestLoadRejectsLegacyV1(t *testing.T) {
 	_, _, errPartial := LoadPartial(bytes.NewReader(raw))
 	_, errOpen := Open(path)
 	_, _, errOpenPartial := OpenPartial(path)
-	_, errSniff := SniffEncoding(path)
 	for name, err := range map[string]error{
 		"Load": errLoad, "LoadPartial": errPartial, "Open": errOpen,
-		"OpenPartial": errOpenPartial, "SniffEncoding": errSniff,
+		"OpenPartial": errOpenPartial,
 	} {
 		if err == nil || !strings.Contains(err.Error(), "bad magic") {
 			t.Errorf("%s of an FSDL1 file: err = %v, want a bad-magic error", name, err)

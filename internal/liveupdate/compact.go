@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 
 	"fsdl/internal/core"
 	"fsdl/internal/graph"
@@ -69,8 +68,8 @@ type CompactOptions struct {
 type PrevGeneration struct {
 	// Generation is the previous generation's id.
 	Generation uint64
-	// Dir is its generation directory (optional; enables hard-linking
-	// partition files with no dirty vertices).
+	// Dir is its generation directory. Nothing reads it: the field stays
+	// for the benchmark harness, which assigns it (ROADMAP item 5).
 	Dir string
 	// Scheme is the scheme built for it (from its own compaction, or
 	// reconstructed offline from its graph).
@@ -78,10 +77,6 @@ type PrevGeneration struct {
 	// Store is its full label store — the splice source for clean
 	// label bytes.
 	Store *labelstore.Store
-	// Partitions is the shard→vertex-ids map its partition files were
-	// written with (optional; a partition may be hard-linked only
-	// when its id list is unchanged).
-	Partitions map[string][]int
 }
 
 // CompactionResult is a completed generation build, ready to swap.
@@ -97,8 +92,8 @@ type CompactionResult struct {
 	// bytes so the serving path swaps to exactly what is on disk.
 	Store *labelstore.Store
 	// Scheme is the scheme the generation was built with — retain it
-	// (with Store and Dir) as the PrevGeneration of the next
-	// incremental compaction.
+	// (with Store) as the PrevGeneration of the next incremental
+	// compaction.
 	Scheme *core.Scheme
 	// Incremental reports whether the delta-scoped path built this
 	// generation.
@@ -106,12 +101,6 @@ type CompactionResult struct {
 	// DirtyLabels counts the labels that were re-extracted (equals N
 	// on a full build).
 	DirtyLabels int
-	// PartitionDirty counts, per partition file, the vertices whose
-	// labels changed; ChangedPartitions lists (sorted) the partitions
-	// with at least one — the shards a scoped generation swap must
-	// reload from disk. On a full build every partition is changed.
-	PartitionDirty    map[string]int
-	ChangedPartitions []string
 }
 
 // Compact builds the next label generation from the pipeline's current
@@ -154,6 +143,11 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	}
 	if opts.Compress && opts.Format != 3 {
 		return nil, fmt.Errorf("liveupdate: compressed records require the FSDL3 container")
+	}
+	for name := range opts.Partitions {
+		if file := name + ".fsdl"; file == LabelsFileName || file == GraphFileName || file == labelstore.ManifestName {
+			return nil, fmt.Errorf("liveupdate: shard name %q collides with a generation file", name)
+		}
 	}
 	format3 := opts.Format == 3
 	var (
@@ -259,62 +253,17 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		return nil, err
 	}
 
-	// Per-partition dirty summaries: the scoped cluster swap reloads
-	// only partitions with a changed label. On a full build every
-	// partition counts as changed.
-	dirtySet := make(map[int32]struct{}, len(dirty))
-	for _, v := range dirty {
-		dirtySet[v] = struct{}{}
-	}
-	partitionDirty := make(map[string]int, len(opts.Partitions))
-	var changed []string
+	// Every partition is carved from the store just written, whatever
+	// the delta touched: labels are whole balls and the ring scatters
+	// them by hash, so a partition without a changed label does not
+	// occur (docs/PERFORMANCE.md, "Clean partitions do not exist").
 	for name, ids := range opts.Partitions {
-		if name == LabelsFileName || name == GraphFileName || name == labelstore.ManifestName {
-			return nil, fmt.Errorf("liveupdate: shard name %q collides with a generation file", name)
-		}
-		nDirty := 0
-		if incremental {
-			for _, v := range ids {
-				if _, ok := dirtySet[int32(v)]; ok {
-					nDirty++
-				}
-			}
-		} else {
-			nDirty = len(ids)
-		}
-		partitionDirty[name] = nDirty
-		if nDirty > 0 {
-			changed = append(changed, name)
-		}
-		// A partition with no dirty vertex and an unchanged id list
-		// holds the records the previous generation's file holds:
-		// hard-link that file instead of rewriting it (fall back to
-		// writing when linking is unsupported or the precondition
-		// fails) — provided it is in the very encoding this build
-		// writes, which is the encoding of the store the partitions
-		// are carved from. Linking an FSDL2 partition into an FSDL3
-		// build would break the byte-identity of incremental builds
-		// (readers would still auto-detect it, but identical inputs
-		// must yield identical generations), and so would linking a
-		// factored partition whose records are all unchanged: it
-		// embeds the previous generation's level graphs, and any
-		// mutation changes those. Encoding carries their CRC.
-		if nDirty == 0 && incremental && opts.Prev.Dir != "" && slices.Equal(opts.Prev.Partitions[name], ids) {
-			enc, err := labelstore.SniffEncoding(filepath.Join(opts.Prev.Dir, name+".fsdl"))
-			if err == nil && enc == store.Encoding() {
-				if err := linkFile(m, tmp, opts.Prev.Dir, name+".fsdl", ids); err == nil {
-					continue
-				}
-			}
-		}
-		ids := ids
 		if err := addFile(name+".fsdl", ids, func(f *os.File) error {
 			return labelstore.Write(f, store, ids, format3, opts.Compress)
 		}); err != nil {
 			return nil, err
 		}
 	}
-	slices.Sort(changed)
 	if err := labelstore.WriteManifestFile(tmp, m); err != nil {
 		return nil, err
 	}
@@ -331,33 +280,14 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		dirtyLabels = m.N
 	}
 	return &CompactionResult{
-		Snapshot:          snap,
-		Dir:               final,
-		Manifest:          m,
-		Store:             store,
-		Scheme:            scheme,
-		Incremental:       incremental,
-		DirtyLabels:       dirtyLabels,
-		PartitionDirty:    partitionDirty,
-		ChangedPartitions: changed,
+		Snapshot:    snap,
+		Dir:         final,
+		Manifest:    m,
+		Store:       store,
+		Scheme:      scheme,
+		Incremental: incremental,
+		DirtyLabels: dirtyLabels,
 	}, nil
-}
-
-// linkFile hard-links name from the previous generation directory into
-// tmp and records its manifest entry (CRC recomputed from the linked
-// bytes, so the manifest never vouches for content it did not hash).
-func linkFile(m *labelstore.Manifest, tmp, prevDir, name string, ids []int) error {
-	dst := filepath.Join(tmp, name)
-	if err := os.Link(filepath.Join(prevDir, name), dst); err != nil {
-		return err
-	}
-	crc, err := labelstore.FileCRC(dst)
-	if err != nil {
-		os.Remove(dst)
-		return err
-	}
-	m.Files = append(m.Files, labelstore.NewManifestFile(name, crc, ids))
-	return nil
 }
 
 // LoadGenerationBase loads the snapshot graph a generation directory

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"fsdl/internal/cluster"
+	"fsdl/internal/core"
 	"fsdl/internal/gen"
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
@@ -84,7 +87,6 @@ func TestIncrementalCompactEquivalence(t *testing.T) {
 		Dir:        res1.Dir,
 		Scheme:     res1.Scheme,
 		Store:      res1.Store,
-		Partitions: parts,
 	}
 	files := []string{LabelsFileName, GraphFileName, "shard-a.fsdl", "shard-b.fsdl"}
 	for _, workers := range []int{1, 2, 8} {
@@ -103,24 +105,15 @@ func TestIncrementalCompactEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d: %s differs from full build", workers, name)
 			}
 		}
-		sum := 0
-		for _, c := range res.PartitionDirty {
-			sum += c
-		}
-		if sum != res.DirtyLabels {
-			t.Fatalf("workers=%d: partition dirty counts sum to %d, want %d", workers, sum, res.DirtyLabels)
-		}
-		for _, name := range res.ChangedPartitions {
-			if res.PartitionDirty[name] == 0 {
-				t.Fatalf("workers=%d: %s listed changed with 0 dirty", workers, name)
-			}
+		if res.DirtyLabels < 1 || res.DirtyLabels > 40 {
+			t.Fatalf("workers=%d: %d dirty labels of 40", workers, res.DirtyLabels)
 		}
 	}
 }
 
 // TestIncrementalCompactEmptyDelta: with no mutations every label is
-// clean, so the spliced store re-extracts nothing and unchanged
-// partition files are hard-linked from the previous generation.
+// clean, so the spliced store re-extracts nothing — and every file,
+// partitions included, is still written and equals the full build's.
 func TestIncrementalCompactEmptyDelta(t *testing.T) {
 	base := gen.Grid2D(6, 5)
 	parts := map[string][]int{"s0": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "s1": {10, 15, 20, 25, 29}}
@@ -147,7 +140,6 @@ func TestIncrementalCompactEmptyDelta(t *testing.T) {
 		Dir:        res1.Dir,
 		Scheme:     res1.Scheme,
 		Store:      res1.Store,
-		Partitions: parts,
 	}
 	res2, err := CompactSnapshot(snap, t.TempDir(), opts)
 	if err != nil {
@@ -156,29 +148,15 @@ func TestIncrementalCompactEmptyDelta(t *testing.T) {
 	if res2.DirtyLabels != 0 {
 		t.Fatalf("empty delta re-extracted %d labels", res2.DirtyLabels)
 	}
-	if len(res2.ChangedPartitions) != 0 {
-		t.Fatalf("empty delta changed partitions %v", res2.ChangedPartitions)
-	}
-	for name := range parts {
-		oldFi, err := os.Stat(filepath.Join(res1.Dir, name+".fsdl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		newFi, err := os.Stat(filepath.Join(res2.Dir, name+".fsdl"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !os.SameFile(oldFi, newFi) {
-			t.Fatalf("partition %s was rewritten, not hard-linked", name)
-		}
-	}
-	// The spliced full store still matches a full build byte for byte.
+	// The spliced generation still matches a full build byte for byte.
 	want, err := CompactSnapshot(snap, t.TempDir(), CompactOptions{Epsilon: 2.0, Partitions: parts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(readGenFile(t, want.Dir, LabelsFileName), readGenFile(t, res2.Dir, LabelsFileName)) {
-		t.Fatal("spliced labels differ from full build")
+	for _, name := range []string{LabelsFileName, "s0.fsdl", "s1.fsdl"} {
+		if !bytes.Equal(readGenFile(t, want.Dir, name), readGenFile(t, res2.Dir, name)) {
+			t.Fatalf("%s differs from full build", name)
+		}
 	}
 	// Both generations load and verify through the manifest path.
 	if _, err := labelstore.ReadManifestDir(res2.Dir); err != nil {
@@ -271,7 +249,6 @@ func TestIncrementalCompactFormat3(t *testing.T) {
 			Dir:        res1.Dir,
 			Scheme:     res1.Scheme,
 			Store:      res1.Store,
-			Partitions: parts,
 		}
 		res2, err := CompactSnapshot(snap, t.TempDir(), inc)
 		if err != nil {
@@ -299,9 +276,9 @@ func TestIncrementalCompactFormat3(t *testing.T) {
 }
 
 // TestIncrementalCompactFormatUpgrade: switching a pipeline from FSDL2
-// generations to -format fsdl3 must rewrite even clean partitions —
-// hard-linking the old FSDL2 file forward would break the invariant
-// that identical inputs yield identical generations.
+// generations to -format fsdl3 writes every partition, clean ones
+// included, in the build's encoding — identical inputs yield identical
+// generations whatever the previous generation was stored as.
 func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 	base := gen.Grid2D(6, 5)
 	parts := map[string][]int{"s0": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, "s1": {10, 15, 20, 25, 29}}
@@ -327,7 +304,6 @@ func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 			Dir:        res1.Dir,
 			Scheme:     res1.Scheme,
 			Store:      res1.Store,
-			Partitions: parts,
 		},
 	}
 	res2, err := CompactSnapshot(snap, t.TempDir(), opts)
@@ -335,12 +311,14 @@ func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name := range parts {
-		enc, err := labelstore.SniffEncoding(filepath.Join(res2.Dir, name+".fsdl"))
+		ps, err := labelstore.Open(filepath.Join(res2.Dir, name+".fsdl"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if enc.Version != 3 || !enc.Compressed {
-			t.Fatalf("partition %s carried forward as %+v, want fresh compressed FSDL3", name, enc)
+		enc := ps.Encoding()
+		ps.Close()
+		if enc.Version != 3 || !enc.Compressed || enc != res2.Store.Encoding() {
+			t.Fatalf("partition %s is %+v, the build's store %+v: want compressed FSDL3 throughout", name, enc, res2.Store.Encoding())
 		}
 	}
 	// And the reverse precondition: compression without FSDL3 is a
@@ -353,106 +331,77 @@ func TestIncrementalCompactFormatUpgrade(t *testing.T) {
 	}
 }
 
-// TestIncrementalCompactLinkedPartition: a partition with no dirty
-// vertex is hard-linked from the previous generation — when that file is
-// the file this build would write. The graph is two components, a grid
-// that takes a mutation and a path that cannot be reached from it, each
-// its own partition: the path's labels are clean under every mutation of
-// the grid. An FSDL2 or uncompressed FSDL3 partition of clean records is
-// then the same bytes and is linked. A factored partition is not: it
-// embeds the level graphs, which hold the graph, which changed — linking
-// it would carry the previous generation's level graphs into this one
-// and break incremental ≡ full. So whatever is done per format, every
-// file of the incremental generation equals the full build's, at every
-// worker count; linking without comparing the level graphs fails that.
-func TestIncrementalCompactLinkedPartition(t *testing.T) {
-	const grid, tail = 20, 12
-	b := graph.NewBuilder(grid + tail)
-	gen.Grid2D(5, 4).ForEachEdge(b.AddEdge)
-	for v := grid; v+1 < grid+tail; v++ {
-		b.AddEdge(v, v+1)
+// TestCompactRejectsCollidingShardName: a shard whose partition file
+// would overwrite a generation file is refused before anything is
+// built or written.
+func TestCompactRejectsCollidingShardName(t *testing.T) {
+	p, err := Open(Config{Base: gen.Grid2D(4, 4)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := b.MustBuild()
-	parts := map[string][]int{}
-	for v := 0; v < grid+tail; v++ {
-		name := "grid"
-		if v >= grid {
-			name = "path"
-		}
-		parts[name] = append(parts[name], v)
+	root := filepath.Join(t.TempDir(), "gens")
+	if _, err := Compact(p, root, CompactOptions{Epsilon: 2.0, Partitions: map[string][]int{"labels": {0, 1}}}); err == nil {
+		t.Fatal("shard named like labels.fsdl accepted")
 	}
+	if _, err := os.Stat(root); !os.IsNotExist(err) {
+		t.Fatalf("generation root touched before the name check: %v", err)
+	}
+}
+
+// TestOneEdgeDeltaDirtiesEveryPartition is the traffic tripwire under
+// the rule that a compaction writes every partition and a swap loads
+// every shard (docs/PERFORMANCE.md, "Clean partitions do not exist"): a
+// label is its balls and the ring scatters vertices by hash, so one
+// changed edge — in the middle of the graph or at its rim — leaves no
+// partition of a 3-shard R = 2 ring without a dirty label. The day
+// dirtiness becomes ball-scoped enough for this to fail, writing only
+// the changed partitions is worth measuring again.
+func TestOneEdgeDeltaDirtiesEveryPartition(t *testing.T) {
+	ringLattice := graph.NewBuilder(512)
+	for i := 0; i < 512; i++ {
+		ringLattice.AddEdge(i, (i+1)%512)
+		ringLattice.AddEdge(i, (i+2)%512)
+	}
+	nodes := []cluster.Node{{Name: "shard0"}, {Name: "shard1"}, {Name: "shard2"}}
 	for _, f := range []struct {
-		name     string
-		format   int
-		compress bool
-		linked   bool
+		name  string
+		g     *graph.Graph
+		edges [][2]int32 // each deleted alone
 	}{
-		{"FSDL2", 2, false, true},
-		{"FSDL3", 3, false, true},
-		{"FSDL3c", 3, true, false},
+		{"grid24", gen.Grid2D(24, 24), [][2]int32{{0, 1}, {12*24 + 11, 12*24 + 12}}},
+		{"ring512", ringLattice.MustBuild(), [][2]int32{{0, 1}, {255, 257}}},
+		{"path512", gen.Path(512), [][2]int32{{0, 1}, {255, 256}}},
 	} {
-		for _, workers := range []int{1, 4} {
-			full := CompactOptions{Epsilon: 2, Workers: workers, Partitions: parts, Format: f.format, Compress: f.compress}
-			p, err := Open(Config{Base: base})
+		prev, err := core.BuildScheme(f.g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := cluster.NewRing(nodes, 2).Partition(f.g.NumVertices())
+		for _, e := range f.edges {
+			p, err := Open(Config{Base: f.g})
 			if err != nil {
 				t.Fatal(err)
 			}
-			res1, err := Compact(p, t.TempDir(), full)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := p.Commit(res1.Snapshot); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Apply([]Mutation{{Op: MutDelete, U: 6, V: 7}}); err != nil {
+			if _, err := p.Apply([]Mutation{{Op: MutDelete, U: e[0], V: e[1]}}); err != nil {
 				t.Fatal(err)
 			}
 			snap, err := p.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := CompactSnapshot(snap, t.TempDir(), full)
+			inc, err := core.BuildSchemeIncremental(prev, snap.Graph, snap.Mutated, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			inc := full
-			inc.Prev = &PrevGeneration{
-				Generation: res1.Snapshot.Generation,
-				Dir:        res1.Dir,
-				Scheme:     res1.Scheme,
-				Store:      res1.Store,
-				Partitions: parts,
+			dirty := make(map[int]bool, len(inc.Dirty))
+			for _, v := range inc.Dirty {
+				dirty[int(v)] = true
 			}
-			res2, err := CompactSnapshot(snap, t.TempDir(), inc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res2.Incremental || res2.PartitionDirty["path"] != 0 || res2.PartitionDirty["grid"] == 0 {
-				t.Fatalf("%s: fixture: incremental=%v, dirty per partition %v — want a clean path and a dirty grid", f.name, res2.Incremental, res2.PartitionDirty)
-			}
-			for _, name := range []string{LabelsFileName, "grid.fsdl", "path.fsdl"} {
-				if !bytes.Equal(readGenFile(t, want.Dir, name), readGenFile(t, res2.Dir, name)) {
-					t.Errorf("%s, %d workers: %s differs from the full build", f.name, workers, name)
+			for i, ids := range parts {
+				if !slices.ContainsFunc(ids, func(v int) bool { return dirty[v] }) {
+					t.Errorf("%s minus %v: %d dirty labels of %d, none on %s (%d vertices)",
+						f.name, e, len(inc.Dirty), f.g.NumVertices(), nodes[i].Name, len(ids))
 				}
-			}
-			oldFi, err := os.Stat(filepath.Join(res1.Dir, "path.fsdl"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			newFi, err := os.Stat(filepath.Join(res2.Dir, "path.fsdl"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if os.SameFile(oldFi, newFi) != f.linked {
-				t.Errorf("%s: clean partition linked=%v, want %v", f.name, !f.linked, f.linked)
-			}
-			if f.compress {
-				if a, b := res1.Store.Encoding(), res2.Store.Encoding(); !a.Factored || !b.Factored || a.LevelsCRC == b.LevelsCRC {
-					t.Errorf("%s: generations' encodings %+v → %+v: want factored stores over different level graphs", f.name, a, b)
-				}
-			}
-			if _, err := labelstore.ReadManifestDir(res2.Dir); err != nil {
-				t.Errorf("%s: incremental generation fails manifest verification: %v", f.name, err)
 			}
 		}
 	}

@@ -62,9 +62,6 @@ type CompactResult struct {
 	Incremental bool `json:"incremental,omitempty"`
 	// DirtyLabels counts re-extracted labels (= n on a full build).
 	DirtyLabels int `json:"dirty_labels,omitempty"`
-	// ChangedShards lists the partitions with at least one dirty label
-	// — the shards a scoped cluster swap reloaded from disk.
-	ChangedShards []string `json:"changed_shards,omitempty"`
 	// Noop reports the empty-delta fast path: nothing was built or
 	// swapped, and Generation/Seq describe the generation already
 	// serving. A no-op is 200, not an error — the caller asked for the
@@ -152,12 +149,11 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 		return CompactResult{}, err
 	}
 	out := CompactResult{
-		Generation:    res.Snapshot.Generation,
-		Dir:           res.Dir,
-		Seq:           res.Snapshot.Seq,
-		Incremental:   res.Incremental,
-		DirtyLabels:   res.DirtyLabels,
-		ChangedShards: res.ChangedPartitions,
+		Generation:  res.Snapshot.Generation,
+		Dir:         res.Dir,
+		Seq:         res.Snapshot.Seq,
+		Incremental: res.Incremental,
+		DirtyLabels: res.DirtyLabels,
 	}
 
 	// Swap before Commit. Between the two, queries see the new labels
@@ -166,15 +162,7 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 	// answers stay sound upper bounds). Committing first would briefly
 	// pair the old labels with an empty delta and claim an exactness
 	// the old generation cannot provide.
-	//
-	// After an incremental build only ChangedShards differ on disk, so a
-	// cluster reloads those and re-tags the rest in place: an ε-sized
-	// delta flips in ε-sized work. A full build reloads everything.
-	var changed []string
-	if res.Incremental {
-		changed = res.ChangedPartitions
-	}
-	if out.Epoch, err = s.src.SwapGeneration(res.Snapshot.Generation, res.Store, changed); err != nil {
+	if out.Epoch, err = s.src.SwapGeneration(res.Snapshot.Generation, res.Store); err != nil {
 		return CompactResult{}, fmt.Errorf("server: swap to generation %d: %w", res.Snapshot.Generation, err)
 	}
 	if err := s.live.Commit(res.Snapshot); err != nil {
@@ -205,13 +193,8 @@ func (s *Server) retainedPrev(mode string) *liveupdate.PrevGeneration {
 	}
 	return &liveupdate.PrevGeneration{
 		Generation: prev.Snapshot.Generation,
-		Dir:        prev.Dir,
 		Scheme:     prev.Scheme,
 		Store:      prev.Store,
-		// The layout is fixed by config, so the retained generation's
-		// partition files were written with exactly this map — the
-		// hard-link precondition.
-		Partitions: s.cfg.Partitions,
 	}
 }
 

@@ -83,8 +83,8 @@ func TestCompactNoopFastPath(t *testing.T) {
 
 // TestCompactModeSelection walks the three modes against a partitioned
 // local store: forced incremental fails without a base, a full build
-// seeds one, and auto then builds delta-scoped with per-partition dirty
-// summaries and answers that stay exact and sound.
+// seeds one, and auto then builds delta-scoped with every partition
+// file written and answers that stay exact and sound.
 func TestCompactModeSelection(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
@@ -122,9 +122,6 @@ func TestCompactModeSelection(t *testing.T) {
 	if res.Incremental || res.Generation != 2 || res.DirtyLabels != n {
 		t.Fatalf("full compact result %+v", res)
 	}
-	if want := []string{"a", "b"}; !slices.Equal(res.ChangedShards, want) {
-		t.Fatalf("full build changed shards %v, want %v", res.ChangedShards, want)
-	}
 	for name := range parts {
 		if _, err := os.Stat(filepath.Join(res.Dir, name+".fsdl")); err != nil {
 			t.Fatalf("generation dir missing partition file: %v", err)
@@ -146,15 +143,17 @@ func TestCompactModeSelection(t *testing.T) {
 	if !res.Incremental || res.Generation != 3 || res.DirtyLabels < 1 || res.DirtyLabels > n {
 		t.Fatalf("auto compact result %+v", res)
 	}
-	if len(res.ChangedShards) == 0 {
-		t.Fatalf("incremental build reported no changed shards: %+v", res)
-	}
 	m, err := labelstore.ReadManifestDir(res.Dir)
 	if err != nil {
 		t.Fatalf("generation 3 manifest: %v", err)
 	}
 	if m.Generation != 3 {
 		t.Fatalf("manifest generation %d", m.Generation)
+	}
+	for name, ids := range parts {
+		if f := m.File(name + ".fsdl"); f == nil || f.Records != len(ids) {
+			t.Fatalf("incremental generation's partition %s: manifest entry %+v, want %d records", name, f, len(ids))
+		}
 	}
 
 	// Answers after the incremental swap are exact and match the
@@ -181,34 +180,29 @@ func TestCompactModeSelection(t *testing.T) {
 	}
 }
 
-// scopedSwapSource records the changed list of every swap a compaction
-// dispatched (nil: reload everything). Labels are served from the store
-// of whatever generation was swapped in last, loaded from the generation
-// root like a real frontend's shards would.
-type scopedSwapSource struct {
+// recordingSwapSource records the generation of every swap a
+// compaction dispatched. Labels are served from the store of whatever
+// generation was swapped in last, loaded from the generation root like
+// a real frontend's shards would.
+type recordingSwapSource struct {
 	*storeSource
-	root      string
-	fullSwaps int
-	scoped    [][]string
+	root  string
+	swaps []uint64
 }
 
-func (s *scopedSwapSource) SwapGeneration(gen uint64, _ *labelstore.Store, changed []string) (uint64, error) {
-	if changed == nil {
-		s.fullSwaps++
-	} else {
-		s.scoped = append(s.scoped, changed)
-	}
+func (s *recordingSwapSource) SwapGeneration(gen uint64, _ *labelstore.Store) (uint64, error) {
+	s.swaps = append(s.swaps, gen)
 	st, err := liveupdate.LoadGenerationStore(filepath.Join(s.root, labelstore.GenerationDirName(gen)))
 	if err != nil {
 		return 0, err
 	}
-	return s.storeSource.SwapGeneration(gen, st, changed)
+	return s.storeSource.SwapGeneration(gen, st)
 }
 
-// TestCompactScopedSwapDispatch: a full build swaps with a nil changed
-// list (reload everything); an incremental build with exactly the
-// changed-partition list the compaction reported.
-func TestCompactScopedSwapDispatch(t *testing.T) {
+// TestCompactSwapDispatch: a compaction hands its source exactly one
+// swap, to the generation it built — the same call whether the build
+// was full or incremental.
+func TestCompactSwapDispatch(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
 	n := g.NumVertices()
@@ -220,34 +214,32 @@ func TestCompactScopedSwapDispatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &scopedSwapSource{storeSource: newStoreSource(st), root: root}
+	src := &recordingSwapSource{storeSource: newStoreSource(st), root: root}
 	s := newTestServer(t, Config{Source: src, Live: p, LiveRoot: root, CacheCapacity: -1, Partitions: parts})
 
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: int32(n - 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatalf("full compact: %v", err)
+	res, err := s.Compact()
+	if err != nil || res.Incremental {
+		t.Fatalf("full compact: %+v err=%v", res, err)
 	}
-	if src.fullSwaps != 1 || len(src.scoped) != 0 {
-		t.Fatalf("full build dispatched swaps full=%d scoped=%v", src.fullSwaps, src.scoped)
+	if want := []uint64{res.Generation}; !slices.Equal(src.swaps, want) {
+		t.Fatalf("full build dispatched swaps %v, want %v", src.swaps, want)
 	}
 
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutDelete, U: 0, V: int32(n - 1)}}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.Compact()
+	res2, err := s.Compact()
 	if err != nil {
 		t.Fatalf("incremental compact: %v", err)
 	}
-	if !res.Incremental {
-		t.Fatalf("second compaction not incremental: %+v", res)
+	if !res2.Incremental {
+		t.Fatalf("second compaction not incremental: %+v", res2)
 	}
-	if src.fullSwaps != 1 || len(src.scoped) != 1 {
-		t.Fatalf("incremental build dispatched swaps full=%d scoped=%v", src.fullSwaps, src.scoped)
-	}
-	if !slices.Equal(src.scoped[0], res.ChangedShards) {
-		t.Fatalf("scoped swap got %v, result reported %v", src.scoped[0], res.ChangedShards)
+	if want := []uint64{res.Generation, res2.Generation}; !slices.Equal(src.swaps, want) {
+		t.Fatalf("incremental build dispatched swaps %v, want %v", src.swaps, want)
 	}
 }
 

@@ -69,16 +69,6 @@ func (m *metrics) request(endpoint string) {
 	}
 }
 
-// hitRate returns the cache hit fraction observed so far (0 when no
-// lookups happened yet).
-func (m *metrics) hitRate() float64 {
-	h, mi := m.cacheHits.Load(), m.cacheMisses.Load()
-	if h+mi == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+mi)
-}
-
 // render writes the server's own exposition. cacheLen, the label-cache
 // counters and the decoder-pool stats are sampled by the caller (those
 // live with the store and the core pool, not here).
@@ -98,15 +88,9 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_cache_misses_total", "Result-cache misses.", m.cacheMisses.Load())
 	x.Counter("fsdl_cache_flushes_total", "Cache invalidations caused by fail/recover.", m.cacheFlushes.Load())
 	x.Gauge("fsdl_cache_entries", "Entries currently cached.", int64(cacheLen))
-	x.GaugeFloat("fsdl_cache_hit_rate", "Hit fraction over all lookups.", m.hitRate())
 
 	x.Counter("fsdl_label_cache_hits_total", "Decoded-label cache hits in the store.", labelHits)
 	x.Counter("fsdl_label_cache_misses_total", "Decoded-label cache misses (label decoded from bytes).", labelMisses)
-	labelRate := 0.0
-	if labelHits+labelMisses > 0 {
-		labelRate = float64(labelHits) / float64(labelHits+labelMisses)
-	}
-	x.GaugeFloat("fsdl_label_cache_hit_rate", "Label-cache hit fraction over all lookups.", labelRate)
 
 	x.Counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
 	x.Counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)

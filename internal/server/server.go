@@ -85,9 +85,8 @@ type Config struct {
 	CompactCompress bool
 	// Partitions optionally maps shard names to the vertex ids each
 	// serves; compaction then writes one partition file per shard into
-	// every generation directory, and an incremental compaction reports
-	// which shards actually changed so a cluster swap can reload only
-	// those.
+	// every generation directory, which the cluster swap has each shard
+	// load.
 	Partitions map[string][]int
 }
 

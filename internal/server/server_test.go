@@ -429,7 +429,7 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("empty batch: %d, want 400", resp.StatusCode)
 	}
 
-	// metrics: counters, hit rate, salvage gauges all present.
+	// metrics: counters and salvage gauges all present.
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -441,11 +441,9 @@ func TestHTTPEndpoints(t *testing.T) {
 	for _, want := range []string{
 		`fsdl_requests_total{endpoint="distance"}`,
 		"fsdl_cache_hits_total",
-		"fsdl_cache_hit_rate",
 		"fsdl_cache_flushes_total 2",
 		"fsdl_label_cache_hits_total",
 		"fsdl_label_cache_misses_total",
-		"fsdl_label_cache_hit_rate",
 		"fsdl_label_levels_interned_total",
 		"fsdl_label_level_lists",
 		"fsdl_decoder_pool_gets_total",

@@ -52,12 +52,9 @@ type LabelSource interface {
 	// from now on, without dropping in-flight batches, and returns the
 	// new ring epoch (0 for a local store). st is the generation's
 	// opened store, which a local source serves from; a cluster
-	// frontend instead has its shards load gen from their generation
-	// roots. changed names the partitions whose bytes differ from the
-	// previous generation's — what an incremental compaction reports —
-	// so every other shard can re-tag the partition it already serves;
-	// nil means reload everything.
-	SwapGeneration(gen uint64, st *labelstore.Store, changed []string) (epoch uint64, err error)
+	// frontend instead has every routable shard load gen from its
+	// generation root.
+	SwapGeneration(gen uint64, st *labelstore.Store) (epoch uint64, err error)
 
 	// WriteMetrics appends source-specific Prometheus exposition to
 	// /metrics, and HealthJSON contributes a JSON-marshalable fragment
@@ -113,7 +110,7 @@ func (s *storeSource) PinLabels() (func(context.Context, int) (*core.Label, erro
 // (Config.Store, the caller that opened it), and nothing will look a
 // label up in it again except a batch pinned before the swap — which
 // keeps the labels it already holds and decodes any late lookup cold.
-func (s *storeSource) SwapGeneration(_ uint64, st *labelstore.Store, _ []string) (uint64, error) {
+func (s *storeSource) SwapGeneration(_ uint64, st *labelstore.Store) (uint64, error) {
 	if old := s.st.Swap(st); old != st {
 		old.DropCaches()
 	}

@@ -23,7 +23,7 @@ func (s *swapMidBatch) PinLabels() (func(context.Context, int) (*core.Label, err
 	return func(ctx context.Context, v int) (*core.Label, error) {
 		l, err := label(ctx, v)
 		if s.next != nil {
-			s.SwapGeneration(0, s.next, nil)
+			s.SwapGeneration(0, s.next)
 			s.next = nil
 		}
 		return l, err
