@@ -497,23 +497,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	}
 	defer os.RemoveAll(storeDir)
 	writeStore := func(name string, format3, compress bool) (string, int64, error) {
-		p := filepath.Join(storeDir, name)
-		f, err := os.Create(p)
-		if err != nil {
-			return "", 0, err
-		}
-		err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3, compress)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return "", 0, err
-		}
-		fi, err := os.Stat(p)
-		if err != nil {
-			return "", 0, err
-		}
-		return p, fi.Size(), nil
+		return writeStoreFile(filepath.Join(storeDir, name), s, format3, compress)
 	}
 	_, size2, err := writeStore("labels2.fsdl", false, false)
 	if err != nil {
@@ -548,6 +532,13 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		// The storage engine's headline claim; a codec or layout change
 		// that erodes it should fail the perf suite, not slip through.
 		return fmt.Errorf("factored FSDL3 only %.1fx smaller than FSDL2 (claim: >= 5x)", ratio)
+	}
+
+	if err := benchBalls(storeDir, add, func(r benchResult, size int64) {
+		doc.Results = append(doc.Results, r)
+		fmt.Fprintf(log, "%-44s %8d bytes/vertex (file %d bytes)\n", r.Name, r.BytesPerOp, size)
+	}); err != nil {
+		return err
 	}
 
 	add(measure("load_mmap_cold", func(b *testing.B) {
@@ -714,6 +705,92 @@ func benchBatches(quick bool, add func(benchResult)) error {
 	return nil
 }
 
+// writeStoreFile writes every label of s to path as one container and
+// returns the path and the file's size.
+func writeStoreFile(path string, s *core.Scheme, format3, compress bool) (string, int64, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return "", 0, err
+	}
+	err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3, compress)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return "", 0, err
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		return "", 0, err
+	}
+	return path, fi.Size(), nil
+}
+
+// benchBalls measures the factored record coding on the two graphs whose
+// containers are mostly balls (docs/PERFORMANCE.md, "Each distance
+// once"): the whole-file bytes per vertex of the factored FSDL3c file of
+// ring4096 and rgg1024 — the stores `go run ./bench` serves
+// cluster3_ring_batch and fetch_rgg_mmap from, so the same number as
+// their store_bytes_per_vertex — and the two kernels under every such
+// record, on ring4096: encode_balls (one label: cost flat against nested
+// for each level, write the cheaper) and parse_balls (every record of the
+// file read back, the nested levels derived — Store.BallStats — per
+// record). The row names carry the sizes, so -quick runs them as they
+// are; together they take about two seconds.
+func benchBalls(dir string, add func(benchResult), addSize func(benchResult, int64)) error {
+	ring, err := ringLattice(4096)
+	if err != nil {
+		return err
+	}
+	rgg, _, err := gen.RandomGeometric(1024, 0.056, rand.New(rand.NewSource(1)))
+	if err != nil {
+		return err
+	}
+	for _, e := range []struct {
+		name string
+		g    *graph.Graph
+	}{{"ring4096", ring}, {"rgg1024", rgg}} {
+		s, err := core.BuildScheme(e.g, 2)
+		if err != nil {
+			return err
+		}
+		path, size, err := writeStoreFile(filepath.Join(dir, e.name+".fsdl"), s, true, true)
+		if err != nil {
+			return err
+		}
+		n := int64(e.g.NumVertices())
+		addSize(benchResult{Name: "label_bytes_per_vertex_fsdl3c_" + e.name, Iterations: int(n), BytesPerOp: (size + n - 1) / n}, size)
+		if e.name != "ring4096" {
+			continue
+		}
+		enc, l := labelstore.NewBallEncoder(s.LevelGraphs()), s.Label(1000)
+		add(measure("encode_balls", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := enc.Encode(l); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}))
+		st, err := labelstore.Open(path)
+		if err != nil {
+			return err
+		}
+		r := measure("parse_balls", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.BallStats(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		st.Close()
+		r.NsPerOp, r.AllocsPerOp, r.BytesPerOp = r.NsPerOp/float64(n), r.AllocsPerOp/n, r.BytesPerOp/n
+		add(r)
+	}
+	return nil
+}
+
 // checkBaseline compares the run's allocs/op against a committed baseline
 // document and fails on regression. Only kernels present in both documents
 // are compared, so adding or renaming kernels never breaks the gate.
@@ -746,6 +823,11 @@ var strictKernels = map[string]bool{
 	// regression a change to the cold path would show, time is the
 	// runner's.
 	"label_cold_fsdl3c": false,
+	// The record codec under every factored write and read: encode works
+	// in the writer's scratch (0 allocs), parse allocates the slices it
+	// hands on and nothing else.
+	"encode_balls": false,
+	"parse_balls":  false,
 }
 
 func checkBaseline(doc benchDoc, path string, log io.Writer) error {

@@ -78,12 +78,35 @@ func ratio(stored int64, distinct int) string {
 	return fmt.Sprintf("%.1fx", float64(stored)/float64(distinct))
 }
 
-// storeLevelStats is levelStats over every label of a container.
+// storeLevelStats is levelStats over every label of a container and, for
+// a factored one, how its records write each level's ball: the points
+// stored against those left to the level above, the bits that went on
+// ids and on distances, and how many records chose each mode — saturated
+// (no ids), nested (only the points the level above lacks), and the
+// distance predictor (ΔD, or ΔΔD with zero runs).
 func storeLevelStats(path string, out io.Writer) error {
 	st, err := labelstore.Open(path)
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	return levelStats(out, st.Vertices(), st.Label)
+	if err := levelStats(out, st.Vertices(), st.Label); err != nil {
+		return err
+	}
+	balls, err := st.BallStats()
+	if err != nil || balls == nil {
+		return err
+	}
+	fmt.Fprintln(out, "ball records (each distance once: nested levels keep only the points the level above lacks):")
+	fmt.Fprintf(out, "  %5s %10s %10s %10s %10s %9s %7s %7s %7s\n", "level", "stored", "derived", "id bits", "dist bits", "saturated", "nested", "pred d", "pred dd")
+	var all labelstore.BallLevelStats
+	for _, b := range balls {
+		fmt.Fprintf(out, "  %5d %10d %10d %10d %10d %9d %7d %7d %7d\n", b.Level, b.Stored, b.Derived, b.IDBits, b.DistBits, b.Saturated, b.Nested, b.Pred[0], b.Pred[1])
+		all.Stored += b.Stored
+		all.Derived += b.Derived
+		all.IDBits += b.IDBits
+		all.DistBits += b.DistBits
+	}
+	fmt.Fprintf(out, "  %5s %10d %10d %10d %10d\n", "all", all.Stored, all.Derived, all.IDBits, all.DistBits)
+	return nil
 }

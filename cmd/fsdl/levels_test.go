@@ -14,7 +14,8 @@ import (
 // lowest-level balls are each vertex's own. A scheme and the containers
 // written from it print the same table — the factored one (-format fsdl3
 // -compress) included, whose labels are induced from its level graphs on
-// the way out and whose file holds each of those edges once.
+// the way out and whose file holds each of those edges once; behind it a
+// factored container prints how its records write the balls.
 func TestCLIStatsLevels(t *testing.T) {
 	dir := t.TempDir()
 	grid := filepath.Join(dir, "grid.txt")
@@ -39,7 +40,7 @@ func TestCLIStatsLevels(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, tc := range []struct{ name, graph, want string }{
+	for _, tc := range []struct{ name, graph, want, balls string }{
 		{"grid8x8", grid, `level lists over 64 labels:
   level       points        edges    lists      union  stored/distinct
       3         4096         7168        1        112            64.0x
@@ -47,6 +48,13 @@ func TestCLIStatsLevels(t *testing.T) {
       5          448         1344        1         21            64.0x
       6          128           64        1          1            64.0x
     all         6464        32768        4        512            64.0x
+`, `ball records (each distance once: nested levels keep only the points the level above lacks):
+  level     stored    derived    id bits  dist bits saturated  nested  pred d pred dd
+      3       2752       1344        128       9827        64      48      36      28
+      4       1344        448        128       6596        64      64      64       0
+      5        324        124        128       1782        64      62      44      20
+      6        128          0        128        744        64       0      64       0
+    all       4548       1916        512      18949
 `},
 		{"ring256", ring, `level lists over 256 labels:
   level       points        edges    lists      union  stored/distinct
@@ -57,6 +65,15 @@ func TestCLIStatsLevels(t *testing.T) {
       7         2048         7168        1         28           256.0x
       8         1024         1536        1          6           256.0x
     all        83456       607488      261       2502           242.8x
+`, `ball records (each distance once: nested levels keep only the points the level above lacks):
+  level     stored    derived    id bits  dist bits saturated  nested  pred d pred dd
+      3      34740      14668      11525      84688         0     256     148     108
+      4      13816       5640        512      48011       256     188       0     256
+      5       3855       3825        512      24274       256     255       0     256
+      6       1792       2048        512      17135       256     256     202      54
+      7       1024       1024        512      11058       256     256     212      44
+      8       1024          0        512       9940       256       0     154     102
+    all      56251      27205      14085     195106
 `},
 	} {
 		got, err := runCLI(t, "stats", "-levels", "-in", tc.graph)
@@ -71,8 +88,12 @@ func TestCLIStatsLevels(t *testing.T) {
 			if _, err := runCLI(t, append([]string{"labels", "-in", tc.graph, "-out", db}, format...)...); err != nil {
 				t.Fatal(err)
 			}
-			if got, err := runCLI(t, "stats", "-levels", "-db", db); err != nil || got != tc.want {
-				t.Errorf("%s %v: stats -levels -db printed (err %v)\n%s\nwant\n%s", tc.name, format, err, got, tc.want)
+			want := tc.want
+			if len(format) == 3 {
+				want += tc.balls
+			}
+			if got, err := runCLI(t, "stats", "-levels", "-db", db); err != nil || got != want {
+				t.Errorf("%s %v: stats -levels -db printed (err %v)\n%s\nwant\n%s", tc.name, format, err, got, want)
 			}
 		}
 	}

@@ -424,7 +424,7 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 	// (20 759 bytes for grid16 at ε = 2), the balls per record, and the
 	// two split per vertex next to the totals.
 	for _, want := range []string{"FSDL3 compressed, factored", "bytes/vertex", "index/framing overhead", "record size histogram",
-		"level graphs: 20759 bytes, once per file; balls: 51089 bytes (81.1 + 199.6 bytes/vertex)"} {
+		"level graphs: 20759 bytes, once per file; balls: 32776 bytes (81.1 + 128.0 bytes/vertex)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
 		}

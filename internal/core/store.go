@@ -91,8 +91,9 @@ func (st *LevelGraphs) NumVertices() int { return len(st.netLevel) }
 func (st *LevelGraphs) NetPoints(k int) []int32 { return st.levels[k].members }
 
 // SameNetPoints reports whether o has the same levels over the same net
-// points — whether "this ball holds every net point of its level" means
-// the same thing under both.
+// points — whether a ball written as positions in those lists ("all of
+// level k", "entries 7 to 19 of it", "what level k holds and k+1 does
+// not") means the same thing under both.
 func (st *LevelGraphs) SameNetPoints(o *LevelGraphs) bool {
 	if len(st.levels) != len(o.levels) {
 		return false

@@ -208,7 +208,9 @@ func writeTemp(t testing.TB, data []byte) string {
 // changes what the bytes mean, so the file is refused by every opener —
 // with an error that says why — instead of being misread. (A reader
 // from before PR 17 ignored byte 5 beyond bit 0 and cannot be fixed
-// retroactively; see docs/STORAGE.md.)
+// retroactively; see docs/STORAGE.md.) That check is also what keeps a
+// PR 17–25 binary off the nested ball records: it knows bits 0 and 1,
+// and every factored file written since carries bit 2.
 func TestFormat3RejectsUnknownFlags(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(4, 4))
 	for _, compress := range []bool{false, true} {
@@ -216,23 +218,32 @@ func TestFormat3RejectsUnknownFlags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		path := writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] |= 1 << 2 }))
+		const pr25KnownFlags = format3FlagCompressed | format3FlagFactored
+		if unknown := good[5] &^ pr25KnownFlags; compress && unknown != format3FlagNested {
+			t.Errorf("a factored file shows a PR 25 reader the unknown flags %#02x, want %#02x (refused as \"format flags 0x04\")", unknown, format3FlagNested)
+		} else if !compress && unknown != 0 {
+			t.Errorf("an uncompressed file carries flags %#02x a PR 25 reader refuses", unknown)
+		}
+		path := writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] |= 1 << 3 }))
 		_, errOpen := Open(path)
 		_, errHeap := OpenHeap(path)
 		_, _, errPartial := OpenPartial(path)
 		for name, err := range map[string]error{"Open": errOpen, "OpenHeap": errHeap, "OpenPartial": errPartial} {
-			if err == nil || !strings.Contains(err.Error(), "format flags 0x04") {
-				t.Errorf("compress=%v: %s of a file with flag bit 2 set: %v, want an unknown-flag error", compress, name, err)
+			if err == nil || !strings.Contains(err.Error(), "format flags 0x08") {
+				t.Errorf("compress=%v: %s of a file with flag bit 3 set: %v, want an unknown-flag error", compress, name, err)
 			}
 		}
 	}
-	// The factored flag makes no sense without the compressed one.
+	// The factored flag makes no sense without the compressed one, nor the
+	// nested flag without the factored one.
 	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] = format3FlagFactored }))); err == nil {
-		t.Error("factored flag without the compressed flag accepted")
+	for _, flags := range []byte{format3FlagFactored, format3FlagNested, format3FlagCompressed | format3FlagNested} {
+		if _, err := Open(writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] = flags }))); err == nil {
+			t.Errorf("flags %#02x accepted", flags)
+		}
 	}
 }
 
@@ -348,10 +359,23 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 	}
 }
 
-// hostileBalls are factored record payloads for a vertex of lg that a
-// writer never produces: each parses as bits, and each must be refused
-// before it becomes a label.
-func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) map[string][]byte {
+// encodeFlatBalls is the record writer of PR 17–25, kept here for the
+// files of that time, which still open (parseFlatBalls): per level,
+// bottom one first, a saturated bit and the points — count and id gaps
+// left out when the bit is set.
+func encodeFlatBalls(l *core.Label, lg *core.LevelGraphs, w *bitio.Writer) {
+	for k := range l.Levels {
+		pts := l.Levels[k].Points
+		saturated := len(pts) == len(lg.NetPoints(k))
+		w.WriteBits(uint64(b2i(saturated)), 1)
+		encodePoints(w, pts, !saturated)
+	}
+}
+
+// hostileFlatBalls are record payloads in the PR 17–25 coding for a
+// vertex of lg that no writer produced: each parses as bits, and each
+// must be refused before it becomes a label.
+func hostileFlatBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) map[string][]byte {
 	t.Helper()
 	n := lg.NumVertices()
 	levels := lg.Params().NumLevelRange()
@@ -434,9 +458,112 @@ func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) map[stri
 	}
 }
 
+// hostileBall is a factored record payload a writer never produces, and
+// a piece of the error that must refuse it.
+type hostileBall struct {
+	name    string
+	payload []byte
+	want    string
+}
+
+// hostileBalls are record payloads for a vertex of lg, good's, that parse
+// as bits and are wrong — one per way the ball coding can be: each must
+// be refused before it becomes a label.
+func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) []hostileBall {
+	t.Helper()
+	c := newBallCodec(lg)
+	top := len(c.levels) - 1
+	// encode writes good's balls with the levels named in bent replaced by
+	// what their functions write.
+	encode := func(bent map[int]func(w *bitio.Writer)) []byte {
+		var w bitio.Writer
+		var sc ballScratch
+		var up []core.PointEntry
+		for k := top; k >= 0; k-- {
+			pts := good.Levels[k].Points
+			if write := bent[k]; write != nil {
+				write(&w)
+			} else if x, ok := c.encodeLevel(k, pts, up, &w, &sc); !ok {
+				t.Fatalf("fixture: level index %d point %d is no net point", k, x)
+			}
+			up = pts
+		}
+		return bytes.Clone(w.Bytes())
+	}
+	// level1 writes level index 1 flat and unsaturated: the count, then
+	// whatever rest adds.
+	level1 := func(count int, rest func(w *bitio.Writer)) []byte {
+		return encode(map[int]func(w *bitio.Writer){1: func(w *bitio.Writer) {
+			w.WriteBits(0, 2)
+			w.WriteDelta(uint64(count))
+			rest(w)
+		}})
+	}
+	net := len(c.levels[1].net)
+	if top < 2 || net < 3 || len(lg.NetPoints(2)) == 0 {
+		t.Fatalf("fixture: %d levels, %d net points at level index 1", top+1, net)
+	}
+	whole := encode(nil)
+	if balls, err := c.parse(whole, nil); err != nil {
+		t.Fatalf("fixture: the unbent record does not parse: %v", err)
+	} else if _, err := lg.Label(good.V, balls, nil); err != nil {
+		t.Fatalf("fixture: the unbent record is no label: %v", err)
+	}
+	return []hostileBall{
+		{"all ones", bytes.Repeat([]byte{0xff}, 40), "nested under no level"},
+		{"top level nested", encode(map[int]func(w *bitio.Writer){top: func(w *bitio.Writer) {
+			w.WriteBits(1, 2)
+			w.WriteDelta(0)
+		}}), "nested under no level"},
+		{"saturated and nested under a ball that is not", encode(map[int]func(w *bitio.Writer){
+			2: func(w *bitio.Writer) { w.WriteBits(0, 2); w.WriteDelta(0) },
+			1: func(w *bitio.Writer) { w.WriteBits(3, 2) },
+		}), "from the level above"},
+		{"count past the level's net points", level1(net+1, func(w *bitio.Writer) {}), "point count"},
+		{"run starting past the level's net points", level1(1, func(w *bitio.Writer) {
+			w.WriteDelta(uint64(net))
+			w.WriteDelta(0)
+		}), "overruns the level"},
+		{"run overrunning the level's net points", level1(2, func(w *bitio.Writer) {
+			w.WriteDelta(uint64(net - 1))
+			w.WriteDelta(1)
+		}), "overruns the level"},
+		{"run longer than the count", level1(2, func(w *bitio.Writer) {
+			w.WriteDelta(0)
+			w.WriteDelta(2)
+		}), "overruns the level"},
+		{"zero run past the level's distances", level1(2, func(w *bitio.Writer) {
+			w.WriteDelta(0)
+			w.WriteDelta(1)
+			w.WriteGamma(1)
+			w.WriteBits(predDelta2, 1)
+			w.WriteGamma(5)
+		}), "zero run"},
+		{"distance below zero", level1(2, func(w *bitio.Writer) {
+			w.WriteDelta(0)
+			w.WriteDelta(1)
+			w.WriteGamma(0)
+			w.WriteBits(predDelta2, 1)
+			w.WriteGamma(0)
+			w.WriteBits(1, 1)
+			w.WriteGamma(0)
+		}), "distance out of range"},
+		{"distance past the ball radius", level1(1, func(w *bitio.Writer) {
+			w.WriteDelta(0)
+			w.WriteDelta(0)
+			w.WriteGamma(1 << 20)
+		}), "distance"},
+		{"a level missing", encode(map[int]func(w *bitio.Writer){0: func(w *bitio.Writer) {}}), ""},
+		{"a trailing byte", append(bytes.Clone(whole), 0), "trailing bits"},
+		{"empty", nil, ""},
+	}
+}
+
 // writeFactoredWithPayload writes the full factored store of s with the
-// victim's record replaced by a raw payload under a valid record CRC.
-func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload []byte) string {
+// victim's record replaced by a raw payload under a valid record CRC —
+// with nested unset as a PR 17–25 writer laid the file out: every record
+// in that coding (the payload is taken to be, too) and flag bit 2 clear.
+func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload []byte, nested bool) string {
 	t.Helper()
 	n := s.Graph().NumVertices()
 	path := filepath.Join(t.TempDir(), "store.fsdl3c")
@@ -452,9 +579,15 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	}
 	for v := 0; v < n; v++ {
 		r := rec{label: s.Label(v)}
-		if v == victim {
+		if v == victim || !nested {
 			_, bits := r.label.Encode()
-			r = rec{bits: bits, data: payload, prm: paramsOfScheme(lg.Params()), balls: true}
+			data := payload
+			if v != victim {
+				var enc bitio.Writer
+				encodeFlatBalls(r.label, lg, &enc)
+				data = enc.Bytes()
+			}
+			r = rec{bits: bits, data: data, prm: paramsOfScheme(lg.Params()), balls: true}
 		}
 		if err := w.add(v, r); err != nil {
 			t.Fatal(err)
@@ -463,20 +596,49 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
+	if !nested {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data = setFormat3Header(data, func(page []byte) { page[5] &^= format3FlagNested })
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return path
 }
 
 // TestFactoredHostileRecords: a ball payload that passes its CRC and is
-// wrong — the saturated bit over the wrong count, an id past n, a point
-// that is no net point of its level — is a corrupt record from every
-// reader, like a CRC failure, and never a label: not from Label, Raw or
-// the digest, not as a splice source, and a salvaging open lists it.
+// wrong — a level nested under nothing, a count or run that leaves the
+// level's net points, a zero run past the level's distances, a distance
+// past the radius, bits left over; and in a file of the PR 17–25 coding
+// the saturated bit over the wrong count, an id past n, a point that is
+// no net point of its level — is a corrupt record from every reader, like
+// a CRC failure, and never a label: not from Label, Raw or the digest,
+// not as a splice source, and a salvaging open lists it. The payloads of
+// today's coding are each refused for the reason they were bent for.
 func TestFactoredHostileRecords(t *testing.T) {
 	g := gen.Path(60)
 	s := buildScheme(t, g)
 	const victim = 20
-	for name, payload := range hostileBalls(t, s.LevelGraphs(), s.Label(victim)) {
-		path := writeFactoredWithPayload(t, s, victim, payload)
+	lg := s.LevelGraphs()
+	codec := newBallCodec(lg)
+	paths := map[string]string{} // case → the file that holds it
+	for _, h := range hostileBalls(t, lg, s.Label(victim)) {
+		balls, err := codec.parse(h.payload, nil)
+		if err == nil {
+			_, err = lg.Label(victim, balls, nil)
+		}
+		if err == nil || !strings.Contains(err.Error(), h.want) {
+			t.Errorf("%s: refused with %v, want an error about %q", h.name, err, h.want)
+		}
+		paths[h.name] = writeFactoredWithPayload(t, s, victim, h.payload, true)
+	}
+	for name, payload := range hostileFlatBalls(t, lg, s.Label(victim)) {
+		paths["PR 17–25 coding: "+name] = writeFactoredWithPayload(t, s, victim, payload, false)
+	}
+	for name, path := range paths {
 		st, err := Open(path)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

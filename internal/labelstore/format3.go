@@ -49,13 +49,38 @@
 //	                  encoding SaveScheme writes — with its offset,
 //	                  length and CRC32 in page 0 (bytes 64..84) under a
 //	                  second header CRC32 (bytes 84..88, over bytes 0..84)
-//	records:          per level one bit "this ball is every net point of
-//	                  the level", then the points as above — count and
-//	                  id gaps left out when the bit is set — and no edges
+//	records:          the balls and no edges, each distance once (flag
+//	                  bit 2, only together with bit 1; balls.go). Levels
+//	                  run from the top one down, and each is
+//	                    2 bits   saturated | nested
+//	                    δ        count of stored points   (unless saturated)
+//	                    ids      δ(gap), δ(len−1) per run of consecutive
+//	                             ids, every gap but the first less one
+//	                    γ        first distance           (any point stored)
+//	                    1 bit    predictor                (two or more)
+//	                    rest     0: γ(zigzag ΔD) each; 1: ΔΔD as γ(zeros)
+//	                             then sign, γ(|e|−1), a zero run that
+//	                             reaches the end closing the level
+//	                  Ids are indices into the level's own list of net
+//	                  points, as the file's level graphs hold it
+//	                  (LevelGraphs.NetPoints); saturated means the ball is
+//	                  that whole list. A nested level stores only the
+//	                  points that are not net points of the level above —
+//	                  its ids index that shorter list — and the reader
+//	                  takes the others from the ball above, every point of
+//	                  it within r_ℓ, at the distance written there. The
+//	                  writer costs flat against nested and one predictor
+//	                  against the other, keeps the cheapest, and nests a
+//	                  level only where that gives the ball back exactly.
+//	                  Sub-byte zero padding ends the record.
 //
 // Reading a record parses the balls and has core induce the edges
 // (core.LevelGraphs.Label); a saturated level gets the file's one list,
-// pointer-identical across every label of the store. See docs/STORAGE.md.
+// pointer-identical across every label of the store. A factored file
+// without bit 2 was written by PR 17–25: per level, bottom one first, a
+// saturated bit and then the points as above under "point distances" —
+// count and id gaps left out when the bit is set (parseFlatBalls). Such
+// files keep reading; none is written any more. See docs/STORAGE.md.
 //
 // The index always records the *canonical* bit length, whatever the
 // payload encoding: canonical bytes are the universal currency of the
@@ -85,7 +110,8 @@ const (
 	// flag bits (header byte 5); a reader refuses bits it does not know
 	format3FlagCompressed = 1 << 0
 	format3FlagFactored   = 1 << 1 // level-graphs section + ball records; needs bit 0
-	format3KnownFlags     = format3FlagCompressed | format3FlagFactored
+	format3FlagNested     = 1 << 2 // ball records in the balls.go coding; needs bit 1
+	format3KnownFlags     = format3FlagCompressed | format3FlagFactored | format3FlagNested
 
 	// format3SectionAt is where page 0 describes the level-graphs section
 	// of a factored file: u64 offset, u64 length, u32 CRC32 of the
@@ -200,7 +226,7 @@ func encodePoints(w *bitio.Writer, pts []core.PointEntry, ids bool) {
 			w.WriteGamma(uint64(pe.D))
 		} else {
 			d := int64(pe.D) - prevD
-			w.WriteGamma(uint64(d<<1) ^ uint64(d>>63)) // zigzag
+			w.WriteGamma(zigzag(d))
 		}
 		prevD = int64(pe.D)
 	}
@@ -246,7 +272,7 @@ func parsePoints(r *bitio.Reader, k int, saturated bool, net []int32) ([]core.Po
 		if i == 0 {
 			d = int64(zz)
 		} else {
-			d = prevD + (int64(zz>>1) ^ -int64(zz&1))
+			d = prevD + unzigzag(zz)
 		}
 		if prev > math.MaxInt32 || d < 0 || d > math.MaxInt32 {
 			return nil, fmt.Errorf("labelstore: decode point out of range")
@@ -270,41 +296,12 @@ func checkPadding(r *bitio.Reader) error {
 	return nil
 }
 
-// encodeBalls appends the factored record encoding of l: its balls, under
-// the level graphs the reader will induce the edges from. Every point must
-// be a net point of its level there — "saturated" is decided by count, and
-// a reader fills a saturated ball's ids in from the level graphs.
-func encodeBalls(l *core.Label, lg *core.LevelGraphs, w *bitio.Writer) error {
-	if paramsOf(l) != paramsOfScheme(lg.Params()) || int(l.V) >= lg.NumVertices() {
-		return fmt.Errorf("labelstore: label of vertex %d does not belong to the store's level graphs", l.V)
-	}
-	for k := range l.Levels {
-		pts := l.Levels[k].Points
-		net := lg.NetPoints(k)
-		j := 0
-		for _, pe := range pts {
-			for j < len(net) && net[j] < pe.X {
-				j++
-			}
-			if j == len(net) || net[j] != pe.X {
-				return fmt.Errorf("labelstore: vertex %d level %d: point %d is not a net point of the store's level graphs", l.V, l.Level(k), pe.X)
-			}
-		}
-		saturated := len(pts) == len(net)
-		if saturated {
-			w.WriteBits(1, 1)
-		} else {
-			w.WriteBits(0, 1)
-		}
-		encodePoints(w, pts, !saturated)
-	}
-	return nil
-}
-
-// parseBalls reads a factored record payload back into its balls, one
-// point list per level of lg. The ids are checked where they are used
-// (core.LevelGraphs.Label).
-func parseBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, error) {
+// parseFlatBalls reads the record payload of a factored file written
+// before the nested coding (PR 17–25: no format3FlagNested) into its
+// balls, one point list per level of lg, bottom level first: per level one
+// saturated bit, then the points as parsePoints reads them. The ids are
+// checked where they are used (core.LevelGraphs.Label).
+func parseFlatBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, error) {
 	r := bitio.NewReader(payload, 8*len(payload))
 	balls := make([][]core.PointEntry, lg.Params().NumLevelRange())
 	for k := range balls {
@@ -457,6 +454,13 @@ type format3Header struct {
 
 func (h *format3Header) compressed() bool { return h.flags&format3FlagCompressed != 0 }
 func (h *format3Header) factored() bool   { return h.flags&format3FlagFactored != 0 }
+func (h *format3Header) nested() bool     { return h.flags&format3FlagNested != 0 }
+
+// current reports whether the file's compressed payloads are in an
+// encoding a writer still writes — self-contained records, or nested
+// ball records — and so may be copied into a new file verbatim. The ball
+// records of PR 17–25 are read, never written.
+func (h *format3Header) current() bool { return h.factored() == h.nested() }
 
 func encodeFormat3Header(h *format3Header) []byte {
 	buf := make([]byte, format3Page)
@@ -513,6 +517,9 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 	}
 	if h.factored() && !h.compressed() {
 		return nil, fmt.Errorf("labelstore: FSDL3 factored flag without the compressed flag")
+	}
+	if h.nested() && !h.factored() {
+		return nil, fmt.Errorf("labelstore: FSDL3 nested-balls flag without the factored flag")
 	}
 	h.prm.set = h.count > 0 && h.compressed()
 	if h.count > h.n {
@@ -613,10 +620,10 @@ type format3Writer struct {
 	count    int
 	added    int
 	compress bool
-	// lg and section, when set, make the file factored: records are
-	// written as balls under lg, and section (lg's encoding) follows the
-	// index.
-	lg       *core.LevelGraphs
+	// balls and section, when set, make the file factored: records are
+	// written as balls under the codec's level graphs, and section (their
+	// encoding) follows the index.
+	balls    *BallEncoder
 	section  []byte
 	prm      rec3Params
 	entries  []byte
@@ -642,7 +649,6 @@ func newFormat3Writer(f fileLike, n, count int, compress bool, lg *core.LevelGra
 		n:        n,
 		count:    count,
 		compress: compress,
-		lg:       lg,
 		section:  section,
 		entries:  make([]byte, 0, count*format3EntryLen),
 		dataOff:  pageAlign(format3Page + int64(count)*format3EntryLen + int64(len(section))),
@@ -651,6 +657,7 @@ func newFormat3Writer(f fileLike, n, count int, compress bool, lg *core.LevelGra
 	if lg != nil {
 		// A factored file states its parameters even when it holds no
 		// record: they are the level graphs'.
+		w.balls = NewBallEncoder(lg)
 		w.prm = paramsOfScheme(lg.Params())
 	}
 	if _, err := f.Seek(w.dataOff, io.SeekStart); err != nil {
@@ -668,7 +675,7 @@ func (w *format3Writer) add(v int, r rec) error {
 		// incremental-compaction and partition fast path. The source
 		// vouches that it came from a store with these parameters and, for
 		// balls, these net points; the encoding must be this writer's.
-		if r.balls != (w.lg != nil) {
+		if r.balls != (w.balls != nil) {
 			return fmt.Errorf("labelstore: vertex %d payload encoding (balls=%v) is not this store's", v, r.balls)
 		}
 		if err := w.captureParams(r.prm, v); err != nil {
@@ -699,12 +706,15 @@ func (w *format3Writer) add(v int, r rec) error {
 	if err := w.captureParams(paramsOf(r.label), v); err != nil {
 		return err
 	}
-	w.enc.Reset()
-	if w.lg != nil {
-		if err := encodeBalls(r.label, w.lg, &w.enc); err != nil {
+	if w.balls != nil {
+		payload, err := w.balls.Encode(r.label)
+		if err != nil {
 			return err
 		}
-	} else if err := encodeRecord3(r.label, &w.enc); err != nil {
+		return w.append(v, bits, payload)
+	}
+	w.enc.Reset()
+	if err := encodeRecord3(r.label, &w.enc); err != nil {
 		return err
 	}
 	return w.append(v, bits, w.enc.Bytes())
@@ -772,8 +782,8 @@ func (w *format3Writer) finish() error {
 	// What sits between page 0 and the data section: the index, then the
 	// level graphs of a factored file.
 	front := w.entries
-	if w.lg != nil {
-		h.flags |= format3FlagFactored
+	if w.balls != nil {
+		h.flags |= format3FlagFactored | format3FlagNested
 		h.secOff, h.secLen, h.secCRC = uint64(format3Page+len(w.entries)), uint64(len(w.section)), crc32.ChecksumIEEE(w.section)
 		front = append(front, w.section...)
 	}

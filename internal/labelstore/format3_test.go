@@ -591,6 +591,16 @@ func FuzzFormat3Record(f *testing.F) {
 		}
 		f.Add(w.Bytes())
 	}
+	// Ball records of the same labels: the bytes a factored file holds
+	// where this decoder expects a self-contained record.
+	enc := NewBallEncoder(s.LevelGraphs())
+	for v := 0; v < 4; v++ {
+		record, err := enc.Encode(s.Label(v))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(bytes.Clone(record))
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, payload []byte) {

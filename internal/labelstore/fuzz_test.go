@@ -176,6 +176,7 @@ func FuzzOpenFormat3(f *testing.F) {
 	f.Add(read(writeFormat3File(f, dir, "subset", s, []int{3, 9, 20, 41, 59}, true)), false)
 	f.Add(read(writeFormat3File(f, dir, "canonical", s, []int{0, 30, 59}, false)), false)
 	f.Add(read(pre17FSDL3c), false)
+	f.Add(read(pre26Factored), false)
 	// Damage under right checksums: the level-graphs window, its rows,
 	// and records that lie about their balls.
 	le := binary.LittleEndian
@@ -188,7 +189,8 @@ func FuzzOpenFormat3(f *testing.F) {
 		func(page []byte) { le.PutUint64(page[at+8:], secLen+1<<20) },
 		func(page []byte) { le.PutUint64(page[32:], 1<<63) },
 		func(page []byte) { le.PutUint64(page[16:], 1<<31) },
-		func(page []byte) { page[5] |= 1 << 2 },
+		func(page []byte) { page[5] |= 1 << 3 },
+		func(page []byte) { page[5] &^= format3FlagNested }, // nested records read as PR 17's
 		func(page []byte) { page[5] &^= format3FlagCompressed },
 	} {
 		f.Add(setFormat3Header(factored, set), false)
@@ -198,8 +200,11 @@ func FuzzOpenFormat3(f *testing.F) {
 		bent[i] = 0
 		f.Add(bent, true)
 	}
-	for _, payload := range hostileBalls(f, s.LevelGraphs(), s.Label(20)) {
-		f.Add(read(writeFactoredWithPayload(f, s, 20, payload)), false)
+	for _, h := range hostileBalls(f, s.LevelGraphs(), s.Label(20)) {
+		f.Add(read(writeFactoredWithPayload(f, s, 20, h.payload, true)), false)
+	}
+	for _, payload := range hostileFlatBalls(f, s.LevelGraphs(), s.Label(20)) {
+		f.Add(read(writeFactoredWithPayload(f, s, 20, payload, false)), false)
 	}
 	f.Add(factored[:len(factored)*2/3], false)
 	f.Add([]byte("FSDL3"), true)

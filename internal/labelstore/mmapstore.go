@@ -66,8 +66,10 @@ type file3 struct {
 	// lg and section are the level graphs of a factored file and the
 	// bytes they were decoded from; nil otherwise (and for a factored file
 	// whose section a salvaging open found damaged — every record of it
-	// is then corrupt).
+	// is then corrupt). balls is the record codec under lg; nil for a file
+	// from before the nested coding, whose records parseFlatBalls reads.
 	lg      *core.LevelGraphs
+	balls   *ballCodec
 	section []byte
 
 	verified []atomic.Uint32 // per-slot CRC-checked-ok bitset
@@ -123,6 +125,9 @@ func (f *file3) loadLevelGraphs() error {
 		return fmt.Errorf("labelstore: level-graphs section describes another store (n=%d, header n=%d)", lg.NumVertices(), h.n)
 	}
 	f.lg, f.section = lg, section
+	if h.nested() {
+		f.balls = newBallCodec(lg)
+	}
 	return nil
 }
 
@@ -133,7 +138,13 @@ func (f *file3) loadLevelGraphs() error {
 func (f *file3) parse(payload []byte, v int32, t *core.LevelTable) (*core.Label, error) {
 	switch {
 	case f.lg != nil:
-		balls, err := parseBalls(payload, f.lg)
+		var balls [][]core.PointEntry
+		var err error
+		if f.balls != nil {
+			balls, err = f.balls.parse(payload, nil)
+		} else {
+			balls, err = parseFlatBalls(payload, f.lg)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -191,10 +191,14 @@ func (src *SchemeSource) records(ids []int, stored bool, emit func(int, rec) err
 		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", src.prev.NumVertices(), src.NumVertices())
 	}
 	// A scheme's compressed sink is factored, so a clean record travels
-	// verbatim only as balls, and only while "every net point of the
-	// level" still names the same points: a net point that joined a level
-	// outside a clean ball leaves the label as it was and its saturated
-	// bit wrong. Anything else goes the canonical way round.
+	// verbatim only as balls, and only while the levels' net-point lists
+	// are the ones it was written under: its ids are indices into them,
+	// "saturated" means all of one, and a nested level's own points are
+	// those of one list that the next lacks — a net point that joined a
+	// level outside a clean ball leaves the label as it was and every one
+	// of those wrong. (The radii a nested level is cut at are the
+	// parameters', which captureParams holds equal.) Anything else goes the
+	// canonical way round.
 	if stored && src.prev != nil {
 		prevLG, _ := src.prev.levelGraphs()
 		stored = prevLG != nil && prevLG.SameNetPoints(src.s.LevelGraphs())
@@ -265,9 +269,9 @@ func (st *Store) levelGraphs() (*core.LevelGraphs, []byte) {
 // always served from its repaired overlay record (the Raw path), never
 // from the damaged disk payload beneath it.
 func (st *Store) record(v int, stored bool) (rec, bool) {
-	if stored && st.Compressed() && !st.inOverlay(int32(v)) {
+	if stored && st.Compressed() && st.f3.hdr.current() && !st.inOverlay(int32(v)) {
 		bits, payload, ok := st.f3.storedPayload(int32(v))
-		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm, balls: st.f3.lg != nil}, ok
+		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm, balls: st.f3.hdr.nested()}, ok
 	}
 	bits, data, ok := st.Raw(v)
 	return rec{bits: bits, data: data}, ok

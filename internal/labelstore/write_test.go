@@ -55,6 +55,13 @@ func writtenBy(t *testing.T, write func(f *os.File) error) []byte {
 // FSDL3c golden TestGoldenContainers pinned until then.
 const pre17FSDL3c = "testdata/grid6_pre17.fsdl3c"
 
+// pre26Factored is a factored FSDL3c file of the 60-vertex path (ε = 2)
+// written by the commit before the nested ball coding (PR 25, a410a10:
+// `fsdl gen -kind path -size 60`, `fsdl labels -format fsdl3 -compress`):
+// flags 0x03, every level of a record a saturated bit and a (gap, zigzag
+// ΔD) list, bottom level first.
+const pre26Factored = "testdata/path60_pr25.fsdl3c"
+
 // TestGoldenContainers pins the exact bytes of each container for one
 // fixed scheme. FSDL2 and FSDL3 are pinned to CRCs computed at the commit
 // before the writers were collapsed into Write (PR 11, 2537cc1). A round
@@ -68,7 +75,11 @@ const pre17FSDL3c = "testdata/grid6_pre17.fsdl3c"
 // writes and what every reader reads, so its golden (0xc3e35ed6 over
 // 15 238 bytes) moved to the committed file it described: the file must
 // still be those bytes, answer like the scheme, and come out of Write
-// unchanged when it is the source.
+// unchanged when it is the source. PR 26 re-cut the FSDL3c row again, for
+// the nested ball coding (header flag bit 2); a file in the coding it
+// replaced is committed too and must keep opening, answer like the
+// scheme, and — a factored store can supply the level graphs — come out
+// of Write as the file the scheme now writes.
 func TestGoldenContainers(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6)) // ε = 2
 	golden := []struct {
@@ -77,7 +88,7 @@ func TestGoldenContainers(t *testing.T) {
 	}{
 		{0x07b1f828, 10812},
 		{0x1593b28b, 18745},
-		{0x5ad3aa1d, 9206},
+		{0x8edc44e3, 8933},
 	}
 	for i, sk := range sinks {
 		got := writeBytes(t, FromScheme(s), nil, sk.format3, sk.compress)
@@ -108,6 +119,38 @@ func TestGoldenContainers(t *testing.T) {
 		}
 		st.Close()
 	}
+
+	path := buildScheme(t, gen.Path(60))
+	old, err = os.ReadFile(pre26Factored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if crc := crc32.ChecksumIEEE(old); crc != 0x41bd63ce || len(old) != 11829 {
+		t.Fatalf("%s: crc %#08x over %d bytes, want what PR 25 wrote, 0x41bd63ce over 11829", pre26Factored, crc, len(old))
+	}
+	now := writeBytes(t, FromScheme(path), nil, true, true)
+	if len(now) >= len(old) {
+		t.Errorf("the nested coding writes %d bytes where PR 25 wrote %d", len(now), len(old))
+	}
+	for name, open := range map[string]func(string) (*Store, error){"Open": Open, "OpenHeap": OpenHeap} {
+		st, err := open(pre26Factored)
+		if err != nil {
+			t.Fatalf("%s of the PR 25 file: %v", name, err)
+		}
+		if h := st.f3.hdr; !h.factored() || h.nested() {
+			t.Errorf("PR 25 file sniffed as flags %#02x", h.flags)
+		}
+		sameAsScheme(t, name+" of the PR 25 file", st, path, nil)
+		if got := writeBytes(t, st, nil, true, true); !bytes.Equal(got, now) {
+			t.Errorf("%s: a PR 25 store written compressed is not the file the scheme writes", name)
+		}
+		st.Close()
+	}
+	sp, rep, err := OpenPartial(pre26Factored)
+	if err != nil || rep.Lost() != 0 {
+		t.Fatalf("salvage open of the PR 25 file: %+v, %v", rep, err)
+	}
+	sp.Close()
 }
 
 // sameAsScheme checks the contract every container is held to, for the

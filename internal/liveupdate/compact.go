@@ -69,7 +69,8 @@ type PrevGeneration struct {
 	// Generation is the previous generation's id.
 	Generation uint64
 	// Dir is its generation directory. Nothing reads it: the field stays
-	// for the benchmark harness, which assigns it (ROADMAP item 5).
+	// for the benchmark harness, which assigns it (ROADMAP item 1,
+	// "Release the pins").
 	Dir string
 	// Scheme is the scheme built for it (from its own compaction, or
 	// reconstructed offline from its graph).
