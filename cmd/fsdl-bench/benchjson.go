@@ -142,7 +142,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	//
 	// Every op is a lone query's decode: a held Decoder keeps the fault
 	// frame of the query before (core.faultFrame) and would answer a
-	// repeat of it as a batch's third pair, so each kernel takes turns
+	// repeat of it as a batch's second pair, so each kernel takes turns
 	// between the query and its twin over the labels of a second, equal
 	// scheme — other pointers, the same work. The decode_batch8_* rows
 	// below are where a frame is meant to be found.
@@ -179,6 +179,20 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 				dec.Distance(qs[i&1])
 			}
 		}))
+		if nf == 4 {
+			// The cold path: a traced decode also derives the sketch as a
+			// caller sees it — sorted, one edge per pair of vertices — from
+			// the candidates the other kernels hand the solver as scanned
+			// (what Query.Sketch and, later, "explain" pay), and reports
+			// the walk with its weights. Its allocations are the trace's.
+			var tr core.Trace
+			add(measure("decode_sketch_F4", func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dec.DistanceWithTrace(qs[i&1], &tr)
+				}
+			}))
+		}
 		if nf == 16 {
 			// Path reporting on the same query: decode + parent-tree
 			// walk into a reused buffer, still allocation-free.

@@ -243,7 +243,7 @@ var benchSharedSink int64
 // copies that share nothing. The gap is what scanOwners' skip buys: the
 // unshared decode walks the same 26.8 k-edge lists once per owner. The
 // Decoder's fault frame is dropped before every op, so each is a lone
-// query's decode and not a batch's third pair.
+// query's decode and not a batch's second pair.
 func BenchmarkDecodeSharedLevels(b *testing.B) {
 	g := gridGraph(b, 24, 24)
 	s, err := BuildScheme(g, 2)

@@ -134,7 +134,7 @@ func TestBudgetBoundaries(t *testing.T) {
 			if err != nil || exhausted {
 				t.Fatalf("unbudgeted decode: exhausted=%v err=%v", exhausted, err)
 			}
-			fullEdges := slices.Clone(sc.edges)
+			fullEdges := slices.Clone(sc.sketchEdges())
 			work := charged(&full)
 
 			segs := scanLayout(tc.q, tc.patches)
@@ -178,7 +178,7 @@ func TestBudgetBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				edges := slices.Clone(sc.edges)
+				edges := slices.Clone(sc.sketchEdges())
 				// What is on record as scanned (and so skippable) was
 				// scanned: a list the budget cut is recorded as cut.
 				recorded := 0
@@ -209,7 +209,7 @@ func TestBudgetBoundaries(t *testing.T) {
 				}
 
 				d2, exh2, _ := sc.decode(&bq, tc.patches, nil)
-				if d2 != dist || exh2 != exh || !reflect.DeepEqual(sc.edges, edges) {
+				if d2 != dist || exh2 != exh || !reflect.DeepEqual(sc.sketchEdges(), edges) {
 					t.Errorf("budget %d: untraced decode (δ=%d, exhausted=%v) differs from traced (%d, %v)", budget, d2, exh2, dist, exh)
 				}
 				res, path := dec.DistanceRobustPatchedPath(&bq, tc.patches, nil)

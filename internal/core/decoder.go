@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -8,10 +9,11 @@ import (
 )
 
 // This file holds the pooled decode scratch: every transient structure a
-// Query decode needs — dedup sets, sorted forbidden lists, the flat
-// candidate accumulator and its radix-sort buffers, the bit-parallel
-// protected-ball masks, the dense-id remap and the sketch Dijkstra
-// state — owned by one reusable object instead of allocated per call.
+// Query decode needs — dedup sets, sorted forbidden lists, the scanned
+// candidate lists and their dense-id remap, the bit-parallel
+// protected-ball masks, the sketch Dijkstra state, and the radix-sort
+// buffers a reported sketch is derived with — owned by one reusable
+// object instead of allocated per call.
 // Steady-state decodes are allocation-free: each container grows to the
 // largest query seen and is reset with a memclr (or simply
 // re-truncated).
@@ -155,32 +157,30 @@ func (m *i32map) grow() {
 
 // --- flat sketch-edge candidates ------------------------------------------
 
-// sketchCand is one admitted sketch-edge candidate: the unordered
+// sketchCand is one admitted candidate as the reported sketch is derived
+// from it (sketchEdges; never on an untraced decode's path): the unordered
 // endpoint key (min id in the high word, max in the low word), the edge
-// weight and the contributing level. Candidates are appended flat during
-// the admission scan and deduplicated afterwards by a stable radix sort
-// on the key — stability is what preserves the historical
-// first-insertion-wins tie-break among equal-weight parallel edges.
+// weight and the contributing level.
 type sketchCand struct {
 	key uint64
 	w   int32
 	lv  int32
 }
 
-// sortCandsByKey stably sorts sc.cand by key with LSD counting-sort
-// passes, skipping the key bytes that are constant across the whole
-// list (for an n-vertex graph only ~2·⌈log256 n⌉ of the 8 bytes vary).
-// Both buffers are scratch-owned, so steady-state sorts allocate
-// nothing. The sorted list ends up back in sc.cand.
+// sortCandsByKey sorts sc.byKey by key with LSD counting-sort passes,
+// skipping the key bytes that are constant across the whole list (for an
+// n-vertex graph only ~2·⌈log256 n⌉ of the 8 bytes vary). Both buffers
+// are scratch-owned, so steady-state sorts allocate nothing. The sorted
+// list ends up back in sc.byKey.
 func (sc *decodeScratch) sortCandsByKey() {
-	a := sc.cand
+	a := sc.byKey
 	if len(a) < 2 {
 		return
 	}
-	if cap(sc.candTmp) < len(a) {
-		sc.candTmp = make([]sketchCand, cap(a))
+	if cap(sc.byKeyTmp) < len(a) {
+		sc.byKeyTmp = make([]sketchCand, cap(a))
 	}
-	b := sc.candTmp[:len(a)]
+	b := sc.byKeyTmp[:len(a)]
 	var diff uint64
 	k0 := a[0].key
 	for i := range a {
@@ -208,7 +208,7 @@ func (sc *decodeScratch) sortCandsByKey() {
 		}
 		a, b = b, a
 	}
-	sc.cand, sc.candTmp = a[:len(sc.cand)], b[:0]
+	sc.byKey, sc.byKeyTmp = a[:len(sc.byKey)], b[:0]
 }
 
 // sortPairs stably sorts sc.pairs — packed (x<<32 | centerIdx)
@@ -260,11 +260,11 @@ func (sc *decodeScratch) sortPairs() {
 // alone: of the fault labels, the degraded ids, the patch labels, the
 // ablation flag and the scheme parameters — and of nothing of s or t.
 // Admission of a stored edge reads (ℓ, x, y, F), never the owner
-// (scanOwners), so what the fault and patch owners contribute to the
-// sketch is the same for every pair asked under one F, and a Decoder
-// that is handed the same fault labels pair after pair — a batch —
-// builds it once. The frame is rebuilt whenever a decode's labels differ
-// from the key's pointer for pointer (labels are immutable once
+// (scanOwners), and H is a set, so what the fault and patch owners
+// contribute to the sketch is the same for every pair asked under one F,
+// and a Decoder that is handed the same fault labels pair after pair — a
+// batch — scans it once. The frame is rebuilt whenever a decode's labels
+// differ from the key's pointer for pointer (labels are immutable once
 // validated, so equal pointers mean an equal frame), never patched, and
 // dropped with the labels it points to when the scratch goes back to the
 // pool.
@@ -314,41 +314,63 @@ type faultFrame struct {
 	cmbOff   []int32
 	pairs    []uint64
 	pairsTmp []uint64
-	// patchCand are the admitted patch edges. They precede s and t in
-	// candidate order, so every decode starts its own candidates with
-	// them.
-	patchCand []sketchCand
+	// patchKeys are the admitted patch edges' endpoint keys: unit edges of
+	// the lowest level, free of budget.
+	patchKeys []uint64
 	// frameCost is what scanning the frame owners charges a Budget
 	// (-1 until a budgeted decode asks).
 	frameCost int
 
-	// The run: the frame owners' admitted candidates, scanned, sorted and
-	// de-duplicated once — a sketch of their own, which every decode
-	// under this key merges its pair's candidates into — next to the
-	// owners' ompbW rows and what the scan tallied. Built (runBuilt) by
-	// the second decode to bring the key, see decode.
-	runBuilt   bool
-	run        sketch
-	frameOmpbW []uint64
-	frameTally scanTally
+	// The run: the patch edges and the frame owners' admitted candidates,
+	// scanned once under a dense numbering of their own, which every
+	// decode under this key hands to the solver beside its pair's. Built
+	// (runBuilt) by the first decode whose Budget covers it, see decode.
+	runBuilt bool
+	run      scanPass
 }
 
-// sketch is a de-duplicated sketch edge list with its dense vertex
-// numbering: edges in deterministic (ascending unordered-key) order, one
-// per pair of vertices; eids the dense ids of each edge's endpoints;
-// ids[id] the vertex of a dense id and idOf the inverse — of all of ids
-// in the frame's run, of the ids past the run's in a decode that merges
-// with one.
-type sketch struct {
-	edges []SketchEdge
-	eids  [][2]int32
-	ids   []int32
-	idOf  i32map
+// scanPass is what one scanOwners pass leaves behind: the admitted
+// candidates as the solver takes them — in scan order, parallel edges and
+// all — and what a later pass, or the trace, needs to know about them.
+type scanPass struct {
+	// cands are the candidates under dense endpoint ids, and levels cuts
+	// them into stretches admitted at one level.
+	cands  []graph.DenseEdge
+	levels []levelRun
+	// ids[id] is the vertex of a dense id and idOf the inverse — of all of
+	// ids in the frame's run; in a decode that runs beside one, ids starts
+	// with the run's and idOf holds the ids past them.
+	ids  []int32
+	idOf i32map
+	// scanned[k] lists the distinct edge lists the pass walked at level
+	// index k (see seenBefore), and tally is what it counted.
+	scanned [][]scannedList
+	tally   scanTally
 }
 
-func (sk *sketch) reset() {
-	sk.edges, sk.eids, sk.ids = sk.edges[:0], sk.eids[:0], sk.ids[:0]
-	sk.idOf.reset()
+// levelRun says that the candidates of a pass up to index end, from where
+// the run before it ended, were admitted at level lv.
+type levelRun struct {
+	end int
+	lv  int32
+}
+
+// reset empties the pass for a decode of numLevels levels.
+func (p *scanPass) reset(numLevels int) {
+	p.cands, p.levels, p.ids = p.cands[:0], p.levels[:0], p.ids[:0]
+	p.idOf.reset()
+	for len(p.scanned) < numLevels {
+		p.scanned = append(p.scanned, nil)
+	}
+	for k := range p.scanned {
+		p.scanned[k] = p.scanned[k][:0]
+	}
+	t := &p.tally
+	t.admitted = slices.Grow(t.admitted[:0], numLevels)[:numLevels]
+	t.rejected = slices.Grow(t.rejected[:0], numLevels)[:numLevels]
+	clear(t.admitted)
+	clear(t.rejected)
+	t.skipped = 0
 }
 
 // scanTally is what scanOwners counted: candidates admitted and rejected
@@ -357,17 +379,6 @@ func (sk *sketch) reset() {
 type scanTally struct {
 	admitted, rejected []int
 	skipped            int
-}
-
-func (t *scanTally) reset(numLevels int) {
-	if cap(t.admitted) < numLevels {
-		t.admitted = make([]int, numLevels)
-		t.rejected = make([]int, numLevels)
-	}
-	t.admitted, t.rejected = t.admitted[:numLevels], t.rejected[:numLevels]
-	clear(t.admitted)
-	clear(t.rejected)
-	t.skipped = 0
 }
 
 // addTo adds the tally to a trace whose per-level slices are sized.
@@ -386,12 +397,13 @@ func (t *scanTally) addTo(tr *Trace) {
 type decodeScratch struct {
 	faultFrame
 
-	// owners are the labels this decode scans itself: s and t, and in an
-	// unframed decode the frame owners after them.
+	// owners are the labels this decode scans itself: s and t unless the
+	// frame's run holds them, and under a Budget that ends before the run
+	// does the frame owners after them.
 	owners []*Label
 	// ompbW[(oi*numLevels+k)*W+w] is the center-bitmask of
-	// mayBeInPB(owners[oi], center, level lowest+k) certificates: an owner
-	// edge to point i dies iff mask[i]&ompbW[row] has a set bit.
+	// mayBeInPB(owner oi of the pass, center, level lowest+k) certificates:
+	// an owner edge to point i dies iff mask[i]&ompbW[row] has a set bit.
 	ompbW []uint64
 	// forb[i] flags the i-th point of the owner level currently being
 	// scanned as a forbidden vertex (filled by merging the level's sorted
@@ -412,19 +424,18 @@ type decodeScratch struct {
 	// load + AND per edge.
 	maskL []uint64
 	maskR []uint64
-	// scanned[k] lists the distinct edge lists the last scanOwners pass
-	// walked at level index k (see seenBefore); tally is what the decode's
-	// own pass counted.
-	scanned [][]scannedList
-	tally   scanTally
-	// cand/candTmp are the flat candidate accumulator and its radix
-	// ping-pong buffer.
-	cand    []sketchCand
-	candTmp []sketchCand
-	// sketch is the decode's H: the frame's vertices keep the ids the
-	// run gave them. src and dst are the dense ids of s and t.
-	sketch
+	// scanPass is the decode's own pass, and beside the run it solved
+	// beside (nil: none) — together the multigraph the answer was read
+	// from. src and dst are the dense ids of s and t.
+	scanPass
+	beside   *scanPass
 	src, dst int
+	// byKey/byKeyTmp and edges are what sketchEdges derives the reported
+	// sketch with: the candidates under their vertex keys, the radix
+	// ping-pong buffer, and H.
+	byKey    []sketchCand
+	byKeyTmp []sketchCand
+	edges    []SketchEdge
 	// hpath is path-reconstruction scratch for traced/path queries.
 	hpath  []int32
 	solver graph.SketchSolver
@@ -469,10 +480,12 @@ func (sc *decodeScratch) dropRefs() {
 	dropAll(&sc.vfKey)
 	dropAll(&sc.efKey)
 	dropAll(&sc.patchKey)
-	for k := range sc.scanned {
-		dropAll(&sc.scanned[k])
+	for _, p := range []*scanPass{&sc.scanPass, &sc.run} {
+		for k := range p.scanned {
+			dropAll(&p.scanned[k])
+		}
 	}
-	sc.keyed, sc.runBuilt = false, false
+	sc.keyed, sc.runBuilt, sc.beside = false, false, nil
 }
 
 // dropAll empties *s and zeroes its backing array.
@@ -484,10 +497,11 @@ func dropAll[T any](s *[]T) {
 // DecoderPoolStats reports the global decode-scratch counters. Gets
 // counts scratch checkouts, News counts checkouts that had to allocate a
 // fresh scratch; Gets − News is the number of reuses. FramesBuilt counts
-// the decodes that scanned a fault set's owners into a frame,
-// FramesReused those that took them from the frame an earlier decode on
-// the same Decoder had built: reused/built is the number of further
-// pairs a batch answered per fault frame. Exposed so serving layers can
+// the decodes that scanned a fault set's owners into a frame's run — the
+// first under a fault set, a lone query's included — and FramesReused
+// those that took them from the run an earlier decode on the same Decoder
+// had built: reused/built is the number of further pairs answered per
+// fault frame. Exposed so serving layers can
 // report both on their metrics endpoints.
 type DecoderPoolStats struct {
 	Gets, News                int64

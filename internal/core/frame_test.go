@@ -177,7 +177,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetCacheLimit(4096) // one *Label per vertex for the whole test
-		reuses, unframedOwner, unframedBudget := 0, 0, 0
+		reuses, framedOwner, unframedBudget := 0, 0, 0
 		for ki, kind := range kinds {
 			for ni, nf := range []int{0, 1, 2, 4, 16, 64, 70} {
 				// The wide-mask rules are the vertex/edge/mixed rows' business,
@@ -208,7 +208,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("pair %d: fresh decode: %v", i, err)
 						}
-						fEdges := slices.Clone(fresh.scratch().edges)
+						fEdges := slices.Clone(fresh.scratch().sketchEdges())
 						fresh.Release()
 						fRes, fPath := fresh.DistanceRobustPatchedPath(q, b.patches, nil)
 						fresh.Release()
@@ -216,12 +216,12 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 							t.Errorf("pair %d: a Decoder that has seen nothing reused a frame", i)
 						}
 
-						// What decode should do with the frame: keyed by the
-						// batch's first decode, built by the first framed one.
+						// What decode should do with the frame: its run is built
+						// by the first decode whose budget covers it, and stands
+						// for every later one whose budget does.
 						isOwner := b.owners[int32(b.pairs[i][0])] || b.owners[int32(b.pairs[i][1])]
-						eligible := !isOwner && (q.Budget == 0 || q.Budget >= total)
+						framed := q.Budget == 0 || q.Budget >= total
 						for pass := 0; pass < 2; pass++ {
-							framed := eligible && (i > 0 || pass > 0)
 							wantReused := framed && runBuilt
 							runBuilt = runBuilt || framed
 							if pass == 1 {
@@ -258,7 +258,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 							if err != nil {
 								t.Fatalf("pair %d: %v", i, err)
 							}
-							edges := batch.scratch().edges
+							edges := batch.scratch().sketchEdges()
 							if dist != wantDist || exh != wantExh || !reflect.DeepEqual(edges, wantEdges) {
 								t.Errorf("pair %d (budget %d of %d): (δ=%d, exhausted=%v, %d edges), reference (%d, %v, %d edges)",
 									i, q.Budget, total, dist, exh, len(edges), wantDist, wantExh, len(wantEdges))
@@ -273,8 +273,8 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 							if !reflect.DeepEqual(maskTrace(tr), maskTrace(ftr)) {
 								t.Errorf("pair %d: trace diverges from a fresh Decoder's:\n got %+v\nwant %+v", i, tr, ftr)
 							}
-							if tr.SharedLevelsSkipped > ftr.SharedLevelsSkipped {
-								t.Errorf("pair %d: %d levels skipped, a single pass skips %d", i, tr.SharedLevelsSkipped, ftr.SharedLevelsSkipped)
+							if tr.SharedLevelsSkipped != ftr.SharedLevelsSkipped {
+								t.Errorf("pair %d: %d levels skipped, a fresh Decoder skips %d", i, tr.SharedLevelsSkipped, ftr.SharedLevelsSkipped)
 							}
 							if tr.FrameReused != wantReused {
 								t.Errorf("pair %d (budget %d of %d, frame owner: %v): FrameReused=%v, want %v",
@@ -282,29 +282,29 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 							}
 							if tr.FrameReused {
 								reuses++
+								if isOwner {
+									framedOwner++
+								}
 							}
 						}
-						if i > 0 && isOwner {
-							unframedOwner++
-						}
-						if i > 0 && !isOwner && q.Budget > 0 && q.Budget < total {
+						if i > 0 && q.Budget > 0 && q.Budget < total {
 							unframedBudget++
 						}
 					}
 				})
 			}
 		}
-		if reuses == 0 || unframedOwner == 0 || unframedBudget == 0 {
-			t.Errorf("%s: %d decodes reused a frame, %d ran unframed for an owner endpoint and %d for a short budget: the corpus misses a case",
-				gc.name, reuses, unframedOwner, unframedBudget)
+		if reuses == 0 || framedOwner == 0 || unframedBudget == 0 {
+			t.Errorf("%s: %d decodes reused a frame, %d of them with a frame owner for an endpoint, and %d ran unframed for a short budget: the corpus misses a case",
+				gc.name, reuses, framedOwner, unframedBudget)
 		}
 	}
 }
 
 // TestFrameInvalidation is the invalidation table: after a frame has been
 // built and reused, each change to what it was keyed on must rebuild it —
-// the next decode does not reuse — and the decode after that, on the
-// changed key again, is the one that builds the run anew.
+// the next decode does not reuse, and builds the run anew for the ones
+// after it.
 func TestFrameInvalidation(t *testing.T) {
 	g := ringLattice(t, 256)
 	s, err := BuildScheme(g, 2)
@@ -380,7 +380,7 @@ func TestFrameInvalidation(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantDist, wantEdges, _, wantExh, _ := referenceDecode(q, &want, patches...)
-				if dist != wantDist || exh != wantExh || !reflect.DeepEqual(dec.scratch().edges, wantEdges) || !reflect.DeepEqual(maskTrace(tr), want) {
+				if dist != wantDist || exh != wantExh || !reflect.DeepEqual(dec.scratch().sketchEdges(), wantEdges) || !reflect.DeepEqual(maskTrace(tr), want) {
 					t.Errorf("decode diverges from the reference: δ=%d, want %d", dist, wantDist)
 				}
 				return tr.FrameReused
@@ -389,13 +389,13 @@ func TestFrameInvalidation(t *testing.T) {
 			if tc.name == "labels of another MaxLevel" {
 				q, patches = &Query{S: s.Label(3), T: s.Label(120)}, nil
 			}
-			for i, want := range []bool{false, false, true, true} {
+			for i, want := range []bool{false, true, true} {
 				if got := reused(q, patches); got != want {
 					t.Fatalf("decode %d of the unchanged query: FrameReused=%v, want %v", i, got, want)
 				}
 			}
 			q, patches = tc.change(q, patches)
-			for i, want := range []bool{false, false, true} {
+			for i, want := range []bool{false, true, true} {
 				if got := reused(q, patches); got != want {
 					t.Fatalf("decode %d after the change: FrameReused=%v, want %v", i, got, want)
 				}
@@ -410,8 +410,8 @@ func TestFrameInvalidation(t *testing.T) {
 }
 
 // TestFrameCounters: FramesBuilt counts the decodes that built a run and
-// FramesReused those that merged with one — per batch of k framable pairs
-// one and k−2, none for a lone query.
+// FramesReused those that solved beside one — per batch of k pairs one
+// and k−1, a lone query a batch of one.
 func TestFrameCounters(t *testing.T) {
 	g := gridGraph(t, 8, 8)
 	s, err := BuildScheme(g, 2)
@@ -426,17 +426,18 @@ func TestFrameCounters(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		q.Distance() // three lone queries: a fresh scratch each
 	}
-	if d := DecoderPool(); d.FramesBuilt != before.FramesBuilt || d.FramesReused != before.FramesReused {
-		t.Errorf("lone queries moved the frame counters: %+v -> %+v", before, d)
+	if d := DecoderPool(); d.FramesBuilt != before.FramesBuilt+3 || d.FramesReused != before.FramesReused {
+		t.Errorf("three lone queries: frame counters %+v -> %+v, want 3 built and none reused", before, d)
 	}
+	before = DecoderPool()
 	var dec Decoder
 	for i := 0; i < 8; i++ {
 		dec.Distance(q)
 	}
 	dec.Release()
 	d := DecoderPool()
-	if built, reused := d.FramesBuilt-before.FramesBuilt, d.FramesReused-before.FramesReused; built != 1 || reused != 6 {
-		t.Errorf("a batch of 8: %d frames built, %d reused, want 1 and 6", built, reused)
+	if built, reused := d.FramesBuilt-before.FramesBuilt, d.FramesReused-before.FramesReused; built != 1 || reused != 7 {
+		t.Errorf("a batch of 8: %d frames built, %d reused, want 1 and 7", built, reused)
 	}
 }
 
@@ -482,7 +483,7 @@ func TestFramedBatchAllocs(t *testing.T) {
 	dec.DistanceWithTrace(a[1], &tr)
 	dec.DistanceWithTrace(a[2], &tr)
 	if !tr.FrameReused {
-		t.Fatal("the third decode under one fault set did not reuse the frame")
+		t.Fatal("the later decodes under one fault set did not reuse the frame")
 	}
 	if allocs := testing.AllocsPerRun(100, func() { batch(a[1:]) }); allocs > 0 {
 		t.Errorf("framed batch, frame reused: %g allocs/op, want 0", allocs)

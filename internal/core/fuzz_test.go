@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -77,8 +78,31 @@ func FuzzDecodeFFLabel(f *testing.F) {
 	})
 }
 
+// checkCanonicalWalk holds one answer of the decoder — δ, ok and the walk
+// — to the definition (referenceDecode): whatever labels pass Validate,
+// the distance is d_H(s,t) and the walk steps to the tight predecessor of
+// the smallest id.
+func checkCanonicalWalk(t *testing.T, what string, q *Query, d int64, path []int32, ok bool) {
+	t.Helper()
+	var want Trace
+	wd, _, _, _, err := referenceDecode(q, &want)
+	if err != nil {
+		if ok {
+			t.Fatalf("%s: answered (%d,%v), the reference refuses the query: %v", what, d, ok, err)
+		}
+		return
+	}
+	if ok != (wd >= 0) || ok && d != wd {
+		t.Fatalf("%s: answered (%d,%v), the reference δ=%d", what, d, ok, wd)
+	}
+	if wantPath := want.Path; ok && q.S.V != q.T.V && !slices.Equal(path, wantPath) {
+		t.Fatalf("%s: walks %v, the canonical walk is %v", what, path, wantPath)
+	}
+}
+
 // FuzzQueryDistance drives the decoder with decoded-from-bytes labels; it
-// must never panic regardless of label content mutations.
+// must never panic regardless of label content mutations, and what it
+// answers is the reference's answer and walk.
 func FuzzQueryDistance(f *testing.F) {
 	g := gridGraphF(5, 5)
 	s, err := BuildScheme(g, 2)
@@ -109,7 +133,14 @@ func FuzzQueryDistance(f *testing.F) {
 			return
 		}
 		q := &Query{S: ls, T: lt, VertexFaults: []*Label{lf}}
-		d, ok := q.Distance() // must not panic; the answer is unspecified for corrupt labels
+		d, ok := q.Distance() // must not panic, whatever the labels say
+		var dec Decoder
+		pd, path, pok := dec.DecodePath(q, nil)
+		dec.Release()
+		if pd != d || pok != ok {
+			t.Fatalf("DecodePath (%d,%v) disagrees with Distance (%d,%v)", pd, pok, d, ok)
+		}
+		checkCanonicalWalk(t, "private labels", q, d, path, ok)
 		// The seed's 5×5 grid is saturated at every level, so interning
 		// makes the three labels share whatever lists the mutation left
 		// equal — and sharing must not change the answer, whatever it is.
@@ -178,6 +209,7 @@ func FuzzDecodePath(f *testing.F) {
 		if ok && (int64(len(path)) > d+1 || len(path) < 1) {
 			t.Fatalf("path length %d inconsistent with distance %d", len(path), d)
 		}
+		checkCanonicalWalk(t, "shared labels", q, d, path, ok)
 	})
 }
 
@@ -185,7 +217,7 @@ func FuzzDecodePath(f *testing.F) {
 // fault sets over the same corrupt-label space take turns on it, so its
 // fault frame is keyed, built, reused, dropped for the other set and
 // built again — and at every step the answer and the path must be those
-// of a Decoder that has seen nothing, whatever they are.
+// of a Decoder that has seen nothing, and of the reference.
 func FuzzFramedDecode(f *testing.F) {
 	g := gridGraphF(5, 5)
 	s, err := BuildScheme(g, 2)
@@ -241,6 +273,7 @@ func FuzzFramedDecode(f *testing.F) {
 			if ok != wok || ok && (d != wd || !slices.Equal(buf, wpath)) {
 				t.Fatalf("step %d: kept Decoder answers (%d,%v) %v, a fresh one (%d,%v) %v", step, d, ok, buf, wd, wok, wpath)
 			}
+			checkCanonicalWalk(t, fmt.Sprintf("step %d", step), q, d, buf, ok)
 		}
 	})
 }
@@ -318,6 +351,14 @@ func FuzzLoadScheme(f *testing.F) {
 			}
 		}
 		for v := 0; v < lg.NumVertices(); v++ {
+			for k := range balls {
+				for i := range balls[k] {
+					balls[k][i].D = 1
+					if balls[k][i].X == int32(v) {
+						balls[k][i].D = 0
+					}
+				}
+			}
 			l, err := lg.Label(int32(v), balls, nil)
 			if err != nil {
 				t.Fatalf("saturated balls of vertex %d refused: %v", v, err)

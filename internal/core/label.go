@@ -174,6 +174,9 @@ func (l *Label) validate() error {
 				return fmt.Errorf("core: level %d point %d distance %d outside [0,%d]",
 					level, i, pe.D, r)
 			}
+			if pe.D == 0 && pe.X != l.V { // every sketch edge weighs something (graph.SketchSolver)
+				return fmt.Errorf("core: level %d point %d at distance 0 is not the label's vertex", level, i)
+			}
 		}
 		maxEdgeLen := lambda
 		if level == l.C+1 {

@@ -75,7 +75,7 @@ func (sc *decodeScratch) addOwner(l *Label) {
 // the frame's key, none of it off s or t beyond the scheme parameters
 // every label of a query shares.
 func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge) {
-	sc.patchCand = sc.patchCand[:0]
+	sc.patchKeys = sc.patchKeys[:0]
 	for _, p := range patches {
 		if !usableWith(p.U, q.S) || !usableWith(p.V, q.S) || p.U.V == p.V.V {
 			continue
@@ -84,7 +84,7 @@ func (sc *decodeScratch) admitPatches(q *Query, patches []PatchEdge) {
 		if containsSorted(sc.fvList, p.U.V) || containsSorted(sc.fvList, p.V.V) || containsSorted(sc.feList, key) {
 			continue
 		}
-		sc.patchCand = append(sc.patchCand, sketchCand{key: key, w: 1, lv: int32(q.S.C + 1)})
+		sc.patchKeys = append(sc.patchKeys, key)
 		sc.addOwner(p.U)
 		sc.addOwner(p.V)
 	}

@@ -257,9 +257,9 @@ func (c *patchCase) checkPatched(t *testing.T, g *graph.Graph, dec *Decoder, wha
 	}
 	// Sharing level lists between the labels changes nothing: the same
 	// query over private copies gives the same answer, walk and sketch.
-	sketch := slices.Clone(dec.scratch().edges)
+	sketch := slices.Clone(dec.scratch().sketchEdges())
 	ugot, upath := dec.DistanceRobustPatchedPath(mapQuery(c.q, unsharedLabel), mapPatches(c.patches, unsharedLabel), nil)
-	if !reflect.DeepEqual(ugot, got) || !slices.Equal(upath, path) || !slices.Equal(dec.scratch().edges, sketch) {
+	if !reflect.DeepEqual(ugot, got) || !slices.Equal(upath, path) || !slices.Equal(dec.scratch().sketchEdges(), sketch) {
 		t.Fatalf("%s: over unshared labels %+v %v, over the scheme's %+v %v", what, ugot, upath, got, path)
 	}
 	if !got.OK {
@@ -385,7 +385,7 @@ func patchedSweep(t *testing.T) {
 						if _, _, err := dec.scratch().decode(c.q, c.patches, nil); err != nil {
 							t.Fatal(err)
 						}
-						if e := missingFrom(dec.scratch().edges, base); e != nil {
+						if e := missingFrom(dec.scratch().sketchEdges(), base); e != nil {
 							t.Fatalf("%s: unpatched sketch edge %+v missing from the patched sketch", what, *e)
 						}
 					}
@@ -561,7 +561,7 @@ func patchedBudgetAndTrace(t *testing.T) {
 		t.Errorf("AdmittedPerLevel[0] grew by %d with %d patch edges", got, len(chords))
 	}
 	patchEdges := 0
-	for _, e := range sc.edges {
+	for _, e := range sc.sketchEdges() {
 		for _, c := range chords {
 			if unorderedKey(e.X, e.Y) == unorderedKey(int32(c[0]), int32(c[1])) {
 				patchEdges++
@@ -653,7 +653,7 @@ func patchedCapIsOneSketch(t *testing.T) {
 	}
 	in := 0
 	want := c.admissible()
-	for _, e := range dec.scratch().edges {
+	for _, e := range dec.scratch().sketchEdges() {
 		if want[unorderedKey(e.X, e.Y)] {
 			in++
 		}

@@ -299,10 +299,11 @@ func usableWith(l, ref *Label) bool {
 		l.C == ref.C && l.MaxLevel == ref.MaxLevel && l.RShrink == ref.RShrink
 }
 
-// Sketch returns every admitted sketch edge (deduplicated to the lightest
-// parallel edge, annotated with the lowest contributing level). Exposed so
-// tests can verify the safety invariant: every sketch edge is realizable
-// in G\F at exactly its weight.
+// Sketch returns H: one edge per pair of vertices some owner's label
+// admits an edge between, in ascending (X, Y) order, at the lightest
+// admitted weight and the lowest admitting level. Exposed so tests can
+// verify the safety invariant: every sketch edge is realizable in G\F at
+// exactly its weight.
 func (q *Query) Sketch() ([]SketchEdge, error) {
 	var d Decoder
 	defer d.Release()
@@ -313,8 +314,7 @@ func (q *Query) Sketch() ([]SketchEdge, error) {
 	if q.S.V == q.T.V {
 		return nil, nil // trivial query, no sketch was built
 	}
-	edges := make([]SketchEdge, 0, len(sc.edges))
-	return append(edges, sc.edges...), nil
+	return slices.Clone(sc.sketchEdges()), nil
 }
 
 // Validate checks that all labels of the query are present and mutually
@@ -360,31 +360,34 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// decode builds the sketch graph H on the scratch and runs Dijkstra. It
+// decode scans the sketch graph H onto the scratch and runs Dijkstra. It
 // returns the s-t distance (-1 when unreachable) and whether
-// Query.Budget truncated the sketch; the admitted edges and the dense
-// vertex remap remain on the scratch (sc.edges, sc.ids) until the next
-// decode. Steady-state decodes allocate nothing: every transient
-// structure lives on the scratch and is reset, not reallocated.
+// Query.Budget truncated the sketch; the admitted candidates and the
+// dense vertex remap remain on the scratch until the next decode.
+// Steady-state decodes allocate nothing: every transient structure lives
+// on the scratch and is reset, not reallocated.
 //
-// The stages, in order. Frame: what depends on F alone (faultFrame) —
-// centers, sorted fault lists, admission rule, protected-ball masks, and
-// the fault and patch owners' admitted candidates as one sorted,
-// de-duplicated run; kept from the previous decode when this one brings
-// the same fault labels. Pair: scan the levels of s and t against the
-// frame's masks and sort their candidates. Merge: the two sorted runs
-// into the sketch, lightest parallel edge first inserted winning. Solve.
+// H is a set — one edge per pair {x, y} some owner's label admits, at the
+// lightest weight admitted — and an untraced decode never materialises
+// it: every stored edge carries the exact d_G of its endpoints whatever
+// level or owner it came from (a pending insert's unit edge is the one
+// lighter parallel), so the candidates go to the solver as scanned,
+// parallels and all, and the solver's answer is a function of the set
+// (graph.SketchSolver). The sorted, de-duplicated edge list is derived
+// from them when someone asks to see it (sketchEdges).
 //
-// The run is not always there to merge with, and then the frame owners
-// are scanned after s and t in the pair's own pass — the historical
-// single pass, in which they skip every level list s or t had walked
-// (the run cannot: it has to stand for the next pair's s and t). That is
-// how a fault set is decoded the first time it is seen, so that a lone
-// query does a lone query's work and the run is built by the second
-// decode to bring the same labels, the first sign of a batch; and how a
-// decode runs whose s or t is itself a frame owner — its candidates
-// belong ahead of t's — or whose Budget ends before the last frame owner
-// does.
+// The stages. Frame: what depends on F alone (faultFrame) — centers,
+// sorted fault lists, admission rule, protected-ball masks, and the patch
+// edges and the fault and patch owners' admitted candidates as one run;
+// kept from the previous decode when this one brings the same fault
+// labels. Pair: scan the levels of s and t against the frame's masks,
+// skipping every level list the run has walked. Solve: the run and the
+// pair's candidates together.
+//
+// A Budget is charged in scan order — s, t, then the frame's owners — so
+// one that ends before the last frame owner does cannot use a run scanned
+// in full: that decode scans the frame owners itself, after s and t, in
+// one pass cut where the budget ends.
 //
 // The admission scan relies on the ordering invariants Label.Validate
 // enforces (Points strictly ascending by X, Edges ascending by (XI,YI)
@@ -393,31 +396,37 @@ func (q *Query) Validate() error {
 // membership is precomputed into per-point bitmasks — 64 centers per
 // uint64 word — so each candidate edge is cleared against every
 // protected ball with one AND per word instead of a hash probe per
-// center (Lemma 2.6's membership test, batched). Every step is
-// observably identical to the historical hash-probe decoder
-// (referenceDecode in the tests), which scans s, t, F and the patch
-// owners in that order into one map: same budget accounting, same
-// tie-breaks, same emitted sketch.
+// center (Lemma 2.6's membership test, batched). What comes out is held
+// to referenceDecode in the tests, which tests every membership with a
+// hash probe: same budget accounting, same sketch, same walk.
 func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64, bool, error) {
-	sc.sketch.reset()
-	sc.cand = sc.cand[:0]
+	sc.beside = nil
 	if err := q.Validate(); err != nil {
 		return 0, false, err
 	}
 	if q.S.V == q.T.V {
+		sc.scanPass.reset(0)
 		return 0, false, nil
 	}
-	framed := sc.frameMatches(q, patches)
-	if !framed {
+	if !sc.frameMatches(q, patches) {
 		sc.buildFrame(q, patches)
 	}
-	framed = framed && !sc.seenOwner.has(q.S.V) && !sc.seenOwner.has(q.T.V)
-	room := math.MaxInt
+	// The run stands for s or t when the frame owns it, and altogether
+	// iff the budget covers the pair and every frame owner in full.
+	sc.owners = sc.owners[:0]
+	for _, l := range [2]*Label{q.S, q.T} {
+		if !sc.seenOwner.has(l.V) {
+			sc.owners = append(sc.owners, l)
+		}
+	}
+	room, framed := math.MaxInt, true
 	if q.Budget > 0 {
-		// The pair is charged first, so the frame's run stands iff the
-		// budget covers s, t and every frame owner in full.
 		room = q.Budget
-		framed = framed && sc.scanCost(q.S)+sc.scanCost(q.T)+sc.frameScanCost() <= room
+		cost := sc.frameScanCost()
+		for _, l := range sc.owners {
+			cost += sc.scanCost(l)
+		}
+		framed = cost <= room
 	}
 	reused := framed && sc.runBuilt
 	switch {
@@ -427,37 +436,30 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 		sc.buildFrameRun()
 	}
 
-	// Pending inserts come first in candidate order: one unit edge each,
-	// free of budget (see patched.go).
-	sc.cand = append(sc.cand, sc.patchCand...)
-	sc.owners = append(sc.owners[:0], q.S, q.T)
-	var run *sketch
+	sc.scanPass.reset(sc.numLevels)
 	if framed {
-		run = &sc.run
-		sc.ids = append(sc.ids, run.ids...)
+		sc.beside = &sc.run
+		sc.ids = append(sc.ids, sc.run.ids...)
 	} else {
+		sc.emitPatches()
+		sc.owners = append(sc.owners[:0], q.S, q.T)
 		for _, o := range sc.frameOwners {
 			if o.V != q.S.V && o.V != q.T.V {
 				sc.owners = append(sc.owners, o)
 			}
 		}
 	}
-	if sc.rule >= admitFused {
-		sc.ompbW = sc.ompbRows(sc.ompbW, sc.owners)
-	}
-	exhausted := sc.scanOwners(sc.owners, sc.ompbW, room, &sc.tally)
-	sc.sortCandsByKey()
-	sc.src, sc.dst = int(sc.denseID(run, q.S.V)), int(sc.denseID(run, q.T.V))
-	sc.mergeCands(run)
+	exhausted := sc.scanOwners(sc.owners, room)
+	sc.src, sc.dst = int(sc.vertexID(q.S.V)), int(sc.vertexID(q.T.V))
 	if tr != nil {
 		tr.FrameReused = reused
 		tr.AdmittedPerLevel = make([]int, sc.numLevels)
 		tr.RejectedPerLevel = make([]int, sc.numLevels)
-		tr.AdmittedPerLevel[0] = len(sc.patchCand)
+		tr.AdmittedPerLevel[0] = len(sc.patchKeys)
 		tr.SharedLevelsSkipped = 0
 		sc.tally.addTo(tr)
 		if framed {
-			sc.frameTally.addTo(tr)
+			sc.run.tally.addTo(tr)
 		}
 	}
 	return sc.solve(tr), exhausted, nil
@@ -482,7 +484,7 @@ func (sc *decodeScratch) frameMatches(q *Query, patches []PatchEdge) bool {
 // buildFrame rebuilds the frame for the fault side of q: key, owners,
 // centers, sorted fault lists, patch edges, admission rule and — when the
 // rule tests protected balls — the masks. The run waits for the first
-// decode that merges with it (buildFrameRun).
+// decode whose budget covers it (buildFrameRun).
 func (sc *decodeScratch) buildFrame(q *Query, patches []PatchEdge) {
 	sc.keyed, sc.runBuilt, sc.frameCost = true, false, -1
 	sc.ablate = q.UnsafeIgnoreProtectedBalls
@@ -542,23 +544,24 @@ func (sc *decodeScratch) collectFaults(q *Query) {
 	sc.feList = slices.Compact(sc.feList)
 }
 
-// buildFrameRun scans the frame owners under no budget and leaves their
-// candidates — sorted, the lightest parallel edge per pair, dense ids
-// assigned in emission order — as the frame's run, with what the scan
-// tallied. The decode's own candidate and sketch buffers must be empty;
-// they are again on return.
+// buildFrameRun scans the patch edges and the frame owners under no
+// budget, and leaves the pass — its dense numbering with it — as the run.
 func (sc *decodeScratch) buildFrameRun() {
 	framesBuilt.Add(1)
-	if sc.rule >= admitFused {
-		sc.frameOmpbW = sc.ompbRows(sc.frameOmpbW, sc.frameOwners)
-	}
-	sc.scanOwners(sc.frameOwners, sc.frameOmpbW, math.MaxInt, &sc.frameTally)
-	sc.sortCandsByKey()
-	sc.mergeCands(nil)
-	sc.run, sc.sketch = sc.sketch, sc.run
-	sc.sketch.reset()
-	sc.cand = sc.cand[:0]
+	sc.scanPass.reset(sc.numLevels)
+	sc.emitPatches()
+	sc.scanOwners(sc.frameOwners, math.MaxInt)
+	sc.run, sc.scanPass = sc.scanPass, sc.run
 	sc.runBuilt = true
+}
+
+// emitPatches starts the pass with the admitted patch edges: one unit
+// edge of the lowest level each, free of budget (see patched.go).
+func (sc *decodeScratch) emitPatches() {
+	for _, key := range sc.patchKeys {
+		sc.cands = append(sc.cands, sc.cand(int32(key>>32), int32(key), 1))
+	}
+	sc.levels = append(sc.levels, levelRun{end: len(sc.cands), lv: int32(sc.lowest)})
 }
 
 // scanCost is what scanOwners charges a Budget for owner o when nothing
@@ -656,18 +659,18 @@ func (sc *decodeScratch) buildBallMasks() {
 	sc.buildCombinedBalls(sc.numLevels, sc.lowest, sc.maskWords)
 }
 
-// ompbRows fills rows — for every (owner, level), the bitmask over
+// ompbRows fills ompbW — for every (owner, level), the bitmask over
 // centers of mayBeInPB certificates: the triangle-inequality test
 // deciding whether the owner vertex itself could sit inside a protected
 // ball. An owner-ball edge to point i then dies iff mask(i) AND
 // row(owner,level) has any bit set.
-func (sc *decodeScratch) ompbRows(rows []uint64, owners []*Label) []uint64 {
+func (sc *decodeScratch) ompbRows(owners []*Label) {
 	numLevels, W := sc.numLevels, sc.maskWords
 	n := len(owners) * numLevels * W
-	if cap(rows) < n {
-		rows = make([]uint64, n)
+	if cap(sc.ompbW) < n {
+		sc.ompbW = make([]uint64, n)
 	}
-	rows = rows[:n]
+	rows := sc.ompbW[:n]
 	clear(rows)
 	for oi, o := range owners {
 		base := oi * numLevels * W
@@ -680,53 +683,46 @@ func (sc *decodeScratch) ompbRows(rows []uint64, owners []*Label) []uint64 {
 			}
 		}
 	}
-	return rows
 }
 
 // scanOwners walks the given owners' levels in order, appending each
-// admissible stored edge to sc.cand, and reports whether the budget —
-// room candidates — cut the walk short. ompb holds the owners' ompbW
-// rows; tally is reset and takes the counts.
+// admissible stored edge to the pass's candidates under dense endpoint
+// ids, and reports whether the budget — room candidates — cut the walk
+// short.
 //
 // Budget and trace are accounted around the edge loops, not inside them:
 // an owner level may scan as many candidates as the budget has room
 // left, so its edge list is truncated to that bound up front (exhausted
 // iff something was cut off), and the tallies are differences — admitted
-// is the growth of sc.cand across the level, rejected the rest of what
-// was scanned. A budgeted or traced decode therefore runs the same loops
-// as the serving path.
+// is the growth of the candidate list across the level, rejected the
+// rest of what was scanned. A budgeted or traced decode therefore runs
+// the same loops as the serving path.
 //
 // Admission of a stored edge {x,y} at level ℓ reads (ℓ, x, y, F) and
-// nothing of the owner, so an edge list that was already walked in this
-// pass — the same array, cut to the same length, over the same net
-// points — can only re-emit (key, w, lv)-identical candidates that the
-// stable sort and strict minimum of mergeCands drop again. Such a list
-// is charged and tallied as if scanned (seenBefore) and not walked; the
-// sketch, the path, exhausted and the trace come out bit for bit the
-// same. (Not so across passes: a list the frame's run has walked still
-// has to be walked for s, whose candidates precede t's in the tie-break
-// and the run's do not.)
-func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, tally *scanTally) (exhausted bool) {
+// nothing of the owner, so an edge list that was already walked — in
+// this pass or in the run the decode solves beside; the same array, cut
+// to the same length, over the same net points — can only re-emit
+// candidates H already has. Such a list is charged and tallied as if
+// scanned (seenBefore) and not walked; the sketch, the walk, exhausted
+// and the trace come out the same.
+func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) {
 	lowest, numLevels, rule, W := sc.lowest, sc.numLevels, sc.rule, sc.maskWords
-	tally.reset(numLevels)
-	for len(sc.scanned) < numLevels {
-		sc.scanned = append(sc.scanned, nil)
+	if rule >= admitFused {
+		sc.ompbRows(owners)
 	}
-	for k := range sc.scanned {
-		sc.scanned[k] = sc.scanned[k][:0]
-	}
+	tally := &sc.tally
+	cands := sc.cands
 	for oi, o := range owners {
 		oForbidden := containsSorted(sc.fvList, o.V)
 		for k := 0; k < numLevels; k++ {
 			lv := &o.Levels[k]
 			pts := lv.Points
-			lvl32 := int32(lowest + k)
 			forb := sc.fillForb(pts)
 			var msk []uint64
 			if rule >= admitFused {
 				msk = sc.fillMasks(pts, k, W)
 			}
-			before := len(sc.cand)
+			before := len(cands)
 			edges := lv.Edges
 			if len(edges) > room {
 				edges, exhausted = edges[:room], true
@@ -752,8 +748,8 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 					if forb[e.XI] || forb[e.YI] {
 						continue
 					}
-					key := uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X))
 					if len(fe) > 0 {
+						key := uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X))
 						hit := false
 						if key >= prevKey {
 							for fj < len(fe) && fe[fj] < key {
@@ -768,7 +764,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 							continue
 						}
 					}
-					sc.cand = append(sc.cand, sketchCand{key: key, w: e.D, lv: lvl32})
+					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
 				}
 			case rule == admitNone:
 				// Nothing survives; the edges were only counted.
@@ -777,7 +773,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 					if forb[e.XI] || forb[e.YI] {
 						continue
 					}
-					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
+					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
 				}
 			case rule == admitFused:
 				// The edge list is sorted by (XI,YI), so consecutive edges
@@ -788,13 +784,12 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 				for a := 0; a < len(edges); {
 					xi := edges[a].XI
 					lx := sc.maskL[xi]
-					hi := uint64(uint32(pts[xi].X)) << 32
 					for ; a < len(edges) && edges[a].XI == xi; a++ {
 						yi := edges[a].YI
 						if lx&mR[yi] != 0 {
 							continue
 						}
-						sc.cand = append(sc.cand, sketchCand{key: hi | uint64(uint32(pts[yi].X)), w: edges[a].D, lv: lvl32})
+						cands = append(cands, sc.cand(pts[xi].X, pts[yi].X, edges[a].D))
 					}
 				}
 			case rule == admitWord:
@@ -804,18 +799,18 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 					if forb[e.XI] || forb[e.YI] || msk[e.XI]&msk[e.YI] != 0 {
 						continue
 					}
-					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
+					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
 				}
 			default:
 				for _, e := range edges {
 					if forb[e.XI] || forb[e.YI] || wordsMeet(msk[int(e.XI)*W:][:W], msk[int(e.YI)*W:][:W]) {
 						continue
 					}
-					sc.cand = append(sc.cand, sketchCand{key: uint64(uint32(pts[e.XI].X))<<32 | uint64(uint32(pts[e.YI].X)), w: e.D, lv: lvl32})
+					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
 				}
 			}
 			if first == nil && len(edges) > 0 {
-				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, admitted: len(sc.cand) - before})
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, admitted: len(cands) - before})
 			}
 
 			// Edges from the labeled vertex itself to nearby points
@@ -827,7 +822,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 			if !oForbidden {
 				var row []uint64
 				if rule >= admitFused {
-					row = ompb[(oi*numLevels+k)*W:][:W]
+					row = sc.ompbW[(oi*numLevels+k)*W:][:W]
 				}
 				lambda := lambdaOf(lowest + k)
 				left, n := room-scanned, 0
@@ -854,18 +849,43 @@ func (sc *decodeScratch) scanOwners(owners []*Label, ompb []uint64, room int, ta
 							continue
 						}
 					}
-					sc.cand = append(sc.cand, sketchCand{key: unorderedKey(o.V, pe.X), w: pe.D, lv: lvl32})
+					cands = append(cands, sc.cand(o.V, pe.X, pe.D))
 				}
 				scanned += n
 			}
 
 			room -= scanned
-			admitted := len(sc.cand) - before + reused
+			if len(cands) > before {
+				sc.levels = append(sc.levels, levelRun{end: len(cands), lv: int32(lowest + k)})
+			}
+			admitted := len(cands) - before + reused
 			tally.admitted[k] += admitted
 			tally.rejected[k] += scanned - admitted
 		}
 	}
+	sc.cands = cands
 	return exhausted
+}
+
+// cand is the candidate edge {x, y} of weight w as the solver takes it.
+func (sc *decodeScratch) cand(x, y, w int32) graph.DenseEdge {
+	return graph.DenseEdge{U: sc.vertexID(x), V: sc.vertexID(y), W: w}
+}
+
+// vertexID returns the dense id of vertex v in the decode's sketch: the
+// one the run it solves beside gave it, else the one this pass did or now
+// does.
+func (sc *decodeScratch) vertexID(v int32) int32 {
+	if sc.beside != nil {
+		if id, ok := sc.beside.idOf.lookup(v); ok {
+			return id
+		}
+	}
+	id, ok := sc.idOf.getOrPut(v, int32(len(sc.ids)))
+	if !ok {
+		sc.ids = append(sc.ids, v)
+	}
+	return id
 }
 
 // scannedList is an owner level's edge list as scanOwners walked it —
@@ -879,27 +899,32 @@ type scannedList struct {
 }
 
 // seenBefore returns the earlier scan at level index k of this same edge
-// list: the same backing array and length, over points with the same
-// ids. Identity, not equality — comparing contents would touch the very
-// memory the skip exists to leave alone — but the ids are compared one
-// by one, because two hand-built labels may alias one Edges array over
-// different points.
+// list, by this pass or by the run beside it: the same backing array and
+// length, over points with the same ids. Identity, not equality —
+// comparing contents would touch the very memory the skip exists to leave
+// alone — but the ids are compared one by one, because two hand-built
+// labels may alias one Edges array over different points.
 func (sc *decodeScratch) seenBefore(k int, pts []PointEntry, edges []EdgeEntry) *scannedList {
 	if len(edges) == 0 {
 		return nil
 	}
-next:
-	for i := range sc.scanned[k] {
-		s := &sc.scanned[k][i]
-		if &s.edges[0] != &edges[0] || len(s.edges) != len(edges) || len(s.pts) != len(pts) {
-			continue
+	for _, p := range [2]*scanPass{&sc.scanPass, sc.beside} {
+		if p == nil {
+			break
 		}
-		for j := range pts {
-			if pts[j].X != s.pts[j].X {
-				continue next
+	next:
+		for i := range p.scanned[k] {
+			s := &p.scanned[k][i]
+			if &s.edges[0] != &edges[0] || len(s.edges) != len(edges) || len(s.pts) != len(pts) {
+				continue
 			}
+			for j := range pts {
+				if pts[j].X != s.pts[j].X {
+					continue next
+				}
+			}
+			return s
 		}
-		return s
 	}
 	return nil
 }
@@ -915,93 +940,49 @@ func wordsMeet(a, b []uint64) bool {
 	return false
 }
 
-// mergeCands reduces the key-sorted candidate list and the frame's run —
-// nil in an unframed decode and while the run itself is being built — to
-// the lightest parallel edge per unordered pair, filling the decode's
-// sketch. The radix sort is stable, so within one key the candidates keep
-// admission order and the strict-min scan reproduces the historical
-// first-insertion-wins tie-break; the run's owners come after s and t in
-// that order, so its edge replaces a candidate of the same pair only when
-// strictly lighter. Emission is in ascending key order (deterministic
-// Dijkstra tie-breaking and routes). Vertices the run names keep its
-// ids; the others get the next free one, looked up once per run of
-// candidates sharing their lower endpoint.
-func (sc *decodeScratch) mergeCands(run *sketch) {
-	var runEdges []SketchEdge
-	var runIDs [][2]int32
-	if run != nil {
-		runEdges, runIDs = run.edges, run.eids
-	}
-	cand := sc.cand
-	lastX, lastXID := int32(-1), int32(0)
-	j := 0
-	for i := 0; i < len(cand); {
-		key := cand[i].key
-		// The run's edges below this key pass through.
-		if j < len(runEdges) && edgeKey(&runEdges[j]) < key {
-			j0 := j
-			for j++; j < len(runEdges) && edgeKey(&runEdges[j]) < key; j++ {
-			}
-			sc.edges = append(sc.edges, runEdges[j0:j]...)
-			sc.eids = append(sc.eids, runIDs[j0:j]...)
-		}
-		bw, blv := cand[i].w, cand[i].lv
-		for i++; i < len(cand) && cand[i].key == key; i++ {
-			if cand[i].w < bw {
-				bw, blv = cand[i].w, cand[i].lv
-			}
-		}
-		if j < len(runEdges) && edgeKey(&runEdges[j]) == key {
-			e := runEdges[j]
-			if int64(bw) <= e.W {
-				e.W, e.Level = int64(bw), int(blv)
-			}
-			sc.edges = append(sc.edges, e)
-			sc.eids = append(sc.eids, runIDs[j])
-			j++
+// sketchEdges derives H from the candidates of the last decode — the run
+// it solved beside and its own pass: sorted by vertex pair and reduced to
+// one edge per pair, at the lightest weight and the lowest level any
+// candidate for the pair was admitted with. Only a trace, Query.Sketch
+// and tests ask; the result is scratch-owned and valid until the next
+// call or decode.
+func (sc *decodeScratch) sketchEdges() []SketchEdge {
+	sc.byKey = sc.byKey[:0]
+	for _, p := range []*scanPass{sc.beside, &sc.scanPass} {
+		if p == nil {
 			continue
 		}
-		x, y := int32(key>>32), int32(key&0xffffffff)
-		if x != lastX {
-			lastX, lastXID = x, sc.denseID(run, x)
-		}
-		yid := sc.denseID(run, y)
-		sc.edges = append(sc.edges, SketchEdge{X: x, Y: y, W: int64(bw), Level: int(blv)})
-		sc.eids = append(sc.eids, [2]int32{lastXID, yid})
-	}
-	sc.edges = append(sc.edges, runEdges[j:]...)
-	sc.eids = append(sc.eids, runIDs[j:]...)
-}
-
-func edgeKey(e *SketchEdge) uint64 { return uint64(uint32(e.X))<<32 | uint64(uint32(e.Y)) }
-
-// denseID returns the dense id of vertex v in the decode's sketch: the
-// one the run gave it (nil: there is no run), else the one this decode
-// did or now does.
-func (sc *decodeScratch) denseID(run *sketch, v int32) int32 {
-	if run != nil {
-		if id, ok := run.idOf.lookup(v); ok {
-			return id
+		i := 0
+		for _, run := range p.levels {
+			for ; i < run.end; i++ {
+				c := p.cands[i]
+				sc.byKey = append(sc.byKey, sketchCand{key: unorderedKey(sc.ids[c.U], sc.ids[c.V]), w: c.W, lv: run.lv})
+			}
 		}
 	}
-	id, ok := sc.idOf.getOrPut(v, int32(len(sc.ids)))
-	if !ok {
-		sc.ids = append(sc.ids, v)
+	sc.sortCandsByKey()
+	sc.edges = sc.edges[:0]
+	for i := 0; i < len(sc.byKey); {
+		best := sc.byKey[i]
+		for i++; i < len(sc.byKey) && sc.byKey[i].key == best.key; i++ {
+			best.w, best.lv = min(best.w, sc.byKey[i].w), min(best.lv, sc.byKey[i].lv)
+		}
+		sc.edges = append(sc.edges, SketchEdge{X: int32(best.key >> 32), Y: int32(best.key), W: int64(best.w), Level: int(best.lv)})
 	}
-	return id
+	return sc.edges
 }
 
-// solve loads the sketch into the CSR solver, runs Dijkstra and, when
+// solve hands the candidates to the solver, runs Dijkstra and, when
 // asked, completes the trace. It returns -1 when t is unreachable.
 func (sc *decodeScratch) solve(tr *Trace) int64 {
-	sc.solver.Reset(len(sc.ids))
-	for i := range sc.edges {
-		sc.solver.AddEdge(int(sc.eids[i][0]), int(sc.eids[i][1]), sc.edges[i].W)
+	var run []graph.DenseEdge
+	if sc.beside != nil {
+		run = sc.beside.cands
 	}
-	dist := sc.solver.ShortestPath(sc.src, sc.dst)
+	dist := sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands)
 	if tr != nil {
 		tr.NumHVertices = len(sc.ids)
-		tr.NumHEdges = len(sc.edges)
+		tr.NumHEdges = len(sc.sketchEdges())
 		tr.Path = nil
 		tr.PathWeights = nil
 		if dist != graph.WeightedInfinity {

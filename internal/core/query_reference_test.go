@@ -1,24 +1,29 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
 	"fsdl/internal/graph"
 )
 
-// referenceDecode is the pre-pooling decode, preserved verbatim (maps,
-// per-call allocations, container/heap Dijkstra via graph.Weighted). It
-// is the ground truth the scratch-based decode must match bit for bit:
-// same distances, same deterministic edge list, same traced paths.
-// Patches (none in the pre-pooling decoder, so the body below is verbatim
-// for every caller that passes none) join the way patched.go says: a free
-// unit edge each, their endpoint labels owners after s, t and F.
+// referenceDecode is the definition the decoder is held to, written for
+// reading and not for speed (maps, per-call allocations, the textbook
+// Dijkstra of graph.Weighted): referenceScan collects every admitted candidate edge, in the
+// documented scan order because that is the order a Budget is charged in
+// and nothing else, and the rest is a function of that *set*.
+//
+// H has one edge per unordered pair {x, y}: its weight is the lightest
+// admitted for the pair, its Level the lowest level admitting the pair.
+// δ is d_H(s, t), and the walk is the one on which every vertex's
+// predecessor is its tight predecessor — d(u) + w(u, v) = d(v) — of the
+// smallest vertex id. Nothing in it depends on which owner, or which of
+// two passes, produced an edge first.
 func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []SketchEdge, int, bool, error) {
 	if err := q.Validate(); err != nil {
 		return 0, nil, 0, false, err
@@ -26,6 +31,92 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 	if q.S.V == q.T.V {
 		return 0, nil, 1, false, nil
 	}
+	cands, exhausted := referenceScan(q, tr, patches)
+
+	best := map[uint64]SketchEdge{}
+	adj := map[int32][]int32{q.S.V: nil, q.T.V: nil}
+	for _, c := range cands {
+		e, ok := best[c.key]
+		if !ok {
+			e = SketchEdge{X: int32(c.key >> 32), Y: int32(c.key & 0xffffffff), W: c.w, Level: c.level}
+			adj[e.X] = append(adj[e.X], e.Y)
+			adj[e.Y] = append(adj[e.Y], e.X)
+		}
+		e.W, e.Level = min(e.W, c.w), min(e.Level, c.level)
+		best[c.key] = e
+	}
+	edges := make([]SketchEdge, 0, len(best))
+	for _, e := range best {
+		edges = append(edges, e)
+	}
+	slices.SortFunc(edges, func(a, b SketchEdge) int {
+		return cmp.Compare(unorderedKey(a.X, a.Y), unorderedKey(b.X, b.Y))
+	})
+
+	// Distances from s by the textbook Dijkstra of graph.Weighted, over
+	// the vertices in ascending id order.
+	verts := make([]int32, 0, len(adj))
+	for v := range adj {
+		verts = append(verts, v)
+	}
+	slices.Sort(verts)
+	idOf := map[int32]int{}
+	for i, v := range verts {
+		idOf[v] = i
+	}
+	h := graph.NewWeighted(len(verts))
+	for _, e := range edges {
+		h.AddEdge(idOf[e.X], idOf[e.Y], e.W)
+	}
+	dist := h.Dijkstra(idOf[q.S.V])
+	d := dist[idOf[q.T.V]]
+	if tr != nil {
+		tr.NumHVertices = len(verts)
+		tr.NumHEdges = len(edges)
+		tr.Path = nil
+		tr.PathWeights = nil
+		if d != graph.WeightedInfinity {
+			for v := q.T.V; ; {
+				tr.Path = append(tr.Path, v)
+				if v == q.S.V {
+					break
+				}
+				parent := int32(-1)
+				for _, u := range adj[v] {
+					du := dist[idOf[u]]
+					if du != graph.WeightedInfinity && du+best[unorderedKey(u, v)].W == dist[idOf[v]] && (parent < 0 || u < parent) {
+						parent = u
+					}
+				}
+				tr.PathWeights = append(tr.PathWeights, best[unorderedKey(parent, v)].W)
+				v = parent
+			}
+			slices.Reverse(tr.Path)
+			slices.Reverse(tr.PathWeights)
+		}
+	}
+	if d == graph.WeightedInfinity {
+		return -1, edges, len(verts), exhausted, nil
+	}
+	return d, edges, len(verts), exhausted, nil
+}
+
+// refCand is one admitted candidate edge of a reference scan: the
+// unordered pair, the stored weight, the level whose list it came from,
+// and whether it is a pending insert's unit edge.
+type refCand struct {
+	key   uint64
+	w     int64
+	level int
+	patch bool
+}
+
+// referenceScan is the admission half of referenceDecode: the patch
+// edges, free of budget, then the stored edges and owner-ball edges of s,
+// t, F and the patch endpoints in that order, every one examined charged
+// to q.Budget and tallied in tr — hash probes for every membership test,
+// as the paper states them. q is valid and s ≠ t.
+func referenceScan(q *Query, tr *Trace, patches []PatchEdge) (cands []refCand, exhausted bool) {
 	lowest := q.S.C + 1
 	numLevels := len(q.S.Levels)
 
@@ -69,7 +160,7 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 		forbiddenE[unorderedKey(ef[0], ef[1])] = true
 	}
 
-	examined, exhausted := 0, false
+	examined := 0
 	allow := func() bool {
 		if q.Budget > 0 && examined >= q.Budget {
 			exhausted = true
@@ -83,20 +174,11 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 		tr.AdmittedPerLevel = make([]int, numLevels)
 		tr.RejectedPerLevel = make([]int, numLevels)
 	}
-
-	type edgeInfo struct {
-		w     int64
-		level int
-	}
-	best := map[uint64]edgeInfo{}
-	admit := func(x, y int32, w int64, level int) {
+	admit := func(x, y int32, w int64, level int, patch bool) {
 		if x == y {
 			return
 		}
-		k := unorderedKey(x, y)
-		if cur, ok := best[k]; !ok || w < cur.w {
-			best[k] = edgeInfo{w: w, level: level}
-		}
+		cands = append(cands, refCand{key: unorderedKey(x, y), w: w, level: level, patch: patch})
 		if tr != nil {
 			tr.AdmittedPerLevel[level-lowest]++
 		}
@@ -111,7 +193,7 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 			forbiddenV[p.U.V] || forbiddenV[p.V.V] || forbiddenE[unorderedKey(p.U.V, p.V.V)] {
 			continue
 		}
-		admit(p.U.V, p.V.V, 1, lowest)
+		admit(p.U.V, p.V.V, 1, lowest, true)
 		addOwner(p.U)
 		addOwner(p.V)
 	}
@@ -188,7 +270,7 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 						reject(level)
 						continue
 					}
-					admit(x, y, int64(e.D), level)
+					admit(x, y, int64(e.D), level, false)
 				}
 			} else {
 				for _, e := range lv.Edges {
@@ -200,7 +282,7 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 						reject(level)
 						continue
 					}
-					admit(x, y, int64(e.D), level)
+					admit(x, y, int64(e.D), level, false)
 				}
 			}
 			if forbiddenV[o.V] {
@@ -226,63 +308,59 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 					reject(level)
 					continue
 				}
-				admit(o.V, pe.X, int64(pe.D), level)
+				admit(o.V, pe.X, int64(pe.D), level, false)
 			}
 		}
 	}
+	return cands, exhausted
+}
 
-	idOf := map[int32]int32{}
-	ids := []int32{}
-	ensure := func(v int32) int32 {
-		if id, ok := idOf[v]; ok {
-			return id
-		}
-		id := int32(len(ids))
-		idOf[v] = id
-		ids = append(ids, v)
-		return id
-	}
-	ensure(q.S.V)
-	ensure(q.T.V)
-	keys := make([]uint64, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	edges := make([]SketchEdge, 0, len(keys))
-	for _, k := range keys {
-		info := best[k]
-		x, y := int32(k>>32), int32(k&0xffffffff)
-		edges = append(edges, SketchEdge{X: x, Y: y, W: info.w, Level: info.level})
-		ensure(x)
-		ensure(y)
-	}
-	h := graph.NewWeighted(len(ids))
-	for _, e := range edges {
-		h.AddEdge(int(idOf[e.X]), int(idOf[e.Y]), e.W)
-	}
-	dist, path := h.ShortestPath(int(idOf[q.S.V]), int(idOf[q.T.V]))
-	if tr != nil {
-		tr.NumHVertices = len(ids)
-		tr.NumHEdges = len(edges)
-		tr.Path = nil
-		tr.PathWeights = nil
-		if dist != graph.WeightedInfinity {
-			var prev int32 = -1
-			for _, hv := range path {
-				gv := ids[hv]
-				tr.Path = append(tr.Path, gv)
-				if prev >= 0 {
-					tr.PathWeights = append(tr.PathWeights, best[unorderedKey(prev, gv)].w)
-				}
-				prev = gv
+// TestParallelCandidatesAgree is the premise the canonical sketch rests
+// on: every stored edge {x, y} carries the exact d_G(x, y) whatever level
+// or owner it came from, so over the whole differential corpus any two
+// admitted candidates for one pair weigh the same — unless the lighter is
+// a pending insert's unit edge, the one thing that shortens d_G. Were it
+// otherwise, "the lightest admitted" would depend on which owners a
+// budget reached, and a multigraph solve would still be right but the
+// sketch reported by Query.Sketch would not be the set H of the paper.
+func TestParallelCandidatesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	for _, cg := range corpusGraphs(t) {
+		cases, candidates, pairs, patched := 0, 0, 0, 0
+		for i, c := range decodeCorpus(t, cg, rng) {
+			if c.q.Validate() != nil {
+				continue // a label the robust entry demotes: the strict decode refuses it
 			}
+			if raceEnabled && i%4 != 0 {
+				continue // one goroutine: nothing for the detector to find, 10× the time
+			}
+			cands, _ := referenceScan(c.q, nil, c.patches)
+			stored := map[uint64]refCand{}
+			seen := map[uint64]bool{}
+			for _, cand := range cands {
+				seen[cand.key] = true
+				if cand.patch {
+					if cand.w != 1 {
+						t.Fatalf("%s: patch candidate %+v is not a unit edge", c.name, cand)
+					}
+					patched++
+					continue
+				}
+				if first, ok := stored[cand.key]; ok && first.w != cand.w {
+					t.Fatalf("%s: {%d,%d} admitted with weight %d at level %d and %d at level %d",
+						c.name, cand.key>>32, cand.key&0xffffffff, first.w, first.level, cand.w, cand.level)
+				}
+				stored[cand.key] = cand
+			}
+			cases++
+			candidates += len(cands)
+			pairs += len(seen)
 		}
+		if patched == 0 {
+			t.Errorf("%s: no pending insert among the candidates", cg.name)
+		}
+		t.Logf("%s: %d decodes, %d candidates for %d edges of H (%.2f per edge)", cg.name, cases, candidates, pairs, float64(candidates)/float64(pairs))
 	}
-	if dist == graph.WeightedInfinity {
-		return -1, edges, len(ids), exhausted, nil
-	}
-	return dist, edges, len(ids), exhausted, nil
 }
 
 // referenceCase is one corpus entry: a query built on a scheme with some
@@ -536,10 +614,10 @@ func aliasedEdgesQuery(s *Scheme, n int) *Query {
 	return nil
 }
 
-// TestDecodeMatchesReference verifies the scratch-based decode is
-// bit-identical to the pre-pooling implementation across the corpus:
-// same distance, same deterministic sketch edges, same trace (counts,
-// path, path weights).
+// TestDecodeMatchesReference holds the scratch-based decode to the
+// definition across the corpus: same distance, same sketch — ascending
+// key, lightest weight, lowest level — same trace (counts, walk, walk
+// weights).
 func TestDecodeMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	graphs := map[string]*graph.Graph{
@@ -561,7 +639,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 			gotTr := &Trace{}
 			sc := getScratch()
 			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr)
-			gotEdges := append([]SketchEdge{}, sc.edges...)
+			gotEdges := slices.Clone(sc.sketchEdges())
 			gotCenters := len(sc.centers)
 			putScratch(sc)
 			// The one trace field the reference does not have: nothing to
@@ -618,8 +696,9 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSketchMatchesReference pins Sketch()'s nil-vs-copy semantics
-// against the reference edge list.
+// TestSketchMatchesReference pins Sketch() to the canonical H of the
+// reference — ascending key, lightest weight, lowest level — and its
+// nil-vs-copy semantics.
 func TestSketchMatchesReference(t *testing.T) {
 	g := gridGraph(t, 5, 5)
 	s, err := BuildScheme(g, 2)

@@ -1,146 +1,145 @@
 package graph
 
+import "math"
+
+// DenseEdge is one undirected edge of a query-time sketch graph as the
+// solver takes it: dense endpoint ids and a nonnegative weight (labels
+// store distances as int32, so that is what an edge weighs).
+type DenseEdge struct {
+	U, V int32
+	W    int32
+}
+
 // SketchSolver is reusable scratch for the query-time sketch graphs
-// H(s,t,F): a CSR-packed weighted multigraph plus the Dijkstra state
-// (distance, parent and heap arrays) needed to solve it. A decode builds
-// thousands of tiny sketch graphs over a query stream; constructing a
-// fresh Weighted plus fresh Dijkstra arrays for each one dominates the
-// decode's allocation profile, so the solver keeps every array and is
-// Reset between uses, growing to the largest sketch it has seen.
+// H(s,t,F): the CSR arcs of one weighted multigraph plus the Dijkstra
+// state (distance, parent and heap arrays) needed to solve it. A decode
+// builds thousands of tiny sketch graphs over a query stream, so the
+// solver keeps every array between uses, growing to the largest sketch it
+// has seen.
 //
-// Edges are staged by AddEdge and packed into CSR form (off/to/wt) by
-// the first ShortestPath after a Reset. The packing fills each vertex's
-// arc range in reverse insertion order, which makes the relaxation
-// sequence identical to the head/next prepend-list layout this solver
-// (and Weighted.ShortestPath) used before — so equal-weight
-// tie-breaking, parents, and hence traced paths are bit-identical to
-// the historical behavior. A SketchSolver is not safe for concurrent
+// H is a set of edges and the solver takes it as it was scanned: edge
+// lists in any order, parallel edges and all — a lighter parallel simply
+// wins the relaxation. What it reports is a function of the set alone:
+// the distance, and the walk on which every vertex's predecessor is, of
+// its tight predecessors (d(u) + w(u,v) = d(v)), the one with the
+// smallest name in the ids the caller passes. Every weight of a sketch is
+// positive, so a tight predecessor of a vertex at distance ≤ d(dst) is
+// settled — and has relaxed all its arcs — before dst is, whatever order
+// the queue breaks its ties in; neither the order of the lists nor of
+// the edges in them can show. A SketchSolver is not safe for concurrent
 // use.
 type SketchSolver struct {
-	// staged undirected edges, packed on demand.
-	eu, ev []int32
-	ew     []int64
-	// CSR arcs: the arcs of vertex v are off[v]..off[v+1].
-	off []int32
-	to  []int32
-	wt  []int64
+	// CSR arcs: the arcs of vertex v are arcs[off[v]:off[v+1]].
+	off  []int32
+	arcs []sketchArc
 	// Dijkstra state.
 	dist   []int64
 	parent []int32
 	pq     []distEntry
-	n      int
-	packed bool
 }
 
-// Reset prepares the solver for a sketch graph on n vertices, dropping
-// all previously added edges but keeping every backing array.
-func (s *SketchSolver) Reset(n int) {
-	s.n = n
+type sketchArc struct{ to, w int32 }
+
+// unreached is the solver's own mark of a vertex no relaxation has got
+// to: above every distance, so the relaxation is one comparison.
+const unreached = math.MaxInt64
+
+// pack builds the CSR arcs of the multigraph on n vertices whose edges
+// are the concatenation of lists: one counting pass, a prefix sum, then
+// the fill.
+func (s *SketchSolver) pack(n int, lists [][]DenseEdge) {
+	nArcs := 0
+	for _, edges := range lists {
+		nArcs += 2 * len(edges)
+	}
+	if cap(s.off) < n+1 {
+		s.off = make([]int32, n+1)
+	}
+	off := s.off[:n+1]
+	clear(off)
+	if cap(s.arcs) < nArcs {
+		s.arcs = make([]sketchArc, nArcs)
+	}
+	arcs := s.arcs[:nArcs]
+	for _, edges := range lists {
+		for _, e := range edges {
+			if uint32(e.U) >= uint32(n) || uint32(e.V) >= uint32(n) {
+				panic("graph: sketch edge endpoint out of range")
+			}
+			if e.W < 0 {
+				panic("graph: negative edge weight")
+			}
+			off[e.U]++
+			off[e.V]++
+		}
+	}
+	// off[v] holds v's degree: turn it into the end of v's range, which
+	// the fill walks down to its start.
+	var sum int32
+	for v := 0; v < n; v++ {
+		sum += off[v]
+		off[v] = sum
+	}
+	off[n] = sum
+	for _, edges := range lists {
+		for _, e := range edges {
+			off[e.U]--
+			arcs[off[e.U]] = sketchArc{to: e.V, w: e.W}
+			off[e.V]--
+			arcs[off[e.V]] = sketchArc{to: e.U, w: e.W}
+		}
+	}
+}
+
+// ShortestPath returns d(src,dst) in the multigraph on the vertices
+// 0..len(ids)-1 whose edges are the given lists together, or
+// WeightedInfinity when dst is unreachable. ids[v] is the name that
+// breaks ties between predecessors (see the type comment); names are
+// distinct. The search terminates once dst is settled; the parent tree of
+// the settled region remains available to PathTo until the next call.
+func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, lists ...[]DenseEdge) int64 {
+	n := len(ids)
+	s.pack(n, lists)
 	if cap(s.dist) < n {
 		s.dist = make([]int64, n)
 		s.parent = make([]int32, n)
 	}
-	s.dist = s.dist[:n]
-	s.parent = s.parent[:n]
-	s.eu = s.eu[:0]
-	s.ev = s.ev[:0]
-	s.ew = s.ew[:0]
+	dist, parent := s.dist[:n], s.parent[:n]
+	for i := range dist {
+		dist[i] = unreached
+		parent[i] = -1
+	}
+	off, arcs := s.off, s.arcs
 	s.pq = s.pq[:0]
-	s.packed = false
-}
-
-// AddEdge stages the undirected edge (u,v) with the given nonnegative
-// weight. Same contract as Weighted.AddEdge.
-func (s *SketchSolver) AddEdge(u, v int, weight int64) {
-	if weight < 0 {
-		panic("graph: negative edge weight")
-	}
-	if u < 0 || u >= s.n || v < 0 || v >= s.n {
-		panic("graph: weighted edge endpoint out of range")
-	}
-	s.eu = append(s.eu, int32(u))
-	s.ev = append(s.ev, int32(v))
-	s.ew = append(s.ew, weight)
-	s.packed = false
-}
-
-// pack builds the CSR arc arrays from the staged edge list: one counting
-// pass, a prefix sum, then a reverse-order fill so that each vertex's
-// arc range reads back in reverse insertion order (see the type
-// comment).
-func (s *SketchSolver) pack() {
-	nArcs := 2 * len(s.eu)
-	if cap(s.off) < s.n+1 {
-		s.off = make([]int32, s.n+1)
-	}
-	s.off = s.off[:s.n+1]
-	clear(s.off)
-	if cap(s.to) < nArcs {
-		s.to = make([]int32, nArcs)
-		s.wt = make([]int64, nArcs)
-	}
-	s.to = s.to[:nArcs]
-	s.wt = s.wt[:nArcs]
-	for i := range s.eu {
-		s.off[s.eu[i]+1]++
-		s.off[s.ev[i]+1]++
-	}
-	for v := 0; v < s.n; v++ {
-		s.off[v+1] += s.off[v]
-	}
-	// cur[v] tracks the next free slot of v's range; reuse the dist array?
-	// No — dist is int64 and live across calls. Reuse parent as the fill
-	// cursor instead: ShortestPath reinitializes it afterwards anyway.
-	cur := s.parent
-	for v := 0; v < s.n; v++ {
-		cur[v] = s.off[v]
-	}
-	for i := len(s.eu) - 1; i >= 0; i-- {
-		u, v, w := s.eu[i], s.ev[i], s.ew[i]
-		s.to[cur[u]] = v
-		s.wt[cur[u]] = w
-		cur[u]++
-		s.to[cur[v]] = u
-		s.wt[cur[v]] = w
-		cur[v]++
-	}
-	s.packed = true
-}
-
-// ShortestPath returns d(src,dst), or WeightedInfinity when dst is
-// unreachable. The search settles vertices exactly as
-// Weighted.ShortestPath does and terminates once dst is settled; the
-// parent tree of the settled region remains available to PathTo until
-// the next Reset or ShortestPath call.
-func (s *SketchSolver) ShortestPath(src, dst int) int64 {
-	if !s.packed {
-		s.pack()
-	}
-	for i := range s.dist {
-		s.dist[i] = WeightedInfinity
-		s.parent[i] = -1
-	}
-	s.pq = s.pq[:0]
-	s.dist[src] = 0
+	dist[src] = 0
 	s.push(distEntry{v: int32(src), d: 0})
 	for len(s.pq) > 0 {
 		e := s.pop()
-		if e.d != s.dist[e.v] {
+		if e.d != dist[e.v] {
 			continue // stale entry
 		}
 		if int(e.v) == dst {
-			return s.dist[dst]
+			break
 		}
-		for arc := s.off[e.v]; arc < s.off[e.v+1]; arc++ {
-			t, nd := s.to[arc], e.d+s.wt[arc]
-			if s.dist[t] == WeightedInfinity || nd < s.dist[t] {
-				s.dist[t] = nd
-				s.parent[t] = e.v
+		for _, a := range arcs[off[e.v]:off[e.v+1]] {
+			t, nd := a.to, e.d+int64(a.w)
+			switch {
+			case nd < dist[t]:
+				dist[t] = nd
+				parent[t] = e.v
 				s.push(distEntry{v: t, d: nd})
+			case nd == dist[t] && e.d < nd && ids[e.v] < ids[parent[t]]:
+				// As short a way to t through a predecessor of smaller
+				// name. (Over a weightless edge the first to get there
+				// stays: t may be settled already, and on e.v's own path.)
+				parent[t] = e.v
 			}
 		}
 	}
-	return s.dist[dst]
+	if dist[dst] == unreached {
+		return WeightedInfinity
+	}
+	return dist[dst]
 }
 
 // PathTo appends the shortest path src..dst found by the last
@@ -158,9 +157,8 @@ func (s *SketchSolver) PathTo(src, dst int, out []int32) []int32 {
 	return out
 }
 
-// push and pop replicate container/heap's up/down on a min-heap ordered
-// by distance, so the pop order — and therefore every tie-break — is
-// identical to the heap the unpooled Dijkstra uses.
+// push and pop are container/heap's up and down on a min-heap ordered by
+// distance.
 func (s *SketchSolver) push(e distEntry) {
 	s.pq = append(s.pq, e)
 	j := len(s.pq) - 1

@@ -2,98 +2,199 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// TestSketchSolverMatchesWeighted checks the reusable solver against
-// Weighted.ShortestPath on random multigraphs: identical distances AND
-// identical paths — the solver's heap must replicate container/heap's
-// tie-breaking exactly, or traced routes drift between the pooled and
-// unpooled decode paths.
+// canonicalWalk is what SketchSolver promises, computed the slow way: the
+// distances of the multigraph on n vertices (Bellman-Ford over the edge
+// list), and from dst back to src the tight predecessor of the smallest
+// name at every step. ok is false when dst is unreachable.
+func canonicalWalk(ids []int32, edges []DenseEdge, src, dst int) (dist int64, walk []int32, ok bool) {
+	n := len(ids)
+	d := make([]int64, n)
+	for v := range d {
+		d[v] = WeightedInfinity
+	}
+	d[src] = 0
+	for changed := true; changed; {
+		changed = false
+		for _, e := range edges {
+			for _, a := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
+				if d[a[0]] != WeightedInfinity && (d[a[1]] == WeightedInfinity || d[a[0]]+int64(e.W) < d[a[1]]) {
+					d[a[1]] = d[a[0]] + int64(e.W)
+					changed = true
+				}
+			}
+		}
+	}
+	if d[dst] == WeightedInfinity {
+		return 0, nil, false
+	}
+	for v := int32(dst); ; {
+		walk = append(walk, v)
+		if int(v) == src {
+			break
+		}
+		parent := int32(-1)
+		for _, e := range edges {
+			for _, a := range [2][2]int32{{e.U, e.V}, {e.V, e.U}} {
+				if a[1] == v && d[a[0]] != WeightedInfinity && d[a[0]]+int64(e.W) == d[v] && (parent < 0 || ids[a[0]] < ids[parent]) {
+					parent = a[0]
+				}
+			}
+		}
+		v = parent
+	}
+	slices.Reverse(walk)
+	return d[dst], walk, true
+}
+
+// weightedOf is the multigraph as a Weighted.
+func weightedOf(n int, edges []DenseEdge) *Weighted {
+	w := NewWeighted(n)
+	for _, e := range edges {
+		w.AddEdge(int(e.U), int(e.V), int64(e.W))
+	}
+	return w
+}
+
+// randomNames returns n distinct names in random order: the solver breaks
+// ties by name, not by dense id.
+func randomNames(rng *rand.Rand, n int) []int32 {
+	ids := make([]int32, n)
+	for i, p := range rng.Perm(n) {
+		ids[i] = int32(3*p + 7)
+	}
+	return ids
+}
+
+// TestSketchSolverMatchesWeighted checks the reusable solver on random
+// multigraphs — duplicate pairs on purpose, and weights from a range small
+// enough to force ties: the distance is Weighted.ShortestPath's, and the
+// walk is the one the definition names, whatever order the edges come in,
+// as one list or split in two.
 func TestSketchSolverMatchesWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var s SketchSolver
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.Intn(20)
-		m := rng.Intn(3 * n)
-		type edge struct {
-			u, v int
-			w    int64
+		var edges []DenseEdge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, DenseEdge{int32(u), int32(v), int32(1 + rng.Intn(3))})
+			}
 		}
-		edges := make([]edge, 0, m)
-		for i := 0; i < m; i++ {
-			// Duplicate pairs on purpose: H is a multigraph, and small
-			// weight ranges force ties that expose heap-order divergence.
-			edges = append(edges, edge{rng.Intn(n), rng.Intn(n), int64(rng.Intn(4))})
+		ids := randomNames(rng, n)
+		src, dst := rng.Intn(n), rng.Intn(n)
+		wantD, wantWalk, ok := canonicalWalk(ids, edges, src, dst)
+		if d, _ := weightedOf(n, edges).ShortestPath(src, dst); ok && d != wantD || !ok && d != WeightedInfinity {
+			t.Fatalf("trial %d: the definition says dist(%d,%d) = %d (reachable: %v), Weighted %d", trial, src, dst, wantD, ok, d)
 		}
-		w := NewWeighted(n)
-		s.Reset(n)
-		for _, e := range edges {
-			if e.u == e.v {
+		for order := 0; order < 20; order++ {
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			cut := rng.Intn(len(edges) + 1)
+			gotD := s.ShortestPath(ids, src, dst, edges[:cut], edges[cut:])
+			if !ok {
+				if gotD != WeightedInfinity {
+					t.Fatalf("trial %d: dist(%d,%d) = %d, want unreachable", trial, src, dst, gotD)
+				}
 				continue
 			}
-			w.AddEdge(e.u, e.v, e.w)
-			s.AddEdge(e.u, e.v, e.w)
-		}
-		src, dst := rng.Intn(n), rng.Intn(n)
-		wantD, wantPath := w.ShortestPath(src, dst)
-		gotD := s.ShortestPath(src, dst)
-		if gotD != wantD {
-			t.Fatalf("trial %d: dist(%d,%d) = %d, Weighted says %d", trial, src, dst, gotD, wantD)
-		}
-		if wantD == WeightedInfinity {
-			continue
-		}
-		gotPath := s.PathTo(src, dst, nil)
-		if len(gotPath) != len(wantPath) {
-			t.Fatalf("trial %d: path length %d vs %d", trial, len(gotPath), len(wantPath))
-		}
-		for i := range gotPath {
-			if int(gotPath[i]) != wantPath[i] {
-				t.Fatalf("trial %d: path[%d] = %d, Weighted says %d (tie-break divergence)",
-					trial, i, gotPath[i], wantPath[i])
+			if gotD != wantD {
+				t.Fatalf("trial %d order %d: dist(%d,%d) = %d, want %d", trial, order, src, dst, gotD, wantD)
+			}
+			if got := s.PathTo(src, dst, nil); !slices.Equal(got, wantWalk) {
+				t.Fatalf("trial %d order %d: walk %v, want %v (names %v)", trial, order, got, wantWalk, ids)
 			}
 		}
 	}
 }
 
-// TestSketchSolverReuse verifies Reset fully isolates runs: a big graph
-// followed by a small one must not leak arcs or distances.
+// TestSketchSolverParallelEdges: of two edges between one pair the
+// lighter counts, first or last; equal ones count once.
+func TestSketchSolverParallelEdges(t *testing.T) {
+	ids := []int32{10, 11, 12}
+	var s SketchSolver
+	for _, tc := range []struct {
+		name  string
+		edges []DenseEdge
+		want  int64
+	}{
+		{"lighter first", []DenseEdge{{0, 1, 2}, {0, 1, 5}, {1, 2, 1}}, 3},
+		{"lighter last", []DenseEdge{{0, 1, 5}, {1, 2, 1}, {1, 0, 2}}, 3},
+		{"equal", []DenseEdge{{0, 1, 4}, {1, 0, 4}, {1, 2, 1}, {2, 1, 1}}, 5},
+	} {
+		if got := s.ShortestPath(ids, 0, 2, tc.edges); got != tc.want {
+			t.Errorf("%s: dist = %d, want %d", tc.name, got, tc.want)
+		}
+		if got := s.PathTo(0, 2, nil); !slices.Equal(got, []int32{0, 1, 2}) {
+			t.Errorf("%s: walk %v", tc.name, got)
+		}
+	}
+}
+
+// TestSketchSolverWeightlessEdges: a weight of 0 is outside what the walk
+// is promised for, but the distance holds and PathTo still ends — a tie
+// over a weightless edge never re-parents a settled vertex.
+func TestSketchSolverWeightlessEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var s SketchSolver
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + rng.Intn(12)
+		var edges []DenseEdge
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, DenseEdge{int32(u), int32(v), int32(rng.Intn(2))})
+			}
+		}
+		ids := randomNames(rng, n)
+		src, dst := rng.Intn(n), rng.Intn(n)
+		wantD, _ := weightedOf(n, edges).ShortestPath(src, dst)
+		gotD := s.ShortestPath(ids, src, dst, edges)
+		if gotD != wantD {
+			t.Fatalf("trial %d: dist = %d, want %d", trial, gotD, wantD)
+		}
+		if gotD == WeightedInfinity {
+			continue
+		}
+		if walk := s.PathTo(src, dst, nil); len(walk) > n {
+			t.Fatalf("trial %d: walk %v repeats a vertex", trial, walk)
+		}
+	}
+}
+
+// TestSketchSolverReuse verifies calls are isolated: a big graph followed
+// by a small one must not leak arcs or distances.
 func TestSketchSolverReuse(t *testing.T) {
 	var s SketchSolver
-	s.Reset(10)
-	for i := 0; i < 9; i++ {
-		s.AddEdge(i, i+1, 1)
+	var path []DenseEdge
+	for i := int32(0); i < 9; i++ {
+		path = append(path, DenseEdge{i, i + 1, 1})
 	}
-	if d := s.ShortestPath(0, 9); d != 9 {
+	if d := s.ShortestPath([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 0, 9, path); d != 9 {
 		t.Fatalf("path graph dist = %d, want 9", d)
 	}
-	s.Reset(3)
-	s.AddEdge(0, 1, 5)
-	if d := s.ShortestPath(0, 2); d != WeightedInfinity {
+	ids := []int32{0, 1, 2}
+	if d := s.ShortestPath(ids, 0, 2, []DenseEdge{{0, 1, 5}}); d != WeightedInfinity {
 		t.Fatalf("disconnected dist = %d, want infinity (stale arcs leaked)", d)
 	}
-	s.AddEdge(1, 2, 7)
-	if d := s.ShortestPath(0, 2); d != 12 {
+	if d := s.ShortestPath(ids, 0, 2, []DenseEdge{{0, 1, 5}}, []DenseEdge{{1, 2, 7}}); d != 12 {
 		t.Fatalf("dist = %d, want 12", d)
 	}
 }
 
 func TestSketchSolverPanics(t *testing.T) {
 	var s SketchSolver
-	s.Reset(2)
-	for _, fn := range []func(){
-		func() { s.AddEdge(0, 1, -1) },
-		func() { s.AddEdge(0, 2, 1) },
-		func() { s.AddEdge(-1, 0, 1) },
-	} {
+	ids := []int32{0, 1}
+	for _, e := range []DenseEdge{{0, 1, -1}, {0, 2, 1}, {-1, 0, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("expected panic")
+					t.Errorf("edge %+v: expected panic", e)
 				}
 			}()
-			fn()
+			s.ShortestPath(ids, 0, 1, []DenseEdge{e})
 		}()
 	}
 }

@@ -94,8 +94,8 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 
 	x.Counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
 	x.Counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)
-	x.Counter("fsdl_decode_frames_built_total", "Decodes that scanned a fault set's owners into a fault frame (the second pair of a batch).", pool.FramesBuilt)
-	x.Counter("fsdl_decode_frames_reused_total", "Decodes that took the fault owners' sketch edges from the frame an earlier pair of their batch built.", pool.FramesReused)
+	x.Counter("fsdl_decode_frames_built_total", "Decodes that scanned a fault set's owners into a fault frame (the first under a fault set; a lone query is one).", pool.FramesBuilt)
+	x.Counter("fsdl_decode_frames_reused_total", "Decodes that took the fault owners' sketch edges from the frame an earlier decode on their Decoder built.", pool.FramesReused)
 
 	x.Counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds.", m.degraded.Load())
 	x.Counter("fsdl_budget_exhausted_total", "Answers whose work budget truncated the sketch.", m.budgetExhausted.Load())
