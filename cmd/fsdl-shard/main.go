@@ -62,23 +62,26 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *storePath != "" && *bootstrapN > 0 {
+	// Every flag check comes before anything is opened or built.
+	genBoot := *storePath == "" && *bootstrapN <= 0
+	switch {
+	case *storePath != "" && *bootstrapN > 0:
 		return fmt.Errorf("-store and -bootstrap-n are mutually exclusive")
-	}
-	if *storePath == "" && *bootstrapN <= 0 && *genDir == "" {
+	case genBoot && *genDir == "":
 		return fmt.Errorf("one of -store, -bootstrap-n or -generation-dir is required")
+	case genBoot && *name == "":
+		return fmt.Errorf("-name is required with -generation-dir (it selects the partition file)")
+	case *bootstrapN > 0 && *name == "":
+		return fmt.Errorf("-name is required with -bootstrap-n (the ring routes by name)")
 	}
 
 	var st *labelstore.Store
 	var rep *labelstore.SalvageReport
 	generation := uint64(0)
 	switch {
-	case *storePath == "" && *bootstrapN <= 0:
+	case genBoot:
 		// Generation boot: serve the shard's own partition file from the
 		// newest intact generation (full labels when none was written).
-		if *name == "" {
-			return fmt.Errorf("-name is required with -generation-dir (it selects the partition file)")
-		}
 		m, dir, ok, err := labelstore.LatestGeneration(*genDir)
 		if err != nil {
 			return err
@@ -105,9 +108,6 @@ func run(args []string) error {
 		st, err = labelstore.NewEmpty(*bootstrapN)
 		if err != nil {
 			return err
-		}
-		if *name == "" {
-			return fmt.Errorf("-name is required with -bootstrap-n (the ring routes by name)")
 		}
 		fmt.Fprintf(os.Stderr, "fsdl-shard: %s bootstrapping empty over n=%d — answers unknown until repair seals it\n",
 			*name, *bootstrapN)

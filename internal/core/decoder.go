@@ -11,9 +11,9 @@ import (
 // This file holds the pooled decode scratch: every transient structure a
 // Query decode needs — dedup sets, sorted forbidden lists, the scanned
 // candidate lists and their dense-id remap, the bit-parallel
-// protected-ball masks, the sketch Dijkstra state, and the radix-sort
-// buffers a reported sketch is derived with — owned by one reusable
-// object instead of allocated per call.
+// protected-ball masks, the run's packed arcs, the sketch Dijkstra state,
+// and the radix-sort buffers a reported sketch is derived with — owned by
+// one reusable object instead of allocated per call.
 // Steady-state decodes are allocation-free: each container grows to the
 // largest query seen and is reset with a memclr (or simply
 // re-truncated).
@@ -322,11 +322,13 @@ type faultFrame struct {
 	frameCost int
 
 	// The run: the patch edges and the frame owners' admitted candidates,
-	// scanned once under a dense numbering of their own, which every
-	// decode under this key hands to the solver beside its pair's. Built
-	// (runBuilt) by the first decode whose Budget covers it, see decode.
+	// scanned once under a dense numbering of their own, and runArcs the
+	// same packed, which every decode under this key hands to the solver
+	// beside its pair's. Built (runBuilt) by the first decode whose Budget
+	// covers it, see decode.
 	runBuilt bool
 	run      scanPass
+	runArcs  graph.Arcs
 }
 
 // scanPass is what one scanOwners pass leaves behind: the admitted
@@ -409,6 +411,9 @@ type decodeScratch struct {
 	// scanned as a forbidden vertex (filled by merging the level's sorted
 	// point list against fvList, cleared after each level).
 	forb []bool
+	// pid[i] is the dense id of the i-th point of the owner level whose
+	// edge list is being walked, -1 until an admitted edge needs it.
+	pid []int32
 	// mask holds the bit-parallel protected-ball membership of the
 	// current owner level: mask[i*W+w] has bit b set iff point i lies in
 	// PB_ℓ(center 64w+b), with W = ⌈centers/64⌉ words per point. An edge

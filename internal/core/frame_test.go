@@ -304,7 +304,11 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 // TestFrameInvalidation is the invalidation table: after a frame has been
 // built and reused, each change to what it was keyed on must rebuild it —
 // the next decode does not reuse, and builds the run anew for the ones
-// after it.
+// after it. Then the sequences a stale packed run would survive: two
+// fault sets whose runs have the same size, a budgeted single pass
+// between framed decodes, and a scratch that goes to the pool and comes
+// back. Every decode answers as a fresh Decoder and referenceDecode do,
+// walk included.
 func TestFrameInvalidation(t *testing.T) {
 	g := ringLattice(t, 256)
 	s, err := BuildScheme(g, 2)
@@ -373,18 +377,7 @@ func TestFrameInvalidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dec := NewDecoder()
 			defer dec.Release()
-			reused := func(q *Query, patches []PatchEdge) bool {
-				var tr, want Trace
-				dist, exh, err := dec.scratch().decode(q, patches, &tr)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wantDist, wantEdges, _, wantExh, _ := referenceDecode(q, &want, patches...)
-				if dist != wantDist || exh != wantExh || !reflect.DeepEqual(dec.scratch().sketchEdges(), wantEdges) || !reflect.DeepEqual(maskTrace(tr), want) {
-					t.Errorf("decode diverges from the reference: δ=%d, want %d", dist, wantDist)
-				}
-				return tr.FrameReused
-			}
+			reused := func(q *Query, patches []PatchEdge) bool { return checkFramedDecode(t, dec, q, patches) }
 			q, patches := base()
 			if tc.name == "labels of another MaxLevel" {
 				q, patches = &Query{S: s.Label(3), T: s.Label(120)}, nil
@@ -407,6 +400,155 @@ func TestFrameInvalidation(t *testing.T) {
 			}
 		})
 	}
+
+	// What a rebuilt frame must not keep of the one before: its run packed
+	// into arcs, collapsed once a second decode used it. Arrays the same
+	// size as last time are what a stale pack would hide behind.
+	pairs := [][2]int{{3, 120}, {10, 250}, {100, 180}, {7, 8}, {30, 210}}
+	pairQuery := func(side Query, i int) *Query {
+		side.S, side.T = s.Label(pairs[i%len(pairs)][0]), s.Label(pairs[i%len(pairs)][1])
+		return &side
+	}
+	a, b := sameSizeRuns(t, s, pairs)
+	t.Run("same-size runs with other edges", func(t *testing.T) {
+		dec := NewDecoder()
+		defer dec.Release()
+		for _, side := range []Query{a, b, a, b} {
+			for i := range pairs {
+				if got := checkFramedDecode(t, dec, pairQuery(side, i), nil); got != (i > 0) {
+					t.Fatalf("pair %d: FrameReused=%v, want %v", i, got, i > 0)
+				}
+			}
+		}
+	})
+	t.Run("a budgeted single pass between framed decodes", func(t *testing.T) {
+		q, patches := base()
+		dec := NewDecoder()
+		defer dec.Release()
+		for i := 0; i < 7; i++ {
+			q := pairQuery(Query{VertexFaults: q.VertexFaults, EdgeFaults: q.EdgeFaults}, i)
+			total, pair := frameWork(q, patches)
+			// Odd decodes run out inside the frame owners: one pass, cut.
+			if i%2 == 1 {
+				q.Budget = []int{pair + (total-pair)/2, total - 1, pair + 1}[i/2]
+			}
+			if got, want := checkFramedDecode(t, dec, q, patches), i > 0 && i%2 == 0; got != want {
+				t.Fatalf("decode %d (budget %d of %d): FrameReused=%v, want %v", i, q.Budget, total, got, want)
+			}
+		}
+	})
+	t.Run("release to the pool and back", func(t *testing.T) {
+		dec := NewDecoder()
+		defer dec.Release()
+		for round := 0; round < 3; round++ {
+			for _, side := range []Query{a, b} {
+				for i := 0; i < 3; i++ {
+					if got := checkFramedDecode(t, dec, pairQuery(side, i+round), nil); got != (i > 0) {
+						t.Fatalf("round %d, pair %d: FrameReused=%v, want %v", round, i, got, i > 0)
+					}
+				}
+				// The scratch goes back with its arrays, the arcs of a run
+				// among them; another Decoder may take it out in between.
+				dec.Release()
+				other := NewDecoder()
+				checkFramedDecode(t, other, pairQuery(b, round), nil)
+				other.Release()
+			}
+		}
+	})
+}
+
+// sameSizeRuns finds two single vertex faults on s, clear of the pairs,
+// whose fault frames hold runs of the same number of candidates over the
+// same number of vertices, and not the same candidates.
+func sameSizeRuns(t *testing.T, s *Scheme, pairs [][2]int) (Query, Query) {
+	t.Helper()
+	type shape struct{ cands, ids int }
+	seen := map[shape]Query{}
+	dec := NewDecoder()
+	defer dec.Release()
+next:
+	for v := 0; v < s.Graph().NumVertices(); v++ {
+		for _, p := range pairs {
+			if v == p[0] || v == p[1] {
+				continue next
+			}
+		}
+		side := Query{VertexFaults: []*Label{s.Label(v)}}
+		q := side
+		q.S, q.T = s.Label(pairs[0][0]), s.Label(pairs[0][1])
+		if _, _, err := dec.scratch().decode(&q, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		sc := dec.scratch()
+		sh := shape{len(sc.run.cands), len(sc.run.ids)}
+		if other, ok := seen[sh]; ok {
+			keys := runKeys(sc)
+			q.VertexFaults = other.VertexFaults
+			if _, _, err := dec.scratch().decode(&q, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(keys, runKeys(dec.scratch())) {
+				return other, side
+			}
+		}
+		seen[sh] = side
+	}
+	t.Fatal("no two single faults with runs of one size and other edges")
+	return Query{}, Query{}
+}
+
+// runKeys lists the candidates of the frame's run as sorted (x, y, w)
+// over vertex ids.
+func runKeys(sc *decodeScratch) [][3]int32 {
+	var keys [][3]int32
+	for _, c := range sc.run.cands {
+		x, y := sc.run.ids[c.U], sc.run.ids[c.V]
+		keys = append(keys, [3]int32{min(x, y), max(x, y), c.W})
+	}
+	slices.SortFunc(keys, func(p, q [3]int32) int { return slices.Compare(p[:], q[:]) })
+	return keys
+}
+
+// checkFramedDecode decodes q on dec, traced and then for its walk, and
+// holds δ, the budget flag, the sketch, the trace and the walk to what a
+// Decoder that has seen nothing and referenceDecode report. It returns
+// whether the traced decode reused dec's frame.
+func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge) bool {
+	t.Helper()
+	var tr, ftr, want Trace
+	dist, exh, err := dec.scratch().decode(q, patches, &tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := slices.Clone(dec.scratch().sketchEdges())
+	res, path := dec.DistanceRobustPatchedPath(q, patches, nil)
+	wantDist, wantEdges, _, wantExh, err := referenceDecode(q, &want, patches...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := NewDecoder()
+	defer fresh.Release()
+	fDist, fExh, err := fresh.scratch().decode(q, patches, &ftr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fEdges := slices.Clone(fresh.scratch().sketchEdges())
+	fresh.Release()
+	fRes, fPath := fresh.DistanceRobustPatchedPath(q, patches, nil)
+
+	if dist != wantDist || exh != wantExh || !reflect.DeepEqual(edges, wantEdges) || !reflect.DeepEqual(maskTrace(tr), want) {
+		t.Errorf("%d→%d: (δ=%d, exhausted=%v, %d edges, walk %v), reference (%d, %v, %d edges, walk %v)",
+			q.S.V, q.T.V, dist, exh, len(edges), tr.Path, wantDist, wantExh, len(wantEdges), want.Path)
+	}
+	if dist != fDist || exh != fExh || !reflect.DeepEqual(edges, fEdges) || !reflect.DeepEqual(maskTrace(tr), maskTrace(ftr)) {
+		t.Errorf("%d→%d: (δ=%d, exhausted=%v, %d edges, walk %v), fresh Decoder (%d, %v, %d edges, walk %v)",
+			q.S.V, q.T.V, dist, exh, len(edges), tr.Path, fDist, fExh, len(fEdges), ftr.Path)
+	}
+	if !reflect.DeepEqual(res, fRes) || !slices.Equal(path, fPath) || res.OK && !slices.Equal(path, want.Path) {
+		t.Errorf("%d→%d: path decode %+v %v, fresh Decoder %+v %v, reference walk %v", q.S.V, q.T.V, res, path, fRes, fPath, want.Path)
+	}
+	return tr.FrameReused
 }
 
 // TestFrameCounters: FramesBuilt counts the decodes that built a run and

@@ -381,8 +381,8 @@ func (q *Query) Validate() error {
 // edges and the fault and patch owners' admitted candidates as one run;
 // kept from the previous decode when this one brings the same fault
 // labels. Pair: scan the levels of s and t against the frame's masks,
-// skipping every level list the run has walked. Solve: the run and the
-// pair's candidates together.
+// skipping every level list the run has walked. Solve: the run's arcs
+// and the pair's candidates together.
 //
 // A Budget is charged in scan order — s, t, then the frame's owners — so
 // one that ends before the last frame owner does cannot use a run scanned
@@ -432,6 +432,7 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 	switch {
 	case reused:
 		framesReused.Add(1)
+		sc.runArcs.Collapse() // once per frame, see buildFrameRun
 	case framed:
 		sc.buildFrameRun()
 	}
@@ -545,13 +546,16 @@ func (sc *decodeScratch) collectFaults(q *Query) {
 }
 
 // buildFrameRun scans the patch edges and the frame owners under no
-// budget, and leaves the pass — its dense numbering with it — as the run.
+// budget, leaves the pass — its dense numbering with it — as the run, and
+// packs its candidates into arcs, which the first decode to reuse them
+// collapses (a lone query does not pay for that pass).
 func (sc *decodeScratch) buildFrameRun() {
 	framesBuilt.Add(1)
 	sc.scanPass.reset(sc.numLevels)
 	sc.emitPatches()
 	sc.scanOwners(sc.frameOwners, math.MaxInt)
 	sc.run, sc.scanPass = sc.scanPass, sc.run
+	sc.runArcs.Pack(len(sc.run.ids), sc.run.cands)
 	sc.runBuilt = true
 }
 
@@ -559,7 +563,7 @@ func (sc *decodeScratch) buildFrameRun() {
 // edge of the lowest level each, free of budget (see patched.go).
 func (sc *decodeScratch) emitPatches() {
 	for _, key := range sc.patchKeys {
-		sc.cands = append(sc.cands, sc.cand(int32(key>>32), int32(key), 1))
+		sc.cands = append(sc.cands, graph.DenseEdge{U: sc.vertexID(int32(key >> 32)), V: sc.vertexID(int32(key)), W: 1})
 	}
 	sc.levels = append(sc.levels, levelRun{end: len(sc.cands), lv: int32(sc.lowest)})
 }
@@ -729,8 +733,15 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 			}
 			scanned := len(edges)
 			// reused counts the candidates an earlier scan of this very
-			// list admitted.
+			// list admitted; a list walked now numbers its points in pid.
 			first, reused := sc.seenBefore(k, pts, edges), 0
+			if first == nil {
+				sc.pid = slices.Grow(sc.pid[:0], len(pts))[:len(pts)]
+				for i := range sc.pid {
+					sc.pid[i] = -1
+				}
+			}
+			pid := sc.pid
 
 			switch {
 			case first != nil:
@@ -764,7 +775,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 							continue
 						}
 					}
-					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
+					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			case rule == admitNone:
 				// Nothing survives; the edges were only counted.
@@ -773,25 +784,14 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 					if forb[e.XI] || forb[e.YI] {
 						continue
 					}
-					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
+					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			case rule == admitFused:
 				// The edge list is sorted by (XI,YI), so consecutive edges
 				// share XI in long runs and the left word is hoisted out of
 				// the run.
 				sc.fillLR(msk, forb)
-				mR := sc.maskR
-				for a := 0; a < len(edges); {
-					xi := edges[a].XI
-					lx := sc.maskL[xi]
-					for ; a < len(edges) && edges[a].XI == xi; a++ {
-						yi := edges[a].YI
-						if lx&mR[yi] != 0 {
-							continue
-						}
-						cands = append(cands, sc.cand(pts[xi].X, pts[yi].X, edges[a].D))
-					}
-				}
+				cands = sc.admitFused(cands, edges, pts, pid)
 			case rule == admitWord:
 				// The edge dies iff some center's ball covers both
 				// endpoints — one AND of the two per-point masks.
@@ -799,14 +799,14 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 					if forb[e.XI] || forb[e.YI] || msk[e.XI]&msk[e.YI] != 0 {
 						continue
 					}
-					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
+					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			default:
 				for _, e := range edges {
 					if forb[e.XI] || forb[e.YI] || wordsMeet(msk[int(e.XI)*W:][:W], msk[int(e.YI)*W:][:W]) {
 						continue
 					}
-					cands = append(cands, sc.cand(pts[e.XI].X, pts[e.YI].X, e.D))
+					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			}
 			if first == nil && len(edges) > 0 {
@@ -819,7 +819,10 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 			// check (the owner sits at the center of its own protected
 			// ball), so skip them outright. Which points qualify is only
 			// known point by point, so this loop counts what it scans.
+			// The owner's own id is looked up on its first admitted self
+			// edge, so an owner without one adds no vertex to H.
 			if !oForbidden {
+				oid := int32(-1)
 				var row []uint64
 				if rule >= admitFused {
 					row = sc.ompbW[(oi*numLevels+k)*W:][:W]
@@ -849,7 +852,16 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 							continue
 						}
 					}
-					cands = append(cands, sc.cand(o.V, pe.X, pe.D))
+					if oid < 0 {
+						oid = sc.vertexID(o.V)
+					}
+					y := int32(0)
+					if first == nil {
+						y = sc.pointID(pid, pts, int32(i))
+					} else {
+						y = sc.vertexID(pe.X)
+					}
+					cands = append(cands, graph.DenseEdge{U: oid, V: y, W: pe.D})
 				}
 				scanned += n
 			}
@@ -867,9 +879,44 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 	return exhausted
 }
 
-// cand is the candidate edge {x, y} of weight w as the solver takes it.
-func (sc *decodeScratch) cand(x, y, w int32) graph.DenseEdge {
-	return graph.DenseEdge{U: sc.vertexID(x), V: sc.vertexID(y), W: w}
+// admitFused is scanOwners' edge loop under the admitFused rule, a call
+// of its own so that it keeps its values in registers. Edges share XI in
+// long runs: the left word and id are hoisted out of the run.
+func (sc *decodeScratch) admitFused(cands []graph.DenseEdge, edges []EdgeEntry, pts []PointEntry, pid []int32) []graph.DenseEdge {
+	mL, mR := sc.maskL, sc.maskR
+	for a := 0; a < len(edges); {
+		xi := edges[a].XI
+		lx, u := mL[xi], int32(-1)
+		for ; a < len(edges) && edges[a].XI == xi; a++ {
+			yi := edges[a].YI
+			if lx&mR[yi] != 0 {
+				continue
+			}
+			if u < 0 {
+				u = sc.pointID(pid, pts, xi)
+			}
+			cands = append(cands, graph.DenseEdge{U: u, V: sc.pointID(pid, pts, yi), W: edges[a].D})
+		}
+	}
+	return cands
+}
+
+// pointID returns the dense id of point i of the owner level pid
+// numbers: one array read after the point's first admitted edge.
+func (sc *decodeScratch) pointID(pid []int32, pts []PointEntry, i int32) int32 {
+	if id := pid[i]; id >= 0 {
+		return id
+	}
+	return sc.firstPointID(pid, pts, i)
+}
+
+// firstPointID is pointID's lookup, out of line so that pointID inlines.
+//
+//go:noinline
+func (sc *decodeScratch) firstPointID(pid []int32, pts []PointEntry, i int32) int32 {
+	id := sc.vertexID(pts[i].X)
+	pid[i] = id
+	return id
 }
 
 // vertexID returns the dense id of vertex v in the decode's sketch: the
@@ -975,9 +1022,9 @@ func (sc *decodeScratch) sketchEdges() []SketchEdge {
 // solve hands the candidates to the solver, runs Dijkstra and, when
 // asked, completes the trace. It returns -1 when t is unreachable.
 func (sc *decodeScratch) solve(tr *Trace) int64 {
-	var run []graph.DenseEdge
+	var run *graph.Arcs
 	if sc.beside != nil {
-		run = sc.beside.cands
+		run = &sc.runArcs
 	}
 	dist := sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands)
 	if tr != nil {

@@ -1,6 +1,6 @@
 package graph
 
-import "math"
+import "slices"
 
 // DenseEdge is one undirected edge of a query-time sketch graph as the
 // solver takes it: dense endpoint ids and a nonnegative weight (labels
@@ -10,68 +10,35 @@ type DenseEdge struct {
 	W    int32
 }
 
-// SketchSolver is reusable scratch for the query-time sketch graphs
-// H(s,t,F): the CSR arcs of one weighted multigraph plus the Dijkstra
-// state (distance, parent and heap arrays) needed to solve it. A decode
-// builds thousands of tiny sketch graphs over a query stream, so the
-// solver keeps every array between uses, growing to the largest sketch it
-// has seen.
-//
-// H is a set of edges and the solver takes it as it was scanned: edge
-// lists in any order, parallel edges and all — a lighter parallel simply
-// wins the relaxation. What it reports is a function of the set alone:
-// the distance, and the walk on which every vertex's predecessor is, of
-// its tight predecessors (d(u) + w(u,v) = d(v)), the one with the
-// smallest name in the ids the caller passes. Every weight of a sketch is
-// positive, so a tight predecessor of a vertex at distance ≤ d(dst) is
-// settled — and has relaxed all its arcs — before dst is, whatever order
-// the queue breaks its ties in; neither the order of the lists nor of
-// the edges in them can show. A SketchSolver is not safe for concurrent
-// use.
-type SketchSolver struct {
-	// CSR arcs: the arcs of vertex v are arcs[off[v]:off[v+1]].
-	off  []int32
-	arcs []sketchArc
-	// Dijkstra state.
-	dist   []int64
-	parent []int32
-	pq     []distEntry
+// Arcs is a weighted multigraph as CSR arcs — those out of v are
+// arcs[off[v]:off[v+1]] — whose arrays outlive a Pack. Edges that stand
+// for many pairs are packed once and passed to every ShortestPath.
+type Arcs struct {
+	off       []int32
+	arcs      []sketchArc
+	collapsed bool
+	// at[u] is where Collapse kept the arc to u of the vertex at hand.
+	at []int32
 }
 
 type sketchArc struct{ to, w int32 }
 
-// unreached is the solver's own mark of a vertex no relaxation has got
-// to: above every distance, so the relaxation is one comparison.
-const unreached = math.MaxInt64
-
-// pack builds the CSR arcs of the multigraph on n vertices whose edges
-// are the concatenation of lists: one counting pass, a prefix sum, then
-// the fill.
-func (s *SketchSolver) pack(n int, lists [][]DenseEdge) {
-	nArcs := 0
-	for _, edges := range lists {
-		nArcs += 2 * len(edges)
-	}
-	if cap(s.off) < n+1 {
-		s.off = make([]int32, n+1)
-	}
-	off := s.off[:n+1]
+// Pack replaces a's arcs with those of the multigraph on the vertices
+// 0..n-1 whose edges are edges: one counting pass, a prefix sum, then
+// the fill. It panics on an endpoint out of range or a negative weight.
+func (a *Arcs) Pack(n int, edges []DenseEdge) {
+	off := slices.Grow(a.off[:0], n+1)[:n+1]
 	clear(off)
-	if cap(s.arcs) < nArcs {
-		s.arcs = make([]sketchArc, nArcs)
-	}
-	arcs := s.arcs[:nArcs]
-	for _, edges := range lists {
-		for _, e := range edges {
-			if uint32(e.U) >= uint32(n) || uint32(e.V) >= uint32(n) {
-				panic("graph: sketch edge endpoint out of range")
-			}
-			if e.W < 0 {
-				panic("graph: negative edge weight")
-			}
-			off[e.U]++
-			off[e.V]++
+	arcs := slices.Grow(a.arcs[:0], 2*len(edges))[:2*len(edges)]
+	for _, e := range edges {
+		if uint32(e.U) >= uint32(n) || uint32(e.V) >= uint32(n) {
+			panic("graph: sketch edge endpoint out of range")
 		}
+		if e.W < 0 {
+			panic("graph: negative edge weight")
+		}
+		off[e.U]++
+		off[e.V]++
 	}
 	// off[v] holds v's degree: turn it into the end of v's range, which
 	// the fill walks down to its start.
@@ -81,35 +48,104 @@ func (s *SketchSolver) pack(n int, lists [][]DenseEdge) {
 		off[v] = sum
 	}
 	off[n] = sum
-	for _, edges := range lists {
-		for _, e := range edges {
-			off[e.U]--
-			arcs[off[e.U]] = sketchArc{to: e.V, w: e.W}
-			off[e.V]--
-			arcs[off[e.V]] = sketchArc{to: e.U, w: e.W}
-		}
+	for _, e := range edges {
+		off[e.U]--
+		arcs[off[e.U]] = sketchArc{to: e.V, w: e.W}
+		off[e.V]--
+		arcs[off[e.V]] = sketchArc{to: e.U, w: e.W}
 	}
+	a.off, a.arcs, a.collapsed = off, arcs, false
 }
 
-// ShortestPath returns d(src,dst) in the multigraph on the vertices
-// 0..len(ids)-1 whose edges are the given lists together, or
-// WeightedInfinity when dst is unreachable. ids[v] is the name that
-// breaks ties between predecessors (see the type comment); names are
-// distinct. The search terminates once dst is settled; the parent tree of
-// the settled region remains available to PathTo until the next call.
-func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, lists ...[]DenseEdge) int64 {
-	n := len(ids)
-	s.pack(n, lists)
-	if cap(s.dist) < n {
-		s.dist = make([]int64, n)
-		s.parent = make([]int32, n)
+// Collapse keeps, of every bundle of parallel arcs of a packed Arcs, one
+// of the lightest: one stamp pass that compacts the arcs in place, and a
+// no-op until the next Pack. Shortest distances are unchanged, and so is
+// every tight predecessor (a heavier parallel never is one; equal ones
+// are the same predecessor), hence ShortestPath's walk.
+func (a *Arcs) Collapse() {
+	if a.collapsed {
+		return
 	}
-	dist, parent := s.dist[:n], s.parent[:n]
+	n := len(a.off) - 1
+	// at needs no reset: an entry counts only if it points into v's kept
+	// range (distinct targets) at an arc to the vertex asked about.
+	a.at = slices.Grow(a.at[:0], n)[:n]
+	at, arcs := a.at, a.arcs
+	var kept, lo int32
+	for v := 0; v < n; v++ {
+		hi, start := a.off[v+1], kept
+		for i := lo; i < hi; i++ {
+			arc := arcs[i]
+			if p := at[arc.to]; p >= start && p < kept && arcs[p].to == arc.to {
+				arcs[p].w = min(arcs[p].w, arc.w)
+				continue
+			}
+			at[arc.to] = kept
+			arcs[kept] = arc
+			kept++
+		}
+		a.off[v], lo = start, hi
+	}
+	a.off[n] = kept
+	a.arcs, a.collapsed = arcs[:kept], true
+}
+
+// SketchSolver is reusable scratch for the query-time sketch graphs
+// H(s,t,F): the packed arcs of one pair's weighted multigraph plus the
+// Dijkstra state (distance, parent and heap arrays) needed to solve it
+// beside a fixed Arcs. A decode builds thousands of tiny sketch graphs
+// over a query stream, so the solver keeps every array between uses,
+// growing to the largest sketch it has seen.
+//
+// H is a set of edges and the solver takes it as it comes: a run packed
+// (and perhaps collapsed) once, a pair's edges in any order, parallel
+// edges and all — a lighter parallel simply wins the relaxation. What it
+// reports is a function of the set alone: the distance, and the walk on
+// which every vertex's predecessor is, of its tight predecessors
+// (d(u) + w(u,v) = d(v)), the one with the smallest name in the ids the
+// caller passes. Every weight of a sketch is positive, so a tight
+// predecessor of a vertex at distance ≤ d(dst) is settled — and has
+// relaxed all its arcs — before dst is, whatever order the queue breaks
+// its ties in; neither the split between run and pair nor the order of
+// the edges can show. A SketchSolver is not safe for concurrent use.
+type SketchSolver struct {
+	pair Arcs
+	// Dijkstra state.
+	dist   []int64
+	parent []int32
+	pq     []distEntry
+}
+
+// unreached is the solver's own mark of a vertex no relaxation has got
+// to: above every distance, so the relaxation is one comparison.
+const unreached = 1<<63 - 1
+
+// ShortestPath returns d(src,dst) in the multigraph on the vertices
+// 0..len(ids)-1 whose edges are run's (nil: none; its vertices are the
+// first of ids) and pair's together, or WeightedInfinity when dst is
+// unreachable. ids[v] is the name that breaks ties between predecessors
+// (see the type comment); names are distinct. A settled vertex relaxes
+// its run arcs, then its pair arcs. The search terminates once dst is
+// settled; the parent tree of the settled region remains available to
+// PathTo until the next call.
+func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair []DenseEdge) int64 {
+	n := len(ids)
+	s.pair.Pack(n, pair)
+	if run == nil {
+		run = &Arcs{}
+	}
+	if len(run.off) > n+1 {
+		panic("graph: run has more vertices than ids")
+	}
+	runOff, runArcs, nRun := run.off, run.arcs, int32(max(len(run.off)-1, 0))
+	s.dist = slices.Grow(s.dist[:0], n)[:n]
+	s.parent = slices.Grow(s.parent[:0], n)[:n]
+	dist, parent := s.dist, s.parent
 	for i := range dist {
 		dist[i] = unreached
 		parent[i] = -1
 	}
-	off, arcs := s.off, s.arcs
+	off, arcs := s.pair.off, s.pair.arcs
 	s.pq = s.pq[:0]
 	dist[src] = 0
 	s.push(distEntry{v: int32(src), d: 0})
@@ -121,25 +157,35 @@ func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, lists ...[]DenseE
 		if int(e.v) == dst {
 			break
 		}
-		for _, a := range arcs[off[e.v]:off[e.v+1]] {
-			t, nd := a.to, e.d+int64(a.w)
-			switch {
-			case nd < dist[t]:
-				dist[t] = nd
-				parent[t] = e.v
-				s.push(distEntry{v: t, d: nd})
-			case nd == dist[t] && e.d < nd && ids[e.v] < ids[parent[t]]:
-				// As short a way to t through a predecessor of smaller
-				// name. (Over a weightless edge the first to get there
-				// stays: t may be settled already, and on e.v's own path.)
-				parent[t] = e.v
-			}
+		if e.v < nRun {
+			s.relax(ids, e, runArcs[runOff[e.v]:runOff[e.v+1]])
 		}
+		s.relax(ids, e, arcs[off[e.v]:off[e.v+1]])
 	}
 	if dist[dst] == unreached {
 		return WeightedInfinity
 	}
 	return dist[dst]
+}
+
+// relax relaxes the arcs as out of the settled vertex e.v, in a call of
+// its own so that the arc loop keeps its values in registers.
+func (s *SketchSolver) relax(ids []int32, e distEntry, as []sketchArc) {
+	dist, parent := s.dist, s.parent
+	for _, a := range as {
+		t, nd := a.to, e.d+int64(a.w)
+		switch {
+		case nd < dist[t]:
+			dist[t] = nd
+			parent[t] = e.v
+			s.push(distEntry{v: t, d: nd})
+		case nd == dist[t] && e.d < nd && ids[e.v] < ids[parent[t]]:
+			// As short a way to t through a predecessor of smaller name.
+			// (Over a weightless edge the first to get there stays: t may
+			// be settled already, and on e.v's own path.)
+			parent[t] = e.v
+		}
+	}
 }
 
 // PathTo appends the shortest path src..dst found by the last

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -69,11 +70,30 @@ func randomNames(rng *rand.Rand, n int) []int32 {
 	return ids
 }
 
+// runOf packs edges as a run over the fewest leading vertices that hold
+// them (n when there is no edge), collapsed or as they are.
+func runOf(rng *rand.Rand, n int, edges []DenseEdge, collapse bool) *Arcs {
+	nRun := rng.Intn(n + 1)
+	if len(edges) > 0 {
+		nRun = 0
+		for _, e := range edges {
+			nRun = max(nRun, int(e.U)+1, int(e.V)+1)
+		}
+	}
+	var run Arcs
+	run.Pack(nRun, edges)
+	if collapse {
+		run.Collapse()
+	}
+	return &run
+}
+
 // TestSketchSolverMatchesWeighted checks the reusable solver on random
 // multigraphs — duplicate pairs on purpose, and weights from a range small
 // enough to force ties: the distance is Weighted.ShortestPath's, and the
-// walk is the one the definition names, whatever order the edges come in,
-// as one list or split in two.
+// walk is the one the definition names, whatever order the edges come in
+// — as one pair list, and split at random between a run, collapsed or
+// not, and the pair.
 func TestSketchSolverMatchesWeighted(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var s SketchSolver
@@ -94,19 +114,78 @@ func TestSketchSolverMatchesWeighted(t *testing.T) {
 		for order := 0; order < 20; order++ {
 			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 			cut := rng.Intn(len(edges) + 1)
-			gotD := s.ShortestPath(ids, src, dst, edges[:cut], edges[cut:])
-			if !ok {
-				if gotD != WeightedInfinity {
-					t.Fatalf("trial %d: dist(%d,%d) = %d, want unreachable", trial, src, dst, gotD)
+			for _, tc := range []struct {
+				name string
+				run  *Arcs
+				pair []DenseEdge
+			}{
+				{"concatenated", nil, edges},
+				{"run+pair", runOf(rng, n, edges[:cut], false), edges[cut:]},
+				{"collapsed run+pair", runOf(rng, n, edges[:cut], true), edges[cut:]},
+			} {
+				gotD := s.ShortestPath(ids, src, dst, tc.run, tc.pair)
+				if !ok {
+					if gotD != WeightedInfinity {
+						t.Fatalf("trial %d %s: dist(%d,%d) = %d, want unreachable", trial, tc.name, src, dst, gotD)
+					}
+					continue
 				}
-				continue
+				if gotD != wantD {
+					t.Fatalf("trial %d order %d %s: dist(%d,%d) = %d, want %d", trial, order, tc.name, src, dst, gotD, wantD)
+				}
+				if got := s.PathTo(src, dst, nil); !slices.Equal(got, wantWalk) {
+					t.Fatalf("trial %d order %d %s: walk %v, want %v (names %v)", trial, order, tc.name, got, wantWalk, ids)
+				}
 			}
-			if gotD != wantD {
-				t.Fatalf("trial %d order %d: dist(%d,%d) = %d, want %d", trial, order, src, dst, gotD, wantD)
+		}
+	}
+}
+
+// TestArcsCollapse: of every bundle of parallel arcs Collapse keeps one,
+// at the lightest weight, whether the lighter comes first or last; the
+// vertices' ranges close up behind what went, and a repack after a
+// collapse starts clean.
+func TestArcsCollapse(t *testing.T) {
+	type arc struct{ from, to, w int32 }
+	arcsOf := func(a *Arcs) (out []arc) {
+		for v := 0; v+1 < len(a.off); v++ {
+			for _, x := range a.arcs[a.off[v]:a.off[v+1]] {
+				out = append(out, arc{int32(v), x.to, x.w})
 			}
-			if got := s.PathTo(src, dst, nil); !slices.Equal(got, wantWalk) {
-				t.Fatalf("trial %d order %d: walk %v, want %v (names %v)", trial, order, got, wantWalk, ids)
+		}
+		slices.SortFunc(out, func(x, y arc) int {
+			if x.from != y.from {
+				return int(x.from - y.from)
 			}
+			return int(x.to - y.to)
+		})
+		return out
+	}
+	var a Arcs
+	for _, tc := range []struct {
+		name  string
+		edges []DenseEdge
+		want  []arc
+	}{
+		{"lighter first", []DenseEdge{{0, 1, 2}, {0, 1, 5}, {1, 2, 1}},
+			[]arc{{0, 1, 2}, {1, 0, 2}, {1, 2, 1}, {2, 1, 1}}},
+		{"lighter last", []DenseEdge{{0, 1, 5}, {1, 2, 1}, {1, 0, 2}},
+			[]arc{{0, 1, 2}, {1, 0, 2}, {1, 2, 1}, {2, 1, 1}}},
+		{"equal bundle", []DenseEdge{{0, 1, 4}, {1, 0, 4}, {0, 1, 4}, {2, 3, 1}},
+			[]arc{{0, 1, 4}, {1, 0, 4}, {2, 3, 1}, {3, 2, 1}}},
+		{"three deep, lightest in the middle", []DenseEdge{{3, 0, 9}, {0, 3, 1}, {3, 0, 4}, {0, 2, 7}},
+			[]arc{{0, 2, 7}, {0, 3, 1}, {2, 0, 7}, {3, 0, 1}}},
+		{"no parallels", []DenseEdge{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}},
+			[]arc{{0, 1, 1}, {1, 0, 1}, {1, 2, 1}, {2, 1, 1}, {2, 3, 1}, {3, 2, 1}}},
+		{"no edges", nil, nil},
+	} {
+		a.Pack(4, tc.edges)
+		a.Collapse()
+		if got := arcsOf(&a); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: arcs %v, want %v", tc.name, got, tc.want)
+		}
+		if len(a.arcs) != len(tc.want) || a.off[4] != int32(len(tc.want)) {
+			t.Errorf("%s: %d arcs and off[n] = %d kept, want %d", tc.name, len(a.arcs), a.off[4], len(tc.want))
 		}
 	}
 }
@@ -125,7 +204,7 @@ func TestSketchSolverParallelEdges(t *testing.T) {
 		{"lighter last", []DenseEdge{{0, 1, 5}, {1, 2, 1}, {1, 0, 2}}, 3},
 		{"equal", []DenseEdge{{0, 1, 4}, {1, 0, 4}, {1, 2, 1}, {2, 1, 1}}, 5},
 	} {
-		if got := s.ShortestPath(ids, 0, 2, tc.edges); got != tc.want {
+		if got := s.ShortestPath(ids, 0, 2, nil, tc.edges); got != tc.want {
 			t.Errorf("%s: dist = %d, want %d", tc.name, got, tc.want)
 		}
 		if got := s.PathTo(0, 2, nil); !slices.Equal(got, []int32{0, 1, 2}) {
@@ -151,7 +230,7 @@ func TestSketchSolverWeightlessEdges(t *testing.T) {
 		ids := randomNames(rng, n)
 		src, dst := rng.Intn(n), rng.Intn(n)
 		wantD, _ := weightedOf(n, edges).ShortestPath(src, dst)
-		gotD := s.ShortestPath(ids, src, dst, edges)
+		gotD := s.ShortestPath(ids, src, dst, nil, edges)
 		if gotD != wantD {
 			t.Fatalf("trial %d: dist = %d, want %d", trial, gotD, wantD)
 		}
@@ -172,29 +251,53 @@ func TestSketchSolverReuse(t *testing.T) {
 	for i := int32(0); i < 9; i++ {
 		path = append(path, DenseEdge{i, i + 1, 1})
 	}
-	if d := s.ShortestPath([]int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}, 0, 9, path); d != 9 {
+	var run Arcs
+	run.Pack(10, path)
+	run.Collapse()
+	ids := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	if d := s.ShortestPath(ids, 0, 9, nil, path); d != 9 {
 		t.Fatalf("path graph dist = %d, want 9", d)
 	}
-	ids := []int32{0, 1, 2}
-	if d := s.ShortestPath(ids, 0, 2, []DenseEdge{{0, 1, 5}}); d != WeightedInfinity {
+	if d := s.ShortestPath(ids, 0, 9, &run, nil); d != 9 {
+		t.Fatalf("path graph as a run: dist = %d, want 9", d)
+	}
+	ids = ids[:3]
+	if d := s.ShortestPath(ids, 0, 2, nil, []DenseEdge{{0, 1, 5}}); d != WeightedInfinity {
 		t.Fatalf("disconnected dist = %d, want infinity (stale arcs leaked)", d)
 	}
-	if d := s.ShortestPath(ids, 0, 2, []DenseEdge{{0, 1, 5}}, []DenseEdge{{1, 2, 7}}); d != 12 {
+	run.Pack(2, []DenseEdge{{0, 1, 5}})
+	run.Collapse()
+	if d := s.ShortestPath(ids, 0, 2, &run, nil); d != WeightedInfinity {
+		t.Fatalf("disconnected run: dist = %d, want infinity (stale run arcs leaked)", d)
+	}
+	if d := s.ShortestPath(ids, 0, 2, &run, []DenseEdge{{1, 2, 7}}); d != 12 {
 		t.Fatalf("dist = %d, want 12", d)
 	}
 }
 
+// TestSketchSolverPanics: an endpoint out of range or a negative weight
+// panics in either pack — the pair's, inside ShortestPath, and a run's —
+// and so does a run over more vertices than there are ids.
 func TestSketchSolverPanics(t *testing.T) {
 	var s SketchSolver
 	ids := []int32{0, 1}
-	for _, e := range []DenseEdge{{0, 1, -1}, {0, 2, 1}, {-1, 0, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("edge %+v: expected panic", e)
-				}
-			}()
-			s.ShortestPath(ids, 0, 1, []DenseEdge{e})
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", what)
+			}
 		}()
+		f()
 	}
+	for _, e := range []DenseEdge{{0, 1, -1}, {0, 2, 1}, {-1, 0, 1}} {
+		mustPanic(fmt.Sprintf("pair edge %+v", e), func() { s.ShortestPath(ids, 0, 1, nil, []DenseEdge{e}) })
+		mustPanic(fmt.Sprintf("run edge %+v", e), func() {
+			var run Arcs
+			run.Pack(2, []DenseEdge{e})
+		})
+	}
+	var wide Arcs
+	wide.Pack(3, []DenseEdge{{0, 2, 1}})
+	mustPanic("run over 3 vertices, 2 ids", func() { s.ShortestPath(ids, 0, 1, &wide, nil) })
 }
