@@ -28,8 +28,9 @@
 // /v1/compact (see docs/LIVE.md). A restart resumes from the newest
 // generation under -live-root plus the WAL tail; with no generation
 // yet, -store and -graph provide the first labels and the graph they
-// were built on. -graph and -eps are compaction inputs only — queries
-// are always answered from labels:
+// were built on; beside a generation, -store is not even opened. -graph
+// and -eps are compaction inputs only — queries are always answered from
+// labels:
 //
 //	fsdl-serve -live-root gens/ [-wal gens/mutations.wal] [-eps 2]
 //	           [-compact-workers N] [-store labels.fsdl -graph graph.txt]
@@ -92,6 +93,32 @@ func run(args []string) error {
 	if *storePath == "" && *clusterPath == "" && *liveRoot == "" {
 		return fmt.Errorf("one of -store, -cluster or -live-root is required")
 	}
+	// Live mode resumes from the newest intact generation under
+	// -live-root: its snapshot graph is the WAL replay base, its store the
+	// serving labels. Look for one before opening anything, so a boot that
+	// resumes never reads a -store it ignores, and one that cannot start
+	// says so first. With no generation yet, -graph provides the base the
+	// given store (or cluster) was built on.
+	var (
+		gen    *labelstore.Manifest
+		genDir string
+	)
+	if *liveRoot != "" {
+		if err := os.MkdirAll(*liveRoot, 0o755); err != nil {
+			return err
+		}
+		m, dir, ok, err := labelstore.LatestGeneration(*liveRoot)
+		switch {
+		case err != nil:
+			return err
+		case ok:
+			gen, genDir = m, dir
+		case *graphPath == "":
+			return fmt.Errorf("live: no generation under %s yet — provide the base graph with -graph", *liveRoot)
+		case *storePath == "" && *clusterPath == "":
+			return fmt.Errorf("live: no generation under %s yet — provide labels with -store or -cluster", *liveRoot)
+		}
+	}
 
 	cfg := server.Config{
 		Epsilon:         *eps,
@@ -106,9 +133,6 @@ func run(args []string) error {
 		fe     *cluster.Frontend
 	)
 	switch {
-	case *storePath == "" && *clusterPath == "":
-		// Live-only boot: the store comes from the newest generation
-		// under -live-root, loaded below.
 	case *clusterPath != "":
 		m, err := cluster.LoadMembership(*clusterPath)
 		if err != nil {
@@ -127,6 +151,13 @@ func run(args []string) error {
 		defer fe.Close()
 		member = m
 		cfg.Source = fe
+	case gen != nil:
+		// Local mode always serves the generation's own labels — a -store
+		// file from before the compaction would pair stale labels with the
+		// newer base graph. Loaded below.
+		if *storePath != "" {
+			fmt.Fprintf(os.Stderr, "fsdl-serve: live: ignoring -store in favor of generation %d labels\n", gen.Generation)
+		}
 	case *salvage:
 		st, rep, err := labelstore.OpenPartial(*storePath)
 		if err != nil {
@@ -157,42 +188,25 @@ func run(args []string) error {
 	}
 
 	if *liveRoot != "" {
-		if err := os.MkdirAll(*liveRoot, 0o755); err != nil {
-			return err
-		}
 		if *walPath == "" {
 			*walPath = filepath.Join(*liveRoot, "mutations.wal")
 		}
-		// Resume from the newest intact generation: its snapshot graph
-		// is the WAL replay base, its store the serving labels. With no
-		// generation yet, -graph provides the base the given store (or
-		// cluster) was built on.
 		var base *fsdl.Graph
 		generation := uint64(0)
-		if m, dir, ok, err := labelstore.LatestGeneration(*liveRoot); err != nil {
-			return err
-		} else if ok {
-			base, err = liveupdate.LoadGenerationBase(dir)
-			if err != nil {
+		if gen != nil {
+			var err error
+			if base, err = liveupdate.LoadGenerationBase(genDir); err != nil {
 				return err
 			}
-			generation = m.Generation
+			generation = gen.Generation
 			if cfg.Source == nil {
-				// Local mode always serves the generation's own labels —
-				// a -store file from before the compaction would pair
-				// stale labels with the newer base graph.
-				st, err := liveupdate.LoadGenerationStore(dir)
+				st, err := liveupdate.LoadGenerationStore(genDir)
 				if err != nil {
 					return err
 				}
-				if cfg.Store != nil {
-					fmt.Fprintf(os.Stderr, "fsdl-serve: live: ignoring -store in favor of generation %d labels\n", m.Generation)
-				}
-				cfg.Store, cfg.Report = st, nil
+				cfg.Store = st
 			}
-			fmt.Fprintf(os.Stderr, "fsdl-serve: live: resuming from generation %d (%s)\n", m.Generation, dir)
-		} else if *graphPath == "" {
-			return fmt.Errorf("live: no generation under %s yet — provide the base graph with -graph", *liveRoot)
+			fmt.Fprintf(os.Stderr, "fsdl-serve: live: resuming from generation %d (%s)\n", gen.Generation, genDir)
 		} else {
 			gf, err := os.Open(*graphPath)
 			if err != nil {
@@ -203,9 +217,6 @@ func run(args []string) error {
 			if err != nil {
 				return err
 			}
-		}
-		if cfg.Store == nil && cfg.Source == nil {
-			return fmt.Errorf("live: no generation under %s yet — provide labels with -store or -cluster", *liveRoot)
 		}
 		p, err := liveupdate.Open(liveupdate.Config{Base: base, WALPath: *walPath, Generation: generation})
 		if err != nil {

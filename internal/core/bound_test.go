@@ -1,0 +1,226 @@
+package core
+
+import (
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"fsdl/internal/graph"
+)
+
+// This file tests the labels' lower bound (labelBound) and the two
+// shortcuts a distance-only decode takes off it (decode): the stop at L,
+// and the target's own level lists scanned only when a first solve
+// without them misses L.
+
+// refLabelBound is L computed the slow way: every point of every level
+// of L(s), looked up in L(t) at the same level.
+func refLabelBound(q *Query) int64 {
+	var l int64
+	for k := range q.S.Levels {
+		for _, p := range q.S.Levels[k].Points {
+			if d, ok := q.T.DistTo(q.S.Level(k), p.X); ok {
+				l = max(l, int64(p.D-d), int64(d-p.D))
+			}
+		}
+	}
+	return l
+}
+
+// boundCounts is what the two decode counters moved by across f.
+func boundCounts(f func()) (stops, rescans int64) {
+	before := DecoderPool()
+	f()
+	after := DecoderPool()
+	return after.BoundStops - before.BoundStops, after.TargetRescans - before.TargetRescans
+}
+
+// TestLabelBoundMatchesReference: the merge per level finds what looking
+// every point up finds, on labels of a grid, a ring and a random graph.
+func TestLabelBoundMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, g := range []*graph.Graph{gridGraph(t, 9, 7), ringLattice(t, 300), randomConnected(t, 120, 60, rng)} {
+		s, err := BuildScheme(g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 200; i++ {
+			q := &Query{S: s.Label(rng.Intn(g.NumVertices())), T: s.Label(rng.Intn(g.NumVertices()))}
+			if got, want := labelBound(q.S, q.T), refLabelBound(q); got != want {
+				t.Fatalf("L(%d, %d) = %d, want %d", q.S.V, q.T.V, got, want)
+			}
+		}
+	}
+}
+
+// liar returns a copy of l, validated afresh, that puts x at distance d
+// from l's vertex: in every ball that holds x and on every stored edge
+// between the two.
+func liar(t *testing.T, l *Label, x, d int32) *Label {
+	t.Helper()
+	c := &Label{V: l.V, Epsilon: l.Epsilon, C: l.C, MaxLevel: l.MaxLevel, RShrink: l.RShrink}
+	for _, lv := range l.Levels {
+		pts, edges := slices.Clone(lv.Points), slices.Clone(lv.Edges)
+		for i := range pts {
+			if pts[i].X == x {
+				pts[i].D = d
+			}
+		}
+		for i, e := range edges {
+			if unorderedKey(pts[e.XI].X, pts[e.YI].X) == unorderedKey(l.V, x) {
+				edges[i].D = d
+			}
+		}
+		c.Levels = append(c.Levels, LevelLabel{Points: pts, Edges: edges})
+	}
+	if err := c.Validate(); err != nil {
+		t.Fatalf("the lying copy of L(%d) fails Validate: %v", l.V, err)
+	}
+	return c
+}
+
+// TestLabelBoundLiars pins the contract for labels that pass Validate and
+// contradict each other. On the path 0–1–2–…, L(0) and L(2) each put the
+// other endpoint at 3 instead of 2: L = 3 while d_H = 2 (0–1–2 is in H).
+// The search relaxes 0's edges, finds 2 at 3 ≤ L and stops there, so a
+// plain decode answers 3 — a walk of H, between d_H and L — while
+// everything that reports a walk or H, and a patched decode, answers 2.
+func TestLabelBoundLiars(t *testing.T) {
+	s, err := BuildScheme(gridGraph(t, 8, 1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := &Query{S: liar(t, s.Label(0), 2, 3), T: liar(t, s.Label(2), 0, 3)}
+	if l := labelBound(q.S, q.T); l != 3 {
+		t.Fatalf("L = %d, want 3", l)
+	}
+	dH, _, _, _, err := referenceDecode(q, nil)
+	if err != nil || dH != 2 {
+		t.Fatalf("reference d_H = %d (%v), want 2", dH, err)
+	}
+	var dec Decoder
+	defer dec.Release()
+	if d, ok := dec.Distance(q); !ok || d != 3 {
+		t.Errorf("Distance = (%d, %v), want 3 — the bound", d, ok)
+	}
+	if res := dec.DistanceRobust(q); !res.OK || res.Dist != 3 {
+		t.Errorf("DistanceRobust = %+v, want 3", res)
+	}
+	if d, path, ok := dec.DecodePath(q, nil); !ok || d != 2 || !slices.Equal(path, []int32{0, 1, 2}) {
+		t.Errorf("DecodePath = (%d, %v, %v), want 2 over 0 1 2", d, path, ok)
+	}
+	var tr Trace
+	if d, ok := dec.DistanceWithTrace(q, &tr); !ok || d != 2 {
+		t.Errorf("traced = (%d, %v), want 2", d, ok)
+	}
+	if res, _ := dec.DistanceRobustPath(q, nil); !res.OK || res.Dist != 2 {
+		t.Errorf("DistanceRobustPath = %+v, want 2", res)
+	}
+	// A pending insert may undercut d_G: a patched decode never uses L.
+	if res := dec.DistanceRobustPatched(q, patchesOf(s, [][2]int{{5, 7}})); !res.OK || res.Dist != 2 {
+		t.Errorf("DistanceRobustPatched = %+v, want 2", res)
+	}
+	checkCanonicalWalk(t, "lying labels", q, 2, []int32{0, 1, 2}, true, 3)
+}
+
+// TestLabelBoundBatches is the distance-only differential: the corpus of
+// TestBatchMatchesFreshAndReference plus a ring of 1 024, eight pairs
+// through one Decoder under every fault side, each pair under its budget
+// and then under none, each answer held to a fresh Decoder's and to
+// referenceDecode's δ and exhausted flag — and, for the unpatched pairs,
+// DecodePath's walk and Query.Sketch's H to the reference's, since
+// neither may take a shortcut. The counters must say what the rule in
+// decode says: a stop exactly when the answer is L, never under a patch;
+// a rescan only where t's lists could wait. Each ring must hit the stop,
+// a target skip whose first pass reached L, and its fallback.
+func TestLabelBoundBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(2901))
+	graphs := []struct {
+		name string
+		g    *graph.Graph
+	}{
+		{"grid12x10", gridGraph(t, 12, 10)},
+		{"tree150", randomConnected(t, 150, 0, rng)},
+		{"ring256", ringLattice(t, 256)},
+		{"rand140", randomConnected(t, 140, 70, rng)},
+		{"ring1024", ringLattice(t, 1024)},
+	}
+	kinds := []string{"vertex", "edge", "mixed", "degraded", "ablated"}
+	for _, gc := range graphs {
+		if raceEnabled && gc.name != "ring256" {
+			continue // one goroutine: nothing to find, 10× the time
+		}
+		s, err := BuildScheme(gc.g, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetCacheLimit(4096)
+		var stops, skipped, rescans int
+		for ki, kind := range kinds {
+			for ni, nf := range []int{0, 1, 2, 4, 16, 64} {
+				if nf >= 64 && (kind == "degraded" || kind == "ablated" || testing.Short() || raceEnabled || gc.name == "ring1024") {
+					continue
+				}
+				b := newFrameBatch(t, rng, gc.g, s, kind, nf, (ki+ni)%2 == 0)
+				t.Run(gc.name+"/"+b.name, func(t *testing.T) {
+					batch := NewDecoder()
+					defer batch.Release()
+					for i := range b.pairs {
+						total, pair := frameWork(b.query(s, i, 0), b.patches)
+						for _, budget := range []int{[]int{0, total + 7, total, total - 1, pair + (total-pair)/2, pair / 2, 0, 0}[i], 0} {
+							q := b.query(s, i, max(budget, 0))
+							var want Trace
+							wantDist, wantEdges, _, wantExh, err := referenceDecode(q, &want, b.patches...)
+							if err != nil {
+								t.Fatal(err)
+							}
+							var res Result
+							dStops, dRescans := boundCounts(func() { res = batch.DistanceRobustPatched(q, b.patches) })
+							fresh := NewDecoder()
+							fRes := fresh.DistanceRobustPatched(q, b.patches)
+							fresh.Release()
+							if res.OK != (wantDist >= 0) || res.OK && res.Dist != wantDist || res.BudgetExhausted != wantExh || !reflect.DeepEqual(res, fRes) {
+								t.Fatalf("pair %d (budget %d): %+v, fresh Decoder %+v, reference (δ=%d, exhausted=%v)", i, q.Budget, res, fRes, wantDist, wantExh)
+							}
+							patched := len(b.patches) > 0
+							atBound := !patched && wantDist >= 0 && wantDist == refLabelBound(q)
+							lateT := !patched && q.Budget == 0 && !b.owners[q.T.V]
+							if dStops != int64(btoi(atBound)) || dRescans > int64(btoi(lateT)) {
+								t.Fatalf("pair %d (budget %d, patched %v, t a frame owner %v): %d stops, %d rescans; δ=%d, L=%d",
+									i, q.Budget, patched, b.owners[q.T.V], dStops, dRescans, wantDist, refLabelBound(q))
+							}
+							stops += int(dStops)
+							rescans += int(dRescans)
+							if lateT && dStops == 1 && dRescans == 0 {
+								skipped++
+							}
+							if patched {
+								continue
+							}
+							d, path, ok := batch.DecodePath(q, nil)
+							if ok != (wantDist >= 0) || ok && (d != wantDist || !slices.Equal(path, want.Path)) {
+								t.Fatalf("pair %d (budget %d): DecodePath (%d, %v, %v), the reference δ=%d over %v", i, q.Budget, d, path, ok, wantDist, want.Path)
+							}
+							if edges, err := q.Sketch(); err != nil || !reflect.DeepEqual(edges, wantEdges) {
+								t.Fatalf("pair %d (budget %d): Sketch has %d edges (%v), the reference %d", i, q.Budget, len(edges), err, len(wantEdges))
+							}
+						}
+					}
+				})
+			}
+		}
+		t.Logf("%s: %d decodes ended at the bound, %d of them on a first pass without t's lists; %d rescans", gc.name, stops, skipped, rescans)
+		if strings.HasPrefix(gc.name, "ring") && (stops == 0 || skipped == 0 || rescans == 0) {
+			t.Errorf("%s: %d stops, %d first passes that reached L, %d rescans: the corpus misses a case", gc.name, stops, skipped, rescans)
+		}
+	}
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}

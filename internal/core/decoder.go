@@ -455,6 +455,8 @@ var (
 	decodePoolNews atomic.Int64
 	framesBuilt    atomic.Int64
 	framesReused   atomic.Int64
+	boundStops     atomic.Int64
+	targetRescans  atomic.Int64
 
 	decodePool = sync.Pool{New: func() any {
 		decodePoolNews.Add(1)
@@ -506,11 +508,15 @@ func dropAll[T any](s *[]T) {
 // first under a fault set, a lone query's included — and FramesReused
 // those that took them from the run an earlier decode on the same Decoder
 // had built: reused/built is the number of further pairs answered per
-// fault frame. Exposed so serving layers can
-// report both on their metrics endpoints.
+// fault frame. BoundStops counts the decodes whose answer is the lower
+// bound their endpoint labels give (decode), found without settling t,
+// and TargetRescans those whose first solve, without t's own level lists,
+// missed it and scanned them. Exposed so serving layers can report them
+// on their metrics endpoints.
 type DecoderPoolStats struct {
 	Gets, News                int64
 	FramesBuilt, FramesReused int64
+	BoundStops, TargetRescans int64
 }
 
 // DecoderPool returns the current counters.
@@ -518,6 +524,7 @@ func DecoderPool() DecoderPoolStats {
 	return DecoderPoolStats{
 		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
 		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(),
+		BoundStops: boundStops.Load(), TargetRescans: targetRescans.Load(),
 	}
 }
 
@@ -555,7 +562,7 @@ func (d *Decoder) Distance(q *Query) (int64, bool) { return d.DistanceWithTrace(
 
 // DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
 func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
-	dist, _, err := d.scratch().decode(q, nil, tr)
+	dist, _, err := d.scratch().decode(q, nil, tr, true)
 	if err != nil || dist < 0 {
 		return 0, false
 	}
@@ -572,7 +579,7 @@ func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
 // exact shortest path of G\F.
 func (d *Decoder) DecodePath(q *Query, buf []int32) (int64, []int32, bool) {
 	sc := d.scratch()
-	dist, _, err := sc.decode(q, nil, nil)
+	dist, _, err := sc.decode(q, nil, nil, false)
 	if err != nil || dist < 0 {
 		return 0, buf, false
 	}

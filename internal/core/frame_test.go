@@ -204,7 +204,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 						}
 						fresh := NewDecoder()
 						var ftr Trace
-						fDist, fExh, err := fresh.scratch().decode(q, b.patches, &ftr)
+						fDist, fExh, err := fresh.scratch().decode(q, b.patches, &ftr, false)
 						if err != nil {
 							t.Fatalf("pair %d: fresh decode: %v", i, err)
 						}
@@ -254,7 +254,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 								continue
 							}
 							var tr Trace
-							dist, exh, err := batch.scratch().decode(q, b.patches, &tr)
+							dist, exh, err := batch.scratch().decode(q, b.patches, &tr, false)
 							if err != nil {
 								t.Fatalf("pair %d: %v", i, err)
 							}
@@ -477,7 +477,7 @@ next:
 		side := Query{VertexFaults: []*Label{s.Label(v)}}
 		q := side
 		q.S, q.T = s.Label(pairs[0][0]), s.Label(pairs[0][1])
-		if _, _, err := dec.scratch().decode(&q, nil, nil); err != nil {
+		if _, _, err := dec.scratch().decode(&q, nil, nil, false); err != nil {
 			t.Fatal(err)
 		}
 		sc := dec.scratch()
@@ -485,7 +485,7 @@ next:
 		if other, ok := seen[sh]; ok {
 			keys := runKeys(sc)
 			q.VertexFaults = other.VertexFaults
-			if _, _, err := dec.scratch().decode(&q, nil, nil); err != nil {
+			if _, _, err := dec.scratch().decode(&q, nil, nil, false); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(keys, runKeys(dec.scratch())) {
@@ -517,7 +517,7 @@ func runKeys(sc *decodeScratch) [][3]int32 {
 func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge) bool {
 	t.Helper()
 	var tr, ftr, want Trace
-	dist, exh, err := dec.scratch().decode(q, patches, &tr)
+	dist, exh, err := dec.scratch().decode(q, patches, &tr, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge
 	}
 	fresh := NewDecoder()
 	defer fresh.Release()
-	fDist, fExh, err := fresh.scratch().decode(q, patches, &ftr)
+	fDist, fExh, err := fresh.scratch().decode(q, patches, &ftr, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -278,7 +278,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 	sc.vf, sc.ef = rq.VertexFaults[:0], rq.EdgeFaults[:0]
 	slices.Sort(res.MissingFaultLabels)
 
-	d, exhausted, err := sc.decode(&rq, patches, nil)
+	d, exhausted, err := sc.decode(&rq, patches, nil, !wantPath)
 	res.BudgetExhausted = exhausted
 	res.Degraded = exhausted || len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
 	if err != nil || d < 0 {
@@ -308,7 +308,7 @@ func (q *Query) Sketch() ([]SketchEdge, error) {
 	var d Decoder
 	defer d.Release()
 	sc := d.scratch()
-	if _, _, err := sc.decode(q, nil, nil); err != nil {
+	if _, _, err := sc.decode(q, nil, nil, false); err != nil {
 		return nil, err
 	}
 	if q.S.V == q.T.V {
@@ -399,7 +399,18 @@ func (q *Query) Validate() error {
 // center (Lemma 2.6's membership test, batched). What comes out is held
 // to referenceDecode in the tests, which tests every membership with a
 // hash probe: same budget accounting, same sketch, same walk.
-func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64, bool, error) {
+//
+// distOnly says the caller reads δ and nothing else — no walk, no H. Such
+// a decode without a trace or an admitted patch edge takes two shortcuts
+// off labelBound's L ≤ d_H. The solve stops once t's tentative distance
+// reaches L. And t's own level lists — unless the run holds them or a
+// Budget counts scan order — wait until a first solve without them, t
+// keeping its self edges (its one way into H), misses L: a subset of H
+// that reaches L has answered d_H, and after a miss the search goes on
+// from where it ended, through what t's lists make shorter. Labels that
+// pass Validate but contradict each other (L > d_H) get the length of a
+// walk of H between d_H and L; δ never drops below d_H.
+func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace, distOnly bool) (int64, bool, error) {
 	sc.beside = nil
 	if err := q.Validate(); err != nil {
 		return 0, false, err
@@ -450,7 +461,14 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 			}
 		}
 	}
-	exhausted := sc.scanOwners(sc.owners, room)
+	bound, late := int64(-1), (*Label)(nil) // see distOnly above
+	if distOnly && tr == nil && len(sc.patchKeys) == 0 {
+		bound = labelBound(q.S, q.T)
+		if q.Budget <= 0 && !sc.seenOwner.has(q.T.V) {
+			late = q.T
+		}
+	}
+	exhausted := sc.scanOwners(sc.owners, room, late, true)
 	sc.src, sc.dst = int(sc.vertexID(q.S.V)), int(sc.vertexID(q.T.V))
 	if tr != nil {
 		tr.FrameReused = reused
@@ -463,7 +481,49 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace) (int64
 			sc.run.tally.addTo(tr)
 		}
 	}
-	return sc.solve(tr), exhausted, nil
+	d := sc.solve(tr, bound, 0)
+	if late != nil && (d < 0 || d > bound) {
+		// Missed: the rest of H is t's lists. The search goes on from
+		// where it stopped, through what their edges make shorter.
+		targetRescans.Add(1)
+		n := len(sc.cands)
+		sc.owners = append(sc.owners[:0], late)
+		if sc.scanOwners(sc.owners, room, nil, false); len(sc.cands) > n {
+			d = sc.solve(nil, bound, n)
+		}
+	}
+	if d >= 0 && d <= bound {
+		boundStops.Add(1)
+	}
+	return d, exhausted, nil
+}
+
+// labelBound is L = max |d(s,x) − d(t,x)| over the net points x that
+// L(s) and L(t) hold at one level. Every edge of H weighs the d_G of its
+// ends, so by the triangle inequality no s–t walk of H is shorter: a
+// lower bound on d_H(s,t) read off the two labels, and d_G(s,t) itself
+// when a shortest path from s to some shared x runs through t (t is such
+// an x when it is a net point in s's ball). The nets nest and the radii
+// grow, so a point the two labels hold at different levels both hold at
+// the higher one, and one merge per level of the id-sorted point lists
+// finds every shared point.
+func labelBound(s, t *Label) int64 {
+	var l int32
+	for k := range s.Levels {
+		a, b := s.Levels[k].Points, t.Levels[k].Points
+		for i, j := 0, 0; i < len(a) && j < len(b); {
+			switch x, y := a[i].X, b[j].X; {
+			case x < y:
+				i++
+			case x > y:
+				j++
+			default:
+				l = max(l, a[i].D-b[j].D, b[j].D-a[i].D)
+				i, j = i+1, j+1
+			}
+		}
+	}
+	return int64(l)
 }
 
 // frameMatches reports whether the frame on the scratch was built from
@@ -553,7 +613,7 @@ func (sc *decodeScratch) buildFrameRun() {
 	framesBuilt.Add(1)
 	sc.scanPass.reset(sc.numLevels)
 	sc.emitPatches()
-	sc.scanOwners(sc.frameOwners, math.MaxInt)
+	sc.scanOwners(sc.frameOwners, math.MaxInt, nil, true)
 	sc.run, sc.scanPass = sc.scanPass, sc.run
 	sc.runArcs.Pack(len(sc.run.ids), sc.run.cands)
 	sc.runBuilt = true
@@ -709,9 +769,12 @@ func (sc *decodeScratch) ompbRows(owners []*Label) {
 // candidates H already has. Such a list is charged and tallied as if
 // scanned (seenBefore) and not walked; the sketch, the walk, exhausted
 // and the trace come out the same.
-func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) {
+//
+// The level edge lists of owner late are not walked, nor recorded as
+// walked; the owners' self edges are walked only with selfEdges.
+func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, selfEdges bool) (exhausted bool) {
 	lowest, numLevels, rule, W := sc.lowest, sc.numLevels, sc.rule, sc.maskWords
-	if rule >= admitFused {
+	if rule >= admitFused && selfEdges {
 		sc.ompbRows(owners)
 	}
 	tally := &sc.tally
@@ -721,20 +784,25 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 		for k := 0; k < numLevels; k++ {
 			lv := &o.Levels[k]
 			pts := lv.Points
-			forb := sc.fillForb(pts)
-			var msk []uint64
-			if rule >= admitFused {
-				msk = sc.fillMasks(pts, k, W)
-			}
 			before := len(cands)
 			edges := lv.Edges
+			if o == late {
+				edges = nil
+			}
 			if len(edges) > room {
 				edges, exhausted = edges[:room], true
 			}
 			scanned := len(edges)
 			// reused counts the candidates an earlier scan of this very
 			// list admitted; a list walked now numbers its points in pid.
+			// The masks serve a list walked now and self edges.
 			first, reused := sc.seenBefore(k, pts, edges), 0
+			self := selfEdges && !oForbidden
+			forb := sc.fillForb(pts)
+			var msk []uint64
+			if rule >= admitFused && (first == nil || self) {
+				msk = sc.fillMasks(pts, k, W)
+			}
 			if first == nil {
 				sc.pid = slices.Grow(sc.pid[:0], len(pts))[:len(pts)]
 				for i := range sc.pid {
@@ -821,7 +889,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) 
 			// known point by point, so this loop counts what it scans.
 			// The owner's own id is looked up on its first admitted self
 			// edge, so an owner without one adds no vertex to H.
-			if !oForbidden {
+			if self {
 				oid := int32(-1)
 				var row []uint64
 				if rule >= admitFused {
@@ -1019,14 +1087,22 @@ func (sc *decodeScratch) sketchEdges() []SketchEdge {
 	return sc.edges
 }
 
-// solve hands the candidates to the solver, runs Dijkstra and, when
-// asked, completes the trace. It returns -1 when t is unreachable.
-func (sc *decodeScratch) solve(tr *Trace) int64 {
+// solve hands the candidates to the solver, runs Dijkstra — until t is
+// settled, or its tentative distance reaches bound — and, when asked,
+// completes the trace. It returns -1 when t is unreachable. With from > 0
+// the last solve, which settled t or ran dry, goes on with the candidates
+// from there on added.
+func (sc *decodeScratch) solve(tr *Trace, bound int64, from int) int64 {
 	var run *graph.Arcs
 	if sc.beside != nil {
 		run = &sc.runArcs
 	}
-	dist := sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands)
+	var dist int64
+	if from > 0 {
+		dist = sc.solver.Resume(sc.ids, sc.dst, run, sc.cands, from, bound)
+	} else {
+		dist = sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands, bound)
+	}
 	if tr != nil {
 		tr.NumHVertices = len(sc.ids)
 		tr.NumHEdges = len(sc.sketchEdges())

@@ -638,7 +638,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 			gotTr := &Trace{}
 			sc := getScratch()
-			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr)
+			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr, false)
 			gotEdges := slices.Clone(sc.sketchEdges())
 			gotCenters := len(sc.centers)
 			putScratch(sc)

@@ -126,9 +126,51 @@ const unreached = 1<<63 - 1
 // unreachable. ids[v] is the name that breaks ties between predecessors
 // (see the type comment); names are distinct. A settled vertex relaxes
 // its run arcs, then its pair arcs. The search terminates once dst is
-// settled; the parent tree of the settled region remains available to
-// PathTo until the next call.
-func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair []DenseEdge) int64 {
+// settled, or earlier, once dst's tentative distance is at most bound
+// (negative: never) — a caller that knows no src–dst path is shorter
+// than bound gets d(src,dst) that much sooner, one that is wrong about it
+// the length of some path no longer than bound. The parent tree of the
+// settled region remains available to PathTo until the next call, which
+// is a shortest path only if the search settled dst.
+func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair []DenseEdge, bound int64) int64 {
+	n := len(ids)
+	s.dist = slices.Grow(s.dist[:0], n)[:n]
+	s.parent = slices.Grow(s.parent[:0], n)[:n]
+	for i := range s.dist {
+		s.dist[i] = unreached
+		s.parent[i] = -1
+	}
+	s.pq = s.pq[:0]
+	s.dist[src] = 0
+	s.push(distEntry{v: int32(src), d: 0})
+	return s.search(ids, dst, run, pair, bound)
+}
+
+// Resume returns what ShortestPath would for the multigraph of the last
+// call — which must have searched to the end: dst settled, or found
+// unreachable — with the edges pair[from:] added: run and pair[:from] are
+// that call's, ids its ids followed by the vertices the new edges bring.
+// It goes on from where that call stopped: the new edges are relaxed from
+// the ends it reached, and the search settles what they make shorter, up
+// to dst. Only the distance is promised, not PathTo's walk.
+func (s *SketchSolver) Resume(ids []int32, dst int, run *Arcs, pair []DenseEdge, from int, bound int64) int64 {
+	for len(s.dist) < len(ids) {
+		s.dist = append(s.dist, unreached)
+		s.parent = append(s.parent, -1)
+	}
+	for _, e := range pair[from:] {
+		for _, a := range [2]DenseEdge{e, {U: e.V, V: e.U, W: e.W}} {
+			if d := s.dist[a.U]; d < unreached {
+				s.relax(ids, distEntry{v: a.U, d: d}, []sketchArc{{to: a.V, w: a.W}})
+			}
+		}
+	}
+	return s.search(ids, dst, run, pair, bound)
+}
+
+// search is the one Dijkstra loop, ShortestPath's and Resume's: from the
+// queue and the distances it finds.
+func (s *SketchSolver) search(ids []int32, dst int, run *Arcs, pair []DenseEdge, bound int64) int64 {
 	n := len(ids)
 	s.pair.Pack(n, pair)
 	if run == nil {
@@ -138,24 +180,15 @@ func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair [
 		panic("graph: run has more vertices than ids")
 	}
 	runOff, runArcs, nRun := run.off, run.arcs, int32(max(len(run.off)-1, 0))
-	s.dist = slices.Grow(s.dist[:0], n)[:n]
-	s.parent = slices.Grow(s.parent[:0], n)[:n]
-	dist, parent := s.dist, s.parent
-	for i := range dist {
-		dist[i] = unreached
-		parent[i] = -1
-	}
+	dist := s.dist
 	off, arcs := s.pair.off, s.pair.arcs
-	s.pq = s.pq[:0]
-	dist[src] = 0
-	s.push(distEntry{v: int32(src), d: 0})
-	for len(s.pq) > 0 {
+	for len(s.pq) > 0 && dist[dst] > bound {
 		e := s.pop()
 		if e.d != dist[e.v] {
 			continue // stale entry
 		}
-		if int(e.v) == dst {
-			break
+		if e.d >= dist[dst] {
+			break // dst is settled: nothing left in the queue shortens it
 		}
 		if e.v < nRun {
 			s.relax(ids, e, runArcs[runOff[e.v]:runOff[e.v+1]])

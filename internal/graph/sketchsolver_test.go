@@ -123,7 +123,7 @@ func TestSketchSolverMatchesWeighted(t *testing.T) {
 				{"run+pair", runOf(rng, n, edges[:cut], false), edges[cut:]},
 				{"collapsed run+pair", runOf(rng, n, edges[:cut], true), edges[cut:]},
 			} {
-				gotD := s.ShortestPath(ids, src, dst, tc.run, tc.pair)
+				gotD := s.ShortestPath(ids, src, dst, tc.run, tc.pair, -1)
 				if !ok {
 					if gotD != WeightedInfinity {
 						t.Fatalf("trial %d %s: dist(%d,%d) = %d, want unreachable", trial, tc.name, src, dst, gotD)
@@ -137,6 +137,86 @@ func TestSketchSolverMatchesWeighted(t *testing.T) {
 					t.Fatalf("trial %d order %d %s: walk %v, want %v (names %v)", trial, order, tc.name, got, wantWalk, ids)
 				}
 			}
+		}
+	}
+}
+
+// TestSketchSolverBound: a bound no larger than the distance changes
+// nothing but when the search ends; a larger one — a caller wrong about
+// what is shortest — gets the length of a real path between the two.
+// Unreachable stays unreachable whatever the bound.
+func TestSketchSolverBound(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var s SketchSolver
+	for trial := 0; trial < 300; trial++ {
+		n := 2 + rng.Intn(20)
+		var edges []DenseEdge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, DenseEdge{int32(u), int32(v), int32(1 + rng.Intn(5))})
+			}
+		}
+		ids := randomNames(rng, n)
+		src, dst := rng.Intn(n), rng.Intn(n)
+		wantD, _, ok := canonicalWalk(ids, edges, src, dst)
+		cut := rng.Intn(len(edges) + 1)
+		run := runOf(rng, n, edges[:cut], trial%2 == 0)
+		for _, bound := range []int64{0, wantD / 2, wantD - 1, wantD, wantD + 1, 2*wantD + 3, 1 << 40} {
+			got := s.ShortestPath(ids, src, dst, run, edges[cut:], bound)
+			switch {
+			case !ok:
+				if got != WeightedInfinity {
+					t.Fatalf("trial %d bound %d: dist = %d, want unreachable", trial, bound, got)
+				}
+			case bound <= wantD && got != wantD, bound > wantD && (got < wantD || got > bound):
+				t.Fatalf("trial %d: bound %d gives %d, the distance is %d", trial, bound, got, wantD)
+			}
+		}
+	}
+
+	// The search ends as soon as dst's tentative distance reaches the
+	// bound — not once it is below it: with src–dst at 2 and src–v–w at
+	// 1 + 1, a bound of 2 leaves v unsettled and w unreached.
+	got := s.ShortestPath([]int32{0, 1, 2, 3}, 0, 1, nil, []DenseEdge{{0, 1, 2}, {0, 2, 1}, {2, 3, 1}}, 2)
+	if got != 2 || s.dist[3] != unreached {
+		t.Fatalf("bound 2: dist %d, w at %d — the search went on past the bound", got, s.dist[3])
+	}
+}
+
+// TestSketchSolverResume: a search run to the end over some of the edges,
+// then resumed with the rest — over vertices the first part may not
+// have — answers what one search over all of them does, under any bound
+// the resumed search is given; and so does a second resume.
+func TestSketchSolverResume(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	var s SketchSolver
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(20)
+		var edges []DenseEdge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				edges = append(edges, DenseEdge{int32(u), int32(v), int32(1 + rng.Intn(5))})
+			}
+		}
+		ids := randomNames(rng, n)
+		src, dst := rng.Intn(n), rng.Intn(n)
+		wantD, _, ok := canonicalWalk(ids, edges, src, dst)
+		if !ok {
+			wantD = WeightedInfinity
+		}
+		cut := rng.Intn(len(edges) + 1)
+		cut2 := cut + rng.Intn(len(edges)-cut+1)
+		// The first search knows the vertices its edges and src, dst need.
+		seen := max(src, dst) + 1
+		for _, e := range edges[:cut] {
+			seen = max(seen, int(e.U)+1, int(e.V)+1)
+		}
+		run := runOf(rng, seen, nil, false)
+		s.ShortestPath(ids[:seen], src, dst, run, edges[:cut], -1)
+		s.Resume(ids, dst, run, edges[:cut2], cut, -1)
+		bound := []int64{-1, 0, wantD - 1, wantD}[trial%4]
+		if got := s.Resume(ids, dst, run, edges, cut2, bound); got != wantD {
+			t.Fatalf("trial %d: resumed at %d and %d of %d edges (bound %d): dist %d, want %d", trial, cut, cut2, len(edges), bound, got, wantD)
 		}
 	}
 }
@@ -204,7 +284,7 @@ func TestSketchSolverParallelEdges(t *testing.T) {
 		{"lighter last", []DenseEdge{{0, 1, 5}, {1, 2, 1}, {1, 0, 2}}, 3},
 		{"equal", []DenseEdge{{0, 1, 4}, {1, 0, 4}, {1, 2, 1}, {2, 1, 1}}, 5},
 	} {
-		if got := s.ShortestPath(ids, 0, 2, nil, tc.edges); got != tc.want {
+		if got := s.ShortestPath(ids, 0, 2, nil, tc.edges, -1); got != tc.want {
 			t.Errorf("%s: dist = %d, want %d", tc.name, got, tc.want)
 		}
 		if got := s.PathTo(0, 2, nil); !slices.Equal(got, []int32{0, 1, 2}) {
@@ -230,7 +310,7 @@ func TestSketchSolverWeightlessEdges(t *testing.T) {
 		ids := randomNames(rng, n)
 		src, dst := rng.Intn(n), rng.Intn(n)
 		wantD, _ := weightedOf(n, edges).ShortestPath(src, dst)
-		gotD := s.ShortestPath(ids, src, dst, nil, edges)
+		gotD := s.ShortestPath(ids, src, dst, nil, edges, -1)
 		if gotD != wantD {
 			t.Fatalf("trial %d: dist = %d, want %d", trial, gotD, wantD)
 		}
@@ -255,22 +335,22 @@ func TestSketchSolverReuse(t *testing.T) {
 	run.Pack(10, path)
 	run.Collapse()
 	ids := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if d := s.ShortestPath(ids, 0, 9, nil, path); d != 9 {
+	if d := s.ShortestPath(ids, 0, 9, nil, path, -1); d != 9 {
 		t.Fatalf("path graph dist = %d, want 9", d)
 	}
-	if d := s.ShortestPath(ids, 0, 9, &run, nil); d != 9 {
+	if d := s.ShortestPath(ids, 0, 9, &run, nil, -1); d != 9 {
 		t.Fatalf("path graph as a run: dist = %d, want 9", d)
 	}
 	ids = ids[:3]
-	if d := s.ShortestPath(ids, 0, 2, nil, []DenseEdge{{0, 1, 5}}); d != WeightedInfinity {
+	if d := s.ShortestPath(ids, 0, 2, nil, []DenseEdge{{0, 1, 5}}, -1); d != WeightedInfinity {
 		t.Fatalf("disconnected dist = %d, want infinity (stale arcs leaked)", d)
 	}
 	run.Pack(2, []DenseEdge{{0, 1, 5}})
 	run.Collapse()
-	if d := s.ShortestPath(ids, 0, 2, &run, nil); d != WeightedInfinity {
+	if d := s.ShortestPath(ids, 0, 2, &run, nil, -1); d != WeightedInfinity {
 		t.Fatalf("disconnected run: dist = %d, want infinity (stale run arcs leaked)", d)
 	}
-	if d := s.ShortestPath(ids, 0, 2, &run, []DenseEdge{{1, 2, 7}}); d != 12 {
+	if d := s.ShortestPath(ids, 0, 2, &run, []DenseEdge{{1, 2, 7}}, -1); d != 12 {
 		t.Fatalf("dist = %d, want 12", d)
 	}
 }
@@ -291,7 +371,7 @@ func TestSketchSolverPanics(t *testing.T) {
 		f()
 	}
 	for _, e := range []DenseEdge{{0, 1, -1}, {0, 2, 1}, {-1, 0, 1}} {
-		mustPanic(fmt.Sprintf("pair edge %+v", e), func() { s.ShortestPath(ids, 0, 1, nil, []DenseEdge{e}) })
+		mustPanic(fmt.Sprintf("pair edge %+v", e), func() { s.ShortestPath(ids, 0, 1, nil, []DenseEdge{e}, -1) })
 		mustPanic(fmt.Sprintf("run edge %+v", e), func() {
 			var run Arcs
 			run.Pack(2, []DenseEdge{e})
@@ -299,5 +379,5 @@ func TestSketchSolverPanics(t *testing.T) {
 	}
 	var wide Arcs
 	wide.Pack(3, []DenseEdge{{0, 2, 1}})
-	mustPanic("run over 3 vertices, 2 ids", func() { s.ShortestPath(ids, 0, 1, &wide, nil) })
+	mustPanic("run over 3 vertices, 2 ids", func() { s.ShortestPath(ids, 0, 1, &wide, nil, -1) })
 }

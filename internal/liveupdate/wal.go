@@ -118,9 +118,11 @@ func recordOp(r Record) byte {
 	}
 }
 
-// AppendRecord appends r as one complete WAL frame.
+// AppendRecord appends r as one complete WAL frame. The payload is
+// encoded on the stack: a record is at most three varints.
 func AppendRecord(dst []byte, r Record) []byte {
-	return frame.Append(dst, recordOp(r), AppendRecordPayload(nil, r))
+	var payload [3 * binary.MaxVarintLen64]byte
+	return frame.Append(dst, recordOp(r), AppendRecordPayload(payload[:0], r))
 }
 
 // ParseRecordPayload decodes the payload of a WAL frame with the given
@@ -256,6 +258,7 @@ type WAL struct {
 	nextIndex uint64 // rotation index of the next sealed segment
 	sealed    []SegmentInfo
 	closed    bool
+	buf       []byte // Append's encode buffer, kept between batches
 
 	// Group commit: appends take a ticket; Sync fsyncs only when the
 	// flushed ticket lags the append ticket, and one fsync flushes
@@ -387,11 +390,12 @@ func (w *WAL) Append(muts []Mutation) (seq uint64, err error) {
 	if w.closed {
 		return w.seq, fmt.Errorf("liveupdate: wal is closed")
 	}
-	var buf []byte
+	buf := w.buf[:0]
 	for _, m := range muts {
 		w.seq++
 		buf = AppendRecord(buf, Record{Seq: w.seq, Mut: m})
 	}
+	w.buf = buf
 	if len(buf) > 0 {
 		if _, err := w.f.Write(buf); err != nil {
 			return w.seq, fmt.Errorf("liveupdate: wal append: %w", err)

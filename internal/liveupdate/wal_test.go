@@ -165,3 +165,46 @@ func TestWALOpenTruncatesTornTail(t *testing.T) {
 		t.Fatalf("final replay = %d records, want 2", len(recs))
 	}
 }
+
+// TestWALAppendAllocs: journaling a batch and syncing it allocates
+// nothing once the WAL's encode buffer has grown to the batch — the
+// group-commit path fsdl-bench times as wal_append_group. What was
+// appended still replays record for record.
+func TestWALAppendAllocs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "m.wal")
+	w, _, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	muts := []Mutation{
+		{Op: MutInsert, U: 0, V: 1}, {Op: MutDelete, U: 0, V: 1},
+		{Op: MutInsert, U: 1 << 30, V: 2}, {Op: MutDelete, U: 0, V: 1<<31 - 1},
+	}
+	batch := func() {
+		if _, err := w.Append(muts); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 0 {
+		t.Errorf("Append + Sync: %g allocs per batch, want 0", allocs)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := OpenWAL(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 52*len(muts) {
+		t.Fatalf("replayed %d records, want %d", len(recs), 52*len(muts))
+	}
+	for i, r := range recs {
+		if r.Seq != uint64(i+1) || r.Mut != muts[i%len(muts)] {
+			t.Fatalf("record %d = %+v, want seq %d %+v", i, r, i+1, muts[i%len(muts)])
+		}
+	}
+}

@@ -48,9 +48,9 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// poolLine matches the decoder-pool and fault-frame samples: both are
+// poolLine matches the decoder-pool and decode-counter samples: they are
 // process-wide, so their counts depend on which tests ran first.
-var poolLine = regexp.MustCompile(`(?m)^(fsdl_decoder_pool_\w+|fsdl_decode_frames_\w+) \d+$`)
+var poolLine = regexp.MustCompile(`(?m)^(fsdl_decoder_pool_\w+|fsdl_decode_\w+_total) \d+$`)
 
 // setFixedCounters drives every counter the server owns to a fixed,
 // distinct value — some past a million, where %d and %g part ways.
