@@ -41,6 +41,8 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -56,14 +58,21 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsdl-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until ctx is done, then drains: in-flight queries finish and
+// the mutation WAL is fsynced and closed. Whatever it opens it closes on
+// every return, an error's included. Its log lines go to logw.
+func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("fsdl-serve", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	storePath := fs.String("store", "", "label store file (required unless -cluster or -live-root with an existing generation)")
 	clusterPath := fs.String("cluster", "", "cluster membership file; serve from fsdl-shard servers instead of a local store")
 	hedge := fs.Duration("hedge", 0, "cluster: delay before hedging a fetch to a replica (0 = fetch-timeout/5, negative disables)")
@@ -156,7 +165,7 @@ func run(args []string) error {
 		// file from before the compaction would pair stale labels with the
 		// newer base graph. Loaded below.
 		if *storePath != "" {
-			fmt.Fprintf(os.Stderr, "fsdl-serve: live: ignoring -store in favor of generation %d labels\n", gen.Generation)
+			fmt.Fprintf(logw, "fsdl-serve: live: ignoring -store in favor of generation %d labels\n", gen.Generation)
 		}
 	case *salvage:
 		st, rep, err := labelstore.OpenPartial(*storePath)
@@ -168,7 +177,7 @@ func run(args []string) error {
 				*storePath, rep.Total, rep.Truncated)
 		}
 		if rep.Lost() > 0 {
-			fmt.Fprintf(os.Stderr, "fsdl-serve: salvage: kept %d/%d records (%d corrupt, truncated: %v) — lost fault labels answered as safe upper bounds\n",
+			fmt.Fprintf(logw, "fsdl-serve: salvage: kept %d/%d records (%d corrupt, truncated: %v) — lost fault labels answered as safe upper bounds\n",
 				rep.Kept, rep.Total, len(rep.Corrupt), rep.Truncated)
 		}
 		cfg.Store, cfg.Report = st, rep
@@ -206,7 +215,7 @@ func run(args []string) error {
 				}
 				cfg.Store = st
 			}
-			fmt.Fprintf(os.Stderr, "fsdl-serve: live: resuming from generation %d (%s)\n", gen.Generation, genDir)
+			fmt.Fprintf(logw, "fsdl-serve: live: resuming from generation %d (%s)\n", gen.Generation, genDir)
 		} else {
 			gf, err := os.Open(*graphPath)
 			if err != nil {
@@ -222,9 +231,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
+		// The drain below closes it too, reporting the final flush;
+		// closing twice is a no-op.
+		defer p.Close()
 		cfg.Live, cfg.LiveRoot, cfg.CompactWorkers = p, *liveRoot, *compactWorkers
 		if pending := p.Pending(); pending > 0 {
-			fmt.Fprintf(os.Stderr, "fsdl-serve: live: WAL replay restored %d pending delta edges (answers inexact until the next compaction)\n", pending)
+			fmt.Fprintf(logw, "fsdl-serve: live: WAL replay restored %d pending delta edges (answers inexact until the next compaction)\n", pending)
 		}
 		if fe != nil {
 			// Cluster + live: compaction writes one partition file per
@@ -255,18 +267,21 @@ func run(args []string) error {
 		return err
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	// Bound before serving, so the line below names the real address
+	// (-addr 127.0.0.1:0 picks a port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
 	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
+	go func() { errCh <- httpSrv.Serve(ln) }()
 	mode := "local store"
 	if *clusterPath != "" {
 		mode = fmt.Sprintf("cluster of %s", *clusterPath)
 	}
-	fmt.Fprintf(os.Stderr, "fsdl-serve: serving n=%d vertices from %s on %s\n",
-		srv.NumVertices(), mode, *addr)
+	fmt.Fprintf(logw, "fsdl-serve: serving n=%d vertices from %s on %s\n",
+		srv.NumVertices(), mode, ln.Addr())
 
 	select {
 	case err := <-errCh:
@@ -274,7 +289,7 @@ func run(args []string) error {
 	case <-ctx.Done():
 	}
 	// Graceful shutdown: stop accepting, drain in-flight queries.
-	fmt.Fprintln(os.Stderr, "fsdl-serve: shutting down, draining in-flight queries")
+	fmt.Fprintln(logw, "fsdl-serve: shutting down, draining in-flight queries")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
@@ -288,7 +303,7 @@ func run(args []string) error {
 		if err := srv.Close(); err != nil {
 			return fmt.Errorf("drain mutation WAL: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "fsdl-serve: mutation WAL drained and closed, final fsdl_wal_flushed_total %d\n",
+		fmt.Fprintf(logw, "fsdl-serve: mutation WAL drained and closed, final fsdl_wal_flushed_total %d\n",
 			srv.WALFlushedTotal())
 	}
 	return nil

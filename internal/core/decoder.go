@@ -397,7 +397,12 @@ func (t *scanTally) addTo(tr *Trace) {
 // a batch by a Decoder) and reset piecemeal as decode runs — all but the
 // fault frame, which stands until a decode brings other fault labels.
 type decodeScratch struct {
-	faultFrame
+	// faultFrame is the frame the decode runs under: the shared one when
+	// the decode's fault side matches it, else own, built in place. Only
+	// own is ever written.
+	*faultFrame
+	own    faultFrame
+	shared *Frame
 
 	// owners are the labels this decode scans itself: s and t unless the
 	// frame's run holds them, and under a Budget that ends before the run
@@ -460,7 +465,9 @@ var (
 
 	decodePool = sync.Pool{New: func() any {
 		decodePoolNews.Add(1)
-		return new(decodeScratch)
+		sc := new(decodeScratch)
+		sc.faultFrame = &sc.own
+		return sc
 	}}
 )
 
@@ -474,11 +481,13 @@ func putScratch(sc *decodeScratch) {
 	decodePool.Put(sc)
 }
 
-// dropRefs clears the label pointers a decode left behind — the fault
-// frame with them — so a pooled scratch never pins the previous query's
-// labels in memory. Slices are cleared to capacity: some are stored
-// truncated, with stale pointers still live in the backing array.
+// dropRefs clears the label pointers a decode left behind — its own fault
+// frame with them, after pointing the scratch back at it, and the shared
+// one — so a pooled scratch never pins the previous query's labels in
+// memory. Slices are cleared to capacity: some are stored truncated, with
+// stale pointers still live in the backing array.
 func (sc *decodeScratch) dropRefs() {
+	sc.faultFrame, sc.shared = &sc.own, nil
 	dropAll(&sc.owners)
 	dropAll(&sc.frameOwners)
 	dropAll(&sc.centers)
@@ -540,6 +549,55 @@ type Decoder struct {
 
 // NewDecoder checks a scratch out of the pool.
 func NewDecoder() *Decoder { return &Decoder{sc: getScratch()} }
+
+// UseFrame has the decodes that follow, until Release, run beside f
+// wherever their fault side matches it (Frame.Matches); any other
+// decode builds a frame of its own as it would without f. A nil f
+// stops the sharing.
+func (d *Decoder) UseFrame(f *Frame) { d.scratch().shared = f }
+
+// Frame is the fault frame of one fault side, built once and frozen: its
+// run scanned, packed and collapsed, its budget cost counted. Nothing
+// writes to it after NewFrame, so any number of Decoders on any
+// goroutines may decode beside it (UseFrame). A frame is a function of
+// its fault labels alone — admission reads nothing of s or t — so every
+// pair asked under them gets the answer a fresh decode gives.
+type Frame struct {
+	fr faultFrame
+}
+
+// NewFrame builds the frame of q's fault side — its fault labels,
+// degraded ids and ablation flag, the scheme parameters of q.S — and
+// these patches. It returns nil when a decode of q would not run beside
+// it: q fails Validate or one of its fault labels is unusable (a robust
+// decode demotes that one, so its fault side is another).
+func NewFrame(q *Query, patches []PatchEdge) *Frame {
+	ok := q.Validate() == nil
+	for _, l := range q.VertexFaults {
+		ok = ok && usableWith(l, q.S)
+	}
+	for _, ef := range q.EdgeFaults {
+		ok = ok && usableWith(ef[0], q.S) && usableWith(ef[1], q.S)
+	}
+	if !ok {
+		return nil
+	}
+	f := new(Frame)
+	sc := &decodeScratch{faultFrame: &f.fr}
+	sc.buildFrame(q, patches)
+	sc.buildFrameRun()
+	sc.runArcs.Collapse()
+	sc.frameScanCost()
+	f.fr.pairs, f.fr.pairsTmp = nil, nil
+	return f
+}
+
+// Matches reports whether a decode of q with these patches runs beside f:
+// the same fault labels pointer for pointer in the same order, the same
+// degraded ids, ablation flag and scheme parameters, the same patches.
+func (f *Frame) Matches(q *Query, patches []PatchEdge) bool {
+	return f.fr.matches(q, patches)
+}
 
 // Release returns the scratch to the pool. The Decoder remains usable —
 // the next call checks a scratch out again.

@@ -188,9 +188,10 @@ type Trace struct {
 	// FrameReused reports that the fault and patch owners were not scanned
 	// for this decode: their candidates came from the fault frame an
 	// earlier decode on the same Decoder had built from the same fault
-	// labels (see faultFrame). The tallies above include the frame's, as
-	// if scanned now: this is the only field that tells a batch's later
-	// pairs from its first.
+	// labels (see faultFrame), or from the shared Frame of those labels
+	// it was handed (Decoder.UseFrame). The tallies above include the
+	// frame's, as if scanned now: this is the only field that tells a
+	// batch's later pairs from its first.
 	FrameReused bool
 }
 
@@ -380,9 +381,10 @@ func (q *Query) Validate() error {
 // sorted fault lists, admission rule, protected-ball masks, and the patch
 // edges and the fault and patch owners' admitted candidates as one run;
 // kept from the previous decode when this one brings the same fault
-// labels. Pair: scan the levels of s and t against the frame's masks,
-// skipping every level list the run has walked. Solve: the run's arcs
-// and the pair's candidates together.
+// labels, or a shared Frame's when those are its labels. Pair: scan the
+// levels of s and t against the frame's masks, skipping every level list
+// the run has walked. Solve: the run's arcs and the pair's candidates
+// together.
 //
 // A Budget is charged in scan order — s, t, then the frame's owners — so
 // one that ends before the last frame owner does cannot use a run scanned
@@ -401,9 +403,10 @@ func (q *Query) Validate() error {
 // hash probe: same budget accounting, same sketch, same walk.
 //
 // distOnly says the caller reads δ and nothing else — no walk, no H. Such
-// a decode without a trace or an admitted patch edge takes two shortcuts
-// off labelBound's L ≤ d_H. The solve stops once t's tentative distance
-// reaches L. And t's own level lists — unless the run holds them or a
+// a decode without a trace solves keeping no parent tree, and without an
+// admitted patch edge takes two shortcuts off labelBound's L ≤ d_H. The
+// solve stops once t's tentative distance reaches L. And t's own level
+// lists — unless the run holds them or a
 // Budget counts scan order — wait until a first solve without them, t
 // keeping its self edges (its one way into H), misses L: a subset of H
 // that reaches L has answered d_H, and after a miss the search goes on
@@ -419,7 +422,10 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace, distOn
 		sc.scanPass.reset(0)
 		return 0, false, nil
 	}
-	if !sc.frameMatches(q, patches) {
+	sc.faultFrame = &sc.own
+	if sh := sc.shared; sh != nil && sh.Matches(q, patches) {
+		sc.faultFrame = &sh.fr
+	} else if !sc.matches(q, patches) {
 		sc.buildFrame(q, patches)
 	}
 	// The run stands for s or t when the frame owns it, and altogether
@@ -481,6 +487,7 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace, distOn
 			sc.run.tally.addTo(tr)
 		}
 	}
+	sc.solver.DistanceOnly = distOnly && tr == nil // no walk to report
 	d := sc.solve(tr, bound, 0)
 	if late != nil && (d < 0 || d > bound) {
 		// Missed: the rest of H is t's lists. The search goes on from
@@ -526,20 +533,19 @@ func labelBound(s, t *Label) int64 {
 	return int64(l)
 }
 
-// frameMatches reports whether the frame on the scratch was built from
-// exactly the fault side of q and these patches: the same labels pointer
-// for pointer in the same order, the same degraded ids, the same flag
-// and scheme parameters.
-func (sc *decodeScratch) frameMatches(q *Query, patches []PatchEdge) bool {
-	return sc.keyed &&
-		sc.ablate == q.UnsafeIgnoreProtectedBalls &&
-		sc.keyParams == [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink} &&
-		sc.numLevels == len(q.S.Levels) &&
-		slices.Equal(sc.vfKey, q.VertexFaults) &&
-		slices.Equal(sc.efKey, q.EdgeFaults) &&
-		slices.Equal(sc.dvKey, q.DegradedVertexFaults) &&
-		slices.Equal(sc.deKey, q.DegradedEdgeFaults) &&
-		slices.Equal(sc.patchKey, patches)
+// matches reports whether the frame was built from exactly the fault
+// side of q and these patches: the same labels pointer for pointer in the
+// same order, the same degraded ids, the same flag and scheme parameters.
+func (f *faultFrame) matches(q *Query, patches []PatchEdge) bool {
+	return f.keyed &&
+		f.ablate == q.UnsafeIgnoreProtectedBalls &&
+		f.keyParams == [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink} &&
+		f.numLevels == len(q.S.Levels) &&
+		slices.Equal(f.vfKey, q.VertexFaults) &&
+		slices.Equal(f.efKey, q.EdgeFaults) &&
+		slices.Equal(f.dvKey, q.DegradedVertexFaults) &&
+		slices.Equal(f.deKey, q.DegradedEdgeFaults) &&
+		slices.Equal(f.patchKey, patches)
 }
 
 // buildFrame rebuilds the frame for the fault side of q: key, owners,

@@ -109,6 +109,12 @@ func (a *Arcs) Collapse() {
 // its ties in; neither the split between run and pair nor the order of
 // the edges can show. A SketchSolver is not safe for concurrent use.
 type SketchSolver struct {
+	// DistanceOnly makes the searches that follow keep no parent tree: a
+	// relaxation only lowers a distance, and breaks no tie. The distance
+	// is the same; PathTo after such a search is invalid. A Resume must
+	// run in the mode of the search it goes on from.
+	DistanceOnly bool
+
 	pair Arcs
 	// Dijkstra state.
 	dist   []int64
@@ -129,15 +135,20 @@ const unreached = 1<<63 - 1
 // settled, or earlier, once dst's tentative distance is at most bound
 // (negative: never) — a caller that knows no src–dst path is shorter
 // than bound gets d(src,dst) that much sooner, one that is wrong about it
-// the length of some path no longer than bound. The parent tree of the
-// settled region remains available to PathTo until the next call, which
-// is a shortest path only if the search settled dst.
+// the length of some path no longer than bound. Unless DistanceOnly, the
+// parent tree of the settled region remains available to PathTo until the
+// next call, which is a shortest path only if the search settled dst.
 func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair []DenseEdge, bound int64) int64 {
 	n := len(ids)
 	s.dist = slices.Grow(s.dist[:0], n)[:n]
-	s.parent = slices.Grow(s.parent[:0], n)[:n]
+	s.parent = s.parent[:0] // none in the DistanceOnly mode, for PathTo to trip on
+	if !s.DistanceOnly {
+		s.parent = slices.Grow(s.parent, n)[:n]
+	}
 	for i := range s.dist {
 		s.dist[i] = unreached
+	}
+	for i := range s.parent {
 		s.parent[i] = -1
 	}
 	s.pq = s.pq[:0]
@@ -156,11 +167,15 @@ func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair [
 func (s *SketchSolver) Resume(ids []int32, dst int, run *Arcs, pair []DenseEdge, from int, bound int64) int64 {
 	for len(s.dist) < len(ids) {
 		s.dist = append(s.dist, unreached)
-		s.parent = append(s.parent, -1)
+		if !s.DistanceOnly {
+			s.parent = append(s.parent, -1)
+		}
 	}
 	for _, e := range pair[from:] {
 		for _, a := range [2]DenseEdge{e, {U: e.V, V: e.U, W: e.W}} {
-			if d := s.dist[a.U]; d < unreached {
+			if d := s.dist[a.U]; d < unreached && s.DistanceOnly {
+				s.lower(ids, distEntry{v: a.U, d: d}, []sketchArc{{to: a.V, w: a.W}})
+			} else if d < unreached {
 				s.relax(ids, distEntry{v: a.U, d: d}, []sketchArc{{to: a.V, w: a.W}})
 			}
 		}
@@ -169,7 +184,7 @@ func (s *SketchSolver) Resume(ids []int32, dst int, run *Arcs, pair []DenseEdge,
 }
 
 // search is the one Dijkstra loop, ShortestPath's and Resume's: from the
-// queue and the distances it finds.
+// queue and the distances it finds, with the relax routine of the mode.
 func (s *SketchSolver) search(ids []int32, dst int, run *Arcs, pair []DenseEdge, bound int64) int64 {
 	n := len(ids)
 	s.pair.Pack(n, pair)
@@ -180,7 +195,10 @@ func (s *SketchSolver) search(ids []int32, dst int, run *Arcs, pair []DenseEdge,
 		panic("graph: run has more vertices than ids")
 	}
 	runOff, runArcs, nRun := run.off, run.arcs, int32(max(len(run.off)-1, 0))
-	dist := s.dist
+	dist, relax := s.dist, s.relax
+	if s.DistanceOnly {
+		relax = s.lower
+	}
 	off, arcs := s.pair.off, s.pair.arcs
 	for len(s.pq) > 0 && dist[dst] > bound {
 		e := s.pop()
@@ -191,9 +209,9 @@ func (s *SketchSolver) search(ids []int32, dst int, run *Arcs, pair []DenseEdge,
 			break // dst is settled: nothing left in the queue shortens it
 		}
 		if e.v < nRun {
-			s.relax(ids, e, runArcs[runOff[e.v]:runOff[e.v+1]])
+			relax(ids, e, runArcs[runOff[e.v]:runOff[e.v+1]])
 		}
-		s.relax(ids, e, arcs[off[e.v]:off[e.v+1]])
+		relax(ids, e, arcs[off[e.v]:off[e.v+1]])
 	}
 	if dist[dst] == unreached {
 		return WeightedInfinity
@@ -221,9 +239,21 @@ func (s *SketchSolver) relax(ids []int32, e distEntry, as []sketchArc) {
 	}
 }
 
+// lower is relax keeping no parent tree: the DistanceOnly mode's.
+func (s *SketchSolver) lower(_ []int32, e distEntry, as []sketchArc) {
+	dist := s.dist
+	for _, a := range as {
+		if t, nd := a.to, e.d+int64(a.w); nd < dist[t] {
+			dist[t] = nd
+			s.push(distEntry{v: t, d: nd})
+		}
+	}
+}
+
 // PathTo appends the shortest path src..dst found by the last
 // ShortestPath call onto out and returns it. It must only be called when
-// that search reached dst.
+// that search reached dst, and kept its parent tree: after a DistanceOnly
+// one there is none, and a step along it panics.
 func (s *SketchSolver) PathTo(src, dst int, out []int32) []int32 {
 	start := len(out)
 	for v := int32(dst); v != int32(src); v = s.parent[v] {

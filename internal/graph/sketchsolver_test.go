@@ -381,3 +381,60 @@ func TestSketchSolverPanics(t *testing.T) {
 	wide.Pack(3, []DenseEdge{{0, 2, 1}})
 	mustPanic("run over 3 vertices, 2 ids", func() { s.ShortestPath(ids, 0, 1, &wide, nil, -1) })
 }
+
+// TestSketchSolverDistanceOnly: a search that keeps no parent tree
+// answers what the full search does — on random multigraphs with parallel
+// edges and ties, split between a run and the pair, under any bound, and
+// resumed in the same mode with more edges — and leaves no tree for PathTo
+// to walk.
+func TestSketchSolverDistanceOnly(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	var full, lean SketchSolver
+	lean.DistanceOnly = true
+	for trial := 0; trial < 500; trial++ {
+		n := 2 + rng.Intn(20)
+		var edges []DenseEdge
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				e := DenseEdge{int32(u), int32(v), int32(1 + rng.Intn(3))}
+				edges = append(edges, e)
+				if rng.Intn(4) == 0 {
+					e.W = int32(1 + rng.Intn(3))
+					edges = append(edges, e) // a parallel, perhaps lighter
+				}
+			}
+		}
+		ids := randomNames(rng, n)
+		src, dst := rng.Intn(n), rng.Intn(n)
+		cut := rng.Intn(len(edges) + 1)
+		run := runOf(rng, n, edges[:cut], trial%2 == 0)
+		want := full.ShortestPath(ids, src, dst, run, edges[cut:], -1)
+		for _, bound := range []int64{-1, 0, want / 2, want - 1, want, want + 2, 1 << 40} {
+			if got, wantB := lean.ShortestPath(ids, src, dst, run, edges[cut:], bound), full.ShortestPath(ids, src, dst, run, edges[cut:], bound); got != wantB {
+				t.Fatalf("trial %d bound %d: distance-only %d, full search %d", trial, bound, got, wantB)
+			}
+		}
+		if len(lean.parent) != 0 {
+			t.Fatalf("trial %d: a distance-only search left a parent tree of %d", trial, len(lean.parent))
+		}
+
+		// Resumed: the first part over the vertices it needs, the rest after.
+		seen := max(src, dst) + 1
+		for _, e := range edges[:cut] {
+			seen = max(seen, int(e.U)+1, int(e.V)+1)
+		}
+		head := runOf(rng, seen, nil, false)
+		bound := []int64{-1, 0, want - 1, want}[trial%4]
+		var got [2]int64
+		for i, s := range []*SketchSolver{&full, &lean} {
+			s.ShortestPath(ids[:seen], src, dst, head, edges[:cut], -1)
+			got[i] = s.Resume(ids, dst, head, edges, cut, bound)
+		}
+		if got[0] != want || got[1] != want {
+			t.Fatalf("trial %d: resumed at %d of %d edges (bound %d): distance-only %d, full %d, want %d", trial, cut, len(edges), bound, got[1], got[0], want)
+		}
+		if len(lean.parent) != 0 {
+			t.Fatalf("trial %d: a distance-only resume grew a parent tree of %d", trial, len(lean.parent))
+		}
+	}
+}

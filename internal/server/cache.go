@@ -1,6 +1,12 @@
 package server
 
-import "fsdl/internal/lru"
+import (
+	"slices"
+	"sync"
+
+	"fsdl/internal/core"
+	"fsdl/internal/lru"
+)
 
 // cacheKey identifies one answered query: the endpoint pair, a hash of
 // the canonical (sorted) effective fault set and work budget, and
@@ -51,3 +57,69 @@ func (c *resultCache) Flush() { c.c.Flush() }
 
 // Len returns the number of cached entries across all shards.
 func (c *resultCache) Len() int { return c.c.Len() }
+
+// The shared fault frames kept beside the result cache: how many, and how
+// many of the fault-set keys asked last a second sighting is looked for
+// among. Constants, not options: the frame cache does not follow
+// CacheCapacity, so a server with its result cache off still shares.
+const (
+	maxSharedFrames = 16
+	frameSightings  = 16
+)
+
+// frameCache holds the shared fault frames (core.Frame) of recurring fault
+// sets, keyed by faultHash, the most recently used first. A fault set
+// earns one when its key is already among the last frameSightings keys
+// that found none — second-touch admission, as the decoded-label LRU's —
+// so fault sets drawn at random (almost) never build one. A frame that
+// does not match the batch's labels pointer for pointer (core.Frame.Matches:
+// another generation's, or re-fetched) is dropped, never used.
+type frameCache struct {
+	mu       sync.Mutex
+	frames   []keyedFrame
+	sighted  [frameSightings]uint64
+	nSighted int // keys recorded; sighted is a ring of the last frameSightings
+}
+
+type keyedFrame struct {
+	key uint64
+	f   *core.Frame
+}
+
+// get returns the shared frame of q's fault side, building it when key is
+// sighted a second time, and whether this call built it; nil when there is
+// none (yet). A build holds the lock: it is rare by construction.
+func (c *frameCache) get(key uint64, q *core.Query) (f *core.Frame, built bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.IndexFunc(c.frames, func(kf keyedFrame) bool { return kf.key == key }); i >= 0 {
+		kf := c.frames[i]
+		c.frames = slices.Delete(c.frames, i, i+1)
+		if kf.f.Matches(q, nil) {
+			c.frames = slices.Insert(c.frames, 0, kf)
+			return kf.f, false
+		}
+	}
+	if !slices.Contains(c.sighted[:min(c.nSighted, frameSightings)], key) {
+		c.sighted[c.nSighted%frameSightings] = key
+		c.nSighted++
+		return nil, false
+	}
+	if f = core.NewFrame(q, nil); f == nil {
+		return nil, false
+	}
+	c.frames = slices.Insert(c.frames, 0, keyedFrame{key, f})
+	if len(c.frames) > maxSharedFrames {
+		c.frames[maxSharedFrames] = keyedFrame{}
+		c.frames = c.frames[:maxSharedFrames]
+	}
+	return f, true
+}
+
+// flush drops every frame, with the labels they pin.
+func (c *frameCache) flush() {
+	c.mu.Lock()
+	clear(c.frames)
+	c.frames = c.frames[:0]
+	c.mu.Unlock()
+}

@@ -1,0 +1,274 @@
+package server
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"testing"
+
+	"fsdl/internal/core"
+	"fsdl/internal/graph"
+	"fsdl/internal/liveupdate"
+)
+
+// This file tests the shared fault frames kept beside the result cache
+// (frameCache): built on a fault set's second sighting, bypassed while a
+// live delta is pending, dropped on every flush, used only over the labels
+// they were built from — and never changing an answer.
+
+// frameCounts is what the two shared-frame counters and the frame cache
+// say.
+type frameCounts struct{ built, batches, held int }
+
+func countsOf(s *Server) frameCounts {
+	s.frames.mu.Lock()
+	defer s.frames.mu.Unlock()
+	return frameCounts{int(s.met.sharedFramesBuilt.Load()), int(s.met.sharedFrameBatches.Load()), len(s.frames.frames)}
+}
+
+// framePairs are the pairs every batch of these tests asks.
+var framePairs = [][2]int{{0, 35}, {5, 30}, {2, 33}, {6, 29}}
+
+// askFaults answers framePairs under f and, unless a live delta is
+// pending, holds every answer to a decode with no shared frame over the
+// server's current labels.
+func askFaults(t *testing.T, s *Server, f *graph.FaultSet) {
+	t.Helper()
+	answers, err := s.AnswerPairs(context.Background(), framePairs, &QueryOptions{Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.live != nil && s.live.Pending() > 0 {
+		return
+	}
+	label, _ := s.src.PinLabels()
+	lookup := func(v int) (*core.Label, error) { return label(context.Background(), v) }
+	for i, a := range answers {
+		q, err := core.ResolveQuery(framePairs[i][0], framePairs[i][1], s.effectiveFaults(f), lookup, true)
+		if err != nil {
+			t.Fatalf("pair %v: %v", framePairs[i], err)
+		}
+		if q == nil {
+			if a.Connected || a.Error != "" {
+				t.Errorf("pair %v: a forbidden endpoint answered %+v", framePairs[i], a)
+			}
+			continue
+		}
+		var dec core.Decoder
+		want := dec.DistanceRobust(q)
+		dec.Release()
+		if a.Error != "" || a.Connected != want.OK || a.Dist != want.Dist {
+			t.Errorf("pair %v: served %+v, a decode with no shared frame (%d, %v)", framePairs[i], a, want.Dist, want.OK)
+		}
+	}
+}
+
+// faultsOf is a fault set of the given vertices and one edge.
+func faultsOf(edge [2]int, vs ...int) *graph.FaultSet {
+	f := graph.FaultVertices(vs...)
+	f.AddEdge(edge[0], edge[1])
+	return f
+}
+
+// TestSharedFrameAdmission: a fault set gets a shared frame on its second
+// sighting among the last frameSightings fault sets that found none, and
+// every batch under it after that decodes beside the frame; an empty fault
+// set never gets one, a fault set pushed out of the sightings starts over,
+// and of more recurring fault sets than there are frames the most recently
+// used are kept. The result cache is off, so every batch decodes.
+func TestSharedFrameAdmission(t *testing.T) {
+	_, st := testStore(t, 6, 6, 2)
+	s := newTestServer(t, Config{Store: st, CacheCapacity: -1})
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	for i, want := range []frameCounts{{0, 0, 0}, {1, 1, 1}, {1, 2, 1}, {1, 3, 1}} {
+		askFaults(t, s, f)
+		if got := countsOf(s); got != want {
+			t.Fatalf("batch %d under one fault set: %+v, want %+v", i, got, want)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		askFaults(t, s, graph.NewFaultSet())
+	}
+	if got := countsOf(s); got != (frameCounts{1, 3, 1}) {
+		t.Fatalf("three batches with no fault: %+v, want nothing built or used", got)
+	}
+
+	// A fault set seen once, then frameSightings others: no longer sighted.
+	once := faultsOf([2]int{1, 7}, 20)
+	askFaults(t, s, once)
+	for i := 0; i < frameSightings; i++ {
+		askFaults(t, s, graph.FaultVertices(10+i%8, 19+i))
+	}
+	askFaults(t, s, once)
+	if got := countsOf(s); got != (frameCounts{1, 3, 1}) {
+		t.Fatalf("fault sets asked once each: %+v, want nothing built", got)
+	}
+	askFaults(t, s, once)
+	if got := countsOf(s); got != (frameCounts{2, 4, 2}) {
+		t.Fatalf("a fault set sighted again: %+v, want its frame built and used", got)
+	}
+
+	// More recurring fault sets than frames: the least recently used go.
+	sets := make([]*graph.FaultSet, maxSharedFrames+2)
+	for i := range sets {
+		sets[i] = faultsOf([2]int{12, 13}, 1+i)
+	}
+	for _, fs := range sets {
+		askFaults(t, s, fs)
+		askFaults(t, s, fs)
+	}
+	before := countsOf(s)
+	if before.held != maxSharedFrames {
+		t.Fatalf("%d recurring fault sets: %d frames held, want %d", len(sets), before.held, maxSharedFrames)
+	}
+	askFaults(t, s, sets[len(sets)-1])
+	askFaults(t, s, sets[2])
+	if got, want := countsOf(s), (frameCounts{before.built, before.batches + 2, maxSharedFrames}); got != want {
+		t.Fatalf("the last %d recurring fault sets again: %+v, want %+v", maxSharedFrames, got, want)
+	}
+}
+
+// TestSharedFramesBypassedWhilePending: while a live delta is pending no
+// batch builds or uses a shared frame, however often its fault set
+// recurs; once a compaction has baked the delta, the fault set earns one.
+func TestSharedFramesBypassedWhilePending(t *testing.T) {
+	s, _, _ := newLiveServer(t, 6)
+	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: 35}}); err != nil {
+		t.Fatal(err)
+	}
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	for i := 0; i < 4; i++ {
+		askFaults(t, s, f)
+	}
+	if got := countsOf(s); got != (frameCounts{}) {
+		t.Fatalf("four batches under one fault set with a delta pending: %+v, want no frame", got)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	askFaults(t, s, f)
+	askFaults(t, s, f)
+	if got := countsOf(s); got != (frameCounts{1, 1, 1}) {
+		t.Fatalf("the fault set twice after the compaction: %+v, want its frame built and used", got)
+	}
+}
+
+// TestSharedFramesFlushed: every flush of the result cache — Fail,
+// Recover, Mutate, Compact — drops the shared frames with it.
+func TestSharedFramesFlushed(t *testing.T) {
+	s, _, _ := newLiveServer(t, 6)
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	for _, step := range []struct {
+		name  string
+		flush func() error
+	}{
+		{"Fail", func() error { return s.Fail([]int{26}, nil) }},
+		{"Recover", func() error { return s.Recover([]int{26}, nil) }},
+		{"Mutate", func() error {
+			_, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: 35}})
+			return err
+		}},
+		{"Compact", func() error { _, err := s.Compact(); return err }},
+	} {
+		if s.live.Pending() == 0 {
+			askFaults(t, s, f)
+			askFaults(t, s, f)
+		} else {
+			// No frame is built with a delta pending: seed one, as a batch
+			// that read the delta just before it arrived could have left.
+			s.frames.frames = append(s.frames.frames, keyedFrame{1, &core.Frame{}})
+		}
+		if countsOf(s).held == 0 {
+			t.Fatalf("before %s: no frame held", step.name)
+		}
+		if err := step.flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := countsOf(s); got.held != 0 {
+			t.Fatalf("after %s: %d frames held, want none", step.name, got.held)
+		}
+	}
+}
+
+// TestSharedFrameAcrossGenerationSwap: a frame is used only over the very
+// labels it was built from. One built over generation 1, put back after
+// the compaction that swapped generation 2 in (as a batch racing the swap
+// could), is dropped, not used: its fault set gets a frame over the new
+// labels, and every answer is what a decode with no shared frame gives.
+func TestSharedFrameAcrossGenerationSwap(t *testing.T) {
+	s, _, _ := newLiveServer(t, 6)
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	askFaults(t, s, f)
+	askFaults(t, s, f)
+	s.frames.mu.Lock()
+	stale := s.frames.frames[0]
+	s.frames.mu.Unlock()
+	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutDelete, U: 14, V: 20}, {Op: liveupdate.MutInsert, U: 0, V: 35}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	s.frames.frames = append(s.frames.frames, stale)
+	for i := 0; i < 3; i++ {
+		askFaults(t, s, f)
+	}
+	s.frames.mu.Lock()
+	defer s.frames.mu.Unlock()
+	if len(s.frames.frames) != 1 || s.frames.frames[0].f == stale.f {
+		t.Fatalf("after the swap: %d frames, the stale one kept: %v", len(s.frames.frames), len(s.frames.frames) > 0 && s.frames.frames[0].f == stale.f)
+	}
+	if got := fmt.Sprint(s.met.sharedFramesBuilt.Load(), s.met.sharedFrameBatches.Load()); got != "2 4" {
+		t.Fatalf("built, batches = %s, want 2 4: one frame per generation", got)
+	}
+}
+
+// TestSharedFrameConcurrentBatches: batches under one fault set on four
+// goroutines at once, beside one shared frame, while another goroutine
+// keeps flushing (a Recover of a vertex never failed changes no answer
+// but drops the frames). Every answer is the one a decode with no shared
+// frame gives; under -race this is the proof the frame cache and the
+// frames it hands out are safe to share.
+func TestSharedFrameConcurrentBatches(t *testing.T) {
+	_, st := testStore(t, 6, 6, 2)
+	s := newTestServer(t, Config{Store: st, CacheCapacity: -1, Workers: 4, QueueDepth: 64})
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	want, err := s.AnswerPairs(context.Background(), framePairs, &QueryOptions{Faults: f})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				got, err := s.AnswerPairs(context.Background(), framePairs, &QueryOptions{Faults: f})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k := range got {
+					if got[k].Connected != want[k].Connected || got[k].Dist != want[k].Dist {
+						t.Errorf("pair %v: %+v, the first batch %+v", framePairs[k], got[k], want[k])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 10; i++ {
+			if err := s.Recover([]int{3}, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if c := countsOf(s); c.built == 0 || c.batches == 0 {
+		t.Fatalf("%+v: no batch ran beside a shared frame", c)
+	}
+}

@@ -72,8 +72,8 @@ type CompactResult struct {
 
 // Mutate applies an ordered edge-mutation batch atomically: every
 // mutation is journaled (WAL fsynced) and folded into the live delta,
-// or none is. The result cache is flushed — any cached answer may
-// disagree with the mutated graph.
+// or none is. The result cache and the shared frames are flushed — any
+// cached answer may disagree with the mutated graph.
 func (s *Server) Mutate(muts []liveupdate.Mutation) (MutateState, error) {
 	if s.live == nil {
 		return MutateState{}, fmt.Errorf("server: live updates disabled (start with a mutation pipeline)")
@@ -83,6 +83,7 @@ func (s *Server) Mutate(muts []liveupdate.Mutation) (MutateState, error) {
 		return MutateState{}, err
 	}
 	s.cache.Flush()
+	s.frames.flush()
 	s.met.cacheFlushes.Add(1)
 	pending := s.live.Pending()
 	return MutateState{
@@ -172,6 +173,7 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 	s.prevGen = res
 	s.prevMu.Unlock()
 	s.cache.Flush()
+	s.frames.flush()
 	s.met.cacheFlushes.Add(1)
 	out.Pending = s.live.Pending()
 	return out, nil

@@ -24,6 +24,9 @@ type metrics struct {
 	cacheMisses  atomic.Int64
 	cacheFlushes atomic.Int64
 
+	sharedFramesBuilt  atomic.Int64
+	sharedFrameBatches atomic.Int64
+
 	degraded        atomic.Int64
 	budgetExhausted atomic.Int64
 
@@ -88,6 +91,8 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_cache_misses_total", "Result-cache misses.", m.cacheMisses.Load())
 	x.Counter("fsdl_cache_flushes_total", "Cache invalidations caused by fail/recover.", m.cacheFlushes.Load())
 	x.Gauge("fsdl_cache_entries", "Entries currently cached.", int64(cacheLen))
+	x.Counter("fsdl_shared_frames_built_total", "Shared fault frames built: one per recurring fault set, on its second sighting, and again after a flush.", m.sharedFramesBuilt.Load())
+	x.Counter("fsdl_shared_frame_batches_total", "Batches whose decodes ran beside a shared fault frame instead of building their own.", m.sharedFrameBatches.Load())
 
 	x.Counter("fsdl_label_cache_hits_total", "Decoded-label cache hits in the store.", labelHits)
 	x.Counter("fsdl_label_cache_misses_total", "Decoded-label cache misses (label decoded from bytes).", labelMisses)
@@ -95,7 +100,7 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
 	x.Counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)
 	x.Counter("fsdl_decode_frames_built_total", "Decodes that scanned a fault set's owners into a fault frame (the first under a fault set; a lone query is one).", pool.FramesBuilt)
-	x.Counter("fsdl_decode_frames_reused_total", "Decodes that took the fault owners' sketch edges from the frame an earlier decode on their Decoder built.", pool.FramesReused)
+	x.Counter("fsdl_decode_frames_reused_total", "Decodes that took the fault owners' sketch edges from a frame built before them: by an earlier decode on their Decoder, or a shared one.", pool.FramesReused)
 	x.Counter("fsdl_decode_bound_stops_total", "Decodes whose search ended at the lower bound the endpoint labels give (the largest gap between their distances to a shared net point), before settling t.", pool.BoundStops)
 	x.Counter("fsdl_decode_target_rescans_total", "Decodes whose first solve, without the target's own level edge lists, missed that bound and scanned them.", pool.TargetRescans)
 

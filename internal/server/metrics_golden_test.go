@@ -63,6 +63,8 @@ func setFixedCounters(s *Server) {
 	m.cacheHits.Store(300)
 	m.cacheMisses.Store(100)
 	m.cacheFlushes.Store(4)
+	m.sharedFramesBuilt.Store(13)
+	m.sharedFrameBatches.Store(14)
 	m.degraded.Store(5)
 	m.budgetExhausted.Store(6)
 	m.rejectedOverload.Store(7)

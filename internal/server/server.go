@@ -160,8 +160,9 @@ type Server struct {
 	overlayMu sync.RWMutex
 	overlay   *graph.FaultSet
 
-	cache *resultCache
-	met   *metrics
+	cache  *resultCache
+	frames frameCache
+	met    *metrics
 
 	// prevMu guards prevGen, the last committed compaction retained in
 	// memory as the base of the next incremental build. It is valid
@@ -382,9 +383,9 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	// faults, pending insertions become query-time patch candidates.
 	// While any delta is pending the (1+ε) guarantee is suspended —
 	// answers are sound upper bounds on the mutated graph's d_{G'\F},
-	// reported exact:false — and the result cache is bypassed (patches
-	// are not part of the fault hash; compaction restores exactness and
-	// caching together).
+	// reported exact:false — and the result cache and the shared frames
+	// are bypassed (patches are not part of the fault hash; compaction
+	// restores exactness and caching together).
 	var livePatches [][2]int32
 	livePending := false
 	if s.live != nil {
@@ -420,6 +421,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	var (
 		tmpl    *core.Query
 		patches []core.PatchEdge
+		framed  bool // the shared frames were asked
 	)
 	// One pooled decoder serves the whole batch: every miss reuses the
 	// same warmed-up scratch. Endpoint labels come straight from the
@@ -480,6 +482,10 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				}
 				q := *tmpl
 				q.S, q.T = ls, lt
+				if !framed && !livePending {
+					framed = true
+					s.useFrame(&dec, fhash, &q)
+				}
 				var res core.Result
 				var path []int32
 				if wantPath {
@@ -520,6 +526,23 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 		answers[i] = a
 	}
 	return answers, nil
+}
+
+// useFrame hands dec the shared frame of q's fault side, when the frame
+// cache has one or builds it now. A fault side without fault labels has
+// nothing to share.
+func (s *Server) useFrame(dec *core.Decoder, key uint64, q *core.Query) {
+	if len(q.VertexFaults) == 0 && len(q.EdgeFaults) == 0 {
+		return
+	}
+	f, built := s.frames.get(key, q)
+	if built {
+		s.met.sharedFramesBuilt.Add(1)
+	}
+	if f != nil {
+		dec.UseFrame(f)
+		s.met.sharedFrameBatches.Add(1)
+	}
 }
 
 // prefetch warms the label source with every distinct vertex the batch
@@ -635,6 +658,7 @@ func (s *Server) applyOverlay(vertices []int, edges [][2]int, fail bool) error {
 		s.met.recoversApplied.Add(applied)
 	}
 	s.cache.Flush()
+	s.frames.flush()
 	s.met.cacheFlushes.Add(1)
 	return nil
 }
