@@ -1,9 +1,13 @@
 // Command fsdl-shard serves one partition of an FSDL label store over
 // the cluster wire protocol. A fleet of shards plus a fsdl-serve
 // frontend (-cluster) is the horizontally scaled deployment shape: each
-// shard holds the raw label bytes for its slice of the consistent-hash
-// ring and ships them on request; all decoding happens at the frontend.
-// Partitions come from `fsdl partition`. See docs/CLUSTER.md.
+// shard holds the label records for its slice of the consistent-hash
+// ring and ships them on request as it stores them (a factored
+// partition's balls, any other's canonical bytes); all decoding happens
+// at the frontend. Partitions come from `fsdl partition`. See
+// docs/CLUSTER.md. The startup line names the address bound, so
+// -addr 127.0.0.1:0 logs the port the system picked; SIGINT or SIGTERM
+// closes the listener and every connection.
 //
 // Usage:
 //
@@ -29,8 +33,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
+	"net"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -41,14 +48,20 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stderr)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "fsdl-shard:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+// run serves until ctx is done, then closes the shard: its listener and
+// every connection. Its log lines go to logw.
+func run(ctx context.Context, args []string, logw io.Writer) error {
 	fs := flag.NewFlagSet("fsdl-shard", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	storePath := fs.String("store", "", "partition store file (required unless -bootstrap-n; produced by `fsdl partition`)")
 	addr := fs.String("addr", ":9000", "listen address")
 	name := fs.String("name", "", "shard name for error messages (default: store file name)")
@@ -102,14 +115,14 @@ func run(args []string) error {
 			return fmt.Errorf("load generation %d %s: %w", m.Generation, file, err)
 		}
 		generation = m.Generation
-		fmt.Fprintf(os.Stderr, "fsdl-shard: %s booting from generation %d (%s)\n", *name, m.Generation, dir)
+		fmt.Fprintf(logw, "fsdl-shard: %s booting from generation %d (%s)\n", *name, m.Generation, dir)
 	case *bootstrapN > 0:
 		var err error
 		st, err = labelstore.NewEmpty(*bootstrapN)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "fsdl-shard: %s bootstrapping empty over n=%d — answers unknown until repair seals it\n",
+		fmt.Fprintf(logw, "fsdl-shard: %s bootstrapping empty over n=%d — answers unknown until repair seals it\n",
 			*name, *bootstrapN)
 	default:
 		if *name == "" {
@@ -121,7 +134,7 @@ func run(args []string) error {
 			// FSDL2 files go through the stream salvager exactly as before.
 			st, rep, err = labelstore.OpenPartial(*storePath)
 			if err == nil && rep.Lost() > 0 {
-				fmt.Fprintf(os.Stderr, "fsdl-shard: salvage: kept %d/%d records — lost ones answer as unknown so the frontend fails over to replicas\n",
+				fmt.Fprintf(logw, "fsdl-shard: salvage: kept %d/%d records — lost ones answer as unknown so the frontend fails over to replicas\n",
 					rep.Kept, rep.Total)
 			}
 		} else if *mmap {
@@ -133,6 +146,9 @@ func run(args []string) error {
 			return fmt.Errorf("load %s: %w", *storePath, err)
 		}
 	}
+
+	// Nothing reads the store once the server below has closed.
+	defer st.Close()
 
 	// The report makes the shard answer salvage-lost vertices with the
 	// wire protocol's "unknown" state instead of authoritative absence;
@@ -157,20 +173,25 @@ func run(args []string) error {
 		return err
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	// Bound before serving, so the line below names the real address
+	// (-addr 127.0.0.1:0 picks a port).
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(*addr) }()
-	fmt.Fprintf(os.Stderr, "fsdl-shard: %s serving %d labels over n=%d vertices on %s\n",
-		*name, st.NumLabels(), st.NumVertices(), *addr)
+	go func() { errCh <- srv.Serve(ln) }()
+	fmt.Fprintf(logw, "fsdl-shard: %s serving %d labels over n=%d vertices on %s\n",
+		*name, st.NumLabels(), st.NumVertices(), ln.Addr())
 
 	select {
 	case err := <-errCh:
+		srv.Close()
 		return err
-	case <-sig:
+	case <-ctx.Done():
 	}
 	srv.Close()
-	fmt.Fprintf(os.Stderr, "fsdl-shard: %s shut down after %d requests, %d labels served, %d records repaired in\n",
+	fmt.Fprintf(logw, "fsdl-shard: %s shut down after %d requests, %d labels served, %d records repaired in\n",
 		*name, srv.Requests.Load(), srv.LabelsServed.Load(), srv.RepairInstalled.Load())
 	return nil
 }

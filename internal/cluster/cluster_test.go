@@ -96,6 +96,12 @@ func startCluster(t testing.TB, st *labelstore.Store, shards, r int, hooks map[i
 	return tc
 }
 
+// isLabelFetch reports whether op asks a shard for label records — what
+// a test's FaultHook stalls or fails to make a shard slow or sick.
+func isLabelFetch(op byte) bool {
+	return op == OpGetLabels || op == OpGetLabelsGen || op == OpGetLabelsStored
+}
+
 func newTestFrontend(t testing.TB, tc *testCluster, mut func(*FrontendConfig)) *Frontend {
 	t.Helper()
 	cfg := FrontendConfig{
@@ -299,7 +305,7 @@ func TestClusterHedgeRacesSlowPrimary(t *testing.T) {
 	slow := make(chan struct{})
 	hooks := map[int]func(byte) error{
 		primary: func(op byte) error {
-			if op == OpGetLabels || op == OpGetLabelsGen {
+			if isLabelFetch(op) {
 				<-slow // stall label fetches; pings stay fast
 			}
 			return nil

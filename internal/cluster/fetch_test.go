@@ -19,6 +19,10 @@ import (
 // loopback listener.
 const recordedRequest = "4643010d0400000007020207f5e60da1"
 
+// recordedStoredRequest is the frontend's request for the same records
+// as stored: the payload above under OpGetLabelsStored.
+const recordedStoredRequest = "4643011104000000070202079057f9eb"
+
 // fetchOverPipe runs fetchLabels(gen 7, ids {2,7}, n 16) against a peer
 // that checks the request bytes and then writes the given reply frames.
 func fetchOverPipe(t *testing.T, reply ...[]byte) (map[int32]LabelRecord, error) {
@@ -43,7 +47,7 @@ func fetchOverPipe(t *testing.T, reply ...[]byte) (map[int32]LabelRecord, error)
 	}()
 	client.SetDeadline(time.Now().Add(5 * time.Second))
 	out := make(map[int32]LabelRecord)
-	err := fetchLabels(client, "shard s0", 7, []int32{2, 7}, 16, out)
+	err := fetchLabels(client, "shard s0", OpGetLabelsGen, 7, []int32{2, 7}, 16, out)
 	return out, err
 }
 
@@ -90,9 +94,10 @@ func TestFetchLabelsExchange(t *testing.T) {
 	}
 }
 
-// TestFetchClientsPutRecordedRequestOnWire: the pooled frontend client
-// and a shard's repair pull both send, for the same generation and ids,
-// exactly the frame their predecessors sent.
+// TestFetchClientsPutRecordedRequestOnWire: a shard's repair pull sends,
+// for the same generation and ids, exactly the frame its predecessors
+// sent, and the pooled frontend client the same payload asking for
+// records as stored.
 func TestFetchClientsPutRecordedRequestOnWire(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -129,8 +134,8 @@ func TestFetchClientsPutRecordedRequestOnWire(t *testing.T) {
 	if _, err := c.getLabels(context.Background(), []int32{2, 7}, 16, 7); err != nil {
 		t.Fatalf("frontend fetch: %v", err)
 	}
-	if got := <-seen; got != recordedRequest {
-		t.Errorf("frontend fetch sent %s, recorded %s", got, recordedRequest)
+	if got := <-seen; got != recordedStoredRequest {
+		t.Errorf("frontend fetch sent %s, recorded %s", got, recordedStoredRequest)
 	}
 	if c.fetches.Load() != 1 || c.fetchErrors.Load() != 0 || c.latency.Count() != 1 {
 		t.Errorf("accounting around one clean fetch: %d fetches, %d errors, %d latency samples",

@@ -193,6 +193,10 @@ type Frontend struct {
 	// levels interns the level edge lists of fetched labels as they are
 	// parsed (core.LevelTable); sized by labelCache, flushed with it.
 	levels *core.LevelTable
+	// levelSets holds the level-graphs sections stored records are read
+	// under, one per LevelsRef, of the generation routed (levels.go).
+	levelsMu  sync.Mutex
+	levelSets map[LevelsRef]*levelSet
 
 	// liveStats, when set, supplies the co-located live-update
 	// pipeline's state for status rendering (pending delta, WAL
@@ -276,6 +280,7 @@ func NewFrontend(cfg FrontendConfig) (*Frontend, error) {
 	}
 	f.labelCache = lru.New[labelKey, *core.Label](c.LabelCacheSize, 8, labelKeyHash)
 	f.levels = core.NewLevelTable(c.LabelCacheSize)
+	f.levelSets = make(map[LevelsRef]*levelSet)
 	f.negCache = lru.New[labelKey, struct{}](negativeCacheSize, 8, labelKeyHash)
 
 	deadline := time.Now().Add(c.StartupTimeout)
@@ -502,10 +507,11 @@ func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store) (uint64, erro
 	f.state.Store(next)
 	// The old generation's cached labels and absences are unreachable
 	// already (cache keys carry the generation); flushing just returns
-	// their memory ahead of LRU churn.
+	// their memory ahead of LRU churn. Its level graphs go with them.
 	f.labelCache.Flush()
 	f.levels.Reset()
 	f.negCache.Flush()
+	f.dropLevels(gen)
 	f.kickRepair()
 	return next.epoch, nil
 }
@@ -691,7 +697,9 @@ type fetchResult struct {
 
 // scatterFetch resolves each vertex to its replica chain on st's ring
 // and fetches all of them concurrently, one RPC per involved shard per
-// round. Failed attempts advance to the next replica, spending the
+// round, each answer decoded on the goroutine that fetched it (a record
+// that does not decode counts as a failed attempt for its vertex).
+// Failed attempts advance to the next replica, spending the
 // retry budget; the hedge timer duplicates still-inflight work to the
 // next replica once, also on budget. Successes (and authoritative
 // misses) land in the caches under st's generation. The caller passes
@@ -714,9 +722,10 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 	}
 
 	type groupResp struct {
-		ids  []int32
-		recs map[int32]LabelRecord
-		err  error
+		ids    []int32
+		recs   map[int32]LabelRecord
+		labels map[int32]*core.Label // the present records that decoded
+		err    error
 	}
 	// Buffered so abandoned calls (context cancel) never block their
 	// goroutines.
@@ -798,7 +807,11 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 				if c.breaker != nil && (err == nil || ctx.Err() == nil) {
 					c.breaker.record(time.Now(), err == nil)
 				}
-				respCh <- groupResp{ids: gids, recs: recs, err: err}
+				var labels map[int32]*core.Label
+				if err == nil {
+					labels = f.decodeRecords(ctx, st, c, recs)
+				}
+				respCh <- groupResp{ids: gids, recs: recs, labels: labels, err: err}
 			}(st.nodes[node], gids)
 		}
 	}
@@ -852,9 +865,9 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 					delete(pending, v)
 					continue
 				}
-				l, derr := f.levels.DecodeLabel(rec.Data, rec.Bits)
-				if derr != nil {
-					continue // corrupt copy; another replica may be intact
+				l := r.labels[v]
+				if l == nil {
+					continue // corrupt copy (counted by cause); another replica may be intact
 				}
 				f.labelCache.Put(labelKey{st.gen, v}, l)
 				out[v] = fetchResult{label: l}
@@ -1021,9 +1034,9 @@ func newShardClient(nd Node, cfg FrontendConfig) *shardClient {
 // can shrink it to force chunking.
 var maxRequestIDs = 1 << 16
 
-// getLabels fetches a batch of label records, validating that the shard
-// serves the expected vertex space. The request is tagged with the
-// caller's label generation so a shard mid-swap answers from the
+// getLabels fetches a batch of label records as stored, validating that
+// the shard serves the expected vertex space. The request is tagged with
+// the caller's label generation so a shard mid-swap answers from the
 // matching store (or refuses) instead of silently mixing generations;
 // generation 0 asks for whatever is current. Batches past maxRequestIDs
 // split into sequential fetchLabels exchanges merged into one result.
@@ -1035,7 +1048,7 @@ func (c *shardClient) getLabels(ctx context.Context, ids []int32, wantN int, gen
 		c.fetches.Add(1)
 		start := time.Now()
 		err := c.exchange(ctx, c.cfg.FetchTimeout, func(conn net.Conn) error {
-			return fetchLabels(conn, "shard "+c.node.Name, gen, chunk, wantN, out)
+			return fetchLabels(conn, "shard "+c.node.Name, OpGetLabelsStored, gen, chunk, wantN, out)
 		})
 		c.latency.Observe(time.Since(start).Seconds())
 		if err != nil {
@@ -1046,19 +1059,20 @@ func (c *shardClient) getLabels(ctx context.Context, ids []int32, wantN int, gen
 	return out, nil
 }
 
-// fetchLabels runs one OpGetLabelsGen exchange on conn — the one
-// label-fetch client, under the frontend's pooled connections and under
-// a shard's repair pull alike: the request for ids at generation gen,
-// then the response reassembled from OpLabelsPart continuations closed
-// by an OpLabels frame, each chunk checked against the expected vertex
-// space and merged into out. Every chunk carries at least one record,
-// so a well-behaved shard sends at most len(ids) continuations before
-// the final frame; one more is an error. An OpError reply wraps
+// fetchLabels runs one label-fetch exchange on conn — the one
+// label-fetch client, under the frontend's pooled connections
+// (OpGetLabelsStored) and under a shard's repair pull (OpGetLabelsGen)
+// alike: the request for ids at generation gen, then the response
+// reassembled from OpLabelsPart continuations closed by an OpLabels
+// frame, each chunk checked against the expected vertex space and
+// merged into out. Every chunk carries at least one record, so a
+// well-behaved shard sends at most len(ids) continuations before the
+// final frame; one more is an error. An OpError reply wraps
 // errShardError and leaves the conversation in step; after any other
 // error the connection is out of step and must be dropped. peer names
 // the far end in the vertex-space error. The caller owns the deadline.
-func fetchLabels(conn net.Conn, peer string, gen uint64, ids []int32, wantN int, out map[int32]LabelRecord) error {
-	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, gen, ids)); err != nil {
+func fetchLabels(conn net.Conn, peer string, op byte, gen uint64, ids []int32, wantN int, out map[int32]LabelRecord) error {
+	if err := frame.Write(conn, op, AppendGenLabelRequest(nil, gen, ids)); err != nil {
 		return err
 	}
 	for parts := 0; ; parts++ {

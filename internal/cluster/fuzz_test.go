@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"hash/crc32"
 	"testing"
 
 	"fsdl/internal/frame"
+	"fsdl/internal/labelstore"
 )
 
 // FuzzDecodeFrame throws arbitrary bytes at the payload codecs behind
@@ -44,6 +46,22 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{'F', 'C', 1, OpLabels, 0xff, 0xff, 0xff, 0xff})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// The stored path: a response mixing the stored presence value with
+	// the others, its request, and a real level-graphs section asked for
+	// and answered whole (its CRC the one records name) and in part.
+	levels := LevelsRef{Generation: 2, CRC: 0x5eed}
+	f.Add(frame.Append(nil, OpLabels, AppendLabelResponse(nil, 100, []LabelRecord{
+		{Vertex: 5, Present: true, Stored: true, Nested: true, Bits: 300, CRC: 0xfeedface, Levels: levels, Data: []byte{9, 8, 7}},
+		{Vertex: 6, Present: true, Bits: 8, Data: []byte{0xaa}},
+		{Vertex: 7, Present: true, Stored: true, Bits: 40, Levels: levels},
+		{Vertex: 8, Unknown: true},
+	})))
+	f.Add(frame.Append(nil, OpGetLabelsStored, AppendGenLabelRequest(nil, 2, []int32{5, 6, 7, 8})))
+	section := mustScheme(f, ringLattice(64)).LevelGraphs().Encode()
+	ring := LevelsRef{Generation: 2, CRC: crc32.ChecksumIEEE(section)}
+	f.Add(frame.Append(nil, OpGetLevels, AppendLevelsRequest(nil, ring, 0)))
+	f.Add(frame.Append(nil, OpLevels, AppendLevelsChunk(nil, ring, uint64(len(section)), 0, section)))
+	f.Add(frame.Append(nil, OpLevels, AppendLevelsChunk(nil, ring, uint64(len(section)), 64, section[64:128])))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		op, payload, _, err := frame.Decode(data)
@@ -80,6 +98,9 @@ func FuzzDecodeFrame(f *testing.F) {
 				t.Fatalf("%d records decoded from %d payload bytes", len(recs), len(payload))
 			}
 			for _, r := range recs {
+				if r.Stored && (!r.Present || r.Unknown) {
+					t.Fatalf("record %d both stored and present=%v unknown=%v", r.Vertex, r.Present, r.Unknown)
+				}
 				if len(r.Data) > len(payload) {
 					t.Fatalf("record data %d bytes exceeds payload %d", len(r.Data), len(payload))
 				}
@@ -102,7 +123,37 @@ func FuzzDecodeFrame(f *testing.F) {
 			if err != nil || n2 != n || l2 != labels || fl2 != flags || g2 != gen {
 				t.Fatalf("pong does not round-trip: %d/%d/%d/%d vs %d/%d/%d/%d, err %v", n2, l2, fl2, g2, n, labels, flags, gen, err)
 			}
-		case OpGetLabelsGen:
+		case OpGetLevels:
+			ref, off, err := ParseLevelsRequest(payload)
+			if err != nil {
+				return
+			}
+			enc := AppendLevelsRequest(nil, ref, off)
+			if r2, o2, err := ParseLevelsRequest(enc); err != nil || r2 != ref || o2 != off {
+				t.Fatalf("levels request does not round-trip: err %v", err)
+			}
+		case OpLevels:
+			ref, total, off, chunk, err := ParseLevelsChunk(payload)
+			if err != nil {
+				return
+			}
+			if len(chunk) > len(payload) {
+				t.Fatalf("chunk of %d bytes from %d payload bytes", len(chunk), len(payload))
+			}
+			enc := AppendLevelsChunk(nil, ref, total, off, chunk)
+			r2, t2, o2, c2, err := ParseLevelsChunk(enc)
+			if err != nil || r2 != ref || t2 != total || o2 != off || !bytes.Equal(c2, chunk) {
+				t.Fatalf("levels chunk does not round-trip: err %v", err)
+			}
+			// A whole section reaches the level-graphs codec only under the
+			// CRC it is named by.
+			if off == 0 && uint64(len(chunk)) == total {
+				lv, err := labelstore.LoadLevels(chunk, ref.CRC)
+				if crc32.ChecksumIEEE(chunk) != ref.CRC && (err == nil || lv != nil) {
+					t.Fatal("a section loaded under a CRC it does not match")
+				}
+			}
+		case OpGetLabelsGen, OpGetLabelsStored:
 			gen, ids, err := ParseGenLabelRequest(payload)
 			if err != nil {
 				return

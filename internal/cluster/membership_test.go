@@ -157,7 +157,7 @@ func TestMembershipEpochIsolatesInflightFetch(t *testing.T) {
 	release := make(chan struct{})
 	tc := startCluster(t, st, 3, 2, map[int]func(byte) error{
 		0: func(op byte) error {
-			if op == OpGetLabels || op == OpGetLabelsGen {
+			if isLabelFetch(op) {
 				select {
 				case stall <- struct{}{}:
 				default:

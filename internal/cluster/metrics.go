@@ -17,6 +17,15 @@ type frontendMetrics struct {
 	labelMisses atomic.Int64
 	negHits     atomic.Int64
 
+	// recordsStored/recordsCanonical count the present records shards
+	// sent, by the encoding they came in; decodeFailures those dropped
+	// as a corrupt copy, by cause; levelsFetched the level-graphs
+	// sections fetched and admitted.
+	recordsStored    atomic.Int64
+	recordsCanonical atomic.Int64
+	decodeFailures   [numDecodeCauses]atomic.Int64
+	levelsFetched    atomic.Int64
+
 	// fetchCalls counts label-fetch RPCs issued (the hedge-rate
 	// denominator); hedges counts the duplicates launched by the hedge
 	// timer; failovers counts fetches routed away from an unhealthy
@@ -53,6 +62,14 @@ func (f *Frontend) WriteMetrics(sb *strings.Builder) {
 	x.Counter("fsdl_label_levels_interned_total", "Level edge lists of fetched labels replaced by a shared copy.", interned)
 	x.GaugeFloat("fsdl_label_level_lists", "Shared level edge lists currently held.", float64(lists))
 	x.Counter("fsdl_cluster_negative_cache_hits_total", "Lookups short-circuited by the confirmed-absence cache.", m.negHits.Load())
+	x.Family("fsdl_cluster_label_records_total", "Label records received from shards, by the encoding they crossed the wire in.", "counter")
+	x.Labelled("fsdl_cluster_label_records_total", "encoding", "stored", m.recordsStored.Load())
+	x.Labelled("fsdl_cluster_label_records_total", "encoding", "canonical", m.recordsCanonical.Load())
+	x.Family("fsdl_cluster_record_decode_failures_total", "Received label records dropped as a corrupt copy, by cause.", "counter")
+	for cause, name := range decodeCauseNames {
+		x.Labelled("fsdl_cluster_record_decode_failures_total", "cause", name, m.decodeFailures[cause].Load())
+	}
+	x.Counter("fsdl_cluster_level_graphs_fetched_total", "Level-graphs sections fetched from shards and admitted (once per generation and section).", m.levelsFetched.Load())
 
 	x.Counter("fsdl_cluster_fetch_calls_total", "Label-fetch RPCs issued to shards (hedges included).", m.fetchCalls.Load())
 	x.Counter("fsdl_cluster_hedges_total", "Duplicate fetches launched at replicas by the hedge timer.", m.hedges.Load())

@@ -59,6 +59,12 @@ func goldenFrontend(t *testing.T) *Frontend {
 	m.labelHits.Store(900)
 	m.labelMisses.Store(100)
 	m.negHits.Store(3)
+	m.recordsStored.Store(70)
+	m.recordsCanonical.Store(25)
+	for cause := range m.decodeFailures {
+		m.decodeFailures[cause].Store(int64(11 + cause))
+	}
+	m.levelsFetched.Store(1)
 	m.fetchCalls.Store(40)
 	m.hedges.Store(5)
 	m.failovers.Store(6)

@@ -43,7 +43,7 @@ func TestBreakerOpensOnSickShard(t *testing.T) {
 	const sick = 1
 	hooks := map[int]func(byte) error{
 		sick: func(op byte) error {
-			if op == OpGetLabels || op == OpGetLabelsGen {
+			if isLabelFetch(op) {
 				return errors.New("injected brown-out")
 			}
 			return nil // pings stay healthy: the health sweep won't save us
@@ -129,7 +129,7 @@ func TestRetryBudgetFailsFastWhenExhausted(t *testing.T) {
 	const sick = 0
 	hooks := map[int]func(byte) error{
 		sick: func(op byte) error {
-			if op == OpGetLabels || op == OpGetLabelsGen {
+			if isLabelFetch(op) {
 				return errors.New("injected brown-out")
 			}
 			return nil

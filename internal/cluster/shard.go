@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -58,8 +59,9 @@ type ShardConfig struct {
 	// PersistFormat3 switches PersistPath rewrites (and repair
 	// persists) to the FSDL3 container; PersistCompress additionally
 	// compresses the record payloads. Mixed-format replicas stay
-	// digest- and wire-compatible — records are canonical bytes
-	// everywhere above the container.
+	// digest- and wire-compatible — digests and repair pulls are canonical
+	// bytes whatever the container, and a stored record reads back to the
+	// label its canonical bytes encode.
 	PersistFormat3  bool
 	PersistCompress bool
 	// RepairRate caps how many records per second repair pulls install
@@ -75,9 +77,10 @@ type ShardConfig struct {
 }
 
 // ShardServer serves one partition of a label store over the cluster
-// wire protocol: OpGetLabels batches and OpPing health probes. It never
-// decodes a label — records ship as stored bytes and the frontend
-// decodes locally, which is the whole point of the labeling model.
+// wire protocol: label batches, the level graphs of a factored
+// partition, and OpPing health probes. A factored file's records ship as
+// stored, anything else as canonical bytes, and the frontend decodes
+// locally, which is the whole point of the labeling model.
 // Requests on one connection are answered in order; the frontend pools
 // connections for parallelism.
 type ShardServer struct {
@@ -250,30 +253,32 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 			bufs.payload = AppendPong(bufs.payload[:0], st.NumVertices(), st.NumLabels(), s.pongFlags(st), gen)
 			werr = s.writeFrame(bw, bufs, OpPong, bufs.payload)
 		case OpGetLabels:
-			st, _ := s.currentStore()
+			gs, _ := s.storeForGen(0) // the current store: never refused
 			ids, err := ParseLabelRequest(req)
 			if err == nil {
-				err = s.checkRange(st, ids)
+				err = s.checkRange(gs.store, ids)
 			}
 			if err != nil {
 				werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
 			} else {
-				werr = s.writeLabels(bw, bufs, st, ids)
+				werr = s.writeLabels(bw, bufs, gs, ids, false)
 			}
-		case OpGetLabelsGen:
+		case OpGetLabelsGen, OpGetLabelsStored:
 			gen, ids, err := ParseGenLabelRequest(req)
-			var st *labelstore.Store
+			var gs genStore
 			if err == nil {
-				st, err = s.storeForGen(gen)
+				gs, err = s.storeForGen(gen)
 			}
 			if err == nil {
-				err = s.checkRange(st, ids)
+				err = s.checkRange(gs.store, ids)
 			}
 			if err != nil {
 				werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
 			} else {
-				werr = s.writeLabels(bw, bufs, st, ids)
+				werr = s.writeLabels(bw, bufs, gs, ids, op == OpGetLabelsStored)
 			}
+		case OpGetLevels:
+			werr = s.handleLevels(bw, bufs, req)
 		case OpLoadGeneration:
 			gen, err := ParseGeneration(req)
 			if err == nil {
@@ -350,19 +355,19 @@ func (s *ShardServer) Generation() uint64 {
 }
 
 // storeForGen resolves a gen-tagged request to the store serving that
-// generation: the current one, or the previous one still held across a
-// swap window. Anything else is refused — answering from the wrong
-// generation would silently mix label spaces.
-func (s *ShardServer) storeForGen(gen uint64) (*labelstore.Store, error) {
+// generation: the current one (generation 0 asks for it), or the
+// previous one still held across a swap window. Anything else is refused
+// — answering from the wrong generation would silently mix label spaces.
+func (s *ShardServer) storeForGen(gen uint64) (genStore, error) {
 	s.genMu.RLock()
 	defer s.genMu.RUnlock()
 	switch {
 	case gen == 0 || gen == s.cur.gen:
-		return s.cur.store, nil
+		return s.cur, nil
 	case gen == s.prev.gen && s.prev.store != nil:
-		return s.prev.store, nil
+		return s.prev, nil
 	}
-	return nil, fmt.Errorf("cluster: generation %d not held (serving %d)", gen, s.cur.gen)
+	return genStore{}, fmt.Errorf("cluster: generation %d not held (serving %d)", gen, s.cur.gen)
 }
 
 // InstallGeneration activates st as label generation gen, displacing
@@ -436,16 +441,17 @@ func (s *ShardServer) LoadGeneration(gen uint64) error {
 	return nil
 }
 
-// writeLabels answers one OpGetLabels request, splitting the response
+// writeLabels answers one label request from gs, splitting the response
 // into as many OpLabelsPart frames as the payload bound requires; the
-// final (often only) chunk goes out as OpLabels.
-func (s *ShardServer) writeLabels(bw *bufio.Writer, bufs *connBufs, st *labelstore.Store, ids []int32) error {
+// final (often only) chunk goes out as OpLabels. With stored, records a
+// factored file holds go out as stored.
+func (s *ShardServer) writeLabels(bw *bufio.Writer, bufs *connBufs, gs genStore, ids []int32, stored bool) error {
 	// Room for the chunk header: vertex space + record count uvarints.
 	const headerSize = 2 * 10 // binary.MaxVarintLen64
 	recs := make([]LabelRecord, 0, len(ids))
 	size := headerSize
 	flush := func(op byte) error {
-		bufs.payload = AppendLabelResponse(bufs.payload[:0], st.NumVertices(), recs)
+		bufs.payload = AppendLabelResponse(bufs.payload[:0], gs.store.NumVertices(), recs)
 		if err := s.writeFrame(bw, bufs, op, bufs.payload); err != nil {
 			return err
 		}
@@ -454,7 +460,7 @@ func (s *ShardServer) writeLabels(bw *bufio.Writer, bufs *connBufs, st *labelsto
 		return nil
 	}
 	for _, v := range ids {
-		rec := s.lookupRecord(st, v)
+		rec := s.lookupRecord(gs, v, stored)
 		rsz := rec.wireSize()
 		if headerSize+rsz > maxLabelChunkPayload {
 			// A single record that cannot fit any frame: the request as a
@@ -475,8 +481,20 @@ func (s *ShardServer) writeLabels(bw *bufio.Writer, bufs *connBufs, st *labelsto
 
 // lookupRecord resolves one vertex against the store, distinguishing
 // authoritative absence from salvage loss and bootstrap incompleteness.
-func (s *ShardServer) lookupRecord(st *labelstore.Store, v int32) LabelRecord {
+// With stored, a record its factored file holds goes out as the file
+// stores it, naming the file's level graphs under gs's generation; any
+// other — a heap-overlay record among them — as canonical bytes.
+func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecord {
 	rec := LabelRecord{Vertex: v}
+	st := gs.store
+	if stored {
+		if sr, ok := st.Stored(int(v)); ok {
+			rec.Present, rec.Stored, rec.Bits, rec.Data = true, true, sr.Bits, sr.Data
+			rec.Nested, rec.CRC, rec.Levels = sr.Nested, sr.CRC, LevelsRef{Generation: gs.gen, CRC: sr.LevelsCRC}
+			s.LabelsServed.Add(1)
+			return rec
+		}
+	}
 	if bits, data, ok := st.Raw(int(v)); ok {
 		rec.Present, rec.Bits, rec.Data = true, bits, data
 		s.LabelsServed.Add(1)
@@ -529,6 +547,36 @@ func (s *ShardServer) seal() {
 	s.salvageLost = nil
 	s.salvMu.Unlock()
 	s.Sealed.Store(true)
+}
+
+// handleLevels answers OpGetLevels: one chunk of the level-graphs
+// section the request names, from the store serving its generation —
+// refused unless that store's section has exactly that CRC.
+func (s *ShardServer) handleLevels(bw *bufio.Writer, bufs *connBufs, req []byte) error {
+	ref, off, err := ParseLevelsRequest(req)
+	var section []byte
+	if err == nil {
+		var gs genStore
+		if gs, err = s.storeForGen(ref.Generation); err == nil {
+			sec, crc, ok := gs.store.LevelsSection()
+			switch {
+			case !ok || crc != ref.CRC:
+				err = fmt.Errorf("cluster: level graphs %08x not held at generation %d", ref.CRC, ref.Generation)
+			case off > uint64(len(sec)):
+				err = fmt.Errorf("cluster: level-graphs offset %d past the section's %d bytes", off, len(sec))
+			default:
+				section = sec
+			}
+		}
+	}
+	if err != nil {
+		return s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
+	}
+	// Room for the chunk header: section name, length and offset.
+	const headerSize = 3*binary.MaxVarintLen64 + 4
+	end := min(off+uint64(maxLabelChunkPayload-headerSize), uint64(len(section)))
+	bufs.payload = AppendLevelsChunk(bufs.payload[:0], ref, uint64(len(section)), off, section[off:end])
+	return s.writeFrame(bw, bufs, OpLevels, bufs.payload)
 }
 
 // maxDigestIDs bounds one OpDigest request so the response (≤ 5 bytes
@@ -615,12 +663,14 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 		ids = ids[len(chunk):]
 		conn.SetDeadline(time.Now().Add(repairChunkTimeout))
 		got := make(map[int32]LabelRecord, len(chunk))
-		if err := fetchLabels(conn, "repair source "+source, gen, chunk, store.NumVertices(), got); err != nil {
+		if err := fetchLabels(conn, "repair source "+source, OpGetLabelsGen, gen, chunk, store.NumVertices(), got); err != nil {
 			return installed, failed, fmt.Errorf("cluster: repair pull from %s: %w", source, err)
 		}
 		for _, v := range chunk {
+			// Repair installs canonical bytes: a stored record answers a
+			// request this pull never sends.
 			rec, ok := got[v]
-			if !ok || !rec.Present {
+			if !ok || !rec.Present || rec.Stored {
 				failed++
 				continue
 			}

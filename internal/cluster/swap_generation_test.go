@@ -187,7 +187,7 @@ func TestGenerationSwapAfterIncrementalCompaction(t *testing.T) {
 		if !slices.Equal(cur.Vertices(), parts[name]) {
 			t.Fatalf("%s loaded %d labels, its partition file holds %d", name, cur.NumLabels(), len(parts[name]))
 		}
-		if prev, err := srv.storeForGen(oldGen); err != nil || prev != tc.stores[i] {
+		if prev, err := srv.storeForGen(oldGen); err != nil || prev.store != tc.stores[i] {
 			t.Fatalf("%s lost generation %d across the swap: %v", name, oldGen, err)
 		}
 	}

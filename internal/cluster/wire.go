@@ -18,9 +18,9 @@ import (
 // Frame ops. Requests flow frontend→shard, responses shard→frontend.
 const (
 	// OpGetLabels asks for a batch of label records by vertex id, from
-	// whatever generation is current. The frontend and the repair pull
-	// always send OpGetLabelsGen; shards answer this one for any other
-	// client.
+	// whatever generation is current. The repair pull sends
+	// OpGetLabelsGen and the frontend OpGetLabelsStored; shards answer
+	// this one for any other client.
 	OpGetLabels byte = 1
 	// OpLabels answers OpGetLabels with one record per requested vertex.
 	OpLabels byte = 2
@@ -73,11 +73,31 @@ const (
 	OpGenLoaded      byte = 15
 	// 16 is retired and stays unassigned: it told a shard to re-tag the
 	// store it served as the next generation without a load.
+
+	// OpGetLabelsStored is OpGetLabelsGen (same payload, same OpLabels /
+	// OpLabelsPart answer) asking for records as stored: a shard answers
+	// every record a factored FSDL3 file holds in that file's own encoding
+	// (presence 3, LabelRecord.Stored) and everything else in canonical
+	// bytes, record by record in one response. It is what the frontend
+	// sends; shards must be upgraded before frontends.
+	OpGetLabelsStored byte = 17
+	// OpGetLevels asks for a chunk of the level-graphs section stored
+	// records name (LevelsRef, then a uvarint byte offset); OpLevels
+	// answers with the section's length, the chunk's offset and as many of
+	// its bytes from there as fit one frame. The frontend reads a section
+	// once per generation.
+	OpGetLevels byte = 18
+	OpLevels    byte = 19
 )
 
 // maxWireLabelBits rejects absurd per-record bit lengths before any
 // record is acted on (matches the labelstore container's guard).
 const maxWireLabelBits = 1 << 40
+
+// maxLevelsBytes bounds the level-graphs section an OpLevels chunk may
+// claim: far past any real section, and a cap on what a frontend
+// accumulates from a shard that keeps sending.
+const maxLevelsBytes = 1 << 31
 
 // AppendLabelRequest encodes an OpGetLabels payload: the vertex ids
 // whose labels the caller wants, in the given order.
@@ -125,34 +145,80 @@ func ParseLabelRequest(payload []byte) ([]int32, error) {
 // distinct from a transport failure). Unknown=true means the shard
 // cannot answer authoritatively — the record was lost to corruption
 // when the store was salvage-loaded — so the caller should try another
-// replica and must not cache the absence. Bits/Data mirror the
-// labelstore record encoding.
+// replica and must not cache the absence. Bits is the canonical bit
+// length; Data the canonical bytes or, with Stored, the payload of a
+// factored FSDL3 record as its file stores it (labelstore.StoredRecord),
+// which reads back into a label only under the level graphs Levels names.
 type LabelRecord struct {
 	Vertex  int32
 	Present bool
 	Unknown bool
 	Bits    int
 	Data    []byte
+
+	Stored bool
+	Nested bool   // Stored: nested ball coding; the older flat one when unset
+	CRC    uint32 // Stored: the index CRC over Vertex, Bits and Data
+	Levels LevelsRef
+}
+
+// LevelsRef names a level-graphs section: the generation a shard serves
+// it under and its CRC32.
+type LevelsRef struct {
+	Generation uint64
+	CRC        uint32
+}
+
+func appendLevelsRef(dst []byte, ref LevelsRef) []byte {
+	dst = binary.AppendUvarint(dst, ref.Generation)
+	return binary.LittleEndian.AppendUint32(dst, ref.CRC)
+}
+
+func parseLevelsRef(payload []byte) (LevelsRef, []byte, bool) {
+	gen, k := binary.Uvarint(payload)
+	if k <= 0 || len(payload)-k < 4 {
+		return LevelsRef{}, nil, false
+	}
+	return LevelsRef{Generation: gen, CRC: binary.LittleEndian.Uint32(payload[k:])}, payload[k+4:], true
 }
 
 // wireSize returns an upper bound on r's encoded size inside an
 // OpLabels payload — the shard's chunking budget unit.
 func (r LabelRecord) wireSize() int {
 	const idAndPresence = binary.MaxVarintLen32 + 1
-	if !r.Present {
-		return idAndPresence
+	switch {
+	case r.Stored:
+		return idAndPresence + 3*binary.MaxVarintLen64 + 1 + 4 + 4 + len(r.Data)
+	case r.Present:
+		return idAndPresence + binary.MaxVarintLen64 + (r.Bits+7)/8
 	}
-	return idAndPresence + binary.MaxVarintLen64 + (r.Bits+7)/8
+	return idAndPresence
 }
 
 // AppendLabelResponse encodes an OpLabels payload: the vertex-id space n
-// of the shard's store, then one record per requested vertex.
+// of the shard's store, then one record per requested vertex — its id,
+// a presence byte (0 absent, 1 canonical, 2 unknown, 3 stored), and for
+// a canonical record the bit length and bytes; for a stored one the
+// canonical bit length, a coding byte (1 nested), the record CRC, the
+// LevelsRef and the payload with its byte length.
 func AppendLabelResponse(dst []byte, n int, recs []LabelRecord) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
 	for _, r := range recs {
 		dst = binary.AppendUvarint(dst, uint64(uint32(r.Vertex)))
 		switch {
+		case r.Stored:
+			dst = append(dst, 3)
+			dst = binary.AppendUvarint(dst, uint64(r.Bits))
+			nested := byte(0)
+			if r.Nested {
+				nested = 1
+			}
+			dst = append(dst, nested)
+			dst = binary.LittleEndian.AppendUint32(dst, r.CRC)
+			dst = appendLevelsRef(dst, r.Levels)
+			dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
+			dst = append(dst, r.Data...)
 		case r.Present:
 			dst = append(dst, 1)
 			dst = binary.AppendUvarint(dst, uint64(r.Bits))
@@ -222,6 +288,28 @@ func ParseLabelResponse(payload []byte) (n int, recs []LabelRecord, err error) {
 			rec.Bits = int(bits)
 			rec.Data = payload[:nbytes:nbytes]
 			payload = payload[nbytes:]
+		case 3:
+			bits, k := binary.Uvarint(payload)
+			if k <= 0 || bits > maxWireLabelBits {
+				return 0, nil, fmt.Errorf("cluster: label response: bad bit length for stored record %d", i)
+			}
+			payload = payload[k:]
+			if len(payload) < 5 || payload[0] > 1 {
+				return 0, nil, fmt.Errorf("cluster: label response: bad coding or checksum of stored record %d", i)
+			}
+			rec.Nested, rec.CRC = payload[0] == 1, binary.LittleEndian.Uint32(payload[1:])
+			ref, rest, ok := parseLevelsRef(payload[5:])
+			if !ok {
+				return 0, nil, fmt.Errorf("cluster: label response: truncated level graphs of stored record %d", i)
+			}
+			size, k := binary.Uvarint(rest)
+			if k <= 0 || size > uint64(len(rest)-k) {
+				return 0, nil, fmt.Errorf("cluster: label response: stored record %d overruns the payload", i)
+			}
+			payload = rest[k:]
+			rec.Present, rec.Stored, rec.Bits, rec.Levels = true, true, int(bits), ref
+			rec.Data = payload[:size:size]
+			payload = payload[size:]
 		default:
 			return 0, nil, fmt.Errorf("cluster: label response: bad presence byte %d", present)
 		}
@@ -312,6 +400,54 @@ func ParseGeneration(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("cluster: generation payload: trailing bytes")
 	}
 	return generation, nil
+}
+
+// AppendLevelsRequest encodes an OpGetLevels payload: the section wanted
+// and the byte offset to read it from.
+func AppendLevelsRequest(dst []byte, ref LevelsRef, offset uint64) []byte {
+	return binary.AppendUvarint(appendLevelsRef(dst, ref), offset)
+}
+
+// ParseLevelsRequest decodes an OpGetLevels payload.
+func ParseLevelsRequest(payload []byte) (ref LevelsRef, offset uint64, err error) {
+	ref, rest, ok := parseLevelsRef(payload)
+	if !ok {
+		return LevelsRef{}, 0, fmt.Errorf("cluster: level-graphs request: truncated section name")
+	}
+	offset, k := binary.Uvarint(rest)
+	if k <= 0 || k != len(rest) {
+		return LevelsRef{}, 0, fmt.Errorf("cluster: level-graphs request: bad offset")
+	}
+	return ref, offset, nil
+}
+
+// AppendLevelsChunk encodes an OpLevels payload: the section, its total
+// length, the offset of this chunk, then the chunk's bytes to the end of
+// the payload.
+func AppendLevelsChunk(dst []byte, ref LevelsRef, total, offset uint64, chunk []byte) []byte {
+	dst = appendLevelsRef(dst, ref)
+	dst = binary.AppendUvarint(dst, total)
+	dst = binary.AppendUvarint(dst, offset)
+	return append(dst, chunk...)
+}
+
+// ParseLevelsChunk decodes an OpLevels payload. The chunk aliases the
+// payload and lies inside [0, total), total at most maxLevelsBytes.
+func ParseLevelsChunk(payload []byte) (ref LevelsRef, total, offset uint64, chunk []byte, err error) {
+	ref, rest, ok := parseLevelsRef(payload)
+	if !ok {
+		return LevelsRef{}, 0, 0, nil, fmt.Errorf("cluster: level-graphs chunk: truncated section name")
+	}
+	total, k := binary.Uvarint(rest)
+	if k <= 0 || total > maxLevelsBytes {
+		return LevelsRef{}, 0, 0, nil, fmt.Errorf("cluster: level-graphs chunk: bad section length")
+	}
+	rest = rest[k:]
+	offset, k = binary.Uvarint(rest)
+	if k <= 0 || offset > total || uint64(len(rest)-k) > total-offset {
+		return LevelsRef{}, 0, 0, nil, fmt.Errorf("cluster: level-graphs chunk: bytes outside the section")
+	}
+	return ref, total, offset, rest[k:], nil
 }
 
 // AppendDigestResponse encodes an OpDigestResp payload: the shard's

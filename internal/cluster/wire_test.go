@@ -112,3 +112,67 @@ func TestRepairRequestRoundTrip(t *testing.T) {
 		t.Fatalf("repair response round trip: %d/%d err=%v", installed, failed, err)
 	}
 }
+
+func TestStoredRecordRoundTrip(t *testing.T) {
+	recs := []LabelRecord{
+		{Vertex: 4, Present: true, Stored: true, Nested: true, Bits: 11563, CRC: 0xdeadbeef,
+			Levels: LevelsRef{Generation: 3, CRC: 0x01020304}, Data: []byte{1, 2, 3, 4, 5}},
+		{Vertex: 5, Present: true, Bits: 12, Data: []byte{0xaa, 0x0b}},
+		{Vertex: 6, Present: true, Stored: true, Bits: 9, CRC: 7, Levels: LevelsRef{Generation: 1 << 40}},
+		{Vertex: 7, Unknown: true},
+	}
+	enc := AppendLabelResponse(nil, 100, recs)
+	_, got, err := ParseLabelResponse(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range recs {
+		g := got[i]
+		if g.Stored != r.Stored || g.Nested != r.Nested || g.CRC != r.CRC || g.Levels != r.Levels ||
+			g.Bits != r.Bits || g.Present != r.Present || g.Unknown != r.Unknown || !bytes.Equal(g.Data, r.Data) {
+			t.Fatalf("record %d: %+v, sent %+v", i, g, r)
+		}
+	}
+	if !bytes.Equal(AppendLabelResponse(nil, 100, got), enc) {
+		t.Fatal("stored records do not re-encode to the same bytes")
+	}
+	// A coding byte past 1, and a payload longer than what is left, are
+	// refused. The coding byte sits before the record CRC, the LevelsRef
+	// (a one-byte generation here), the payload length and the payload.
+	one := AppendLabelResponse(nil, 100, recs[:1])
+	coding := bytes.Clone(one)
+	coding[len(coding)-len(recs[0].Data)-1-4-1-4-1] = 2
+	for name, bad := range map[string][]byte{
+		"coding byte 2":     coding,
+		"payload truncated": one[:len(one)-1],
+	} {
+		if _, _, err := ParseLabelResponse(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestLevelsPayloadRoundTrip(t *testing.T) {
+	ref := LevelsRef{Generation: 9, CRC: 0xcafef00d}
+	gotRef, off, err := ParseLevelsRequest(AppendLevelsRequest(nil, ref, 4062))
+	if err != nil || gotRef != ref || off != 4062 {
+		t.Fatalf("levels request: %+v at %d, %v", gotRef, off, err)
+	}
+	chunk := []byte("level graphs")
+	gotRef, total, off, gotChunk, err := ParseLevelsChunk(AppendLevelsChunk(nil, ref, 100, 40, chunk))
+	if err != nil || gotRef != ref || total != 100 || off != 40 || !bytes.Equal(gotChunk, chunk) {
+		t.Fatalf("levels chunk: %+v %d %d %q, %v", gotRef, total, off, gotChunk, err)
+	}
+	for name, bad := range map[string][]byte{
+		"chunk past the section":  AppendLevelsChunk(nil, ref, 45, 40, chunk),
+		"offset past the section": AppendLevelsChunk(nil, ref, 10, 11, nil),
+		"section past the bound":  AppendLevelsChunk(nil, ref, maxLevelsBytes+1, 0, nil),
+	} {
+		if _, _, _, _, err := ParseLevelsChunk(bad); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, _, err := ParseLevelsRequest(append(AppendLevelsRequest(nil, ref, 0), 0)); err == nil {
+		t.Error("a levels request with trailing bytes accepted")
+	}
+}

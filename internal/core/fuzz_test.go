@@ -337,6 +337,13 @@ func FuzzLoadScheme(f *testing.F) {
 	f.Add(append([]byte("FSDLS1"), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
 	f.Add([]byte("FSDLS1\x00\x02\x03\x00\xff\xff\xff\x07\x00"))         // n = 2²⁴−1 in nine bytes
 	f.Add([]byte("FSDLS1\x00\x02\xff\xff\xff\xff\xff\xff\xff\x7f\x00")) // a level count that never ends
+	// A ring lattice's section, the shape a cluster frontend fetches per
+	// generation: two edges a vertex, local low levels, saturated top ones.
+	ring, err := BuildScheme(ringLattice(f, 128), 2)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(ring.LevelGraphs().Encode())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		lg, err := LoadLevelGraphs(data)
 		if err != nil {

@@ -594,10 +594,10 @@ func (e *BallEncoder) Encode(l *core.Label) ([]byte, error) {
 // coding and returns the per-level tally, lowest level first; nil for any
 // other store.
 func (st *Store) BallStats() ([]BallLevelStats, error) {
-	if st.f3 == nil || st.f3.balls == nil {
+	if st.f3 == nil || st.f3.levels == nil || !st.f3.hdr.nested() {
 		return nil, nil
 	}
-	c := st.f3.balls
+	c := st.f3.levels.balls
 	out := make([]BallLevelStats, len(c.levels))
 	for k := range out {
 		out[k].Level = c.lg.Params().LowestLevel() + k

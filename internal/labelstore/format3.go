@@ -83,10 +83,12 @@
 // files keep reading; none is written any more. See docs/STORAGE.md.
 //
 // The index always records the *canonical* bit length, whatever the
-// payload encoding: canonical bytes are the universal currency of the
-// wire protocol, the digests and Put, so a compressed store transcodes
-// (decode + deterministic re-encode) where raw canonical bytes are
-// demanded and both formats interoperate record for record.
+// payload encoding: canonical bytes are the currency of the digests, Put
+// and repair pulls, so a compressed store transcodes (decode +
+// deterministic re-encode) where raw canonical bytes are demanded and
+// both formats interoperate record for record. A cluster label fetch
+// takes a factored record as stored instead, and the length is what its
+// reader checks the label against (stored.go).
 package labelstore
 
 import (
@@ -95,6 +97,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 
 	"fsdl/internal/bitio"
 	"fsdl/internal/core"
@@ -144,16 +147,21 @@ func paramsOf(l *core.Label) rec3Params {
 }
 
 // edgeBitsMemo remembers, per level index, the canonical bit length of
-// the edge section of the longest edge list one Write has seen there. The
-// length depends on the (XI, YI, D) list alone, and the list many labels
-// share — a saturated ball's, the whole level graph, one array handed to
-// every such label (core.LevelGraphs) — is the longest its level has: it
-// settles in its slot at first sight and every later label that carries
-// it costs a pointer compare instead of a walk over its edges. A list is
-// recognised by identity (same backing array, same length), the way the
-// decoder's seenBefore does; the slot pins that one array, so the address
-// cannot come to mean another list while the Write runs.
-type edgeBitsMemo []edgeBitsSlot
+// the edge section of the longest edge list seen there — by one Write, or
+// by every reader of one Levels. The length depends on the (XI, YI, D)
+// list alone, and the list many labels share — a saturated ball's, the
+// whole level graph, one array handed to every such label
+// (core.LevelGraphs) — is the longest its level has: it settles in its
+// slot at first sight and every later label that carries it costs a
+// pointer compare instead of a walk over its edges. A list is recognised
+// by identity (same backing array, same length), the way the decoder's
+// seenBefore does; the slot pins that one array, so the address cannot
+// come to mean another list while the memo lives. Safe for concurrent
+// use; walks run outside the lock.
+type edgeBitsMemo struct {
+	mu    sync.Mutex
+	slots []edgeBitsSlot
+}
 
 type edgeBitsSlot struct {
 	edges []core.EdgeEntry
@@ -161,13 +169,14 @@ type edgeBitsSlot struct {
 }
 
 func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
-	for len(*m) <= k {
-		*m = append(*m, edgeBitsSlot{})
+	m.mu.Lock()
+	if k < len(m.slots) {
+		if slot := m.slots[k]; len(edges) > 0 && len(slot.edges) == len(edges) && &slot.edges[0] == &edges[0] {
+			m.mu.Unlock()
+			return slot.bits
+		}
 	}
-	slot := &(*m)[k]
-	if len(edges) > 0 && len(slot.edges) == len(edges) && &slot.edges[0] == &edges[0] {
-		return slot.bits
-	}
+	m.mu.Unlock()
 	n := bitio.DeltaLen(uint64(len(edges)))
 	var prevXI, prevYI int64
 	for _, e := range edges {
@@ -180,9 +189,14 @@ func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
 		prevXI, prevYI = int64(e.XI), int64(e.YI)
 		n += bitio.GammaLen(uint64(e.D))
 	}
-	if len(edges) > len(slot.edges) {
+	m.mu.Lock()
+	for len(m.slots) <= k {
+		m.slots = append(m.slots, edgeBitsSlot{})
+	}
+	if slot := &m.slots[k]; len(edges) > len(slot.edges) {
 		slot.edges, slot.bits = edges, n
 	}
+	m.mu.Unlock()
 	return n
 }
 

@@ -3,9 +3,11 @@
 // router) downloads only the labels it needs and answers every distance
 // query locally, offline, from those labels alone.
 //
-// A store file is one of two containers, both nothing but carriers of
-// canonical record bytes (Label.Encode output), so digests, the cluster
-// wire format and Put interoperate across them. "FSDL2" is a stream:
+// A store file is one of two containers, both carriers of labels that
+// read back to the same canonical record bytes (Label.Encode output), so
+// digests, repair and Put interoperate across them, and a cluster
+// frontend reads a factored file's records as stored (stored.go) beside
+// any other container's canonical ones. "FSDL2" is a stream:
 //
 //	magic "FSDL2"
 //	uvarint n            (vertex-id space of the graph)
@@ -403,8 +405,9 @@ func (st *Store) Vertices() []int {
 }
 
 // Raw returns the canonical serialized label record of v without
-// decoding it — the shard-serving path, which ships records over the
-// wire and leaves decoding to the frontend. For an uncompressed FSDL3
+// decoding it — what a shard ships of every record a factored file does
+// not hold as stored (Stored), leaving decoding to the frontend, and what
+// digests and repair pulls compare. For an uncompressed FSDL3
 // backing the returned bytes alias the mapping (zero copy); compressed
 // records are transcoded to canonical form (memoized). The returned
 // bytes are shared and must not be mutated.

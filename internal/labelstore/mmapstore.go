@@ -18,7 +18,6 @@ package labelstore
 
 import (
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"slices"
@@ -63,13 +62,11 @@ type file3 struct {
 	payloads []byte // the data section (may be clamped by salvage)
 	idxCount int    // readable index entries
 
-	// lg and section are the level graphs of a factored file and the
+	// levels and section are the level graphs of a factored file and the
 	// bytes they were decoded from; nil otherwise (and for a factored file
 	// whose section a salvaging open found damaged — every record of it
-	// is then corrupt). balls is the record codec under lg; nil for a file
-	// from before the nested coding, whose records parseFlatBalls reads.
-	lg      *core.LevelGraphs
-	balls   *ballCodec
+	// is then corrupt).
+	levels  *Levels
 	section []byte
 
 	verified []atomic.Uint32 // per-slot CRC-checked-ok bitset
@@ -114,41 +111,26 @@ func (f *file3) loadLevelGraphs() error {
 		return fmt.Errorf("labelstore: level-graphs section [%d,+%d) outside the file (%d bytes)", h.secOff, h.secLen, len(f.data))
 	}
 	section := f.data[h.secOff:end:end]
-	if crc32.ChecksumIEEE(section) != h.secCRC {
-		return fmt.Errorf("labelstore: level-graphs section checksum mismatch")
-	}
-	lg, err := core.LoadLevelGraphs(section)
+	levels, err := LoadLevels(section, h.secCRC)
 	if err != nil {
-		return fmt.Errorf("labelstore: level-graphs section: %w", err)
+		return err
 	}
-	if uint64(lg.NumVertices()) != h.n || (h.count > 0 && paramsOfScheme(lg.Params()) != h.prm) {
+	if lg := levels.lg; uint64(lg.NumVertices()) != h.n || (h.count > 0 && paramsOfScheme(lg.Params()) != h.prm) {
 		return fmt.Errorf("labelstore: level-graphs section describes another store (n=%d, header n=%d)", lg.NumVertices(), h.n)
 	}
-	f.lg, f.section = lg, section
-	if h.nested() {
-		f.balls = newBallCodec(lg)
-	}
+	f.levels, f.section = levels, section
 	return nil
 }
 
 // parse decodes a stored compressed payload of v into a label: a factored
-// file's balls, the edges induced from its level graphs, or a
-// self-contained compressed record. The level edge lists that are not a
-// level's one whole list are shared through t (nil: private copies).
+// file's balls, the edges induced from its level graphs (Levels, the
+// parser a cluster frontend shares), or a self-contained compressed
+// record. The level edge lists that are not a level's one whole list are
+// shared through t (nil: private copies).
 func (f *file3) parse(payload []byte, v int32, t *core.LevelTable) (*core.Label, error) {
 	switch {
-	case f.lg != nil:
-		var balls [][]core.PointEntry
-		var err error
-		if f.balls != nil {
-			balls, err = f.balls.parse(payload, nil)
-		} else {
-			balls, err = parseFlatBalls(payload, f.lg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return f.lg.Label(v, balls, t)
+	case f.levels != nil:
+		return f.levels.parse(payload, v, f.hdr.nested(), t)
 	case f.hdr.factored():
 		return nil, fmt.Errorf("labelstore: record for vertex %d needs the file's level graphs, which are damaged", v)
 	case t == nil:
@@ -393,7 +375,7 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 			return nil, nil, err
 		}
 	}
-	lost := hdr.factored() && f3.lg == nil
+	lost := hdr.factored() && f3.levels == nil
 	// Structural pass over the index: strictly ascending vertices with
 	// sane windows. Strict opens reject any violation; salvage marks the
 	// offending entries corrupt (binary search may then miss records
@@ -580,8 +562,8 @@ func (st *Store) inOverlay(v int32) bool {
 
 // rawFrom3 returns the canonical record bytes of v from the FSDL3
 // backing, transcoding compressed payloads (memoized in rawCache —
-// transcodes cost a decode + re-encode, and the wire path hits the same
-// hot vertices repeatedly).
+// transcodes cost a decode + re-encode, and digests, repair pulls and
+// canonical label fetches hit the same hot vertices repeatedly).
 func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	bits, payload, ok := st.f3.storedPayload(v)
 	if !ok {

@@ -257,10 +257,10 @@ func (st *Store) records(ids []int, stored bool, emit func(int, rec) error) erro
 // levelGraphs makes a factored store a source of factored files: its own
 // level graphs, their section copied verbatim.
 func (st *Store) levelGraphs() (*core.LevelGraphs, []byte) {
-	if st.f3 == nil || st.f3.lg == nil {
+	if st.f3 == nil || st.f3.levels == nil {
 		return nil, nil
 	}
-	return st.f3.lg, st.f3.section
+	return st.f3.levels.lg, st.f3.section
 }
 
 // record returns the record of v as canonical bytes, or — when stored
