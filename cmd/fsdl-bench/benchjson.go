@@ -176,7 +176,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		add(measure(fmt.Sprintf("decode_F%d", nf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.Distance(qs[i&1])
+				dec.Decode(qs[i&1], core.Opts{})
 			}
 		}))
 		if nf == 4 {
@@ -189,7 +189,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 			add(measure("decode_sketch_F4", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					dec.DistanceWithTrace(qs[i&1], &tr)
+					dec.Decode(qs[i&1], core.Opts{Trace: &tr})
 				}
 			}))
 		}
@@ -200,7 +200,8 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 			add(measure("decode_path_F16", func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_, pbuf, _ = dec.DecodePath(qs[i&1], pbuf[:0])
+					pbuf = pbuf[:0]
+					dec.Decode(qs[i&1], core.Opts{Path: &pbuf})
 				}
 			}))
 		}
@@ -229,7 +230,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		add(measure("decode_patched_F2_P4", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.DistanceRobustPatched(qs[i&1], patches[i&1])
+				dec.Decode(qs[i&1], core.Opts{Patches: patches[i&1]})
 			}
 		}))
 		dec.Release()
@@ -276,7 +277,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		add(measure(fmt.Sprintf("decode_store_F%d", nf), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				dec.Distance(qs[i&1])
+				dec.Decode(qs[i&1], core.Opts{})
 			}
 		}))
 		dec.Release()
@@ -700,7 +701,7 @@ func benchBatches(quick bool, add func(benchResult)) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				for _, q := range batches[i&1] {
-					dec.DistanceRobust(q)
+					dec.Decode(q, core.Opts{})
 				}
 			}
 		}))
@@ -709,7 +710,7 @@ func benchBatches(quick bool, add func(benchResult)) error {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for k := range pairs {
-						dec.DistanceRobust(batches[k&1][k])
+						dec.Decode(batches[k&1][k], core.Opts{})
 					}
 				}
 			}))

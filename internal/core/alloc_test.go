@@ -82,10 +82,10 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
 			q.Budget = budget
 			allocs := testing.AllocsPerRun(200, func() {
-				dec.Distance(q)
+				dec.Decode(q, Opts{})
 			})
 			if allocs > 0 {
-				t.Errorf("Decoder.Distance (budget %d, %d levels skipped) steady-state allocs/op = %g, want 0",
+				t.Errorf("Decoder.Decode (budget %d, %d levels skipped) steady-state allocs/op = %g, want 0",
 					budget, tr.SharedLevelsSkipped, allocs)
 			}
 		}
@@ -219,8 +219,8 @@ func TestConcurrentLabelDistanceStress(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				d, ok := dec.Distance(q)
-				if ok != wantOK[p] || (ok && d != wantDist[p]) {
+				res := dec.Decode(q, Opts{})
+				if d, ok := res.Dist, res.OK; ok != wantOK[p] || (ok && d != wantDist[p]) {
 					t.Errorf("query (%d,%d) = (%d,%v), want (%d,%v)",
 						p.s, p.t, d, ok, wantDist[p], wantOK[p])
 					return
@@ -267,12 +267,12 @@ func BenchmarkDecodeSharedLevels(b *testing.B) {
 			b.Run(fmt.Sprintf("F=%d/%s", nf, v.name), func(b *testing.B) {
 				dec := NewDecoder()
 				defer dec.Release()
-				dec.Distance(v.q)
+				dec.Decode(v.q, Opts{})
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					dec.scratch().keyed = false
-					benchSharedSink, _ = dec.Distance(v.q)
+					benchSharedSink = dec.Decode(v.q, Opts{}).Dist
 				}
 			})
 		}

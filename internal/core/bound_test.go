@@ -102,14 +102,15 @@ func TestLabelBoundLiars(t *testing.T) {
 	}
 	var dec Decoder
 	defer dec.Release()
-	if d, ok := dec.Distance(q); !ok || d != 3 {
+	if d, ok := dec.DistanceWithTrace(q, nil); !ok || d != 3 {
 		t.Errorf("Distance = (%d, %v), want 3 — the bound", d, ok)
 	}
 	if res := dec.DistanceRobust(q); !res.OK || res.Dist != 3 {
 		t.Errorf("DistanceRobust = %+v, want 3", res)
 	}
-	if d, path, ok := dec.DecodePath(q, nil); !ok || d != 2 || !slices.Equal(path, []int32{0, 1, 2}) {
-		t.Errorf("DecodePath = (%d, %v, %v), want 2 over 0 1 2", d, path, ok)
+	var path []int32
+	if res := dec.Decode(q, Opts{Path: &path}); !res.OK || res.Dist != 2 || !slices.Equal(path, []int32{0, 1, 2}) {
+		t.Errorf("path decode = %+v %v, want 2 over 0 1 2", res, path)
 	}
 	var tr Trace
 	if d, ok := dec.DistanceWithTrace(q, &tr); !ok || d != 2 {
@@ -122,7 +123,7 @@ func TestLabelBoundLiars(t *testing.T) {
 	if res := dec.DistanceRobustPatched(q, patchesOf(s, [][2]int{{5, 7}})); !res.OK || res.Dist != 2 {
 		t.Errorf("DistanceRobustPatched = %+v, want 2", res)
 	}
-	checkCanonicalWalk(t, "lying labels", q, 2, []int32{0, 1, 2}, true, 3)
+	checkCanonicalWalk(t, "lying labels", q, nil, 2, []int32{0, 1, 2}, true, 3)
 }
 
 // TestLabelBoundBatches is the distance-only differential: the corpus of
@@ -130,7 +131,7 @@ func TestLabelBoundLiars(t *testing.T) {
 // through one Decoder under every fault side, each pair under its budget
 // and then under none, each answer held to a fresh Decoder's and to
 // referenceDecode's δ and exhausted flag — and, for the unpatched pairs,
-// DecodePath's walk and Query.Sketch's H to the reference's, since
+// a path decode's walk and Query.Sketch's H to the reference's, since
 // neither may take a shortcut. The counters must say what the rule in
 // decode says: a stop exactly when the answer is L, never under a patch;
 // a rescan only where t's lists could wait. Each ring must hit the stop,
@@ -199,9 +200,10 @@ func TestLabelBoundBatches(t *testing.T) {
 							if patched {
 								continue
 							}
-							d, path, ok := batch.DecodePath(q, nil)
-							if ok != (wantDist >= 0) || ok && (d != wantDist || !slices.Equal(path, want.Path)) {
-								t.Fatalf("pair %d (budget %d): DecodePath (%d, %v, %v), the reference δ=%d over %v", i, q.Budget, d, path, ok, wantDist, want.Path)
+							var path []int32
+							res = batch.Decode(q, Opts{Path: &path})
+							if res.OK != (wantDist >= 0) || res.OK && (res.Dist != wantDist || !slices.Equal(path, want.Path)) {
+								t.Fatalf("pair %d (budget %d): path decode %+v %v, the reference δ=%d over %v", i, q.Budget, res, path, wantDist, want.Path)
 							}
 							if edges, err := q.Sketch(); err != nil || !reflect.DeepEqual(edges, wantEdges) {
 								t.Fatalf("pair %d (budget %d): Sketch has %d edges (%v), the reference %d", i, q.Budget, len(edges), err, len(wantEdges))

@@ -130,7 +130,7 @@ func TestBudgetBoundaries(t *testing.T) {
 			}
 
 			var full Trace
-			fullDist, exhausted, err := sc.decode(tc.q, tc.patches, &full, false)
+			fullDist, exhausted, err := sc.decode(tc.q, Opts{Patches: tc.patches, Trace: &full})
 			if err != nil || exhausted {
 				t.Fatalf("unbudgeted decode: exhausted=%v err=%v", exhausted, err)
 			}
@@ -174,7 +174,7 @@ func TestBudgetBoundaries(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dist, exh, err := sc.decode(&bq, tc.patches, &got, false)
+				dist, exh, err := sc.decode(&bq, Opts{Patches: tc.patches, Trace: &got})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -208,7 +208,7 @@ func TestBudgetBoundaries(t *testing.T) {
 					t.Errorf("budget %d ≥ work %d: sketch differs from the unbudgeted one", budget, work)
 				}
 
-				d2, exh2, _ := sc.decode(&bq, tc.patches, nil, true)
+				d2, exh2, _ := sc.decode(&bq, Opts{Patches: tc.patches})
 				if d2 != dist || exh2 != exh || !reflect.DeepEqual(sc.sketchEdges(), edges) {
 					t.Errorf("budget %d: untraced decode (δ=%d, exhausted=%v) differs from traced (%d, %v)", budget, d2, exh2, dist, exh)
 				}

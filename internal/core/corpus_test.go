@@ -157,7 +157,7 @@ func corpusLine(t *testing.T, dec *Decoder, c corpusCase) string {
 		t.Errorf("%s: OK=%v with a walk of %d vertices", c.name, res.OK, len(path))
 	}
 	var tr Trace
-	dist, exh, err := dec.scratch().decode(c.q, c.patches, &tr, false)
+	dist, exh, err := dec.scratch().decode(c.q, Opts{Patches: c.patches, Trace: &tr})
 	if err != nil {
 		return line + "\trefused"
 	}

@@ -20,74 +20,11 @@ import (
 
 // --- open-addressing containers -------------------------------------------
 
-// i32set is an insert-only set of nonnegative int32 keys (vertex ids).
-// Slots store key+1 so the zero slot means empty.
-type i32set struct {
-	slots []int32
-	n     int
-}
-
 func i32hash(k int32) uint32 { return uint32(uint64(uint32(k)) * 0x9E3779B97F4A7C15 >> 32) }
 
-func (s *i32set) reset() {
-	if s.n > 0 {
-		clear(s.slots)
-		s.n = 0
-	}
-}
-
-// add inserts k, reporting whether it was absent.
-func (s *i32set) add(k int32) bool {
-	if 4*(s.n+1) > 3*len(s.slots) {
-		s.grow()
-	}
-	mask := uint32(len(s.slots) - 1)
-	i := i32hash(k) & mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			s.slots[i] = k + 1
-			s.n++
-			return true
-		}
-		if v == k+1 {
-			return false
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *i32set) has(k int32) bool {
-	if s.n == 0 {
-		return false
-	}
-	mask := uint32(len(s.slots) - 1)
-	i := i32hash(k) & mask
-	for {
-		v := s.slots[i]
-		if v == 0 {
-			return false
-		}
-		if v == k+1 {
-			return true
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (s *i32set) grow() {
-	old := s.slots
-	s.slots = make([]int32, max(16, 2*len(old)))
-	s.n = 0
-	for _, v := range old {
-		if v != 0 {
-			s.add(v - 1)
-		}
-	}
-}
-
-// i32map maps nonnegative int32 keys to int32 values (the dense-id
-// remap). Keys store key+1, zero means empty.
+// i32map maps nonnegative int32 keys to int32 values: the dense-id remap,
+// and — the values unused — the vertex sets of a fault frame. Keys store
+// key+1, zero means empty.
 type i32map struct {
 	keys []int32
 	vals []int32
@@ -140,6 +77,17 @@ func (m *i32map) lookup(k int32) (int32, bool) {
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// add inserts k into a map used as a set, reporting whether it was absent.
+func (m *i32map) add(k int32) bool {
+	_, ok := m.getOrPut(k, 0)
+	return !ok
+}
+
+func (m *i32map) has(k int32) bool {
+	_, ok := m.lookup(k)
+	return ok
 }
 
 func (m *i32map) grow() {
@@ -256,81 +204,6 @@ func (sc *decodeScratch) sortPairs() {
 
 // --- the pooled scratch ----------------------------------------------------
 
-// faultFrame is the half of a decode that is a function of the fault set
-// alone: of the fault labels, the degraded ids, the patch labels, the
-// ablation flag and the scheme parameters — and of nothing of s or t.
-// Admission of a stored edge reads (ℓ, x, y, F), never the owner
-// (scanOwners), and H is a set, so what the fault and patch owners
-// contribute to the sketch is the same for every pair asked under one F,
-// and a Decoder that is handed the same fault labels pair after pair — a
-// batch — scans it once. The frame is rebuilt whenever a decode's labels
-// differ from the key's pointer for pointer (labels are immutable once
-// validated, so equal pointers mean an equal frame), never patched, and
-// dropped with the labels it points to when the scratch goes back to the
-// pool.
-type faultFrame struct {
-	// The key: what the frame was built from.
-	keyed     bool
-	ablate    bool
-	keyParams [3]int // C, MaxLevel, RShrink of the endpoint labels
-	vfKey     []*Label
-	efKey     [][2]*Label
-	dvKey     []int32
-	deKey     [][2]int32
-	patchKey  []PatchEdge
-	// lowest is the lowest level, c+1, and numLevels how many levels a
-	// label of the key's parameters has.
-	lowest, numLevels int
-
-	// frameOwners are the fault owners, then the patch owners, each
-	// vertex once (seenOwner holds their ids); centers the protected-ball
-	// centers.
-	frameOwners []*Label
-	centers     []*Label
-	seenOwner   i32set
-	seenCenter  i32set
-	// fvList / feList are the sorted forbidden vertex ids and forbidden
-	// edge keys (labeled and degraded faults together). The admission
-	// scan joins them against the sorted label point/edge lists with
-	// monotone merge cursors instead of per-candidate hash probes.
-	fvList []int32
-	feList []uint64
-	// rule is the admission rule F selects and maskWords the words per
-	// center bitmask, W = ⌈centers/64⌉.
-	rule      admission
-	maskWords int
-	// nearest[fi*numLevels+k] is center fi's nearest net point of level
-	// index k (nearestNetPoint), the pivot of mayBeInPB's certificate.
-	nearest []PointEntry
-	// cmbX/cmbM/cmbOff hold the per-level combined protected-ball lists:
-	// for level index k, cmbX[cmbOff[k]:cmbOff[k+1]] is the sorted set of
-	// vertices inside any center's PB, with cmbM[j*W:…] the W-word center
-	// bitmask of vertex cmbX[j]. Built once per frame from the sorted
-	// pair list (pairs/pairsTmp are the radix buffers), so filling an
-	// owner level's masks is a single sorted merge against the combined
-	// list instead of one merge per center.
-	cmbX     []int32
-	cmbM     []uint64
-	cmbOff   []int32
-	pairs    []uint64
-	pairsTmp []uint64
-	// patchKeys are the admitted patch edges' endpoint keys: unit edges of
-	// the lowest level, free of budget.
-	patchKeys []uint64
-	// frameCost is what scanning the frame owners charges a Budget
-	// (-1 until a budgeted decode asks).
-	frameCost int
-
-	// The run: the patch edges and the frame owners' admitted candidates,
-	// scanned once under a dense numbering of their own, and runArcs the
-	// same packed, which every decode under this key hands to the solver
-	// beside its pair's. Built (runBuilt) by the first decode whose Budget
-	// covers it, see decode.
-	runBuilt bool
-	run      scanPass
-	runArcs  graph.Arcs
-}
-
 // scanPass is what one scanOwners pass leaves behind: the admitted
 // candidates as the solver takes them — in scan order, parallel edges and
 // all — and what a later pass, or the trace, needs to know about them.
@@ -401,8 +274,7 @@ type decodeScratch struct {
 	// the decode's fault side matches it, else own, built in place. Only
 	// own is ever written.
 	*faultFrame
-	own    faultFrame
-	shared *Frame
+	own faultFrame
 
 	// owners are the labels this decode scans itself: s and t unless the
 	// frame's run holds them, and under a Budget that ends before the run
@@ -450,7 +322,7 @@ type decodeScratch struct {
 	hpath  []int32
 	solver graph.SketchSolver
 
-	// robust-path scratch (slow path of DistanceRobust).
+	// vf and ef hold the usable fault labels demote keeps.
 	vf []*Label
 	ef [][2]*Label
 }
@@ -482,12 +354,12 @@ func putScratch(sc *decodeScratch) {
 }
 
 // dropRefs clears the label pointers a decode left behind — its own fault
-// frame with them, after pointing the scratch back at it, and the shared
-// one — so a pooled scratch never pins the previous query's labels in
+// frame with them, after pointing the scratch back at it — so a pooled
+// scratch never pins the previous query's labels (or a shared frame) in
 // memory. Slices are cleared to capacity: some are stored truncated, with
 // stale pointers still live in the backing array.
 func (sc *decodeScratch) dropRefs() {
-	sc.faultFrame, sc.shared = &sc.own, nil
+	sc.faultFrame = &sc.own
 	dropAll(&sc.owners)
 	dropAll(&sc.frameOwners)
 	dropAll(&sc.centers)
@@ -550,55 +422,6 @@ type Decoder struct {
 // NewDecoder checks a scratch out of the pool.
 func NewDecoder() *Decoder { return &Decoder{sc: getScratch()} }
 
-// UseFrame has the decodes that follow, until Release, run beside f
-// wherever their fault side matches it (Frame.Matches); any other
-// decode builds a frame of its own as it would without f. A nil f
-// stops the sharing.
-func (d *Decoder) UseFrame(f *Frame) { d.scratch().shared = f }
-
-// Frame is the fault frame of one fault side, built once and frozen: its
-// run scanned, packed and collapsed, its budget cost counted. Nothing
-// writes to it after NewFrame, so any number of Decoders on any
-// goroutines may decode beside it (UseFrame). A frame is a function of
-// its fault labels alone — admission reads nothing of s or t — so every
-// pair asked under them gets the answer a fresh decode gives.
-type Frame struct {
-	fr faultFrame
-}
-
-// NewFrame builds the frame of q's fault side — its fault labels,
-// degraded ids and ablation flag, the scheme parameters of q.S — and
-// these patches. It returns nil when a decode of q would not run beside
-// it: q fails Validate or one of its fault labels is unusable (a robust
-// decode demotes that one, so its fault side is another).
-func NewFrame(q *Query, patches []PatchEdge) *Frame {
-	ok := q.Validate() == nil
-	for _, l := range q.VertexFaults {
-		ok = ok && usableWith(l, q.S)
-	}
-	for _, ef := range q.EdgeFaults {
-		ok = ok && usableWith(ef[0], q.S) && usableWith(ef[1], q.S)
-	}
-	if !ok {
-		return nil
-	}
-	f := new(Frame)
-	sc := &decodeScratch{faultFrame: &f.fr}
-	sc.buildFrame(q, patches)
-	sc.buildFrameRun()
-	sc.runArcs.Collapse()
-	sc.frameScanCost()
-	f.fr.pairs, f.fr.pairsTmp = nil, nil
-	return f
-}
-
-// Matches reports whether a decode of q with these patches runs beside f:
-// the same fault labels pointer for pointer in the same order, the same
-// degraded ids, ablation flag and scheme parameters, the same patches.
-func (f *Frame) Matches(q *Query, patches []PatchEdge) bool {
-	return f.fr.matches(q, patches)
-}
-
 // Release returns the scratch to the pool. The Decoder remains usable —
 // the next call checks a scratch out again.
 func (d *Decoder) Release() {
@@ -615,45 +438,64 @@ func (d *Decoder) scratch() *decodeScratch {
 	return d.sc
 }
 
-// Distance is Query.Distance on this decoder's scratch.
-func (d *Decoder) Distance(q *Query) (int64, bool) { return d.DistanceWithTrace(q, nil) }
-
-// DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
-func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
-	dist, _, err := d.scratch().decode(q, nil, tr, true)
-	if err != nil || dist < 0 {
-		return 0, false
-	}
-	return dist, true
-}
-
-// DecodePath is Distance, additionally reporting the witness path: the
-// winning s..t chain of the sketch graph H as global vertex ids
-// (net points, plus original-graph vertices at the lowest level). The
-// path is appended to buf — callers that reuse a buffer across queries
-// decode paths allocation-free. The walk's edge weights sum exactly to
-// the returned distance; each hop is realizable in G\F at its weight,
-// so the chain is a (1+ε)-approximate corridor, not necessarily an
-// exact shortest path of G\F.
-func (d *Decoder) DecodePath(q *Query, buf []int32) (int64, []int32, bool) {
+// Decode answers q: demote sets its unusable fault labels aside, the
+// sketch graph H is assembled from the rest — and from o.Patches —
+// keeping only safe edges, and the Result is the s-t distance in H with
+// how far to trust it. o says what else to report. Every decode name of
+// Decoder and Query is this call.
+func (d *Decoder) Decode(q *Query, o Opts) Result {
 	sc := d.scratch()
-	dist, _, err := sc.decode(q, nil, nil, false)
-	if err != nil || dist < 0 {
-		return 0, buf, false
+	rq, res, ok := sc.demote(q)
+	if !ok {
+		if o.Trace != nil {
+			*o.Trace = Trace{}
+		}
+		return res
 	}
-	return dist, sc.appendHPath(q, buf), true
-}
-
-// DistanceRobust is Query.DistanceRobust on this decoder's scratch.
-func (d *Decoder) DistanceRobust(q *Query) Result {
-	res, _ := d.scratch().distanceRobust(q, nil, nil, false)
+	dist, exhausted, err := sc.decode(&rq, o)
+	res.BudgetExhausted = exhausted
+	res.Degraded = exhausted || len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
+	if err != nil || dist < 0 {
+		return res
+	}
+	res.Dist, res.OK = dist, true
+	if o.Path != nil {
+		*o.Path = sc.appendHPath(&rq, *o.Path)
+	}
 	return res
 }
 
-// DistanceRobustPath is DistanceRobust, additionally reporting the
-// witness path (appended to buf) when the query connects. Degraded
-// decodes report the degraded sketch's walk — still a real walk of the
-// surviving graph whose length equals Result.Dist.
+// The names below are Decode with their arguments as Opts; the benchmark
+// harness (bench/) calls them.
+
+// DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
+func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
+	if q.Validate() != nil {
+		return 0, false
+	}
+	res := d.Decode(q, Opts{Trace: tr})
+	return res.Dist, res.OK
+}
+
+// DistanceRobust is Query.DistanceRobust on this decoder's scratch.
+func (d *Decoder) DistanceRobust(q *Query) Result { return d.Decode(q, Opts{}) }
+
+// DistanceRobustPath is DistanceRobust, additionally appending the walk
+// (Opts.Path) to buf when the query connects.
 func (d *Decoder) DistanceRobustPath(q *Query, buf []int32) (Result, []int32) {
-	return d.scratch().distanceRobust(q, nil, buf, true)
+	res := d.Decode(q, Opts{Path: &buf})
+	return res, buf
+}
+
+// DistanceRobustPatched is DistanceRobust over the sketch extended by the
+// given patch edges (Opts.Patches).
+func (d *Decoder) DistanceRobustPatched(q *Query, patches []PatchEdge) Result {
+	return d.Decode(q, Opts{Patches: patches})
+}
+
+// DistanceRobustPatchedPath is DistanceRobustPatched, additionally
+// appending the walk to buf when the query connects.
+func (d *Decoder) DistanceRobustPatchedPath(q *Query, patches []PatchEdge, buf []int32) (Result, []int32) {
+	res := d.Decode(q, Opts{Patches: patches, Path: &buf})
+	return res, buf
 }

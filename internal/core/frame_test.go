@@ -204,7 +204,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 						}
 						fresh := NewDecoder()
 						var ftr Trace
-						fDist, fExh, err := fresh.scratch().decode(q, b.patches, &ftr, false)
+						fDist, fExh, err := fresh.scratch().decode(q, Opts{Patches: b.patches, Trace: &ftr})
 						if err != nil {
 							t.Fatalf("pair %d: fresh decode: %v", i, err)
 						}
@@ -254,7 +254,7 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 								continue
 							}
 							var tr Trace
-							dist, exh, err := batch.scratch().decode(q, b.patches, &tr, false)
+							dist, exh, err := batch.scratch().decode(q, Opts{Patches: b.patches, Trace: &tr})
 							if err != nil {
 								t.Fatalf("pair %d: %v", i, err)
 							}
@@ -377,7 +377,7 @@ func TestFrameInvalidation(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dec := NewDecoder()
 			defer dec.Release()
-			reused := func(q *Query, patches []PatchEdge) bool { return checkFramedDecode(t, dec, q, patches) }
+			reused := func(q *Query, patches []PatchEdge) bool { return checkFramedDecode(t, dec, q, patches, nil) }
 			q, patches := base()
 			if tc.name == "labels of another MaxLevel" {
 				q, patches = &Query{S: s.Label(3), T: s.Label(120)}, nil
@@ -415,7 +415,7 @@ func TestFrameInvalidation(t *testing.T) {
 		defer dec.Release()
 		for _, side := range []Query{a, b, a, b} {
 			for i := range pairs {
-				if got := checkFramedDecode(t, dec, pairQuery(side, i), nil); got != (i > 0) {
+				if got := checkFramedDecode(t, dec, pairQuery(side, i), nil, nil); got != (i > 0) {
 					t.Fatalf("pair %d: FrameReused=%v, want %v", i, got, i > 0)
 				}
 			}
@@ -432,7 +432,7 @@ func TestFrameInvalidation(t *testing.T) {
 			if i%2 == 1 {
 				q.Budget = []int{pair + (total-pair)/2, total - 1, pair + 1}[i/2]
 			}
-			if got, want := checkFramedDecode(t, dec, q, patches), i > 0 && i%2 == 0; got != want {
+			if got, want := checkFramedDecode(t, dec, q, patches, nil), i > 0 && i%2 == 0; got != want {
 				t.Fatalf("decode %d (budget %d of %d): FrameReused=%v, want %v", i, q.Budget, total, got, want)
 			}
 		}
@@ -443,7 +443,7 @@ func TestFrameInvalidation(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			for _, side := range []Query{a, b} {
 				for i := 0; i < 3; i++ {
-					if got := checkFramedDecode(t, dec, pairQuery(side, i+round), nil); got != (i > 0) {
+					if got := checkFramedDecode(t, dec, pairQuery(side, i+round), nil, nil); got != (i > 0) {
 						t.Fatalf("round %d, pair %d: FrameReused=%v, want %v", round, i, got, i > 0)
 					}
 				}
@@ -451,7 +451,7 @@ func TestFrameInvalidation(t *testing.T) {
 				// among them; another Decoder may take it out in between.
 				dec.Release()
 				other := NewDecoder()
-				checkFramedDecode(t, other, pairQuery(b, round), nil)
+				checkFramedDecode(t, other, pairQuery(b, round), nil, nil)
 				other.Release()
 			}
 		}
@@ -477,7 +477,7 @@ next:
 		side := Query{VertexFaults: []*Label{s.Label(v)}}
 		q := side
 		q.S, q.T = s.Label(pairs[0][0]), s.Label(pairs[0][1])
-		if _, _, err := dec.scratch().decode(&q, nil, nil, false); err != nil {
+		if _, _, err := dec.scratch().decode(&q, Opts{}); err != nil {
 			t.Fatal(err)
 		}
 		sc := dec.scratch()
@@ -485,7 +485,7 @@ next:
 		if other, ok := seen[sh]; ok {
 			keys := runKeys(sc)
 			q.VertexFaults = other.VertexFaults
-			if _, _, err := dec.scratch().decode(&q, nil, nil, false); err != nil {
+			if _, _, err := dec.scratch().decode(&q, Opts{}); err != nil {
 				t.Fatal(err)
 			}
 			if !slices.Equal(keys, runKeys(dec.scratch())) {
@@ -510,26 +510,28 @@ func runKeys(sc *decodeScratch) [][3]int32 {
 	return keys
 }
 
-// checkFramedDecode decodes q on dec, traced and then for its walk, and
-// holds δ, the budget flag, the sketch, the trace and the walk to what a
-// Decoder that has seen nothing and referenceDecode report. It returns
-// whether the traced decode reused dec's frame.
-func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge) bool {
+// checkFramedDecode decodes q on dec, handing it the shared frame f (nil:
+// none), traced and then for its walk, and holds δ, the budget flag, the
+// sketch, the trace and the walk to what a Decoder that has seen nothing
+// and referenceDecode report. It returns whether the traced decode reused
+// a frame.
+func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge, f *Frame) bool {
 	t.Helper()
 	var tr, ftr, want Trace
-	dist, exh, err := dec.scratch().decode(q, patches, &tr, false)
+	dist, exh, err := dec.scratch().decode(q, Opts{Patches: patches, Trace: &tr, Frame: f})
 	if err != nil {
 		t.Fatal(err)
 	}
 	edges := slices.Clone(dec.scratch().sketchEdges())
-	res, path := dec.DistanceRobustPatchedPath(q, patches, nil)
+	var path []int32
+	res := dec.Decode(q, Opts{Patches: patches, Frame: f, Path: &path})
 	wantDist, wantEdges, _, wantExh, err := referenceDecode(q, &want, patches...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh := NewDecoder()
 	defer fresh.Release()
-	fDist, fExh, err := fresh.scratch().decode(q, patches, &ftr, false)
+	fDist, fExh, err := fresh.scratch().decode(q, Opts{Patches: patches, Trace: &ftr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,7 +576,7 @@ func TestFrameCounters(t *testing.T) {
 	before = DecoderPool()
 	var dec Decoder
 	for i := 0; i < 8; i++ {
-		dec.Distance(q)
+		dec.Decode(q, Opts{})
 	}
 	dec.Release()
 	d := DecoderPool()
@@ -612,7 +614,7 @@ func TestFramedBatchAllocs(t *testing.T) {
 	var buf []int32
 	batch := func(qs []*Query) {
 		for _, q := range qs {
-			dec.Distance(q)
+			dec.Decode(q, Opts{})
 		}
 		for _, q := range qs {
 			_, buf = dec.DistanceRobustPatchedPath(q, patches, buf[:0])

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -79,16 +80,16 @@ func FuzzDecodeFFLabel(f *testing.F) {
 }
 
 // checkCanonicalWalk holds the answers to one query to the definition
-// (referenceDecode). Whatever labels pass Validate, the path decode's
-// (d, path, ok) is d_H(s,t) and the walk that steps to the tight
-// predecessor of the smallest id. Each plain, distance-only δ (-1: no
+// (referenceDecode, with these patches). Whatever labels pass Validate,
+// the walk decode's (d, path, ok) is d_H(s,t) and the walk that steps to
+// the tight predecessor of the smallest id. Each distance-only δ (-1: no
 // path) is d_H too whenever the labels' bound L is at most d_H — always,
 // for labels whose distances are d_G — and lies between d_H and L when
 // the labels contradict each other.
-func checkCanonicalWalk(t *testing.T, what string, q *Query, d int64, path []int32, ok bool, plain ...int64) {
+func checkCanonicalWalk(t *testing.T, what string, q *Query, patches []PatchEdge, d int64, path []int32, ok bool, plain ...int64) {
 	t.Helper()
 	var want Trace
-	wd, _, _, _, err := referenceDecode(q, &want)
+	wd, _, _, _, err := referenceDecode(q, &want, patches...)
 	if err != nil {
 		if ok || slices.ContainsFunc(plain, func(p int64) bool { return p >= 0 }) {
 			t.Fatalf("%s: answered (%d,%v) and %v, the reference refuses the query: %v", what, d, ok, plain, err)
@@ -98,7 +99,7 @@ func checkCanonicalWalk(t *testing.T, what string, q *Query, d int64, path []int
 	if ok != (wd >= 0) || ok && d != wd {
 		t.Fatalf("%s: answered (%d,%v), the reference δ=%d", what, d, ok, wd)
 	}
-	if wantPath := want.Path; ok && q.S.V != q.T.V && !slices.Equal(path, wantPath) {
+	if wantPath := want.Path; ok && !slices.Equal(path, wantPath) {
 		t.Fatalf("%s: walks %v, the canonical walk is %v", what, path, wantPath)
 	}
 	l := refLabelBound(q)
@@ -109,59 +110,12 @@ func checkCanonicalWalk(t *testing.T, what string, q *Query, d int64, path []int
 	}
 }
 
-// orNone is a plain decode's (δ, ok) as checkCanonicalWalk takes it.
+// orNone is a decode's (δ, ok) as checkCanonicalWalk takes a plain one.
 func orNone(d int64, ok bool) int64 {
 	if !ok {
 		return -1
 	}
 	return d
-}
-
-// FuzzQueryDistance drives the decoder with decoded-from-bytes labels; it
-// must never panic regardless of label content mutations, and what it
-// answers is the reference's answer and walk — or, for a plain decode of
-// labels that contradict each other, a δ inside the labels' bound.
-func FuzzQueryDistance(f *testing.F) {
-	g := gridGraphF(5, 5)
-	s, err := BuildScheme(g, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bufS, nS := s.Label(0).Encode()
-	bufT, nT := s.Label(24).Encode()
-	bufF, nF := s.Label(12).Encode()
-	f.Add(bufS, nS, bufT, nT, bufF, nF)
-	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int) {
-		clamp := func(n, limit int) int {
-			if n < 0 || n > limit {
-				return limit
-			}
-			return n
-		}
-		ls, err := DecodeLabel(ds, clamp(ns, 8*len(ds)))
-		if err != nil {
-			return
-		}
-		lt, err := DecodeLabel(dt, clamp(nt, 8*len(dt)))
-		if err != nil {
-			return
-		}
-		lf, err := DecodeLabel(df, clamp(nf, 8*len(df)))
-		if err != nil {
-			return
-		}
-		q := &Query{S: ls, T: lt, VertexFaults: []*Label{lf}}
-		d, ok := q.Distance() // must not panic, whatever the labels say
-		var dec Decoder
-		pd, path, pok := dec.DecodePath(q, nil)
-		dec.Release()
-		// The seed's 5×5 grid is saturated at every level, so interning
-		// makes the three labels share whatever lists the mutation left
-		// equal — and sharing must not take an answer out of the contract.
-		internAll(ls, lt, lf)
-		sd, sok := q.Distance()
-		checkCanonicalWalk(t, "private and interned labels", q, pd, path, pok, orNone(d, ok), orNone(sd, sok))
-	})
 }
 
 // internAll runs the labels through one table that admits at first
@@ -173,121 +127,175 @@ func internAll(labels ...*Label) {
 	}
 }
 
-// FuzzDecodePath feeds the path-reporting decoder the same corrupt-label
-// space as FuzzQueryDistance: it must never panic, and whatever it
-// answers must agree with the plain decode on the same query within the
-// contract checkCanonicalWalk states — the two share the CSR scratch
-// pipeline, so any other divergence is a decoder bug even on garbage
-// input.
-func FuzzDecodePath(f *testing.F) {
-	g := gridGraphF(5, 5)
-	s, err := BuildScheme(g, 2)
+// fuzzSeedLabels encodes the labels every decode fuzzer seeds with: s,
+// t, f and g of the 5×5 grid at ε = 2.
+func fuzzSeedLabels(f *testing.F) (data [4][]byte, n [4]int) {
+	s, err := BuildScheme(gridGraphF(5, 5), 2)
 	if err != nil {
 		f.Fatal(err)
 	}
-	bufS, nS := s.Label(0).Encode()
-	bufT, nT := s.Label(24).Encode()
-	bufF, nF := s.Label(12).Encode()
-	f.Add(bufS, nS, bufT, nT, bufF, nF)
-	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int) {
-		clamp := func(n, limit int) int {
-			if n < 0 || n > limit {
-				return limit
-			}
-			return n
-		}
-		ls, err := DecodeLabel(ds, clamp(ns, 8*len(ds)))
-		if err != nil {
-			return
-		}
-		lt, err := DecodeLabel(dt, clamp(nt, 8*len(dt)))
-		if err != nil {
-			return
-		}
-		lf, err := DecodeLabel(df, clamp(nf, 8*len(df)))
-		if err != nil {
-			return
-		}
-		internAll(ls, lt, lf) // shared level lists, as served labels have
-		q := &Query{S: ls, T: lt, VertexFaults: []*Label{lf}}
-		var dec Decoder
-		defer dec.Release()
-		d, path, ok := dec.DecodePath(q, nil)
-		wd, wok := q.Distance()
-		if !ok && len(path) != 0 {
-			t.Fatalf("disconnected answer carries a path of %d hops", len(path))
-		}
-		if ok && (int64(len(path)) > d+1 || len(path) < 1) {
-			t.Fatalf("path length %d inconsistent with distance %d", len(path), d)
-		}
-		checkCanonicalWalk(t, "shared labels", q, d, path, ok, orNone(wd, wok))
+	for i, v := range []int{0, 24, 12, 7} {
+		data[i], n[i] = s.Label(v).Encode()
+	}
+	return data, n
+}
+
+// FuzzDecode drives Decode with labels decoded from bytes the fuzzer may
+// have bent into anything that still parses — four of them, s, t, f and
+// g, taking turns as endpoints and faults through the steps of one batch
+// on a kept Decoder, so its fault frame is keyed, built, reused, dropped
+// for another fault side and built again. sel picks the Opts every step
+// asks and the query's budget: bit 0 the walk, bit 1 the trace, bit 2 the
+// patch g–t (admitted, or rejected where g is a fault), bit 3 a budget of
+// 8 << (sel >> 5), bit 4 the shared frame of the first step's fault side
+// (matching that side, not the others). Nothing may panic, and every
+// answer must be a fresh Decoder's without the frame, and the reference's
+// on the query as demote leaves it — for a distance-only decode, within
+// the labels' bound. The strict Query.Distance refuses what fails
+// Validate, and before the labels were interned the first step answered
+// as after.
+func FuzzDecode(f *testing.F) {
+	d, n := fuzzSeedLabels(f)
+	for _, sel := range []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x2b, 0xff} {
+		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[3], n[3], sel)
+		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[2], n[2], sel) // equal content, another pointer
+	}
+	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int, dg []byte, ng int, sel byte) {
+		fuzzDecodeBatch(t, [4][]byte{ds, dt, df, dg}, [4]int{ns, nt, nf, ng}, sel)
 	})
 }
 
-// FuzzFramedDecode is FuzzDecodePath with a Decoder that is kept: two
-// fault sets over the same corrupt-label space take turns on it, so its
-// fault frame is keyed, built, reused, dropped for the other set and
-// built again — and at every step the answer and the path must be those
-// of a Decoder that has seen nothing, and of the reference.
-func FuzzFramedDecode(f *testing.F) {
-	g := gridGraphF(5, 5)
-	s, err := BuildScheme(g, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bufS, nS := s.Label(0).Encode()
-	bufT, nT := s.Label(24).Encode()
-	bufF, nF := s.Label(12).Encode()
-	bufG, nG := s.Label(7).Encode()
-	f.Add(bufS, nS, bufT, nT, bufF, nF, bufG, nG)
-	f.Add(bufS, nS, bufT, nT, bufF, nF, bufF, nF) // equal content, another pointer
-	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int, dg []byte, ng int) {
-		var labels [4]*Label
-		for i, in := range []struct {
-			data []byte
-			n    int
-		}{{ds, ns}, {dt, nt}, {df, nf}, {dg, ng}} {
-			if in.n < 0 || in.n > 8*len(in.data) {
-				in.n = 8 * len(in.data)
-			}
-			l, err := DecodeLabel(in.data, in.n)
-			if err != nil {
-				return
-			}
-			labels[i] = l
-		}
-		internAll(labels[:]...) // shared level lists, as served labels have
-		ls, lt, lf, lg := labels[0], labels[1], labels[2], labels[3]
-		underF, underG := []*Label{lf}, []*Label{lf, lg}
-		var dec Decoder
-		defer dec.Release()
-		var buf []int32
-		for step, q := range []*Query{
-			{S: ls, T: lt, VertexFaults: underF},
-			{S: lt, T: ls, VertexFaults: underF},
-			{S: ls, T: lt, VertexFaults: underF},
-			{S: ls, T: lt, VertexFaults: underG},
-			{S: lt, T: lf, VertexFaults: underG[1:]},
-			{S: ls, T: lt, VertexFaults: underF},
-			{S: ls, T: lt, VertexFaults: underG},
-			{S: lt, T: ls, VertexFaults: underG},
-			{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
-			{S: ls, T: lt, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
-			{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
-		} {
-			var d int64
-			var ok bool
-			d, buf, ok = dec.DecodePath(q, buf[:0])
-			var fresh Decoder
-			wd, wpath, wok := fresh.DecodePath(q, nil)
-			fresh.Release()
-			if ok != wok || ok && (d != wd || !slices.Equal(buf, wpath)) {
-				t.Fatalf("step %d: kept Decoder answers (%d,%v) %v, a fresh one (%d,%v) %v", step, d, ok, buf, wd, wok, wpath)
-			}
-			pd, pok := dec.Distance(q)
-			checkCanonicalWalk(t, fmt.Sprintf("step %d", step), q, d, buf, ok, orNone(pd, pok))
-		}
+// FuzzQueryDistance is FuzzDecode's batch over three labels, g a second
+// pointer to f's content, asking δ alone: the strict Query.Distance, the
+// private first step and every kept-Decoder answer are held to the
+// reference within the labels' bound.
+func FuzzQueryDistance(f *testing.F) {
+	d, n := fuzzSeedLabels(f)
+	f.Add(d[0], n[0], d[1], n[1], d[2], n[2])
+	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int) {
+		fuzzDecodeBatch(t, [4][]byte{ds, dt, df, df}, [4]int{ns, nt, nf, nf}, 0)
 	})
+}
+
+// FuzzDecodePath is FuzzQueryDistance asking the walk: every answer must
+// be the reference's δ and canonical walk.
+func FuzzDecodePath(f *testing.F) {
+	d, n := fuzzSeedLabels(f)
+	f.Add(d[0], n[0], d[1], n[1], d[2], n[2])
+	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int) {
+		fuzzDecodeBatch(t, [4][]byte{ds, dt, df, df}, [4]int{ns, nt, nf, nf}, 1)
+	})
+}
+
+// FuzzFramedDecode is FuzzDecode's batch asking the walk, with g free: the
+// kept Decoder's frame must never make its answer or its walk differ from
+// a fresh Decoder's, or from the reference's.
+func FuzzFramedDecode(f *testing.F) {
+	d, n := fuzzSeedLabels(f)
+	f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[3], n[3])
+	f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[2], n[2]) // equal content, another pointer
+	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int, dg []byte, ng int) {
+		fuzzDecodeBatch(t, [4][]byte{ds, dt, df, dg}, [4]int{ns, nt, nf, ng}, 1)
+	})
+}
+
+// fuzzDecodeBatch is the body of the decode fuzzers: it decodes the four
+// labels (returning on any that fails to parse) and runs FuzzDecode's
+// batch on them with the Opts sel picks.
+func fuzzDecodeBatch(t *testing.T, data [4][]byte, n [4]int, sel byte) {
+	var labels [4]*Label
+	for i := range labels {
+		if n[i] < 0 || n[i] > 8*len(data[i]) {
+			n[i] = 8 * len(data[i])
+		}
+		l, err := DecodeLabel(data[i], n[i])
+		if err != nil {
+			return
+		}
+		labels[i] = l
+	}
+	ls, lt, lf, lg := labels[0], labels[1], labels[2], labels[3]
+	underF, underG := []*Label{lf}, []*Label{lf, lg}
+	budget := 0
+	if sel&8 != 0 {
+		budget = 8 << (sel >> 5)
+	}
+	var patches []PatchEdge
+	if sel&4 != 0 {
+		patches = []PatchEdge{{U: lg, V: lt}}
+	}
+	// The seed's 5×5 grid is saturated at every level, so interning
+	// makes the labels share whatever lists the mutation left equal —
+	// and sharing must not take an answer out of the contract.
+	var private Decoder
+	first := private.Decode(&Query{S: ls, T: lt, VertexFaults: underF, Budget: budget}, Opts{Patches: patches})
+	private.Release()
+	internAll(labels[:]...)
+	var frame *Frame
+	if sel&16 != 0 {
+		frame = NewFrame(&Query{S: ls, T: lt, VertexFaults: underF}, patches)
+	}
+	var dec Decoder
+	defer dec.Release()
+	var buf []int32
+	for step, q := range []*Query{
+		{S: ls, T: lt, VertexFaults: underF},
+		{S: lt, T: ls, VertexFaults: underF},
+		{S: ls, T: lt, VertexFaults: underF},
+		{S: ls, T: lt, VertexFaults: underG},
+		{S: lt, T: lf, VertexFaults: underG[1:]},
+		{S: ls, T: lt, VertexFaults: underF},
+		{S: ls, T: lt, VertexFaults: underG},
+		{S: lt, T: ls, VertexFaults: underG},
+		{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+		{S: ls, T: lt, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+		{S: lt, T: ls, VertexFaults: underG, EdgeFaults: [][2]*Label{{ls, lf}}},
+		{S: ls, T: lt, VertexFaults: underF, DegradedVertexFaults: []int32{lg.V}},
+	} {
+		q.Budget = budget
+		what := fmt.Sprintf("step %d, sel %#x", step, sel)
+		o, fo := Opts{Patches: patches, Frame: frame}, Opts{Patches: patches}
+		var tr, ftr Trace
+		var fbuf []int32
+		if sel&1 != 0 {
+			buf = buf[:0]
+			o.Path, fo.Path = &buf, &fbuf
+		}
+		if sel&2 != 0 {
+			o.Trace, fo.Trace = &tr, &ftr
+		}
+		res := dec.Decode(q, o)
+		var fresh Decoder
+		fres := fresh.Decode(q, fo)
+		if !reflect.DeepEqual(res, fres) || !slices.Equal(buf, fbuf) || !reflect.DeepEqual(maskTrace(tr), maskTrace(ftr)) {
+			t.Fatalf("%s: the kept Decoder answers %+v %v %+v, a fresh one %+v %v %+v", what, res, buf, tr, fres, fbuf, ftr)
+		}
+		walk, plain := buf, []int64(nil)
+		switch {
+		case o.Trace != nil:
+			walk = tr.Path
+		case o.Path == nil:
+			// δ alone: held to the bound beside a fresh walk decode's.
+			plain = append(plain, orNone(res.Dist, res.OK))
+			walk = walk[:0]
+			res = fresh.Decode(q, Opts{Patches: patches, Path: &walk})
+		}
+		fresh.Release()
+		if step == 0 {
+			plain = append(plain, orNone(first.Dist, first.OK))
+		}
+		if d, ok := q.Distance(); q.Validate() != nil && ok {
+			t.Fatalf("%s: Query.Distance answers %d for a query that fails Validate", what, d)
+		} else if q.Validate() == nil && patches == nil {
+			plain = append(plain, orNone(d, ok))
+		}
+		var sc decodeScratch
+		if rq, _, ok := sc.demote(q); ok {
+			checkCanonicalWalk(t, what, &rq, patches, res.Dist, walk, res.OK, plain...)
+		} else if res.OK {
+			t.Fatalf("%s: answered %+v where demote refuses", what, res)
+		}
+	}
 }
 
 // gridGraphF builds a grid without a testing.T (fuzz seeds run outside a

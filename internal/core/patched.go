@@ -39,23 +39,6 @@ type PatchEdge struct {
 	U, V *Label
 }
 
-// DistanceRobustPatched is DistanceRobust over the sketch extended by
-// the given patch edges. Patches whose endpoints or edge are themselves
-// forbidden by q's fault set are ignored, as are patches with unusable
-// labels.
-func (d *Decoder) DistanceRobustPatched(q *Query, patches []PatchEdge) Result {
-	res, _ := d.scratch().distanceRobust(q, patches, nil, false)
-	return res
-}
-
-// DistanceRobustPatchedPath is DistanceRobustPatched, additionally
-// reporting the witness walk (appended to buf) when the query connects.
-// Patch hops are ordinary weight-1 sketch edges of the walk, so its
-// weights sum exactly to Result.Dist.
-func (d *Decoder) DistanceRobustPatchedPath(q *Query, patches []PatchEdge, buf []int32) (Result, []int32) {
-	return d.scratch().distanceRobust(q, patches, buf, true)
-}
-
 // addOwner makes l's stored edges candidates of the sketch, once: l
 // joins the fault frame's owners, which every decode under this fault set
 // and these patches scans after s and t.

@@ -382,7 +382,7 @@ func patchedSweep(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if _, _, err := dec.scratch().decode(c.q, c.patches, nil, false); err != nil {
+						if _, _, err := dec.scratch().decode(c.q, Opts{Patches: c.patches, Trace: new(Trace)}); err != nil {
 							t.Fatal(err)
 						}
 						if e := missingFrom(dec.scratch().sketchEdges(), base); e != nil {
@@ -549,11 +549,11 @@ func patchedBudgetAndTrace(t *testing.T) {
 	}
 
 	var base, full Trace
-	baseDist, _, err := sc.decode(q, nil, &base, false)
+	baseDist, _, err := sc.decode(q, Opts{Trace: &base})
 	if err != nil || baseDist < 0 {
 		t.Fatalf("unpatched decode: %d %v", baseDist, err)
 	}
-	fullDist, _, err := sc.decode(q, patches, &full, false)
+	fullDist, _, err := sc.decode(q, Opts{Patches: patches, Trace: &full})
 	if err != nil || fullDist != 3 {
 		t.Fatalf("patched decode: %d %v, want 3: 3–5, chord (5,118), 118–120", fullDist, err)
 	}
@@ -588,11 +588,11 @@ func patchedBudgetAndTrace(t *testing.T) {
 		bq := *q
 		bq.Budget = budget
 		var without, with Trace
-		baseB, _, err := sc.decode(&bq, nil, &without, false)
+		baseB, _, err := sc.decode(&bq, Opts{Trace: &without})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dist, exhausted, err := sc.decode(&bq, patches, &with, false)
+		dist, exhausted, err := sc.decode(&bq, Opts{Patches: patches, Trace: &with})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -609,7 +609,7 @@ func patchedBudgetAndTrace(t *testing.T) {
 		bq := *q
 		bq.Budget = budget
 		var tr Trace
-		dist, exhausted, err := sc.decode(&bq, patches, &tr, false)
+		dist, exhausted, err := sc.decode(&bq, Opts{Patches: patches, Trace: &tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -625,7 +625,7 @@ func patchedBudgetAndTrace(t *testing.T) {
 	}
 	bq := *q
 	bq.Budget = charged(&full)
-	if dist, exhausted, _ := sc.decode(&bq, patches, nil, false); dist != fullDist || exhausted {
+	if dist, exhausted, _ := sc.decode(&bq, Opts{Patches: patches}); dist != fullDist || exhausted {
 		t.Errorf("budget = work: δ=%d exhausted=%v, want %d false", dist, exhausted, fullDist)
 	}
 }
@@ -648,7 +648,7 @@ func patchedCapIsOneSketch(t *testing.T) {
 		t.Fatalf("256 patches: %+v, BFS %d", got, want)
 	}
 	var tr Trace
-	if _, _, err := dec.scratch().decode(c.q, c.patches, &tr, false); err != nil {
+	if _, _, err := dec.scratch().decode(c.q, Opts{Patches: c.patches, Trace: &tr}); err != nil {
 		t.Fatal(err)
 	}
 	in := 0

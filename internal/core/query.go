@@ -189,32 +189,55 @@ type Trace struct {
 	// for this decode: their candidates came from the fault frame an
 	// earlier decode on the same Decoder had built from the same fault
 	// labels (see faultFrame), or from the shared Frame of those labels
-	// it was handed (Decoder.UseFrame). The tallies above include the
+	// it was handed (Opts.Frame). The tallies above include the
 	// frame's, as if scanned now: this is the only field that tells a
 	// batch's later pairs from its first.
 	FrameReused bool
+}
+
+// Opts is what a decode reports and admits besides δ: the arguments of
+// the decode names, one field each. None of it names a search shortcut;
+// which ones a decode takes follows from these (see plan).
+type Opts struct {
+	// Patches are pending inserted edges the sketch admits (patched.go).
+	Patches []PatchEdge
+	// Path, when non-nil, has the winning s..t walk of H appended to the
+	// slice it points at when the query connects: global vertex ids (net
+	// points, plus original-graph vertices at the lowest level) whose
+	// edge weights sum exactly to Result.Dist. Each hop is realizable in
+	// the surviving graph at its weight, so the walk is a
+	// (1+ε)-approximate corridor, not necessarily a shortest path; a
+	// degraded or patched decode reports its own sketch's walk. A reused
+	// buffer keeps path decodes allocation-free.
+	Path *[]int32
+	// Trace, when non-nil, is reset and filled with the sketch
+	// construction details and the walk.
+	Trace *Trace
+	// Frame is a shared fault frame (NewFrame). The decode runs beside it
+	// when its fault side matches (Frame.Matches), and under a frame of
+	// the Decoder's own, as without it, otherwise.
+	Frame *Frame
 }
 
 // Distance decodes the query: it assembles the sketch graph H from the
 // labels, keeping only safe edges, and returns the s-t distance in H.
 // ok is false when no path exists, which (by the scheme's safety and
 // stretch guarantees) happens exactly when s and t are disconnected in
-// G\F. Like every decode method on Query it runs on a zero Decoder —
-// one pooled scratch borrowed for the call — so steady-state calls are
+// G\F — and for a query that fails Validate, which DistanceRobust would
+// answer by demoting labels. Like every decode method on Query it runs
+// on a Decoder borrowed for the call, so steady-state calls are
 // allocation-free; batch callers that want to pin one scratch across
 // many queries should hold a Decoder instead.
-func (q *Query) Distance() (int64, bool) {
-	var d Decoder
-	defer d.Release()
-	return d.Distance(q)
-}
+func (q *Query) Distance() (int64, bool) { return q.DistanceWithTrace(nil) }
 
 // DistanceWithTrace is Distance, additionally filling tr with the sketch
 // construction details and the winning path.
 func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
-	var d Decoder
-	defer d.Release()
-	return d.DistanceWithTrace(q, tr)
+	if q.Validate() != nil {
+		return 0, false
+	}
+	res := q.decode(Opts{Trace: tr}, nil)
+	return res.Dist, res.OK
 }
 
 // DistanceRobust decodes the query tolerating unusable fault labels: any
@@ -226,25 +249,48 @@ func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
 // protected balls as maximal, preserving the safety direction
 // δ ≥ d_{G\F} at the cost of the stretch bound; the Result says exactly
 // how much trust the number deserves.
-func (q *Query) DistanceRobust() Result {
-	var d Decoder
-	defer d.Release()
-	return d.DistanceRobust(q)
+func (q *Query) DistanceRobust() Result { return q.decode(Opts{}, nil) }
+
+// Sketch returns H — the sketch a traced decode derives: one edge per
+// pair of vertices some owner's label admits an edge between, in
+// ascending (X, Y) order, at the lightest admitted weight and the lowest
+// admitting level. Exposed so tests can verify the safety invariant:
+// every sketch edge is realizable in G\F at exactly its weight.
+func (q *Query) Sketch() ([]SketchEdge, error) {
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	var edges []SketchEdge
+	q.decode(Opts{Trace: new(Trace)}, &edges)
+	return edges, nil
 }
 
-// distanceRobust implements DistanceRobust on the scratch, optionally
-// (wantPath) appending the witness path of the answering decode to buf:
-// partition the fault labels into usable and demoted, then decode what
-// the partition left. Only a demotion allocates (it is rare by
-// construction: it means labels went missing).
-func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int32, wantPath bool) (Result, []int32) {
-	var res Result
+// decode is Decode on a Decoder borrowed from the pool for this one call.
+// When sketch is non-nil, a traced decode that built H (s ≠ t) copies it
+// there.
+func (q *Query) decode(o Opts, sketch *[]SketchEdge) Result {
+	var d Decoder
+	defer d.Release()
+	res := d.Decode(q, o)
+	if sketch != nil && o.Trace.NumHVertices > 0 {
+		*sketch = slices.Clone(d.sc.edges)
+	}
+	return res
+}
+
+// demote is the front of every decode: it keeps the fault labels a
+// decode can use and moves the rest to the degraded tier by id. ok is
+// false when nothing sound can be answered: an endpoint label is missing
+// or fails Validate, or a fault label is nil (its vertex is unknown).
+// rq keeps its usable fault labels on the scratch. Only a demotion
+// allocates (it is rare by construction: it means labels went missing).
+func (sc *decodeScratch) demote(q *Query) (rq Query, res Result, ok bool) {
 	if q.S == nil || q.T == nil || q.S.Validate() != nil || q.T.Validate() != nil {
-		return res, buf // no endpoint labels, no bound of any kind
+		return rq, res, false
 	}
 	// rq shares q's degraded tiers until a demotion appends to them; the
 	// clip makes that append copy instead of writing into q's arrays.
-	rq := *q
+	rq = *q
 	rq.VertexFaults, rq.EdgeFaults = sc.vf[:0], sc.ef[:0]
 	rq.DegradedVertexFaults = slices.Clip(q.DegradedVertexFaults)
 	rq.DegradedEdgeFaults = slices.Clip(q.DegradedEdgeFaults)
@@ -255,7 +301,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 		case usable(f):
 			rq.VertexFaults = append(rq.VertexFaults, f)
 		case f == nil:
-			return res, buf
+			return rq, res, false
 		default:
 			rq.DegradedVertexFaults = append(rq.DegradedVertexFaults, f.V)
 			res.MissingFaultLabels = append(res.MissingFaultLabels, f.V)
@@ -266,7 +312,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 		case usable(ef[0]) && usable(ef[1]):
 			rq.EdgeFaults = append(rq.EdgeFaults, ef)
 		case ef[0] == nil || ef[1] == nil:
-			return res, buf
+			return rq, res, false
 		default:
 			rq.DegradedEdgeFaults = append(rq.DegradedEdgeFaults, [2]int32{ef[0].V, ef[1].V})
 			for _, l := range ef {
@@ -278,19 +324,7 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 	}
 	sc.vf, sc.ef = rq.VertexFaults[:0], rq.EdgeFaults[:0]
 	slices.Sort(res.MissingFaultLabels)
-
-	d, exhausted, err := sc.decode(&rq, patches, nil, !wantPath)
-	res.BudgetExhausted = exhausted
-	res.Degraded = exhausted || len(rq.DegradedVertexFaults) > 0 || len(rq.DegradedEdgeFaults) > 0
-	if err != nil || d < 0 {
-		return res, buf
-	}
-	res.Dist = d
-	res.OK = true
-	if wantPath {
-		buf = sc.appendHPath(&rq, buf)
-	}
-	return res, buf
+	return rq, res, true
 }
 
 // usableWith reports whether l can join a decode anchored at ref: it is
@@ -298,24 +332,6 @@ func (sc *decodeScratch) distanceRobust(q *Query, patches []PatchEdge, buf []int
 func usableWith(l, ref *Label) bool {
 	return l != nil && l.Validate() == nil &&
 		l.C == ref.C && l.MaxLevel == ref.MaxLevel && l.RShrink == ref.RShrink
-}
-
-// Sketch returns H: one edge per pair of vertices some owner's label
-// admits an edge between, in ascending (X, Y) order, at the lightest
-// admitted weight and the lowest admitting level. Exposed so tests can
-// verify the safety invariant: every sketch edge is realizable in G\F at
-// exactly its weight.
-func (q *Query) Sketch() ([]SketchEdge, error) {
-	var d Decoder
-	defer d.Release()
-	sc := d.scratch()
-	if _, _, err := sc.decode(q, nil, nil, false); err != nil {
-		return nil, err
-	}
-	if q.S.V == q.T.V {
-		return nil, nil // trivial query, no sketch was built
-	}
-	return slices.Clone(sc.sketchEdges()), nil
 }
 
 // Validate checks that all labels of the query are present and mutually
@@ -361,6 +377,58 @@ func (q *Query) Validate() error {
 	return nil
 }
 
+// plan is how one decode runs: under Opts.Frame (shared) or the
+// Decoder's own frame, beside the frame's run (framed) or scanning its
+// owners itself, keeping no parent tree (lean), stopping at the labels'
+// bound L (bound), and holding t's own level lists back (rescan). plan
+// derives it; decode reads nothing else.
+type plan struct {
+	shared, framed, lean, bound, rescan bool
+}
+
+// plan puts the decode of q under the right frame — o.Frame when it
+// matches, else the Decoder's own, rebuilt unless it was built from q's
+// fault side — and derives the rest from what o asks and the frame.
+//
+// A Budget is charged in scan order — s, t, then the frame's owners — so
+// one that ends before the last frame owner does cannot use a run scanned
+// in full: that decode scans the frame owners itself, after s and t, in
+// one pass cut where the budget ends.
+//
+// A decode that reports δ alone — no walk, no trace — is lean, and
+// without an admitted patch edge it takes two shortcuts off labelBound's
+// L ≤ d_H. The solve stops once t's tentative distance reaches L. And
+// t's own level lists — unless the frame's run holds them or a Budget
+// counts scan order — wait until a first solve without them, t keeping
+// its self edges (its one way into H), misses L: a subset of H that
+// reaches L has answered d_H, and after a miss the search goes on from
+// where it ended, through what t's lists make shorter. Labels that pass
+// Validate but contradict each other (L > d_H) get the length of a walk
+// of H between d_H and L; δ never drops below d_H.
+func (sc *decodeScratch) plan(q *Query, o Opts) plan {
+	var p plan
+	sc.faultFrame = &sc.own
+	if f := o.Frame; f != nil && f.Matches(q, o.Patches) {
+		sc.faultFrame, p.shared = f.fr, true
+	} else if !sc.matches(q, o.Patches) {
+		sc.buildFrame(q, o.Patches)
+	}
+	p.framed = true
+	if q.Budget > 0 {
+		cost := sc.frameScanCost()
+		for _, l := range [2]*Label{q.S, q.T} {
+			if !sc.seenOwner.has(l.V) {
+				cost += sc.scanCost(l)
+			}
+		}
+		p.framed = cost <= q.Budget
+	}
+	p.lean = o.Path == nil && o.Trace == nil
+	p.bound = p.lean && len(sc.patchKeys) == 0
+	p.rescan = p.bound && q.Budget <= 0 && !sc.seenOwner.has(q.T.V)
+	return p
+}
+
 // decode scans the sketch graph H onto the scratch and runs Dijkstra. It
 // returns the s-t distance (-1 when unreachable) and whether
 // Query.Budget truncated the sketch; the admitted candidates and the
@@ -384,12 +452,7 @@ func (q *Query) Validate() error {
 // labels, or a shared Frame's when those are its labels. Pair: scan the
 // levels of s and t against the frame's masks, skipping every level list
 // the run has walked. Solve: the run's arcs and the pair's candidates
-// together.
-//
-// A Budget is charged in scan order — s, t, then the frame's owners — so
-// one that ends before the last frame owner does cannot use a run scanned
-// in full: that decode scans the frame owners itself, after s and t, in
-// one pass cut where the budget ends.
+// together. Which frame, and which shortcuts, is the plan's.
 //
 // The admission scan relies on the ordering invariants Label.Validate
 // enforces (Points strictly ascending by X, Edges ascending by (XI,YI)
@@ -401,94 +464,66 @@ func (q *Query) Validate() error {
 // center (Lemma 2.6's membership test, batched). What comes out is held
 // to referenceDecode in the tests, which tests every membership with a
 // hash probe: same budget accounting, same sketch, same walk.
-//
-// distOnly says the caller reads δ and nothing else — no walk, no H. Such
-// a decode without a trace solves keeping no parent tree, and without an
-// admitted patch edge takes two shortcuts off labelBound's L ≤ d_H. The
-// solve stops once t's tentative distance reaches L. And t's own level
-// lists — unless the run holds them or a
-// Budget counts scan order — wait until a first solve without them, t
-// keeping its self edges (its one way into H), misses L: a subset of H
-// that reaches L has answered d_H, and after a miss the search goes on
-// from where it ended, through what t's lists make shorter. Labels that
-// pass Validate but contradict each other (L > d_H) get the length of a
-// walk of H between d_H and L; δ never drops below d_H.
-func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace, distOnly bool) (int64, bool, error) {
+func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
+	tr := o.Trace
+	if tr != nil {
+		*tr = Trace{}
+	}
 	sc.beside = nil
 	if err := q.Validate(); err != nil {
 		return 0, false, err
 	}
 	if q.S.V == q.T.V {
 		sc.scanPass.reset(0)
+		if tr != nil {
+			tr.Path = sc.appendHPath(q, nil)
+		}
 		return 0, false, nil
 	}
-	sc.faultFrame = &sc.own
-	if sh := sc.shared; sh != nil && sh.Matches(q, patches) {
-		sc.faultFrame = &sh.fr
-	} else if !sc.matches(q, patches) {
-		sc.buildFrame(q, patches)
-	}
-	// The run stands for s or t when the frame owns it, and altogether
-	// iff the budget covers the pair and every frame owner in full.
-	sc.owners = sc.owners[:0]
-	for _, l := range [2]*Label{q.S, q.T} {
-		if !sc.seenOwner.has(l.V) {
-			sc.owners = append(sc.owners, l)
-		}
-	}
-	room, framed := math.MaxInt, true
-	if q.Budget > 0 {
-		room = q.Budget
-		cost := sc.frameScanCost()
-		for _, l := range sc.owners {
-			cost += sc.scanCost(l)
-		}
-		framed = cost <= room
-	}
-	reused := framed && sc.runBuilt
+	p := sc.plan(q, o)
+	reused := p.framed && sc.runBuilt
 	switch {
 	case reused:
 		framesReused.Add(1)
 		sc.runArcs.Collapse() // once per frame, see buildFrameRun
-	case framed:
+	case p.framed:
 		sc.buildFrameRun()
 	}
 
 	sc.scanPass.reset(sc.numLevels)
-	if framed {
+	sc.owners = sc.owners[:0]
+	if p.framed {
+		// The run stands for s or t when the frame owns it.
 		sc.beside = &sc.run
 		sc.ids = append(sc.ids, sc.run.ids...)
+		for _, l := range [2]*Label{q.S, q.T} {
+			if !sc.seenOwner.has(l.V) {
+				sc.owners = append(sc.owners, l)
+			}
+		}
 	} else {
 		sc.emitPatches()
-		sc.owners = append(sc.owners[:0], q.S, q.T)
+		sc.owners = append(sc.owners, q.S, q.T)
 		for _, o := range sc.frameOwners {
 			if o.V != q.S.V && o.V != q.T.V {
 				sc.owners = append(sc.owners, o)
 			}
 		}
 	}
-	bound, late := int64(-1), (*Label)(nil) // see distOnly above
-	if distOnly && tr == nil && len(sc.patchKeys) == 0 {
+	room, bound, late := math.MaxInt, int64(-1), (*Label)(nil)
+	if q.Budget > 0 {
+		room = q.Budget
+	}
+	if p.bound {
 		bound = labelBound(q.S, q.T)
-		if q.Budget <= 0 && !sc.seenOwner.has(q.T.V) {
-			late = q.T
-		}
+	}
+	if p.rescan {
+		late = q.T
 	}
 	exhausted := sc.scanOwners(sc.owners, room, late, true)
 	sc.src, sc.dst = int(sc.vertexID(q.S.V)), int(sc.vertexID(q.T.V))
-	if tr != nil {
-		tr.FrameReused = reused
-		tr.AdmittedPerLevel = make([]int, sc.numLevels)
-		tr.RejectedPerLevel = make([]int, sc.numLevels)
-		tr.AdmittedPerLevel[0] = len(sc.patchKeys)
-		tr.SharedLevelsSkipped = 0
-		sc.tally.addTo(tr)
-		if framed {
-			sc.run.tally.addTo(tr)
-		}
-	}
-	sc.solver.DistanceOnly = distOnly && tr == nil // no walk to report
-	d := sc.solve(tr, bound, 0)
+	sc.solver.DistanceOnly = p.lean
+	d := sc.solve(bound, 0)
 	if late != nil && (d < 0 || d > bound) {
 		// Missed: the rest of H is t's lists. The search goes on from
 		// where it stopped, through what their edges make shorter.
@@ -496,11 +531,29 @@ func (sc *decodeScratch) decode(q *Query, patches []PatchEdge, tr *Trace, distOn
 		n := len(sc.cands)
 		sc.owners = append(sc.owners[:0], late)
 		if sc.scanOwners(sc.owners, room, nil, false); len(sc.cands) > n {
-			d = sc.solve(nil, bound, n)
+			d = sc.solve(bound, n)
 		}
 	}
 	if d >= 0 && d <= bound {
 		boundStops.Add(1)
+	}
+	if tr != nil {
+		tr.FrameReused = reused
+		tr.AdmittedPerLevel = make([]int, sc.numLevels)
+		tr.RejectedPerLevel = make([]int, sc.numLevels)
+		tr.AdmittedPerLevel[0] = len(sc.patchKeys)
+		sc.tally.addTo(tr)
+		if p.framed {
+			sc.run.tally.addTo(tr)
+		}
+		tr.NumHVertices, tr.NumHEdges = len(sc.ids), len(sc.sketchEdges())
+		if d >= 0 {
+			// Each hop of the walk is tight in the search that found it.
+			tr.Path = sc.appendHPath(q, nil)
+			for i := 1; i < len(sc.hpath); i++ {
+				tr.PathWeights = append(tr.PathWeights, sc.solver.Dist(sc.hpath[i])-sc.solver.Dist(sc.hpath[i-1]))
+			}
+		}
 	}
 	return d, exhausted, nil
 }
@@ -533,200 +586,10 @@ func labelBound(s, t *Label) int64 {
 	return int64(l)
 }
 
-// matches reports whether the frame was built from exactly the fault
-// side of q and these patches: the same labels pointer for pointer in the
-// same order, the same degraded ids, the same flag and scheme parameters.
-func (f *faultFrame) matches(q *Query, patches []PatchEdge) bool {
-	return f.keyed &&
-		f.ablate == q.UnsafeIgnoreProtectedBalls &&
-		f.keyParams == [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink} &&
-		f.numLevels == len(q.S.Levels) &&
-		slices.Equal(f.vfKey, q.VertexFaults) &&
-		slices.Equal(f.efKey, q.EdgeFaults) &&
-		slices.Equal(f.dvKey, q.DegradedVertexFaults) &&
-		slices.Equal(f.deKey, q.DegradedEdgeFaults) &&
-		slices.Equal(f.patchKey, patches)
-}
-
-// buildFrame rebuilds the frame for the fault side of q: key, owners,
-// centers, sorted fault lists, patch edges, admission rule and — when the
-// rule tests protected balls — the masks. The run waits for the first
-// decode whose budget covers it (buildFrameRun).
-func (sc *decodeScratch) buildFrame(q *Query, patches []PatchEdge) {
-	sc.keyed, sc.runBuilt, sc.frameCost = true, false, -1
-	sc.ablate = q.UnsafeIgnoreProtectedBalls
-	sc.keyParams = [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink}
-	sc.lowest, sc.numLevels = q.S.C+1, len(q.S.Levels)
-	sc.vfKey = append(sc.vfKey[:0], q.VertexFaults...)
-	sc.efKey = append(sc.efKey[:0], q.EdgeFaults...)
-	sc.dvKey = append(sc.dvKey[:0], q.DegradedVertexFaults...)
-	sc.deKey = append(sc.deKey[:0], q.DegradedEdgeFaults...)
-	sc.patchKey = append(sc.patchKey[:0], patches...)
-
-	sc.collectFaults(q)
-	sc.admitPatches(q, patches)
-	sc.rule = sc.admissionRule(q)
-	sc.maskWords = (len(sc.centers) + 63) >> 6
-	if sc.rule >= admitFused {
-		sc.buildBallMasks()
-	}
-}
-
-// collectFaults gathers the fault owners (for edge faults, both endpoint
-// labels), the protected-ball centers — the faulty vertices and the
-// endpoints of faulty edges: an edge of H survives level ℓ only if at
-// least one of its endpoints is outside PB_ℓ(f) for every center f — and
-// the sorted forbidden vertex and edge lists, labeled and degraded faults
-// together.
-func (sc *decodeScratch) collectFaults(q *Query) {
-	sc.frameOwners = sc.frameOwners[:0]
-	sc.centers = sc.centers[:0]
-	sc.seenOwner.reset()
-	sc.seenCenter.reset()
-	sc.fvList = sc.fvList[:0]
-	sc.feList = sc.feList[:0]
-	for _, f := range q.VertexFaults {
-		sc.addOwner(f)
-		sc.fvList = append(sc.fvList, f.V)
-		if sc.seenCenter.add(f.V) {
-			sc.centers = append(sc.centers, f)
-		}
-	}
-	for _, ef := range q.EdgeFaults {
-		sc.feList = append(sc.feList, unorderedKey(ef[0].V, ef[1].V))
-		for _, l := range ef {
-			sc.addOwner(l)
-			if sc.seenCenter.add(l.V) {
-				sc.centers = append(sc.centers, l)
-			}
-		}
-	}
-	sc.fvList = append(sc.fvList, q.DegradedVertexFaults...)
-	for _, ef := range q.DegradedEdgeFaults {
-		sc.feList = append(sc.feList, unorderedKey(ef[0], ef[1]))
-	}
-	slices.Sort(sc.fvList)
-	sc.fvList = slices.Compact(sc.fvList)
-	slices.Sort(sc.feList)
-	sc.feList = slices.Compact(sc.feList)
-}
-
-// buildFrameRun scans the patch edges and the frame owners under no
-// budget, leaves the pass — its dense numbering with it — as the run, and
-// packs its candidates into arcs, which the first decode to reuse them
-// collapses (a lone query does not pay for that pass).
-func (sc *decodeScratch) buildFrameRun() {
-	framesBuilt.Add(1)
-	sc.scanPass.reset(sc.numLevels)
-	sc.emitPatches()
-	sc.scanOwners(sc.frameOwners, math.MaxInt, nil, true)
-	sc.run, sc.scanPass = sc.scanPass, sc.run
-	sc.runArcs.Pack(len(sc.run.ids), sc.run.cands)
-	sc.runBuilt = true
-}
-
-// emitPatches starts the pass with the admitted patch edges: one unit
-// edge of the lowest level each, free of budget (see patched.go).
-func (sc *decodeScratch) emitPatches() {
-	for _, key := range sc.patchKeys {
-		sc.cands = append(sc.cands, graph.DenseEdge{U: sc.vertexID(int32(key >> 32)), V: sc.vertexID(int32(key)), W: 1})
-	}
-	sc.levels = append(sc.levels, levelRun{end: len(sc.cands), lv: int32(sc.lowest)})
-}
-
-// scanCost is what scanOwners charges a Budget for owner o when nothing
-// is cut: every stored edge, and — unless o is itself forbidden — every
-// point its self edges are drawn from.
-func (sc *decodeScratch) scanCost(o *Label) (n int) {
-	oForbidden := containsSorted(sc.fvList, o.V)
-	for k := 0; k < sc.numLevels; k++ {
-		lv := &o.Levels[k]
-		n += len(lv.Edges)
-		if oForbidden {
-			continue
-		}
-		lambda := lambdaOf(sc.lowest + k)
-		for _, pe := range lv.Points {
-			if selfEdgePoint(pe, lambda, o.V) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// frameScanCost is scanCost over the frame owners, found once per frame.
-func (sc *decodeScratch) frameScanCost() int {
-	if sc.frameCost < 0 {
-		sc.frameCost = 0
-		for _, o := range sc.frameOwners {
-			sc.frameCost += sc.scanCost(o)
-		}
-	}
-	return sc.frameCost
-}
-
 // selfEdgePoint reports whether owner v's label draws a self edge to the
 // ball point pe at a level of protected radius lambda.
 func selfEdgePoint(pe PointEntry, lambda int32, v int32) bool {
 	return pe.D <= lambda && pe.X != v
-}
-
-// admission names the rule deciding which net-level edges of an owner's
-// H_ℓ join the sketch. One rule serves a whole decode, and each has
-// exactly one edge loop in scanOwners. Lowest-level unit edges have a
-// rule of their own (no ball test: they exist verbatim in G).
-type admission uint8
-
-const (
-	// admitNone: a degraded fault has no label, so its protected balls
-	// cannot be tested — treat them as maximal. No net-level edge
-	// survives, and an owner-ball edge only as an unforbidden graph edge
-	// (see Query.DegradedVertexFaults for the safety argument).
-	admitNone admission = iota
-	// admitUnforbidden: the ablation knob is on, or there are no centers
-	// at all; only a forbidden endpoint rejects an edge.
-	admitUnforbidden
-	// admitFused: at most 62 centers — the ball bits and two sentinel
-	// bits for the forbidden flags share one word, so a single load + AND
-	// per edge decides the whole rejection predicate (see fillLR).
-	admitFused
-	// admitWord: 63 or 64 centers. Still one mask word per point, but no
-	// room for the sentinels. 64 vertex faults are 64 centers, so this is
-	// what |F| = 64 runs; folding it into admitWords costs that query a
-	// third (7.6 → 10.1 ms on grid24), hence a rule of its own.
-	admitWord
-	// admitWords: more than 64 centers, W ≥ 2 words per point.
-	admitWords
-)
-
-func (sc *decodeScratch) admissionRule(q *Query) admission {
-	switch n := len(sc.centers); {
-	case len(q.DegradedVertexFaults) > 0 || len(q.DegradedEdgeFaults) > 0:
-		return admitNone
-	case q.UnsafeIgnoreProtectedBalls || n == 0:
-		return admitUnforbidden
-	case n <= 62:
-		return admitFused
-	case n <= 64:
-		return admitWord
-	}
-	return admitWords
-}
-
-// buildBallMasks fills what the bit-parallel tests read of F: each
-// center's nearest net point per level, and the per-level combined ball
-// lists the point masks are filled from.
-func (sc *decodeScratch) buildBallMasks() {
-	// A center's nearest net point depends on (center, level) only: found
-	// once here, not once per owner inside mayBeInPB.
-	sc.nearest = sc.nearest[:0]
-	for _, f := range sc.centers {
-		for k := 0; k < sc.numLevels; k++ {
-			sc.nearest = append(sc.nearest, nearestNetPoint(f, sc.lowest+k))
-		}
-	}
-	sc.buildCombinedBalls(sc.numLevels, sc.lowest, sc.maskWords)
 }
 
 // ompbRows fills ompbW — for every (owner, level), the bitmask over
@@ -1093,12 +956,11 @@ func (sc *decodeScratch) sketchEdges() []SketchEdge {
 	return sc.edges
 }
 
-// solve hands the candidates to the solver, runs Dijkstra — until t is
-// settled, or its tentative distance reaches bound — and, when asked,
-// completes the trace. It returns -1 when t is unreachable. With from > 0
-// the last solve, which settled t or ran dry, goes on with the candidates
-// from there on added.
-func (sc *decodeScratch) solve(tr *Trace, bound int64, from int) int64 {
+// solve hands the candidates to the solver and runs Dijkstra — until t
+// is settled, or its tentative distance reaches bound. It returns -1 when
+// t is unreachable. With from > 0 the last solve, which settled t or ran
+// dry, goes on with the candidates from there on added.
+func (sc *decodeScratch) solve(bound int64, from int) int64 {
 	var run *graph.Arcs
 	if sc.beside != nil {
 		run = &sc.runArcs
@@ -1108,24 +970,6 @@ func (sc *decodeScratch) solve(tr *Trace, bound int64, from int) int64 {
 		dist = sc.solver.Resume(sc.ids, sc.dst, run, sc.cands, from, bound)
 	} else {
 		dist = sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands, bound)
-	}
-	if tr != nil {
-		tr.NumHVertices = len(sc.ids)
-		tr.NumHEdges = len(sc.sketchEdges())
-		tr.Path = nil
-		tr.PathWeights = nil
-		if dist != graph.WeightedInfinity {
-			sc.hpath = sc.solver.PathTo(sc.src, sc.dst, sc.hpath[:0])
-			var prev int32 = -1
-			for _, hv := range sc.hpath {
-				gv := sc.ids[hv]
-				tr.Path = append(tr.Path, gv)
-				if prev >= 0 {
-					tr.PathWeights = append(tr.PathWeights, sc.sketchEdgeWeight(unorderedKey(prev, gv)))
-				}
-				prev = gv
-			}
-		}
 	}
 	if dist == graph.WeightedInfinity {
 		return -1
@@ -1159,52 +1003,6 @@ func (sc *decodeScratch) fillForb(pts []PointEntry) []bool {
 		}
 	}
 	return fb
-}
-
-// buildCombinedBalls precomputes, for every level, the union of all
-// centers' protected balls as one sorted vertex list with a per-vertex
-// center bitmask: PB_ℓ(f) is the center's ball entries within λ_ℓ plus
-// the center vertex itself, and membership is decided exactly (absence
-// from a center's level list means d > r_ℓ > λ_ℓ) with int32 distances
-// throughout — so the masks are exact even at levels where λ_ℓ would
-// overflow a uint8 truncation. Each (vertex, center) membership becomes
-// a packed pair, radix-sorted by vertex and OR-compacted; the per-level
-// runs land in cmbX/cmbM/cmbOff. Filling one owner level's point masks
-// is then a single sorted merge against the combined list, instead of
-// one merge per center per owner level.
-func (sc *decodeScratch) buildCombinedBalls(numLevels, lowest, W int) {
-	sc.cmbX = sc.cmbX[:0]
-	sc.cmbM = sc.cmbM[:0]
-	sc.cmbOff = append(sc.cmbOff[:0], 0)
-	for k := 0; k < numLevels; k++ {
-		lambda := lambdaOf(lowest + k)
-		sc.pairs = sc.pairs[:0]
-		for fi, f := range sc.centers {
-			sc.pairs = append(sc.pairs, uint64(uint32(f.V))<<32|uint64(uint32(fi)))
-			if k >= len(f.Levels) {
-				continue
-			}
-			for _, ce := range f.Levels[k].Points {
-				if ce.D <= lambda {
-					sc.pairs = append(sc.pairs, uint64(uint32(ce.X))<<32|uint64(uint32(fi)))
-				}
-			}
-		}
-		sc.sortPairs()
-		for i := 0; i < len(sc.pairs); {
-			x := int32(sc.pairs[i] >> 32)
-			base := len(sc.cmbM)
-			for w := 0; w < W; w++ {
-				sc.cmbM = append(sc.cmbM, 0)
-			}
-			sc.cmbX = append(sc.cmbX, x)
-			for ; i < len(sc.pairs) && int32(sc.pairs[i]>>32) == x; i++ {
-				fi := uint32(sc.pairs[i])
-				sc.cmbM[base+int(fi>>6)] |= 1 << (fi & 63)
-			}
-		}
-		sc.cmbOff = append(sc.cmbOff, int32(len(sc.cmbX)))
-	}
 }
 
 // The fused-mask sentinel bits: bitG is set in every maskL word and in
@@ -1281,23 +1079,6 @@ func (sc *decodeScratch) appendHPath(q *Query, out []int32) []int32 {
 		out = append(out, sc.ids[hv])
 	}
 	return out
-}
-
-// sketchEdgeWeight returns the weight of the deduplicated sketch edge
-// with the given unordered key, by binary search over the key-sorted
-// sc.edges. The key must be present.
-func (sc *decodeScratch) sketchEdgeWeight(key uint64) int64 {
-	lo, hi := 0, len(sc.edges)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		e := &sc.edges[mid]
-		if uint64(uint32(e.X))<<32|uint64(uint32(e.Y)) < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return sc.edges[lo].W
 }
 
 // containsSorted reports whether the ascending slice s contains v.

@@ -68,7 +68,7 @@ func diffFaults(rng *rand.Rand, n, nf, src, dst int) *graph.FaultSet {
 
 // TestDecodeCSRMatchesReference is the differential sweep: distances
 // must be bit-identical to the reference decoder at every fault size,
-// and DecodePath's walk must check out against the real graph.
+// and the path decode's walk must check out against the real graph.
 func TestDecodeCSRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	graphs := map[string]*graph.Graph{
@@ -120,19 +120,18 @@ func TestDecodeCSRMatchesReference(t *testing.T) {
 					t.Fatalf("%s F=%d: Distance=(%d,%v), reference %d", gname, nf, gotDist, ok, wantDist)
 				}
 
-				var path []int32
-				pd, path, pok := dec.DecodePath(q, buf[:0])
-				buf = path
-				if pok != (wantDist >= 0) {
-					t.Fatalf("%s F=%d: DecodePath ok=%v, reference dist %d", gname, nf, pok, wantDist)
+				buf = buf[:0]
+				res := dec.Decode(q, Opts{Path: &buf})
+				if res.OK != (wantDist >= 0) {
+					t.Fatalf("%s F=%d: path decode ok=%v, reference dist %d", gname, nf, res.OK, wantDist)
 				}
-				if !pok {
+				if !res.OK {
 					continue
 				}
-				if pd != wantDist {
-					t.Fatalf("%s F=%d: DecodePath dist %d, reference %d", gname, nf, pd, wantDist)
+				if res.Dist != wantDist {
+					t.Fatalf("%s F=%d: path decode dist %d, reference %d", gname, nf, res.Dist, wantDist)
 				}
-				checkWalk(t, g, f, nil, path, int32(src), int32(dst), pd)
+				checkWalk(t, g, f, nil, buf, int32(src), int32(dst), res.Dist)
 			}
 		}
 		dec.Release()

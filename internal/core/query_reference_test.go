@@ -29,6 +29,9 @@ func referenceDecode(q *Query, tr *Trace, patches ...PatchEdge) (int64, []Sketch
 		return 0, nil, 0, false, err
 	}
 	if q.S.V == q.T.V {
+		if tr != nil {
+			tr.Path = []int32{q.S.V}
+		}
 		return 0, nil, 1, false, nil
 	}
 	cands, exhausted := referenceScan(q, tr, patches)
@@ -638,7 +641,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 			gotTr := &Trace{}
 			sc := getScratch()
-			gotDist, gotExh, gotErr := sc.decode(tc.q, nil, gotTr, false)
+			gotDist, gotExh, gotErr := sc.decode(tc.q, Opts{Trace: gotTr})
 			gotEdges := slices.Clone(sc.sketchEdges())
 			gotCenters := len(sc.centers)
 			putScratch(sc)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -298,12 +300,50 @@ func TestQueryValidateMismatchedParams(t *testing.T) {
 	g := pathGraph(t, 16)
 	s1, _ := BuildScheme(g, 2)
 	s05, _ := BuildScheme(g, 0.5)
-	q := &Query{S: s1.Label(0), T: s05.Label(15)}
-	if err := q.Validate(); err == nil {
-		t.Error("mismatched scheme parameters must be rejected")
+	// Mismatched endpoints, and a mismatched fault label: DistanceRobust
+	// demotes the latter and answers, the plain names refuse both.
+	for _, q := range []*Query{
+		{S: s1.Label(0), T: s05.Label(15)},
+		{S: s1.Label(0), T: s1.Label(5), VertexFaults: []*Label{s05.Label(7)}},
+	} {
+		if err := q.Validate(); err == nil {
+			t.Error("mismatched scheme parameters must be rejected")
+		}
+		var dec Decoder
+		if _, ok := q.Distance(); ok {
+			t.Error("mismatched query must not answer")
+		}
+		if _, ok := dec.DistanceWithTrace(q, nil); ok {
+			t.Error("mismatched query must not answer on a held Decoder")
+		}
+		if _, err := q.Sketch(); err == nil {
+			t.Error("mismatched query must not have a sketch")
+		}
+		dec.Release()
 	}
-	if _, ok := q.Distance(); ok {
-		t.Error("mismatched query must not answer")
+	q := &Query{S: s1.Label(0), T: s1.Label(5), VertexFaults: []*Label{s05.Label(7)}}
+	if res := q.DistanceRobust(); !res.OK || !res.Degraded || !slices.Equal(res.MissingFaultLabels, []int32{7}) {
+		t.Errorf("DistanceRobust of a mismatched fault label = %+v, want a degraded answer", res)
+	}
+}
+
+// TestTraceSameVertex: a traced decode of s = t resets the trace and
+// reports the walk [s], whatever the trace held before.
+func TestTraceSameVertex(t *testing.T) {
+	s, _ := BuildScheme(pathGraph(t, 10), 2)
+	q := &Query{S: s.Label(3), T: s.Label(3)}
+	tr := Trace{Path: []int32{9, 9, 9}, PathWeights: []int64{5, 5}, NumHVertices: 77, NumHEdges: 5, FrameReused: true}
+	if d, ok := q.DistanceWithTrace(&tr); !ok || d != 0 {
+		t.Fatalf("DistanceWithTrace(s = t) = (%d, %v), want (0, true)", d, ok)
+	}
+	if want := (Trace{Path: []int32{3}}); !reflect.DeepEqual(tr, want) {
+		t.Errorf("trace of s = t: %+v, want %+v", tr, want)
+	}
+	var path []int32
+	var dec Decoder
+	defer dec.Release()
+	if res := dec.Decode(q, Opts{Path: &path}); !res.OK || !slices.Equal(path, tr.Path) {
+		t.Errorf("walk of s = t: %+v %v, the trace's %v", res, path, tr.Path)
 	}
 }
 

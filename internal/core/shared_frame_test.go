@@ -10,7 +10,7 @@ import (
 	"fsdl/internal/graph"
 )
 
-// This file tests the shared fault frame (Frame, Decoder.UseFrame): built
+// This file tests the shared fault frame (Frame, Opts.Frame): built
 // once and frozen, decoded beside by any number of Decoders at once, each
 // answer the one a fresh Decoder and referenceDecode give.
 
@@ -70,7 +70,6 @@ func TestSharedFrameConcurrent(t *testing.T) {
 							dec := NewDecoder()
 							defer dec.Release()
 							for round := 0; round < 2; round++ {
-								dec.UseFrame(f)
 								for j := range wants {
 									if !checkBesideShared(t, dec, f, wants[(j+w)%len(wants)], b.patches) {
 										return
@@ -108,7 +107,7 @@ func sharedWants(t *testing.T, s *Scheme, b *frameBatch) []sharedWant {
 		w.res, w.path = dec.DistanceRobustPatchedPath(w.q, b.patches, nil)
 		dec.Release()
 		var err error
-		if w.dist, w.exh, err = dec.scratch().decode(w.q, b.patches, &w.tr, false); err != nil {
+		if w.dist, w.exh, err = dec.scratch().decode(w.q, Opts{Patches: b.patches, Trace: &w.tr}); err != nil {
 			t.Fatalf("pair %d: %v", i, err)
 		}
 		w.edges = slices.Clone(dec.scratch().sketchEdges())
@@ -129,27 +128,28 @@ func sharedWants(t *testing.T, s *Scheme, b *frameBatch) []sharedWant {
 	return wants
 }
 
-// checkBesideShared decodes w's query on dec, which was handed f: δ
-// alone, with its walk and traced, each as a fresh Decoder does, and the
-// traced decode beside f exactly when its budget covers the frame's run.
-// It reports whether all held.
+// checkBesideShared decodes w's query on dec, handing it f: δ alone, with
+// its walk and traced, each as a fresh Decoder does, and the traced
+// decode beside f exactly when its budget covers the frame's run. It
+// reports whether all held.
 func checkBesideShared(t *testing.T, dec *Decoder, f *Frame, w sharedWant, patches []PatchEdge) bool {
 	t.Helper()
 	q := w.q
-	if got := dec.DistanceRobustPatched(q, patches); !reflect.DeepEqual(got, w.lean) {
+	if got := dec.Decode(q, Opts{Patches: patches, Frame: f}); !reflect.DeepEqual(got, w.lean) {
 		t.Errorf("%d→%d: δ alone %+v beside the shared frame, %+v fresh", q.S.V, q.T.V, got, w.lean)
 		return false
 	}
-	if dec.scratch().faultFrame != &f.fr {
+	if dec.scratch().faultFrame != f.fr {
 		t.Errorf("%d→%d: the decode did not run under the shared frame", q.S.V, q.T.V)
 		return false
 	}
-	if res, path := dec.DistanceRobustPatchedPath(q, patches, nil); !reflect.DeepEqual(res, w.res) || !slices.Equal(path, w.path) {
+	var path []int32
+	if res := dec.Decode(q, Opts{Patches: patches, Frame: f, Path: &path}); !reflect.DeepEqual(res, w.res) || !slices.Equal(path, w.path) {
 		t.Errorf("%d→%d: path decode %+v %v beside the shared frame, %+v %v fresh", q.S.V, q.T.V, res, path, w.res, w.path)
 		return false
 	}
 	var tr Trace
-	dist, exh, err := dec.scratch().decode(q, patches, &tr, false)
+	dist, exh, err := dec.scratch().decode(q, Opts{Patches: patches, Trace: &tr, Frame: f})
 	if err != nil {
 		t.Error(err)
 		return false
@@ -191,7 +191,7 @@ func arcsCollapsed(a *graph.Arcs) bool {
 }
 
 func frameSnapshot(f *Frame) frameShape {
-	fr := &f.fr
+	fr := f.fr
 	sh := frameShape{
 		keyed: fr.keyed, runBuilt: fr.runBuilt, collapsed: arcsCollapsed(&fr.runArcs), frameCost: fr.frameCost,
 		vf: slices.Clone(fr.vfKey), ef: slices.Clone(fr.efKey), patches: slices.Clone(fr.patchKey),
@@ -223,7 +223,7 @@ func TestNewFrameFrozen(t *testing.T) {
 		VertexFaults: []*Label{s.Label(60), s.Label(200)},
 		EdgeFaults:   [][2]*Label{{s.Label(90), s.Label(91)}}}
 	f := NewFrame(q, patchesOf(s, [][2]int{{5, 118}}))
-	fr := &f.fr
+	fr := f.fr
 	if !fr.keyed || !fr.runBuilt || !arcsCollapsed(&fr.runArcs) || fr.frameCost < 0 || fr.pairs != nil || fr.pairsTmp != nil {
 		t.Fatalf("keyed=%v runBuilt=%v collapsed=%v frameCost=%d, %d/%d pair buffers: the frame is not frozen",
 			fr.keyed, fr.runBuilt, arcsCollapsed(&fr.runArcs), fr.frameCost, cap(fr.pairs), cap(fr.pairsTmp))
@@ -288,16 +288,15 @@ func TestSharedFrameFallback(t *testing.T) {
 			}
 			dec := NewDecoder()
 			defer dec.Release()
-			dec.UseFrame(f)
 			for i, want := range []bool{false, true} {
-				if got := checkFramedDecode(t, dec, tc.q, tc.patches); got != want {
+				if got := checkFramedDecode(t, dec, tc.q, tc.patches, f); got != want {
 					t.Fatalf("decode %d: FrameReused=%v, want %v", i, got, want)
 				}
 				if sc := dec.scratch(); sc.faultFrame != &sc.own {
 					t.Fatalf("decode %d ran under the shared frame", i)
 				}
 			}
-			if !checkFramedDecode(t, dec, base, patches) || dec.scratch().faultFrame != &f.fr {
+			if !checkFramedDecode(t, dec, base, patches, f) || dec.scratch().faultFrame != f.fr {
 				t.Fatal("the frame's own fault side did not run beside it")
 			}
 		})
@@ -307,7 +306,7 @@ func TestSharedFrameFallback(t *testing.T) {
 // TestSharedFrameRelease: Release hands the scratch back to the pool with
 // its own frame cleared and the shared one as it was, and a Decoder that
 // takes the scratch out again decodes beside the shared frame only when
-// handed it anew.
+// its decode is handed it.
 func TestSharedFrameRelease(t *testing.T) {
 	s, err := BuildScheme(gridGraph(t, 12, 10), 2)
 	if err != nil {
@@ -322,20 +321,19 @@ func TestSharedFrameRelease(t *testing.T) {
 	before := frameSnapshot(f)
 	dec := NewDecoder()
 	for i := 0; i < 3; i++ {
-		dec.UseFrame(f)
-		if !checkFramedDecode(t, dec, q, patches) {
+		if !checkFramedDecode(t, dec, q, patches, f) {
 			t.Fatalf("round %d: the decode did not run beside the shared frame", i)
 		}
 		sc := dec.scratch()
 		dec.Release()
-		if sc.faultFrame != &sc.own || sc.shared != nil || sc.own.keyed {
+		if sc.faultFrame != &sc.own || sc.own.keyed {
 			t.Fatalf("round %d: a released scratch still points at a frame", i)
 		}
 		if after := frameSnapshot(f); !reflect.DeepEqual(after, before) {
 			t.Fatalf("round %d: Release changed the shared frame:\n got %+v\nwant %+v", i, after, before)
 		}
-		if checkFramedDecode(t, dec, q, patches) {
-			t.Fatalf("round %d: a Decoder not handed the frame after Release reused one", i)
+		if checkFramedDecode(t, dec, q, patches, nil) {
+			t.Fatalf("round %d: a decode not handed the frame after Release reused one", i)
 		}
 		dec.Release()
 	}
@@ -367,19 +365,17 @@ func TestSharedFrameAllocs(t *testing.T) {
 	var buf []int32
 	batch := func() {
 		for _, q := range qs {
-			dec.UseFrame(f)
-			dec.Distance(q)
+			dec.Decode(q, Opts{Frame: f})
 			dec.DistanceRobust(q)
-			dec.UseFrame(fp)
-			dec.DistanceRobustPatched(q, patches)
-			_, buf = dec.DistanceRobustPatchedPath(q, patches, buf[:0])
+			dec.Decode(q, Opts{Patches: patches, Frame: fp})
+			buf = buf[:0]
+			dec.Decode(q, Opts{Patches: patches, Frame: fp, Path: &buf})
 		}
 	}
 	batch() // size the scratch
 	var tr Trace
-	dec.UseFrame(f)
-	dec.DistanceWithTrace(qs[1], &tr)
-	if sc := dec.scratch(); sc.faultFrame != &f.fr || !tr.FrameReused {
+	dec.Decode(qs[1], Opts{Trace: &tr, Frame: f})
+	if sc := dec.scratch(); sc.faultFrame != f.fr || !tr.FrameReused {
 		t.Fatal("the decodes did not run beside the shared frames")
 	}
 	if allocs := testing.AllocsPerRun(100, batch); allocs > 0 {

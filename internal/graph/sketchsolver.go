@@ -266,6 +266,10 @@ func (s *SketchSolver) PathTo(src, dst int, out []int32) []int32 {
 	return out
 }
 
+// Dist is the distance the last search settled v at, for v on the path
+// PathTo reports.
+func (s *SketchSolver) Dist(v int32) int64 { return s.dist[v] }
+
 // push and pop are container/heap's up and down on a min-heap ordered by
 // distance.
 func (s *SketchSolver) push(e distEntry) {

@@ -525,7 +525,8 @@ func (st *Store) DistanceRobustPath(src, dst int, faults *graph.FaultSet, budget
 	}
 	var dec core.Decoder
 	defer dec.Release()
-	res, path := dec.DistanceRobustPath(q, nil)
+	var path []int32
+	res := dec.Decode(q, core.Opts{Path: &path})
 	return res, path, nil
 }
 

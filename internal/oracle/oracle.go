@@ -104,11 +104,9 @@ func (o *Static) Distance(u, v int, faults *graph.FaultSet) (int64, bool, error)
 	if err != nil || q == nil {
 		return 0, false, err
 	}
-	// Decode through the pooled decoder: steady-state queries reuse one
-	// warmed-up scratch instead of allocating per call.
-	dec := core.NewDecoder()
-	d, ok := dec.Distance(q)
-	dec.Release()
+	// Query.Distance decodes on a pooled scratch: steady-state queries
+	// reuse one warmed-up scratch instead of allocating per call.
+	d, ok := q.Distance()
 	return d, ok, nil
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"fsdl/internal/bitio"
-	"fsdl/internal/core"
 	"fsdl/internal/graph"
 )
 
@@ -95,11 +94,11 @@ func (s *Scheme) HeaderFor(src, dst int, faults *graph.FaultSet) (*Header, bool)
 	if err != nil {
 		return nil, false
 	}
-	var tr core.Trace
-	if _, ok := q.DistanceWithTrace(&tr); !ok {
+	waypoints, ok := walk(q)
+	if !ok {
 		return nil, false
 	}
-	return &Header{Waypoints: append([]int32(nil), tr.Path...)}, true
+	return &Header{Waypoints: waypoints}, true
 }
 
 // FollowHeader simulates forwarding a packet that carries the given

@@ -97,14 +97,14 @@ func (s *Scheme) RouteWithFaults(src, dst int, faults *graph.FaultSet) (Route, b
 	if err != nil {
 		return Route{}, false
 	}
-	var tr core.Trace
-	if _, ok := q.DistanceWithTrace(&tr); !ok {
+	waypoints, ok := walk(q)
+	if !ok {
 		return Route{}, false
 	}
-	r := Route{Waypoints: tr.Path, Path: []int{src}}
+	r := Route{Waypoints: waypoints, Path: []int{src}}
 	cur := src
-	for wi := 1; wi < len(tr.Path); wi++ {
-		target := int(tr.Path[wi])
+	for wi := 1; wi < len(waypoints); wi++ {
+		target := int(waypoints[wi])
 		dist := s.g.BFS(target)
 		for cur != target {
 			next, ok := nextHopOnTree(s.g, dist, cur)
@@ -117,6 +117,16 @@ func (s *Scheme) RouteWithFaults(src, dst int, faults *graph.FaultSet) (Route, b
 	}
 	r.Length = len(r.Path) - 1
 	return r, true
+}
+
+// walk decodes q for the s..t walk of its sketch, the waypoints a route
+// follows; ok is false when s and t are disconnected.
+func walk(q *core.Query) ([]int32, bool) {
+	var dec core.Decoder
+	defer dec.Release()
+	var path []int32
+	res := dec.Decode(q, core.Opts{Path: &path})
+	return path, res.OK
 }
 
 // AdaptiveRoute simulates the Applications-section recovery scenario: the

@@ -421,6 +421,7 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	var (
 		tmpl    *core.Query
 		patches []core.PatchEdge
+		frame   *core.Frame
 		framed  bool // the shared frames were asked
 	)
 	// One pooled decoder serves the whole batch: every miss reuses the
@@ -484,15 +485,14 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				q.S, q.T = ls, lt
 				if !framed && !livePending {
 					framed = true
-					s.useFrame(&dec, fhash, &q)
+					frame = s.sharedFrame(fhash, &q)
 				}
-				var res core.Result
 				var path []int32
+				o := core.Opts{Patches: patches, Frame: frame}
 				if wantPath {
-					res, path = dec.DistanceRobustPatchedPath(&q, patches, nil)
-				} else {
-					res = dec.DistanceRobustPatched(&q, patches)
+					o.Path = &path
 				}
+				res := dec.Decode(&q, o)
 				if res.OK {
 					a.Path = path
 				}
@@ -528,21 +528,21 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	return answers, nil
 }
 
-// useFrame hands dec the shared frame of q's fault side, when the frame
-// cache has one or builds it now. A fault side without fault labels has
-// nothing to share.
-func (s *Server) useFrame(dec *core.Decoder, key uint64, q *core.Query) {
+// sharedFrame returns the shared frame of q's fault side for the batch's
+// decodes, when the frame cache has one or builds it now, else nil. A
+// fault side without fault labels has nothing to share.
+func (s *Server) sharedFrame(key uint64, q *core.Query) *core.Frame {
 	if len(q.VertexFaults) == 0 && len(q.EdgeFaults) == 0 {
-		return
+		return nil
 	}
 	f, built := s.frames.get(key, q)
 	if built {
 		s.met.sharedFramesBuilt.Add(1)
 	}
 	if f != nil {
-		dec.UseFrame(f)
 		s.met.sharedFrameBatches.Add(1)
 	}
+	return f
 }
 
 // prefetch warms the label source with every distinct vertex the batch
