@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"fsdl/internal/core"
 	"fsdl/internal/gen"
@@ -549,9 +550,9 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		return fmt.Errorf("factored FSDL3 only %.1fx smaller than FSDL2 (claim: >= 5x)", ratio)
 	}
 
-	if err := benchBalls(storeDir, add, func(r benchResult, size int64) {
+	if err := benchBalls(storeDir, add, func(r benchResult, what string) {
 		doc.Results = append(doc.Results, r)
-		fmt.Fprintf(log, "%-44s %8d bytes/vertex (file %d bytes)\n", r.Name, r.BytesPerOp, size)
+		fmt.Fprintf(log, "%-44s %8d bytes %s\n", r.Name, r.BytesPerOp, what)
 	}); err != nil {
 		return err
 	}
@@ -750,9 +751,11 @@ func writeStoreFile(path string, s *core.Scheme, format3, compress bool) (string
 // record, on ring4096: encode_balls (one label: cost flat against nested
 // for each level, write the cheaper) and parse_balls (every record of the
 // file read back, the nested levels derived — Store.BallStats — per
-// record). The row names carry the sizes, so -quick runs them as they
-// are; together they take about two seconds.
-func benchBalls(dir string, add func(benchResult), addSize func(benchResult, int64)) error {
+// record); and decoded_label_bytes_ring4096, what a label parsed from
+// that file keeps to itself (decodedLabelBytes). The row names carry the
+// sizes, so -quick runs them as they are; together they take about two
+// seconds.
+func benchBalls(dir string, add func(benchResult), addBytes func(benchResult, string)) error {
 	ring, err := ringLattice(4096)
 	if err != nil {
 		return err
@@ -774,7 +777,7 @@ func benchBalls(dir string, add func(benchResult), addSize func(benchResult, int
 			return err
 		}
 		n := int64(e.g.NumVertices())
-		addSize(benchResult{Name: "label_bytes_per_vertex_fsdl3c_" + e.name, Iterations: int(n), BytesPerOp: (size + n - 1) / n}, size)
+		addBytes(benchResult{Name: "label_bytes_per_vertex_fsdl3c_" + e.name, Iterations: int(n), BytesPerOp: (size + n - 1) / n}, fmt.Sprintf("per vertex (file %d bytes)", size))
 		if e.name != "ring4096" {
 			continue
 		}
@@ -791,6 +794,11 @@ func benchBalls(dir string, add func(benchResult), addSize func(benchResult, int
 		if err != nil {
 			return err
 		}
+		retained, err := decodedLabelBytes(st, int(n))
+		if err != nil {
+			return err
+		}
+		addBytes(benchResult{Name: "decoded_label_bytes_ring4096", Iterations: int(n), BytesPerOp: retained}, "per parsed label, held by no other")
 		r := measure("parse_balls", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -804,6 +812,37 @@ func benchBalls(dir string, add func(benchResult), addSize func(benchResult, int
 		add(r)
 	}
 	return nil
+}
+
+// decodedLabelBytes is the mean number of bytes a label parsed from st
+// holds that no other label shares: its points, and every edge array no
+// other parsed label holds too. Every label is held until the count is
+// done, so no array's address can be reused by another's.
+func decodedLabelBytes(st *labelstore.Store, n int) (int64, error) {
+	labels := make([]*core.Label, n)
+	holders := make(map[*core.EdgeEntry]int)
+	var total int64
+	for v := range labels {
+		l, err := st.Label(v)
+		if err != nil {
+			return 0, err
+		}
+		labels[v] = l
+		for _, lv := range l.Levels {
+			total += int64(len(lv.Points)) * int64(unsafe.Sizeof(core.PointEntry{}))
+			if len(lv.Edges) > 0 {
+				holders[&lv.Edges[0]]++
+			}
+		}
+	}
+	for _, l := range labels {
+		for _, lv := range l.Levels {
+			if len(lv.Edges) > 0 && holders[&lv.Edges[0]] == 1 {
+				total += int64(len(lv.Edges)) * int64(unsafe.Sizeof(core.EdgeEntry{}))
+			}
+		}
+	}
+	return (total + int64(n) - 1) / int64(n), nil
 }
 
 // checkBaseline compares the run's allocs/op against a committed baseline
@@ -877,6 +916,12 @@ func checkBaseline(doc benchDoc, path string, log io.Writer) error {
 		if r.AllocsPerOp > limit {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %d allocs/op (baseline %d, limit %d)", r.Name, r.AllocsPerOp, b.AllocsPerOp, limit))
+		}
+		// What a decoded label retains is deterministic: any growth is
+		// state the decoded-label caches hold for every label.
+		if strings.HasPrefix(r.Name, "decoded_label_bytes_") && r.BytesPerOp > b.BytesPerOp+b.BytesPerOp/100 {
+			regressions = append(regressions,
+				fmt.Sprintf("%s: %d bytes per label (baseline %d)", r.Name, r.BytesPerOp, b.BytesPerOp))
 		}
 		if gateNs {
 			if nsLimit := b.NsPerOp * 1.30; r.NsPerOp > nsLimit {

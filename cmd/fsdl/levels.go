@@ -36,14 +36,16 @@ func levelStats(out io.Writer, ids []int, label func(v int) (*core.Label, error)
 		if len(l.Levels) != len(rows) {
 			return fmt.Errorf("label of %d has %d levels, the first had %d", v, len(l.Levels), len(rows))
 		}
-		for k, lv := range l.Levels {
-			rows[k].points += int64(len(lv.Points))
-			rows[k].edges += int64(len(lv.Edges))
-		}
 		// Interning rewrites Edges to the census's copy: give it a
-		// shallow copy of the label, not the store's or scheme's own.
+		// shallow copy of the label, not the store's or scheme's own, with
+		// every list a factored store leaves to its level graphs induced.
 		c := *l
 		c.Levels = append([]core.LevelLabel(nil), l.Levels...)
+		for k := range c.Levels {
+			c.Levels[k].Edges = l.LevelEdges(k, nil)
+			rows[k].points += int64(len(c.Levels[k].Points))
+			rows[k].edges += int64(len(c.Levels[k].Edges))
+		}
 		census.Intern(&c)
 	}
 	census.Lists(func(k int, xs []int32, edges []core.EdgeEntry) {

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"fsdl"
@@ -22,23 +23,7 @@ func TestCLIStatsLevels(t *testing.T) {
 	if _, err := runCLI(t, "gen", "-kind", "grid", "-size", "8", "-out", grid); err != nil {
 		t.Fatal(err)
 	}
-	const n = 256
-	b := fsdl.NewGraphBuilder(n)
-	for i := 0; i < n; i++ {
-		b.AddEdge(i, (i+1)%n)
-		b.AddEdge(i, (i+2)%n)
-	}
-	ring := filepath.Join(dir, "ring.txt")
-	f, err := os.Create(ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.MustBuild().WriteTo(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	ring := writeRing256(t, dir)
 
 	for _, tc := range []struct{ name, graph, want, balls string }{
 		{"grid8x8", grid, `level lists over 64 labels:
@@ -97,4 +82,56 @@ func TestCLIStatsLevels(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCLIStatsLevelsFactoredAsFSDL2: a factored store's labels hold their
+// balls and read every unsaturated level's edges off the file's level
+// graphs, so its level table counts through what those graphs induce. It
+// must equal the table of the same labels read from FSDL2, which holds
+// every list — here on a ring lattice, whose lowest-level balls are never
+// saturated.
+func TestCLIStatsLevelsFactoredAsFSDL2(t *testing.T) {
+	dir := t.TempDir()
+	ring := writeRing256(t, dir)
+	tables := map[string]string{}
+	for name, format := range map[string][]string{"fsdl2": {"-format", "fsdl2"}, "factored": {"-format", "fsdl3", "-compress"}} {
+		db := filepath.Join(dir, name+".fsdl")
+		if _, err := runCLI(t, append([]string{"labels", "-in", ring, "-out", db}, format...)...); err != nil {
+			t.Fatal(err)
+		}
+		got, err := runCLI(t, "stats", "-levels", "-db", db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The factored store prints its ball records after the table.
+		table, _, _ := strings.Cut(got, "ball records")
+		tables[name] = table
+	}
+	if tables["factored"] != tables["fsdl2"] {
+		t.Errorf("stats -levels of the factored store:\n%s\nof the FSDL2 store:\n%s", tables["factored"], tables["fsdl2"])
+	}
+}
+
+// writeRing256 writes the 256-vertex ring lattice (±1, ±2 chords) to
+// dir/ring.txt and returns the path.
+func writeRing256(t *testing.T, dir string) string {
+	t.Helper()
+	const n = 256
+	b := fsdl.NewGraphBuilder(n)
+	for i := 0; i < n; i++ {
+		b.AddEdge(i, (i+1)%n)
+		b.AddEdge(i, (i+2)%n)
+	}
+	ring := filepath.Join(dir, "ring.txt")
+	f, err := os.Create(ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.MustBuild().WriteTo(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return ring
 }

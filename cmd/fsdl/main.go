@@ -558,7 +558,7 @@ func cmdLabel(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "label of %d: %d bits, %d points, %d edges, %d levels\n",
 		*v, bits, l.NumPoints(), l.NumEdges(), len(l.Levels))
 	for k, lv := range l.Levels {
-		fmt.Fprintf(out, "  level %d: %d points, %d edges\n", l.Level(k), len(lv.Points), len(lv.Edges))
+		fmt.Fprintf(out, "  level %d: %d points, %d edges\n", l.Level(k), len(lv.Points), len(l.LevelEdges(k, nil)))
 	}
 	return nil
 }

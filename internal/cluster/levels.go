@@ -39,7 +39,7 @@ var decodeCauseNames = [numDecodeCauses]string{"crc", "levels", "parse", "canoni
 
 // decodeRecords decodes the present records of one shard's answer:
 // stored ones under the level graphs they name, canonical ones as they
-// are, their level edge lists shared through f.levels. A record that
+// are, with their level edge lists shared through f.levels. A record that
 // does not decode is left out — a corrupt copy, and another replica may
 // be intact — and counted by cause.
 func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardClient, recs map[int32]LabelRecord) map[int32]*core.Label {
@@ -65,7 +65,7 @@ func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardCli
 		}
 		l, err := lv.Label(v, labelstore.StoredRecord{
 			Bits: rec.Bits, CRC: rec.CRC, Nested: rec.Nested, LevelsCRC: rec.Levels.CRC, Data: rec.Data,
-		}, f.levels)
+		})
 		switch {
 		case err == nil:
 			labels[v] = l

@@ -34,8 +34,9 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The scheme's labels share their level lists, the copies nothing.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel)} {
+	// The scheme's labels share their level lists, the copies nothing, and
+	// the factored ones read the ring's unsaturated levels off the rows.
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t)} {
 		q.Distance() // warm the pool and size the scratch
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, ok := q.Distance(); !ok {
@@ -75,8 +76,9 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 
 	// The scheme's labels share one edge list per level (an 8×8 grid is
 	// saturated throughout), so t's and the fault's are skipped; the deep
-	// copies share nothing and are all scanned.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel)} {
+	// copies share nothing and are all scanned; the factored ring labels
+	// leave their unsaturated levels to the level graphs' rows.
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t)} {
 		var tr Trace
 		dec.DistanceWithTrace(q, &tr)          // size the scratch
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
@@ -93,6 +95,27 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	if res := dec.DistanceRobust(q); !res.BudgetExhausted {
 		t.Errorf("budget %d did not cut the decode short: %+v", q.Budget, res)
 	}
+}
+
+// ringFactoredQuery is a query over labels a factored container hands
+// out — their balls and the level graphs — on a 256-vertex ring lattice,
+// whose lower levels are not saturated: s and t far apart, two vertex
+// faults between them.
+func ringFactoredQuery(t *testing.T) *Query {
+	t.Helper()
+	s, err := BuildScheme(ringLattice(t, 256), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := s.NewQuery(3, 131, graph.FaultVertices(60, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q = mapQuery(q, factoredLabels(t, s))
+	if q.S.HoldsEdges(0) {
+		t.Fatal("the ring's lowest level is saturated")
+	}
+	return q
 }
 
 // TestLabelExtractColdAllocs pins the cache-miss Label path: with the

@@ -180,14 +180,25 @@ func corpusLine(t *testing.T, dec *Decoder, c corpusCase) string {
 }
 
 // TestDecodeCorpusPR26 holds the decoder to the answers PR 26's gave on
-// the whole corpus, batch by batch on one held Decoder.
+// the whole corpus, batch by batch on one held Decoder — and once more
+// over the labels a factored container hands out (ballsOnlyLabels), which
+// must answer every line alike.
 func TestDecodeCorpusPR26(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	lines := []string{corpusHeader}
 	for _, cg := range corpusGraphs(t) {
+		cases := decodeCorpus(t, cg, rng)
 		dec := NewDecoder()
-		for _, c := range decodeCorpus(t, cg, rng) {
+		for _, c := range cases {
 			lines = append(lines, corpusLine(t, dec, c))
+		}
+		balls := ballsOnlyLabels(t, cg.s)
+		first := len(lines) - len(cases)
+		for i, c := range cases {
+			c.q, c.patches = mapQuery(c.q, balls), mapPatches(c.patches, balls)
+			if got := corpusLine(t, dec, c); got != lines[first+i] {
+				t.Errorf("over balls-only labels:\n got %s\nwant %s", got, lines[first+i])
+			}
 		}
 		dec.Release()
 	}

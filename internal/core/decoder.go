@@ -291,6 +291,12 @@ type decodeScratch struct {
 	// pid[i] is the dense id of the i-th point of the owner level whose
 	// edge list is being walked, -1 until an admitted edge needs it.
 	pid []int32
+	// ball and rowEdges read the edges of an owner level the label leaves
+	// to its level graphs (Label.levelEdges): the ball's position map and
+	// the list, off the level graph's rows. ball grows to one int32 per
+	// vertex of the graph on the first such level and stays that size.
+	ball     ballIndex
+	rowEdges []EdgeEntry
 	// mask holds the bit-parallel protected-ball membership of the
 	// current owner level: mask[i*W+w] has bit b set iff point i lies in
 	// PB_ℓ(center 64w+b), with W = ⌈centers/64⌉ words per point. An edge

@@ -231,12 +231,13 @@ func (sc *decodeScratch) emitPatches() {
 
 // scanCost is what scanOwners charges a Budget for owner o when nothing
 // is cut: every stored edge, and — unless o is itself forbidden — every
-// point its self edges are drawn from.
+// point its self edges are drawn from. A level left to the level graphs
+// is counted off their rows, not read into a list.
 func (sc *decodeScratch) scanCost(o *Label) (n int) {
 	oForbidden := containsSorted(sc.fvList, o.V)
 	for k := 0; k < sc.numLevels; k++ {
 		lv := &o.Levels[k]
-		n += len(lv.Edges)
+		n += o.levelEdgeCount(k, &sc.ball)
 		if oForbidden {
 			continue
 		}

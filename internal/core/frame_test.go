@@ -635,6 +635,17 @@ func TestFramedBatchAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b) }); allocs > 0 {
 		t.Errorf("framed batches, frame rebuilt for each: %g allocs/op, want 0", allocs)
 	}
+	// The same batches over the labels a factored container hands out.
+	balls := ballsOnlyLabels(t, s)
+	for i := range a {
+		a[i], b[i] = mapQuery(a[i], balls), mapQuery(b[i], balls)
+	}
+	patches = mapPatches(patches, balls)
+	batch(a)
+	batch(b)
+	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b) }); allocs > 0 {
+		t.Errorf("framed batches over balls-only labels: %g allocs/op, want 0", allocs)
+	}
 }
 
 // TestFrameSharedFaultLabelsRace runs two Decoders over the same fault

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"fsdl/internal/graph"
@@ -147,16 +148,21 @@ func fuzzSeedLabels(f *testing.F) (data [4][]byte, n [4]int) {
 // for another fault side and built again. sel picks the Opts every step
 // asks and the query's budget: bit 0 the walk, bit 1 the trace, bit 2 the
 // patch g–t (admitted, or rejected where g is a fault), bit 3 a budget of
-// 8 << (sel >> 5), bit 4 the shared frame of the first step's fault side
-// (matching that side, not the others). Nothing may panic, and every
-// answer must be a fresh Decoder's without the frame, and the reference's
-// on the query as demote leaves it — for a distance-only decode, within
-// the labels' bound. The strict Query.Distance refuses what fails
-// Validate, and before the labels were interned the first step answered
-// as after.
+// 8 << (2·(sel >> 6)) — 8, 32 or 128 cut the seeds' scans short, 512
+// covers them (they cost 348 under f, 439 under f and g) — bit 4 the
+// shared frame of the first step's fault side (matching that side, not the
+// others), bit 5 the balls-only run. Nothing
+// may panic, and every answer must be a fresh Decoder's without the frame,
+// and the reference's on the query as demote leaves it — for a
+// distance-only decode, within the labels' bound. The strict
+// Query.Distance refuses what fails Validate, and before the labels were
+// interned the first step answered as after. With bit 5 every step also
+// runs over balls-only labels of the seed's scheme (fuzzBallsOnly) on a
+// kept Decoder of its own, beside materialised copies of them on a fresh
+// one: δ, the Result, the walk and Query.Sketch's H must be equal.
 func FuzzDecode(f *testing.F) {
 	d, n := fuzzSeedLabels(f)
-	for _, sel := range []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x2b, 0xff} {
+	for _, sel := range []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b, 0x3c, 0x6d, 0x88, 0xc8, 0xe8, 0xff} {
 		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[3], n[3], sel)
 		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[2], n[2], sel) // equal content, another pointer
 	}
@@ -218,8 +224,17 @@ func fuzzDecodeBatch(t *testing.T, data [4][]byte, n [4]int, sel byte) {
 	underF, underG := []*Label{lf}, []*Label{lf, lg}
 	budget := 0
 	if sel&8 != 0 {
-		budget = 8 << (sel >> 5)
+		budget = 8 << (2 * (sel >> 6))
 	}
+	var balls, held func(*Label) *Label
+	if sel&32 != 0 {
+		var ok bool
+		if balls, held, ok = fuzzBallsOnly(t, labels); !ok {
+			balls = nil
+		}
+	}
+	var ballsDec Decoder
+	defer ballsDec.Release()
 	var patches []PatchEdge
 	if sel&4 != 0 {
 		patches = []PatchEdge{{U: lg, V: lt}}
@@ -295,6 +310,76 @@ func fuzzDecodeBatch(t *testing.T, data [4][]byte, n [4]int, sel byte) {
 		} else if res.OK {
 			t.Fatalf("%s: answered %+v where demote refuses", what, res)
 		}
+		if balls != nil {
+			checkBallsOnly(t, what, &ballsDec, q, patches, o.Path != nil, balls, held)
+		}
+	}
+}
+
+// fuzzBallsOnly maps the fuzz labels onto the seed scheme's level graphs:
+// balls returns the label LevelGraphs.Label materialises from a label's
+// balls — each saturated ball of an even level one point short, so that
+// the decode reads those levels off the rows beside the whole lists of the
+// others — and held a deep copy of that which holds every list. ok is
+// false when some label's balls do not pass LevelGraphs.Label.
+func fuzzBallsOnly(t *testing.T, labels [4]*Label) (balls, held func(*Label) *Label, ok bool) {
+	lg := fuzzGrid5().LevelGraphs()
+	b, h := make(map[*Label]*Label), make(map[*Label]*Label)
+	for _, l := range labels {
+		if b[l] != nil {
+			continue
+		}
+		ball := ballsOf(l)
+		if len(ball) != lg.Params().NumLevelRange() {
+			return nil, nil, false
+		}
+		for k, pts := range ball {
+			if k%2 == 0 && len(pts) > 1 && len(pts) == len(lg.NetPoints(k)) {
+				ball[k] = pts[:len(pts)-1]
+			}
+		}
+		m, err := lg.Label(l.V, ball)
+		if err != nil {
+			return nil, nil, false
+		}
+		b[l], h[l] = m, unsharedLabel(m)
+	}
+	lookup := func(m map[*Label]*Label) func(*Label) *Label {
+		return func(l *Label) *Label { return m[l] }
+	}
+	return lookup(b), lookup(h), true
+}
+
+// fuzzGrid5 is the scheme of the fuzz seeds' 5×5 grid.
+var fuzzGrid5 = sync.OnceValue(func() *Scheme {
+	s, err := BuildScheme(gridGraphF(5, 5), 2)
+	if err != nil {
+		panic(err)
+	}
+	return s
+})
+
+// checkBallsOnly decodes q over balls-only labels on dec, which the steps
+// keep, and over their materialised copies on a fresh Decoder: the Result,
+// the walk (with path) and the sketch must be the same.
+func checkBallsOnly(t *testing.T, what string, dec *Decoder, q *Query, patches []PatchEdge, path bool, balls, held func(*Label) *Label) {
+	t.Helper()
+	var fresh Decoder
+	defer fresh.Release()
+	bq, hq := mapQuery(q, balls), mapQuery(q, held)
+	o, ho := Opts{Patches: mapPatches(patches, balls)}, Opts{Patches: mapPatches(patches, held)}
+	var walk, hwalk []int32
+	if path {
+		o.Path, ho.Path = &walk, &hwalk
+	}
+	res, hres := dec.Decode(bq, o), fresh.Decode(hq, ho)
+	if !reflect.DeepEqual(res, hres) || !slices.Equal(walk, hwalk) {
+		t.Fatalf("%s: over balls-only labels %+v %v, over materialised ones %+v %v", what, res, walk, hres, hwalk)
+	}
+	sk, err := bq.Sketch()
+	hsk, herr := hq.Sketch()
+	if (err == nil) != (herr == nil) || !reflect.DeepEqual(sk, hsk) {
+		t.Fatalf("%s: balls-only sketch %d edges (%v), materialised %d (%v)", what, len(sk), err, len(hsk), herr)
 	}
 }
 
@@ -386,7 +471,7 @@ func FuzzLoadScheme(f *testing.F) {
 					}
 				}
 			}
-			l, err := lg.Label(int32(v), balls, nil)
+			l, err := lg.Label(int32(v), balls)
 			if err != nil {
 				t.Fatalf("saturated balls of vertex %d refused: %v", v, err)
 			}

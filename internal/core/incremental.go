@@ -221,7 +221,7 @@ func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers 
 			}
 			off[v+1] = int64(len(entries))
 		}
-		sl.off, sl.entries = off, entries
+		sl.setRows(off, entries)
 		stats.RowsChanged += len(changedRows[li])
 	}
 	stats.RowsTotal = len(tasks)

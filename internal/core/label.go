@@ -29,6 +29,13 @@ import (
 // backing arrays too: Levels[k].Edges may be one array that many labels
 // hold (a scheme's saturated levels, a store's or frontend's interned
 // lists — see LevelTable), so writing through it rewrites all of them.
+//
+// A label materialised from its balls (LevelGraphs.Label: what a factored
+// store or a cluster frontend parses) holds only what its record encodes:
+// its points, a saturated level's one shared list, and the level graphs
+// the rest of its edges are read from. Read edges through LevelEdges,
+// which induces such a level's list on demand; Levels[k].Edges is nil
+// there.
 type Label struct {
 	// V is the labeled vertex.
 	V int32
@@ -49,6 +56,9 @@ type Label struct {
 	// read and written atomically. A plain word rather than an atomic
 	// type so that a Label value stays copyable.
 	validated uint32
+	// graphs, set on a label materialised from its balls, induces the
+	// levels whose Edges it leaves nil.
+	graphs *LevelGraphs
 }
 
 // LevelLabel is the per-level slice of a label.
@@ -59,6 +69,10 @@ type LevelLabel struct {
 	// Edges lists the short edges between points: indices into Points and
 	// the exact distance D = d_G(x,y) ≤ λ_ℓ (D = 1 at the lowest level,
 	// where edges are original graph edges).
+	//
+	// Read it through Label.LevelEdges, not directly: on a label
+	// materialised from its balls (LevelGraphs.Label) it is nil on every
+	// level that is not saturated, and LevelEdges induces the list there.
 	Edges []EdgeEntry
 }
 
@@ -120,10 +134,55 @@ func (l *Label) NumPoints() int {
 // NumEdges returns the total number of edge entries across levels.
 func (l *Label) NumEdges() int {
 	total := 0
-	for _, lv := range l.Levels {
-		total += len(lv.Edges)
+	var buf []EdgeEntry
+	for k := range l.Levels {
+		total += len(l.LevelEdges(k, &buf))
 	}
 	return total
+}
+
+// HoldsEdges reports whether the label holds the edge list of level index
+// k itself — false for a level of a label materialised from its balls
+// that is not saturated, whose list LevelEdges induces.
+func (l *Label) HoldsEdges(k int) bool {
+	return l.graphs == nil || l.Levels[k].Edges != nil
+}
+
+// LevelEdges returns the edge list of level index k: the label's own
+// (HoldsEdges), or the one its level graphs induce on the level's ball,
+// read into *buf (grown as needed and stored back; a nil buf allocates).
+// The result must not be modified; an induced one is valid until *buf is
+// reused.
+func (l *Label) LevelEdges(k int, buf *[]EdgeEntry) []EdgeEntry {
+	if l.HoldsEdges(k) {
+		return l.Levels[k].Edges
+	}
+	if buf == nil {
+		buf = new([]EdgeEntry)
+	}
+	idx := l.graphs.balls.Get().(*ballIndex)
+	edges := l.levelEdges(k, idx, buf)
+	l.graphs.balls.Put(idx)
+	return edges
+}
+
+// levelEdges is LevelEdges with a position map the caller keeps (the
+// decoder's scratch has its own) instead of one from the level graphs'
+// pool.
+func (l *Label) levelEdges(k int, idx *ballIndex, buf *[]EdgeEntry) []EdgeEntry {
+	if l.HoldsEdges(k) {
+		return l.Levels[k].Edges
+	}
+	*buf = l.graphs.inducedEdges(k, l.Levels[k].Points, idx, (*buf)[:0])
+	return *buf
+}
+
+// levelEdgeCount is len(levelEdges(k, idx, …)) without building the list.
+func (l *Label) levelEdgeCount(k int, idx *ballIndex) int {
+	if l.HoldsEdges(k) {
+		return len(l.Levels[k].Edges)
+	}
+	return l.graphs.inducedEdgeCount(k, l.Levels[k].Points, idx)
 }
 
 // Validate checks the structural invariants a well-formed label satisfies:
@@ -159,6 +218,7 @@ func (l *Label) validate() error {
 	if l.RShrink < 0 || l.RShrink > 32 {
 		return fmt.Errorf("core: label r-shrink %d out of range", l.RShrink)
 	}
+	var buf []EdgeEntry
 	for k := range l.Levels {
 		level := l.Level(k)
 		lv := &l.Levels[k]
@@ -182,7 +242,7 @@ func (l *Label) validate() error {
 		if level == l.C+1 {
 			maxEdgeLen = 1 // lowest level stores original unit edges
 		}
-		for i, e := range lv.Edges {
+		for i, e := range l.LevelEdges(k, &buf) {
 			if e.XI < 0 || e.YI < 0 || int(e.XI) >= len(lv.Points) || int(e.YI) >= len(lv.Points) {
 				return fmt.Errorf("core: level %d edge %d index out of range", level, i)
 			}
@@ -199,16 +259,38 @@ func (l *Label) validate() error {
 }
 
 // extractScratch pools the per-extraction transients: the O(n) BFS state,
-// the ball-membership index (an open-addressing i32map, same style as
-// decodeScratch), and staging buffers for points and edges. All of them
-// grow to the largest label seen and are reused, so a cold extraction
-// allocates only the exact-size slices retained by the returned Label —
-// no per-level map, no append-doubling garbage.
+// the ball's position map, and staging buffers for points and edges. All
+// of them grow to the largest label seen and are reused, so a cold
+// extraction allocates only the exact-size slices retained by the returned
+// Label — no per-level map, no append-doubling garbage.
 type extractScratch struct {
 	bfs    *graph.BFSScratch
-	inBall i32map // vertex -> index in the sorted point list
+	inBall ballIndex
 	pts    []PointEntry
 	edges  []EdgeEntry
+}
+
+// ballIndex is a dense vertex → position map over the points of one ball:
+// pos[x] is i+1 for the i-th point, 0 for a vertex outside the ball. Every
+// use sets it for one ball and clears it again (inducedEdges), so it is
+// all zeros between balls and a position never outlives its ball.
+type ballIndex struct {
+	pos []int32
+}
+
+func (b *ballIndex) set(pts []PointEntry, n int) {
+	if len(b.pos) < n {
+		b.pos = make([]int32, n)
+	}
+	for i, pe := range pts {
+		b.pos[pe.X] = int32(i) + 1
+	}
+}
+
+func (b *ballIndex) clear(pts []PointEntry) {
+	for _, pe := range pts {
+		b.pos[pe.X] = 0
+	}
 }
 
 func newExtractScratch(n int) *extractScratch {
@@ -232,7 +314,7 @@ func (st *LevelGraphs) extractLabel(v int, sc *extractScratch) *Label {
 			}
 		})
 		slices.SortFunc(pts, func(a, b PointEntry) int { return cmp.Compare(a.X, b.X) })
-		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: st.induce(k, pts, sc, nil)}
+		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: st.induce(k, pts, sc)}
 		sc.pts = pts[:0]
 	}
 	return l
@@ -252,20 +334,21 @@ func (st *LevelGraphs) newLabel(v int32) *Label {
 
 // Label materialises the label of v from its balls: balls[k] lists the
 // net points of level index k within r_ℓ of v, ascending by id, with
-// their distances from v. It is extractLabel minus the searches — the
-// same induce builds every level — so for the balls a scheme's
-// extraction finds it returns the label that extraction returns; the
-// level edge lists that are not the level's whole list go through t
-// (nil: private copies). The balls come from outside (a container's
-// records) and are checked here for everything Validate checks in
-// points plus what induce relies on: every id in range, strictly
-// ascending and a net point of its level. The label takes ownership of
-// the ball slices.
+// their distances from v. The label is its balls: it keeps the points, a
+// saturated level's edge list — the level's one whole list, which every
+// label from these level graphs shares (wholeEdges) — and the level
+// graphs, off whose rows LevelEdges and the decoder read every other
+// level's edges. Those are the edges extractLabel induces, so for the
+// balls a scheme's extraction finds it is that label, less the private
+// lists. The balls come from outside (a container's records) and are
+// checked here for everything Validate checks in points plus what the
+// row walk relies on: every id in range, strictly ascending and a net
+// point of its level. The label takes ownership of the ball slices.
 //
 // The edges need no such walk: they are read off rows that
 // LoadLevelGraphs checked once (or a scheme built), between points
 // checked here, so the label is returned validated.
-func (st *LevelGraphs) Label(v int32, balls [][]PointEntry, t *LevelTable) (*Label, error) {
+func (st *LevelGraphs) Label(v int32, balls [][]PointEntry) (*Label, error) {
 	if v < 0 || int(v) >= len(st.netLevel) {
 		return nil, fmt.Errorf("core: vertex %d outside the level graphs' [0,%d)", v, len(st.netLevel))
 	}
@@ -286,15 +369,14 @@ func (st *LevelGraphs) Label(v int32, balls [][]PointEntry, t *LevelTable) (*Lab
 			}
 		}
 	}
-	sc, _ := st.scratch.Get().(*extractScratch)
-	if sc == nil {
-		sc = new(extractScratch)
-	}
 	l := st.newLabel(v)
 	for k, pts := range balls {
-		l.Levels[k] = LevelLabel{Points: pts, Edges: st.induce(k, pts, sc, t)}
+		l.Levels[k].Points = pts
+		if len(pts) == len(st.levels[k].members) {
+			l.Levels[k].Edges = st.wholeEdges(k)
+		}
 	}
-	st.scratch.Put(sc)
+	l.graphs = st
 	l.validated = 1
 	return l, nil
 }
@@ -304,49 +386,94 @@ func (st *LevelGraphs) Label(v int32, balls [][]PointEntry, t *LevelTable) (*Lab
 // net point of the level is in it — induces the whole level graph, which
 // is the same list for every such vertex: the label takes the one copy
 // (wholeEdges), pointer-identical across every label induced from these
-// level graphs. Any other ball gets inducedEdges, as a private copy or,
-// with a table, the table's.
-func (st *LevelGraphs) induce(k int, pts []PointEntry, sc *extractScratch, t *LevelTable) []EdgeEntry {
+// level graphs. Any other ball gets inducedEdges as a private copy.
+func (st *LevelGraphs) induce(k int, pts []PointEntry, sc *extractScratch) []EdgeEntry {
 	if len(pts) == len(st.levels[k].members) {
 		return st.wholeEdges(k)
 	}
 	sc.edges = st.inducedEdges(k, pts, &sc.inBall, sc.edges[:0])
-	if t == nil || len(sc.edges) == 0 {
-		return exactCopy(sc.edges)
-	}
-	return t.intern(hashLevel(k, pts, sc.edges), k, len(st.levels), pts, sc.edges, true)
+	return exactCopy(sc.edges)
 }
 
 // inducedEdges appends to edges the level-k edges between the points of
-// pts (ascending by X), as indices into pts: the store's net-graph rows
-// or, at the lowest level, the original graph's adjacency, restricted to
-// the ball. inBall is scratch for the vertex → index map.
-func (st *LevelGraphs) inducedEdges(k int, pts []PointEntry, inBall *i32map, edges []EdgeEntry) []EdgeEntry {
-	inBall.reset()
-	for i, pe := range pts {
-		inBall.getOrPut(pe.X, int32(i))
+// pts (ascending by X), as indices into pts, in (XI, YI) order: for each
+// point x, the forward half of its row — the entries y > x of the store's
+// net-graph row or, at the lowest level, of the original graph's
+// adjacency, both ascending by id, up to the ball's last point — kept
+// where y is in the ball. idx is the position map, set for the ball and
+// cleared again before returning.
+func (st *LevelGraphs) inducedEdges(k int, pts []PointEntry, idx *ballIndex, edges []EdgeEntry) []EdgeEntry {
+	if len(pts) == 0 {
+		return edges
 	}
+	idx.set(pts, len(st.netLevel))
+	pos, last := idx.pos, pts[len(pts)-1].X
 	if k == 0 {
 		for i, pe := range pts {
-			for _, w := range st.g.Neighbors(int(pe.X)) {
-				j, ok := inBall.lookup(w)
-				if ok && int32(i) < j {
-					edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: 1})
+			nb := st.g.Neighbors(int(pe.X))
+			for len(nb) > 0 && nb[0] < pe.X {
+				nb = nb[1:]
+			}
+			for _, w := range nb {
+				if w > last {
+					break
+				}
+				if j := pos[w]; j != 0 {
+					edges = append(edges, EdgeEntry{XI: int32(i), YI: j - 1, D: 1})
 				}
 			}
 		}
-		return edges
-	}
-	sl := &st.levels[k]
-	for i, pe := range pts {
-		for _, nb := range sl.row(pe.X) {
-			j, ok := inBall.lookup(nb.x)
-			if ok && int32(i) < j {
-				edges = append(edges, EdgeEntry{XI: int32(i), YI: j, D: nb.d})
+	} else {
+		sl := &st.levels[k]
+		for i, pe := range pts {
+			for _, nb := range sl.forwardRow(pe.X) {
+				if nb.x > last {
+					break
+				}
+				if j := pos[nb.x]; j != 0 {
+					edges = append(edges, EdgeEntry{XI: int32(i), YI: j - 1, D: nb.d})
+				}
 			}
 		}
 	}
+	idx.clear(pts)
 	return edges
+}
+
+// inducedEdgeCount is len(inducedEdges(k, pts, idx, nil)): the same walk
+// of the forward rows, counting the entries it would keep.
+func (st *LevelGraphs) inducedEdgeCount(k int, pts []PointEntry, idx *ballIndex) (n int) {
+	if len(pts) == 0 {
+		return 0
+	}
+	idx.set(pts, len(st.netLevel))
+	pos, last := idx.pos, pts[len(pts)-1].X
+	if k == 0 {
+		for _, pe := range pts {
+			for _, w := range st.g.Neighbors(int(pe.X)) {
+				if w > last {
+					break
+				}
+				if w > pe.X && pos[w] != 0 {
+					n++
+				}
+			}
+		}
+	} else {
+		sl := &st.levels[k]
+		for _, pe := range pts {
+			for _, nb := range sl.forwardRow(pe.X) {
+				if nb.x > last {
+					break
+				}
+				if pos[nb.x] != 0 {
+					n++
+				}
+			}
+		}
+	}
+	idx.clear(pts)
+	return n
 }
 
 // wholeEdges returns the edge list of level index k induced on all of the
@@ -365,8 +492,8 @@ func (st *LevelGraphs) wholeEdges(k int) []EdgeEntry {
 		if k > 0 {
 			size = len(st.levels[k].entries) / 2
 		}
-		var inBall i32map
-		if edges := st.inducedEdges(k, pts, &inBall, make([]EdgeEntry, 0, size)); len(edges) > 0 {
+		var idx ballIndex
+		if edges := st.inducedEdges(k, pts, &idx, make([]EdgeEntry, 0, size)); len(edges) > 0 {
 			w.edges = edges
 		}
 	})
@@ -397,7 +524,8 @@ func (l *Label) Encode() ([]byte, int) {
 	w.WriteUvarint(uint64(l.C))
 	w.WriteUvarint(uint64(l.MaxLevel))
 	w.WriteUvarint(uint64(l.RShrink))
-	for _, lv := range l.Levels {
+	var buf []EdgeEntry
+	for k, lv := range l.Levels {
 		w.WriteDelta(uint64(len(lv.Points)))
 		prev := int64(-1)
 		for _, pe := range lv.Points {
@@ -405,9 +533,10 @@ func (l *Label) Encode() ([]byte, int) {
 			prev = int64(pe.X)
 			w.WriteGamma(uint64(pe.D))
 		}
-		w.WriteDelta(uint64(len(lv.Edges)))
+		edges := l.LevelEdges(k, &buf)
+		w.WriteDelta(uint64(len(edges)))
 		var prevXI, prevYI int64
-		for _, e := range lv.Edges {
+		for _, e := range edges {
 			// Edges are sorted by (XI, YI); gap-code XI and, within a run
 			// of equal XI, gap-code YI.
 			dx := int64(e.XI) - prevXI

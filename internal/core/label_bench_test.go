@@ -88,7 +88,7 @@ func BenchmarkLabelFromBalls(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l, err := lg.Label(24*12+12, balls, nil)
+		l, err := lg.Label(24*12+12, balls)
 		if err != nil {
 			b.Fatal(err)
 		}

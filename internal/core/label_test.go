@@ -65,13 +65,49 @@ func randomConnected(t testing.TB, n, extra int, rng *rand.Rand) *graph.Graph {
 // small graph against a direct implementation of the paper's definitions:
 // points are exactly N_{ℓ-c-1} ∩ B(v, r_ℓ) with exact distances, edges at
 // the lowest level are exactly the graph edges inside the ball, and edges
-// at higher levels are exactly the point pairs at distance ≤ λ_ℓ.
+// at higher levels are exactly the point pairs at distance ≤ λ_ℓ — for
+// the scheme's labels, and through LevelEdges for the labels a factored
+// container materialises from their balls. Shrunk radii (the ablation
+// knob) leave a grid's and a random graph's net levels unsaturated, their
+// balls no id range, so rows run past the ball between its points.
 func TestLabelContentAgainstBruteForce(t *testing.T) {
-	g := gridGraph(t, 7, 6)
-	s, err := BuildScheme(g, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name    string
+		g       *graph.Graph
+		rShrink int
+	}{
+		{"grid7x6", gridGraph(t, 7, 6), 0},
+		{"rand90/r>>1", randomConnected(t, 90, 60, rand.New(rand.NewSource(3))), 1},
+		{"grid20x20/shuffled/r>>2", shuffledGrid(t, 20, 20, rand.New(rand.NewSource(4))), 2},
+	} {
+		s, err := BuildSchemeAblated(tc.g, 2, tc.rShrink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkLabelsAgainstBruteForce(t, tc.name, tc.g, s)
 	}
+}
+
+// shuffledGrid is the w×h grid under a random renumbering of its
+// vertices, so that no ball is a range of ids.
+func shuffledGrid(t testing.TB, w, h int, rng *rand.Rand) *graph.Graph {
+	t.Helper()
+	id := rng.Perm(w * h)
+	b := graph.NewBuilder(w * h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			if x+1 < w {
+				b.AddEdge(id[y*w+x], id[y*w+x+1])
+			}
+			if y+1 < h {
+				b.AddEdge(id[y*w+x], id[(y+1)*w+x])
+			}
+		}
+	}
+	return b.MustBuild()
+}
+
+func checkLabelsAgainstBruteForce(t *testing.T, name string, g *graph.Graph, s *Scheme) {
 	p := s.Params()
 	h := s.Hierarchy()
 	n := g.NumVertices()
@@ -79,12 +115,19 @@ func TestLabelContentAgainstBruteForce(t *testing.T) {
 	for v := 0; v < n; v++ {
 		allDist[v] = g.BFS(v)
 	}
+	factored := factoredLabels(t, s)
+	unsaturated := make([]int, p.NumLevelRange())
+	var idx ballIndex
 	for v := 0; v < n; v++ {
 		l := s.Label(v)
 		if l.V != int32(v) || l.C != p.C || l.MaxLevel != p.MaxLevel {
-			t.Fatalf("label header mismatch for %d", v)
+			t.Fatalf("%s: label header mismatch for %d", name, v)
 		}
+		fl := factored(l)
 		for k := range l.Levels {
+			if !fl.HoldsEdges(k) {
+				unsaturated[k]++
+			}
 			level := l.Level(k)
 			netLvl := clampNetLevel(h, p.NetLevel(level))
 			r := p.R(level)
@@ -98,12 +141,12 @@ func TestLabelContentAgainstBruteForce(t *testing.T) {
 			}
 			got := l.Levels[k]
 			if len(got.Points) != len(wantPts) {
-				t.Fatalf("v=%d level %d: %d points, want %d", v, level, len(got.Points), len(wantPts))
+				t.Fatalf("%s: v=%d level %d: %d points, want %d", name, v, level, len(got.Points), len(wantPts))
 			}
 			for _, pe := range got.Points {
 				if wantPts[pe.X] != pe.D {
-					t.Fatalf("v=%d level %d point %d: dist %d, want %d",
-						v, level, pe.X, pe.D, wantPts[pe.X])
+					t.Fatalf("%s: v=%d level %d point %d: dist %d, want %d",
+						name, v, level, pe.X, pe.D, wantPts[pe.X])
 				}
 			}
 			// Expected edges.
@@ -127,20 +170,28 @@ func TestLabelContentAgainstBruteForce(t *testing.T) {
 					}
 				}
 			}
-			if len(got.Edges) != len(wantEdges) {
-				t.Fatalf("v=%d level %d: %d edges, want %d", v, level, len(got.Edges), len(wantEdges))
+			for what, edges := range map[string][]EdgeEntry{"extracted": got.Edges, "factored": fl.LevelEdges(k, nil)} {
+				if len(edges) != len(wantEdges) {
+					t.Fatalf("%s: v=%d level %d: %d %s edges, want %d", name, v, level, len(edges), what, len(wantEdges))
+				}
+				for _, e := range edges {
+					x, y := got.Points[e.XI].X, got.Points[e.YI].X
+					if x > y {
+						x, y = y, x
+					}
+					if wantEdges[[2]int32{x, y}] != e.D {
+						t.Fatalf("%s: v=%d level %d %s edge (%d,%d): dist %d, want %d",
+							name, v, level, what, x, y, e.D, wantEdges[[2]int32{x, y}])
+					}
+				}
 			}
-			for _, e := range got.Edges {
-				x, y := got.Points[e.XI].X, got.Points[e.YI].X
-				if x > y {
-					x, y = y, x
-				}
-				if wantEdges[[2]int32{x, y}] != e.D {
-					t.Fatalf("v=%d level %d edge (%d,%d): dist %d, want %d",
-						v, level, x, y, e.D, wantEdges[[2]int32{x, y}])
-				}
+			if n := fl.levelEdgeCount(k, &idx); n != len(wantEdges) {
+				t.Fatalf("%s: v=%d level %d: the factored label counts %d edges, want %d", name, v, level, n, len(wantEdges))
 			}
 		}
+	}
+	if net := unsaturated[1:]; p.RShrink > 0 && slices.Max(net) == 0 {
+		t.Errorf("%s: every net-level ball saturated (%v unsaturated per level)", name, unsaturated)
 	}
 }
 

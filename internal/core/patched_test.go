@@ -680,10 +680,16 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 			chords = append(chords, [2]int{5 + 7*i, 118 + 5*i})
 		}
 		patches := r.patches(chords...)
-		if k == 4 {
+		switch k {
+		case 4:
 			// Once over private copies: the scheme's labels share their
 			// saturated upper levels, these share nothing.
 			q, patches = mapQuery(q, unsharedLabel), mapPatches(patches, unsharedLabel)
+		case 16:
+			// Once over the labels a factored container hands out: the
+			// ring's lower levels are read off the level graphs' rows.
+			balls := ballsOnlyLabels(t, r.s)
+			q, patches = mapQuery(q, balls), mapPatches(patches, balls)
 		}
 		run := func() {
 			res, path := dec.DistanceRobustPatchedPath(q, patches, buf[:0])

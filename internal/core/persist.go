@@ -256,7 +256,7 @@ func LoadLevelGraphs(data []byte) (*LevelGraphs, error) {
 			}
 			off[v+1] = int64(len(entries))
 		}
-		sl.off, sl.entries = off, entries[:len(entries):len(entries)]
+		sl.setRows(off, entries[:len(entries):len(entries)])
 		slab = slab[:len(slab)+len(entries)]
 	}
 	if r.rest() != 0 {

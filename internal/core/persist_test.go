@@ -363,7 +363,7 @@ func TestLoadLevelGraphsRejectsHostileInput(t *testing.T) {
 						balls[k] = append(balls[k], PointEntry{X: x})
 					}
 				}
-				if l, err := lg.Label(int32(v), balls, nil); err == nil {
+				if l, err := lg.Label(int32(v), balls); err == nil {
 					if err := l.validate(); err != nil {
 						t.Errorf("%s: accepted, and vertex %d's label fails Validate: %v", name, v, err)
 						break
@@ -403,7 +403,7 @@ func TestLabelFromBallsRejectsHostileBalls(t *testing.T) {
 	lg := s.LevelGraphs()
 	const v, k = 17, 1
 	good := s.Label(v)
-	if _, err := lg.Label(v, ballsOf(good), nil); err != nil {
+	if _, err := lg.Label(v, ballsOf(good)); err != nil {
 		t.Fatalf("the label's own balls: %v", err)
 	}
 	outsider := int32(slices.IndexFunc(lg.netLevel, func(l int32) bool { return l < lg.levels[k].netLvl }))
@@ -430,11 +430,11 @@ func TestLabelFromBallsRejectsHostileBalls(t *testing.T) {
 		},
 	}
 	for name, bend := range cases {
-		if l, err := lg.Label(v, bend(ballsOf(good)), nil); err == nil {
+		if l, err := lg.Label(v, bend(ballsOf(good))); err == nil {
 			t.Errorf("%s: accepted (validate says %v)", name, l.validate())
 		}
 	}
-	if _, err := lg.Label(40, ballsOf(good), nil); err == nil {
+	if _, err := lg.Label(40, ballsOf(good)); err == nil {
 		t.Error("vertex past n accepted")
 	}
 }

@@ -181,8 +181,9 @@ type Trace struct {
 	PathWeights []int64
 	// SharedLevelsSkipped counts the owner levels whose edge list the
 	// decoder did not walk because an identical list — the same interned
-	// array over the same net points (LevelTable) — had been scanned for
-	// an earlier owner. Their candidates are tallied above as if scanned:
+	// array over the same net points (LevelTable), or the same level
+	// graphs over the same points for a list a label leaves to them — had
+	// been scanned for an earlier owner. Their candidates are tallied above as if scanned:
 	// this is the only field that tells shared labels from private ones.
 	SharedLevelsSkipped int
 	// FrameReused reports that the fault and patch owners were not scanned
@@ -639,6 +640,13 @@ func (sc *decodeScratch) ompbRows(owners []*Label) {
 // scanned (seenBefore) and not walked; the sketch, the walk, exhausted
 // and the trace come out the same.
 //
+// A level the owner's label leaves to its level graphs (a label
+// materialised from its balls) is read off the level graph's rows
+// (levelEdges) in the stored (XI, YI) order and walked like any other
+// list. It has no array to be recognised by: the same level graphs over
+// the same point ids are the same list (seenInduced), so an earlier full
+// walk of it is found before it is read at all.
+//
 // The level edge lists of owner late are not walked, nor recorded as
 // walked; the owners' self edges are walked only with selfEdges.
 func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, selfEdges bool) (exhausted bool) {
@@ -654,18 +662,35 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			lv := &o.Levels[k]
 			pts := lv.Points
 			before := len(cands)
-			edges := lv.Edges
-			if o == late {
-				edges = nil
+			// first is an earlier scan of this very list; one the label
+			// leaves to its level graphs is looked for before it is read
+			// off their rows.
+			var edges []EdgeEntry
+			var first *scannedList
+			induced, cut := o != late && !o.HoldsEdges(k), false
+			switch {
+			case o == late:
+			case !induced:
+				edges = lv.Edges
+			default:
+				if first = sc.seenInduced(k, o.graphs, pts, room); first == nil {
+					edges = o.levelEdges(k, &sc.ball, &sc.rowEdges)
+				}
 			}
 			if len(edges) > room {
-				edges, exhausted = edges[:room], true
+				edges, exhausted, cut = edges[:room], true, true
+			}
+			if !induced {
+				first = sc.seenBefore(k, pts, edges)
 			}
 			scanned := len(edges)
+			if first != nil {
+				scanned = first.n
+			}
 			// reused counts the candidates an earlier scan of this very
 			// list admitted; a list walked now numbers its points in pid.
 			// The masks serve a list walked now and self edges.
-			first, reused := sc.seenBefore(k, pts, edges), 0
+			reused := 0
 			self := selfEdges && !oForbidden
 			forb := sc.fillForb(pts)
 			var msk []uint64
@@ -746,8 +771,12 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			}
-			if first == nil && len(edges) > 0 {
-				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, admitted: len(cands) - before})
+			switch {
+			case first != nil || len(edges) == 0:
+			case !induced:
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, n: len(edges), admitted: len(cands) - before})
+			case !cut:
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, graphs: o.graphs, n: len(edges), admitted: len(cands) - before})
 			}
 
 			// Edges from the labeled vertex itself to nearby points
@@ -874,17 +903,20 @@ func (sc *decodeScratch) vertexID(v int32) int32 {
 
 // scannedList is an owner level's edge list as scanOwners walked it —
 // after the budget cut, so a truncated walk only ever matches the same
-// truncation — with the points its indices refer to and the number of
-// candidates the walk admitted.
+// truncation — with the points its indices refer to, its n edges and the
+// number of candidates the walk admitted. A list a label holds is known
+// by its array (edges); one read off the rows of level graphs, walked in
+// full, by those level graphs (graphs) and its points.
 type scannedList struct {
-	pts      []PointEntry
-	edges    []EdgeEntry
-	admitted int
+	pts         []PointEntry
+	edges       []EdgeEntry
+	graphs      *LevelGraphs
+	n, admitted int
 }
 
-// seenBefore returns the earlier scan at level index k of this same edge
-// list, by this pass or by the run beside it: the same backing array and
-// length, over points with the same ids. Identity, not equality —
+// seenBefore returns the earlier scan at level index k of this same held
+// edge list, by this pass or by the run beside it: the same backing array
+// and length, over points with the same ids. Identity, not equality —
 // comparing contents would touch the very memory the skip exists to leave
 // alone — but the ids are compared one by one, because two hand-built
 // labels may alias one Edges array over different points.
@@ -892,6 +924,21 @@ func (sc *decodeScratch) seenBefore(k int, pts []PointEntry, edges []EdgeEntry) 
 	if len(edges) == 0 {
 		return nil
 	}
+	return sc.findScanned(k, pts, func(s *scannedList) bool {
+		return len(s.edges) == len(edges) && &s.edges[0] == &edges[0]
+	})
+}
+
+// seenInduced returns the earlier full scan at level index k of the list
+// graphs induce on the points pts, when a walk within room would not be
+// cut: the same level graphs and point ids make the same list.
+func (sc *decodeScratch) seenInduced(k int, graphs *LevelGraphs, pts []PointEntry, room int) *scannedList {
+	return sc.findScanned(k, pts, func(s *scannedList) bool { return s.graphs == graphs && s.n <= room })
+}
+
+// findScanned returns the first scan at level index k, by this pass or
+// the run beside it, over points with the ids of pts that same accepts.
+func (sc *decodeScratch) findScanned(k int, pts []PointEntry, same func(*scannedList) bool) *scannedList {
 	for _, p := range [2]*scanPass{&sc.scanPass, sc.beside} {
 		if p == nil {
 			break
@@ -899,7 +946,7 @@ func (sc *decodeScratch) seenBefore(k int, pts []PointEntry, edges []EdgeEntry) 
 	next:
 		for i := range p.scanned[k] {
 			s := &p.scanned[k][i]
-			if &s.edges[0] != &edges[0] || len(s.edges) != len(edges) || len(s.pts) != len(pts) {
+			if len(s.pts) != len(pts) || !same(s) {
 				continue
 			}
 			for j := range pts {

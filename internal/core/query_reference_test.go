@@ -262,9 +262,10 @@ func referenceScan(q *Query, tr *Trace, patches []PatchEdge) (cands []refCand, e
 		for k := 0; k < numLevels; k++ {
 			level := lowest + k
 			lv := &o.Levels[k]
+			edges := o.LevelEdges(k, nil)
 			lambda := lambdaOf(level)
 			if level == lowest {
-				for _, e := range lv.Edges {
+				for _, e := range edges {
 					if !allow() {
 						break
 					}
@@ -276,7 +277,7 @@ func referenceScan(q *Query, tr *Trace, patches []PatchEdge) (cands []refCand, e
 					admit(x, y, int64(e.D), level, false)
 				}
 			} else {
-				for _, e := range lv.Edges {
+				for _, e := range edges {
 					if !allow() {
 						break
 					}
@@ -522,8 +523,10 @@ func referenceCorpus(t *testing.T, s *Scheme, g *graph.Graph, rng *rand.Rand) []
 
 // factoredLabels returns the read path of a factored container minus its
 // bit codec: the scheme's level graphs decoded from their encoding, and
-// a label rebuilt from nothing but its balls (LevelGraphs.Label, no
-// table). For a label the scheme extracted the result must be that label.
+// a label rebuilt from nothing but its balls (LevelGraphs.Label). For a
+// label the scheme extracted the result must be that label: the same
+// points, and through LevelEdges the same edges, of which it holds only
+// a saturated level's.
 func factoredLabels(t testing.TB, s *Scheme) func(*Label) *Label {
 	t.Helper()
 	lg, err := LoadLevelGraphs(s.LevelGraphs().Encode())
@@ -534,7 +537,7 @@ func factoredLabels(t testing.TB, s *Scheme) func(*Label) *Label {
 		if l == nil {
 			return nil
 		}
-		m, err := lg.Label(l.V, ballsOf(l), nil)
+		m, err := lg.Label(l.V, ballsOf(l))
 		if err != nil {
 			t.Fatalf("label of %d from its balls: %v", l.V, err)
 		}
@@ -543,24 +546,47 @@ func factoredLabels(t testing.TB, s *Scheme) func(*Label) *Label {
 		}
 		want := s.Label(int(l.V))
 		for k := range want.Levels {
-			if !slices.Equal(m.Levels[k].Points, want.Levels[k].Points) || !slices.Equal(m.Levels[k].Edges, want.Levels[k].Edges) {
+			if !slices.Equal(m.Levels[k].Points, want.Levels[k].Points) || !slices.Equal(m.LevelEdges(k, nil), want.Levels[k].Edges) {
 				t.Fatalf("label of %d from its balls differs from the extracted label at level index %d", l.V, k)
+			}
+			if saturated := len(m.Levels[k].Points) == len(lg.NetPoints(k)); m.HoldsEdges(k) != (saturated && len(want.Levels[k].Edges) > 0) {
+				t.Fatalf("label of %d from its balls: level index %d holds its edges %v, saturated %v", l.V, k, m.HoldsEdges(k), saturated)
 			}
 		}
 		return m
 	}
 }
 
-// unsharedLabel returns a deep copy of l: equal content, no backing
-// array in common with l or with any other label.
+// ballsOnlyLabels is factoredLabels keeping one label per label it is
+// given, so that a batch's fault labels stay the same pointers and frame;
+// a label cut with other parameters than the scheme's passes as it is.
+func ballsOnlyLabels(t testing.TB, s *Scheme) func(*Label) *Label {
+	factored := factoredLabels(t, s)
+	memo := make(map[*Label]*Label)
+	return func(l *Label) *Label {
+		if l == nil || l.C != s.params.C || l.MaxLevel != s.params.MaxLevel || l.RShrink != s.params.RShrink {
+			return l
+		}
+		if m, ok := memo[l]; ok {
+			return m
+		}
+		m := factored(l)
+		memo[l] = m
+		return m
+	}
+}
+
+// unsharedLabel returns a deep copy of l: equal content, every edge list
+// held, no backing array in common with l or with any other label.
 func unsharedLabel(l *Label) *Label {
 	if l == nil {
 		return nil
 	}
 	c := *l
+	c.graphs = nil
 	c.Levels = make([]LevelLabel, len(l.Levels))
 	for k, lv := range l.Levels {
-		c.Levels[k] = LevelLabel{Points: slices.Clone(lv.Points), Edges: slices.Clone(lv.Edges)}
+		c.Levels[k] = LevelLabel{Points: slices.Clone(lv.Points), Edges: slices.Clone(l.LevelEdges(k, nil))}
 	}
 	return &c
 }

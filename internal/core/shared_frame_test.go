@@ -381,4 +381,15 @@ func TestSharedFrameAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, batch); allocs > 0 {
 		t.Errorf("decodes beside a shared frame: %g allocs/op, want 0", allocs)
 	}
+	// The same beside frames of the labels a factored container hands out.
+	balls := ballsOnlyLabels(t, s)
+	for i := range qs {
+		qs[i] = mapQuery(qs[i], balls)
+	}
+	patches = mapPatches(patches, balls)
+	f, fp = NewFrame(qs[0], nil), NewFrame(qs[0], patches)
+	batch()
+	if allocs := testing.AllocsPerRun(100, batch); allocs > 0 {
+		t.Errorf("decodes beside a shared frame of balls-only labels: %g allocs/op, want 0", allocs)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"runtime"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -19,8 +20,8 @@ import (
 // Scheme extracts labels from it by searching for the balls
 // (extractLabel); a factored container stores it once (SaveScheme's
 // encoding, LoadLevelGraphs) next to the balls of every vertex and
-// materialises labels from the two (Label). A Label, once built, is
-// fully self-contained — the decoder never touches the level graphs.
+// materialises labels from the two (Label) — labels that keep their
+// balls and these level graphs, whose rows their edges are read off.
 //
 // Safe for concurrent use.
 type LevelGraphs struct {
@@ -31,9 +32,9 @@ type LevelGraphs struct {
 	netLevel []int32
 	// levels[k] describes scheme level ℓ = c+1+k.
 	levels []storeLevel
-	// scratch pools the transients of Label (an extractScratch without
-	// the BFS state, which materialising from balls never needs).
-	scratch sync.Pool
+	// balls pools the position maps (*ballIndex) Label.LevelEdges induces
+	// a level's edges with.
+	balls sync.Pool
 }
 
 // storeLevel is the shared structure of one scheme level ℓ > c+1: the net
@@ -49,6 +50,8 @@ type storeLevel struct {
 	members []int32 // those net points, ascending
 	off     []int64
 	entries []pointDist
+	// fwd[v] counts the entries of row(v) below v (forwardRow).
+	fwd []int32
 	// whole is the edge list of a saturated ball — one holding every net
 	// point of the level — which is the same list for every vertex: built
 	// once, on first use, and shared by every label induced after.
@@ -66,6 +69,7 @@ type wholeLevel struct {
 // the top (clampNetLevel).
 func newLevelGraphs(g *graph.Graph, p Params, netLevel []int32, members func(i int) []int32) *LevelGraphs {
 	st := &LevelGraphs{params: p, g: g, netLevel: netLevel}
+	st.balls.New = func() any { return new(ballIndex) }
 	top := nets.NumLevels(g.NumVertices()) - 1
 	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
 		netLvl := min(p.NetLevel(level), top)
@@ -109,6 +113,22 @@ func (st *LevelGraphs) SameNetPoints(o *LevelGraphs) bool {
 // row returns the net-graph adjacency of net point v, sorted by vertex id.
 func (sl *storeLevel) row(v int32) []pointDist {
 	return sl.entries[sl.off[v]:sl.off[v+1]]
+}
+
+// forwardRow returns the entries of row(v) above v.
+func (sl *storeLevel) forwardRow(v int32) []pointDist {
+	return sl.entries[sl.off[v]+int64(sl.fwd[v]) : sl.off[v+1]]
+}
+
+// setRows installs the level's CSR rows and finds where each member's
+// row passes its own id (fwd).
+func (sl *storeLevel) setRows(off []int64, entries []pointDist) {
+	sl.off, sl.entries = off, entries
+	sl.fwd = make([]int32, len(off)-1)
+	for _, v := range sl.members {
+		row := sl.row(v)
+		sl.fwd[v] = int32(sort.Search(len(row), func(i int) bool { return row[i].x > v }))
+	}
 }
 
 // pointDist is a (vertex, distance) pair.
@@ -209,7 +229,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *Level
 			}
 			off[v+1] = int64(len(entries))
 		}
-		sl.off, sl.entries = off, entries
+		sl.setRows(off, entries)
 	}
 	return st
 }

@@ -173,7 +173,7 @@ func FuzzParseBalls(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, payload []byte, v uint16, bends []byte) {
 		if balls, err := c.parse(payload, nil); err == nil {
-			if l, err := lg.Label(int32(v)%60, balls, nil); err == nil {
+			if l, err := lg.Label(int32(v)%60, balls); err == nil {
 				if got := roundTrip(t, c, ballsOf(l), nil); !sameBalls(got, ballsOf(l)) {
 					t.Fatal("a parsed label's record parses to other balls")
 				}

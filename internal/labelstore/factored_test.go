@@ -68,8 +68,8 @@ func TestFactoredMatchesScheme(t *testing.T) {
 					t.Fatalf("%s: a scheme's compressed store is %+v", name, enc)
 				}
 				sameAsScheme(t, name+" via "+oname, st, s, ids)
-				if interned, _ := st.LevelTableStats(); name == "grid8x8" && interned != 0 {
-					t.Errorf("%s: a saturated store sent %d lists through the level table", name, interned)
+				if interned, _ := st.LevelTableStats(); interned != 0 {
+					t.Errorf("%s: a factored store sent %d lists through the level table", name, interned)
 				}
 				st.Close()
 			}
@@ -82,21 +82,91 @@ func TestFactoredMatchesScheme(t *testing.T) {
 	}
 }
 
+// TestFactoredLabelsHoldNoPrivateEdges: a label parsed from a factored
+// record is its balls. Through the store and through the parser a
+// cluster frontend shares (Levels.Label), every level it holds an edge
+// list for is saturated and holds the level's one whole list — the same
+// array in every label — and every other level holds none, which on a
+// ring's and a path's low levels is every label's.
+func TestFactoredLabelsHoldNoPrivateEdges(t *testing.T) {
+	for name, g := range factoredGraphs(t) {
+		s := buildScheme(t, g)
+		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		section, crc, _ := st.LevelsSection()
+		lv, err := LoadLevels(section, crc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each reader holds its own level graphs: one whole list per level
+		// each.
+		whole := [2]map[int]*core.EdgeEntry{{}, {}}
+		for v := 0; v < g.NumVertices(); v++ {
+			r, ok := st.Stored(v)
+			if !ok {
+				t.Fatalf("%s: no stored record for %d", name, v)
+			}
+			frontend, err := lv.Label(int32(v), r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := st.Label(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, l := range []*core.Label{local, frontend} {
+				for k, level := range l.Levels {
+					saturated := len(level.Points) == len(lv.LevelGraphs().NetPoints(k))
+					switch {
+					case !l.HoldsEdges(k):
+					case !saturated || len(level.Edges) == 0:
+						t.Fatalf("%s: vertex %d holds a list of %d edges at level index %d (saturated %v)", name, v, len(level.Edges), k, saturated)
+					case whole[i][k] == nil:
+						whole[i][k] = &level.Edges[0]
+					case whole[i][k] != &level.Edges[0]:
+						t.Fatalf("%s: vertex %d holds a private copy of level index %d's whole list", name, v, k)
+					}
+				}
+				if (name == "ring256" || name == "path800") && l.HoldsEdges(0) {
+					t.Fatalf("%s: vertex %d holds its lowest level's edges, which are local", name, v)
+				}
+			}
+		}
+		st.Close()
+	}
+}
+
 // TestCanonicalBitLenMemo: the index's canonical bit length is checked
 // against the re-encode on every Raw, so the memoised sum must stay
 // exact — over labels that share a level's whole list, labels that do
-// not (a ring's low levels), and a list that aliases the remembered one
+// not (a ring's low levels), labels that leave those to their level
+// graphs (a factored store's), and a list that aliases the remembered one
 // at another length.
 func TestCanonicalBitLenMemo(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
-		var memo edgeBitsMemo
+		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var memo, factored edgeBitsMemo
 		for v := 0; v < g.NumVertices(); v++ {
 			l := s.Label(v)
-			if _, want := l.Encode(); canonicalBitLen(l, &memo) != want {
-				t.Fatalf("%s: vertex %d: memoised canonical length %d, Encode says %d", name, v, canonicalBitLen(l, &memo), want)
+			_, want := l.Encode()
+			if got := canonicalBitLen(l, &memo); got != want {
+				t.Fatalf("%s: vertex %d: memoised canonical length %d, Encode says %d", name, v, got, want)
+			}
+			fl, err := st.Label(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := canonicalBitLen(fl, &factored); got != want {
+				t.Fatalf("%s: vertex %d's factored label: canonical length %d, the scheme label's %d", name, v, got, want)
 			}
 		}
+		st.Close()
 	}
 	l := buildScheme(t, gen.Grid2D(6, 6)).Label(0)
 	var memo edgeBitsMemo
@@ -506,7 +576,7 @@ func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) []hostil
 	whole := encode(nil)
 	if balls, err := c.parse(whole, nil); err != nil {
 		t.Fatalf("fixture: the unbent record does not parse: %v", err)
-	} else if _, err := lg.Label(good.V, balls, nil); err != nil {
+	} else if _, err := lg.Label(good.V, balls); err != nil {
 		t.Fatalf("fixture: the unbent record is no label: %v", err)
 	}
 	return []hostileBall{
@@ -628,7 +698,7 @@ func TestFactoredHostileRecords(t *testing.T) {
 	for _, h := range hostileBalls(t, lg, s.Label(victim)) {
 		balls, err := codec.parse(h.payload, nil)
 		if err == nil {
-			_, err = lg.Label(victim, balls, nil)
+			_, err = lg.Label(victim, balls)
 		}
 		if err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: refused with %v, want an error about %q", h.name, err, h.want)

@@ -177,6 +177,20 @@ func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
 		}
 	}
 	m.mu.Unlock()
+	n := edgeListBits(edges)
+	m.mu.Lock()
+	for len(m.slots) <= k {
+		m.slots = append(m.slots, edgeBitsSlot{})
+	}
+	if slot := &m.slots[k]; len(edges) > len(slot.edges) {
+		slot.edges, slot.bits = edges, n
+	}
+	m.mu.Unlock()
+	return n
+}
+
+// edgeListBits is the canonical bit length of one level's edge section.
+func edgeListBits(edges []core.EdgeEntry) int {
 	n := bitio.DeltaLen(uint64(len(edges)))
 	var prevXI, prevYI int64
 	for _, e := range edges {
@@ -189,26 +203,21 @@ func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
 		prevXI, prevYI = int64(e.XI), int64(e.YI)
 		n += bitio.GammaLen(uint64(e.D))
 	}
-	m.mu.Lock()
-	for len(m.slots) <= k {
-		m.slots = append(m.slots, edgeBitsSlot{})
-	}
-	if slot := &m.slots[k]; len(edges) > len(slot.edges) {
-		slot.edges, slot.bits = edges, n
-	}
-	m.mu.Unlock()
 	return n
 }
 
 // canonicalBitLen returns the exact bit length Label.Encode would emit,
 // without materializing the encoding — the index stores canonical bit
-// lengths even for compressed payloads.
+// lengths even for compressed payloads. A level the label leaves to its
+// level graphs is induced into a pooled buffer and walked there; only the
+// lists a label holds reach the memo.
 func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
 	n := bitio.UvarintLen(uint64(l.V)) +
 		bitio.UvarintLen(uint64(l.Epsilon*65536)) +
 		bitio.UvarintLen(uint64(l.C)) +
 		bitio.UvarintLen(uint64(l.MaxLevel)) +
 		bitio.UvarintLen(uint64(l.RShrink))
+	var buf *[]core.EdgeEntry
 	for k, lv := range l.Levels {
 		n += bitio.DeltaLen(uint64(len(lv.Points)))
 		prev := int64(-1)
@@ -217,10 +226,20 @@ func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
 			prev = int64(pe.X)
 			n += bitio.GammaLen(uint64(pe.D))
 		}
-		n += memo.edgeBits(k, lv.Edges)
+		if l.HoldsEdges(k) {
+			n += memo.edgeBits(k, lv.Edges)
+			continue
+		}
+		if buf == nil {
+			buf = edgeBufPool.Get().(*[]core.EdgeEntry)
+			defer edgeBufPool.Put(buf)
+		}
+		n += edgeListBits(l.LevelEdges(k, buf))
 	}
 	return n
 }
+
+var edgeBufPool = sync.Pool{New: func() any { return new([]core.EdgeEntry) }}
 
 // encodePoints appends one level's ball: with ids the point count and the
 // gap-coded ids, then in either case the distances — the first in gamma,
@@ -334,16 +353,17 @@ func parseFlatBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, 
 // label must be structurally valid (Validate); the fixed-width edge
 // length field in particular relies on D ≤ λ_ℓ.
 func encodeRecord3(l *core.Label, w *bitio.Writer) error {
+	var buf []core.EdgeEntry
 	for k := range l.Levels {
-		lv := &l.Levels[k]
-		encodePoints(w, lv.Points, true)
-		w.WriteDelta(uint64(len(lv.Edges)))
+		encodePoints(w, l.Levels[k].Points, true)
+		edges := l.LevelEdges(k, &buf)
+		w.WriteDelta(uint64(len(edges)))
 		dBits := l.Level(k) + 1 // D−1 fits exactly: 0 < D ≤ λ_ℓ = 2^(ℓ+1)
-		if k > 0 && len(lv.Edges) > 0 && dBits > 31 {
+		if k > 0 && len(edges) > 0 && dBits > 31 {
 			return fmt.Errorf("labelstore: level %d edge width %d bits unencodable", l.Level(k), dBits)
 		}
 		var prevXI, prevYI int64
-		for _, e := range lv.Edges {
+		for _, e := range edges {
 			dx := int64(e.XI) - prevXI
 			w.WriteGamma(uint64(dx))
 			if dx != 0 {

@@ -123,14 +123,13 @@ func (f *file3) loadLevelGraphs() error {
 }
 
 // parse decodes a stored compressed payload of v into a label: a factored
-// file's balls, the edges induced from its level graphs (Levels, the
-// parser a cluster frontend shares), or a self-contained compressed
-// record. The level edge lists that are not a level's one whole list are
-// shared through t (nil: private copies).
+// file's balls under its level graphs (Levels, the parser a cluster
+// frontend shares), or a self-contained compressed record, whose level
+// edge lists are shared through t (nil: private copies).
 func (f *file3) parse(payload []byte, v int32, t *core.LevelTable) (*core.Label, error) {
 	switch {
 	case f.levels != nil:
-		return f.levels.parse(payload, v, f.hdr.nested(), t)
+		return f.levels.parse(payload, v, f.hdr.nested())
 	case f.hdr.factored():
 		return nil, fmt.Errorf("labelstore: record for vertex %d needs the file's level graphs, which are damaged", v)
 	case t == nil:

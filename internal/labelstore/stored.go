@@ -47,10 +47,10 @@ func LoadLevels(section []byte, crc uint32) (*Levels, error) {
 func (lv *Levels) LevelGraphs() *core.LevelGraphs { return lv.lg }
 
 // parse decodes the stored payload of v — nested ball records, or the
-// flat ones older factored files hold — and has core induce the edges;
-// the level edge lists that are not a level's one whole list are shared
-// through t (nil: private copies).
-func (lv *Levels) parse(payload []byte, v int32, nested bool, t *core.LevelTable) (*core.Label, error) {
+// flat ones older factored files hold — into the label its balls are
+// (core.LevelGraphs.Label): its points, the saturated levels' one shared
+// edge list, and these level graphs for every other level's edges.
+func (lv *Levels) parse(payload []byte, v int32, nested bool) (*core.Label, error) {
 	var balls [][]core.PointEntry
 	var err error
 	if nested {
@@ -61,7 +61,7 @@ func (lv *Levels) parse(payload []byte, v int32, nested bool, t *core.LevelTable
 	if err != nil {
 		return nil, err
 	}
-	return lv.lg.Label(v, balls, t)
+	return lv.lg.Label(v, balls)
 }
 
 // StoredRecord is one record of a factored file as the file stores it:
@@ -88,17 +88,16 @@ var (
 // its CRC must match, its balls must parse and pass
 // core.LevelGraphs.Label, and the label must be as long in canonical bits
 // as its index entry says — the check a transcode makes by re-encoding,
-// made here without the encoding. Level edge lists are shared through t.
-// Errors wrap ErrLevelsMismatch, ErrRecordCRC and ErrCanonicalLength;
-// any other is a parse failure.
-func (lv *Levels) Label(v int32, r StoredRecord, t *core.LevelTable) (*core.Label, error) {
+// made here without the encoding. Errors wrap ErrLevelsMismatch,
+// ErrRecordCRC and ErrCanonicalLength; any other is a parse failure.
+func (lv *Levels) Label(v int32, r StoredRecord) (*core.Label, error) {
 	if r.LevelsCRC != lv.crc {
 		return nil, fmt.Errorf("%w: vertex %d's record names %08x, these are %08x", ErrLevelsMismatch, v, r.LevelsCRC, lv.crc)
 	}
 	if recordChecksum(int(v), r.Bits, r.Data) != r.CRC {
 		return nil, fmt.Errorf("%w: vertex %d", ErrRecordCRC, v)
 	}
-	l, err := lv.parse(r.Data, v, r.Nested, t)
+	l, err := lv.parse(r.Data, v, r.Nested)
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestStoredRecordsReadBack(t *testing.T) {
 				if !ok || r.Nested != (name == "nested") || r.LevelsCRC != crc {
 					t.Fatalf("vertex %d as stored: ok=%v nested=%v levels %08x", v, ok, r.Nested, r.LevelsCRC)
 				}
-				l, err := lv.Label(int32(v), r, nil)
+				l, err := lv.Label(int32(v), r)
 				if err != nil {
 					t.Fatalf("vertex %d: %v", v, err)
 				}
@@ -81,7 +81,7 @@ func TestStoredRecordsReadBack(t *testing.T) {
 					r.CRC = recordChecksum(v, r.Bits, r.Data)
 				}), ErrCanonicalLength},
 			} {
-				if l, err := lv.Label(int32(v), tc.r, nil); !errors.Is(err, tc.want) || l != nil {
+				if l, err := lv.Label(int32(v), tc.r); !errors.Is(err, tc.want) || l != nil {
 					t.Errorf("%s: %v, want %v", tc.name, err, tc.want)
 				}
 			}

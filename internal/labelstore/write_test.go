@@ -199,15 +199,16 @@ func sameAsScheme(t *testing.T, what string, st *Store, s *core.Scheme, ids []in
 	}
 }
 
-// labelsEqual compares two labels field by field and entry by entry (a
-// nil and an empty list are the same list).
+// labelsEqual compares two labels field by field and entry by entry, the
+// edges as LevelEdges reads them (a nil and an empty list are the same
+// list).
 func labelsEqual(a, b *core.Label) bool {
 	if a.V != b.V || a.Epsilon != b.Epsilon || a.C != b.C || a.MaxLevel != b.MaxLevel ||
 		a.RShrink != b.RShrink || len(a.Levels) != len(b.Levels) {
 		return false
 	}
 	for k := range a.Levels {
-		if !slices.Equal(a.Levels[k].Points, b.Levels[k].Points) || !slices.Equal(a.Levels[k].Edges, b.Levels[k].Edges) {
+		if !slices.Equal(a.Levels[k].Points, b.Levels[k].Points) || !slices.Equal(a.LevelEdges(k, nil), b.LevelEdges(k, nil)) {
 			return false
 		}
 	}

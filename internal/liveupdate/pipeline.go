@@ -278,29 +278,39 @@ func (p *Pipeline) Pending() int {
 // FaultEdges returns the deleted edges as sorted pairs — the implicit
 // soft faults the server merges into every query's fault set so
 // answers stay upper bounds on d_{G\F} the moment a deletion lands.
+// A query reads them with the inserts, through Delta.
 func (p *Pipeline) FaultEdges() [][2]int32 {
-	p.mu.RLock()
-	out := make([][2]int32, 0, len(p.deleted))
-	for e := range p.deleted {
-		out = append(out, e)
-	}
-	p.mu.RUnlock()
-	sortEdges(out)
-	return out
+	fe, _ := p.Delta()
+	return fe
 }
 
 // Patches returns the inserted edges as sorted pairs — the query-time
 // shortcut candidates (d(s,u) + 1 + d(v,t)) that let answers reflect
-// insertions before compaction bakes them in.
+// insertions before compaction bakes them in. A query reads them with
+// the deletions, through Delta.
 func (p *Pipeline) Patches() [][2]int32 {
+	_, patches := p.Delta()
+	return patches
+}
+
+// Delta returns FaultEdges and Patches read under one lock: the deleted
+// and the inserted edges of one state of the delta. A query must take
+// both from one state — deletions of one batch beside the inserts of the
+// next can route through both and answer below d_{G'\F} in either.
+func (p *Pipeline) Delta() (faultEdges, patches [][2]int32) {
 	p.mu.RLock()
-	out := make([][2]int32, 0, len(p.inserted))
+	faultEdges = make([][2]int32, 0, len(p.deleted))
+	for e := range p.deleted {
+		faultEdges = append(faultEdges, e)
+	}
+	patches = make([][2]int32, 0, len(p.inserted))
 	for e := range p.inserted {
-		out = append(out, e)
+		patches = append(patches, e)
 	}
 	p.mu.RUnlock()
-	sortEdges(out)
-	return out
+	sortEdges(faultEdges)
+	sortEdges(patches)
+	return faultEdges, patches
 }
 
 func sortEdges(es [][2]int32) {

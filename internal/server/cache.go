@@ -68,12 +68,14 @@ const (
 )
 
 // frameCache holds the shared fault frames (core.Frame) of recurring fault
-// sets, keyed by faultHash, the most recently used first. A fault set
-// earns one when its key is already among the last frameSightings keys
-// that found none — second-touch admission, as the decoded-label LRU's —
-// so fault sets drawn at random (almost) never build one. A frame that
-// does not match the batch's labels pointer for pointer (core.Frame.Matches:
-// another generation's, or re-fetched) is dropped, never used.
+// sets, keyed by faultHash — which folds in a live delta's pending
+// deletions — the most recently used first. A fault set earns one when
+// its key is already among the last frameSightings keys that found none —
+// second-touch admission, as the decoded-label LRU's — so fault sets drawn
+// at random (almost) never build one. A frame that does not match the
+// batch's fault and patch labels pointer for pointer (core.Frame.Matches:
+// another generation's, re-fetched, or other pending inserts) is dropped,
+// never used.
 type frameCache struct {
 	mu       sync.Mutex
 	frames   []keyedFrame
@@ -86,16 +88,17 @@ type keyedFrame struct {
 	f   *core.Frame
 }
 
-// get returns the shared frame of q's fault side, building it when key is
-// sighted a second time, and whether this call built it; nil when there is
-// none (yet). A build holds the lock: it is rare by construction.
-func (c *frameCache) get(key uint64, q *core.Query) (f *core.Frame, built bool) {
+// get returns the shared frame of q's fault side and these patches,
+// building it when key is sighted a second time, and whether this call
+// built it; nil when there is none (yet). A build holds the lock: it is
+// rare by construction.
+func (c *frameCache) get(key uint64, q *core.Query, patches []core.PatchEdge) (f *core.Frame, built bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if i := slices.IndexFunc(c.frames, func(kf keyedFrame) bool { return kf.key == key }); i >= 0 {
 		kf := c.frames[i]
 		c.frames = slices.Delete(c.frames, i, i+1)
-		if kf.f.Matches(q, nil) {
+		if kf.f.Matches(q, patches) {
 			c.frames = slices.Insert(c.frames, 0, kf)
 			return kf.f, false
 		}
@@ -105,7 +108,7 @@ func (c *frameCache) get(key uint64, q *core.Query) (f *core.Frame, built bool) 
 		c.nSighted++
 		return nil, false
 	}
-	if f = core.NewFrame(q, nil); f == nil {
+	if f = core.NewFrame(q, patches); f == nil {
 		return nil, false
 	}
 	c.frames = slices.Insert(c.frames, 0, keyedFrame{key, f})

@@ -12,9 +12,9 @@ import (
 )
 
 // This file tests the shared fault frames kept beside the result cache
-// (frameCache): built on a fault set's second sighting, bypassed while a
-// live delta is pending, dropped on every flush, used only over the labels
-// they were built from — and never changing an answer.
+// (frameCache): built on a fault set's second sighting, with or without a
+// live delta pending, dropped on every flush, used only over the fault and
+// patch labels they were built from — and never changing an answer.
 
 // frameCounts is what the two shared-frame counters and the frame cache
 // say.
@@ -29,22 +29,29 @@ func countsOf(s *Server) frameCounts {
 // framePairs are the pairs every batch of these tests asks.
 var framePairs = [][2]int{{0, 35}, {5, 30}, {2, 33}, {6, 29}}
 
-// askFaults answers framePairs under f and, unless a live delta is
-// pending, holds every answer to a decode with no shared frame over the
-// server's current labels.
+// askFaults answers framePairs under f and holds every answer to a decode
+// with no shared frame over the server's current labels, under the live
+// delta as it stands, if any.
 func askFaults(t *testing.T, s *Server, f *graph.FaultSet) {
 	t.Helper()
 	answers, err := s.AnswerPairs(context.Background(), framePairs, &QueryOptions{Faults: f})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.live != nil && s.live.Pending() > 0 {
-		return
-	}
+	ctx := context.Background()
 	label, _ := s.src.PinLabels()
-	lookup := func(v int) (*core.Label, error) { return label(context.Background(), v) }
+	lookup := func(v int) (*core.Label, error) { return label(ctx, v) }
+	faults := s.effectiveFaults(f)
+	var patches []core.PatchEdge
+	if s.live != nil {
+		fe, ins := s.live.Delta()
+		for _, e := range fe {
+			faults.AddEdge(int(e[0]), int(e[1]))
+		}
+		patches = s.decodePatches(ctx, label, ins)
+	}
 	for i, a := range answers {
-		q, err := core.ResolveQuery(framePairs[i][0], framePairs[i][1], s.effectiveFaults(f), lookup, true)
+		q, err := core.ResolveQuery(framePairs[i][0], framePairs[i][1], faults, lookup, true)
 		if err != nil {
 			t.Fatalf("pair %v: %v", framePairs[i], err)
 		}
@@ -55,7 +62,7 @@ func askFaults(t *testing.T, s *Server, f *graph.FaultSet) {
 			continue
 		}
 		var dec core.Decoder
-		want := dec.DistanceRobust(q)
+		want := dec.Decode(q, core.Opts{Patches: patches})
 		dec.Release()
 		if a.Error != "" || a.Connected != want.OK || a.Dist != want.Dist {
 			t.Errorf("pair %v: served %+v, a decode with no shared frame (%d, %v)", framePairs[i], a, want.Dist, want.OK)
@@ -128,29 +135,91 @@ func TestSharedFrameAdmission(t *testing.T) {
 	}
 }
 
-// TestSharedFramesBypassedWhilePending: while a live delta is pending no
-// batch builds or uses a shared frame, however often its fault set
-// recurs; once a compaction has baked the delta, the fault set earns one.
-func TestSharedFramesBypassedWhilePending(t *testing.T) {
+// heldFrame returns the most recently used frame the server holds, with
+// its key.
+func heldFrame(t *testing.T, s *Server) keyedFrame {
+	t.Helper()
+	s.frames.mu.Lock()
+	defer s.frames.mu.Unlock()
+	if len(s.frames.frames) == 0 {
+		t.Fatal("no frame held")
+	}
+	return s.frames.frames[0]
+}
+
+// putFrame puts kf back into the frame cache, as a batch that read the
+// delta before a flush and built its frame after could.
+func putFrame(s *Server, kf keyedFrame) {
+	s.frames.mu.Lock()
+	s.frames.frames = append(s.frames.frames, kf)
+	s.frames.mu.Unlock()
+}
+
+// TestSharedFramesUnderPendingDelta: with a live delta pending, a fault
+// set earns a shared frame as it would without one, built from its fault
+// labels and the batch's patch labels, and serves only batches with the
+// same deletions and the same patches. Each Mutate drops the frames; a
+// frame from before an insert-only batch — same fault hash, other patches
+// — and one from before a deletion — put back under the new hash — are
+// dropped when found, never used, and every answer is a decode's with no
+// shared frame under the delta as it stands.
+func TestSharedFramesUnderPendingDelta(t *testing.T) {
 	s, _, _ := newLiveServer(t, 6)
-	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: 35}}); err != nil {
-		t.Fatal(err)
+	mutate := func(muts ...liveupdate.Mutation) {
+		t.Helper()
+		if _, err := s.Mutate(muts); err != nil {
+			t.Fatal(err)
+		}
+		if got := countsOf(s); got.held != 0 {
+			t.Fatalf("after Mutate(%v): %d frames held, want none", muts, got.held)
+		}
 	}
+	mutate(liveupdate.Mutation{Op: liveupdate.MutInsert, U: 0, V: 35})
 	f := faultsOf([2]int{14, 15}, 8, 21)
-	for i := 0; i < 4; i++ {
+	for i, want := range []frameCounts{{0, 0, 0}, {1, 1, 1}, {1, 2, 1}} {
 		askFaults(t, s, f)
+		if got := countsOf(s); got != want {
+			t.Fatalf("batch %d under one fault set with an insert pending: %+v, want %+v", i, got, want)
+		}
 	}
-	if got := countsOf(s); got != (frameCounts{}) {
-		t.Fatalf("four batches under one fault set with a delta pending: %+v, want no frame", got)
-	}
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
+	stale := heldFrame(t, s)
+
+	// Insert only: the fault hash stays, the patches change.
+	mutate(liveupdate.Mutation{Op: liveupdate.MutInsert, U: 5, V: 30})
+	putFrame(s, stale)
 	askFaults(t, s, f)
-	askFaults(t, s, f)
-	if got := countsOf(s); got != (frameCounts{1, 1, 1}) {
-		t.Fatalf("the fault set twice after the compaction: %+v, want its frame built and used", got)
+	if kf := heldFrame(t, s); kf.f == stale.f || kf.key != stale.key {
+		t.Fatalf("after an insert-only batch: frame kept %v, key %x (was %x)", kf.f == stale.f, kf.key, stale.key)
 	}
+	if got := countsOf(s); got != (frameCounts{2, 3, 1}) {
+		t.Fatalf("after an insert-only batch: %+v, want the frame rebuilt over the new patches and used", got)
+	}
+
+	// A deletion: another fault hash and other fault labels. The frame of
+	// the old deletions, found under the new hash, is not used either.
+	stale = heldFrame(t, s)
+	mutate(liveupdate.Mutation{Op: liveupdate.MutDelete, U: 14, V: 20})
+	askFaults(t, s, f)
+	putFrame(s, keyedFrame{frameKey(s, f), stale.f})
+	askFaults(t, s, f)
+	if kf := heldFrame(t, s); kf.f == stale.f {
+		t.Fatal("a frame of other deletions served a batch")
+	}
+	if got := countsOf(s); got != (frameCounts{3, 4, 1}) {
+		t.Fatalf("after a deletion: %+v, want one frame built over it and used", got)
+	}
+}
+
+// frameKey returns the key the server keeps the frames of f under with
+// the live delta as it stands: faultHash of the effective fault set with
+// the pending deletions.
+func frameKey(s *Server, f *graph.FaultSet) uint64 {
+	faults := s.effectiveFaults(f)
+	fe, _ := s.live.Delta()
+	for _, e := range fe {
+		faults.AddEdge(int(e[0]), int(e[1]))
+	}
+	return faultHash(faults, s.budget(nil))
 }
 
 // TestSharedFramesFlushed: every flush of the result cache — Fail,
@@ -170,14 +239,8 @@ func TestSharedFramesFlushed(t *testing.T) {
 		}},
 		{"Compact", func() error { _, err := s.Compact(); return err }},
 	} {
-		if s.live.Pending() == 0 {
-			askFaults(t, s, f)
-			askFaults(t, s, f)
-		} else {
-			// No frame is built with a delta pending: seed one, as a batch
-			// that read the delta just before it arrived could have left.
-			s.frames.frames = append(s.frames.frames, keyedFrame{1, &core.Frame{}})
-		}
+		askFaults(t, s, f)
+		askFaults(t, s, f)
 		if countsOf(s).held == 0 {
 			t.Fatalf("before %s: no frame held", step.name)
 		}
@@ -270,5 +333,46 @@ func TestSharedFrameConcurrentBatches(t *testing.T) {
 	wg.Wait()
 	if c := countsOf(s); c.built == 0 || c.batches == 0 {
 		t.Fatalf("%+v: no batch ran beside a shared frame", c)
+	}
+}
+
+// TestSharedFrameSwapBeforeCommit: between a compaction's swap and its
+// commit, batches read the new generation's labels with the old delta
+// still pending, and nothing has flushed the frames yet. The frame built
+// over generation 1's labels under that delta is dropped, not used: the
+// fault set gets a frame over generation 2's labels and the same patches,
+// and every answer is a decode's with no shared frame over those labels
+// under the delta.
+func TestSharedFrameSwapBeforeCommit(t *testing.T) {
+	s, _, _ := newLiveServer(t, 6)
+	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutDelete, U: 14, V: 20}, {Op: liveupdate.MutInsert, U: 0, V: 35}}); err != nil {
+		t.Fatal(err)
+	}
+	f := faultsOf([2]int{14, 15}, 8, 21)
+	askFaults(t, s, f)
+	askFaults(t, s, f)
+	stale := heldFrame(t, s)
+	if !s.live.BeginCompaction() {
+		t.Fatal("a compaction is in flight")
+	}
+	defer s.live.EndCompaction()
+	res, err := liveupdate.Compact(s.live, s.cfg.LiveRoot, liveupdate.CompactOptions{Epsilon: s.cfg.Epsilon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.src.SwapGeneration(res.Snapshot.Generation, res.Store); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		askFaults(t, s, f)
+	}
+	if kf := heldFrame(t, s); kf.f == stale.f || kf.key != stale.key {
+		t.Fatalf("in the swap-before-commit window: the stale frame kept %v, key %x (was %x)", kf.f == stale.f, kf.key, stale.key)
+	}
+	if got := countsOf(s); got != (frameCounts{2, 4, 1}) {
+		t.Fatalf("in the swap-before-commit window: %+v, want one frame per generation", got)
+	}
+	if err := s.live.Commit(res.Snapshot); err != nil {
+		t.Fatal(err)
 	}
 }

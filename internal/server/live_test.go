@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -272,5 +273,73 @@ func TestMutateHTTP(t *testing.T) {
 	}
 	if resp, _ := postJSON(t, tsPlain.URL+"/v1/compact", nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("compact without pipeline: %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestLiveDeltaReadAsOneState: a batch reads the pending deletions and
+// the pending inserts of one state of the delta. On a path 0–30 with a
+// 10-edge detour from 0 to 1, the delta flips between empty (d(0,30) =
+// 30) and {delete (0,1), insert (1,30)} (d = 11) as fast as Apply takes
+// it. Deletions of the empty state beside the inserts of the other would
+// let a query take (0,1) and then (1,30): δ = 2, below the distance in
+// either state. No answer may come in under 11.
+func TestLiveDeltaReadAsOneState(t *testing.T) {
+	b := graph.NewBuilder(40)
+	for i := 0; i < 30; i++ {
+		b.AddEdge(i, i+1)
+	}
+	b.AddEdge(0, 31)
+	for i := 31; i < 39; i++ {
+		b.AddEdge(i, i+1)
+	}
+	b.AddEdge(39, 1)
+	g := b.MustBuild()
+	p, err := liveupdate.Open(liveupdate.Config{Base: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Store: storeOf(t, g, 2), Live: p, CacheCapacity: -1})
+	flip := [2][]liveupdate.Mutation{
+		{{Op: liveupdate.MutDelete, U: 0, V: 1}, {Op: liveupdate.MutInsert, U: 1, V: 30}},
+		{{Op: liveupdate.MutInsert, U: 0, V: 1}, {Op: liveupdate.MutDelete, U: 1, V: 30}},
+	}
+	ctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ctx.Err() == nil; i++ {
+			if _, err := p.Apply(flip[i%2]); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	const readers, rounds = 2, 3000
+	errs := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		go func() {
+			for i := 0; i < rounds; i++ {
+				a, err := s.AnswerPairs(context.Background(), [][2]int{{0, 30}}, nil)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !a[0].Connected || a[0].Dist < 11 {
+					errs <- fmt.Errorf("round %d: answered %+v, below d(0,30) in every state of the delta", i, a[0])
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for r := 0; r < readers; r++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	stop()
+	if err := <-done; err != nil {
+		t.Fatal(err)
 	}
 }

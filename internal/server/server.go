@@ -380,20 +380,22 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	}
 	faults := s.effectiveFaults(reqFaults)
 	// Live delta: pending deletions join the fault set as implicit soft
-	// faults, pending insertions become query-time patch candidates.
-	// While any delta is pending the (1+ε) guarantee is suspended —
-	// answers are sound upper bounds on the mutated graph's d_{G'\F},
-	// reported exact:false — and the result cache and the shared frames
-	// are bypassed (patches are not part of the fault hash; compaction
-	// restores exactness and caching together).
+	// faults, pending insertions become query-time patch candidates —
+	// both read from one state of the delta. While any delta is pending
+	// the (1+ε) guarantee is suspended — answers are sound upper bounds on
+	// the mutated graph's d_{G'\F}, reported exact:false — and the result
+	// cache is bypassed (patches are not part of the fault hash;
+	// compaction restores exactness and caching together). A shared frame
+	// serves such a batch only when it was built from the same patch
+	// labels as well (core.Frame.Matches).
 	var livePatches [][2]int32
 	livePending := false
 	if s.live != nil {
-		fe := s.live.FaultEdges()
+		var fe [][2]int32
+		fe, livePatches = s.live.Delta()
 		for _, e := range fe {
 			faults.AddEdge(int(e[0]), int(e[1]))
 		}
-		livePatches = s.live.Patches()
 		if len(livePatches) > maxLivePatches {
 			livePatches = livePatches[:maxLivePatches]
 		}
@@ -483,9 +485,9 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				}
 				q := *tmpl
 				q.S, q.T = ls, lt
-				if !framed && !livePending {
+				if !framed {
 					framed = true
-					frame = s.sharedFrame(fhash, &q)
+					frame = s.sharedFrame(fhash, &q, patches)
 				}
 				var path []int32
 				o := core.Opts{Patches: patches, Frame: frame}
@@ -528,14 +530,15 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	return answers, nil
 }
 
-// sharedFrame returns the shared frame of q's fault side for the batch's
-// decodes, when the frame cache has one or builds it now, else nil. A
-// fault side without fault labels has nothing to share.
-func (s *Server) sharedFrame(key uint64, q *core.Query) *core.Frame {
-	if len(q.VertexFaults) == 0 && len(q.EdgeFaults) == 0 {
+// sharedFrame returns the shared frame of q's fault side and the batch's
+// patches for the batch's decodes, when the frame cache has one or builds
+// it now, else nil. A fault side without fault labels or patches has
+// nothing to share.
+func (s *Server) sharedFrame(key uint64, q *core.Query, patches []core.PatchEdge) *core.Frame {
+	if len(q.VertexFaults) == 0 && len(q.EdgeFaults) == 0 && len(patches) == 0 {
 		return nil
 	}
-	f, built := s.frames.get(key, q)
+	f, built := s.frames.get(key, q, patches)
 	if built {
 		s.met.sharedFramesBuilt.Add(1)
 	}
