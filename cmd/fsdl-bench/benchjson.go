@@ -498,10 +498,9 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	}))
 
 	// 6. Out-of-core storage: the FSDL3 mmap path (docs/STORAGE.md). The
-	// same scheme saved as FSDL2, FSDL3 and compressed FSDL3 — which from
-	// a scheme is the factored form: one set of level graphs per file,
-	// records reduced to their balls — gives the bytes-per-vertex
-	// comparison the storage claim rests on; load_mmap_cold measures the
+	// same scheme saved as FSDL2 and as FSDL3 — the factored form: one set
+	// of level graphs per file, records reduced to their balls — gives the
+	// bytes-per-vertex comparison the storage claim rests on; load_mmap_cold measures the
 	// open-validate-serve-close cycle of the mapped container (header,
 	// index and level-graphs section — records stay on disk until
 	// touched), label_cold_fsdl3c one decoded-cache miss on it (balls
@@ -512,18 +511,11 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		return err
 	}
 	defer os.RemoveAll(storeDir)
-	writeStore := func(name string, format3, compress bool) (string, int64, error) {
-		return writeStoreFile(filepath.Join(storeDir, name), s, format3, compress)
-	}
-	_, size2, err := writeStore("labels2.fsdl", false, false)
+	_, size2, err := writeStoreFile(filepath.Join(storeDir, "labels2.fsdl"), s, false)
 	if err != nil {
 		return err
 	}
-	_, size3, err := writeStore("labels3.fsdl", true, false)
-	if err != nil {
-		return err
-	}
-	path3c, size3c, err := writeStore("labels3c.fsdl", true, true)
+	path3c, size3c, err := writeStoreFile(filepath.Join(storeDir, "labels3c.fsdl"), s, true)
 	if err != nil {
 		return err
 	}
@@ -535,7 +527,6 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		size int64
 	}{
 		{"label_bytes_per_vertex_fsdl2", size2},
-		{"label_bytes_per_vertex_fsdl3", size3},
 		{"label_bytes_per_vertex_fsdl3c", size3c},
 	} {
 		r := benchResult{Name: e.name, Iterations: n, BytesPerOp: (e.size + int64(n) - 1) / int64(n)}
@@ -723,12 +714,12 @@ func benchBatches(quick bool, add func(benchResult)) error {
 
 // writeStoreFile writes every label of s to path as one container and
 // returns the path and the file's size.
-func writeStoreFile(path string, s *core.Scheme, format3, compress bool) (string, int64, error) {
+func writeStoreFile(path string, s *core.Scheme, format3 bool) (string, int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return "", 0, err
 	}
-	err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3, compress)
+	err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -772,7 +763,7 @@ func benchBalls(dir string, add func(benchResult), addBytes func(benchResult, st
 		if err != nil {
 			return err
 		}
-		path, size, err := writeStoreFile(filepath.Join(dir, e.name+".fsdl"), s, true, true)
+		path, size, err := writeStoreFile(filepath.Join(dir, e.name+".fsdl"), s, true)
 		if err != nil {
 			return err
 		}

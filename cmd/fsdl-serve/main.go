@@ -6,16 +6,14 @@
 //
 // Usage:
 //
-//	fsdl-serve -store labels.fsdl [-addr :8080] [-salvage] [-mmap]
+//	fsdl-serve -store labels.fsdl [-addr :8080] [-salvage]
 //	           [-workers N] [-queue N] [-deadline 5s] [-budget 0]
 //	           [-cache 4096]
 //
-// With -mmap an FSDL3 -store (see docs/STORAGE.md) is served straight
-// from the OS page cache, so stores larger than RAM stay servable. The
-// flag covers -store only: a generation's store — the one resumed from
-// -live-root and the one each compaction reopens — is always mapped
-// when it is FSDL3.
-// -compress makes live compactions emit compressed FSDL3 generations.
+// An FSDL3 store (see docs/STORAGE.md) — a -store, a generation resumed
+// from -live-root, each compaction's — is served straight from the OS
+// page cache, so stores larger than RAM stay servable.
+// -compress makes live compactions write (factored) FSDL3 generations.
 //
 // Cluster mode replaces the local store with a scatter-gather frontend
 // over fsdl-shard servers (see docs/CLUSTER.md):
@@ -80,8 +78,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	repairEvery := fs.Duration("repair", 2*time.Second, "cluster: anti-entropy repair sweep interval (0 disables)")
 	retryBudget := fs.Float64("retry-budget", 0, "cluster: retries+hedges per first attempt (0 = 0.1, negative disables)")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records, answer conservatively")
-	mmap := fs.Bool("mmap", false, "serve an FSDL3 -store from the OS page cache (mmap) instead of loading it into heap; FSDL3 generation stores under -live-root are always mapped")
-	compress := fs.Bool("compress", false, "live: compactions write compressed FSDL3 generations")
+	compress := fs.Bool("compress", false, "live: compactions write FSDL3 generations (factored, served mapped) instead of FSDL2")
 	graphPath := fs.String("graph", "", "live: base graph the labels were built on, until a first generation exists")
 	eps := fs.Float64("eps", 2, "live: precision epsilon compactions build label generations at")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -182,18 +179,14 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		cfg.Store, cfg.Report = st, rep
 	default:
-		open := labelstore.OpenHeap
-		if *mmap {
-			open = labelstore.Open
-		}
-		st, err := open(*storePath)
+		st, err := labelstore.Open(*storePath)
 		if err != nil {
 			return fmt.Errorf("load %s: %w (use -salvage to tolerate damage)", *storePath, err)
 		}
 		cfg.Store = st
 	}
 	if *compress {
-		cfg.CompactFormat, cfg.CompactCompress = 3, true
+		cfg.CompactFormat = 3
 	}
 
 	if *liveRoot != "" {

@@ -25,6 +25,11 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := os.WriteFile(garbage, []byte("not a label store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// An FSDL3 magic in front of garbage: it reaches the mapping opener.
+	garbage3 := filepath.Join(dir, "garbage.fsdl3")
+	if err := os.WriteFile(garbage3, append([]byte("FSDL3"), make([]byte, 8192)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	missing := filepath.Join(dir, "missing.txt")
 	emptyRoot := t.TempDir()
 	for _, tc := range []struct {
@@ -42,8 +47,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"no generation under " + emptyRoot + " yet — provide labels with -store or -cluster"},
 		{"an unreadable -store", []string{"-store", garbage},
 			"load " + garbage + ":"},
-		{"an unreadable -store, mapped", []string{"-store", garbage, "-mmap"},
-			"load " + garbage + ":"},
+		{"an unreadable -store, mapped", []string{"-store", garbage3},
+			"load " + garbage3 + ":"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(context.Background(), append(tc.args, "-addr", "127.0.0.1:0"), io.Discard)

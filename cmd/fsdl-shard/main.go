@@ -11,12 +11,13 @@
 //
 // Usage:
 //
-//	fsdl-shard -store shard0.fsdl -addr :9000 [-name shard0] [-salvage] [-mmap] [-compress]
+//	fsdl-shard -store shard0.fsdl -addr :9000 [-name shard0] [-salvage]
 //
-// With -mmap an FSDL3 partition is served straight from the OS page
-// cache — the shard's memory footprint is bounded by what the kernel
-// keeps warm, not the store size. -compress makes repair persists
-// (-persist) write the compressed FSDL3 container.
+// An FSDL3 partition is served straight from the OS page cache — the
+// shard's memory footprint is bounded by what the kernel keeps warm, not
+// the store size. A repair persist (-persist) writes the store's own
+// encoding: a factored partition stays factored, anything else is
+// written as FSDL2.
 //
 // A replacement for a dead shard starts empty and is filled by the
 // frontend's anti-entropy repairer (see docs/CLUSTER.md, "Membership &
@@ -70,8 +71,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	persist := fs.String("persist", "", "persist the store to this file after repair pulls (atomic temp+rename)")
 	repairRate := fs.Int("repair-rate", 0, "max records/sec installed by repair pulls (0 = 50000, negative = unlimited)")
 	genDir := fs.String("generation-dir", "", "versioned label generation root; boots from the newest generation when -store is omitted")
-	mmap := fs.Bool("mmap", false, "serve FSDL3 stores straight from the OS page cache (mmap) instead of loading them into heap")
-	compress := fs.Bool("compress", false, "persist repairs as a compressed FSDL3 container (implies FSDL3 output for -persist)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -106,11 +105,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		if m.File(*name+".fsdl") != nil {
 			file = *name + ".fsdl"
 		}
-		open := labelstore.OpenHeap
-		if *mmap {
-			open = labelstore.Open
-		}
-		st, err = open(filepath.Join(dir, file))
+		st, err = labelstore.Open(filepath.Join(dir, file))
 		if err != nil {
 			return fmt.Errorf("load generation %d %s: %w", m.Generation, file, err)
 		}
@@ -137,10 +132,8 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 				fmt.Fprintf(logw, "fsdl-shard: salvage: kept %d/%d records — lost ones answer as unknown so the frontend fails over to replicas\n",
 					rep.Kept, rep.Total)
 			}
-		} else if *mmap {
-			st, err = labelstore.Open(*storePath)
 		} else {
-			st, err = labelstore.OpenHeap(*storePath)
+			st, err = labelstore.Open(*storePath)
 		}
 		if err != nil {
 			return fmt.Errorf("load %s: %w", *storePath, err)
@@ -162,12 +155,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		Bootstrap:      *bootstrapN > 0,
 		PersistPath:    *persist,
 		RepairRate:     *repairRate,
-		Mmap:           *mmap,
-		// Persist in the store's own container: a shard booted from an
-		// FSDL3 file (or asked to compress) writes FSDL3 back, so a
-		// restart round-trips through the same format.
-		PersistFormat3:  *compress || st.Format() == 3,
-		PersistCompress: *compress,
 	})
 	if err != nil {
 		return err

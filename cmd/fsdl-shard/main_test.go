@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fsdl/internal/cluster"
+	"fsdl/internal/core"
 	"fsdl/internal/frame"
 	"fsdl/internal/gen"
 	"fsdl/internal/labelstore"
@@ -43,7 +44,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"-name is required with -bootstrap-n"},
 		{"an unreadable -store", []string{"-store", garbage},
 			"load " + garbage + ":"},
-		{"a -store that does not exist", []string{"-store", missing, "-mmap"},
+		{"a -store that does not exist", []string{"-store", missing},
 			"load " + missing + ":"},
 		{"an empty -generation-dir", []string{"-generation-dir", emptyGens, "-name", "s0"},
 			"no intact generation under " + emptyGens},
@@ -184,7 +185,7 @@ func TestRunBootsNewestGeneration(t *testing.T) {
 	}
 	defer part.Close()
 
-	conn := startRun(t, "-generation-dir", root, "-name", "shard0", "-mmap")
+	conn := startRun(t, "-generation-dir", root, "-name", "shard0")
 	want := newest.Snapshot.Generation
 	if _, gen := pong(t, conn); gen != want {
 		t.Fatalf("serving generation %d, the newest is %d", gen, want)
@@ -226,6 +227,80 @@ func TestRunBootstrapAnswersUnknownUntilSealed(t *testing.T) {
 	for _, r := range labels(t, conn, 0, ids) {
 		if r.Unknown || r.Present {
 			t.Fatalf("sealed: vertex %d answered present=%v unknown=%v, want an authoritative absence", r.Vertex, r.Present, r.Unknown)
+		}
+	}
+}
+
+// TestRunPersistKeepsFactoredEncoding: a shard booted from a factored
+// partition with -persist writes its repaired store back factored, under
+// the same level graphs, so after a restart its records still leave it as
+// stored. One record is missing from the partition; a repair pull from a
+// replica holding every label installs it and persists.
+func TestRunPersistKeepsFactoredEncoding(t *testing.T) {
+	g := gen.Grid2D(8, 8)
+	s, err := core.BuildScheme(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	const missing = 27
+	var ids []int
+	for v := 0; v < g.NumVertices(); v++ {
+		if v != missing {
+			ids = append(ids, v)
+		}
+	}
+	write := func(path string, ids []int) *labelstore.Store {
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := labelstore.SaveFormat3(f, s, ids, true); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		st, err := labelstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		return st
+	}
+	part := filepath.Join(dir, "shard0.fsdl")
+	boot := write(part, ids).Encoding()
+
+	// The replica the repair pulls from.
+	src, err := cluster.NewShardServer(cluster.ShardConfig{Store: write(filepath.Join(dir, "full.fsdl"), nil), Name: "full"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go src.Serve(ln)
+	t.Cleanup(func() { src.Close() })
+
+	conn := startRun(t, "-store", part, "-persist", part, "-name", "shard0")
+	op, resp := exchange(t, conn, cluster.OpRepairPull, cluster.AppendRepairRequest(nil, ln.Addr().String(), []int32{missing}))
+	if op != cluster.OpRepairPulled {
+		t.Fatalf("repair pull answered op %d: %s", op, resp)
+	}
+	if installed, failed, err := cluster.ParseRepairResponse(resp); err != nil || installed != 1 || failed != 0 {
+		t.Fatalf("repair pull installed %d, failed %d (%v)", installed, failed, err)
+	}
+
+	st, err := labelstore.Open(part)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if enc := st.Encoding(); enc != boot {
+		t.Fatalf("persisted as %+v, booted from %+v", enc, boot)
+	}
+	for v := 0; v < g.NumVertices(); v++ {
+		if _, ok := st.Stored(v); !ok {
+			t.Fatalf("vertex %d of the persisted file does not come back as stored", v)
 		}
 	}
 }

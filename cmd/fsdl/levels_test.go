@@ -13,8 +13,8 @@ import (
 // sharing differs: an 8×8 grid, saturated at every level (one list per
 // level, stored/distinct = n), and a 256-vertex ring lattice, whose
 // lowest-level balls are each vertex's own. A scheme and the containers
-// written from it print the same table — the factored one (-format fsdl3
-// -compress) included, whose labels are induced from its level graphs on
+// written from it print the same table — the factored one (-format fsdl3)
+// included, whose labels are induced from its level graphs on
 // the way out and whose file holds each of those edges once; behind it a
 // factored container prints how its records write the balls.
 func TestCLIStatsLevels(t *testing.T) {
@@ -68,13 +68,13 @@ func TestCLIStatsLevels(t *testing.T) {
 		if got != tc.want {
 			t.Errorf("%s: stats -levels printed\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
-		for _, format := range [][]string{{"-format", "fsdl2"}, {"-format", "fsdl3", "-compress"}} {
+		for _, format := range []string{"fsdl2", "fsdl3"} {
 			db := filepath.Join(dir, tc.name+".fsdl")
-			if _, err := runCLI(t, append([]string{"labels", "-in", tc.graph, "-out", db}, format...)...); err != nil {
+			if _, err := runCLI(t, "labels", "-in", tc.graph, "-out", db, "-format", format); err != nil {
 				t.Fatal(err)
 			}
 			want := tc.want
-			if len(format) == 3 {
+			if format == "fsdl3" {
 				want += tc.balls
 			}
 			if got, err := runCLI(t, "stats", "-levels", "-db", db); err != nil || got != want {
@@ -94,9 +94,9 @@ func TestCLIStatsLevelsFactoredAsFSDL2(t *testing.T) {
 	dir := t.TempDir()
 	ring := writeRing256(t, dir)
 	tables := map[string]string{}
-	for name, format := range map[string][]string{"fsdl2": {"-format", "fsdl2"}, "factored": {"-format", "fsdl3", "-compress"}} {
+	for name, format := range map[string]string{"fsdl2": "fsdl2", "factored": "fsdl3"} {
 		db := filepath.Join(dir, name+".fsdl")
-		if _, err := runCLI(t, append([]string{"labels", "-in", ring, "-out", db}, format...)...); err != nil {
+		if _, err := runCLI(t, "labels", "-in", ring, "-out", db, "-format", format); err != nil {
 			t.Fatal(err)
 		}
 		got, err := runCLI(t, "stats", "-levels", "-db", db)

@@ -13,11 +13,11 @@
 //	fsdl route -in graph.txt -s 0 -t 99 [-eps 2] [-fail 5,17]
 //	fsdl verify -in graph.txt [-eps 2] [-maxfaults 3]
 //	fsdl labels -in graph.txt -out labels.fsdl [-region 12 -radius 5] [-workers N]
-//	fsdl querydb -db labels.fsdl -s 0 -t 99 [-fail 5,17] [-salvage] [-path] [-mmap]
+//	fsdl querydb -db labels.fsdl -s 0 -t 99 [-fail 5,17] [-salvage] [-path]
 //	fsdl trace -size 12 -s 0 [-fail 60,61,62]
 //	fsdl buildscheme -in graph.txt -out scheme.fsdls [-eps 2] [-workers N]
 //	fsdl wquery -in roads.gr -s 0 -t 99 [-fail 5,17]
-//	fsdl partition -db labels.fsdl -members members.txt -out shards/ [-format fsdl3 -compress]
+//	fsdl partition -db labels.fsdl -members members.txt -out shards/ [-format fsdl3]
 //	fsdl cluster status|join|leave|drain -frontend http://host:8080 [...]
 //	fsdl compact -root gens/ [-wal gens/mutations.wal] [-in graph.txt] [-members members.txt]
 package main
@@ -145,12 +145,11 @@ func cmdLabels(args []string, out io.Writer) error {
 	region := fs.Int("region", -1, "center vertex of a region bundle (-1 = all labels)")
 	radius := fs.Int("radius", 0, "region radius (with -region)")
 	workers := fs.Int("workers", 0, "preprocessing workers (0 = all CPUs; output is identical for any count)")
-	format := fs.String("format", "fsdl2", "label container: fsdl2 (heap stream) or fsdl3 (mmap-first, see docs/STORAGE.md)")
-	compress := fs.Bool("compress", false, "compress FSDL3 record payloads (requires -format fsdl3)")
+	format := fs.String("format", "fsdl2", "label container: fsdl2 (heap stream) or fsdl3 (factored and mmap-first, see docs/STORAGE.md)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	format3, err := parseFormat(*format, *compress)
+	format3, err := parseFormat(*format)
 	if err != nil {
 		return err
 	}
@@ -171,7 +170,7 @@ func cmdLabels(args []string, out io.Writer) error {
 	if *region >= 0 {
 		ids = labelstore.Region(s, *region, int32(*radius))
 	}
-	if err := labelstore.Write(f, labelstore.FromScheme(s), ids, format3, *compress); err != nil {
+	if err := labelstore.Write(f, labelstore.FromScheme(s), ids, format3); err != nil {
 		return err
 	}
 	info, err := f.Stat()
@@ -191,7 +190,6 @@ func cmdQueryDB(args []string, out io.Writer) error {
 	failEdges := fs.String("failedge", "", "comma-separated failed edges as u-v")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records and answer conservatively (safe upper bounds)")
 	withPath := fs.Bool("path", false, "also print the witness path (a walk in G \\ F realizing the answer)")
-	mmap := fs.Bool("mmap", false, "serve an FSDL3 store from the page cache (mmap) instead of loading it into heap")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -234,11 +232,7 @@ func cmdQueryDB(args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	open := labelstore.OpenHeap
-	if *mmap {
-		open = labelstore.Open
-	}
-	st, err := open(*db)
+	st, err := labelstore.Open(*db)
 	if err != nil {
 		return err
 	}
@@ -445,15 +439,15 @@ func storeStats(path string, out io.Writer) error {
 		return err
 	}
 	defer st.Close()
-	desc := "FSDL" + strconv.Itoa(st.Format())
-	if st.Compressed() {
+	enc := st.Encoding()
+	desc := "FSDL" + strconv.Itoa(enc.Version)
+	if enc.Compressed {
 		desc += " compressed"
 	}
-	factored := st.Encoding().Factored
-	if factored {
+	if enc.Factored {
 		desc += ", factored"
 	}
-	if st.Mapped() {
+	if enc.Mapped {
 		desc += ", mmap"
 	}
 	n := st.NumVertices()
@@ -482,11 +476,11 @@ func storeStats(path string, out io.Writer) error {
 	fmt.Fprintf(out, "store %s: %s, n=%d vertices, %d records, %d bytes on disk\n",
 		path, desc, n, records, fi.Size())
 	saved := ""
-	if st.Compressed() && canonical > 0 {
+	if enc.Compressed && canonical > 0 {
 		saved = fmt.Sprintf(" (%.1f%% smaller than canonical)", 100*(1-float64(stored)/float64(canonical)))
 	}
 	fmt.Fprintf(out, "payload: %d stored bytes, %d canonical bytes%s\n", stored, canonical, saved)
-	if lgBytes := st.LevelGraphsBytes(); factored && n > 0 {
+	if lgBytes := st.LevelGraphsBytes(); enc.Factored && n > 0 {
 		// A factored file: the level graphs once, then per record only
 		// the balls (the payload above).
 		fmt.Fprintf(out, "level graphs: %d bytes, once per file; balls: %d bytes (%.1f + %.1f bytes/vertex)\n",
@@ -519,14 +513,10 @@ func storeStats(path string, out io.Writer) error {
 	return nil
 }
 
-// parseFormat maps a -format flag value onto the container choice and
-// checks the -compress pairing.
-func parseFormat(format string, compress bool) (format3 bool, err error) {
+// parseFormat maps a -format flag value onto the container choice.
+func parseFormat(format string) (format3 bool, err error) {
 	switch format {
 	case "", "fsdl2", "2":
-		if compress {
-			return false, fmt.Errorf("-compress requires -format fsdl3")
-		}
 		return false, nil
 	case "fsdl3", "3":
 		return true, nil
@@ -776,12 +766,11 @@ func cmdPartition(args []string, out io.Writer) error {
 	db := fs.String("db", "labels.fsdl", "label store file to split")
 	members := fs.String("members", "", "cluster membership file (required; see docs/CLUSTER.md)")
 	outDir := fs.String("out", ".", "directory for the per-shard stores (<name>.fsdl)")
-	format := fs.String("format", "fsdl2", "partition container: fsdl2 (heap stream) or fsdl3 (mmap-first)")
-	compress := fs.Bool("compress", false, "compress FSDL3 record payloads (requires -format fsdl3)")
+	format := fs.String("format", "fsdl2", "partition container: fsdl2 (heap stream) or fsdl3 (factored and mmap-first; needs a factored -db)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	format3, err := parseFormat(*format, *compress)
+	format3, err := parseFormat(*format)
 	if err != nil {
 		return err
 	}
@@ -815,7 +804,7 @@ func cmdPartition(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := labelstore.Write(pf, st, ids, format3, *compress); err != nil {
+		if err := labelstore.Write(pf, st, ids, format3); err != nil {
 			pf.Close()
 			return fmt.Errorf("write %s: %w", path, err)
 		}

@@ -384,9 +384,9 @@ func loadStoreFile(t *testing.T, path string) *labelstore.Store {
 	return st
 }
 
-// TestCLIFormat3Pipeline: `fsdl labels -format fsdl3 -compress` →
-// `fsdl stats <store>` → `fsdl partition -format fsdl3` → `fsdl
-// querydb -mmap` — the FSDL3 path end to end through the CLI.
+// TestCLIFormat3Pipeline: `fsdl labels -format fsdl3` → `fsdl stats
+// <store>` → `fsdl partition -format fsdl3` → `fsdl querydb` — the FSDL3
+// path end to end through the CLI.
 func TestCLIFormat3Pipeline(t *testing.T) {
 	dir := t.TempDir()
 	// Big enough that the FSDL3 page-aligned header+index (8 KiB floor)
@@ -400,7 +400,7 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 	if _, err := runCLI(t, "labels", "-in", gpath, "-out", dbPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-format", "fsdl3", "-compress"); err != nil {
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-format", "fsdl3"); err != nil {
 		t.Fatal(err)
 	}
 	fi2, err := os.Stat(dbPath)
@@ -412,7 +412,7 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fi3.Size() >= fi2.Size() {
-		t.Fatalf("compressed FSDL3 store (%d bytes) not smaller than FSDL2 (%d bytes)", fi3.Size(), fi2.Size())
+		t.Fatalf("FSDL3 store (%d bytes) not smaller than FSDL2 (%d bytes)", fi3.Size(), fi2.Size())
 	}
 
 	// Store-mode stats reports the container and the histogram.
@@ -420,10 +420,10 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A scheme's compressed store is factored: the level graphs once
+	// An FSDL3 store is factored: the level graphs once
 	// (20 759 bytes for grid16 at ε = 2), the balls per record, and the
 	// two split per vertex next to the totals.
-	for _, want := range []string{"FSDL3 compressed, factored", "bytes/vertex", "index/framing overhead", "record size histogram",
+	for _, want := range []string{"FSDL3 compressed, factored, mmap", "bytes/vertex", "index/framing overhead", "record size histogram",
 		"level graphs: 20759 bytes, once per file; balls: 32776 bytes (81.1 + 128.0 bytes/vertex)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stats output missing %q:\n%s", want, out)
@@ -433,7 +433,7 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		t.Fatalf("stats on FSDL2 store: %v\n%s", err, out2)
 	}
 
-	// Same answers from both containers, mmap'd or not.
+	// Same answers from both containers.
 	q := func(db string, extra ...string) string {
 		t.Helper()
 		args := append([]string{"querydb", "-db", db, "-s", "0", "-t", "35", "-fail", "7,8"}, extra...)
@@ -443,7 +443,7 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		}
 		return out
 	}
-	if want, got := q(dbPath), q(db3Path, "-mmap"); want != got {
+	if want, got := q(dbPath), q(db3Path); want != got {
 		t.Fatalf("querydb answers differ across containers:\n%s\nvs\n%s", want, got)
 	}
 
@@ -453,18 +453,23 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardDir := filepath.Join(dir, "shards")
-	if _, err := runCLI(t, "partition", "-db", db3Path, "-members", members, "-out", shardDir, "-format", "fsdl3", "-compress"); err != nil {
+	if _, err := runCLI(t, "partition", "-db", db3Path, "-members", members, "-out", shardDir, "-format", "fsdl3"); err != nil {
 		t.Fatal(err)
 	}
 	orig := loadStoreFile(t, dbPath)
+	full3, err := labelstore.Open(db3Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer full3.Close()
 	for i := 0; i < 2; i++ {
 		path := filepath.Join(shardDir, "shard"+strconv.Itoa(i)+".fsdl")
 		ps, err := labelstore.Open(path)
 		if err != nil {
 			t.Fatalf("open partition %s: %v", path, err)
 		}
-		if ps.Format() != 3 || !ps.Compressed() || !ps.Encoding().Factored {
-			t.Fatalf("partition %s: format=%d encoding %+v, want a factored compressed FSDL3 like the store it was cut from", path, ps.Format(), ps.Encoding())
+		if enc := ps.Encoding(); enc.Version != 3 || !enc.Factored || enc.LevelsCRC != full3.Encoding().LevelsCRC {
+			t.Fatalf("partition %s: encoding %+v, want a factored FSDL3 file under the level graphs of the store it was cut from", path, enc)
 		}
 		for _, v := range ps.Vertices() {
 			wantBits, wantData, ok := orig.Raw(v)
@@ -475,18 +480,19 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		}
 	}
 
-	// Guard rail: -compress without fsdl3.
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-compress"); err == nil {
-		t.Fatal("labels -compress without -format fsdl3 must error")
+	// Guard rail: an FSDL2 store has no level graphs to factor an FSDL3
+	// partition under.
+	if _, err := runCLI(t, "partition", "-db", dbPath, "-members", members, "-out", shardDir, "-format", "fsdl3"); err == nil || !strings.Contains(err.Error(), "FSDL2") {
+		t.Fatalf("partition of an FSDL2 store into FSDL3: %v, want a refusal that names FSDL2", err)
 	}
 
-	// A region bundle goes into any container: the compressed FSDL3
-	// bundle holds the same records as the FSDL2 one.
+	// A region bundle goes into any container: the FSDL3 bundle holds the
+	// same records as the FSDL2 one.
 	bundle2, bundle3 := filepath.Join(dir, "region2.fsdl"), filepath.Join(dir, "region3.fsdl")
 	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle2, "-region", "0", "-radius", "2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle3, "-region", "0", "-radius", "2", "-format", "fsdl3", "-compress"); err != nil {
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle3, "-region", "0", "-radius", "2", "-format", "fsdl3"); err != nil {
 		t.Fatal(err)
 	}
 	b2 := loadStoreFile(t, bundle2)
@@ -495,8 +501,8 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer b3.Close()
-	if !b3.Compressed() || b3.NumLabels() == 0 || !slices.Equal(b2.Vertices(), b3.Vertices()) {
-		t.Fatalf("FSDL3 region bundle holds %v (compressed=%v), FSDL2 bundle holds %v", b3.Vertices(), b3.Compressed(), b2.Vertices())
+	if !b3.Encoding().Factored || b3.NumLabels() == 0 || !slices.Equal(b2.Vertices(), b3.Vertices()) {
+		t.Fatalf("FSDL3 region bundle holds %v (%+v), FSDL2 bundle holds %v", b3.Vertices(), b3.Encoding(), b2.Vertices())
 	}
 	for _, v := range b2.Vertices() {
 		wantBits, wantData, _ := b2.Raw(v)

@@ -68,7 +68,7 @@ func startCluster(t testing.TB, st *labelstore.Store, shards, r int, hooks map[i
 				ids = append(ids, v)
 			}
 		}
-		if err := labelstore.Write(&buf, st, ids, false, false); err != nil {
+		if err := labelstore.Write(&buf, st, ids, false); err != nil {
 			t.Fatalf("Write shard %d: %v", i, err)
 		}
 		ps, err := labelstore.Load(&buf)
@@ -99,7 +99,7 @@ func startCluster(t testing.TB, st *labelstore.Store, shards, r int, hooks map[i
 // isLabelFetch reports whether op asks a shard for label records — what
 // a test's FaultHook stalls or fails to make a shard slow or sick.
 func isLabelFetch(op byte) bool {
-	return op == OpGetLabels || op == OpGetLabelsGen || op == OpGetLabelsStored
+	return op == OpGetLabelsGen || op == OpGetLabelsStored
 }
 
 func newTestFrontend(t testing.TB, tc *testCluster, mut func(*FrontendConfig)) *Frontend {
@@ -360,8 +360,16 @@ func TestShardServerProtocolErrors(t *testing.T) {
 			t.Fatalf("unknown op %d: got op=%d err=%v, generation %d; want OpError and generation 1", unknown, op, err, srv.Generation())
 		}
 	}
+	// 1 is the retired untagged label request: a well-formed one is refused
+	// like any unknown op, not answered.
+	if err := frame.Write(conn, 1, AppendLabelRequest(nil, []int32{1})); err != nil {
+		t.Fatal(err)
+	}
+	if op, payload, err := frame.Read(conn); err != nil || op != OpError || !strings.Contains(string(payload), "unknown op 1") {
+		t.Fatalf("retired op 1: op=%d payload=%q err=%v, want OpError naming the unknown op", op, payload, err)
+	}
 	// Out-of-range vertex → OpError.
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{99})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{99})); err != nil {
 		t.Fatal(err)
 	}
 	op, payload, err := frame.Read(conn)
@@ -369,7 +377,7 @@ func TestShardServerProtocolErrors(t *testing.T) {
 		t.Fatalf("out-of-range id: op=%d payload=%q err=%v", op, payload, err)
 	}
 	// A well-formed request still works on the same connection.
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{1})); err != nil {
 		t.Fatal(err)
 	}
 	op, payload, err = frame.Read(conn)
@@ -406,7 +414,7 @@ func TestFrontendStartupRequiresAShard(t *testing.T) {
 
 // TestShardResponseChunkingMatchesStore shrinks the per-frame budgets
 // so every batch fetch crosses the chunking paths — multi-frame
-// OpLabelsPart responses and split OpGetLabels requests — and verifies
+// OpLabelsPart responses and split label requests — and verifies
 // the reassembled labels are byte-identical to the local store.
 func TestShardResponseChunkingMatchesStore(t *testing.T) {
 	_, st := buildFullStore(t, 8)
@@ -458,7 +466,7 @@ func TestShardResponseChunkingMatchesStore(t *testing.T) {
 	for v := range all {
 		all[v] = int32(v)
 	}
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, all)); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, all)); err != nil {
 		t.Fatal(err)
 	}
 	frames := 0
@@ -510,7 +518,7 @@ func TestShardOversizedRecordAnswersError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{1})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{1})); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
@@ -540,7 +548,7 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 	// shard1's copy is damaged: truncate the serialized store so the
 	// tail records are lost in salvage.
 	var buf bytes.Buffer
-	if err := labelstore.Write(&buf, st, st.Vertices(), false, false); err != nil {
+	if err := labelstore.Write(&buf, st, st.Vertices(), false); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()
@@ -614,7 +622,7 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(lost)})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{int32(lost)})); err != nil {
 		t.Fatal(err)
 	}
 	op, payload, err := frame.Read(conn)

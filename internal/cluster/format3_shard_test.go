@@ -7,22 +7,29 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"fsdl/internal/core"
 	"fsdl/internal/frame"
 	"fsdl/internal/gen"
+	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 )
 
-// writeFormat3Store saves st's records as an FSDL3 container at path.
-func writeFormat3Store(t *testing.T, st *labelstore.Store, path string, compress bool) {
+// writeFormat3Store saves every label of g's scheme (ε = 2, the scheme
+// buildFullStore holds) as an FSDL3 container at path.
+func writeFormat3Store(t *testing.T, g *graph.Graph, path string) {
 	t.Helper()
+	s, err := core.BuildScheme(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = st.SaveVerticesFormat3(f, st.Vertices(), compress)
+	err = labelstore.SaveFormat3(f, s, nil, true)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -60,9 +67,9 @@ func corruptFirstRecord(t *testing.T, path string) int {
 // non-authoritative flag, and every intact record must still serve the
 // exact canonical bytes.
 func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
-	_, st := buildFullStore(t, 6) // n = 36
+	g, st := buildFullStore(t, 6) // n = 36
 	path := filepath.Join(t.TempDir(), "shard.fsdl")
-	writeFormat3Store(t, st, path, true)
+	writeFormat3Store(t, g, path)
 	victim := corruptFirstRecord(t, path)
 
 	cst, err := labelstore.Open(path)
@@ -93,7 +100,7 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 			break
 		}
 	}
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim), int32(intact)})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{int32(victim), int32(intact)})); err != nil {
 		t.Fatal(err)
 	}
 	op, payload, err := frame.Read(conn)
@@ -138,7 +145,7 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 	if err := cst.Put(victim, bits, data); err != nil {
 		t.Fatalf("heal: %v", err)
 	}
-	if err := frame.Write(conn, OpGetLabels, AppendLabelRequest(nil, []int32{int32(victim)})); err != nil {
+	if err := frame.Write(conn, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{int32(victim)})); err != nil {
 		t.Fatal(err)
 	}
 	if op, payload, err = frame.Read(conn); err != nil || op != OpLabels {
@@ -168,9 +175,9 @@ func TestShardServesCorruptFSDL3AsUnknown(t *testing.T) {
 // read of the corrupt vertex fails over and returns the right label —
 // bit rot on one replica is invisible to clients.
 func TestFrontendFailsOverCorruptFSDL3(t *testing.T) {
-	_, st := buildFullStore(t, 6)
+	g, st := buildFullStore(t, 6)
 	path := filepath.Join(t.TempDir(), "replica.fsdl")
-	writeFormat3Store(t, st, path, true)
+	writeFormat3Store(t, g, path)
 	victim := corruptFirstRecord(t, path)
 	cst, err := labelstore.Open(path)
 	if err != nil {
@@ -213,18 +220,18 @@ func TestFrontendFailsOverCorruptFSDL3(t *testing.T) {
 	}
 }
 
-// TestLoadGenerationMmap: a shard configured with Mmap activates an
-// FSDL3 generation straight from the page cache — the swapped-in store
-// is mapped, not heap-loaded — and serves canonical record bytes.
+// TestLoadGenerationMmap: a shard activates an FSDL3 generation straight
+// from the page cache — the swapped-in store is mapped on unix, not
+// heap-loaded, with no Mmap set — and serves canonical record bytes.
 func TestLoadGenerationMmap(t *testing.T) {
-	_, st := buildFullStore(t, 6)
+	g, st := buildFullStore(t, 6)
 	root := t.TempDir()
 	dir := filepath.Join(root, labelstore.GenerationDirName(2))
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
 	full := filepath.Join(dir, labelstore.GenerationLabelsFile)
-	writeFormat3Store(t, st, full, true)
+	writeFormat3Store(t, g, full)
 	crc, err := labelstore.FileCRC(full)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +243,7 @@ func TestLoadGenerationMmap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := NewShardServer(ShardConfig{Store: st, Name: "shard0", GenerationRoot: root, Mmap: true})
+	srv, err := NewShardServer(ShardConfig{Store: st, Name: "shard0", GenerationRoot: root})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +254,12 @@ func TestLoadGenerationMmap(t *testing.T) {
 	if gen != 2 {
 		t.Fatalf("generation = %d, want 2", gen)
 	}
-	if cur.Format() != 3 || !cur.Compressed() {
-		t.Fatalf("activated store format=%d compressed=%v, want FSDL3 compressed", cur.Format(), cur.Compressed())
+	enc := cur.Encoding()
+	if enc.Version != 3 || !enc.Factored {
+		t.Fatalf("activated store %+v, want a factored FSDL3 file", enc)
+	}
+	if mapsFiles := runtime.GOOS == "linux" || runtime.GOOS == "darwin"; mapsFiles && !enc.Mapped {
+		t.Fatal("the activated generation is not mapped")
 	}
 	for _, v := range st.Vertices() {
 		wantBits, wantData, _ := st.Raw(v)
@@ -322,7 +333,7 @@ func TestClusterMixedFactoredShard(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv, err := NewShardServer(ShardConfig{Store: st, Name: node.Name, Mmap: i == 0})
+		srv, err := NewShardServer(ShardConfig{Store: st, Name: node.Name})
 		if err != nil {
 			t.Fatal(err)
 		}

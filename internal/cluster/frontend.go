@@ -1028,7 +1028,7 @@ func newShardClient(nd Node, cfg FrontendConfig) *shardClient {
 	return c
 }
 
-// maxRequestIDs bounds the ids carried by one OpGetLabels frame, so a
+// maxRequestIDs bounds the ids carried by one label-request frame, so a
 // request payload stays far below frame.MaxPayload no matter how large a
 // prefetch gets (≤5 bytes per id ≈ 320 KiB at this cap). A var so tests
 // can shrink it to force chunking.

@@ -17,7 +17,7 @@ import (
 // lives: FuzzDecode in internal/frame.)
 func FuzzDecodeFrame(f *testing.F) {
 	// Well-formed seeds for every op.
-	f.Add(frame.Append(nil, OpGetLabels, AppendLabelRequest(nil, []int32{0, 5, 99})))
+	f.Add(frame.Append(nil, OpGetLabelsGen, AppendGenLabelRequest(nil, 0, []int32{0, 5, 99})))
 	f.Add(frame.Append(nil, OpLabels, AppendLabelResponse(nil, 100, []LabelRecord{
 		{Vertex: 5, Present: true, Bits: 19, Data: []byte{1, 2, 3}},
 		{Vertex: 7},
@@ -73,7 +73,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// (Byte-equality with the *input* is not required — varints admit
 		// non-canonical encodings the parser tolerates but never emits.)
 		switch op {
-		case OpGetLabels:
+		case OpDigest:
 			ids, err := ParseLabelRequest(payload)
 			if err != nil {
 				return

@@ -51,19 +51,15 @@ type ShardConfig struct {
 	// temp+rename) after each repair pull that installed records, so a
 	// repaired shard survives its own restart.
 	PersistPath string
-	// Mmap makes generation activation open FSDL3 partition files via
-	// labelstore.Open — served from the OS page cache instead of heap,
-	// so the shard's servable store is bounded by disk, not RAM.
-	// FSDL2 files still load to heap (they have no other mode).
-	Mmap bool
-	// PersistFormat3 switches PersistPath rewrites (and repair
-	// persists) to the FSDL3 container; PersistCompress additionally
-	// compresses the record payloads. Mixed-format replicas stay
+	// Mmap and PersistFormat3 select nothing. Every FSDL3 file is opened
+	// mapped, and a persist writes the store's own encoding: FSDL3 for a
+	// factored store, FSDL2 for any other. Mixed-encoding replicas stay
 	// digest- and wire-compatible — digests and repair pulls are canonical
 	// bytes whatever the container, and a stored record reads back to the
-	// label its canonical bytes encode.
-	PersistFormat3  bool
-	PersistCompress bool
+	// label its canonical bytes encode. The fields stay for the benchmark
+	// harness, which assigns them (ROADMAP item 1, "Release the pins").
+	Mmap           bool
+	PersistFormat3 bool
 	// RepairRate caps how many records per second repair pulls install
 	// (default 50000; negative = unlimited). The cap is what keeps
 	// rebuilding a shard from starving the query traffic it is already
@@ -252,17 +248,6 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 			st, gen := s.currentStore()
 			bufs.payload = AppendPong(bufs.payload[:0], st.NumVertices(), st.NumLabels(), s.pongFlags(st), gen)
 			werr = s.writeFrame(bw, bufs, OpPong, bufs.payload)
-		case OpGetLabels:
-			gs, _ := s.storeForGen(0) // the current store: never refused
-			ids, err := ParseLabelRequest(req)
-			if err == nil {
-				err = s.checkRange(gs.store, ids)
-			}
-			if err != nil {
-				werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
-			} else {
-				werr = s.writeLabels(bw, bufs, gs, ids, false)
-			}
 		case OpGetLabelsGen, OpGetLabelsStored:
 			gen, ids, err := ParseGenLabelRequest(req)
 			var gs genStore
@@ -424,14 +409,10 @@ func (s *ShardServer) LoadGeneration(gen uint64) error {
 	if s.cfg.Name != "" && m.File(s.cfg.Name+".fsdl") != nil {
 		name = s.cfg.Name + ".fsdl"
 	}
-	open := labelstore.OpenHeap
-	if s.cfg.Mmap {
-		// FSDL3 generations map straight from the page cache; the
-		// shard serves record slices out of the mapping without ever
-		// materialising the container on the heap.
-		open = labelstore.Open
-	}
-	st, err := open(filepath.Join(dir, name))
+	// An FSDL3 generation maps straight from the page cache: the shard
+	// serves record slices out of the mapping without ever materialising
+	// the container on the heap.
+	st, err := labelstore.Open(filepath.Join(dir, name))
 	if err != nil {
 		return fmt.Errorf("cluster: load generation %d: %w", gen, err)
 	}
@@ -704,11 +685,16 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 
 // persist rewrites the partition container atomically and durably
 // (labelstore.ReplaceFile) so a repaired shard that restarts reloads
-// what repair gave it instead of starting the loss over.
+// what repair gave it instead of starting the loss over. It keeps the
+// store's own encoding: a factored store writes a factored FSDL3 file,
+// whose records leave the shard as stored after a restart too; any other
+// store — and a factored one whose level graphs are damaged — writes
+// FSDL2, the self-contained container.
 func (s *ShardServer) persist() error {
 	store, _ := s.currentStore()
+	_, _, factored := store.LevelsSection()
 	err := labelstore.ReplaceFile(s.cfg.PersistPath, func(f *os.File) error {
-		return labelstore.Write(f, store, store.Vertices(), s.cfg.PersistFormat3, s.cfg.PersistCompress)
+		return labelstore.Write(f, store, store.Vertices(), factored)
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: persist repair: %w", err)

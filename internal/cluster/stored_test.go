@@ -38,6 +38,10 @@ func ringLattice(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
+// canonicalGrid6 is every label of grid 6×6 at ε = 2 as an uncompressed
+// FSDL3 file, an encoding that is read and no longer written.
+const canonicalGrid6 = "../labelstore/testdata/grid6_pr33.fsdl3"
+
 func mustScheme(t testing.TB, g *graph.Graph) *core.Scheme {
 	t.Helper()
 	s, err := core.BuildScheme(g, 2)
@@ -55,7 +59,7 @@ func factoredFile(t testing.TB, path string, src labelstore.Source, ids []int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = labelstore.Write(f, src, ids, true, true)
+	err = labelstore.Write(f, src, ids, true)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -77,7 +81,7 @@ func factoredFile(t testing.TB, path string, src labelstore.Source, ids []int) *
 func heapCopy(t testing.TB, st *labelstore.Store) *labelstore.Store {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := labelstore.Write(&buf, st, st.Vertices(), false, false); err != nil {
+	if err := labelstore.Write(&buf, st, st.Vertices(), false); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := labelstore.Load(&buf)
@@ -647,8 +651,9 @@ func TestShardServesOverlayRecordsCanonical(t *testing.T) {
 
 // TestClusterMixedEncodingsAcrossSwap: three shards at replication 2 —
 // shard0 on factored FSDL3 partitions (one record of them Put-healed),
-// shard1 on FSDL2, shard2 on uncompressed FSDL3, each from its own
-// generation root — answer every pair and fault set exactly like the
+// shard1 on FSDL2, each from its own generation root, and shard2 on the
+// committed canonical FSDL3 file of generation A's labels, then on its
+// root's factored generation B — answer every pair and fault set exactly like the
 // unpartitioned store, before and after a swap to a generation whose
 // level graphs differ. The swap drops the old generation's level graphs;
 // a fetch pinned before it still reads them, without keeping them.
@@ -663,7 +668,7 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 	// Each shard reads its own generation root, in its own container.
 	roots := []string{t.TempDir(), t.TempDir(), t.TempDir()}
 	formats := []liveupdate.CompactOptions{
-		{Epsilon: 2, Partitions: parts, Format: 3, Compress: true},
+		{Epsilon: 2, Partitions: parts, Format: 3},
 		{Epsilon: 2, Partitions: parts, Format: 2},
 		{Epsilon: 2, Partitions: parts, Format: 3},
 	}
@@ -705,8 +710,13 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 	var healed int
 	for i, nd := range nodes {
 		path := filepath.Join(roots[i], labelstore.GenerationDirName(genA), nd.Name+".fsdl")
-		if i == 0 {
+		switch i {
+		case 0:
 			healed = corruptFirstRecord(t, path)
+		case 2:
+			// Every label of the unmutated grid, as an uncompressed FSDL3
+			// file holds them: a superset of the shard's slice.
+			path = canonicalGrid6
 		}
 		st, err := labelstore.Open(path)
 		if err != nil {
@@ -718,7 +728,7 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv, addr := startExtraShard(t, ShardConfig{Store: st, Name: nd.Name, Generation: genA, GenerationRoot: roots[i], Mmap: i == 0})
+		srv, addr := startExtraShard(t, ShardConfig{Store: st, Name: nd.Name, Generation: genA, GenerationRoot: roots[i]})
 		m.Nodes = append(m.Nodes, Node{Name: nd.Name, Addr: addr})
 		shards = append(shards, srv)
 	}

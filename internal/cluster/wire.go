@@ -17,12 +17,12 @@ import (
 
 // Frame ops. Requests flow frontend→shard, responses shard→frontend.
 const (
-	// OpGetLabels asks for a batch of label records by vertex id, from
-	// whatever generation is current. The repair pull sends
-	// OpGetLabelsGen and the frontend OpGetLabelsStored; shards answer
-	// this one for any other client.
-	OpGetLabels byte = 1
-	// OpLabels answers OpGetLabels with one record per requested vertex.
+	// 1 is retired and stays unassigned: it asked for label records from
+	// whatever generation is current, which OpGetLabelsGen with generation
+	// 0 does. A shard answers it with OpError, like any unknown op.
+
+	// OpLabels answers a label request (OpGetLabelsGen,
+	// OpGetLabelsStored) with one record per requested vertex.
 	OpLabels byte = 2
 	// OpPing is the health probe; OpPong answers it with store vitals.
 	OpPing byte = 3
@@ -36,7 +36,7 @@ const (
 	// payload past frame.MaxPayload.
 	OpLabelsPart byte = 6
 	// OpDigest asks for the anti-entropy digest of a batch of vertex
-	// ids (request payload identical to OpGetLabels); OpDigestResp
+	// ids (the label-request payload, AppendLabelRequest); OpDigestResp
 	// answers with the digest, the present count and the ids the shard
 	// does not hold. The repairer compares digests across replicas to
 	// find what a shard is missing without shipping any label bytes.
@@ -55,9 +55,10 @@ const (
 	// authoritative "not here", not an unknown. OpSealed acknowledges.
 	OpSeal   byte = 11
 	OpSealed byte = 12
-	// OpGetLabelsGen is OpGetLabels tagged with the label generation the
-	// caller is routing against: uvarint generation, then the standard
-	// label-request payload. A shard answers from the store serving that
+	// OpGetLabelsGen asks for a batch of label records by vertex id,
+	// tagged with the label generation the caller is routing against:
+	// uvarint generation, then the label-request payload
+	// (AppendLabelRequest). A shard answers from the store serving that
 	// generation — the current one or, during a swap window, the
 	// previous one it still holds — so an in-flight scatter started
 	// before a swap completes against the generation it began on.
@@ -99,8 +100,8 @@ const maxWireLabelBits = 1 << 40
 // accumulates from a shard that keeps sending.
 const maxLevelsBytes = 1 << 31
 
-// AppendLabelRequest encodes an OpGetLabels payload: the vertex ids
-// whose labels the caller wants, in the given order.
+// AppendLabelRequest encodes a label-request payload: the vertex ids
+// whose labels (or digest) the caller wants, in the given order.
 func AppendLabelRequest(dst []byte, ids []int32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, v := range ids {
@@ -109,7 +110,7 @@ func AppendLabelRequest(dst []byte, ids []int32) []byte {
 	return dst
 }
 
-// ParseLabelRequest decodes an OpGetLabels payload.
+// ParseLabelRequest decodes a label-request payload.
 func ParseLabelRequest(payload []byte) ([]int32, error) {
 	count, k := binary.Uvarint(payload)
 	if k <= 0 {

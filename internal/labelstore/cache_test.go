@@ -16,7 +16,7 @@ import (
 // vertices were seen. A cache that holds every vertex admits at once.
 func TestDecodedCacheSecondTouchAdmission(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	st, err := Open(writeFormat3File(t, t.TempDir(), "c.fsdl3", s, nil, true))
+	st, err := Open(writeFormat3File(t, t.TempDir(), "c.fsdl3", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestAdmissionFilterBoundedByRecords(t *testing.T) {
 // of the same vertices (run under -race).
 func TestDecodedCacheConcurrentTouch(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	st, err := Open(writeFormat3File(t, t.TempDir(), "c.fsdl3", s, nil, false))
+	st, err := Open(canonicalFSDL3) // canonical records: their lists go through the level table
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,31 +48,29 @@ func factoredGraphs(t testing.TB) map[string]*graph.Graph {
 }
 
 // TestFactoredMatchesScheme is materialised ≡ extracted, container by
-// container: for every graph, the full store and a 7-id subset, mapped
-// and heap-read, every Label from the factored file deep-equals the
-// scheme's, every Raw is the canonical encoding bit for bit, and the
-// digests agree with an FSDL2 store of the same scheme.
+// container: for every graph, the full store and a 7-id subset, every
+// Label from the factored file deep-equals the scheme's, every Raw is the
+// canonical encoding bit for bit, and the digests agree with an FSDL2
+// store of the same scheme.
 func TestFactoredMatchesScheme(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
 		n := g.NumVertices()
 		subset := []int{0, 1, n / 5, n / 3, n / 2, n - 2, n - 1}
 		for _, ids := range [][]int{nil, subset} {
-			path := writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, ids, true)
-			for oname, open := range map[string]func(string) (*Store, error){"Open": Open, "OpenHeap": OpenHeap} {
-				st, err := open(path)
-				if err != nil {
-					t.Fatalf("%s: %s: %v", name, oname, err)
-				}
-				if enc := st.Encoding(); !enc.Factored || !enc.Compressed || enc.Version != 3 {
-					t.Fatalf("%s: a scheme's compressed store is %+v", name, enc)
-				}
-				sameAsScheme(t, name+" via "+oname, st, s, ids)
-				if interned, _ := st.LevelTableStats(); interned != 0 {
-					t.Errorf("%s: a factored store sent %d lists through the level table", name, interned)
-				}
-				st.Close()
+			path := writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, ids)
+			st, err := Open(path)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			if enc := st.Encoding(); !enc.Factored || !enc.Compressed || enc.Version != 3 {
+				t.Fatalf("%s: a scheme's FSDL3 store is %+v", name, enc)
+			}
+			sameAsScheme(t, name, st, s, ids)
+			if interned, _ := st.LevelTableStats(); interned != 0 {
+				t.Errorf("%s: a factored store sent %d lists through the level table", name, interned)
+			}
+			st.Close()
 			sp, rep, err := OpenPartial(path)
 			if err != nil || rep.Lost() != 0 || rep.Truncated {
 				t.Fatalf("%s: salvage open of an intact file: %+v, %v", name, rep, err)
@@ -91,7 +89,7 @@ func TestFactoredMatchesScheme(t *testing.T) {
 func TestFactoredLabelsHoldNoPrivateEdges(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
-		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil, true))
+		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +145,7 @@ func TestFactoredLabelsHoldNoPrivateEdges(t *testing.T) {
 func TestCanonicalBitLenMemo(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
-		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil, true))
+		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,12 +202,12 @@ func TestSplicedAcrossChangedNets(t *testing.T) {
 		t.Fatal("fixture: isolating a vertex left every net as it was")
 	}
 	dir := t.TempDir()
-	prev, err := Open(writeFormat3File(t, dir, "genA", sA, nil, true))
+	prev, err := Open(writeFormat3File(t, dir, "genA", sA, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer prev.Close()
-	full, err := Open(writeFormat3File(t, dir, "genB", sB, nil, true))
+	full, err := Open(writeFormat3File(t, dir, "genB", sB, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,16 +235,16 @@ func TestSplicedAcrossChangedNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := writeBytes(t, Spliced(sB, prev, dirty), nil, true, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, Spliced(sB, prev, dirty), nil, true); !bytes.Equal(got, want) {
 		t.Fatal("splice over a generation with other net points differs from a full write")
 	}
 	// With the nets unchanged the clean payloads travel verbatim.
-	same, err := Open(writeFormat3File(t, dir, "genB.prev", sB, nil, true))
+	same, err := Open(writeFormat3File(t, dir, "genB.prev", sB, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer same.Close()
-	if got := writeBytes(t, Spliced(sB, same, dirty), nil, true, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, Spliced(sB, same, dirty), nil, true); !bytes.Equal(got, want) {
 		t.Fatal("splice over the same generation differs from a full write")
 	}
 }
@@ -282,34 +280,31 @@ func writeTemp(t testing.TB, data []byte) string {
 // PR 17–25 binary off the nested ball records: it knows bits 0 and 1,
 // and every factored file written since carries bit 2.
 func TestFormat3RejectsUnknownFlags(t *testing.T) {
-	s := buildScheme(t, gen.Grid2D(4, 4))
-	for _, compress := range []bool{false, true} {
-		good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, compress))
-		if err != nil {
-			t.Fatal(err)
-		}
-		const pr25KnownFlags = format3FlagCompressed | format3FlagFactored
-		if unknown := good[5] &^ pr25KnownFlags; compress && unknown != format3FlagNested {
-			t.Errorf("a factored file shows a PR 25 reader the unknown flags %#02x, want %#02x (refused as \"format flags 0x04\")", unknown, format3FlagNested)
-		} else if !compress && unknown != 0 {
-			t.Errorf("an uncompressed file carries flags %#02x a PR 25 reader refuses", unknown)
-		}
+	written, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", buildScheme(t, gen.Grid2D(4, 4)), nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := os.ReadFile(canonicalFSDL3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const factoredOnlyFlags = format3FlagCompressed | format3FlagFactored // all a flat-balls reader knows
+	if unknown := written[5] &^ factoredOnlyFlags; unknown != format3FlagNested {
+		t.Errorf("a written file shows a flat-balls reader the unknown flags %#02x, want %#02x (refused as \"format flags 0x04\")", unknown, format3FlagNested)
+	}
+	for file, good := range map[string][]byte{"written": written, "canonical": canonical} {
 		path := writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] |= 1 << 3 }))
 		_, errOpen := Open(path)
-		_, errHeap := OpenHeap(path)
 		_, _, errPartial := OpenPartial(path)
-		for name, err := range map[string]error{"Open": errOpen, "OpenHeap": errHeap, "OpenPartial": errPartial} {
+		for name, err := range map[string]error{"Open": errOpen, "OpenPartial": errPartial} {
 			if err == nil || !strings.Contains(err.Error(), "format flags 0x08") {
-				t.Errorf("compress=%v: %s of a file with flag bit 3 set: %v, want an unknown-flag error", compress, name, err)
+				t.Errorf("%s file: %s with flag bit 3 set: %v, want an unknown-flag error", file, name, err)
 			}
 		}
 	}
 	// The factored flag makes no sense without the compressed one, nor the
 	// nested flag without the factored one.
-	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, false))
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := canonical
 	for _, flags := range []byte{format3FlagFactored, format3FlagNested, format3FlagCompressed | format3FlagNested} {
 		if _, err := Open(writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] = flags }))); err == nil {
 			t.Errorf("flags %#02x accepted", flags)
@@ -327,7 +322,7 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	s := buildScheme(t, g)
 	n := g.NumVertices()
-	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil, true))
+	good, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,9 +366,6 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 		path := writeTemp(t, data)
 		if _, err := Open(path); err == nil {
 			t.Errorf("%s: strict open accepted the file", name)
-		}
-		if _, err := OpenHeap(path); err == nil {
-			t.Errorf("%s: strict heap open accepted the file", name)
 		}
 		st, rep, err := OpenPartial(path)
 		if err != nil {
@@ -421,11 +413,34 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 	} {
 		path := writeTemp(t, data)
 		_, errOpen := Open(path)
-		_, errHeap := OpenHeap(path)
 		_, _, errPartial := OpenPartial(path)
-		if errOpen == nil || errHeap == nil || errPartial == nil {
-			t.Errorf("%s: accepted (Open %v, OpenHeap %v, OpenPartial %v)", name, errOpen, errHeap, errPartial)
+		if errOpen == nil || errPartial == nil {
+			t.Errorf("%s: accepted (Open %v, OpenPartial %v)", name, errOpen, errPartial)
 		}
+	}
+}
+
+// encodePoints appends one level's ball in the flat ball coding
+// (parsePoints): with ids the point count and the gap-coded ids, then in
+// either case the distances — the first in gamma, the rest as zigzag(ΔD)
+// in gamma.
+func encodePoints(w *bitio.Writer, pts []core.PointEntry, ids bool) {
+	if ids {
+		w.WriteDelta(uint64(len(pts)))
+	}
+	prev := int64(-1)
+	prevD := int64(0)
+	for i, pe := range pts {
+		if ids {
+			w.WriteDelta(uint64(int64(pe.X) - prev - 1))
+			prev = int64(pe.X)
+		}
+		if i == 0 {
+			w.WriteGamma(uint64(pe.D))
+		} else {
+			w.WriteGamma(zigzag(int64(pe.D) - prevD))
+		}
+		prevD = int64(pe.D)
 	}
 }
 
@@ -643,7 +658,7 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	}
 	defer f.Close()
 	lg := s.LevelGraphs()
-	w, err := newFormat3Writer(f, n, n, true, lg, lg.Encode())
+	w, err := newFormat3Writer(f, n, n, lg, lg.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -657,7 +672,7 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 				encodeFlatBalls(r.label, lg, &enc)
 				data = enc.Bytes()
 			}
-			r = rec{bits: bits, data: data, prm: paramsOfScheme(lg.Params()), balls: true}
+			r = rec{bits: bits, data: data, prm: paramsOfScheme(lg.Params())}
 		}
 		if err := w.add(v, r); err != nil {
 			t.Fatal(err)
@@ -725,7 +740,7 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if _, _, missing := st.DigestVertices([]int32{victim}); len(missing) != 1 {
 			t.Errorf("%s: digest counts the record present", name)
 		}
-		if err := Write(&seekBuffer{}, st, nil, true, true); err == nil {
+		if err := Write(&seekBuffer{}, st, nil, true); err == nil {
 			t.Errorf("%s: the store copied the record into a new container", name)
 		}
 		sameAsScheme(t, name+", the other records", st, s, []int{0, victim - 1, victim + 1, 59})
@@ -785,7 +800,7 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 	g := ringLattice(128)
 	s := buildScheme(t, g)
 	const victim = 77
-	path := writeFormat3File(t, t.TempDir(), "store", s, nil, true)
+	path := writeFormat3File(t, t.TempDir(), "store", s, nil)
 	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -826,7 +841,7 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 		t.Fatal("healed record still reported corrupt")
 	}
 	sameAsScheme(t, "healed factored store", st, s, nil)
-	if got := writeBytes(t, st, nil, true, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, st, nil, true); !bytes.Equal(got, want) {
 		t.Fatal("the healed store persists to other bytes than the scheme's factored file")
 	}
 }
@@ -838,7 +853,7 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 func TestFactoredConcurrentReaders(t *testing.T) {
 	const n = 192
 	s := buildScheme(t, ringLattice(n))
-	st, err := Open(writeFormat3File(t, t.TempDir(), "store", s, nil, true))
+	st, err := Open(writeFormat3File(t, t.TempDir(), "store", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

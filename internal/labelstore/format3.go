@@ -13,34 +13,11 @@
 //	                  to the next 4096-byte boundary
 //
 // The per-entry CRC is recordChecksum(vertex, bits, payload) — the same
-// integrity word FSDL2 stores and the anti-entropy digests fold, so the
-// index doubles as a precomputed digest table for uncompressed stores.
+// integrity word FSDL2 stores and the anti-entropy digests fold.
 //
-// Payloads are either the canonical label encoding (Label.Encode bytes,
-// identical to what FSDL2 frames) or, when the header's compressed flag
-// is set, the FSDL3 compressed record encoding. The compressed encoding
-// squeezes the canonical form by dropping everything a reader already
-// knows and tightening the per-entry codes:
-//
-//   - no per-record header: the scheme parameters (ε, c, maxLevel,
-//     rShrink) are identical across a store and live in the file header;
-//     the vertex id comes from the index entry
-//   - point distances: first point's d_G(v,x) in gamma, then
-//     zigzag(ΔD) in gamma — distances of id-sorted ball points are
-//     locally correlated, so deltas are small either way
-//   - edge targets: within a run of equal XI, gamma(YI−prevYI−1); at a
-//     run start, gamma(YI−XI−1) instead of an absolute YI (edges always
-//     satisfy XI < YI, so the gap from XI is the tight base)
-//   - edge lengths: omitted at the lowest level (unit edges, D = 1
-//     always); at level ℓ stored as D−1 in exactly ℓ+1 fixed bits, the
-//     information bound since 0 < D ≤ λ_ℓ = 2^(ℓ+1) — gamma coding these
-//     was the single largest cost in the canonical form (~60% of all
-//     label bits on grids)
-//
-// A compressed store is *factored* (flag bit 1, only together with bit 0)
-// whenever its writer could supply the scheme's level graphs. H_ℓ(v) is
-// the one level-ℓ net graph induced on B(v, r_ℓ), so the edges of a label
-// are a function of its balls and of graphs every label shares:
+// Every file written is *factored* (flag bits 0, 1 and 2). H_ℓ(v) is the
+// one level-ℓ net graph induced on B(v, r_ℓ), so the edges of a label are
+// a function of its balls and of graphs every label shares:
 //
 //	level graphs:     one section per file, straight after the index (the
 //	                  data section starts at the next page boundary
@@ -76,17 +53,31 @@
 //
 // Reading a record parses the balls and has core induce the edges
 // (core.LevelGraphs.Label); a saturated level gets the file's one list,
-// pointer-identical across every label of the store. A factored file
-// without bit 2 was written by PR 17–25: per level, bottom one first, a
-// saturated bit and then the points as above under "point distances" —
-// count and id gaps left out when the bit is set (parseFlatBalls). Such
-// files keep reading; none is written any more. See docs/STORAGE.md.
+// pointer-identical across every label of the store.
+//
+// Three older payload encodings are read and never written (see
+// docs/STORAGE.md):
+//
+//   - canonical (flags 0): Label.Encode bytes, the FSDL2 record payload;
+//     the index CRC is then the digest word itself.
+//   - self-contained compressed (flag bit 0 alone; the first compressed
+//     form): per level the points — count, gap-coded ids, then the first
+//     distance in gamma and zigzag(ΔD) in gamma — and the edges: count,
+//     run-coded (XI, YI) gaps, and lengths omitted at the lowest level
+//     (D = 1) and stored as D−1 in exactly ℓ+1 bits above it
+//     (decodeRecord3).
+//   - flat balls (bits 0 and 1; the first factored form): per level,
+//     bottom one first, a saturated bit and then the points as above —
+//     count and id gaps left out when the bit is set (parseFlatBalls).
+//
+// internal/labelstore/testdata holds one file of each, which the tests
+// read.
 //
 // The index always records the *canonical* bit length, whatever the
 // payload encoding: canonical bytes are the currency of the digests, Put
 // and repair pulls, so a compressed store transcodes (decode +
 // deterministic re-encode) where raw canonical bytes are demanded and
-// both formats interoperate record for record. A cluster label fetch
+// both containers interoperate record for record. A cluster label fetch
 // takes a factored record as stored instead, and the length is what its
 // reader checks the label against (stored.go).
 package labelstore
@@ -241,32 +232,10 @@ func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
 
 var edgeBufPool = sync.Pool{New: func() any { return new([]core.EdgeEntry) }}
 
-// encodePoints appends one level's ball: with ids the point count and the
-// gap-coded ids, then in either case the distances — the first in gamma,
-// the rest as zigzag(ΔD) in gamma.
-func encodePoints(w *bitio.Writer, pts []core.PointEntry, ids bool) {
-	if ids {
-		w.WriteDelta(uint64(len(pts)))
-	}
-	prev := int64(-1)
-	prevD := int64(0)
-	for i, pe := range pts {
-		if ids {
-			w.WriteDelta(uint64(int64(pe.X) - prev - 1))
-			prev = int64(pe.X)
-		}
-		if i == 0 {
-			w.WriteGamma(uint64(pe.D))
-		} else {
-			d := int64(pe.D) - prevD
-			w.WriteGamma(zigzag(d))
-		}
-		prevD = int64(pe.D)
-	}
-}
-
-// parsePoints reads one level's ball as encodePoints wrote it: with its
-// count and ids, or — saturated — without, the ids being all of net.
+// parsePoints reads one level's ball as the flat ball coding wrote it:
+// with its count and gap-coded ids, or — saturated — without, the ids
+// being all of net; then the distances, the first in gamma, the rest as
+// zigzag(ΔD) in gamma.
 func parsePoints(r *bitio.Reader, k int, saturated bool, net []int32) ([]core.PointEntry, error) {
 	np := uint64(len(net))
 	if !saturated {
@@ -349,43 +318,9 @@ func parseFlatBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, 
 	return balls, checkPadding(r)
 }
 
-// encodeRecord3 appends the compressed record encoding of l to w. The
-// label must be structurally valid (Validate); the fixed-width edge
-// length field in particular relies on D ≤ λ_ℓ.
-func encodeRecord3(l *core.Label, w *bitio.Writer) error {
-	var buf []core.EdgeEntry
-	for k := range l.Levels {
-		encodePoints(w, l.Levels[k].Points, true)
-		edges := l.LevelEdges(k, &buf)
-		w.WriteDelta(uint64(len(edges)))
-		dBits := l.Level(k) + 1 // D−1 fits exactly: 0 < D ≤ λ_ℓ = 2^(ℓ+1)
-		if k > 0 && len(edges) > 0 && dBits > 31 {
-			return fmt.Errorf("labelstore: level %d edge width %d bits unencodable", l.Level(k), dBits)
-		}
-		var prevXI, prevYI int64
-		for _, e := range edges {
-			dx := int64(e.XI) - prevXI
-			w.WriteGamma(uint64(dx))
-			if dx != 0 {
-				// run start: YI is gap-coded from XI (always YI > XI)
-				w.WriteGamma(uint64(int64(e.YI) - int64(e.XI) - 1))
-			} else {
-				w.WriteGamma(uint64(int64(e.YI) - prevYI - 1))
-			}
-			prevXI, prevYI = int64(e.XI), int64(e.YI)
-			if k > 0 {
-				if e.D <= 0 || int64(e.D) > int64(1)<<uint(dBits) {
-					return fmt.Errorf("labelstore: level %d edge length %d exceeds λ", l.Level(k), e.D)
-				}
-				w.WriteBits(uint64(e.D-1), dBits)
-			}
-		}
-	}
-	return nil
-}
-
-// decodeRecord3 parses a compressed (unfactored) record payload into a
-// validated label.
+// decodeRecord3 parses a self-contained compressed record payload (the
+// encoding the first compressed files hold, read only) into a validated
+// label.
 func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
 	return parseRecord3(payload, v, p, nil)
 }
@@ -489,12 +424,6 @@ type format3Header struct {
 func (h *format3Header) compressed() bool { return h.flags&format3FlagCompressed != 0 }
 func (h *format3Header) factored() bool   { return h.flags&format3FlagFactored != 0 }
 func (h *format3Header) nested() bool     { return h.flags&format3FlagNested != 0 }
-
-// current reports whether the file's compressed payloads are in an
-// encoding a writer still writes — self-contained records, or nested
-// ball records — and so may be copied into a new file verbatim. The ball
-// records of PR 17–25 are read, never written.
-func (h *format3Header) current() bool { return h.factored() == h.nested() }
 
 func encodeFormat3Header(h *format3Header) []byte {
 	buf := make([]byte, format3Page)
@@ -642,21 +571,19 @@ type fileLike interface {
 	io.Seeker
 }
 
-// format3Writer streams records into an FSDL3 file. Records must be
-// added in strictly ascending vertex order (the index is binary-searched
-// at read time); finish seals the file by writing the header page, the
-// index and, in a factored file, the level-graphs section behind it. The
+// format3Writer streams records into a factored FSDL3 file. Records must
+// be added in strictly ascending vertex order (the index is
+// binary-searched at read time); finish seals the file by writing the
+// header page, the index and the level-graphs section behind it. The
 // writer buffers only those in memory — payloads stream to the data
 // section as they are added.
 type format3Writer struct {
-	f        fileLike
-	n        int
-	count    int
-	added    int
-	compress bool
-	// balls and section, when set, make the file factored: records are
-	// written as balls under the codec's level graphs, and section (their
-	// encoding) follows the index.
+	f     fileLike
+	n     int
+	count int
+	added int
+	// balls writes every record under the level graphs whose encoding,
+	// section, follows the index.
 	balls    *BallEncoder
 	section  []byte
 	prm      rec3Params
@@ -664,35 +591,30 @@ type format3Writer struct {
 	dataOff  int64
 	pos      int64 // next payload offset, relative to dataOff
 	lastV    int64
-	enc      bitio.Writer
 	edgeBits edgeBitsMemo
 }
 
 // newFormat3Writer positions f for an n-vertex store that will hold
-// exactly count records; with level graphs (and compress) the store is
-// factored.
-func newFormat3Writer(f fileLike, n, count int, compress bool, lg *core.LevelGraphs, section []byte) (*format3Writer, error) {
+// exactly count records, factored under lg (whose encoding is section).
+func newFormat3Writer(f fileLike, n, count int, lg *core.LevelGraphs, section []byte) (*format3Writer, error) {
 	if n <= 0 || count < 0 || count > n {
 		return nil, fmt.Errorf("labelstore: bad FSDL3 shape n=%d count=%d", n, count)
 	}
-	if lg != nil && (!compress || lg.NumVertices() != n) {
-		return nil, fmt.Errorf("labelstore: level graphs over %d vertices cannot factor this store (n=%d, compress=%v)", lg.NumVertices(), n, compress)
+	if lg.NumVertices() != n {
+		return nil, fmt.Errorf("labelstore: level graphs over %d vertices cannot factor a store over %d", lg.NumVertices(), n)
 	}
 	w := &format3Writer{
-		f:        f,
-		n:        n,
-		count:    count,
-		compress: compress,
-		section:  section,
-		entries:  make([]byte, 0, count*format3EntryLen),
-		dataOff:  pageAlign(format3Page + int64(count)*format3EntryLen + int64(len(section))),
-		lastV:    -1,
-	}
-	if lg != nil {
+		f:       f,
+		n:       n,
+		count:   count,
+		balls:   NewBallEncoder(lg),
+		section: section,
 		// A factored file states its parameters even when it holds no
 		// record: they are the level graphs'.
-		w.balls = NewBallEncoder(lg)
-		w.prm = paramsOfScheme(lg.Params())
+		prm:     paramsOfScheme(lg.Params()),
+		entries: make([]byte, 0, count*format3EntryLen),
+		dataOff: pageAlign(format3Page + int64(count)*format3EntryLen + int64(len(section))),
+		lastV:   -1,
 	}
 	if _, err := f.Seek(w.dataOff, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("labelstore: seek to data section: %w", err)
@@ -701,71 +623,35 @@ func newFormat3Writer(f fileLike, n, count int, compress bool, lg *core.LevelGra
 }
 
 // add appends one record, converting whichever form the source supplied
-// into this writer's payload encoding.
+// into its ball record.
 func (w *format3Writer) add(v int, r rec) error {
-	switch {
-	case r.prm.set:
-		// Already a stored payload, copied verbatim — the
-		// incremental-compaction and partition fast path. The source
-		// vouches that it came from a store with these parameters and, for
-		// balls, these net points; the encoding must be this writer's.
-		if r.balls != (w.balls != nil) {
-			return fmt.Errorf("labelstore: vertex %d payload encoding (balls=%v) is not this store's", v, r.balls)
-		}
-		if err := w.captureParams(r.prm, v); err != nil {
-			return err
+	if r.prm.set {
+		// Already a ball record, copied verbatim — the
+		// incremental-compaction and partition fast path. The source vouches
+		// that it came from a store with these parameters and these net
+		// points.
+		if r.prm != w.prm {
+			return fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
 		}
 		return w.append(v, r.bits, r.data)
-	case r.label != nil:
-		// A live label: encoded below.
-	case !w.compress:
-		return w.append(v, r.bits, r.data)
-	default:
-		// Canonical bytes into a compressing writer: decoded (and thereby
-		// validated independently of any CRC), then re-encoded below.
+	}
+	if r.label == nil {
+		// Canonical bytes: decoded (and thereby validated independently of
+		// any CRC), then encoded below.
 		l, err := core.DecodeLabel(r.data, r.bits)
 		if err != nil {
 			return fmt.Errorf("labelstore: record for vertex %d does not decode: %w", v, err)
 		}
 		r.label = l
 	}
-	bits := canonicalBitLen(r.label, &w.edgeBits)
-	if !w.compress {
-		buf, nbits := r.label.Encode()
-		if nbits != bits {
-			return fmt.Errorf("labelstore: canonical length mismatch for vertex %d (%d vs %d bits)", v, nbits, bits)
-		}
-		return w.append(v, bits, buf[:(nbits+7)/8])
-	}
-	if err := w.captureParams(paramsOf(r.label), v); err != nil {
-		return err
-	}
-	if w.balls != nil {
-		payload, err := w.balls.Encode(r.label)
-		if err != nil {
-			return err
-		}
-		return w.append(v, bits, payload)
-	}
-	w.enc.Reset()
-	if err := encodeRecord3(r.label, &w.enc); err != nil {
-		return err
-	}
-	return w.append(v, bits, w.enc.Bytes())
-}
-
-func (w *format3Writer) captureParams(p rec3Params, v int) error {
-	if !p.set {
-		return fmt.Errorf("labelstore: vertex %d record carries no parameters", v)
-	}
-	if !w.prm.set {
-		w.prm = p
-		return nil
-	}
-	if w.prm != p {
+	if paramsOf(r.label) != w.prm {
 		return fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
 	}
-	return nil
+	payload, err := w.balls.Encode(r.label)
+	if err != nil {
+		return err
+	}
+	return w.append(v, canonicalBitLen(r.label, &w.edgeBits), payload)
 }
 
 func (w *format3Writer) append(v, bits int, payload []byte) error {
@@ -803,35 +689,29 @@ func (w *format3Writer) finish() error {
 	if w.added != w.count {
 		return fmt.Errorf("labelstore: %d records added, header promised %d", w.added, w.count)
 	}
+	// What sits between page 0 and the data section: the index, then the
+	// level graphs.
 	h := &format3Header{
+		flags:   format3FlagCompressed | format3FlagFactored | format3FlagNested,
 		n:       uint64(w.n),
 		count:   uint64(w.count),
 		dataOff: uint64(w.dataOff),
 		dataLen: uint64(w.pos),
 		prm:     w.prm,
+		secOff:  uint64(format3Page + len(w.entries)),
+		secLen:  uint64(len(w.section)),
+		secCRC:  crc32.ChecksumIEEE(w.section),
 	}
-	if w.compress {
-		h.flags |= format3FlagCompressed
+	front := append(w.entries, w.section...)
+	if _, err := w.f.WriteAt(front, format3Page); err != nil {
+		return fmt.Errorf("labelstore: write index: %w", err)
 	}
-	// What sits between page 0 and the data section: the index, then the
-	// level graphs of a factored file.
-	front := w.entries
-	if w.balls != nil {
-		h.flags |= format3FlagFactored | format3FlagNested
-		h.secOff, h.secLen, h.secCRC = uint64(format3Page+len(w.entries)), uint64(len(w.section)), crc32.ChecksumIEEE(w.section)
-		front = append(front, w.section...)
-	}
-	if len(front) > 0 {
-		if _, err := w.f.WriteAt(front, format3Page); err != nil {
-			return fmt.Errorf("labelstore: write index: %w", err)
-		}
-		// Zero-fill the alignment gap between index end and data start so
-		// the file has no undefined bytes.
-		gapStart := format3Page + int64(len(front))
-		if gap := w.dataOff - gapStart; gap > 0 {
-			if _, err := w.f.WriteAt(make([]byte, gap), gapStart); err != nil {
-				return fmt.Errorf("labelstore: write index padding: %w", err)
-			}
+	// Zero-fill the alignment gap between index end and data start so the
+	// file has no undefined bytes.
+	gapStart := format3Page + int64(len(front))
+	if gap := w.dataOff - gapStart; gap > 0 {
+		if _, err := w.f.WriteAt(make([]byte, gap), gapStart); err != nil {
+			return fmt.Errorf("labelstore: write index padding: %w", err)
 		}
 	}
 	if _, err := w.f.WriteAt(encodeFormat3Header(h), 0); err != nil {

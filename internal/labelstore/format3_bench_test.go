@@ -1,32 +1,28 @@
 package labelstore
 
-import (
-	"testing"
+import "testing"
 
-	"fsdl/internal/bitio"
-	"fsdl/internal/core"
-	"fsdl/internal/gen"
-)
-
-// BenchmarkDecodeRecord3 parses the compressed FSDL3 record of the
-// centre vertex of the 24×24 grid at ε = 2 — the cold-label path of a
-// compressed store.
+// BenchmarkDecodeRecord3 parses the self-contained compressed record of
+// the centre vertex of the committed grid 6×6 file of that encoding —
+// the cold-label path of a store written before the factored form, which
+// is still read.
 func BenchmarkDecodeRecord3(b *testing.B) {
-	s, err := core.BuildScheme(gen.Grid2D(24, 24), 2)
+	st, err := Open(pre17FSDL3c)
 	if err != nil {
 		b.Fatal(err)
 	}
-	l := s.Label(24*12 + 12)
-	var w bitio.Writer
-	if err := encodeRecord3(l, &w); err != nil {
-		b.Fatal(err)
+	defer st.Close()
+	const v = 6*3 + 3
+	_, payload, ok := st.f3.storedPayload(v)
+	if !ok {
+		b.Fatal("fixture record unreadable")
 	}
-	payload, prm := w.Bytes(), paramsOf(l)
+	prm := st.f3.hdr.prm
 	b.SetBytes(int64(len(payload)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := decodeRecord3(payload, l.V, prm); err != nil {
+		if _, err := decodeRecord3(payload, v, prm); err != nil {
 			b.Fatal(err)
 		}
 	}

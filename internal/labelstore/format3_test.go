@@ -9,20 +9,21 @@ import (
 	"runtime/debug"
 	"testing"
 
-	"fsdl/internal/bitio"
 	"fsdl/internal/core"
 	"fsdl/internal/gen"
 	"fsdl/internal/graph"
 )
 
-func writeFormat3File(t testing.TB, dir, name string, s *core.Scheme, vertices []int, compress bool) string {
+// writeFormat3File writes the labels of the given vertices of s (nil:
+// all) as an FSDL3 file — factored, as every FSDL3 file written is.
+func writeFormat3File(t testing.TB, dir, name string, s *core.Scheme, vertices []int) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := SaveFormat3(f, s, vertices, compress); err != nil {
+	if err := SaveFormat3(f, s, vertices, true); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -48,10 +49,11 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 }
 
 // TestFormat3RoundTripEquivalence is the byte-level FSDL2↔FSDL3 gate:
-// across graph families and both FSDL3 payload encodings, every record
-// served from an FSDL3 file (mmap'd and heap-loaded) must be
-// byte-identical to the FSDL2 record, digests must agree, and decoded
-// labels must re-encode identically.
+// across graph families, every record served from a (factored, mapped)
+// FSDL3 file must be byte-identical to the FSDL2 record, digests must
+// agree, and decoded labels must re-encode identically. The FSDL3
+// encodings that are only read are held to the same by
+// TestLegacyFSDL3Reads.
 func TestFormat3RoundTripEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	for name, g := range testGraphs(t) {
@@ -67,89 +69,42 @@ func TestFormat3RoundTripEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		for _, compress := range []bool{false, true} {
-			path := writeFormat3File(t, dir, name+suffix(compress), s, nil, compress)
-			for _, open := range []struct {
-				how string
-				fn  func(string) (*Store, error)
-			}{{"mmap", Open}, {"heap", OpenHeap}} {
-				st3, err := open.fn(path)
-				if err != nil {
-					t.Fatalf("%s %s %s: %v", name, suffix(compress), open.how, err)
-				}
-				if st3.Format() != 3 {
-					t.Fatalf("%s: Format() = %d, want 3", name, st3.Format())
-				}
-				if st3.Compressed() != compress {
-					t.Fatalf("%s: Compressed() = %v, want %v", name, st3.Compressed(), compress)
-				}
-				if st3.NumLabels() != st2.NumLabels() {
-					t.Fatalf("%s: %d labels, want %d", name, st3.NumLabels(), st2.NumLabels())
-				}
-				for v := 0; v < n; v++ {
-					b2, d2, ok2 := st2.Raw(v)
-					b3, d3, ok3 := st3.Raw(v)
-					if ok2 != ok3 || b2 != b3 || !bytes.Equal(d2, d3) {
-						t.Fatalf("%s %s %s: vertex %d raw mismatch", name, suffix(compress), open.how, v)
-					}
-					l3, err := st3.Label(v)
-					if err != nil {
-						t.Fatalf("%s: label %d: %v", name, v, err)
-					}
-					e3, bits3 := l3.Encode()
-					if bits3 != b2 || !bytes.Equal(e3, d2) {
-						t.Fatalf("%s %s: vertex %d decoded label re-encodes differently", name, suffix(compress), v)
-					}
-				}
-				ids := make([]int32, n)
-				for i := range ids {
-					ids[i] = int32(i)
-				}
-				dig2, p2, _ := st2.DigestVertices(ids)
-				dig3, p3, _ := st3.DigestVertices(ids)
-				if dig2 != dig3 || p2 != p3 {
-					t.Fatalf("%s %s %s: digest mismatch", name, suffix(compress), open.how)
-				}
-				if err := st3.Close(); err != nil {
-					t.Fatal(err)
-				}
+		st3, err := Open(writeFormat3File(t, dir, name+".fsdl3", s, nil))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if enc := st3.Encoding(); enc.Version != 3 || !enc.Compressed || !enc.Factored {
+			t.Fatalf("%s: an FSDL3 file written as %+v, want factored", name, enc)
+		}
+		if st3.NumLabels() != st2.NumLabels() {
+			t.Fatalf("%s: %d labels, want %d", name, st3.NumLabels(), st2.NumLabels())
+		}
+		for v := 0; v < n; v++ {
+			b2, d2, ok2 := st2.Raw(v)
+			b3, d3, ok3 := st3.Raw(v)
+			if ok2 != ok3 || b2 != b3 || !bytes.Equal(d2, d3) {
+				t.Fatalf("%s: vertex %d raw mismatch", name, v)
+			}
+			l3, err := st3.Label(v)
+			if err != nil {
+				t.Fatalf("%s: label %d: %v", name, v, err)
+			}
+			e3, bits3 := l3.Encode()
+			if bits3 != b2 || !bytes.Equal(e3, d2) {
+				t.Fatalf("%s: vertex %d decoded label re-encodes differently", name, v)
 			}
 		}
-	}
-}
-
-func suffix(compress bool) string {
-	if compress {
-		return ".fsdl3c"
-	}
-	return ".fsdl3"
-}
-
-// TestFormat3CompressedRecordRoundTrip exercises the record codec alone:
-// encodeRecord3 → decodeRecord3 must reproduce a label whose canonical
-// encoding is bit-identical, for every label of every test graph.
-func TestFormat3CompressedRecordRoundTrip(t *testing.T) {
-	for name, g := range testGraphs(t) {
-		s := buildScheme(t, g)
-		for v := 0; v < g.NumVertices(); v++ {
-			l := s.Label(v)
-			var w bitio.Writer
-			if err := encodeRecord3(l, &w); err != nil {
-				t.Fatalf("%s: encode %d: %v", name, v, err)
-			}
-			got, err := decodeRecord3(w.Bytes(), int32(v), paramsOf(l))
-			if err != nil {
-				t.Fatalf("%s: decode %d: %v", name, v, err)
-			}
-			wantBuf, wantBits := l.Encode()
-			gotBuf, gotBits := got.Encode()
-			if gotBits != wantBits || !bytes.Equal(gotBuf, wantBuf) {
-				t.Fatalf("%s: vertex %d compressed round trip diverges", name, v)
-			}
-			if len(w.Bytes()) >= (wantBits+7)/8 {
-				t.Errorf("%s: vertex %d compressed (%dB) not smaller than canonical (%dB)",
-					name, v, len(w.Bytes()), (wantBits+7)/8)
-			}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(i)
+		}
+		dig2, p2, _ := st2.DigestVertices(ids)
+		dig3, p3, _ := st3.DigestVertices(ids)
+		if dig2 != dig3 || p2 != p3 {
+			t.Fatalf("%s: digest mismatch", name)
+		}
+		if err := st3.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -177,11 +132,17 @@ func corruptFileByte(t *testing.T, path string, off int64) {
 // eagerly via OpenPartial), surfaced as Corrupt rather than absent,
 // excluded from counts, and healable by Putting an intact copy.
 func TestFormat3SalvageParity(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		dir := t.TempDir()
-		g := gen.Grid2D(8, 8)
-		s := buildScheme(t, g)
-		path := writeFormat3File(t, dir, "store"+suffix(compress), s, nil, compress)
+	grid8 := buildScheme(t, gen.Grid2D(8, 8))
+	for _, c := range []struct {
+		name string
+		s    *core.Scheme
+		path func() string
+	}{
+		{"factored", grid8, func() string { return writeFormat3File(t, t.TempDir(), "store.fsdl3", grid8, nil) }},
+		{"canonical", buildScheme(t, gen.Grid2D(6, 6)), func() string { return fixtureCopy(t, canonicalFSDL3) }},
+	} {
+		s, path := c.s, c.path()
+		g := s.Graph()
 
 		// Find the payload window of one record via a clean open, then
 		// flip a byte in the middle of it.
@@ -269,7 +230,7 @@ func TestFormat3SalvageParity(t *testing.T) {
 		// Header damage: even salvage gives up (nothing is trustworthy).
 		corruptFileByte(t, path, 9)
 		if _, _, err := OpenPartial(path); err == nil {
-			t.Fatal("salvage accepted a damaged header")
+			t.Fatalf("%s: salvage accepted a damaged header", c.name)
 		}
 	}
 }
@@ -281,85 +242,58 @@ func TestFormat3SalvageParity(t *testing.T) {
 // and storedPayload must all treat the record as damaged afterwards,
 // exactly like a CRC failure.
 func TestFormat3DecodeCorruptionSticks(t *testing.T) {
-	g := gen.Grid2D(8, 8)
-	s := buildScheme(t, g)
-	n := g.NumVertices()
 	const victim = 13
-
-	for _, compress := range []bool{false, true} {
-		dir := t.TempDir()
-		path := filepath.Join(dir, "store"+suffix(compress))
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
+	grid8 := buildScheme(t, gen.Grid2D(8, 8))
+	// The writer and the resealer checksum whatever payload they are
+	// handed, so a garbage body yields a valid-CRC, undecodable record.
+	factored := func() string {
+		junk := bytes.Repeat([]byte{0xff}, 40)
+		if _, err := newBallCodec(grid8.LevelGraphs()).parse(junk, nil); err == nil {
+			t.Fatal("junk payload unexpectedly parses")
 		}
-		w, err := newFormat3Writer(f, n, n, compress, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prm := paramsOf(s.Label(0))
-		for v := 0; v < n; v++ {
-			l := s.Label(v)
-			if v != victim {
-				if err := w.add(v, rec{label: l}); err != nil {
-					t.Fatal(err)
-				}
-				continue
-			}
-			// The writer checksums whatever payload it is handed, so a
-			// garbage serialized body yields a valid-CRC, undecodable
-			// record — for the uncompressed store the payload length must
-			// still match the claimed canonical bit length.
-			bits := canonicalBitLen(l, &edgeBitsMemo{})
-			junk := bytes.Repeat([]byte{0xff}, (bits+7)/8)
-			if !compress {
-				if _, err := core.DecodeLabel(junk, bits); err == nil {
-					t.Fatal("junk payload unexpectedly decodes")
-				}
-			} else if _, err := decodeRecord3(junk, victim, prm); err == nil {
-				t.Fatal("junk payload unexpectedly decodes")
-			}
-			r := rec{bits: bits, data: junk}
-			if compress {
-				r.prm = prm
-			}
-			if err := w.add(v, r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := w.finish(); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-
+		return writeFactoredWithPayload(t, grid8, victim, junk, true)
+	}
+	// In a canonical file the payload length must still match the
+	// canonical bit length the index claims.
+	canonical := func() string { return canonicalWithJunk(t, victim) }
+	for _, c := range []struct {
+		name       string
+		n          int
+		compressed bool
+		path       func() string
+	}{
+		{"factored", 64, true, factored},
+		{"canonical", 36, false, canonical},
+	} {
+		path, n := c.path(), c.n
 		st, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Before discovery the CRC passes, so the record looks held.
 		if !st.Has(victim) {
-			t.Fatalf("compress=%v: undiscovered record not held", compress)
+			t.Fatalf("%s: undiscovered record not held", c.name)
 		}
 		if _, err := st.Label(victim); err == nil {
-			t.Fatalf("compress=%v: garbage payload decoded", compress)
+			t.Fatalf("%s: garbage payload decoded", c.name)
 		}
 		// The decode failure must stick despite the memoized CRC pass.
 		if st.Has(victim) {
-			t.Fatalf("compress=%v: decode-corrupt record still reported held", compress)
+			t.Fatalf("%s: decode-corrupt record still reported held", c.name)
 		}
 		if !st.Corrupt(victim) {
-			t.Fatalf("compress=%v: decode-corrupt record not reported corrupt", compress)
+			t.Fatalf("%s: decode-corrupt record not reported corrupt", c.name)
 		}
 		if _, _, ok := st.f3.storedPayload(victim); ok {
-			t.Fatalf("compress=%v: storedPayload serves decode-corrupt record", compress)
+			t.Fatalf("%s: storedPayload serves decode-corrupt record", c.name)
 		}
-		if compress {
+		if c.compressed {
 			if _, _, ok := st.Raw(victim); ok {
-				t.Fatalf("compress=%v: Raw serves decode-corrupt record", compress)
+				t.Fatalf("%s: Raw serves decode-corrupt record", c.name)
 			}
 		}
 		if got := st.CorruptCount(); got != 1 {
-			t.Fatalf("compress=%v: CorruptCount = %d, want 1", compress, got)
+			t.Fatalf("%s: CorruptCount = %d, want 1", c.name, got)
 		}
 		st.Close()
 
@@ -370,10 +304,10 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim || rep.Kept != n-1 {
-			t.Fatalf("compress=%v: salvage report %+v", compress, rep)
+			t.Fatalf("%s: salvage report %+v", c.name, rep)
 		}
 		if sp.Has(victim) || !sp.Corrupt(victim) {
-			t.Fatalf("compress=%v: salvaged store contradicts its report", compress)
+			t.Fatalf("%s: salvaged store contradicts its report", c.name)
 		}
 		sp.Close()
 	}
@@ -389,11 +323,11 @@ func TestFormat3SpliceHealedOverlay(t *testing.T) {
 	s := buildScheme(t, g)
 	const victim = 27
 
-	want, err := os.ReadFile(writeFormat3File(t, dir, "full.fsdl3c", s, nil, true))
+	want, err := os.ReadFile(writeFormat3File(t, dir, "full.fsdl3", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevPath := writeFormat3File(t, dir, "prev.fsdl3c", s, nil, true)
+	prevPath := writeFormat3File(t, dir, "prev.fsdl3", s, nil)
 	clean, err := Open(prevPath)
 	if err != nil {
 		t.Fatal(err)
@@ -425,7 +359,7 @@ func TestFormat3SpliceHealedOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(f, Spliced(s, prev, []int32{3, 17}), nil, true, true); err != nil {
+	if err := Write(f, Spliced(s, prev, []int32{3, 17}), nil, true); err != nil {
 		t.Fatalf("splice from healed base: %v", err)
 	}
 	f.Close()
@@ -445,7 +379,7 @@ func TestFormat3TruncatedFile(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Grid2D(8, 8)
 	s := buildScheme(t, g)
-	path := writeFormat3File(t, dir, "store.fsdl3", s, nil, true)
+	path := writeFormat3File(t, dir, "store.fsdl3", s, nil)
 	whole, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -479,9 +413,9 @@ func TestFormat3TruncatedFile(t *testing.T) {
 }
 
 // TestFormat3OutOfCoreDifferential is the acceptance gate: an FSDL3
-// mmap shard serves a store larger than a GOMEMLIMIT-style heap ceiling
-// set well below the on-disk size, with every answer byte-identical to
-// the in-heap FSDL2 path.
+// mmap shard serves labels whose canonical bytes are larger than a
+// GOMEMLIMIT-style heap ceiling set well below them, with every answer
+// byte-identical to the in-heap FSDL2 path.
 func TestFormat3OutOfCoreDifferential(t *testing.T) {
 	dir := t.TempDir()
 	g := gen.Grid2D(20, 20)
@@ -492,13 +426,8 @@ func TestFormat3OutOfCoreDifferential(t *testing.T) {
 	if err := Save(&buf, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	path := writeFormat3File(t, dir, "store.fsdl3", s, nil, false)
-	pathC := writeFormat3File(t, dir, "store.fsdl3c", s, nil, true)
-	fi, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fileSize := fi.Size()
+	path := writeFormat3File(t, dir, "store.fsdl3", s, nil)
+	fileSize := int64(buf.Len()) // the labels' canonical bytes
 	if fileSize < 4<<20 {
 		t.Fatalf("test store too small to prove anything: %d bytes", fileSize)
 	}
@@ -544,56 +473,60 @@ func TestFormat3OutOfCoreDifferential(t *testing.T) {
 	prevLimit := debug.SetMemoryLimit(int64(ceiling))
 	defer debug.SetMemoryLimit(prevLimit)
 
-	for _, p := range []string{path, pathC} {
-		st3, err := Open(p)
+	st3, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st3.Encoding().Mapped {
+		t.Skip("mmap unavailable on this platform")
+	}
+	st3.SetDecodedCacheCapacity(2)
+	for i, qc := range queries {
+		res, err := st3.DistanceRobust(qc.s, qc.t, qc.faults, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !st3.Mapped() {
-			t.Skip("mmap unavailable on this platform")
+		got := answer{res.Dist, res.OK, res.Degraded}
+		if got != want[i] {
+			t.Fatalf("query %d: got %+v want %+v", i, got, want[i])
 		}
-		st3.SetDecodedCacheCapacity(2)
-		for i, qc := range queries {
-			res, err := st3.DistanceRobust(qc.s, qc.t, qc.faults, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := answer{res.Dist, res.OK, res.Degraded}
-			if got != want[i] {
-				t.Fatalf("%s: query %d: got %+v want %+v", p, i, got, want[i])
-			}
-		}
-		st3.Close()
 	}
+	st3.Close()
 	runtime.GC()
 	var after runtime.MemStats
 	runtime.ReadMemStats(&after)
 	if after.HeapAlloc > ceiling+uint64(fileSize)/4 {
-		t.Fatalf("serving blew through the heap ceiling: %d -> %d (ceiling %d, file %d)",
+		t.Fatalf("serving blew through the heap ceiling: %d -> %d (ceiling %d, labels %d)",
 			before.HeapAlloc, after.HeapAlloc, ceiling, fileSize)
 	}
 }
 
-// FuzzFormat3Record hardens the compressed record decoder: arbitrary
-// payloads must never panic or over-allocate, and anything that decodes
-// must survive a re-encode/decode round trip bit-identically.
+// FuzzFormat3Record hardens the self-contained compressed record decoder
+// files of that encoding are still read with: arbitrary payloads must
+// never panic or over-allocate, and anything that decodes is a valid
+// label whose canonical encoding decodes to the same label. The seeds
+// are records of the committed file of that encoding and the ball
+// records of the same labels — the bytes a factored file holds where
+// this decoder expects a self-contained record.
 func FuzzFormat3Record(f *testing.F) {
-	g := gen.Grid2D(5, 5)
-	s, err := core.BuildScheme(g, 2)
+	st, err := Open(pre17FSDL3c)
 	if err != nil {
 		f.Fatal(err)
 	}
-	prm := paramsOf(s.Label(0))
-	for v := 0; v < 4; v++ {
-		var w bitio.Writer
-		if err := encodeRecord3(s.Label(v), &w); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(w.Bytes())
+	defer st.Close()
+	prm := st.f3.hdr.prm
+	s, err := core.BuildScheme(gen.Grid2D(6, 6), 2)
+	if err != nil {
+		f.Fatal(err)
 	}
-	// Ball records of the same labels: the bytes a factored file holds
-	// where this decoder expects a self-contained record.
 	enc := NewBallEncoder(s.LevelGraphs())
+	for v := int32(0); v < 4; v++ {
+		_, record, ok := st.f3.storedPayload(v)
+		if !ok {
+			f.Fatalf("fixture record %d unreadable", v)
+		}
+		f.Add(bytes.Clone(record))
+	}
 	for v := 0; v < 4; v++ {
 		record, err := enc.Encode(s.Label(v))
 		if err != nil {
@@ -608,18 +541,16 @@ func FuzzFormat3Record(f *testing.F) {
 		if err != nil {
 			return
 		}
-		var w bitio.Writer
-		if err := encodeRecord3(l, &w); err != nil {
-			t.Fatalf("decoded label does not re-encode: %v", err)
-		}
-		l2, err := decodeRecord3(w.Bytes(), 0, prm)
-		if err != nil {
-			t.Fatalf("re-encoded record does not decode: %v", err)
+		if err := l.Validate(); err != nil {
+			t.Fatalf("decoded label fails Validate: %v", err)
 		}
 		b1, n1 := l.Encode()
-		b2, n2 := l2.Encode()
-		if n1 != n2 || !bytes.Equal(b1, b2) {
-			t.Fatal("record round trip diverges")
+		l2, err := core.DecodeLabel(b1, n1)
+		if err != nil {
+			t.Fatalf("decoded label's canonical encoding does not decode: %v", err)
+		}
+		if b2, n2 := l2.Encode(); n1 != n2 || !bytes.Equal(b1, b2) {
+			t.Fatal("canonical round trip diverges")
 		}
 	})
 }

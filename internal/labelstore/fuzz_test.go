@@ -150,7 +150,7 @@ func resealFormat3(data []byte) []byte {
 }
 
 // FuzzOpenFormat3 is the container-level fuzz target: whole-file bytes
-// through Open, OpenHeap and OpenPartial, then Label and Raw on every
+// through Open and OpenPartial, then Label and Raw on every
 // vertex the index names. With reseal set the image's checksums are
 // recomputed first, so a mutated offset, length, row, saturated bit or
 // ball id arrives under a right CRC. Whatever happens must be an open
@@ -171,10 +171,10 @@ func FuzzOpenFormat3(f *testing.F) {
 		}
 		return data
 	}
-	factored := read(writeFormat3File(f, dir, "factored", s, nil, true))
+	factored := read(writeFormat3File(f, dir, "factored", s, nil))
 	f.Add(factored, false)
-	f.Add(read(writeFormat3File(f, dir, "subset", s, []int{3, 9, 20, 41, 59}, true)), false)
-	f.Add(read(writeFormat3File(f, dir, "canonical", s, []int{0, 30, 59}, false)), false)
+	f.Add(read(writeFormat3File(f, dir, "subset", s, []int{3, 9, 20, 41, 59})), false)
+	f.Add(read(canonicalFSDL3), false)
 	f.Add(read(pre17FSDL3c), false)
 	f.Add(read(pre26Factored), false)
 	// Damage under right checksums: the level-graphs window, its rows,
@@ -237,9 +237,6 @@ func FuzzOpenFormat3(f *testing.F) {
 			}
 		}
 		if st, err := Open(path); err == nil {
-			exercise(st)
-		}
-		if st, err := OpenHeap(path); err == nil {
 			exercise(st)
 		}
 		if st, rep, err := OpenPartial(path); err == nil {

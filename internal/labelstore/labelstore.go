@@ -18,13 +18,13 @@
 //
 // "FSDL3" (format3.go, mmapstore.go) is the out-of-core sibling: a
 // page-aligned random-access layout with the record index up front,
-// served from an mmap of the file, optionally with compressed record
-// payloads.
+// served from an mmap of the file; every FSDL3 file written is factored
+// (the level graphs once, each record its balls).
 //
 // There is one way in and one way out. Write (write.go) fills either
 // container from a record source — a scheme, a scheme spliced over a
-// previous generation's store, or a store. Open/OpenHeap/OpenPartial
-// sniff the container of a file and Load/LoadPartial read an FSDL2
+// previous generation's store, or a store. Open/OpenPartial sniff the
+// container of a file and Load/LoadPartial read an FSDL2
 // stream, each strict or salvaging: the checksums turn silent bit rot
 // into detected corruption, which a strict read refuses loudly and a
 // salvaging one routes around, keeping every intact record and
@@ -172,8 +172,7 @@ func recordChecksum(v int, bits int, data []byte) uint32 {
 // anti-entropy repair path installs records into a live shard's store
 // while queries read it.
 type Store struct {
-	n      int
-	format int // container version: 2 heap stream, 3 mmap-first file
+	n int
 
 	// labels is the heap overlay: everything an FSDL2 load parsed, plus
 	// records Put installed (repair ingest). For an FSDL3-backed store it
@@ -181,7 +180,8 @@ type Store struct {
 	mu     sync.RWMutex
 	labels map[int32]record
 
-	// f3 is the FSDL3 backing (mmap'd or flat heap bytes), nil otherwise.
+	// f3 is the FSDL3 backing (mmap'd bytes, a heap copy off unix), nil
+	// otherwise.
 	f3 *file3
 	// rawCache memoizes canonical transcodes of compressed FSDL3 records
 	// for the wire-serving path; nil unless the backing is compressed.
@@ -218,7 +218,6 @@ const DefaultDecodedCacheSize = 1024
 func newStore(n int, count uint64) *Store {
 	return &Store{
 		n:      n,
-		format: 2,
 		labels: make(map[int32]record, min(count, 1<<16)),
 		cache:  lru.New[int32, *core.Label](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) }),
 		levels: core.NewLevelTable(DefaultDecodedCacheSize),

@@ -3,8 +3,6 @@ package labelstore
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -79,7 +77,11 @@ func distances(t *testing.T, st *Store, n int) []int64 {
 func TestLevelTableDropCaches(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
 	for _, factored := range []bool{false, true} {
-		st, err := Open(writeFormat3File(t, t.TempDir(), "store"+suffix(factored), s, nil, factored))
+		path := canonicalFSDL3 // canonical records of the same scheme
+		if factored {
+			path = writeFormat3File(t, t.TempDir(), "store.fsdl3", s, nil)
+		}
+		st, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,34 +238,11 @@ func TestLevelTableCap(t *testing.T) {
 // put, sharing lists with the store's other labels only where they are
 // equal.
 func TestLevelTableRepairIngest(t *testing.T) {
-	g := gen.Grid2D(8, 8)
-	s := buildScheme(t, g)
+	const side = 6
+	g := gen.Grid2D(side, side) // the canonical fixture's grid
 	n := g.NumVertices()
 	const victim = 13
-	path := filepath.Join(t.TempDir(), "store.fsdl3")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := newFormat3Writer(f, n, n, false, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 0; v < n; v++ {
-		r := rec{label: s.Label(v)}
-		if v == victim { // a valid checksum over a payload that does not parse
-			bits := canonicalBitLen(r.label, &edgeBitsMemo{})
-			r = rec{bits: bits, data: bytes.Repeat([]byte{0xff}, (bits+7)/8)}
-		}
-		if err := w.add(v, r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.finish(); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	st, err := Open(path)
+	st, err := Open(canonicalWithJunk(t, victim))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +281,7 @@ func TestLevelTableRepairIngest(t *testing.T) {
 	if gdata, gbits := got.Encode(); gbits != bits || !bytes.Equal(gdata, data) {
 		t.Fatal("the healed label does not encode to the record that was put")
 	}
-	if shared, differ := sharedLevels(got, mustLabel(t, st, victim+8)); shared == 0 || differ == 0 {
+	if shared, differ := sharedLevels(got, mustLabel(t, st, victim+side)); shared == 0 || differ == 0 {
 		t.Fatalf("healed label vs a neighbour's: %d levels shared, %d not — want both (one edge changed the low levels only)", shared, differ)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // mapFile on platforms without mmap support falls back to reading the
 // file into one flat heap slice: identical semantics, no page-cache
-// tiering (Store.Mapped reports false).
+// tiering (Encoding().Mapped reports false).
 func mapFile(f *os.File, size int64) ([]byte, *mmapRegion, error) {
 	data := make([]byte, size)
 	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {

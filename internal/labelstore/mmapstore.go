@@ -1,7 +1,7 @@
 // Out-of-core store backing: an FSDL3 file opened here is not parsed
-// into heap maps — the whole file is mmap'd (or, on request, read into
-// one flat heap slice) and records are served by binary-searching the
-// on-disk index directly in the mapping. The OS page cache does the
+// into heap maps — the whole file is mmap'd (read into one flat heap
+// slice where the platform has no mmap) and records are served by
+// binary-searching the on-disk index directly in the mapping. The OS page cache does the
 // tiering: hot index and record pages stay resident, cold ones are
 // just disk, and store size is bounded by disk rather than RAM.
 //
@@ -52,8 +52,9 @@ func (r *mmapRegion) Close() error {
 	return r.unmap(data)
 }
 
-// file3 is the FSDL3 backing of a Store: the raw file bytes (mapped or
-// heap), the parsed header, and lazy per-record verification state.
+// file3 is the FSDL3 backing of a Store: the raw file bytes (mapped, or
+// a heap copy off unix), the parsed header, and lazy per-record
+// verification state.
 type file3 struct {
 	data     []byte
 	region   *mmapRegion // nil when data is a heap copy
@@ -243,16 +244,7 @@ func (f *file3) corruptCount() int {
 // FSDL3 record payloads are CRC-verified lazily on first access, with
 // failures surfacing as corrupt-record lookups rather than errors.
 func Open(path string) (*Store, error) {
-	st, _, err := open(path, true, false)
-	return st, err
-}
-
-// OpenHeap is Open without the mapping: an FSDL3 file is read into one
-// heap slice (identical semantics, no page-cache tiering) — the
-// portable fallback and the right choice for short-lived CLI reads of
-// small stores.
-func OpenHeap(path string) (*Store, error) {
-	st, _, err := open(path, false, false)
+	st, _, err := open(path, false)
 	return st, err
 }
 
@@ -263,12 +255,12 @@ func OpenHeap(path string) (*Store, error) {
 // set (lookups report them via Corrupt, and the store stays mmap-backed
 // so salvage does not force the file into heap).
 func OpenPartial(path string) (*Store, *SalvageReport, error) {
-	return open(path, true, true)
+	return open(path, true)
 }
 
 // open is the one sniff-and-dispatch every opener goes through; the
 // report matters only to a partial open.
-func open(path string, useMmap, partial bool) (*Store, *SalvageReport, error) {
+func open(path string, partial bool) (*Store, *SalvageReport, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
@@ -279,7 +271,7 @@ func open(path string, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		return nil, nil, err
 	}
 	if version == 3 {
-		return open3(f, useMmap, partial)
+		return open3(f, partial)
 	}
 	return load(f, partial)
 }
@@ -303,16 +295,17 @@ func sniff(f *os.File) (version int, err error) {
 	return 0, fmt.Errorf("labelstore: bad magic %q", head[:])
 }
 
-// Encoding says how a container stores its records — everything that
-// decides which bytes Write produces for a given set of labels: the
-// container version (2 or 3), for FSDL3 whether the payloads are
-// compressed, and for a factored file the CRC of the level graphs its
-// records are induced from.
+// Encoding describes the container backing a store: its version (2 or
+// 3), for FSDL3 whether the payloads are compressed, and for a factored
+// file the CRC of the level graphs its records are induced from — what
+// decides which bytes Write produces from it — and whether the records
+// are served from an mmap of the file.
 type Encoding struct {
 	Version    int
 	Compressed bool
 	Factored   bool
 	LevelsCRC  uint32
+	Mapped     bool
 }
 
 // Encoding returns the Encoding of the container backing this store; a
@@ -322,10 +315,10 @@ func (st *Store) Encoding() Encoding {
 		return Encoding{Version: 2}
 	}
 	h := st.f3.hdr
-	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC}
+	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC, Mapped: st.f3.region != nil}
 }
 
-func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
+func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 	fi, err := f.Stat()
 	if err != nil {
 		return nil, nil, err
@@ -334,14 +327,7 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 	if size < format3HeaderLen {
 		return nil, nil, fmt.Errorf("labelstore: FSDL3 file truncated (%d bytes)", size)
 	}
-	var data []byte
-	var region *mmapRegion
-	if useMmap {
-		data, region, err = mapFile(f, size)
-	} else {
-		data = make([]byte, size)
-		_, err = io.ReadFull(io.NewSectionReader(f, 0, size), data)
-	}
+	data, region, err := mapFile(f, size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -420,7 +406,6 @@ func open3(f *os.File, useMmap, partial bool) (*Store, *SalvageReport, error) {
 		}
 	}
 	st := newStore(int(hdr.n), 0)
-	st.format = 3
 	st.f3 = f3
 	if hdr.compressed() {
 		st.rawCache = lru.New[int32, record](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
@@ -449,21 +434,6 @@ func (st *Store) Close() error {
 		return st.f3.region.Close()
 	}
 	return nil
-}
-
-// Format returns the container version backing this store: 2 for a
-// heap-loaded stream (or a store built up by Put), 3 for an FSDL3 file.
-func (st *Store) Format() int { return st.format }
-
-// Mapped reports whether the store serves records from an mmap'd file.
-func (st *Store) Mapped() bool {
-	return st.f3 != nil && st.f3.region != nil
-}
-
-// Compressed reports whether the backing file stores compressed record
-// payloads.
-func (st *Store) Compressed() bool {
-	return st.f3 != nil && st.f3.hdr.compressed()
 }
 
 // Corrupt reports whether the stored record of v is present but known

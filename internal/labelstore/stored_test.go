@@ -3,18 +3,16 @@ package labelstore
 import (
 	"bytes"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"fsdl/internal/core"
 	"fsdl/internal/gen"
 )
 
-// openFormat3 writes every label of s as an FSDL3 file — factored when
-// compressed — and opens it mapped.
-func openFormat3(t *testing.T, s *core.Scheme, compress bool) *Store {
+// openFormat3 writes every label of s as an FSDL3 file and opens it.
+func openFormat3(t *testing.T, s *core.Scheme) *Store {
 	t.Helper()
-	st, err := Open(writeFormat3File(t, t.TempDir(), "s.fsdl", s, nil, compress))
+	st, err := Open(writeFormat3File(t, t.TempDir(), "s.fsdl", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,11 +26,11 @@ func openFormat3(t *testing.T, s *core.Scheme, compress bool) *Store {
 // refuses a record that names other level graphs, fails its CRC, or
 // decodes to another canonical length than its index entry states.
 func TestStoredRecordsReadBack(t *testing.T) {
-	flat, err := Open(filepath.Join("testdata", "path60_pr25.fsdl3c"))
+	flat, err := Open(pre26Factored)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]*Store{"nested": openFormat3(t, buildScheme(t, ringLattice(128)), true), "flat": flat} {
+	for name, st := range map[string]*Store{"nested": openFormat3(t, buildScheme(t, ringLattice(128))), "flat": flat} {
 		t.Run(name, func(t *testing.T) {
 			section, crc, ok := st.LevelsSection()
 			if !ok {
@@ -95,7 +93,7 @@ func TestStoredRecordsReadBack(t *testing.T) {
 // of an FSDL2, uncompressed FSDL3 or pre-factoring compressed store go
 // the canonical way.
 func TestStoredLeavesOtherRecordsToRaw(t *testing.T) {
-	st := openFormat3(t, buildScheme(t, ringLattice(64)), true)
+	st := openFormat3(t, buildScheme(t, ringLattice(64)))
 	const v = 5
 	other := buildScheme(t, gen.Path(64)).Label(v) // any decodable record
 	buf, bits := other.Encode()
@@ -113,13 +111,17 @@ func TestStoredLeavesOtherRecordsToRaw(t *testing.T) {
 	}
 
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	pre17, err := Open(filepath.Join("testdata", "grid6_pre17.fsdl3c"))
+	pre17, err := Open(pre17FSDL3c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := Open(canonicalFSDL3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for name, other := range map[string]*Store{
 		"FSDL2":                loadedStore(t, s),
-		"uncompressed FSDL3":   openFormat3(t, s, false),
+		"uncompressed FSDL3":   canonical,
 		"pre-factoring FSDL3c": pre17,
 	} {
 		if _, _, ok := other.LevelsSection(); ok {

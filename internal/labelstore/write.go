@@ -5,17 +5,16 @@
 //	          Spliced      extract the dirty labels, copy the rest from a
 //	                       previous generation's store
 //	          *Store       copy records out of a loaded store
-//	sinks     FSDL2 stream · FSDL3 file (canonical or compressed payloads)
+//	sinks     FSDL2 stream · factored FSDL3 file
 //
 // Id normalisation, the FSDL2 header/record loop, the FSDL3 sink
 // drive loop and the stored→stored verbatim copy each live here once;
 // every source × sink pair yields, for the same ids, the bytes the
-// scheme source would — with one exception, decided by what the source
-// is and by nothing else: a compressed FSDL3 file is factored (one
-// level-graphs section, records reduced to their balls) whenever the
-// source can supply the level graphs, which a scheme and a factored
-// store can and an FSDL2, uncompressed or pre-factoring store cannot;
-// those last keep the self-contained compressed record encoding.
+// scheme source would. An FSDL3 file is always factored — one
+// level-graphs section, records reduced to their balls — so only a
+// source that can supply the level graphs can fill one: a scheme, or a
+// factored store. Any other store (FSDL2, an unfactored FSDL3 file, one
+// filled by Put) writes FSDL2, the self-contained container.
 package labelstore
 
 import (
@@ -31,15 +30,13 @@ import (
 
 // rec is one record on its way from a source to a sink, in the cheapest
 // form the source holds: a live label, or serialized bytes — canonical
-// Label.Encode output, or (prm.set) a stored FSDL3 payload together
-// with the parameters of the store it came from: a self-contained
-// compressed record, or (balls) the balls of a factored one.
+// Label.Encode output, or (prm.set) the nested ball record of a factored
+// store together with the parameters of that store.
 type rec struct {
 	label *core.Label
 	bits  int // canonical bit length of data
 	data  []byte
 	prm   rec3Params
-	balls bool
 }
 
 // Source yields the records Write puts into a container: FromScheme,
@@ -48,9 +45,9 @@ type Source interface {
 	// NumVertices is the vertex-id space the records live in.
 	NumVertices() int
 	// records emits the record of every id (ascending, distinct, in
-	// range), in order. stored asks for stored FSDL3 payloads verbatim
-	// where the source holds them in the encoding a compressed sink fed
-	// by this source writes (levelGraphs decides which that is).
+	// range), in order. stored asks for ball records verbatim where the
+	// source holds them in the encoding an FSDL3 sink writes under the
+	// level graphs levelGraphs supplies.
 	records(ids []int, stored bool, emit func(v int, r rec) error) error
 	// levelGraphs returns the level graphs the records are induced from
 	// and their encoding, or nil when the source cannot supply them.
@@ -65,15 +62,13 @@ type sink interface {
 }
 
 // Write writes the records of the given vertices (nil: every vertex of
-// the id space) from src to w as one container: an FSDL2 stream, or
-// with format3 an FSDL3 file, which needs a seekable w (an *os.File).
-// compress selects FSDL3's compressed payload encoding — factored when
-// src can supply the level graphs — and means nothing for FSDL2. The ids
-// are sorted and de-duplicated first, so output is deterministic, and a
-// given id list yields the same bytes whichever source the records come
-// from, among the sources that can supply the level graphs and among
-// those that cannot. A vertex src has no record for is an error.
-func Write(w io.Writer, src Source, vertices []int, format3, compress bool) error {
+// the id space) from src to w as one container: an FSDL2 stream, or with
+// format3 a factored FSDL3 file, which needs a seekable w (an *os.File)
+// and a source that can supply the level graphs. The ids are sorted and
+// de-duplicated first, so output is deterministic, and a given id list
+// yields the same bytes whichever source the records come from. A vertex
+// src has no record for is an error.
+func Write(w io.Writer, src Source, vertices []int, format3 bool) error {
 	n := src.NumVertices()
 	ids, err := normalizeVertices(vertices, n)
 	if err != nil {
@@ -85,19 +80,18 @@ func Write(w io.Writer, src Source, vertices []int, format3, compress bool) erro
 		if !ok {
 			return fmt.Errorf("labelstore: FSDL3 output needs a seekable file, not %T", w)
 		}
-		var lg *core.LevelGraphs
-		var section []byte
-		if compress {
-			lg, section = src.levelGraphs()
+		lg, section := src.levelGraphs()
+		if lg == nil {
+			return fmt.Errorf("labelstore: an FSDL3 file is factored, and this source has no level graphs to factor it under (an FSDL2 store, an unfactored FSDL3 file or a store filled by Put); write it as FSDL2, the self-contained container")
 		}
-		out, err = newFormat3Writer(f, n, len(ids), compress, lg, section)
+		out, err = newFormat3Writer(f, n, len(ids), lg, section)
 	} else {
 		out, err = newStreamWriter(w, n, len(ids))
 	}
 	if err != nil {
 		return err
 	}
-	if err := src.records(ids, format3 && compress, out.add); err != nil {
+	if err := src.records(ids, format3, out.add); err != nil {
 		return err
 	}
 	return out.finish()
@@ -105,18 +99,20 @@ func Write(w io.Writer, src Source, vertices []int, format3, compress bool) erro
 
 // Save is Write from a scheme to an FSDL2 stream.
 func Save(w io.Writer, s *core.Scheme, vertices []int) error {
-	return Write(w, FromScheme(s), vertices, false, false)
+	return Write(w, FromScheme(s), vertices, false)
 }
 
-// SaveFormat3 is Write from a scheme to an FSDL3 file.
+// SaveFormat3 is Write from a scheme to an FSDL3 file. compress selects
+// nothing: every FSDL3 file written is factored.
 func SaveFormat3(f fileLike, s *core.Scheme, vertices []int, compress bool) error {
-	return Write(f, FromScheme(s), vertices, true, compress)
+	return Write(f, FromScheme(s), vertices, true)
 }
 
 // SaveVerticesFormat3 is Write from a store to an FSDL3 file — the
-// partition path.
+// partition path. compress selects nothing: every FSDL3 file written is
+// factored, so the store must be a factored one.
 func (st *Store) SaveVerticesFormat3(f fileLike, vertices []int, compress bool) error {
-	return Write(f, st, vertices, true, compress)
+	return Write(f, st, vertices, true)
 }
 
 // Region lists the vertices within the given radius of center — the ids
@@ -190,8 +186,8 @@ func (src *SchemeSource) records(ids []int, stored bool, emit func(int, rec) err
 	if src.prev != nil && src.prev.NumVertices() != src.NumVertices() {
 		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", src.prev.NumVertices(), src.NumVertices())
 	}
-	// A scheme's compressed sink is factored, so a clean record travels
-	// verbatim only as balls, and only while the levels' net-point lists
+	// A clean record travels verbatim into an FSDL3 sink only as balls,
+	// and only while the levels' net-point lists
 	// are the ones it was written under: its ids are indices into them,
 	// "saturated" means all of one, and a nested level's own points are
 	// those of one list that the next lacks — a net point that joined a
@@ -264,14 +260,14 @@ func (st *Store) levelGraphs() (*core.LevelGraphs, []byte) {
 }
 
 // record returns the record of v as canonical bytes, or — when stored
-// is set and the backing is a compressed FSDL3 file — as that file's
-// payload verbatim, sparing a transcode. A vertex healed via Put is
-// always served from its repaired overlay record (the Raw path), never
-// from the damaged disk payload beneath it.
+// is set and the backing is a factored file of the nested ball coding —
+// as that file's payload verbatim, sparing a transcode. A vertex healed
+// via Put is always served from its repaired overlay record (the Raw
+// path), never from the damaged disk payload beneath it.
 func (st *Store) record(v int, stored bool) (rec, bool) {
-	if stored && st.Compressed() && st.f3.hdr.current() && !st.inOverlay(int32(v)) {
+	if stored && st.f3 != nil && st.f3.hdr.nested() && !st.inOverlay(int32(v)) {
 		bits, payload, ok := st.f3.storedPayload(int32(v))
-		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm, balls: st.f3.hdr.nested()}, ok
+		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm}, ok
 	}
 	bits, data, ok := st.Raw(v)
 	return rec{bits: bits, data: data}, ok

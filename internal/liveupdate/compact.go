@@ -55,11 +55,13 @@ type CompactOptions struct {
 	Prev *PrevGeneration
 	// Format selects the label container written for labels.fsdl and
 	// every partition file: 0 or 2 writes the FSDL2 stream, 3 the
-	// mmap-first FSDL3 container. Readers auto-detect either, so a
-	// cluster can swap between formats generation by generation.
+	// factored, mmap-first FSDL3 container. Readers auto-detect either, so
+	// a cluster can swap between formats generation by generation.
 	Format int
-	// Compress stores FSDL3 record payloads in the compressed
-	// encoding; it requires Format 3.
+	// Compress selects nothing: every FSDL3 file written is factored. It
+	// is still refused beside any Format but 3, and the field stays for
+	// the benchmark harness, which assigns it (ROADMAP item 1, "Release
+	// the pins").
 	Compress bool
 }
 
@@ -234,7 +236,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		all[v] = v
 	}
 	if err := addFile(LabelsFileName, all, func(f *os.File) error {
-		return labelstore.Write(f, labels, nil, format3, opts.Compress)
+		return labelstore.Write(f, labels, nil, format3)
 	}); err != nil {
 		return nil, err
 	}
@@ -260,7 +262,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	// occur (docs/PERFORMANCE.md, "Clean partitions do not exist").
 	for name, ids := range opts.Partitions {
 		if err := addFile(name+".fsdl", ids, func(f *os.File) error {
-			return labelstore.Write(f, store, ids, format3, opts.Compress)
+			return labelstore.Write(f, store, ids, format3)
 		}); err != nil {
 			return nil, err
 		}

@@ -213,6 +213,9 @@ func TestIncrementalCompactFormat3(t *testing.T) {
 		{Op: MutInsert, U: 9, V: 18},
 		{Op: MutDelete, U: 21, V: 22},
 	}
+	// Compress selects nothing: both values write the same factored
+	// generation.
+	var written [][]byte
 	for _, compress := range []bool{false, true} {
 		full := CompactOptions{Epsilon: eps, Partitions: parts, Format: 3, Compress: compress}
 		p, err := Open(Config{Base: base})
@@ -223,11 +226,8 @@ func TestIncrementalCompactFormat3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res1.Store.Format(); got != 3 {
-			t.Fatalf("compress=%v: reloaded store format %d, want 3", compress, got)
-		}
-		if res1.Store.Compressed() != compress {
-			t.Fatalf("compress=%v: reloaded store compressed=%v", compress, res1.Store.Compressed())
+		if enc := res1.Store.Encoding(); enc.Version != 3 || !enc.Factored {
+			t.Fatalf("compress=%v: reloaded store %+v, want a factored FSDL3 file", compress, enc)
 		}
 		if err := p.Commit(res1.Snapshot); err != nil {
 			t.Fatal(err)
@@ -269,9 +269,13 @@ func TestIncrementalCompactFormat3(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Format() != 3 || st.Compressed() != compress {
-			t.Fatalf("compress=%v: reloaded generation format=%d compressed=%v", compress, st.Format(), st.Compressed())
+		if enc := st.Encoding(); enc.Version != 3 || !enc.Factored {
+			t.Fatalf("compress=%v: reloaded generation %+v, want a factored FSDL3 file", compress, enc)
 		}
+		written = append(written, readGenFile(t, res2.Dir, LabelsFileName))
+	}
+	if !bytes.Equal(written[0], written[1]) {
+		t.Fatal("Compress changed the bytes of an FSDL3 generation")
 	}
 }
 

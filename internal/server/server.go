@@ -79,8 +79,11 @@ type Config struct {
 	// GOMAXPROCS).
 	CompactWorkers int
 	// CompactFormat selects the label container compaction writes
-	// (0 or 2 = FSDL2 stream, 3 = mmap-first FSDL3); CompactCompress
-	// additionally compresses FSDL3 record payloads.
+	// (0 or 2 = FSDL2 stream, 3 = factored, mmap-first FSDL3).
+	// CompactCompress selects nothing: every FSDL3 file written is
+	// factored. It is passed on as CompactOptions.Compress, which refuses
+	// it beside any format but 3, and the field stays for the benchmark
+	// harness, which assigns it (ROADMAP item 1, "Release the pins").
 	CompactFormat   int
 	CompactCompress bool
 	// Partitions optionally maps shard names to the vertex ids each
