@@ -34,9 +34,17 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clean, err := s.NewQuery(0, 63, graph.NewFaultSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The labels answer the fault-free query alone, and not the faulted
+	// one: its certificate is tested and fails.
+	mustCertify(t, "no faults", clean, true)
+	mustCertify(t, "faults 27, 36", q, false)
 	// The scheme's labels share their level lists, the copies nothing, and
 	// the factored ones read the ring's unsaturated levels off the rows.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t)} {
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean} {
 		q.Distance() // warm the pool and size the scratch
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, ok := q.Distance(); !ok {
@@ -71,14 +79,21 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	clean, err := s.NewQuery(1, 62, graph.NewFaultSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCertify(t, "no faults", clean, true)
+	mustCertify(t, "fault 20", q, false)
 	dec := NewDecoder()
 	defer dec.Release()
 
 	// The scheme's labels share one edge list per level (an 8×8 grid is
 	// saturated throughout), so t's and the fault's are skipped; the deep
 	// copies share nothing and are all scanned; the factored ring labels
-	// leave their unsaturated levels to the level graphs' rows.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t)} {
+	// leave their unsaturated levels to the level graphs' rows. The
+	// fault-free query is answered by its labels alone.
+	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean} {
 		var tr Trace
 		dec.DistanceWithTrace(q, &tr)          // size the scratch
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan

@@ -29,12 +29,19 @@ func refLabelBound(q *Query) int64 {
 	return l
 }
 
-// boundCounts is what the two decode counters moved by across f.
-func boundCounts(f func()) (stops, rescans int64) {
+// labelBound is L off the decode's merge (boundMerge).
+func labelBound(s, t *Label) int64 {
+	var sc decodeScratch
+	l, _ := sc.boundMerge(s, t)
+	return l
+}
+
+// boundCounts is what the decode counters of the bound moved by across f.
+func boundCounts(f func()) (stops, rescans, certified int64) {
 	before := DecoderPool()
 	f()
 	after := DecoderPool()
-	return after.BoundStops - before.BoundStops, after.TargetRescans - before.TargetRescans
+	return after.BoundStops - before.BoundStops, after.TargetRescans - before.TargetRescans, after.Certified - before.Certified
 }
 
 // TestLabelBoundMatchesReference: the merge per level finds what looking
@@ -87,6 +94,8 @@ func liar(t *testing.T, l *Label, x, d int32) *Label {
 // The search relaxes 0's edges, finds 2 at 3 ≤ L and stops there, so a
 // plain decode answers 3 — a walk of H, between d_H and L — while
 // everything that reports a walk or H, and a patched decode, answers 2.
+// Point 1 is 2 from the two together, below L, so nothing is certified
+// here; a second pair of liars is, and answers L (d_H ≤ δ ≤ max(L, d_H)).
 func TestLabelBoundLiars(t *testing.T) {
 	s, err := BuildScheme(gridGraph(t, 8, 1), 2)
 	if err != nil {
@@ -105,8 +114,9 @@ func TestLabelBoundLiars(t *testing.T) {
 	if d, ok := dec.DistanceWithTrace(q, nil); !ok || d != 3 {
 		t.Errorf("Distance = (%d, %v), want 3 — the bound", d, ok)
 	}
-	if res := dec.DistanceRobust(q); !res.OK || res.Dist != 3 {
-		t.Errorf("DistanceRobust = %+v, want 3", res)
+	var robust Result
+	if _, _, certified := boundCounts(func() { robust = dec.DistanceRobust(q) }); certified != 0 || !robust.OK || robust.Dist != 3 {
+		t.Errorf("DistanceRobust = %+v (certified %d), want 3 by the search", robust, certified)
 	}
 	var path []int32
 	if res := dec.Decode(q, Opts{Path: &path}); !res.OK || res.Dist != 2 || !slices.Equal(path, []int32{0, 1, 2}) {
@@ -124,6 +134,21 @@ func TestLabelBoundLiars(t *testing.T) {
 		t.Errorf("DistanceRobustPatched = %+v, want 2", res)
 	}
 	checkCanonicalWalk(t, "lying labels", q, nil, 2, []int32{0, 1, 2}, true, 3)
+
+	// Certified: L(0) and L(3) put each other at 4, not 3, and 0 puts 2 and
+	// 3 puts 1 at 3, not 2. Every point both hold is then at least 4 from
+	// the two together, 0 to 3 at L = 4, so the labels answer 4 alone —
+	// a walk of H, 0–3, and above d_H = 3 (the unit edges 0–1–2–3) — where
+	// the walk decode answers 3.
+	q = &Query{S: liar(t, liar(t, s.Label(0), 3, 4), 2, 3), T: liar(t, liar(t, s.Label(3), 0, 4), 1, 3)}
+	if l := labelBound(q.S, q.T); l != 4 {
+		t.Fatalf("L = %d, want 4", l)
+	}
+	var res Result
+	if _, _, certified := boundCounts(func() { res = dec.Decode(q, Opts{}) }); certified != 1 || !res.OK || res.Dist != 4 {
+		t.Errorf("δ alone = %+v (certified %d), want 4 from the labels alone", res, certified)
+	}
+	checkCanonicalWalk(t, "certified lying labels", q, nil, 3, []int32{0, 1, 2, 3}, true, res.Dist)
 }
 
 // TestLabelBoundBatches is the distance-only differential: the corpus of
@@ -133,9 +158,11 @@ func TestLabelBoundLiars(t *testing.T) {
 // referenceDecode's δ and exhausted flag — and, for the unpatched pairs,
 // a path decode's walk and Query.Sketch's H to the reference's, since
 // neither may take a shortcut. The counters must say what the rule in
-// decode says: a stop exactly when the answer is L, never under a patch;
-// a rescan only where t's lists could wait. Each ring must hit the stop,
-// a target skip whose first pass reached L, and its fallback.
+// decode says: an answer of L is a certificate or a stop, never under a
+// patch, and a certificate only with no budget and no degraded fault; a
+// rescan only where t's lists could wait, and never after a certificate.
+// Each ring must hit the certificate, the stop, a target skip whose first
+// pass reached L, and its fallback.
 func TestLabelBoundBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(2901))
 	graphs := []struct {
@@ -158,7 +185,7 @@ func TestLabelBoundBatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.SetCacheLimit(4096)
-		var stops, skipped, rescans int
+		var stops, skipped, rescans, certified int
 		for ki, kind := range kinds {
 			for ni, nf := range []int{0, 1, 2, 4, 16, 64} {
 				if nf >= 64 && (kind == "degraded" || kind == "ablated" || testing.Short() || raceEnabled || gc.name == "ring1024") {
@@ -178,7 +205,7 @@ func TestLabelBoundBatches(t *testing.T) {
 								t.Fatal(err)
 							}
 							var res Result
-							dStops, dRescans := boundCounts(func() { res = batch.DistanceRobustPatched(q, b.patches) })
+							dStops, dRescans, dCert := boundCounts(func() { res = batch.DistanceRobustPatched(q, b.patches) })
 							fresh := NewDecoder()
 							fRes := fresh.DistanceRobustPatched(q, b.patches)
 							fresh.Release()
@@ -188,10 +215,12 @@ func TestLabelBoundBatches(t *testing.T) {
 							patched := len(b.patches) > 0
 							atBound := !patched && wantDist >= 0 && wantDist == refLabelBound(q)
 							lateT := !patched && q.Budget == 0 && !b.owners[q.T.V]
-							if dStops != int64(btoi(atBound)) || dRescans > int64(btoi(lateT)) {
-								t.Fatalf("pair %d (budget %d, patched %v, t a frame owner %v): %d stops, %d rescans; δ=%d, L=%d",
-									i, q.Budget, patched, b.owners[q.T.V], dStops, dRescans, wantDist, refLabelBound(q))
+							mayCertify := atBound && q.Budget == 0 && kind != "degraded"
+							if dStops+dCert != int64(btoi(atBound)) || dCert > int64(btoi(mayCertify)) || dRescans > int64(btoi(lateT && dCert == 0)) {
+								t.Fatalf("pair %d (budget %d, patched %v, t a frame owner %v): %d stops, %d certified, %d rescans; δ=%d, L=%d",
+									i, q.Budget, patched, b.owners[q.T.V], dStops, dCert, dRescans, wantDist, refLabelBound(q))
 							}
+							certified += int(dCert)
 							stops += int(dStops)
 							rescans += int(dRescans)
 							if lateT && dStops == 1 && dRescans == 0 {
@@ -213,9 +242,9 @@ func TestLabelBoundBatches(t *testing.T) {
 				})
 			}
 		}
-		t.Logf("%s: %d decodes ended at the bound, %d of them on a first pass without t's lists; %d rescans", gc.name, stops, skipped, rescans)
-		if strings.HasPrefix(gc.name, "ring") && (stops == 0 || skipped == 0 || rescans == 0) {
-			t.Errorf("%s: %d stops, %d first passes that reached L, %d rescans: the corpus misses a case", gc.name, stops, skipped, rescans)
+		t.Logf("%s: %d decodes certified, %d ended at the bound, %d of them on a first pass without t's lists; %d rescans", gc.name, certified, stops, skipped, rescans)
+		if strings.HasPrefix(gc.name, "ring") && (certified == 0 || stops == 0 || skipped == 0 || rescans == 0) {
+			t.Errorf("%s: %d certified, %d stops, %d first passes that reached L, %d rescans: the corpus misses a case", gc.name, certified, stops, skipped, rescans)
 		}
 	}
 }

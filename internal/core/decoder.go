@@ -331,15 +331,26 @@ type decodeScratch struct {
 	// vf and ef hold the usable fault labels demote keeps.
 	vf []*Label
 	ef [][2]*Label
+
+	// ends are s and t of the decode, and endRows their mayBeInPB rows,
+	// level by level as endRow fills them (endRowsDone). tight are the
+	// shared points of their labels closest to both (boundMerge), and
+	// certHalf those the certificate found one self edge to (certified).
+	ends        [2]*Label
+	endRows     []uint64
+	endRowsDone [2]uint64
+	tight       []tightPoint
+	certHalf    []int64
 }
 
 var (
-	decodePoolGets atomic.Int64
-	decodePoolNews atomic.Int64
-	framesBuilt    atomic.Int64
-	framesReused   atomic.Int64
-	boundStops     atomic.Int64
-	targetRescans  atomic.Int64
+	decodePoolGets   atomic.Int64
+	decodePoolNews   atomic.Int64
+	framesBuilt      atomic.Int64
+	framesReused     atomic.Int64
+	boundStops       atomic.Int64
+	targetRescans    atomic.Int64
+	certifiedDecodes atomic.Int64
 
 	decodePool = sync.Pool{New: func() any {
 		decodePoolNews.Add(1)
@@ -366,6 +377,7 @@ func putScratch(sc *decodeScratch) {
 // stale pointers still live in the backing array.
 func (sc *decodeScratch) dropRefs() {
 	sc.faultFrame = &sc.own
+	sc.ends = [2]*Label{}
 	dropAll(&sc.owners)
 	dropAll(&sc.frameOwners)
 	dropAll(&sc.centers)
@@ -398,12 +410,16 @@ func dropAll[T any](s *[]T) {
 // fault frame. BoundStops counts the decodes whose answer is the lower
 // bound their endpoint labels give (decode), found without settling t,
 // and TargetRescans those whose first solve, without t's own level lists,
-// missed it and scanned them. Exposed so serving layers can report them
-// on their metrics endpoints.
+// missed it and scanned them. Certified counts the decodes the endpoint
+// labels answered alone — an s–t walk of H as short as their lower bound
+// — before any edge was scanned: no frame run built or reused, no bound
+// stop. Exposed so serving layers can report them on their metrics
+// endpoints.
 type DecoderPoolStats struct {
 	Gets, News                int64
 	FramesBuilt, FramesReused int64
 	BoundStops, TargetRescans int64
+	Certified                 int64
 }
 
 // DecoderPool returns the current counters.
@@ -412,6 +428,7 @@ func DecoderPool() DecoderPoolStats {
 		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
 		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(),
 		BoundStops: boundStops.Load(), TargetRescans: targetRescans.Load(),
+		Certified: certifiedDecodes.Load(),
 	}
 }
 

@@ -608,6 +608,11 @@ func TestFramedBatchAllocs(t *testing.T) {
 	fb.AddEdge(42, 43)
 	a := []*Query{mustQuery(0, 63, fa), mustQuery(7, 56, fa), mustQuery(1, 62, fa)}
 	b := []*Query{mustQuery(0, 63, fb), mustQuery(7, 56, fb), mustQuery(1, 62, fb)}
+	// Under the faults the certificate of a δ-only decode fails; with none
+	// the labels answer alone, and the frame is the empty side's.
+	clean := mustQuery(7, 56, graph.NewFaultSet())
+	mustCertify(t, "no faults", clean, true)
+	mustCertify(t, "faults 27, 36", a[1], false)
 	patches := patchesOf(s, [][2]int{{2, 61}})
 	dec := NewDecoder()
 	defer dec.Release()
@@ -632,7 +637,7 @@ func TestFramedBatchAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { batch(a[1:]) }); allocs > 0 {
 		t.Errorf("framed batch, frame reused: %g allocs/op, want 0", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b); dec.Decode(clean, Opts{}) }); allocs > 0 {
 		t.Errorf("framed batches, frame rebuilt for each: %g allocs/op, want 0", allocs)
 	}
 	// The same batches over the labels a factored container hands out.
@@ -641,9 +646,10 @@ func TestFramedBatchAllocs(t *testing.T) {
 		a[i], b[i] = mapQuery(a[i], balls), mapQuery(b[i], balls)
 	}
 	patches = mapPatches(patches, balls)
+	clean = mapQuery(clean, balls)
 	batch(a)
 	batch(b)
-	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b) }); allocs > 0 {
+	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b); dec.Decode(clean, Opts{}) }); allocs > 0 {
 		t.Errorf("framed batches over balls-only labels: %g allocs/op, want 0", allocs)
 	}
 }

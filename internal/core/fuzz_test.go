@@ -130,16 +130,32 @@ func internAll(labels ...*Label) {
 
 // fuzzSeedLabels encodes the labels every decode fuzzer seeds with: s,
 // t, f and g of the 5×5 grid at ε = 2.
-func fuzzSeedLabels(f *testing.F) (data [4][]byte, n [4]int) {
-	s, err := BuildScheme(gridGraphF(5, 5), 2)
+func fuzzSeedLabels(tb testing.TB) (data [4][]byte, n [4]int) {
+	return encodeSeedLabels(tb, gridGraphF(5, 5), [4]int{0, 24, 12, 7})
+}
+
+// fuzzPathSeedLabels are FuzzDecode's second seed labels: s = 0, t = 5,
+// f = 39 and g = 20 of a 40-vertex path at ε = 2. On the grid every
+// fault's protected balls hold s and t, so no δ-only decode is certified
+// there; here f is far from both and g from s, and the labels answer alone.
+func fuzzPathSeedLabels(tb testing.TB) (data [4][]byte, n [4]int) {
+	return encodeSeedLabels(tb, gridGraphF(40, 1), [4]int{0, 5, 39, 20})
+}
+
+// encodeSeedLabels encodes the labels of vs in g's scheme at ε = 2.
+func encodeSeedLabels(tb testing.TB, g *graph.Graph, vs [4]int) (data [4][]byte, n [4]int) {
+	s, err := BuildScheme(g, 2)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i, v := range []int{0, 24, 12, 7} {
+	for i, v := range vs {
 		data[i], n[i] = s.Label(v).Encode()
 	}
 	return data, n
 }
+
+// fuzzDecodeSels are the Opts selectors FuzzDecode seeds with.
+var fuzzDecodeSels = []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b, 0x3c, 0x6d, 0x88, 0xc8, 0xe8, 0xff}
 
 // FuzzDecode drives Decode with labels decoded from bytes the fuzzer may
 // have bent into anything that still parses — four of them, s, t, f and
@@ -159,16 +175,37 @@ func fuzzSeedLabels(f *testing.F) (data [4][]byte, n [4]int) {
 // interned the first step answered as after. With bit 5 every step also
 // runs over balls-only labels of the seed's scheme (fuzzBallsOnly) on a
 // kept Decoder of its own, beside materialised copies of them on a fresh
-// one: δ, the Result, the walk and Query.Sketch's H must be equal.
+// one: δ, the Result, the walk and Query.Sketch's H must be equal. The
+// seeds run on the grid's labels and on the path's (fuzzPathSeedLabels),
+// whose δ-only decodes the labels answer alone.
 func FuzzDecode(f *testing.F) {
 	d, n := fuzzSeedLabels(f)
-	for _, sel := range []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b, 0x3c, 0x6d, 0x88, 0xc8, 0xe8, 0xff} {
+	p, pn := fuzzPathSeedLabels(f)
+	for _, sel := range fuzzDecodeSels {
 		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[3], n[3], sel)
 		f.Add(d[0], n[0], d[1], n[1], d[2], n[2], d[2], n[2], sel) // equal content, another pointer
+	}
+	for _, sel := range fuzzDecodeSels {
+		f.Add(p[0], pn[0], p[1], pn[1], p[2], pn[2], p[3], pn[3], sel)
 	}
 	f.Fuzz(func(t *testing.T, ds []byte, ns int, dt []byte, nt int, df []byte, nf int, dg []byte, ng int, sel byte) {
 		fuzzDecodeBatch(t, [4][]byte{ds, dt, df, dg}, [4]int{ns, nt, nf, ng}, sel)
 	})
+}
+
+// TestFuzzDecodeSeedsCertify: among FuzzDecode's seeds are decodes the
+// labels answer alone, so the fuzzer starts from the certificate too.
+func TestFuzzDecodeSeedsCertify(t *testing.T) {
+	p, pn := fuzzPathSeedLabels(t)
+	before := DecoderPool().Certified
+	for _, sel := range fuzzDecodeSels {
+		fuzzDecodeBatch(t, p, pn, sel)
+	}
+	if certified := DecoderPool().Certified - before; certified == 0 {
+		t.Error("no decode of the path seeds was certified")
+	} else {
+		t.Logf("%d decodes of the path seeds certified", certified)
+	}
 }
 
 // FuzzQueryDistance is FuzzDecode's batch over three labels, g a second

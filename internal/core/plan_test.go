@@ -13,12 +13,13 @@ import (
 // (none, covering the frame's run, one short of it), t (outside the frame,
 // or one of its owners) and a shared frame (none, of this fault side, of
 // another) gets the plan the table below says — and the δ, exhausted flag
-// and walk referenceDecode gives.
+// and walk referenceDecode gives. Two more rows take δ alone, no patch and
+// no budget to a fault side with a degraded fault, and to an ablated one.
 //
-//	          framed        lean     bound              rescan                       shared
-//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, t no owner  frame of this side
-//	walk      budget ≠ short  no     no                 no                           frame of this side
-//	trace     budget ≠ short  no     no                 no                           frame of this side
+//	          framed        lean     bound              rescan                       certify                       shared
+//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, t no owner  bound, no budget, no degraded  frame of this side
+//	walk      budget ≠ short  no     no                 no                           no                            frame of this side
+//	trace     budget ≠ short  no     no                 no                           no                            frame of this side
 //	Sketch    as trace
 func TestDecodePlan(t *testing.T) {
 	s, err := BuildScheme(ringLattice(t, 256), 2)
@@ -72,12 +73,20 @@ func TestDecodePlan(t *testing.T) {
 						}
 						want.bound = want.lean && pname != "admitted patch"
 						want.rescan = want.bound && budget == "no budget" && !tOwner
+						want.certify = want.bound && budget == "no budget"
 						checkPlan(t, name, q, patches, f, kind, want)
 					}
 				}
 			}
 		}
 	}
+	degraded, ablated := side(120), side(120)
+	degraded.DegradedVertexFaults = []int32{33}
+	ablated.UnsafeIgnoreProtectedBalls = true
+	lone := plan{framed: true, lean: true, bound: true, rescan: true}
+	checkPlan(t, "δ alone/degraded", degraded, nil, nil, "δ alone", lone)
+	lone.certify = true
+	checkPlan(t, "δ alone/ablated", ablated, nil, nil, "δ alone", lone)
 }
 
 // checkPlan decodes q as kind asks on a fresh Decoder, handing it patches

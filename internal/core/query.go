@@ -381,10 +381,11 @@ func (q *Query) Validate() error {
 // plan is how one decode runs: under Opts.Frame (shared) or the
 // Decoder's own frame, beside the frame's run (framed) or scanning its
 // owners itself, keeping no parent tree (lean), stopping at the labels'
-// bound L (bound), and holding t's own level lists back (rescan). plan
+// bound L (bound), holding t's own level lists back (rescan), and
+// answering from the labels alone when they prove it (certify). plan
 // derives it; decode reads nothing else.
 type plan struct {
-	shared, framed, lean, bound, rescan bool
+	shared, framed, lean, bound, rescan, certify bool
 }
 
 // plan puts the decode of q under the right frame — o.Frame when it
@@ -406,6 +407,14 @@ type plan struct {
 // where it ended, through what t's lists make shorter. Labels that pass
 // Validate but contradict each other (L > d_H) get the length of a walk
 // of H between d_H and L; δ never drops below d_H.
+//
+// Such a decode — unless a Budget counts scan order or a degraded fault
+// leaves no protected ball to test a self edge against — first looks for
+// the certificate U = L (certify): a net point both labels hold, as far
+// from s and t together as L says s and t are at least apart, that s and
+// t each reach by a self edge the frame admits. That walk of H is as
+// short as any, so its length is d_H, and the decode is over before
+// anything is scanned.
 func (sc *decodeScratch) plan(q *Query, o Opts) plan {
 	var p plan
 	sc.faultFrame = &sc.own
@@ -427,6 +436,7 @@ func (sc *decodeScratch) plan(q *Query, o Opts) plan {
 	p.lean = o.Path == nil && o.Trace == nil
 	p.bound = p.lean && len(sc.patchKeys) == 0
 	p.rescan = p.bound && q.Budget <= 0 && !sc.seenOwner.has(q.T.V)
+	p.certify = p.bound && q.Budget <= 0 && sc.rule != admitNone
 	return p
 }
 
@@ -482,6 +492,17 @@ func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
 		return 0, false, nil
 	}
 	p := sc.plan(q, o)
+	sc.setEnds(q)
+	bound := int64(-1)
+	if p.bound {
+		var u int64
+		bound, u = sc.boundMerge(q.S, q.T)
+		if p.certify && u == bound && sc.certified(q) {
+			certifiedDecodes.Add(1)
+			sc.scanPass.reset(0)
+			return bound, false, nil
+		}
+	}
 	reused := p.framed && sc.runBuilt
 	switch {
 	case reused:
@@ -511,12 +532,9 @@ func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
 			}
 		}
 	}
-	room, bound, late := math.MaxInt, int64(-1), (*Label)(nil)
+	room, late := math.MaxInt, (*Label)(nil)
 	if q.Budget > 0 {
 		room = q.Budget
-	}
-	if p.bound {
-		bound = labelBound(q.S, q.T)
 	}
 	if p.rescan {
 		late = q.T
@@ -559,7 +577,11 @@ func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
 	return d, exhausted, nil
 }
 
-// labelBound is L = max |d(s,x) − d(t,x)| over the net points x that
+// tightPoint is a net point x both endpoint labels hold at level index k
+// and draw a self edge to (or are).
+type tightPoint struct{ x, k int32 }
+
+// boundMerge is L = max |d(s,x) − d(t,x)| over the net points x that
 // L(s) and L(t) hold at one level. Every edge of H weighs the d_G of its
 // ends, so by the triangle inequality no s–t walk of H is shorter: a
 // lower bound on d_H(s,t) read off the two labels, and d_G(s,t) itself
@@ -568,10 +590,19 @@ func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
 // grow, so a point the two labels hold at different levels both hold at
 // the higher one, and one merge per level of the id-sorted point lists
 // finds every shared point.
-func labelBound(s, t *Label) int64 {
-	var l int32
+//
+// The merge also finds u, the least d(s,x) + d(t,x) over the shared
+// points of a level that s and t each draw a self edge to at that level
+// (or are) — never below L on labels that agree — and keeps the points
+// that reach it on the scratch (sc.tight), a point once for every such
+// level; u is -1 when there is none.
+func (sc *decodeScratch) boundMerge(s, t *Label) (l, u int64) {
+	var lo int32
+	hi := int32(math.MaxInt32)
+	sc.tight = sc.tight[:0]
 	for k := range s.Levels {
 		a, b := s.Levels[k].Points, t.Levels[k].Points
+		lambda := lambdaOf(s.Level(k))
 		for i, j := 0, 0; i < len(a) && j < len(b); {
 			switch x, y := a[i].X, b[j].X; {
 			case x < y:
@@ -579,12 +610,89 @@ func labelBound(s, t *Label) int64 {
 			case x > y:
 				j++
 			default:
-				l = max(l, a[i].D-b[j].D, b[j].D-a[i].D)
+				ds, dt := a[i].D, b[j].D
+				lo = max(lo, ds-dt, dt-ds)
+				if ds+dt <= hi && ds <= lambda && dt <= lambda {
+					if ds+dt < hi {
+						hi, sc.tight = ds+dt, sc.tight[:0]
+					}
+					sc.tight = append(sc.tight, tightPoint{x, int32(k)})
+				}
 				i, j = i+1, j+1
 			}
 		}
 	}
-	return int64(l)
+	if len(sc.tight) == 0 {
+		return int64(lo), -1
+	}
+	return int64(lo), int64(hi)
+}
+
+// certified reports whether one of the tight points x (boundMerge) makes
+// a walk s–x–t of H: x is not forbidden, and s and t each reach it by a
+// self edge the frame admits — or are x. The two edges may come from two
+// levels x is tight at. Such a walk is U = d(s,x) + d(t,x) long; the
+// caller has U = L, and L ≤ d_H ≤ U, so its length is d_H.
+//
+// A tight point is tested at its level as scanOwners' self-edge loop
+// would test it there, and nothing else is read: its mask, found by a
+// galloping search of the level's combined ball list (buildCombinedBalls),
+// against the mayBeInPB rows of s and t at the level (endRow, which the
+// pair's scan takes over should the certificate fail), and the forbidden
+// list.
+func (sc *decodeScratch) certified(q *Query) bool {
+	masks := sc.rule >= admitFused
+	W := sc.maskWords
+	// certHalf holds the points only one endpoint reaches, as x<<1 | side.
+	half := sc.certHalf[:0]
+	k, j, end := int32(-1), 0, 0
+	var rowS, rowT []uint64
+	for _, tp := range sc.tight {
+		sOK, tOK := true, true
+		if masks {
+			if tp.k != k {
+				k, j, end = tp.k, int(sc.cmbOff[tp.k]), int(sc.cmbOff[tp.k+1])
+				rowS, rowT = sc.endRow(0, int(k)), sc.endRow(1, int(k))
+			}
+			if j = gallop(sc.cmbX, j, end, tp.x); j < end && sc.cmbX[j] == tp.x {
+				m := sc.cmbM[j*W:][:W]
+				sOK = tp.x == q.S.V || !wordsMeet(m, rowS)
+				tOK = tp.x == q.T.V || !wordsMeet(m, rowT)
+			}
+		}
+		switch {
+		case !sOK && !tOK || containsSorted(sc.fvList, tp.x):
+		case sOK && tOK:
+			sc.certHalf = half
+			return true
+		case sOK:
+			half = append(half, int64(tp.x)<<1)
+		default:
+			half = append(half, int64(tp.x)<<1|1)
+		}
+	}
+	sc.certHalf = half
+	// One endpoint's edge at one level and the other's at another.
+	slices.Sort(half)
+	for i := 1; i < len(half); i++ {
+		if half[i] == half[i-1]|1 && half[i-1]&1 == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// gallop returns the first index in [j, end) of the ascending xs whose
+// value is not below x (end if none): a doubling probe from j, then a
+// binary search of the last step. The points of a level ask in ascending
+// order, each a short way past the one before.
+func gallop(xs []int32, j, end int, x int32) int {
+	step := 1
+	for j+step < end && xs[j+step] < x {
+		j, step = j+step, step<<1
+	}
+	i, _ := slices.BinarySearch(xs[j:min(j+step, end)], x)
+	return j + i
 }
 
 // selfEdgePoint reports whether owner v's label draws a self edge to the
@@ -598,6 +706,8 @@ func selfEdgePoint(pe PointEntry, lambda int32, v int32) bool {
 // deciding whether the owner vertex itself could sit inside a protected
 // ball. An owner-ball edge to point i then dies iff mask(i) AND
 // row(owner,level) has any bit set.
+//
+// The rows of s and t are endRow's, found once per decode.
 func (sc *decodeScratch) ompbRows(owners []*Label) {
 	numLevels, W := sc.numLevels, sc.maskWords
 	n := len(owners) * numLevels * W
@@ -605,18 +715,51 @@ func (sc *decodeScratch) ompbRows(owners []*Label) {
 		sc.ompbW = make([]uint64, n)
 	}
 	rows := sc.ompbW[:n]
-	clear(rows)
 	for oi, o := range owners {
-		base := oi * numLevels * W
-		for fi, f := range sc.centers {
-			word, bit := fi>>6, uint64(1)<<(fi&63)
-			for k := 0; k < numLevels; k++ {
-				if mayBeInPBVia(o, f, sc.lowest+k, sc.nearest[fi*numLevels+k]) {
-					rows[base+k*W+word] |= bit
-				}
+		for k := 0; k < numLevels; k++ {
+			row := rows[(oi*numLevels+k)*W:][:W]
+			switch o {
+			case sc.ends[0]:
+				copy(row, sc.endRow(0, k))
+			case sc.ends[1]:
+				copy(row, sc.endRow(1, k))
+			default:
+				sc.fillRow(row, o, k)
 			}
 		}
 	}
+}
+
+// fillRow sets row to owner o's mayBeInPB row at level index k: bit fi
+// for every center fi whose protected ball o may lie in.
+func (sc *decodeScratch) fillRow(row []uint64, o *Label, k int) {
+	clear(row)
+	for fi, f := range sc.centers {
+		if mayBeInPBVia(o, f, sc.lowest+k, sc.nearest[fi*sc.numLevels+k]) {
+			row[fi>>6] |= 1 << (fi & 63)
+		}
+	}
+}
+
+// setEnds makes s and t of q the decode's ends, their rows not yet found.
+func (sc *decodeScratch) setEnds(q *Query) {
+	sc.ends, sc.endRowsDone = [2]*Label{q.S, q.T}, [2]uint64{}
+	if n := 2 * sc.numLevels * sc.maskWords; sc.rule >= admitFused {
+		sc.endRows = slices.Grow(sc.endRows[:0], n)[:n]
+	}
+}
+
+// endRow is the mayBeInPB row at level index k of s (side 0) or t (side
+// 1) of the decode, ends: filled on first use — by the certificate or the
+// pair's scan — and kept until the next decode.
+func (sc *decodeScratch) endRow(side, k int) []uint64 {
+	W := sc.maskWords
+	row := sc.endRows[(side*sc.numLevels+k)*W:][:W]
+	if bit := uint64(1) << k; sc.endRowsDone[side]&bit == 0 {
+		sc.fillRow(row, sc.ends[side], k)
+		sc.endRowsDone[side] |= bit
+	}
+	return row
 }
 
 // scanOwners walks the given owners' levels in order, appending each

@@ -340,7 +340,9 @@ func TestSharedFrameRelease(t *testing.T) {
 }
 
 // TestSharedFrameAllocs extends the allocation gates to decodes beside a
-// shared frame: δ alone and with its walk, none allocates.
+// shared frame: δ alone and with its walk, none allocates — a δ-only one
+// whose certificate fails (faults 27 and 36), or holds (beside the frame
+// of no faults), included.
 func TestSharedFrameAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are unstable under -race (sync.Pool reuse is randomized)")
@@ -358,8 +360,14 @@ func TestSharedFrameAllocs(t *testing.T) {
 		}
 		qs = append(qs, q)
 	}
+	clean, err := s.NewQuery(7, 56, graph.NewFaultSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustCertify(t, "no faults", clean, true)
+	mustCertify(t, "faults 27, 36", qs[1], false)
 	patches := patchesOf(s, [][2]int{{2, 61}})
-	f, fp := NewFrame(qs[0], nil), NewFrame(qs[0], patches)
+	f, fp, f0 := NewFrame(qs[0], nil), NewFrame(qs[0], patches), NewFrame(clean, nil)
 	dec := NewDecoder()
 	defer dec.Release()
 	var buf []int32
@@ -371,6 +379,7 @@ func TestSharedFrameAllocs(t *testing.T) {
 			buf = buf[:0]
 			dec.Decode(q, Opts{Patches: patches, Frame: fp, Path: &buf})
 		}
+		dec.Decode(clean, Opts{Frame: f0})
 	}
 	batch() // size the scratch
 	var tr Trace
@@ -386,8 +395,9 @@ func TestSharedFrameAllocs(t *testing.T) {
 	for i := range qs {
 		qs[i] = mapQuery(qs[i], balls)
 	}
+	clean = mapQuery(clean, balls)
 	patches = mapPatches(patches, balls)
-	f, fp = NewFrame(qs[0], nil), NewFrame(qs[0], patches)
+	f, fp, f0 = NewFrame(qs[0], nil), NewFrame(qs[0], patches), NewFrame(clean, nil)
 	batch()
 	if allocs := testing.AllocsPerRun(100, batch); allocs > 0 {
 		t.Errorf("decodes beside a shared frame of balls-only labels: %g allocs/op, want 0", allocs)
