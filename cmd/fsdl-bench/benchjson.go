@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -39,6 +40,9 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	// PairsPerSec is set only for the server batch kernel.
 	PairsPerSec float64 `json:"pairs_per_sec,omitempty"`
+	// ParentNsPerOp is set only in a paired record (pairedGate): the
+	// parent's median beside this, the change's.
+	ParentNsPerOp float64 `json:"parent_ns_per_op,omitempty"`
 }
 
 // benchDoc is the whole emitted document.
@@ -51,7 +55,11 @@ type benchDoc struct {
 	Results []benchResult `json:"results"`
 }
 
-func measure(name string, fn func(b *testing.B)) benchResult {
+// measureFunc runs one kernel of a suite run (runJSON's measure).
+type measureFunc func(name string, fn func(b *testing.B)) benchResult
+
+// benchmark runs one kernel under testing.Benchmark.
+func benchmark(name string, fn func(b *testing.B)) benchResult {
 	r := testing.Benchmark(fn)
 	return benchResult{
 		Name:        name,
@@ -63,11 +71,12 @@ func measure(name string, fn func(b *testing.B)) benchResult {
 }
 
 // runJSON executes the suite and writes the document to path ("-" for
-// stdout). quick shrinks instance sizes so CI smoke runs stay fast. When
+// stdout). quick shrinks instance sizes so CI smoke runs stay fast;
+// timed keeps only the timed rows and the byte-size rows. When
 // baseline names a previously committed document, the run fails if any
 // kernel regressed against it (see checkBaseline); compare names a
 // document to diff against informationally (see compareDoc).
-func runJSON(path string, quick bool, baseline, compare string, log io.Writer) error {
+func runJSON(path string, quick, timed bool, baseline, compare string, log io.Writer) error {
 	side := 24
 	if quick {
 		side = 12
@@ -82,7 +91,18 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		GOARCH: runtime.GOARCH,
 		CPUs:   runtime.GOMAXPROCS(0),
 	}
+	// timed (-timed) runs only the rows pairedGate compares: every other
+	// kernel is skipped, a row of zero iterations that add drops.
+	measure := func(name string, fn func(b *testing.B)) benchResult {
+		if timed && !timedRow(name) {
+			return benchResult{Name: name}
+		}
+		return benchmark(name, fn)
+	}
 	add := func(r benchResult) {
+		if r.Iterations == 0 {
+			return
+		}
 		doc.Results = append(doc.Results, r)
 		fmt.Fprintf(log, "%-28s %12.0f ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
@@ -195,6 +215,14 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 			}))
 		}
 		if nf == 16 {
+			// The fault side of the same query frozen into a frame: its
+			// protected-ball masks, its owners' run packed and collapsed.
+			add(measure(fmt.Sprintf("new_frame_F16_grid%d", side), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.NewFrame(qs[0], nil)
+				}
+			}))
 			// Path reporting on the same query: decode + parent-tree
 			// walk into a reused buffer, still allocation-free.
 			var pbuf []int32
@@ -295,7 +323,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 	// gap between the two rows is what the fault frame saves. (Releasing
 	// the Decoder instead would put the scratch pool in the loop, and a
 	// GC that empties it shows as 1–2 allocs/op on an exact-allocs row.)
-	if err := benchBatches(quick, add); err != nil {
+	if err := benchBatches(quick, measure, add); err != nil {
 		return err
 	}
 
@@ -322,7 +350,9 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 			}
 		}
 	})
-	r.PairsPerSec = float64(batch) / (r.NsPerOp / 1e9)
+	if r.NsPerOp > 0 {
+		r.PairsPerSec = float64(batch) / (r.NsPerOp / 1e9)
+	}
 	add(r)
 
 	// 5a. Live mutation apply: validation + delta bookkeeping on the
@@ -460,7 +490,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		}
 	})
 	add(fullR)
-	if incR.NsPerOp > 0 {
+	if incR.NsPerOp > 0 && fullR.NsPerOp > 0 {
 		fmt.Fprintf(log, "incremental compaction speedup on ring%d, 1-edge delta: %.1fx\n",
 			ringN, fullR.NsPerOp/incR.NsPerOp)
 	}
@@ -541,7 +571,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		return fmt.Errorf("factored FSDL3 only %.1fx smaller than FSDL2 (claim: >= 5x)", ratio)
 	}
 
-	if err := benchBalls(storeDir, add, func(r benchResult, what string) {
+	if err := benchBalls(storeDir, measure, add, func(r benchResult, what string) {
 		doc.Results = append(doc.Results, r)
 		fmt.Fprintf(log, "%-44s %8d bytes %s\n", r.Name, r.BytesPerOp, what)
 	}); err != nil {
@@ -608,16 +638,7 @@ func runJSON(path string, quick bool, baseline, compare string, log io.Writer) e
 		}
 	}))
 
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if path == "-" {
-		if _, err := log.Write(out); err != nil {
-			return err
-		}
-	} else if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := writeDoc(path, doc, log); err != nil {
 		return err
 	}
 	if compare != "" {
@@ -642,7 +663,7 @@ func ringLattice(n int) (*graph.Graph, error) {
 }
 
 // benchBatches measures the decode_batch8_* rows (see runJSON, 3d).
-func benchBatches(quick bool, add func(benchResult)) error {
+func benchBatches(quick bool, measure measureFunc, add func(benchResult)) error {
 	ringN := 4096
 	if quick {
 		ringN = 1024
@@ -746,7 +767,7 @@ func writeStoreFile(path string, s *core.Scheme, format3 bool) (string, int64, e
 // that file keeps to itself (decodedLabelBytes). The row names carry the
 // sizes, so -quick runs them as they are; together they take about two
 // seconds.
-func benchBalls(dir string, add func(benchResult), addBytes func(benchResult, string)) error {
+func benchBalls(dir string, measure measureFunc, add func(benchResult), addBytes func(benchResult, string)) error {
 	ring, err := ringLattice(4096)
 	if err != nil {
 		return err
@@ -770,6 +791,19 @@ func benchBalls(dir string, add func(benchResult), addBytes func(benchResult, st
 		n := int64(e.g.NumVertices())
 		addBytes(benchResult{Name: "label_bytes_per_vertex_fsdl3c_" + e.name, Iterations: int(n), BytesPerOp: (size + n - 1) / n}, fmt.Sprintf("per vertex (file %d bytes)", size))
 		if e.name != "ring4096" {
+			// Four vertex faults: the largest fault set of the bench's
+			// fetch_rgg_mmap workload.
+			f := graph.FaultVertices(100, 300, 500, 700)
+			q, err := s.NewQuery(0, int(n)-1, f)
+			if err != nil {
+				return err
+			}
+			add(measure("new_frame_F4_"+e.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					core.NewFrame(q, nil)
+				}
+			}))
 			continue
 		}
 		enc, l := labelstore.NewBallEncoder(s.LevelGraphs()), s.Label(1000)
@@ -840,27 +874,24 @@ func decodedLabelBytes(st *labelstore.Store, n int) (int64, error) {
 // document and fails on regression. Only kernels present in both documents
 // are compared, so adding or renaming kernels never breaks the gate.
 // Allocation counts are deterministic (unlike wall-clock), which makes
-// this the one bench metric CI can gate on across heterogeneous runners;
+// them a metric CI can gate on absolutely across heterogeneous runners;
 // the slack (25% + 8) absorbs Go-runtime variation between toolchains.
+// Time is gated relatively instead, parent against change on one machine
+// (pairedGate).
 //
-// Decode kernels get two extra, stricter gates: allocs/op must not
+// Decode kernels and new_frame_* get a stricter gate: allocs/op must not
 // exceed the baseline by more than a thousandth — that is, at all for
 // the decode hot path, which is pooled and allocation-free by design
 // (one stray byte is a leak, not noise), and by the handful of allocs
 // a GC costs a kernel in the thousands when it empties a scratch pool
 // mid-run (compact_incremental_small_delta reads 5568 or 5570 on the
-// same binary) — and ns/op must stay within 30% of the baseline.
-// Wall-clock gating is normally hopeless across heterogeneous runners,
-// but the decode kernels are single-threaded, cache-resident and run no
-// I/O, so 30% headroom comfortably covers runner jitter while still
-// catching the order-of-magnitude class of regression (an accidental
-// map in the hot loop blows past it instantly).
+// same binary).
 //
-// strictKernels get the decode-grade allocs gate: single-threaded
-// kernels whose cost the PR's perf claims rest on, so drift is a
-// regression rather than noise. The value says whether ns/op is gated
-// within 30% as well — not for wal_append_group, which does a real fsync
-// per op and so measures the runner's disk, not the code.
+// strictKernels get that allocs gate too: single-threaded kernels whose
+// cost the PR's perf claims rest on, so drift is a regression rather
+// than noise. The value says whether the row is timed as well — not
+// wal_append_group, which does a real fsync per op and so measures the
+// runner's disk, not the code.
 var strictKernels = map[string]bool{
 	"compact_incremental_small_delta": true,
 	"wal_append_group":                false,
@@ -875,14 +906,22 @@ var strictKernels = map[string]bool{
 	"parse_balls":  false,
 }
 
+// decodeRow reports whether a row is a decode kernel or a frame build:
+// strict and timed.
+func decodeRow(name string) bool {
+	return strings.HasPrefix(name, "decode_") || strings.HasPrefix(name, "new_frame_")
+}
+
+// timedRow reports whether the paired gate compares a row's ns/op. The
+// decode kernels are single-threaded, cache-resident and run no I/O.
+func timedRow(name string) bool {
+	return decodeRow(name) || strictKernels[name]
+}
+
 func checkBaseline(doc benchDoc, path string, log io.Writer) error {
-	raw, err := os.ReadFile(path)
+	base, err := readDoc(path)
 	if err != nil {
 		return fmt.Errorf("baseline: %w", err)
-	}
-	var base benchDoc
-	if err := json.Unmarshal(raw, &base); err != nil {
-		return fmt.Errorf("baseline %s: %w", path, err)
 	}
 	byName := make(map[string]benchResult, len(base.Results))
 	for _, r := range base.Results {
@@ -896,12 +935,9 @@ func checkBaseline(doc benchDoc, path string, log io.Writer) error {
 			continue
 		}
 		compared++
-		gateNs, strict := strictKernels[r.Name]
-		if strings.HasPrefix(r.Name, "decode_") {
-			gateNs, strict = true, true
-		}
+		_, strict := strictKernels[r.Name]
 		limit := int64(float64(b.AllocsPerOp)*1.25) + 8
-		if strict {
+		if strict || decodeRow(r.Name) {
 			limit = b.AllocsPerOp + b.AllocsPerOp/1000
 		}
 		if r.AllocsPerOp > limit {
@@ -914,24 +950,127 @@ func checkBaseline(doc benchDoc, path string, log io.Writer) error {
 			regressions = append(regressions,
 				fmt.Sprintf("%s: %d bytes per label (baseline %d)", r.Name, r.BytesPerOp, b.BytesPerOp))
 		}
-		if gateNs {
-			if nsLimit := b.NsPerOp * 1.30; r.NsPerOp > nsLimit {
-				regressions = append(regressions,
-					fmt.Sprintf("%s: %.0f ns/op (baseline %.0f, limit %.0f)", r.Name, r.NsPerOp, b.NsPerOp, nsLimit))
-			}
-		}
 	}
 	if compared == 0 {
 		return fmt.Errorf("baseline %s: no kernel names in common (schema drift?)", path)
 	}
+	return report(regressions, "vs "+path, compared, log)
+}
+
+// report prints the regressions a gate found and fails on any.
+func report(regressions []string, what string, compared int, log io.Writer) error {
 	if len(regressions) > 0 {
 		for _, s := range regressions {
 			fmt.Fprintln(log, "BENCH REGRESSION", s)
 		}
-		return fmt.Errorf("%d bench regression(s) vs %s", len(regressions), path)
+		return fmt.Errorf("%d bench regression(s) %s", len(regressions), what)
 	}
-	fmt.Fprintf(log, "baseline %s: %d kernels compared, no regressions\n", path, compared)
+	fmt.Fprintf(log, "%s: %d kernels compared, no regressions\n", what, compared)
 	return nil
+}
+
+// writeDoc writes doc to path ("-" for log).
+func writeDoc(path string, doc benchDoc, log io.Writer) error {
+	out, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		return err
+	}
+	out = append(out, '\n')
+	if path == "-" {
+		_, err = log.Write(out)
+		return err
+	}
+	return os.WriteFile(path, out, 0o644)
+}
+
+// readDoc reads one fsdl-bench document.
+func readDoc(path string) (benchDoc, error) {
+	var d benchDoc
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return d, err
+	}
+	if err := json.Unmarshal(raw, &d); err != nil {
+		return d, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
+}
+
+// pairedGate is the time gate: two builds of fsdl-bench, the parent's and
+// the change's, run in k >= 5 interleaved rounds on one machine, each
+// round leaving dir/parent-<i>.json and dir/change-<i>.json. A timed
+// row fails when the median of its change rounds exceeds the median of
+// its parent rounds by more than 30%; a slow hour slows both sides, so
+// the ratio holds where an absolute bound would not. The record it
+// returns is the change's medians with the parent's beside them.
+func pairedGate(dir string, log io.Writer) (benchDoc, error) {
+	var sides [2][]benchDoc
+	for i, side := range []string{"parent", "change"} {
+		paths, _ := filepath.Glob(filepath.Join(dir, side+"-*.json"))
+		for _, p := range paths {
+			d, err := readDoc(p)
+			if err != nil {
+				return benchDoc{}, err
+			}
+			sides[i] = append(sides[i], d)
+		}
+	}
+	if k := len(sides[1]); k < 5 || len(sides[0]) != k {
+		return benchDoc{}, fmt.Errorf("paired: %d parent and %d change rounds in %s, want the same k >= 5", len(sides[0]), k, dir)
+	}
+	parent, rec := medians(sides[0]), medians(sides[1])
+	byName := make(map[string]benchResult, len(parent.Results))
+	for _, r := range parent.Results {
+		byName[r.Name] = r
+	}
+	fmt.Fprintf(log, "\n### Paired rounds (%d each, medians)\n\n| kernel | parent ns/op | change ns/op | change/parent |\n|---|---:|---:|---:|\n", len(sides[1]))
+	var regressions []string
+	compared := 0
+	for i := range rec.Results {
+		r := &rec.Results[i]
+		p, ok := byName[r.Name]
+		if !ok || !timedRow(r.Name) || p.NsPerOp <= 0 {
+			continue
+		}
+		compared++
+		r.ParentNsPerOp = p.NsPerOp
+		ratio := r.NsPerOp / p.NsPerOp
+		fmt.Fprintf(log, "| %s | %.0f | %.0f | %.2f |\n", r.Name, p.NsPerOp, r.NsPerOp, ratio)
+		if ratio > 1.30 {
+			regressions = append(regressions, fmt.Sprintf("%s: %.0f ns/op, parent %.0f (%.2fx, limit 1.30x)", r.Name, r.NsPerOp, p.NsPerOp, ratio))
+		}
+	}
+	if compared == 0 {
+		return rec, fmt.Errorf("paired: no timed kernel in both sides' rounds")
+	}
+	return rec, report(regressions, "change vs parent", compared, log)
+}
+
+// medians is one document of the per-row medians over docs, rows in the
+// first document's order.
+func medians(docs []benchDoc) benchDoc {
+	out := docs[0]
+	out.Results = nil
+	for _, r := range docs[0].Results {
+		var ns []float64
+		var allocs, bytes []int64
+		for _, d := range docs {
+			for _, x := range d.Results {
+				if x.Name == r.Name {
+					ns, allocs, bytes = append(ns, x.NsPerOp), append(allocs, x.AllocsPerOp), append(bytes, x.BytesPerOp)
+				}
+			}
+		}
+		r.NsPerOp, r.AllocsPerOp, r.BytesPerOp = median(ns), median(allocs), median(bytes)
+		out.Results = append(out.Results, r)
+	}
+	return out
+}
+
+// median is the middle value of xs (the lower one of an even count).
+func median[T int64 | float64](xs []T) T {
+	slices.Sort(xs)
+	return xs[(len(xs)-1)/2]
 }
 
 // compareDoc renders a benchstat-style markdown table of the run
@@ -940,13 +1079,9 @@ func checkBaseline(doc benchDoc, path string, log io.Writer) error {
 // summary). Unlike checkBaseline it never fails: it reports
 // improvements just as loudly as regressions.
 func compareDoc(doc benchDoc, path string, log io.Writer) error {
-	raw, err := os.ReadFile(path)
+	old, err := readDoc(path)
 	if err != nil {
 		return fmt.Errorf("compare: %w", err)
-	}
-	var old benchDoc
-	if err := json.Unmarshal(raw, &old); err != nil {
-		return fmt.Errorf("compare %s: %w", path, err)
 	}
 	byName := make(map[string]benchResult, len(old.Results))
 	for _, r := range old.Results {

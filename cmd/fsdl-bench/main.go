@@ -5,7 +5,8 @@
 //
 //	fsdl-bench [-exp E1|E2|...|all] [-quick] [-seed N] [-workers N]
 //	fsdl-bench -chaos [-quick] [-seed N]   # resilience scenario (alias for -exp E15)
-//	fsdl-bench -json PATH [-quick] [-baseline OLD.json] [-compare OLD.json]  # machine-readable perf baseline (see docs/PERFORMANCE.md)
+//	fsdl-bench -json PATH [-quick] [-timed] [-baseline OLD.json] [-compare OLD.json]  # machine-readable perf baseline (see docs/PERFORMANCE.md)
+//	fsdl-bench -paired DIR [-json RECORD.json]  # gate interleaved parent/change rounds on their medians
 package main
 
 import (
@@ -34,6 +35,8 @@ func run(args []string, out *os.File) error {
 	chaos := fs.Bool("chaos", false, "run the chaos/resilience scenario (alias for -exp E15)")
 	jsonPath := fs.String("json", "", "run the perf-baseline suite and write JSON to this path ('-' for stdout)")
 	baseline := fs.String("baseline", "", "with -json: compare allocs/op against this committed baseline and fail on regression")
+	timed := fs.Bool("timed", false, "with -json: run only the timed rows, those -paired compares")
+	paired := fs.String("paired", "", "gate the rounds DIR/parent-*.json against DIR/change-*.json on their medians (timed rows, 30%); with -json, write the record there")
 	compare := fs.String("compare", "", "with -json: print a markdown old-vs-new table against this document (informational, never fails)")
 	workers := fs.Int("workers", 0, "cap GOMAXPROCS for the whole run (0 = leave as is)")
 	if err := fs.Parse(args); err != nil {
@@ -42,8 +45,17 @@ func run(args []string, out *os.File) error {
 	if *workers > 0 {
 		runtime.GOMAXPROCS(*workers)
 	}
+	if *paired != "" {
+		rec, err := pairedGate(*paired, out)
+		if *jsonPath != "" {
+			if werr := writeDoc(*jsonPath, rec, out); werr != nil {
+				return werr
+			}
+		}
+		return err
+	}
 	if *jsonPath != "" {
-		return runJSON(*jsonPath, *quick, *baseline, *compare, out)
+		return runJSON(*jsonPath, *quick, *timed, *baseline, *compare, out)
 	}
 	if *baseline != "" {
 		return fmt.Errorf("-baseline requires -json")

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,5 +81,78 @@ func TestBenchChaosFlag(t *testing.T) {
 func TestBenchChaosConflictsWithExp(t *testing.T) {
 	if _, err := runToFile(t, "-chaos", "-exp", "E6"); err == nil {
 		t.Error("-chaos with a different -exp must error")
+	}
+}
+
+// TestPairedGate: the time gate compares the medians of k >= 5 rounds a
+// side. A timed row more than 30% over the parent's fails — every round
+// of it, not one outlier round — an untimed row never does, and the
+// record carries the parent's median beside the change's.
+func TestPairedGate(t *testing.T) {
+	rounds := func(t *testing.T, k int, change func(round int, name string, ns float64) float64) string {
+		t.Helper()
+		dir := t.TempDir()
+		for i := 0; i < k; i++ {
+			for _, side := range []string{"parent", "change"} {
+				doc := benchDoc{Schema: "fsdl-bench-v1", CPUs: 2}
+				for j, name := range []string{"decode_F16", "new_frame_F4_rgg1024", "server_batch"} {
+					ns := float64(1000 * (j + 1))
+					if side == "change" {
+						ns = change(i, name, ns)
+					}
+					doc.Results = append(doc.Results, benchResult{Name: name, Iterations: 100, NsPerOp: ns})
+				}
+				if err := writeDoc(filepath.Join(dir, fmt.Sprintf("%s-%d.json", side, i)), doc, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return dir
+	}
+	same := func(_ int, _ string, ns float64) float64 { return ns }
+	rec, err := pairedGate(rounds(t, 5, same), io.Discard)
+	if err != nil {
+		t.Fatalf("equal rounds: %v", err)
+	}
+	if r := rec.Results[0]; r.ParentNsPerOp != 1000 || r.NsPerOp != 1000 || rec.CPUs != 2 {
+		t.Errorf("record row %+v (cpus %d), want the change's and the parent's median 1000", r, rec.CPUs)
+	}
+	for name, tc := range map[string]struct {
+		change func(int, string, float64) float64
+		fails  string
+	}{
+		"a decode kernel 50% slower": {func(_ int, name string, ns float64) float64 {
+			if name == "decode_F16" {
+				return ns * 1.5
+			}
+			return ns
+		}, "decode_F16"},
+		"a frame build 40% slower": {func(_ int, name string, ns float64) float64 {
+			if name == "new_frame_F4_rgg1024" {
+				return ns * 1.4
+			}
+			return ns
+		}, "new_frame_F4_rgg1024"},
+		"one round of three slower": {func(i int, _ string, ns float64) float64 {
+			if i == 2 {
+				return ns * 3
+			}
+			return ns
+		}, ""},
+		"an untimed row twice as slow": {func(_ int, name string, ns float64) float64 {
+			if name == "server_batch" {
+				return ns * 2
+			}
+			return ns
+		}, ""},
+	} {
+		var log strings.Builder
+		_, err := pairedGate(rounds(t, 5, tc.change), &log)
+		if (err != nil) != (tc.fails != "") || tc.fails != "" && !strings.Contains(log.String(), "BENCH REGRESSION "+tc.fails+":") {
+			t.Errorf("%s: err %v, log:\n%s", name, err, log.String())
+		}
+	}
+	if _, err := pairedGate(rounds(t, 4, same), io.Discard); err == nil {
+		t.Error("four rounds a side passed the gate")
 	}
 }

@@ -44,7 +44,7 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	mustCertify(t, "faults 27, 36", q, false)
 	// The scheme's labels share their level lists, the copies nothing, and
 	// the factored ones read the ring's unsaturated levels off the rows.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean} {
+	for _, q := range append([]*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean}, gridWideQueries(t)...) {
 		q.Distance() // warm the pool and size the scratch
 		allocs := testing.AllocsPerRun(200, func() {
 			if _, ok := q.Distance(); !ok {
@@ -92,8 +92,9 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	// saturated throughout), so t's and the fault's are skipped; the deep
 	// copies share nothing and are all scanned; the factored ring labels
 	// leave their unsaturated levels to the level graphs' rows. The
-	// fault-free query is answered by its labels alone.
-	for _, q := range []*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean} {
+	// fault-free query is answered by its labels alone. The grid24 ones
+	// test protected balls of 16 and of more than 64 centers.
+	for _, q := range append([]*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean}, gridWideQueries(t)...) {
 		var tr Trace
 		dec.DistanceWithTrace(q, &tr)          // size the scratch
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
@@ -110,6 +111,37 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	if res := dec.DistanceRobust(q); !res.BudgetExhausted {
 		t.Errorf("budget %d did not cut the decode short: %+v", q.Budget, res)
 	}
+}
+
+// gridWideQueries are corner-to-corner decodes on a 24×24 grid under 16
+// vertex faults — one mask word a point, fused — and under 70, more than
+// 64 protected-ball centers and so two words a point.
+func gridWideQueries(t *testing.T) []*Query {
+	t.Helper()
+	s, err := BuildScheme(gridGraph(t, 24, 24), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetCacheLimit(4096)
+	rng := rand.New(rand.NewSource(36))
+	var qs []*Query
+	for _, nf := range []int{16, 70} {
+		f := graph.NewFaultSet()
+		for f.Size() < nf {
+			if v := rng.Intn(576); v != 0 && v != 575 {
+				f.AddVertex(v)
+			}
+		}
+		q, err := s.NewQuery(0, 575, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fr := NewFrame(q, nil); fr == nil || fr.fr.maskWords != (nf+63)/64 {
+			t.Fatalf("%d vertex faults: not a frame of %d mask words a point", nf, (nf+63)/64)
+		}
+		qs = append(qs, q)
+	}
+	return qs
 }
 
 // ringFactoredQuery is a query over labels a factored container hands

@@ -23,8 +23,9 @@ import (
 func i32hash(k int32) uint32 { return uint32(uint64(uint32(k)) * 0x9E3779B97F4A7C15 >> 32) }
 
 // i32map maps nonnegative int32 keys to int32 values: the dense-id remap,
-// and — the values unused — the vertex sets of a fault frame. Keys store
-// key+1, zero means empty.
+// the numbering of a level's protected-ball vertices, and — the values
+// unused — the vertex sets of a fault frame. Keys store key+1, zero means
+// empty.
 type i32map struct {
 	keys []int32
 	vals []int32
@@ -159,49 +160,6 @@ func (sc *decodeScratch) sortCandsByKey() {
 	sc.byKey, sc.byKeyTmp = a[:len(sc.byKey)], b[:0]
 }
 
-// sortPairs stably sorts sc.pairs — packed (x<<32 | centerIdx)
-// ball-membership pairs — with the same constant-byte-skipping LSD radix
-// passes as sortCandsByKey. Only the x half ever varies meaningfully,
-// so at most four byte passes run.
-func (sc *decodeScratch) sortPairs() {
-	a := sc.pairs
-	if len(a) < 2 {
-		return
-	}
-	if cap(sc.pairsTmp) < len(a) {
-		sc.pairsTmp = make([]uint64, cap(a))
-	}
-	b := sc.pairsTmp[:len(a)]
-	var diff uint64
-	k0 := a[0]
-	for _, k := range a {
-		diff |= k ^ k0
-	}
-	var cnt [256]int32
-	for shift := 0; shift < 64; shift += 8 {
-		if (diff>>shift)&0xff == 0 {
-			continue
-		}
-		clear(cnt[:])
-		for _, k := range a {
-			cnt[(k>>shift)&0xff]++
-		}
-		var sum int32
-		for d := range cnt {
-			c := cnt[d]
-			cnt[d] = sum
-			sum += c
-		}
-		for _, k := range a {
-			d := (k >> shift) & 0xff
-			b[cnt[d]] = k
-			cnt[d]++
-		}
-		a, b = b, a
-	}
-	sc.pairs, sc.pairsTmp = a[:len(sc.pairs)], b[:0]
-}
-
 // --- the pooled scratch ----------------------------------------------------
 
 // scanPass is what one scanOwners pass leaves behind: the admitted
@@ -297,11 +255,15 @@ type decodeScratch struct {
 	// vertex of the graph on the first such level and stays that size.
 	ball     ballIndex
 	rowEdges []EdgeEntry
+	// ballPos numbers the distinct vertices of one level's protected
+	// balls as buildBallMasks meets them: sized to the balls, not to the
+	// graph.
+	ballPos i32map
 	// mask holds the bit-parallel protected-ball membership of the
 	// current owner level: mask[i*W+w] has bit b set iff point i lies in
 	// PB_ℓ(center 64w+b), with W = ⌈centers/64⌉ words per point. An edge
 	// dies iff some center covers both endpoints — one AND per word pair
-	// replaces a per-center hash-probe loop.
+	// replaces a per-center hash-probe loop; buildBallMasks stages in it.
 	mask []uint64
 	// maskL/maskR are the single-word fused admission masks of the
 	// current owner level (built only when the centers plus two sentinel

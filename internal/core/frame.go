@@ -59,15 +59,10 @@ type faultFrame struct {
 	// cmbX/cmbM/cmbOff hold the per-level combined protected-ball lists:
 	// for level index k, cmbX[cmbOff[k]:cmbOff[k+1]] is the sorted set of
 	// vertices inside any center's PB, with cmbM[j*W:…] the W-word center
-	// bitmask of vertex cmbX[j]. Built once per frame from the sorted
-	// pair list (pairs/pairsTmp are the radix buffers), so filling an
-	// owner level's masks is a single sorted merge against the combined
-	// list instead of one merge per center.
-	cmbX     []int32
-	cmbM     []uint64
-	cmbOff   []int32
-	pairs    []uint64
-	pairsTmp []uint64
+	// bitmask of vertex cmbX[j] (buildBallMasks).
+	cmbX   []int32
+	cmbM   []uint64
+	cmbOff []int32
 	// patchKeys are the admitted patch edges' endpoint keys: unit edges of
 	// the lowest level, free of budget.
 	patchKeys []uint64
@@ -117,7 +112,6 @@ func NewFrame(q *Query, patches []PatchEdge) *Frame {
 	sc.buildFrameRun()
 	sc.runArcs.Collapse()
 	sc.frameScanCost()
-	f.fr.pairs, f.fr.pairsTmp = nil, nil
 	return f
 }
 
@@ -304,63 +298,65 @@ func (sc *decodeScratch) admissionRule(q *Query) admission {
 	return admitWords
 }
 
-// buildBallMasks fills what the bit-parallel tests read of F: each
-// center's nearest net point per level, and the per-level combined ball
-// lists the point masks are filled from.
+// buildBallMasks fills what the bit-parallel tests read of F, level by
+// level: each center's nearest net point (the pivot of mayBeInPB) and
+// the combined ball list (cmbX/cmbM). PB_ℓ(f) is f itself and its
+// level-ℓ points within λ_ℓ — exact, as absence from f's list means
+// d > r_ℓ > λ_ℓ. One walk of each center's level list finds both. A
+// vertex is numbered on its first sighting in the level by the position
+// map ballPos, reset for each level, and its centers' bits are ORed into
+// staging words (mask), so only the distinct vertices are sorted.
 func (sc *decodeScratch) buildBallMasks() {
-	// A center's nearest net point depends on (center, level) only: found
-	// once here, not once per owner inside mayBeInPB.
-	sc.nearest = sc.nearest[:0]
-	for _, f := range sc.centers {
-		for k := 0; k < sc.numLevels; k++ {
-			sc.nearest = append(sc.nearest, nearestNetPoint(f, sc.lowest+k))
-		}
-	}
-	sc.buildCombinedBalls(sc.numLevels, sc.lowest, sc.maskWords)
-}
-
-// buildCombinedBalls precomputes, for every level, the union of all
-// centers' protected balls as one sorted vertex list with a per-vertex
-// center bitmask: PB_ℓ(f) is the center's ball entries within λ_ℓ plus
-// the center vertex itself, and membership is decided exactly (absence
-// from a center's level list means d > r_ℓ > λ_ℓ) with int32 distances
-// throughout — so the masks are exact even at levels where λ_ℓ would
-// overflow a uint8 truncation. Each (vertex, center) membership becomes
-// a packed pair, radix-sorted by vertex and OR-compacted; the per-level
-// runs land in cmbX/cmbM/cmbOff. Filling one owner level's point masks
-// is then a single sorted merge against the combined list, instead of
-// one merge per center per owner level.
-func (sc *decodeScratch) buildCombinedBalls(numLevels, lowest, W int) {
-	sc.cmbX = sc.cmbX[:0]
-	sc.cmbM = sc.cmbM[:0]
+	W, numLevels := sc.maskWords, sc.numLevels
+	sc.nearest = slices.Grow(sc.nearest[:0], len(sc.centers)*numLevels)[:len(sc.centers)*numLevels]
+	sc.cmbX, sc.cmbM = sc.cmbX[:0], sc.cmbM[:0]
 	sc.cmbOff = append(sc.cmbOff[:0], 0)
 	for k := 0; k < numLevels; k++ {
-		lambda := lambdaOf(lowest + k)
-		sc.pairs = sc.pairs[:0]
+		lambda := lambdaOf(sc.lowest + k)
+		base := len(sc.cmbX)
+		sc.mask = sc.mask[:0]
+		sc.ballPos.reset()
 		for fi, f := range sc.centers {
-			sc.pairs = append(sc.pairs, uint64(uint32(f.V))<<32|uint64(uint32(fi)))
-			if k >= len(f.Levels) {
-				continue
-			}
-			for _, ce := range f.Levels[k].Points {
-				if ce.D <= lambda {
-					sc.pairs = append(sc.pairs, uint64(uint32(ce.X))<<32|uint64(uint32(fi)))
+			w, bit := fi>>6, uint64(1)<<(fi&63)
+			sc.ballSlot(f.V, base)[w] |= bit
+			m := PointEntry{X: -1}
+			for _, pe := range f.Levels[k].Points {
+				if m.X < 0 || pe.D < m.D {
+					m = pe
+				}
+				if pe.D > lambda {
+					continue
+				}
+				// Most points were seen in the level already: a lookup,
+				// which inlines, serves them.
+				if i, seen := sc.ballPos.lookup(pe.X); seen {
+					sc.mask[int(i)*W+w] |= bit
+				} else {
+					sc.ballSlot(pe.X, base)[w] |= bit
 				}
 			}
+			sc.nearest[fi*numLevels+k] = m
 		}
-		sc.sortPairs()
-		for i := 0; i < len(sc.pairs); {
-			x := int32(sc.pairs[i] >> 32)
-			base := len(sc.cmbM)
-			for w := 0; w < W; w++ {
-				sc.cmbM = append(sc.cmbM, 0)
-			}
-			sc.cmbX = append(sc.cmbX, x)
-			for ; i < len(sc.pairs) && int32(sc.pairs[i]>>32) == x; i++ {
-				fi := uint32(sc.pairs[i])
-				sc.cmbM[base+int(fi>>6)] |= 1 << (fi & 63)
-			}
+		xs := sc.cmbX[base:]
+		slices.Sort(xs)
+		for _, x := range xs {
+			i, _ := sc.ballPos.lookup(x)
+			sc.cmbM = append(sc.cmbM, sc.mask[int(i)*W:][:W]...)
 		}
 		sc.cmbOff = append(sc.cmbOff, int32(len(sc.cmbX)))
 	}
+}
+
+// ballSlot returns the staging words of vertex x in the level whose
+// combined list starts at cmbX[base], numbering x on its first sighting.
+func (sc *decodeScratch) ballSlot(x int32, base int) []uint64 {
+	W, next := sc.maskWords, int32(len(sc.cmbX)-base)
+	if i, seen := sc.ballPos.getOrPut(x, next); seen {
+		return sc.mask[int(i)*W:][:W]
+	}
+	sc.cmbX = append(sc.cmbX, x)
+	for range W {
+		sc.mask = append(sc.mask, 0)
+	}
+	return sc.mask[int(next)*W:][:W]
 }

@@ -640,6 +640,13 @@ func TestFramedBatchAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { batch(a); batch(b); dec.Decode(clean, Opts{}) }); allocs > 0 {
 		t.Errorf("framed batches, frame rebuilt for each: %g allocs/op, want 0", allocs)
 	}
+	// Frames of 16 and of more than 64 protected-ball centers, rebuilt
+	// for each batch.
+	wide := gridWideQueries(t)
+	batch(wide)
+	if allocs := testing.AllocsPerRun(20, func() { batch(wide[:1]); batch(wide[1:]) }); allocs > 0 {
+		t.Errorf("framed grid24 batches of 16 and 70 vertex faults: %g allocs/op, want 0", allocs)
+	}
 	// The same batches over the labels a factored container hands out.
 	balls := ballsOnlyLabels(t, s)
 	for i := range a {

@@ -635,14 +635,12 @@ func (sc *decodeScratch) boundMerge(s, t *Label) (l, u int64) {
 // caller has U = L, and L ≤ d_H ≤ U, so its length is d_H.
 //
 // A tight point is tested at its level as scanOwners' self-edge loop
-// would test it there, and nothing else is read: its mask, found by a
-// galloping search of the level's combined ball list (buildCombinedBalls),
+// would test it there, and nothing else is read: its mask (ballMask)
 // against the mayBeInPB rows of s and t at the level (endRow, which the
 // pair's scan takes over should the certificate fail), and the forbidden
 // list.
 func (sc *decodeScratch) certified(q *Query) bool {
 	masks := sc.rule >= admitFused
-	W := sc.maskWords
 	// certHalf holds the points only one endpoint reaches, as x<<1 | side.
 	half := sc.certHalf[:0]
 	k, j, end := int32(-1), 0, 0
@@ -654,11 +652,9 @@ func (sc *decodeScratch) certified(q *Query) bool {
 				k, j, end = tp.k, int(sc.cmbOff[tp.k]), int(sc.cmbOff[tp.k+1])
 				rowS, rowT = sc.endRow(0, int(k)), sc.endRow(1, int(k))
 			}
-			if j = gallop(sc.cmbX, j, end, tp.x); j < end && sc.cmbX[j] == tp.x {
-				m := sc.cmbM[j*W:][:W]
-				sOK = tp.x == q.S.V || !wordsMeet(m, rowS)
-				tOK = tp.x == q.T.V || !wordsMeet(m, rowT)
-			}
+			m := sc.ballMask(&j, end, tp.x)
+			sOK = tp.x == q.S.V || !wordsMeet(m, rowS)
+			tOK = tp.x == q.T.V || !wordsMeet(m, rowT)
 		}
 		switch {
 		case !sOK && !tOK || containsSorted(sc.fvList, tp.x):
@@ -680,6 +676,17 @@ func (sc *decodeScratch) certified(q *Query) bool {
 		}
 	}
 	return false
+}
+
+// ballMask returns the W-word center mask of vertex x at the level whose
+// combined ball list ends at cmbX[end] — nil, which meets no row, when x
+// is in no center's ball — by a galloping search from cursor *j, which
+// it leaves at x's place: the points of a level ask in ascending order.
+func (sc *decodeScratch) ballMask(j *int, end int, x int32) []uint64 {
+	if *j = gallop(sc.cmbX, *j, end, x); *j < end && sc.cmbX[*j] == x {
+		return sc.cmbM[*j*sc.maskWords:][:sc.maskWords]
+	}
+	return nil
 }
 
 // gallop returns the first index in [j, end) of the ascending xs whose
@@ -731,11 +738,19 @@ func (sc *decodeScratch) ompbRows(owners []*Label) {
 }
 
 // fillRow sets row to owner o's mayBeInPB row at level index k: bit fi
-// for every center fi whose protected ball o may lie in.
+// for every center fi whose protected ball o may lie in. Whether o is a
+// net point of the level is asked once, not once per center: if it is,
+// membership is exact and the row is o's own combined-ball mask.
 func (sc *decodeScratch) fillRow(row []uint64, o *Label, k int) {
 	clear(row)
+	level := sc.lowest + k
+	if d, ok := o.DistTo(level, o.V); ok && d == 0 {
+		j := int(sc.cmbOff[k])
+		copy(row, sc.ballMask(&j, int(sc.cmbOff[k+1]), o.V))
+		return
+	}
 	for fi, f := range sc.centers {
-		if mayBeInPBVia(o, f, sc.lowest+k, sc.nearest[fi*sc.numLevels+k]) {
+		if mayBeInPBVia(o, f, level, sc.nearest[fi*sc.numLevels+k]) {
 			row[fi>>6] |= 1 << (fi & 63)
 		}
 	}
@@ -832,12 +847,14 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			}
 			// reused counts the candidates an earlier scan of this very
 			// list admitted; a list walked now numbers its points in pid.
-			// The masks serve a list walked now and self edges.
+			// A list whose edges are walked now has its masks merged in
+			// whole; otherwise only self-edge points are tested, each
+			// looked up (ballMask).
 			reused := 0
 			self := selfEdges && !oForbidden
 			forb := sc.fillForb(pts)
 			var msk []uint64
-			if rule >= admitFused && (first == nil || self) {
+			if rule >= admitFused && first == nil && len(edges) > 0 {
 				msk = sc.fillMasks(pts, k, W)
 			}
 			if first == nil {
@@ -931,10 +948,16 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			// The owner's own id is looked up on its first admitted self
 			// edge, so an owner without one adds no vertex to H.
 			if self {
+				// row stays nil, and no mask is read, when no center's
+				// ball may hold the owner.
 				oid := int32(-1)
 				var row []uint64
+				var j, end int
 				if rule >= admitFused {
-					row = sc.ompbW[(oi*numLevels+k)*W:][:W]
+					if row = sc.ompbW[(oi*numLevels+k)*W:][:W]; !wordsMeet(row, row) {
+						row = nil
+					}
+					j, end = int(sc.cmbOff[k]), int(sc.cmbOff[k+1])
 				}
 				lambda := lambdaOf(lowest + k)
 				left, n := room-scanned, 0
@@ -956,8 +979,14 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 						if pe.D != 1 || containsSorted(sc.feList, unorderedKey(o.V, pe.X)) {
 							continue
 						}
-					case rule >= admitFused:
-						if wordsMeet(msk[i*W:][:W], row) {
+					case row != nil:
+						m := msk
+						if m != nil {
+							m = m[i*W:][:W]
+						} else {
+							m = sc.ballMask(&j, end, pe.X)
+						}
+						if wordsMeet(m, row) {
 							continue
 						}
 					}
@@ -1231,7 +1260,7 @@ func (sc *decodeScratch) fillLR(msk []uint64, forb []bool) {
 // one owner level: for each point i of pts, a W-word mask whose bit fi
 // says point i lies inside PB_ℓ(center fi) — one sorted merge of the
 // strictly ascending point list against the level's combined ball list
-// (see buildCombinedBalls). The returned words are scratch-owned and
+// (see buildBallMasks). The returned words are scratch-owned and
 // valid until the next call.
 func (sc *decodeScratch) fillMasks(pts []PointEntry, k int, W int) []uint64 {
 	need := len(pts) * W
@@ -1292,6 +1321,9 @@ func containsSorted[T cmp.Ordered](s []T, v T) bool {
 // which is precisely when the stretch analysis requires owner edges to be
 // admitted (μ_ℓ − 2·(2^{ℓ-c-1}−1) = λ_ℓ + 2 > λ_ℓ).
 func mayBeInPB(o, f *Label, level int) bool {
+	if d, ok := o.DistTo(level, o.V); ok && d == 0 {
+		return f.InProtectedBall(level, o.V)
+	}
 	return mayBeInPBVia(o, f, level, nearestNetPoint(f, level))
 }
 
@@ -1313,12 +1345,10 @@ func nearestNetPoint(f *Label, level int) PointEntry {
 	return m
 }
 
-// mayBeInPBVia is mayBeInPB given m = nearestNetPoint(f, level).
+// mayBeInPBVia is mayBeInPB for an o that is not a net point of the
+// level, given m = nearestNetPoint(f, level).
 func mayBeInPBVia(o, f *Label, level int, m PointEntry) bool {
 	lambda := lambdaOf(level)
-	if d, ok := o.DistTo(level, o.V); ok && d == 0 {
-		return f.InProtectedBall(level, o.V)
-	}
 	if m.X < 0 {
 		return true
 	}

@@ -224,9 +224,21 @@ func TestNewFrameFrozen(t *testing.T) {
 		EdgeFaults:   [][2]*Label{{s.Label(90), s.Label(91)}}}
 	f := NewFrame(q, patchesOf(s, [][2]int{{5, 118}}))
 	fr := f.fr
-	if !fr.keyed || !fr.runBuilt || !arcsCollapsed(&fr.runArcs) || fr.frameCost < 0 || fr.pairs != nil || fr.pairsTmp != nil {
-		t.Fatalf("keyed=%v runBuilt=%v collapsed=%v frameCost=%d, %d/%d pair buffers: the frame is not frozen",
-			fr.keyed, fr.runBuilt, arcsCollapsed(&fr.runArcs), fr.frameCost, cap(fr.pairs), cap(fr.pairsTmp))
+	if !fr.keyed || !fr.runBuilt || !arcsCollapsed(&fr.runArcs) || fr.frameCost < 0 {
+		t.Fatalf("keyed=%v runBuilt=%v collapsed=%v frameCost=%d: the frame is not frozen",
+			fr.keyed, fr.runBuilt, arcsCollapsed(&fr.runArcs), fr.frameCost)
+	}
+	// What the ball masks are built with — the position maps and the
+	// staging words — is the building scratch's: the frame keeps the
+	// combined lists and nothing beside them.
+	for _, name := range []string{"ball", "ballPos", "mask"} {
+		if _, ok := reflect.TypeOf(faultFrame{}).FieldByName(name); ok {
+			t.Errorf("a frame has a field %s for the ball masks' build buffers", name)
+		}
+	}
+	if len(fr.cmbM) != len(fr.cmbX)*fr.maskWords || len(fr.cmbOff) != fr.numLevels+1 || len(fr.nearest) != len(fr.centers)*fr.numLevels {
+		t.Errorf("ball masks of %d words for %d vertices (W=%d), %d offsets, %d pivots: not the frame's lists alone",
+			len(fr.cmbM), len(fr.cmbX), fr.maskWords, len(fr.cmbOff), len(fr.nearest))
 	}
 	if total, pair := frameWork(q, patchesOf(s, [][2]int{{5, 118}})); fr.frameCost != total-pair {
 		t.Errorf("frameCost %d, the frame owners' scan cost %d", fr.frameCost, total-pair)
@@ -389,6 +401,18 @@ func TestSharedFrameAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, batch); allocs > 0 {
 		t.Errorf("decodes beside a shared frame: %g allocs/op, want 0", allocs)
+	}
+	// Beside frames of 16 and of more than 64 protected-ball centers.
+	wide := gridWideQueries(t)
+	wf := []*Frame{NewFrame(wide[0], nil), NewFrame(wide[1], nil)}
+	wideBatch := func() {
+		for i, q := range wide {
+			dec.Decode(q, Opts{Frame: wf[i]})
+		}
+	}
+	wideBatch()
+	if allocs := testing.AllocsPerRun(20, wideBatch); allocs > 0 {
+		t.Errorf("grid24 decodes beside shared frames of 16 and 70 vertex faults: %g allocs/op, want 0", allocs)
 	}
 	// The same beside frames of the labels a factored container hands out.
 	balls := ballsOnlyLabels(t, s)
