@@ -733,14 +733,18 @@ func benchBatches(quick bool, measure measureFunc, add func(benchResult)) error 
 	return nil
 }
 
-// writeStoreFile writes every label of s to path as one container and
-// returns the path and the file's size.
+// writeStoreFile writes every label of s to path as one container (FSDL2
+// unless format3) and returns the path and the file's size.
 func writeStoreFile(path string, s *core.Scheme, format3 bool) (string, int64, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return "", 0, err
 	}
-	err = labelstore.Write(f, labelstore.FromScheme(s), nil, format3)
+	if format3 {
+		err = labelstore.Write(f, labelstore.FromScheme(s), nil)
+	} else {
+		err = labelstore.Save(f, s, nil)
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -1001,8 +1005,10 @@ func readDoc(path string) (benchDoc, error) {
 // round leaving dir/parent-<i>.json and dir/change-<i>.json. A timed
 // row fails when the median of its change rounds exceeds the median of
 // its parent rounds by more than 30%; a slow hour slows both sides, so
-// the ratio holds where an absolute bound would not. The record it
-// returns is the change's medians with the parent's beside them.
+// the ratio holds where an absolute bound would not. A timed row the
+// change's rounds lack fails too, so a rename or a drop cannot pass; a
+// row only the change has is listed, not gated. The record it returns
+// is the change's medians with the parent's beside them.
 func pairedGate(dir string, log io.Writer) (benchDoc, error) {
 	var sides [2][]benchDoc
 	for i, side := range []string{"parent", "change"} {
@@ -1026,10 +1032,16 @@ func pairedGate(dir string, log io.Writer) (benchDoc, error) {
 	fmt.Fprintf(log, "\n### Paired rounds (%d each, medians)\n\n| kernel | parent ns/op | change ns/op | change/parent |\n|---|---:|---:|---:|\n", len(sides[1]))
 	var regressions []string
 	compared := 0
+	timed := make(map[string]bool, len(rec.Results))
 	for i := range rec.Results {
 		r := &rec.Results[i]
+		if !timedRow(r.Name) || r.NsPerOp <= 0 {
+			continue
+		}
+		timed[r.Name] = true
 		p, ok := byName[r.Name]
-		if !ok || !timedRow(r.Name) || p.NsPerOp <= 0 {
+		if !ok || p.NsPerOp <= 0 {
+			fmt.Fprintf(log, "| %s | — | %.0f | new, not gated |\n", r.Name, r.NsPerOp)
 			continue
 		}
 		compared++
@@ -1038,6 +1050,11 @@ func pairedGate(dir string, log io.Writer) (benchDoc, error) {
 		fmt.Fprintf(log, "| %s | %.0f | %.0f | %.2f |\n", r.Name, p.NsPerOp, r.NsPerOp, ratio)
 		if ratio > 1.30 {
 			regressions = append(regressions, fmt.Sprintf("%s: %.0f ns/op, parent %.0f (%.2fx, limit 1.30x)", r.Name, r.NsPerOp, p.NsPerOp, ratio))
+		}
+	}
+	for _, p := range parent.Results {
+		if timedRow(p.Name) && p.NsPerOp > 0 && !timed[p.Name] {
+			regressions = append(regressions, fmt.Sprintf("%s: timed in the parent's rounds, missing from the change's (renamed or dropped)", p.Name))
 		}
 	}
 	if compared == 0 {

@@ -87,9 +87,14 @@ func TestBenchChaosConflictsWithExp(t *testing.T) {
 // TestPairedGate: the time gate compares the medians of k >= 5 rounds a
 // side. A timed row more than 30% over the parent's fails — every round
 // of it, not one outlier round — an untimed row never does, and the
-// record carries the parent's median beside the change's.
+// record carries the parent's median beside the change's. A timed row
+// the change's rounds lack fails by name, so a rename cannot pass, and
+// a row only the change has is listed as new and passes.
 func TestPairedGate(t *testing.T) {
-	rounds := func(t *testing.T, k int, change func(round int, name string, ns float64) float64) string {
+	// change maps a parent row to the change's: its name ("" drops it)
+	// and its ns/op.
+	type change func(round int, name string, ns float64) (string, float64)
+	rounds := func(t *testing.T, k int, change change) string {
 		t.Helper()
 		dir := t.TempDir()
 		for i := 0; i < k; i++ {
@@ -98,7 +103,9 @@ func TestPairedGate(t *testing.T) {
 				for j, name := range []string{"decode_F16", "new_frame_F4_rgg1024", "server_batch"} {
 					ns := float64(1000 * (j + 1))
 					if side == "change" {
-						ns = change(i, name, ns)
+						if name, ns = change(i, name, ns); name == "" {
+							continue
+						}
 					}
 					doc.Results = append(doc.Results, benchResult{Name: name, Iterations: 100, NsPerOp: ns})
 				}
@@ -109,7 +116,7 @@ func TestPairedGate(t *testing.T) {
 		}
 		return dir
 	}
-	same := func(_ int, _ string, ns float64) float64 { return ns }
+	same := func(_ int, name string, ns float64) (string, float64) { return name, ns }
 	rec, err := pairedGate(rounds(t, 5, same), io.Discard)
 	if err != nil {
 		t.Fatalf("equal rounds: %v", err)
@@ -117,38 +124,51 @@ func TestPairedGate(t *testing.T) {
 	if r := rec.Results[0]; r.ParentNsPerOp != 1000 || r.NsPerOp != 1000 || rec.CPUs != 2 {
 		t.Errorf("record row %+v (cpus %d), want the change's and the parent's median 1000", r, rec.CPUs)
 	}
+	slower := func(row string, by float64) change {
+		return func(_ int, name string, ns float64) (string, float64) {
+			if name == row {
+				return name, ns * by
+			}
+			return name, ns
+		}
+	}
 	for name, tc := range map[string]struct {
-		change func(int, string, float64) float64
-		fails  string
+		change change
+		fails  string // the row the gate names, "" when it passes
+		logs   string
 	}{
-		"a decode kernel 50% slower": {func(_ int, name string, ns float64) float64 {
-			if name == "decode_F16" {
-				return ns * 1.5
-			}
-			return ns
-		}, "decode_F16"},
-		"a frame build 40% slower": {func(_ int, name string, ns float64) float64 {
-			if name == "new_frame_F4_rgg1024" {
-				return ns * 1.4
-			}
-			return ns
-		}, "new_frame_F4_rgg1024"},
-		"one round of three slower": {func(i int, _ string, ns float64) float64 {
+		"a decode kernel 50% slower":   {slower("decode_F16", 1.5), "decode_F16", ""},
+		"a frame build 40% slower":     {slower("new_frame_F4_rgg1024", 1.4), "new_frame_F4_rgg1024", ""},
+		"an untimed row twice as slow": {slower("server_batch", 2), "", ""},
+		"one round of three slower": {func(i int, name string, ns float64) (string, float64) {
 			if i == 2 {
-				return ns * 3
+				return name, ns * 3
 			}
-			return ns
-		}, ""},
-		"an untimed row twice as slow": {func(_ int, name string, ns float64) float64 {
+			return name, ns
+		}, "", ""},
+		"a timed row renamed": {func(_ int, name string, ns float64) (string, float64) {
+			if name == "decode_F16" {
+				return "decode_F16_grid24", ns
+			}
+			return name, ns
+		}, "decode_F16", "| decode_F16_grid24 | — | 1000 | new, not gated |"},
+		"a timed row dropped": {func(_ int, name string, ns float64) (string, float64) {
+			if name == "new_frame_F4_rgg1024" {
+				return "", 0
+			}
+			return name, ns
+		}, "new_frame_F4_rgg1024", ""},
+		"an untimed row dropped": {func(_ int, name string, ns float64) (string, float64) {
 			if name == "server_batch" {
-				return ns * 2
+				return "", 0
 			}
-			return ns
-		}, ""},
+			return name, ns
+		}, "", ""},
 	} {
 		var log strings.Builder
 		_, err := pairedGate(rounds(t, 5, tc.change), &log)
-		if (err != nil) != (tc.fails != "") || tc.fails != "" && !strings.Contains(log.String(), "BENCH REGRESSION "+tc.fails+":") {
+		if (err != nil) != (tc.fails != "") || tc.fails != "" && !strings.Contains(log.String(), "BENCH REGRESSION "+tc.fails+":") ||
+			!strings.Contains(log.String(), tc.logs) {
 			t.Errorf("%s: err %v, log:\n%s", name, err, log.String())
 		}
 	}

@@ -12,8 +12,8 @@
 //
 // An FSDL3 store (see docs/STORAGE.md) — a -store, a generation resumed
 // from -live-root, each compaction's — is served straight from the OS
-// page cache, so stores larger than RAM stay servable.
-// -compress makes live compactions write (factored) FSDL3 generations.
+// page cache, so stores larger than RAM stay servable. Live compactions
+// write factored FSDL3 generations.
 //
 // Cluster mode replaces the local store with a scatter-gather frontend
 // over fsdl-shard servers (see docs/CLUSTER.md):
@@ -50,6 +50,7 @@ import (
 
 	"fsdl"
 	"fsdl/internal/cluster"
+	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 	"fsdl/internal/server"
@@ -78,7 +79,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	repairEvery := fs.Duration("repair", 2*time.Second, "cluster: anti-entropy repair sweep interval (0 disables)")
 	retryBudget := fs.Float64("retry-budget", 0, "cluster: retries+hedges per first attempt (0 = 0.1, negative disables)")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records, answer conservatively")
-	compress := fs.Bool("compress", false, "live: compactions write FSDL3 generations (factored, served mapped) instead of FSDL2")
 	graphPath := fs.String("graph", "", "live: base graph the labels were built on, until a first generation exists")
 	eps := fs.Float64("eps", 2, "live: precision epsilon compactions build label generations at")
 	addr := fs.String("addr", ":8080", "listen address")
@@ -185,10 +185,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		cfg.Store = st
 	}
-	if *compress {
-		cfg.CompactFormat = 3
-	}
-
 	if *liveRoot != "" {
 		if *walPath == "" {
 			*walPath = filepath.Join(*liveRoot, "mutations.wal")
@@ -209,7 +205,13 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 				cfg.Store = st
 			}
 			fmt.Fprintf(logw, "fsdl-serve: live: resuming from generation %d (%s)\n", gen.Generation, genDir)
-		} else {
+		}
+		if cfg.Store != nil {
+			if err := checkEpsilon(cfg.Store, *eps); err != nil {
+				return err
+			}
+		}
+		if gen == nil {
 			gf, err := os.Open(*graphPath)
 			if err != nil {
 				return err
@@ -298,6 +300,24 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		fmt.Fprintf(logw, "fsdl-serve: mutation WAL drained and closed, final fsdl_wal_flushed_total %d\n",
 			srv.WALFlushedTotal())
+	}
+	return nil
+}
+
+// checkEpsilon refuses a live boot whose -eps differs from the precision
+// of the labels it serves, which the first compaction would otherwise
+// rebuild at -eps. ε is compared as Label.Encode stores it, ⌊ε·2¹⁶⌋.
+func checkEpsilon(st *labelstore.Store, eps float64) error {
+	for _, v := range st.Vertices() {
+		bits, data, _ := st.Raw(v)
+		l, err := core.DecodeLabel(data, bits)
+		if err != nil {
+			continue // a record a salvaging open kept out of service
+		}
+		if uint64(l.Epsilon*65536) != uint64(eps*65536) {
+			return fmt.Errorf("live: the served labels were built at eps %g, -eps is %g: pass -eps %g, or compactions rebuild every label at %g", l.Epsilon, eps, l.Epsilon, eps)
+		}
+		return nil
 	}
 	return nil
 }

@@ -32,6 +32,40 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	missing := filepath.Join(dir, "missing.txt")
 	emptyRoot := t.TempDir()
+	// Labels at ε = 1 served live at the default -eps 2: from a -store
+	// beside -graph, and from a resumed generation.
+	g := gen.Grid2D(4, 4)
+	graphPath, eps1Store := filepath.Join(dir, "g.txt"), filepath.Join(dir, "eps1.fsdl")
+	gf, err := os.Create(graphPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.WriteTo(gf); err != nil {
+		t.Fatal(err)
+	}
+	gf.Close()
+	s, err := core.BuildScheme(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sf, err := os.Create(eps1Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.Write(sf, labelstore.FromScheme(s), nil); err != nil {
+		t.Fatal(err)
+	}
+	sf.Close()
+	eps1Root := t.TempDir()
+	p, err := liveupdate.Open(liveupdate.Config{Base: g})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := liveupdate.Compact(p, eps1Root, liveupdate.CompactOptions{Epsilon: 1}); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	const epsRefusal = "live: the served labels were built at eps 1, -eps is 2"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -49,6 +83,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"load " + garbage + ":"},
 		{"an unreadable -store, mapped", []string{"-store", garbage3},
 			"load " + garbage3 + ":"},
+		{"-live-root over a -store built at another eps", []string{"-live-root", t.TempDir(), "-graph", graphPath, "-store", eps1Store},
+			epsRefusal},
+		{"-live-root resuming a generation built at another eps", []string{"-live-root", eps1Root},
+			epsRefusal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(context.Background(), append(tc.args, "-addr", "127.0.0.1:0"), io.Discard)

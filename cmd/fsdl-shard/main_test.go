@@ -171,7 +171,7 @@ func TestRunBootsNewestGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := liveupdate.CompactOptions{Epsilon: 2, Partitions: map[string][]int{"shard0": ids}, Format: 3, Compress: true}
+		opts := liveupdate.CompactOptions{Epsilon: 2, Partitions: map[string][]int{"shard0": ids}}
 		if newest, err = liveupdate.CompactSnapshot(snap, root, opts); err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,6 @@ import (
 //
 //	fsdl compact -root gens/ [-wal gens/mutations.wal] [-in graph.txt]
 //	             [-eps 2] [-workers N] [-members members.txt] [-force]
-//	             [-format fsdl3]
 //
 // The base graph comes from the newest generation already in -root
 // (its graph.txt snapshot); -in seeds the very first compaction, when
@@ -36,12 +35,7 @@ func cmdCompact(args []string, out io.Writer) error {
 	members := fs.String("members", "", "cluster membership file; also write per-shard partition files")
 	force := fs.Bool("force", false, "build a generation even with no pending mutations")
 	incremental := fs.Bool("incremental", false, "delta-scoped rebuild off the newest generation (byte-identical output; requires an existing generation)")
-	format := fs.String("format", "fsdl2", "label container written into the generation: fsdl2 or fsdl3 (factored and mmap-first)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	format3, err := parseFormat(*format)
-	if err != nil {
 		return err
 	}
 	if *root == "" {
@@ -90,9 +84,6 @@ func cmdCompact(args []string, out io.Writer) error {
 	}
 
 	opts := liveupdate.CompactOptions{Epsilon: *eps, Workers: *workers}
-	if format3 {
-		opts.Format = 3
-	}
 	if *members != "" {
 		m, err := cluster.LoadMembership(*members)
 		if err != nil {

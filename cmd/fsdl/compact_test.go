@@ -86,9 +86,15 @@ func TestCLICompactPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("compact -members: %v\n%s", err, out)
 	}
+	// Every file of the generation is factored, under one set of level
+	// graphs.
+	labels := loadStoreFile(t, filepath.Join(root, "gen-0000000002", "labels.fsdl")).Encoding()
+	if !labels.Factored {
+		t.Fatalf("generation labels: encoding %+v, want a factored FSDL3 file", labels)
+	}
 	for _, f := range []string{"shard0.fsdl", "shard1.fsdl"} {
-		if _, err := os.Stat(filepath.Join(root, "gen-0000000002", f)); err != nil {
-			t.Fatalf("partition file %s: %v", f, err)
+		if enc := loadStoreFile(t, filepath.Join(root, "gen-0000000002", f)).Encoding(); enc != labels {
+			t.Fatalf("partition file %s: encoding %+v, want the labels' %+v", f, enc, labels)
 		}
 		if !strings.Contains(out, f) {
 			t.Fatalf("output missing %s:\n%s", f, out)

@@ -13,8 +13,8 @@ import (
 // sharing differs: an 8×8 grid, saturated at every level (one list per
 // level, stored/distinct = n), and a 256-vertex ring lattice, whose
 // lowest-level balls are each vertex's own. A scheme and the containers
-// written from it print the same table — the factored one (-format fsdl3)
-// included, whose labels are induced from its level graphs on
+// written from it print the same table — the factored one `fsdl labels`
+// writes included, whose labels are induced from its level graphs on
 // the way out and whose file holds each of those edges once; behind it a
 // factored container prints how its records write the balls.
 func TestCLIStatsLevels(t *testing.T) {
@@ -69,12 +69,14 @@ func TestCLIStatsLevels(t *testing.T) {
 			t.Errorf("%s: stats -levels printed\n%s\nwant\n%s", tc.name, got, tc.want)
 		}
 		for _, format := range []string{"fsdl2", "fsdl3"} {
-			db := filepath.Join(dir, tc.name+".fsdl")
-			if _, err := runCLI(t, "labels", "-in", tc.graph, "-out", db, "-format", format); err != nil {
-				t.Fatal(err)
-			}
+			db := filepath.Join(dir, tc.name+"."+format)
 			want := tc.want
-			if format == "fsdl3" {
+			if format == "fsdl2" {
+				saveFSDL2(t, tc.graph, db)
+			} else {
+				if _, err := runCLI(t, "labels", "-in", tc.graph, "-out", db); err != nil {
+					t.Fatal(err)
+				}
 				want += tc.balls
 			}
 			if got, err := runCLI(t, "stats", "-levels", "-db", db); err != nil || got != want {
@@ -94,9 +96,11 @@ func TestCLIStatsLevelsFactoredAsFSDL2(t *testing.T) {
 	dir := t.TempDir()
 	ring := writeRing256(t, dir)
 	tables := map[string]string{}
-	for name, format := range map[string]string{"fsdl2": "fsdl2", "factored": "fsdl3"} {
+	for _, name := range []string{"fsdl2", "factored"} {
 		db := filepath.Join(dir, name+".fsdl")
-		if _, err := runCLI(t, "labels", "-in", ring, "-out", db, "-format", format); err != nil {
+		if name == "fsdl2" {
+			saveFSDL2(t, ring, db)
+		} else if _, err := runCLI(t, "labels", "-in", ring, "-out", db); err != nil {
 			t.Fatal(err)
 		}
 		got, err := runCLI(t, "stats", "-levels", "-db", db)

@@ -17,7 +17,7 @@
 //	fsdl trace -size 12 -s 0 [-fail 60,61,62]
 //	fsdl buildscheme -in graph.txt -out scheme.fsdls [-eps 2] [-workers N]
 //	fsdl wquery -in roads.gr -s 0 -t 99 [-fail 5,17]
-//	fsdl partition -db labels.fsdl -members members.txt -out shards/ [-format fsdl3]
+//	fsdl partition -db labels.fsdl -members members.txt -out shards/
 //	fsdl cluster status|join|leave|drain -frontend http://host:8080 [...]
 //	fsdl compact -root gens/ [-wal gens/mutations.wal] [-in graph.txt] [-members members.txt]
 package main
@@ -145,12 +145,7 @@ func cmdLabels(args []string, out io.Writer) error {
 	region := fs.Int("region", -1, "center vertex of a region bundle (-1 = all labels)")
 	radius := fs.Int("radius", 0, "region radius (with -region)")
 	workers := fs.Int("workers", 0, "preprocessing workers (0 = all CPUs; output is identical for any count)")
-	format := fs.String("format", "fsdl2", "label container: fsdl2 (heap stream) or fsdl3 (factored and mmap-first, see docs/STORAGE.md)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	format3, err := parseFormat(*format)
-	if err != nil {
 		return err
 	}
 	g, err := loadGraph(*in)
@@ -170,7 +165,7 @@ func cmdLabels(args []string, out io.Writer) error {
 	if *region >= 0 {
 		ids = labelstore.Region(s, *region, int32(*radius))
 	}
-	if err := labelstore.Write(f, labelstore.FromScheme(s), ids, format3); err != nil {
+	if err := labelstore.Write(f, labelstore.FromScheme(s), ids); err != nil {
 		return err
 	}
 	info, err := f.Stat()
@@ -513,17 +508,6 @@ func storeStats(path string, out io.Writer) error {
 	return nil
 }
 
-// parseFormat maps a -format flag value onto the container choice.
-func parseFormat(format string) (format3 bool, err error) {
-	switch format {
-	case "", "fsdl2", "2":
-		return false, nil
-	case "fsdl3", "3":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown container format %q (want fsdl2 or fsdl3)", format)
-}
-
 func cmdLabel(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("label", flag.ContinueOnError)
 	in := fs.String("in", "", "graph file (text format; default stdin)")
@@ -760,18 +744,14 @@ func cmdWQuery(args []string, out io.Writer) error {
 // consistent-hash ring ownership. With replication R every label lands
 // in exactly R partition files; the union of the partitions re-serves
 // every record byte-identically (the partition writer is just
-// Write from the store over the ring's ownership lists).
+// Write from the store over the ring's ownership lists, so a factored
+// store yields factored partitions and an FSDL2 store FSDL2 ones).
 func cmdPartition(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("partition", flag.ContinueOnError)
 	db := fs.String("db", "labels.fsdl", "label store file to split")
 	members := fs.String("members", "", "cluster membership file (required; see docs/CLUSTER.md)")
 	outDir := fs.String("out", ".", "directory for the per-shard stores (<name>.fsdl)")
-	format := fs.String("format", "fsdl2", "partition container: fsdl2 (heap stream) or fsdl3 (factored and mmap-first; needs a factored -db)")
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	format3, err := parseFormat(*format)
-	if err != nil {
 		return err
 	}
 	if *members == "" {
@@ -804,7 +784,7 @@ func cmdPartition(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := labelstore.Write(pf, st, ids, format3); err != nil {
+		if err := labelstore.Write(pf, st, ids); err != nil {
 			pf.Close()
 			return fmt.Errorf("write %s: %w", path, err)
 		}

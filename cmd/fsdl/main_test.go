@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"fsdl"
 	"fsdl/internal/labelstore"
 )
 
@@ -26,6 +27,33 @@ func genGraphFile(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// saveFSDL2 writes every label of the graph at gpath (ε = 2) to out as
+// an FSDL2 stream — the container fsdl reads but no longer writes from a
+// scheme, as a store an older fsdl wrote — and returns the scheme.
+func saveFSDL2(t *testing.T, gpath, out string) *fsdl.Scheme {
+	t.Helper()
+	g, err := loadGraph(gpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := fsdl.Build(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Create(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = labelstore.Save(f, s, nil)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestCLIMissingSubcommand(t *testing.T) {
@@ -175,12 +203,15 @@ func TestCLIQueryDBPath(t *testing.T) {
 	}
 }
 
+// TestCLIQueryDBSalvage: one flipped byte mid-way through an FSDL2
+// stream fails a strict load whole, and -salvage answers around it; in a
+// factored file written by `fsdl labels`, a flipped byte in the last
+// record (vertex 35) fails any strict query that reads it, and -salvage
+// answers with 35 as a lost fault label, an upper bound.
 func TestCLIQueryDBSalvage(t *testing.T) {
 	gpath := genGraphFile(t)
 	dbPath := filepath.Join(t.TempDir(), "labels.fsdl")
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", dbPath); err != nil {
-		t.Fatal(err)
-	}
+	saveFSDL2(t, gpath, dbPath)
 	// -salvage on an intact store answers in exact mode, no salvage banner.
 	out, err := runCLI(t, "querydb", "-db", dbPath, "-s", "0", "-t", "35", "-fail", "7", "-salvage")
 	if err != nil {
@@ -214,14 +245,34 @@ func TestCLIQueryDBSalvage(t *testing.T) {
 	if strings.Contains(out, "estimated distance") && !strings.Contains(out, "status: ") {
 		t.Errorf("salvage verdict missing status line:\n%s", out)
 	}
+
+	factored := filepath.Join(t.TempDir(), "labels.fsdl")
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", factored); err != nil {
+		t.Fatal(err)
+	}
+	if data, err = os.ReadFile(factored); err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-5] ^= 0x20
+	if err := os.WriteFile(factored, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runCLI(t, "querydb", "-db", factored, "-s", "0", "-t", "34", "-fail", "35"); err == nil {
+		t.Error("strict querydb must fail on a corrupt record it reads")
+	}
+	out, err = runCLI(t, "querydb", "-db", factored, "-s", "0", "-t", "34", "-fail", "35", "-salvage")
+	if err != nil {
+		t.Fatalf("salvage querydb of the factored store failed: %v", err)
+	}
+	if !strings.Contains(out, "salvage: kept 35/36") || !strings.Contains(out, "status: DEGRADED") {
+		t.Errorf("factored salvage output wrong:\n%s", out)
+	}
 }
 
 func TestCLIQueryDBSalvageUnreadableStore(t *testing.T) {
 	gpath := genGraphFile(t)
 	dbPath := filepath.Join(t.TempDir(), "labels.fsdl")
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", dbPath); err != nil {
-		t.Fatal(err)
-	}
+	saveFSDL2(t, gpath, dbPath)
 	// Truncate to just the header: the count still promises records but
 	// none can be salvaged. Even -salvage must exit non-zero, not report
 	// success over an empty store.
@@ -310,8 +361,8 @@ func TestCLIWQuery(t *testing.T) {
 
 // TestCLIPartitionRoundTrip: `fsdl partition` splits a store into
 // per-shard stores whose union re-serves every label byte-identically
-// with the original (satellite acceptance check for the cluster
-// pipeline).
+// with the original; the store `fsdl labels` writes is factored, and so
+// is every partition cut from it.
 func TestCLIPartitionRoundTrip(t *testing.T) {
 	gpath := genGraphFile(t)
 	dir := t.TempDir()
@@ -338,6 +389,9 @@ func TestCLIPartitionRoundTrip(t *testing.T) {
 	copies := make(map[int]int)
 	for i := 0; i < 3; i++ {
 		ps := loadStoreFile(t, filepath.Join(shardDir, "shard"+strconv.Itoa(i)+".fsdl"))
+		if enc := ps.Encoding(); !enc.Factored || enc.LevelsCRC != orig.Encoding().LevelsCRC {
+			t.Fatalf("shard %d: encoding %+v, want a factored file under the level graphs of the store it was cut from", i, enc)
+		}
 		if ps.NumVertices() != orig.NumVertices() {
 			t.Fatalf("shard %d declares n=%d, want %d", i, ps.NumVertices(), orig.NumVertices())
 		}
@@ -372,21 +426,20 @@ func TestCLIPartitionRoundTrip(t *testing.T) {
 
 func loadStoreFile(t *testing.T, path string) *labelstore.Store {
 	t.Helper()
-	f, err := os.Open(path)
+	st, err := labelstore.Open(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("open %s: %v", path, err)
 	}
-	defer f.Close()
-	st, err := labelstore.Load(f)
-	if err != nil {
-		t.Fatalf("load %s: %v", path, err)
-	}
+	t.Cleanup(func() { st.Close() })
 	return st
 }
 
-// TestCLIFormat3Pipeline: `fsdl labels -format fsdl3` → `fsdl stats
-// <store>` → `fsdl partition -format fsdl3` → `fsdl querydb` — the FSDL3
-// path end to end through the CLI.
+// TestCLIFormat3Pipeline: `fsdl labels` → `fsdl stats <store>` →
+// `fsdl partition` → `fsdl querydb` — the factored FSDL3 path end to end
+// through the CLI, beside an FSDL2 store as an older fsdl wrote it. No
+// subcommand takes -format: the container follows the source, so the
+// partitions of the factored store are factored and those of the FSDL2
+// store FSDL2, and a region bundle is factored too.
 func TestCLIFormat3Pipeline(t *testing.T) {
 	dir := t.TempDir()
 	// Big enough that the FSDL3 page-aligned header+index (8 KiB floor)
@@ -395,12 +448,10 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 	if _, err := runCLI(t, "gen", "-kind", "grid", "-size", "16", "-out", gpath); err != nil {
 		t.Fatal(err)
 	}
-	dbPath := filepath.Join(dir, "labels.fsdl")
-	db3Path := filepath.Join(dir, "labels3.fsdl")
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", dbPath); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path, "-format", "fsdl3"); err != nil {
+	dbPath := filepath.Join(dir, "labels2.fsdl")
+	db3Path := filepath.Join(dir, "labels.fsdl")
+	s := saveFSDL2(t, gpath, dbPath)
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", db3Path); err != nil {
 		t.Fatal(err)
 	}
 	fi2, err := os.Stat(dbPath)
@@ -447,68 +498,61 @@ func TestCLIFormat3Pipeline(t *testing.T) {
 		t.Fatalf("querydb answers differ across containers:\n%s\nvs\n%s", want, got)
 	}
 
-	// FSDL3 partitions round-trip the same record bytes.
+	// Partitions keep the container of the store they are cut from and
+	// round-trip the same record bytes.
 	members := filepath.Join(dir, "members.txt")
 	if err := os.WriteFile(members, []byte("replication 1\nshard0 127.0.0.1:9000\nshard1 127.0.0.1:9001\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	shardDir := filepath.Join(dir, "shards")
-	if _, err := runCLI(t, "partition", "-db", db3Path, "-members", members, "-out", shardDir, "-format", "fsdl3"); err != nil {
-		t.Fatal(err)
-	}
 	orig := loadStoreFile(t, dbPath)
-	full3, err := labelstore.Open(db3Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer full3.Close()
-	for i := 0; i < 2; i++ {
-		path := filepath.Join(shardDir, "shard"+strconv.Itoa(i)+".fsdl")
-		ps, err := labelstore.Open(path)
-		if err != nil {
-			t.Fatalf("open partition %s: %v", path, err)
+	for _, db := range []string{db3Path, dbPath} {
+		from := loadStoreFile(t, db).Encoding()
+		shardDir := filepath.Join(dir, "shards-"+filepath.Base(db))
+		if _, err := runCLI(t, "partition", "-db", db, "-members", members, "-out", shardDir); err != nil {
+			t.Fatal(err)
 		}
-		if enc := ps.Encoding(); enc.Version != 3 || !enc.Factored || enc.LevelsCRC != full3.Encoding().LevelsCRC {
-			t.Fatalf("partition %s: encoding %+v, want a factored FSDL3 file under the level graphs of the store it was cut from", path, enc)
-		}
-		for _, v := range ps.Vertices() {
-			wantBits, wantData, ok := orig.Raw(v)
-			gotBits, gotData, _ := ps.Raw(v)
-			if !ok || gotBits != wantBits || !bytes.Equal(gotData, wantData) {
-				t.Fatalf("label bytes for vertex %d differ through the FSDL3 partition", v)
+		for i := 0; i < 2; i++ {
+			path := filepath.Join(shardDir, "shard"+strconv.Itoa(i)+".fsdl")
+			ps := loadStoreFile(t, path)
+			if enc := ps.Encoding(); enc.Version != from.Version || enc.Factored != from.Factored || enc.LevelsCRC != from.LevelsCRC {
+				t.Fatalf("partition %s: encoding %+v, want that of the store it was cut from, %+v", path, enc, from)
+			}
+			for _, v := range ps.Vertices() {
+				wantBits, wantData, ok := orig.Raw(v)
+				gotBits, gotData, _ := ps.Raw(v)
+				if !ok || gotBits != wantBits || !bytes.Equal(gotData, wantData) {
+					t.Fatalf("label bytes for vertex %d differ through partition %s", v, path)
+				}
 			}
 		}
 	}
 
-	// Guard rail: an FSDL2 store has no level graphs to factor an FSDL3
-	// partition under.
-	if _, err := runCLI(t, "partition", "-db", dbPath, "-members", members, "-out", shardDir, "-format", "fsdl3"); err == nil || !strings.Contains(err.Error(), "FSDL2") {
-		t.Fatalf("partition of an FSDL2 store into FSDL3: %v, want a refusal that names FSDL2", err)
+	// A region bundle is factored and holds the region's records.
+	bundle := filepath.Join(dir, "region.fsdl")
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle, "-region", "0", "-radius", "2"); err != nil {
+		t.Fatal(err)
+	}
+	b := loadStoreFile(t, bundle)
+	region := labelstore.Region(s, 0, 2)
+	slices.Sort(region)
+	if !b.Encoding().Factored || !slices.Equal(b.Vertices(), region) {
+		t.Fatalf("region bundle holds %v (%+v), want the factored records of %v", b.Vertices(), b.Encoding(), region)
+	}
+	for _, v := range region {
+		wantBits, wantData, _ := orig.Raw(v)
+		gotBits, gotData, _ := b.Raw(v)
+		if gotBits != wantBits || !bytes.Equal(gotData, wantData) {
+			t.Fatalf("region bundle record %d differs from the full store's", v)
+		}
 	}
 
-	// A region bundle goes into any container: the FSDL3 bundle holds the
-	// same records as the FSDL2 one.
-	bundle2, bundle3 := filepath.Join(dir, "region2.fsdl"), filepath.Join(dir, "region3.fsdl")
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle2, "-region", "0", "-radius", "2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := runCLI(t, "labels", "-in", gpath, "-out", bundle3, "-region", "0", "-radius", "2", "-format", "fsdl3"); err != nil {
-		t.Fatal(err)
-	}
-	b2 := loadStoreFile(t, bundle2)
-	b3, err := labelstore.Open(bundle3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b3.Close()
-	if !b3.Encoding().Factored || b3.NumLabels() == 0 || !slices.Equal(b2.Vertices(), b3.Vertices()) {
-		t.Fatalf("FSDL3 region bundle holds %v (%+v), FSDL2 bundle holds %v", b3.Vertices(), b3.Encoding(), b2.Vertices())
-	}
-	for _, v := range b2.Vertices() {
-		wantBits, wantData, _ := b2.Raw(v)
-		gotBits, gotData, _ := b3.Raw(v)
-		if gotBits != wantBits || !bytes.Equal(gotData, wantData) {
-			t.Fatalf("region bundle record %d differs between containers", v)
+	for _, args := range [][]string{
+		{"labels", "-in", gpath, "-out", db3Path},
+		{"partition", "-db", db3Path, "-members", members, "-out", dir},
+		{"compact", "-root", dir},
+	} {
+		if _, err := runCLI(t, append(args, "-format", "fsdl3")...); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -format") {
+			t.Errorf("%s -format: %v, want an unknown flag", args[0], err)
 		}
 	}
 }

@@ -88,7 +88,7 @@ func TestClusterChaosDegradedUpperBounds(t *testing.T) {
 	membership := &Membership{Replication: 2}
 	for i := range shards {
 		var buf bytes.Buffer
-		if err := labelstore.Write(&buf, st, parts[i], false); err != nil {
+		if err := labelstore.Write(&buf, st, parts[i]); err != nil {
 			t.Fatal(err)
 		}
 		ps, err := labelstore.Load(&buf)

@@ -68,7 +68,7 @@ func startCluster(t testing.TB, st *labelstore.Store, shards, r int, hooks map[i
 				ids = append(ids, v)
 			}
 		}
-		if err := labelstore.Write(&buf, st, ids, false); err != nil {
+		if err := labelstore.Write(&buf, st, ids); err != nil {
 			t.Fatalf("Write shard %d: %v", i, err)
 		}
 		ps, err := labelstore.Load(&buf)
@@ -548,7 +548,7 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 	// shard1's copy is damaged: truncate the serialized store so the
 	// tail records are lost in salvage.
 	var buf bytes.Buffer
-	if err := labelstore.Write(&buf, st, st.Vertices(), false); err != nil {
+	if err := labelstore.Write(&buf, st, st.Vertices()); err != nil {
 		t.Fatal(err)
 	}
 	full := buf.Bytes()

@@ -197,7 +197,7 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 	membership := &Membership{Replication: 2}
 	for i := range shards {
 		var buf bytes.Buffer
-		if err := labelstore.Write(&buf, st, parts[i], false); err != nil {
+		if err := labelstore.Write(&buf, st, parts[i]); err != nil {
 			t.Fatal(err)
 		}
 		ps, err := labelstore.Load(&buf)

@@ -686,15 +686,14 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 // persist rewrites the partition container atomically and durably
 // (labelstore.ReplaceFile) so a repaired shard that restarts reloads
 // what repair gave it instead of starting the loss over. It keeps the
-// store's own encoding: a factored store writes a factored FSDL3 file,
-// whose records leave the shard as stored after a restart too; any other
-// store — and a factored one whose level graphs are damaged — writes
-// FSDL2, the self-contained container.
+// store's own encoding, as labelstore.Write does for any store: a
+// factored store writes a factored FSDL3 file, whose records leave the
+// shard as stored after a restart too; any other store — and a factored
+// one whose level graphs are damaged — writes FSDL2.
 func (s *ShardServer) persist() error {
 	store, _ := s.currentStore()
-	_, _, factored := store.LevelsSection()
 	err := labelstore.ReplaceFile(s.cfg.PersistPath, func(f *os.File) error {
-		return labelstore.Write(f, store, store.Vertices(), factored)
+		return labelstore.Write(f, store, store.Vertices())
 	})
 	if err != nil {
 		return fmt.Errorf("cluster: persist repair: %w", err)

@@ -59,7 +59,7 @@ func factoredFile(t testing.TB, path string, src labelstore.Source, ids []int) *
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = labelstore.Write(f, src, ids, true)
+	err = labelstore.Write(f, src, ids)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -80,8 +80,20 @@ func factoredFile(t testing.TB, path string, src labelstore.Source, ids []int) *
 // served as canonical bytes.
 func heapCopy(t testing.TB, st *labelstore.Store) *labelstore.Store {
 	t.Helper()
+	// A store filled by Put has no level graphs: Write copies it into the
+	// self-contained FSDL2 container whatever st's own encoding is.
+	filled, err := labelstore.NewEmpty(st.NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range st.Vertices() {
+		bits, data, _ := st.Raw(v)
+		if err := filled.Put(v, bits, data); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var buf bytes.Buffer
-	if err := labelstore.Write(&buf, st, st.Vertices(), false); err != nil {
+	if err := labelstore.Write(&buf, filled, filled.Vertices()); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := labelstore.Load(&buf)
@@ -89,6 +101,39 @@ func heapCopy(t testing.TB, st *labelstore.Store) *labelstore.Store {
 		t.Fatal(err)
 	}
 	return cp
+}
+
+// asFSDL2 rewrites every label file of the generation res built as FSDL2
+// — the generation a writer from before factored compactions left — and
+// re-seals its manifest over the new bytes.
+func asFSDL2(t testing.TB, res *liveupdate.CompactionResult) {
+	t.Helper()
+	src := heapCopy(t, res.Store) // an FSDL2 store of the generation's labels
+	m := res.Manifest
+	for i, mf := range m.Files {
+		if mf.Name == liveupdate.GraphFileName {
+			continue
+		}
+		path := filepath.Join(res.Dir, mf.Name)
+		part, err := labelstore.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := part.Vertices()
+		part.Close()
+		// Renamed over, not rewritten in place: res.Store maps the old file.
+		if err := labelstore.ReplaceFile(path, func(f *os.File) error { return labelstore.Write(f, src, ids) }); err != nil {
+			t.Fatal(err)
+		}
+		crc, err := labelstore.FileCRC(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Files[i] = labelstore.NewManifestFile(mf.Name, crc, ids)
+	}
+	if err := labelstore.WriteManifestFile(res.Dir, m); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // replicatedFrontend serves each store from its own shard, every shard
@@ -665,13 +710,9 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 	for i, ids := range NewRing(nodes, 2).Partition(n) {
 		parts[nodes[i].Name] = ids
 	}
-	// Each shard reads its own generation root, in its own container.
+	// Each shard reads its own generation root, in its own container:
+	// shard1's generations are rewritten as FSDL2.
 	roots := []string{t.TempDir(), t.TempDir(), t.TempDir()}
-	formats := []liveupdate.CompactOptions{
-		{Epsilon: 2, Partitions: parts, Format: 3},
-		{Epsilon: 2, Partitions: parts, Format: 2},
-		{Epsilon: 2, Partitions: parts, Format: 3},
-	}
 	p, err := liveupdate.Open(liveupdate.Config{Base: g})
 	if err != nil {
 		t.Fatal(err)
@@ -686,12 +727,15 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 		}
 		var full *labelstore.Store
 		for i, root := range roots {
-			res, err := liveupdate.CompactSnapshot(snap, root, formats[i])
+			res, err := liveupdate.CompactSnapshot(snap, root, liveupdate.CompactOptions{Epsilon: 2, Partitions: parts})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if i == 0 {
+			switch i {
+			case 0:
 				full = res.Store
+			case 1:
+				asFSDL2(t, res)
 			}
 		}
 		return snap.Generation, snap, full
@@ -721,6 +765,9 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 		st, err := labelstore.Open(path)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if i == 1 && st.Encoding().Version != 2 {
+			t.Fatalf("shard1 starts on %+v, want FSDL2", st.Encoding())
 		}
 		if i == 0 {
 			bits, data, _ := fullA.Raw(healed)
@@ -821,6 +868,9 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 		t.Fatalf("levels of generation %d held past the swap: %v", genA, held)
 	}
 	sameAnswers("generation B", f.Label, fullB)
+	if cur, _ := shards[1].currentStore(); cur.Encoding().Version != 2 {
+		t.Fatalf("shard1 swapped to %+v, want its root's FSDL2 generation", cur.Encoding())
+	}
 	curB, _ := shards[0].currentStore()
 	_, crcB, _ := curB.LevelsSection()
 	if crcB == crcA {

@@ -25,7 +25,9 @@ import (
 // all of them hold it. A shard whose load fails aborts the swap with
 // every shard still answering the old generation, the retry succeeds,
 // a fetch pinned before the swap completes on the old generation, and
-// answers on either side equal the compaction's own store's.
+// answers on either side equal the compaction's own store's. The
+// partitions are FSDL2 ones, so the labels share level lists through the
+// frontend's table, which the swap empties.
 func TestGenerationSwapAfterIncrementalCompaction(t *testing.T) {
 	g := gen.Grid2D(6, 6)
 	n := g.NumVertices()
@@ -66,6 +68,11 @@ func TestGenerationSwapAfterIncrementalCompaction(t *testing.T) {
 	if !next.Incremental || nextGen != oldGen+1 {
 		t.Fatalf("second compaction: incremental=%v, generation %d after %d", next.Incremental, nextGen, oldGen)
 	}
+	// Both generations as a writer from before factored compactions left
+	// them: FSDL2 partitions, whose records travel canonical — the ones
+	// the frontend's level table shares.
+	asFSDL2(t, old)
+	asFSDL2(t, next)
 
 	// The last shard reads its own generation root, which the new
 	// generation has not reached yet.

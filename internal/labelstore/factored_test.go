@@ -235,7 +235,7 @@ func TestSplicedAcrossChangedNets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := writeBytes(t, Spliced(sB, prev, dirty), nil, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, Spliced(sB, prev, dirty), nil); !bytes.Equal(got, want) {
 		t.Fatal("splice over a generation with other net points differs from a full write")
 	}
 	// With the nets unchanged the clean payloads travel verbatim.
@@ -244,7 +244,7 @@ func TestSplicedAcrossChangedNets(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer same.Close()
-	if got := writeBytes(t, Spliced(sB, same, dirty), nil, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, Spliced(sB, same, dirty), nil); !bytes.Equal(got, want) {
 		t.Fatal("splice over the same generation differs from a full write")
 	}
 }
@@ -740,7 +740,7 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if _, _, missing := st.DigestVertices([]int32{victim}); len(missing) != 1 {
 			t.Errorf("%s: digest counts the record present", name)
 		}
-		if err := Write(&seekBuffer{}, st, nil, true); err == nil {
+		if err := Write(&seekBuffer{}, st, nil); err == nil {
 			t.Errorf("%s: the store copied the record into a new container", name)
 		}
 		sameAsScheme(t, name+", the other records", st, s, []int{0, victim - 1, victim + 1, 59})
@@ -841,7 +841,7 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 		t.Fatal("healed record still reported corrupt")
 	}
 	sameAsScheme(t, "healed factored store", st, s, nil)
-	if got := writeBytes(t, st, nil, true); !bytes.Equal(got, want) {
+	if got := writeBytes(t, st, nil); !bytes.Equal(got, want) {
 		t.Fatal("the healed store persists to other bytes than the scheme's factored file")
 	}
 }

@@ -359,7 +359,7 @@ func TestFormat3SpliceHealedOverlay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Write(f, Spliced(s, prev, []int32{3, 17}), nil, true); err != nil {
+	if err := Write(f, Spliced(s, prev, []int32{3, 17}), nil); err != nil {
 		t.Fatalf("splice from healed base: %v", err)
 	}
 	f.Close()

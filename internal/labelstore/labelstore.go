@@ -21,9 +21,10 @@
 // served from an mmap of the file; every FSDL3 file written is factored
 // (the level graphs once, each record its balls).
 //
-// There is one way in and one way out. Write (write.go) fills either
-// container from a record source — a scheme, a scheme spliced over a
-// previous generation's store, or a store. Open/OpenPartial sniff the
+// There is one way in and one way out. Write (write.go) fills the
+// container its record source picks — a scheme, a scheme spliced over a
+// previous generation's store, or a factored store write factored FSDL3,
+// any other store FSDL2. Open/OpenPartial sniff the
 // container of a file and Load/LoadPartial read an FSDL2
 // stream, each strict or salvaging: the checksums turn silent bit rot
 // into detected corruption, which a strict read refuses loudly and a

@@ -201,7 +201,7 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 			}
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, st, ids, false); err != nil {
+		if err := Write(&buf, st, ids); err != nil {
 			t.Fatalf("Write part %d: %v", p, err)
 		}
 		ps, err := Load(&buf)
@@ -233,7 +233,7 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 		}
 	}
 	var rejoined bytes.Buffer
-	if err := Write(&rejoined, merged, merged.Vertices(), false); err != nil {
+	if err := Write(&rejoined, merged, merged.Vertices()); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(rejoined.Bytes(), fullBytes) {
@@ -242,7 +242,7 @@ func TestSaveVerticesPartitionRoundTrip(t *testing.T) {
 
 	// A vertex the store does not hold is an error, not a silent skip.
 	var buf bytes.Buffer
-	if err := Write(&buf, st, []int{0, 64}, false); err == nil {
+	if err := Write(&buf, st, []int{0, 64}); err == nil {
 		t.Fatal("Write accepted an out-of-store vertex")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fsdl/internal/core"
@@ -78,10 +77,10 @@ func canonicalWithJunk(t *testing.T, victim int) string {
 // bytes are still the ones committed; Label, Raw and the digests are the
 // scheme's (sameAsScheme), and a canonical file's Raw is the mapping
 // itself, not a copy; a flipped payload byte is exactly one corrupt
-// vertex to a salvaging open; and as a Write source each copies into
-// FSDL2 as the scheme does. Into FSDL3 only the flat-balls file can go —
-// it has level graphs, and comes out as the file the scheme writes —
-// while the other two have none and are refused with FSDL2 named.
+// vertex to a salvaging open; and as a Write source each copies as the
+// scheme does: the flat-balls file has level graphs, and comes out as the
+// factored file the scheme writes, while the other two have none and come
+// out as the FSDL2 stream Save writes.
 func TestLegacyFSDL3Reads(t *testing.T) {
 	grid6 := buildScheme(t, gen.Grid2D(6, 6))
 	path60 := buildScheme(t, gen.Path(60))
@@ -124,17 +123,12 @@ func TestLegacyFSDL3Reads(t *testing.T) {
 				}
 			}
 
-			want2 := writtenBy(t, func(f *os.File) error { return Save(f, fx.s, nil) })
-			if got := writeBytes(t, st, nil, false); !bytes.Equal(got, want2) {
-				t.Error("written as FSDL2: not the bytes Save writes")
-			}
+			want := writtenBy(t, func(f *os.File) error { return Save(f, fx.s, nil) })
 			if fx.factored {
-				want3 := writtenBy(t, func(f *os.File) error { return SaveFormat3(f, fx.s, nil, true) })
-				if got := writeBytes(t, st, nil, true); !bytes.Equal(got, want3) {
-					t.Error("written as FSDL3: not the file the scheme writes")
-				}
-			} else if err := Write(&seekBuffer{}, st, nil, true); err == nil || !strings.Contains(err.Error(), "FSDL2") {
-				t.Errorf("written as FSDL3: %v, want a refusal that names FSDL2", err)
+				want = writtenBy(t, func(f *os.File) error { return SaveFormat3(f, fx.s, nil, true) })
+			}
+			if got := writeBytes(t, st, nil); !bytes.Equal(got, want) {
+				t.Errorf("written (factored: %v): not the container the scheme writes", fx.factored)
 			}
 
 			e, _, ok := st.f3.find(victim)

@@ -10,11 +10,12 @@
 // Id normalisation, the FSDL2 header/record loop, the FSDL3 sink
 // drive loop and the stored→stored verbatim copy each live here once;
 // every source × sink pair yields, for the same ids, the bytes the
-// scheme source would. An FSDL3 file is always factored — one
-// level-graphs section, records reduced to their balls — so only a
-// source that can supply the level graphs can fill one: a scheme, or a
-// factored store. Any other store (FSDL2, an unfactored FSDL3 file, one
-// filled by Put) writes FSDL2, the self-contained container.
+// scheme source would. The source picks the sink: an FSDL3 file is
+// always factored — one level-graphs section, records reduced to their
+// balls — so a source that can supply the level graphs (a scheme, a
+// factored store) writes one, and any other store (FSDL2, an unfactored
+// FSDL3 file, one filled by Put or with its level graphs damaged) and
+// Save write FSDL2, the self-contained container.
 package labelstore
 
 import (
@@ -62,27 +63,29 @@ type sink interface {
 }
 
 // Write writes the records of the given vertices (nil: every vertex of
-// the id space) from src to w as one container: an FSDL2 stream, or with
-// format3 a factored FSDL3 file, which needs a seekable w (an *os.File)
-// and a source that can supply the level graphs. The ids are sorted and
-// de-duplicated first, so output is deterministic, and a given id list
-// yields the same bytes whichever source the records come from. A vertex
-// src has no record for is an error.
-func Write(w io.Writer, src Source, vertices []int, format3 bool) error {
+// the id space) from src to w as one container, the one src decides: a
+// factored FSDL3 file when src can supply the level graphs, which needs
+// a seekable w (an *os.File), else an FSDL2 stream. The ids are sorted
+// and de-duplicated first, so output is deterministic, and a given id
+// list yields the same bytes whichever source the records come from. A
+// vertex src has no record for is an error.
+func Write(w io.Writer, src Source, vertices []int) error {
+	lg, section := src.levelGraphs()
+	return write(w, src, vertices, lg, section)
+}
+
+// write is Write into FSDL3 under lg and its encoded section, or FSDL2.
+func write(w io.Writer, src Source, vertices []int, lg *core.LevelGraphs, section []byte) error {
 	n := src.NumVertices()
 	ids, err := normalizeVertices(vertices, n)
 	if err != nil {
 		return err
 	}
 	var out sink
-	if format3 {
+	if lg != nil {
 		f, ok := w.(fileLike)
 		if !ok {
 			return fmt.Errorf("labelstore: FSDL3 output needs a seekable file, not %T", w)
-		}
-		lg, section := src.levelGraphs()
-		if lg == nil {
-			return fmt.Errorf("labelstore: an FSDL3 file is factored, and this source has no level graphs to factor it under (an FSDL2 store, an unfactored FSDL3 file or a store filled by Put); write it as FSDL2, the self-contained container")
 		}
 		out, err = newFormat3Writer(f, n, len(ids), lg, section)
 	} else {
@@ -91,28 +94,28 @@ func Write(w io.Writer, src Source, vertices []int, format3 bool) error {
 	if err != nil {
 		return err
 	}
-	if err := src.records(ids, format3, out.add); err != nil {
+	if err := src.records(ids, lg != nil, out.add); err != nil {
 		return err
 	}
 	return out.finish()
 }
 
-// Save is Write from a scheme to an FSDL2 stream.
+// Save writes a scheme's labels as an FSDL2 stream.
 func Save(w io.Writer, s *core.Scheme, vertices []int) error {
-	return Write(w, FromScheme(s), vertices, false)
+	return write(w, FromScheme(s), vertices, nil, nil)
 }
 
-// SaveFormat3 is Write from a scheme to an FSDL3 file. compress selects
-// nothing: every FSDL3 file written is factored.
+// SaveFormat3 is Write from a scheme, which always writes a factored
+// FSDL3 file. compress selects nothing.
 func SaveFormat3(f fileLike, s *core.Scheme, vertices []int, compress bool) error {
-	return Write(f, FromScheme(s), vertices, true)
+	return Write(f, FromScheme(s), vertices)
 }
 
-// SaveVerticesFormat3 is Write from a store to an FSDL3 file — the
-// partition path. compress selects nothing: every FSDL3 file written is
-// factored, so the store must be a factored one.
+// SaveVerticesFormat3 is Write from a store — the partition path: a
+// factored FSDL3 file from a factored store, FSDL2 from any other.
+// compress selects nothing.
 func (st *Store) SaveVerticesFormat3(f fileLike, vertices []int, compress bool) error {
-	return Write(f, st, vertices, true)
+	return Write(f, st, vertices)
 }
 
 // Region lists the vertices within the given radius of center — the ids

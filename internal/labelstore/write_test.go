@@ -7,26 +7,16 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 
 	"fsdl/internal/core"
 	"fsdl/internal/gen"
 )
 
-// sinks are the two containers Write produces.
-var sinks = []struct {
-	name    string
-	format3 bool
-}{
-	{"FSDL2", false},
-	{"FSDL3", true},
-}
-
 // writeBytes runs one Write into a fresh file and returns what landed.
-func writeBytes(t *testing.T, src Source, ids []int, format3 bool) []byte {
+func writeBytes(t *testing.T, src Source, ids []int) []byte {
 	t.Helper()
-	return writtenBy(t, func(f *os.File) error { return Write(f, src, ids, format3) })
+	return writtenBy(t, func(f *os.File) error { return Write(f, src, ids) })
 }
 
 // writtenBy hands write a fresh file and returns what it left there.
@@ -61,18 +51,19 @@ func writtenBy(t *testing.T, write func(f *os.File) error) []byte {
 // the canonical FSDL3 file this test pinned while it was still written.
 func TestGoldenContainers(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6)) // ε = 2
-	golden := []struct {
-		crc  uint32
-		size int
+	for _, golden := range []struct {
+		name  string
+		write func(f *os.File) error
+		crc   uint32
+		size  int
 	}{
-		{0x07b1f828, 10812},
-		{0x8edc44e3, 8933},
-	}
-	for i, sk := range sinks {
-		got := writeBytes(t, FromScheme(s), nil, sk.format3)
-		if crc := crc32.ChecksumIEEE(got); crc != golden[i].crc || len(got) != golden[i].size {
+		{"FSDL2", func(f *os.File) error { return Save(f, s, nil) }, 0x07b1f828, 10812},
+		{"FSDL3", func(f *os.File) error { return Write(f, FromScheme(s), nil) }, 0x8edc44e3, 8933},
+	} {
+		got := writtenBy(t, golden.write)
+		if crc := crc32.ChecksumIEEE(got); crc != golden.crc || len(got) != golden.size {
 			t.Errorf("%s container: crc %#08x over %d bytes, golden %#08x over %d",
-				sk.name, crc, len(got), golden[i].crc, golden[i].size)
+				golden.name, crc, len(got), golden.crc, golden.size)
 		}
 	}
 	// The nested coding is what made the factored file smaller than the
@@ -81,7 +72,7 @@ func TestGoldenContainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if now := writeBytes(t, FromScheme(buildScheme(t, gen.Path(60))), nil, true); len(now) >= len(old) {
+	if now := writeBytes(t, FromScheme(buildScheme(t, gen.Path(60))), nil); len(now) >= len(old) {
 		t.Errorf("the nested coding writes %d bytes where the flat one wrote %d", len(now), len(old))
 	}
 }
@@ -148,24 +139,23 @@ func labelsEqual(a, b *core.Label) bool {
 	return true
 }
 
-// TestWriteMatrix is the byte-identity gate of the whole pipeline: for
-// every sink, every source — spliced over or copied out of every kind
-// of store — must produce exactly the bytes the scheme source does for
-// the same ids. One rule qualifies that, and it is decided by what the
-// source is: an FSDL3 file is factored, so a store that cannot supply
-// the level graphs (an FSDL2 store, and on the grid6x6 row the canonical
-// and self-contained FSDL3 files that are only read) cannot be written
-// into one on its own. Write refuses it with an error that names FSDL2;
-// spliced under a scheme, whose level graphs it takes, it is an ordinary
-// splice base.
+// TestWriteMatrix is the byte-identity gate of the whole pipeline:
+// every source — spliced over or copied out of every kind of store —
+// must produce exactly the bytes the scheme source does for the same ids
+// in the container it picks. The source picks it: one that can supply
+// the level graphs (a scheme, a splice under one, a factored store)
+// writes the factored FSDL3 file SaveFormat3 writes, and a store that
+// cannot (an FSDL2 store, and on the grid6x6 row the canonical and
+// self-contained FSDL3 files that are only read) writes the FSDL2 stream
+// Save writes; spliced under a scheme, whose level graphs it takes, such
+// a store is an ordinary splice base.
 //
 // The rows are the graphs and dirty sets the gate has been run on: the
 // second is the splice gate's (TestFormat3SpliceByteIdentical, folded in
 // here), and the first row's id list without the victim is the partition
 // gate's (TestFormat3PartitionByteIdentical, likewise); the third is the
-// grid of the committed legacy files. Both gates went through the public
-// entry points, so the FSDL3 sink still does: SaveFormat3 for the
-// scheme's bytes, SaveVerticesFormat3 for a store's.
+// grid of the committed legacy files. A store is copied through the
+// pinned SaveVerticesFormat3, the partition entry point.
 func TestWriteMatrix(t *testing.T) {
 	for _, row := range []struct {
 		side   int
@@ -239,43 +229,35 @@ func writeMatrix(t *testing.T, side int, dirty []int32, idSets [][]int) {
 		}
 	}
 
-	for _, sk := range sinks {
-		for _, ids := range idSets {
-			want := writtenBy(t, func(f *os.File) error {
-				if sk.format3 {
-					return SaveFormat3(f, s, ids, true)
+	for _, ids := range idSets {
+		want2 := writtenBy(t, func(f *os.File) error { return Save(f, s, ids) })
+		want3 := writtenBy(t, func(f *os.File) error { return SaveFormat3(f, s, ids, true) })
+		for name, st := range stores {
+			for kind, src := range map[string]Source{
+				"store":               st,
+				"spliced, none dirty": Spliced(s, st, nil),
+				"spliced, 3 dirty":    Spliced(s, st, dirty),
+			} {
+				want, container := want3, "FSDL3"
+				if kind == "store" && !hasLevelGraphs[name] {
+					want, container = want2, "FSDL2"
 				}
-				return Save(f, s, ids)
-			})
-			for name, st := range stores {
-				for kind, src := range map[string]Source{
-					"store":               st,
-					"spliced, none dirty": Spliced(s, st, nil),
-					"spliced, 3 dirty":    Spliced(s, st, dirty),
-				} {
-					write := func(f fileLike) error {
-						if kind == "store" && sk.format3 {
-							return st.SaveVerticesFormat3(f, ids, true)
-						}
-						return Write(f, src, ids, sk.format3)
+				got := writtenBy(t, func(f *os.File) error {
+					if kind == "store" {
+						return st.SaveVerticesFormat3(f, ids, true)
 					}
-					if kind == "store" && sk.format3 && !hasLevelGraphs[name] {
-						if err := write(&seekBuffer{}); err == nil || !strings.Contains(err.Error(), "FSDL2") {
-							t.Errorf("%s sink from a %s store (%d ids): %v, want a refusal that names FSDL2", sk.name, name, len(ids), err)
-						}
-						continue
-					}
-					if got := writtenBy(t, func(f *os.File) error { return write(f) }); !bytes.Equal(got, want) {
-						t.Errorf("%s sink, %s over a %s store (%d ids): differs from the scheme source",
-							sk.name, kind, name, len(ids))
-					}
+					return Write(f, src, ids)
+				})
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s over a %s store (%d ids): not the %s container the scheme writes",
+						kind, name, len(ids), container)
 				}
 			}
 		}
 	}
 }
 
-// TestWriteNormalizesIds: every source × sink writes the ids sorted and
+// TestWriteNormalizesIds: every writer writes the ids sorted and
 // de-duplicated, so a hand-given list with repeats (a region bundle
 // assembled from overlapping balls) yields a loadable container whose
 // header count is the number of distinct ids. Before the pipeline the
@@ -297,33 +279,33 @@ func TestWriteNormalizesIds(t *testing.T) {
 	}
 	defer factored.Close()
 	ids := []int{8, 2, 2, 5, 0, 8, 7, 2, 5, 0} // 10 entries > n = 9, 5 distinct
-	for name, src := range map[string]Source{
-		"scheme":  FromScheme(s),
-		"spliced": Spliced(s, prev, []int32{2, 7}),
-		"store":   factored,
+	for name, write := range map[string]func(f *os.File) error{
+		"scheme, FSDL2":  func(f *os.File) error { return Save(f, s, ids) },
+		"scheme, FSDL3":  func(f *os.File) error { return Write(f, FromScheme(s), ids) },
+		"spliced":        func(f *os.File) error { return Write(f, Spliced(s, prev, []int32{2, 7}), ids) },
+		"FSDL2 store":    func(f *os.File) error { return Write(f, prev, ids) },
+		"factored store": func(f *os.File) error { return Write(f, factored, ids) },
 	} {
-		for _, sk := range sinks {
-			path := filepath.Join(t.TempDir(), "out.fsdl")
-			if err := os.WriteFile(path, writeBytes(t, src, ids, sk.format3), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			st, err := Open(path)
-			if err != nil {
-				t.Fatalf("%s → %s: strict open: %v", name, sk.name, err)
-			}
-			if got := st.NumLabels(); got != 5 {
-				t.Errorf("%s → %s: %d labels, want the 5 distinct ids", name, sk.name, got)
-			}
-			st.Close()
-			sp, rep, err := OpenPartial(path)
-			if err != nil {
-				t.Fatalf("%s → %s: salvage open: %v", name, sk.name, err)
-			}
-			if rep.Total != 5 || rep.Kept != rep.Total {
-				t.Errorf("%s → %s: salvage report %+v, want 5/5 kept", name, sk.name, rep)
-			}
-			sp.Close()
+		path := filepath.Join(t.TempDir(), "out.fsdl")
+		if err := os.WriteFile(path, writtenBy(t, write), 0o644); err != nil {
+			t.Fatal(err)
 		}
+		st, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: strict open: %v", name, err)
+		}
+		if got := st.NumLabels(); got != 5 {
+			t.Errorf("%s: %d labels, want the 5 distinct ids", name, got)
+		}
+		st.Close()
+		sp, rep, err := OpenPartial(path)
+		if err != nil {
+			t.Fatalf("%s: salvage open: %v", name, err)
+		}
+		if rep.Total != 5 || rep.Kept != rep.Total {
+			t.Errorf("%s: salvage report %+v, want 5/5 kept", name, rep)
+		}
+		sp.Close()
 	}
 	if err := Save(&bytes.Buffer{}, s, []int{0, 9}); err == nil {
 		t.Error("out-of-range id accepted")
@@ -334,7 +316,101 @@ func TestWriteNormalizesIds(t *testing.T) {
 // and index, which a plain stream cannot do.
 func TestWriteFormat3NeedsSeekable(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(3, 3))
-	if err := Write(&bytes.Buffer{}, FromScheme(s), nil, true); err == nil {
+	if err := Write(&bytes.Buffer{}, FromScheme(s), nil); err == nil {
 		t.Error("FSDL3 written to a non-seekable stream")
+	}
+}
+
+// TestWriteContainerFollowsSource: Write takes no container argument —
+// the source decides. A source that can supply the level graphs (a
+// scheme, whole or a region of it, and a factored store) writes a
+// factored FSDL3 file, each byte for byte the file Write wrote when the
+// caller still asked for FSDL3 (the CRCs were cut then); any other (an
+// FSDL2 store, a store filled by Put, a factored store whose level-graphs
+// section is damaged and whose records were healed through Put) writes
+// FSDL2.
+func TestWriteContainerFollowsSource(t *testing.T) {
+	s := buildScheme(t, gen.Grid2D(6, 6))
+	dir := t.TempDir()
+	factoredPath := writeFormat3File(t, dir, "factored.fsdl3", s, nil)
+	factored, err := Open(factoredPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer factored.Close()
+	var buf bytes.Buffer
+	if err := Save(&buf, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	fsdl2, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filled, err := NewEmpty(s.Graph().NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	healed := []int{3, 14}
+	for _, v := range healed {
+		data, bits := s.Label(v).Encode()
+		if err := filled.Put(v, bits, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(factoredPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr, err := parseFormat3Header(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[hdr.secOff+hdr.secLen/2] ^= 0x40
+	damaged, _, err := OpenPartial(writeTemp(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer damaged.Close()
+	for _, v := range healed {
+		data, bits := s.Label(v).Encode()
+		if err := damaged.Put(v, bits, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name     string
+		src      Source
+		ids      []int
+		factored bool
+		crc      uint32 // of a factored output
+		size     int
+	}{
+		{"scheme", FromScheme(s), nil, true, 0x8edc44e3, 8933},
+		{"scheme, region", FromScheme(s), Region(s, 14, 2), true, 0xfce3f071, 8434},
+		{"factored store", factored, nil, true, 0x8edc44e3, 8933},
+		{"factored store, some ids", factored, []int{5, 9, 11, 12, 27, 30, 35}, true, 0xfa722053, 8345},
+		{"FSDL2 store", fsdl2, nil, false, 0, 0},
+		{"store filled by Put", filled, healed, false, 0, 0},
+		{"factored store, damaged section", damaged, healed, false, 0, 0},
+	} {
+		got := writeBytes(t, tc.src, tc.ids)
+		path := writeTemp(t, got)
+		st, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		enc := st.Encoding()
+		st.Close()
+		if tc.factored {
+			if enc.Version != 3 || !enc.Factored {
+				t.Errorf("%s: wrote %+v, want a factored FSDL3 file", tc.name, enc)
+			}
+			if crc := crc32.ChecksumIEEE(got); crc != tc.crc || len(got) != tc.size {
+				t.Errorf("%s: crc %#08x over %d bytes, want %#08x over %d", tc.name, crc, len(got), tc.crc, tc.size)
+			}
+		} else if enc.Version != 2 {
+			t.Errorf("%s: wrote %+v, want FSDL2", tc.name, enc)
+		}
 	}
 }

@@ -53,15 +53,13 @@ type CompactOptions struct {
 	// space) — a mismatch is an error, not a silent full build, so
 	// callers choose the mode explicitly.
 	Prev *PrevGeneration
-	// Format selects the label container written for labels.fsdl and
-	// every partition file: 0 or 2 writes the FSDL2 stream, 3 the
-	// factored, mmap-first FSDL3 container. Readers auto-detect either, so
-	// a cluster can swap between formats generation by generation.
-	Format int
-	// Compress selects nothing: every FSDL3 file written is factored. It
-	// is still refused beside any Format but 3, and the field stays for
-	// the benchmark harness, which assigns it (ROADMAP item 1, "Release
-	// the pins").
+	// Format and Compress select nothing: labels.fsdl and every
+	// partition file are written as factored FSDL3, the container a
+	// scheme writes (labelstore.Write). Readers still take an FSDL2
+	// generation an older writer left, so a cluster swaps from one to
+	// the next. The fields stay for the benchmark harness, which assigns
+	// them (ROADMAP item 1, "Release the pins").
+	Format   int
 	Compress bool
 }
 
@@ -139,20 +137,11 @@ func Compact(p *Pipeline, root string, opts CompactOptions) (*CompactionResult, 
 // is delta-scoped (see CompactOptions.Prev); the generation written is
 // byte-identical either way.
 func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*CompactionResult, error) {
-	switch opts.Format {
-	case 0, 2, 3:
-	default:
-		return nil, fmt.Errorf("liveupdate: unsupported label container format %d", opts.Format)
-	}
-	if opts.Compress && opts.Format != 3 {
-		return nil, fmt.Errorf("liveupdate: compressed records require the FSDL3 container")
-	}
 	for name := range opts.Partitions {
 		if file := name + ".fsdl"; file == LabelsFileName || file == GraphFileName || file == labelstore.ManifestName {
 			return nil, fmt.Errorf("liveupdate: shard name %q collides with a generation file", name)
 		}
 	}
-	format3 := opts.Format == 3
 	var (
 		scheme *core.Scheme
 		dirty  []int32 // meaningful only on the incremental path
@@ -236,15 +225,15 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 		all[v] = v
 	}
 	if err := addFile(LabelsFileName, all, func(f *os.File) error {
-		return labelstore.Write(f, labels, nil, format3)
+		return labelstore.Write(f, labels, nil)
 	}); err != nil {
 		return nil, err
 	}
 	// Load the just-written store back: partition files are carved from
 	// these exact bytes (no re-extraction), and the serving path swaps
-	// to exactly what is on disk. An FSDL3 generation comes back
-	// mmap-backed, so the store handed to the swap (and kept as the next
-	// incremental build's splice base) reads from the page cache.
+	// to exactly what is on disk. The generation comes back mmap-backed,
+	// so the store handed to the swap (and kept as the next incremental
+	// build's splice base) reads from the page cache.
 	store, err := labelstore.Open(filepath.Join(tmp, LabelsFileName))
 	if err != nil {
 		return nil, fmt.Errorf("liveupdate: reload generation %d store: %w", snap.Generation, err)
@@ -262,7 +251,7 @@ func CompactSnapshot(snap *Snapshot, root string, opts CompactOptions) (*Compact
 	// occur (docs/PERFORMANCE.md, "Clean partitions do not exist").
 	for name, ids := range opts.Partitions {
 		if err := addFile(name+".fsdl", ids, func(f *os.File) error {
-			return labelstore.Write(f, store, ids, format3)
+			return labelstore.Write(f, store, ids)
 		}); err != nil {
 			return nil, err
 		}

@@ -121,8 +121,20 @@ func TestStreamedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var offlineBytes bytes.Buffer
-		if err := labelstore.Save(&offlineBytes, offline, nil); err != nil {
+		offlinePath := filepath.Join(t.TempDir(), "offline.fsdl")
+		f, err := os.Create(offlinePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = labelstore.Write(f, labelstore.FromScheme(offline), nil)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		offlineBytes, err := os.ReadFile(offlinePath)
+		if err != nil {
 			t.Fatal(err)
 		}
 
@@ -136,9 +148,9 @@ func TestStreamedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(offlineBytes.Bytes(), streamedBytes) {
+		if !bytes.Equal(offlineBytes, streamedBytes) {
 			t.Fatalf("workers=%d: streamed store differs from offline store (%d vs %d bytes)",
-				workers, len(streamedBytes), offlineBytes.Len())
+				workers, len(streamedBytes), len(offlineBytes))
 		}
 	}
 }
@@ -175,19 +187,17 @@ func TestCompactWritesVerifiableGeneration(t *testing.T) {
 	if f := m.File("alpha.fsdl"); f == nil || f.Records != 8 || f.First != 0 || f.Last != 7 {
 		t.Fatalf("alpha entry = %+v", f)
 	}
-	// Partition stores load and union back to the full vertex set.
+	// Partition stores open as factored files and union back to the full
+	// vertex set.
 	for name, want := range map[string]int{"alpha.fsdl": 8, "beta.fsdl": 8, LabelsFileName: 16} {
-		f, err := os.Open(filepath.Join(res.Dir, name))
+		st, err := labelstore.Open(filepath.Join(res.Dir, name))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("open %s: %v", name, err)
 		}
-		st, err := labelstore.Load(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("load %s: %v", name, err)
-		}
-		if st.NumLabels() != want {
-			t.Fatalf("%s holds %d labels, want %d", name, st.NumLabels(), want)
+		got, enc := st.NumLabels(), st.Encoding()
+		st.Close()
+		if got != want || !enc.Factored {
+			t.Fatalf("%s holds %d labels as %+v, want %d in a factored file", name, got, enc, want)
 		}
 	}
 	// The snapshot graph reloads as the next base.

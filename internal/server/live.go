@@ -143,8 +143,6 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 		Workers:    s.cfg.CompactWorkers,
 		Partitions: s.cfg.Partitions,
 		Prev:       prev,
-		Format:     s.cfg.CompactFormat,
-		Compress:   s.cfg.CompactCompress,
 	})
 	if err != nil {
 		return CompactResult{}, err

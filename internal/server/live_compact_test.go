@@ -84,7 +84,9 @@ func TestCompactNoopFastPath(t *testing.T) {
 // TestCompactModeSelection walks the three modes against a partitioned
 // local store: forced incremental fails without a base, a full build
 // seeds one, and auto then builds delta-scoped with every partition
-// file written and answers that stay exact and sound.
+// file written and answers that stay exact and sound. The store served
+// first is FSDL2, and CompactFormat is 0: every generation is factored
+// FSDL3 all the same.
 func TestCompactModeSelection(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
@@ -102,6 +104,20 @@ func TestCompactModeSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newTestServer(t, Config{Store: st, Live: p, LiveRoot: root, CacheCapacity: -1, Partitions: parts})
+	factored := func(dir string) {
+		t.Helper()
+		for _, name := range []string{liveupdate.LabelsFileName, "a.fsdl", "b.fsdl"} {
+			ps, err := labelstore.Open(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := ps.Encoding()
+			ps.Close()
+			if enc.Version != 3 || !enc.Factored {
+				t.Fatalf("%s of %s is %+v, want a factored FSDL3 file", name, dir, enc)
+			}
+		}
+	}
 
 	if _, err := s.CompactMode("sideways"); err == nil {
 		t.Fatal("unknown mode accepted")
@@ -122,11 +138,7 @@ func TestCompactModeSelection(t *testing.T) {
 	if res.Incremental || res.Generation != 2 || res.DirtyLabels != n {
 		t.Fatalf("full compact result %+v", res)
 	}
-	for name := range parts {
-		if _, err := os.Stat(filepath.Join(res.Dir, name+".fsdl")); err != nil {
-			t.Fatalf("generation dir missing partition file: %v", err)
-		}
-	}
+	factored(res.Dir)
 
 	// Auto now builds delta-scoped off the retained generation 2.
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutDelete, U: 0, V: int32(n - 1)}}); err != nil {
@@ -143,6 +155,7 @@ func TestCompactModeSelection(t *testing.T) {
 	if !res.Incremental || res.Generation != 3 || res.DirtyLabels < 1 || res.DirtyLabels > n {
 		t.Fatalf("auto compact result %+v", res)
 	}
+	factored(res.Dir)
 	m, err := labelstore.ReadManifestDir(res.Dir)
 	if err != nil {
 		t.Fatalf("generation 3 manifest: %v", err)

@@ -47,7 +47,7 @@ func startLiveCluster(t *testing.T, st *labelstore.Store, shards, r int, root st
 				ids = append(ids, v)
 			}
 		}
-		if err := labelstore.Write(&buf, st, ids, false); err != nil {
+		if err := labelstore.Write(&buf, st, ids); err != nil {
 			t.Fatalf("Write shard %d: %v", i, err)
 		}
 		ps, err := labelstore.Load(&buf)

@@ -78,12 +78,10 @@ type Config struct {
 	// CompactWorkers bounds compaction build parallelism (0 =
 	// GOMAXPROCS).
 	CompactWorkers int
-	// CompactFormat selects the label container compaction writes
-	// (0 or 2 = FSDL2 stream, 3 = factored, mmap-first FSDL3).
-	// CompactCompress selects nothing: every FSDL3 file written is
-	// factored. It is passed on as CompactOptions.Compress, which refuses
-	// it beside any format but 3, and the field stays for the benchmark
-	// harness, which assigns it (ROADMAP item 1, "Release the pins").
+	// CompactFormat and CompactCompress select nothing: every
+	// compaction writes factored FSDL3 generations. The fields stay for
+	// the benchmark harness, which assigns them (ROADMAP item 1,
+	// "Release the pins").
 	CompactFormat   int
 	CompactCompress bool
 	// Partitions optionally maps shard names to the vertex ids each
