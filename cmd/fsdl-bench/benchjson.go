@@ -768,9 +768,11 @@ func writeStoreFile(path string, s *core.Scheme, format3 bool) (string, int64, e
 // for each level, write the cheaper) and parse_balls (every record of the
 // file read back, the nested levels derived — Store.BallStats — per
 // record); and decoded_label_bytes_ring4096, what a label parsed from
-// that file keeps to itself (decodedLabelBytes). The row names carry the
-// sizes, so -quick runs them as they are; together they take about two
-// seconds.
+// that file keeps to itself (decodedLabelBytes). On rgg1024,
+// new_frame_F4_rgg1024 builds the frame of four vertex faults and
+// decode_mmap_F4_rgg1024 decodes one pair under them over the mapped
+// file. The row names carry the sizes, so -quick runs them as they are;
+// together they take about two seconds.
 func benchBalls(dir string, measure measureFunc, add func(benchResult), addBytes func(benchResult, string)) error {
 	ring, err := ringLattice(4096)
 	if err != nil {
@@ -808,6 +810,32 @@ func benchBalls(dir string, measure measureFunc, add func(benchResult), addBytes
 					core.NewFrame(q, nil)
 				}
 			}))
+			// The same query as a lone decode over the mapped factored
+			// store, the labels fetch_rgg_mmap decodes: parsed from their
+			// balls, each level either saturated — the level graphs' one
+			// whole list — or read off their rows. It takes turns with its
+			// twin over the same file opened again (other pointers, the
+			// same work), so that no decode finds the frame of the one
+			// before.
+			var qs [2]*core.Query
+			for i := range qs {
+				st, err := labelstore.Open(path)
+				if err != nil {
+					return err
+				}
+				defer st.Close()
+				if qs[i], err = core.ResolveQuery(0, int(n)-1, f, st.Label, false); err != nil {
+					return err
+				}
+			}
+			var dec core.Decoder
+			add(measure("decode_mmap_F4_"+e.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					dec.Decode(qs[i&1], core.Opts{})
+				}
+			}))
+			dec.Release()
 			continue
 		}
 		enc, l := labelstore.NewBallEncoder(s.LevelGraphs()), s.Label(1000)

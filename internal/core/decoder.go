@@ -313,6 +313,7 @@ var (
 	boundStops       atomic.Int64
 	targetRescans    atomic.Int64
 	certifiedDecodes atomic.Int64
+	coveredLists     atomic.Int64
 
 	decodePool = sync.Pool{New: func() any {
 		decodePoolNews.Add(1)
@@ -375,13 +376,14 @@ func dropAll[T any](s *[]T) {
 // missed it and scanned them. Certified counts the decodes the endpoint
 // labels answered alone — an s–t walk of H as short as their lower bound
 // — before any edge was scanned: no frame run built or reused, no bound
-// stop. Exposed so serving layers can report them on their metrics
-// endpoints.
+// stop. CoveredLists counts the owner level lists rejected whole, without
+// an edge read: one protected ball held every point of the list.
+// Exposed so serving layers can report them on their metrics endpoints.
 type DecoderPoolStats struct {
 	Gets, News                int64
 	FramesBuilt, FramesReused int64
 	BoundStops, TargetRescans int64
-	Certified                 int64
+	Certified, CoveredLists   int64
 }
 
 // DecoderPool returns the current counters.
@@ -390,7 +392,7 @@ func DecoderPool() DecoderPoolStats {
 		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
 		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(),
 		BoundStops: boundStops.Load(), TargetRescans: targetRescans.Load(),
-		Certified: certifiedDecodes.Load(),
+		Certified: certifiedDecodes.Load(), CoveredLists: coveredLists.Load(),
 	}
 }
 

@@ -87,6 +87,23 @@ func TestDecodePlan(t *testing.T) {
 	checkPlan(t, "δ alone/degraded", degraded, nil, nil, "δ alone", lone)
 	lone.certify = true
 	checkPlan(t, "δ alone/ablated", ablated, nil, nil, "δ alone", lone)
+
+	// A fault side whose one center covers a level: on this ring a
+	// protected ball of level 5 (λ = 64 hops, 128 ring steps either way)
+	// holds every vertex, so every owner's list of that level and above
+	// is rejected whole, unread. Each kind of decode gets the plan it gets
+	// anywhere and the reference's δ and walk; all but δ alone, which the
+	// labels may answer before any scan, must count covered lists.
+	covering := &Query{S: s.Label(3), T: s.Label(120), VertexFaults: []*Label{s.Label(64)}}
+	for _, kind := range kinds {
+		want := plan{framed: true, lean: kind == "δ alone"}
+		want.bound, want.rescan, want.certify = want.lean, want.lean, want.lean
+		before := DecoderPool().CoveredLists
+		checkPlan(t, "covering/"+kind, covering, nil, nil, kind, want)
+		if kind != "δ alone" && DecoderPool().CoveredLists == before {
+			t.Errorf("covering/%s: no list rejected as covered", kind)
+		}
+	}
 }
 
 // checkPlan decodes q as kind asks on a fresh Decoder, handing it patches

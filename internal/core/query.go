@@ -805,6 +805,14 @@ func (sc *decodeScratch) endRow(side, k int) []uint64 {
 // the same point ids are the same list (seenInduced), so an earlier full
 // walk of it is found before it is read at all.
 //
+// At a net level, a list whose points one center's protected ball holds
+// every one of — its cover, the AND of their masks, is not zero — can
+// admit no edge (Lemma 2.3's rule rejects {x,y} ⊆ PB_ℓ(f)), so it is
+// charged and tallied in full but not walked, and one left to the level
+// graphs is counted off their rows, never read into a list. An owner
+// whose mayBeInPB row meets the cover loses every self edge of the level
+// on that one word. Level 0's unit edges face no ball and are walked.
+//
 // The level edge lists of owner late are not walked, nor recorded as
 // walked; the owners' self edges are walked only with selfEdges.
 func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, selfEdges bool) (exhausted bool) {
@@ -814,6 +822,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 	}
 	tally := &sc.tally
 	cands := sc.cands
+	covered := int64(0)
 	for oi, o := range owners {
 		oForbidden := containsSorted(sc.fvList, o.V)
 		for k := 0; k < numLevels; k++ {
@@ -829,34 +838,46 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			switch {
 			case o == late:
 			case !induced:
-				edges = lv.Edges
+				if edges = lv.Edges; len(edges) > room {
+					edges, exhausted, cut = edges[:room], true, true
+				}
+				first = sc.seenBefore(k, pts, edges)
 			default:
-				if first = sc.seenInduced(k, o.graphs, pts, room); first == nil {
-					edges = o.levelEdges(k, &sc.ball, &sc.rowEdges)
+				first = sc.seenInduced(k, o.graphs, pts, room)
+			}
+			// A list walked now has its masks merged in whole — one the
+			// label leaves to its level graphs before it is read — and at a
+			// net level their AND, the cover, is taken: a covered list is
+			// only counted, never read. Otherwise only self-edge points are
+			// tested, each looked up (ballMask).
+			var msk []uint64
+			var cover coverWord
+			if rule >= admitFused && first == nil && (induced || len(edges) > 0) {
+				msk = sc.fillMasks(pts, k, W)
+				if k > 0 {
+					cover = coverOf(msk, W)
 				}
 			}
-			if len(edges) > room {
-				edges, exhausted, cut = edges[:room], true, true
-			}
-			if !induced {
-				first = sc.seenBefore(k, pts, edges)
-			}
 			scanned := len(edges)
-			if first != nil {
-				scanned = first.n
+			switch {
+			case first != nil:
+				scanned, cover = first.n, first.cover
+			case !induced:
+			case cover.bits != 0:
+				if scanned = o.levelEdgeCount(k, &sc.ball); scanned > room {
+					scanned, exhausted, cut = room, true, true
+				}
+			default:
+				if edges = o.levelEdges(k, &sc.ball, &sc.rowEdges); len(edges) > room {
+					edges, exhausted, cut = edges[:room], true, true
+				}
+				scanned = len(edges)
 			}
 			// reused counts the candidates an earlier scan of this very
 			// list admitted; a list walked now numbers its points in pid.
-			// A list whose edges are walked now has its masks merged in
-			// whole; otherwise only self-edge points are tested, each
-			// looked up (ballMask).
 			reused := 0
 			self := selfEdges && !oForbidden
 			forb := sc.fillForb(pts)
-			var msk []uint64
-			if rule >= admitFused && first == nil && len(edges) > 0 {
-				msk = sc.fillMasks(pts, k, W)
-			}
 			if first == nil {
 				sc.pid = slices.Grow(sc.pid[:0], len(pts))[:len(pts)]
 				for i := range sc.pid {
@@ -869,6 +890,9 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			case first != nil:
 				reused = first.admitted
 				tally.skipped++
+			case cover.bits != 0:
+				// Every edge has both ends in one center's protected ball.
+				covered++
 			case k == 0:
 				// Unit-weight original graph edges: admitted when neither
 				// endpoint nor the edge itself is forbidden. Forbidden-edge
@@ -932,11 +956,11 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 				}
 			}
 			switch {
-			case first != nil || len(edges) == 0:
+			case first != nil || scanned == 0:
 			case !induced:
-				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, n: len(edges), admitted: len(cands) - before})
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, edges: edges, n: scanned, admitted: len(cands) - before, cover: cover})
 			case !cut:
-				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, graphs: o.graphs, n: len(edges), admitted: len(cands) - before})
+				sc.scanned[k] = append(sc.scanned[k], scannedList{pts: pts, graphs: o.graphs, n: scanned, admitted: len(cands) - before, cover: cover})
 			}
 
 			// Edges from the labeled vertex itself to nearby points
@@ -949,7 +973,8 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			// edge, so an owner without one adds no vertex to H.
 			if self {
 				// row stays nil, and no mask is read, when no center's
-				// ball may hold the owner.
+				// ball may hold the owner; when it meets the cover, every
+				// self edge dies on that one word.
 				oid := int32(-1)
 				var row []uint64
 				var j, end int
@@ -959,6 +984,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 					}
 					j, end = int(sc.cmbOff[k]), int(sc.cmbOff[k+1])
 				}
+				dead := row != nil && row[cover.w]&cover.bits != 0
 				lambda := lambdaOf(lowest + k)
 				left, n := room-scanned, 0
 				for i, pe := range pts {
@@ -971,7 +997,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 					}
 					n++
 					switch {
-					case forb[i]:
+					case forb[i] || dead:
 						continue
 					case rule == admitNone:
 						// Only an actual graph edge (weight 1) that is not
@@ -1013,8 +1039,34 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			tally.rejected[k] += scanned - admitted
 		}
 	}
+	if covered > 0 {
+		coveredLists.Add(covered)
+	}
 	sc.cands = cands
 	return exhausted
+}
+
+// coverWord is word w of the AND of a level list's center masks, the
+// first one not zero: its bits are the centers whose protected ball holds
+// every point of the list, and none does when bits is 0.
+type coverWord struct {
+	bits uint64
+	w    int
+}
+
+// coverOf returns the cover of the level list whose points have the
+// W-word masks msk.
+func coverOf(msk []uint64, W int) coverWord {
+	for w := 0; w < W && len(msk) > 0; w++ {
+		c := ^uint64(0)
+		for i := w; i < len(msk) && c != 0; i += W {
+			c &= msk[i]
+		}
+		if c != 0 {
+			return coverWord{c, w}
+		}
+	}
+	return coverWord{}
 }
 
 // admitFused is scanOwners' edge loop under the admitFused rule, a call
@@ -1076,14 +1128,16 @@ func (sc *decodeScratch) vertexID(v int32) int32 {
 // scannedList is an owner level's edge list as scanOwners walked it —
 // after the budget cut, so a truncated walk only ever matches the same
 // truncation — with the points its indices refer to, its n edges and the
-// number of candidates the walk admitted. A list a label holds is known
-// by its array (edges); one read off the rows of level graphs, walked in
-// full, by those level graphs (graphs) and its points.
+// number of candidates the walk admitted, and the cover of its points. A
+// list a label holds is known by its array (edges); one read off the rows
+// of level graphs, walked (or counted) in full, by those level graphs
+// (graphs) and its points.
 type scannedList struct {
 	pts         []PointEntry
 	edges       []EdgeEntry
 	graphs      *LevelGraphs
 	n, admitted int
+	cover       coverWord
 }
 
 // seenBefore returns the earlier scan at level index k of this same held
