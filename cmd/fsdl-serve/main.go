@@ -28,10 +28,11 @@
 // yet, -store and -graph provide the first labels and the graph they
 // were built on; beside a generation, -store is not even opened. -graph
 // and -eps are compaction inputs only — queries are always answered from
-// labels:
+// labels. A compaction builds on every core but one, which it leaves to
+// the queries beside it; no flag changes that:
 //
 //	fsdl-serve -live-root gens/ [-wal gens/mutations.wal] [-eps 2]
-//	           [-compact-workers N] [-store labels.fsdl -graph graph.txt]
+//	           [-store labels.fsdl -graph graph.txt]
 package main
 
 import (
@@ -89,7 +90,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	cacheCap := fs.Int("cache", 4096, "result cache capacity in entries (negative disables)")
 	liveRoot := fs.String("live-root", "", "enable live updates: versioned generation root directory (see docs/LIVE.md)")
 	walPath := fs.String("wal", "", "live: mutation WAL path (default <live-root>/mutations.wal)")
-	compactWorkers := fs.Int("compact-workers", 0, "live: compaction build parallelism (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -229,7 +229,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		// The drain below closes it too, reporting the final flush;
 		// closing twice is a no-op.
 		defer p.Close()
-		cfg.Live, cfg.LiveRoot, cfg.CompactWorkers = p, *liveRoot, *compactWorkers
+		cfg.Live, cfg.LiveRoot = p, *liveRoot
 		if pending := p.Pending(); pending > 0 {
 			fmt.Fprintf(logw, "fsdl-serve: live: WAL replay restored %d pending delta edges (answers inexact until the next compaction)\n", pending)
 		}

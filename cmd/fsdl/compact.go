@@ -121,7 +121,14 @@ func cmdCompact(args []string, out io.Writer) error {
 		return fmt.Errorf("compaction already in flight")
 	}
 	defer p.EndCompaction()
-	res, err := liveupdate.Compact(p, *root, opts)
+	// Nothing reads beside an offline build, so it takes the snapshot
+	// itself and keeps every core (liveupdate.Compact leaves one to the
+	// readers of a serving pipeline).
+	snap, err := p.Snapshot()
+	if err != nil {
+		return err
+	}
+	res, err := liveupdate.CompactSnapshot(snap, *root, opts)
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"fsdl/internal/graph"
 	"fsdl/internal/nets"
@@ -120,113 +118,18 @@ func BuildSchemeIncremental(prev *Scheme, gNew *graph.Graph, mutated [][2]int32,
 	seedOld, _ := prev.g.MultiSourceBFS(seeds)
 	seedNew, _ := gNew.MultiSourceBFS(seeds)
 
-	stats := IncrementalStats{Seeds: len(seeds)}
-	st, changedRows := buildStoreIncremental(gNew, hNew, p, workers, prev.store, seedOld, seedNew, &stats)
+	st, changedRows, reused := buildStore(gNew, hNew, p, workers, prev.store, seedOld, seedNew)
+	stats := IncrementalStats{Seeds: len(seeds), RowsReused: reused}
+	for li := 1; li < len(st.levels); li++ {
+		stats.RowsTotal += len(st.levels[li].members)
+		stats.RowsChanged += len(changedRows[li])
+	}
 	dirty := markDirtyLabels(prev, gNew, hNew, st, changedRows, seedOld, seedNew, workers, &stats)
 	return &IncrementalBuild{
 		Scheme: newScheme(gNew, hNew, p, st),
 		Dirty:  dirty,
 		Stats:  stats,
 	}, nil
-}
-
-// buildStoreIncremental is buildStore with the delta-scoped fast path: a
-// (level, net-point) task whose λ-ball contains no seed in either graph is
-// aliased from the previous store instead of searched (the ball subgraph
-// and the membership filter inside it are unchanged, so the row is too).
-// Recomputed rows are compared against their previous content; changedRows
-// lists, per level index, the net points whose row content differs (or
-// that had no row before).
-func buildStoreIncremental(g *graph.Graph, h *nets.Hierarchy, p Params, workers int,
-	prevStore *LevelGraphs, seedOld, seedNew []int32, stats *IncrementalStats) (*LevelGraphs, [][]int32) {
-
-	st := newLevelGraphs(g, p, h.NetLevels(), h.Level)
-	n := g.NumVertices()
-	netOld := prevStore.netLevel
-
-	type bfsTask struct {
-		li  int32
-		src int32
-	}
-	var tasks []bfsTask
-	base := make([]int, len(st.levels))
-	for li := len(st.levels) - 1; li >= 1; li-- {
-		base[li] = len(tasks)
-		for _, src := range st.levels[li].members {
-			tasks = append(tasks, bfsTask{li: int32(li), src: src})
-		}
-	}
-	rows := make([][]pointDist, len(tasks))
-	changed := make([]bool, len(tasks))
-	var reused atomic.Int64
-	if len(tasks) > 0 {
-		workers = clampWorkers(workers, len(tasks))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := graph.NewBFSScratch(n)
-				for {
-					ti := int(next.Add(1)) - 1
-					if ti >= len(tasks) {
-						return
-					}
-					t := tasks[ti]
-					sl := &st.levels[t.li]
-					lambda := p.Lambda(sl.level)
-					psl := &prevStore.levels[t.li]
-					hadRow := netOld[t.src] >= psl.netLvl
-					if hadRow && !reachWithin(seedOld[t.src], lambda) && !reachWithin(seedNew[t.src], lambda) {
-						// No seed inside the λ-ball in either graph:
-						// the search would retrace the previous one.
-						rows[ti] = psl.row(t.src)
-						reused.Add(1)
-						continue
-					}
-					var nbrs []pointDist
-					scratch.TruncatedBFS(g, int(t.src), lambda, func(u, d int32) {
-						if u != t.src && st.netLevel[u] >= sl.netLvl {
-							nbrs = append(nbrs, pointDist{x: u, d: d})
-						}
-					})
-					slices.SortFunc(nbrs, func(a, b pointDist) int { return cmp.Compare(a.x, b.x) })
-					rows[ti] = nbrs
-					changed[ti] = !hadRow || !slices.Equal(nbrs, psl.row(t.src))
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	changedRows := make([][]int32, len(st.levels))
-	for li := 1; li < len(st.levels); li++ {
-		sl := &st.levels[li]
-		members := sl.members
-		total := 0
-		for k := range members {
-			total += len(rows[base[li]+k])
-			if changed[base[li]+k] {
-				changedRows[li] = append(changedRows[li], members[k])
-			}
-		}
-		off := make([]int64, n+1)
-		entries := make([]pointDist, 0, total)
-		mi := 0
-		for v := 0; v < n; v++ {
-			if mi < len(members) && members[mi] == int32(v) {
-				entries = append(entries, rows[base[li]+mi]...)
-				mi++
-			}
-			off[v+1] = int64(len(entries))
-		}
-		sl.setRows(off, entries)
-		stats.RowsChanged += len(changedRows[li])
-	}
-	stats.RowsTotal = len(tasks)
-	stats.RowsReused = int(reused.Load())
-	return st, changedRows
 }
 
 // markDirtyLabels computes a sound over-approximation of the vertices
@@ -322,64 +225,52 @@ func markDirtyLabels(prev *Scheme, gNew *graph.Graph, hNew *nets.Hierarchy, st *
 	}
 	stats.NetDiffed = len(tasks)
 
-	if len(tasks) > 0 {
-		workers = clampWorkers(workers, len(tasks))
-		var next atomic.Int64
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scOld := graph.NewBFSScratch(n)
-				scNew := graph.NewBFSScratch(n)
-				oldDist := make([]int32, n)
-				for i := range oldDist {
-					oldDist[i] = graph.Infinity
-				}
-				var visited, marks []int32
-				for {
-					ti := int(next.Add(1)) - 1
-					if ti >= len(tasks) {
+	var mu sync.Mutex
+	nets.RunParallel(workers, len(tasks), func() func(int) {
+		// The worker's state is one allocation the task closure keeps.
+		w := &struct {
+			scOld, scNew            graph.BFSScratch
+			oldDist, visited, marks []int32
+		}{scOld: *graph.NewBFSScratch(n), scNew: *graph.NewBFSScratch(n), oldDist: make([]int32, n)}
+		for i := range w.oldDist {
+			w.oldDist[i] = graph.Infinity
+		}
+		return func(ti int) {
+			t := tasks[ti]
+			oldDist, visited, marks := w.oldDist, w.visited[:0], w.marks[:0]
+			if t.memberOld {
+				w.scOld.TruncatedBFS(prev.g, int(t.w), t.r, func(v, d int32) {
+					oldDist[v] = d
+					visited = append(visited, v)
+				})
+			}
+			if t.memberNew {
+				w.scNew.TruncatedBFS(gNew, int(t.w), t.r, func(v, d int32) {
+					if t.markAll {
+						marks = append(marks, v)
 						return
 					}
-					t := tasks[ti]
-					visited, marks = visited[:0], marks[:0]
-					if t.memberOld {
-						scOld.TruncatedBFS(prev.g, int(t.w), t.r, func(v, d int32) {
-							oldDist[v] = d
-							visited = append(visited, v)
-						})
+					if oldDist[v] == d {
+						oldDist[v] = -2 // matched: entry for w unchanged at v
+					} else {
+						marks = append(marks, v)
 					}
-					if t.memberNew {
-						scNew.TruncatedBFS(gNew, int(t.w), t.r, func(v, d int32) {
-							if t.markAll {
-								marks = append(marks, v)
-								return
-							}
-							if oldDist[v] == d {
-								oldDist[v] = -2 // matched: entry for w unchanged at v
-							} else {
-								marks = append(marks, v)
-							}
-						})
-					}
-					for _, v := range visited {
-						if oldDist[v] != -2 || t.markAll {
-							marks = append(marks, v)
-						}
-						oldDist[v] = graph.Infinity
-					}
-					mu.Lock()
-					for _, v := range marks {
-						dirty[v] = true
-					}
-					mu.Unlock()
+				})
+			}
+			for _, v := range visited {
+				if oldDist[v] != -2 || t.markAll {
+					marks = append(marks, v)
 				}
-			}()
+				oldDist[v] = graph.Infinity
+			}
+			mu.Lock()
+			for _, v := range marks {
+				dirty[v] = true
+			}
+			mu.Unlock()
+			w.visited, w.marks = visited, marks
 		}
-		wg.Wait()
-	}
+	})
 
 	stats.DirtyNet = countDirty() - stats.DirtyLow
 	markChangedPairEntries(prev.g, gNew, pairs, dirty)

@@ -146,25 +146,6 @@ func TestParallelBuildSpeedup(t *testing.T) {
 	}
 }
 
-// TestClampWorkers pins the worker-count normalization used by both the
-// store builder and the nets pool.
-func TestClampWorkers(t *testing.T) {
-	for _, tc := range []struct{ workers, tasks, want int }{
-		{0, 10, runtime.GOMAXPROCS(0)},
-		{-3, 10, runtime.GOMAXPROCS(0)},
-		{4, 2, 2},
-		{4, 10, 4},
-		{1, 0, 1},
-	} {
-		if tc.want > tc.tasks && tc.tasks > 0 {
-			tc.want = tc.tasks
-		}
-		if got := clampWorkers(tc.workers, tc.tasks); got != tc.want {
-			t.Errorf("clampWorkers(%d, %d) = %d, want %d", tc.workers, tc.tasks, got, tc.want)
-		}
-	}
-}
-
 // TestBuildSchemeWorkersMatchesBuildScheme pins the facade: BuildScheme
 // is BuildSchemeWorkers with the default pool.
 func TestBuildSchemeWorkersMatchesBuildScheme(t *testing.T) {

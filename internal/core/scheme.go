@@ -104,7 +104,8 @@ func buildScheme(g *graph.Graph, epsilon float64, rShrink, workers int) (*Scheme
 	if err != nil {
 		return nil, fmt.Errorf("core: build net hierarchy: %w", err)
 	}
-	return newScheme(g, h, params, buildStore(g, h, params, workers)), nil
+	st, _, _ := buildStore(g, h, params, workers, nil, nil, nil)
+	return newScheme(g, h, params, st), nil
 }
 
 // Params returns the derived scheme parameters.
@@ -162,28 +163,13 @@ func (s *Scheme) Labels(vs []int) []*Label { return s.LabelsWorkers(vs, 0) }
 // who must not wait, as a compaction does with the queries beside it.
 func (s *Scheme) LabelsWorkers(vs []int, workers int) []*Label {
 	out := make([]*Label, len(vs))
-	if len(vs) == 0 {
-		return out
-	}
-	workers = clampWorkers(workers, len(vs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
+	nets.RunParallel(workers, len(vs), func() func(int) {
+		return func(i int) {
 			sc := s.scratch.Get().(*extractScratch)
-			defer s.scratch.Put(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(vs) {
-					return
-				}
-				out[i] = s.store.extractLabel(vs[i], sc)
-			}
-		}()
-	}
-	wg.Wait()
+			out[i] = s.store.extractLabel(vs[i], sc)
+			s.scratch.Put(sc)
+		}
+	})
 	return out
 }
 

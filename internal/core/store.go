@@ -2,11 +2,9 @@ package core
 
 import (
 	"cmp"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"fsdl/internal/graph"
 	"fsdl/internal/nets"
@@ -137,21 +135,6 @@ type pointDist struct {
 	d int32
 }
 
-// clampWorkers resolves a worker-count knob: ≤ 0 means GOMAXPROCS, and the
-// count never exceeds the number of tasks.
-func clampWorkers(workers, tasks int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > tasks {
-		workers = tasks
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
 // buildStore constructs the shared level structures. Cost: for each level,
 // one truncated BFS of radius λ_ℓ from every net point of that level. All
 // (level, net-point) searches across all levels are independent, so they
@@ -161,7 +144,19 @@ func clampWorkers(workers, tasks int) int {
 // and are the longest poles, so they must start earliest. The result is
 // deterministic regardless of parallelism (each task writes only its own
 // point's sorted adjacency, and CSR assembly runs in vertex order).
-func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *LevelGraphs {
+//
+// With prev set the build is delta-scoped (BuildSchemeIncremental): prev
+// is the previous graph's level graphs, and seedOld / seedNew are the
+// distances to the nearest seed in the old and new graph. A task whose
+// λ-ball contains no seed in either graph aliases its previous row
+// instead of searching (the ball subgraph and the membership filter
+// inside it are unchanged, so the row is too). changed then lists, per
+// level index, the net points whose row differs from before (or that
+// had no row before), and reused counts the aliased rows; a full build
+// passes nil and gets neither.
+func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int,
+	prev *LevelGraphs, seedOld, seedNew []int32) (*LevelGraphs, [][]int32, int) {
+
 	st := newLevelGraphs(g, p, h.NetLevels(), h.Level)
 	n := g.NumVertices()
 
@@ -179,45 +174,58 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *Level
 		}
 	}
 	rows := make([][]pointDist, len(tasks))
-	if len(tasks) > 0 {
-		workers = clampWorkers(workers, len(tasks))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				scratch := graph.NewBFSScratch(n)
-				for {
-					ti := int(next.Add(1)) - 1
-					if ti >= len(tasks) {
-						return
-					}
-					t := tasks[ti]
-					sl := &st.levels[t.li]
-					lambda := p.Lambda(sl.level)
-					var nbrs []pointDist
-					scratch.TruncatedBFS(g, int(t.src), lambda, func(u, d int32) {
-						if u != t.src && st.netLevel[u] >= sl.netLvl {
-							nbrs = append(nbrs, pointDist{x: u, d: d})
-						}
-					})
-					slices.SortFunc(nbrs, func(a, b pointDist) int { return cmp.Compare(a.x, b.x) })
-					rows[ti] = nbrs
+	const (
+		rowSearched = iota
+		rowReused
+		rowChanged
+	)
+	fate := make([]uint8, len(tasks))
+	nets.RunParallel(workers, len(tasks), func() func(int) {
+		scratch := graph.NewBFSScratch(n)
+		return func(ti int) {
+			t := tasks[ti]
+			sl := &st.levels[t.li]
+			lambda := p.Lambda(sl.level)
+			hadRow := prev != nil && prev.netLevel[t.src] >= prev.levels[t.li].netLvl
+			if hadRow && !reachWithin(seedOld[t.src], lambda) && !reachWithin(seedNew[t.src], lambda) {
+				// No seed inside the λ-ball in either graph: the
+				// search would retrace the previous one.
+				rows[ti], fate[ti] = prev.levels[t.li].row(t.src), rowReused
+				return
+			}
+			var nbrs []pointDist
+			scratch.TruncatedBFS(g, int(t.src), lambda, func(u, d int32) {
+				if u != t.src && st.netLevel[u] >= sl.netLvl {
+					nbrs = append(nbrs, pointDist{x: u, d: d})
 				}
-			}()
+			})
+			slices.SortFunc(nbrs, func(a, b pointDist) int { return cmp.Compare(a.x, b.x) })
+			rows[ti] = nbrs
+			if prev != nil && (!hadRow || !slices.Equal(nbrs, prev.levels[t.li].row(t.src))) {
+				fate[ti] = rowChanged
+			}
 		}
-		wg.Wait()
-	}
+	})
 
+	var changed [][]int32
+	if prev != nil {
+		changed = make([][]int32, len(st.levels))
+	}
+	reused := 0
 	// Flatten each level's rows into its CSR arrays. Net members arrive
 	// in increasing vertex order, so one pass packs entries and offsets.
 	for li := 1; li < len(st.levels); li++ {
 		sl := &st.levels[li]
 		members := sl.members
 		total := 0
-		for k := range members {
+		for k, w := range members {
 			total += len(rows[base[li]+k])
+			switch fate[base[li]+k] {
+			case rowReused:
+				reused++
+			case rowChanged:
+				changed[li] = append(changed[li], w)
+			}
 		}
 		off := make([]int64, n+1)
 		entries := make([]pointDist, 0, total)
@@ -231,7 +239,7 @@ func buildStore(g *graph.Graph, h *nets.Hierarchy, p Params, workers int) *Level
 		}
 		sl.setRows(off, entries)
 	}
-	return st
+	return st, changed, reused
 }
 
 // levelIndex maps a scheme level ℓ to its index in st.levels.

@@ -171,7 +171,7 @@ func BuildWithOrderWorkers(g *graph.Graph, order []int, workers int) (*Hierarchy
 	// Phase 1: the greedy W(2^j) sets. Levels are independent (each scan
 	// starts from an all-uncovered state), so workers pull levels off a
 	// shared counter, each with its own covered/touched/BFS state.
-	runParallel(workers, numLevels, func() func(j int) {
+	RunParallel(workers, numLevels, func() func(j int) {
 		covered := make([]bool, n)
 		touched := make([]int32, 0, n)
 		scratch := graph.NewBFSScratch(n)
@@ -231,7 +231,7 @@ func (h *Hierarchy) computeLevels(workers int) {
 		}
 		h.levels[i] = members
 	}
-	runParallel(workers, len(h.levels), func() func(i int) {
+	RunParallel(workers, len(h.levels), func() func(i int) {
 		return func(i int) {
 			members := h.levels[i]
 			sources := make([]int, len(members))
@@ -245,18 +245,25 @@ func (h *Hierarchy) computeLevels(workers int) {
 	})
 }
 
-// runParallel executes do(0..tasks-1) on a pool of workers, each worker
+// RunParallel executes do(0..tasks-1) on a pool of workers, each worker
 // first materializing its private state via newWorker. workers ≤ 0 means
-// GOMAXPROCS; a single worker (or a single task) runs inline with no
-// goroutine traffic.
-func runParallel(workers, tasks int, newWorker func() func(task int)) {
+// GOMAXPROCS, and there are never more workers than tasks: zero tasks
+// build no worker at all, and a single worker runs inline on the caller
+// with no goroutine traffic. It is the one worker pool of the
+// preprocessing pipeline — the hierarchy's phases here, and in
+// internal/core the level-graph build, the dirty-label diffs and bulk
+// label extraction.
+func RunParallel(workers, tasks int, newWorker func() func(task int)) {
+	if tasks <= 0 {
+		return
+	}
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > tasks {
 		workers = tasks
 	}
-	if workers <= 1 {
+	if workers == 1 {
 		do := newWorker()
 		for t := 0; t < tasks; t++ {
 			do(t)

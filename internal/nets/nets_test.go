@@ -2,7 +2,10 @@ package nets
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -377,6 +380,68 @@ func TestBuildWorkersDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRunParallel pins the pool every preprocessing phase runs on: ≤ 0
+// workers means GOMAXPROCS, there are never more workers than tasks (so
+// zero tasks build none), every task runs exactly once, and a lone worker
+// runs inline on the caller.
+func TestRunParallel(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ workers, tasks, want int }{
+		{0, 64, min(procs, 64)},
+		{-3, 64, min(procs, 64)},
+		{4, 2, 2},
+		{4, 10, 4},
+		{1, 5, 1},
+		{3, 0, 0},
+		{0, 0, 0},
+	} {
+		var built atomic.Int32
+		ran := make([]atomic.Int32, tc.tasks)
+		RunParallel(tc.workers, tc.tasks, func() func(int) {
+			built.Add(1)
+			return func(task int) { ran[task].Add(1) }
+		})
+		if got := int(built.Load()); got != tc.want {
+			t.Errorf("RunParallel(%d, %d) built %d workers, want %d", tc.workers, tc.tasks, got, tc.want)
+		}
+		for task := range ran {
+			if c := ran[task].Load(); c != 1 {
+				t.Errorf("RunParallel(%d, %d) ran task %d %d times", tc.workers, tc.tasks, task, c)
+			}
+		}
+	}
+
+	// One worker — asked for, or all that a single task leaves — runs
+	// newWorker and every task on the calling goroutine.
+	caller := goroutineID()
+	for _, workers := range []int{1, 8} {
+		tasks := 3
+		if workers > 1 {
+			tasks = 1
+		}
+		var on []string
+		RunParallel(workers, tasks, func() func(int) {
+			on = append(on, goroutineID())
+			return func(int) { on = append(on, goroutineID()) }
+		})
+		if len(on) != tasks+1 {
+			t.Fatalf("workers=%d tasks=%d: %d calls, want %d", workers, tasks, len(on), tasks+1)
+		}
+		for _, id := range on {
+			if id != caller {
+				t.Errorf("workers=%d tasks=%d: ran on goroutine %s, caller is %s", workers, tasks, id, caller)
+			}
+		}
+	}
+}
+
+// goroutineID returns the id of the calling goroutine, read off the
+// header of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return strings.Fields(string(buf[:runtime.Stack(buf, false)]))[1]
 }
 
 // TestVerifyInvariantsCatchesSeparationViolation manufactures a W-set

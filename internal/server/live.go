@@ -140,7 +140,6 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 
 	res, err := liveupdate.Compact(s.live, s.cfg.LiveRoot, liveupdate.CompactOptions{
 		Epsilon:    s.cfg.Epsilon,
-		Workers:    s.cfg.CompactWorkers,
 		Partitions: s.cfg.Partitions,
 		Prev:       prev,
 	})

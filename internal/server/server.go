@@ -75,9 +75,6 @@ type Config struct {
 	// directories into; required for Compact / the /v1/compact
 	// endpoint.
 	LiveRoot string
-	// CompactWorkers bounds compaction build parallelism (0 =
-	// GOMAXPROCS).
-	CompactWorkers int
 	// CompactFormat and CompactCompress select nothing: every
 	// compaction writes factored FSDL3 generations. The fields stay for
 	// the benchmark harness, which assigns them (ROADMAP item 1,
