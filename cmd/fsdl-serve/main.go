@@ -51,7 +51,6 @@ import (
 
 	"fsdl"
 	"fsdl/internal/cluster"
-	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 	"fsdl/internal/server"
@@ -309,8 +308,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 // rebuild at -eps. ε is compared as Label.Encode stores it, ⌊ε·2¹⁶⌋.
 func checkEpsilon(st *labelstore.Store, eps float64) error {
 	for _, v := range st.Vertices() {
-		bits, data, _ := st.Raw(v)
-		l, err := core.DecodeLabel(data, bits)
+		l, err := st.Label(v)
 		if err != nil {
 			continue // a record a salvaging open kept out of service
 		}

@@ -52,8 +52,8 @@ type FrontendConfig struct {
 	RetryBudgetRatio float64
 
 	// RepairInterval is the anti-entropy sweep period (default 0:
-	// disabled). Each sweep digests every shard's expected vertex range,
-	// 2048 ids per digest RPC, and pulls missing records from intact
+	// disabled). Each sweep audits every shard's expected vertex range,
+	// 2048 ids per audit RPC, and pulls missing records from intact
 	// replicas.
 	RepairInterval time.Duration
 
@@ -79,7 +79,7 @@ const (
 	breakerBuckets      = 10   // slices of breakerWindow
 	breakerFailureRatio = 0.5  // failure fraction that opens a breaker
 	breakerMaxCooldown  = 30 * time.Second
-	repairBatch         = 2048 // ids per digest RPC
+	repairBatch         = 2048 // ids per audit RPC
 )
 
 func (cfg *FrontendConfig) withDefaults() FrontendConfig {

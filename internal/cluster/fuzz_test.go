@@ -33,8 +33,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(frame.Append(nil, OpLoadGeneration, AppendGeneration(nil, 4)))
 	f.Add(frame.Append(nil, OpGenLoaded, AppendGeneration(nil, 4)))
 	f.Add(frame.Append(nil, OpError, []byte("shard: boom")))
-	f.Add(frame.Append(nil, OpDigest, AppendLabelRequest(nil, []int32{3, 4, 5})))
-	f.Add(frame.Append(nil, OpDigestResp, AppendDigestResponse(nil, 100, 0xdeadbeef, 2, []int32{4})))
+	f.Add(frame.Append(nil, OpAudit, AppendLabelRequest(nil, []int32{3, 4, 5})))
+	f.Add(frame.Append(nil, OpAuditResp, AppendAuditResponse(nil, 100, []int32{4})))
 	f.Add(frame.Append(nil, OpRepairPull, AppendRepairRequest(nil, "127.0.0.1:9001", []int32{4, 7})))
 	f.Add(frame.Append(nil, OpRepairPulled, AppendRepairResponse(nil, 2, 0)))
 	f.Add(frame.Append(nil, OpSeal, nil))
@@ -73,7 +73,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		// (Byte-equality with the *input* is not required — varints admit
 		// non-canonical encodings the parser tolerates but never emits.)
 		switch op {
-		case OpDigest:
+		case OpAudit:
 			ids, err := ParseLabelRequest(payload)
 			if err != nil {
 				return
@@ -171,21 +171,21 @@ func FuzzDecodeFrame(f *testing.F) {
 			if g2, err := ParseGeneration(AppendGeneration(nil, gen)); err != nil || g2 != gen {
 				t.Fatalf("generation payload does not round-trip: err %v", err)
 			}
-		case OpDigestResp:
-			n, d, present, missing, err := ParseDigestResponse(payload)
+		case OpAuditResp:
+			n, missing, err := ParseAuditResponse(payload)
 			if err != nil {
 				return
 			}
 			if len(missing) > len(payload) {
 				t.Fatalf("%d missing ids decoded from %d payload bytes", len(missing), len(payload))
 			}
-			enc := AppendDigestResponse(nil, n, d, present, missing)
-			n2, d2, p2, m2, err := ParseDigestResponse(enc)
-			if err != nil || n2 != n || d2 != d || p2 != present {
-				t.Fatalf("digest response does not round-trip: err %v", err)
+			enc := AppendAuditResponse(nil, n, missing)
+			n2, m2, err := ParseAuditResponse(enc)
+			if err != nil || n2 != n {
+				t.Fatalf("audit response does not round-trip: err %v", err)
 			}
-			if !bytes.Equal(AppendDigestResponse(nil, n2, d2, p2, m2), enc) {
-				t.Fatal("digest response encoding not a fixed point")
+			if !bytes.Equal(AppendAuditResponse(nil, n2, m2), enc) {
+				t.Fatal("audit response encoding not a fixed point")
 			}
 		case OpRepairPull:
 			source, ids, err := ParseRepairRequest(payload)

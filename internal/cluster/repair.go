@@ -22,9 +22,9 @@ const repairPullTimeout = 30 * time.Second
 
 // repairer is the frontend's anti-entropy loop. Each sweep walks the
 // vertex space, computes every shard's expected ownership from the
-// current ring epoch, asks each shard for a digest over those ids
-// (OpDigest), and tells shards with missing records to pull them from
-// an intact replica (OpRepairPull). A non-authoritative shard —
+// current ring epoch, asks each shard which of those ids it cannot
+// serve (OpAudit), and tells shards with missing records to pull them
+// from an intact replica (OpRepairPull). A non-authoritative shard —
 // bootstrap replacement or truncated salvage — that audits clean is
 // sealed (OpSeal), restoring its authority over absences and returning
 // the cluster to exact answers. Unknown records observed on the fetch
@@ -72,7 +72,7 @@ func (r *repairer) noteUnknown(v int32) {
 func (r *repairer) loop() {
 	defer r.f.done.Done()
 	for {
-		// Jittered so a fleet of frontends doesn't digest-storm the
+		// Jittered so a fleet of frontends doesn't audit-storm the
 		// shards in lockstep.
 		t := time.NewTimer(backoff.Jittered(r.interval, 0.2))
 		select {
@@ -90,7 +90,7 @@ func (r *repairer) loop() {
 // sweep runs one full anti-entropy pass against the current epoch.
 // Sealing is deliberately one sweep behind repair: a shard is sealed
 // only when it audits clean *at the start* of a pass, so authority is
-// restored from a verified digest, never assumed from a just-finished
+// restored from a verified audit, never assumed from a just-finished
 // transfer.
 func (r *repairer) sweep() {
 	f := r.f
@@ -138,7 +138,7 @@ func (r *repairer) sweep() {
 	}
 }
 
-// auditShard digests one shard's expected vertex range in batches and
+// auditShard audits one shard's expected vertex range in batches and
 // pulls whatever is missing from intact replicas. clean reports whether
 // the shard was reachable and missing nothing *before* any pulls; left
 // counts records still missing after this pass's pulls.
@@ -152,7 +152,7 @@ func (r *repairer) auditShard(st *ringState, c *shardClient, expect []int32) (cl
 	ownerBuf := make([]int, 0, 8)
 	for base := 0; base < len(expect); base += repairBatch {
 		chunk := expect[base:min(base+repairBatch, len(expect))]
-		_, _, missing, err := c.digest(chunk, r.f.n)
+		missing, err := c.audit(chunk, r.f.n)
 		if err != nil {
 			r.setErr(err)
 			return false, left
@@ -236,8 +236,8 @@ type RepairStatus struct {
 	Hints    int   `json:"hints"`
 	Sealed   int64 `json:"sealed_shards"`
 	// Converged is true when the last pass found every shard reachable
-	// and holding its full expected range — the cluster-wide digest
-	// equality the runbook polls for.
+	// and able to serve its full expected range — the convergence the
+	// runbook polls for.
 	Converged bool   `json:"converged"`
 	LastError string `json:"last_error,omitempty"`
 }
@@ -313,29 +313,29 @@ func (f *Frontend) Status() ClusterStatus {
 // JSON-marshalable snapshot for /v1/cluster/status.
 func (f *Frontend) StatusJSON() any { return f.Status() }
 
-// digest asks the shard for a presence digest over ids, validating the
-// vertex space, and returns the digest, present count and missing ids.
-func (c *shardClient) digest(ids []int32, wantN int) (uint32, int, []int32, error) {
+// audit asks the shard which of ids it cannot serve, validating the
+// vertex space.
+func (c *shardClient) audit(ids []int32, wantN int) ([]int32, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
 	defer cancel()
-	op, resp, err := c.call(ctx, OpDigest, AppendLabelRequest(nil, ids))
+	op, resp, err := c.call(ctx, OpAudit, AppendLabelRequest(nil, ids))
 	if err != nil {
-		return 0, 0, nil, err
+		return nil, err
 	}
 	switch op {
-	case OpDigestResp:
-		n, d, present, missing, err := ParseDigestResponse(resp)
+	case OpAuditResp:
+		n, missing, err := ParseAuditResponse(resp)
 		if err != nil {
-			return 0, 0, nil, err
+			return nil, err
 		}
 		if n != wantN {
-			return 0, 0, nil, fmt.Errorf("cluster: shard %s serves vertex space %d, want %d", c.node.Name, n, wantN)
+			return nil, fmt.Errorf("cluster: shard %s serves vertex space %d, want %d", c.node.Name, n, wantN)
 		}
-		return d, present, missing, nil
+		return missing, nil
 	case OpError:
-		return 0, 0, nil, fmt.Errorf("%w: %s", errShardError, resp)
+		return nil, fmt.Errorf("%w: %s", errShardError, resp)
 	default:
-		return 0, 0, nil, fmt.Errorf("cluster: unexpected digest response op %d", op)
+		return nil, fmt.Errorf("cluster: unexpected audit response op %d", op)
 	}
 }
 

@@ -298,7 +298,7 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 	}
 	queryStep("step 3 (replacement joined)", false)
 
-	// Repair fills the replacement from the survivors; poll for digest
+	// Repair fills the replacement from the survivors; poll for audit
 	// convergence and the seal that restores the replacement's authority
 	// over absences. The client keeps querying throughout — zero errors.
 	// (The non-authoritative bit is re-read from pongs, so give a stale

@@ -54,9 +54,9 @@ type ShardConfig struct {
 	// Mmap and PersistFormat3 select nothing. Every FSDL3 file is opened
 	// mapped, and a persist writes the store's own encoding: FSDL3 for a
 	// factored store, FSDL2 for any other. Mixed-encoding replicas stay
-	// digest- and wire-compatible — digests and repair pulls are canonical
-	// bytes whatever the container, and a stored record reads back to the
-	// label its canonical bytes encode. The fields stay for the benchmark
+	// wire-compatible — repair pulls are canonical bytes whatever the
+	// container, and a stored record reads back to the label its
+	// canonical bytes encode. The fields stay for the benchmark
 	// harness, which assigns them (ROADMAP item 1, "Release the pins").
 	Mmap           bool
 	PersistFormat3 bool
@@ -275,8 +275,8 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 				bufs.payload = AppendGeneration(bufs.payload[:0], s.Generation())
 				werr = s.writeFrame(bw, bufs, OpGenLoaded, bufs.payload)
 			}
-		case OpDigest:
-			werr = s.handleDigest(bw, bufs, req)
+		case OpAudit:
+			werr = s.handleAudit(bw, bufs, req)
 		case OpRepairPull:
 			werr = s.handleRepairPull(bw, bufs, req)
 		case OpSeal:
@@ -485,7 +485,7 @@ func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecor
 		// An FSDL3 record whose lazy CRC check failed: the vertex is in
 		// the index, so absence is known to be damage, not authority.
 		// Answer Unknown and let the frontend fail over to a replica
-		// while the digest audit heals the record in place.
+		// while the repair audit heals the record in place.
 		rec.Unknown = true
 		return rec
 	}
@@ -505,7 +505,7 @@ func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecor
 
 // pongFlags reports the shard's status bits for health probes. A store
 // with known-corrupt FSDL3 records is flagged exactly like a salvage
-// loss: the repairer's digest audit can still heal it, but until then
+// loss: the repairer's audit can still heal it, but until then
 // its absences must not be trusted.
 func (s *ShardServer) pongFlags(st *labelstore.Store) uint64 {
 	s.salvMu.RLock()
@@ -560,19 +560,19 @@ func (s *ShardServer) handleLevels(bw *bufio.Writer, bufs *connBufs, req []byte)
 	return s.writeFrame(bw, bufs, OpLevels, bufs.payload)
 }
 
-// maxDigestIDs bounds one OpDigest request so the response (≤ 5 bytes
+// maxAuditIDs bounds one OpAudit request so the response (≤ 5 bytes
 // per missing id) always fits one frame and a hostile request cannot
 // force a huge allocation. The repairer's batches sit far below this.
-const maxDigestIDs = 1 << 20
+const maxAuditIDs = 1 << 20
 
-// handleDigest answers OpDigest: the store's digest over the requested
-// ids plus the ids it does not hold (see labelstore.DigestVertices for
-// why digest equality across replicas means presence equality).
-func (s *ShardServer) handleDigest(bw *bufio.Writer, bufs *connBufs, req []byte) error {
+// handleAudit answers OpAudit: the requested ids the current store
+// cannot serve (labelstore.Store.Has — absent, failing its CRC check,
+// or condemned by a failed read), in request order.
+func (s *ShardServer) handleAudit(bw *bufio.Writer, bufs *connBufs, req []byte) error {
 	st, _ := s.currentStore()
 	ids, err := ParseLabelRequest(req)
-	if err == nil && len(ids) > maxDigestIDs {
-		err = fmt.Errorf("cluster: digest request names %d ids, limit %d", len(ids), maxDigestIDs)
+	if err == nil && len(ids) > maxAuditIDs {
+		err = fmt.Errorf("cluster: audit request names %d ids, limit %d", len(ids), maxAuditIDs)
 	}
 	if err == nil {
 		err = s.checkRange(st, ids)
@@ -580,9 +580,14 @@ func (s *ShardServer) handleDigest(bw *bufio.Writer, bufs *connBufs, req []byte)
 	if err != nil {
 		return s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
 	}
-	digest, present, missing := st.DigestVertices(ids)
-	bufs.payload = AppendDigestResponse(bufs.payload[:0], st.NumVertices(), digest, present, missing)
-	return s.writeFrame(bw, bufs, OpDigestResp, bufs.payload)
+	var missing []int32
+	for _, v := range ids {
+		if !st.Has(int(v)) {
+			missing = append(missing, v)
+		}
+	}
+	bufs.payload = AppendAuditResponse(bufs.payload[:0], st.NumVertices(), missing)
+	return s.writeFrame(bw, bufs, OpAuditResp, bufs.payload)
 }
 
 // handleRepairPull answers OpRepairPull: pull the named records from

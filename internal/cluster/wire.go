@@ -35,13 +35,13 @@ const (
 	// so a response — however many labels it carries — never needs a
 	// payload past frame.MaxPayload.
 	OpLabelsPart byte = 6
-	// OpDigest asks for the anti-entropy digest of a batch of vertex
-	// ids (the label-request payload, AppendLabelRequest); OpDigestResp
-	// answers with the digest, the present count and the ids the shard
-	// does not hold. The repairer compares digests across replicas to
-	// find what a shard is missing without shipping any label bytes.
-	OpDigest     byte = 7
-	OpDigestResp byte = 8
+	// OpAudit asks which of a batch of vertex ids (the label-request
+	// payload, AppendLabelRequest) the shard cannot serve; OpAuditResp
+	// answers with the shard's vertex space and those ids. The repairer
+	// finds what a shard is missing this way without shipping any label
+	// bytes.
+	OpAudit     byte = 7
+	OpAuditResp byte = 8
 	// OpRepairPull instructs a shard to pull the named records from a
 	// source replica (by address) and install them into its live store;
 	// OpRepairPulled reports how many records were installed and how
@@ -101,7 +101,7 @@ const maxWireLabelBits = 1 << 40
 const maxLevelsBytes = 1 << 31
 
 // AppendLabelRequest encodes a label-request payload: the vertex ids
-// whose labels (or digest) the caller wants, in the given order.
+// whose labels (or audit) the caller wants, in the given order.
 func AppendLabelRequest(dst []byte, ids []int32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(ids)))
 	for _, v := range ids {
@@ -451,14 +451,11 @@ func ParseLevelsChunk(payload []byte) (ref LevelsRef, total, offset uint64, chun
 	return ref, total, offset, rest[k:], nil
 }
 
-// AppendDigestResponse encodes an OpDigestResp payload: the shard's
-// vertex space (the same cross-check every label response carries),
-// the CRC32 digest over the present records, how many of the requested
-// ids were present, and the sorted ids the shard does not hold.
-func AppendDigestResponse(dst []byte, n int, digest uint32, present int, missing []int32) []byte {
+// AppendAuditResponse encodes an OpAuditResp payload: the shard's
+// vertex space (the same cross-check every label response carries) and
+// the requested ids the shard cannot serve.
+func AppendAuditResponse(dst []byte, n int, missing []int32) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
-	dst = binary.LittleEndian.AppendUint32(dst, digest)
-	dst = binary.AppendUvarint(dst, uint64(present))
 	dst = binary.AppendUvarint(dst, uint64(len(missing)))
 	for _, v := range missing {
 		dst = binary.AppendUvarint(dst, uint64(uint32(v)))
@@ -466,48 +463,38 @@ func AppendDigestResponse(dst []byte, n int, digest uint32, present int, missing
 	return dst
 }
 
-// ParseDigestResponse decodes an OpDigestResp payload.
-func ParseDigestResponse(payload []byte) (n int, digest uint32, present int, missing []int32, err error) {
+// ParseAuditResponse decodes an OpAuditResp payload.
+func ParseAuditResponse(payload []byte) (n int, missing []int32, err error) {
 	nv, k := binary.Uvarint(payload)
 	if k <= 0 || nv > math.MaxInt32 {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: bad vertex space")
-	}
-	payload = payload[k:]
-	if len(payload) < 4 {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: truncated digest")
-	}
-	digest = binary.LittleEndian.Uint32(payload)
-	payload = payload[4:]
-	pv, k := binary.Uvarint(payload)
-	if k <= 0 || pv > math.MaxInt32 {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: bad present count")
+		return 0, nil, fmt.Errorf("cluster: audit response: bad vertex space")
 	}
 	payload = payload[k:]
 	count, k := binary.Uvarint(payload)
 	if k <= 0 {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: bad missing count")
+		return 0, nil, fmt.Errorf("cluster: audit response: bad missing count")
 	}
 	payload = payload[k:]
 	// Every missing id costs at least one byte.
 	if count > uint64(len(payload)) {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: missing count %d exceeds payload", count)
+		return 0, nil, fmt.Errorf("cluster: audit response: missing count %d exceeds payload", count)
 	}
 	missing = make([]int32, 0, count)
 	for i := uint64(0); i < count; i++ {
 		v, k := binary.Uvarint(payload)
 		if k <= 0 {
-			return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: truncated missing id %d", i)
+			return 0, nil, fmt.Errorf("cluster: audit response: truncated missing id %d", i)
 		}
 		if v >= nv {
-			return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: missing id %d out of range [0,%d)", v, nv)
+			return 0, nil, fmt.Errorf("cluster: audit response: missing id %d out of range [0,%d)", v, nv)
 		}
 		payload = payload[k:]
 		missing = append(missing, int32(v))
 	}
 	if len(payload) != 0 {
-		return 0, 0, 0, nil, fmt.Errorf("cluster: digest response: %d trailing bytes", len(payload))
+		return 0, nil, fmt.Errorf("cluster: audit response: %d trailing bytes", len(payload))
 	}
-	return int(nv), digest, int(pv), missing, nil
+	return int(nv), missing, nil
 }
 
 // maxRepairSourceLen bounds the source-address field of an OpRepairPull

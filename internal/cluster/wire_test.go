@@ -80,19 +80,21 @@ func TestGenPayloadRoundTrips(t *testing.T) {
 	}
 }
 
-func TestDigestResponseRoundTrip(t *testing.T) {
+func TestAuditResponseRoundTrip(t *testing.T) {
 	missing := []int32{1, 5, 99}
-	n, d, present, m, err := ParseDigestResponse(AppendDigestResponse(nil, 100, 0xcafebabe, 97, missing))
-	if err != nil || n != 100 || d != 0xcafebabe || present != 97 {
-		t.Fatalf("digest round trip: n=%d digest=%#x present=%d err=%v", n, d, present, err)
+	n, m, err := ParseAuditResponse(AppendAuditResponse(nil, 100, missing))
+	if err != nil || n != 100 {
+		t.Fatalf("audit round trip: n=%d err=%v", n, err)
 	}
 	if len(m) != len(missing) || m[0] != 1 || m[2] != 99 {
 		t.Fatalf("missing ids round trip: %v", m)
 	}
-	// A missing id at or past n is rejected.
-	bad := AppendDigestResponse(nil, 10, 0, 9, []int32{10})
-	if _, _, _, _, err := ParseDigestResponse(bad); err == nil {
+	// A missing id at or past n is rejected, and so are trailing bytes.
+	if _, _, err := ParseAuditResponse(AppendAuditResponse(nil, 10, []int32{10})); err == nil {
 		t.Fatal("out-of-range missing id accepted")
+	}
+	if _, _, err := ParseAuditResponse(append(AppendAuditResponse(nil, 10, nil), 0)); err == nil {
+		t.Fatal("trailing bytes accepted in audit response")
 	}
 }
 

@@ -46,12 +46,9 @@ func TestDecodedCacheSecondTouchAdmission(t *testing.T) {
 		t.Fatalf("third touch: hits/misses %v, shared label %v; want a hit on the second touch's label", stats(), third == second)
 	}
 
-	if _, _, ok := st.Raw(7); !ok || st.rawCache.Len() != 1 {
-		t.Fatalf("transcode memo holds %d records after one Raw", st.rawCache.Len())
-	}
 	st.DropCaches()
-	if st.cache.Len() != 0 || st.rawCache.Len() != 0 {
-		t.Fatalf("DropCaches left %d labels, %d transcodes", st.cache.Len(), st.rawCache.Len())
+	if st.cache.Len() != 0 {
+		t.Fatalf("DropCaches left %d labels", st.cache.Len())
 	}
 	// Seen before the drop: one cold decode, resident again.
 	if l, err := st.Label(7); err != nil || l == second || st.cache.Len() != 1 {

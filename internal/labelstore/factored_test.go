@@ -50,8 +50,8 @@ func factoredGraphs(t testing.TB) map[string]*graph.Graph {
 // TestFactoredMatchesScheme is materialised ≡ extracted, container by
 // container: for every graph, the full store and a 7-id subset, every
 // Label from the factored file deep-equals the scheme's, every Raw is the
-// canonical encoding bit for bit, and the digests agree with an FSDL2
-// store of the same scheme.
+// canonical encoding bit for bit, and Has agrees with an FSDL2 store of
+// the same scheme.
 func TestFactoredMatchesScheme(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
@@ -700,9 +700,11 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 // past the radius, bits left over; and in a file of the PR 17–25 coding
 // the saturated bit over the wrong count, an id past n, a point that is
 // no net point of its level — is a corrupt record from every reader, like
-// a CRC failure, and never a label: not from Label, Raw or the digest,
-// not as a splice source, and a salvaging open lists it. The payloads of
-// today's coding are each refused for the reason they were bent for.
+// a CRC failure, and never a label: not from Label or Raw, not as a
+// splice source, and a salvaging open lists it. Has, which reads no
+// payload past the CRC, counts it present until the first failed read
+// condemns it. The payloads of today's coding are each refused for the
+// reason they were bent for.
 func TestFactoredHostileRecords(t *testing.T) {
 	g := gen.Path(60)
 	s := buildScheme(t, g)
@@ -728,6 +730,9 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		if !st.Has(victim) || st.Corrupt(victim) {
+			t.Errorf("%s: before any read: Has=%v Corrupt=%v, want a present record", name, st.Has(victim), st.Corrupt(victim))
+		}
 		if l, err := st.Label(victim); err == nil {
 			t.Fatalf("%s: decoded into a label (Validate: %v)", name, l.Validate())
 		}
@@ -736,9 +741,6 @@ func TestFactoredHostileRecords(t *testing.T) {
 		}
 		if _, _, ok := st.Raw(victim); ok {
 			t.Errorf("%s: Raw served the record", name)
-		}
-		if _, _, missing := st.DigestVertices([]int32{victim}); len(missing) != 1 {
-			t.Errorf("%s: digest counts the record present", name)
 		}
 		if err := Write(&seekBuffer{}, st, nil); err == nil {
 			t.Errorf("%s: the store copied the record into a new container", name)
@@ -793,7 +795,7 @@ func (b *seekBuffer) Seek(off int64, whence int) (int64, error) {
 
 // TestFactoredPutOverDamagedRecord: repair ingest over a factored
 // backing. The canonical record Put installs shadows the damaged balls
-// on disk; lookups, digests and the next container written from the
+// on disk; lookups, Has and the next container written from the
 // store (a shard's -persist) see the repaired label, and that container
 // is again the scheme's factored file byte for byte.
 func TestFactoredPutOverDamagedRecord(t *testing.T) {
@@ -847,7 +849,7 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 }
 
 // TestFactoredConcurrentReaders: eight readers on one mapped factored
-// store — cold labels, Raw transcodes, digests — beside DropCaches.
+// store — cold labels, Raw transcodes, Has — beside DropCaches.
 // Every label induced shares the file's level lists and the lazily built
 // whole lists are built under the readers' feet; run under -race.
 func TestFactoredConcurrentReaders(t *testing.T) {
@@ -885,8 +887,9 @@ func TestFactoredConcurrentReaders(t *testing.T) {
 						return
 					}
 				}
-				if i%50 == 0 {
-					st.DigestVertices([]int32{int32(v), int32((v + 1) % n)})
+				if !st.Has((v + 1) % n) {
+					t.Errorf("reader %d: Has(%d) is false", r, (v+1)%n)
+					return
 				}
 			}
 		}(r)

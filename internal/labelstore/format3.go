@@ -13,7 +13,7 @@
 //	                  to the next 4096-byte boundary
 //
 // The per-entry CRC is recordChecksum(vertex, bits, payload) — the same
-// integrity word FSDL2 stores and the anti-entropy digests fold.
+// integrity word FSDL2 stores, over the payload as stored.
 //
 // Every file written is *factored* (flag bits 0, 1 and 2). H_ℓ(v) is the
 // one level-ℓ net graph induced on B(v, r_ℓ), so the edges of a label are
@@ -59,7 +59,7 @@
 // docs/STORAGE.md):
 //
 //   - canonical (flags 0): Label.Encode bytes, the FSDL2 record payload;
-//     the index CRC is then the digest word itself.
+//     the index CRC is then the FSDL2 record's own.
 //   - self-contained compressed (flag bit 0 alone; the first compressed
 //     form): per level the points — count, gap-coded ids, then the first
 //     distance in gamma and zigzag(ΔD) in gamma — and the edges: count,
@@ -74,8 +74,8 @@
 // read.
 //
 // The index always records the *canonical* bit length, whatever the
-// payload encoding: canonical bytes are the currency of the digests, Put
-// and repair pulls, so a compressed store transcodes (decode +
+// payload encoding: canonical bytes are the currency of Put and repair
+// pulls, so a compressed store transcodes (decode +
 // deterministic re-encode) where raw canonical bytes are demanded and
 // both containers interoperate record for record. A cluster label fetch
 // takes a factored record as stored instead, and the length is what its

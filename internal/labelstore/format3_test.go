@@ -50,8 +50,9 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 
 // TestFormat3RoundTripEquivalence is the byte-level FSDL2↔FSDL3 gate:
 // across graph families, every record served from a (factored, mapped)
-// FSDL3 file must be byte-identical to the FSDL2 record, digests must
-// agree, and decoded labels must re-encode identically. The FSDL3
+// FSDL3 file must be byte-identical to the FSDL2 record, both stores
+// must hold the same ids (Has), and decoded labels must re-encode
+// identically. The FSDL3
 // encodings that are only read are held to the same by
 // TestLegacyFSDL3Reads.
 func TestFormat3RoundTripEquivalence(t *testing.T) {
@@ -85,6 +86,9 @@ func TestFormat3RoundTripEquivalence(t *testing.T) {
 			if ok2 != ok3 || b2 != b3 || !bytes.Equal(d2, d3) {
 				t.Fatalf("%s: vertex %d raw mismatch", name, v)
 			}
+			if h2, h3 := st2.Has(v), st3.Has(v); h2 != h3 || !h3 {
+				t.Fatalf("%s: vertex %d: Has %v in FSDL2, %v in FSDL3", name, v, h2, h3)
+			}
 			l3, err := st3.Label(v)
 			if err != nil {
 				t.Fatalf("%s: label %d: %v", name, v, err)
@@ -93,15 +97,6 @@ func TestFormat3RoundTripEquivalence(t *testing.T) {
 			if bits3 != b2 || !bytes.Equal(e3, d2) {
 				t.Fatalf("%s: vertex %d decoded label re-encodes differently", name, v)
 			}
-		}
-		ids := make([]int32, n)
-		for i := range ids {
-			ids[i] = int32(i)
-		}
-		dig2, p2, _ := st2.DigestVertices(ids)
-		dig3, p3, _ := st3.DigestVertices(ids)
-		if dig2 != dig3 || p2 != p3 {
-			t.Fatalf("%s: digest mismatch", name)
 		}
 		if err := st3.Close(); err != nil {
 			t.Fatal(err)

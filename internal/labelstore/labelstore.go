@@ -5,7 +5,7 @@
 //
 // A store file is one of two containers, both carriers of labels that
 // read back to the same canonical record bytes (Label.Encode output), so
-// digests, repair and Put interoperate across them, and a cluster
+// repair pulls and Put interoperate across them, and a cluster
 // frontend reads a factored file's records as stored (stored.go) beside
 // any other container's canonical ones. "FSDL2" is a stream:
 //
@@ -150,9 +150,7 @@ func readPayload(br *bufio.Reader, size int) ([]byte, error) {
 
 // recordChecksum is the per-record CRC32-IEEE the container format
 // stores after each record: over the vertex varint, the bit-length
-// varint and the payload. The anti-entropy digests reuse it, so "two
-// replicas hold the same record" is checked by the exact integrity
-// word that already guards the record on disk.
+// varint and the payload.
 func recordChecksum(v int, bits int, data []byte) uint32 {
 	var scratch [binary.MaxVarintLen64]byte
 	h := crc32.NewIEEE()
@@ -184,9 +182,6 @@ type Store struct {
 	// f3 is the FSDL3 backing (mmap'd bytes, a heap copy off unix), nil
 	// otherwise.
 	f3 *file3
-	// rawCache memoizes canonical transcodes of compressed FSDL3 records
-	// for the wire-serving path; nil unless the backing is compressed.
-	rawCache *lru.Cache[int32, record]
 
 	cache       *lru.Cache[int32, *core.Label]
 	cacheHits   atomic.Int64
@@ -369,7 +364,10 @@ func (st *Store) NumLabels() int {
 }
 
 // Has reports whether the label of v is present (in the heap overlay or
-// the on-disk index) and not known corrupt.
+// the on-disk index) and not known corrupt: an on-disk record must pass
+// its CRC check (memoized) and stay out of the corrupt set a failed
+// read puts it in. It is the repair audit's test of what a shard can
+// serve, and reads no payload past that check.
 func (st *Store) Has(v int) bool {
 	st.mu.RLock()
 	_, ok := st.labels[int32(v)]
@@ -407,10 +405,10 @@ func (st *Store) Vertices() []int {
 // Raw returns the canonical serialized label record of v without
 // decoding it — what a shard ships of every record a factored file does
 // not hold as stored (Stored), leaving decoding to the frontend, and what
-// digests and repair pulls compare. For an uncompressed FSDL3
-// backing the returned bytes alias the mapping (zero copy); compressed
-// records are transcoded to canonical form (memoized). The returned
-// bytes are shared and must not be mutated.
+// a repair pull installs. For an uncompressed FSDL3 backing the returned
+// bytes alias the mapping (zero copy); compressed records are
+// transcoded to canonical form on every call. The returned bytes are
+// shared and must not be mutated.
 func (st *Store) Raw(v int) (bits int, data []byte, ok bool) {
 	st.mu.RLock()
 	rec, ok := st.labels[int32(v)]
@@ -594,45 +592,4 @@ func (st *Store) Put(v int, bits int, data []byte) error {
 	}
 	st.labels[int32(v)] = record{bits: bits, data: slices.Clone(data)}
 	return nil
-}
-
-// DigestVertices computes the anti-entropy digest of the given vertex
-// ids: a CRC32-IEEE folded over the per-record checksums of the records
-// present, in ascending vertex order (duplicates collapsed), plus the
-// sorted ids the store does not hold. Intact replicas of a vertex are
-// byte-identical, so two stores are digest-equal over the same ids iff
-// they hold exactly the same subset of them — which makes digest
-// equality across replicas the convergence test for repair.
-func (st *Store) DigestVertices(ids []int32) (digest uint32, present int, missing []int32) {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	sorted = slices.Compact(sorted)
-	h := crc32.NewIEEE()
-	var word [4]byte
-	for _, v := range sorted {
-		st.mu.RLock()
-		rec, ok := st.labels[v]
-		st.mu.RUnlock()
-		var sum uint32
-		if ok {
-			sum = recordChecksum(int(v), rec.bits, rec.data)
-		} else if st.f3 != nil {
-			// For an uncompressed FSDL3 backing the verified index CRC is
-			// already the digest word — the on-disk index doubles as a
-			// precomputed digest table. Verification here also means the
-			// digest audit detects bit rot in mapped payloads, so
-			// anti-entropy repair can heal rotten records in place.
-			if sum, ok = st.digestWord3(v); !ok {
-				missing = append(missing, v)
-				continue
-			}
-		} else {
-			missing = append(missing, v)
-			continue
-		}
-		binary.LittleEndian.PutUint32(word[:], sum)
-		h.Write(word[:])
-		present++
-	}
-	return h.Sum32(), present, missing
 }

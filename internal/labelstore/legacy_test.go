@@ -74,7 +74,7 @@ func canonicalWithJunk(t *testing.T, victim int) string {
 
 // TestLegacyFSDL3Reads holds the three read-only FSDL3 encodings to what
 // every container owes its reader, each on the file that pins it: the
-// bytes are still the ones committed; Label, Raw and the digests are the
+// bytes are still the ones committed; Label, Raw and Has are the
 // scheme's (sameAsScheme), and a canonical file's Raw is the mapping
 // itself, not a copy; a flipped payload byte is exactly one corrupt
 // vertex to a salvaging open; and as a Write source each copies as the

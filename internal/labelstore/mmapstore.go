@@ -176,10 +176,10 @@ func (f *file3) payload(e index3Entry) []byte {
 
 // verify CRC-checks the record of slot i once, memoizing the verdict.
 // The corrupt set overrides the memoized verified bit: a record can be
-// condemned after its CRC passed (decode failure in the salvage scan,
-// transcode failure or canonical-length mismatch in rawFrom3), and that
-// verdict must stick. The ncorrupt gate keeps the common all-clean path
-// down to two atomic loads with no lock.
+// condemned after its CRC passed (decode failure in the salvage scan or
+// in Label, transcode failure or canonical-length mismatch in rawFrom3),
+// and that verdict must stick. The ncorrupt gate keeps the common
+// all-clean path down to two atomic loads with no lock.
 func (f *file3) verify(e index3Entry, slot int) bool {
 	if f.ncorrupt.Load() != 0 {
 		f.mu.RLock()
@@ -407,9 +407,6 @@ func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 	}
 	st := newStore(int(hdr.n), 0)
 	st.f3 = f3
-	if hdr.compressed() {
-		st.rawCache = lru.New[int32, record](DefaultDecodedCacheSize, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
-	}
 	f3.mu.RLock()
 	for v := range f3.corrupt {
 		rep.Corrupt = append(rep.Corrupt, v)
@@ -478,7 +475,7 @@ func (st *Store) CorruptVertices() []int32 {
 // CorruptCount reports how many stored records are currently known
 // corrupt and unhealed. Cheap enough for health probes: shards fold it
 // into the non-authoritative pong flag so frontends fail over while
-// the digest audit repairs the damage.
+// the repair audit heals the damage.
 func (st *Store) CorruptCount() int {
 	if st.f3 == nil {
 		return 0
@@ -492,10 +489,9 @@ func (st *Store) CorruptCount() int {
 	return len(st.CorruptVertices())
 }
 
-// SetDecodedCacheCapacity resizes the decoded-label LRU (and the
-// transcoded-record LRU of a compressed store) — memory-ceiling tuning
-// for out-of-core serving, where cached decoded labels are the dominant
-// heap cost. Must be called before the store is shared across
+// SetDecodedCacheCapacity resizes the decoded-label LRU — memory-ceiling
+// tuning for out-of-core serving, where cached decoded labels are the
+// dominant heap cost. Must be called before the store is shared across
 // goroutines (boot-time configuration).
 func (st *Store) SetDecodedCacheCapacity(capacity int) {
 	if capacity < 1 {
@@ -504,20 +500,15 @@ func (st *Store) SetDecodedCacheCapacity(capacity int) {
 	st.cache = lru.New[int32, *core.Label](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
 	st.levels = core.NewLevelTable(capacity)
 	st.admit(capacity)
-	if st.rawCache != nil {
-		st.rawCache = lru.New[int32, record](capacity, 8, func(k int32) uint64 { return lru.HashU32(uint32(k)) })
-	}
 }
 
-// DropCaches empties the decoded-label LRU, its table of shared level
-// lists and the transcoded-record LRU, for a store that has been swapped
-// out of service. Safe beside concurrent lookups: labels already handed
-// out stay valid (they keep the lists they share), later lookups decode
-// from the records again.
+// DropCaches empties the decoded-label LRU and its table of shared level
+// lists, for a store that has been swapped out of service. Safe beside
+// concurrent lookups: labels already handed out stay valid (they keep
+// the lists they share), later lookups decode from the records again.
 func (st *Store) DropCaches() {
 	st.cache.Flush()
 	st.levels.Reset()
-	st.rawCache.Flush()
 }
 
 // inOverlay reports whether v has a heap-overlay record (a Put-repaired
@@ -530,9 +521,9 @@ func (st *Store) inOverlay(v int32) bool {
 }
 
 // rawFrom3 returns the canonical record bytes of v from the FSDL3
-// backing, transcoding compressed payloads (memoized in rawCache —
-// transcodes cost a decode + re-encode, and digests, repair pulls and
-// canonical label fetches hit the same hot vertices repeatedly).
+// backing, transcoding a compressed payload (a parse and a re-encode)
+// on every call: repair pulls, the canonical splice and Put's conflict
+// check each read a record once.
 func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	bits, payload, ok := st.f3.storedPayload(v)
 	if !ok {
@@ -540,9 +531,6 @@ func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	}
 	if !st.f3.hdr.compressed() {
 		return bits, payload, true
-	}
-	if rec, ok := st.rawCache.Get(v); ok {
-		return rec.bits, rec.data, true
 	}
 	l, err := st.f3.parse(payload, v, nil)
 	if err != nil {
@@ -556,9 +544,7 @@ func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 		st.f3.markCorrupt(v)
 		return 0, nil, false
 	}
-	rec := record{bits: nbits, data: buf}
-	st.rawCache.Put(v, rec)
-	return rec.bits, rec.data, true
+	return nbits, buf, true
 }
 
 // label3 decodes the label of v from the FSDL3 backing, its level lists
@@ -583,24 +569,6 @@ func (st *Store) label3(v int32) (*core.Label, error) {
 		return nil, err
 	}
 	return l, nil
-}
-
-// digestWord3 returns the canonical record checksum of v from the FSDL3
-// backing — for uncompressed stores the verified index CRC is already
-// that word; compressed stores transcode.
-func (st *Store) digestWord3(v int32) (uint32, bool) {
-	if !st.f3.hdr.compressed() {
-		e, slot, ok := st.f3.find(v)
-		if !ok || !st.f3.verify(e, slot) {
-			return 0, false
-		}
-		return e.crc, true
-	}
-	bits, data, ok := st.rawFrom3(v)
-	if !ok {
-		return 0, false
-	}
-	return recordChecksum(int(v), bits, data), true
 }
 
 // RecordInfo describes one stored record for introspection (fsdl stats).

@@ -134,11 +134,12 @@ func TestSalvageCRCMismatchLastRecord(t *testing.T) {
 	}
 }
 
-// TestPutRepairsEmptyStoreToDigestEquality replays the anti-entropy
-// flow at the store level: an empty replacement store, fed records via
-// Put, converges to digest equality with its source — and the digest
-// disagrees at every intermediate step.
-func TestPutRepairsEmptyStoreToDigestEquality(t *testing.T) {
+// TestPutRepairsEmptyStoreToRawEquality replays the anti-entropy flow
+// at the store level: an empty replacement store, fed records via Put,
+// holds exactly the ids it was given at every step (Has, the repair
+// audit's test) and ends with every record byte-identical to its
+// source's (Raw).
+func TestPutRepairsEmptyStoreToRawEquality(t *testing.T) {
 	g := gen.Grid2D(5, 5)
 	s := buildScheme(t, g)
 	var buf bytes.Buffer
@@ -156,18 +157,19 @@ func TestPutRepairsEmptyStoreToDigestEquality(t *testing.T) {
 	if _, err := NewEmpty(0); err == nil {
 		t.Fatal("NewEmpty(0) accepted an empty vertex space")
 	}
-
-	all := make([]int32, src.NumVertices())
-	for i := range all {
-		all[i] = int32(i)
+	held := func(st *Store) (n int) {
+		for v := 0; v < src.NumVertices(); v++ {
+			if st.Has(v) {
+				n++
+			}
+		}
+		return n
 	}
-	wantDigest, wantPresent, srcMissing := src.DigestVertices(all)
-	if wantPresent != len(all) || len(srcMissing) != 0 {
-		t.Fatalf("full store digests as incomplete: present=%d missing=%v", wantPresent, srcMissing)
+	if got := held(src); got != src.NumVertices() {
+		t.Fatalf("full store holds %d of %d ids", got, src.NumVertices())
 	}
-	_, _, missing := dst.DigestVertices(all)
-	if len(missing) != len(all) {
-		t.Fatalf("empty store misses %d of %d ids", len(missing), len(all))
+	if got := held(dst); got != 0 {
+		t.Fatalf("empty store holds %d ids", got)
 	}
 
 	for i, v := range src.Vertices() {
@@ -175,10 +177,15 @@ func TestPutRepairsEmptyStoreToDigestEquality(t *testing.T) {
 		if err := dst.Put(v, bits, data); err != nil {
 			t.Fatalf("Put(%d): %v", v, err)
 		}
-		d, p, m := dst.DigestVertices(all)
-		if done := i == len(all)-1; done != (d == wantDigest && len(m) == 0) {
-			t.Fatalf("after %d puts: digest match=%v missing=%d present=%d, want convergence only at the end",
-				i+1, d == wantDigest, len(m), p)
+		if got := held(dst); got != i+1 || !dst.Has(v) {
+			t.Fatalf("after %d puts: %d ids held, Has(%d)=%v", i+1, got, v, dst.Has(v))
+		}
+	}
+	for _, v := range src.Vertices() {
+		wb, wd, _ := src.Raw(v)
+		gb, gd, ok := dst.Raw(v)
+		if !ok || gb != wb || !bytes.Equal(gd, wd) {
+			t.Fatalf("repaired record %d differs from its source", v)
 		}
 	}
 	if dst.NumLabels() != src.NumLabels() {
