@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"hash/crc32"
 	"net"
@@ -52,8 +53,11 @@ func unparsableFirstRecord(t *testing.T, path string) int {
 //     and the next sweep converges.
 //   - unparsable: a payload that passes its CRC and does not parse. The
 //     audit reads no payload past the CRC, so the record counts as
-//     present until the first failed Label condemns it; the next sweep
-//     then heals it.
+//     present until a read condemns it. The damaged shard is the
+//     victim's first owner and only the frontend reads it: the frontend
+//     drops the copy, fails over, and has the shard read the record
+//     canonically, which condemns it there; the repair hint it files
+//     wakes a sweep that pulls the record, and the sweep after converges.
 func TestRepairAuditHealsFactoredPartition(t *testing.T) {
 	g := gen.Grid2D(6, 6)
 	s, err := core.BuildScheme(g, 2)
@@ -72,10 +76,10 @@ func TestRepairAuditHealsFactoredPartition(t *testing.T) {
 			dir := t.TempDir()
 			m := &Membership{Replication: 2}
 			var stores []*labelstore.Store
-			victim := -1
-			for i, name := range []string{"shard0", "shard1"} {
-				path := filepath.Join(dir, name+".fsdl")
-				f, err := os.Create(path)
+			names, paths := []string{"shard0", "shard1"}, make([]string, 2)
+			for i, name := range names {
+				paths[i] = filepath.Join(dir, name+".fsdl")
+				f, err := os.Create(paths[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -83,10 +87,15 @@ func TestRepairAuditHealsFactoredPartition(t *testing.T) {
 					t.Fatal(err)
 				}
 				f.Close()
-				if i == 0 {
-					victim = tc.damage(t, path)
-				}
-				st, err := labelstore.Open(path)
+			}
+			victim := tc.damage(t, paths[0])
+			// The damaged copy serves under the name that makes it the
+			// victim's first owner, so a frontend read goes to it first.
+			if NewRing([]Node{{Name: names[0]}, {Name: names[1]}}, 2).Owners(int32(victim), nil)[0] != 0 {
+				names[0], names[1] = names[1], names[0]
+			}
+			for i, name := range names {
+				st, err := labelstore.Open(paths[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -125,14 +134,24 @@ func TestRepairAuditHealsFactoredPartition(t *testing.T) {
 
 			if tc.crcIntact {
 				sweep("before any read", 0, true)
-				if _, err := damaged.Label(victim); err == nil {
-					t.Fatal("the damaged record decoded into a label")
+				sweeps, repaired := fe.rep.sweeps.Load(), fe.rep.repaired.Load()
+				if l, err := fe.Label(context.Background(), victim); err != nil || l.V != int32(victim) {
+					t.Fatalf("the frontend's read of %d: %v", victim, err)
 				}
-				if damaged.Has(victim) {
-					t.Fatal("a failed read left the record present")
+				// The hinted sweep stores converged=false as it ends.
+				deadline := time.Now().Add(5 * time.Second)
+				for fe.rep.repaired.Load() == repaired || fe.Status().Repair.Converged {
+					if time.Now().After(deadline) {
+						t.Fatalf("no sweep pulled the record after the frontend's read (Has=%v, %+v)", damaged.Has(victim), fe.Status().Repair)
+					}
+					time.Sleep(5 * time.Millisecond)
 				}
+				if got := fe.rep.sweeps.Load() - sweeps; got != 1 || fe.rep.repaired.Load()-repaired != 1 {
+					t.Fatalf("the frontend's read woke %d sweeps, which repaired %d records; want 1 and 1", got, fe.rep.repaired.Load()-repaired)
+				}
+			} else {
+				sweep("audit of the damaged record", 1, false)
 			}
-			sweep("audit of the damaged record", 1, false)
 			if !damaged.Has(victim) || damaged.Corrupt(victim) {
 				t.Fatalf("after the pull: Has=%v Corrupt=%v", damaged.Has(victim), damaged.Corrupt(victim))
 			}

@@ -808,10 +808,14 @@ func (f *Frontend) scatterFetch(ctx context.Context, st *ringState, ids []int32)
 					c.breaker.record(time.Now(), err == nil)
 				}
 				var labels map[int32]*core.Label
+				var unparsable []int32
 				if err == nil {
-					labels = f.decodeRecords(ctx, st, c, recs)
+					labels, unparsable = f.decodeRecords(ctx, st, c, recs)
 				}
 				respCh <- groupResp{ids: gids, recs: recs, labels: labels, err: err}
+				if len(unparsable) > 0 {
+					f.condemn(context.WithoutCancel(ctx), st, c, unparsable)
+				}
 			}(st.nodes[node], gids)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 
 	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
@@ -41,9 +42,10 @@ var decodeCauseNames = [numDecodeCauses]string{"crc", "levels", "parse", "canoni
 // stored ones under the level graphs they name, canonical ones as they
 // are, with their level edge lists shared through f.levels. A record that
 // does not decode is left out — a corrupt copy, and another replica may
-// be intact — and counted by cause.
-func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardClient, recs map[int32]LabelRecord) map[int32]*core.Label {
-	labels := make(map[int32]*core.Label, len(recs))
+// be intact — and counted by cause. unparsable lists the stored records
+// that passed their CRC and still did not decode, for condemn.
+func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardClient, recs map[int32]LabelRecord) (labels map[int32]*core.Label, unparsable []int32) {
+	labels = make(map[int32]*core.Label, len(recs))
 	for v, rec := range recs {
 		if !rec.Present {
 			continue
@@ -75,11 +77,32 @@ func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardCli
 			f.met.decodeFailures[causeLevels].Add(1)
 		case errors.Is(err, labelstore.ErrCanonicalLength):
 			f.met.decodeFailures[causeCanonicalLength].Add(1)
+			unparsable = append(unparsable, v)
 		default:
 			f.met.decodeFailures[causeParse].Add(1)
+			unparsable = append(unparsable, v)
 		}
 	}
-	return labels
+	return labels, unparsable
+}
+
+// condemn has c read the records of ids — stored copies that passed their
+// CRC and did not decode here — as canonical ones (OpGetLabelsGen). The
+// shard's own read of them fails as well and condemns them there, so its
+// audit reports them missing from then on; a repair hint for each wakes
+// the repairer to pull them from an intact replica. The records that come
+// back are not needed: the scatter that met the damage has failed over.
+func (f *Frontend) condemn(ctx context.Context, st *ringState, c *shardClient, ids []int32) {
+	out := make(map[int32]LabelRecord, len(ids))
+	err := c.exchange(ctx, c.cfg.FetchTimeout, func(conn net.Conn) error {
+		return fetchLabels(conn, "shard "+c.node.Name, OpGetLabelsGen, st.gen, ids, f.n, out)
+	})
+	if err != nil {
+		return
+	}
+	for _, v := range ids {
+		f.noteUnknown(v)
+	}
 }
 
 // levelsFor returns the level graphs named by a stored record c sent

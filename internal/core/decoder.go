@@ -182,10 +182,12 @@ type scanPass struct {
 }
 
 // levelRun says that the candidates of a pass up to index end, from where
-// the run before it ended, were admitted at level lv.
+// the run before it ended, were admitted at level lv — self edges (U the
+// owner) when self is set.
 type levelRun struct {
-	end int
-	lv  int32
+	end  int
+	lv   int32
+	self bool
 }
 
 // reset empties the pass for a decode of numLevels levels.
@@ -233,6 +235,12 @@ type decodeScratch struct {
 	// own is ever written.
 	*faultFrame
 	own faultFrame
+	// compose is the frame own's run is composed from (composeRun), marks
+	// what own's faults say of its vertices at one level — the centers whose
+	// balls hold each, maskBitG if forbidden — zero but at touched's ids.
+	compose *faultFrame
+	marks   []uint64
+	touched []int32
 
 	// owners are the labels this decode scans itself: s and t unless the
 	// frame's run holds them, and under a Budget that ends before the run
@@ -310,6 +318,7 @@ var (
 	decodePoolNews   atomic.Int64
 	framesBuilt      atomic.Int64
 	framesReused     atomic.Int64
+	framesComposed   atomic.Int64
 	boundStops       atomic.Int64
 	targetRescans    atomic.Int64
 	certifiedDecodes atomic.Int64
@@ -339,7 +348,7 @@ func putScratch(sc *decodeScratch) {
 // memory. Slices are cleared to capacity: some are stored truncated, with
 // stale pointers still live in the backing array.
 func (sc *decodeScratch) dropRefs() {
-	sc.faultFrame = &sc.own
+	sc.faultFrame, sc.compose = &sc.own, nil
 	sc.ends = [2]*Label{}
 	dropAll(&sc.owners)
 	dropAll(&sc.frameOwners)
@@ -370,9 +379,10 @@ func dropAll[T any](s *[]T) {
 // first under a fault set, a lone query's included — and FramesReused
 // those that took them from the run an earlier decode on the same Decoder
 // had built: reused/built is the number of further pairs answered per
-// fault frame. BoundStops counts the decodes whose answer is the lower
-// bound their endpoint labels give (decode), found without settling t,
-// and TargetRescans those whose first solve, without t's own level lists,
+// fault frame; FramesComposed those that composed it (composeRun) instead.
+// BoundStops counts the decodes whose answer is the lower bound their
+// endpoint labels give (decode), found without settling t, and
+// TargetRescans those whose first solve, without t's own level lists,
 // missed it and scanned them. Certified counts the decodes the endpoint
 // labels answered alone — an s–t walk of H as short as their lower bound
 // — before any edge was scanned: no frame run built or reused, no bound
@@ -382,6 +392,7 @@ func dropAll[T any](s *[]T) {
 type DecoderPoolStats struct {
 	Gets, News                int64
 	FramesBuilt, FramesReused int64
+	FramesComposed            int64
 	BoundStops, TargetRescans int64
 	Certified, CoveredLists   int64
 }
@@ -390,7 +401,7 @@ type DecoderPoolStats struct {
 func DecoderPool() DecoderPoolStats {
 	return DecoderPoolStats{
 		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
-		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(),
+		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(), FramesComposed: framesComposed.Load(),
 		BoundStops: boundStops.Load(), TargetRescans: targetRescans.Load(),
 		Certified: certifiedDecodes.Load(), CoveredLists: coveredLists.Load(),
 	}

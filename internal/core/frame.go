@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"fsdl/internal/graph"
 )
@@ -74,10 +75,16 @@ type faultFrame struct {
 	// scanned once under a dense numbering of their own, and runArcs the
 	// same packed, which every decode under this key hands to the solver
 	// beside its pair's. Built (runBuilt) by the first decode whose Budget
-	// covers it, see decode.
+	// covers it, see decode; composed when composeRun built it (its tallies
+	// are short of a scan's: a traced or budgeted decode rebuilds it).
 	runBuilt bool
+	composed bool
 	run      scanPass
 	runArcs  graph.Arcs
+
+	// index is a shared frame's run as composeRun reads it (indexOf).
+	indexOnce sync.Once
+	index     []sketchCand
 }
 
 // Frame is the fault frame of one fault side, built once and frozen: its
@@ -86,6 +93,7 @@ type faultFrame struct {
 // goroutines may decode beside it (Opts.Frame). A frame is a function of
 // its fault labels alone — admission reads nothing of s or t — so every
 // pair asked under them gets the answer a fresh decode gives.
+// A decode whose fault side holds the frame's composes its run from it.
 type Frame struct {
 	// fr is a pointer so that a decode running under it stores what
 	// Opts.Frame points at, not an address derived from Opts: that would
@@ -142,7 +150,7 @@ func (f *faultFrame) matches(q *Query, patches []PatchEdge) bool {
 // rule tests protected balls — the masks. The run waits for the first
 // decode whose budget covers it (buildFrameRun).
 func (sc *decodeScratch) buildFrame(q *Query, patches []PatchEdge) {
-	sc.keyed, sc.runBuilt, sc.frameCost = true, false, -1
+	sc.keyed, sc.runBuilt, sc.composed, sc.frameCost = true, false, false, -1
 	sc.ablate = q.UnsafeIgnoreProtectedBalls
 	sc.keyParams = [3]int{q.S.C, q.S.MaxLevel, q.S.RShrink}
 	sc.lowest, sc.numLevels = q.S.C+1, len(q.S.Levels)
@@ -201,14 +209,20 @@ func (sc *decodeScratch) collectFaults(q *Query) {
 }
 
 // buildFrameRun scans the patch edges and the frame owners under no
-// budget, leaves the pass — its dense numbering with it — as the run, and
-// packs its candidates into arcs, which the first decode to reuse them
-// collapses (a lone query does not pay for that pass).
+// budget — or composes them from sc.compose's run, when the plan set it —
+// leaves the pass, its dense numbering with it, as the run, and packs its
+// candidates into arcs, which the first decode to reuse them collapses (a
+// lone query does not pay for that pass).
 func (sc *decodeScratch) buildFrameRun() {
-	framesBuilt.Add(1)
 	sc.scanPass.reset(sc.numLevels)
-	sc.emitPatches()
-	sc.scanOwners(sc.frameOwners, math.MaxInt, nil, true)
+	if sc.composed = sc.compose != nil; sc.composed {
+		framesComposed.Add(1)
+		sc.composeRun(sc.compose)
+	} else {
+		framesBuilt.Add(1)
+		sc.emitPatches()
+		sc.scanOwners(sc.frameOwners, math.MaxInt, nil, true)
+	}
 	sc.run, sc.scanPass = sc.scanPass, sc.run
 	sc.runArcs.Pack(len(sc.run.ids), sc.run.cands)
 	sc.runBuilt = true
@@ -359,4 +373,161 @@ func (sc *decodeScratch) ballSlot(x int32, base int) []uint64 {
 		sc.mask = append(sc.mask, 0)
 	}
 	return sc.mask[int(next)*W:][:W]
+}
+
+// --- a run composed from a shared frame's ---------------------------------
+
+// indexOf returns f's run as composeRun reads it, built by the first
+// caller, not NewFrame: keys k<<58 | self<<57 | a<<28 | b (level index,
+// self edge or not, the ends' dense ids, a self edge's owner first, else
+// the lower), sorted, each once at its lightest weight — the owners'
+// balls overlap, so the run holds a stored edge about three times.
+func (f *faultFrame) indexOf(sc *decodeScratch) []sketchCand {
+	f.indexOnce.Do(func() {
+		sc.byKey = sc.byKey[:0]
+		from := 0
+		for _, r := range f.run.levels {
+			for _, c := range f.run.cands[from:r.end] {
+				a, b, self := min(c.U, c.V), max(c.U, c.V), uint64(0)
+				if r.self {
+					a, b, self = c.U, c.V, 1
+				}
+				sc.byKey = append(sc.byKey, sketchCand{key: uint64(r.lv-int32(f.lowest))<<58 | self<<57 | uint64(a)<<28 | uint64(b), w: c.W})
+			}
+			from = r.end
+		}
+		sc.sortCandsByKey()
+		for _, c := range sc.byKey {
+			if n := len(f.index); n > 0 && f.index[n-1].key == c.key {
+				f.index[n-1].w = min(f.index[n-1].w, c.w)
+			} else {
+				f.index = append(f.index, c)
+			}
+		}
+		f.index = slices.Clip(f.index)
+	})
+	return f.index
+}
+
+// composesFrom reports whether the decode's own frame, keyed to q, may
+// compose its run from base's: the fused rule; base's fault labels among
+// q's and no degraded fault; the same patches, admitted alike, flag and
+// scheme parameters; for every vertex base scanned, the decode's label.
+func (sc *decodeScratch) composesFrom(base *faultFrame, q *Query, patches []PatchEdge) bool {
+	if sc.rule != admitFused || len(base.dvKey) > 0 || len(base.deKey) > 0 ||
+		base.ablate != sc.ablate || base.keyParams != sc.keyParams || base.numLevels != sc.numLevels ||
+		!slices.Equal(base.patchKey, patches) || !slices.Equal(base.patchKeys, sc.patchKeys) ||
+		len(base.run.ids) >= 1<<28 {
+		return false
+	}
+	for _, f := range base.vfKey {
+		if !slices.Contains(q.VertexFaults, f) {
+			return false
+		}
+	}
+	for _, ef := range base.efKey {
+		if !slices.Contains(q.EdgeFaults, ef) {
+			return false
+		}
+	}
+	for _, o := range sc.frameOwners {
+		if base.seenOwner.has(o.V) && !slices.Contains(base.frameOwners, o) {
+			return false
+		}
+	}
+	return true
+}
+
+// composeRun fills the pass with the run of the decode's own frame, under
+// base's numbering: base's candidates that the decode's faults leave, then
+// what the owners base lacks admit. Admission is an AND over the faults
+// reading (ℓ, x, y, F), and the owner only through its mayBeInPB row, so
+// a candidate base admitted survives unless an end is forbidden, it is a
+// forbidden edge of the lowest level, or one center's ball holds both
+// ends (a self edge: the point, and the owner's row — fillRow's — has the
+// center). The lists base's run walked count as walked.
+func (sc *decodeScratch) composeRun(base *faultFrame) {
+	idx := base.indexOf(sc)
+	sc.ids = append(sc.ids, base.run.ids...)
+	sc.idOf.keys = append(sc.idOf.keys[:0], base.run.idOf.keys...)
+	sc.idOf.vals, sc.idOf.n = append(sc.idOf.vals[:0], base.run.idOf.vals...), base.run.idOf.n
+	for k, lists := range base.run.scanned {
+		for _, l := range lists {
+			l.cover = coverWord{} // in base's center bits; none only skips a shortcut
+			sc.scanned[k] = append(sc.scanned[k], l)
+		}
+	}
+	if n := len(base.run.ids); len(sc.marks) < n {
+		sc.marks = make([]uint64, n)
+	}
+	const idMask = 1<<28 - 1
+	marks, ids := sc.marks, base.run.ids
+	k, owner := -1, int32(-1)
+	var row [1]uint64
+	for _, c := range idx {
+		u, v, self := int32(c.key>>28&idMask), int32(c.key&idMask), c.key>>57&1 == 1
+		if ck := int(c.key >> 58); ck != k {
+			k, owner = ck, -1
+			sc.markLevel(&base.run.idOf, k)
+		}
+		if self && u != owner {
+			owner = u
+			sc.fillRow(row[:], base.frameOwners[slices.IndexFunc(base.frameOwners, func(o *Label) bool { return o.V == ids[u] })], k)
+		}
+		a, b := marks[u], marks[v]
+		switch {
+		case (a|b)&maskBitG != 0:
+			continue
+		case self:
+			b &= row[0]
+		case k == 0:
+			if len(sc.feList) > 0 && containsSorted(sc.feList, unorderedKey(ids[u], ids[v])) {
+				continue
+			}
+			b = 0
+		default:
+			b &= a
+		}
+		if b != 0 {
+			continue
+		}
+		sc.cands = append(sc.cands, graph.DenseEdge{U: u, V: v, W: c.w})
+		if lv, n := int32(sc.lowest+k), len(sc.levels); n > 0 && sc.levels[n-1].lv == lv && sc.levels[n-1].self == self {
+			sc.levels[n-1].end++
+		} else {
+			sc.levels = append(sc.levels, levelRun{end: len(sc.cands), lv: lv, self: self})
+		}
+	}
+	sc.markLevel(nil, 0)
+	sc.owners = sc.owners[:0]
+	for _, o := range sc.frameOwners {
+		if !base.seenOwner.has(o.V) {
+			sc.owners = append(sc.owners, o)
+		}
+	}
+	sc.scanOwners(sc.owners, math.MaxInt, nil, true)
+}
+
+// markLevel clears the marks and, unless idOf is nil, sets those of level
+// index k on the vertices idOf numbers (see decodeScratch.marks).
+func (sc *decodeScratch) markLevel(idOf *i32map, k int) {
+	for _, id := range sc.touched {
+		sc.marks[id] = 0
+	}
+	sc.touched = sc.touched[:0]
+	if idOf == nil {
+		return
+	}
+	for j := sc.cmbOff[k]; j < sc.cmbOff[k+1]; j++ {
+		if id, ok := idOf.lookup(sc.cmbX[j]); ok {
+			sc.marks[id] = sc.cmbM[j]
+			sc.touched = append(sc.touched, id)
+		}
+	}
+	for _, v := range sc.fvList {
+		if id, ok := idOf.lookup(v); ok {
+			sc.marks[id] |= maskBitG
+			sc.touched = append(sc.touched, id)
+		}
+	}
 }

@@ -155,7 +155,7 @@ func encodeSeedLabels(tb testing.TB, g *graph.Graph, vs [4]int) (data [4][]byte,
 }
 
 // fuzzDecodeSels are the Opts selectors FuzzDecode seeds with.
-var fuzzDecodeSels = []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b, 0x3c, 0x6d, 0x88, 0xc8, 0xe8, 0xff}
+var fuzzDecodeSels = []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b, 0x3c, 0x50, 0x55, 0x6d, 0x75, 0x88, 0xc8, 0xe8, 0xff}
 
 // FuzzDecode drives Decode with labels decoded from bytes the fuzzer may
 // have bent into anything that still parses — four of them, s, t, f and
@@ -166,8 +166,12 @@ var fuzzDecodeSels = []byte{0, 1, 2, 3, 4, 5, 8, 16, 17, 0x1f, 0x20, 0x21, 0x2b,
 // patch g–t (admitted, or rejected where g is a fault), bit 3 a budget of
 // 8 << (2·(sel >> 6)) — 8, 32 or 128 cut the seeds' scans short, 512
 // covers them (they cost 348 under f, 439 under f and g) — bit 4 the
-// shared frame of the first step's fault side (matching that side, not the
-// others), bit 5 the balls-only run. Nothing
+// shared frame of the first step's fault side (matching that side; a step
+// whose faults hold f composes its run from it), bit 5 the balls-only run,
+// and bit 6, when bit 3 is clear, moves bit 4's frame to the patches alone:
+// a frame on a subset of every step's fault side, as a live delta's is,
+// which every untraced step without a degraded fault composes from.
+// Nothing
 // may panic, and every answer must be a fresh Decoder's without the frame,
 // and the reference's on the query as demote leaves it — for a
 // distance-only decode, within the labels' bound. The strict
@@ -285,7 +289,11 @@ func fuzzDecodeBatch(t *testing.T, data [4][]byte, n [4]int, sel byte) {
 	internAll(labels[:]...)
 	var frame *Frame
 	if sel&16 != 0 {
-		frame = NewFrame(&Query{S: ls, T: lt, VertexFaults: underF}, patches)
+		side := underF
+		if sel&(64|8) == 64 {
+			side = nil
+		}
+		frame = NewFrame(&Query{S: ls, T: lt, VertexFaults: side}, patches)
 	}
 	var dec Decoder
 	defer dec.Release()

@@ -12,14 +12,15 @@ import (
 // patch (none, admitted, rejected: its endpoint is a fault), a budget
 // (none, covering the frame's run, one short of it), t (outside the frame,
 // or one of its owners) and a shared frame (none, of this fault side, of
-// another) gets the plan the table below says — and the δ, exhausted flag
-// and walk referenceDecode gives. Two more rows take δ alone, no patch and
-// no budget to a fault side with a degraded fault, and to an ablated one.
+// another: one of its vertex faults, which the side holds) gets the plan
+// the table below says — and the δ, exhausted flag and walk
+// referenceDecode gives. Two more rows take δ alone, no patch and no
+// budget to a fault side with a degraded fault, and to an ablated one.
 //
-//	          framed        lean     bound              rescan                       certify                       shared
-//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, t no owner  bound, no budget, no degraded  frame of this side
-//	walk      budget ≠ short  no     no                 no                           no                            frame of this side
-//	trace     budget ≠ short  no     no                 no                           no                            frame of this side
+//	          framed        lean     bound              rescan                       certify                       shared              composed
+//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, t no owner  bound, no budget, no degraded  frame of this side  other frame, no budget
+//	walk      budget ≠ short  no     no                 no                           no                            frame of this side  other frame, no budget
+//	trace     budget ≠ short  no     no                 no                           no                            frame of this side  no
 //	Sketch    as trace
 func TestDecodePlan(t *testing.T) {
 	s, err := BuildScheme(ringLattice(t, 256), 2)
@@ -67,9 +68,10 @@ func TestDecodePlan(t *testing.T) {
 						}
 						name := fmt.Sprintf("%s/%s/%s/t owner %v/%s", kind, pname, budget, tOwner, frame)
 						want := plan{
-							shared: frame == "matching frame",
-							framed: budget != "short budget",
-							lean:   kind == "δ alone",
+							shared:   frame == "matching frame",
+							composed: frame == "other frame" && budget == "no budget" && (kind == "δ alone" || kind == "walk"),
+							framed:   budget != "short budget",
+							lean:     kind == "δ alone",
 						}
 						want.bound = want.lean && pname != "admitted patch"
 						want.rescan = want.bound && budget == "no budget" && !tOwner

@@ -216,7 +216,8 @@ type Opts struct {
 	Trace *Trace
 	// Frame is a shared fault frame (NewFrame). The decode runs beside it
 	// when its fault side matches (Frame.Matches), and under a frame of
-	// the Decoder's own, as without it, otherwise.
+	// the Decoder's own otherwise, composed from it when the fault side
+	// holds the frame's (see plan).
 	Frame *Frame
 }
 
@@ -379,18 +380,23 @@ func (q *Query) Validate() error {
 }
 
 // plan is how one decode runs: under Opts.Frame (shared) or the
-// Decoder's own frame, beside the frame's run (framed) or scanning its
-// owners itself, keeping no parent tree (lean), stopping at the labels'
-// bound L (bound), holding t's own level lists back (rescan), and
-// answering from the labels alone when they prove it (certify). plan
-// derives it; decode reads nothing else.
+// Decoder's own frame, whose run it may compose from Opts.Frame's
+// (composed), beside the frame's run (framed) or scanning its owners
+// itself, keeping no parent tree (lean), stopping at the labels' bound L
+// (bound), holding t's own level lists back (rescan), and answering from
+// the labels alone when they prove it (certify). plan derives it; decode
+// reads nothing else.
 type plan struct {
-	shared, framed, lean, bound, rescan, certify bool
+	shared, composed, framed, lean, bound, rescan, certify bool
 }
 
 // plan puts the decode of q under the right frame — o.Frame when it
 // matches, else the Decoder's own, rebuilt unless it was built from q's
 // fault side — and derives the rest from what o asks and the frame.
+//
+// An own frame's run is composed from o.Frame's when q's fault side holds
+// o.Frame's (composesFrom) and neither a trace, whose tallies it lacks,
+// nor a Budget, whose scan order it breaks, is asked; those rebuild one.
 //
 // A Budget is charged in scan order — s, t, then the frame's owners — so
 // one that ends before the last frame owner does cannot use a run scanned
@@ -417,11 +423,16 @@ type plan struct {
 // anything is scanned.
 func (sc *decodeScratch) plan(q *Query, o Opts) plan {
 	var p plan
-	sc.faultFrame = &sc.own
-	if f := o.Frame; f != nil && f.Matches(q, o.Patches) {
+	sc.faultFrame, sc.compose = &sc.own, nil
+	f, composable := o.Frame, o.Trace == nil && q.Budget <= 0
+	switch {
+	case f != nil && f.Matches(q, o.Patches):
 		sc.faultFrame, p.shared = f.fr, true
-	} else if !sc.matches(q, o.Patches) {
+	case !sc.matches(q, o.Patches) || sc.composed && !composable:
 		sc.buildFrame(q, o.Patches)
+	}
+	if f != nil && !p.shared && !sc.runBuilt && composable && sc.composesFrom(f.fr, q, o.Patches) {
+		sc.compose, p.composed = f.fr, true
 	}
 	p.framed = true
 	if q.Budget > 0 {
@@ -955,6 +966,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 					cands = append(cands, graph.DenseEdge{U: sc.pointID(pid, pts, e.XI), V: sc.pointID(pid, pts, e.YI), W: e.D})
 				}
 			}
+			mid := len(cands)
 			switch {
 			case first != nil || scanned == 0:
 			case !induced:
@@ -1031,8 +1043,11 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			}
 
 			room -= scanned
-			if len(cands) > before {
-				sc.levels = append(sc.levels, levelRun{end: len(cands), lv: int32(lowest + k)})
+			if mid > before {
+				sc.levels = append(sc.levels, levelRun{end: mid, lv: int32(lowest + k)})
+			}
+			if len(cands) > mid {
+				sc.levels = append(sc.levels, levelRun{end: len(cands), lv: int32(lowest + k), self: true})
 			}
 			admitted := len(cands) - before + reused
 			tally.admitted[k] += admitted

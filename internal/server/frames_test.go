@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -158,11 +160,13 @@ func putFrame(s *Server, kf keyedFrame) {
 // TestSharedFramesUnderPendingDelta: with a live delta pending, a fault
 // set earns a shared frame as it would without one, built from its fault
 // labels and the batch's patch labels, and serves only batches with the
-// same deletions and the same patches. Each Mutate drops the frames; a
-// frame from before an insert-only batch — same fault hash, other patches
-// — and one from before a deletion — put back under the new hash — are
-// dropped when found, never used, and every answer is a decode's with no
-// shared frame under the delta as it stands.
+// same deletions and the same patches. The batches also sight the delta's
+// side alone, first, so its frame is built beside the fault set's, at
+// the same batches. Each Mutate drops the frames; a frame from before an
+// insert-only batch — same fault hash, other patches — and one from
+// before a deletion — put back under the new hash — are dropped when
+// found, never used, and every answer is a decode's with no shared frame
+// under the delta as it stands.
 func TestSharedFramesUnderPendingDelta(t *testing.T) {
 	s, _, _ := newLiveServer(t, 6)
 	mutate := func(muts ...liveupdate.Mutation) {
@@ -176,7 +180,7 @@ func TestSharedFramesUnderPendingDelta(t *testing.T) {
 	}
 	mutate(liveupdate.Mutation{Op: liveupdate.MutInsert, U: 0, V: 35})
 	f := faultsOf([2]int{14, 15}, 8, 21)
-	for i, want := range []frameCounts{{0, 0, 0}, {1, 1, 1}, {1, 2, 1}} {
+	for i, want := range []frameCounts{{0, 0, 0}, {2, 1, 2}, {2, 2, 2}} {
 		askFaults(t, s, f)
 		if got := countsOf(s); got != want {
 			t.Fatalf("batch %d under one fault set with an insert pending: %+v, want %+v", i, got, want)
@@ -191,8 +195,8 @@ func TestSharedFramesUnderPendingDelta(t *testing.T) {
 	if kf := heldFrame(t, s); kf.f == stale.f || kf.key != stale.key {
 		t.Fatalf("after an insert-only batch: frame kept %v, key %x (was %x)", kf.f == stale.f, kf.key, stale.key)
 	}
-	if got := countsOf(s); got != (frameCounts{2, 3, 1}) {
-		t.Fatalf("after an insert-only batch: %+v, want the frame rebuilt over the new patches and used", got)
+	if got := countsOf(s); got != (frameCounts{4, 3, 2}) {
+		t.Fatalf("after an insert-only batch: %+v, want both frames rebuilt over the new patches and the fault set's used", got)
 	}
 
 	// A deletion: another fault hash and other fault labels. The frame of
@@ -205,8 +209,8 @@ func TestSharedFramesUnderPendingDelta(t *testing.T) {
 	if kf := heldFrame(t, s); kf.f == stale.f {
 		t.Fatal("a frame of other deletions served a batch")
 	}
-	if got := countsOf(s); got != (frameCounts{3, 4, 1}) {
-		t.Fatalf("after a deletion: %+v, want one frame built over it and used", got)
+	if got := countsOf(s); got != (frameCounts{6, 4, 2}) {
+		t.Fatalf("after a deletion: %+v, want both frames built over it and the fault set's used", got)
 	}
 }
 
@@ -340,9 +344,9 @@ func TestSharedFrameConcurrentBatches(t *testing.T) {
 // commit, batches read the new generation's labels with the old delta
 // still pending, and nothing has flushed the frames yet. The frame built
 // over generation 1's labels under that delta is dropped, not used: the
-// fault set gets a frame over generation 2's labels and the same patches,
-// and every answer is a decode's with no shared frame over those labels
-// under the delta.
+// fault set gets a frame over generation 2's labels and the same patches
+// — and so does the delta's side alone — and every answer is a decode's
+// with no shared frame over those labels under the delta.
 func TestSharedFrameSwapBeforeCommit(t *testing.T) {
 	s, _, _ := newLiveServer(t, 6)
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutDelete, U: 14, V: 20}, {Op: liveupdate.MutInsert, U: 0, V: 35}}); err != nil {
@@ -369,10 +373,82 @@ func TestSharedFrameSwapBeforeCommit(t *testing.T) {
 	if kf := heldFrame(t, s); kf.f == stale.f || kf.key != stale.key {
 		t.Fatalf("in the swap-before-commit window: the stale frame kept %v, key %x (was %x)", kf.f == stale.f, kf.key, stale.key)
 	}
-	if got := countsOf(s); got != (frameCounts{2, 4, 1}) {
-		t.Fatalf("in the swap-before-commit window: %+v, want one frame per generation", got)
+	if got := countsOf(s); got != (frameCounts{4, 4, 2}) {
+		t.Fatalf("in the swap-before-commit window: %+v, want two frames per generation: the fault set's and the delta's", got)
 	}
 	if err := s.live.Commit(res.Snapshot); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// neverFramed empties s's frame cache and its sightings, so that its next
+// batch finds no frame and earns none.
+func neverFramed(s *Server) {
+	s.frames.flush()
+	s.frames.mu.Lock()
+	s.frames.nSighted = 0
+	s.frames.mu.Unlock()
+}
+
+// TestSharedFrameComposedUnderPendingDelta: with a live delta pending, a
+// batch that brings faults of its own — each fault set asked once, so its
+// key never earns a frame — is handed the frame of the delta's side alone,
+// which the batches without faults of their own share, and its decodes
+// compose their frames from it. Every answer, walks included, is what a
+// server whose frame cache never hands out a frame gives.
+func TestSharedFrameComposedUnderPendingDelta(t *testing.T) {
+	s, g, _ := newLiveServer(t, 10)
+	ctl, _, _ := newLiveServer(t, 10)
+	muts := []liveupdate.Mutation{
+		{Op: liveupdate.MutDelete, U: 14, V: 15},
+		{Op: liveupdate.MutInsert, U: 0, V: 99},
+		{Op: liveupdate.MutDelete, U: 55, V: 65},
+	}
+	for _, srv := range []*Server{s, ctl} {
+		if _, err := srv.Mutate(muts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := [][2]int{{0, 99}, {5, 90}, {23, 77}, {11, 88}}
+	ctx := context.Background()
+	ask := func(what string, o *QueryOptions) {
+		t.Helper()
+		got, err := s.AnswerPairs(ctx, pairs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		neverFramed(ctl)
+		want, err := ctl.AnswerPairs(ctx, pairs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			g, w := got[i], want[i]
+			if g.Connected != w.Connected || g.Dist != w.Dist || g.Exact != w.Exact || g.Degraded != w.Degraded ||
+				g.Error != w.Error || !slices.Equal(g.Path, w.Path) {
+				t.Errorf("%s, pair %v: served %+v, without shared frames %+v", what, pairs[i], g, w)
+			}
+		}
+	}
+	ask("no faults", nil)
+	ask("no faults", nil) // the delta's side earns its frame
+	if got := countsOf(s); got.held != 1 {
+		t.Fatalf("after two batches without faults: %+v, want the delta's frame held", got)
+	}
+	composed, batches := core.DecoderPool().FramesComposed, countsOf(s).batches
+	rng := rand.New(rand.NewSource(41))
+	const n = 30
+	for i := 0; i < n; i++ {
+		f := graph.FaultVertices(rng.Intn(100))
+		u := rng.Intn(100)
+		nb := g.Neighbors(u)
+		f.AddEdge(u, int(nb[rng.Intn(len(nb))]))
+		ask(fmt.Sprintf("faults %v", f), &QueryOptions{Faults: f, Path: i%2 == 1})
+	}
+	if got := countsOf(s).batches - batches; got != n {
+		t.Errorf("%d of %d batches with faults of their own ran beside a shared frame, want all", got, n)
+	}
+	if got := core.DecoderPool().FramesComposed - composed; got < n/2 {
+		t.Errorf("%d decodes composed their frames in %d batches, want at least %d", got, n, n/2)
 	}
 }

@@ -92,7 +92,7 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_cache_flushes_total", "Cache invalidations caused by fail/recover.", m.cacheFlushes.Load())
 	x.Gauge("fsdl_cache_entries", "Entries currently cached.", int64(cacheLen))
 	x.Counter("fsdl_shared_frames_built_total", "Shared fault frames built: one per recurring fault set, on its second sighting, and again after a flush.", m.sharedFramesBuilt.Load())
-	x.Counter("fsdl_shared_frame_batches_total", "Batches whose decodes ran beside a shared fault frame instead of building their own.", m.sharedFrameBatches.Load())
+	x.Counter("fsdl_shared_frame_batches_total", "Batches whose decodes ran beside a shared fault frame, or composed their own from the shared frame of a live delta's faults, instead of building theirs from scratch.", m.sharedFrameBatches.Load())
 
 	x.Counter("fsdl_label_cache_hits_total", "Decoded-label cache hits in the store.", labelHits)
 	x.Counter("fsdl_label_cache_misses_total", "Decoded-label cache misses (label decoded from bytes).", labelMisses)
@@ -100,6 +100,7 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_decoder_pool_gets_total", "Decode-scratch checkouts from the shared pool.", pool.Gets)
 	x.Counter("fsdl_decoder_pool_news_total", "Checkouts that had to allocate a fresh scratch (gets minus news = reuses).", pool.News)
 	x.Counter("fsdl_decode_frames_built_total", "Decodes that scanned a fault set's owners into a fault frame (the first under a fault set; a lone query is one).", pool.FramesBuilt)
+	x.Counter("fsdl_decode_frames_composed_total", "Decodes that built a fault frame's run from a shared frame of part of their fault side (a live delta's), scanning only the owners it lacks.", pool.FramesComposed)
 	x.Counter("fsdl_decode_frames_reused_total", "Decodes that took the fault owners' sketch edges from a frame built before them: by an earlier decode on their Decoder, or a shared one.", pool.FramesReused)
 	x.Counter("fsdl_decode_bound_stops_total", "Decodes whose search ended at the lower bound the endpoint labels give (the largest gap between their distances to a shared net point), before settling t.", pool.BoundStops)
 	x.Counter("fsdl_decode_certified_total", "Decodes answered from the endpoint labels alone, before any edge was scanned: a net point both labels hold, whose distances from the two sum to the lower bound the labels give, reached from each by a self edge the fault set leaves.", pool.Certified)

@@ -385,14 +385,20 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	// cache is bypassed (patches are not part of the fault hash;
 	// compaction restores exactness and caching together). A shared frame
 	// serves such a batch only when it was built from the same patch
-	// labels as well (core.Frame.Matches).
+	// labels as well (core.Frame.Matches). A batch that brings faults of
+	// its own is also handed the frame of the delta's side alone (delta,
+	// under deltaHash) — the one the batches without faults of their own
+	// share — to compose its decodes' frames from.
 	var livePatches [][2]int32
 	livePending := false
+	var delta *graph.FaultSet
 	if s.live != nil {
 		var fe [][2]int32
 		fe, livePatches = s.live.Delta()
+		delta = s.effectiveFaults(nil)
 		for _, e := range fe {
 			faults.AddEdge(int(e[0]), int(e[1]))
+			delta.AddEdge(int(e[0]), int(e[1]))
 		}
 		if len(livePatches) > maxLivePatches {
 			livePatches = livePatches[:maxLivePatches]
@@ -400,6 +406,12 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 		livePending = len(fe) > 0 || len(livePatches) > 0
 	}
 	fhash := faultHash(faults, budget)
+	var deltaHash uint64
+	if delta != nil {
+		if deltaHash = faultHash(delta, budget); !livePending || deltaHash == fhash {
+			delta = nil
+		}
+	}
 
 	// Pin every label fetch in this batch to one label generation, and
 	// only AFTER the live delta was read above: if the delta came back
@@ -419,10 +431,10 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	// patches, every label decoded exactly once and shared read-only by
 	// all pairs. Built lazily: an all-hit batch decodes nothing.
 	var (
-		tmpl    *core.Query
-		patches []core.PatchEdge
-		frame   *core.Frame
-		framed  bool // the shared frames were asked
+		tmpl, deltaTmpl *core.Query
+		patches         []core.PatchEdge
+		frame           *core.Frame
+		framed          bool // the shared frames were asked
 	)
 	// One pooled decoder serves the whole batch: every miss reuses the
 	// same warmed-up scratch. Endpoint labels come straight from the
@@ -477,15 +489,34 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 					// the degraded tier — the decoder protects a maximal
 					// ball around it and the answer stays an upper bound
 					// on d_{G\F} — so resolution cannot fail.
+					lookup := func(v int) (*core.Label, error) { return label(ctx, v) }
+					if delta != nil {
+						// The delta's labels are the batch's, pointer for
+						// pointer, as composing asks.
+						deltaTmpl = &core.Query{Budget: budget}
+						_ = deltaTmpl.ResolveFaults(delta, lookup, true)
+						lookup = func(v int) (*core.Label, error) {
+							if l := faultLabel(deltaTmpl, v); l != nil {
+								return l, nil
+							}
+							return label(ctx, v)
+						}
+					}
 					tmpl = &core.Query{Budget: budget}
-					_ = tmpl.ResolveFaults(faults, func(v int) (*core.Label, error) { return label(ctx, v) }, true)
+					_ = tmpl.ResolveFaults(faults, lookup, true)
 					patches = s.decodePatches(ctx, label, livePatches)
 				}
 				q := *tmpl
 				q.S, q.T = ls, lt
 				if !framed {
 					framed = true
-					frame = s.sharedFrame(fhash, &q, patches)
+					var dq *core.Query
+					if deltaTmpl != nil {
+						d := *deltaTmpl
+						d.S, d.T = ls, lt
+						dq = &d
+					}
+					frame = s.sharedFrame(fhash, &q, deltaHash, dq, patches)
 				}
 				var path []int32
 				o := core.Opts{Patches: patches, Frame: frame}
@@ -528,11 +559,32 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 	return answers, nil
 }
 
-// sharedFrame returns the shared frame of q's fault side and the batch's
-// patches for the batch's decodes, when the frame cache has one or builds
-// it now, else nil. A fault side without fault labels or patches has
-// nothing to share.
-func (s *Server) sharedFrame(key uint64, q *core.Query, patches []core.PatchEdge) *core.Frame {
+// sharedFrame returns the shared frame for the batch's decodes, when the
+// frame cache has one or builds it now, else nil: the frame of q's fault
+// side and the batch's patches or, when there is none, that of delta's
+// side (nil: none asked), which the decodes compose their own frames from
+// (core.Opts.Frame). delta's key is looked up first, so that q's keys —
+// random, when a live batch brings faults of its own — do not push it out
+// of the sighting ring.
+func (s *Server) sharedFrame(key uint64, q *core.Query, deltaKey uint64, delta *core.Query, patches []core.PatchEdge) *core.Frame {
+	var base *core.Frame
+	if delta != nil {
+		base = s.cachedFrame(deltaKey, delta, patches)
+	}
+	f := s.cachedFrame(key, q, patches)
+	if f == nil {
+		f = base
+	}
+	if f != nil {
+		s.met.sharedFrameBatches.Add(1)
+	}
+	return f
+}
+
+// cachedFrame returns the frame cache's frame of q's fault side and these
+// patches, building it on the key's second sighting. A fault side without
+// fault labels or patches has nothing to share.
+func (s *Server) cachedFrame(key uint64, q *core.Query, patches []core.PatchEdge) *core.Frame {
 	if len(q.VertexFaults) == 0 && len(q.EdgeFaults) == 0 && len(patches) == 0 {
 		return nil
 	}
@@ -540,10 +592,24 @@ func (s *Server) sharedFrame(key uint64, q *core.Query, patches []core.PatchEdge
 	if built {
 		s.met.sharedFramesBuilt.Add(1)
 	}
-	if f != nil {
-		s.met.sharedFrameBatches.Add(1)
-	}
 	return f
+}
+
+// faultLabel returns the fault label q holds for vertex v, nil if none.
+func faultLabel(q *core.Query, v int) *core.Label {
+	for _, l := range q.VertexFaults {
+		if int(l.V) == v {
+			return l
+		}
+	}
+	for _, ef := range q.EdgeFaults {
+		for _, l := range ef {
+			if int(l.V) == v {
+				return l
+			}
+		}
+	}
+	return nil
 }
 
 // prefetch warms the label source with every distinct vertex the batch
