@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"slices"
 	"strings"
 	"testing"
@@ -58,6 +60,18 @@ type benchDoc struct {
 // measureFunc runs one kernel of a suite run (runJSON's measure).
 type measureFunc func(name string, fn func(b *testing.B)) benchResult
 
+// logGoroutines writes, before the strict kernel name runs, how many
+// goroutines exist and, when the caller's is not alone, every stack: none
+// of them is the kernel's, and one an earlier kernel left running would
+// allocate inside the kernel's exact allocs count.
+func logGoroutines(w io.Writer, name string) {
+	n := runtime.NumGoroutine()
+	fmt.Fprintf(w, "goroutines before %s: %d\n", name, n)
+	if n > 1 {
+		pprof.Lookup("goroutine").WriteTo(w, 1)
+	}
+}
+
 // benchmark runs one kernel under testing.Benchmark.
 func benchmark(name string, fn func(b *testing.B)) benchResult {
 	r := testing.Benchmark(fn)
@@ -96,6 +110,9 @@ func runJSON(path string, quick, timed bool, baseline, compare string, log io.Wr
 	measure := func(name string, fn func(b *testing.B)) benchResult {
 		if timed && !timedRow(name) {
 			return benchResult{Name: name}
+		}
+		if strictKernels[name] || decodeRow(name) {
+			logGoroutines(log, name)
 		}
 		return benchmark(name, fn)
 	}
@@ -1066,7 +1083,8 @@ func pairedGate(dir string, log io.Writer) (benchDoc, error) {
 	for _, r := range parent.Results {
 		byName[r.Name] = r
 	}
-	fmt.Fprintf(log, "\n### Paired rounds (%d each, medians)\n\n| kernel | parent ns/op | change ns/op | change/parent |\n|---|---:|---:|---:|\n", len(sides[1]))
+	fmt.Fprintf(log, "\n### Paired rounds (%d each, medians; min–max over the rounds)\n\n"+
+		"| kernel | parent ns/op | parent min–max | change ns/op | change min–max | change/parent |\n|---|---:|---:|---:|---:|---:|\n", len(sides[1]))
 	var regressions []string
 	compared := 0
 	timed := make(map[string]bool, len(rec.Results))
@@ -1076,17 +1094,20 @@ func pairedGate(dir string, log io.Writer) (benchDoc, error) {
 			continue
 		}
 		timed[r.Name] = true
+		changeSpread := spread(sides[1], r.Name)
 		p, ok := byName[r.Name]
 		if !ok || p.NsPerOp <= 0 {
-			fmt.Fprintf(log, "| %s | — | %.0f | new, not gated |\n", r.Name, r.NsPerOp)
+			fmt.Fprintf(log, "| %s | — | — | %.0f | %s | new, not gated |\n", r.Name, r.NsPerOp, changeSpread)
 			continue
 		}
 		compared++
 		r.ParentNsPerOp = p.NsPerOp
 		ratio := r.NsPerOp / p.NsPerOp
-		fmt.Fprintf(log, "| %s | %.0f | %.0f | %.2f |\n", r.Name, p.NsPerOp, r.NsPerOp, ratio)
+		parentSpread := spread(sides[0], r.Name)
+		fmt.Fprintf(log, "| %s | %.0f | %s | %.0f | %s | %.2f |\n", r.Name, p.NsPerOp, parentSpread, r.NsPerOp, changeSpread, ratio)
 		if ratio > 1.30 {
-			regressions = append(regressions, fmt.Sprintf("%s: %.0f ns/op, parent %.0f (%.2fx, limit 1.30x)", r.Name, r.NsPerOp, p.NsPerOp, ratio))
+			regressions = append(regressions, fmt.Sprintf("%s: %.0f ns/op (rounds %s), parent %.0f (rounds %s) (%.2fx, limit 1.30x)",
+				r.Name, r.NsPerOp, changeSpread, p.NsPerOp, parentSpread, ratio))
 		}
 	}
 	for _, p := range parent.Results {
@@ -1119,6 +1140,20 @@ func medians(docs []benchDoc) benchDoc {
 		out.Results = append(out.Results, r)
 	}
 	return out
+}
+
+// spread is "min–max" of row name's ns/op over the rounds docs: what the
+// medians the paired gate compares leave out.
+func spread(docs []benchDoc, name string) string {
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, d := range docs {
+		for _, x := range d.Results {
+			if x.Name == name {
+				lo, hi = min(lo, x.NsPerOp), max(hi, x.NsPerOp)
+			}
+		}
+	}
+	return fmt.Sprintf("%.0f–%.0f", lo, hi)
 }
 
 // median is the middle value of xs (the lower one of an even count).

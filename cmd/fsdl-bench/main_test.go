@@ -137,7 +137,8 @@ func TestPairedGate(t *testing.T) {
 		fails  string // the row the gate names, "" when it passes
 		logs   string
 	}{
-		"a decode kernel 50% slower":   {slower("decode_F16", 1.5), "decode_F16", ""},
+		"a decode kernel 50% slower": {slower("decode_F16", 1.5), "decode_F16",
+			"decode_F16: 1500 ns/op (rounds 1500–1500), parent 1000 (rounds 1000–1000) (1.50x, limit 1.30x)"},
 		"a frame build 40% slower":     {slower("new_frame_F4_rgg1024", 1.4), "new_frame_F4_rgg1024", ""},
 		"an untimed row twice as slow": {slower("server_batch", 2), "", ""},
 		"one round of three slower": {func(i int, name string, ns float64) (string, float64) {
@@ -145,13 +146,13 @@ func TestPairedGate(t *testing.T) {
 				return name, ns * 3
 			}
 			return name, ns
-		}, "", ""},
+		}, "", "| decode_F16 | 1000 | 1000–1000 | 1000 | 1000–3000 | 1.00 |"},
 		"a timed row renamed": {func(_ int, name string, ns float64) (string, float64) {
 			if name == "decode_F16" {
 				return "decode_F16_grid24", ns
 			}
 			return name, ns
-		}, "decode_F16", "| decode_F16_grid24 | — | 1000 | new, not gated |"},
+		}, "decode_F16", "| decode_F16_grid24 | — | — | 1000 | 1000–1000 | new, not gated |"},
 		"a timed row dropped": {func(_ int, name string, ns float64) (string, float64) {
 			if name == "new_frame_F4_rgg1024" {
 				return "", 0

@@ -35,6 +35,7 @@ import (
 	"fsdl"
 	"fsdl/internal/asciiviz"
 	"fsdl/internal/cluster"
+	"fsdl/internal/core"
 	graphpkg "fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/verify"
@@ -231,22 +232,32 @@ func cmdQueryDB(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	d, ok, err := st.Distance(*src, *dst, faults)
+	// The strict query: a fault label the store lacks is an error, never
+	// demoted, and a query that fails Validate has no answer — what
+	// Store.Distance answers — decoded once, the walk with it.
+	q, err := core.ResolveQuery(*src, *dst, faults, st.Label, false)
 	if err != nil {
 		return err
 	}
-	if !ok {
+	var res core.Result
+	var path []int32
+	if q != nil && q.Validate() == nil {
+		var o core.Opts
+		if *withPath {
+			o.Path = &path
+		}
+		var dec core.Decoder
+		res = dec.Decode(q, o)
+		dec.Release()
+	}
+	if !res.OK {
 		fmt.Fprintf(out, "%d and %d are DISCONNECTED in G \\ F (|F|=%d)\n", *src, *dst, faults.Size())
 		return nil
 	}
 	fmt.Fprintf(out, "estimated distance %d -> %d avoiding |F|=%d: %d (answered offline from %d stored labels)\n",
-		*src, *dst, faults.Size(), d, st.NumLabels())
+		*src, *dst, faults.Size(), res.Dist, st.NumLabels())
 	if *withPath {
-		// Re-decode with path reporting: same labels, same answer, plus
-		// the witness walk.
-		if _, path, err := st.DistanceRobustPath(*src, *dst, faults, 0); err == nil {
-			printPath(out, path)
-		}
+		printPath(out, path)
 	}
 	return nil
 }
@@ -436,11 +447,8 @@ func storeStats(path string, out io.Writer) error {
 	defer st.Close()
 	enc := st.Encoding()
 	desc := "FSDL" + strconv.Itoa(enc.Version)
-	if enc.Compressed {
-		desc += " compressed"
-	}
 	if enc.Factored {
-		desc += ", factored"
+		desc += " compressed, factored"
 	}
 	if enc.Mapped {
 		desc += ", mmap"
@@ -471,7 +479,7 @@ func storeStats(path string, out io.Writer) error {
 	fmt.Fprintf(out, "store %s: %s, n=%d vertices, %d records, %d bytes on disk\n",
 		path, desc, n, records, fi.Size())
 	saved := ""
-	if enc.Compressed && canonical > 0 {
+	if enc.Factored && canonical > 0 {
 		saved = fmt.Sprintf(" (%.1f%% smaller than canonical)", 100*(1-float64(stored)/float64(canonical)))
 	}
 	fmt.Fprintf(out, "payload: %d stored bytes, %d canonical bytes%s\n", stored, canonical, saved)

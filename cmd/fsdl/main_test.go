@@ -10,6 +10,8 @@ import (
 	"testing"
 
 	"fsdl"
+	"fsdl/internal/core"
+	graphpkg "fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 )
 
@@ -200,6 +202,55 @@ func TestCLIQueryDBPath(t *testing.T) {
 	}
 	if !strings.Contains(out, "path (") || !strings.Contains(out, "-> 35") {
 		t.Errorf("querydb -salvage -path output missing witness walk:\n%s", out)
+	}
+}
+
+// TestCLIQueryDBPathDecodesOnce: a strict querydb -path is one decode
+// — one scratch checked out of the decoder pool — and prints, byte for
+// byte, the answer the strict Store.Distance gives and the walk
+// DistanceRobustPath reports for the same query.
+func TestCLIQueryDBPathDecodesOnce(t *testing.T) {
+	gpath := genGraphFile(t)
+	dbPath := filepath.Join(t.TempDir(), "labels.fsdl")
+	if _, err := runCLI(t, "labels", "-in", gpath, "-out", dbPath); err != nil {
+		t.Fatal(err)
+	}
+	st, err := labelstore.Open(dbPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, fail := range []string{"7", "7,14,29"} {
+		var ids []int
+		for _, f := range strings.Split(fail, ",") {
+			v, _ := strconv.Atoi(f)
+			ids = append(ids, v)
+		}
+		faults := graphpkg.FaultVertices(ids...)
+		d, ok, err := st.Distance(0, 35, faults)
+		if err != nil || !ok {
+			t.Fatalf("-fail %s: Store.Distance (%d, %v, %v)", fail, d, ok, err)
+		}
+		_, walk, err := st.DistanceRobustPath(0, 35, faults, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		want.WriteString("estimated distance 0 -> 35 avoiding |F|=" + strconv.Itoa(len(ids)) + ": " + strconv.FormatInt(d, 10) +
+			" (answered offline from 36 stored labels)\n")
+		printPath(&want, walk)
+
+		before := core.DecoderPool().Gets
+		out, err := runCLI(t, "querydb", "-db", dbPath, "-s", "0", "-t", "35", "-fail", fail, "-path")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if gets := core.DecoderPool().Gets - before; gets != 1 {
+			t.Errorf("-fail %s: querydb -path checked out %d decode scratches, want 1", fail, gets)
+		}
+		if out != want.String() {
+			t.Errorf("-fail %s: querydb -path printed\n%s\nwant\n%s", fail, out, want.String())
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	// and answered whole (its CRC the one records name) and in part.
 	levels := LevelsRef{Generation: 2, CRC: 0x5eed}
 	f.Add(frame.Append(nil, OpLabels, AppendLabelResponse(nil, 100, []LabelRecord{
-		{Vertex: 5, Present: true, Stored: true, Nested: true, Bits: 300, CRC: 0xfeedface, Levels: levels, Data: []byte{9, 8, 7}},
+		{Vertex: 5, Present: true, Stored: true, Bits: 300, CRC: 0xfeedface, Levels: levels, Data: []byte{9, 8, 7}},
 		{Vertex: 6, Present: true, Bits: 8, Data: []byte{0xaa}},
 		{Vertex: 7, Present: true, Stored: true, Bits: 40, Levels: levels},
 		{Vertex: 8, Unknown: true},

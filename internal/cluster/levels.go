@@ -66,7 +66,7 @@ func (f *Frontend) decodeRecords(ctx context.Context, st *ringState, c *shardCli
 			continue
 		}
 		l, err := lv.Label(v, labelstore.StoredRecord{
-			Bits: rec.Bits, CRC: rec.CRC, Nested: rec.Nested, LevelsCRC: rec.Levels.CRC, Data: rec.Data,
+			Bits: rec.Bits, CRC: rec.CRC, LevelsCRC: rec.Levels.CRC, Data: rec.Data,
 		})
 		switch {
 		case err == nil:

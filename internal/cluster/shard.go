@@ -471,7 +471,7 @@ func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecor
 	if stored {
 		if sr, ok := st.Stored(int(v)); ok {
 			rec.Present, rec.Stored, rec.Bits, rec.Data = true, true, sr.Bits, sr.Data
-			rec.Nested, rec.CRC, rec.Levels = sr.Nested, sr.CRC, LevelsRef{Generation: gs.gen, CRC: sr.LevelsCRC}
+			rec.CRC, rec.Levels = sr.CRC, LevelsRef{Generation: gs.gen, CRC: sr.LevelsCRC}
 			s.LabelsServed.Add(1)
 			return rec
 		}

@@ -38,10 +38,6 @@ func ringLattice(n int) *graph.Graph {
 	return b.MustBuild()
 }
 
-// canonicalGrid6 is every label of grid 6×6 at ε = 2 as an uncompressed
-// FSDL3 file, an encoding that is read and no longer written.
-const canonicalGrid6 = "../labelstore/testdata/grid6_pr33.fsdl3"
-
 func mustScheme(t testing.TB, g *graph.Graph) *core.Scheme {
 	t.Helper()
 	s, err := core.BuildScheme(g, 2)
@@ -174,35 +170,30 @@ func failures(f *Frontend) [numDecodeCauses]int64 {
 	return out
 }
 
-// TestStoredLabelsMatchCanonical: for every vertex of a nested factored
-// ring4096 and rgg1024 file and of an older flat one, the label the
-// frontend decodes from the record as stored encodes byte for byte like
-// the one it decodes from the canonical record — and each frontend took
-// every record in the encoding its shard holds, under one level-graphs
-// fetch.
+// TestStoredLabelsMatchCanonical: for every vertex of a factored
+// ring4096, rgg1024 and path60 file (a path's low balls are local), the
+// label the frontend decodes from the record as stored encodes byte for
+// byte like the one it decodes from the canonical record — and each
+// frontend took every record in the encoding its shard holds, under one
+// level-graphs fetch.
 func TestStoredLabelsMatchCanonical(t *testing.T) {
 	dir := t.TempDir()
 	rgg, _, err := gen.RandomGeometric(1024, 0.056, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	flat, err := labelstore.Open(filepath.Join("..", "labelstore", "testdata", "path60_pr25.fsdl3c"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
-		name   string
-		st     *labelstore.Store
-		nested bool
+		name string
+		st   *labelstore.Store
 	}{
-		{"ring4096", factoredFile(t, filepath.Join(dir, "ring.fsdl"), labelstore.FromScheme(mustScheme(t, ringLattice(4096))), nil), true},
-		{"rgg1024", factoredFile(t, filepath.Join(dir, "rgg.fsdl"), labelstore.FromScheme(mustScheme(t, rgg)), nil), true},
-		{"path60 flat", flat, false},
+		{"ring4096", factoredFile(t, filepath.Join(dir, "ring.fsdl"), labelstore.FromScheme(mustScheme(t, ringLattice(4096))), nil)},
+		{"rgg1024", factoredFile(t, filepath.Join(dir, "rgg.fsdl"), labelstore.FromScheme(mustScheme(t, rgg)), nil)},
+		{"path60", factoredFile(t, filepath.Join(dir, "path.fsdl"), labelstore.FromScheme(mustScheme(t, gen.Path(60))), nil)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ids := tc.st.Vertices()
-			if sr, ok := tc.st.Stored(ids[0]); !ok || sr.Nested != tc.nested {
-				t.Fatalf("record %d as stored: ok=%v nested=%v, want nested=%v", ids[0], ok, sr.Nested, tc.nested)
+			if _, ok := tc.st.Stored(ids[0]); !ok {
+				t.Fatalf("record %d not held as stored", ids[0])
 			}
 			stored := replicatedFrontend(t, []*labelstore.Store{tc.st}, nil)
 			canonical := replicatedFrontend(t, []*labelstore.Store{heapCopy(t, tc.st)}, nil)
@@ -696,8 +687,8 @@ func TestShardServesOverlayRecordsCanonical(t *testing.T) {
 
 // TestClusterMixedEncodingsAcrossSwap: three shards at replication 2 —
 // shard0 on factored FSDL3 partitions (one record of them Put-healed),
-// shard1 on FSDL2, each from its own generation root, and shard2 on the
-// committed canonical FSDL3 file of generation A's labels, then on its
+// shard1 on FSDL2, each from its own generation root, and shard2 on a
+// store filled by Put with every label of generation A, then on its
 // root's factored generation B — answer every pair and fault set exactly like the
 // unpartitioned store, before and after a swap to a generation whose
 // level graphs differ. The swap drops the old generation's level graphs;
@@ -754,16 +745,15 @@ func TestClusterMixedEncodingsAcrossSwap(t *testing.T) {
 	var healed int
 	for i, nd := range nodes {
 		path := filepath.Join(roots[i], labelstore.GenerationDirName(genA), nd.Name+".fsdl")
-		switch i {
-		case 0:
+		if i == 0 {
 			healed = corruptFirstRecord(t, path)
-		case 2:
-			// Every label of the unmutated grid, as an uncompressed FSDL3
-			// file holds them: a superset of the shard's slice.
-			path = canonicalGrid6
 		}
-		st, err := labelstore.Open(path)
-		if err != nil {
+		var st *labelstore.Store
+		if i == 2 {
+			// Every label of the unmutated grid, without level graphs: a
+			// superset of the shard's slice.
+			st = heapCopy(t, fullA)
+		} else if st, err = labelstore.Open(path); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 && st.Encoding().Version != 2 {

@@ -158,7 +158,6 @@ type LabelRecord struct {
 	Data    []byte
 
 	Stored bool
-	Nested bool   // Stored: nested ball coding; the older flat one when unset
 	CRC    uint32 // Stored: the index CRC over Vertex, Bits and Data
 	Levels LevelsRef
 }
@@ -200,8 +199,9 @@ func (r LabelRecord) wireSize() int {
 // of the shard's store, then one record per requested vertex — its id,
 // a presence byte (0 absent, 1 canonical, 2 unknown, 3 stored), and for
 // a canonical record the bit length and bytes; for a stored one the
-// canonical bit length, a coding byte (1 nested), the record CRC, the
-// LevelsRef and the payload with its byte length.
+// canonical bit length, a coding byte (always 1: nested ball records,
+// the one FSDL3 encoding), the record CRC, the LevelsRef and the payload
+// with its byte length.
 func AppendLabelResponse(dst []byte, n int, recs []LabelRecord) []byte {
 	dst = binary.AppendUvarint(dst, uint64(n))
 	dst = binary.AppendUvarint(dst, uint64(len(recs)))
@@ -211,11 +211,7 @@ func AppendLabelResponse(dst []byte, n int, recs []LabelRecord) []byte {
 		case r.Stored:
 			dst = append(dst, 3)
 			dst = binary.AppendUvarint(dst, uint64(r.Bits))
-			nested := byte(0)
-			if r.Nested {
-				nested = 1
-			}
-			dst = append(dst, nested)
+			dst = append(dst, 1)
 			dst = binary.LittleEndian.AppendUint32(dst, r.CRC)
 			dst = appendLevelsRef(dst, r.Levels)
 			dst = binary.AppendUvarint(dst, uint64(len(r.Data)))
@@ -295,10 +291,10 @@ func ParseLabelResponse(payload []byte) (n int, recs []LabelRecord, err error) {
 				return 0, nil, fmt.Errorf("cluster: label response: bad bit length for stored record %d", i)
 			}
 			payload = payload[k:]
-			if len(payload) < 5 || payload[0] > 1 {
+			if len(payload) < 5 || payload[0] != 1 {
 				return 0, nil, fmt.Errorf("cluster: label response: bad coding or checksum of stored record %d", i)
 			}
-			rec.Nested, rec.CRC = payload[0] == 1, binary.LittleEndian.Uint32(payload[1:])
+			rec.CRC = binary.LittleEndian.Uint32(payload[1:])
 			ref, rest, ok := parseLevelsRef(payload[5:])
 			if !ok {
 				return 0, nil, fmt.Errorf("cluster: label response: truncated level graphs of stored record %d", i)

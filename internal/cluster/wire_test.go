@@ -117,7 +117,7 @@ func TestRepairRequestRoundTrip(t *testing.T) {
 
 func TestStoredRecordRoundTrip(t *testing.T) {
 	recs := []LabelRecord{
-		{Vertex: 4, Present: true, Stored: true, Nested: true, Bits: 11563, CRC: 0xdeadbeef,
+		{Vertex: 4, Present: true, Stored: true, Bits: 11563, CRC: 0xdeadbeef,
 			Levels: LevelsRef{Generation: 3, CRC: 0x01020304}, Data: []byte{1, 2, 3, 4, 5}},
 		{Vertex: 5, Present: true, Bits: 12, Data: []byte{0xaa, 0x0b}},
 		{Vertex: 6, Present: true, Stored: true, Bits: 9, CRC: 7, Levels: LevelsRef{Generation: 1 << 40}},
@@ -130,7 +130,7 @@ func TestStoredRecordRoundTrip(t *testing.T) {
 	}
 	for i, r := range recs {
 		g := got[i]
-		if g.Stored != r.Stored || g.Nested != r.Nested || g.CRC != r.CRC || g.Levels != r.Levels ||
+		if g.Stored != r.Stored || g.CRC != r.CRC || g.Levels != r.Levels ||
 			g.Bits != r.Bits || g.Present != r.Present || g.Unknown != r.Unknown || !bytes.Equal(g.Data, r.Data) {
 			t.Fatalf("record %d: %+v, sent %+v", i, g, r)
 		}
@@ -138,14 +138,23 @@ func TestStoredRecordRoundTrip(t *testing.T) {
 	if !bytes.Equal(AppendLabelResponse(nil, 100, got), enc) {
 		t.Fatal("stored records do not re-encode to the same bytes")
 	}
-	// A coding byte past 1, and a payload longer than what is left, are
+	// The coding byte is always 1 (nested ball records, the one FSDL3
+	// encoding); any other, and a payload longer than what is left, are
 	// refused. The coding byte sits before the record CRC, the LevelsRef
 	// (a one-byte generation here), the payload length and the payload.
 	one := AppendLabelResponse(nil, 100, recs[:1])
-	coding := bytes.Clone(one)
-	coding[len(coding)-len(recs[0].Data)-1-4-1-4-1] = 2
+	at := len(one) - len(recs[0].Data) - 1 - 4 - 1 - 4 - 1
+	if one[at] != 1 {
+		t.Fatalf("a stored record goes out with coding byte %d, want 1", one[at])
+	}
+	codingByte := func(b byte) []byte {
+		out := bytes.Clone(one)
+		out[at] = b
+		return out
+	}
 	for name, bad := range map[string][]byte{
-		"coding byte 2":     coding,
+		"coding byte 0":     codingByte(0),
+		"coding byte 2":     codingByte(2),
 		"payload truncated": one[:len(one)-1],
 	} {
 		if _, _, err := ParseLabelResponse(bad); err == nil {

@@ -559,7 +559,7 @@ func DecodeLabel(buf []byte, nbits int) (*Label, error) {
 }
 
 // decodeLabel is DecodeLabel taking each level's edge slice from alloc
-// (nil: a fresh allocation) — see LevelTable.Parse.
+// (nil: a fresh allocation) — see LevelTable.DecodeLabel.
 func decodeLabel(buf []byte, nbits int, alloc func(n int) []EdgeEntry) (*Label, error) {
 	r := bitio.NewReader(buf, nbits)
 	l := &Label{}

@@ -70,20 +70,19 @@ func NewLevelCensus() *LevelTable {
 // Validate and not yet be shared.
 func (t *LevelTable) Intern(l *Label) { t.internLevels(l, false) }
 
-// Parse runs a label parser and interns what it returns, without the
-// label ever owning a private copy of a list the table holds: the parser
-// takes the slice for each level's edges from alloc, which carves them
-// out of one staging buffer reused from parse to parse, and the label
-// ends up with the canonical list where there is one and an exact copy
-// where there is not. parse must return a validated label or an error; a
-// record that fails to parse never reaches the table.
-func (t *LevelTable) Parse(parse func(alloc func(n int) []EdgeEntry) (*Label, error)) (*Label, error) {
+// DecodeLabel is core.DecodeLabel interning what it returns, without the
+// label ever owning a private copy of a list the table holds: the decoder
+// takes the slice for each level's edges out of one staging buffer reused
+// from decode to decode, and the label ends up with the canonical list
+// where there is one and an exact copy where there is not. A record that
+// fails to decode never reaches the table.
+func (t *LevelTable) DecodeLabel(buf []byte, nbits int) (*Label, error) {
 	stage := stagePool.Get().(*[]EdgeEntry)
 	defer func() {
 		*stage = (*stage)[:0]
 		stagePool.Put(stage)
 	}()
-	l, err := parse(func(n int) []EdgeEntry {
+	l, err := decodeLabel(buf, nbits, func(n int) []EdgeEntry {
 		if n == 0 {
 			return []EdgeEntry{} // never a zero-length window pinning the stage
 		}
@@ -99,11 +98,6 @@ func (t *LevelTable) Parse(parse func(alloc func(n int) []EdgeEntry) (*Label, er
 }
 
 var stagePool = sync.Pool{New: func() any { return new([]EdgeEntry) }}
-
-// DecodeLabel is core.DecodeLabel through Parse.
-func (t *LevelTable) DecodeLabel(buf []byte, nbits int) (*Label, error) {
-	return t.Parse(func(alloc func(int) []EdgeEntry) (*Label, error) { return decodeLabel(buf, nbits, alloc) })
-}
 
 // internLevels is Intern; staged says l's edge lists are windows of a
 // staging buffer, to be copied out where they are not replaced.

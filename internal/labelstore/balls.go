@@ -590,11 +590,10 @@ func (e *BallEncoder) Encode(l *core.Label) ([]byte, error) {
 	return e.w.Bytes(), nil
 }
 
-// BallStats parses every intact record of a factored store in the nested
-// coding and returns the per-level tally, lowest level first; nil for any
-// other store.
+// BallStats parses every intact record of a factored store and returns
+// the per-level tally, lowest level first; nil for any other store.
 func (st *Store) BallStats() ([]BallLevelStats, error) {
-	if st.f3 == nil || st.f3.levels == nil || !st.f3.hdr.nested() {
+	if st.f3 == nil || st.f3.levels == nil {
 		return nil, nil
 	}
 	c := st.f3.levels.balls

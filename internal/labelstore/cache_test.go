@@ -106,11 +106,7 @@ func TestAdmissionFilterBoundedByRecords(t *testing.T) {
 // of the same vertices (run under -race).
 func TestDecodedCacheConcurrentTouch(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	st, err := Open(canonicalFSDL3) // canonical records: their lists go through the level table
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	st := loadedStore(t, s) // canonical records: their lists go through the level table
 	st.SetDecodedCacheCapacity(16)
 	// Every label comes back with its level lists interned — or not, when
 	// the table was just dropped under it — and is the stored record

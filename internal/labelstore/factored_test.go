@@ -3,6 +3,7 @@ package labelstore
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -63,7 +64,7 @@ func TestFactoredMatchesScheme(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if enc := st.Encoding(); !enc.Factored || !enc.Compressed || enc.Version != 3 {
+			if enc := st.Encoding(); !enc.Factored || enc.Version != 3 {
 				t.Fatalf("%s: a scheme's FSDL3 store is %+v", name, enc)
 			}
 			sameAsScheme(t, name, st, s, ids)
@@ -257,9 +258,7 @@ func setFormat3Header(data []byte, set func(page []byte)) []byte {
 	set(out)
 	le := binary.LittleEndian
 	le.PutUint32(out[60:], crc32.ChecksumIEEE(out[:60]))
-	if out[5]&format3FlagFactored != 0 {
-		le.PutUint32(out[format3SectionAt+20:], crc32.ChecksumIEEE(out[:format3SectionAt+20]))
-	}
+	le.PutUint32(out[format3SectionAt+20:], crc32.ChecksumIEEE(out[:format3SectionAt+20]))
 	return out
 }
 
@@ -272,42 +271,37 @@ func writeTemp(t testing.TB, data []byte) string {
 	return path
 }
 
-// TestFormat3RejectsUnknownFlags: a flag bit this reader does not know
-// changes what the bytes mean, so the file is refused by every opener —
-// with an error that says why — instead of being misread. (A reader
-// from before PR 17 ignored byte 5 beyond bit 0 and cannot be fixed
-// retroactively; see docs/STORAGE.md.) That check is also what keeps a
-// PR 17–25 binary off the nested ball records: it knows bits 0 and 1,
-// and every factored file written since carries bit 2.
+// TestFormat3RejectsUnknownFlags: FSDL3 has one encoding, header byte
+// 5 = 0x07, and every opener refuses every other value of that byte —
+// the three earlier payload encodings (0x00, 0x01, 0x03) among them, and
+// bits no version has defined — with an error that names the byte,
+// instead of misreading the file. That check is also what keeps a PR
+// 17–25 binary off the nested ball records: it knows bits 0 and 1, and
+// refuses bit 2 as "format flags 0x04".
 func TestFormat3RejectsUnknownFlags(t *testing.T) {
 	written, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", buildScheme(t, gen.Grid2D(4, 4)), nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := os.ReadFile(canonicalFSDL3)
-	if err != nil {
-		t.Fatal(err)
+	if written[5] != format3Flags {
+		t.Fatalf("a written file carries flags %#02x, want %#02x", written[5], format3Flags)
 	}
-	const factoredOnlyFlags = format3FlagCompressed | format3FlagFactored // all a flat-balls reader knows
-	if unknown := written[5] &^ factoredOnlyFlags; unknown != format3FlagNested {
-		t.Errorf("a written file shows a flat-balls reader the unknown flags %#02x, want %#02x (refused as \"format flags 0x04\")", unknown, format3FlagNested)
-	}
-	for file, good := range map[string][]byte{"written": written, "canonical": canonical} {
-		path := writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] |= 1 << 3 }))
-		_, errOpen := Open(path)
-		_, _, errPartial := OpenPartial(path)
-		for name, err := range map[string]error{"Open": errOpen, "OpenPartial": errPartial} {
-			if err == nil || !strings.Contains(err.Error(), "format flags 0x08") {
-				t.Errorf("%s file: %s with flag bit 3 set: %v, want an unknown-flag error", file, name, err)
+	for b := 0; b < 256; b++ {
+		path := writeTemp(t, setFormat3Header(written, func(page []byte) { page[5] = byte(b) }))
+		st, errOpen := Open(path)
+		sp, _, errPartial := OpenPartial(path)
+		if b == format3Flags {
+			if errOpen != nil || errPartial != nil {
+				t.Fatalf("flags %#02x: Open %v, OpenPartial %v", b, errOpen, errPartial)
 			}
+			st.Close()
+			sp.Close()
+			continue
 		}
-	}
-	// The factored flag makes no sense without the compressed one, nor the
-	// nested flag without the factored one.
-	good := canonical
-	for _, flags := range []byte{format3FlagFactored, format3FlagNested, format3FlagCompressed | format3FlagNested} {
-		if _, err := Open(writeTemp(t, setFormat3Header(good, func(page []byte) { page[5] = flags }))); err == nil {
-			t.Errorf("flags %#02x accepted", flags)
+		for name, err := range map[string]error{"Open": errOpen, "OpenPartial": errPartial} {
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("byte 5 is %#02x", b)) {
+				t.Fatalf("flags %#02x: %s: %v, want an error naming the byte", b, name, err)
+			}
 		}
 	}
 }
@@ -420,129 +414,6 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 	}
 }
 
-// encodePoints appends one level's ball in the flat ball coding
-// (parsePoints): with ids the point count and the gap-coded ids, then in
-// either case the distances — the first in gamma, the rest as zigzag(ΔD)
-// in gamma.
-func encodePoints(w *bitio.Writer, pts []core.PointEntry, ids bool) {
-	if ids {
-		w.WriteDelta(uint64(len(pts)))
-	}
-	prev := int64(-1)
-	prevD := int64(0)
-	for i, pe := range pts {
-		if ids {
-			w.WriteDelta(uint64(int64(pe.X) - prev - 1))
-			prev = int64(pe.X)
-		}
-		if i == 0 {
-			w.WriteGamma(uint64(pe.D))
-		} else {
-			w.WriteGamma(zigzag(int64(pe.D) - prevD))
-		}
-		prevD = int64(pe.D)
-	}
-}
-
-// encodeFlatBalls is the record writer of PR 17–25, kept here for the
-// files of that time, which still open (parseFlatBalls): per level,
-// bottom one first, a saturated bit and the points — count and id gaps
-// left out when the bit is set.
-func encodeFlatBalls(l *core.Label, lg *core.LevelGraphs, w *bitio.Writer) {
-	for k := range l.Levels {
-		pts := l.Levels[k].Points
-		saturated := len(pts) == len(lg.NetPoints(k))
-		w.WriteBits(uint64(b2i(saturated)), 1)
-		encodePoints(w, pts, !saturated)
-	}
-}
-
-// hostileFlatBalls are record payloads in the PR 17–25 coding for a
-// vertex of lg that no writer produced: each parses as bits, and each
-// must be refused before it becomes a label.
-func hostileFlatBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) map[string][]byte {
-	t.Helper()
-	n := lg.NumVertices()
-	levels := lg.Params().NumLevelRange()
-	// encode writes good's balls with level index 1 replaced by what
-	// level1 writes.
-	encode := func(level1 func(w *bitio.Writer)) []byte {
-		var w bitio.Writer
-		for k := 0; k < levels; k++ {
-			if k == 1 {
-				level1(&w)
-				continue
-			}
-			pts := good.Levels[k].Points
-			sat := len(pts) == len(lg.NetPoints(k))
-			if sat {
-				w.WriteBits(1, 1)
-			} else {
-				w.WriteBits(0, 1)
-			}
-			encodePoints(&w, pts, !sat)
-		}
-		return bytes.Clone(w.Bytes())
-	}
-	net := lg.NetPoints(1)
-	outsider := 0
-	for i, x := range net { // first vertex that is not a net point of level index 1
-		if int(x) != i {
-			break
-		}
-		outsider = i + 1
-	}
-	if outsider >= n || len(net) < 3 {
-		t.Fatalf("fixture: level index 1 has %d net points over %d vertices", len(net), n)
-	}
-	return map[string][]byte{
-		"all ones": bytes.Repeat([]byte{0xff}, 40),
-		"saturated bit, one distance short": encode(func(w *bitio.Writer) {
-			w.WriteBits(1, 1)
-			encodePoints(w, make([]core.PointEntry, len(net)-1), false)
-		}),
-		"saturated bit, one distance over": encode(func(w *bitio.Writer) {
-			w.WriteBits(1, 1)
-			encodePoints(w, make([]core.PointEntry, len(net)+1), false)
-		}),
-		"ball naming a vertex past n": encode(func(w *bitio.Writer) {
-			w.WriteBits(0, 1)
-			encodePoints(w, []core.PointEntry{{X: net[0]}, {X: int32(n + 3)}}, true)
-		}),
-		"ball naming a point outside the level": encode(func(w *bitio.Writer) {
-			w.WriteBits(0, 1)
-			encodePoints(w, []core.PointEntry{{X: int32(outsider)}}, true)
-		}),
-		"every net point but one, counted full": encode(func(w *bitio.Writer) {
-			pts := make([]core.PointEntry, 0, len(net))
-			pts = append(pts, core.PointEntry{X: int32(outsider)})
-			for _, x := range net[1:] {
-				if x > int32(outsider) {
-					pts = append(pts, core.PointEntry{X: x})
-				}
-			}
-			for x := int32(0); len(pts) < len(net); x++ { // pad back up to the count with non-net points
-				pts = append(pts, core.PointEntry{X: int32(n) + x})
-			}
-			w.WriteBits(0, 1)
-			encodePoints(w, pts, true)
-		}),
-		"distance past the ball radius": encode(func(w *bitio.Writer) {
-			w.WriteBits(0, 1)
-			encodePoints(w, []core.PointEntry{{X: net[0], D: 1 << 20}}, true)
-		}),
-		"a level missing": func() []byte {
-			var w bitio.Writer
-			for k := 0; k < levels-1; k++ {
-				w.WriteBits(0, 1)
-				encodePoints(&w, nil, true)
-			}
-			return bytes.Clone(w.Bytes())
-		}(),
-		"empty": {},
-	}
-}
-
 // hostileBall is a factored record payload a writer never produces, and
 // a piece of the error that must refuse it.
 type hostileBall struct {
@@ -645,10 +516,8 @@ func hostileBalls(t testing.TB, lg *core.LevelGraphs, good *core.Label) []hostil
 }
 
 // writeFactoredWithPayload writes the full factored store of s with the
-// victim's record replaced by a raw payload under a valid record CRC —
-// with nested unset as a PR 17–25 writer laid the file out: every record
-// in that coding (the payload is taken to be, too) and flag bit 2 clear.
-func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload []byte, nested bool) string {
+// victim's record replaced by a raw payload under a valid record CRC.
+func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload []byte) string {
 	t.Helper()
 	n := s.Graph().NumVertices()
 	path := filepath.Join(t.TempDir(), "store.fsdl3c")
@@ -664,15 +533,9 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	}
 	for v := 0; v < n; v++ {
 		r := rec{label: s.Label(v)}
-		if v == victim || !nested {
+		if v == victim {
 			_, bits := r.label.Encode()
-			data := payload
-			if v != victim {
-				var enc bitio.Writer
-				encodeFlatBalls(r.label, lg, &enc)
-				data = enc.Bytes()
-			}
-			r = rec{bits: bits, data: data, prm: paramsOfScheme(lg.Params())}
+			r = rec{bits: bits, data: payload, prm: paramsOfScheme(lg.Params())}
 		}
 		if err := w.add(v, r); err != nil {
 			t.Fatal(err)
@@ -681,30 +544,29 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	if err := w.finish(); err != nil {
 		t.Fatal(err)
 	}
-	if !nested {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data = setFormat3Header(data, func(page []byte) { page[5] &^= format3FlagNested })
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	return path
+}
+
+// junkRecordFile is the factored file of s whose record of victim is
+// garbage under a checksum that is right: it passes every check but the
+// parse.
+func junkRecordFile(t testing.TB, s *core.Scheme, victim int) string {
+	t.Helper()
+	junk := bytes.Repeat([]byte{0xff}, 40)
+	if _, err := newBallCodec(s.LevelGraphs()).parse(junk, nil); err == nil {
+		t.Fatal("junk payload unexpectedly parses")
+	}
+	return writeFactoredWithPayload(t, s, victim, junk)
 }
 
 // TestFactoredHostileRecords: a ball payload that passes its CRC and is
 // wrong — a level nested under nothing, a count or run that leaves the
 // level's net points, a zero run past the level's distances, a distance
-// past the radius, bits left over; and in a file of the PR 17–25 coding
-// the saturated bit over the wrong count, an id past n, a point that is
-// no net point of its level — is a corrupt record from every reader, like
+// past the radius, bits left over — is a corrupt record from every reader, like
 // a CRC failure, and never a label: not from Label or Raw, not as a
 // splice source, and a salvaging open lists it. Has, which reads no
 // payload past the CRC, counts it present until the first failed read
-// condemns it. The payloads of today's coding are each refused for the
-// reason they were bent for.
+// condemns it. Each payload is refused for the reason it was bent for.
 func TestFactoredHostileRecords(t *testing.T) {
 	g := gen.Path(60)
 	s := buildScheme(t, g)
@@ -720,10 +582,7 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), h.want) {
 			t.Errorf("%s: refused with %v, want an error about %q", h.name, err, h.want)
 		}
-		paths[h.name] = writeFactoredWithPayload(t, s, victim, h.payload, true)
-	}
-	for name, payload := range hostileFlatBalls(t, lg, s.Label(victim)) {
-		paths["PR 17–25 coding: "+name] = writeFactoredWithPayload(t, s, victim, payload, false)
+		paths[h.name] = writeFactoredWithPayload(t, s, victim, h.payload)
 	}
 	for name, path := range paths {
 		st, err := Open(path)

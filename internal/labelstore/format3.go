@@ -1,85 +1,68 @@
 // FSDL3: the out-of-core container version. Where FSDL2 is a stream of
 // varint-framed records that must be parsed front to back into heap maps,
 // FSDL3 is a random-access, page-aligned layout built to be mmap'd and
-// served straight from the OS page cache:
+// served straight from the OS page cache. It has one encoding, and it is
+// the paper's label: H_ℓ(v) is the one level-ℓ net graph induced on
+// B(v, r_ℓ), so a label is its balls plus graphs every label shares, and
+// the file stores exactly those:
 //
-//	page 0 (4096 B):  magic "FSDL3", flags, n, count, data offset/length,
-//	                  scheme parameters, header CRC32; zero-padded
+//	page 0 (4096 B):  magic "FSDL3", byte 5 = 0x07, n, count, data
+//	                  offset/length, scheme parameters, header CRC32
+//	                  (bytes 60..64, over bytes 0..60); then the
+//	                  level-graphs section's offset, length and CRC32
+//	                  (bytes 64..84) under a second header CRC32 (bytes
+//	                  84..88, over bytes 0..84); zero-padded
 //	index:            count × 24-byte entries at offset 4096, sorted by
 //	                  vertex: u32 vertex, u32 canonical bit length,
 //	                  u64 payload offset (relative to the data section),
 //	                  u32 payload byte length, u32 record CRC
-//	data:             payloads packed back to back, section start aligned
-//	                  to the next 4096-byte boundary
+//	level graphs:     straight after the index — core.LevelGraphs.Encode,
+//	                  the encoding SaveScheme writes — so a file cut short
+//	                  loses tail records, not the section
+//	data:             ball records packed back to back, section start
+//	                  aligned to the next 4096-byte boundary
+//
+// Byte 5 is a flags byte by history: bits 0, 1 and 2 (compressed,
+// factored, nested ball records) are the three steps by which the one
+// encoding came about, and a reader refuses every other value — the
+// three earlier payload encodings among them (docs/STORAGE.md says how
+// to convert such a file).
 //
 // The per-entry CRC is recordChecksum(vertex, bits, payload) — the same
 // integrity word FSDL2 stores, over the payload as stored.
 //
-// Every file written is *factored* (flag bits 0, 1 and 2). H_ℓ(v) is the
-// one level-ℓ net graph induced on B(v, r_ℓ), so the edges of a label are
-// a function of its balls and of graphs every label shares:
+// A record is the balls and no edges, each distance once (balls.go).
+// Levels run from the top one down, and each is
 //
-//	level graphs:     one section per file, straight after the index (the
-//	                  data section starts at the next page boundary
-//	                  after it, so a file cut short loses tail records,
-//	                  not the section) — core.LevelGraphs.Encode, the
-//	                  encoding SaveScheme writes — with its offset,
-//	                  length and CRC32 in page 0 (bytes 64..84) under a
-//	                  second header CRC32 (bytes 84..88, over bytes 0..84)
-//	records:          the balls and no edges, each distance once (flag
-//	                  bit 2, only together with bit 1; balls.go). Levels
-//	                  run from the top one down, and each is
-//	                    2 bits   saturated | nested
-//	                    δ        count of stored points   (unless saturated)
-//	                    ids      δ(gap), δ(len−1) per run of consecutive
-//	                             ids, every gap but the first less one
-//	                    γ        first distance           (any point stored)
-//	                    1 bit    predictor                (two or more)
-//	                    rest     0: γ(zigzag ΔD) each; 1: ΔΔD as γ(zeros)
-//	                             then sign, γ(|e|−1), a zero run that
-//	                             reaches the end closing the level
-//	                  Ids are indices into the level's own list of net
-//	                  points, as the file's level graphs hold it
-//	                  (LevelGraphs.NetPoints); saturated means the ball is
-//	                  that whole list. A nested level stores only the
-//	                  points that are not net points of the level above —
-//	                  its ids index that shorter list — and the reader
-//	                  takes the others from the ball above, every point of
-//	                  it within r_ℓ, at the distance written there. The
-//	                  writer costs flat against nested and one predictor
-//	                  against the other, keeps the cheapest, and nests a
-//	                  level only where that gives the ball back exactly.
-//	                  Sub-byte zero padding ends the record.
+//	2 bits   saturated | nested
+//	δ        count of stored points   (unless saturated)
+//	ids      δ(gap), δ(len−1) per run of consecutive ids, every gap but
+//	         the first less one
+//	γ        first distance           (any point stored)
+//	1 bit    predictor                (two or more)
+//	rest     0: γ(zigzag ΔD) each; 1: ΔΔD as γ(zeros) then sign,
+//	         γ(|e|−1), a zero run that reaches the end closing the level
+//
+// Ids are indices into the level's own list of net points, as the file's
+// level graphs hold it (LevelGraphs.NetPoints); saturated means the ball
+// is that whole list. A nested level stores only the points that are not
+// net points of the level above — its ids index that shorter list — and
+// the reader takes the others from the ball above, every point of it
+// within r_ℓ, at the distance written there. The writer costs flat
+// against nested and one predictor against the other, keeps the
+// cheapest, and nests a level only where that gives the ball back
+// exactly. Sub-byte zero padding ends the record.
 //
 // Reading a record parses the balls and has core induce the edges
 // (core.LevelGraphs.Label); a saturated level gets the file's one list,
 // pointer-identical across every label of the store.
 //
-// Three older payload encodings are read and never written (see
-// docs/STORAGE.md):
-//
-//   - canonical (flags 0): Label.Encode bytes, the FSDL2 record payload;
-//     the index CRC is then the FSDL2 record's own.
-//   - self-contained compressed (flag bit 0 alone; the first compressed
-//     form): per level the points — count, gap-coded ids, then the first
-//     distance in gamma and zigzag(ΔD) in gamma — and the edges: count,
-//     run-coded (XI, YI) gaps, and lengths omitted at the lowest level
-//     (D = 1) and stored as D−1 in exactly ℓ+1 bits above it
-//     (decodeRecord3).
-//   - flat balls (bits 0 and 1; the first factored form): per level,
-//     bottom one first, a saturated bit and then the points as above —
-//     count and id gaps left out when the bit is set (parseFlatBalls).
-//
-// internal/labelstore/testdata holds one file of each, which the tests
-// read.
-//
-// The index always records the *canonical* bit length, whatever the
-// payload encoding: canonical bytes are the currency of Put and repair
-// pulls, so a compressed store transcodes (decode +
-// deterministic re-encode) where raw canonical bytes are demanded and
-// both containers interoperate record for record. A cluster label fetch
-// takes a factored record as stored instead, and the length is what its
-// reader checks the label against (stored.go).
+// The index records the *canonical* bit length of each label: canonical
+// bytes are the currency of Put and repair pulls, so the store transcodes
+// (parse + deterministic re-encode) where raw canonical bytes are
+// demanded, and both containers interoperate record for record. A
+// cluster label fetch takes a record as stored instead, and the length is
+// what its reader checks the label against (stored.go).
 package labelstore
 
 import (
@@ -97,26 +80,24 @@ import (
 var magicV3 = []byte("FSDL3")
 
 const (
-	format3Page      = 4096
-	format3HeaderLen = 64 // used bytes of page 0; the rest is zero padding
-	format3EntryLen  = 24
+	format3Page     = 4096
+	format3EntryLen = 24
 
-	// flag bits (header byte 5); a reader refuses bits it does not know
-	format3FlagCompressed = 1 << 0
-	format3FlagFactored   = 1 << 1 // level-graphs section + ball records; needs bit 0
-	format3FlagNested     = 1 << 2 // ball records in the balls.go coding; needs bit 1
-	format3KnownFlags     = format3FlagCompressed | format3FlagFactored | format3FlagNested
+	// format3Flags is header byte 5 of every FSDL3 file: bits 0–2
+	// (compressed, factored, nested ball records). A reader refuses any
+	// other value.
+	format3Flags = 0x07
 
-	// format3SectionAt is where page 0 describes the level-graphs section
-	// of a factored file: u64 offset, u64 length, u32 CRC32 of the
-	// section, u32 CRC32 of header bytes [0, format3SectionAt+20).
-	format3SectionAt      = format3HeaderLen
-	format3FactoredHdrLen = format3SectionAt + 24
+	// format3SectionAt is where page 0 describes the level-graphs section:
+	// u64 offset, u64 length, u32 CRC32 of the section, u32 CRC32 of
+	// header bytes [0, format3SectionAt+20).
+	format3SectionAt = 64
+	format3HeaderLen = format3SectionAt + 24 // used bytes of page 0; the rest is zero padding
 )
 
 // rec3Params are the scheme parameters hoisted out of every record into
-// the FSDL3 store header (compressed payloads cannot be decoded without
-// them; uncompressed stores carry them per record and keep zeros here).
+// the FSDL3 store header; set marks a record that is already a ball
+// record under them (write.go).
 type rec3Params struct {
 	epsQ     uint64
 	c        int
@@ -199,7 +180,7 @@ func edgeListBits(edges []core.EdgeEntry) int {
 
 // canonicalBitLen returns the exact bit length Label.Encode would emit,
 // without materializing the encoding — the index stores canonical bit
-// lengths even for compressed payloads. A level the label leaves to its
+// lengths of ball records. A level the label leaves to its
 // level graphs is induced into a pooled buffer and walked there; only the
 // lists a label holds reach the memo.
 func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
@@ -232,59 +213,6 @@ func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
 
 var edgeBufPool = sync.Pool{New: func() any { return new([]core.EdgeEntry) }}
 
-// parsePoints reads one level's ball as the flat ball coding wrote it:
-// with its count and gap-coded ids, or — saturated — without, the ids
-// being all of net; then the distances, the first in gamma, the rest as
-// zigzag(ΔD) in gamma.
-func parsePoints(r *bitio.Reader, k int, saturated bool, net []int32) ([]core.PointEntry, error) {
-	np := uint64(len(net))
-	if !saturated {
-		var err error
-		if np, err = r.ReadDelta(); err != nil {
-			return nil, fmt.Errorf("labelstore: decode level %d points: %w", k, err)
-		}
-	}
-	// Each point costs at least 1 bit (2 with its id); reject counts
-	// beyond the payload before allocating (same guard as
-	// core.DecodeLabel).
-	if np > uint64(r.Remaining()) {
-		return nil, fmt.Errorf("labelstore: level %d point count %d exceeds payload", k, np)
-	}
-	pts := make([]core.PointEntry, np)
-	prev := int64(-1)
-	prevD := int64(0)
-	for i := range pts {
-		if saturated {
-			prev = int64(net[i])
-		} else {
-			gap, err := r.ReadDelta()
-			if err != nil {
-				return nil, fmt.Errorf("labelstore: decode point gap: %w", err)
-			}
-			if gap > math.MaxInt32 {
-				return nil, fmt.Errorf("labelstore: decode point out of range")
-			}
-			prev += int64(gap) + 1
-		}
-		zz, err := r.ReadGamma()
-		if err != nil {
-			return nil, fmt.Errorf("labelstore: decode point dist: %w", err)
-		}
-		var d int64
-		if i == 0 {
-			d = int64(zz)
-		} else {
-			d = prevD + unzigzag(zz)
-		}
-		if prev > math.MaxInt32 || d < 0 || d > math.MaxInt32 {
-			return nil, fmt.Errorf("labelstore: decode point out of range")
-		}
-		pts[i] = core.PointEntry{X: int32(prev), D: int32(d)}
-		prevD = d
-	}
-	return pts, nil
-}
-
 // checkPadding accepts the end of a record payload: records sit at byte
 // offsets, so after the structure is consumed only sub-byte zero padding
 // may remain.
@@ -298,137 +226,22 @@ func checkPadding(r *bitio.Reader) error {
 	return nil
 }
 
-// parseFlatBalls reads the record payload of a factored file written
-// before the nested coding (PR 17–25: no format3FlagNested) into its
-// balls, one point list per level of lg, bottom level first: per level one
-// saturated bit, then the points as parsePoints reads them. The ids are
-// checked where they are used (core.LevelGraphs.Label).
-func parseFlatBalls(payload []byte, lg *core.LevelGraphs) ([][]core.PointEntry, error) {
-	r := bitio.NewReader(payload, 8*len(payload))
-	balls := make([][]core.PointEntry, lg.Params().NumLevelRange())
-	for k := range balls {
-		saturated, err := r.ReadBits(1)
-		if err != nil {
-			return nil, fmt.Errorf("labelstore: decode level %d: %w", k, err)
-		}
-		if balls[k], err = parsePoints(r, k, saturated != 0, lg.NetPoints(k)); err != nil {
-			return nil, err
-		}
-	}
-	return balls, checkPadding(r)
-}
-
-// decodeRecord3 parses a self-contained compressed record payload (the
-// encoding the first compressed files hold, read only) into a validated
-// label.
-func decodeRecord3(payload []byte, v int32, p rec3Params) (*core.Label, error) {
-	return parseRecord3(payload, v, p, nil)
-}
-
-// parseRecord3 is decodeRecord3 taking each level's edge slice from alloc
-// (nil: a fresh allocation) — see core.LevelTable.Parse.
-func parseRecord3(payload []byte, v int32, p rec3Params, alloc func(n int) []core.EdgeEntry) (*core.Label, error) {
-	if !p.set {
-		return nil, fmt.Errorf("labelstore: compressed record without store parameters")
-	}
-	numLevels := p.maxLevel - p.c
-	if numLevels < 0 || numLevels > 64 {
-		return nil, fmt.Errorf("labelstore: implausible level count %d", numLevels)
-	}
-	r := bitio.NewReader(payload, 8*len(payload))
-	l := &core.Label{
-		V:        v,
-		Epsilon:  float64(p.epsQ) / 65536,
-		C:        p.c,
-		MaxLevel: p.maxLevel,
-		RShrink:  p.rShrink,
-		Levels:   make([]core.LevelLabel, numLevels),
-	}
-	for k := range l.Levels {
-		pts, err := parsePoints(r, k, false, nil)
-		if err != nil {
-			return nil, err
-		}
-		ne, err := r.ReadDelta()
-		if err != nil {
-			return nil, fmt.Errorf("labelstore: decode level %d edges: %w", k, err)
-		}
-		if ne > uint64(r.Remaining()) {
-			return nil, fmt.Errorf("labelstore: level %d edge count %d exceeds payload", k, ne)
-		}
-		dBits := p.c + 1 + k + 1
-		if k > 0 && ne > 0 && dBits > 31 {
-			return nil, fmt.Errorf("labelstore: level %d edge width %d bits implausible", k, dBits)
-		}
-		var edges []core.EdgeEntry
-		if alloc != nil {
-			edges = alloc(int(ne))
-		} else {
-			edges = make([]core.EdgeEntry, ne)
-		}
-		var prevXI, prevYI int64
-		for i := range edges {
-			dx, err := r.ReadGamma()
-			if err != nil {
-				return nil, fmt.Errorf("labelstore: decode edge xi: %w", err)
-			}
-			xi := prevXI + int64(dx)
-			g, err := r.ReadGamma()
-			if err != nil {
-				return nil, fmt.Errorf("labelstore: decode edge yi: %w", err)
-			}
-			var yi int64
-			if dx != 0 {
-				yi = xi + int64(g) + 1
-			} else {
-				yi = prevYI + int64(g) + 1
-			}
-			d := int64(1) // lowest level: original unit edges, length omitted
-			if k > 0 {
-				raw, err := r.ReadBits(dBits)
-				if err != nil {
-					return nil, fmt.Errorf("labelstore: decode edge dist: %w", err)
-				}
-				d = int64(raw) + 1
-			}
-			if xi >= int64(len(pts)) || yi >= int64(len(pts)) {
-				return nil, fmt.Errorf("labelstore: decode edge index out of range")
-			}
-			edges[i] = core.EdgeEntry{XI: int32(xi), YI: int32(yi), D: int32(d)}
-			prevXI, prevYI = xi, yi
-		}
-		l.Levels[k] = core.LevelLabel{Points: pts, Edges: edges}
-	}
-	if err := checkPadding(r); err != nil {
-		return nil, err
-	}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 // format3Header is the parsed page-0 content of an FSDL3 file.
 type format3Header struct {
-	flags   byte
 	n       uint64
 	count   uint64
 	dataOff uint64
 	dataLen uint64
 	prm     rec3Params
-	// The level-graphs section of a factored file.
+	// The level-graphs section.
 	secOff, secLen uint64
 	secCRC         uint32
 }
 
-func (h *format3Header) compressed() bool { return h.flags&format3FlagCompressed != 0 }
-func (h *format3Header) factored() bool   { return h.flags&format3FlagFactored != 0 }
-func (h *format3Header) nested() bool     { return h.flags&format3FlagNested != 0 }
-
 func encodeFormat3Header(h *format3Header) []byte {
 	buf := make([]byte, format3Page)
 	copy(buf, magicV3)
-	buf[5] = h.flags
+	buf[5] = format3Flags
 	le := binary.LittleEndian
 	le.PutUint64(buf[8:], h.n)
 	le.PutUint64(buf[16:], h.count)
@@ -439,13 +252,11 @@ func encodeFormat3Header(h *format3Header) []byte {
 	le.PutUint32(buf[52:], uint32(h.prm.maxLevel))
 	le.PutUint32(buf[56:], uint32(h.prm.rShrink))
 	le.PutUint32(buf[60:], crc32.ChecksumIEEE(buf[:60]))
-	if h.factored() {
-		at := format3SectionAt
-		le.PutUint64(buf[at:], h.secOff)
-		le.PutUint64(buf[at+8:], h.secLen)
-		le.PutUint32(buf[at+16:], h.secCRC)
-		le.PutUint32(buf[at+20:], crc32.ChecksumIEEE(buf[:at+20]))
-	}
+	at := format3SectionAt
+	le.PutUint64(buf[at:], h.secOff)
+	le.PutUint64(buf[at+8:], h.secLen)
+	le.PutUint32(buf[at+16:], h.secCRC)
+	le.PutUint32(buf[at+20:], crc32.ChecksumIEEE(buf[:at+20]))
 	return buf
 }
 
@@ -461,7 +272,6 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 		return nil, fmt.Errorf("labelstore: FSDL3 header checksum mismatch")
 	}
 	h := &format3Header{
-		flags:   buf[5],
 		n:       le.Uint64(buf[8:]),
 		count:   le.Uint64(buf[16:]),
 		dataOff: le.Uint64(buf[24:]),
@@ -471,20 +281,14 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 			c:        int(le.Uint32(buf[48:])),
 			maxLevel: int(le.Uint32(buf[52:])),
 			rShrink:  int(le.Uint32(buf[56:])),
+			set:      true,
 		},
 	}
-	// A flag this reader does not know changes what the bytes mean: refuse
-	// the file instead of misreading it.
-	if unknown := h.flags &^ format3KnownFlags; unknown != 0 {
-		return nil, fmt.Errorf("labelstore: FSDL3 file uses format flags %#02x this reader does not know (written by a newer version?)", unknown)
+	// Any other flags byte is another encoding of the payloads, or of
+	// page 0: refuse the file instead of misreading it.
+	if buf[5] != format3Flags {
+		return nil, fmt.Errorf("labelstore: FSDL3 header byte 5 is %#02x; this version reads only %#02x (factored, nested ball records)", buf[5], format3Flags)
 	}
-	if h.factored() && !h.compressed() {
-		return nil, fmt.Errorf("labelstore: FSDL3 factored flag without the compressed flag")
-	}
-	if h.nested() && !h.factored() {
-		return nil, fmt.Errorf("labelstore: FSDL3 nested-balls flag without the factored flag")
-	}
-	h.prm.set = h.count > 0 && h.compressed()
 	if h.count > h.n {
 		return nil, fmt.Errorf("labelstore: count %d exceeds n %d", h.count, h.n)
 	}
@@ -492,24 +296,19 @@ func parseFormat3Header(buf []byte) (*format3Header, error) {
 		return nil, fmt.Errorf("labelstore: implausible n %d", h.n)
 	}
 	// The data section starts at the first page boundary after the index
-	// and, in a factored file, the level-graphs section that follows it
-	// directly. Lengths come from the file: sums are checked for
-	// wrap-around before anything is sliced by them.
-	indexEnd := format3Page + int64(h.count)*format3EntryLen
-	if h.factored() {
-		at := format3SectionAt
-		if len(buf) < format3FactoredHdrLen {
-			return nil, fmt.Errorf("labelstore: FSDL3 header truncated (%d bytes)", len(buf))
-		}
-		if got, want := le.Uint32(buf[at+20:]), crc32.ChecksumIEEE(buf[:at+20]); got != want {
-			return nil, fmt.Errorf("labelstore: FSDL3 level-graphs header checksum mismatch")
-		}
-		h.secOff, h.secLen, h.secCRC = le.Uint64(buf[at:]), le.Uint64(buf[at+8:]), le.Uint32(buf[at+16:])
-		if int64(h.secOff) != indexEnd || h.secLen > math.MaxInt64-format3Page-h.secOff {
-			return nil, fmt.Errorf("labelstore: level-graphs section [%d,+%d) does not follow the index (ends at %d)", h.secOff, h.secLen, indexEnd)
-		}
-		indexEnd += int64(h.secLen)
+	// and the level-graphs section that follows it directly. Lengths come
+	// from the file: sums are checked for wrap-around before anything is
+	// sliced by them.
+	at := format3SectionAt
+	if got, want := le.Uint32(buf[at+20:]), crc32.ChecksumIEEE(buf[:at+20]); got != want {
+		return nil, fmt.Errorf("labelstore: FSDL3 level-graphs header checksum mismatch")
 	}
+	h.secOff, h.secLen, h.secCRC = le.Uint64(buf[at:]), le.Uint64(buf[at+8:]), le.Uint32(buf[at+16:])
+	indexEnd := format3Page + int64(h.count)*format3EntryLen
+	if int64(h.secOff) != indexEnd || h.secLen > math.MaxInt64-format3Page-h.secOff {
+		return nil, fmt.Errorf("labelstore: level-graphs section [%d,+%d) does not follow the index (ends at %d)", h.secOff, h.secLen, indexEnd)
+	}
+	indexEnd += int64(h.secLen)
 	if wantData := pageAlign(indexEnd); int64(h.dataOff) != wantData {
 		return nil, fmt.Errorf("labelstore: data offset %d, want %d", h.dataOff, wantData)
 	}
@@ -545,7 +344,7 @@ func parseIndex3Entry(b []byte) index3Entry {
 
 // checkIndex3Entry verifies the structural invariants of an entry:
 // in-range vertex, plausible bit length, payload window inside the data
-// section, and — for uncompressed stores — byte length implied by bits.
+// section.
 func checkIndex3Entry(e index3Entry, h *format3Header) error {
 	if uint64(e.vertex) >= h.n {
 		return fmt.Errorf("labelstore: vertex %d out of range", e.vertex)
@@ -555,9 +354,6 @@ func checkIndex3Entry(e index3Entry, h *format3Header) error {
 	}
 	if e.off > h.dataLen || uint64(e.length) > h.dataLen-e.off {
 		return fmt.Errorf("labelstore: record window [%d,+%d) outside data section", e.off, e.length)
-	}
-	if !h.compressed() && uint64(e.length) != (uint64(e.bits)+7)/8 {
-		return fmt.Errorf("labelstore: record length %d, %d bits need %d", e.length, e.bits, (e.bits+7)/8)
 	}
 	return nil
 }
@@ -692,7 +488,6 @@ func (w *format3Writer) finish() error {
 	// What sits between page 0 and the data section: the index, then the
 	// level graphs.
 	h := &format3Header{
-		flags:   format3FlagCompressed | format3FlagFactored | format3FlagNested,
 		n:       uint64(w.n),
 		count:   uint64(w.count),
 		dataOff: uint64(w.dataOff),

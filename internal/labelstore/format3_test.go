@@ -52,9 +52,7 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 // across graph families, every record served from a (factored, mapped)
 // FSDL3 file must be byte-identical to the FSDL2 record, both stores
 // must hold the same ids (Has), and decoded labels must re-encode
-// identically. The FSDL3
-// encodings that are only read are held to the same by
-// TestLegacyFSDL3Reads.
+// identically.
 func TestFormat3RoundTripEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	for name, g := range testGraphs(t) {
@@ -74,7 +72,7 @@ func TestFormat3RoundTripEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if enc := st3.Encoding(); enc.Version != 3 || !enc.Compressed || !enc.Factored {
+		if enc := st3.Encoding(); enc.Version != 3 || !enc.Factored {
 			t.Fatalf("%s: an FSDL3 file written as %+v, want factored", name, enc)
 		}
 		if st3.NumLabels() != st2.NumLabels() {
@@ -127,16 +125,14 @@ func corruptFileByte(t *testing.T, path string, off int64) {
 // eagerly via OpenPartial), surfaced as Corrupt rather than absent,
 // excluded from counts, and healable by Putting an intact copy.
 func TestFormat3SalvageParity(t *testing.T) {
-	grid8 := buildScheme(t, gen.Grid2D(8, 8))
 	for _, c := range []struct {
 		name string
 		s    *core.Scheme
-		path func() string
 	}{
-		{"factored", grid8, func() string { return writeFormat3File(t, t.TempDir(), "store.fsdl3", grid8, nil) }},
-		{"canonical", buildScheme(t, gen.Grid2D(6, 6)), func() string { return fixtureCopy(t, canonicalFSDL3) }},
+		{"grid8", buildScheme(t, gen.Grid2D(8, 8))},
+		{"grid6", buildScheme(t, gen.Grid2D(6, 6))},
 	} {
-		s, path := c.s, c.path()
+		s, path := c.s, writeFormat3File(t, t.TempDir(), "store.fsdl3", c.s, nil)
 		g := s.Graph()
 
 		// Find the payload window of one record via a clean open, then
@@ -238,29 +234,14 @@ func TestFormat3SalvageParity(t *testing.T) {
 // exactly like a CRC failure.
 func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 	const victim = 13
-	grid8 := buildScheme(t, gen.Grid2D(8, 8))
-	// The writer and the resealer checksum whatever payload they are
-	// handed, so a garbage body yields a valid-CRC, undecodable record.
-	factored := func() string {
-		junk := bytes.Repeat([]byte{0xff}, 40)
-		if _, err := newBallCodec(grid8.LevelGraphs()).parse(junk, nil); err == nil {
-			t.Fatal("junk payload unexpectedly parses")
-		}
-		return writeFactoredWithPayload(t, grid8, victim, junk, true)
-	}
-	// In a canonical file the payload length must still match the
-	// canonical bit length the index claims.
-	canonical := func() string { return canonicalWithJunk(t, victim) }
 	for _, c := range []struct {
-		name       string
-		n          int
-		compressed bool
-		path       func() string
+		name string
+		s    *core.Scheme
 	}{
-		{"factored", 64, true, factored},
-		{"canonical", 36, false, canonical},
+		{"grid8", buildScheme(t, gen.Grid2D(8, 8))},
+		{"ring64", buildScheme(t, ringLattice(64))},
 	} {
-		path, n := c.path(), c.n
+		path, n := junkRecordFile(t, c.s, victim), c.s.Graph().NumVertices()
 		st, err := Open(path)
 		if err != nil {
 			t.Fatal(err)
@@ -282,10 +263,8 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if _, _, ok := st.f3.storedPayload(victim); ok {
 			t.Fatalf("%s: storedPayload serves decode-corrupt record", c.name)
 		}
-		if c.compressed {
-			if _, _, ok := st.Raw(victim); ok {
-				t.Fatalf("%s: Raw serves decode-corrupt record", c.name)
-			}
+		if _, _, ok := st.Raw(victim); ok {
+			t.Fatalf("%s: Raw serves decode-corrupt record", c.name)
 		}
 		if got := st.CorruptCount(); got != 1 {
 			t.Fatalf("%s: CorruptCount = %d, want 1", c.name, got)
@@ -494,60 +473,6 @@ func TestFormat3OutOfCoreDifferential(t *testing.T) {
 		t.Fatalf("serving blew through the heap ceiling: %d -> %d (ceiling %d, labels %d)",
 			before.HeapAlloc, after.HeapAlloc, ceiling, fileSize)
 	}
-}
-
-// FuzzFormat3Record hardens the self-contained compressed record decoder
-// files of that encoding are still read with: arbitrary payloads must
-// never panic or over-allocate, and anything that decodes is a valid
-// label whose canonical encoding decodes to the same label. The seeds
-// are records of the committed file of that encoding and the ball
-// records of the same labels — the bytes a factored file holds where
-// this decoder expects a self-contained record.
-func FuzzFormat3Record(f *testing.F) {
-	st, err := Open(pre17FSDL3c)
-	if err != nil {
-		f.Fatal(err)
-	}
-	defer st.Close()
-	prm := st.f3.hdr.prm
-	s, err := core.BuildScheme(gen.Grid2D(6, 6), 2)
-	if err != nil {
-		f.Fatal(err)
-	}
-	enc := NewBallEncoder(s.LevelGraphs())
-	for v := int32(0); v < 4; v++ {
-		_, record, ok := st.f3.storedPayload(v)
-		if !ok {
-			f.Fatalf("fixture record %d unreadable", v)
-		}
-		f.Add(bytes.Clone(record))
-	}
-	for v := 0; v < 4; v++ {
-		record, err := enc.Encode(s.Label(v))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(bytes.Clone(record))
-	}
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff})
-	f.Fuzz(func(t *testing.T, payload []byte) {
-		l, err := decodeRecord3(payload, 0, prm)
-		if err != nil {
-			return
-		}
-		if err := l.Validate(); err != nil {
-			t.Fatalf("decoded label fails Validate: %v", err)
-		}
-		b1, n1 := l.Encode()
-		l2, err := core.DecodeLabel(b1, n1)
-		if err != nil {
-			t.Fatalf("decoded label's canonical encoding does not decode: %v", err)
-		}
-		if b2, n2 := l2.Encode(); n1 != n2 || !bytes.Equal(b1, b2) {
-			t.Fatal("canonical round trip diverges")
-		}
-	})
 }
 
 // TestFsyncDir just proves the helper works on a real directory.

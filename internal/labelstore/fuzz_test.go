@@ -140,11 +140,9 @@ func resealFormat3(data []byte) []byte {
 			le.PutUint32(ent[20:], recordChecksum(int(e.vertex), int(e.bits), out[start:start+uint64(e.length)]))
 		}
 	}
-	if out[5]&format3FlagFactored != 0 {
-		at := format3SectionAt
-		if off, length := le.Uint64(out[at:]), le.Uint64(out[at+8:]); off <= size && length <= size-off {
-			le.PutUint32(out[at+16:], crc32.ChecksumIEEE(out[off:off+length]))
-		}
+	at := format3SectionAt
+	if off, length := le.Uint64(out[at:]), le.Uint64(out[at+8:]); off <= size && length <= size-off {
+		le.PutUint32(out[at+16:], crc32.ChecksumIEEE(out[off:off+length]))
 	}
 	return setFormat3Header(out, func([]byte) {})
 }
@@ -152,8 +150,8 @@ func resealFormat3(data []byte) []byte {
 // FuzzOpenFormat3 is the container-level fuzz target: whole-file bytes
 // through Open and OpenPartial, then Label and Raw on every
 // vertex the index names. With reseal set the image's checksums are
-// recomputed first, so a mutated offset, length, row, saturated bit or
-// ball id arrives under a right CRC. Whatever happens must be an open
+// recomputed first, so a mutated offset, length, row, saturated bit,
+// ball id or flags byte arrives under a right CRC. Whatever happens must be an open
 // error or a record reported unknown/corrupt — never a fault, never an
 // allocation sized from an unchecked field, and never a label that fails
 // Validate (checked here by decoding its canonical encoding afresh,
@@ -174,9 +172,11 @@ func FuzzOpenFormat3(f *testing.F) {
 	factored := read(writeFormat3File(f, dir, "factored", s, nil))
 	f.Add(factored, false)
 	f.Add(read(writeFormat3File(f, dir, "subset", s, []int{3, 9, 20, 41, 59})), false)
-	f.Add(read(canonicalFSDL3), false)
-	f.Add(read(pre17FSDL3c), false)
-	f.Add(read(pre26Factored), false)
+	// Today's bytes under the flags of the three retired encodings, which
+	// a reader refuses.
+	for _, flags := range []byte{0x00, 0x01, 0x03} {
+		f.Add(setFormat3Header(factored, func(page []byte) { page[5] = flags }), false)
+	}
 	// Damage under right checksums: the level-graphs window, its rows,
 	// and records that lie about their balls.
 	le := binary.LittleEndian
@@ -190,8 +190,8 @@ func FuzzOpenFormat3(f *testing.F) {
 		func(page []byte) { le.PutUint64(page[32:], 1<<63) },
 		func(page []byte) { le.PutUint64(page[16:], 1<<31) },
 		func(page []byte) { page[5] |= 1 << 3 },
-		func(page []byte) { page[5] &^= format3FlagNested }, // nested records read as PR 17's
-		func(page []byte) { page[5] &^= format3FlagCompressed },
+		func(page []byte) { page[5] &^= 1 << 2 }, // nested records under PR 17's flags
+		func(page []byte) { page[5] &^= 1 << 0 },
 	} {
 		f.Add(setFormat3Header(factored, set), false)
 	}
@@ -200,11 +200,12 @@ func FuzzOpenFormat3(f *testing.F) {
 		bent[i] = 0
 		f.Add(bent, true)
 	}
-	for _, h := range hostileBalls(f, s.LevelGraphs(), s.Label(20)) {
-		f.Add(read(writeFactoredWithPayload(f, s, 20, h.payload, true)), false)
-	}
-	for _, payload := range hostileFlatBalls(f, s.LevelGraphs(), s.Label(20)) {
-		f.Add(read(writeFactoredWithPayload(f, s, 20, payload, false)), false)
+	// Hostile records of a middle vertex and of an end of the path, whose
+	// balls are one-sided.
+	for _, v := range []int{20, 59} {
+		for _, h := range hostileBalls(f, s.LevelGraphs(), s.Label(v)) {
+			f.Add(read(writeFactoredWithPayload(f, s, v, h.payload)), false)
+		}
 	}
 	f.Add(factored[:len(factored)*2/3], false)
 	f.Add([]byte("FSDL3"), true)

@@ -186,9 +186,10 @@ type Store struct {
 	cache       *lru.Cache[int32, *core.Label]
 	cacheHits   atomic.Int64
 	cacheMisses atomic.Int64
-	// levels interns the level edge lists of every label Label parses, as
-	// part of the parse: labels whose balls hold the same net points
-	// share one list instead of each holding a copy. It is sized by the
+	// levels interns the level edge lists of every label Label parses from
+	// canonical bytes (the heap overlay), as part of the parse: labels
+	// whose balls hold the same net points share one list instead of each
+	// holding a copy. It is sized by the
 	// decoded LRU and emptied with it (DropCaches).
 	levels *core.LevelTable
 	// touched has one bit per vertex, set by the first Label decode of
@@ -405,8 +406,7 @@ func (st *Store) Vertices() []int {
 // Raw returns the canonical serialized label record of v without
 // decoding it — what a shard ships of every record a factored file does
 // not hold as stored (Stored), leaving decoding to the frontend, and what
-// a repair pull installs. For an uncompressed FSDL3 backing the returned
-// bytes alias the mapping (zero copy); compressed records are
+// a repair pull installs. An FSDL3 backing's ball records are
 // transcoded to canonical form on every call. The returned bytes are
 // shared and must not be mutated.
 func (st *Store) Raw(v int) (bits int, data []byte, ok bool) {

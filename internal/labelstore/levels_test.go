@@ -3,6 +3,7 @@ package labelstore
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -36,6 +37,28 @@ func loadedStore(t *testing.T, s *core.Scheme) *Store {
 	st, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return st
+}
+
+// saveFSDL2File writes every label of s to a file as an FSDL2 stream.
+func saveFSDL2File(t *testing.T, s *core.Scheme) string {
+	t.Helper()
+	return writeTemp(t, writtenBy(t, func(f *os.File) error { return Save(f, s, nil) }))
+}
+
+// putStore is a store filled by Put alone with every label of s.
+func putStore(t *testing.T, s *core.Scheme) *Store {
+	t.Helper()
+	st, err := NewEmpty(s.Graph().NumVertices())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < st.NumVertices(); v++ {
+		data, bits := s.Label(v).Encode()
+		if err := st.Put(v, bits, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return st
 }
@@ -77,7 +100,7 @@ func distances(t *testing.T, st *Store, n int) []int64 {
 func TestLevelTableDropCaches(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6))
 	for _, factored := range []bool{false, true} {
-		path := canonicalFSDL3 // canonical records of the same scheme
+		path := saveFSDL2File(t, s) // canonical records of the same scheme
 		if factored {
 			path = writeFormat3File(t, t.TempDir(), "store.fsdl3", s, nil)
 		}
@@ -232,32 +255,46 @@ func TestLevelTableCap(t *testing.T) {
 	}
 }
 
-// TestLevelTableRepairIngest: a corrupt record fails its parse and never
-// reaches the table; the record Put heals it with — here one from a
-// scheme of a changed graph — comes back as exactly the label that was
-// put, sharing lists with the store's other labels only where they are
-// equal.
+// TestLevelTableRepairIngest: a corrupt record — garbage under a
+// checksum that is right, in an FSDL2 stream — fails its parse and never
+// reaches the table; a salvaging load drops it, and the record Put heals
+// it with — here one from a scheme of a changed graph — comes back as
+// exactly the label that was put, sharing lists with the store's other
+// labels only where they are equal.
 func TestLevelTableRepairIngest(t *testing.T) {
 	const side = 6
-	g := gen.Grid2D(side, side) // the canonical fixture's grid
+	g := gen.Grid2D(side, side)
 	n := g.NumVertices()
 	const victim = 13
-	st, err := Open(canonicalWithJunk(t, victim))
+	junk := fsdl2WithJunk(t, buildScheme(t, g), victim)
+	strict, err := Load(bytes.NewReader(junk))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	for v := 0; v < n; v++ {
-		if _, err := st.Label(v); (err != nil) != (v == victim) {
+		if _, err := strict.Label(v); (err != nil) != (v == victim) {
 			t.Fatalf("Label(%d): %v", v, err)
 		}
 	}
-	interned, lists := st.LevelTableStats()
-	if _, err := st.Label(victim); err == nil {
+	interned, lists := strict.LevelTableStats()
+	if _, err := strict.Label(victim); err == nil {
 		t.Fatal("corrupt record parsed")
 	}
-	if i, l := st.LevelTableStats(); i != interned || l != lists {
+	if i, l := strict.LevelTableStats(); i != interned || l != lists {
 		t.Fatalf("a corrupt record moved the table: %d/%d → %d/%d", interned, lists, i, l)
+	}
+
+	st, rep, err := LoadPartial(bytes.NewReader(junk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim || st.Has(victim) {
+		t.Fatalf("salvage report %+v, Has(%d) %v: want the junk record dropped", rep, victim, st.Has(victim))
+	}
+	for v := 0; v < n; v++ {
+		if v != victim {
+			mustLabel(t, st, v)
+		}
 	}
 
 	// The same grid with one edge gone: same parameters, other distances.
@@ -284,6 +321,36 @@ func TestLevelTableRepairIngest(t *testing.T) {
 	if shared, differ := sharedLevels(got, mustLabel(t, st, victim+side)); shared == 0 || differ == 0 {
 		t.Fatalf("healed label vs a neighbour's: %d levels shared, %d not — want both (one edge changed the low levels only)", shared, differ)
 	}
+}
+
+// fsdl2WithJunk is the FSDL2 stream of every label of s whose record of
+// victim is garbage of the right length under a checksum that is right:
+// it passes every check but the decode.
+func fsdl2WithJunk(t *testing.T, s *core.Scheme, victim int) []byte {
+	t.Helper()
+	n := s.Graph().NumVertices()
+	var buf bytes.Buffer
+	w, err := newStreamWriter(&buf, n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < n; v++ {
+		data, bits := s.Label(v).Encode()
+		data = data[:(bits+7)/8]
+		if v == victim {
+			data = bytes.Repeat([]byte{0xff}, len(data))
+			if _, err := core.DecodeLabel(data, bits); err == nil {
+				t.Fatal("junk payload unexpectedly decodes")
+			}
+		}
+		if err := w.add(v, rec{bits: bits, data: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.finish(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func mustLabel(t *testing.T, st *Store, v int) *core.Label {

@@ -9,11 +9,16 @@ import (
 )
 
 // TestOpenMaps: on unix every FSDL3 file is served from a mapping,
-// whichever opener took it and whatever its encoding; an FSDL2 stream is
-// read into heap.
+// whichever opener took it and whatever subset it holds, and Close
+// unmaps it; an FSDL2 stream is read into heap.
 func TestOpenMaps(t *testing.T) {
-	path := writeFormat3File(t, t.TempDir(), "store.fsdl3", buildScheme(t, gen.Grid2D(4, 4)), nil)
-	for _, p := range []string{path, canonicalFSDL3, pre17FSDL3c, pre26Factored} {
+	dir := t.TempDir()
+	s := buildScheme(t, gen.Grid2D(4, 4))
+	for _, p := range []string{
+		writeFormat3File(t, dir, "store.fsdl3", s, nil),
+		writeFormat3File(t, dir, "subset.fsdl3", s, []int{1, 5, 14}),
+		writeFormat3File(t, dir, "empty.fsdl3", s, []int{}),
+	} {
 		st, err := Open(p)
 		if err != nil {
 			t.Fatal(err)
@@ -21,7 +26,11 @@ func TestOpenMaps(t *testing.T) {
 		if !st.Encoding().Mapped {
 			t.Errorf("Open(%s) is not mapped", p)
 		}
-		st.Close()
+		for i := 0; i < 2; i++ { // Close is idempotent
+			if err := st.Close(); err != nil || st.f3.region.data != nil {
+				t.Errorf("Close #%d of %s: %v, mapping released %v", i+1, p, err, st.f3.region.data == nil)
+			}
+		}
 		sp, _, err := OpenPartial(p)
 		if err != nil {
 			t.Fatal(err)

@@ -63,10 +63,9 @@ type file3 struct {
 	payloads []byte // the data section (may be clamped by salvage)
 	idxCount int    // readable index entries
 
-	// levels and section are the level graphs of a factored file and the
-	// bytes they were decoded from; nil otherwise (and for a factored file
-	// whose section a salvaging open found damaged — every record of it
-	// is then corrupt).
+	// levels and section are the file's level graphs and the bytes they
+	// were decoded from; nil when a salvaging open found the section
+	// damaged (every record of the file is then corrupt).
 	levels  *Levels
 	section []byte
 
@@ -101,7 +100,7 @@ func newFile3(data []byte, region *mmapRegion, hdr *format3Header) *file3 {
 	return f
 }
 
-// loadLevelGraphs decodes the level-graphs section of a factored file:
+// loadLevelGraphs decodes the file's level-graphs section:
 // inside the file, CRC intact, decodable (core.LoadLevelGraphs checks
 // every row labels are induced from) and describing the store the header
 // describes.
@@ -123,22 +122,13 @@ func (f *file3) loadLevelGraphs() error {
 	return nil
 }
 
-// parse decodes a stored compressed payload of v into a label: a factored
-// file's balls under its level graphs (Levels, the parser a cluster
-// frontend shares), or a self-contained compressed record, whose level
-// edge lists are shared through t (nil: private copies).
-func (f *file3) parse(payload []byte, v int32, t *core.LevelTable) (*core.Label, error) {
-	switch {
-	case f.levels != nil:
-		return f.levels.parse(payload, v, f.hdr.nested())
-	case f.hdr.factored():
+// parse decodes the stored ball record of v into a label under the
+// file's level graphs (Levels, the parser a cluster frontend shares).
+func (f *file3) parse(payload []byte, v int32) (*core.Label, error) {
+	if f.levels == nil {
 		return nil, fmt.Errorf("labelstore: record for vertex %d needs the file's level graphs, which are damaged", v)
-	case t == nil:
-		return decodeRecord3(payload, v, f.hdr.prm)
 	}
-	return t.Parse(func(alloc func(int) []core.EdgeEntry) (*core.Label, error) {
-		return parseRecord3(payload, v, f.hdr.prm, alloc)
-	})
+	return f.levels.parse(payload, v)
 }
 
 // entry returns the parsed index slot i.
@@ -215,8 +205,7 @@ func (f *file3) markCorrupt(v int32) {
 	f.mu.Unlock()
 }
 
-// storedPayload returns the verified on-disk payload of v in its stored
-// encoding (canonical or compressed).
+// storedPayload returns the verified on-disk ball record of v.
 func (f *file3) storedPayload(v int32) (bits int, payload []byte, ok bool) {
 	e, slot, ok := f.find(v)
 	if !ok || !f.verify(e, slot) {
@@ -296,16 +285,15 @@ func sniff(f *os.File) (version int, err error) {
 }
 
 // Encoding describes the container backing a store: its version (2 or
-// 3), for FSDL3 whether the payloads are compressed, and for a factored
-// file the CRC of the level graphs its records are induced from — what
-// decides which bytes Write produces from it — and whether the records
-// are served from an mmap of the file.
+// 3), whether it is factored (every FSDL3 file is), the CRC of the level
+// graphs its records are induced from — what decides which bytes Write
+// produces from it — and whether the records are served from an mmap of
+// the file.
 type Encoding struct {
-	Version    int
-	Compressed bool
-	Factored   bool
-	LevelsCRC  uint32
-	Mapped     bool
+	Version   int
+	Factored  bool
+	LevelsCRC uint32
+	Mapped    bool
 }
 
 // Encoding returns the Encoding of the container backing this store; a
@@ -314,8 +302,7 @@ func (st *Store) Encoding() Encoding {
 	if st.f3 == nil {
 		return Encoding{Version: 2}
 	}
-	h := st.f3.hdr
-	return Encoding{Version: 3, Compressed: h.compressed(), Factored: h.factored(), LevelsCRC: h.secCRC, Mapped: st.f3.region != nil}
+	return Encoding{Version: 3, Factored: true, LevelsCRC: st.f3.hdr.secCRC, Mapped: st.f3.region != nil}
 }
 
 func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
@@ -349,18 +336,16 @@ func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 		return nil, nil, fmt.Errorf("labelstore: FSDL3 file truncated (%d bytes, need %d)", size, need)
 	}
 	rep.Truncated = truncated
-	if hdr.factored() {
-		// No record of a factored file means anything without its level
-		// graphs: a strict open refuses the file, a salvaging one reports
-		// every record lost (the structural pass below condemns each).
-		if err := f3.loadLevelGraphs(); err != nil && !partial {
-			if region != nil {
-				region.Close()
-			}
-			return nil, nil, err
+	// No record means anything without the file's level graphs: a strict
+	// open refuses the file, a salvaging one reports every record lost
+	// (the structural pass below condemns each).
+	if err := f3.loadLevelGraphs(); err != nil && !partial {
+		if region != nil {
+			region.Close()
 		}
+		return nil, nil, err
 	}
-	lost := hdr.factored() && f3.levels == nil
+	lost := f3.levels == nil
 	// Structural pass over the index: strictly ascending vertices with
 	// sane windows. Strict opens reject any violation; salvage marks the
 	// offending entries corrupt (binary search may then miss records
@@ -393,14 +378,7 @@ func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 			if !f3.verify(e, i) {
 				continue
 			}
-			p := f3.payload(e)
-			var derr error
-			if hdr.compressed() {
-				_, derr = f3.parse(p, int32(e.vertex), nil)
-			} else {
-				_, derr = core.DecodeLabel(p, int(e.bits))
-			}
-			if derr != nil {
+			if _, err := f3.parse(f3.payload(e), int32(e.vertex)); err != nil {
 				f3.markCorrupt(int32(e.vertex))
 			}
 		}
@@ -521,18 +499,15 @@ func (st *Store) inOverlay(v int32) bool {
 }
 
 // rawFrom3 returns the canonical record bytes of v from the FSDL3
-// backing, transcoding a compressed payload (a parse and a re-encode)
-// on every call: repair pulls, the canonical splice and Put's conflict
-// check each read a record once.
+// backing, transcoding its ball record (a parse and a re-encode) on
+// every call: repair pulls, the canonical splice and Put's conflict check
+// each read a record once.
 func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	bits, payload, ok := st.f3.storedPayload(v)
 	if !ok {
 		return 0, nil, false
 	}
-	if !st.f3.hdr.compressed() {
-		return bits, payload, true
-	}
-	l, err := st.f3.parse(payload, v, nil)
+	l, err := st.f3.parse(payload, v)
 	if err != nil {
 		st.f3.markCorrupt(v)
 		return 0, nil, false
@@ -547,23 +522,17 @@ func (st *Store) rawFrom3(v int32) (int, []byte, bool) {
 	return nbits, buf, true
 }
 
-// label3 decodes the label of v from the FSDL3 backing, its level lists
-// interned in the store's table.
+// label3 decodes the label of v from the FSDL3 backing: its balls, and
+// its edges induced from the file's level graphs.
 func (st *Store) label3(v int32) (*core.Label, error) {
-	bits, payload, ok := st.f3.storedPayload(v)
+	_, payload, ok := st.f3.storedPayload(v)
 	if !ok {
 		if st.f3.corruptAt(v) {
 			return nil, fmt.Errorf("labelstore: record for vertex %d is corrupt", v)
 		}
 		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 	}
-	var l *core.Label
-	var err error
-	if st.f3.hdr.compressed() {
-		l, err = st.f3.parse(payload, v, st.levels)
-	} else {
-		l, err = st.levels.DecodeLabel(payload, bits)
-	}
+	l, err := st.f3.parse(payload, v)
 	if err != nil {
 		st.f3.markCorrupt(v)
 		return nil, err
@@ -614,9 +583,9 @@ func (st *Store) Records(fn func(RecordInfo)) {
 	}
 }
 
-// LevelGraphsBytes returns the size of the level-graphs section of a
-// factored store — what every record of the file shares — and 0 for any
-// other store.
+// LevelGraphsBytes returns the size of the level-graphs section of an
+// FSDL3 store — what every record of the file shares — and 0 for an FSDL2
+// or heap store.
 func (st *Store) LevelGraphsBytes() int64 {
 	if st.f3 == nil {
 		return 0

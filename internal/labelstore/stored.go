@@ -46,18 +46,11 @@ func LoadLevels(section []byte, crc uint32) (*Levels, error) {
 // LevelGraphs returns the decoded section.
 func (lv *Levels) LevelGraphs() *core.LevelGraphs { return lv.lg }
 
-// parse decodes the stored payload of v — nested ball records, or the
-// flat ones older factored files hold — into the label its balls are
+// parse decodes the ball record of v into the label its balls are
 // (core.LevelGraphs.Label): its points, the saturated levels' one shared
 // edge list, and these level graphs for every other level's edges.
-func (lv *Levels) parse(payload []byte, v int32, nested bool) (*core.Label, error) {
-	var balls [][]core.PointEntry
-	var err error
-	if nested {
-		balls, err = lv.balls.parse(payload, nil)
-	} else {
-		balls, err = parseFlatBalls(payload, lv.lg)
-	}
+func (lv *Levels) parse(payload []byte, v int32) (*core.Label, error) {
+	balls, err := lv.balls.parse(payload, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -66,12 +59,10 @@ func (lv *Levels) parse(payload []byte, v int32, nested bool) (*core.Label, erro
 
 // StoredRecord is one record of a factored file as the file stores it:
 // the payload verbatim, the canonical bit length and CRC of its index
-// entry, the coding of its balls and the CRC of the level graphs it is
-// induced from.
+// entry and the CRC of the level graphs it is induced from.
 type StoredRecord struct {
 	Bits      int    // canonical bit length
 	CRC       uint32 // the index CRC over vertex, Bits and Data
-	Nested    bool   // nested ball coding (flag bit 2); flat when unset
 	LevelsCRC uint32 // CRC32 of the level-graphs section
 	Data      []byte
 }
@@ -97,7 +88,7 @@ func (lv *Levels) Label(v int32, r StoredRecord) (*core.Label, error) {
 	if recordChecksum(int(v), r.Bits, r.Data) != r.CRC {
 		return nil, fmt.Errorf("%w: vertex %d", ErrRecordCRC, v)
 	}
-	l, err := lv.parse(r.Data, v, r.Nested)
+	l, err := lv.parse(r.Data, v)
 	if err != nil {
 		return nil, err
 	}
@@ -110,9 +101,8 @@ func (lv *Levels) Label(v int32, r StoredRecord) (*core.Label, error) {
 // Stored returns the record of v as its factored file stores it, CRC
 // verified, for shipping as is. ok is false — and the record is to be
 // had from Raw as canonical bytes — for every other record: one the
-// heap overlay holds (an FSDL2 load, a Put), one of an uncompressed or
-// self-contained compressed file, one whose file's level graphs are
-// damaged, and one absent or corrupt. The payload aliases the file and
+// heap overlay holds (an FSDL2 load, a Put), one whose file's level
+// graphs are damaged, and one absent or corrupt. The payload aliases the file and
 // must not be mutated.
 func (st *Store) Stored(v int) (StoredRecord, bool) {
 	f := st.f3
@@ -126,7 +116,6 @@ func (st *Store) Stored(v int) (StoredRecord, bool) {
 	return StoredRecord{
 		Bits:      int(e.bits),
 		CRC:       e.crc,
-		Nested:    f.hdr.nested(),
 		LevelsCRC: f.levels.crc,
 		Data:      f.payload(e),
 	}, true

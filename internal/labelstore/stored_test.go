@@ -3,6 +3,7 @@ package labelstore
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"fsdl/internal/core"
@@ -19,18 +20,18 @@ func openFormat3(t *testing.T, s *core.Scheme) *Store {
 	return st
 }
 
-// TestStoredRecordsReadBack: every record a factored file — nested, or
-// flat, as older factored files hold it — hands out as stored reads
-// back, under the section it names, into the label its canonical bytes
-// encode; and Levels.Label
-// refuses a record that names other level graphs, fails its CRC, or
-// decodes to another canonical length than its index entry states.
+// TestStoredRecordsReadBack: every record a factored file hands out as
+// stored — a whole ring's, and a subset of a path's, whose low balls are
+// local — reads back, under the section it names, into the label its
+// canonical bytes encode; and Levels.Label refuses a record that names
+// other level graphs, fails its CRC, or decodes to another canonical
+// length than its index entry states.
 func TestStoredRecordsReadBack(t *testing.T) {
-	flat, err := Open(pre26Factored)
+	subset, err := Open(writeFormat3File(t, t.TempDir(), "subset", buildScheme(t, gen.Path(60)), []int{0, 7, 20, 41, 59}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, st := range map[string]*Store{"nested": openFormat3(t, buildScheme(t, ringLattice(128))), "flat": flat} {
+	for name, st := range map[string]*Store{"nested": openFormat3(t, buildScheme(t, ringLattice(128))), "subset": subset} {
 		t.Run(name, func(t *testing.T) {
 			section, crc, ok := st.LevelsSection()
 			if !ok {
@@ -45,8 +46,8 @@ func TestStoredRecordsReadBack(t *testing.T) {
 			}
 			for _, v := range st.Vertices() {
 				r, ok := st.Stored(v)
-				if !ok || r.Nested != (name == "nested") || r.LevelsCRC != crc {
-					t.Fatalf("vertex %d as stored: ok=%v nested=%v levels %08x", v, ok, r.Nested, r.LevelsCRC)
+				if !ok || r.LevelsCRC != crc {
+					t.Fatalf("vertex %d as stored: ok=%v levels %08x", v, ok, r.LevelsCRC)
 				}
 				l, err := lv.Label(int32(v), r)
 				if err != nil {
@@ -90,8 +91,9 @@ func TestStoredRecordsReadBack(t *testing.T) {
 // TestStoredLeavesOtherRecordsToRaw: Stored answers only for what a
 // factored file holds and the store serves from it. A heap-overlay
 // record — even one shadowing an intact copy on disk — and every record
-// of an FSDL2, uncompressed FSDL3 or pre-factoring compressed store go
-// the canonical way.
+// of an FSDL2 store, of a store filled by Put, and of a factored file
+// whose level graphs are damaged (healed record by record) go the
+// canonical way.
 func TestStoredLeavesOtherRecordsToRaw(t *testing.T) {
 	st := openFormat3(t, buildScheme(t, ringLattice(64)))
 	const v = 5
@@ -111,19 +113,34 @@ func TestStoredLeavesOtherRecordsToRaw(t *testing.T) {
 	}
 
 	s := buildScheme(t, gen.Grid2D(6, 6))
-	pre17, err := Open(pre17FSDL3c)
+	raw, err := os.ReadFile(writeFormat3File(t, t.TempDir(), "store", s, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	canonical, err := Open(canonicalFSDL3)
+	hdr, err := parseFormat3Header(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	raw[hdr.secOff+hdr.secLen/2] ^= 0x40
+	damaged, _, err := OpenPartial(writeTemp(t, raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer damaged.Close()
+	for v := 0; v < 36; v += 5 {
+		data, bits := s.Label(v).Encode()
+		if err := damaged.Put(v, bits, data); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for name, other := range map[string]*Store{
-		"FSDL2":                loadedStore(t, s),
-		"uncompressed FSDL3":   canonical,
-		"pre-factoring FSDL3c": pre17,
+		"FSDL2":                  loadedStore(t, s),
+		"filled by Put":          putStore(t, s),
+		"damaged, healed by Put": damaged,
 	} {
+		if len(other.Vertices()) == 0 {
+			t.Fatalf("%s: no record to ask for", name)
+		}
 		if _, _, ok := other.LevelsSection(); ok {
 			t.Errorf("%s: a level-graphs section", name)
 		}

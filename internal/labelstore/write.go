@@ -12,10 +12,10 @@
 // every source × sink pair yields, for the same ids, the bytes the
 // scheme source would. The source picks the sink: an FSDL3 file is
 // always factored — one level-graphs section, records reduced to their
-// balls — so a source that can supply the level graphs (a scheme, a
-// factored store) writes one, and any other store (FSDL2, an unfactored
-// FSDL3 file, one filled by Put or with its level graphs damaged) and
-// Save write FSDL2, the self-contained container.
+// balls — so a source that can supply the level graphs (a scheme, an
+// FSDL3 store) writes one, and any other store (FSDL2, one filled by Put
+// or with its level graphs damaged) and Save write FSDL2, the
+// self-contained container.
 package labelstore
 
 import (
@@ -31,8 +31,8 @@ import (
 
 // rec is one record on its way from a source to a sink, in the cheapest
 // form the source holds: a live label, or serialized bytes — canonical
-// Label.Encode output, or (prm.set) the nested ball record of a factored
-// store together with the parameters of that store.
+// Label.Encode output, or (prm.set) the ball record of an FSDL3 store
+// together with the parameters of that store.
 type rec struct {
 	label *core.Label
 	bits  int // canonical bit length of data
@@ -263,12 +263,12 @@ func (st *Store) levelGraphs() (*core.LevelGraphs, []byte) {
 }
 
 // record returns the record of v as canonical bytes, or — when stored
-// is set and the backing is a factored file of the nested ball coding —
-// as that file's payload verbatim, sparing a transcode. A vertex healed
+// is set and the backing is an FSDL3 file — as that file's ball record
+// verbatim, sparing a transcode. A vertex healed
 // via Put is always served from its repaired overlay record (the Raw
 // path), never from the damaged disk payload beneath it.
 func (st *Store) record(v int, stored bool) (rec, bool) {
-	if stored && st.f3 != nil && st.f3.hdr.nested() && !st.inOverlay(int32(v)) {
+	if stored && st.f3 != nil && !st.inOverlay(int32(v)) {
 		bits, payload, ok := st.f3.storedPayload(int32(v))
 		return rec{bits: bits, data: payload, prm: st.f3.hdr.prm}, ok
 	}

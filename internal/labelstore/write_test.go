@@ -46,9 +46,8 @@ func writtenBy(t *testing.T, write func(f *os.File) error) []byte {
 // — which every deployed store and every incremental splice depends on
 // not happening by accident. A deliberate format change updates the
 // constants and says so: the FSDL3 row was re-cut for the factored form
-// and again for the nested ball coding. Each encoding it replaced is a
-// committed file that must still read (TestLegacyFSDL3Reads), and so is
-// the canonical FSDL3 file this test pinned while it was still written.
+// and again for the nested ball coding. The encodings it replaced are
+// refused by the reader (TestFormat3HeaderFlags; docs/STORAGE.md).
 func TestGoldenContainers(t *testing.T) {
 	s := buildScheme(t, gen.Grid2D(6, 6)) // ε = 2
 	for _, golden := range []struct {
@@ -67,13 +66,10 @@ func TestGoldenContainers(t *testing.T) {
 		}
 	}
 	// The nested coding is what made the factored file smaller than the
-	// flat one it replaced.
-	old, err := os.ReadFile(pre26Factored)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now := writeBytes(t, FromScheme(buildScheme(t, gen.Path(60))), nil); len(now) >= len(old) {
-		t.Errorf("the nested coding writes %d bytes where the flat one wrote %d", len(now), len(old))
+	// flat one it replaced, which wrote the 60-vertex path in 11 829 bytes.
+	const flatPath60 = 11829
+	if now := writeBytes(t, FromScheme(buildScheme(t, gen.Path(60))), nil); len(now) >= flatPath60 {
+		t.Errorf("the nested coding writes %d bytes where the flat one wrote %d", len(now), flatPath60)
 	}
 }
 
@@ -178,8 +174,7 @@ func writeMatrix(t *testing.T, side int, dirty []int32, idSets [][]int) {
 
 	// The previous-generation stores: heap FSDL2, a mapped FSDL3 file, the
 	// same file with its victim record damaged on disk and healed through
-	// the Put overlay, and on the 6×6 grid the two committed FSDL3 files
-	// of encodings that are only read.
+	// the Put overlay, and on the 6×6 grid a store filled by Put alone.
 	var buf bytes.Buffer
 	if err := Save(&buf, s, nil); err != nil {
 		t.Fatal(err)
@@ -215,14 +210,7 @@ func writeMatrix(t *testing.T, side int, dirty []int32, idSets [][]int) {
 	}
 	stores["healed"] = healed
 	if side == 6 {
-		for name, path := range map[string]string{"canonical FSDL3": canonicalFSDL3, "self-contained FSDL3c": pre17FSDL3c} {
-			st, err := Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Close()
-			stores[name] = st
-		}
+		stores["put"] = putStore(t, s)
 	}
 
 	for _, ids := range idSets {
