@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"math"
@@ -72,6 +73,28 @@ func logGoroutines(w io.Writer, name string) {
 	}
 }
 
+// allocRuns is how many iterations count the allocs/op of a strict or
+// decode row, after one warm-up iteration. The count is fixed: the b.N
+// testing.Benchmark picks from wall time divides a run's constant
+// allocations and its pool refills by fewer iterations on a slow run.
+// It is large enough to spread a decode scratch that sync.Pool hands
+// back cold (about 200 allocations) below one alloc per op:
+// decode_mmap_F16 checks one out per op, and at 32 iterations it read 13
+// allocs/op instead of 7 in some runs.
+const allocRuns = 256
+
+// countAllocs runs fn once to warm it up, then allocRuns times, and
+// returns the allocs and bytes per op of the counted iterations.
+func countAllocs(fn func(b *testing.B)) (allocs, bytes int64) {
+	testing.Init()
+	f := flag.Lookup("test.benchtime")
+	prev := f.Value.String()
+	f.Value.Set(fmt.Sprintf("%dx", allocRuns))
+	defer f.Value.Set(prev)
+	r := testing.Benchmark(fn)
+	return r.AllocsPerOp(), r.AllocedBytesPerOp()
+}
+
 // benchmark runs one kernel under testing.Benchmark.
 func benchmark(name string, fn func(b *testing.B)) benchResult {
 	r := testing.Benchmark(fn)
@@ -111,10 +134,18 @@ func runJSON(path string, quick, timed bool, baseline, compare string, log io.Wr
 		if timed && !timedRow(name) {
 			return benchResult{Name: name}
 		}
-		if strictKernels[name] || decodeRow(name) {
-			logGoroutines(log, name)
+		if !strictKernels[name] && !decodeRow(name) {
+			return benchmark(name, fn)
 		}
-		return benchmark(name, fn)
+		// A gated row's allocs come from a counted run of their own, its
+		// time from the usual timed one. -timed gates time alone, so it
+		// skips the count.
+		logGoroutines(log, name)
+		r := benchmark(name, fn)
+		if !timed {
+			r.AllocsPerOp, r.BytesPerOp = countAllocs(fn)
+		}
+		return r
 	}
 	add := func(r benchResult) {
 		if r.Iterations == 0 {

@@ -173,7 +173,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 				*storePath, rep.Total, rep.Truncated)
 		}
 		if rep.Lost() > 0 {
-			fmt.Fprintf(logw, "fsdl-serve: salvage: kept %d/%d records (%d corrupt, truncated: %v) — lost fault labels answered as safe upper bounds\n",
+			fmt.Fprintf(logw, "fsdl-serve: salvage: kept %d/%d records (%d corrupt, truncated: %v) — lost fault labels answered as safe upper bounds, lost endpoints as 503\n",
 				rep.Kept, rep.Total, len(rep.Corrupt), rep.Truncated)
 		}
 		cfg.Store, cfg.Report = st, rep

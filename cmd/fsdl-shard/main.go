@@ -13,15 +13,19 @@
 //
 //	fsdl-shard -store shard0.fsdl -addr :9000 [-name shard0] [-salvage]
 //
+// A partition that -salvage opens with any record lost is incomplete:
+// the shard answers whatever it lacks as unknown, not absent, until the
+// frontend's repairer has filled it and seals it.
+//
 // An FSDL3 partition is served straight from the OS page cache — the
 // shard's memory footprint is bounded by what the kernel keeps warm, not
 // the store size. A repair persist (-persist) writes the store's own
 // encoding: a factored partition stays factored, anything else is
 // written as FSDL2.
 //
-// A replacement for a dead shard starts empty and is filled by the
-// frontend's anti-entropy repairer (see docs/CLUSTER.md, "Membership &
-// repair"):
+// A replacement for a dead shard starts empty — incomplete in the same
+// way — and is filled by the frontend's anti-entropy repairer (see
+// docs/CLUSTER.md, "Membership & repair"):
 //
 //	fsdl-shard -bootstrap-n 65536 -addr :9003 -name shard3 [-persist shard3.fsdl]
 //
@@ -88,7 +92,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	var st *labelstore.Store
-	var rep *labelstore.SalvageReport
 	generation := uint64(0)
 	switch {
 	case genBoot:
@@ -127,9 +130,10 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		if *salvage {
 			// OpenPartial keeps an FSDL3 store mmap-backed through salvage;
 			// FSDL2 files go through the stream salvager exactly as before.
+			var rep *labelstore.SalvageReport
 			st, rep, err = labelstore.OpenPartial(*storePath)
 			if err == nil && rep.Lost() > 0 {
-				fmt.Fprintf(logw, "fsdl-shard: salvage: kept %d/%d records — lost ones answer as unknown so the frontend fails over to replicas\n",
+				fmt.Fprintf(logw, "fsdl-shard: salvage: kept %d/%d records — what the store lacks answers as unknown until repair seals it, so the frontend fails over to replicas\n",
 					rep.Kept, rep.Total)
 			}
 		} else {
@@ -143,16 +147,14 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	// Nothing reads the store once the server below has closed.
 	defer st.Close()
 
-	// The report makes the shard answer salvage-lost vertices with the
-	// wire protocol's "unknown" state instead of authoritative absence;
-	// bootstrap does the same for the whole vertex space.
+	// A salvaged or bootstrapped store is incomplete: it answers what it
+	// lacks with the wire protocol's "unknown" state instead of
+	// authoritative absence until the repairer seals it.
 	srv, err := cluster.NewShardServer(cluster.ShardConfig{
 		Store:          st,
 		Name:           *name,
-		Report:         rep,
 		Generation:     generation,
 		GenerationRoot: *genDir,
-		Bootstrap:      *bootstrapN > 0,
 		PersistPath:    *persist,
 		RepairRate:     *repairRate,
 	})

@@ -152,12 +152,12 @@ func TestRepairAuditHealsFactoredPartition(t *testing.T) {
 			} else {
 				sweep("audit of the damaged record", 1, false)
 			}
-			if !damaged.Has(victim) || damaged.Corrupt(victim) {
-				t.Fatalf("after the pull: Has=%v Corrupt=%v", damaged.Has(victim), damaged.Corrupt(victim))
+			if !damaged.Has(victim) || damaged.Unknown(victim) {
+				t.Fatalf("after the pull: Has=%v Unknown=%v", damaged.Has(victim), damaged.Unknown(victim))
 			}
 			want, wantBits := s.Label(victim).Encode()
 			for _, op := range []byte{OpGetLabelsGen, OpGetLabelsStored} {
-				rec := fetchOne(t, m.Nodes[0].Addr, op, victim)
+				rec := fetchOne(t, m.Nodes[0].Addr, op, 0, victim)
 				if !rec.Present || rec.Stored || rec.Bits != wantBits || !bytes.Equal(rec.Data, want) {
 					t.Fatalf("op %d: shard0 serves the healed record as present=%v stored=%v bits=%d, want the scheme's %d canonical bits",
 						op, rec.Present, rec.Stored, rec.Bits, wantBits)
@@ -187,15 +187,16 @@ func waitHealthy(t *testing.T, fe *Frontend) {
 	}
 }
 
-// fetchOne asks the shard at addr for v's record with a label op.
-func fetchOne(t *testing.T, addr string, op byte, v int) LabelRecord {
+// fetchOne asks the shard at addr for v's record with a label op,
+// tagged with generation gen (0: the current one).
+func fetchOne(t *testing.T, addr string, op byte, gen uint64, v int) LabelRecord {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := frame.Write(conn, op, AppendGenLabelRequest(nil, 0, []int32{int32(v)})); err != nil {
+	if err := frame.Write(conn, op, AppendGenLabelRequest(nil, gen, []int32{int32(v)})); err != nil {
 		t.Fatal(err)
 	}
 	rop, payload, err := frame.Read(conn)

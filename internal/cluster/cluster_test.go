@@ -575,7 +575,7 @@ func TestSalvagedShardFailsOverToReplica(t *testing.T) {
 		return ln.Addr().String()
 	}
 	addr0 := mk(ShardConfig{Store: st, Name: "shard0"})
-	addr1 := mk(ShardConfig{Store: salvStore, Name: "shard1", Report: rep})
+	addr1 := mk(ShardConfig{Store: salvStore, Name: "shard1"})
 
 	// R=2 over two shards: both own every vertex, so each lost label has
 	// an intact replica at shard0 regardless of who is primary.

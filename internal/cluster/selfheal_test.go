@@ -282,7 +282,7 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 	// Step 3: the runbook. Join the empty replacement drained (so no
 	// query traffic lands on it while it is a shell), remove the corpse.
 	_, replAddr := startExtraShard(t, ShardConfig{
-		Store: mustEmptyStore(t, n), Name: "shard3", Bootstrap: true,
+		Store: mustEmptyStore(t, n), Name: "shard3",
 	})
 	if _, err := fe.Join("shard3", replAddr); err != nil {
 		t.Fatalf("join replacement: %v", err)
@@ -324,6 +324,11 @@ func TestSelfHealingDeadShardReplacement(t *testing.T) {
 	}
 	if cs.Repair.Repaired == 0 {
 		t.Fatal("repair converged without installing any records on the empty shard")
+	}
+	// The frontend drops its copy of the flag when the seal is answered;
+	// the replacement's own pong must agree: the seal reached its store.
+	if !pingAuthoritative(t, replAddr) {
+		t.Fatal("the sealed replacement's own pong is still non-authoritative")
 	}
 
 	// Undrain: the replacement takes query traffic, and answers are

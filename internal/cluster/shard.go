@@ -24,13 +24,6 @@ type ShardConfig struct {
 	Store *labelstore.Store
 	// Name identifies the shard in errors (optional).
 	Name string
-	// Report, when non-nil, is the salvage report from loading Store
-	// via labelstore.LoadPartial. Vertices it lists as corrupt — and,
-	// when the file was truncated, every vertex the store lacks — are
-	// answered with the "unknown" presence state instead of
-	// authoritative absence, so the frontend fails over to an intact
-	// replica rather than negative-caching the loss.
-	Report *labelstore.SalvageReport
 	// Generation is the label generation cfg.Store serves (default 1).
 	// Queries tagged with another generation are refused unless the
 	// shard still holds that generation's store.
@@ -41,12 +34,6 @@ type ShardConfig struct {
 	// partition file (<Name>.fsdl) from a generation when the manifest
 	// lists one, and the full labels.fsdl otherwise.
 	GenerationRoot string
-	// Bootstrap marks a replacement shard that joined the ring empty
-	// (or incomplete) and is awaiting anti-entropy repair: like a
-	// truncated salvage, every absent record answers "unknown" instead
-	// of authoritative absence, until the repairer verifies the
-	// partition complete and seals the shard.
-	Bootstrap bool
 	// PersistPath, when set, rewrites the partition container (atomic
 	// temp+rename) after each repair pull that installed records, so a
 	// repaired shard survives its own restart.
@@ -93,17 +80,6 @@ type ShardServer struct {
 	cur   genStore
 	prev  genStore
 
-	// salvMu guards the salvage/bootstrap state, which repair now
-	// mutates on a live server: installs clear per-vertex loss marks,
-	// and a seal clears the whole-store uncertainty.
-	salvMu sync.RWMutex
-	// salvageLost holds the vertices cfg.Report marked corrupt;
-	// salvageTrunc mirrors its Truncated flag (lost vertices unknown);
-	// bootstrap mirrors cfg.Bootstrap until the shard is sealed.
-	salvageLost  map[int32]struct{}
-	salvageTrunc bool
-	bootstrap    bool
-
 	// repairMu serializes repair pulls: one transfer at a time keeps
 	// the rate limit and the persistence rewrite coherent.
 	repairMu sync.Mutex
@@ -136,15 +112,8 @@ func NewShardServer(cfg ShardConfig) (*ShardServer, error) {
 	if cfg.Generation == 0 {
 		cfg.Generation = 1
 	}
-	s := &ShardServer{cfg: cfg, conns: make(map[net.Conn]struct{}), bootstrap: cfg.Bootstrap}
+	s := &ShardServer{cfg: cfg, conns: make(map[net.Conn]struct{})}
 	s.cur = genStore{gen: cfg.Generation, store: cfg.Store}
-	if cfg.Report != nil {
-		s.salvageTrunc = cfg.Report.Truncated
-		s.salvageLost = make(map[int32]struct{}, len(cfg.Report.Corrupt))
-		for _, v := range cfg.Report.Corrupt {
-			s.salvageLost[v] = struct{}{}
-		}
-	}
 	return s, nil
 }
 
@@ -358,8 +327,8 @@ func (s *ShardServer) storeForGen(gen uint64) (genStore, error) {
 // InstallGeneration activates st as label generation gen, displacing
 // the current store into the previous-generation slot. The in-process
 // path for same-binary clusters and tests; LoadGeneration is the
-// on-disk one. A freshly installed generation is complete by
-// construction, so salvage and bootstrap uncertainty are cleared.
+// on-disk one. Each store keeps its own authority: the displaced one
+// still answers Unknown for what it lacks, to scatters pinned to it.
 func (s *ShardServer) InstallGeneration(gen uint64, st *labelstore.Store) error {
 	if st == nil {
 		return fmt.Errorf("cluster: InstallGeneration: nil store")
@@ -380,11 +349,6 @@ func (s *ShardServer) InstallGeneration(gen uint64, st *labelstore.Store) error 
 	s.prev = s.cur
 	s.cur = genStore{gen: gen, store: st}
 	s.genMu.Unlock()
-	s.salvMu.Lock()
-	s.salvageTrunc = false
-	s.bootstrap = false
-	s.salvageLost = nil
-	s.salvMu.Unlock()
 	return nil
 }
 
@@ -460,11 +424,12 @@ func (s *ShardServer) writeLabels(bw *bufio.Writer, bufs *connBufs, gs genStore,
 	return flush(OpLabels)
 }
 
-// lookupRecord resolves one vertex against the store, distinguishing
-// authoritative absence from salvage loss and bootstrap incompleteness.
-// With stored, a record its factored file holds goes out as the file
-// stores it, naming the file's level graphs under gs's generation; any
-// other — a heap-overlay record among them — as canonical bytes.
+// lookupRecord resolves one vertex against gs's store, which decides
+// whether a record it cannot serve is authoritatively absent or unknown
+// (damaged, or lacked by an incomplete store). With stored, a record its
+// factored file holds goes out as the file stores it, naming the file's
+// level graphs under gs's generation; any other — a heap-overlay record
+// among them — as canonical bytes.
 func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecord {
 	rec := LabelRecord{Vertex: v}
 	st := gs.store
@@ -481,52 +446,29 @@ func (s *ShardServer) lookupRecord(gs genStore, v int32, stored bool) LabelRecor
 		s.LabelsServed.Add(1)
 		return rec
 	}
-	if st.Corrupt(int(v)) {
-		// An FSDL3 record whose lazy CRC check failed: the vertex is in
-		// the index, so absence is known to be damage, not authority.
-		// Answer Unknown and let the frontend fail over to a replica
-		// while the repair audit heals the record in place.
-		rec.Unknown = true
-		return rec
-	}
-	s.salvMu.RLock()
-	defer s.salvMu.RUnlock()
-	if s.salvageTrunc || s.bootstrap {
-		// A truncated salvage lost an unknowable suffix of the records,
-		// and a bootstrap shard has not received its partition yet:
-		// nothing such a store lacks can be called authoritatively
-		// absent until the repairer seals it.
-		rec.Unknown = true
-	} else if _, lost := s.salvageLost[v]; lost {
-		rec.Unknown = true
-	}
+	// Unknown lets the frontend fail over to a replica while the
+	// repairer fills or heals this one.
+	rec.Unknown = st.Unknown(int(v))
 	return rec
 }
 
-// pongFlags reports the shard's status bits for health probes. A store
-// with known-corrupt FSDL3 records is flagged exactly like a salvage
-// loss: the repairer's audit can still heal it, but until then
-// its absences must not be trusted.
+// pongFlags reports the shard's status bits for health probes: a store
+// that cannot vouch for its absences — incomplete, or holding a damaged
+// record not yet healed — is flagged non-authoritative.
 func (s *ShardServer) pongFlags(st *labelstore.Store) uint64 {
-	s.salvMu.RLock()
-	defer s.salvMu.RUnlock()
 	var flags uint64
-	if s.salvageTrunc || s.bootstrap || len(s.salvageLost) > 0 || st.CorruptCount() > 0 {
+	if !st.Authoritative() {
 		flags |= PongNonAuthoritative
 	}
 	return flags
 }
 
-// seal records the repairer's verdict that this shard's partition is
-// complete: absences become authoritative again, and per-vertex salvage
-// marks are dropped (anything still missing after a verified repair is
-// genuinely not this shard's to hold).
+// seal records the repairer's verdict that the current store holds its
+// whole partition: what it still lacks is genuinely not this shard's to
+// hold, so its absences become authoritative.
 func (s *ShardServer) seal() {
-	s.salvMu.Lock()
-	s.salvageTrunc = false
-	s.bootstrap = false
-	s.salvageLost = nil
-	s.salvMu.Unlock()
+	st, _ := s.currentStore()
+	st.Seal()
 	s.Sealed.Store(true)
 }
 
@@ -665,9 +607,6 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 				continue
 			}
 			installed++
-			s.salvMu.Lock()
-			delete(s.salvageLost, v)
-			s.salvMu.Unlock()
 		}
 		// Pace to the configured install rate: sleep off any debt the
 		// records installed so far have accumulated over real time.

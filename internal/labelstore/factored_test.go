@@ -372,8 +372,8 @@ func TestFactoredDamagedLevelGraphs(t *testing.T) {
 			t.Errorf("%s: %d labels servable", name, st.NumLabels())
 		}
 		for v := 0; v < n; v++ {
-			if _, err := st.Label(v); err == nil || !st.Corrupt(v) || st.Has(v) {
-				t.Fatalf("%s: vertex %d: Label err=%v Corrupt=%v Has=%v, want a corrupt record", name, v, err, st.Corrupt(v), st.Has(v))
+			if _, err := st.Label(v); err == nil || !st.Unknown(v) || st.Has(v) {
+				t.Fatalf("%s: vertex %d: Label err=%v Unknown=%v Has=%v, want a corrupt record", name, v, err, st.Unknown(v), st.Has(v))
 			}
 			if _, _, ok := st.Raw(v); ok {
 				t.Fatalf("%s: vertex %d: Raw served a record", name, v)
@@ -589,14 +589,14 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !st.Has(victim) || st.Corrupt(victim) {
-			t.Errorf("%s: before any read: Has=%v Corrupt=%v, want a present record", name, st.Has(victim), st.Corrupt(victim))
+		if !st.Has(victim) || st.Unknown(victim) {
+			t.Errorf("%s: before any read: Has=%v Unknown=%v, want a present record", name, st.Has(victim), st.Unknown(victim))
 		}
 		if l, err := st.Label(victim); err == nil {
 			t.Fatalf("%s: decoded into a label (Validate: %v)", name, l.Validate())
 		}
-		if !st.Corrupt(victim) || st.Has(victim) {
-			t.Errorf("%s: Corrupt=%v Has=%v after the failed decode", name, st.Corrupt(victim), st.Has(victim))
+		if !st.Unknown(victim) || st.Has(victim) {
+			t.Errorf("%s: Unknown=%v Has=%v after the failed decode", name, st.Unknown(victim), st.Has(victim))
 		}
 		if _, _, ok := st.Raw(victim); ok {
 			t.Errorf("%s: Raw served the record", name)
@@ -611,8 +611,8 @@ func TestFactoredHostileRecords(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, ok := raw.Raw(victim); ok || !raw.Corrupt(victim) {
-			t.Errorf("%s: Raw on a fresh store: ok=%v Corrupt=%v", name, ok, raw.Corrupt(victim))
+		if _, _, ok := raw.Raw(victim); ok || !raw.Unknown(victim) {
+			t.Errorf("%s: Raw on a fresh store: ok=%v Unknown=%v", name, ok, raw.Unknown(victim))
 		}
 		raw.Close()
 
@@ -692,13 +692,13 @@ func TestFactoredPutOverDamagedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if _, err := st.Label(victim); err == nil || !st.Corrupt(victim) {
+	if _, err := st.Label(victim); err == nil || !st.Unknown(victim) {
 		t.Fatal("damaged record served")
 	}
 	if err := st.Put(victim, bits, data); err != nil {
 		t.Fatalf("heal: %v", err)
 	}
-	if st.Corrupt(victim) || !st.Has(victim) {
+	if st.Unknown(victim) || !st.Has(victim) {
 		t.Fatal("healed record still reported corrupt")
 	}
 	sameAsScheme(t, "healed factored store", st, s, nil)

@@ -2,6 +2,7 @@ package labelstore
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -159,8 +160,8 @@ func TestFormat3SalvageParity(t *testing.T) {
 		if _, _, ok := st.Raw(victim); ok {
 			t.Fatal("corrupt record served")
 		}
-		if !st.Corrupt(victim) {
-			t.Fatal("corrupt record not reported as corrupt")
+		if !st.Unknown(victim) {
+			t.Fatal("corrupt record not reported as unknown")
 		}
 		if st.Has(victim) {
 			t.Fatal("corrupt record reported as held")
@@ -190,8 +191,8 @@ func TestFormat3SalvageParity(t *testing.T) {
 		if err := sp.Put(victim, wantBits, wantBuf); err != nil {
 			t.Fatalf("heal: %v", err)
 		}
-		if sp.Corrupt(victim) {
-			t.Fatal("healed record still reported corrupt")
+		if sp.Unknown(victim) {
+			t.Fatal("healed record still reported unknown")
 		}
 		bits, data, ok := sp.Raw(victim)
 		if !ok || bits != wantBits || !bytes.Equal(data, wantBuf) {
@@ -257,8 +258,8 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if st.Has(victim) {
 			t.Fatalf("%s: decode-corrupt record still reported held", c.name)
 		}
-		if !st.Corrupt(victim) {
-			t.Fatalf("%s: decode-corrupt record not reported corrupt", c.name)
+		if !st.Unknown(victim) {
+			t.Fatalf("%s: decode-corrupt record not reported unknown", c.name)
 		}
 		if _, _, ok := st.f3.storedPayload(victim); ok {
 			t.Fatalf("%s: storedPayload serves decode-corrupt record", c.name)
@@ -266,8 +267,8 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if _, _, ok := st.Raw(victim); ok {
 			t.Fatalf("%s: Raw serves decode-corrupt record", c.name)
 		}
-		if got := st.CorruptCount(); got != 1 {
-			t.Fatalf("%s: CorruptCount = %d, want 1", c.name, got)
+		if st.Authoritative() {
+			t.Fatalf("%s: a store holding a decode-corrupt record claims authority", c.name)
 		}
 		st.Close()
 
@@ -280,7 +281,7 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim || rep.Kept != n-1 {
 			t.Fatalf("%s: salvage report %+v", c.name, rep)
 		}
-		if sp.Has(victim) || !sp.Corrupt(victim) {
+		if sp.Has(victim) || !sp.Unknown(victim) {
 			t.Fatalf("%s: salvaged store contradicts its report", c.name)
 		}
 		sp.Close()
@@ -361,6 +362,9 @@ func TestFormat3TruncatedFile(t *testing.T) {
 	// Cut the file in the middle of its data section (in a factored file
 	// the records are a small share of the whole).
 	cut := int64(whole.f3.hdr.dataOff + whole.f3.hdr.dataLen/2)
+	if !whole.Authoritative() {
+		t.Fatal("strict open of the intact file is not authoritative")
+	}
 	whole.Close()
 	if err := os.Truncate(path, cut); err != nil {
 		t.Fatal(err)
@@ -379,8 +383,17 @@ func TestFormat3TruncatedFile(t *testing.T) {
 		t.Fatalf("truncated salvage kept %d of %d", rep.Kept, rep.Total)
 	}
 	for _, v := range st.Vertices() {
-		if _, err := st.Label(v); err != nil && !st.Corrupt(v) {
-			t.Fatalf("kept vertex %d neither decodes nor reports corrupt: %v", v, err)
+		if _, err := st.Label(v); err != nil && !st.Unknown(v) {
+			t.Fatalf("kept vertex %d neither decodes nor reports unknown: %v", v, err)
+		}
+	}
+	// The truncation lost records: nothing the store lacks is absent.
+	if st.Authoritative() {
+		t.Fatal("truncated salvage claims authority")
+	}
+	for v := range g.NumVertices() {
+		if _, err := st.Label(v); err != nil && (errors.Is(err, core.ErrNoLabel) || !st.Unknown(v)) {
+			t.Fatalf("vertex %d lost to the cut: Label = %v, Unknown=%v", v, err, st.Unknown(v))
 		}
 	}
 	st.Close()

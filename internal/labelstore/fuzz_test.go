@@ -234,7 +234,7 @@ func FuzzOpenFormat3(f *testing.F) {
 						t.Fatalf("Raw(%d) served a record that does not decode: %v", v, err)
 					}
 				}
-				st.Corrupt(v)
+				st.Unknown(v)
 			}
 		}
 		if st, err := Open(path); err == nil {

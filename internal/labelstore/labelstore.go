@@ -199,6 +199,11 @@ type Store struct {
 	// fault, a pending patch) is resident from then on. nil — admit at
 	// first touch — unless admit switched it on.
 	touched []atomic.Uint64
+	// incomplete is set when the store may lack records it should hold —
+	// a salvaging open lost some, or NewEmpty made it for a bootstrap —
+	// and cleared by Seal. While it is set, nothing the store lacks is
+	// authoritatively absent.
+	incomplete atomic.Bool
 }
 
 type record struct {
@@ -301,9 +306,10 @@ func (sr *SalvageReport) Lost() int { return sr.Total - sr.Kept }
 // records whose checksum fails or whose payload does not decode are
 // skipped, and a framing break abandons the remainder of the file. The
 // error is non-nil only when the header itself is unreadable — a damaged
-// body yields a usable Store plus a report of what was lost. Queries
-// needing a lost label can still be answered conservatively via
-// DistanceRobust.
+// body yields a usable Store plus a report of what was lost. A store
+// that lost anything is incomplete: whatever it lacks is Unknown, not
+// absent, until Seal. Queries needing a lost label can still be answered
+// conservatively via DistanceRobust.
 func LoadPartial(r io.Reader) (*Store, *SalvageReport, error) {
 	return load(r, true)
 }
@@ -344,6 +350,7 @@ func load(r io.Reader, partial bool) (*Store, *SalvageReport, error) {
 		rep.Kept++
 	}
 	slices.Sort(rep.Corrupt)
+	st.incomplete.Store(rep.Lost() > 0 || rep.Truncated)
 	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }
@@ -378,6 +385,53 @@ func (st *Store) Has(v int) bool {
 	}
 	e, slot, ok := st.f3.find(int32(v))
 	return ok && st.f3.verify(e, slot)
+}
+
+// Unknown reports whether the store can neither serve v nor vouch for
+// its absence: the store is incomplete, or v's indexed record is damaged
+// and no Put has healed it. A shard answers such a v "unknown", so a
+// frontend fails over to a replica instead of caching an absence.
+func (st *Store) Unknown(v int) bool {
+	return !st.Has(v) && (st.incomplete.Load() || st.f3 != nil && st.f3.corruptAt(int32(v)))
+}
+
+// Authoritative reports whether every absence the store answers is
+// authoritative: it is complete (as opened, or sealed since) and holds no
+// damaged record a Put has not healed. A store with no known damage
+// answers from two atomic loads.
+func (st *Store) Authoritative() bool {
+	if st.incomplete.Load() {
+		return false
+	}
+	if st.f3 == nil || st.f3.ncorrupt.Load() == 0 {
+		return true
+	}
+	st.f3.mu.RLock()
+	damaged := make([]int32, 0, len(st.f3.corrupt))
+	for v := range st.f3.corrupt {
+		damaged = append(damaged, v)
+	}
+	st.f3.mu.RUnlock()
+	for _, v := range damaged {
+		if !st.inOverlay(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// Seal marks the store complete — the repairer has verified that it
+// holds every record it should — so from now on what it lacks is
+// authoritatively absent. Damage found after the seal is still Unknown.
+func (st *Store) Seal() { st.incomplete.Store(false) }
+
+// absent is the error of a lookup of v that the store cannot serve: it
+// wraps core.ErrNoLabel only when the store can vouch for the absence.
+func (st *Store) absent(v int32) error {
+	if st.incomplete.Load() {
+		return fmt.Errorf("labelstore: vertex %d is not held by an incomplete store", v)
+	}
+	return fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
 }
 
 // Vertices returns the sorted vertex ids whose labels the store holds —
@@ -474,7 +528,7 @@ func (st *Store) Label(v int) (*core.Label, error) {
 			return nil, err
 		}
 	} else {
-		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
+		return nil, st.absent(int32(v))
 	}
 	st.cacheMisses.Add(1)
 	if st.touch(v) {
@@ -542,12 +596,14 @@ func (st *Store) robustQuery(src, dst int, faults *graph.FaultSet, budget int) (
 
 // NewEmpty returns a store over an n-vertex space holding no labels —
 // the boot state of a replacement shard, which joins the ring empty and
-// is filled by anti-entropy repair.
+// is filled by anti-entropy repair. It is incomplete until Seal.
 func NewEmpty(n int) (*Store, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("labelstore: empty store needs a positive vertex space, got %d", n)
 	}
-	return newStore(n, 0), nil
+	st := newStore(n, 0)
+	st.incomplete.Store(true)
+	return st, nil
 }
 
 // Put installs the serialized record of v — the repair-ingest path. The

@@ -241,8 +241,9 @@ func Open(path string) (*Store, error) {
 // LoadPartial: a damaged body yields a usable Store plus a report of
 // what was lost. For FSDL3 every record is eagerly CRC-checked and
 // decode-checked; damaged or unreachable records land in the corrupt
-// set (lookups report them via Corrupt, and the store stays mmap-backed
-// so salvage does not force the file into heap).
+// set, a store that lost any is incomplete until Seal (lookups report
+// what it lacks via Unknown), and the store stays mmap-backed so salvage
+// does not force the file into heap.
 func OpenPartial(path string) (*Store, *SalvageReport, error) {
 	return open(path, true)
 }
@@ -397,6 +398,7 @@ func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 		// corrupt list (their ids are unreadable); they are lost too.
 		rep.Kept = f3.idxCount - len(rep.Corrupt)
 	}
+	st.incomplete.Store(rep.Lost() > 0 || rep.Truncated)
 	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }
@@ -409,62 +411,6 @@ func (st *Store) Close() error {
 		return st.f3.region.Close()
 	}
 	return nil
-}
-
-// Corrupt reports whether the stored record of v is present but known
-// damaged (CRC or decode failure) and not shadowed by a repaired
-// in-heap copy. The cluster shard maps this to a non-authoritative
-// Unknown so frontends fail over instead of trusting absence.
-func (st *Store) Corrupt(v int) bool {
-	st.mu.RLock()
-	_, ok := st.labels[int32(v)]
-	st.mu.RUnlock()
-	if ok || st.f3 == nil {
-		return false
-	}
-	return st.f3.corruptAt(int32(v))
-}
-
-// CorruptVertices returns the sorted vertices currently known corrupt
-// and unhealed — diagnostics for stats and repair tooling.
-func (st *Store) CorruptVertices() []int32 {
-	if st.f3 == nil {
-		return nil
-	}
-	st.f3.mu.RLock()
-	ids := make([]int32, 0, len(st.f3.corrupt))
-	for v := range st.f3.corrupt {
-		ids = append(ids, v)
-	}
-	st.f3.mu.RUnlock()
-	slices.Sort(ids)
-	out := ids[:0]
-	for _, v := range ids {
-		st.mu.RLock()
-		_, healed := st.labels[v]
-		st.mu.RUnlock()
-		if !healed {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-// CorruptCount reports how many stored records are currently known
-// corrupt and unhealed. Cheap enough for health probes: shards fold it
-// into the non-authoritative pong flag so frontends fail over while
-// the repair audit heals the damage.
-func (st *Store) CorruptCount() int {
-	if st.f3 == nil {
-		return 0
-	}
-	st.f3.mu.RLock()
-	n := len(st.f3.corrupt)
-	st.f3.mu.RUnlock()
-	if n == 0 {
-		return 0
-	}
-	return len(st.CorruptVertices())
 }
 
 // SetDecodedCacheCapacity resizes the decoded-label LRU — memory-ceiling
@@ -530,7 +476,7 @@ func (st *Store) label3(v int32) (*core.Label, error) {
 		if st.f3.corruptAt(v) {
 			return nil, fmt.Errorf("labelstore: record for vertex %d is corrupt", v)
 		}
-		return nil, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
+		return nil, st.absent(v)
 	}
 	l, err := st.f3.parse(payload, v)
 	if err != nil {

@@ -36,9 +36,11 @@ import (
 //	POST /v1/cluster/leave  {"name"}                       → {"epoch":N}
 //	POST /v1/cluster/drain  {"name","drain":true|false}    → {"epoch":N}
 //
-// Errors are {"error": "..."} with 400 (malformed request), 404
-// (endpoint label not in the store), 429 (queue full), or 503
-// (deadline expired while queued).
+// Errors are {"error": "..."} with 400 (malformed request, vertex out
+// of range), 404 (endpoint label authoritatively absent), 429 (queue
+// full), or 503 (deadline expired while queued, or an endpoint label the
+// source can neither serve nor vouch absent: replicas down, a damaged
+// record, one an incomplete store lacks).
 
 // Per-request size caps. Each pair and each fault fans out into label
 // fetches (against a cluster source, shard RPCs), so unbounded requests
@@ -189,7 +191,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status = http.StatusTooManyRequests
 	case errors.Is(err, ErrCompacting):
 		status = http.StatusConflict
-	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, ErrDeadline), errors.Is(err, context.DeadlineExceeded),
+		errors.As(err, new(labelUnavailable)):
 		status = http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled):
 		// The client already hung up; the status is a formality.

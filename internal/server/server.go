@@ -129,6 +129,13 @@ type Answer struct {
 
 func (a *Answer) fail(err error) { a.Error, a.err = err.Error(), err }
 
+// labelUnavailable marks an endpoint label the source could neither
+// serve nor call absent — every replica down, a damaged record, one an
+// incomplete store lacks — which the HTTP layer answers 503, not 404.
+type labelUnavailable struct{ error }
+
+func (e labelUnavailable) Unwrap() error { return e.error }
+
 // State is a point-in-time snapshot for /v1/state.
 type State struct {
 	N               int      `json:"n"`
@@ -551,6 +558,9 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 			}
 		}
 		if err != nil {
+			if !errors.Is(err, core.ErrNoLabel) {
+				err = labelUnavailable{err}
+			}
 			a.fail(err)
 			s.met.errors.Add(1)
 		}

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -783,8 +785,9 @@ func (w wordedSource) PinLabels() (func(context.Context, int) (*core.Label, erro
 
 // TestAbsenceIsASentinel: what makes a missing endpoint label a 404 is
 // that its error wraps core.ErrNoLabel, whatever the message says — and
-// an error that merely says "no label for vertex" is not one. A missing
-// fault label is demoted to the degraded tier either way.
+// an error that merely says "no label for vertex" is not one: the source
+// could not vouch for that absence, which is a 503. A missing fault
+// label is demoted to the degraded tier either way.
 func TestAbsenceIsASentinel(t *testing.T) {
 	_, st := testStore(t, 6, 6, 2)
 	s := newTestServer(t, Config{Source: wordedSource{newStoreSource(st), map[int]error{
@@ -794,7 +797,7 @@ func TestAbsenceIsASentinel(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	for v, want := range map[int]int{7: http.StatusNotFound, 8: http.StatusBadRequest} {
+	for v, want := range map[int]int{7: http.StatusNotFound, 8: http.StatusServiceUnavailable} {
 		resp, body := postJSON(t, ts.URL+"/v1/distance", map[string]any{"s": v, "t": 30})
 		if resp.StatusCode != want {
 			t.Errorf("endpoint %d: status %d, want %d (%s)", v, resp.StatusCode, want, body)
@@ -813,12 +816,80 @@ func TestAbsenceIsASentinel(t *testing.T) {
 		t.Errorf("absent fault labels: %+v, want a degraded bound missing 7 and 8", a)
 	}
 
-	// The local store's own absence is the sentinel too.
-	part, err := labelstore.NewEmpty(st.NumVertices())
+	// A strictly loaded store's own absence is the sentinel too.
+	var buf bytes.Buffer
+	if err := labelstore.Write(&buf, st, []int{0, 1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	part, err := labelstore.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := part.Label(3); !errors.Is(err, core.ErrNoLabel) {
-		t.Errorf("empty store's Label error %v does not wrap core.ErrNoLabel", err)
+		t.Errorf("partial store's Label error %v does not wrap core.ErrNoLabel", err)
+	}
+}
+
+// TestEndpointLabelStatus holds the HTTP status of a failed query to
+// what the label source can say about an endpoint: 404 for a vertex a
+// complete store lacks; 503 for one a salvaged store lost or lacks (it
+// cannot vouch for either absence) and for one the source cannot reach;
+// 400 for a vertex out of range and for a malformed body.
+func TestEndpointLabelStatus(t *testing.T) {
+	_, st := testStore(t, 6, 6, 2)
+	const lost, lacked, unreachable = 17, 30, 9
+	var buf bytes.Buffer
+	if err := labelstore.Write(&buf, st, slices.DeleteFunc(st.Vertices(), func(v int) bool { return v == lacked })); err != nil {
+		t.Fatal(err)
+	}
+	complete, err := labelstore.Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Flip the last payload byte of the lost vertex's record: the CRC
+	// fails, the framing holds.
+	uvlen := func(x uint64) int { return len(binary.AppendUvarint(nil, x)) }
+	ids := complete.Vertices()
+	end := len("FSDL2") + uvlen(uint64(complete.NumVertices())) + uvlen(uint64(len(ids)))
+	for _, v := range ids[:lost+1] {
+		bits, data, _ := complete.Raw(v)
+		end += uvlen(uint64(v)) + uvlen(uint64(bits)) + len(data) + 4
+	}
+	bad := slices.Clone(buf.Bytes())
+	bad[end-5] ^= 0x01
+	salvaged, rep, err := labelstore.LoadPartial(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rep.Corrupt, []int32{lost}) || rep.Truncated {
+		t.Fatalf("salvage report %+v, want exactly [%d] lost", rep, lost)
+	}
+
+	for name, c := range map[string]struct {
+		cfg  Config
+		body string
+		want int
+	}{
+		"complete store, lacked":  {Config{Store: complete}, `{"s":30,"t":0}`, http.StatusNotFound},
+		"complete store, served":  {Config{Store: complete}, `{"s":17,"t":0}`, http.StatusOK},
+		"salvaged store, lost":    {Config{Store: salvaged, Report: rep}, `{"s":0,"t":17}`, http.StatusServiceUnavailable},
+		"salvaged store, lacked":  {Config{Store: salvaged, Report: rep}, `{"s":30,"t":0}`, http.StatusServiceUnavailable},
+		"salvaged store, served":  {Config{Store: salvaged, Report: rep}, `{"s":0,"t":35}`, http.StatusOK},
+		"unreachable":             {Config{Source: wordedSource{newStoreSource(st), map[int]error{unreachable: errors.New("every replica of vertex 9 is down")}}}, `{"s":9,"t":0}`, http.StatusServiceUnavailable},
+		"out of range":            {Config{Store: complete}, `{"s":36,"t":0}`, http.StatusBadRequest},
+		"malformed body":          {Config{Store: complete}, `{"s":0,"t":`, http.StatusBadRequest},
+		"unknown field in a body": {Config{Store: complete}, `{"s":0,"t":1,"dynamic":true}`, http.StatusBadRequest},
+	} {
+		ts := httptest.NewServer(newTestServer(t, c.cfg).Handler())
+		resp, err := http.Post(ts.URL+"/v1/distance", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		ts.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d (%s)", name, resp.StatusCode, c.want, body)
+		}
 	}
 }
