@@ -84,7 +84,12 @@ func logGoroutines(w io.Writer, name string) {
 const allocRuns = 256
 
 // countAllocs runs fn once to warm it up, then allocRuns times, and
-// returns the allocs and bytes per op of the counted iterations.
+// returns the allocs and bytes per op of the counted iterations. It
+// works only because testing.Benchmark reads the process-global
+// -test.benchtime flag afresh on every call: "256x" makes it run b.N = 1
+// and then b.N = 256, and the deferred Set restores the wall-time target
+// for the timed rows. A testing that read the flag once, or a timed row
+// run concurrently with a count, would break this silently.
 func countAllocs(fn func(b *testing.B)) (allocs, bytes int64) {
 	testing.Init()
 	f := flag.Lookup("test.benchtime")

@@ -230,9 +230,9 @@ func TestFormat3SalvageParity(t *testing.T) {
 // TestFormat3DecodeCorruptionSticks covers the damage class the CRC
 // cannot see: a record whose checksum passes (verify memoizes ok) but
 // whose payload does not decode. The corrupt verdict reached on first
-// decode must override the memoized verified bit — Has, Corrupt, Raw
+// decode must override the memoized verified bit — Has, Unknown, Raw
 // and storedPayload must all treat the record as damaged afterwards,
-// exactly like a CRC failure.
+// exactly like a CRC failure, and it must be the only record marked.
 func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 	const victim = 13
 	for _, c := range []struct {
@@ -270,6 +270,12 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if st.Authoritative() {
 			t.Fatalf("%s: a store holding a decode-corrupt record claims authority", c.name)
 		}
+		if got := st.f3.corruptCount(); got != 1 {
+			t.Fatalf("%s: %d records marked corrupt, want 1", c.name, got)
+		}
+		if got := st.NumLabels(); got != n-1 {
+			t.Fatalf("%s: NumLabels = %d, want %d", c.name, got, n-1)
+		}
 		st.Close()
 
 		// OpenPartial's eager salvage scan reaches the same verdict and
@@ -281,8 +287,11 @@ func TestFormat3DecodeCorruptionSticks(t *testing.T) {
 		if len(rep.Corrupt) != 1 || rep.Corrupt[0] != victim || rep.Kept != n-1 {
 			t.Fatalf("%s: salvage report %+v", c.name, rep)
 		}
-		if sp.Has(victim) || !sp.Unknown(victim) {
+		if sp.Has(victim) || !sp.f3.corruptAt(victim) {
 			t.Fatalf("%s: salvaged store contradicts its report", c.name)
+		}
+		if got := sp.f3.corruptCount(); got != 1 {
+			t.Fatalf("%s: salvaged store marks %d records corrupt, want 1", c.name, got)
 		}
 		sp.Close()
 	}
@@ -383,8 +392,8 @@ func TestFormat3TruncatedFile(t *testing.T) {
 		t.Fatalf("truncated salvage kept %d of %d", rep.Kept, rep.Total)
 	}
 	for _, v := range st.Vertices() {
-		if _, err := st.Label(v); err != nil && !st.Unknown(v) {
-			t.Fatalf("kept vertex %d neither decodes nor reports unknown: %v", v, err)
+		if _, err := st.Label(v); err != nil && !st.f3.corruptAt(int32(v)) {
+			t.Fatalf("kept vertex %d neither decodes nor is marked corrupt: %v", v, err)
 		}
 	}
 	// The truncation lost records: nothing the store lacks is absent.
