@@ -21,7 +21,8 @@
 // shard's memory footprint is bounded by what the kernel keeps warm, not
 // the store size. A repair persist (-persist) writes the store's own
 // encoding: a factored partition stays factored, anything else is
-// written as FSDL2.
+// written as FSDL2. An incomplete store is written first when repair
+// seals it, never before: a restart reads the file as complete.
 //
 // A replacement for a dead shard starts empty — incomplete in the same
 // way — and is filled by the frontend's anti-entropy repairer (see
@@ -72,7 +73,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	name := fs.String("name", "", "shard name for error messages (default: store file name)")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged partition: serve the records that survive")
 	bootstrapN := fs.Int("bootstrap-n", 0, "start as an empty replacement shard over this vertex space; repair fills it (mutually exclusive with -store)")
-	persist := fs.String("persist", "", "persist the store to this file after repair pulls (atomic temp+rename)")
+	persist := fs.String("persist", "", "persist the store to this file when repair seals it, and after each repair pull into a store that can vouch for its absences (atomic temp+rename)")
 	repairRate := fs.Int("repair-rate", 0, "max records/sec installed by repair pulls (0 = 50000, negative = unlimited)")
 	genDir := fs.String("generation-dir", "", "versioned label generation root; boots from the newest generation when -store is omitted")
 	if err := fs.Parse(args); err != nil {

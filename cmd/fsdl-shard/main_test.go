@@ -3,10 +3,12 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"io"
 	"net"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -250,39 +252,12 @@ func TestRunPersistKeepsFactoredEncoding(t *testing.T) {
 			ids = append(ids, v)
 		}
 	}
-	write := func(path string, ids []int) *labelstore.Store {
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := labelstore.SaveFormat3(f, s, ids, true); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		st, err := labelstore.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { st.Close() })
-		return st
-	}
 	part := filepath.Join(dir, "shard0.fsdl")
-	boot := write(part, ids).Encoding()
-
-	// The replica the repair pulls from.
-	src, err := cluster.NewShardServer(cluster.ShardConfig{Store: write(filepath.Join(dir, "full.fsdl"), nil), Name: "full"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go src.Serve(ln)
-	t.Cleanup(func() { src.Close() })
+	boot := writeFactored(t, s, part, ids).Encoding()
+	src := startReplica(t, writeFactored(t, s, filepath.Join(dir, "full.fsdl"), nil))
 
 	conn := startRun(t, "-store", part, "-persist", part, "-name", "shard0")
-	op, resp := exchange(t, conn, cluster.OpRepairPull, cluster.AppendRepairRequest(nil, ln.Addr().String(), []int32{missing}))
+	op, resp := exchange(t, conn, cluster.OpRepairPull, cluster.AppendRepairRequest(nil, src, []int32{missing}))
 	if op != cluster.OpRepairPulled {
 		t.Fatalf("repair pull answered op %d: %s", op, resp)
 	}
@@ -303,4 +278,94 @@ func TestRunPersistKeepsFactoredEncoding(t *testing.T) {
 			t.Fatalf("vertex %d of the persisted file does not come back as stored", v)
 		}
 	}
+}
+
+// TestRunBootstrapPersistsOnceSealed: a -bootstrap-n shard with -persist
+// writes nothing while it cannot vouch for its absences — not after a
+// pull that fills half of it, nor after one that fills the rest — and
+// writes the file when the repairer seals it. Restarted from that file
+// it is authoritative at once and serves every record repair gave it.
+func TestRunBootstrapPersistsOnceSealed(t *testing.T) {
+	g := gen.Grid2D(6, 6)
+	s, err := core.BuildScheme(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	src := startReplica(t, writeFactored(t, s, filepath.Join(dir, "full.fsdl"), nil))
+	n := g.NumVertices()
+	ids := make([]int32, n)
+	for v := range ids {
+		ids[v] = int32(v)
+	}
+	part := filepath.Join(dir, "shard3.fsdl")
+	t.Run("bootstrap", func(t *testing.T) {
+		conn := startRun(t, "-bootstrap-n", strconv.Itoa(n), "-persist", part, "-name", "shard3")
+		for _, half := range [][]int32{ids[:n/2], ids[n/2:]} {
+			op, resp := exchange(t, conn, cluster.OpRepairPull, cluster.AppendRepairRequest(nil, src, half))
+			if op != cluster.OpRepairPulled {
+				t.Fatalf("repair pull answered op %d: %s", op, resp)
+			}
+			if installed, failed, err := cluster.ParseRepairResponse(resp); err != nil || installed != len(half) || failed != 0 {
+				t.Fatalf("repair pull installed %d, failed %d (%v)", installed, failed, err)
+			}
+			if _, err := os.Stat(part); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("an unsealed store was persisted (stat: %v)", err)
+			}
+		}
+		if op, resp := exchange(t, conn, cluster.OpSeal, nil); op != cluster.OpSealed {
+			t.Fatalf("seal answered op %d: %s", op, resp)
+		}
+		if _, err := os.Stat(part); err != nil {
+			t.Fatalf("the seal persisted nothing: %v", err)
+		}
+	})
+	t.Run("restart", func(t *testing.T) {
+		conn := startRun(t, "-store", part, "-name", "shard3")
+		if flags, _ := pong(t, conn); flags != 0 {
+			t.Fatalf("restarted from the sealed file: flags %#x", flags)
+		}
+		for _, r := range labels(t, conn, 0, ids) {
+			if !r.Present {
+				t.Fatalf("restarted from the sealed file: vertex %d present=%v unknown=%v", r.Vertex, r.Present, r.Unknown)
+			}
+		}
+	})
+}
+
+// writeFactored writes the labels of ids of s (nil: all) to path as a
+// factored FSDL3 file and opens it.
+func writeFactored(t *testing.T, s *core.Scheme, path string, ids []int) *labelstore.Store {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.SaveFormat3(f, s, ids, true); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	st, err := labelstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// startReplica serves st as the replica repair pulls come from and
+// returns its address.
+func startReplica(t *testing.T, st *labelstore.Store) string {
+	t.Helper()
+	src, err := cluster.NewShardServer(cluster.ShardConfig{Store: st, Name: "full"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go src.Serve(ln)
+	t.Cleanup(func() { src.Close() })
+	return ln.Addr().String()
 }

@@ -35,8 +35,10 @@ type ShardConfig struct {
 	// lists one, and the full labels.fsdl otherwise.
 	GenerationRoot string
 	// PersistPath, when set, rewrites the partition container (atomic
-	// temp+rename) after each repair pull that installed records, so a
-	// repaired shard survives its own restart.
+	// temp+rename) when the repairer seals the store, and after each
+	// repair pull that installed records into an authoritative one, so a
+	// repaired shard survives its own restart. A store that cannot vouch
+	// for its absences is never written: a strict open of the file would.
 	PersistPath string
 	// Mmap and PersistFormat3 select nothing. Every FSDL3 file is opened
 	// mapped, and a persist writes the store's own encoding: FSDL3 for a
@@ -249,8 +251,11 @@ func (s *ShardServer) serveConn(conn net.Conn) {
 		case OpRepairPull:
 			werr = s.handleRepairPull(bw, bufs, req)
 		case OpSeal:
-			s.seal()
-			werr = s.writeFrame(bw, bufs, OpSealed, nil)
+			if err := s.seal(); err != nil {
+				werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(err)))
+			} else {
+				werr = s.writeFrame(bw, bufs, OpSealed, nil)
+			}
 		default:
 			werr = s.writeFrame(bw, bufs, OpError, []byte(s.errText(fmt.Errorf("cluster: unknown op %d", op))))
 		}
@@ -465,11 +470,21 @@ func (s *ShardServer) pongFlags(st *labelstore.Store) uint64 {
 
 // seal records the repairer's verdict that the current store holds its
 // whole partition: what it still lacks is genuinely not this shard's to
-// hold, so its absences become authoritative.
-func (s *ShardServer) seal() {
+// hold, so its absences become authoritative. With PersistPath set the
+// store is written first, and a failed write leaves it unsealed for the
+// repairer to try again.
+func (s *ShardServer) seal() error {
+	s.repairMu.Lock()
+	defer s.repairMu.Unlock()
+	if s.cfg.PersistPath != "" {
+		if err := s.persist(); err != nil {
+			return err
+		}
+	}
 	st, _ := s.currentStore()
 	st.Seal()
 	s.Sealed.Store(true)
+	return nil
 }
 
 // handleLevels answers OpGetLevels: one chunk of the level-graphs
@@ -619,7 +634,7 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 	}
 	s.RepairInstalled.Add(int64(installed))
 	s.RepairFailed.Add(int64(failed))
-	if installed > 0 && s.cfg.PersistPath != "" {
+	if installed > 0 && s.cfg.PersistPath != "" && store.Authoritative() {
 		if perr := s.persist(); perr != nil {
 			return installed, failed, perr
 		}
@@ -629,11 +644,12 @@ func (s *ShardServer) repairPull(source string, ids []int32) (installed, failed 
 
 // persist rewrites the partition container atomically and durably
 // (labelstore.ReplaceFile) so a repaired shard that restarts reloads
-// what repair gave it instead of starting the loss over. It keeps the
-// store's own encoding, as labelstore.Write does for any store: a
-// factored store writes a factored FSDL3 file, whose records leave the
-// shard as stored after a restart too; any other store — and a factored
-// one whose level graphs are damaged — writes FSDL2.
+// what repair gave it instead of starting the loss over. Its callers
+// hold repairMu. It keeps the store's own encoding, as labelstore.Write
+// does for any store: a factored store writes a factored FSDL3 file,
+// whose records leave the shard as stored after a restart too; any other
+// store — and a factored one whose level graphs are damaged — writes
+// FSDL2.
 func (s *ShardServer) persist() error {
 	store, _ := s.currentStore()
 	err := labelstore.ReplaceFile(s.cfg.PersistPath, func(f *os.File) error {

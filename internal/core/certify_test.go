@@ -84,7 +84,7 @@ func TestLabelCertificate(t *testing.T) {
 					}
 					var dec Decoder
 					var res Result
-					_, _, dCert := boundCounts(func() { res = dec.Decode(q, Opts{}) })
+					_, dCert := boundCounts(func() { res = dec.Decode(q, Opts{}) })
 					dec.Release()
 					if res.OK != (want >= 0) || res.OK && res.Dist != want {
 						t.Fatalf("%s/%s |F|=%d: %d→%d: %+v (certified %v), the reference δ=%d", gc.name, flavour, nf, q.S.V, q.T.V, res, dCert == 1, want)
@@ -158,7 +158,7 @@ func TestLabelCertificateHandBuilt(t *testing.T) {
 		}
 		var dec Decoder
 		var res Result
-		_, _, dCert := boundCounts(func() { res = dec.Decode(q, Opts{}) })
+		_, dCert := boundCounts(func() { res = dec.Decode(q, Opts{}) })
 		dec.Release()
 		if !res.OK || res.Dist != c.dist || (dCert == 1) != c.certified {
 			t.Errorf("%s: %+v, certified %v; want δ = %d, certified %v", c.name, res, dCert == 1, c.dist, c.certified)

@@ -320,7 +320,6 @@ var (
 	framesReused     atomic.Int64
 	framesComposed   atomic.Int64
 	boundStops       atomic.Int64
-	targetRescans    atomic.Int64
 	certifiedDecodes atomic.Int64
 	coveredLists     atomic.Int64
 
@@ -381,19 +380,18 @@ func dropAll[T any](s *[]T) {
 // had built: reused/built is the number of further pairs answered per
 // fault frame; FramesComposed those that composed it (composeRun) instead.
 // BoundStops counts the decodes whose answer is the lower bound their
-// endpoint labels give (decode), found without settling t, and
-// TargetRescans those whose first solve, without t's own level lists,
-// missed it and scanned them. Certified counts the decodes the endpoint
-// labels answered alone — an s–t walk of H as short as their lower bound
-// — before any edge was scanned: no frame run built or reused, no bound
-// stop. CoveredLists counts the owner level lists rejected whole, without
-// an edge read: one protected ball held every point of the list.
+// endpoint labels give (decode), found without settling t. Certified
+// counts the decodes the endpoint labels answered alone — an s–t walk of
+// H as short as their lower bound — before any edge was scanned: no
+// frame run built or reused, no bound stop. CoveredLists counts the
+// owner level lists rejected whole, without an edge read: one protected
+// ball held every point of the list.
 // Exposed so serving layers can report them on their metrics endpoints.
 type DecoderPoolStats struct {
 	Gets, News                int64
 	FramesBuilt, FramesReused int64
 	FramesComposed            int64
-	BoundStops, TargetRescans int64
+	BoundStops                int64
 	Certified, CoveredLists   int64
 }
 
@@ -402,8 +400,7 @@ func DecoderPool() DecoderPoolStats {
 	return DecoderPoolStats{
 		Gets: decodePoolGets.Load(), News: decodePoolNews.Load(),
 		FramesBuilt: framesBuilt.Load(), FramesReused: framesReused.Load(), FramesComposed: framesComposed.Load(),
-		BoundStops: boundStops.Load(), TargetRescans: targetRescans.Load(),
-		Certified: certifiedDecodes.Load(), CoveredLists: coveredLists.Load(),
+		BoundStops: boundStops.Load(), Certified: certifiedDecodes.Load(), CoveredLists: coveredLists.Load(),
 	}
 }
 

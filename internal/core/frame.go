@@ -221,7 +221,7 @@ func (sc *decodeScratch) buildFrameRun() {
 	} else {
 		framesBuilt.Add(1)
 		sc.emitPatches()
-		sc.scanOwners(sc.frameOwners, math.MaxInt, nil, true)
+		sc.scanOwners(sc.frameOwners, math.MaxInt)
 	}
 	sc.run, sc.scanPass = sc.scanPass, sc.run
 	sc.runArcs.Pack(len(sc.run.ids), sc.run.cands)
@@ -505,7 +505,7 @@ func (sc *decodeScratch) composeRun(base *faultFrame) {
 			sc.owners = append(sc.owners, o)
 		}
 	}
-	sc.scanOwners(sc.owners, math.MaxInt, nil, true)
+	sc.scanOwners(sc.owners, math.MaxInt)
 }
 
 // markLevel clears the marks and, unless idOf is nil, sets those of level

@@ -17,10 +17,10 @@ import (
 // referenceDecode gives. Two more rows take δ alone, no patch and no
 // budget to a fault side with a degraded fault, and to an ablated one.
 //
-//	          framed        lean     bound              rescan                       certify                       shared              composed
-//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, t no owner  bound, no budget, no degraded  frame of this side  other frame, no budget
-//	walk      budget ≠ short  no     no                 no                           no                            frame of this side  other frame, no budget
-//	trace     budget ≠ short  no     no                 no                           no                            frame of this side  no
+//	          framed        lean     bound              certify                       shared              composed
+//	δ alone   budget ≠ short  yes    no admitted patch  bound, no budget, no degraded  frame of this side  other frame, no budget
+//	walk      budget ≠ short  no     no                 no                            frame of this side  other frame, no budget
+//	trace     budget ≠ short  no     no                 no                            frame of this side  no
 //	Sketch    as trace
 func TestDecodePlan(t *testing.T) {
 	s, err := BuildScheme(ringLattice(t, 256), 2)
@@ -74,7 +74,6 @@ func TestDecodePlan(t *testing.T) {
 							lean:     kind == "δ alone",
 						}
 						want.bound = want.lean && pname != "admitted patch"
-						want.rescan = want.bound && budget == "no budget" && !tOwner
 						want.certify = want.bound && budget == "no budget"
 						checkPlan(t, name, q, patches, f, kind, want)
 					}
@@ -85,7 +84,7 @@ func TestDecodePlan(t *testing.T) {
 	degraded, ablated := side(120), side(120)
 	degraded.DegradedVertexFaults = []int32{33}
 	ablated.UnsafeIgnoreProtectedBalls = true
-	lone := plan{framed: true, lean: true, bound: true, rescan: true}
+	lone := plan{framed: true, lean: true, bound: true}
 	checkPlan(t, "δ alone/degraded", degraded, nil, nil, "δ alone", lone)
 	lone.certify = true
 	checkPlan(t, "δ alone/ablated", ablated, nil, nil, "δ alone", lone)
@@ -99,7 +98,7 @@ func TestDecodePlan(t *testing.T) {
 	covering := &Query{S: s.Label(3), T: s.Label(120), VertexFaults: []*Label{s.Label(64)}}
 	for _, kind := range kinds {
 		want := plan{framed: true, lean: kind == "δ alone"}
-		want.bound, want.rescan, want.certify = want.lean, want.lean, want.lean
+		want.bound, want.certify = want.lean, want.lean
 		before := DecoderPool().CoveredLists
 		checkPlan(t, "covering/"+kind, covering, nil, nil, kind, want)
 		if kind != "δ alone" && DecoderPool().CoveredLists == before {

@@ -383,11 +383,10 @@ func (q *Query) Validate() error {
 // Decoder's own frame, whose run it may compose from Opts.Frame's
 // (composed), beside the frame's run (framed) or scanning its owners
 // itself, keeping no parent tree (lean), stopping at the labels' bound L
-// (bound), holding t's own level lists back (rescan), and answering from
-// the labels alone when they prove it (certify). plan derives it; decode
-// reads nothing else.
+// (bound), and answering from the labels alone when they prove it
+// (certify). plan derives it; decode reads nothing else.
 type plan struct {
-	shared, composed, framed, lean, bound, rescan, certify bool
+	shared, composed, framed, lean, bound, certify bool
 }
 
 // plan puts the decode of q under the right frame — o.Frame when it
@@ -404,15 +403,10 @@ type plan struct {
 // one pass cut where the budget ends.
 //
 // A decode that reports δ alone — no walk, no trace — is lean, and
-// without an admitted patch edge it takes two shortcuts off labelBound's
-// L ≤ d_H. The solve stops once t's tentative distance reaches L. And
-// t's own level lists — unless the frame's run holds them or a Budget
-// counts scan order — wait until a first solve without them, t keeping
-// its self edges (its one way into H), misses L: a subset of H that
-// reaches L has answered d_H, and after a miss the search goes on from
-// where it ended, through what t's lists make shorter. Labels that pass
-// Validate but contradict each other (L > d_H) get the length of a walk
-// of H between d_H and L; δ never drops below d_H.
+// without an admitted patch edge it stops its solve once t's tentative
+// distance reaches labelBound's L ≤ d_H. Labels that pass Validate but
+// contradict each other (L > d_H) get the length of a walk of H between
+// d_H and L; δ never drops below d_H.
 //
 // Such a decode — unless a Budget counts scan order or a degraded fault
 // leaves no protected ball to test a self edge against — first looks for
@@ -446,7 +440,6 @@ func (sc *decodeScratch) plan(q *Query, o Opts) plan {
 	}
 	p.lean = o.Path == nil && o.Trace == nil
 	p.bound = p.lean && len(sc.patchKeys) == 0
-	p.rescan = p.bound && q.Budget <= 0 && !sc.seenOwner.has(q.T.V)
 	p.certify = p.bound && q.Budget <= 0 && sc.rule != admitNone
 	return p
 }
@@ -543,27 +536,14 @@ func (sc *decodeScratch) decode(q *Query, o Opts) (int64, bool, error) {
 			}
 		}
 	}
-	room, late := math.MaxInt, (*Label)(nil)
+	room := math.MaxInt
 	if q.Budget > 0 {
 		room = q.Budget
 	}
-	if p.rescan {
-		late = q.T
-	}
-	exhausted := sc.scanOwners(sc.owners, room, late, true)
+	exhausted := sc.scanOwners(sc.owners, room)
 	sc.src, sc.dst = int(sc.vertexID(q.S.V)), int(sc.vertexID(q.T.V))
 	sc.solver.DistanceOnly = p.lean
-	d := sc.solve(bound, 0)
-	if late != nil && (d < 0 || d > bound) {
-		// Missed: the rest of H is t's lists. The search goes on from
-		// where it stopped, through what their edges make shorter.
-		targetRescans.Add(1)
-		n := len(sc.cands)
-		sc.owners = append(sc.owners[:0], late)
-		if sc.scanOwners(sc.owners, room, nil, false); len(sc.cands) > n {
-			d = sc.solve(bound, n)
-		}
-	}
+	d := sc.solve(bound)
 	if d >= 0 && d <= bound {
 		boundStops.Add(1)
 	}
@@ -823,12 +803,9 @@ func (sc *decodeScratch) endRow(side, k int) []uint64 {
 // graphs is counted off their rows, never read into a list. An owner
 // whose mayBeInPB row meets the cover loses every self edge of the level
 // on that one word. Level 0's unit edges face no ball and are walked.
-//
-// The level edge lists of owner late are not walked, nor recorded as
-// walked; the owners' self edges are walked only with selfEdges.
-func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, selfEdges bool) (exhausted bool) {
+func (sc *decodeScratch) scanOwners(owners []*Label, room int) (exhausted bool) {
 	lowest, numLevels, rule, W := sc.lowest, sc.numLevels, sc.rule, sc.maskWords
-	if rule >= admitFused && selfEdges {
+	if rule >= admitFused {
 		sc.ompbRows(owners)
 	}
 	tally := &sc.tally
@@ -845,9 +822,8 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			// off their rows.
 			var edges []EdgeEntry
 			var first *scannedList
-			induced, cut := o != late && !o.HoldsEdges(k), false
+			induced, cut := !o.HoldsEdges(k), false
 			switch {
-			case o == late:
 			case !induced:
 				if edges = lv.Edges; len(edges) > room {
 					edges, exhausted, cut = edges[:room], true, true
@@ -887,7 +863,6 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			// reused counts the candidates an earlier scan of this very
 			// list admitted; a list walked now numbers its points in pid.
 			reused := 0
-			self := selfEdges && !oForbidden
 			forb := sc.fillForb(pts)
 			if first == nil {
 				sc.pid = slices.Grow(sc.pid[:0], len(pts))[:len(pts)]
@@ -983,7 +958,7 @@ func (sc *decodeScratch) scanOwners(owners []*Label, room int, late *Label, self
 			// known point by point, so this loop counts what it scans.
 			// The owner's own id is looked up on its first admitted self
 			// edge, so an owner without one adds no vertex to H.
-			if self {
+			if !oForbidden {
 				// row stays nil, and no mask is read, when no center's
 				// ball may hold the owner; when it meets the cover, every
 				// self edge dies on that one word.
@@ -1246,19 +1221,13 @@ func (sc *decodeScratch) sketchEdges() []SketchEdge {
 
 // solve hands the candidates to the solver and runs Dijkstra — until t
 // is settled, or its tentative distance reaches bound. It returns -1 when
-// t is unreachable. With from > 0 the last solve, which settled t or ran
-// dry, goes on with the candidates from there on added.
-func (sc *decodeScratch) solve(bound int64, from int) int64 {
+// t is unreachable.
+func (sc *decodeScratch) solve(bound int64) int64 {
 	var run *graph.Arcs
 	if sc.beside != nil {
 		run = &sc.runArcs
 	}
-	var dist int64
-	if from > 0 {
-		dist = sc.solver.Resume(sc.ids, sc.dst, run, sc.cands, from, bound)
-	} else {
-		dist = sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands, bound)
-	}
+	dist := sc.solver.ShortestPath(sc.ids, sc.src, sc.dst, run, sc.cands, bound)
 	if dist == graph.WeightedInfinity {
 		return -1
 	}

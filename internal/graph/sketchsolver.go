@@ -111,8 +111,7 @@ func (a *Arcs) Collapse() {
 type SketchSolver struct {
 	// DistanceOnly makes the searches that follow keep no parent tree: a
 	// relaxation only lowers a distance, and breaks no tie. The distance
-	// is the same; PathTo after such a search is invalid. A Resume must
-	// run in the mode of the search it goes on from.
+	// is the same; PathTo after such a search is invalid.
 	DistanceOnly bool
 
 	pair Arcs
@@ -154,39 +153,6 @@ func (s *SketchSolver) ShortestPath(ids []int32, src, dst int, run *Arcs, pair [
 	s.pq = s.pq[:0]
 	s.dist[src] = 0
 	s.push(distEntry{v: int32(src), d: 0})
-	return s.search(ids, dst, run, pair, bound)
-}
-
-// Resume returns what ShortestPath would for the multigraph of the last
-// call — which must have searched to the end: dst settled, or found
-// unreachable — with the edges pair[from:] added: run and pair[:from] are
-// that call's, ids its ids followed by the vertices the new edges bring.
-// It goes on from where that call stopped: the new edges are relaxed from
-// the ends it reached, and the search settles what they make shorter, up
-// to dst. Only the distance is promised, not PathTo's walk.
-func (s *SketchSolver) Resume(ids []int32, dst int, run *Arcs, pair []DenseEdge, from int, bound int64) int64 {
-	for len(s.dist) < len(ids) {
-		s.dist = append(s.dist, unreached)
-		if !s.DistanceOnly {
-			s.parent = append(s.parent, -1)
-		}
-	}
-	for _, e := range pair[from:] {
-		for _, a := range [2]DenseEdge{e, {U: e.V, V: e.U, W: e.W}} {
-			if d := s.dist[a.U]; d < unreached && s.DistanceOnly {
-				s.lower(ids, distEntry{v: a.U, d: d}, []sketchArc{{to: a.V, w: a.W}})
-			} else if d < unreached {
-				s.relax(ids, distEntry{v: a.U, d: d}, []sketchArc{{to: a.V, w: a.W}})
-			}
-		}
-	}
-	return s.search(ids, dst, run, pair, bound)
-}
-
-// search is the one Dijkstra loop, ShortestPath's and Resume's: from the
-// queue and the distances it finds, with the relax routine of the mode.
-func (s *SketchSolver) search(ids []int32, dst int, run *Arcs, pair []DenseEdge, bound int64) int64 {
-	n := len(ids)
 	s.pair.Pack(n, pair)
 	if run == nil {
 		run = &Arcs{}

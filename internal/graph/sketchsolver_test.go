@@ -183,44 +183,6 @@ func TestSketchSolverBound(t *testing.T) {
 	}
 }
 
-// TestSketchSolverResume: a search run to the end over some of the edges,
-// then resumed with the rest — over vertices the first part may not
-// have — answers what one search over all of them does, under any bound
-// the resumed search is given; and so does a second resume.
-func TestSketchSolverResume(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	var s SketchSolver
-	for trial := 0; trial < 500; trial++ {
-		n := 2 + rng.Intn(20)
-		var edges []DenseEdge
-		for i := rng.Intn(3 * n); i > 0; i-- {
-			if u, v := rng.Intn(n), rng.Intn(n); u != v {
-				edges = append(edges, DenseEdge{int32(u), int32(v), int32(1 + rng.Intn(5))})
-			}
-		}
-		ids := randomNames(rng, n)
-		src, dst := rng.Intn(n), rng.Intn(n)
-		wantD, _, ok := canonicalWalk(ids, edges, src, dst)
-		if !ok {
-			wantD = WeightedInfinity
-		}
-		cut := rng.Intn(len(edges) + 1)
-		cut2 := cut + rng.Intn(len(edges)-cut+1)
-		// The first search knows the vertices its edges and src, dst need.
-		seen := max(src, dst) + 1
-		for _, e := range edges[:cut] {
-			seen = max(seen, int(e.U)+1, int(e.V)+1)
-		}
-		run := runOf(rng, seen, nil, false)
-		s.ShortestPath(ids[:seen], src, dst, run, edges[:cut], -1)
-		s.Resume(ids, dst, run, edges[:cut2], cut, -1)
-		bound := []int64{-1, 0, wantD - 1, wantD}[trial%4]
-		if got := s.Resume(ids, dst, run, edges, cut2, bound); got != wantD {
-			t.Fatalf("trial %d: resumed at %d and %d of %d edges (bound %d): dist %d, want %d", trial, cut, cut2, len(edges), bound, got, wantD)
-		}
-	}
-}
-
 // TestArcsCollapse: of every bundle of parallel arcs Collapse keeps one,
 // at the lightest weight, whether the lighter comes first or last; the
 // vertices' ranges close up behind what went, and a repack after a
@@ -384,9 +346,8 @@ func TestSketchSolverPanics(t *testing.T) {
 
 // TestSketchSolverDistanceOnly: a search that keeps no parent tree
 // answers what the full search does — on random multigraphs with parallel
-// edges and ties, split between a run and the pair, under any bound, and
-// resumed in the same mode with more edges — and leaves no tree for PathTo
-// to walk.
+// edges and ties, split between a run and the pair, under any bound — and
+// leaves no tree for PathTo to walk.
 func TestSketchSolverDistanceOnly(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	var full, lean SketchSolver
@@ -416,25 +377,6 @@ func TestSketchSolverDistanceOnly(t *testing.T) {
 		}
 		if len(lean.parent) != 0 {
 			t.Fatalf("trial %d: a distance-only search left a parent tree of %d", trial, len(lean.parent))
-		}
-
-		// Resumed: the first part over the vertices it needs, the rest after.
-		seen := max(src, dst) + 1
-		for _, e := range edges[:cut] {
-			seen = max(seen, int(e.U)+1, int(e.V)+1)
-		}
-		head := runOf(rng, seen, nil, false)
-		bound := []int64{-1, 0, want - 1, want}[trial%4]
-		var got [2]int64
-		for i, s := range []*SketchSolver{&full, &lean} {
-			s.ShortestPath(ids[:seen], src, dst, head, edges[:cut], -1)
-			got[i] = s.Resume(ids, dst, head, edges, cut, bound)
-		}
-		if got[0] != want || got[1] != want {
-			t.Fatalf("trial %d: resumed at %d of %d edges (bound %d): distance-only %d, full %d, want %d", trial, cut, len(edges), bound, got[1], got[0], want)
-		}
-		if len(lean.parent) != 0 {
-			t.Fatalf("trial %d: a distance-only resume grew a parent tree of %d", trial, len(lean.parent))
 		}
 	}
 }

@@ -2,7 +2,9 @@ package labelstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
 	"slices"
 	"testing"
 
@@ -99,5 +101,99 @@ func TestAuthorityLocalLabel(t *testing.T) {
 	empty.Seal()
 	if _, err := empty.Label(3); !errors.Is(err, core.ErrNoLabel) || empty.Unknown(3) || !empty.Authoritative() {
 		t.Errorf("sealed bootstrap store: Label(3) = %v, Unknown=%v Authoritative=%v", err, empty.Unknown(3), empty.Authoritative())
+	}
+}
+
+// TestAuthoritySealForgivesKnownDamage: a damaged FSDL3 index entry whose
+// id the store will never be repaired into — out of range (1000 on a
+// grid of 36), or another shard's vertex (33 in a file of 0..29) — costs
+// the store its authority only until the seal. The salvaging open loses
+// the entry's own vertex; a Put heals that, and Seal then leaves the
+// store authoritative, the damaged id still Unknown. Damage found after
+// the seal counts again, until a Put heals it.
+func TestAuthoritySealForgivesKnownDamage(t *testing.T) {
+	g := gen.Grid2D(6, 6)
+	s := buildScheme(t, g)
+	dir := t.TempDir()
+	for _, c := range []struct {
+		name    string
+		held    int
+		damaged int32
+	}{
+		{"out of range", 36, 1000},
+		{"foreign", 30, 33},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var ids []int
+			for v := range c.held {
+				ids = append(ids, v)
+			}
+			path := writeFormat3File(t, dir, c.name+".fsdl", s, ids)
+			intact, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer intact.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The last index entry's vertex id.
+			lost := c.held - 1
+			at := format3Page + lost*format3EntryLen
+			if v := binary.LittleEndian.Uint32(raw[at:]); v != uint32(lost) {
+				t.Fatalf("last index entry names vertex %d, want %d", v, lost)
+			}
+			binary.LittleEndian.PutUint32(raw[at:], uint32(c.damaged))
+			bad := path + ".damaged"
+			if err := os.WriteFile(bad, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			st, rep, err := OpenPartial(bad)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			if !slices.Equal(rep.Corrupt, []int32{c.damaged}) || st.Has(lost) {
+				t.Fatalf("salvage report %+v, Has(%d)=%v: want [%d] damaged and %d lost", rep, lost, st.Has(lost), c.damaged, lost)
+			}
+			put := func(v int) {
+				t.Helper()
+				bits, data, ok := intact.Raw(v)
+				if !ok {
+					t.Fatalf("the intact file lacks %d", v)
+				}
+				if err := st.Put(v, bits, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put(lost)
+			if st.Authoritative() {
+				t.Fatal("authoritative before the seal")
+			}
+			st.Seal()
+			if !st.Authoritative() {
+				t.Fatalf("sealed with %d healed: not authoritative, the damage on %d not forgiven", lost, c.damaged)
+			}
+			if int(c.damaged) < st.NumVertices() && !st.Unknown(int(c.damaged)) {
+				t.Errorf("forgiven damaged vertex %d is not Unknown", c.damaged)
+			}
+			if st.Unknown(lost) {
+				t.Errorf("healed vertex %d Unknown", lost)
+			}
+			if c.held < st.NumVertices() && st.Unknown(c.held) {
+				t.Errorf("after the seal, absent vertex %d is Unknown", c.held)
+			}
+
+			// A read condemns vertex 5's record after the seal.
+			st.f3.markCorrupt(5)
+			if st.Authoritative() || !st.Unknown(5) {
+				t.Fatalf("damage after the seal: Authoritative=%v Unknown(5)=%v, want no authority", st.Authoritative(), st.Unknown(5))
+			}
+			put(5)
+			if !st.Authoritative() {
+				t.Fatal("damage after the seal healed by a Put: not authoritative")
+			}
+		})
 	}
 }

@@ -397,8 +397,8 @@ func (st *Store) Unknown(v int) bool {
 
 // Authoritative reports whether every absence the store answers is
 // authoritative: it is complete (as opened, or sealed since) and holds no
-// damaged record a Put has not healed. A store with no known damage
-// answers from two atomic loads.
+// damaged record that a Put has not healed nor a Seal forgiven. A store
+// with no known damage answers from two atomic loads.
 func (st *Store) Authoritative() bool {
 	if st.incomplete.Load() {
 		return false
@@ -408,8 +408,10 @@ func (st *Store) Authoritative() bool {
 	}
 	st.f3.mu.RLock()
 	damaged := make([]int32, 0, len(st.f3.corrupt))
-	for v := range st.f3.corrupt {
-		damaged = append(damaged, v)
+	for v, forgiven := range st.f3.corrupt {
+		if !forgiven {
+			damaged = append(damaged, v)
+		}
 	}
 	st.f3.mu.RUnlock()
 	for _, v := range damaged {
@@ -422,8 +424,21 @@ func (st *Store) Authoritative() bool {
 
 // Seal marks the store complete — the repairer has verified that it
 // holds every record it should — so from now on what it lacks is
-// authoritatively absent. Damage found after the seal is still Unknown.
-func (st *Store) Seal() { st.incomplete.Store(false) }
+// authoritatively absent. The damage known at the seal is forgiven for
+// Authoritative: it sits on records the store is not to hold (an index
+// entry whose id is out of range, or another shard's vertex), which no
+// Put will ever heal. A damaged vertex stays Unknown, and damage found
+// after the seal counts against Authoritative again.
+func (st *Store) Seal() {
+	if f := st.f3; f != nil {
+		f.mu.Lock()
+		for v := range f.corrupt {
+			f.corrupt[v] = true
+		}
+		f.mu.Unlock()
+	}
+	st.incomplete.Store(false)
+}
 
 // absent is the error of a lookup of v that the store cannot serve: it
 // wraps core.ErrNoLabel only when the store can vouch for the absence.

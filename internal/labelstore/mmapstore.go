@@ -72,12 +72,14 @@ type file3 struct {
 	verified []atomic.Uint32 // per-slot CRC-checked-ok bitset
 	ncorrupt atomic.Int64    // len(corrupt); gates the corrupt-set check in verify
 
+	// corrupt holds the damaged records by vertex id, true once a Seal
+	// has forgiven the damage (Store.Authoritative).
 	mu      sync.RWMutex
-	corrupt map[int32]struct{}
+	corrupt map[int32]bool
 }
 
 func newFile3(data []byte, region *mmapRegion, hdr *format3Header) *file3 {
-	f := &file3{data: data, region: region, hdr: hdr, corrupt: make(map[int32]struct{})}
+	f := &file3{data: data, region: region, hdr: hdr, corrupt: make(map[int32]bool)}
 	idxEnd := int64(format3Page) + int64(hdr.count)*format3EntryLen
 	if idxEnd > int64(len(data)) {
 		idxEnd = int64(len(data))
@@ -199,7 +201,7 @@ func (f *file3) verify(e index3Entry, slot int) bool {
 func (f *file3) markCorrupt(v int32) {
 	f.mu.Lock()
 	if _, dup := f.corrupt[v]; !dup {
-		f.corrupt[v] = struct{}{}
+		f.corrupt[v] = false
 		f.ncorrupt.Add(1)
 	}
 	f.mu.Unlock()

@@ -105,7 +105,6 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_decode_bound_stops_total", "Decodes whose search ended at the lower bound the endpoint labels give (the largest gap between their distances to a shared net point), before settling t.", pool.BoundStops)
 	x.Counter("fsdl_decode_certified_total", "Decodes answered from the endpoint labels alone, before any edge was scanned: a net point both labels hold, whose distances from the two sum to the lower bound the labels give, reached from each by a self edge the fault set leaves.", pool.Certified)
 	x.Counter("fsdl_decode_covered_lists_total", "Owner level edge lists rejected whole without an edge read: one fault's protected ball holds every point of the list.", pool.CoveredLists)
-	x.Counter("fsdl_decode_target_rescans_total", "Decodes whose first solve, without the target's own level edge lists, missed that bound and scanned them.", pool.TargetRescans)
 
 	x.Counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds.", m.degraded.Load())
 	x.Counter("fsdl_budget_exhausted_total", "Answers whose work budget truncated the sketch.", m.budgetExhausted.Load())
