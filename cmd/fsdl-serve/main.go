@@ -27,11 +27,12 @@
 // generation under -live-root plus the WAL tail; with no generation
 // yet, -store and -graph provide the first labels and the graph they
 // were built on; beside a generation, -store is not even opened. -graph
-// and -eps are compaction inputs only — queries are always answered from
-// labels. A compaction builds on every core but one, which it leaves to
-// the queries beside it; no flag changes that:
+// is a compaction input only — queries are always answered from labels.
+// A compaction builds at the precision of the labels served, and on
+// every core but one, which it leaves to the queries beside it; no flag
+// changes either:
 //
-//	fsdl-serve -live-root gens/ [-wal gens/mutations.wal] [-eps 2]
+//	fsdl-serve -live-root gens/ [-wal gens/mutations.wal]
 //	           [-store labels.fsdl -graph graph.txt]
 package main
 
@@ -80,7 +81,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	retryBudget := fs.Float64("retry-budget", 0, "cluster: retries+hedges per first attempt (0 = 0.1, negative disables)")
 	salvage := fs.Bool("salvage", false, "tolerate a damaged store: skip corrupt records, answer conservatively")
 	graphPath := fs.String("graph", "", "live: base graph the labels were built on, until a first generation exists")
-	eps := fs.Float64("eps", 2, "live: precision epsilon compactions build label generations at")
 	addr := fs.String("addr", ":8080", "listen address")
 	workers := fs.Int("workers", 0, "max concurrently executing queries (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth beyond the worker pool (0 = 4×workers)")
@@ -126,17 +126,13 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 	}
 
 	cfg := server.Config{
-		Epsilon:         *eps,
 		Workers:         *workers,
 		QueueDepth:      *queue,
 		DefaultDeadline: *deadline,
 		DefaultBudget:   *budget,
 		CacheCapacity:   *cacheCap,
 	}
-	var (
-		member *cluster.Membership
-		fe     *cluster.Frontend
-	)
+	var fe *cluster.Frontend
 	switch {
 	case *clusterPath != "":
 		m, err := cluster.LoadMembership(*clusterPath)
@@ -154,7 +150,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			return err
 		}
 		defer fe.Close()
-		member = m
 		cfg.Source = fe
 	case gen != nil:
 		// Local mode always serves the generation's own labels — a -store
@@ -176,7 +171,7 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			fmt.Fprintf(logw, "fsdl-serve: salvage: kept %d/%d records (%d corrupt, truncated: %v) — lost fault labels answered as safe upper bounds, lost endpoints as 503\n",
 				rep.Kept, rep.Total, len(rep.Corrupt), rep.Truncated)
 		}
-		cfg.Store, cfg.Report = st, rep
+		cfg.Store = st
 	default:
 		st, err := labelstore.Open(*storePath)
 		if err != nil {
@@ -205,11 +200,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			}
 			fmt.Fprintf(logw, "fsdl-serve: live: resuming from generation %d (%s)\n", gen.Generation, genDir)
 		}
-		if cfg.Store != nil {
-			if err := checkEpsilon(cfg.Store, *eps); err != nil {
-				return err
-			}
-		}
 		if gen == nil {
 			gf, err := os.Open(*graphPath)
 			if err != nil {
@@ -233,14 +223,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 			fmt.Fprintf(logw, "fsdl-serve: live: WAL replay restored %d pending delta edges (answers inexact until the next compaction)\n", pending)
 		}
 		if fe != nil {
-			// Cluster + live: compaction writes one partition file per
-			// boot-membership shard into each generation, so a swap has
-			// every shard load straight from the generation directory.
-			parts := member.Ring().Partition(base.NumVertices())
-			cfg.Partitions = make(map[string][]int, len(member.Nodes))
-			for i, node := range member.Nodes {
-				cfg.Partitions[node.Name] = parts[i]
-			}
 			// Surface the pipeline's pending delta and WAL retention in
 			// `fsdl cluster status`.
 			fe.SetLiveStats(func() cluster.LiveStats {
@@ -299,23 +281,6 @@ func run(ctx context.Context, args []string, logw io.Writer) error {
 		}
 		fmt.Fprintf(logw, "fsdl-serve: mutation WAL drained and closed, final fsdl_wal_flushed_total %d\n",
 			srv.WALFlushedTotal())
-	}
-	return nil
-}
-
-// checkEpsilon refuses a live boot whose -eps differs from the precision
-// of the labels it serves, which the first compaction would otherwise
-// rebuild at -eps. ε is compared as Label.Encode stores it, ⌊ε·2¹⁶⌋.
-func checkEpsilon(st *labelstore.Store, eps float64) error {
-	for _, v := range st.Vertices() {
-		l, err := st.Label(v)
-		if err != nil {
-			continue // a record a salvaging open kept out of service
-		}
-		if uint64(l.Epsilon*65536) != uint64(eps*65536) {
-			return fmt.Errorf("live: the served labels were built at eps %g, -eps is %g: pass -eps %g, or compactions rebuild every label at %g", l.Epsilon, eps, l.Epsilon, eps)
-		}
-		return nil
 	}
 	return nil
 }

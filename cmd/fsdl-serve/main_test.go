@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -32,40 +33,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	missing := filepath.Join(dir, "missing.txt")
 	emptyRoot := t.TempDir()
-	// Labels at ε = 1 served live at the default -eps 2: from a -store
-	// beside -graph, and from a resumed generation.
-	g := gen.Grid2D(4, 4)
-	graphPath, eps1Store := filepath.Join(dir, "g.txt"), filepath.Join(dir, "eps1.fsdl")
-	gf, err := os.Create(graphPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.WriteTo(gf); err != nil {
-		t.Fatal(err)
-	}
-	gf.Close()
-	s, err := core.BuildScheme(g, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sf, err := os.Create(eps1Store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := labelstore.Write(sf, labelstore.FromScheme(s), nil); err != nil {
-		t.Fatal(err)
-	}
-	sf.Close()
-	eps1Root := t.TempDir()
-	p, err := liveupdate.Open(liveupdate.Config{Base: g})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := liveupdate.Compact(p, eps1Root, liveupdate.CompactOptions{Epsilon: 1}); err != nil {
-		t.Fatal(err)
-	}
-	p.Close()
-	const epsRefusal = "live: the served labels were built at eps 1, -eps is 2"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -83,10 +50,6 @@ func TestRunRejectsBadFlags(t *testing.T) {
 			"load " + garbage + ":"},
 		{"an unreadable -store, mapped", []string{"-store", garbage3},
 			"load " + garbage3 + ":"},
-		{"-live-root over a -store built at another eps", []string{"-live-root", t.TempDir(), "-graph", graphPath, "-store", eps1Store},
-			epsRefusal},
-		{"-live-root resuming a generation built at another eps", []string{"-live-root", eps1Root},
-			epsRefusal},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := run(context.Background(), append(tc.args, "-addr", "127.0.0.1:0"), io.Discard)
@@ -136,14 +99,13 @@ func checkWALClosed(t *testing.T, path string) {
 	}
 }
 
-// TestRunDrainsOnCancel boots live mode from -graph and -store on a port
-// the system picks, which the startup line names; takes one mutation
-// batch over HTTP; and, its context canceled, returns nil with the WAL
-// closed — a pipeline reopened on it replays the batch.
-func TestRunDrainsOnCancel(t *testing.T) {
-	dir, root := t.TempDir(), t.TempDir()
+// writeInputs writes the 4×4 grid and its labels at eps as fsdl-serve's
+// -graph and -store.
+func writeInputs(t *testing.T, eps float64) (graphPath, storePath string) {
+	t.Helper()
+	dir := t.TempDir()
 	g := gen.Grid2D(4, 4)
-	graphPath, storePath := filepath.Join(dir, "g.txt"), filepath.Join(dir, "labels.fsdl")
+	graphPath, storePath = filepath.Join(dir, "g.txt"), filepath.Join(dir, "labels.fsdl")
 	gf, err := os.Create(graphPath)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +114,7 @@ func TestRunDrainsOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	gf.Close()
-	s, err := core.BuildScheme(g, 2)
+	s, err := core.BuildScheme(g, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,49 +126,123 @@ func TestRunDrainsOnCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	sf.Close()
+	return graphPath, storePath
+}
 
+// serve starts run with args on a port the system picks, and returns the
+// address the startup line names and a stop that cancels run and returns
+// what it returned.
+func serve(t *testing.T, args ...string) (addr string, stop func() error) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	logr, logw := io.Pipe()
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-live-root", root, "-graph", graphPath, "-store", storePath, "-addr", "127.0.0.1:0"}, logw)
+		done <- run(ctx, append(args, "-addr", "127.0.0.1:0"), logw)
 		logw.Close()
 	}()
-	addr := make(chan string, 1)
+	addrs := make(chan string, 1)
 	go func() {
 		sc := bufio.NewScanner(logr)
 		for sc.Scan() {
 			if _, a, ok := strings.Cut(sc.Text(), "local store on "); ok {
-				addr <- a
+				addrs <- a
 			}
 		}
-		close(addr)
+		close(addrs)
 	}()
-	a, ok := <-addr
+	stop = func() error {
+		cancel()
+		return <-done
+	}
+	a, ok := <-addrs
 	if !ok {
-		t.Fatalf("run ended before serving: %v", <-done)
+		t.Fatalf("run ended before serving: %v", stop())
 	}
-	if strings.HasSuffix(a, ":0") {
-		t.Fatalf("the startup line names %s, not the port bound", a)
-	}
-	resp, err := http.Post("http://"+a+"/v1/mutate", "application/json",
-		strings.NewReader(`{"mutations":[{"op":"delete","u":0,"v":1},{"op":"insert","u":0,"v":15}]}`))
+	return a, stop
+}
+
+// post sends body to the server at addr and returns the 200 answer's
+// body.
+func post(t *testing.T, addr, path, body string) []byte {
+	t.Helper()
+	resp, err := http.Post("http://"+addr+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	body, _ := io.ReadAll(resp.Body)
+	out, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("mutate: %s %s", resp.Status, body)
+		t.Fatalf("%s: %s %s", path, resp.Status, out)
 	}
-	cancel()
-	if err := <-done; err != nil {
+	return out
+}
+
+// TestRunCompactsAtLabelEpsilon: live mode over labels built at ε = 1 —
+// a -store beside -graph, or a resumed generation — compacts at ε = 1,
+// the precision it serves, with no flag saying so.
+func TestRunCompactsAtLabelEpsilon(t *testing.T) {
+	graphPath, storePath := writeInputs(t, 1)
+	resumed := t.TempDir()
+	p, err := liveupdate.Open(liveupdate.Config{Base: gen.Grid2D(4, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := liveupdate.Compact(p, resumed, liveupdate.CompactOptions{Epsilon: 1}); err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"-store beside -graph", []string{"-live-root", t.TempDir(), "-graph", graphPath, "-store", storePath}},
+		{"a resumed generation", []string{"-live-root", resumed}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, stop := serve(t, tc.args...)
+			post(t, addr, "/v1/mutate", `{"mutations":[{"op":"delete","u":0,"v":1}]}`)
+			var res struct{ Dir string }
+			if err := json.Unmarshal(post(t, addr, "/v1/compact", ""), &res); err != nil {
+				t.Fatal(err)
+			}
+			if err := stop(); err != nil {
+				t.Fatalf("run after cancel = %v, want nil", err)
+			}
+			st, err := labelstore.Open(filepath.Join(res.Dir, liveupdate.LabelsFileName))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			l, err := st.Label(0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if l.Epsilon != 1 {
+				t.Fatalf("the compaction built labels at eps %g, want 1", l.Epsilon)
+			}
+		})
+	}
+}
+
+// TestRunDrainsOnCancel boots live mode from -graph and -store on a port
+// the system picks, which the startup line names; takes one mutation
+// batch over HTTP; and, its context canceled, returns nil with the WAL
+// closed — a pipeline reopened on it replays the batch.
+func TestRunDrainsOnCancel(t *testing.T) {
+	root := t.TempDir()
+	graphPath, storePath := writeInputs(t, 2)
+	a, stop := serve(t, "-live-root", root, "-graph", graphPath, "-store", storePath)
+	if strings.HasSuffix(a, ":0") {
+		t.Fatalf("the startup line names %s, not the port bound", a)
+	}
+	post(t, a, "/v1/mutate", `{"mutations":[{"op":"delete","u":0,"v":1},{"op":"insert","u":0,"v":15}]}`)
+	if err := stop(); err != nil {
 		t.Fatalf("run after cancel = %v, want nil", err)
 	}
 	wal := filepath.Join(root, "mutations.wal")
 	checkWALClosed(t, wal)
-	p, err := liveupdate.Open(liveupdate.Config{Base: g, WALPath: wal})
+	p, err := liveupdate.Open(liveupdate.Config{Base: gen.Grid2D(4, 4), WALPath: wal})
 	if err != nil {
 		t.Fatal(err)
 	}

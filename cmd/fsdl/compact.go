@@ -18,19 +18,20 @@ import (
 // generation under -root, ready for fsdl-serve / fsdl-shard to load.
 //
 //	fsdl compact -root gens/ [-wal gens/mutations.wal] [-in graph.txt]
-//	             [-eps 2] [-workers N] [-members members.txt] [-force]
+//	             [-eps ε] [-workers N] [-members members.txt] [-force]
 //
 // The base graph comes from the newest generation already in -root
 // (its graph.txt snapshot); -in seeds the very first compaction, when
-// no generation exists yet. With -members, one partition file per
-// shard is written into the generation so a cluster can activate it
-// without re-partitioning.
+// no generation exists yet. -eps defaults to the ε of that generation's
+// labels (2 for the first compaction); another value re-cuts every
+// label. With -members, one partition file per shard is written into the
+// generation so a cluster can activate it without re-partitioning.
 func cmdCompact(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
 	root := fs.String("root", "", "generation root directory (required)")
 	walPath := fs.String("wal", "", "mutation WAL to replay (default <root>/mutations.wal)")
 	in := fs.String("in", "", "base graph file; required only when -root holds no generation yet")
-	eps := fs.Float64("eps", 2, "precision parameter epsilon")
+	eps := fs.Float64("eps", 0, "precision parameter epsilon (0 = that of the newest generation's labels, or 2 for the first compaction)")
 	workers := fs.Int("workers", 0, "build parallelism (0 = GOMAXPROCS)")
 	members := fs.String("members", "", "cluster membership file; also write per-shard partition files")
 	force := fs.Bool("force", false, "build a generation even with no pending mutations")
@@ -48,10 +49,13 @@ func cmdCompact(args []string, out io.Writer) error {
 	// Resume from the newest intact generation when one exists: its
 	// snapshot graph is the base the WAL delta applies to.
 	var base *graphpkg.Graph
+	var prevStore *labelstore.Store
 	generation := uint64(0)
 	if m, dir, ok, err := labelstore.LatestGeneration(*root); err == nil && ok {
-		base, err = liveupdate.LoadGenerationBase(dir)
-		if err != nil {
+		if base, err = liveupdate.LoadGenerationBase(dir); err != nil {
+			return err
+		}
+		if prevStore, err = liveupdate.LoadGenerationStore(dir); err != nil {
 			return err
 		}
 		generation = m.Generation
@@ -83,27 +87,30 @@ func cmdCompact(args []string, out io.Writer) error {
 		return nil
 	}
 
+	if *eps == 0 && prevStore == nil {
+		*eps = 2
+	} else if *eps == 0 {
+		// The newest generation's labels' ε; with none readable it stays
+		// 0, which the build refuses.
+		for _, v := range prevStore.Vertices() {
+			if l, err := prevStore.Label(v); err == nil {
+				*eps = l.Epsilon
+				break
+			}
+		}
+	}
 	opts := liveupdate.CompactOptions{Epsilon: *eps, Workers: *workers}
 	if *members != "" {
 		m, err := cluster.LoadMembership(*members)
 		if err != nil {
 			return err
 		}
-		parts := m.Ring().Partition(base.NumVertices())
-		opts.Partitions = make(map[string][]int, len(m.Nodes))
-		for i, node := range m.Nodes {
-			opts.Partitions[node.Name] = parts[i]
-		}
+		opts.Partitions = m.Ring().PartitionByName(base.NumVertices())
 	}
 
 	if *incremental {
 		if generation == 0 {
 			return fmt.Errorf("-incremental needs an existing generation under %s", *root)
-		}
-		prevDir := filepath.Join(*root, labelstore.GenerationDirName(generation))
-		prevStore, err := liveupdate.LoadGenerationStore(prevDir)
-		if err != nil {
-			return err
 		}
 		// The previous scheme is not persisted; rebuild it from the base
 		// graph it came from. The build is deterministic, so the

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 )
 
@@ -68,6 +69,37 @@ func TestCLICompact(t *testing.T) {
 	}
 	if !strings.Contains(out, "nothing to compact") || !strings.Contains(out, "base: generation 2") {
 		t.Fatalf("re-compact output:\n%s", out)
+	}
+}
+
+// TestCLICompactKeepsEpsilon: a root cut at ε = 1, compacted without
+// -eps, stays at ε = 1; an explicit -eps re-cuts it.
+func TestCLICompactKeepsEpsilon(t *testing.T) {
+	graphPath := genGraphFile(t)
+	root := t.TempDir()
+	for _, tc := range []struct {
+		args []string
+		want float64
+	}{
+		{[]string{"-in", graphPath, "-eps", "1"}, 1},
+		{nil, 1},
+		{[]string{"-eps", "2"}, 2},
+	} {
+		args := append([]string{"compact", "-root", root, "-force"}, tc.args...)
+		if out, err := runCLI(t, args...); err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		_, dir, _, err := labelstore.LatestGeneration(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := loadStoreFile(t, filepath.Join(dir, "labels.fsdl")).Label(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Epsilon != tc.want {
+			t.Fatalf("%v: the labels of %s were built at eps %g, want %g", args, dir, l.Epsilon, tc.want)
+		}
 	}
 }
 

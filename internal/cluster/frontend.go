@@ -516,6 +516,10 @@ func (f *Frontend) SwapGeneration(gen uint64, _ *labelstore.Store) (uint64, erro
 	return next.epoch, nil
 }
 
+// Partitions maps each shard of the ring routed now, after any join or
+// leave, to the ids it serves: the server.LabelSource contract.
+func (f *Frontend) Partitions() map[string][]int { return f.state.Load().ring.PartitionByName(f.n) }
+
 // kickRepair wakes the repairer immediately (membership just changed).
 func (f *Frontend) kickRepair() {
 	if f.rep != nil {

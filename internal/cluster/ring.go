@@ -207,6 +207,15 @@ func (rg *Ring) Partition(n int) [][]int {
 	return out
 }
 
+// PartitionByName is Partition keyed by node name.
+func (rg *Ring) PartitionByName(n int) map[string][]int {
+	out := make(map[string][]int, len(rg.nodes))
+	for i, ids := range rg.Partition(n) {
+		out[rg.nodes[i].Name] = ids
+	}
+	return out
+}
+
 // hashString is FNV-1a, the ring-point hash. Stable across processes
 // and Go versions by construction.
 func hashString(s string) uint64 {

@@ -204,6 +204,8 @@ type Store struct {
 	// and cleared by Seal. While it is set, nothing the store lacks is
 	// authoritatively absent.
 	incomplete atomic.Bool
+	// salvage is what a salvaging open reported; nil after a strict one.
+	salvage *SalvageReport
 }
 
 type record struct {
@@ -351,9 +353,16 @@ func load(r io.Reader, partial bool) (*Store, *SalvageReport, error) {
 	}
 	slices.Sort(rep.Corrupt)
 	st.incomplete.Store(rep.Lost() > 0 || rep.Truncated)
+	if partial {
+		st.salvage = rep
+	}
 	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }
+
+// Salvage returns the report of the LoadPartial or OpenPartial that
+// produced st, nil for any other store; later Puts leave it as it was.
+func (st *Store) Salvage() *SalvageReport { return st.salvage }
 
 // NumVertices returns the vertex-id space of the underlying graph.
 func (st *Store) NumVertices() int { return st.n }

@@ -401,6 +401,9 @@ func open3(f *os.File, partial bool) (*Store, *SalvageReport, error) {
 		rep.Kept = f3.idxCount - len(rep.Corrupt)
 	}
 	st.incomplete.Store(rep.Lost() > 0 || rep.Truncated)
+	if partial {
+		st.salvage = rep
+	}
 	st.admit(DefaultDecodedCacheSize)
 	return st, rep, nil
 }

@@ -140,6 +140,55 @@ func TestLoadPartialTruncatedFile(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsSalvageReport: a store a salvaging open produced — from
+// an FSDL2 stream or a mapped FSDL3 file — hands back the very report the
+// open returned, damaged or not; a strict open's store has none.
+func TestStoreKeepsSalvageReport(t *testing.T) {
+	s := buildScheme(t, gen.Grid2D(5, 5))
+	var buf bytes.Buffer
+	if err := Save(&buf, s, nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "labels.fsdl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(f, FromScheme(s), nil); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	strict, err := Load(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	for name, st := range map[string]*Store{"Load": strict, "Open": mapped} {
+		if rep := st.Salvage(); rep != nil {
+			t.Errorf("%s: store reports salvage %+v", name, rep)
+		}
+	}
+	whole, wholeRep, err := OpenPartial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer whole.Close()
+	cut, cutRep, err := LoadPartial(bytes.NewReader(buf.Bytes()[:buf.Len()*2/3]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if whole.Salvage() != wholeRep || wholeRep.Lost() != 0 {
+		t.Errorf("OpenPartial of an intact file: store reports %+v, the open %+v", whole.Salvage(), wholeRep)
+	}
+	if cut.Salvage() != cutRep || !cutRep.Truncated {
+		t.Errorf("LoadPartial of a cut stream: store reports %+v, the load %+v", cut.Salvage(), cutRep)
+	}
+}
+
 // TestDistanceRobustFromSalvagedStore closes the loop: a store missing a
 // fault's label still answers, flags the degradation, and never
 // undercuts the exact baseline.

@@ -360,7 +360,7 @@ func TestSharedFrameSwapBeforeCommit(t *testing.T) {
 		t.Fatal("a compaction is in flight")
 	}
 	defer s.live.EndCompaction()
-	res, err := liveupdate.Compact(s.live, s.cfg.LiveRoot, liveupdate.CompactOptions{Epsilon: s.cfg.Epsilon})
+	res, err := liveupdate.Compact(s.live, s.cfg.LiveRoot, liveupdate.CompactOptions{Epsilon: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -138,9 +139,13 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 		return CompactResult{}, fmt.Errorf("server: incremental compaction has no base: the previous generation's build state is not retained (run one full compaction first)")
 	}
 
+	eps, err := s.epsilon(prev)
+	if err != nil {
+		return CompactResult{}, err
+	}
 	res, err := liveupdate.Compact(s.live, s.cfg.LiveRoot, liveupdate.CompactOptions{
-		Epsilon:    s.cfg.Epsilon,
-		Partitions: s.cfg.Partitions,
+		Epsilon:    eps,
+		Partitions: s.src.Partitions(),
 		Prev:       prev,
 	})
 	if err != nil {
@@ -174,6 +179,27 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 	s.met.cacheFlushes.Add(1)
 	out.Pending = s.live.Pending()
 	return out, nil
+}
+
+// epsilon returns the precision a compaction builds at: Config.Epsilon,
+// else the retained scheme's, else the first label's the source resolves
+// (a label's ⌊ε·2¹⁶⌋/2¹⁶ builds what ε builds; docs/LIVE.md).
+func (s *Server) epsilon(prev *liveupdate.PrevGeneration) (float64, error) {
+	if s.cfg.Epsilon > 0 {
+		return s.cfg.Epsilon, nil
+	}
+	if prev != nil {
+		return prev.Scheme.Params().Epsilon, nil
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
+	defer cancel()
+	label, _ := s.src.PinLabels()
+	for v := 0; v < s.src.NumVertices() && ctx.Err() == nil; v++ {
+		if l, err := label(ctx, v); err == nil {
+			return l.Epsilon, nil
+		}
+	}
+	return 0, fmt.Errorf("server: no served label to take the compaction's epsilon from")
 }
 
 // retainedPrev returns the retained previous-generation build state as

@@ -81,12 +81,21 @@ func TestCompactNoopFastPath(t *testing.T) {
 	s.live.EndCompaction()
 }
 
-// TestCompactModeSelection walks the three modes against a partitioned
-// local store: forced incremental fails without a base, a full build
-// seeds one, and auto then builds delta-scoped with every partition
-// file written and answers that stay exact and sound. The store served
-// first is FSDL2, and CompactFormat is 0: every generation is factored
-// FSDL3 all the same.
+// partitionedSource is a local store that names shard partitions the way
+// a cluster frontend does, for compactions to write.
+type partitionedSource struct {
+	*storeSource
+	parts map[string][]int
+}
+
+func (s partitionedSource) Partitions() map[string][]int { return s.parts }
+
+// TestCompactModeSelection walks the three modes against a local store
+// whose source names two partitions: forced incremental fails without a
+// base, a full build seeds one, and auto then builds delta-scoped with
+// every partition file written and answers that stay exact and sound.
+// The store served first is FSDL2, and CompactFormat is 0: every
+// generation is factored FSDL3 all the same.
 func TestCompactModeSelection(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
@@ -103,7 +112,8 @@ func TestCompactModeSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newTestServer(t, Config{Store: st, Live: p, LiveRoot: root, CacheCapacity: -1, Partitions: parts})
+	src := partitionedSource{newStoreSource(st), parts}
+	s := newTestServer(t, Config{Source: src, Live: p, LiveRoot: root, CacheCapacity: -1})
 	factored := func(dir string) {
 		t.Helper()
 		for _, name := range []string{liveupdate.LabelsFileName, "a.fsdl", "b.fsdl"} {
@@ -219,16 +229,12 @@ func TestCompactSwapDispatch(t *testing.T) {
 	g, st := testStore(t, 6, 6, 2)
 	root := t.TempDir()
 	n := g.NumVertices()
-	parts := map[string][]int{"all": make([]int, n)}
-	for v := 0; v < n; v++ {
-		parts["all"][v] = v
-	}
 	p, err := liveupdate.Open(liveupdate.Config{Base: g})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &recordingSwapSource{storeSource: newStoreSource(st), root: root}
-	s := newTestServer(t, Config{Source: src, Live: p, LiveRoot: root, CacheCapacity: -1, Partitions: parts})
+	s := newTestServer(t, Config{Source: src, Live: p, LiveRoot: root, CacheCapacity: -1})
 
 	if _, err := s.Mutate([]liveupdate.Mutation{{Op: liveupdate.MutInsert, U: 0, V: int32(n - 1)}}); err != nil {
 		t.Fatal(err)

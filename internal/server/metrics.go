@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"fsdl/internal/core"
+	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 	"fsdl/internal/stats"
 )
@@ -40,12 +41,6 @@ type metrics struct {
 	failsApplied    atomic.Int64
 	recoversApplied atomic.Int64
 
-	// salvage state is written once at startup.
-	salvageTotal     atomic.Int64
-	salvageKept      atomic.Int64
-	salvageCorrupt   atomic.Int64
-	salvageTruncated atomic.Int64
-
 	latency *stats.Histogram
 }
 
@@ -73,9 +68,9 @@ func (m *metrics) request(endpoint string) {
 }
 
 // render writes the server's own exposition. cacheLen, the label-cache
-// counters and the decoder-pool stats are sampled by the caller (those
-// live with the store and the core pool, not here).
-func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisses int64, pool core.DecoderPoolStats) {
+// counters, the decoder-pool stats and the salvage report are sampled by
+// the caller (those live with the store and the core pool, not here).
+func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisses int64, pool core.DecoderPoolStats, salvage labelstore.SalvageReport) {
 	x.Family("fsdl_requests_total", "HTTP requests by endpoint.", "counter")
 	names := make([]string, 0, len(m.requests))
 	for e := range m.requests {
@@ -106,7 +101,7 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_decode_certified_total", "Decodes answered from the endpoint labels alone, before any edge was scanned: a net point both labels hold, whose distances from the two sum to the lower bound the labels give, reached from each by a self edge the fault set leaves.", pool.Certified)
 	x.Counter("fsdl_decode_covered_lists_total", "Owner level edge lists rejected whole without an edge read: one fault's protected ball holds every point of the list.", pool.CoveredLists)
 
-	x.Counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds.", m.degraded.Load())
+	x.Counter("fsdl_degraded_answers_total", "Answers that fell back to conservative upper bounds because a fault label was unavailable.", m.degraded.Load())
 	x.Counter("fsdl_budget_exhausted_total", "Answers whose work budget truncated the sketch.", m.budgetExhausted.Load())
 	x.Counter("fsdl_rejected_total_overload", "Requests rejected because the queue was full.", m.rejectedOverload.Load())
 	x.Counter("fsdl_rejected_total_deadline", "Requests abandoned because their deadline expired while queued.", m.rejectedDeadline.Load())
@@ -117,10 +112,14 @@ func (m *metrics) render(x stats.Exposition, cacheLen int, labelHits, labelMisse
 	x.Counter("fsdl_fail_events_total", "Vertices/edges failed via /v1/fail.", m.failsApplied.Load())
 	x.Counter("fsdl_recover_events_total", "Vertices/edges recovered via /v1/recover.", m.recoversApplied.Load())
 
-	x.Gauge("fsdl_salvage_records_total", "Records declared by the store header.", m.salvageTotal.Load())
-	x.Gauge("fsdl_salvage_records_kept", "Records salvaged intact.", m.salvageKept.Load())
-	x.Gauge("fsdl_salvage_records_corrupt", "Records dropped for checksum/decode failures.", m.salvageCorrupt.Load())
-	x.Gauge("fsdl_salvage_truncated", "1 when the store file was truncated mid-record.", m.salvageTruncated.Load())
+	truncated := int64(0)
+	if salvage.Truncated {
+		truncated = 1
+	}
+	x.Gauge("fsdl_salvage_records_total", "Records declared by the store header.", int64(salvage.Total))
+	x.Gauge("fsdl_salvage_records_kept", "Records salvaged intact.", int64(salvage.Kept))
+	x.Gauge("fsdl_salvage_records_corrupt", "Records dropped for checksum/decode failures.", int64(len(salvage.Corrupt)))
+	x.Gauge("fsdl_salvage_truncated", "1 when the store file was truncated mid-record.", truncated)
 
 	x.Family("fsdl_request_seconds", "Request latency.", "histogram")
 	x.Histogram("fsdl_request_seconds", "", "", m.latency)

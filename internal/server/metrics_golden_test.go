@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 )
 
@@ -89,14 +88,15 @@ func setFixedCounters(s *Server) {
 func TestMetricsGolden(t *testing.T) {
 	t.Run("local", func(t *testing.T) {
 		_, st := testStore(t, 4, 4, 2)
+		// Salvaged with vertex 3's record corrupt and the file cut inside
+		// the last one: 16 declared, 14 kept, 1 corrupt, truncated.
+		st = salvagedCopy(t, st, 3, 1)
 		for _, v := range []int{0, 0, 0, 5} {
 			if _, err := st.Label(v); err != nil {
 				t.Fatal(err)
 			}
 		}
-		s := newTestServer(t, Config{Store: st, Report: &labelstore.SalvageReport{
-			Total: 16, Kept: 15, Corrupt: []int32{3}, Truncated: true,
-		}})
+		s := newTestServer(t, Config{Store: st})
 		setFixedCounters(s)
 		checkGolden(t, "metrics_local.golden", poolLine.ReplaceAllString(s.Metrics(), "$1 0"))
 	})

@@ -30,19 +30,16 @@ import (
 // Config configures a Server. Exactly one of Store and Source is
 // required; everything else has a serviceable default.
 type Config struct {
-	// Store is the loaded label container (strict Load or salvaged
-	// LoadPartial — pass the SalvageReport in Report for the latter so
-	// the salvage counters surface in /metrics).
-	Store  *labelstore.Store
-	Report *labelstore.SalvageReport
+	// Store is the loaded label container; a salvaged one carries its
+	// report (labelstore.Store.Salvage).
+	Store *labelstore.Store
 
 	// Source is an alternative label provider — a cluster.Frontend
 	// scatter-gathering labels from shard servers, or any other
 	// LabelSource. Mutually exclusive with Store.
 	Source LabelSource
 
-	// Epsilon is the precision live compactions build label generations
-	// at (default 2).
+	// Epsilon is the precision of live compactions (default: the labels').
 	Epsilon float64
 
 	// Workers bounds concurrently executing queries (default
@@ -81,11 +78,6 @@ type Config struct {
 	// "Release the pins").
 	CompactFormat   int
 	CompactCompress bool
-	// Partitions optionally maps shard names to the vertex ids each
-	// serves; compaction then writes one partition file per shard into
-	// every generation directory, which the cluster swap has each shard
-	// load.
-	Partitions map[string][]int
 }
 
 // cacheShards is how many independently locked shards the result cache
@@ -194,9 +186,6 @@ func New(cfg Config) (*Server, error) {
 	case src == nil:
 		return nil, fmt.Errorf("server: one of Config.Store or Config.Source is required")
 	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 2
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -225,15 +214,18 @@ func New(cfg Config) (*Server, error) {
 				bn, src.NumVertices())
 		}
 	}
-	if cfg.Report != nil {
-		s.met.salvageTotal.Store(int64(cfg.Report.Total))
-		s.met.salvageKept.Store(int64(cfg.Report.Kept))
-		s.met.salvageCorrupt.Store(int64(len(cfg.Report.Corrupt)))
-		if cfg.Report.Truncated {
-			s.met.salvageTruncated.Store(1)
+	return s, nil
+}
+
+// salvage returns the salvage report of the store served now; zero
+// unless Config.Store's source serves one a salvaging open produced.
+func (s *Server) salvage() labelstore.SalvageReport {
+	if local, ok := s.src.(*storeSource); ok {
+		if rep := local.st.Load().Salvage(); rep != nil {
+			return *rep
 		}
 	}
-	return s, nil
+	return labelstore.SalvageReport{}
 }
 
 // NumVertices returns the vertex-id space served.
@@ -536,11 +528,12 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				}
 				a.Connected = res.OK
 				a.Dist = res.Dist
-				a.Degraded = res.Degraded
+				// Degraded: a fault label was demoted, not just the budget spent.
+				a.Degraded = len(q.DegradedVertexFaults) > 0 || len(q.DegradedEdgeFaults) > 0 || len(res.MissingFaultLabels) > 0
 				a.BudgetExhausted = res.BudgetExhausted
 				a.MissingFaultLabels = res.MissingFaultLabels
-				a.Exact = !res.Degraded && !res.BudgetExhausted && !livePending
-				if res.Degraded {
+				a.Exact = !a.Degraded && !res.BudgetExhausted && !livePending
+				if a.Degraded {
 					s.met.degraded.Add(1)
 				}
 				if res.BudgetExhausted {
@@ -550,9 +543,9 @@ func (s *Server) AnswerPairs(ctx context.Context, pairs [][2]int, opts *QueryOpt
 				// that were unavailable at decode time — often transiently
 				// (a replica set down). Caching one would keep serving the
 				// stale upper bound after the labels return, so only exact
-				// and budget-degraded (deterministic for this key) verdicts
-				// enter the cache.
-				if !res.Degraded && !livePending {
+				// and budget-exhausted (deterministic for this key, whose
+				// hash holds the budget) verdicts enter the cache.
+				if !a.Degraded && !livePending {
 					s.cache.Put(key, a)
 				}
 			}
@@ -681,12 +674,6 @@ func (s *Server) Distance(ctx context.Context, src, dst int, opts *QueryOptions)
 	return as[0], nil
 }
 
-// Connected answers a connectivity query (a distance query whose
-// verdict is the Connected bit).
-func (s *Server) Connected(ctx context.Context, src, dst int, opts *QueryOptions) (Answer, error) {
-	return s.Distance(ctx, src, dst, opts)
-}
-
 // Fail adds vertices/edges to the global fault overlay, then
 // invalidates the result cache. Ids are validated up front; nothing is
 // applied on error.
@@ -757,10 +744,8 @@ func (s *Server) Snapshot() State {
 		st.LivePending = s.live.Pending()
 		st.LiveSeq = s.live.Seq()
 	}
-	if s.cfg.Report != nil {
-		st.SalvageKept = s.cfg.Report.Kept
-		st.SalvageTotal = s.cfg.Report.Total
-	}
+	rep := s.salvage()
+	st.SalvageKept, st.SalvageTotal = rep.Kept, rep.Total
 	return st
 }
 
@@ -771,7 +756,7 @@ func (s *Server) Metrics() string {
 	var sb strings.Builder
 	labelHits, labelMisses := s.src.LabelCacheStats()
 	x := stats.NewExposition(&sb)
-	s.met.render(x, s.cache.Len(), labelHits, labelMisses, core.DecoderPool())
+	s.met.render(x, s.cache.Len(), labelHits, labelMisses, core.DecoderPool(), s.salvage())
 	if s.live != nil {
 		renderLive(x, s.live.MetricsSnapshot())
 	}

@@ -51,6 +51,37 @@ func storeOf(t *testing.T, g *graph.Graph, eps float64) *labelstore.Store {
 	return st
 }
 
+// salvagedCopy writes the FSDL2 store st back out, flips the last
+// payload byte of vertex lost's record (its CRC fails, the framing
+// holds) unless lost is negative, cuts cut bytes off the end, and
+// returns what a salvaging load keeps of that.
+func salvagedCopy(t *testing.T, st *labelstore.Store, lost, cut int) *labelstore.Store {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := labelstore.Write(&buf, st, st.Vertices()); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	if lost >= 0 {
+		uvlen := func(x uint64) int { return len(binary.AppendUvarint(nil, x)) }
+		ids := st.Vertices()
+		end := len("FSDL2") + uvlen(uint64(st.NumVertices())) + uvlen(uint64(len(ids)))
+		for _, v := range ids {
+			bits, data, _ := st.Raw(v)
+			end += uvlen(uint64(v)) + uvlen(uint64(bits)) + len(data) + 4
+			if v == lost {
+				break
+			}
+		}
+		bad[end-5] ^= 0x01
+	}
+	salvaged, _, err := labelstore.LoadPartial(bytes.NewReader(bad[:len(bad)-cut]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return salvaged
+}
+
 func newTestServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
@@ -327,8 +358,9 @@ func TestAdmissionOverloadAndDeadline(t *testing.T) {
 
 func TestHTTPEndpoints(t *testing.T) {
 	g, st := testStore(t, 8, 8, 2)
-	rep := &labelstore.SalvageReport{Version: 2, Total: st.NumLabels(), Kept: st.NumLabels()}
-	s := newTestServer(t, Config{Store: st, Report: rep})
+	// Salvaged whole: the salvage gauges count every record kept.
+	st = salvagedCopy(t, st, -1, 0)
+	s := newTestServer(t, Config{Store: st})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	n := g.NumVertices()
@@ -729,6 +761,29 @@ func TestDegradedAnswersNotCached(t *testing.T) {
 	}
 }
 
+// TestBudgetExhaustedAnswersCached: an answer whose work budget ran out
+// is an upper bound that no outage produced — exact:false and
+// budget_exhausted, but not degraded, with no fault label missing — and,
+// the budget being part of the cache key, the repeat is served from the
+// result cache. Neither counts as a degraded answer.
+func TestBudgetExhaustedAnswersCached(t *testing.T) {
+	_, st := testStore(t, 12, 12, 2)
+	s := newTestServer(t, Config{Store: st})
+	opts := &QueryOptions{Faults: graph.FaultVertices(30, 77), Budget: 1}
+	for i, wantCached := range []bool{false, true} {
+		a, err := s.Distance(context.Background(), 0, 143, opts)
+		if err != nil || a.Error != "" {
+			t.Fatalf("query %d: %+v err=%v", i, a, err)
+		}
+		if !a.BudgetExhausted || a.Exact || a.Degraded || len(a.MissingFaultLabels) != 0 || a.Cached != wantCached {
+			t.Fatalf("query %d: %+v, want budget_exhausted, not exact, not degraded, cached=%v", i, a, wantCached)
+		}
+	}
+	if d, b := s.met.degraded.Load(), s.met.budgetExhausted.Load(); d != 0 || b != 1 {
+		t.Fatalf("degraded answers %d, budget-exhausted %d: want 0 and the one decode's 1", d, b)
+	}
+}
+
 // TestHTTPBatchAndFaultCaps: oversized batches and fault sets are
 // rejected with 400 before they fan out into label fetches.
 func TestHTTPBatchAndFaultCaps(t *testing.T) {
@@ -846,23 +901,9 @@ func TestEndpointLabelStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip the last payload byte of the lost vertex's record: the CRC
-	// fails, the framing holds.
-	uvlen := func(x uint64) int { return len(binary.AppendUvarint(nil, x)) }
-	ids := complete.Vertices()
-	end := len("FSDL2") + uvlen(uint64(complete.NumVertices())) + uvlen(uint64(len(ids)))
-	for _, v := range ids[:lost+1] {
-		bits, data, _ := complete.Raw(v)
-		end += uvlen(uint64(v)) + uvlen(uint64(bits)) + len(data) + 4
-	}
-	bad := slices.Clone(buf.Bytes())
-	bad[end-5] ^= 0x01
-	salvaged, rep, err := labelstore.LoadPartial(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(rep.Corrupt, []int32{lost}) || rep.Truncated {
-		t.Fatalf("salvage report %+v, want exactly [%d] lost", rep, lost)
+	salvaged := salvagedCopy(t, complete, lost, 0)
+	if rep := salvaged.Salvage(); !slices.Equal(rep.Corrupt, []int32{lost}) || rep.Truncated {
+		t.Fatalf("salvage report %+v, want exactly [%d] lost", salvaged.Salvage(), lost)
 	}
 
 	for name, c := range map[string]struct {
@@ -872,9 +913,9 @@ func TestEndpointLabelStatus(t *testing.T) {
 	}{
 		"complete store, lacked":  {Config{Store: complete}, `{"s":30,"t":0}`, http.StatusNotFound},
 		"complete store, served":  {Config{Store: complete}, `{"s":17,"t":0}`, http.StatusOK},
-		"salvaged store, lost":    {Config{Store: salvaged, Report: rep}, `{"s":0,"t":17}`, http.StatusServiceUnavailable},
-		"salvaged store, lacked":  {Config{Store: salvaged, Report: rep}, `{"s":30,"t":0}`, http.StatusServiceUnavailable},
-		"salvaged store, served":  {Config{Store: salvaged, Report: rep}, `{"s":0,"t":35}`, http.StatusOK},
+		"salvaged store, lost":    {Config{Store: salvaged}, `{"s":0,"t":17}`, http.StatusServiceUnavailable},
+		"salvaged store, lacked":  {Config{Store: salvaged}, `{"s":30,"t":0}`, http.StatusServiceUnavailable},
+		"salvaged store, served":  {Config{Store: salvaged}, `{"s":0,"t":35}`, http.StatusOK},
 		"unreachable":             {Config{Source: wordedSource{newStoreSource(st), map[int]error{unreachable: errors.New("every replica of vertex 9 is down")}}}, `{"s":9,"t":0}`, http.StatusServiceUnavailable},
 		"out of range":            {Config{Store: complete}, `{"s":36,"t":0}`, http.StatusBadRequest},
 		"malformed body":          {Config{Store: complete}, `{"s":0,"t":`, http.StatusBadRequest},

@@ -55,6 +55,10 @@ type LabelSource interface {
 	// frontend instead has every routable shard load gen from its
 	// generation root.
 	SwapGeneration(gen uint64, st *labelstore.Store) (epoch uint64, err error)
+	// Partitions maps each shard of the ring routed now to the vertex
+	// ids it serves, for a compaction to write one partition file per
+	// shard; nil for a local store.
+	Partitions() map[string][]int
 
 	// WriteMetrics appends source-specific Prometheus exposition to
 	// /metrics, and HealthJSON contributes a JSON-marshalable fragment
@@ -126,8 +130,9 @@ func (s *storeSource) WriteMetrics(sb *strings.Builder) {
 	x.Gauge("fsdl_label_level_lists", "Shared level edge lists currently held.", int64(lists))
 }
 
-func (s *storeSource) HealthJSON() any { return nil }
-func (s *storeSource) StatusJSON() any { return nil }
+func (s *storeSource) Partitions() map[string][]int { return nil }
+func (s *storeSource) HealthJSON() any              { return nil }
+func (s *storeSource) StatusJSON() any              { return nil }
 
 func (s *storeSource) Join(string, string) (uint64, error) { return 0, errNotCluster }
 func (s *storeSource) Leave(string) (uint64, error)        { return 0, errNotCluster }
