@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -24,8 +25,9 @@ import (
 // (its graph.txt snapshot); -in seeds the very first compaction, when
 // no generation exists yet. -eps defaults to the ε of that generation's
 // labels (2 for the first compaction); another value re-cuts every
-// label. With -members, one partition file per shard is written into the
-// generation so a cluster can activate it without re-partitioning.
+// label, which -incremental refuses. With -members, one partition file
+// per shard is written into the generation so a cluster can activate it
+// without re-partitioning.
 func cmdCompact(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("compact", flag.ContinueOnError)
 	root := fs.String("root", "", "generation root directory (required)")
@@ -49,16 +51,12 @@ func cmdCompact(args []string, out io.Writer) error {
 	// Resume from the newest intact generation when one exists: its
 	// snapshot graph is the base the WAL delta applies to.
 	var base *graphpkg.Graph
-	var prevStore *labelstore.Store
-	generation := uint64(0)
+	generation, genDir := uint64(0), ""
 	if m, dir, ok, err := labelstore.LatestGeneration(*root); err == nil && ok {
 		if base, err = liveupdate.LoadGenerationBase(dir); err != nil {
 			return err
 		}
-		if prevStore, err = liveupdate.LoadGenerationStore(dir); err != nil {
-			return err
-		}
-		generation = m.Generation
+		generation, genDir = m.Generation, dir
 		fmt.Fprintf(out, "base: generation %d (%s), n=%d\n", m.Generation, dir, base.NumVertices())
 	} else if err != nil && *in == "" {
 		return err
@@ -87,17 +85,28 @@ func cmdCompact(args []string, out io.Writer) error {
 		return nil
 	}
 
-	if *eps == 0 && prevStore == nil {
-		*eps = 2
-	} else if *eps == 0 {
-		// The newest generation's labels' ε; with none readable it stays
-		// 0, which the build refuses.
-		for _, v := range prevStore.Vertices() {
-			if l, err := prevStore.Label(v); err == nil {
-				*eps = l.Epsilon
-				break
-			}
+	// The newest generation's labels are read only to take their ε or to
+	// splice an incremental rebuild over them.
+	var prevStore *labelstore.Store
+	if generation > 0 && (*eps == 0 || *incremental) {
+		if prevStore, err = liveupdate.LoadGenerationStore(genDir); err != nil {
+			return err
 		}
+		defer prevStore.Close()
+		labelsEps, ok := labelstore.FirstEpsilon(context.Background(), prevStore.NumVertices(),
+			func(_ context.Context, v int) (*core.Label, error) { return prevStore.Label(v) })
+		switch {
+		case !ok:
+			return fmt.Errorf("generation %d has no readable label to take epsilon from", generation)
+		case *eps == 0:
+			*eps = labelsEps
+		// A label holds ⌊ε·2¹⁶⌋/2¹⁶, which builds what ε builds.
+		case float64(uint64(*eps*65536))/65536 != labelsEps:
+			return fmt.Errorf("-incremental -eps %g: generation %d was built at eps %g, and a delta-scoped rebuild keeps its labels' epsilon", *eps, generation, labelsEps)
+		}
+	}
+	if *eps == 0 {
+		*eps = 2
 	}
 	opts := liveupdate.CompactOptions{Epsilon: *eps, Workers: *workers}
 	if *members != "" {

@@ -73,23 +73,43 @@ func TestCLICompact(t *testing.T) {
 }
 
 // TestCLICompactKeepsEpsilon: a root cut at ε = 1, compacted without
-// -eps, stays at ε = 1; an explicit -eps re-cuts it.
+// -eps, stays at ε = 1, incrementally too; an explicit -eps re-cuts it,
+// which -incremental refuses. A full compaction given -eps never reads
+// the newest generation's labels, so a labels file that no longer opens
+// does not block the rebuild that replaces it.
 func TestCLICompactKeepsEpsilon(t *testing.T) {
 	graphPath := genGraphFile(t)
 	root := t.TempDir()
 	for _, tc := range []struct {
-		args []string
-		want float64
+		args     []string
+		truncate bool    // break the newest generation's labels file first
+		want     float64 // 0: the run is refused
 	}{
-		{[]string{"-in", graphPath, "-eps", "1"}, 1},
-		{nil, 1},
-		{[]string{"-eps", "2"}, 2},
+		{[]string{"-in", graphPath, "-eps", "1"}, false, 1},
+		{nil, false, 1},
+		{[]string{"-incremental", "-eps", "2"}, false, 0},
+		{[]string{"-incremental"}, false, 1},
+		{[]string{"-eps", "2"}, true, 2},
 	} {
+		_, dir, _, err := labelstore.LatestGeneration(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.truncate {
+			breakLabels(t, dir)
+		}
 		args := append([]string{"compact", "-root", root, "-force"}, tc.args...)
-		if out, err := runCLI(t, args...); err != nil {
+		out, err := runCLI(t, args...)
+		if tc.want == 0 {
+			if err == nil || !strings.Contains(err.Error(), "-incremental -eps") {
+				t.Fatalf("%v: want a refusal of -incremental's -eps before any build, got %v\n%s", args, err, out)
+			}
+			continue
+		}
+		if err != nil {
 			t.Fatalf("%v: %v\n%s", args, err, out)
 		}
-		_, dir, _, err := labelstore.LatestGeneration(root)
+		_, dir, _, err = labelstore.LatestGeneration(root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,6 +120,32 @@ func TestCLICompactKeepsEpsilon(t *testing.T) {
 		if l.Epsilon != tc.want {
 			t.Fatalf("%v: the labels of %s were built at eps %g, want %g", args, dir, l.Epsilon, tc.want)
 		}
+	}
+}
+
+// breakLabels cuts the labels file of generation directory dir to a
+// stub no store opener accepts, and has the manifest vouch for the stub,
+// so the generation stays the newest intact one.
+func breakLabels(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "labels.fsdl")
+	if err := os.Truncate(path, 10); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(filepath.Join(dir, labelstore.ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := labelstore.ReadManifest(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.File("labels.fsdl").CRC, err = labelstore.FileCRC(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := labelstore.WriteManifestFile(dir, m); err != nil {
+		t.Fatal(err)
 	}
 }
 

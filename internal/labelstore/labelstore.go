@@ -38,6 +38,7 @@ package labelstore
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -559,6 +560,19 @@ func (st *Store) Label(v int) (*core.Label, error) {
 		st.cache.Put(int32(v), l)
 	}
 	return l, nil
+}
+
+// FirstEpsilon returns the ε of the first of vertices 0..n-1 whose label
+// resolves, false when none does before ctx ends. Every label of one
+// build carries the scheme's ε, so the first readable one speaks for the
+// generation.
+func FirstEpsilon(ctx context.Context, n int, label func(context.Context, int) (*core.Label, error)) (float64, bool) {
+	for v := 0; v < n && ctx.Err() == nil; v++ {
+		if l, err := label(ctx, v); err == nil {
+			return l.Epsilon, true
+		}
+	}
+	return 0, false
 }
 
 // Distance answers the forbidden-set query (src, dst, F) from stored

@@ -67,13 +67,11 @@ type queryRequest struct {
 	Path bool `json:"path"`
 }
 
-func (r *queryRequest) validate(batch bool) error {
-	switch nf := len(r.Fail) + len(r.FailEdge); {
-	case batch && len(r.Pairs) == 0:
-		return fmt.Errorf("batch-distance: empty pairs")
-	case len(r.Pairs) > maxBatchPairs:
+func (r *queryRequest) validate() error {
+	if len(r.Pairs) > maxBatchPairs {
 		return fmt.Errorf("batch-distance: %d pairs exceeds the per-request limit of %d", len(r.Pairs), maxBatchPairs)
-	case nf > maxRequestFaults:
+	}
+	if nf := len(r.Fail) + len(r.FailEdge); nf > maxRequestFaults {
 		return fmt.Errorf("request names %d faults, limit is %d", nf, maxRequestFaults)
 	}
 	return nil
@@ -100,9 +98,9 @@ type updateRequest struct {
 // httptest.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/distance", s.instrument("distance", s.handleQuery(false)))
-	mux.HandleFunc("/v1/connected", s.instrument("connected", s.handleQuery(false)))
-	mux.HandleFunc("/v1/batch-distance", s.instrument("batch_distance", s.handleQuery(true)))
+	mux.HandleFunc("/v1/distance", s.instrument("distance", s.handleDistance))
+	mux.HandleFunc("/v1/connected", s.instrument("connected", s.handleDistance))
+	mux.HandleFunc("/v1/batch-distance", s.instrument("batch_distance", s.handleBatch))
 	mux.HandleFunc("/v1/fail", s.instrument("fail", s.handleUpdate(true)))
 	mux.HandleFunc("/v1/recover", s.instrument("recover", s.handleUpdate(false)))
 	mux.HandleFunc("/v1/mutate", s.instrument("mutate", s.handleMutate))
@@ -218,41 +216,60 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// handleQuery answers one pair, s and t (/v1/distance, /v1/connected),
-// or with batch the pairs of /v1/batch-distance.
-func (s *Server) handleQuery(batch bool) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req queryRequest
-		err := decodeBody(r, &req)
-		if err == nil {
-			err = req.validate(batch)
-		}
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		ctx := r.Context()
-		if req.DeadlineMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-			defer cancel()
-		}
-		pairs := req.Pairs
-		if !batch {
-			pairs = [][2]int{{req.S, req.T}}
-		}
-		answers, err := s.AnswerPairs(ctx, pairs, req.options())
-		switch {
-		case err != nil:
-			s.writeError(w, err)
-		case batch:
-			writeJSON(w, http.StatusOK, map[string]any{"answers": answers})
-		case answers[0].err != nil:
-			s.writeError(w, answers[0].err)
-		default:
-			writeJSON(w, http.StatusOK, answers[0])
-		}
+func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
+	var req queryRequest
+	if err := decodeBody(r, &req); err != nil {
+		s.writeError(w, err)
+		return
 	}
+	if err := req.validate(); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	ctx := r.Context()
+	if req.DeadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+		defer cancel()
+	}
+	ans, err := s.Distance(ctx, req.S, req.T, req.options())
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	if ans.err != nil {
+		s.writeError(w, ans.err)
+		return
+	}
+	writeJSON(w, http.StatusOK, ans)
+}
+
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	var req queryRequest
+	if err := decodeBody(r, &req); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	if len(req.Pairs) == 0 {
+		s.writeError(w, fmt.Errorf("batch-distance: empty pairs"))
+		return
+	}
+	if err := req.validate(); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	ctx := r.Context()
+	if req.DeadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
+		defer cancel()
+	}
+	answers, err := s.AnswerPairs(ctx, req.Pairs, req.options())
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"answers": answers})
 }
 
 func (s *Server) handleUpdate(fail bool) http.HandlerFunc {

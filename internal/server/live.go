@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
 )
 
@@ -181,23 +182,18 @@ func (s *Server) CompactMode(mode string) (CompactResult, error) {
 	return out, nil
 }
 
-// epsilon returns the precision a compaction builds at: Config.Epsilon,
-// else the retained scheme's, else the first label's the source resolves
-// (a label's ⌊ε·2¹⁶⌋/2¹⁶ builds what ε builds; docs/LIVE.md).
+// epsilon returns the precision a compaction builds at: the retained
+// scheme's, else that of the first label the source resolves (a label's
+// ⌊ε·2¹⁶⌋/2¹⁶ builds what ε builds; docs/LIVE.md).
 func (s *Server) epsilon(prev *liveupdate.PrevGeneration) (float64, error) {
-	if s.cfg.Epsilon > 0 {
-		return s.cfg.Epsilon, nil
-	}
 	if prev != nil {
 		return prev.Scheme.Params().Epsilon, nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DefaultDeadline)
 	defer cancel()
 	label, _ := s.src.PinLabels()
-	for v := 0; v < s.src.NumVertices() && ctx.Err() == nil; v++ {
-		if l, err := label(ctx, v); err == nil {
-			return l.Epsilon, nil
-		}
+	if eps, ok := labelstore.FirstEpsilon(ctx, s.src.NumVertices(), label); ok {
+		return eps, nil
 	}
 	return 0, fmt.Errorf("server: no served label to take the compaction's epsilon from")
 }

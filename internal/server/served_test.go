@@ -55,22 +55,25 @@ func newTestFrontend(t *testing.T, lc *liveCluster) *cluster.Frontend {
 	return fe
 }
 
-// TestCompactKeepsLabelEpsilon: with no Config.Epsilon a compaction builds
-// at the precision of the labels served — a local store's or a cluster's,
-// the first compaction taking it from a label, the incremental one after
-// from the retained scheme — and writes the bytes a build at that ε
-// writes. Labels store ⌊ε·2¹⁶⌋/2¹⁶, 0.3 becomes 0.29998779296875, and the
-// build at that is the build at 0.3.
+// TestCompactKeepsLabelEpsilon: a compaction builds at the precision of
+// the labels served — a local store's or a cluster's, the first
+// compaction taking it from a label, the incremental one after from the
+// retained scheme — and writes the bytes a build at that ε writes; a
+// Config.Epsilon set to another value selects nothing. Labels store
+// ⌊ε·2¹⁶⌋/2¹⁶, 0.3 becomes 0.29998779296875, and the build at that is the
+// build at 0.3.
 func TestCompactKeepsLabelEpsilon(t *testing.T) {
 	g := gen.Grid2D(6, 6)
 	for _, tc := range []struct {
 		name    string
 		cluster bool
 		eps     float64
+		cfgEps  float64 // Config.Epsilon
 	}{
-		{"local", false, 1},
-		{"cluster", true, 1},
-		{"local at 0.3", false, 0.3},
+		{"local", false, 1, 0},
+		{"cluster", true, 1, 0},
+		{"local at 0.3", false, 0.3, 0},
+		{"local, Config.Epsilon 2", false, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			st, root := storeOf(t, g, tc.eps), t.TempDir()
@@ -82,7 +85,7 @@ func TestCompactKeepsLabelEpsilon(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.Live, cfg.LiveRoot = p, root
+			cfg.Live, cfg.LiveRoot, cfg.Epsilon = p, root, tc.cfgEps
 			s := newTestServer(t, cfg)
 			for i, incremental := range []bool{false, true} {
 				toggle(t, s)

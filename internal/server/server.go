@@ -39,9 +39,6 @@ type Config struct {
 	// LabelSource. Mutually exclusive with Store.
 	Source LabelSource
 
-	// Epsilon is the precision of live compactions (default: the labels').
-	Epsilon float64
-
 	// Workers bounds concurrently executing queries (default
 	// GOMAXPROCS). QueueDepth bounds queries waiting for a worker slot
 	// beyond that (default 4×Workers); past it requests are rejected
@@ -72,10 +69,11 @@ type Config struct {
 	// directories into; required for Compact / the /v1/compact
 	// endpoint.
 	LiveRoot string
-	// CompactFormat and CompactCompress select nothing: every
-	// compaction writes factored FSDL3 generations. The fields stay for
-	// the benchmark harness, which assigns them (ROADMAP item 1,
-	// "Release the pins").
+	// Epsilon, CompactFormat and CompactCompress select nothing: a
+	// compaction builds at the ε of the labels served and writes a
+	// factored FSDL3 generation. The fields stay for the benchmark
+	// harness, which assigns them (ROADMAP item 1, "Release the pins").
+	Epsilon         float64
 	CompactFormat   int
 	CompactCompress bool
 }
@@ -672,6 +670,12 @@ func (s *Server) Distance(ctx context.Context, src, dst int, opts *QueryOptions)
 		return Answer{}, err
 	}
 	return as[0], nil
+}
+
+// Connected answers a connectivity query (a distance query whose
+// verdict is the Connected bit).
+func (s *Server) Connected(ctx context.Context, src, dst int, opts *QueryOptions) (Answer, error) {
+	return s.Distance(ctx, src, dst, opts)
 }
 
 // Fail adds vertices/edges to the global fault overlay, then
