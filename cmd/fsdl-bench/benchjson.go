@@ -625,6 +625,16 @@ func runJSON(path string, quick, timed bool, baseline, compare string, log io.Wr
 		doc.Results = append(doc.Results, r)
 		fmt.Fprintf(log, "%-28s %12d bytes/vertex (file %d bytes)\n", r.Name, r.BytesPerOp, e.size)
 	}
+	// The FSDL2 writer: Save of every label, each encoded on the worker
+	// that extracted it, a whole list appended as its coded section.
+	add(measure(fmt.Sprintf("save_fsdl2_grid%d", side), func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := labelstore.Save(io.Discard, s, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}))
 	ratio := float64(size2) / float64(size3c)
 	fmt.Fprintf(log, "factored FSDL3 vs FSDL2: %.1fx smaller on grid%d\n", ratio, side)
 	if !quick && ratio < 5 {

@@ -536,9 +536,8 @@ func cmdLabel(args []string, out io.Writer) error {
 		return fmt.Errorf("vertex %d out of range [0,%d)", *v, g.NumVertices())
 	}
 	l := s.Label(*v)
-	_, bits := l.Encode()
 	fmt.Fprintf(out, "label of %d: %d bits, %d points, %d edges, %d levels\n",
-		*v, bits, l.NumPoints(), l.NumEdges(), len(l.Levels))
+		*v, l.BitLen(), l.NumPoints(), l.NumEdges(), len(l.Levels))
 	for k, lv := range l.Levels {
 		fmt.Fprintf(out, "  level %d: %d points, %d edges\n", l.Level(k), len(lv.Points), len(l.LevelEdges(k, nil)))
 	}

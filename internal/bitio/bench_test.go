@@ -78,3 +78,21 @@ func BenchmarkReadBits(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteWords appends a 4 KiB coded section behind a 3-bit
+// prefix, so every word straddles two of the writer's words.
+func BenchmarkWriteWords(b *testing.B) {
+	rng := rand.New(rand.NewSource(44))
+	var src, w Writer
+	for i := 0; i < 511; i++ {
+		src.WriteBits(rng.Uint64(), 64)
+	}
+	src.WriteBits(rng.Uint64(), 59)
+	b.SetBytes(int64(src.Len() / 8))
+	for i := 0; i < b.N; i++ {
+		w.Reset()
+		w.WriteBits(5, 3)
+		w.WriteWords(&src)
+		benchSink += uint64(w.Len())
+	}
+}

@@ -88,6 +88,18 @@ func (w *Writer) WriteBits(v uint64, width int) {
 	w.acc = v & (1<<uint(rest) - 1)
 }
 
+// WriteWords appends every bit written to src — its flushed words, then
+// the pending tail — at any alignment: a bit string coded once and
+// appended wherever it recurs. src is only read, so many writers may
+// append one src at once as long as nothing writes to it (Bytes
+// included).
+func (w *Writer) WriteWords(src *Writer) {
+	for i := 0; i < len(src.buf); i += 8 {
+		w.WriteBits(binary.BigEndian.Uint64(src.buf[i:]), 64)
+	}
+	w.WriteBits(src.acc, src.nbit&63)
+}
+
 // WriteUvarint appends v in a 7-bits-per-group varint (bit-granular LEB128).
 // Each group is prefixed by a continuation bit.
 func (w *Writer) WriteUvarint(v uint64) {

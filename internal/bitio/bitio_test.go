@@ -370,6 +370,7 @@ const (
 	opGamma
 	opDelta
 	opReset // writer only; a ReadBits(-1/65) on the read side
+	opWords // WriteWords of a writer holding wordsOf(op); a ReadBits(width) on the read side
 	numOps
 )
 
@@ -435,6 +436,15 @@ func runDifferential(t *testing.T, prog []byte) {
 			}
 			ref = refWriter{}
 			w.Reset()
+		case opWords:
+			words, nbits := wordsOf(o)
+			var src Writer
+			for i := 0; i < nbits; i++ {
+				bit := uint(words[i/64] >> uint(63-i%64) & 1)
+				ref.WriteBit(bit)
+				src.WriteBit(bit)
+			}
+			w.WriteWords(&src)
 		}
 		if w.Len() != ref.Len() {
 			t.Fatalf("write op %d %+v: Len %d, reference %d", i, o, w.Len(), ref.Len())
@@ -476,7 +486,7 @@ func compareReads(t *testing.T, stream []byte, nbits int, ops []diffOp) {
 			g, gotErr = r.ReadBit()
 			w, wantErr = ref.ReadBit()
 			got, want = uint64(g), uint64(w)
-		case opBits:
+		case opBits, opWords:
 			got, gotErr = r.ReadBits(o.width)
 			want, wantErr = ref.ReadBits(o.width)
 		case opUvarint:
@@ -511,6 +521,14 @@ func compareReads(t *testing.T, stream []byte, nbits int, ops []diffOp) {
 	}
 }
 
+// wordsOf is the bit string an opWords op appends: 0 to 3 words drawn
+// from its value, cut at width plus a whole number of words, so every
+// tail length meets every alignment.
+func wordsOf(o diffOp) ([]uint64, int) {
+	words := []uint64{o.v, ^o.v, bits.RotateLeft64(o.v, 17)}
+	return words, min(o.width+64*int(o.v%3), 64*len(words))
+}
+
 // op assembles one program op by hand.
 func op(kind, param int, v uint64) []byte {
 	b := []byte{byte(kind), byte(param)}
@@ -541,6 +559,15 @@ func TestBitioMatchesReference(t *testing.T) {
 	for name, prog := range edge {
 		t.Run(name, func(t *testing.T) { runDifferential(t, prog) })
 	}
+	t.Run("words at every alignment", func(t *testing.T) {
+		for at := 0; at < 64; at++ {
+			for _, width := range []int{0, 1, 7, 63, 64} {
+				for v := uint64(0); v < 3; v++ { // 0, 1 or 2 whole words ahead of the tail
+					runDifferential(t, cat(op(opBits, at, 0x5a5a5a5a5a5a5a5a), op(opWords, width, 0x8badf00d<<2|v), op(opGamma, 0, 9), op(opWords, width, 1<<63|v)))
+				}
+			}
+		}
+	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 3000; i++ {
@@ -565,6 +592,7 @@ func FuzzBitioDifferential(f *testing.F) {
 	f.Add(make([]byte, 40))
 	f.Add(bytes.Repeat([]byte{0xff}, 25))
 	f.Add(bytes.Join([][]byte{op(opBits, 3, 5), op(opGamma, 0, 1<<40), op(opDelta, 0, 1<<60), op(opUvarint, 0, 1<<62)}, nil))
+	f.Add(bytes.Join([][]byte{op(opBits, 5, 3), op(opWords, 37, 1<<50|2), op(opGamma, 0, 6), op(opWords, 64, 1)}, nil))
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 4096 {
 			prog = prog[:4096]

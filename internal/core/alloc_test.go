@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsdl/internal/graph"
+	"fsdl/internal/nets"
 )
 
 // These are the PR's regression gates: steady-state decode and warm-cache
@@ -255,12 +256,12 @@ func TestConcurrentLabelDistanceStress(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		all := make([]int, n)
-		for v := range all {
-			all[v] = v
-		}
 		for workers := 0; workers < 3; workers++ { // 0: every core, as Labels
-			for v, l := range s.LabelsWorkers(all, workers) {
+			labels := make([]*Label, n)
+			nets.RunParallel(workers, n, func() func(int) {
+				return func(v int) { labels[v] = s.Extract(v) }
+			})
+			for v, l := range labels {
 				if buf, nbits := l.Encode(); string(buf[:(nbits+7)/8]) != string(wantBytes[v]) {
 					t.Errorf("bulk label %d not bit-identical under concurrency", v)
 					return

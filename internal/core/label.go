@@ -56,7 +56,10 @@ type Label struct {
 	// read and written atomically. A plain word rather than an atomic
 	// type so that a Label value stays copyable.
 	validated uint32
-	// graphs, set on a label materialised from its balls, induces the
+	fromBalls bool
+	// graphs are the level graphs the label was induced from (nil: decoded
+	// from canonical bytes), whose coded whole lists Encode appends; on a
+	// label materialised from its balls (fromBalls) they induce the
 	// levels whose Edges it leaves nil.
 	graphs *LevelGraphs
 }
@@ -145,7 +148,7 @@ func (l *Label) NumEdges() int {
 // k itself — false for a level of a label materialised from its balls
 // that is not saturated, whose list LevelEdges induces.
 func (l *Label) HoldsEdges(k int) bool {
-	return l.graphs == nil || l.Levels[k].Edges != nil
+	return !l.fromBalls || l.Levels[k].Edges != nil
 }
 
 // LevelEdges returns the edge list of level index k: the label's own
@@ -276,6 +279,8 @@ type extractScratch struct {
 // all zeros between balls and a position never outlives its ball.
 type ballIndex struct {
 	pos []int32
+	// edges stages a list induced on the ball (eachLevel).
+	edges []EdgeEntry
 }
 
 func (b *ballIndex) set(pts []PointEntry, n int) {
@@ -329,6 +334,7 @@ func (st *LevelGraphs) newLabel(v int32) *Label {
 		MaxLevel: p.MaxLevel,
 		RShrink:  p.RShrink,
 		Levels:   make([]LevelLabel, p.NumLevelRange()),
+		graphs:   st,
 	}
 }
 
@@ -376,7 +382,7 @@ func (st *LevelGraphs) Label(v int32, balls [][]PointEntry) (*Label, error) {
 			l.Levels[k].Edges = st.wholeEdges(k)
 		}
 	}
-	l.graphs = st
+	l.fromBalls = true
 	l.validated = 1
 	return l, nil
 }
@@ -500,6 +506,26 @@ func (st *LevelGraphs) wholeEdges(k int) []EdgeEntry {
 	return w.edges
 }
 
+// section returns the coded edge section of level index k when the
+// label's list there is its level graphs' whole list itself — the same
+// backing array and length, never an equal or equally long copy —
+// coding it on first use with the coder every other list goes through.
+func (l *Label) section(k int) *bitio.Writer {
+	edges := l.Levels[k].Edges
+	if l.graphs == nil || k >= len(l.graphs.levels) || len(edges) == 0 ||
+		len(l.Levels[k].Points) != len(l.graphs.levels[k].members) {
+		return nil
+	}
+	// A saturated level was handed the whole list when the label was
+	// made: this builds nothing.
+	if whole := l.graphs.wholeEdges(k); len(whole) != len(edges) || &whole[0] != &edges[0] {
+		return nil
+	}
+	w := l.graphs.levels[k].whole
+	w.coded.Do(func() { writeEdgeSection(&w.section, w.edges) })
+	return &w.section
+}
+
 // exactCopy returns a copy of s sized exactly to its length (nil for
 // empty), so the retained label never pins staging-buffer capacity.
 func exactCopy[T any](s []T) []T {
@@ -514,42 +540,113 @@ func exactCopy[T any](s []T) []T {
 // Encode serializes the label to a bit string. The encoding is
 // self-delimiting and uses Elias gamma/delta codes so that the measured
 // label length in bits reflects the paper's accounting (ids and distances
-// cost O(log n) bits each).
+// cost O(log n) bits each). A level list that is its level graphs' whole
+// list is appended as the section coded with it (section).
 func (l *Label) Encode() ([]byte, int) {
 	var w bitio.Writer
-	w.WriteUvarint(uint64(l.V))
-	// ε is stored as a rational with 2^16 denominator — enough for any
-	// precision the scheme distinguishes (only c matters operationally).
-	w.WriteUvarint(uint64(l.Epsilon * 65536))
-	w.WriteUvarint(uint64(l.C))
-	w.WriteUvarint(uint64(l.MaxLevel))
-	w.WriteUvarint(uint64(l.RShrink))
-	var buf []EdgeEntry
-	for k, lv := range l.Levels {
-		w.WriteDelta(uint64(len(lv.Points)))
+	for _, x := range l.header() {
+		w.WriteUvarint(x)
+	}
+	l.eachLevel(func(k int, edges []EdgeEntry, sec *bitio.Writer) {
+		w.WriteDelta(uint64(len(l.Levels[k].Points)))
 		prev := int64(-1)
-		for _, pe := range lv.Points {
+		for _, pe := range l.Levels[k].Points {
 			w.WriteDelta(uint64(int64(pe.X) - prev - 1)) // gap code
 			prev = int64(pe.X)
 			w.WriteGamma(uint64(pe.D))
 		}
-		edges := l.LevelEdges(k, &buf)
-		w.WriteDelta(uint64(len(edges)))
-		var prevXI, prevYI int64
-		for _, e := range edges {
-			// Edges are sorted by (XI, YI); gap-code XI and, within a run
-			// of equal XI, gap-code YI.
-			dx := int64(e.XI) - prevXI
-			w.WriteGamma(uint64(dx))
-			if dx != 0 {
-				prevYI = 0
+		if sec != nil {
+			w.WriteWords(sec)
+		} else {
+			writeEdgeSection(&w, edges)
+		}
+	})
+	return w.Bytes(), w.Len()
+}
+
+// BitLen returns the exact length of Encode's output in bits without
+// writing it; a whole list costs its section's cached length.
+func (l *Label) BitLen() int {
+	n := 0
+	for _, x := range l.header() {
+		n += bitio.UvarintLen(x)
+	}
+	l.eachLevel(func(k int, edges []EdgeEntry, sec *bitio.Writer) {
+		n += bitio.DeltaLen(uint64(len(l.Levels[k].Points)))
+		prev := int64(-1)
+		for _, pe := range l.Levels[k].Points {
+			n += bitio.DeltaLen(uint64(int64(pe.X)-prev-1)) + bitio.GammaLen(uint64(pe.D))
+			prev = int64(pe.X)
+		}
+		if sec != nil {
+			n += sec.Len()
+		} else {
+			n += edgeSectionBits(edges)
+		}
+	})
+	return n
+}
+
+// header lists the parameters Encode writes first, as varints. ε is
+// stored as a rational with 2^16 denominator — enough for any precision
+// the scheme distinguishes (only c matters operationally).
+func (l *Label) header() [5]uint64 {
+	return [5]uint64{uint64(l.V), uint64(l.Epsilon * 65536), uint64(l.C), uint64(l.MaxLevel), uint64(l.RShrink)}
+}
+
+// eachLevel calls f with every level index and its edge list, or — for a
+// list that is its level graphs' whole one — with that list's coded
+// section and no edges. A list the label leaves to its level graphs is
+// induced into a pooled buffer that lasts while f runs.
+func (l *Label) eachLevel(f func(k int, edges []EdgeEntry, sec *bitio.Writer)) {
+	var idx *ballIndex
+	for k := range l.Levels {
+		switch sec := l.section(k); {
+		case sec != nil:
+			f(k, nil, sec)
+		case l.HoldsEdges(k):
+			f(k, l.Levels[k].Edges, nil)
+		default:
+			if idx == nil {
+				idx = l.graphs.balls.Get().(*ballIndex)
+				defer l.graphs.balls.Put(idx)
 			}
-			w.WriteGamma(uint64(int64(e.YI) - prevYI))
-			prevXI, prevYI = int64(e.XI), int64(e.YI)
-			w.WriteGamma(uint64(e.D))
+			f(k, l.levelEdges(k, idx, &idx.edges), nil)
 		}
 	}
-	return w.Bytes(), w.Len()
+}
+
+// writeEdgeSection writes one level's edge list as Encode codes it: the
+// count, then per edge, in (XI, YI) order, the gap of XI, the gap of YI
+// within a run of equal XI, and the distance.
+func writeEdgeSection(w *bitio.Writer, edges []EdgeEntry) {
+	w.WriteDelta(uint64(len(edges)))
+	var prevXI, prevYI int64
+	for _, e := range edges {
+		dx := int64(e.XI) - prevXI
+		w.WriteGamma(uint64(dx))
+		if dx != 0 {
+			prevYI = 0
+		}
+		w.WriteGamma(uint64(int64(e.YI) - prevYI))
+		prevXI, prevYI = int64(e.XI), int64(e.YI)
+		w.WriteGamma(uint64(e.D))
+	}
+}
+
+// edgeSectionBits is the length of writeEdgeSection's output.
+func edgeSectionBits(edges []EdgeEntry) int {
+	n := bitio.DeltaLen(uint64(len(edges)))
+	var prevXI, prevYI int64
+	for _, e := range edges {
+		dx := int64(e.XI) - prevXI
+		if dx != 0 {
+			prevYI = 0
+		}
+		n += bitio.GammaLen(uint64(dx)) + bitio.GammaLen(uint64(int64(e.YI)-prevYI)) + bitio.GammaLen(uint64(e.D))
+		prevXI, prevYI = int64(e.XI), int64(e.YI)
+	}
+	return n
 }
 
 // DecodeLabel parses a label serialized by Encode. nbits is the exact bit

@@ -583,7 +583,7 @@ func unsharedLabel(l *Label) *Label {
 		return nil
 	}
 	c := *l
-	c.graphs = nil
+	c.fromBalls, c.graphs = false, nil
 	c.Levels = make([]LevelLabel, len(l.Levels))
 	for k, lv := range l.Levels {
 		c.Levels[k] = LevelLabel{Points: slices.Clone(lv.Points), Edges: slices.Clone(l.LevelEdges(k, nil))}

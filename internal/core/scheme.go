@@ -142,9 +142,7 @@ func (s *Scheme) Label(v int) *Label {
 		return l
 	}
 	s.cacheMisses.Add(1)
-	sc := s.scratch.Get().(*extractScratch)
-	l := s.store.extractLabel(v, sc)
-	s.scratch.Put(sc)
+	l := s.Extract(v)
 	cache.Put(int32(v), l)
 	return l
 }
@@ -156,28 +154,25 @@ func (s *Scheme) Label(v int) *Label {
 // bundle, so the work parallelizes perfectly. Bulk callers sweep the
 // vertex set once, so the label cache is neither consulted nor filled:
 // it would score no hits and pin its last entries on the scheme.
-func (s *Scheme) Labels(vs []int) []*Label { return s.LabelsWorkers(vs, 0) }
-
-// LabelsWorkers is Labels on at most the given number of workers (≤ 0
-// means GOMAXPROCS) — for a caller that shares the machine with someone
-// who must not wait, as a compaction does with the queries beside it.
-func (s *Scheme) LabelsWorkers(vs []int, workers int) []*Label {
+func (s *Scheme) Labels(vs []int) []*Label {
 	out := make([]*Label, len(vs))
-	nets.RunParallel(workers, len(vs), func() func(int) {
-		return func(i int) {
-			sc := s.scratch.Get().(*extractScratch)
-			out[i] = s.store.extractLabel(vs[i], sc)
-			s.scratch.Put(sc)
-		}
+	nets.RunParallel(0, len(vs), func() func(int) {
+		return func(i int) { out[i] = s.Extract(vs[i]) }
 	})
 	return out
 }
 
-// LabelBits returns the exact serialized size of L(v) in bits.
-func (s *Scheme) LabelBits(v int) int {
-	_, bits := s.Label(v).Encode()
-	return bits
+// Extract is the one-label form of Labels, past the label cache, for a
+// bulk caller that fans out by itself (labelstore's writer, on as many
+// workers as it may hold). Safe for concurrent use.
+func (s *Scheme) Extract(v int) *Label {
+	sc := s.scratch.Get().(*extractScratch)
+	defer s.scratch.Put(sc)
+	return s.store.extractLabel(v, sc)
 }
+
+// LabelBits returns the exact serialized size of L(v) in bits.
+func (s *Scheme) LabelBits(v int) int { return s.Label(v).BitLen() }
 
 // Distance answers the forbidden-set query (s,t,F) end to end: it extracts
 // the needed labels and decodes them. ok is false when s and t are

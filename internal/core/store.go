@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"fsdl/internal/bitio"
 	"fsdl/internal/graph"
 	"fsdl/internal/nets"
 )
@@ -59,6 +60,11 @@ type storeLevel struct {
 type wholeLevel struct {
 	once  sync.Once
 	edges []EdgeEntry
+	// section is edges as Encode writes them, coded once, by the first
+	// encode that meets the list (Label.section), so that extraction
+	// alone codes nothing.
+	coded   sync.Once
+	section bitio.Writer
 }
 
 // newLevelGraphs returns the level graphs of g under p with every net

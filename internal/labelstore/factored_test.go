@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -137,45 +138,42 @@ func TestFactoredLabelsHoldNoPrivateEdges(t *testing.T) {
 	}
 }
 
-// TestCanonicalBitLenMemo: the index's canonical bit length is checked
-// against the re-encode on every Raw, so the memoised sum must stay
-// exact — over labels that share a level's whole list, labels that do
-// not (a ring's low levels), labels that leave those to their level
-// graphs (a factored store's), and a list that aliases the remembered one
-// at another length.
-func TestCanonicalBitLenMemo(t *testing.T) {
+// TestCanonicalBitLen: the index's canonical bit length is checked
+// against the re-encode on every Raw, so Label.BitLen must stay exact —
+// over labels that share a level's whole list, labels that do not (a
+// ring's low levels), labels that leave those to their level graphs (a
+// factored store's), and a list that aliases the whole one at another
+// length.
+func TestCanonicalBitLen(t *testing.T) {
 	for name, g := range factoredGraphs(t) {
 		s := buildScheme(t, g)
 		st, err := Open(writeFormat3File(t, t.TempDir(), "store.fsdl3c", s, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var memo, factored edgeBitsMemo
 		for v := 0; v < g.NumVertices(); v++ {
 			l := s.Label(v)
 			_, want := l.Encode()
-			if got := canonicalBitLen(l, &memo); got != want {
-				t.Fatalf("%s: vertex %d: memoised canonical length %d, Encode says %d", name, v, got, want)
+			if got := l.BitLen(); got != want {
+				t.Fatalf("%s: vertex %d: canonical length %d, Encode says %d", name, v, got, want)
 			}
 			fl, err := st.Label(v)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := canonicalBitLen(fl, &factored); got != want {
+			if got := fl.BitLen(); got != want {
 				t.Fatalf("%s: vertex %d's factored label: canonical length %d, the scheme label's %d", name, v, got, want)
 			}
 		}
 		st.Close()
 	}
 	l := buildScheme(t, gen.Grid2D(6, 6)).Label(0)
-	var memo edgeBitsMemo
-	whole := memo.edgeBits(1, l.Levels[1].Edges)
-	if again := memo.edgeBits(1, l.Levels[1].Edges); again != whole {
-		t.Fatalf("the same list twice: %d then %d bits", whole, again)
-	}
-	prefix := l.Levels[1].Edges[:len(l.Levels[1].Edges)/2]
-	if got, want := memo.edgeBits(1, prefix), (&edgeBitsMemo{}).edgeBits(1, prefix); got != want || got == whole {
-		t.Fatalf("a prefix of the remembered list: %d bits, want %d (whole list %d)", got, want, whole)
+	whole := l.BitLen()
+	prefix := *l // the same level graphs, so the whole list is looked for
+	prefix.Levels = slices.Clone(l.Levels)
+	prefix.Levels[1].Edges = l.Levels[1].Edges[:len(l.Levels[1].Edges)/2]
+	if _, want := prefix.Encode(); prefix.BitLen() != want || want == whole {
+		t.Fatalf("a prefix of the whole list: %d bits, want %d (whole label %d)", prefix.BitLen(), want, whole)
 	}
 }
 
@@ -531,13 +529,18 @@ func writeFactoredWithPayload(t testing.TB, s *core.Scheme, victim int, payload 
 	if err != nil {
 		t.Fatal(err)
 	}
+	encode := w.encoder()
 	for v := 0; v < n; v++ {
 		r := rec{label: s.Label(v)}
 		if v == victim {
 			_, bits := r.label.Encode()
 			r = rec{bits: bits, data: payload, prm: paramsOfScheme(lg.Params())}
 		}
-		if err := w.add(v, r); err != nil {
+		r, err := encode(v, r)
+		if err == nil {
+			err = w.append(v, r)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

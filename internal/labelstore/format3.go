@@ -71,7 +71,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sync"
+	"slices"
 
 	"fsdl/internal/bitio"
 	"fsdl/internal/core"
@@ -117,101 +117,6 @@ func paramsOfScheme(p core.Params) rec3Params {
 func paramsOf(l *core.Label) rec3Params {
 	return params3(l.Epsilon, l.C, l.MaxLevel, l.RShrink)
 }
-
-// edgeBitsMemo remembers, per level index, the canonical bit length of
-// the edge section of the longest edge list seen there — by one Write, or
-// by every reader of one Levels. The length depends on the (XI, YI, D)
-// list alone, and the list many labels share — a saturated ball's, the
-// whole level graph, one array handed to every such label
-// (core.LevelGraphs) — is the longest its level has: it settles in its
-// slot at first sight and every later label that carries it costs a
-// pointer compare instead of a walk over its edges. A list is recognised
-// by identity (same backing array, same length), the way the decoder's
-// seenBefore does; the slot pins that one array, so the address cannot
-// come to mean another list while the memo lives. Safe for concurrent
-// use; walks run outside the lock.
-type edgeBitsMemo struct {
-	mu    sync.Mutex
-	slots []edgeBitsSlot
-}
-
-type edgeBitsSlot struct {
-	edges []core.EdgeEntry
-	bits  int
-}
-
-func (m *edgeBitsMemo) edgeBits(k int, edges []core.EdgeEntry) int {
-	m.mu.Lock()
-	if k < len(m.slots) {
-		if slot := m.slots[k]; len(edges) > 0 && len(slot.edges) == len(edges) && &slot.edges[0] == &edges[0] {
-			m.mu.Unlock()
-			return slot.bits
-		}
-	}
-	m.mu.Unlock()
-	n := edgeListBits(edges)
-	m.mu.Lock()
-	for len(m.slots) <= k {
-		m.slots = append(m.slots, edgeBitsSlot{})
-	}
-	if slot := &m.slots[k]; len(edges) > len(slot.edges) {
-		slot.edges, slot.bits = edges, n
-	}
-	m.mu.Unlock()
-	return n
-}
-
-// edgeListBits is the canonical bit length of one level's edge section.
-func edgeListBits(edges []core.EdgeEntry) int {
-	n := bitio.DeltaLen(uint64(len(edges)))
-	var prevXI, prevYI int64
-	for _, e := range edges {
-		dx := int64(e.XI) - prevXI
-		n += bitio.GammaLen(uint64(dx))
-		if dx != 0 {
-			prevYI = 0
-		}
-		n += bitio.GammaLen(uint64(int64(e.YI) - prevYI))
-		prevXI, prevYI = int64(e.XI), int64(e.YI)
-		n += bitio.GammaLen(uint64(e.D))
-	}
-	return n
-}
-
-// canonicalBitLen returns the exact bit length Label.Encode would emit,
-// without materializing the encoding — the index stores canonical bit
-// lengths of ball records. A level the label leaves to its
-// level graphs is induced into a pooled buffer and walked there; only the
-// lists a label holds reach the memo.
-func canonicalBitLen(l *core.Label, memo *edgeBitsMemo) int {
-	n := bitio.UvarintLen(uint64(l.V)) +
-		bitio.UvarintLen(uint64(l.Epsilon*65536)) +
-		bitio.UvarintLen(uint64(l.C)) +
-		bitio.UvarintLen(uint64(l.MaxLevel)) +
-		bitio.UvarintLen(uint64(l.RShrink))
-	var buf *[]core.EdgeEntry
-	for k, lv := range l.Levels {
-		n += bitio.DeltaLen(uint64(len(lv.Points)))
-		prev := int64(-1)
-		for _, pe := range lv.Points {
-			n += bitio.DeltaLen(uint64(int64(pe.X) - prev - 1))
-			prev = int64(pe.X)
-			n += bitio.GammaLen(uint64(pe.D))
-		}
-		if l.HoldsEdges(k) {
-			n += memo.edgeBits(k, lv.Edges)
-			continue
-		}
-		if buf == nil {
-			buf = edgeBufPool.Get().(*[]core.EdgeEntry)
-			defer edgeBufPool.Put(buf)
-		}
-		n += edgeListBits(l.LevelEdges(k, buf))
-	}
-	return n
-}
-
-var edgeBufPool = sync.Pool{New: func() any { return new([]core.EdgeEntry) }}
 
 // checkPadding accepts the end of a record payload: records sit at byte
 // offsets, so after the structure is consumed only sub-byte zero padding
@@ -378,16 +283,15 @@ type format3Writer struct {
 	n     int
 	count int
 	added int
-	// balls writes every record under the level graphs whose encoding,
+	// balls codes every record under the level graphs whose encoding,
 	// section, follows the index.
-	balls    *BallEncoder
-	section  []byte
-	prm      rec3Params
-	entries  []byte
-	dataOff  int64
-	pos      int64 // next payload offset, relative to dataOff
-	lastV    int64
-	edgeBits edgeBitsMemo
+	balls   *ballCodec
+	section []byte
+	prm     rec3Params
+	entries []byte
+	dataOff int64
+	pos     int64 // next payload offset, relative to dataOff
+	lastV   int64
 }
 
 // newFormat3Writer positions f for an n-vertex store that will hold
@@ -403,7 +307,7 @@ func newFormat3Writer(f fileLike, n, count int, lg *core.LevelGraphs, section []
 		f:       f,
 		n:       n,
 		count:   count,
-		balls:   NewBallEncoder(lg),
+		balls:   newBallCodec(lg),
 		section: section,
 		// A factored file states its parameters even when it holds no
 		// record: they are the level graphs'.
@@ -418,39 +322,41 @@ func newFormat3Writer(f fileLike, n, count int, lg *core.LevelGraphs, section []
 	return w, nil
 }
 
-// add appends one record, converting whichever form the source supplied
-// into its ball record.
-func (w *format3Writer) add(v int, r rec) error {
-	if r.prm.set {
-		// Already a ball record, copied verbatim — the
-		// incremental-compaction and partition fast path. The source vouches
-		// that it came from a store with these parameters and these net
-		// points.
-		if r.prm != w.prm {
-			return fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
+// encoder returns one worker's encode, with its own ball scratch: a
+// ball record passes as it is, any other form becomes one.
+func (w *format3Writer) encoder() func(int, rec) (rec, error) {
+	balls := &BallEncoder{c: w.balls}
+	return func(v int, r rec) (rec, error) {
+		if r.prm.set {
+			// Copied verbatim (incremental compaction, partitions): the
+			// source vouches for these parameters and net points.
+			if r.prm != w.prm {
+				return rec{}, fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
+			}
+			return r, nil
 		}
-		return w.append(v, r.bits, r.data)
-	}
-	if r.label == nil {
-		// Canonical bytes: decoded (and thereby validated independently of
-		// any CRC), then encoded below.
-		l, err := core.DecodeLabel(r.data, r.bits)
+		l := r.label
+		if l == nil {
+			// Canonical bytes: decoded (and thereby validated independently
+			// of any CRC), then encoded below.
+			var err error
+			if l, err = core.DecodeLabel(r.data, r.bits); err != nil {
+				return rec{}, fmt.Errorf("labelstore: record for vertex %d does not decode: %w", v, err)
+			}
+		}
+		if paramsOf(l) != w.prm {
+			return rec{}, fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
+		}
+		payload, err := balls.Encode(l)
 		if err != nil {
-			return fmt.Errorf("labelstore: record for vertex %d does not decode: %w", v, err)
+			return rec{}, err
 		}
-		r.label = l
+		return rec{bits: l.BitLen(), data: slices.Clone(payload)}, nil
 	}
-	if paramsOf(r.label) != w.prm {
-		return fmt.Errorf("labelstore: vertex %d parameters differ from the store's", v)
-	}
-	payload, err := w.balls.Encode(r.label)
-	if err != nil {
-		return err
-	}
-	return w.append(v, canonicalBitLen(r.label, &w.edgeBits), payload)
 }
 
-func (w *format3Writer) append(v, bits int, payload []byte) error {
+func (w *format3Writer) append(v int, r rec) error {
+	bits, payload := r.bits, r.data
 	if v < 0 || v >= w.n {
 		return fmt.Errorf("labelstore: vertex %d out of range [0,%d)", v, w.n)
 	}

@@ -343,7 +343,7 @@ func fsdl2WithJunk(t *testing.T, s *core.Scheme, victim int) []byte {
 				t.Fatal("junk payload unexpectedly decodes")
 			}
 		}
-		if err := w.add(v, rec{bits: bits, data: data}); err != nil {
+		if err := w.append(v, rec{bits: bits, data: data}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -22,11 +22,6 @@ type Levels struct {
 	lg    *core.LevelGraphs
 	balls *ballCodec
 	crc   uint32
-	// bits remembers the canonical length of each level's longest edge
-	// list seen, which settles on the level graphs' one whole list
-	// (core.LevelGraphs.Label hands every saturated ball that list): the
-	// canonical-length check of Label walks it once, not once per record.
-	bits edgeBitsMemo
 }
 
 // LoadLevels decodes a level-graphs section named by its CRC32. The
@@ -92,7 +87,7 @@ func (lv *Levels) Label(v int32, r StoredRecord) (*core.Label, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bits := canonicalBitLen(l, &lv.bits); bits != r.Bits {
+	if bits := l.BitLen(); bits != r.Bits {
 		return nil, fmt.Errorf("%w: vertex %d decodes to %d bits, its record says %d", ErrCanonicalLength, v, bits, r.Bits)
 	}
 	return l, nil

@@ -10,12 +10,16 @@
 // Id normalisation, the FSDL2 header/record loop, the FSDL3 sink
 // drive loop and the stored→stored verbatim copy each live here once;
 // every source × sink pair yields, for the same ids, the bytes the
-// scheme source would. The source picks the sink: an FSDL3 file is
-// always factored — one level-graphs section, records reduced to their
-// balls — so a source that can supply the level graphs (a scheme, an
-// FSDL3 store) writes one, and any other store (FSDL2, one filled by Put
-// or with its level graphs damaged) and Save write FSDL2, the
-// self-contained container.
+// scheme source would. A sink is split in two: encode, which turns a
+// record into the bytes the container stores and which the scheme
+// source runs on the worker that extracted the label, and append, which
+// writes encoded records in ascending vertex order — so the bytes are
+// the same for any number of workers. The source picks the sink: an
+// FSDL3 file is always factored — one level-graphs section, records
+// reduced to their balls — so a source that can supply the level graphs
+// (a scheme, an FSDL3 store) writes one, and any other store (FSDL2, one
+// filled by Put or with its level graphs damaged) and Save write FSDL2,
+// the self-contained container.
 package labelstore
 
 import (
@@ -27,6 +31,7 @@ import (
 
 	"fsdl/internal/core"
 	"fsdl/internal/graph"
+	"fsdl/internal/nets"
 )
 
 // rec is one record on its way from a source to a sink, in the cheapest
@@ -45,20 +50,25 @@ type rec struct {
 type Source interface {
 	// NumVertices is the vertex-id space the records live in.
 	NumVertices() int
-	// records emits the record of every id (ascending, distinct, in
-	// range), in order. stored asks for ball records verbatim where the
-	// source holds them in the encoding an FSDL3 sink writes under the
-	// level graphs levelGraphs supplies.
-	records(ids []int, stored bool, emit func(v int, r rec) error) error
+	// records encodes the record of every id (ascending, distinct, in
+	// range) and appends it to out, in order. stored asks for ball
+	// records verbatim where the source holds them in the encoding an
+	// FSDL3 sink writes under the level graphs levelGraphs supplies.
+	records(ids []int, stored bool, out sink) error
 	// levelGraphs returns the level graphs the records are induced from
 	// and their encoding, or nil when the source cannot supply them.
 	levelGraphs() (*core.LevelGraphs, []byte)
 }
 
-// sink is the container side of Write; records arrive in ascending
-// vertex order, exactly as many as the sink was opened for.
+// sink is the container side of Write.
 type sink interface {
-	add(v int, r rec) error
+	// encoder returns a function that turns a record of any form into
+	// the one the container stores (bits and data), for one goroutine:
+	// each worker takes its own, and none touches the sink's state.
+	encoder() func(v int, r rec) (rec, error)
+	// append writes an encoded record. Records arrive in ascending vertex
+	// order, exactly as many as the sink was opened for.
+	append(v int, r rec) error
 	finish() error
 }
 
@@ -94,7 +104,7 @@ func write(w io.Writer, src Source, vertices []int, lg *core.LevelGraphs, sectio
 	if err != nil {
 		return err
 	}
-	if err := src.records(ids, lg != nil, out.add); err != nil {
+	if err := src.records(ids, lg != nil, out); err != nil {
 		return err
 	}
 	return out.finish()
@@ -185,7 +195,7 @@ func (src *SchemeSource) levelGraphs() (*core.LevelGraphs, []byte) {
 	return lg, lg.Encode()
 }
 
-func (src *SchemeSource) records(ids []int, stored bool, emit func(int, rec) error) error {
+func (src *SchemeSource) records(ids []int, stored bool, out sink) error {
 	if src.prev != nil && src.prev.NumVertices() != src.NumVertices() {
 		return fmt.Errorf("labelstore: splice base has n=%d, scheme has %d", src.prev.NumVertices(), src.NumVertices())
 	}
@@ -202,52 +212,51 @@ func (src *SchemeSource) records(ids []int, stored bool, emit func(int, rec) err
 		prevLG, _ := src.prev.levelGraphs()
 		stored = prevLG != nil && prevLG.SameNetPoints(src.s.LevelGraphs())
 	}
-	// Extract in parallel chunks via the scheme's bulk API: memory stays
-	// bounded by one chunk of labels while extraction uses every core.
-	const chunk = 256
-	var dirtyPart []int
-	for off := 0; off < len(ids); off += chunk {
-		span := ids[off:min(off+chunk, len(ids))]
-		extract := span
-		if src.prev != nil {
-			dirtyPart = dirtyPart[:0]
-			for _, v := range span {
-				if _, ok := src.dirty[int32(v)]; ok {
-					dirtyPart = append(dirtyPart, v)
-				}
-			}
-			extract = dirtyPart
+	return appendAll(ids, src.Workers, out, func(v int) (rec, error) {
+		if _, dirty := src.dirty[int32(v)]; src.prev == nil || dirty {
+			return rec{label: src.s.Extract(v)}, nil
 		}
-		labels := src.s.LabelsWorkers(extract, src.Workers)
-		li := 0
-		for _, v := range span {
-			var r rec
-			if li < len(extract) && extract[li] == v {
-				r = rec{label: labels[li]}
-				li++
-			} else {
-				var ok bool
-				if r, ok = src.prev.record(v, stored); !ok {
-					return fmt.Errorf("labelstore: splice base is missing clean vertex %d", v)
-				}
-			}
-			if err := emit(v, r); err != nil {
-				return err
-			}
+		if r, ok := src.prev.record(v, stored); ok {
+			return r, nil
 		}
-	}
-	return nil
+		return rec{}, fmt.Errorf("labelstore: splice base is missing clean vertex %d", v)
+	})
 }
 
 // records makes a Store a Source: its own records, copied.
-func (st *Store) records(ids []int, stored bool, emit func(int, rec) error) error {
-	for _, v := range ids {
-		r, ok := st.record(v, stored)
-		if !ok {
-			return fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
+func (st *Store) records(ids []int, stored bool, out sink) error {
+	return appendAll(ids, 1, out, func(v int) (rec, error) {
+		if r, ok := st.record(v, stored); ok {
+			return r, nil
 		}
-		if err := emit(v, r); err != nil {
-			return err
+		return rec{}, fmt.Errorf("labelstore: %w %d", core.ErrNoLabel, v)
+	})
+}
+
+// appendAll encodes the record get returns for every id on up to workers
+// workers, one 256-vertex chunk at a time, each worker with an encoder of
+// its own, and appends each chunk in vertex order: at most one chunk of
+// encoded records is held, and the bytes do not depend on the workers.
+func appendAll(ids []int, workers int, out sink, get func(v int) (rec, error)) error {
+	const chunk = 256
+	recs, errs := make([]rec, chunk), make([]error, chunk)
+	for off := 0; off < len(ids); off += chunk {
+		span := ids[off:min(off+chunk, len(ids))]
+		nets.RunParallel(workers, len(span), func() func(int) {
+			encode := out.encoder()
+			return func(i int) {
+				if recs[i], errs[i] = get(span[i]); errs[i] == nil {
+					recs[i], errs[i] = encode(span[i], recs[i])
+				}
+			}
+		})
+		for i, v := range span {
+			if errs[i] != nil {
+				return errs[i]
+			}
+			if err := out.append(v, recs[i]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -290,11 +299,17 @@ func newStreamWriter(w io.Writer, n, count int) (*streamWriter, error) {
 	return &streamWriter{bw: bw}, nil
 }
 
-func (w *streamWriter) add(v int, r rec) error {
-	if r.label != nil {
-		buf, nbits := r.label.Encode()
-		r.bits, r.data = nbits, buf[:(nbits+7)/8]
+func (w *streamWriter) encoder() func(int, rec) (rec, error) {
+	return func(_ int, r rec) (rec, error) {
+		if r.label != nil {
+			buf, nbits := r.label.Encode()
+			r = rec{bits: nbits, data: buf[:(nbits+7)/8]}
+		}
+		return r, nil
 	}
+}
+
+func (w *streamWriter) append(v int, r rec) error {
 	if err := writeRecord(w.bw, v, r.bits, r.data); err != nil {
 		return fmt.Errorf("labelstore: write record for vertex %d: %w", v, err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,7 @@ import (
 
 	"fsdl/internal/core"
 	"fsdl/internal/gen"
+	"fsdl/internal/graph"
 )
 
 // writeBytes runs one Write into a fresh file and returns what landed.
@@ -395,6 +397,87 @@ func TestWriteContainerFollowsSource(t *testing.T) {
 			}
 		} else if enc.Version != 2 {
 			t.Errorf("%s: wrote %+v, want FSDL2", tc.name, enc)
+		}
+	}
+}
+
+// TestWriteWorkersDifferential: a scheme source encodes each record on
+// the worker that extracted it and the sink appends them in vertex order,
+// so a container is the same bytes on any number of workers — FSDL2 from
+// FromScheme, FSDL3 from FromScheme and from Spliced (over an FSDL3 base,
+// whose clean records travel verbatim, and an FSDL2 one, whose are
+// transcoded on the workers), and an FSDL3 partition of the FSDL3 store
+// each wrote. Spliced writes what FromScheme does. The graphs are the
+// benchmark's (a path besides); under the race detector, smaller ones of
+// the same kinds.
+func TestWriteWorkersDifferential(t *testing.T) {
+	side, rggN, rggR, ringN := 24, 1024, 0.056, 2048
+	if raceEnabled {
+		side, rggN, rggR, ringN = 17, 400, 0.1, 600
+	}
+	rgg, _, err := gen.RandomGeometric(rggN, rggR, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := graph.NewBuilder(ringN)
+	for i := 0; i < ringN; i++ {
+		ring.AddEdge(i, (i+1)%ringN)
+		ring.AddEdge(i, (i+2)%ringN)
+	}
+	path := graph.NewBuilder(300)
+	for i := 0; i+1 < 300; i++ {
+		path.AddEdge(i, i+1)
+	}
+	for name, g := range map[string]*graph.Graph{
+		"grid": gen.Grid2D(side, side), "rgg": rgg, "ring": ring.MustBuild(), "path300": path.MustBuild(),
+	} {
+		s := buildScheme(t, g)
+		n := g.NumVertices()
+		var dirty []int32
+		var part []int
+		for v := 0; v < n; v++ {
+			if v%3 == 0 {
+				dirty = append(dirty, int32(v))
+			}
+			if v%2 == 1 {
+				part = append(part, v)
+			}
+		}
+		want := map[string][]byte{}
+		for _, workers := range []int{1, 2, 8} {
+			got := map[string][]byte{}
+			scheme := FromScheme(s)
+			scheme.Workers = workers
+			got["FSDL2"] = writtenBy(t, func(f *os.File) error { return write(f, scheme, nil, nil, nil) })
+			got["FSDL3"] = writeBytes(t, scheme, nil)
+			prev2, err := Load(bytes.NewReader(got["FSDL2"]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p3 := filepath.Join(t.TempDir(), "labels.fsdl")
+			if err := os.WriteFile(p3, got["FSDL3"], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			prev3, err := Open(p3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for base, prev := range map[string]*Store{"FSDL3": prev3, "FSDL2": prev2} {
+				spliced := Spliced(s, prev, dirty)
+				spliced.Workers = workers
+				if got["spliced over "+base] = writeBytes(t, spliced, nil); !bytes.Equal(got["spliced over "+base], got["FSDL3"]) {
+					t.Errorf("%s, %d workers: spliced over %s is not the FSDL3 container FromScheme writes", name, workers, base)
+				}
+			}
+			got["partition"] = writeBytes(t, prev3, part)
+			prev3.Close()
+			for kind, b := range got {
+				if workers == 1 {
+					want[kind] = b
+				} else if !bytes.Equal(b, want[kind]) {
+					t.Errorf("%s: %s on %d workers differs from 1 worker's", name, kind, workers)
+				}
+			}
 		}
 	}
 }

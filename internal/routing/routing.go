@@ -54,9 +54,8 @@ type Route struct {
 // needs ⌈log₂ deg(v)⌉ bits.
 func (s *Scheme) TableBits(v int) int {
 	l := s.cs.Label(v)
-	_, labelBits := l.Encode()
 	portBits := bits.Len(uint(s.g.Degree(v)))
-	return labelBits + l.NumPoints()*portBits
+	return l.BitLen() + l.NumPoints()*portBits
 }
 
 // NextHop returns v's port toward target: the neighbor of v on a shortest

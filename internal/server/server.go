@@ -672,12 +672,6 @@ func (s *Server) Distance(ctx context.Context, src, dst int, opts *QueryOptions)
 	return as[0], nil
 }
 
-// Connected answers a connectivity query (a distance query whose
-// verdict is the Connected bit).
-func (s *Server) Connected(ctx context.Context, src, dst int, opts *QueryOptions) (Answer, error) {
-	return s.Distance(ctx, src, dst, opts)
-}
-
 // Fail adds vertices/edges to the global fault overlay, then
 // invalidates the result cache. Ids are validated up front; nothing is
 // applied on error.
