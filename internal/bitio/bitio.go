@@ -94,9 +94,21 @@ func (w *Writer) WriteBits(v uint64, width int) {
 // append one src at once as long as nothing writes to it (Bytes
 // included).
 func (w *Writer) WriteWords(src *Writer) {
-	for i := 0; i < len(src.buf); i += 8 {
-		w.WriteBits(binary.BigEndian.Uint64(src.buf[i:]), 64)
+	// src's words are copied behind w's in one append: as they stand
+	// when w is word-aligned, else shifted in place, each taking the
+	// previous word's last `pending` bits ahead of its own.
+	n := len(w.buf)
+	w.buf = append(w.buf, src.buf...)
+	if pending := uint(w.nbit & 63); pending != 0 {
+		acc := w.acc
+		for i := n; i < len(w.buf); i += 8 {
+			x := binary.BigEndian.Uint64(w.buf[i:])
+			binary.BigEndian.PutUint64(w.buf[i:], acc<<(64-pending)|x>>pending)
+			acc = x & (1<<pending - 1)
+		}
+		w.acc = acc
 	}
+	w.nbit += 8 * len(src.buf)
 	w.WriteBits(src.acc, src.nbit&63)
 }
 

@@ -568,6 +568,36 @@ func TestBitioMatchesReference(t *testing.T) {
 			}
 		}
 	})
+	// WriteWords against bit-at-a-time writes: every destination
+	// alignment, word-aligned (the plain copy) included, behind an empty
+	// and a two-word destination, and sources of every kind of length —
+	// no words, a tail alone, whole words alone, both, and a long one.
+	t.Run("words of every length at every alignment", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(48))
+		for at := 0; at < 64; at++ {
+			for _, ahead := range []int{at, 128 + at} {
+				for _, n := range []int{0, 1, 63, 64, 65, 128, 64*37 + 19} {
+					var ref refWriter
+					var w, src Writer
+					for i := 0; i < ahead+n; i++ {
+						bit := uint(rng.Intn(2))
+						ref.WriteBit(bit)
+						if i < ahead {
+							w.WriteBit(bit)
+						} else {
+							src.WriteBit(bit)
+						}
+					}
+					w.WriteWords(&src)
+					ref.WriteBits(0x5b, 7)
+					w.WriteBits(0x5b, 7) // the next write lands behind the tail
+					if got, want := w.Bytes(), ref.Bytes(); w.Len() != ref.Len() || !bytes.Equal(got, want) {
+						t.Fatalf("%d bits behind %d: %d bits %x, reference %d bits %x", n, ahead, w.Len(), got, ref.Len(), want)
+					}
+				}
+			}
+		}
+	})
 	t.Run("random", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		for i := 0; i < 3000; i++ {

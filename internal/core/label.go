@@ -261,16 +261,20 @@ func (l *Label) validate() error {
 	return nil
 }
 
-// extractScratch pools the per-extraction transients: the O(n) BFS state,
-// the ball's position map, and staging buffers for points and edges. All
-// of them grow to the largest label seen and are reused, so a cold
-// extraction allocates only the exact-size slices retained by the returned
-// Label — no per-level map, no append-doubling garbage.
+// extractScratch pools the per-extraction transients: the O(n) BFS state
+// and distance column, the ball's position map, and staging buffers for
+// points and edges. All of them grow to the largest label seen and are
+// reused, so a cold extraction allocates only the exact-size slices
+// retained by the returned Label — no per-level map, no append-doubling
+// garbage.
 type extractScratch struct {
 	bfs    *graph.BFSScratch
 	inBall ballIndex
 	pts    []PointEntry
 	edges  []EdgeEntry
+	// dist[w] is w's distance from the vertex being extracted, for every
+	// net point the current level's BFS met; stale for every other vertex.
+	dist []int32
 }
 
 // ballIndex is a dense vertex → position map over the points of one ball:
@@ -299,16 +303,18 @@ func (b *ballIndex) clear(pts []PointEntry) {
 }
 
 func newExtractScratch(n int) *extractScratch {
-	return &extractScratch{bfs: graph.NewBFSScratch(n)}
+	return &extractScratch{bfs: graph.NewBFSScratch(n), dist: make([]int32, n)}
 }
 
 // extractLabel materializes the label of v from the level graphs: one
 // truncated BFS of radius r_ℓ per level discovers the ball (points and
-// their distances); the edges are induced on it (induce).
+// their distances); the edges are induced on it (induce). A ball that met
+// every net point of its level is read off the level's ascending members
+// instead of sorted.
 func (st *LevelGraphs) extractLabel(v int, sc *extractScratch) *Label {
 	p := st.params
 	l := st.newLabel(int32(v))
-	netLevel := st.netLevel
+	netLevel, dist := st.netLevel, sc.dist
 	for level := p.LowestLevel(); level <= p.MaxLevel; level++ {
 		k := st.levelIndex(level)
 		sl := &st.levels[k]
@@ -316,9 +322,18 @@ func (st *LevelGraphs) extractLabel(v int, sc *extractScratch) *Label {
 		sc.bfs.TruncatedBFS(st.g, v, p.R(level), func(w, d int32) {
 			if netLevel[w] >= sl.netLvl {
 				pts = append(pts, PointEntry{X: w, D: d})
+				dist[w] = d
 			}
 		})
-		slices.SortFunc(pts, func(a, b PointEntry) int { return cmp.Compare(a.X, b.X) })
+		if len(pts) == len(sl.members) {
+			// Saturated: this BFS wrote every member's entry, so no
+			// stale one is read.
+			for i, x := range sl.members {
+				pts[i] = PointEntry{X: x, D: dist[x]}
+			}
+		} else {
+			slices.SortFunc(pts, func(a, b PointEntry) int { return cmp.Compare(a.X, b.X) })
+		}
 		l.Levels[k] = LevelLabel{Points: exactCopy(pts), Edges: st.induce(k, pts, sc)}
 		sc.pts = pts[:0]
 	}

@@ -58,25 +58,19 @@ var magicV2 = []byte("FSDL2")
 const maxLabelBits = 1 << 40
 
 // writeRecord emits one v2 record: the vertex and bit-length varints, the
-// payload, then a CRC32-IEEE over all of the preceding record bytes.
+// payload, then a CRC32-IEEE over all of the preceding record bytes. The
+// varints and the checksum are built in bw's spare bytes
+// (AvailableBuffer), which allocates only when fewer are left than they
+// need: a local array handed to bw.Write would move to the heap.
 func writeRecord(bw *bufio.Writer, v int, bits int, data []byte) error {
-	var scratch [binary.MaxVarintLen64]byte
-	h := crc32.NewIEEE()
-	mw := io.MultiWriter(bw, h)
-	k := binary.PutUvarint(scratch[:], uint64(v))
-	if _, err := mw.Write(scratch[:k]); err != nil {
+	head := binary.AppendUvarint(binary.AppendUvarint(bw.AvailableBuffer(), uint64(v)), uint64(bits))
+	if _, err := bw.Write(head); err != nil {
 		return err
 	}
-	k = binary.PutUvarint(scratch[:], uint64(bits))
-	if _, err := mw.Write(scratch[:k]); err != nil {
+	if _, err := bw.Write(data); err != nil {
 		return err
 	}
-	if _, err := mw.Write(data); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
-	_, err := bw.Write(sum[:])
+	_, err := bw.Write(binary.LittleEndian.AppendUint32(bw.AvailableBuffer(), recordChecksum(v, bits, data)))
 	return err
 }
 
@@ -151,16 +145,18 @@ func readPayload(br *bufio.Reader, size int) ([]byte, error) {
 
 // recordChecksum is the per-record CRC32-IEEE the container format
 // stores after each record: over the vertex varint, the bit-length
-// varint and the payload.
+// varint and the payload. The varints' bytes are folded in through the
+// table by hand, since a stack buffer handed to crc32.Update moves to
+// the heap.
 func recordChecksum(v int, bits int, data []byte) uint32 {
-	var scratch [binary.MaxVarintLen64]byte
-	h := crc32.NewIEEE()
-	k := binary.PutUvarint(scratch[:], uint64(v))
-	h.Write(scratch[:k])
-	k = binary.PutUvarint(scratch[:], uint64(bits))
-	h.Write(scratch[:k])
-	h.Write(data)
-	return h.Sum32()
+	var head [2 * binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(head[:], uint64(v))
+	k += binary.PutUvarint(head[k:], uint64(bits))
+	crc := ^uint32(0)
+	for _, b := range head[:k] {
+		crc = crc32.IEEETable[byte(crc)^b] ^ crc>>8
+	}
+	return crc32.Update(^crc, crc32.IEEETable, data)
 }
 
 // Store is a loaded label container. Labels are kept serialized and

@@ -1,7 +1,11 @@
 package labelstore
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io"
 	"strings"
 	"testing"
 
@@ -271,5 +275,43 @@ func TestVerticesAndRaw(t *testing.T) {
 	}
 	if _, _, ok := st.Raw(3); ok {
 		t.Fatal("Raw reported a record the store does not hold")
+	}
+}
+
+// TestRecordChecksumAllocs: a record's checksum is the CRC32-IEEE of the
+// bytes writeRecord put ahead of it, and neither writing a record nor
+// checking one allocates.
+func TestRecordChecksumAllocs(t *testing.T) {
+	data := bytes.Repeat([]byte{0xa5, 0x3c}, 300)
+	v, bits := 300000, 8*len(data)-3
+	var out bytes.Buffer
+	bw := bufio.NewWriter(&out)
+	if err := writeRecord(bw, v, bits, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	rec := out.Bytes()
+	want := crc32.ChecksumIEEE(rec[:len(rec)-4])
+	if got := binary.LittleEndian.Uint32(rec[len(rec)-4:]); got != want {
+		t.Fatalf("written checksum %08x, CRC32-IEEE of the record %08x", got, want)
+	}
+	if got := recordChecksum(v, bits, data); got != want {
+		t.Fatalf("recordChecksum %08x, CRC32-IEEE of the record %08x", got, want)
+	}
+	if raceEnabled {
+		t.Skip("alloc counts are unstable under -race")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { recordChecksum(v, bits, data) }); allocs != 0 {
+		t.Errorf("recordChecksum allocates %.0f times", allocs)
+	}
+	bw.Reset(io.Discard)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if err := writeRecord(bw, v, bits, data); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("writeRecord allocates %.0f times", allocs)
 	}
 }
