@@ -276,7 +276,10 @@ func BenchmarkTraceQuery(b *testing.B) {
 	var tr fsdl.Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.DistanceWithTrace(&tr)
+		// A fresh Decoder per query: one frame built per decode.
+		var dec fsdl.Decoder
+		dec.Decode(q, fsdl.DecodeOpts{Trace: &tr})
+		dec.Release()
 	}
 	b.ReportMetric(float64(tr.NumHVertices), "H-vertices")
 	b.ReportMetric(float64(tr.NumHEdges), "H-edges")

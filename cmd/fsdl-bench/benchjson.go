@@ -697,14 +697,26 @@ func runJSON(path string, quick, timed bool, baseline, compare string, log io.Wr
 		return err
 	}
 	defer st3.Close()
+	// One op: resolve with demotion through the store, then one decode on
+	// a Decoder borrowed from the pool.
 	f16 := randomFaults(16)
-	if _, err := st3.DistanceRobust(0, n-1, f16, 0); err != nil {
+	decodeF16 := func() error {
+		q, err := core.ResolveQuery(0, n-1, f16, st3.Label, true)
+		if err != nil {
+			return err
+		}
+		var dec core.Decoder
+		dec.Decode(q, core.Opts{})
+		dec.Release()
+		return nil
+	}
+	if err := decodeF16(); err != nil {
 		return err
 	}
 	add(measure("decode_mmap_F16", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := st3.DistanceRobust(0, n-1, f16, 0); err != nil {
+			if err := decodeF16(); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -114,12 +114,14 @@ func cmdTrace(args []string, out io.Writer) error {
 		return err
 	}
 	var tr fsdl.Trace
-	d, ok := q.DistanceWithTrace(&tr)
-	if !ok {
+	var dec core.Decoder
+	res := dec.Decode(q, core.Opts{Trace: &tr})
+	dec.Release()
+	if !res.OK {
 		fmt.Fprintf(out, "%d and %d are DISCONNECTED in G \\ F\n", *src, *dst)
 		return nil
 	}
-	fmt.Fprintf(out, "estimate %d (sketch: %d vertices, %d edges)\n", d, tr.NumHVertices, tr.NumHEdges)
+	fmt.Fprintf(out, "estimate %d (sketch: %d vertices, %d edges)\n", res.Dist, tr.NumHVertices, tr.NumHEdges)
 	// Walk the waypoints into an actual grid path for the picture.
 	r, okRoute := fsdl.BuildRouting(s).RouteWithFaults(*src, *dst, faults)
 	var path []int
@@ -193,9 +195,10 @@ func cmdQueryDB(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var st *labelstore.Store
 	if *salvage {
-		st, rep, err := labelstore.OpenPartial(*db)
-		if err != nil {
+		var rep *labelstore.SalvageReport
+		if st, rep, err = labelstore.OpenPartial(*db); err != nil {
 			return err
 		}
 		if rep.Kept == 0 {
@@ -206,42 +209,19 @@ func cmdQueryDB(args []string, out io.Writer) error {
 			fmt.Fprintf(out, "salvage: kept %d/%d records (%d corrupt, truncated: %v)\n",
 				rep.Kept, rep.Total, len(rep.Corrupt), rep.Truncated)
 		}
-		res, path, err := st.DistanceRobustPath(*src, *dst, faults, 0)
-		if err != nil {
-			return err
-		}
-		if !res.OK {
-			fmt.Fprintf(out, "no answer for %d -> %d avoiding |F|=%d (disconnected, or endpoints unrecoverable)\n",
-				*src, *dst, faults.Size())
-			return nil
-		}
-		fmt.Fprintf(out, "estimated distance %d -> %d avoiding |F|=%d: %d (from %d stored labels)\n",
-			*src, *dst, faults.Size(), res.Dist, st.NumLabels())
-		if res.Degraded {
-			fmt.Fprintf(out, "status: DEGRADED upper bound (%d fault labels missing/corrupt)\n",
-				len(res.MissingFaultLabels))
-		} else {
-			fmt.Fprintln(out, "status: EXACT (all labels intact, (1+eps) estimate)")
-		}
-		if *withPath {
-			printPath(out, path)
-		}
-		return nil
-	}
-	st, err := labelstore.Open(*db)
-	if err != nil {
+	} else if st, err = labelstore.Open(*db); err != nil {
 		return err
 	}
-	// The strict query: a fault label the store lacks is an error, never
-	// demoted, and a query that fails Validate has no answer — what
-	// Store.Distance answers — decoded once, the walk with it.
-	q, err := core.ResolveQuery(*src, *dst, faults, st.Label, false)
+	// A fault label the store lacks is an error, unless -salvage demotes
+	// it to a degraded fault by id (a safe upper bound). The strict query
+	// has no answer when it fails Validate. One decode, the walk with it.
+	q, err := core.ResolveQuery(*src, *dst, faults, st.Label, *salvage)
 	if err != nil {
 		return err
 	}
 	var res core.Result
 	var path []int32
-	if q != nil && q.Validate() == nil {
+	if q != nil && (*salvage || q.Validate() == nil) {
 		var o core.Opts
 		if *withPath {
 			o.Path = &path
@@ -250,12 +230,27 @@ func cmdQueryDB(args []string, out io.Writer) error {
 		res = dec.Decode(q, o)
 		dec.Release()
 	}
-	if !res.OK {
+	switch {
+	case !res.OK && *salvage:
+		fmt.Fprintf(out, "no answer for %d -> %d avoiding |F|=%d (disconnected, or endpoints unrecoverable)\n",
+			*src, *dst, faults.Size())
+		return nil
+	case !res.OK:
 		fmt.Fprintf(out, "%d and %d are DISCONNECTED in G \\ F (|F|=%d)\n", *src, *dst, faults.Size())
 		return nil
+	case *salvage:
+		fmt.Fprintf(out, "estimated distance %d -> %d avoiding |F|=%d: %d (from %d stored labels)\n",
+			*src, *dst, faults.Size(), res.Dist, st.NumLabels())
+		if res.Degraded {
+			fmt.Fprintf(out, "status: DEGRADED upper bound (%d fault labels missing/corrupt)\n",
+				len(res.MissingFaultLabels))
+		} else {
+			fmt.Fprintln(out, "status: EXACT (all labels intact, (1+eps) estimate)")
+		}
+	default:
+		fmt.Fprintf(out, "estimated distance %d -> %d avoiding |F|=%d: %d (answered offline from %d stored labels)\n",
+			*src, *dst, faults.Size(), res.Dist, st.NumLabels())
 	}
-	fmt.Fprintf(out, "estimated distance %d -> %d avoiding |F|=%d: %d (answered offline from %d stored labels)\n",
-		*src, *dst, faults.Size(), res.Dist, st.NumLabels())
 	if *withPath {
 		printPath(out, path)
 	}

@@ -207,8 +207,8 @@ func TestCLIQueryDBPath(t *testing.T) {
 
 // TestCLIQueryDBPathDecodesOnce: a strict querydb -path is one decode
 // — one scratch checked out of the decoder pool — and prints, byte for
-// byte, the answer the strict Store.Distance gives and the walk
-// DistanceRobustPath reports for the same query.
+// byte, the answer Query.Distance gives for the store's strictly
+// resolved query and the walk a path decode reports for it.
 func TestCLIQueryDBPathDecodesOnce(t *testing.T) {
 	gpath := genGraphFile(t)
 	dbPath := filepath.Join(t.TempDir(), "labels.fsdl")
@@ -227,14 +227,18 @@ func TestCLIQueryDBPathDecodesOnce(t *testing.T) {
 			ids = append(ids, v)
 		}
 		faults := graphpkg.FaultVertices(ids...)
-		d, ok, err := st.Distance(0, 35, faults)
-		if err != nil || !ok {
-			t.Fatalf("-fail %s: Store.Distance (%d, %v, %v)", fail, d, ok, err)
+		q, err := core.ResolveQuery(0, 35, faults, st.Label, false)
+		if err != nil || q == nil {
+			t.Fatalf("-fail %s: ResolveQuery (%v, %v)", fail, q, err)
 		}
-		_, walk, err := st.DistanceRobustPath(0, 35, faults, 0)
-		if err != nil {
-			t.Fatal(err)
+		d, ok := q.Distance()
+		if !ok {
+			t.Fatalf("-fail %s: Query.Distance (%d, %v)", fail, d, ok)
 		}
+		var walk []int32
+		var dec core.Decoder
+		dec.Decode(q, core.Opts{Path: &walk})
+		dec.Release()
 		var want bytes.Buffer
 		want.WriteString("estimated distance 0 -> 35 avoiding |F|=" + strconv.Itoa(len(ids)) + ": " + strconv.FormatInt(d, 10) +
 			" (answered offline from 36 stored labels)\n")

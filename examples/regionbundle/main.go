@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"fsdl"
+	"fsdl/internal/core"
 	"fsdl/internal/labelstore"
 )
 
@@ -54,7 +55,7 @@ func run() error {
 
 	// Offline local queries.
 	cafe := home + 3 + 2*side // 3 east, 2 south
-	d, ok, err := store.Distance(home, cafe, nil)
+	d, ok, err := distance(store, home, cafe, nil)
 	if err != nil {
 		return err
 	}
@@ -63,7 +64,7 @@ func run() error {
 	// A closure arrives as a push notification: just a junction id. The
 	// phone already holds that junction's label — no re-download.
 	closures := fsdl.FaultVertices(home+1, home+side)
-	d, ok, err = store.Distance(home, cafe, closures)
+	d, ok, err = distance(store, home, cafe, closures)
 	if err != nil {
 		return err
 	}
@@ -71,8 +72,19 @@ func run() error {
 
 	// Queries leaving the region fail loudly — time to download the next
 	// bundle, exactly the granularity the paper's motivation describes.
-	if _, _, err := store.Distance(home, 0, nil); err != nil {
+	if _, _, err := distance(store, home, 0, nil); err != nil {
 		fmt.Printf("out-of-region query correctly refused: %v\n", err)
 	}
 	return nil
+}
+
+// distance answers (src, dst, F) from the store's labels alone. A label
+// the store lacks — a query leaving the region — is an error.
+func distance(store *labelstore.Store, src, dst int, faults *fsdl.FaultSet) (int64, bool, error) {
+	q, err := core.ResolveQuery(src, dst, faults, store.Label, false)
+	if err != nil || q == nil {
+		return 0, false, err
+	}
+	d, ok := q.Distance()
+	return d, ok, nil
 }

@@ -33,9 +33,15 @@ type (
 	Label = core.Label
 	// Query is a label-only forbidden-set distance query.
 	Query = core.Query
-	// QueryResult is the outcome of a robust (degraded-mode-capable)
-	// query: Query.DistanceRobust answers with a safe upper bound even
-	// when fault labels are missing or corrupt, and flags it Degraded.
+	// Decoder decodes queries on a scratch it keeps between calls;
+	// Decoder.Decode(q, DecodeOpts{...}) is the one decode entry.
+	Decoder = core.Decoder
+	// DecodeOpts says what a decode reports besides the distance: a
+	// Trace, the witness walk.
+	DecodeOpts = core.Opts
+	// QueryResult is what Decoder.Decode answers: faults known only by id
+	// (Query.DegradedVertexFaults) or whose labels fail Validate still
+	// yield a safe upper bound, flagged Degraded.
 	QueryResult = core.Result
 	// Trace records how a query was answered (sketch sizes, the winning
 	// path).

@@ -58,8 +58,8 @@ func TestQueryDistanceAllocs(t *testing.T) {
 	}
 	// A budgeted decode runs the same loops on truncated edge lists.
 	q.Budget = 300
-	if allocs := testing.AllocsPerRun(200, func() { q.DistanceRobust() }); allocs > 2 {
-		t.Errorf("budgeted Query.DistanceRobust steady-state allocs/op = %g, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { q.decode(Opts{}, nil) }); allocs > 2 {
+		t.Errorf("budgeted one-shot decode steady-state allocs/op = %g, want <= 2", allocs)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 	// test protected balls of 16 and of more than 64 centers.
 	for _, q := range append([]*Query{q, mapQuery(q, unsharedLabel), ringFactoredQuery(t), clean}, gridWideQueries(t)...) {
 		var tr Trace
-		dec.DistanceWithTrace(q, &tr)          // size the scratch
+		dec.Decode(q, Opts{Trace: &tr})        // size the scratch
 		for _, budget := range []int{0, 300} { // unlimited; cut off mid-scan
 			q.Budget = budget
 			allocs := testing.AllocsPerRun(200, func() {
@@ -109,7 +109,7 @@ func TestDecoderDistanceAllocs(t *testing.T) {
 			}
 		}
 	}
-	if res := dec.DistanceRobust(q); !res.BudgetExhausted {
+	if res := dec.Decode(q, Opts{}); !res.BudgetExhausted {
 		t.Errorf("budget %d did not cut the decode short: %+v", q.Budget, res)
 	}
 }

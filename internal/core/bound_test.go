@@ -110,27 +110,24 @@ func TestLabelBoundLiars(t *testing.T) {
 	}
 	var dec Decoder
 	defer dec.Release()
-	if d, ok := dec.DistanceWithTrace(q, nil); !ok || d != 3 {
+	if d, ok := q.Distance(); !ok || d != 3 {
 		t.Errorf("Distance = (%d, %v), want 3 — the bound", d, ok)
 	}
 	var robust Result
-	if _, certified := boundCounts(func() { robust = dec.DistanceRobust(q) }); certified != 0 || !robust.OK || robust.Dist != 3 {
-		t.Errorf("DistanceRobust = %+v (certified %d), want 3 by the search", robust, certified)
+	if _, certified := boundCounts(func() { robust = dec.Decode(q, Opts{}) }); certified != 0 || !robust.OK || robust.Dist != 3 {
+		t.Errorf("Decode = %+v (certified %d), want 3 by the search", robust, certified)
 	}
 	var path []int32
 	if res := dec.Decode(q, Opts{Path: &path}); !res.OK || res.Dist != 2 || !slices.Equal(path, []int32{0, 1, 2}) {
 		t.Errorf("path decode = %+v %v, want 2 over 0 1 2", res, path)
 	}
 	var tr Trace
-	if d, ok := dec.DistanceWithTrace(q, &tr); !ok || d != 2 {
-		t.Errorf("traced = (%d, %v), want 2", d, ok)
-	}
-	if res, _ := dec.DistanceRobustPath(q, nil); !res.OK || res.Dist != 2 {
-		t.Errorf("DistanceRobustPath = %+v, want 2", res)
+	if res := dec.Decode(q, Opts{Trace: &tr}); !res.OK || res.Dist != 2 {
+		t.Errorf("traced = %+v, want 2", res)
 	}
 	// A pending insert may undercut d_G: a patched decode never uses L.
-	if res := dec.DistanceRobustPatched(q, patchesOf(s, [][2]int{{5, 7}})); !res.OK || res.Dist != 2 {
-		t.Errorf("DistanceRobustPatched = %+v, want 2", res)
+	if res := dec.Decode(q, Opts{Patches: patchesOf(s, [][2]int{{5, 7}})}); !res.OK || res.Dist != 2 {
+		t.Errorf("patched decode = %+v, want 2", res)
 	}
 	checkCanonicalWalk(t, "lying labels", q, nil, 2, []int32{0, 1, 2}, true, 3)
 
@@ -202,9 +199,9 @@ func TestLabelBoundBatches(t *testing.T) {
 								t.Fatal(err)
 							}
 							var res Result
-							dStops, dCert := boundCounts(func() { res = batch.DistanceRobustPatched(q, b.patches) })
+							dStops, dCert := boundCounts(func() { res = batch.Decode(q, Opts{Patches: b.patches}) })
 							fresh := NewDecoder()
-							fRes := fresh.DistanceRobustPatched(q, b.patches)
+							fRes := fresh.Decode(q, Opts{Patches: b.patches})
 							fresh.Release()
 							if res.OK != (wantDist >= 0) || res.OK && res.Dist != wantDist || res.BudgetExhausted != wantExh || !reflect.DeepEqual(res, fRes) {
 								t.Fatalf("pair %d (budget %d): %+v, fresh Decoder %+v, reference (δ=%d, exhausted=%v)", i, q.Budget, res, fRes, wantDist, wantExh)

@@ -212,7 +212,8 @@ func TestBudgetBoundaries(t *testing.T) {
 				if d2 != dist || exh2 != exh || !reflect.DeepEqual(sc.sketchEdges(), edges) {
 					t.Errorf("budget %d: untraced decode (δ=%d, exhausted=%v) differs from traced (%d, %v)", budget, d2, exh2, dist, exh)
 				}
-				res, path := dec.DistanceRobustPatchedPath(&bq, tc.patches, nil)
+				var path []int32
+				res := dec.Decode(&bq, Opts{Patches: tc.patches, Path: &path})
 				if res.OK != (dist >= 0) || res.OK && res.Dist != dist || res.BudgetExhausted != exh {
 					t.Errorf("budget %d: path decode %+v, traced decode (δ=%d, exhausted=%v)", budget, res, dist, exh)
 				}

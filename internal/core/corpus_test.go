@@ -151,7 +151,8 @@ const corpusHeader = "# graph/faults/|F|/patched/pair/budget\tOK δ Degraded Bud
 // walk's weights — and renders what must not change.
 func corpusLine(t *testing.T, dec *Decoder, c corpusCase) string {
 	t.Helper()
-	res, path := dec.DistanceRobustPatchedPath(c.q, c.patches, nil)
+	var path []int32
+	res := dec.Decode(c.q, Opts{Patches: c.patches, Path: &path})
 	line := fmt.Sprintf("%s\t%v %d %v %v %v", c.name, res.OK, res.Dist, res.Degraded, res.BudgetExhausted, res.MissingFaultLabels)
 	if res.OK != (len(path) > 0) {
 		t.Errorf("%s: OK=%v with a walk of %d vertices", c.name, res.OK, len(path))

@@ -436,8 +436,11 @@ func (d *Decoder) scratch() *decodeScratch {
 // Decode answers q: demote sets its unusable fault labels aside, the
 // sketch graph H is assembled from the rest — and from o.Patches —
 // keeping only safe edges, and the Result is the s-t distance in H with
-// how far to trust it. o says what else to report. Every decode name of
-// Decoder and Query is this call.
+// how far to trust it. o says what else to report. A fault label that
+// fails Validate or mismatches the endpoints' parameters is decoded as a
+// maximal protected ball by its id (a safe upper bound, flagged
+// Degraded); a nil vertex-fault label, or an unusable endpoint label,
+// answers not OK. Every decode name of Decoder and Query is this call.
 func (d *Decoder) Decode(q *Query, o Opts) Result {
 	sc := d.scratch()
 	rq, res, ok := sc.demote(q)
@@ -460,10 +463,11 @@ func (d *Decoder) Decode(q *Query, o Opts) Result {
 	return res
 }
 
-// The names below are Decode with their arguments as Opts; the benchmark
-// harness (bench/) calls them.
+// The names below are Decode with their arguments as Opts; only the
+// benchmark harness (bench/) calls them.
 
-// DistanceWithTrace is Query.DistanceWithTrace on this decoder's scratch.
+// DistanceWithTrace is Decode with o.Trace = tr, refusing (ok false) a
+// query that fails Validate, as Query.Distance does.
 func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
 	if q.Validate() != nil {
 		return 0, false
@@ -472,7 +476,8 @@ func (d *Decoder) DistanceWithTrace(q *Query, tr *Trace) (int64, bool) {
 	return res.Dist, res.OK
 }
 
-// DistanceRobust is Query.DistanceRobust on this decoder's scratch.
+// DistanceRobust is Decode with no options: unusable fault labels are
+// demoted by id, never refused.
 func (d *Decoder) DistanceRobust(q *Query) Result { return d.Decode(q, Opts{}) }
 
 // DistanceRobustPath is DistanceRobust, additionally appending the walk

@@ -210,7 +210,8 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 						}
 						fEdges := slices.Clone(fresh.scratch().sketchEdges())
 						fresh.Release()
-						fRes, fPath := fresh.DistanceRobustPatchedPath(q, b.patches, nil)
+						var fPath []int32
+						fRes := fresh.Decode(q, Opts{Patches: b.patches, Path: &fPath})
 						fresh.Release()
 						if ftr.FrameReused {
 							t.Errorf("pair %d: a Decoder that has seen nothing reused a frame", i)
@@ -225,7 +226,8 @@ func TestBatchMatchesFreshAndReference(t *testing.T) {
 							wantReused := framed && runBuilt
 							runBuilt = runBuilt || framed
 							if pass == 1 {
-								res, path := batch.DistanceRobustPatchedPath(q, b.patches, nil)
+								var path []int32
+								res := batch.Decode(q, Opts{Patches: b.patches, Path: &path})
 								if !reflect.DeepEqual(res, fRes) || !slices.Equal(path, fPath) {
 									t.Errorf("pair %d: path decode %+v %v, fresh Decoder %+v %v", i, res, path, fRes, fPath)
 								}
@@ -537,7 +539,8 @@ func checkFramedDecode(t *testing.T, dec *Decoder, q *Query, patches []PatchEdge
 	}
 	fEdges := slices.Clone(fresh.scratch().sketchEdges())
 	fresh.Release()
-	fRes, fPath := fresh.DistanceRobustPatchedPath(q, patches, nil)
+	var fPath []int32
+	fRes := fresh.Decode(q, Opts{Patches: patches, Path: &fPath})
 
 	if dist != wantDist || exh != wantExh || !reflect.DeepEqual(edges, wantEdges) || !reflect.DeepEqual(maskTrace(tr), want) {
 		t.Errorf("%d→%d: (δ=%d, exhausted=%v, %d edges, walk %v), reference (%d, %v, %d edges, walk %v)",
@@ -622,15 +625,16 @@ func TestFramedBatchAllocs(t *testing.T) {
 			dec.Decode(q, Opts{})
 		}
 		for _, q := range qs {
-			_, buf = dec.DistanceRobustPatchedPath(q, patches, buf[:0])
+			buf = buf[:0]
+			dec.Decode(q, Opts{Patches: patches, Path: &buf})
 		}
 	}
 	batch(a)
 	batch(b) // size the scratch and both frames
 	var tr Trace
-	dec.DistanceWithTrace(a[0], &tr)
-	dec.DistanceWithTrace(a[1], &tr)
-	dec.DistanceWithTrace(a[2], &tr)
+	dec.Decode(a[0], Opts{Trace: &tr})
+	dec.Decode(a[1], Opts{Trace: &tr})
+	dec.Decode(a[2], Opts{Trace: &tr})
 	if !tr.FrameReused {
 		t.Fatal("the later decodes under one fault set did not reuse the frame")
 	}
@@ -680,7 +684,7 @@ func TestFrameSharedFaultLabelsRace(t *testing.T) {
 		q := side
 		q.S, q.T = s.Label(p[0]), s.Label(p[1])
 		var dec Decoder
-		want[i] = dec.DistanceRobustPatched(&q, patches)
+		want[i] = dec.Decode(&q, Opts{Patches: patches})
 		dec.Release()
 	}
 	var wg sync.WaitGroup
@@ -695,7 +699,7 @@ func TestFrameSharedFaultLabelsRace(t *testing.T) {
 					i = (i + w) % len(pairs)
 					q := side
 					q.S, q.T = s.Label(pairs[i][0]), s.Label(pairs[i][1])
-					if got := dec.DistanceRobustPatched(&q, patches); !reflect.DeepEqual(got, want[i]) {
+					if got := dec.Decode(&q, Opts{Patches: patches}); !reflect.DeepEqual(got, want[i]) {
 						t.Errorf("worker %d, pair %v: %+v, want %+v", w, pairs[i], got, want[i])
 						return
 					}

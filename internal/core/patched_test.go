@@ -16,10 +16,10 @@ import (
 // queries with before pending inserts joined the sketch, kept verbatim
 // as the differential reference: a tournament of the unpatched answer
 // against d(s,u)+1+d(v,t) and d(s,v)+1+d(u,t) for every patch, each leg
-// a full DistanceRobust under q's fault set, the winner's legs decoded
+// a full decode under q's fault set, the winner's legs decoded
 // once more for their paths. It never routes through two patches.
 func refDistanceRobustPatched(d *Decoder, q *Query, patches []PatchEdge, buf []int32, wantPath bool) (Result, []int32) {
-	best := d.DistanceRobust(q)
+	best := d.Decode(q, Opts{})
 	// winFirst/winSecond identify the winning route for path reporting:
 	// nil means the unpatched decode won, otherwise the route is
 	// s..winFirst, patch edge, winSecond..t. Decoding is deterministic,
@@ -28,7 +28,7 @@ func refDistanceRobustPatched(d *Decoder, q *Query, patches []PatchEdge, buf []i
 	var winFirst, winSecond *Label
 	if len(patches) == 0 {
 		if wantPath && best.OK {
-			_, buf = d.DistanceRobustPath(q, buf)
+			d.Decode(q, Opts{Path: &buf})
 		}
 		return best, buf
 	}
@@ -70,7 +70,7 @@ func refDistanceRobustPatched(d *Decoder, q *Query, patches []PatchEdge, buf []i
 		}
 		sub := *q
 		sub.S, sub.T = a, b
-		return d.DistanceRobust(&sub)
+		return d.Decode(&sub, Opts{})
 	}
 	usable := func(l *Label) bool { return l != nil && l.Validate() == nil }
 	for _, p := range patches {
@@ -104,7 +104,7 @@ func refDistanceRobustPatched(d *Decoder, q *Query, patches []PatchEdge, buf []i
 		return best, buf
 	}
 	if winFirst == nil {
-		_, buf = d.DistanceRobustPath(q, buf)
+		d.Decode(q, Opts{Path: &buf})
 		return best, buf
 	}
 	buf = refLegPath(d, q, q.S, winFirst, buf)
@@ -120,7 +120,7 @@ func refLegPath(d *Decoder, q *Query, a, b *Label, buf []int32) []int32 {
 	}
 	sub := *q
 	sub.S, sub.T = a, b
-	_, buf = d.DistanceRobustPath(&sub, buf)
+	d.Decode(&sub, Opts{Path: &buf})
 	return buf
 }
 
@@ -251,16 +251,18 @@ func (c *patchCase) admissible() map[uint64]bool {
 // realizable hop by hop in G′\F with weights (patch hops 1) summing to δ.
 func (c *patchCase) checkPatched(t *testing.T, g *graph.Graph, dec *Decoder, what string) Result {
 	t.Helper()
-	got, path := dec.DistanceRobustPatchedPath(c.q, c.patches, nil)
+	var path []int32
+	got := dec.Decode(c.q, Opts{Patches: c.patches, Path: &path})
 	// The path decode built H in full; a plain one may answer from the
 	// labels alone (certified) and leave none.
 	sketch := slices.Clone(dec.scratch().sketchEdges())
-	if plain := dec.DistanceRobustPatched(c.q, c.patches); !reflect.DeepEqual(got, plain) {
+	if plain := dec.Decode(c.q, Opts{Patches: c.patches}); !reflect.DeepEqual(got, plain) {
 		t.Fatalf("%s: path variant %+v != plain %+v", what, got, plain)
 	}
 	// Sharing level lists between the labels changes nothing: the same
 	// query over private copies gives the same answer, walk and sketch.
-	ugot, upath := dec.DistanceRobustPatchedPath(mapQuery(c.q, unsharedLabel), mapPatches(c.patches, unsharedLabel), nil)
+	var upath []int32
+	ugot := dec.Decode(mapQuery(c.q, unsharedLabel), Opts{Patches: mapPatches(c.patches, unsharedLabel), Path: &upath})
 	if !reflect.DeepEqual(ugot, got) || !slices.Equal(upath, path) || !slices.Equal(dec.scratch().sketchEdges(), sketch) {
 		t.Fatalf("%s: over unshared labels %+v %v, over the scheme's %+v %v", what, ugot, upath, got, path)
 	}
@@ -491,8 +493,9 @@ func patchedIgnoresInadmissible(t *testing.T) {
 		{"self loop", nil, r.patches([2]int{7, 7})},
 	} {
 		q := r.query(t, src, dst, tc.f)
-		want, wantPath := dec.DistanceRobustPath(q, nil)
-		got, gotPath := dec.DistanceRobustPatchedPath(q, tc.patches, nil)
+		var wantPath, gotPath []int32
+		want := dec.Decode(q, Opts{Path: &wantPath})
+		got := dec.Decode(q, Opts{Patches: tc.patches, Path: &gotPath})
 		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotPath, wantPath) {
 			t.Errorf("%s: patched %+v %v, unpatched %+v %v", tc.name, got, gotPath, want, wantPath)
 		}
@@ -505,8 +508,8 @@ func patchedIgnoresInadmissible(t *testing.T) {
 			for _, e := range tc.f.Edges() {
 				dq.DegradedEdgeFaults = append(dq.DegradedEdgeFaults, [2]int32{int32(e[0]), int32(e[1])})
 			}
-			want := dec.DistanceRobust(dq)
-			if got := dec.DistanceRobustPatched(dq, tc.patches); !reflect.DeepEqual(got, want) {
+			want := dec.Decode(dq, Opts{})
+			if got := dec.Decode(dq, Opts{Patches: tc.patches}); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s (degraded): patched %+v, unpatched %+v", tc.name, got, want)
 			}
 		}
@@ -694,12 +697,12 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 			q, patches = mapQuery(q, balls), mapPatches(patches, balls)
 		}
 		run := func() {
-			res, path := dec.DistanceRobustPatchedPath(q, patches, buf[:0])
-			buf = path
+			buf = buf[:0]
+			res := dec.Decode(q, Opts{Patches: patches, Path: &buf})
 			if !res.OK || res.Dist > 5 {
 				t.Fatalf("k=%d: %+v", k, res)
 			}
-			if res = dec.DistanceRobustPatched(q, patches); !res.OK {
+			if res = dec.Decode(q, Opts{Patches: patches}); !res.OK {
 				t.Fatalf("k=%d: %+v", k, res)
 			}
 		}
@@ -710,10 +713,10 @@ func TestPatchedDecodeAllocs(t *testing.T) {
 		// Budgeted: the same loops on truncated edge lists.
 		bq := *q
 		bq.Budget = 3000
-		if res := dec.DistanceRobustPatched(&bq, patches); !res.BudgetExhausted {
+		if res := dec.Decode(&bq, Opts{Patches: patches}); !res.BudgetExhausted {
 			t.Fatalf("k=%d: budget %d did not cut the decode short: %+v", k, bq.Budget, res)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { dec.DistanceRobustPatched(&bq, patches) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(50, func() { dec.Decode(&bq, Opts{Patches: patches}) }); allocs != 0 {
 			t.Errorf("k=%d: budgeted patched decode steady-state allocs/op = %g, want 0", k, allocs)
 		}
 	}
@@ -738,7 +741,7 @@ func TestPatchedConcurrentSharedPatches(t *testing.T) {
 			continue
 		}
 		q := r.query(t, src, dst, f)
-		pairs = append(pairs, pair{q, dec.DistanceRobustPatched(q, patches)})
+		pairs = append(pairs, pair{q, dec.Decode(q, Opts{Patches: patches})})
 	}
 	dec.Release()
 	var wg sync.WaitGroup
@@ -750,7 +753,8 @@ func TestPatchedConcurrentSharedPatches(t *testing.T) {
 			defer dec.Release()
 			for i := 0; i < 3*len(pairs); i++ {
 				p := pairs[(i+3*w)%len(pairs)]
-				if got, _ := dec.DistanceRobustPatchedPath(p.q, patches, nil); !reflect.DeepEqual(got, p.want) {
+				var path []int32
+				if got := dec.Decode(p.q, Opts{Patches: patches, Path: &path}); !reflect.DeepEqual(got, p.want) {
 					t.Errorf("worker %d: %+v, want %+v", w, got, p.want)
 					return
 				}
@@ -776,12 +780,12 @@ func BenchmarkDecodePatched(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			dec := NewDecoder()
 			defer dec.Release()
-			dec.DistanceRobustPatched(q, patches)
+			dec.Decode(q, Opts{Patches: patches})
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dec.scratch().keyed = false // a lone query: no frame from the op before
-				benchPatchedSink = dec.DistanceRobustPatched(q, patches)
+				benchPatchedSink = dec.Decode(q, Opts{Patches: patches})
 			}
 		})
 	}

@@ -40,7 +40,7 @@ type Query struct {
 	// candidates are simply not admitted, so H shrinks: the estimate stays
 	// an upper bound on d_{G\F} (safety is one-sided — omitting edges can
 	// only lengthen paths), but it may exceed (1+ε)·d or report
-	// disconnection spuriously. DistanceRobust surfaces the truncation via
+	// disconnection spuriously. Decoder.Decode surfaces the truncation via
 	// Result.BudgetExhausted; Distance simply reports ok=false when the
 	// truncated sketch disconnects s from t. A patched query (patched.go)
 	// builds one sketch and spends one budget on it: the stored edges of
@@ -225,33 +225,18 @@ type Opts struct {
 // labels, keeping only safe edges, and returns the s-t distance in H.
 // ok is false when no path exists, which (by the scheme's safety and
 // stretch guarantees) happens exactly when s and t are disconnected in
-// G\F — and for a query that fails Validate, which DistanceRobust would
-// answer by demoting labels. Like every decode method on Query it runs
-// on a Decoder borrowed for the call, so steady-state calls are
-// allocation-free; batch callers that want to pin one scratch across
-// many queries should hold a Decoder instead.
-func (q *Query) Distance() (int64, bool) { return q.DistanceWithTrace(nil) }
-
-// DistanceWithTrace is Distance, additionally filling tr with the sketch
-// construction details and the winning path.
-func (q *Query) DistanceWithTrace(tr *Trace) (int64, bool) {
+// G\F — and for a query that fails Validate, which Decoder.Decode would
+// answer by demoting labels. Like Sketch it runs on a Decoder borrowed
+// for the call, so steady-state calls are allocation-free; callers that
+// want a trace, a walk, a degraded answer's Result, or one scratch
+// pinned across many queries hold a Decoder instead.
+func (q *Query) Distance() (int64, bool) {
 	if q.Validate() != nil {
 		return 0, false
 	}
-	res := q.decode(Opts{Trace: tr}, nil)
+	res := q.decode(Opts{}, nil)
 	return res.Dist, res.OK
 }
-
-// DistanceRobust decodes the query tolerating unusable fault labels: any
-// vertex-fault label that is nil is rejected outright (its identity is
-// unknown, so no sound answer exists — callers that know the vertex id
-// should list it in DegradedVertexFaults instead), while a label that
-// fails Validate or mismatches the endpoint parameters is demoted to the
-// degraded tier by its id. Degraded decoding treats those faults'
-// protected balls as maximal, preserving the safety direction
-// δ ≥ d_{G\F} at the cost of the stretch bound; the Result says exactly
-// how much trust the number deserves.
-func (q *Query) DistanceRobust() Result { return q.decode(Opts{}, nil) }
 
 // Sketch returns H — the sketch a traced decode derives: one edge per
 // pair of vertices some owner's label admits an edge between, in

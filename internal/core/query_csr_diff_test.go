@@ -139,7 +139,7 @@ func TestDecodeCSRMatchesReference(t *testing.T) {
 }
 
 // TestDecodePathUnderPatches validates witness walks through live-patch
-// batches: the path entry must match DistanceRobustPatched exactly,
+// batches: the path decode must match the plain patched one exactly,
 // never exceed the unpatched answer, and the sketch walk must check out
 // with the inserted edges as unit hops.
 func TestDecodePathUnderPatches(t *testing.T) {
@@ -185,9 +185,10 @@ func TestDecodePathUnderPatches(t *testing.T) {
 				patchSet[unorderedKey(int32(u), int32(v))] = true
 				patches = append(patches, PatchEdge{U: s.Label(u), V: s.Label(v)})
 			}
-			base := dec.DistanceRobust(q)
-			want := dec.DistanceRobustPatched(q, patches)
-			got, path := dec.DistanceRobustPatchedPath(q, patches, nil)
+			base := dec.Decode(q, Opts{})
+			want := dec.Decode(q, Opts{Patches: patches})
+			var path []int32
+			got := dec.Decode(q, Opts{Patches: patches, Path: &path})
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("np=%d: path variant result %+v != %+v", np, got, want)
 			}
@@ -234,7 +235,8 @@ func TestDecodePathDegraded(t *testing.T) {
 				q.DegradedVertexFaults = append(q.DegradedVertexFaults, int32(v))
 			}
 		}
-		res, path := dec.DistanceRobustPath(q, nil)
+		var path []int32
+		res := dec.Decode(q, Opts{Path: &path})
 		if !res.Degraded {
 			t.Fatalf("degraded query not flagged: %+v", res)
 		}

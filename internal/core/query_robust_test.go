@@ -9,7 +9,7 @@ import (
 )
 
 // TestDistanceRobustMatchesDistanceWhenHealthy: with every label usable
-// and no budget, DistanceRobust is exactly Distance with Degraded=false.
+// and no budget, Decode is exactly Distance with Degraded=false.
 func TestDistanceRobustMatchesDistanceWhenHealthy(t *testing.T) {
 	g := gen.Grid2D(7, 7)
 	cs, err := BuildScheme(g, 1)
@@ -25,7 +25,7 @@ func TestDistanceRobustMatchesDistanceWhenHealthy(t *testing.T) {
 			t.Fatal(err)
 		}
 		want, wantOK := q.Distance()
-		got := q.DistanceRobust()
+		got := q.decode(Opts{}, nil)
 		if got.Degraded || got.BudgetExhausted || len(got.MissingFaultLabels) != 0 {
 			t.Fatalf("healthy query flagged degraded: %+v", got)
 		}
@@ -68,7 +68,7 @@ func TestDegradedModeNeverUnderestimates(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.DegradedVertexFaults = []int32{int32(missing)}
-		res := q.DistanceRobust()
+		res := q.decode(Opts{}, nil)
 		if !res.Degraded {
 			t.Fatalf("missing label not flagged degraded: %+v", res)
 		}
@@ -118,7 +118,7 @@ func TestDegradedSanitizesCorruptLabels(t *testing.T) {
 			q.VertexFaults[i] = &bad
 		}
 	}
-	res := q.DistanceRobust()
+	res := q.decode(Opts{}, nil)
 	if !res.Degraded {
 		t.Fatalf("corrupt label not flagged: %+v", res)
 	}
@@ -151,7 +151,7 @@ func TestDegradedEdgeFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.DegradedEdgeFaults = [][2]int32{{5, 6}}
-	res := q.DistanceRobust()
+	res := q.decode(Opts{}, nil)
 	if !res.Degraded {
 		t.Fatalf("degraded edge fault not flagged: %+v", res)
 	}
@@ -182,7 +182,7 @@ func TestBudgetTruncationIsSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.Budget = 40
-		res := q.DistanceRobust()
+		res := q.decode(Opts{}, nil)
 		if res.BudgetExhausted {
 			sawExhausted = true
 			if !res.Degraded {
@@ -216,17 +216,17 @@ func TestDistanceRobustRejectsHopeless(t *testing.T) {
 	}
 	nilS := *q
 	nilS.S = nil
-	if res := nilS.DistanceRobust(); res.OK {
+	if res := nilS.decode(Opts{}, nil); res.OK {
 		t.Error("nil source label answered")
 	}
 	nilF := *q
 	nilF.VertexFaults = []*Label{nil}
-	if res := nilF.DistanceRobust(); res.OK {
+	if res := nilF.decode(Opts{}, nil); res.OK {
 		t.Error("nil (unidentifiable) fault label answered")
 	}
 	selfDeg := *q
 	selfDeg.DegradedVertexFaults = []int32{0}
-	if res := selfDeg.DistanceRobust(); res.OK {
+	if res := selfDeg.decode(Opts{}, nil); res.OK {
 		t.Error("degraded fault naming the source answered")
 	}
 }

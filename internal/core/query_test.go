@@ -243,8 +243,11 @@ func TestQueryTraceConsistent(t *testing.T) {
 	f := graph.FaultVertices(40)
 	q, _ := s.NewQuery(0, 80, f)
 	var tr Trace
-	d, ok := q.DistanceWithTrace(&tr)
-	if !ok {
+	var dec Decoder
+	defer dec.Release()
+	res := dec.Decode(q, Opts{Trace: &tr})
+	d := res.Dist
+	if !res.OK {
 		t.Fatal("expected connected")
 	}
 	if len(tr.Path) < 2 || tr.Path[0] != 0 || tr.Path[len(tr.Path)-1] != 80 {
@@ -300,8 +303,8 @@ func TestQueryValidateMismatchedParams(t *testing.T) {
 	g := pathGraph(t, 16)
 	s1, _ := BuildScheme(g, 2)
 	s05, _ := BuildScheme(g, 0.5)
-	// Mismatched endpoints, and a mismatched fault label: DistanceRobust
-	// demotes the latter and answers, the plain names refuse both.
+	// Mismatched endpoints, and a mismatched fault label: Decode demotes
+	// the latter and answers, Query's names refuse both.
 	for _, q := range []*Query{
 		{S: s1.Label(0), T: s05.Label(15)},
 		{S: s1.Label(0), T: s1.Label(5), VertexFaults: []*Label{s05.Label(7)}},
@@ -309,21 +312,16 @@ func TestQueryValidateMismatchedParams(t *testing.T) {
 		if err := q.Validate(); err == nil {
 			t.Error("mismatched scheme parameters must be rejected")
 		}
-		var dec Decoder
 		if _, ok := q.Distance(); ok {
 			t.Error("mismatched query must not answer")
-		}
-		if _, ok := dec.DistanceWithTrace(q, nil); ok {
-			t.Error("mismatched query must not answer on a held Decoder")
 		}
 		if _, err := q.Sketch(); err == nil {
 			t.Error("mismatched query must not have a sketch")
 		}
-		dec.Release()
 	}
 	q := &Query{S: s1.Label(0), T: s1.Label(5), VertexFaults: []*Label{s05.Label(7)}}
-	if res := q.DistanceRobust(); !res.OK || !res.Degraded || !slices.Equal(res.MissingFaultLabels, []int32{7}) {
-		t.Errorf("DistanceRobust of a mismatched fault label = %+v, want a degraded answer", res)
+	if res := q.decode(Opts{}, nil); !res.OK || !res.Degraded || !slices.Equal(res.MissingFaultLabels, []int32{7}) {
+		t.Errorf("Decode of a mismatched fault label = %+v, want a degraded answer", res)
 	}
 }
 
@@ -333,15 +331,15 @@ func TestTraceSameVertex(t *testing.T) {
 	s, _ := BuildScheme(pathGraph(t, 10), 2)
 	q := &Query{S: s.Label(3), T: s.Label(3)}
 	tr := Trace{Path: []int32{9, 9, 9}, PathWeights: []int64{5, 5}, NumHVertices: 77, NumHEdges: 5, FrameReused: true}
-	if d, ok := q.DistanceWithTrace(&tr); !ok || d != 0 {
-		t.Fatalf("DistanceWithTrace(s = t) = (%d, %v), want (0, true)", d, ok)
+	var dec Decoder
+	defer dec.Release()
+	if res := dec.Decode(q, Opts{Trace: &tr}); !res.OK || res.Dist != 0 {
+		t.Fatalf("traced decode of s = t = %+v, want (0, true)", res)
 	}
 	if want := (Trace{Path: []int32{3}}); !reflect.DeepEqual(tr, want) {
 		t.Errorf("trace of s = t: %+v, want %+v", tr, want)
 	}
 	var path []int32
-	var dec Decoder
-	defer dec.Release()
 	if res := dec.Decode(q, Opts{Path: &path}); !res.OK || !slices.Equal(path, tr.Path) {
 		t.Errorf("walk of s = t: %+v %v, the trace's %v", res, path, tr.Path)
 	}

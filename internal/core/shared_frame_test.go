@@ -102,9 +102,9 @@ func sharedWants(t *testing.T, s *Scheme, b *frameBatch) []sharedWant {
 		w := sharedWant{q: b.query(s, i, max(budget, 0))}
 		w.framed = w.q.Budget == 0 || w.q.Budget >= total
 		var dec Decoder
-		w.lean = dec.DistanceRobustPatched(w.q, b.patches)
+		w.lean = dec.Decode(w.q, Opts{Patches: b.patches})
 		dec.Release()
-		w.res, w.path = dec.DistanceRobustPatchedPath(w.q, b.patches, nil)
+		w.res = dec.Decode(w.q, Opts{Patches: b.patches, Path: &w.path})
 		dec.Release()
 		var err error
 		if w.dist, w.exh, err = dec.scratch().decode(w.q, Opts{Patches: b.patches, Trace: &w.tr}); err != nil {
@@ -386,7 +386,7 @@ func TestSharedFrameAllocs(t *testing.T) {
 	batch := func() {
 		for _, q := range qs {
 			dec.Decode(q, Opts{Frame: f})
-			dec.DistanceRobust(q)
+			dec.Decode(q, Opts{})
 			dec.Decode(q, Opts{Patches: patches, Frame: fp})
 			buf = buf[:0]
 			dec.Decode(q, Opts{Patches: patches, Frame: fp, Path: &buf})

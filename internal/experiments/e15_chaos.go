@@ -153,6 +153,8 @@ func RunE15Chaos(cfg Config) error {
 		queries = 15
 	}
 	answered, degraded, unsafe := 0, 0, 0
+	var dec core.Decoder
+	defer dec.Release()
 	worst := 1.0
 	for trial := 0; trial < queries; trial++ {
 		src, dst := rng.Intn(n), rng.Intn(n)
@@ -163,10 +165,13 @@ func RunE15Chaos(cfg Config) error {
 		if !st.Has(src) || !st.Has(dst) {
 			continue // endpoint label lost to the damage: nothing to decode from
 		}
-		res, err := st.DistanceRobust(src, dst, faults, 0)
+		// Lost fault labels join the degraded tier by id; randomFaultSet
+		// spares src and dst, so q is never nil (a forbidden endpoint).
+		q, err := core.ResolveQuery(src, dst, faults, st.Label, true)
 		if err != nil {
 			return err
 		}
+		res := dec.Decode(q, core.Opts{})
 		if !res.OK {
 			continue
 		}

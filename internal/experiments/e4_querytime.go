@@ -36,6 +36,8 @@ func RunE4QueryTime(cfg Config) error {
 	}
 	s.SetCacheLimit(4096)
 	exact := baseline.Exact{G: w.g}
+	var dec core.Decoder
+	defer dec.Release()
 
 	table := stats.NewTable("|F|", "decode ms (p50)", "decode ms (p95)", "fetch ms (p50)",
 		"exact BFS ms (p50)", "bidir BFS ms (p50)", "H vertices", "H edges")
@@ -63,7 +65,7 @@ func RunE4QueryTime(cfg Config) error {
 			// trace derives the de-duplicated edge list, which an answer
 			// does not need.
 			var tr core.Trace
-			q.DistanceWithTrace(&tr)
+			dec.Decode(q, core.Opts{Trace: &tr})
 			hV.Add(float64(tr.NumHVertices))
 			hE.Add(float64(tr.NumHEdges))
 

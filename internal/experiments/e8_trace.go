@@ -44,13 +44,15 @@ func RunE8Trace(cfg Config) error {
 		return err
 	}
 	var tr core.Trace
-	dist, ok := q.DistanceWithTrace(&tr)
-	if !ok {
+	var dec core.Decoder
+	res := dec.Decode(q, core.Opts{Trace: &tr})
+	dec.Release()
+	if !res.OK {
 		return fmt.Errorf("trace query unexpectedly disconnected")
 	}
 	truth := w.g.DistAvoiding(src, dst, f)
 	fmt.Fprintf(cfg.Out, "workload: %s, faults: %v, query (%d,%d): estimate %d, true %d, stretch %.3f\n",
-		w.name, f.Vertices(), src, dst, dist, truth, float64(dist)/float64(truth))
+		w.name, f.Vertices(), src, dst, res.Dist, truth, float64(res.Dist)/float64(truth))
 
 	// The Figure-1 picture itself.
 	if pic, perr := asciiviz.RenderQuery(side, side, src, dst, f.Vertices(), tr.Path, nil); perr == nil {

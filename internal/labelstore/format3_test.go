@@ -448,7 +448,7 @@ func TestFormat3OutOfCoreDifferential(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		qc := qcase{s: rng.Intn(n), t: rng.Intn(n),
 			faults: gen.RandomVertexFaults(g, 4, []int{}, rng)}
-		res, err := st2.DistanceRobust(qc.s, qc.t, qc.faults, 0)
+		res, err := resolveDecode(st2, qc.s, qc.t, qc.faults, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -478,7 +478,7 @@ func TestFormat3OutOfCoreDifferential(t *testing.T) {
 	}
 	st3.SetDecodedCacheCapacity(2)
 	for i, qc := range queries {
-		res, err := st3.DistanceRobust(qc.s, qc.t, qc.faults, 0)
+		res, err := resolveDecode(st3, qc.s, qc.t, qc.faults, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,6 @@ import (
 	"sync/atomic"
 
 	"fsdl/internal/core"
-	"fsdl/internal/graph"
 	"fsdl/internal/lru"
 )
 
@@ -308,7 +307,9 @@ func (sr *SalvageReport) Lost() int { return sr.Total - sr.Kept }
 // body yields a usable Store plus a report of what was lost. A store
 // that lost anything is incomplete: whatever it lacks is Unknown, not
 // absent, until Seal. Queries needing a lost label can still be answered
-// conservatively via DistanceRobust.
+// conservatively: core.ResolveQuery with demote set turns it into a
+// degraded fault by id, and core.Decoder.Decode bounds the distance from
+// above.
 func LoadPartial(r io.Reader) (*Store, *SalvageReport, error) {
 	return load(r, true)
 }
@@ -569,63 +570,6 @@ func FirstEpsilon(ctx context.Context, n int, label func(context.Context, int) (
 		}
 	}
 	return 0, false
-}
-
-// Distance answers the forbidden-set query (src, dst, F) from stored
-// labels only. It fails with an error when a needed label is missing from
-// the store (e.g. a query leaving the downloaded region).
-func (st *Store) Distance(src, dst int, faults *graph.FaultSet) (int64, bool, error) {
-	q, err := core.ResolveQuery(src, dst, faults, st.Label, false)
-	if err != nil || q == nil {
-		return 0, false, err
-	}
-	d, ok := q.Distance()
-	return d, ok, nil
-}
-
-// DistanceRobust answers (src, dst, F) tolerating missing or corrupt
-// fault labels: faults whose labels are absent from the store (a salvage
-// skipped them, or the query left the downloaded region) or fail to
-// decode are demoted to the degraded tier by vertex id, yielding a
-// conservative upper bound on d_{G\F} with Result.Degraded set instead
-// of an error. budget caps the decode work (≤ 0 means unlimited). The
-// error is non-nil only when an endpoint label itself is unavailable —
-// without those nothing can be answered.
-func (st *Store) DistanceRobust(src, dst int, faults *graph.FaultSet, budget int) (core.Result, error) {
-	q, err := st.robustQuery(src, dst, faults, budget)
-	if err != nil || q == nil {
-		return core.Result{}, err
-	}
-	return q.DistanceRobust(), nil
-}
-
-// DistanceRobustPath is DistanceRobust, additionally reporting the
-// witness walk when the query connects: a vertex sequence from src to
-// dst whose hops are sketch edges, each realizable in G\F at exactly
-// its weight, summing to Result.Dist. The path is nil when the
-// endpoints are disconnected (or forbidden).
-func (st *Store) DistanceRobustPath(src, dst int, faults *graph.FaultSet, budget int) (core.Result, []int32, error) {
-	q, err := st.robustQuery(src, dst, faults, budget)
-	if err != nil || q == nil {
-		return core.Result{}, nil, err
-	}
-	var dec core.Decoder
-	defer dec.Release()
-	var path []int32
-	res := dec.Decode(q, core.Opts{Path: &path})
-	return res, path, nil
-}
-
-// robustQuery assembles the degraded-tolerant query for (src, dst, F):
-// fault labels absent from the store are demoted to the degraded tier
-// by vertex id. A nil query (with nil error) means a forbidden
-// endpoint — no distance exists, exactly.
-func (st *Store) robustQuery(src, dst int, faults *graph.FaultSet, budget int) (*core.Query, error) {
-	q, err := core.ResolveQuery(src, dst, faults, st.Label, true)
-	if q != nil {
-		q.Budget = budget
-	}
-	return q, err
 }
 
 // NewEmpty returns a store over an n-vertex space holding no labels —

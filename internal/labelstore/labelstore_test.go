@@ -23,6 +23,19 @@ func buildScheme(t testing.TB, g *graph.Graph) *core.Scheme {
 	return s
 }
 
+// resolveDecode answers (src, dst, F) from st's labels alone: a fault
+// label st lacks is an error, or with demote a degraded fault by id. A
+// forbidden endpoint has no distance: the zero Result, no error.
+func resolveDecode(st *Store, src, dst int, faults *graph.FaultSet, demote bool) (core.Result, error) {
+	q, err := core.ResolveQuery(src, dst, faults, st.Label, demote)
+	if err != nil || q == nil {
+		return core.Result{}, err
+	}
+	var dec core.Decoder
+	defer dec.Release()
+	return dec.Decode(q, core.Opts{}), nil
+}
+
 func TestSaveLoadAllLabels(t *testing.T) {
 	g := gen.Grid2D(6, 6)
 	s := buildScheme(t, g)
@@ -66,16 +79,16 @@ func TestStoreQueriesMatchScheme(t *testing.T) {
 	}
 	f := graph.FaultVertices(14, 21)
 	f.AddEdge(0, 1)
-	gotD, gotOK, err := st.Distance(0, 35, f)
+	got, err := resolveDecode(st, 0, 35, f, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	wantD, wantOK := s.Distance(0, 35, f)
-	if gotD != wantD || gotOK != wantOK {
-		t.Fatalf("store query = (%d,%v), scheme = (%d,%v)", gotD, gotOK, wantD, wantOK)
+	if got.Dist != wantD || got.OK != wantOK {
+		t.Fatalf("store query = (%d,%v), scheme = (%d,%v)", got.Dist, got.OK, wantD, wantOK)
 	}
-	if _, ok, err := st.Distance(0, 35, graph.FaultVertices(0)); err != nil || ok {
-		t.Errorf("forbidden endpoint: got (%v,%v)", ok, err)
+	if res, err := resolveDecode(st, 0, 35, graph.FaultVertices(0), false); err != nil || res.OK {
+		t.Errorf("forbidden endpoint: got (%v,%v)", res.OK, err)
 	}
 }
 
@@ -102,10 +115,10 @@ func TestRegionBundle(t *testing.T) {
 		t.Error("corner is outside the region")
 	}
 	// In-region query works, out-of-region query errors cleanly.
-	if _, _, err := st.Distance(center, center+3, nil); err != nil {
+	if _, err := resolveDecode(st, center, center+3, nil, false); err != nil {
 		t.Errorf("in-region query failed: %v", err)
 	}
-	if _, _, err := st.Distance(center, 0, nil); err == nil {
+	if _, err := resolveDecode(st, center, 0, nil, false); err == nil {
 		t.Error("out-of-region query must error")
 	}
 	if !strings.Contains(strBundleErr(st), "no label") {
@@ -114,7 +127,7 @@ func TestRegionBundle(t *testing.T) {
 }
 
 func strBundleErr(st *Store) string {
-	_, _, err := st.Distance(0, 1, nil)
+	_, err := resolveDecode(st, 0, 1, nil, false)
 	if err == nil {
 		return ""
 	}
@@ -174,8 +187,8 @@ func TestStoreOnDisconnectedGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := st.Distance(0, 3, nil); err != nil || ok {
-		t.Errorf("cross-component query = (%v,%v), want disconnected", ok, err)
+	if res, err := resolveDecode(st, 0, 3, nil, false); err != nil || res.OK {
+		t.Errorf("cross-component query = (%v,%v), want disconnected", res.OK, err)
 	}
 }
 

@@ -80,14 +80,14 @@ func distances(t *testing.T, st *Store, n int) []int64 {
 	var out []int64
 	for i := 0; i < 12; i++ {
 		src, dst := (i*37)%n, (i*91+n/2)%n
-		d, ok, err := st.Distance(src, dst, graph.FaultVertices((src+dst)/2+1))
+		res, err := resolveDecode(st, src, dst, graph.FaultVertices((src+dst)/2+1), false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok {
-			d = -1
+		if !res.OK {
+			res.Dist = -1
 		}
-		out = append(out, d)
+		out = append(out, res.Dist)
 	}
 	return out
 }
@@ -229,11 +229,11 @@ func TestLevelTableCap(t *testing.T) {
 			}
 		}
 		for v := 0; v < 2*pairs; v += 2 {
-			d, ok, err := st.Distance(v, v+1, nil)
-			if err != nil || !ok {
-				t.Fatalf("Distance(%d,%d): %v %v", v, v+1, ok, err)
+			res, err := resolveDecode(st, v, v+1, nil, false)
+			if err != nil || !res.OK {
+				t.Fatalf("Distance(%d,%d): %v %v", v, v+1, res.OK, err)
 			}
-			dists = append(dists, d)
+			dists = append(dists, res.Dist)
 		}
 		return dists
 	}

@@ -218,11 +218,12 @@ func TestDistanceRobustFromSalvagedStore(t *testing.T) {
 	faults.AddVertex(21)
 	truth := g.DistAvoiding(0, 35, faults)
 
-	// The strict path refuses the query outright.
-	if _, _, err := st.Distance(0, 35, faults); err == nil {
-		t.Fatal("strict Distance answered with a missing fault label")
+	// Strict resolution refuses the query outright; demoting resolution
+	// answers it.
+	if _, err := resolveDecode(st, 0, 35, faults, false); err == nil {
+		t.Fatal("strict resolution answered with a missing fault label")
 	}
-	res, err := st.DistanceRobust(0, 35, faults, 0)
+	res, err := resolveDecode(st, 0, 35, faults, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +247,15 @@ func TestDistanceRobustFromSalvagedStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	strict, strictOK, err := stFull.Distance(0, 35, faults)
+	strict, err := resolveDecode(stFull, 0, 35, faults, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = stFull.DistanceRobust(0, 35, faults, 0)
+	res, err = resolveDecode(stFull, 0, 35, faults, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Degraded || res.OK != strictOK || (strictOK && res.Dist != strict) {
-		t.Fatalf("healthy robust query %+v disagrees with strict (%d,%v)", res, strict, strictOK)
+	if res.Degraded || res.OK != strict.OK || (strict.OK && res.Dist != strict.Dist) {
+		t.Fatalf("healthy robust query %+v disagrees with strict (%d,%v)", res, strict.Dist, strict.OK)
 	}
 }

@@ -93,7 +93,7 @@ func TestStreamedEquivalence(t *testing.T) {
 		for _, e := range p.FaultEdges() {
 			q.EdgeFaults = append(q.EdgeFaults, [2]*core.Label{schemeG.Label(int(e[0])), schemeG.Label(int(e[1]))})
 		}
-		res := dec.DistanceRobustPatched(q, patches)
+		res := dec.Decode(q, core.Opts{Patches: patches})
 		truth, connected := bfsDist(gPrime, pr[0], pr[1], reqFaults)
 		if res.OK {
 			if !connected {
@@ -111,7 +111,7 @@ func TestStreamedEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := dec.DistanceRobustPatched(q, patches); !res.OK || res.Dist != 1 {
+	if res := dec.Decode(q, core.Opts{Patches: patches}); !res.OK || res.Dist != 1 {
 		t.Fatalf("patched corner distance = %+v, want 1", res)
 	}
 

@@ -570,16 +570,6 @@ func (w *WAL) Seq() uint64 {
 // fsdl_wal_flushed_total metric.
 func (w *WAL) FlushedTotal() int64 { return w.flushes.Load() }
 
-// Segments returns the sealed segments currently retained, oldest
-// first.
-func (w *WAL) Segments() []SegmentInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]SegmentInfo, len(w.sealed))
-	copy(out, w.sealed)
-	return out
-}
-
 // Stats summarizes the journal for status surfaces.
 func (w *WAL) Stats() WALStats {
 	w.mu.Lock()

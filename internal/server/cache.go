@@ -23,40 +23,20 @@ type cacheKey struct {
 	path  bool
 }
 
-// resultCache is the sharded LRU over query answers, backed by the
-// generic lru.Cache. The shard hash mixes the pair ids into the fault
-// hash so grids of sequential queries spread across shards.
-type resultCache struct {
-	c *lru.Cache[cacheKey, Answer]
-}
-
-// newResultCache builds a cache with the given total capacity spread
-// over nshards shards. capacity <= 0 disables caching (every Get
-// misses, every Put is dropped).
-func newResultCache(capacity, nshards int) *resultCache {
-	return &resultCache{c: lru.New[cacheKey, Answer](capacity, nshards, func(k cacheKey) uint64 {
+// newResultCache builds the sharded LRU over query answers, with the
+// given total capacity spread over nshards shards. capacity <= 0
+// disables caching (every Get misses, every Put is dropped). The shard
+// hash mixes the pair ids into the fault hash so grids of sequential
+// queries spread across shards.
+func newResultCache(capacity, nshards int) *lru.Cache[cacheKey, Answer] {
+	return lru.New[cacheKey, Answer](capacity, nshards, func(k cacheKey) uint64 {
 		h := k.fhash ^ (uint64(uint32(k.s)) * 0x9e3779b97f4a7c15) ^ (uint64(uint32(k.t)) * 0xc2b2ae3d27d4eb4f)
 		if k.path {
 			h ^= 0xa24baed4963ee407
 		}
 		return h
-	})}
+	})
 }
-
-// Get returns the cached answer for k, if present, and marks it most
-// recently used.
-func (c *resultCache) Get(k cacheKey) (Answer, bool) { return c.c.Get(k) }
-
-// Put stores the answer for k, evicting the least recently used entry
-// of the shard when it is full.
-func (c *resultCache) Put(k cacheKey, ans Answer) { c.c.Put(k, ans) }
-
-// Flush drops every entry — called on fail/recover, because the global
-// fault overlay is folded into every key's fault set.
-func (c *resultCache) Flush() { c.c.Flush() }
-
-// Len returns the number of cached entries across all shards.
-func (c *resultCache) Len() int { return c.c.Len() }
 
 // The shared fault frames kept beside the result cache: how many, and how
 // many of the fault-set keys asked last a second sighting is looked for

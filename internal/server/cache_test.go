@@ -96,7 +96,7 @@ func TestCacheShardSpread(t *testing.T) {
 		c.Put(cacheKey{s: int32(i), t: int32(i + 1), fhash: uint64(i)}, Answer{})
 	}
 	used := 0
-	for _, n := range c.c.ShardLens() {
+	for _, n := range c.ShardLens() {
 		if n > 0 {
 			used++
 		}

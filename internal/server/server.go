@@ -24,6 +24,7 @@ import (
 	"fsdl/internal/graph"
 	"fsdl/internal/labelstore"
 	"fsdl/internal/liveupdate"
+	"fsdl/internal/lru"
 	"fsdl/internal/stats"
 )
 
@@ -155,7 +156,7 @@ type Server struct {
 	overlayMu sync.RWMutex
 	overlay   *graph.FaultSet
 
-	cache  *resultCache
+	cache  *lru.Cache[cacheKey, Answer]
 	frames frameCache
 	met    *metrics
 
